@@ -1,8 +1,8 @@
 //! Vectorized-DSP benchmark with a tracked JSON baseline.
 //!
-//! Extends the PR3/PR4 baselines: the same `pipeline` and `fleet_*`
-//! groups (via `es_bench::fleet_exp`, so `ES_BENCH_BASELINE` can point
-//! at `BENCH_PR3.json` or `BENCH_PR4.json` for cross-checks) plus a
+//! Extends the PR3 baseline: the same `pipeline` group and the
+//! `fleet_*` rows (via `es_bench::fleet_exp`, so `ES_BENCH_BASELINE`
+//! can point at `BENCH_PR3.json` for cross-checks) plus a
 //! `dsp_kernels` group measuring per-kernel samples/sec through the
 //! batch primitives in `es_codec::dsp` and the zero-alloc OVL decode
 //! they compose into. Writes `BENCH_PR6.json` at the repo root.
@@ -15,7 +15,7 @@
 //! regression in the `pipeline` group fails the process — the
 //! end-to-end decode path is the number this PR series optimizes, and
 //! a silent 20% giveback there is a bug, not a warning. The fleet
-//! sweep's `fleet_*.t*_x_realtime_aggregate` rates are gated too but
+//! sweep's `fleet_*.t1_x_realtime_aggregate` rates are gated too but
 //! stay warnings (labeled `FLEET`): the sweep is noisier on a loaded
 //! host and its group set grows across PRs. Lower-is-better
 //! `wall_seconds` keys are skipped inside `baseline_warnings` itself,

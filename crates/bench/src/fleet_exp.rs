@@ -1,36 +1,20 @@
-//! The `fleet` experiment: x-realtime throughput vs. speaker count and
-//! fleet-executor lane count, tracked as `BENCH_PR4.json`.
+//! The fleet rows of the `dsp` bench (`BENCH_PR6.json`): x-realtime
+//! throughput vs. speaker count.
 //!
 //! Each speaker count builds one OVL channel fanned out to `S`
 //! independent speakers and streams a few seconds of CD audio through
-//! the full producer→LAN→speaker stack. Two kinds of numbers come out:
+//! the full producer→LAN→speaker stack; the row is the measured wall
+//! time on this host and the aggregate speaker-seconds per wall
+//! second. (The 2/4-lane sweeps and their work/span projections went
+//! with the decode lanes: every datagram is now decoded once and
+//! shared across the fan-out, DESIGN.md §7. The `t1_` prefix stays so
+//! the rows still line up with committed baselines.)
 //!
-//! - **measured wall time** per lane count — what this host actually
-//!   took with the executor pinned to `T` lanes;
-//! - **projected wall time** per lane count — from one *uncontended*
-//!   single-lane run that records every decode job's execution time
-//!   ([`es_sim::fleet::take_timing`]). Lane assignment is the fixed
-//!   rule `i % T`, so the busiest-lane (critical-path) time at any `T`
-//!   follows arithmetically: `projected = wall₁ - work + span(T)`.
-//!   Job times must come from the single-lane run because an
-//!   oversubscribed host preempts worker threads mid-job and inflates
-//!   their measured durations.
+//! A `pipeline` group repeats the PR3 single-speaker experiment (same
+//! metric names), so `ES_BENCH_BASELINE=BENCH_PR3.json` directly
+//! cross-checks that fleet fan-out costs the single-speaker path
+//! nothing.
 //!
-//! On a host with at least `T` cores the projection converges to the
-//! measurement; on a smaller host (a 1-core CI container cannot show
-//! wall-clock parallel speedup no matter how well the work shards) the
-//! projection is the honest scaling number. The JSON carries
-//! `host_cores` plus both figures so a reader can tell which regime
-//! produced it, and the headline `speedup_t4` per speaker count is the
-//! projected 1-lane/4-lane ratio — equal to the measured ratio on
-//! ≥4-core hardware.
-//!
-//! A `pipeline` group repeats the PR3 single-speaker experiment
-//! (1 lane, same metric names), so `ES_BENCH_BASELINE=BENCH_PR3.json`
-//! directly cross-checks that fleet dispatch costs the single-speaker
-//! path nothing.
-//!
-//! The bench binary writes `BENCH_PR4.json` at the repo root.
 //! `ES_BENCH_QUICK=1` shrinks the sweep for CI smoke tests;
 //! `ES_BENCH_BASELINE=<file>` warns on >20% regressions.
 
@@ -39,30 +23,22 @@ use std::time::Instant;
 use es_core::{ChannelSpec, SpeakerSpec, SystemBuilder};
 use es_net::McastGroup;
 use es_rebroadcast::CompressionPolicy;
-use es_sim::fleet::{self, FleetTiming};
 use es_sim::{SimDuration, SimTime};
 
 use crate::perf::{self, PerfReport};
 
-/// One full system run: `speakers` receivers, `threads` lanes.
+/// One full system run of `speakers` receivers.
 #[derive(Debug, Clone)]
 pub struct FleetRun {
     /// Wall-clock seconds on this host.
     pub wall: f64,
-    /// Per-batch per-job decode times (only collected at 1 lane).
-    pub timing: FleetTiming,
     /// Samples played by speaker 0 (sanity: audio actually flowed).
     pub samples_played: u64,
 }
 
 /// Streams `audio_seconds` of OVL-compressed CD audio to `speakers`
-/// receivers with the fleet executor pinned to `threads` lanes.
-/// Per-job timing is collected only when `threads == 1` — contended
-/// lanes produce preemption-inflated job times (see module docs).
-pub fn fleet_run(speakers: usize, audio_seconds: u64, threads: usize) -> FleetRun {
-    fleet::set_threads(threads);
-    fleet::record_timing(threads == 1);
-    fleet::take_timing(); // discard a previous run's accumulation
+/// receivers.
+pub fn fleet_run(speakers: usize, audio_seconds: u64) -> FleetRun {
     let group = McastGroup(1);
     let spec = ChannelSpec::new(1, group, "fleet")
         .policy(CompressionPolicy::Always {
@@ -78,12 +54,8 @@ pub fn fleet_run(speakers: usize, audio_seconds: u64, threads: usize) -> FleetRu
     let start = Instant::now();
     sys.run_until(SimTime::from_secs(audio_seconds + 1));
     let wall = start.elapsed().as_secs_f64().max(1e-9);
-    let timing = fleet::take_timing();
-    fleet::record_timing(false);
-    fleet::set_threads(0);
     FleetRun {
         wall,
-        timing,
         samples_played: sys
             .speaker(0)
             .map(|s| s.stats().samples_played)
@@ -116,74 +88,31 @@ pub fn run() -> PerfReport {
     } else {
         &[1, 8, 64, 256, 1024]
     };
-    let mut thread_counts = vec![1usize, 2, 4];
-    if host_cores > 4 {
-        thread_counts.push(host_cores);
-    }
 
     let mut groups: Vec<(String, Vec<(String, f64)>)> =
         vec![("host".into(), vec![("cores".into(), host_cores as f64)])];
     for &s in speaker_counts {
         let audio = audio_seconds_for(s, quick);
-        let speaker_seconds = (s as u64 * audio) as f64;
-        let mut metrics: Vec<(String, f64)> = vec![
-            ("speakers".into(), s as f64),
-            ("audio_seconds".into(), audio as f64),
-        ];
-
-        // The uncontended single-lane run anchors the projections.
-        let base = fleet_run(s, audio, 1);
-        assert!(base.samples_played > 0, "fleet run {s}x1: no audio played");
-        let work = base.timing.work_ns() as f64 / 1e9;
-        metrics.push(("decode_work_seconds".into(), work));
-
-        let projected_of = |t: usize| -> f64 {
-            let span = base.timing.span_ns(t) as f64 / 1e9;
-            (base.wall - work + span).max(span).max(1e-9)
-        };
-        let mut projections: Vec<(usize, f64)> = Vec::new();
-        for &t in &thread_counts {
-            let wall = if t == 1 {
-                base.wall
-            } else {
-                let run = fleet_run(s, audio, t);
-                assert!(run.samples_played > 0, "fleet run {s}x{t}: no audio played");
-                run.wall
-            };
-            // Every tier's projection comes from the same model —
-            // `span_ns(1)` is the whole decode work, so t1 projects to
-            // its own measured wall and the speedup ratios are
-            // internally consistent.
-            let projected = projected_of(t);
-            metrics.push((format!("t{t}_wall_seconds"), wall));
-            metrics.push((format!("t{t}_projected_wall_seconds"), projected));
-            metrics.push((
-                format!("t{t}_x_realtime_aggregate"),
-                speaker_seconds / projected,
-            ));
-            projections.push((t, projected));
-        }
-        let projected_at = |want: usize| {
-            projections
-                .iter()
-                .find(|(t, _)| *t == want)
-                .map(|(_, w)| *w)
-        };
-        if let (Some(one), Some(two)) = (projected_at(1), projected_at(2)) {
-            metrics.push(("speedup_t2".into(), one / two));
-        }
-        if let (Some(one), Some(four)) = (projected_at(1), projected_at(4)) {
-            metrics.push(("speedup_t4".into(), one / four));
-        }
-        groups.push((format!("fleet_{s:04}"), metrics));
+        let run = fleet_run(s, audio);
+        assert!(run.samples_played > 0, "fleet run {s}: no audio played");
+        groups.push((
+            format!("fleet_{s:04}"),
+            vec![
+                ("speakers".into(), s as f64),
+                ("audio_seconds".into(), audio as f64),
+                ("t1_wall_seconds".into(), run.wall),
+                (
+                    "t1_x_realtime_aggregate".into(),
+                    (s as u64 * audio) as f64 / run.wall,
+                ),
+            ],
+        ));
     }
 
-    // The PR3 pipeline experiment, unchanged and single-lane: the
-    // fleet machinery must not tax the one-speaker path.
-    fleet::set_threads(1);
+    // The PR3 pipeline experiment, unchanged: the fleet machinery
+    // must not tax the one-speaker path.
     let pipeline_audio = if quick { 2 } else { 10 };
     groups.push(("pipeline".into(), perf::pipeline_group(pipeline_audio)));
-    fleet::set_threads(0);
 
     PerfReport {
         bench: "fleet".into(),
@@ -197,27 +126,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn single_lane_run_collects_per_job_timing() {
-        let run = fleet_run(3, 1, 1);
+    fn fleet_run_plays_audio() {
+        let run = fleet_run(3, 1);
         assert!(run.samples_played > 0);
-        assert!(!run.timing.batches.is_empty(), "fan-out never batched");
-        // Three receivers: every data-packet batch carries three jobs.
-        assert!(run.timing.batches.iter().any(|b| b.len() == 3));
-        let work = run.timing.work_ns();
-        assert!(work > 0);
-        // More lanes can only shrink the span.
-        assert!(run.timing.span_ns(2) <= run.timing.span_ns(1));
-        assert!(run.timing.span_ns(4) <= run.timing.span_ns(2));
-        assert_eq!(run.timing.span_ns(1), work);
-    }
-
-    #[test]
-    fn contended_runs_do_not_collect_timing() {
-        let run = fleet_run(3, 1, 2);
-        assert!(run.samples_played > 0);
-        assert!(
-            run.timing.batches.is_empty(),
-            "multi-lane job times are preemption-poisoned; must not be kept"
-        );
+        assert!(run.wall > 0.0);
     }
 }

@@ -415,19 +415,19 @@ mod tests {
         // the paired x_realtime rate is its gate.
         let old = concat!(
             r#"{"bench":"fleet","quick":true,"#,
-            r#""fleet_0064":{"t4_x_realtime_aggregate":100,"t4_wall_seconds":10,"#,
+            r#""fleet_0064":{"t1_x_realtime_aggregate":100,"t1_wall_seconds":10,"#,
             r#""t4_projected_wall_seconds":8},"#,
             r#""pipeline":{"x_realtime":50,"wall_seconds":4}}"#
         );
         let new = concat!(
             r#"{"bench":"fleet","quick":true,"#,
-            r#""fleet_0064":{"t4_x_realtime_aggregate":70,"t4_wall_seconds":2,"#,
+            r#""fleet_0064":{"t1_x_realtime_aggregate":70,"t1_wall_seconds":2,"#,
             r#""t4_projected_wall_seconds":30},"#,
             r#""pipeline":{"x_realtime":49,"wall_seconds":1}}"#
         );
         let warnings = baseline_warnings(new, old).expect("both parse");
         assert_eq!(warnings.len(), 1, "{warnings:?}");
-        assert!(warnings[0].contains("fleet_0064.t4_x_realtime_aggregate"));
+        assert!(warnings[0].contains("fleet_0064.t1_x_realtime_aggregate"));
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //!   shards — the critical path a parallel shard-per-core engine
 //!   could not beat;
 //! - **projected wall time** per shard count:
-//!   `wall₁ − work + span(n)`, the fleet-bench projection discipline
-//!   applied to event shards.
+//!   `wall₁ − work + span(n)`.
 //!
 //! A `segments_100k_projected` group linearly extrapolates the
 //! largest measured sweep to 100 000 speakers (`scale_factor`
@@ -36,7 +35,6 @@ use std::time::Instant;
 use es_core::{ChannelSpec, EsSystem, RelaySpec, SpeakerSpec, SystemBuilder};
 use es_net::McastGroup;
 use es_rebroadcast::CompressionPolicy;
-use es_sim::fleet;
 use es_sim::{ShardTiming, SimDuration, SimTime};
 
 use crate::perf::{self, PerfReport};
@@ -84,7 +82,6 @@ fn relayed_fleet(speakers: usize, audio_seconds: u64, shards: usize) -> EsSystem
 /// is set — it reads the host clock per event, which would inflate
 /// the measured walls of the comparison runs.
 pub fn seg_run(speakers: usize, audio_seconds: u64, shards: usize, timing: bool) -> SegRun {
-    fleet::set_threads(1);
     let mut sys = relayed_fleet(speakers, audio_seconds, shards);
     if timing {
         sys.sim_mut().enable_shard_timing();
@@ -97,7 +94,6 @@ pub fn seg_run(speakers: usize, audio_seconds: u64, shards: usize, timing: bool)
     } else {
         ShardTiming::default()
     };
-    fleet::set_threads(0);
     SegRun {
         wall,
         timing,
@@ -178,9 +174,8 @@ pub fn run() -> PerfReport {
                 run.wall
             };
             let span = (base.timing.span_ns(n) as f64 / 1e9).max(1e-9);
-            // The fleet-bench projection discipline: strip the decode
-            // work the single-shard wall serialized, add back the
-            // busiest lane at n shards.
+            // Strip the event work the single-shard wall serialized,
+            // add back the busiest lane at n shards.
             let projected = (base.wall - work + span).max(span).max(1e-9);
             metrics.push((format!("s{n}_wall_seconds"), wall));
             metrics.push((format!("s{n}_span_seconds"), span));
@@ -229,12 +224,10 @@ pub fn run() -> PerfReport {
         groups.push(("segments_100k_projected".into(), metrics));
     }
 
-    // The PR3 pipeline experiment, unchanged and single-lane: the
-    // sharded engine must not tax the one-speaker path.
-    fleet::set_threads(1);
+    // The PR3 pipeline experiment, unchanged: the sharded engine
+    // must not tax the one-speaker path.
     let pipeline_audio = if quick { 2 } else { 10 };
     groups.push(("pipeline".into(), perf::pipeline_group(pipeline_audio)));
-    fleet::set_threads(0);
 
     PerfReport {
         bench: "segments".into(),

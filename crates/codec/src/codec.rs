@@ -203,7 +203,7 @@ impl Codecs {
     /// [`Codecs::decode`] into a caller-provided buffer (cleared
     /// first), returning the work units. Reusing `out` across packets
     /// makes the steady-state decode path allocation-free end to end —
-    /// the per-lane fleet decoders thread a recycled buffer through
+    /// the speakers' shared decode threads a recycled buffer through
     /// here.
     pub fn decode_into(
         &self,

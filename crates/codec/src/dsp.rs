@@ -7,7 +7,7 @@
 //! those loops: iteration is expressed with `zip`/`chunks_exact` so
 //! the autovectorizer can SIMD it, while the *elementwise expression
 //! is kept literally identical* to the scalar original — so output is
-//! bit-identical, not merely close, and the 1/2/4-lane determinism
+//! bit-identical, not merely close, and the determinism
 //! fingerprints are unaffected by this refactor.
 //!
 //! The scalar originals are retained in [`scalar`] as the

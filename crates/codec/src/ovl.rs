@@ -137,7 +137,7 @@ pub struct OvlCodec {
 }
 
 /// Reusable per-packet workspace (single-threaded; the sim never
-/// re-enters a codec call — each fleet decode lane owns its own codec
+/// re-enters a codec call, and each thread owns its own codec
 /// instance and therefore its own arena).
 #[derive(Default)]
 struct DecodeArena {

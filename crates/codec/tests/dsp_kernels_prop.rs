@@ -7,7 +7,7 @@
 //! expression literally identical to the scalar original, so every
 //! output must match to the last bit across block sizes (64..512),
 //! channel layouts (mono/stereo/5.1-ish) and the full quality range —
-//! that is what keeps the 1/2/4-lane determinism fingerprints stable.
+//! that is what keeps the determinism fingerprints stable.
 //!
 //! The final test closes the loop end-to-end: a full OVL
 //! encode → decode built from the kernels is byte/bit-identical

@@ -547,12 +547,13 @@ impl SystemBuilder {
         self
     }
 
-    /// Pins the fleet executor to `n` decode lanes for this process
-    /// (`0` restores the `ES_FLEET_THREADS` / hardware default). The
-    /// merge is deterministic, so this only changes wall-clock speed —
-    /// every fingerprint and metric is identical at any lane count.
-    pub fn fleet_threads(self, n: usize) -> Self {
-        es_sim::fleet::set_threads(n);
+    /// Inert: decode lanes are gone — each datagram is decoded once
+    /// and shared across the fan-out (DESIGN.md §7), which left the
+    /// lanes nothing to parallelize. Kept only because the frozen
+    /// `benches/ledger` harness still calls it; the next `benchmark`
+    /// PR retires it together with the ledger's `--lanes` flag and
+    /// `sim.lanes2_wall_ratio`.
+    pub fn fleet_threads(self, _n: usize) -> Self {
         self
     }
 
@@ -883,7 +884,6 @@ impl MetricsHub {
         let mut reg = Registry::new();
         reg.set_instance("lan0");
         self.lan.stats().record(&mut reg);
-        self.lan.record_fleet_telemetry(&mut reg);
         for (i, rb) in self.rebroadcasters.iter().enumerate() {
             reg.set_instance(&format!("ch{i}"));
             rb.record_telemetry(&mut reg);

@@ -9,12 +9,8 @@
 //! writes what the speaker heard to a WAV file.
 //!
 //! Live mode decodes inline on the receive thread: a real Ethernet
-//! Speaker is one node with one stream, so the fleet executor
-//! (`es_sim::fleet`, sized by [`SystemBuilder::fleet_threads`] or
-//! `ES_FLEET_THREADS`) only shards work when the *simulator* hosts
-//! many speakers in one process.
-//!
-//! [`SystemBuilder::fleet_threads`]: crate::builder::SystemBuilder::fleet_threads
+//! Speaker is one node with one stream, so the simulator's
+//! decode-once-per-datagram sharing has nothing to share here.
 
 use std::time::{Duration, Instant};
 

@@ -15,17 +15,15 @@
 //! multicast packet at the same time" — §3.2's uniformity assumption —
 //! holds exactly when jitter is zero).
 
-use std::any::Any;
-
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use es_sim::random::{chance, normal, GilbertElliott};
 use es_sim::{
-    fleet, shared, BucketAccumulator, ShardRouter, Shared, Sim, SimDuration, SimTime, TimeSeries,
+    shared, BucketAccumulator, ShardRouter, Shared, Sim, SimDuration, SimTime, TimeSeries,
 };
-use es_telemetry::{Journal, Registry, Severity, ShardBuffer, ShardDrain, Stamp, Telemetry};
+use es_telemetry::{Journal, Registry, Severity, Stamp, Telemetry};
 
 /// Identifies a host attached to the LAN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -279,26 +277,9 @@ impl Telemetry for LanStats {
 
 type RecvHandler = Box<dyn FnMut(&mut Sim, Datagram)>;
 
-/// A deferred unit of pure receive-side work, produced by a node's
-/// preparer (see [`Lan::set_preparer`]). Jobs run on the fleet
-/// executor's worker lanes, so they must be `Send` and must not touch
-/// simulator or node state; the result comes back to the node via
-/// [`Lan::take_prepared`] just before its receive handler runs. The
-/// job receives a [`ShardBuffer`] keyed by its submission index for
-/// lane-local telemetry — record only deterministic quantities
-/// (counts, work units) there, never wall-clock readings, or the
-/// merged registry would vary with `ES_FLEET_THREADS`.
-pub type PrepareJob = Box<dyn FnOnce(&mut ShardBuffer) -> Box<dyn Any + Send> + Send>;
-
-type Preparer = Box<dyn Fn(&Datagram) -> Option<PrepareJob>>;
-
 struct Node {
     name: String,
     handler: Option<RecvHandler>,
-    /// Builds parallel prepare jobs for incoming datagrams, if set.
-    preparer: Option<Preparer>,
-    /// Result of this delivery's prepare job, staged for the handler.
-    prepared: Option<Box<dyn Any + Send>>,
     groups: Vec<McastGroup>,
     link_busy_until: SimTime,
     /// This receiver's private impairment RNG stream, seeded lazily
@@ -341,11 +322,6 @@ struct LanInner {
     group_bytes: std::collections::BTreeMap<McastGroup, u64>,
     /// Event journal for loss diagnostics, if attached.
     journal: Option<Journal>,
-    /// Lane telemetry drained from prepare-job shard buffers,
-    /// accumulated across batches. Snapshots rebuild their registry
-    /// from scratch on every walk, so drained shards need a home that
-    /// outlives the batch; this is it.
-    fleet_registry: Registry,
     /// Deterministic cross-shard channel: every delivery is posted
     /// into the receiver's segment through here.
     router: ShardRouter,
@@ -369,7 +345,6 @@ impl Lan {
                 medium_busy_until: SimTime::ZERO,
                 group_bytes: std::collections::BTreeMap::new(),
                 journal: None,
-                fleet_registry: Registry::new(),
                 router: ShardRouter::new(),
             }),
         }
@@ -388,8 +363,6 @@ impl Lan {
         inner.nodes.push(Node {
             name: name.into(),
             handler: None,
-            preparer: None,
-            prepared: None,
             groups: Vec::new(),
             link_busy_until: SimTime::ZERO,
             rng: None,
@@ -429,37 +402,6 @@ impl Lan {
     /// Installs (or replaces) the receive handler for `node`.
     pub fn set_handler(&self, node: NodeId, f: impl FnMut(&mut Sim, Datagram) + 'static) {
         self.inner.borrow_mut().nodes[node.0 as usize].handler = Some(Box::new(f));
-    }
-
-    /// Installs (or replaces) the prepare hook for `node`: called on
-    /// the simulation thread for every delivery, it may return a pure
-    /// [`PrepareJob`] (packet parse, codec decode) to run on the fleet
-    /// executor while other receivers of the same instant do the same.
-    /// Returning `None` keeps that delivery entirely serial.
-    pub fn set_preparer(
-        &self,
-        node: NodeId,
-        f: impl Fn(&Datagram) -> Option<PrepareJob> + 'static,
-    ) {
-        self.inner.borrow_mut().nodes[node.0 as usize].preparer = Some(Box::new(f));
-    }
-
-    /// Replays the lane telemetry drained from prepare-job shard
-    /// buffers (accumulated across every batch so far) into `reg`.
-    /// Snapshot walkers call this alongside the stats recorders; the
-    /// underlying registry persists inside the LAN because snapshots
-    /// rebuild theirs from scratch each walk.
-    pub fn record_fleet_telemetry(&self, reg: &mut Registry) {
-        reg.merge_from(&self.inner.borrow().fleet_registry);
-    }
-
-    /// Takes the staged result of this delivery's prepare job, if any.
-    /// Only meaningful from inside the node's receive handler; the
-    /// stage is cleared when the handler returns.
-    pub fn take_prepared(&self, node: NodeId) -> Option<Box<dyn Any + Send>> {
-        self.inner.borrow_mut().nodes[node.0 as usize]
-            .prepared
-            .take()
     }
 
     /// Joins a multicast group — the ES "tuning in" to a channel; no
@@ -563,8 +505,8 @@ impl Lan {
     /// per-datagram loss probability on deliveries to `node` — one
     /// flaky NIC or radio link, while the rest of the segment stays
     /// clean. The draw comes from the node's private RNG stream, so
-    /// the impairment pattern is independent of fleet size and lane
-    /// count. Journaled when a journal is attached.
+    /// the impairment pattern is independent of fleet size. Journaled
+    /// when a journal is attached.
     pub fn degrade(&self, sim: &mut Sim, node: NodeId, loss_prob: f64) {
         let journal = {
             let mut inner = self.inner.borrow_mut();
@@ -684,10 +626,10 @@ impl Lan {
             let receivers: Vec<u32> = match dst {
                 Dest::Unicast(NodeId(n)) => {
                     if (n as usize) < inner.nodes.len() {
-                        // es-allow(hot-path-transitive): per-datagram receiver-set bookkeeping in the simulator, not lane DSP
+                        // es-allow(hot-path-transitive): per-datagram receiver-set bookkeeping in the simulator, not per-packet DSP
                         vec![n]
                     } else {
-                        // es-allow(hot-path-transitive): per-datagram receiver-set bookkeeping in the simulator, not lane DSP
+                        // es-allow(hot-path-transitive): per-datagram receiver-set bookkeeping in the simulator, not per-packet DSP
                         Vec::new()
                     }
                 }
@@ -697,7 +639,7 @@ impl Lan {
                     .enumerate()
                     .filter(|&(i, node)| i as u32 != from.0 && node.groups.contains(&group))
                     .map(|(i, _)| i as u32)
-                    // es-allow(hot-path-transitive): per-datagram receiver-set bookkeeping in the simulator, not lane DSP
+                    // es-allow(hot-path-transitive): per-datagram receiver-set bookkeeping in the simulator, not per-packet DSP
                     .collect(),
             };
 
@@ -844,15 +786,13 @@ impl Lan {
         // Group deliveries that share an arrival instant *and* a
         // receiver segment into one batch event: the common case — a
         // zero-jitter multicast to a whole fleet on one segment —
-        // becomes a single event whose per-receiver pure work can fan
-        // out across the fleet executor. Distinct arrival times
-        // (jitter, reordering, duplicates) each get their own
-        // singleton batch, preserving the old per-delivery schedule
-        // exactly. The segment key is part of the split because a
-        // batch executes in its receivers' segment: segments are fixed
-        // topology labels, so the same events — with the same sequence
-        // numbers — are created at every shard count.
-        // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, costed by the sim model, not lane DSP
+        // becomes a single event instead of one per receiver. Distinct
+        // arrival times (jitter, reordering, duplicates) each get
+        // their own singleton batch. The segment key is part of the
+        // split because a batch executes in its receivers' segment:
+        // segments are fixed topology labels, so the same events — with
+        // the same sequence numbers — are created at every shard count.
+        // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, costed by the sim model, not per-packet DSP
         let mut batches: Vec<(SimTime, u32, Vec<u32>)> = Vec::new();
         let mut index: std::collections::BTreeMap<(SimTime, u32), usize> =
             std::collections::BTreeMap::new();
@@ -863,14 +803,14 @@ impl Lan {
                 receivers
                     .iter()
                     .map(|&(r, _)| inner.nodes[r as usize].segment)
-                    // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, not lane DSP
+                    // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, not per-packet DSP
                     .collect(),
             )
         };
         for (&(r, offset), &seg) in receivers.iter().zip(&segments) {
             let at = deliver_at_base + offset;
             let i = *index.entry((at, seg)).or_insert_with(|| {
-                // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, not lane DSP
+                // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, not per-packet DSP
                 batches.push((at, seg, Vec::new()));
                 batches.len() - 1
             });
@@ -888,111 +828,13 @@ impl Lan {
     }
 
     /// Delivers one datagram to every receiver of a shared arrival
-    /// instant. Pure per-receiver work (from [`Lan::set_preparer`])
-    /// runs first as one parallel batch on the fleet executor; the
-    /// receive handlers then run serially in receiver order, each
-    /// picking up its staged result. All observable effects happen in
-    /// batch order on the simulation thread, so the outcome is
-    /// bit-identical for any `ES_FLEET_THREADS` value.
+    /// instant, in receiver order.
     fn deliver_batch(&self, sim: &mut Sim, rs: &[u32], dg: Datagram) {
-        // Phase 1: collect prepare jobs. The preparer is taken out of
-        // its slot for the call so it may itself borrow the LAN.
-        // es-allow(hot-path-transitive): per-batch job staging on the simulation thread, costed by the sim model
-        let mut jobs: Vec<PrepareJob> = Vec::new();
-        // es-allow(hot-path-transitive): per-batch job staging on the simulation thread, costed by the sim model
-        let mut job_of: Vec<Option<usize>> = vec![None; rs.len()];
-        for (i, &r) in rs.iter().enumerate() {
-            // es-allow(panic-path): receiver ids come from the validated receiver set; job_of/rx_of_job are sized to rs/jobs above
-            let preparer = self.inner.borrow_mut().nodes[r as usize].preparer.take();
-            if let Some(p) = preparer {
-                if let Some(job) = p(&dg) {
-                    job_of[i] = Some(jobs.len());
-                    jobs.push(job);
-                }
-                let mut inner = self.inner.borrow_mut();
-                let slot = &mut inner.nodes[r as usize].preparer;
-                if slot.is_none() {
-                    *slot = Some(p);
-                }
-            }
+        for &r in rs {
+            self.run_handler(sim, r, &dg);
         }
-        // Fused phases 2+3: stream the fan-out. Each prepare job is
-        // wrapped so it also carries a shard buffer of lane telemetry
-        // keyed by its submission index. Results arrive at the sink in
-        // submission order *as they complete*, so early receivers'
-        // handlers — and the telemetry drain — run on the simulation
-        // thread while later jobs still execute on worker lanes. All
-        // observable effects still happen in receiver order on this
-        // thread, so the outcome is bit-identical for any
-        // `ES_FLEET_THREADS` value.
-        struct LanePrepared {
-            shard: ShardBuffer,
-            result: Box<dyn Any + Send>,
-        }
-        // Receiver index owning each job (job_of's inverse).
-        // es-allow(hot-path-transitive): per-batch job staging on the simulation thread, costed by the sim model
-        let mut rx_of_job: Vec<usize> = vec![0; jobs.len()];
-        for (i, j) in job_of.iter().enumerate() {
-            if let Some(j) = j {
-                rx_of_job[*j] = i;
-            }
-        }
-        let fleet_jobs: Vec<fleet::Job> = jobs
-            .into_iter()
-            .enumerate()
-            .map(|(j, job)| {
-                Box::new(move || {
-                    let mut shard = ShardBuffer::new(j);
-                    let result = job(&mut shard);
-                    Box::new(LanePrepared { shard, result }) as Box<dyn Any + Send>
-                }) as fleet::Job
-            })
-            // es-allow(hot-path-transitive): per-batch job staging on the simulation thread, costed by the sim model
-            .collect();
-        let journal = self.inner.borrow().journal.clone();
-        let scratch_journal;
-        let journal_ref = match &journal {
-            Some(j) => j,
-            None => {
-                scratch_journal = Journal::new();
-                &scratch_journal
-            }
-        };
-        // Take the persistent lane registry out of the cell for the
-        // batch so the drain can hold it across handler re-entry into
-        // the LAN.
-        let mut fleet_registry = std::mem::take(&mut self.inner.borrow_mut().fleet_registry);
-        let mut drain = ShardDrain::new(&mut fleet_registry, journal_ref);
-        let mut next_rx = 0usize;
-        fleet::run_batch_each(fleet_jobs, |j, boxed| {
-            let p = boxed
-                .downcast::<LanePrepared>()
-                // es-allow(panic-path): every job built in this fn boxes a LanePrepared; the downcast cannot fail
-                .expect("lane jobs wrap LanePrepared");
-            drain.offer(p.shard);
-            let r = rs[rx_of_job[j]];
-            self.inner.borrow_mut().nodes[r as usize].prepared = Some(p.result);
-            // Every receiver whose prepare (if any) has now landed can
-            // run; receivers without jobs ride along with their
-            // neighbors.
-            while next_rx < rs.len() && job_of[next_rx].is_none_or(|jj| jj <= j) {
-                self.run_handler(sim, rs[next_rx], &dg);
-                next_rx += 1;
-            }
-        });
-        // Receivers past the last prepare job (or the whole list, when
-        // no preparer produced work).
-        while next_rx < rs.len() {
-            self.run_handler(sim, rs[next_rx], &dg);
-            next_rx += 1;
-        }
-        drain.finish();
-        self.inner.borrow_mut().fleet_registry = fleet_registry;
     }
 
-    /// Runs one receiver's handler with its staged prepare result (if
-    /// any) and clears the stage afterwards so nothing leaks into a
-    /// later, unrelated delivery.
     fn run_handler(&self, sim: &mut Sim, r: u32, dg: &Datagram) {
         // Take the handler out so it can borrow the LAN itself.
         // es-allow(panic-path): r is a join()-issued dense index into nodes
@@ -1007,7 +849,6 @@ impl Lan {
                 *slot = Some(h);
             }
         }
-        self.inner.borrow_mut().nodes[r as usize].prepared = None;
     }
 
     /// Convenience: multicast send.
@@ -1570,90 +1411,35 @@ mod tests {
     }
 
     #[test]
-    fn preparer_results_are_staged_for_the_handler() {
-        let mut sim = Sim::new(1);
-        let lan = Lan::new(LanConfig::default());
-        let a = lan.attach("a");
-        let g = McastGroup(3);
-        let sums: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..6 {
-            let node = lan.attach(format!("es{i}"));
-            lan.join(node, g);
-            lan.set_preparer(node, move |dg| {
-                let bytes = dg.payload.to_vec();
-                Some(Box::new(move |shard: &mut ShardBuffer| {
-                    let sum: u64 = bytes.iter().map(|&b| b as u64).sum();
-                    shard.component("net").counter("test_jobs", 1);
-                    Box::new(sum + i) as Box<dyn std::any::Any + Send>
-                }))
-            });
-            let l2 = lan.clone();
-            let s = sums.clone();
-            lan.set_handler(node, move |_sim, _dg| {
-                let v = l2
-                    .take_prepared(node)
-                    .expect("prepared result staged")
-                    .downcast::<u64>()
-                    .unwrap();
-                s.borrow_mut().push(*v);
-            });
-        }
-        lan.multicast(&mut sim, a, g, Bytes::from(vec![2u8; 10]));
-        sim.run();
-        // Receiver order, each with its own job's result.
-        assert_eq!(*sums.borrow(), vec![20, 21, 22, 23, 24, 25]);
-        // The shard buffers' lane telemetry was drained and persists
-        // on the LAN for snapshot walkers.
-        let mut reg = Registry::new();
-        lan.record_fleet_telemetry(&mut reg);
-        assert_eq!(reg.snapshot().counter("net/0/test_jobs"), Some(6));
-    }
-
-    #[test]
-    fn prepared_result_does_not_leak_without_consumption() {
-        let mut sim = Sim::new(1);
-        let lan = Lan::new(LanConfig::default());
-        let a = lan.attach("a");
-        let b = lan.attach("b");
-        lan.set_preparer(b, |_dg| {
-            Some(Box::new(|_: &mut ShardBuffer| {
-                Box::new(7u32) as Box<dyn std::any::Any + Send>
-            }))
-        });
-        // First handler ignores its staged result entirely.
-        let hits = Rc::new(RefCell::new(0u32));
-        let h = hits.clone();
-        lan.set_handler(b, move |_sim, _dg| *h.borrow_mut() += 1);
-        lan.send(&mut sim, a, Dest::Unicast(b), Bytes::from_static(b"x"));
-        sim.run();
-        assert_eq!(*hits.borrow(), 1);
-        // The stage must be empty outside a delivery.
-        assert!(lan.take_prepared(b).is_none());
-    }
-
-    #[test]
     fn batch_delivery_preserves_multicast_instant_and_order() {
         // Same-instant fan-out runs as one batch; handlers still see
-        // one delivery each, in node-index order, at the same time.
+        // one delivery each, in node-index order, at the same time —
+        // and the very same payload allocation, which is what lets
+        // receivers share per-datagram work by buffer identity.
         let mut sim = Sim::new(1);
         let lan = Lan::new(LanConfig::default());
         let a = lan.attach("a");
         let g = McastGroup(1);
-        let order: Rc<RefCell<Vec<(usize, SimTime)>>> = Rc::new(RefCell::new(Vec::new()));
+        let order: Rc<RefCell<Vec<(usize, SimTime, usize)>>> = Rc::new(RefCell::new(Vec::new()));
         for i in 0..5 {
             let node = lan.attach(format!("es{i}"));
             lan.join(node, g);
             let o = order.clone();
-            lan.set_handler(node, move |sim, _dg| o.borrow_mut().push((i, sim.now())));
+            lan.set_handler(node, move |sim, dg| {
+                o.borrow_mut()
+                    .push((i, sim.now(), dg.payload.as_ptr() as usize))
+            });
         }
         lan.multicast(&mut sim, a, g, Bytes::from_static(b"tick"));
         sim.run();
         let order = order.borrow();
         assert_eq!(
-            order.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            order.iter().map(|&(i, ..)| i).collect::<Vec<_>>(),
             vec![0, 1, 2, 3, 4]
         );
-        assert!(order.iter().all(|&(_, t)| t == order[0].1));
+        assert!(order
+            .iter()
+            .all(|&(_, t, buf)| t == order[0].1 && buf == order[0].2));
         assert_eq!(lan.stats().datagrams_delivered, 5);
     }
 

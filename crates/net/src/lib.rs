@@ -20,5 +20,5 @@ pub mod udp;
 
 pub use lan::{
     BurstLossConfig, Datagram, Dest, Lan, LanConfig, LanStats, McastGroup, MediumMode, NodeId,
-    PrepareJob, WIRE_OVERHEAD,
+    WIRE_OVERHEAD,
 };

@@ -22,7 +22,6 @@
 
 pub mod cpu;
 pub mod engine;
-pub mod fleet;
 pub mod random;
 pub mod sched;
 pub mod series;

@@ -107,10 +107,8 @@ impl ShardTiming {
 /// cross-shard path, which lowers the conservative-lookahead horizon
 /// so the receiving shard never runs past an undelivered message.
 ///
-/// Delivery order is the engine's global `(time, seq)` order — the
-/// same submission-order-merge discipline the fleet executor uses —
-/// so the observable execution sequence is independent of the shard
-/// count.
+/// Delivery order is the engine's global `(time, seq)` order, so the
+/// observable execution sequence is independent of the shard count.
 #[derive(Clone, Default)]
 pub struct ShardRouter {
     cross_posts: Rc<Cell<u64>>,

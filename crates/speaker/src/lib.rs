@@ -6,7 +6,9 @@
 //!   rule with its epsilon leeway.
 //! - [`speaker`]: the full receive → verify → decode → play pipeline,
 //!   including control-packet gating, channel tuning, ring-overflow
-//!   accounting and optional CPU-model billing (§3.4).
+//!   accounting and optional CPU-model billing (§3.4). Parse and
+//!   codec decode are memoized per datagram, so a fleet on one group
+//!   decodes each packet once.
 //! - [`autovol`]: the §5.2 ambient-noise automatic volume control with
 //!   a simulated microphone.
 
@@ -18,7 +20,7 @@ pub mod speaker;
 pub mod sync;
 
 pub use autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig, ContentKind};
-pub use speaker::{EthernetSpeaker, SpeakerConfig, SpeakerStats};
+pub use speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SpeakerConfig, SpeakerStats};
 pub use sync::{decide, ClockSync, PlayDecision};
 
 /// Converts decode work units to Geode-class CPU cycles (same

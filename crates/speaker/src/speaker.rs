@@ -16,13 +16,14 @@
 
 use std::rc::Rc;
 
+use bytes::Bytes;
 use es_audio::mix::apply_gain;
 use es_audio::AudioConfig;
 use es_codec::{CodecId, Codecs};
 use es_net::{Datagram, Lan, McastGroup, NodeId};
 use es_proto::auth::{StreamVerifier, VerifierStats};
 use es_proto::{Packet, TRAILER_LEN};
-use es_sim::{shared, Shared, Sim, SimCpu, SimDuration, SimTime};
+use es_sim::{shared, CostModel, Shared, Sim, SimCpu, SimDuration, SimTime};
 use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap};
 
@@ -182,62 +183,161 @@ enum Phase {
     Playing,
 }
 
-/// A payload decoded ahead of time on a fleet-executor lane: the
-/// `(codec, channels)` snapshot the worker used, plus the result. The
-/// consumer only trusts it when the snapshot still matches the
-/// speaker's live stream state; otherwise it re-decodes serially, so
-/// the parallel path can never produce different audio than the
-/// serial one.
-type PreDecoded = (CodecId, u8, Result<(Vec<i16>, u64), es_codec::CodecError>);
+// es-hot-path
+/// How many distinct buffers each receive memo remembers. A clean
+/// fleet needs one (all receivers of a datagram run back to back in
+/// one delivery batch); jitter, reordering, duplicates, parity and
+/// interleaved channels keep a handful of datagrams in flight at
+/// once. Chosen by measurement: 64 speakers behind 20 ms jitter, 10 %
+/// reordering, 5 % duplication and FEC received 137 distinct datagrams
+/// and parsed 2223 / 800 / 144 / 137 / 137 times at 1 / 2 / 4 / 8 / 16
+/// slots — 8 is the smallest size at which every datagram is parsed
+/// and decoded exactly once (DESIGN.md §7).
+const RX_MEMO_SLOTS: usize = 8;
 
-/// What a speaker's prepare job hands back through the LAN's staging
-/// slot: the parse (with CRC check) of the raw datagram, the decoded
-/// payload for data packets, and a token tying the result to the
-/// datagram it came from.
-struct PreparedRx {
-    /// Address of the source payload's backing buffer; guards against
-    /// a stale staged result being applied to the wrong datagram.
-    token: usize,
-    parsed: Result<Packet, es_proto::WireError>,
-    decoded: Option<PreDecoded>,
+/// A fixed-size memo of a pure function of an immutable byte buffer
+/// (and a small key). §2.3's multicast hands every speaker on a group
+/// the *same* bytes, so what one receiver computed from them — the
+/// parse with its CRC check, the codec decode — is what every other
+/// receiver would compute. Entries are matched by buffer identity
+/// first (the LAN fans out one pointer-equal [`Bytes`]) and by byte
+/// equality otherwise (auth-released copies, relay-re-stamped and
+/// FEC-recovered payloads); each holds a clone of its buffer, so the
+/// allocation stays alive and a recycled address can never alias.
+/// Newest first; the oldest entry falls off the end.
+struct RxMemo<K, V> {
+    slots: [Option<(Bytes, K, V)>; RX_MEMO_SLOTS],
+    hits: u64,
+    misses: u64,
 }
 
-// es-hot-path
-/// Per-worker-lane codec engines — the "per-speaker scratch
-/// workspaces" of the fleet design. `OvlCodec` keeps its MDCT scratch
-/// in a `RefCell`, so engines cannot be shared across lanes; each lane
-/// lazily builds one per cost model and reuses it for every batch
-/// (the fleet pool keeps its threads alive between batches).
-fn lane_decode(
-    model: es_codec::CostModel,
-    codec: CodecId,
-    bytes: &[u8],
-    channels: u8,
-) -> Result<(Vec<i16>, u64), es_codec::CodecError> {
-    thread_local! {
-        static LANE_CODECS: std::cell::RefCell<Vec<(es_codec::CostModel, Codecs)>> =
-            // es-allow(hot-path-alloc): one-time thread-local init, not per-packet
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-    LANE_CODECS.with(|cell| {
-        let mut engines = cell.borrow_mut();
-        if !engines.iter().any(|(m, _)| *m == model) {
-            engines.push((model, Codecs::with_cost_model(model)));
+impl<K: PartialEq, V> RxMemo<K, V> {
+    const fn new() -> Self {
+        RxMemo {
+            slots: [const { None }; RX_MEMO_SLOTS],
+            hits: 0,
+            misses: 0,
         }
-        let (_, c) = engines
-            .iter()
-            .find(|(m, _)| *m == model)
-            // es-allow(panic-path): the branch above inserts the model if absent, so find() always succeeds
-            .expect("just inserted");
-        let mut out = take_sample_buf();
-        match c.decode_into(codec, bytes, channels, &mut out) {
-            Ok(work) => Ok((out, work)),
-            Err(e) => {
-                recycle_sample_buf(out);
-                Err(e)
+    }
+
+    /// Hands `read` the memoized value for `(buf, key)`, computing it
+    /// with `fill` on a miss. `fill` receives the evicted value, if
+    /// any, so it can reuse that value's allocation.
+    fn with<R>(
+        &mut self,
+        buf: &Bytes,
+        key: K,
+        fill: impl FnOnce(Option<V>) -> V,
+        read: impl FnOnce(&V) -> R,
+    ) -> R {
+        let same = |held: &Bytes| {
+            (held.as_ptr() == buf.as_ptr() && held.len() == buf.len()) || held == buf
+        };
+        for (held, k, v) in self.slots.iter().flatten() {
+            if *k == key && same(held) {
+                self.hits += 1;
+                return read(v);
             }
         }
+        self.misses += 1;
+        self.slots.rotate_right(1);
+        let [newest, ..] = &mut self.slots;
+        let evicted = newest.take().map(|(_, _, v)| v);
+        let (_, _, v) = newest.insert((buf.clone(), key, fill(evicted)));
+        read(v)
+    }
+}
+
+/// What a payload decodes to under one `(cost model, codec, channels)`:
+/// the PCM (kept on failure too, for its allocation) and the work
+/// units to bill, `None` when the payload does not decode.
+type Decoded = (Vec<i16>, Option<u64>);
+
+thread_local! {
+    /// Wire bytes → parsed packet, and payload bytes → PCM. Per thread,
+    /// like the buffer pools below.
+    static PARSED: std::cell::RefCell<RxMemo<(), Result<Packet, es_proto::WireError>>> =
+        const { std::cell::RefCell::new(RxMemo::new()) };
+    static DECODED: std::cell::RefCell<RxMemo<(CostModel, CodecId, u8), Decoded>> =
+        const { std::cell::RefCell::new(RxMemo::new()) };
+    /// One codec engine per cost model, shared by every speaker on the
+    /// thread (decode is stateless across packets; the engine only
+    /// holds MDCT tables and scratch).
+    static ENGINES: (std::cell::OnceCell<Codecs>, std::cell::OnceCell<Codecs>) =
+        const { (std::cell::OnceCell::new(), std::cell::OnceCell::new()) };
+}
+
+/// Decodes `payload` once per distinct buffer and `(model, codec,
+/// channels)`. Every caller gets its own pooled copy of the shared
+/// PCM — which is never handed out mutably — and the work units to
+/// bill; `None` if the payload does not decode.
+fn decode_shared(
+    model: CostModel,
+    codec: CodecId,
+    channels: u8,
+    payload: &Bytes,
+) -> Option<(Vec<i16>, u64)> {
+    DECODED.with(|m| {
+        m.borrow_mut().with(
+            payload,
+            (model, codec, channels),
+            |evicted| {
+                let mut pcm = evicted.map_or_else(take_sample_buf, |(pcm, _)| pcm);
+                let work = ENGINES.with(|(direct, fft)| {
+                    let engine = match model {
+                        CostModel::Direct => direct,
+                        CostModel::Fft => fft,
+                    };
+                    engine
+                        .get_or_init(|| Codecs::with_cost_model(model))
+                        .decode_into(codec, payload, channels, &mut pcm)
+                });
+                (pcm, work.ok())
+            },
+            |(pcm, work)| {
+                work.map(|work| {
+                    let mut own = take_sample_buf();
+                    own.extend_from_slice(pcm);
+                    (own, work)
+                })
+            },
+        )
     })
+}
+
+/// Hit and miss counts of this thread's receive memos: a miss is a
+/// parse or a codec decode actually executed, a hit one shared from an
+/// earlier receiver of the same bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RxMemoStats {
+    /// Packets whose parse was shared.
+    pub parse_hits: u64,
+    /// Packets parsed (CRC-checked) for real.
+    pub parse_misses: u64,
+    /// Payloads whose PCM was copied from a shared decode.
+    pub decode_hits: u64,
+    /// Payloads run through a codec for real.
+    pub decode_misses: u64,
+}
+
+/// Cumulative [`RxMemoStats`] of the calling thread. A wall-clock-side
+/// diagnostic in the style of `Sim::merge_scans`: it never enters a
+/// registry, so fingerprints cannot see how much work was shared.
+pub fn rx_memo_stats() -> RxMemoStats {
+    let (parse_hits, parse_misses) = PARSED.with(|m| {
+        let m = m.borrow();
+        (m.hits, m.misses)
+    });
+    let (decode_hits, decode_misses) = DECODED.with(|m| {
+        let m = m.borrow();
+        (m.hits, m.misses)
+    });
+    RxMemoStats {
+        parse_hits,
+        parse_misses,
+        decode_hits,
+        decode_misses,
+    }
 }
 
 /// How many spent buffers each per-thread free list retains. Steady
@@ -250,9 +350,8 @@ thread_local! {
     /// schedule → device write; recycling the spent `Vec` at the write
     /// end closes the loop, so after warm-up the per-packet decode
     /// path performs no heap allocation at all. Per-thread because
-    /// fleet lanes decode concurrently; a buffer drained on the
-    /// consumer thread simply joins that thread's list (the lists need
-    /// not balance — each is capped at [`BUF_POOL_CAP`]).
+    /// independent simulations (the test suite's) run on parallel
+    /// threads; each list is capped at [`BUF_POOL_CAP`].
     static SAMPLE_BUFS: std::cell::RefCell<Vec<Vec<i16>>> =
         // es-allow(hot-path-alloc): one-time thread-local init, not per-packet
         const { std::cell::RefCell::new(Vec::new()) };
@@ -294,12 +393,20 @@ fn recycle_byte_buf(mut v: Vec<u8>) {
 
 // es-hot-path-end
 
+/// Parses a wire packet (CRC check included) once per distinct
+/// buffer: the first receiver of a datagram pays, the rest of the
+/// fan-out clone the result.
+fn parse_shared(raw: &Bytes) -> Result<Packet, es_proto::WireError> {
+    PARSED.with(|m| {
+        m.borrow_mut()
+            .with(raw, (), |_| es_proto::decode(raw), Clone::clone)
+    })
+}
+
 struct Pending {
-    payload: bytes::Bytes,
+    payload: Bytes,
     codec_wire: u8,
     deadline: es_sim::SimTime,
-    /// Result of the parallel pre-decode, when one ran for this packet.
-    pre: Option<PreDecoded>,
     /// This packet is a healing-plane refill of a reported gap; a late
     /// arrival counts as `refill_late`, not a fresh deadline miss.
     refill: bool,
@@ -422,7 +529,6 @@ type SessionHook = Box<dyn FnMut(&mut Sim, es_proto::SessionPacket)>;
 #[derive(Clone)]
 pub struct EthernetSpeaker {
     state: Shared<SpkState>,
-    codecs: Rc<Codecs>,
     lan: Lan,
     node: NodeId,
     dev: Rc<AudioDevice>,
@@ -448,7 +554,6 @@ impl EthernetSpeaker {
             .as_ref()
             .map(|(avc, _)| AutoVolume::new(*avc));
         let tuned = cfg.group;
-        let cost_model = cfg.cost_model;
         let state = shared(SpkState {
             serial_busy: false,
             serial_queue: std::collections::VecDeque::new(),
@@ -475,7 +580,6 @@ impl EthernetSpeaker {
         });
         let spk = EthernetSpeaker {
             state,
-            codecs: Rc::new(Codecs::with_cost_model(cost_model)),
             lan: lan.clone(),
             node,
             dev,
@@ -483,8 +587,6 @@ impl EthernetSpeaker {
         };
         let s2 = spk.clone();
         lan.set_handler(node, move |sim, dg| s2.on_datagram(sim, dg));
-        let s4 = spk.clone();
-        lan.set_preparer(node, move |dg| s4.prepare(dg));
         // Auto-volume control loop, 4 Hz.
         if spk.state.borrow().autovol.is_some() {
             let s3 = spk.clone();
@@ -678,64 +780,8 @@ impl EthernetSpeaker {
             .counter("quality_duplicates", report.duplicates);
     }
 
-    /// Builds this delivery's pure prepare job for the fleet executor:
-    /// packet parse + CRC, and for data packets during playback the
-    /// codec decode, all against a `(codec, channels)` snapshot taken
-    /// now on the simulation thread. Declines (fully serial delivery)
-    /// when stream authentication is active — the verifier must see
-    /// packets in order before anything may be parsed as trusted.
-    fn prepare(&self, dg: &Datagram) -> Option<es_net::PrepareJob> {
-        let (codec, channels, playing, model, name) = {
-            let st = self.state.borrow();
-            if st.verifier.is_some() {
-                return None;
-            }
-            (
-                st.codec,
-                st.stream_cfg.channels,
-                matches!(st.phase, Phase::Playing),
-                st.cfg.cost_model,
-                st.cfg.name.clone(),
-            )
-        };
-        let payload = dg.payload.clone();
-        let token = payload.as_ptr() as usize;
-        Some(Box::new(move |shard: &mut es_telemetry::ShardBuffer| {
-            let parsed = es_proto::decode(&payload);
-            let decoded = match &parsed {
-                Ok(Packet::Data(d)) if playing => {
-                    let wire = CodecId::from_wire(d.codec).unwrap_or(codec);
-                    let result = lane_decode(model, wire, &d.payload, channels);
-                    // Deterministic lane telemetry only — counts and
-                    // work units, never wall-clock — so the drained
-                    // registry is identical at any lane count.
-                    shard.set_instance(&name);
-                    let mut scope = shard.component("speaker");
-                    scope.counter("lane_decodes", 1);
-                    if let Ok((_, work)) = &result {
-                        scope.counter("lane_decode_work", *work);
-                    }
-                    Some((codec, channels, result))
-                }
-                _ => None,
-            };
-            Box::new(PreparedRx {
-                token,
-                parsed,
-                decoded,
-            }) as Box<dyn std::any::Any + Send>
-        }))
-    }
-
     fn on_datagram(&self, sim: &mut Sim, dg: Datagram) {
         self.state.borrow_mut().stats.datagrams += 1;
-        // Pick up this delivery's pre-computed parse/decode, if the
-        // batch path ran one for us.
-        let pre = self
-            .lan
-            .take_prepared(self.node)
-            .and_then(|b| b.downcast::<PreparedRx>().ok())
-            .filter(|p| p.token == dg.payload.as_ptr() as usize);
         let raw = dg.payload.as_ref();
         let has_verifier = self.state.borrow().verifier.is_some();
         if has_verifier {
@@ -757,26 +803,24 @@ impl EthernetSpeaker {
                 released
             };
             for msg in released {
-                self.handle_packet(sim, &msg);
-            }
-        } else if let Some(pre) = pre {
-            match pre.parsed {
-                Ok(pkt) => self.handle_packet_parsed(sim, pkt, pre.decoded),
-                Err(_) => self.state.borrow_mut().stats.bad_packets += 1,
+                self.handle_packet(sim, &Bytes::from(msg));
             }
         } else {
-            self.handle_packet(sim, raw);
+            self.handle_packet(sim, &dg.payload);
         }
     }
 
-    fn handle_packet(&self, sim: &mut Sim, bytes: &[u8]) {
-        match es_proto::decode(bytes) {
-            Ok(pkt) => self.handle_packet_parsed(sim, pkt, None),
-            Err(_) => self.state.borrow_mut().stats.bad_packets += 1,
-        }
-    }
-
-    fn handle_packet_parsed(&self, sim: &mut Sim, pkt: Packet, pre: Option<PreDecoded>) {
+    /// Every packet this speaker acts on — straight off the LAN or
+    /// released by the verifier — enters here, through the shared
+    /// parse.
+    fn handle_packet(&self, sim: &mut Sim, raw: &Bytes) {
+        let pkt = match parse_shared(raw) {
+            Ok(pkt) => pkt,
+            Err(_) => {
+                self.state.borrow_mut().stats.bad_packets += 1;
+                return;
+            }
+        };
         match pkt {
             Packet::Control(c) => self.on_control(sim, c),
             Packet::Data(d) => {
@@ -793,10 +837,10 @@ impl EthernetSpeaker {
                     .fec
                     .as_mut()
                     .and_then(|f| f.on_data(&d));
-                self.on_data(sim, d, pre);
+                self.on_data(sim, d);
                 if let Some(r) = recovered {
                     self.state.borrow_mut().stats.fec_recovered += 1;
-                    self.on_data(sim, r, None);
+                    self.on_data(sim, r);
                 }
             }
             Packet::Parity(p) => {
@@ -830,7 +874,7 @@ impl EthernetSpeaker {
                 };
                 if let Some(r) = recovered {
                     self.state.borrow_mut().stats.fec_recovered += 1;
-                    self.on_data(sim, r, None);
+                    self.on_data(sim, r);
                 }
             }
             Packet::Announce(_) => { /* catalog handled by es-core's browser */ }
@@ -871,7 +915,7 @@ impl EthernetSpeaker {
         }
     }
 
-    fn on_data(&self, sim: &mut Sim, d: es_proto::DataPacket, pre: Option<PreDecoded>) {
+    fn on_data(&self, sim: &mut Sim, d: es_proto::DataPacket) {
         // §2.3: no control packet yet means the stream cannot be
         // decoded — wait, do not guess.
         let deadline = {
@@ -962,7 +1006,6 @@ impl EthernetSpeaker {
             payload: d.payload,
             codec_wire: d.codec,
             deadline,
-            pre,
             refill,
         };
         let serial_depth = self.state.borrow().cfg.serial_queue_depth;
@@ -994,53 +1037,20 @@ impl EthernetSpeaker {
     }
 
     // es-hot-path
-    /// Decodes a pending packet, billing the CPU model; returns the
-    /// samples and the (possibly future) completion time. A parallel
-    /// pre-decode is consumed only while its `(codec, channels)`
-    /// snapshot still matches the live stream state (a control packet
-    /// can reconfigure the stream while a packet sits in the serial
-    /// queue); otherwise the payload is re-decoded here.
-    fn decode_pending(
-        &self,
-        sim: &mut Sim,
-        p: &mut Pending,
-    ) -> Option<(Vec<i16>, es_sim::SimTime)> {
-        let (codec, channels) = {
+    /// Decodes a pending packet against the *live* stream state (a
+    /// control packet can reconfigure the stream while a packet sits
+    /// in the serial queue), billing the CPU model; returns the
+    /// samples — this speaker's own copy of the shared decode — and
+    /// the (possibly future) completion time.
+    fn decode_pending(&self, sim: &mut Sim, p: &Pending) -> Option<(Vec<i16>, es_sim::SimTime)> {
+        let (codec, channels, model) = {
             let st = self.state.borrow();
-            (st.codec, st.stream_cfg.channels)
+            (st.codec, st.stream_cfg.channels, st.cfg.cost_model)
         };
-        let decoded = match p.pre.take() {
-            Some((snap_codec, snap_channels, result))
-                if snap_codec == codec && snap_channels == channels =>
-            {
-                result
-            }
-            stale => {
-                if let Some((_, _, Ok((buf, _)))) = stale {
-                    // A reconfiguration invalidated the lane's work;
-                    // at least reclaim its buffer.
-                    recycle_sample_buf(buf);
-                }
-                let wire_codec = CodecId::from_wire(p.codec_wire).unwrap_or(codec);
-                let mut out = take_sample_buf();
-                match self
-                    .codecs
-                    .decode_into(wire_codec, &p.payload, channels, &mut out)
-                {
-                    Ok(work) => Ok((out, work)),
-                    Err(e) => {
-                        recycle_sample_buf(out);
-                        Err(e)
-                    }
-                }
-            }
-        };
-        let (samples, work) = match decoded {
-            Ok(x) => x,
-            Err(_) => {
-                self.state.borrow_mut().stats.decode_errors += 1;
-                return None;
-            }
+        let wire_codec = CodecId::from_wire(p.codec_wire).unwrap_or(codec);
+        let Some((samples, work)) = decode_shared(model, wire_codec, channels, &p.payload) else {
+            self.state.borrow_mut().stats.decode_errors += 1;
+            return None;
         };
         let decoded_at = {
             let mut st = self.state.borrow_mut();
@@ -1057,8 +1067,8 @@ impl EthernetSpeaker {
 
     /// The default pipelined path: every packet decodes independently
     /// and is scheduled at its deadline.
-    fn process_pipelined(&self, sim: &mut Sim, mut p: Pending) {
-        let Some((samples, decoded_at)) = self.decode_pending(sim, &mut p) else {
+    fn process_pipelined(&self, sim: &mut Sim, p: Pending) {
+        let Some((samples, decoded_at)) = self.decode_pending(sim, &p) else {
             return;
         };
         {
@@ -1080,8 +1090,8 @@ impl EthernetSpeaker {
 
     /// The §3.4 single-threaded path: decode, sleep to the deadline,
     /// then a blocking write; only then is the next packet considered.
-    fn process_serial(&self, sim: &mut Sim, mut p: Pending) {
-        let Some((samples, decoded_at)) = self.decode_pending(sim, &mut p) else {
+    fn process_serial(&self, sim: &mut Sim, p: Pending) {
+        let Some((samples, decoded_at)) = self.decode_pending(sim, &p) else {
             self.finish_serial(sim);
             return;
         };

@@ -1,0 +1,363 @@
+//! Decode-once sharing is invisible: speakers on one group share the
+//! parse and the codec decode of each datagram, and nothing a speaker
+//! plays, counts or bills can tell.
+//!
+//! Every test uses its own stream id and sample values, so no two
+//! tests ever put byte-equal packets through a memo (the memos are
+//! per thread and outlive a `Sim`).
+
+use bytes::Bytes;
+use es_audio::gen::{render_stereo, MultiTone, Sine};
+use es_audio::{AudioConfig, Encoding};
+use es_codec::{CodecId, Codecs, MAX_QUALITY};
+use es_net::{Lan, LanConfig, McastGroup, NodeId};
+use es_proto::{encode_control, encode_data, ControlPacket, DataPacket};
+use es_sim::{Sim, SimDuration};
+use es_speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SpeakerConfig};
+
+const G: McastGroup = McastGroup(1);
+const G2: McastGroup = McastGroup(2);
+
+/// A LAN with one producer host.
+struct Rig {
+    sim: Sim,
+    lan: Lan,
+    producer: NodeId,
+}
+
+impl Rig {
+    fn new(config: LanConfig) -> Rig {
+        let lan = Lan::new(config);
+        let producer = lan.attach("producer");
+        Rig {
+            sim: Sim::new(1),
+            lan,
+            producer,
+        }
+    }
+
+    /// A clean LAN whose `n` speakers on [`G`] have already learned a
+    /// CD-format PCM stream from a control packet at t = 0.
+    fn tuned(n: usize, stream_id: u16) -> (Rig, Vec<EthernetSpeaker>) {
+        let mut rig = Rig::new(LanConfig::default());
+        let spk = rig.speakers(n, G);
+        rig.send(G, control(stream_id, 0, AudioConfig::CD, CodecId::Pcm));
+        rig.sim.run();
+        (rig, spk)
+    }
+
+    fn speaker(&mut self, cfg: SpeakerConfig) -> EthernetSpeaker {
+        EthernetSpeaker::start(&mut self.sim, &self.lan, cfg)
+    }
+
+    fn speakers(&mut self, n: usize, group: McastGroup) -> Vec<EthernetSpeaker> {
+        (0..n)
+            .map(|i| self.speaker(SpeakerConfig::new(format!("es{}-{i}", group.0), group)))
+            .collect()
+    }
+
+    fn send(&mut self, group: McastGroup, datagram: Bytes) {
+        self.lan
+            .multicast(&mut self.sim, self.producer, group, datagram);
+    }
+
+    fn run_ms(&mut self, ms: u64) {
+        self.sim.run_for(SimDuration::from_millis(ms));
+    }
+}
+
+fn control(stream_id: u16, t_us: u64, config: AudioConfig, codec: CodecId) -> Bytes {
+    encode_control(&ControlPacket {
+        stream_id,
+        seq: 0,
+        producer_time_us: t_us,
+        config,
+        codec: codec.to_wire(),
+        quality: 0,
+        control_interval_ms: 500,
+        flags: 0,
+    })
+}
+
+fn data(stream_id: u16, seq: u32, play_at_us: u64, codec: CodecId, payload: Bytes) -> Bytes {
+    encode_data(&DataPacket {
+        stream_id,
+        seq,
+        play_at_us,
+        codec: codec.to_wire(),
+        payload,
+    })
+}
+
+/// A 50 ms stereo PCM payload of one constant sample value.
+fn pcm(value: i16) -> Bytes {
+    Bytes::from(es_audio::convert::encode_samples(
+        &vec![value; 2 * 2_205],
+        Encoding::Slinear16Le,
+    ))
+}
+
+fn delta(after: RxMemoStats, before: RxMemoStats) -> RxMemoStats {
+    RxMemoStats {
+        parse_hits: after.parse_hits - before.parse_hits,
+        parse_misses: after.parse_misses - before.parse_misses,
+        decode_hits: after.decode_hits - before.decode_hits,
+        decode_misses: after.decode_misses - before.decode_misses,
+    }
+}
+
+/// What one speaker's run is judged by.
+type Outcome = (u64, u64, Vec<i16>);
+
+fn outcome(spk: &EthernetSpeaker) -> Outcome {
+    let st = spk.stats();
+    (
+        st.decode_work_units,
+        st.samples_played,
+        spk.tap().borrow().samples(),
+    )
+}
+
+#[test]
+fn fleet_parses_and_decodes_each_datagram_once_and_no_speaker_can_tell() {
+    const N: u64 = 12;
+    const PACKETS: u64 = 10;
+    // One device block (50 ms) per packet, as the producer cuts them.
+    const FRAMES: usize = 2_205;
+    let codecs = Codecs::new();
+    let mut left = MultiTone::music(44_100);
+    let mut right = Sine::new(311.0, 44_100, 0.4);
+    let mut wire = vec![control(41, 0, AudioConfig::CD, CodecId::Ovl)];
+    for seq in 0..PACKETS {
+        let samples = render_stereo(&mut left, &mut right, FRAMES);
+        let enc = codecs.encode(CodecId::Ovl, &samples, 2, MAX_QUALITY);
+        let at = 300_000 + seq * 50_000;
+        wire.push(data(41, seq as u32, at, CodecId::Ovl, enc.bytes.into()));
+    }
+    let run = |n: u64| -> Vec<Outcome> {
+        let mut rig = Rig::new(LanConfig::default());
+        let spk = rig.speakers(n as usize, G);
+        for dg in &wire {
+            rig.send(G, dg.clone());
+            rig.run_ms(1);
+        }
+        rig.run_ms(2_000);
+        spk.iter().map(outcome).collect()
+    };
+
+    let before = rx_memo_stats();
+    let fleet = run(N);
+    let datagrams = wire.len() as u64;
+    assert_eq!(
+        delta(rx_memo_stats(), before),
+        RxMemoStats {
+            parse_misses: datagrams,
+            parse_hits: datagrams * (N - 1),
+            decode_misses: PACKETS,
+            decode_hits: PACKETS * (N - 1),
+        },
+        "one parse and one decode per produced datagram"
+    );
+
+    let alone = run(1).remove(0);
+    let (work, played, ref heard) = alone;
+    assert!(work > 0 && played == PACKETS * FRAMES as u64 * 2);
+    assert!(heard.iter().any(|&s| s != 0));
+    for (i, got) in fleet.iter().enumerate() {
+        assert_eq!(
+            got, &alone,
+            "speaker {i} differs from the same speaker alone"
+        );
+    }
+}
+
+#[test]
+fn shared_pcm_is_never_scaled_by_a_neighbours_volume() {
+    let (mut rig, spk) = Rig::tuned(3, 42);
+    spk[0].set_volume(0.5);
+    spk[1].set_volume(0.25);
+    rig.send(G, data(42, 0, 10_000, CodecId::Pcm, pcm(1_000)));
+    rig.run_ms(200);
+    let peaks: Vec<i16> = spk
+        .iter()
+        .map(|s| {
+            let played = s.tap().borrow().samples();
+            played.iter().map(|&v| v.abs()).max().unwrap_or(0)
+        })
+        .collect();
+    assert_eq!(peaks, vec![500, 250, 1_000]);
+}
+
+#[test]
+fn reconfigured_stream_is_decoded_under_the_live_channel_count() {
+    // One pipelined and one §3.4 serial speaker on the group. Packet 1
+    // waits in the serial speaker's queue while a control packet turns
+    // the stream mono: the pipelined speaker already played it as
+    // stereo, the serial one must decode it under the live layout —
+    // and fail the ADPCM channel cross-check — not reuse its
+    // neighbour's stereo decode.
+    let mut rig = Rig::new(LanConfig::default());
+    let pipelined = rig.speaker(SpeakerConfig::new("pipe", G));
+    let mut cfg = SpeakerConfig::new("serial", G);
+    cfg.serial_queue_depth = Some(4);
+    let serial = rig.speaker(cfg);
+    rig.send(G, control(43, 0, AudioConfig::CD, CodecId::Adpcm));
+    rig.sim.run();
+    let codecs = Codecs::new();
+    for seq in 0..2u32 {
+        let samples = vec![3_000 + seq as i16; 2 * 2_205];
+        let enc = codecs.encode(CodecId::Adpcm, &samples, 2, 0);
+        let at = 300_000 + seq as u64 * 50_000;
+        rig.send(G, data(43, seq, at, CodecId::Adpcm, enc.bytes.into()));
+    }
+    rig.run_ms(100);
+    let mono = AudioConfig {
+        channels: 1,
+        ..AudioConfig::CD
+    };
+    let now_us = rig.sim.now().as_micros();
+    rig.send(G, control(43, now_us, mono, CodecId::Adpcm));
+    rig.run_ms(1_000);
+    assert_eq!(pipelined.stats().decode_errors, 0);
+    assert_eq!(pipelined.stats().data_packets, 2);
+    assert_eq!(serial.stats().decode_errors, 1, "{:?}", serial.stats());
+    assert_eq!(serial.stats().data_packets, 1);
+}
+
+#[test]
+fn same_payload_under_another_wire_codec_is_decoded_again() {
+    let (mut rig, spk) = Rig::tuned(2, 44);
+    // 4 410 bytes: 2 205 samples as 16-bit PCM, 4 410 as µ-law.
+    let payload = Bytes::from(vec![0x55u8; 4_410]);
+    rig.send(G, data(44, 0, 300_000, CodecId::Pcm, payload.clone()));
+    rig.send(G, data(44, 1, 325_000, CodecId::ULaw, payload));
+    rig.run_ms(1_000);
+    for s in &spk {
+        assert_eq!(s.stats().samples_played, 2_205 + 4_410, "{:?}", s.stats());
+        assert_eq!(s.stats().decode_work_units, 2_205 + 2 * 4_410);
+    }
+}
+
+/// The distinct non-silent sample values a speaker played, in order.
+fn heard(spk: &EthernetSpeaker) -> Vec<i16> {
+    let mut v = spk.tap().borrow().samples();
+    v.retain(|&x| x != 0);
+    v.dedup();
+    v
+}
+
+#[test]
+fn interleaved_channels_each_play_their_own_audio() {
+    let mut rig = Rig::new(LanConfig::default());
+    let a = rig.speakers(2, G);
+    let b = rig.speakers(2, G2);
+    rig.send(G, control(45, 0, AudioConfig::CD, CodecId::Pcm));
+    rig.send(G2, control(46, 0, AudioConfig::CD, CodecId::Pcm));
+    rig.sim.run();
+    for seq in 0..6u32 {
+        // Same sequence numbers and deadlines on both channels; only
+        // the audio differs.
+        let at = 300_000 + seq as u64 * 50_000;
+        rig.send(G, data(45, seq, at, CodecId::Pcm, pcm(1_000 + seq as i16)));
+        rig.send(G2, data(46, seq, at, CodecId::Pcm, pcm(2_000 + seq as i16)));
+    }
+    rig.run_ms(1_000);
+    for s in &a {
+        assert_eq!(heard(s), (1_000..1_006).collect::<Vec<i16>>());
+    }
+    for s in &b {
+        assert_eq!(heard(s), (2_000..2_006).collect::<Vec<i16>>());
+    }
+}
+
+#[test]
+fn lan_duplicates_play_once_on_every_speaker() {
+    let mut rig = Rig::new(LanConfig::duplicating(1.0));
+    let spk = rig.speakers(3, G);
+    rig.send(G, control(47, 0, AudioConfig::CD, CodecId::Pcm));
+    rig.sim.run();
+    for seq in 0..4u32 {
+        let at = 300_000 + seq as u64 * 50_000;
+        rig.send(G, data(47, seq, at, CodecId::Pcm, pcm(700 + seq as i16)));
+    }
+    rig.run_ms(1_000);
+    for s in &spk {
+        let st = s.stats();
+        assert_eq!(st.dropped_duplicate, 4, "{st:?}");
+        assert_eq!(st.data_packets, 4, "{st:?}");
+        assert_eq!(st.samples_played, 4 * 4_410, "{st:?}");
+    }
+}
+
+#[test]
+fn restamped_copy_shares_the_decode_but_keeps_its_own_deadline() {
+    // What a segment relay does: same audio, new datagram, later
+    // `play_at_us`, another group.
+    let mut rig = Rig::new(LanConfig::default());
+    let near = rig.speakers(1, G).remove(0);
+    let far = rig.speakers(1, G2).remove(0);
+    for g in [G, G2] {
+        rig.send(g, control(48, 0, AudioConfig::CD, CodecId::Pcm));
+    }
+    rig.sim.run();
+    let before = rx_memo_stats();
+    rig.send(G, data(48, 0, 300_000, CodecId::Pcm, pcm(900)));
+    rig.send(G2, data(48, 0, 400_000, CodecId::Pcm, pcm(900)));
+    rig.run_ms(1_000);
+    let shared = delta(rx_memo_stats(), before);
+    assert_eq!(
+        (shared.parse_misses, shared.parse_hits),
+        (2, 0),
+        "two datagrams"
+    );
+    assert_eq!(
+        (shared.decode_misses, shared.decode_hits),
+        (1, 1),
+        "one payload"
+    );
+    let t_near = near.tap().borrow().first_block_time().unwrap();
+    let t_far = far.tap().borrow().first_block_time().unwrap();
+    assert_eq!((t_far - t_near).as_millis(), 100);
+    assert_eq!(near.tap().borrow().samples(), far.tap().borrow().samples());
+}
+
+#[test]
+fn corrupted_twin_of_a_good_datagram_is_rejected_by_every_speaker() {
+    let (mut rig, spk) = Rig::tuned(3, 49);
+    let good = data(49, 0, 300_000, CodecId::Pcm, pcm(600));
+    let mut torn = good.to_vec();
+    let mid = torn.len() / 2;
+    torn[mid] ^= 0x01;
+    // Good first, then its equal-length corrupted twin, then the good
+    // bytes again from a fresh allocation.
+    rig.send(G, good.clone());
+    rig.send(G, torn.into());
+    rig.send(G, good.to_vec().into());
+    rig.run_ms(1_000);
+    for s in &spk {
+        let st = s.stats();
+        assert_eq!(st.bad_packets, 1, "{st:?}");
+        assert_eq!(st.data_packets, 1, "{st:?}");
+        assert_eq!(st.dropped_duplicate, 1, "{st:?}");
+        assert_eq!(st.samples_played, 4_410, "{st:?}");
+    }
+}
+
+#[test]
+fn buffers_freed_and_reallocated_between_sends_never_alias() {
+    // Far more datagrams than memo slots, each dropped by the sender
+    // before the next is allocated, so the allocator gets every chance
+    // to hand a recycled address to different bytes.
+    let (mut rig, spk) = Rig::tuned(2, 50);
+    const ROUNDS: i16 = 64;
+    for seq in 0..ROUNDS {
+        let at = 300_000 + seq as u64 * 50_000;
+        rig.send(G, data(50, seq as u32, at, CodecId::Pcm, pcm(100 + seq)));
+        rig.run_ms(50);
+    }
+    rig.run_ms(1_000);
+    for s in &spk {
+        assert_eq!(heard(s), (100..100 + ROUNDS).collect::<Vec<i16>>());
+        assert_eq!(s.stats().data_packets, ROUNDS as u64);
+    }
+}

@@ -304,7 +304,7 @@ impl Journal {
             fields: fields
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.clone()))
-                // es-allow(hot-path-transitive): journal events on lane paths fire on resync/drop faults, not steady-state frames
+                // es-allow(hot-path-transitive): journal events on hot paths fire on resync/drop faults, not steady-state frames
                 .collect(),
         };
         inner.next_seq += 1;
@@ -340,7 +340,7 @@ impl Journal {
 
     /// A copy of the buffered events, in record order.
     pub fn events(&self) -> Vec<Event> {
-        // es-allow(hot-path-transitive): inspection API for reports and tests, never called from lane code
+        // es-allow(hot-path-transitive): inspection API for reports and tests, never called from hot-path code
         // es-allow(panic-path): journal mutex is never poisoned — emit/len/clear hold it without panicking
         self.inner.lock().unwrap().events.iter().cloned().collect()
     }

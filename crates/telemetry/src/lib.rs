@@ -31,12 +31,10 @@
 mod journal;
 pub mod json;
 mod metrics;
-mod shard;
 
 pub use journal::{Event, Journal, JournalSink, Severity, Stamp, TimeDomain};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Histogram, Metric, MetricKey, MetricValue, MetricsSnapshot, Registry, Scope};
-pub use shard::{merge_shards, ShardBuffer, ShardDrain};
 
 /// A component whose statistics can be recorded into a [`Registry`].
 ///

@@ -229,42 +229,6 @@ impl Registry {
         self.metrics.is_empty()
     }
 
-    /// Replays every metric of `other` into this registry under the
-    /// [`Scope`] merge rules: counters add, gauges overwrite,
-    /// histograms pool their buckets. Each metric keeps the instance
-    /// label it was recorded under; neither registry's *current*
-    /// instance label is consulted or changed. This is the primitive
-    /// the shard-merge path folds worker-lane registries with.
-    pub fn merge_from(&mut self, other: &Registry) {
-        for (k, v) in &other.metrics {
-            match v {
-                MetricValue::Counter(c) => {
-                    match self
-                        .metrics
-                        .entry(k.clone())
-                        .or_insert(MetricValue::Counter(0))
-                    {
-                        MetricValue::Counter(dst) => *dst += c,
-                        slot => *slot = MetricValue::Counter(*c),
-                    }
-                }
-                MetricValue::Gauge(g) => {
-                    self.metrics.insert(k.clone(), MetricValue::Gauge(*g));
-                }
-                MetricValue::Histogram(h) => {
-                    match self
-                        .metrics
-                        .entry(k.clone())
-                        .or_insert_with(|| MetricValue::Histogram(Histogram::new()))
-                    {
-                        MetricValue::Histogram(dst) => dst.merge(h),
-                        slot => *slot = MetricValue::Histogram(h.clone()),
-                    }
-                }
-            }
-        }
-    }
-
     /// Freezes the current contents into an immutable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {

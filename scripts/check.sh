@@ -65,16 +65,9 @@ cargo test --workspace -q
 echo "== perf_hotpath smoke (ES_BENCH_QUICK=1)"
 ES_BENCH_QUICK=1 cargo bench -q -p es-bench --bench perf_hotpath
 
-# Fleet-scaling smoke: the fleet bench sweeps speaker counts at 1/2/4
-# decode lanes and writes BENCH_PR4.json. Like perf_hotpath, the binary
-# exits non-zero if any metric is zero/NaN or the report fails to parse
-# back, so this step fails on a broken fleet path or a malformed report.
-echo "== fleet smoke (ES_BENCH_QUICK=1)"
-ES_BENCH_QUICK=1 cargo bench -q -p es-bench --bench fleet
-
 # Vectorized-DSP smoke: the dsp bench runs the dsp_kernels group plus
-# the pipeline/fleet gates and rewrites BENCH_PR6.json. Unlike the two
-# smokes above, this one is a hard regression gate for the end-to-end
+# the pipeline/fleet gates and rewrites BENCH_PR6.json. Unlike the
+# smoke above, this one is a hard regression gate for the end-to-end
 # decode path: the committed baseline is snapshotted first (the bench
 # overwrites BENCH_PR6.json in place) and a >20% drop in any
 # `pipeline` metric fails the run (see EXPERIMENTS.md, "dsp").
@@ -110,7 +103,16 @@ mv results/BENCH_PR9.committed.json BENCH_PR9.json
 
 # Archive this run's bench reports; the repo-root copies are the
 # committed baselines and get refreshed deliberately, not per run.
-cp BENCH_PR3.json BENCH_PR4.json BENCH_PR6.json BENCH_PR9.json results/
+cp BENCH_PR3.json BENCH_PR6.json BENCH_PR9.json results/
+
+# Perf-ledger gate (benches/ledger, the BENCHMARK.json harness): its
+# own unit tests, then the --quick smoke — five workloads, two runs
+# each, exit non-zero if a run fails its correctness gate or two runs
+# of a workload disagree on any virtual-clock metric or layer count.
+# It is a package of its own, so neither line above reaches it.
+echo "== perf ledger (unit tests + --quick smoke)"
+cargo test -q --release --offline --manifest-path benches/ledger/Cargo.toml
+cargo run -q --release --offline --manifest-path benches/ledger/Cargo.toml -- --quick
 
 # Chaos determinism gate: the conformance suite already runs every
 # scenario twice in-process; here the whole suite runs twice in
@@ -122,17 +124,6 @@ ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-a cargo test -q --test chaos
 ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-b cargo test -q --test chaos
 diff -r target/chaos-a target/chaos-b || {
     echo "chaos suite is nondeterministic: fingerprints differ between identical runs" >&2
-    exit 1
-}
-
-# Fleet determinism gate: the same suite again with the decode fleet
-# pinned to 4 lanes. Sharded decode must be inaudible — the telemetry
-# fingerprints must match the single-lane runs above byte for byte.
-echo "== chaos determinism (ES_FLEET_THREADS=4)"
-rm -rf target/chaos-fleet
-ES_FLEET_THREADS=4 ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-fleet cargo test -q --test chaos
-diff -r target/chaos-a target/chaos-fleet || {
-    echo "fleet execution is audible: fingerprints differ between 1 and 4 decode lanes" >&2
     exit 1
 }
 

@@ -528,70 +528,6 @@ fn session_partition_mid_handshake() {
     }
 }
 
-/// The fleet executor's determinism contract, asserted end to end:
-/// every chaos scenario must be *inaudible to the thread count*. The
-/// same seed on 1, 2 and 4 decode lanes has to produce bit-identical
-/// audio fingerprints and identical per-speaker `samples_played` —
-/// parallelism is allowed to change wall-clock time and nothing else.
-/// Reproduce a failure with e.g.
-/// `ES_FLEET_THREADS=4 cargo test --test chaos -- fleet_thread_count`.
-#[test]
-fn fleet_thread_count_is_inaudible() {
-    let scenarios = [
-        burst_loss_scenario(),
-        reorder_scenario(),
-        duplicate_storm_scenario(),
-        partition_and_heal_scenario(),
-        producer_restart_scenario(),
-        jitter_spike_scenario(),
-        session_lifecycle_scenario(),
-        session_partition_scenario(52),
-    ];
-    for sc in &scenarios {
-        let mut baseline: Option<(Trace, Vec<(String, u64)>)> = None;
-        for threads in [1usize, 2, 4] {
-            es_sim::fleet::set_threads(threads);
-            let trace = sc.run();
-            let played: Vec<(String, u64)> = trace
-                .final_probe()
-                .metrics
-                .iter()
-                .filter(|m| m.key.component == "speaker" && m.key.name == "samples_played")
-                .map(|m| {
-                    let count = match m.value {
-                        es_telemetry::MetricValue::Counter(c) => c,
-                        ref other => panic!("samples_played is {}", other.kind()),
-                    };
-                    (m.key.instance.clone(), count)
-                })
-                .collect();
-            assert!(
-                !played.is_empty(),
-                "{}: probe saw no speakers",
-                trace.repro()
-            );
-            match &baseline {
-                None => baseline = Some((trace, played)),
-                Some((base, base_played)) => {
-                    assert_eq!(
-                        base.fingerprint(),
-                        trace.fingerprint(),
-                        "{}: fingerprint diverges between 1 and {threads} threads",
-                        trace.repro(),
-                    );
-                    assert_eq!(
-                        base_played,
-                        &played,
-                        "{}: samples_played diverges between 1 and {threads} threads",
-                        trace.repro(),
-                    );
-                }
-            }
-        }
-    }
-    es_sim::fleet::set_threads(0);
-}
-
 /// The sharded event engine's determinism contract, asserted end to
 /// end: every chaos scenario must be *inaudible to the shard count*.
 /// The same seed on 1, 2 and 4 event shards has to produce

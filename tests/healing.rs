@@ -360,120 +360,79 @@ fn flapping_receiver_damped() {
     conformance(&flapping_receiver_scenario());
 }
 
-/// The healing plane's determinism contract, end to end: every healing
-/// scenario — FEC upshift, NACK refill, failover, flap damping — must
-/// be *inaudible to the thread count*. The same seed on 1, 2 and 4
-/// decode lanes has to produce bit-identical trace fingerprints and
-/// identical per-speaker `samples_played`; repairs are allowed to
-/// change wall-clock time and nothing else. Reproduce a failure with
-/// e.g. `ES_FLEET_THREADS=4 cargo test --test healing heal_actions`.
-#[test]
-fn heal_actions_are_deterministic() {
-    let scenarios = [
+/// Per-speaker `samples_played` at a trace's final probe.
+fn samples_played(trace: &Trace) -> Vec<(String, u64)> {
+    let played: Vec<(String, u64)> = trace
+        .final_probe()
+        .metrics
+        .iter()
+        .filter(|m| m.key.component == "speaker" && m.key.name == "samples_played")
+        .map(|m| {
+            let count = match m.value {
+                es_telemetry::MetricValue::Counter(c) => c,
+                ref other => panic!("samples_played is {}", other.kind()),
+            };
+            (m.key.instance.clone(), count)
+        })
+        .collect();
+    assert!(
+        !played.is_empty(),
+        "{}: probe saw no speakers",
+        trace.repro()
+    );
+    played
+}
+
+/// Two runs of one scenario that nothing observable may tell apart.
+fn assert_indistinguishable(base: &Trace, other: &Trace, between: &str) {
+    assert_eq!(
+        base.fingerprint(),
+        other.fingerprint(),
+        "{}: fingerprint diverges between {between}",
+        other.repro(),
+    );
+    assert_eq!(
+        samples_played(base),
+        samples_played(other),
+        "{}: samples_played diverges between {between}",
+        other.repro(),
+    );
+}
+
+fn healing_scenarios() -> [Scenario; 4] {
+    [
         sick_receiver_fec_upshift_scenario(),
         neighbor_retransmit_scenario(),
         producer_failover_scenario(61),
         flapping_receiver_scenario(),
-    ];
-    for sc in &scenarios {
-        let mut baseline: Option<(Trace, Vec<(String, u64)>)> = None;
-        for threads in [1usize, 2, 4] {
-            es_sim::fleet::set_threads(threads);
-            let trace = sc.run();
-            let played: Vec<(String, u64)> = trace
-                .final_probe()
-                .metrics
-                .iter()
-                .filter(|m| m.key.component == "speaker" && m.key.name == "samples_played")
-                .map(|m| {
-                    let count = match m.value {
-                        es_telemetry::MetricValue::Counter(c) => c,
-                        ref other => panic!("samples_played is {}", other.kind()),
-                    };
-                    (m.key.instance.clone(), count)
-                })
-                .collect();
-            assert!(
-                !played.is_empty(),
-                "{}: probe saw no speakers",
-                trace.repro()
-            );
-            match &baseline {
-                None => baseline = Some((trace, played)),
-                Some((base, base_played)) => {
-                    assert_eq!(
-                        base.fingerprint(),
-                        trace.fingerprint(),
-                        "{}: fingerprint diverges between 1 and {threads} threads",
-                        trace.repro(),
-                    );
-                    assert_eq!(
-                        base_played,
-                        &played,
-                        "{}: samples_played diverges between 1 and {threads} threads",
-                        trace.repro(),
-                    );
-                }
-            }
-        }
+    ]
+}
+
+/// The healing plane's determinism contract, end to end: every healing
+/// scenario — FEC upshift, NACK refill, failover, flap damping — run
+/// twice on the same seed has to produce bit-identical trace
+/// fingerprints and identical per-speaker `samples_played`.
+#[test]
+fn heal_actions_are_deterministic() {
+    for sc in &healing_scenarios() {
+        assert_indistinguishable(&sc.run(), &sc.run(), "two runs of one seed");
     }
-    es_sim::fleet::set_threads(0);
 }
 
 /// The same contract against the sharded event engine: every healing
-/// scenario — FEC upshift, NACK refill, failover, flap damping — must
-/// be *inaudible to the shard count*. The same seed on 1, 2 and 4
-/// event shards has to produce bit-identical trace fingerprints and
-/// identical per-speaker `samples_played`. Reproduce a failure with
-/// e.g. `ES_SIM_SHARDS=4 cargo test --test healing heal_actions`.
+/// scenario must be *inaudible to the shard count*. The same seed on
+/// 1, 2 and 4 event shards has to produce bit-identical trace
+/// fingerprints and identical per-speaker `samples_played`. Reproduce
+/// a failure with e.g.
+/// `ES_SIM_SHARDS=4 cargo test --test healing heal_actions`.
 #[test]
 fn heal_actions_are_shard_invariant() {
-    let scenarios = [
-        sick_receiver_fec_upshift_scenario(),
-        neighbor_retransmit_scenario(),
-        producer_failover_scenario(61),
-        flapping_receiver_scenario(),
-    ];
-    for sc in &scenarios {
-        let mut baseline: Option<(Trace, Vec<(String, u64)>)> = None;
-        for shards in [1usize, 2, 4] {
+    for sc in &healing_scenarios() {
+        es_sim::shard::set_shards(1);
+        let base = sc.run();
+        for shards in [2usize, 4] {
             es_sim::shard::set_shards(shards);
-            let trace = sc.run();
-            let played: Vec<(String, u64)> = trace
-                .final_probe()
-                .metrics
-                .iter()
-                .filter(|m| m.key.component == "speaker" && m.key.name == "samples_played")
-                .map(|m| {
-                    let count = match m.value {
-                        es_telemetry::MetricValue::Counter(c) => c,
-                        ref other => panic!("samples_played is {}", other.kind()),
-                    };
-                    (m.key.instance.clone(), count)
-                })
-                .collect();
-            assert!(
-                !played.is_empty(),
-                "{}: probe saw no speakers",
-                trace.repro()
-            );
-            match &baseline {
-                None => baseline = Some((trace, played)),
-                Some((base, base_played)) => {
-                    assert_eq!(
-                        base.fingerprint(),
-                        trace.fingerprint(),
-                        "{}: fingerprint diverges between 1 and {shards} shards",
-                        trace.repro(),
-                    );
-                    assert_eq!(
-                        base_played,
-                        &played,
-                        "{}: samples_played diverges between 1 and {shards} shards",
-                        trace.repro(),
-                    );
-                }
-            }
+            assert_indistinguishable(&base, &sc.run(), &format!("1 and {shards} shards"));
         }
     }
     es_sim::shard::set_shards(0);

@@ -3,10 +3,10 @@
 //! The reproduction rests on invariants `rustc` cannot see: all
 //! simulated components use *virtual* time (the paper's producer wall
 //! clock is simulated, §3.2), every random draw flows from the
-//! scenario seed, and iteration orders keep `ES_SIM_SHARDS=1`
-//! bit-identical to `=4`. One stray `Instant::now()` or `HashMap`
-//! iteration silently breaks replay and is only caught — maybe — by
-//! the chaos fingerprint diff, after the fact. This crate checks those
+//! scenario seed, and iteration orders are the same in every
+//! process. One stray `Instant::now()` or `HashMap` iteration
+//! silently breaks replay and is only caught — maybe — by the chaos
+//! fingerprint diff, after the fact. This crate checks those
 //! invariants *statically*, so the build refuses the bug instead of
 //! the chaos suite happening to catch it.
 //!

@@ -5,12 +5,12 @@
 //! file's tokens into just enough structure for that — function
 //! definitions with line spans and body call sites, `use`
 //! declarations for cross-crate name resolution, allocation and
-//! panic-capable sites per function, telemetry key emission sites
-//! with their statically-resolvable component, and fleet-job closure
-//! bodies. It is *not* a Rust parser: no expressions, no types, no
-//! precedence. Item boundaries are recovered by brace matching, which
-//! is exact for well-formed Rust; on malformed input the parser
-//! degrades to recording less, never to panicking.
+//! panic-capable sites per function, and telemetry key emission sites
+//! with their statically-resolvable component. It is *not* a Rust
+//! parser: no expressions, no types, no precedence. Item boundaries
+//! are recovered by brace matching, which is exact for well-formed
+//! Rust; on malformed input the parser degrades to recording less,
+//! never to panicking.
 //!
 //! Everything produced here is a plain-old-data [`FileSummary`] that
 //! serializes into the incremental cache (see [`crate::cache`]), so a
@@ -104,20 +104,6 @@ pub struct TelemetrySite {
     pub line: u32,
 }
 
-/// One closure cast to `fleet::Job` — code that runs on a worker lane.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobClosure {
-    /// 1-based line the closure starts on.
-    pub line: u32,
-    /// Mutations of state captured from the enclosing scope (not
-    /// declared inside the closure): `&mut x`, `x = …`, `x.push(…)`,
-    /// `.borrow_mut()`, `.lock()` — the shard-aliasing pass flags
-    /// these unless they flow through a `ShardBuffer`.
-    pub mutations: Vec<Site>,
-    /// Call sites inside the closure (panic-path roots).
-    pub calls: Vec<Call>,
-}
-
 /// Everything phase 2 needs to know about one file.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileSummary {
@@ -132,8 +118,6 @@ pub struct FileSummary {
     /// call-graph resolution targets: test helpers unwrap freely and
     /// are unreachable from production hot paths.
     pub test_regions: Vec<(u32, u32)>,
-    /// Closures cast to `fleet::Job`.
-    pub job_closures: Vec<JobClosure>,
     /// Telemetry key sites.
     pub telemetry: Vec<TelemetrySite>,
     /// Suppression pragmas (cached so a warm run can resolve
@@ -295,7 +279,6 @@ pub fn parse(tokens: &[Token], comments: &[LineComment]) -> FileSummary {
     collect_test_regions(tokens, &mut out.test_regions);
     collect_uses(tokens, &mut out.uses);
     collect_fns(tokens, &mut out.fns);
-    collect_job_closures(tokens, &mut out.job_closures);
     collect_telemetry(tokens, &mut out.telemetry);
     out
 }
@@ -764,159 +747,6 @@ fn collect_panics(body: &[Token], out: &mut Vec<Site>) {
     }
 }
 
-/// Finds closures cast to the fleet job type (`Box::new(move |…| …) as
-/// fleet::Job` / `as Job`) and records their captured-state mutations
-/// and call sites.
-fn collect_job_closures(t: &[Token], out: &mut Vec<JobClosure>) {
-    let mut i = 0;
-    while i + 4 < t.len() {
-        // `Box :: new (`
-        let is_box_new = matches!(ident_at(t, i), Some(("Box", _)))
-            && path_sep(t, i + 1)
-            && matches!(ident_at(t, i + 3), Some(("new", _)))
-            && punct_at(t, i + 4, '(');
-        if !is_box_new {
-            i += 1;
-            continue;
-        }
-        let open = i + 4;
-        let close = matching(t, open, '(', ')');
-        // `as … Job` immediately after the closing paren?
-        let mut j = close + 1;
-        let mut is_job = false;
-        if matches!(ident_at(t, j), Some(("as", _))) {
-            j += 1;
-            while j < t.len() {
-                match &t[j] {
-                    Token::Ident { text, .. } if text == "Job" => {
-                        is_job = true;
-                        break;
-                    }
-                    Token::Ident { .. } => {}
-                    Token::Punct { ch: ':', .. } => {}
-                    _ => break,
-                }
-                j += 1;
-            }
-        }
-        if !is_job {
-            i = open + 1;
-            continue;
-        }
-        let body = &t[open + 1..close.min(t.len())];
-        let line = t[open].line();
-        let mut jc = JobClosure {
-            line,
-            mutations: Vec::new(),
-            calls: Vec::new(),
-        };
-        analyze_closure(body, &mut jc);
-        out.push(jc);
-        i = close + 1;
-    }
-}
-
-/// Scans a job-closure body for locally-declared names and mutations
-/// of anything else.
-fn analyze_closure(body: &[Token], jc: &mut JobClosure) {
-    use std::collections::BTreeSet;
-    let t = body;
-    // Locals: closure parameters (between the leading pipes) and
-    // `let`-bound names.
-    let mut locals: BTreeSet<String> = BTreeSet::new();
-    let mut k = 0;
-    // Skip a leading `move`.
-    if matches!(ident_at(t, k), Some(("move", _))) {
-        k += 1;
-    }
-    if punct_at(t, k, '|') {
-        let mut p = k + 1;
-        while p < t.len() && !punct_at(t, p, '|') {
-            if let Some((name, _)) = ident_at(t, p) {
-                if name != "mut" {
-                    locals.insert(name.to_string());
-                }
-            }
-            p += 1;
-        }
-    }
-    for i in 0..t.len() {
-        if let Some(("let", _)) = ident_at(t, i) {
-            // `let [mut] name` / `let (a, b)` — collect idents up to
-            // `=` or `;`.
-            let mut p = i + 1;
-            while p < t.len() && !punct_at(t, p, '=') && !punct_at(t, p, ';') {
-                if let Some((name, _)) = ident_at(t, p) {
-                    if name != "mut" && name != "ref" {
-                        locals.insert(name.to_string());
-                    }
-                } else if punct_at(t, p, ':') {
-                    break; // type ascription — idents past here are types
-                }
-                p += 1;
-            }
-        }
-    }
-    for i in 0..t.len() {
-        // `&mut x` where x is captured.
-        if punct_at(t, i, '&') {
-            if let Some(("mut", _)) = ident_at(t, i + 1) {
-                if let Some((name, line)) = ident_at(t, i + 2) {
-                    if !locals.contains(name) {
-                        jc.mutations.push(Site {
-                            kind: format!("&mut {name}"),
-                            line,
-                        });
-                    }
-                }
-            }
-        }
-        // Interior-mutability escape hatches are never lane-safe.
-        if let Some((name, line)) = ident_at(t, i) {
-            let method_pos = i > 0 && matches!(t[i - 1], Token::Punct { ch: '.', .. });
-            if method_pos && (name == "borrow_mut" || name == "lock") {
-                jc.mutations.push(Site {
-                    kind: format!(".{name}()"),
-                    line,
-                });
-            }
-            // Assignment to a captured name: `x = …` / `x += …` at
-            // statement position (previous token `;`, `{`, or start).
-            let stmt_pos = i == 0
-                || matches!(
-                    t[i - 1],
-                    Token::Punct { ch: ';', .. } | Token::Punct { ch: '{', .. }
-                );
-            if stmt_pos && !locals.contains(name) {
-                let assigns = punct_at(t, i + 1, '=') && !punct_at(t, i + 2, '=')
-                    || (matches!(t.get(i + 1), Some(Token::Punct { ch, .. }) if matches!(ch, '+' | '-' | '*' | '/'))
-                        && punct_at(t, i + 2, '='));
-                if assigns {
-                    jc.mutations.push(Site {
-                        kind: format!("{name} = …"),
-                        line,
-                    });
-                }
-            }
-            // Mutating method calls on captured receivers:
-            // `x.push(…)`, `x.insert(…)`, `x.extend(…)`.
-            if !locals.contains(name) && !method_pos && punct_at(t, i + 1, '.') {
-                if let Some((m, mline)) = ident_at(t, i + 2) {
-                    if matches!(m, "push" | "insert" | "extend" | "push_str" | "remove")
-                        && punct_at(t, i + 3, '(')
-                    {
-                        jc.mutations.push(Site {
-                            kind: format!("{name}.{m}(…)"),
-                            line: mline,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    collect_calls(t, &mut jc.calls);
-}
-
 /// Telemetry writer methods and the kind each declares.
 fn writer_kind(name: &str) -> Option<&'static str> {
     match name {
@@ -1236,39 +1066,6 @@ mod tests {
         );
         assert_eq!(find("dsp").unwrap().path, vec!["es_codec", "dsp"]);
         assert_eq!(find("*").unwrap().path, vec!["std", "collections"]);
-    }
-
-    #[test]
-    fn job_closures_catch_captured_mutations() {
-        let src = "fn f(jobs: &mut Vec<Job>, counter: Shared) {\n\
-                   jobs.push(Box::new(move || {\n\
-                   let mut shard = ShardBuffer::new(0);\n\
-                   record(&mut shard);\n\
-                   counter.borrow_mut().datagrams += 1;\n\
-                   Box::new(()) as Box<dyn Any + Send>\n\
-                   }) as fleet::Job);\n\
-                   }";
-        let s = parse_src(src);
-        assert_eq!(s.job_closures.len(), 1);
-        let jc = &s.job_closures[0];
-        // `&mut shard` is local; the borrow_mut on the capture is not.
-        assert_eq!(jc.mutations.len(), 1);
-        assert_eq!(jc.mutations[0].kind, ".borrow_mut()");
-        assert!(jc.calls.iter().any(|c| c.name == "record"));
-    }
-
-    #[test]
-    fn clean_job_closure_has_no_mutations() {
-        let src = "fn f() {\n\
-                   let j = Box::new(move || {\n\
-                   let mut shard = ShardBuffer::new(0);\n\
-                   let result = job(&mut shard);\n\
-                   Box::new(result) as Box<dyn Any + Send>\n\
-                   }) as fleet::Job;\n\
-                   }";
-        let s = parse_src(src);
-        assert_eq!(s.job_closures.len(), 1);
-        assert!(s.job_closures[0].mutations.is_empty());
     }
 
     #[test]

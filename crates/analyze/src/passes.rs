@@ -48,7 +48,7 @@ pub fn all() -> Vec<Pass> {
         Pass {
             id: "panic-path",
             summary: "no unwrap/expect/panic!/indexing in functions reachable from \
-                      hot-path regions or fleet job closures",
+                      hot-path regions",
             check: panic_path,
         },
         Pass {
@@ -56,12 +56,6 @@ pub fn all() -> Vec<Pass> {
             summary: "every component/name telemetry key has exactly one kind \
                       (counter|gauge|histogram) across the workspace",
             check: telemetry_registry,
-        },
-        Pass {
-            id: "shard-aliasing",
-            summary: "state captured by fleet jobs must flow through \
-                      ShardBuffer/ShardRouter, not ambient mutation",
-            check: shard_aliasing,
         },
     ]
 }
@@ -146,14 +140,13 @@ fn hot_path_transitive(ix: &Index<'_>) -> Vec<PassFinding> {
     out
 }
 
-/// `panic-path`: functions reachable from hot-path regions or fleet
-/// job closures must not `unwrap`/`expect`/`panic!` or index slices.
-/// Findings are grouped per (function, kind) and anchored at the
-/// first offending line, so one reasoned pragma covers a function's
-/// audited sites of that kind. For the functions *containing* a hot
-/// region only sites inside the region count; for reachable callees
-/// the whole body counts (we cannot see which lines the hot caller
-/// exercises).
+/// `panic-path`: functions reachable from hot-path regions must not
+/// `unwrap`/`expect`/`panic!` or index slices. Findings are grouped
+/// per (function, kind) and anchored at the first offending line, so
+/// one reasoned pragma covers a function's audited sites of that
+/// kind. For the functions *containing* a hot region only sites
+/// inside the region count; for reachable callees the whole body
+/// counts (we cannot see which lines the hot caller exercises).
 fn panic_path(ix: &Index<'_>) -> Vec<PassFinding> {
     let mut out = Vec::new();
     // Region-resident sites: panic sites lexically inside hot regions,
@@ -185,34 +178,12 @@ fn panic_path(ix: &Index<'_>) -> Vec<PassFinding> {
             }
         }
     }
-    // Reachable callees: BFS from region call sites and job-closure
-    // call sites; every reached fn's whole body is audited.
-    let mut roots: Vec<FnId> = Vec::new();
-    let mut origin: BTreeMap<FnId, &'static str> = BTreeMap::new();
-    for (fi, call) in hot_region_calls(ix) {
-        for id in ix.resolve(fi, call) {
-            origin.entry(id).or_insert("a hot-path region");
-            roots.push(id);
-        }
-    }
-    for (fi, entry) in ix.files.iter().enumerate() {
-        if entry.role != Role::Lib {
-            continue;
-        }
-        for jc in &entry.summary.job_closures {
-            // Test-module closures exercise the pool itself (mutex
-            // round-trips, atomics) and are not production roots.
-            if crate::index::in_regions(&entry.summary.test_regions, jc.line) {
-                continue;
-            }
-            for call in &jc.calls {
-                for id in ix.resolve(fi, call) {
-                    origin.entry(id).or_insert("a fleet job closure");
-                    roots.push(id);
-                }
-            }
-        }
-    }
+    // Reachable callees: BFS from region call sites; every reached
+    // fn's whole body is audited.
+    let mut roots: Vec<FnId> = hot_region_calls(ix)
+        .into_iter()
+        .flat_map(|(fi, call)| ix.resolve(fi, call))
+        .collect();
     roots.sort_unstable();
     roots.dedup();
     let reach = ix.reach(&roots);
@@ -232,8 +203,6 @@ fn panic_path(ix: &Index<'_>) -> Vec<PassFinding> {
         if by_kind.is_empty() {
             continue;
         }
-        let root = reach.chain(id)[0];
-        let via = origin.get(&root).copied().unwrap_or("a hot-path region");
         let chain = chain_names(ix, &reach.chain(id));
         for (kind, lines) in by_kind {
             if !emitted.insert((entry.rel.clone(), def.name.clone(), kind.to_string())) {
@@ -244,7 +213,7 @@ fn panic_path(ix: &Index<'_>) -> Vec<PassFinding> {
                 &def.name,
                 kind,
                 &lines,
-                &format!("reachable from {via} via {chain}"),
+                &format!("reachable from a hot-path region via {chain}"),
             ));
         }
     }
@@ -272,7 +241,7 @@ fn group_finding(
         rel: entry.rel.clone(),
         line: first,
         message: format!(
-            "fn `{fn_name}` is {why} and uses {what} at line(s) {}; hot/lane code must not \
+            "fn `{fn_name}` is {why} and uses {what} at line(s) {}; hot-path code must not \
              be able to panic — return Result, use get()/split-checked access, or sanction \
              the audited sites with es-allow(panic-path)",
             shown.join(", ")
@@ -386,46 +355,6 @@ pub fn inventory(ix: &Index<'_>) -> Vec<KeyEntry> {
         }
     }
     map.into_values().collect()
-}
-
-/// `shard-aliasing`: fleet job closures run on worker lanes; any
-/// mutation of captured state that does not flow through a
-/// `ShardBuffer`/`ShardRouter` races the merge or (worse) introduces
-/// lane-count-dependent ordering. The parser already excludes
-/// closure-local bindings; here everything else is flagged unless the
-/// mutated binding's name marks it as routed shard state.
-fn shard_aliasing(ix: &Index<'_>) -> Vec<PassFinding> {
-    let mut out = Vec::new();
-    for entry in ix.files.iter() {
-        if entry.role != Role::Lib {
-            continue;
-        }
-        for jc in &entry.summary.job_closures {
-            if crate::index::in_regions(&entry.summary.test_regions, jc.line) {
-                continue;
-            }
-            for m in &jc.mutations {
-                // `&mut shard_tx` / `router.push(…)`: names that carry
-                // shard/router state are the sanctioned channel.
-                let lower = m.kind.to_lowercase();
-                if lower.contains("shard") || lower.contains("router") {
-                    continue;
-                }
-                out.push(PassFinding {
-                    rel: entry.rel.clone(),
-                    line: m.line,
-                    message: format!(
-                        "fleet job closure (starting line {}) mutates captured state via {} — \
-                         per-lane effects must flow through ShardBuffer/ShardRouter so the \
-                         deterministic merge sees them in submission order (DESIGN.md §11)",
-                        jc.line, m.kind
-                    ),
-                });
-            }
-        }
-    }
-    out.sort_by_key(|f| (f.rel.clone(), f.line));
-    out
 }
 
 #[cfg(test)]
@@ -558,38 +487,5 @@ mod tests {
         assert_eq!(inv.len(), 1);
         assert_eq!(inv[0].kind(), "counter");
         assert_eq!((inv[0].writers, inv[0].readers), (1, 1));
-    }
-
-    #[test]
-    fn job_closure_ambient_mutation_is_flagged() {
-        let files = vec![entry(
-            "crates/net/src/a.rs",
-            "net",
-            "fn f(counter: Shared) {\n\
-             let j = Box::new(move || {\n\
-             counter.borrow_mut().x += 1;\n\
-             Box::new(()) as Box<dyn Any + Send>\n\
-             }) as fleet::Job;\n}\n",
-        )];
-        let ix = Index::build(&files);
-        let f = shard_aliasing(&ix);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 3);
-    }
-
-    #[test]
-    fn shard_buffer_flow_is_clean() {
-        let files = vec![entry(
-            "crates/net/src/a.rs",
-            "net",
-            "fn f() {\n\
-             let j = Box::new(move || {\n\
-             let mut shard = ShardBuffer::new(0);\n\
-             let result = job(&mut shard);\n\
-             Box::new(result) as Box<dyn Any + Send>\n\
-             }) as fleet::Job;\n}\n",
-        )];
-        let ix = Index::build(&files);
-        assert!(shard_aliasing(&ix).is_empty());
     }
 }

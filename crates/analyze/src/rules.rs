@@ -93,12 +93,6 @@ pub fn all() -> Vec<Rule> {
             check: hot_path_alloc,
         },
         Rule {
-            id: "shard-channel",
-            summary:
-                "Sim::schedule_at_segment outside es-sim; cross-shard work goes through ShardRouter",
-            check: shard_channel,
-        },
-        Rule {
             id: "pragma",
             summary: "es-allow pragmas must name a registered rule",
             check: pragma_names_known_rule,
@@ -476,35 +470,6 @@ fn hot_path_alloc(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     out
 }
 
-/// Cross-shard scheduling discipline: `Sim::schedule_at_segment` is
-/// the engine's raw cross-shard primitive and stays an implementation
-/// detail of `crates/sim/`. Everywhere else, an event bound for
-/// another segment must go through the deterministic channel facade
-/// (`es_sim::ShardRouter::post`), which counts cross-segment traffic
-/// and keeps the submission-order-merge discipline — a direct call
-/// bypasses the accounting and invites shard-count-dependent
-/// orderings that the chaos fingerprint diff would only catch after
-/// the fact.
-fn shard_channel(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
-    if ctx.file.rel.starts_with("crates/sim/") {
-        return Vec::new();
-    }
-    ctx.tokens
-        .iter()
-        .filter_map(|t| match t {
-            Token::Ident { line, text } if text == "schedule_at_segment" => Some(RawFinding {
-                line: *line,
-                message: "`schedule_at_segment` is the engine's raw cross-shard primitive; \
-                          outside es-sim route cross-segment events through \
-                          `ShardRouter::post` so the traffic is counted and keeps the \
-                          deterministic channel ordering"
-                    .to_string(),
-            }),
-            _ => None,
-        })
-        .collect()
-}
-
 fn pragma_names_known_rule(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     ctx.pragmas
         .iter()
@@ -725,21 +690,6 @@ mod tests {
         // `collect` not in method position (a local fn) is out of scope.
         let free = "// es-hot-path\nfn collect() {} fn g() { collect(); }";
         assert!(run_on("crates/codec/src/ovl.rs", free).is_empty());
-    }
-
-    #[test]
-    fn shard_channel_is_confined_to_sim() {
-        let src = "fn f(sim: &mut Sim) { sim.schedule_at_segment(1, t, |_| {}); }";
-        assert_eq!(
-            run_on("crates/net/src/lan.rs", src),
-            vec![("shard-channel".to_string(), 1)]
-        );
-        // Inside the engine crate the primitive is home.
-        assert!(run_on("crates/sim/src/shard.rs", src).is_empty());
-        assert!(run_on("crates/sim/src/engine.rs", src).is_empty());
-        // The sanctioned facade does not trip the rule.
-        let routed = "fn f(r: &ShardRouter) { r.post(sim, 1, t, |_| {}); }";
-        assert!(run_on("crates/net/src/lan.rs", routed).is_empty());
     }
 
     #[test]

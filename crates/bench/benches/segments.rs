@@ -1,8 +1,7 @@
-//! Sharded-engine scaling benchmark with a tracked JSON baseline.
+//! Relay fan-out scaling benchmark with a tracked JSON baseline.
 //!
 //! Runs the `seg_exp` sweep — {1k, 4k, 10k} speakers behind four
-//! segment relays at {1, 2, 4} event shards, plus a 100k-speaker
-//! projection and the PR3 `pipeline` group — and writes
+//! segment relays, plus the PR3 `pipeline` group — and writes
 //! `BENCH_PR9.json` at the repo root.
 //!
 //! Run: `cargo bench -p es-bench --bench segments`
@@ -10,18 +9,18 @@
 //! `ES_BENCH_BASELINE=<file>` compares against a saved report.)
 //!
 //! Baseline handling mirrors the dsp bench: a >20% regression in the
-//! `pipeline` group fails the process — the sharded engine must not
-//! tax the single-speaker path — while `segments_*` and `fleet_*`
-//! rate regressions stay warnings (the big sweeps are noisier on a
-//! loaded host). Point `ES_BENCH_BASELINE` at `BENCH_PR6.json` to
-//! cross-check against the pre-sharding pipeline numbers.
+//! `pipeline` group fails the process — relays must not tax the
+//! single-speaker path — while `segments_*` rate regressions stay
+//! warnings (the big sweeps are noisier on a loaded host). Point
+//! `ES_BENCH_BASELINE` at `BENCH_PR6.json` to cross-check the
+//! pipeline numbers.
 
 use es_bench::seg_exp;
 
 fn main() {
     let report = seg_exp::run();
 
-    println!("== segments: sharded engine + relay fan-out scaling ==");
+    println!("== segments: relay fan-out scaling ==");
     if report.quick {
         println!("(quick mode: shortened sweep, numbers are smoke-test grade)");
     }

@@ -101,9 +101,9 @@ pub struct ChannelSpec {
     /// How transform work is billed to the CPU model (paper-fidelity
     /// direct cost vs. the default FFT fast path).
     pub cost_model: CostModel,
-    /// Logical engine segment of the producer host (see
-    /// `es_sim::shard`). The producer host is shared, so the last
-    /// channel that sets a non-zero segment wins.
+    /// Logical segment label of the producer host (see
+    /// `es_sim::ShardRouter`). The producer host is shared, so the
+    /// last channel that sets a non-zero segment wins.
     pub segment: u32,
 }
 
@@ -216,9 +216,8 @@ impl ChannelSpec {
         self
     }
 
-    /// Pins the producer host to a logical engine segment. Segments
-    /// partition the sharded event engine; they are topology labels
-    /// and never change what the fleet plays.
+    /// Pins the producer host to a logical segment. Segments are
+    /// topology labels and never change what the fleet plays.
     pub fn segment(mut self, segment: u32) -> Self {
         self.segment = segment;
         self
@@ -240,8 +239,8 @@ pub struct SpeakerSpec {
     pub channel: Option<String>,
     /// Capabilities advertised during the handshake (negotiated mode).
     pub caps: Capabilities,
-    /// Logical engine segment this speaker's deliveries execute in
-    /// (see `es_sim::shard`); speakers behind a relay share the
+    /// Logical segment this speaker's deliveries execute in (see
+    /// `es_sim::ShardRouter`); speakers behind a relay share the
     /// relay's segment.
     pub segment: u32,
 }
@@ -469,7 +468,6 @@ pub struct SystemBuilder {
     announce_group: Option<McastGroup>,
     sessions: Option<SessionSpec>,
     healing: Option<HealSpec>,
-    sim_shards: Option<usize>,
 }
 
 impl SystemBuilder {
@@ -484,7 +482,6 @@ impl SystemBuilder {
             announce_group: None,
             sessions: None,
             healing: None,
-            sim_shards: None,
         }
     }
 
@@ -515,12 +512,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Pins the event engine to `n` queue shards for this system
-    /// (instead of the process `ES_SIM_SHARDS` / default). Sharding is
-    /// pure partitioning: every fingerprint and metric is identical at
-    /// any shard count.
-    pub fn sim_shards(mut self, n: usize) -> Self {
-        self.sim_shards = Some(n);
+    // Shim owed to the next `benchmark` PR: the engine has one event
+    // queue, but the frozen `benches/ledger` harness still passes its
+    // `--shards` value here.
+    #[doc(hidden)]
+    pub fn sim_shards(self, _n: usize) -> Self {
         self
     }
 
@@ -612,10 +608,7 @@ impl SystemBuilder {
             }
         }
 
-        let mut sim = match self.sim_shards {
-            Some(n) => Sim::with_shards(self.seed, n),
-            None => Sim::new(self.seed),
-        };
+        let mut sim = Sim::new(self.seed);
         let journal = Journal::new();
         let lan = Lan::new(self.lan);
         lan.set_journal(journal.clone());
@@ -697,7 +690,7 @@ impl SystemBuilder {
         }
 
         // Standby shares the producer's segment: promotion swaps the
-        // sender without moving the stream across shards.
+        // sender without moving the stream across segments.
         if let Some(node) = standby_node {
             lan.set_segment(node, lan.segment(producer_node));
         }
@@ -945,14 +938,6 @@ impl EsSystem {
         self.sim.run_until(t);
     }
 
-    /// The underlying event engine. Bench harnesses use this to turn
-    /// on the per-segment busy-time accounting
-    /// ([`Sim::enable_shard_timing`]) and to read shard diagnostics;
-    /// scenario code should not need it.
-    pub fn sim_mut(&mut self) -> &mut Sim {
-        &mut self.sim
-    }
-
     /// The LAN fabric.
     pub fn lan(&self) -> &Lan {
         &self.hub.lan
@@ -1191,13 +1176,11 @@ mod tests {
         // producer (segment 0) → relay (segment 1) → two speakers on
         // the relay's downstream group, in the relay's segment.
         let mut sys = SystemBuilder::new(11)
-            .sim_shards(2)
             .channel(ChannelSpec::new(1, McastGroup(1), "radio"))
             .relay(RelaySpec::new(McastGroup(1), McastGroup(101)).segment(1))
             .speaker(SpeakerSpec::new("r1a", McastGroup(101)).segment(1))
             .speaker(SpeakerSpec::new("r1b", McastGroup(101)).segment(1))
             .build();
-        assert_eq!(sys.sim.num_shards(), 2);
         sys.run_for(SimDuration::from_secs(5));
         assert_eq!(sys.relay_count(), 1);
         let rstats = sys.relay(0).unwrap().stats();
@@ -1208,7 +1191,7 @@ mod tests {
             assert!(st.samples_played > 100_000, "speaker {i}: {st:?}");
             assert_eq!(st.bad_packets, 0, "speaker {i}: {st:?}");
         }
-        // The upstream hand-off crossed the shard boundary.
+        // The upstream hand-off crossed the segment boundary.
         assert!(sys.lan().cross_segment_posts() > 0);
         let snap = sys.metrics();
         assert_eq!(

@@ -296,11 +296,8 @@ struct Node {
     /// flaky NIC or radio link); 0.0 = healthy. One draw per datagram
     /// from the node's private stream, on top of the LAN-wide model.
     degrade_loss: f64,
-    /// Logical engine segment this host's deliveries execute in (see
-    /// `es_sim::shard`). A topology label, fixed per scenario: it must
-    /// not depend on `ES_SIM_SHARDS`, or event sequence numbers — and
-    /// with them the telemetry fingerprints — would shift with the
-    /// shard count.
+    /// Logical segment this host's deliveries execute in (see
+    /// `es_sim::ShardRouter`). A topology label, fixed per scenario.
     segment: u32,
 }
 
@@ -322,8 +319,8 @@ struct LanInner {
     group_bytes: std::collections::BTreeMap<McastGroup, u64>,
     /// Event journal for loss diagnostics, if attached.
     journal: Option<Journal>,
-    /// Deterministic cross-shard channel: every delivery is posted
-    /// into the receiver's segment through here.
+    /// Cross-segment channel: every delivery is posted into the
+    /// receiver's segment through here.
     router: ShardRouter,
 }
 
@@ -374,21 +371,20 @@ impl Lan {
         NodeId(inner.nodes.len() as u32 - 1)
     }
 
-    /// Assigns `node` to a logical engine segment; its deliveries are
+    /// Assigns `node` to a logical segment; its deliveries are
     /// scheduled into that segment from now on. Segments are topology
-    /// (e.g. "the fleet behind relay 2"), set once at build time: they
-    /// must not be derived from the shard count.
+    /// (e.g. "the fleet behind relay 2"), set once at build time.
     pub fn set_segment(&self, node: NodeId, segment: u32) {
         self.inner.borrow_mut().nodes[node.0 as usize].segment = segment;
     }
 
-    /// The logical engine segment `node` is assigned to (0 = default).
+    /// The logical segment `node` is assigned to (0 = default).
     pub fn segment(&self, node: NodeId) -> u32 {
         self.inner.borrow().nodes[node.0 as usize].segment
     }
 
-    /// Posts scheduled through the LAN's cross-shard channel that
-    /// crossed a segment boundary (engine diagnostics).
+    /// Deliveries posted across a segment boundary (a topology
+    /// diagnostic; not in any telemetry snapshot).
     pub fn cross_segment_posts(&self) -> u64 {
         self.inner.borrow().router.cross_posts()
     }
@@ -789,9 +785,7 @@ impl Lan {
         // becomes a single event instead of one per receiver. Distinct
         // arrival times (jitter, reordering, duplicates) each get
         // their own singleton batch. The segment key is part of the
-        // split because a batch executes in its receivers' segment:
-        // segments are fixed topology labels, so the same events — with
-        // the same sequence numbers — are created at every shard count.
+        // split because a batch executes in its receivers' segment.
         // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, costed by the sim model, not per-packet DSP
         let mut batches: Vec<(SimTime, u32, Vec<u32>)> = Vec::new();
         let mut index: std::collections::BTreeMap<(SimTime, u32), usize> =

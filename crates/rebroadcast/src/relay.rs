@@ -34,8 +34,8 @@
 //!
 //! The relay's LAN node is pinned to its segment
 //! ([`Lan::set_segment`]), so the upstream hand-off is one
-//! cross-shard post into the relay and everything downstream of it
-//! stays inside the segment's shard.
+//! cross-segment post into the relay and everything downstream of it
+//! stays inside the segment.
 
 use std::collections::BTreeMap;
 

@@ -8,41 +8,24 @@
 //! instant fire in scheduling order (FIFO ties), and all randomness
 //! flows from one seeded RNG.
 //!
-//! # Sharding
+//! # Segments
 //!
-//! The queue is physically partitioned into N shards (see
-//! [`crate::shard`]). Every event carries a logical *segment* label —
-//! inherited from the event that scheduled it, or set explicitly via
-//! [`Sim::schedule_at_segment`] — and lives in shard
-//! `segment % num_shards`. Execution order is defined globally: the
-//! engine always pops the smallest `(time, seq)` key across all
-//! shards, where `seq` is one process-wide counter. Because neither
-//! the labels nor the counter depend on the shard count, the execution
-//! order — and therefore every telemetry fingerprint — is bit-identical
-//! for any `ES_SIM_SHARDS` value.
-//!
-//! Popping scans all shard heads only when it must. The engine runs a
-//! conservative-lookahead fast path: after one full scan it caches the
-//! winning shard and the next-best key across the *other* shards (the
-//! horizon), then keeps popping from the winner while its head stays
-//! below the horizon. A cross-shard post into another shard lowers the
-//! horizon, so the winner never runs past an undelivered message.
+//! Every event carries a logical *segment* label — a topology tag such
+//! as "the speakers behind relay 2" — inherited from the event that
+//! scheduled it, or set explicitly by a
+//! [`ShardRouter`](crate::shard::ShardRouter) post. The label never
+//! influences execution order: there is one queue, popped in
+//! `(time, seq)` order, where `seq` is the scheduling counter.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::rc::Rc;
-use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::shard::ShardTiming;
 use crate::time::{SimDuration, SimTime};
-
-/// Handle to a scheduled event, usable to cancel it before it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
 
 type EventFn = Box<dyn FnOnce(&mut Sim)>;
 
@@ -74,15 +57,6 @@ impl Ord for Queued {
     }
 }
 
-/// The conservative-lookahead cache: the shard the engine is currently
-/// draining and the smallest `(time, seq)` key pending in any *other*
-/// shard (`None` = the other shards are empty, the horizon is open).
-#[derive(Clone, Copy)]
-struct Burst {
-    shard: usize,
-    horizon: Option<(SimTime, u64)>,
-}
-
 /// The discrete-event simulator: virtual clock, event queue, seeded RNG.
 ///
 /// # Examples
@@ -102,11 +76,8 @@ struct Burst {
 /// ```
 pub struct Sim {
     now: SimTime,
-    /// Per-shard event heaps; `segment % shards.len()` owns an event.
-    shards: Vec<BinaryHeap<Queued>>,
-    cancelled: BTreeSet<u64>,
-    /// One global counter: total order for same-instant events across
-    /// every shard, independent of the shard count.
+    queue: BinaryHeap<Queued>,
+    /// Scheduling counter: total order for same-instant events.
     next_seq: u64,
     rng: StdRng,
     seed: u64,
@@ -114,41 +85,35 @@ pub struct Sim {
     /// Segment of the event currently executing (0 outside handlers);
     /// plain `schedule_at` inherits it.
     current_segment: u32,
-    burst: Option<Burst>,
-    /// Events executed per physical shard (engine diagnostics only —
-    /// shard-count-dependent, so never exported to telemetry).
-    shard_events: Vec<u64>,
-    /// Full cross-shard head scans (lookahead cache misses).
-    merge_scans: u64,
-    /// Per-segment busy time, collected only when enabled (bench use).
-    timing: Option<ShardTiming>,
 }
 
 impl Sim {
-    /// Creates a simulator at time zero with a deterministic RNG seed
-    /// and the process-default shard count (see
-    /// [`crate::shard::shards`]).
+    /// Creates a simulator at time zero with a deterministic RNG seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_shards(seed, crate::shard::shards())
-    }
-
-    /// Creates a simulator with an explicit shard count (≥ 1).
-    pub fn with_shards(seed: u64, shards: usize) -> Self {
-        let shards = shards.max(1);
         Sim {
             now: SimTime::ZERO,
-            shards: (0..shards).map(|_| BinaryHeap::new()).collect(),
-            cancelled: BTreeSet::new(),
+            queue: BinaryHeap::new(),
             next_seq: 0,
             rng: StdRng::seed_from_u64(seed),
             seed,
             processed: 0,
             current_segment: 0,
-            burst: None,
-            shard_events: vec![0; shards],
-            merge_scans: 0,
-            timing: None,
         }
+    }
+
+    // Shim owed to the next `benchmark` PR: the frozen `benches/ledger`
+    // still builds its probe sims with a shard count. There is one
+    // queue; the count is ignored.
+    #[doc(hidden)]
+    pub fn with_shards(seed: u64, _shards: usize) -> Self {
+        Self::new(seed)
+    }
+
+    // Shim owed to the next `benchmark` PR: the frozen `benches/ledger`
+    // reports `sim.merge_scans`. One queue has no heads to merge.
+    #[doc(hidden)]
+    pub fn merge_scans(&self) -> u64 {
+        0
     }
 
     /// The current virtual time.
@@ -174,16 +139,9 @@ impl Sim {
         self.processed
     }
 
-    /// Number of events currently pending (including cancelled
-    /// tombstones not yet popped).
+    /// Number of events scheduled and not yet fired.
     pub fn events_pending(&self) -> usize {
-        let queued: usize = self.shards.iter().map(|q| q.len()).sum();
-        queued.saturating_sub(self.cancelled.len())
-    }
-
-    /// The number of physical shards the event queue is split into.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.queue.len()
     }
 
     /// The segment of the currently executing event (0 outside event
@@ -192,192 +150,52 @@ impl Sim {
         self.current_segment
     }
 
-    /// The physical shard a logical segment maps onto.
-    pub fn shard_of(&self, segment: u32) -> usize {
-        segment as usize % self.shards.len()
-    }
-
-    /// Events executed per physical shard. Diagnostics only: the split
-    /// depends on the shard count, so these numbers must never feed a
-    /// telemetry fingerprint.
-    pub fn events_processed_by_shard(&self) -> &[u64] {
-        &self.shard_events
-    }
-
-    /// Full cross-shard head scans performed (conservative-lookahead
-    /// cache misses); `events_processed() - merge_scans()` events were
-    /// popped on the fast path. Diagnostics only, like
-    /// [`Sim::events_processed_by_shard`].
-    pub fn merge_scans(&self) -> u64 {
-        self.merge_scans
-    }
-
-    /// Starts collecting per-segment busy time into a [`ShardTiming`].
-    /// Bench-only: handler execution is timed with the host clock, so
-    /// the collected numbers are not deterministic (the event order
-    /// still is).
-    pub fn enable_shard_timing(&mut self) {
-        self.timing = Some(ShardTiming::default());
-    }
-
-    /// Takes the busy-time accounting collected since
-    /// [`Sim::enable_shard_timing`] and keeps collecting.
-    pub fn take_shard_timing(&mut self) -> ShardTiming {
-        self.timing
-            .replace(ShardTiming::default())
-            .unwrap_or_default()
-    }
-
     /// Schedules `f` to run at absolute time `at`, in the segment of
     /// the currently executing event.
     ///
     /// Scheduling in the past is clamped to "now" (the event fires
     /// before the clock advances further), which keeps handlers that
     /// compute deadlines from stale state safe.
-    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
         self.schedule_at_segment(self.current_segment, at, f)
     }
 
-    /// Schedules `f` at absolute time `at` in an explicit segment —
-    /// the cross-shard primitive. Outside `es-sim`, route through
-    /// [`crate::shard::ShardRouter`] (the `shard-channel` lint flags
-    /// direct calls): the router is the deterministic channel API and
-    /// keeps cross-shard accounting in one place.
-    pub fn schedule_at_segment(
+    /// Schedules `f` at absolute time `at` under an explicit segment
+    /// label. Crate-private: everything outside `es-sim` posts through
+    /// [`ShardRouter`](crate::shard::ShardRouter), which keeps the
+    /// cross-segment accounting in one place.
+    pub(crate) fn schedule_at_segment(
         &mut self,
         segment: u32,
         at: SimTime,
         f: impl FnOnce(&mut Sim) + 'static,
-    ) -> EventId {
+    ) {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let shard = segment as usize % self.shards.len();
-        self.shards[shard].push(Queued {
+        self.queue.push(Queued {
             at,
             seq,
             segment,
             f: Box::new(f),
         });
-        // A post into another shard lowers the lookahead horizon: the
-        // burst shard must not run past this message.
-        if let Some(b) = &mut self.burst {
-            if b.shard != shard {
-                let key = (at, seq);
-                b.horizon = Some(match b.horizon {
-                    Some(h) if h < key => h,
-                    _ => key,
-                });
-            }
-        }
-        EventId(seq)
     }
 
     /// Schedules `f` to run after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        f: impl FnOnce(&mut Sim) + 'static,
-    ) -> EventId {
+    pub fn schedule_in(&mut self, delay: SimDuration, f: impl FnOnce(&mut Sim) + 'static) {
         self.schedule_at(self.now.saturating_add(delay), f)
-    }
-
-    /// Cancels a pending event. Returns `true` if the event had not yet
-    /// fired (or been cancelled).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
-    }
-
-    /// Pops cancelled tombstones off the head of one shard.
-    fn clear_tombstones(&mut self, shard: usize) {
-        loop {
-            let seq = match self.shards[shard].peek() {
-                Some(h) if self.cancelled.contains(&h.seq) => h.seq,
-                _ => return,
-            };
-            self.cancelled.remove(&seq);
-            self.shards[shard].pop();
-        }
-    }
-
-    /// The shard owning the globally next event, or `None` when every
-    /// shard is idle. Fast path: while the cached burst shard's head
-    /// stays below the cross-shard horizon, no other shard needs
-    /// looking at. Miss: one full scan re-elects the winner and caches
-    /// the runner-up key as the new horizon.
-    fn choose_shard(&mut self) -> Option<usize> {
-        if self.shards.len() == 1 {
-            self.clear_tombstones(0);
-            return (!self.shards[0].is_empty()).then_some(0);
-        }
-        if let Some(b) = self.burst {
-            self.clear_tombstones(b.shard);
-            if let Some(head) = self.shards[b.shard].peek() {
-                if b.horizon.is_none_or(|h| (head.at, head.seq) < h) {
-                    return Some(b.shard);
-                }
-            }
-            self.burst = None;
-        }
-        self.merge_scans += 1;
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        let mut second: Option<(SimTime, u64)> = None;
-        for i in 0..self.shards.len() {
-            self.clear_tombstones(i);
-            let Some(h) = self.shards[i].peek() else {
-                continue;
-            };
-            let key = (h.at, h.seq);
-            match best {
-                Some((ba, bs, _)) if key < (ba, bs) => {
-                    second = Some((ba, bs));
-                    best = Some((key.0, key.1, i));
-                }
-                Some(_) => {
-                    if second.is_none_or(|s| key < s) {
-                        second = Some(key);
-                    }
-                }
-                None => best = Some((key.0, key.1, i)),
-            }
-        }
-        let (_, _, i) = best?;
-        self.burst = Some(Burst {
-            shard: i,
-            horizon: second,
-        });
-        Some(i)
     }
 
     /// Runs a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(idx) = self.choose_shard() else {
+        let Some(ev) = self.queue.pop() else {
             return false;
         };
-        let ev = self.shards[idx]
-            .pop()
-            .expect("chosen shard has a live head");
         debug_assert!(ev.at >= self.now, "time went backwards");
         self.now = ev.at;
         self.current_segment = ev.segment;
         self.processed += 1;
-        self.shard_events[idx] += 1;
-        let segment = ev.segment;
-        if self.timing.is_some() {
-            #[allow(clippy::disallowed_methods)]
-            // es-allow(wall-clock): bench-only per-segment busy-time accounting, off unless enable_shard_timing() was called; the measured durations never influence event order
-            let start = Instant::now();
-            (ev.f)(self);
-            let ns = start.elapsed().as_nanos() as u64;
-            if let Some(t) = &mut self.timing {
-                t.record(segment, ns);
-            }
-        } else {
-            (ev.f)(self);
-        }
+        (ev.f)(self);
         true
     }
 
@@ -389,21 +207,12 @@ impl Sim {
         self.processed - before
     }
 
-    /// The timestamp of the globally next live event, if any.
-    fn next_event_at(&mut self) -> Option<SimTime> {
-        let idx = self.choose_shard()?;
-        self.shards[idx].peek().map(|h| h.at)
-    }
-
     /// Runs events with timestamps `<= t`, then advances the clock to
     /// exactly `t` (even if the queue empties earlier). Returns the
     /// number of events processed by this call.
     pub fn run_until(&mut self, t: SimTime) -> u64 {
         let before = self.processed;
-        while let Some(at) = self.next_event_at() {
-            if at > t {
-                break;
-            }
+        while self.queue.peek().is_some_and(|head| head.at <= t) {
             self.step();
         }
         if t > self.now && t != SimTime::MAX {
@@ -423,7 +232,6 @@ impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sim")
             .field("now", &self.now)
-            .field("shards", &self.shards.len())
             .field("pending", &self.events_pending())
             .field("processed", &self.processed)
             .finish()
@@ -526,6 +334,7 @@ fn schedule_tick(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardRouter;
     use std::cell::Cell;
 
     #[test]
@@ -555,149 +364,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn same_instant_ties_fire_fifo_across_segments() {
-        // The global seq counter orders same-instant events across
-        // shards exactly as it would in one queue.
-        for shards in [1, 2, 4, 5] {
-            let mut sim = Sim::with_shards(1, shards);
-            let order = shared(Vec::new());
-            for label in 0..10u32 {
-                let order = order.clone();
-                sim.schedule_at_segment(label % 3, SimTime::from_millis(5), move |_| {
-                    order.borrow_mut().push(label);
-                });
-            }
-            sim.run();
-            assert_eq!(
-                *order.borrow(),
-                (0..10).collect::<Vec<_>>(),
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn segment_is_inherited_and_routable() {
-        let mut sim = Sim::with_shards(9, 4);
-        assert_eq!(sim.num_shards(), 4);
-        assert_eq!(sim.current_segment(), 0);
-        let seen = shared(Vec::new());
-        let s = seen.clone();
-        sim.schedule_at_segment(7, SimTime::from_millis(1), move |sim| {
-            s.borrow_mut().push(sim.current_segment());
-            let s2 = s.clone();
-            // Plain schedule_at inherits segment 7.
-            sim.schedule_in(SimDuration::from_millis(1), move |sim| {
-                s2.borrow_mut().push(sim.current_segment());
-            });
-        });
-        sim.run();
-        assert_eq!(*seen.borrow(), vec![7, 7]);
-        assert_eq!(sim.shard_of(7), 3);
-        // Both events ran on shard 7 % 4 == 3.
-        assert_eq!(sim.events_processed_by_shard(), &[0, 0, 0, 2]);
-    }
-
-    #[test]
-    fn cross_shard_posts_interleave_identically_at_any_shard_count() {
-        // A producer in segment 0 posts bursts into segments 1..4;
-        // each receiver posts an ack back. The observable order must
-        // not depend on the physical shard count.
-        let run = |shards: usize| -> Vec<(u64, u32, u32)> {
-            let mut sim = Sim::with_shards(3, shards);
-            let log = shared(Vec::new());
-            for k in 0..40u64 {
-                let log = log.clone();
-                let seg = (k % 4) as u32 + 1;
-                sim.schedule_at_segment(seg, SimTime::from_micros(100 * (k / 4)), move |sim| {
-                    log.borrow_mut().push((sim.now().as_micros(), seg, 0));
-                    let log2 = log.clone();
-                    sim.schedule_at_segment(0, sim.now() + SimDuration::from_micros(10), {
-                        move |sim| {
-                            log2.borrow_mut().push((sim.now().as_micros(), seg, 1));
-                        }
-                    });
-                });
-            }
-            sim.run();
-            let out = log.borrow().clone();
-            out
-        };
-        let base = run(1);
-        assert_eq!(base.len(), 80);
-        for shards in [2, 3, 4, 8] {
-            assert_eq!(run(shards), base, "shards={shards}");
-        }
-    }
-
-    #[test]
-    fn lookahead_horizon_respects_cross_shard_posts_during_burst() {
-        // Segment 1 has a long run of closely spaced events; partway
-        // through, one of them posts into segment 2 at a time that
-        // falls *inside* the remaining run. The posted event must fire
-        // in global order, not after the burst drains.
-        let mut sim = Sim::with_shards(1, 2);
-        let order = shared(Vec::new());
-        for i in 0..10u64 {
-            let order = order.clone();
-            sim.schedule_at_segment(1, SimTime::from_millis(10 * (i + 1)), move |sim| {
-                order
-                    .borrow_mut()
-                    .push(format!("seg1@{}", sim.now().as_millis()));
-                if i == 2 {
-                    let o2 = order.clone();
-                    // Lands between the i==3 and i==4 events.
-                    sim.schedule_at_segment(2, SimTime::from_millis(45), move |sim| {
-                        o2.borrow_mut()
-                            .push(format!("seg2@{}", sim.now().as_millis()));
-                    });
-                }
-            });
-        }
-        sim.run();
-        let order = order.borrow();
-        let pos = |s: &str| order.iter().position(|x| x == s).unwrap();
-        assert!(pos("seg1@40") < pos("seg2@45"));
-        assert!(pos("seg2@45") < pos("seg1@50"), "{order:?}");
-        assert_eq!(order.len(), 11);
-        // The burst fast-path actually engaged: far fewer full scans
-        // than events.
-        assert!(sim.merge_scans() < sim.events_processed());
-    }
-
-    #[test]
-    fn cancel_prevents_firing() {
-        let mut sim = Sim::new(1);
-        let fired = Rc::new(Cell::new(false));
-        let f = fired.clone();
-        let id = sim.schedule_in(SimDuration::from_millis(1), move |_| f.set(true));
-        assert!(sim.cancel(id));
-        assert!(!sim.cancel(id), "double-cancel must report false");
-        sim.run();
-        assert!(!fired.get());
-    }
-
-    #[test]
-    fn cancel_works_across_shards() {
-        let mut sim = Sim::with_shards(1, 4);
-        let fired = Rc::new(Cell::new(0u32));
-        let mut ids = Vec::new();
-        for seg in 0..8u32 {
-            let f = fired.clone();
-            ids.push(
-                sim.schedule_at_segment(seg, SimTime::from_millis(1), move |_| {
-                    f.set(f.get() + 1);
-                }),
-            );
-        }
-        for id in ids.iter().step_by(2) {
-            assert!(sim.cancel(*id));
-        }
-        sim.run();
-        assert_eq!(fired.get(), 4);
     }
 
     #[test]
@@ -792,20 +458,103 @@ mod tests {
         assert_eq!(xs, ys);
     }
 
-    #[test]
-    fn shard_timing_collects_per_segment_busy_time() {
-        let mut sim = Sim::with_shards(1, 2);
-        sim.enable_shard_timing();
-        for seg in [0u32, 1, 1] {
-            sim.schedule_at_segment(seg, SimTime::from_millis(1), |_| {
-                std::hint::black_box((0..100).sum::<u64>());
-            });
+    /// One event of a random schedule program: fires at absolute time
+    /// `at` (often in its parent's past), labelled with the parent's
+    /// segment (`None`: plain `schedule_at`) or posted into an explicit
+    /// one through the router, and schedules `children` when it fires.
+    struct Node {
+        at: SimTime,
+        segment: Option<u32>,
+        children: Vec<usize>,
+    }
+
+    /// `(node, fired at, current_segment() inside the handler)`.
+    type Fired = (usize, SimTime, u32);
+
+    fn spawn(
+        sim: &mut Sim,
+        router: &ShardRouter,
+        prog: &Rc<Vec<Node>>,
+        log: &Shared<Vec<Fired>>,
+        i: usize,
+    ) {
+        let (r, p, l) = (router.clone(), prog.clone(), log.clone());
+        let fire = move |sim: &mut Sim| {
+            l.borrow_mut().push((i, sim.now(), sim.current_segment()));
+            for &c in &p[i].children {
+                spawn(sim, &r, &p, &l, c);
+            }
+        };
+        match prog[i].segment {
+            Some(segment) => router.post(sim, segment, prog[i].at, fire),
+            None => sim.schedule_at(prog[i].at, fire),
         }
-        sim.run();
-        let timing = sim.take_shard_timing();
-        assert_eq!(timing.busy_ns.len(), 2, "{timing:?}");
-        assert!(timing.work_ns() > 0);
-        // take() resets the accumulator.
-        assert_eq!(sim.take_shard_timing(), ShardTiming::default());
+    }
+
+    /// The engine's contract, executed naively: keep every pending
+    /// event in a list and always fire the smallest `(time, seq)`.
+    /// Returns the firing log and the cross-segment post count.
+    fn oracle(prog: &[Node], roots: &[usize]) -> (Vec<Fired>, u64) {
+        let mut pending: Vec<(SimTime, u64, u32, usize)> = Vec::new();
+        let (mut now, mut current, mut seq, mut cross) = (SimTime::ZERO, 0u32, 0u64, 0u64);
+        let mut log = Vec::new();
+        let mut batch = roots.to_vec();
+        loop {
+            for &i in &batch {
+                let segment = prog[i].segment.unwrap_or(current);
+                cross += u64::from(segment != current);
+                pending.push((prog[i].at.max(now), seq, segment, i));
+                seq += 1;
+            }
+            pending.sort_unstable();
+            if pending.is_empty() {
+                return (log, cross);
+            }
+            let (at, _, segment, i) = pending.remove(0);
+            (now, current) = (at, segment);
+            log.push((i, at, segment));
+            batch = prog[i].children.clone();
+        }
+    }
+
+    proptest::proptest! {
+        /// Random programs — nested scheduling from handlers, times
+        /// drawn from a 12 ms window so same-instant ties and
+        /// past-clamped children are the common case, router posts
+        /// into foreign segments — fire in exactly the oracle's order,
+        /// and `current_segment()` is the inherited or posted label.
+        #[test]
+        fn firing_order_matches_sort_by_time_seq_oracle(
+            spec in proptest::collection::vec((0usize..1000, 0u64..12, 0u32..5), 1..80),
+        ) {
+            let mut prog: Vec<Node> = Vec::new();
+            let mut roots = Vec::new();
+            for (i, &(pick, at_ms, seg)) in spec.iter().enumerate() {
+                prog.push(Node {
+                    at: SimTime::from_millis(at_ms),
+                    segment: seg.checked_sub(1),
+                    children: Vec::new(),
+                });
+                match pick % (i + 1) {
+                    parent if parent < i => prog[parent].children.push(i),
+                    _ => roots.push(i),
+                }
+            }
+            let (expected, expected_cross) = oracle(&prog, &roots);
+            proptest::prop_assert_eq!(expected.len(), prog.len());
+
+            let mut sim = Sim::new(1);
+            let router = ShardRouter::new();
+            let prog = Rc::new(prog);
+            let log = shared(Vec::new());
+            for &i in &roots {
+                spawn(&mut sim, &router, &prog, &log, i);
+            }
+            proptest::prop_assert_eq!(sim.events_pending(), roots.len());
+            sim.run();
+            proptest::prop_assert_eq!(&*log.borrow(), &expected);
+            proptest::prop_assert_eq!(router.cross_posts(), expected_cross);
+            proptest::prop_assert_eq!(sim.events_pending(), 0);
+        }
     }
 }

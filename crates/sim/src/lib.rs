@@ -6,7 +6,7 @@
 //! other simulated subsystem builds on:
 //!
 //! - [`SimTime`]/[`SimDuration`]: nanosecond virtual time.
-//! - [`Sim`]: the event engine (closure events, cancellable, seeded RNG).
+//! - [`Sim`]: the event engine (closure events, seeded RNG).
 //! - [`RepeatingTimer`]: cancellable periodic callbacks.
 //! - [`TimeSeries`]/[`BucketAccumulator`]: experiment output series and
 //!   `vmstat`-style interval sampling.
@@ -29,7 +29,7 @@ pub mod shard;
 pub mod time;
 
 pub use cpu::{CostModel, SimCpu};
-pub use engine::{shared, EventId, RepeatingTimer, Shared, Sim};
+pub use engine::{shared, RepeatingTimer, Shared, Sim};
 pub use series::{BucketAccumulator, TimeSeries};
-pub use shard::{ShardRouter, ShardTiming};
+pub use shard::ShardRouter;
 pub use time::{SimDuration, SimTime};

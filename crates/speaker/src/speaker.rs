@@ -321,8 +321,9 @@ pub struct RxMemoStats {
 }
 
 /// Cumulative [`RxMemoStats`] of the calling thread. A wall-clock-side
-/// diagnostic in the style of `Sim::merge_scans`: it never enters a
-/// registry, so fingerprints cannot see how much work was shared.
+/// diagnostic in the style of `Lan::cross_segment_posts`: it never
+/// enters a registry, so fingerprints cannot see how much work was
+/// shared.
 pub fn rx_memo_stats() -> RxMemoStats {
     let (parse_hits, parse_misses) = PARSED.with(|m| {
         let m = m.borrow();

@@ -13,9 +13,9 @@ cargo fmt --all --check
 # reads, unseeded RNG, hash-ordered iteration, malformed telemetry
 # keys, unaudited unsafe) plus the phase-2 semantic passes over the
 # workspace call graph (transitive hot-path allocation, panic paths,
-# the telemetry key registry, shard aliasing — see DESIGN.md §8). Runs
-# before the test suite because it is cheap (budget 5s) and refuses
-# bugs the chaos fingerprints would only catch after the fact.
+# the telemetry key registry — see DESIGN.md §8). Runs before the test
+# suite because it is cheap (budget 5s) and refuses bugs the chaos
+# fingerprints would only catch after the fact.
 #
 # The analyzer runs twice through its incremental cache: a cold run
 # (fresh cache) and a warm run that must finish within 1s and produce
@@ -82,10 +82,10 @@ else
     ES_BENCH_QUICK=1 cargo bench -q -p es-bench --bench dsp
 fi
 
-# Sharded-engine smoke: quick sweep of the segments bench ({100, 400}
-# speakers × 1/2/4 event shards behind four relays). The binary exits
-# non-zero on zero/NaN metrics, a malformed report, or a >20%
-# `pipeline` regression against the dsp baseline. Unlike the other
+# Segment-relay smoke: quick tiers of the segments bench ({100, 400}
+# speakers behind four relays). The binary exits non-zero on zero/NaN
+# metrics, a malformed report, or a >20% `pipeline` regression
+# against the dsp baseline. Unlike the other
 # baselines the committed BENCH_PR9.json is a *full* run — the
 # 10k-speaker tier is the point (EXPERIMENTS.md, "segments") — so the
 # quick report is archived under results/ and the committed report is
@@ -124,18 +124,6 @@ ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-a cargo test -q --test chaos
 ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-b cargo test -q --test chaos
 diff -r target/chaos-a target/chaos-b || {
     echo "chaos suite is nondeterministic: fingerprints differ between identical runs" >&2
-    exit 1
-}
-
-# Shard determinism gate: the same suite once more with the event
-# engine partitioned into 4 shards. The conservative-lookahead merge
-# must be inaudible — the telemetry fingerprints have to match the
-# single-shard runs above byte for byte (see DESIGN.md §11).
-echo "== chaos determinism (ES_SIM_SHARDS=4)"
-rm -rf target/chaos-shards
-ES_SIM_SHARDS=4 ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-shards cargo test -q --test chaos
-diff -r target/chaos-a target/chaos-shards || {
-    echo "event sharding is audible: fingerprints differ between 1 and 4 shards" >&2
     exit 1
 }
 

@@ -60,14 +60,9 @@ fn registry_covers_the_advertised_rules() {
     }
     assert!(ids.len() >= 5);
     // The phase-2 semantic passes are part of the advertised surface
-    // too — DESIGN.md §8 documents all four.
+    // too — DESIGN.md §8 documents all three.
     let pass_ids: Vec<&str> = passes::all().iter().map(|p| p.id).collect();
-    for required in [
-        "hot-path-transitive",
-        "panic-path",
-        "telemetry-registry",
-        "shard-aliasing",
-    ] {
+    for required in ["hot-path-transitive", "panic-path", "telemetry-registry"] {
         assert!(pass_ids.contains(&required), "pass `{required}` missing");
     }
 }

@@ -8,7 +8,7 @@
 //! streaming 5 virtual seconds, two or three speakers, a 7-second run,
 //! probes bracketing each fault phase.
 
-use es_chaos::{conformance, Fault, Scenario, Trace};
+use es_chaos::{conformance, Fault, Scenario};
 use es_net::LanConfig;
 use es_sim::SimDuration;
 
@@ -526,69 +526,4 @@ fn session_partition_mid_handshake() {
     for seed in [52, 53, 54] {
         conformance(&session_partition_scenario(seed));
     }
-}
-
-/// The sharded event engine's determinism contract, asserted end to
-/// end: every chaos scenario must be *inaudible to the shard count*.
-/// The same seed on 1, 2 and 4 event shards has to produce
-/// bit-identical trace fingerprints and identical per-speaker
-/// `samples_played` — partitioning the event queue is allowed to
-/// change wall-clock time and the engine's internal merge counters,
-/// nothing observable. Reproduce a failure with e.g.
-/// `ES_SIM_SHARDS=4 cargo test --test chaos -- sim_shard_count`.
-#[test]
-fn sim_shard_count_is_inaudible() {
-    let scenarios = [
-        burst_loss_scenario(),
-        reorder_scenario(),
-        duplicate_storm_scenario(),
-        partition_and_heal_scenario(),
-        producer_restart_scenario(),
-        jitter_spike_scenario(),
-        session_lifecycle_scenario(),
-        session_partition_scenario(52),
-    ];
-    for sc in &scenarios {
-        let mut baseline: Option<(Trace, Vec<(String, u64)>)> = None;
-        for shards in [1usize, 2, 4] {
-            es_sim::shard::set_shards(shards);
-            let trace = sc.run();
-            let played: Vec<(String, u64)> = trace
-                .final_probe()
-                .metrics
-                .iter()
-                .filter(|m| m.key.component == "speaker" && m.key.name == "samples_played")
-                .map(|m| {
-                    let count = match m.value {
-                        es_telemetry::MetricValue::Counter(c) => c,
-                        ref other => panic!("samples_played is {}", other.kind()),
-                    };
-                    (m.key.instance.clone(), count)
-                })
-                .collect();
-            assert!(
-                !played.is_empty(),
-                "{}: probe saw no speakers",
-                trace.repro()
-            );
-            match &baseline {
-                None => baseline = Some((trace, played)),
-                Some((base, base_played)) => {
-                    assert_eq!(
-                        base.fingerprint(),
-                        trace.fingerprint(),
-                        "{}: fingerprint diverges between 1 and {shards} shards",
-                        trace.repro(),
-                    );
-                    assert_eq!(
-                        base_played,
-                        &played,
-                        "{}: samples_played diverges between 1 and {shards} shards",
-                        trace.repro(),
-                    );
-                }
-            }
-        }
-    }
-    es_sim::shard::set_shards(0);
 }

@@ -418,22 +418,3 @@ fn heal_actions_are_deterministic() {
         assert_indistinguishable(&sc.run(), &sc.run(), "two runs of one seed");
     }
 }
-
-/// The same contract against the sharded event engine: every healing
-/// scenario must be *inaudible to the shard count*. The same seed on
-/// 1, 2 and 4 event shards has to produce bit-identical trace
-/// fingerprints and identical per-speaker `samples_played`. Reproduce
-/// a failure with e.g.
-/// `ES_SIM_SHARDS=4 cargo test --test healing heal_actions`.
-#[test]
-fn heal_actions_are_shard_invariant() {
-    for sc in &healing_scenarios() {
-        es_sim::shard::set_shards(1);
-        let base = sc.run();
-        for shards in [2usize, 4] {
-            es_sim::shard::set_shards(shards);
-            assert_indistinguishable(&base, &sc.run(), &format!("1 and {shards} shards"));
-        }
-    }
-    es_sim::shard::set_shards(0);
-}

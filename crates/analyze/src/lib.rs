@@ -205,7 +205,10 @@ pub fn analyze_workspace_full(
     let inventory = passes::inventory(&ix);
     Ok((
         Report {
-            root: root.display().to_string(),
+            // Every path in the report is relative to the workspace
+            // root, so the tracked results/analyze.json must not carry
+            // the absolute checkout path.
+            root: ".".to_string(),
             files_scanned: files.len(),
             findings,
         },

@@ -15,7 +15,8 @@ pub const SCHEMA_VERSION: u32 = 2;
 /// A completed analysis run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Workspace root the paths are relative to (display only).
+    /// What the paths are relative to: `"."` (the workspace root) for a
+    /// workspace run, empty for explicit paths. Display only.
     pub root: String,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,

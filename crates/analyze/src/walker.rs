@@ -128,7 +128,7 @@ mod tests {
         assert_eq!(f.krate, "net");
         assert_eq!(f.role, Role::Lib);
 
-        let f = attr("crates/bench/benches/micro.rs");
+        let f = attr("crates/bench/benches/fig4_cpu_load.rs");
         assert_eq!(f.krate, "bench");
         assert_eq!(f.role, Role::Bench);
 

@@ -27,11 +27,12 @@ pub trait Signal {
 ///
 /// Implemented as a double-precision phasor rotation (4 multiplies and
 /// 2 adds per sample) instead of a libm `sin` call — the synthesis
-/// side of the pipeline bench spends its time here, and the recurrence
-/// is ~20× cheaper. The phasor is re-derived from the exact phase
-/// every [`Sine::RESYNC`] samples, so rounding drift cannot
-/// accumulate over long streams; output is fully deterministic (pure
-/// function of the constructor arguments and sample index).
+/// side of a one-speaker run spends its time here (the perf ledger's
+/// `audio.gen_ms_per_audio_s`), and the recurrence is ~20× cheaper.
+/// The phasor is re-derived from the exact phase every
+/// [`Sine::RESYNC`] samples, so rounding drift cannot accumulate over
+/// long streams; output is fully deterministic (pure function of the
+/// constructor arguments and sample index).
 #[derive(Debug, Clone)]
 pub struct Sine {
     /// Phase step per sample, radians.

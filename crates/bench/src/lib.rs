@@ -18,11 +18,8 @@ pub mod bw;
 pub mod calib;
 pub mod fig4;
 pub mod fig5;
-pub mod fleet_exp;
 pub mod join_exp;
 pub mod loss_exp;
-pub mod perf;
 pub mod rate_exp;
 pub mod report;
-pub mod seg_exp;
 pub mod sync_exp;

@@ -481,18 +481,8 @@ impl SpkState {
     /// it is not NACKed again.
     fn clear_missing(&mut self, seq: u32) {
         let mut out: Vec<(u32, u16)> = Vec::with_capacity(self.missing_ranges.len());
-        for &(first, count) in &self.missing_ranges {
-            let end = first + count as u32; // exclusive
-            if seq < first || seq >= end {
-                out.push((first, count));
-                continue;
-            }
-            if seq > first {
-                out.push((first, (seq - first) as u16));
-            }
-            if seq + 1 < end {
-                out.push((seq + 1, (end - seq - 1) as u16));
-            }
+        for &range in &self.missing_ranges {
+            push_without(&mut out, range, seq);
         }
         self.missing_ranges = out;
     }
@@ -503,23 +493,36 @@ impl SpkState {
     fn consume_refill(&mut self, seq: u32) -> bool {
         let mut hit = false;
         let mut out: Vec<(u32, u16)> = Vec::with_capacity(self.refill_expected.len());
-        for &(first, count) in &self.refill_expected {
-            let end = first + count as u32; // exclusive
-            if hit || seq < first || seq >= end {
-                out.push((first, count));
-                continue;
-            }
-            hit = true;
-            if seq > first {
-                out.push((first, (seq - first) as u16));
-            }
-            if seq + 1 < end {
-                out.push((seq + 1, (end - seq - 1) as u16));
+        for &range in &self.refill_expected {
+            if hit {
+                out.push(range);
+            } else {
+                hit = push_without(&mut out, range, seq);
             }
         }
         self.refill_expected = out;
         hit
     }
+}
+
+/// Pushes what is left of the range `(first, count)` once `seq` is
+/// taken out of it — the whole range when `seq` lies outside — and
+/// says whether `seq` was inside. Offsets are wrapping, so a range may
+/// straddle the `u32` sequence wrap.
+fn push_without(out: &mut Vec<(u32, u16)>, (first, count): (u32, u16), seq: u32) -> bool {
+    let off = seq.wrapping_sub(first);
+    if off >= count as u32 {
+        out.push((first, count));
+        return false;
+    }
+    if off > 0 {
+        out.push((first, off as u16));
+    }
+    let after = count as u32 - off - 1;
+    if after > 0 {
+        out.push((seq.wrapping_add(1), after as u16));
+    }
+    true
 }
 
 /// Callback receiving control-plane packets (see
@@ -962,15 +965,22 @@ impl EthernetSpeaker {
             if refill {
                 st.stats.refills_received += 1;
             }
-            let gap = match st.last_seq {
-                Some(last) if d.seq > last + 1 => {
-                    let raw = d.seq - last - 1;
-                    st.note_missing_range(last + 1, raw);
-                    raw.min(3)
-                }
-                _ => 0,
+            // The wire `seq` is unauthenticated and wraps, so "ahead of"
+            // is the sign of the wrapping difference (serial-number
+            // arithmetic), never `last + 1`: a forged `u32::MAX` must
+            // neither overflow nor pin `last_seq` for good.
+            let ahead = st
+                .last_seq
+                .map_or(0, |last| d.seq.wrapping_sub(last) as i32);
+            let gap = if ahead > 1 {
+                let raw = ahead as u32 - 1;
+                // The `raw` sequence numbers just before this one.
+                st.note_missing_range(d.seq.wrapping_sub(raw), raw);
+                raw.min(3)
+            } else {
+                0
             };
-            if d.seq >= st.last_seq.unwrap_or(0) {
+            if ahead >= 0 {
                 st.last_seq = Some(d.seq);
             } else {
                 // A late arrival (reorder, FEC recovery or a healing-plane

@@ -361,3 +361,75 @@ fn buffers_freed_and_reallocated_between_sends_never_alias() {
         assert_eq!(s.stats().data_packets, ROUNDS as u64);
     }
 }
+
+/// One loss-concealing speaker on [`G`], tuned to a CD-format PCM
+/// stream.
+fn concealing(stream_id: u16) -> (Rig, EthernetSpeaker) {
+    let mut rig = Rig::new(LanConfig::default());
+    let mut cfg = SpeakerConfig::new("plc", G);
+    cfg.conceal_loss = true;
+    let spk = rig.speaker(cfg);
+    rig.send(G, control(stream_id, 0, AudioConfig::CD, CodecId::Pcm));
+    rig.sim.run();
+    (rig, spk)
+}
+
+#[test]
+fn forged_max_seq_neither_panics_nor_disables_concealment() {
+    let (mut rig, spk) = concealing(51);
+    let at = |seq: u32| 300_000 + seq as u64 * 50_000;
+    // One unauthenticated datagram at the top of the sequence space,
+    // then the real stream.
+    rig.send(G, data(51, u32::MAX, at(4), CodecId::Pcm, pcm(400)));
+    for seq in [5u32, 6] {
+        rig.send(
+            G,
+            data(51, seq, at(seq), CodecId::Pcm, pcm(500 + seq as i16)),
+        );
+    }
+    rig.run_ms(10);
+    // Whatever the forged jump itself cost is not the point; what
+    // follows it is.
+    let concealed_before = spk.stats().concealed_packets;
+    spk.take_missing_ranges();
+    rig.send(G, data(51, 8, at(8), CodecId::Pcm, pcm(508)));
+    rig.run_ms(1_000);
+    let st = spk.stats();
+    assert_eq!(st.concealed_packets, concealed_before + 1, "{st:?}");
+    assert_eq!(spk.take_missing_ranges(), vec![(7, 1)]);
+}
+
+#[test]
+fn stream_plays_straight_across_the_sequence_wrap() {
+    let (mut rig, spk) = concealing(52);
+    for k in 0..6u32 {
+        let seq = (u32::MAX - 2).wrapping_add(k);
+        let at = 300_000 + k as u64 * 50_000;
+        rig.send(G, data(52, seq, at, CodecId::Pcm, pcm(800 + k as i16)));
+    }
+    rig.run_ms(1_000);
+    let st = spk.stats();
+    assert_eq!(st.data_packets, 6, "{st:?}");
+    assert_eq!(st.dropped_duplicate, 0, "{st:?}");
+    assert_eq!(st.concealed_packets, 0, "{st:?}");
+    assert!(spk.take_missing_ranges().is_empty());
+    assert_eq!(heard(&spk), (800..806).collect::<Vec<i16>>());
+}
+
+#[test]
+fn late_arrivals_fill_a_gap_that_straddles_the_sequence_wrap() {
+    let (mut rig, spk) = Rig::tuned(1, 53);
+    // Stream positions 0..4 carry u32::MAX - 1, u32::MAX, 0, 1. The
+    // middle two overtake nothing and arrive last: reordered, not lost.
+    for k in [0u32, 3, 1, 2] {
+        let seq = (u32::MAX - 1).wrapping_add(k);
+        let at = 300_000 + k as u64 * 50_000;
+        rig.send(G, data(53, seq, at, CodecId::Pcm, pcm(900 + k as i16)));
+        rig.run_ms(1);
+    }
+    rig.run_ms(1_000);
+    let st = spk[0].stats();
+    assert_eq!(st.data_packets, 4, "{st:?}");
+    assert_eq!(st.dropped_duplicate, 0, "{st:?}");
+    assert!(spk[0].take_missing_ranges().is_empty());
+}

@@ -248,14 +248,20 @@ impl<K: PartialEq, V> RxMemo<K, V> {
     }
 }
 
+/// One decoded block of interleaved PCM, shared by every receiver of
+/// the datagram it came from. Nobody holding a handle writes through
+/// it: a speaker that scales or fades audio does so in a copy of its
+/// own.
+type Pcm = Rc<Vec<i16>>;
+
 /// What a payload decodes to under one `(cost model, codec, channels)`:
 /// the PCM (kept on failure too, for its allocation) and the work
 /// units to bill, `None` when the payload does not decode.
-type Decoded = (Vec<i16>, Option<u64>);
+type Decoded = (Pcm, Option<u64>);
 
 thread_local! {
     /// Wire bytes → parsed packet, and payload bytes → PCM. Per thread,
-    /// like the buffer pools below.
+    /// like the buffer pool below.
     static PARSED: std::cell::RefCell<RxMemo<(), Result<Packet, es_proto::WireError>>> =
         const { std::cell::RefCell::new(RxMemo::new()) };
     static DECODED: std::cell::RefCell<RxMemo<(CostModel, CodecId, u8), Decoded>> =
@@ -268,39 +274,40 @@ thread_local! {
 }
 
 /// Decodes `payload` once per distinct buffer and `(model, codec,
-/// channels)`. Every caller gets its own pooled copy of the shared
-/// PCM — which is never handed out mutably — and the work units to
-/// bill; `None` if the payload does not decode.
+/// channels)`. Every caller gets a handle to the one shared PCM block
+/// and the work units to bill; `None` if the payload does not decode.
 fn decode_shared(
     model: CostModel,
     codec: CodecId,
     channels: u8,
     payload: &Bytes,
-) -> Option<(Vec<i16>, u64)> {
+) -> Option<(Pcm, u64)> {
     DECODED.with(|m| {
         m.borrow_mut().with(
             payload,
             (model, codec, channels),
             |evicted| {
-                let mut pcm = evicted.map_or_else(take_sample_buf, |(pcm, _)| pcm);
-                let work = ENGINES.with(|(direct, fft)| {
-                    let engine = match model {
-                        CostModel::Direct => direct,
-                        CostModel::Fft => fft,
-                    };
-                    engine
-                        .get_or_init(|| Codecs::with_cost_model(model))
-                        .decode_into(codec, payload, channels, &mut pcm)
+                // Decode into the evicted block's allocation — unless
+                // a receiver is still holding that block to play it.
+                let mut pcm = evicted
+                    .map(|(pcm, _)| pcm)
+                    .filter(|pcm| Rc::strong_count(pcm) == 1)
+                    .unwrap_or_default();
+                let work = Rc::get_mut(&mut pcm).and_then(|out| {
+                    ENGINES.with(|(direct, fft)| {
+                        let engine = match model {
+                            CostModel::Direct => direct,
+                            CostModel::Fft => fft,
+                        };
+                        engine
+                            .get_or_init(|| Codecs::with_cost_model(model))
+                            .decode_into(codec, payload, channels, out)
+                            .ok()
+                    })
                 });
-                (pcm, work.ok())
+                (pcm, work)
             },
-            |(pcm, work)| {
-                work.map(|work| {
-                    let mut own = take_sample_buf();
-                    own.extend_from_slice(pcm);
-                    (own, work)
-                })
-            },
+            |(pcm, work)| work.map(|work| (Rc::clone(pcm), work)),
         )
     })
 }
@@ -314,7 +321,7 @@ pub struct RxMemoStats {
     pub parse_hits: u64,
     /// Packets parsed (CRC-checked) for real.
     pub parse_misses: u64,
-    /// Payloads whose PCM was copied from a shared decode.
+    /// Payloads whose PCM was shared from an earlier decode.
     pub decode_hits: u64,
     /// Payloads run through a codec for real.
     pub decode_misses: u64,
@@ -341,41 +348,20 @@ pub fn rx_memo_stats() -> RxMemoStats {
     }
 }
 
-/// How many spent buffers each per-thread free list retains. Steady
-/// state needs one or two (decode output in flight plus the block the
-/// device is draining); the headroom covers serial-queue bursts.
+/// How many spent device-write buffers the per-thread free list
+/// retains. Steady state needs one (encode, write, recycle happen in
+/// one event); the headroom covers serial-path writes parked on a full
+/// ring.
 const BUF_POOL_CAP: usize = 16;
 
 thread_local! {
-    /// Free list of decoded-sample buffers. Packets flow decode →
-    /// schedule → device write; recycling the spent `Vec` at the write
-    /// end closes the loop, so after warm-up the per-packet decode
-    /// path performs no heap allocation at all. Per-thread because
-    /// independent simulations (the test suite's) run on parallel
-    /// threads; each list is capped at [`BUF_POOL_CAP`].
-    static SAMPLE_BUFS: std::cell::RefCell<Vec<Vec<i16>>> =
-        // es-allow(hot-path-alloc): one-time thread-local init, not per-packet
-        const { std::cell::RefCell::new(Vec::new()) };
-    /// Free list of encoded-byte buffers for the device-write side.
+    /// Free list of encoded-byte buffers for the device-write side, so
+    /// after warm-up a delivery allocates nothing between the shared
+    /// decode and the device ring. Per-thread because independent
+    /// simulations (the test suite's) run on parallel threads.
     static BYTE_BUFS: std::cell::RefCell<Vec<Vec<u8>>> =
         // es-allow(hot-path-alloc): one-time thread-local init, not per-packet
         const { std::cell::RefCell::new(Vec::new()) };
-}
-
-fn take_sample_buf() -> Vec<i16> {
-    SAMPLE_BUFS
-        .with(|p| p.borrow_mut().pop())
-        .unwrap_or_default()
-}
-
-fn recycle_sample_buf(mut v: Vec<i16>) {
-    v.clear();
-    SAMPLE_BUFS.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < BUF_POOL_CAP {
-            pool.push(v);
-        }
-    });
 }
 
 fn take_byte_buf() -> Vec<u8> {
@@ -429,15 +415,18 @@ struct SpkState {
     /// `refill_late` rather than a fresh deadline miss. Bounded like
     /// `missing_ranges`; cleared on tune and resync.
     refill_expected: Vec<(u32, u16)>,
-    /// Recently accepted sequence numbers (bounded window) — the
-    /// duplicate-suppression filter.
-    seen_seqs: std::collections::BTreeSet<u32>,
+    /// Recently accepted sequence numbers — the duplicate-suppression
+    /// filter.
+    seen_seqs: SeenSeqs,
     /// FEC recovery state, created lazily on the first parity packet.
     fec: Option<es_proto::FecRecoverer>,
     /// Reception-quality monitor (the §5.3 management numbers).
     monitor: es_proto::StreamMonitor,
     /// The most recent decoded block, kept for concealment.
-    last_block: Vec<i16>,
+    last_block: Option<Pcm>,
+    /// Where this speaker scales a block by its own gain; the shared
+    /// block is only ever read.
+    gain_scratch: Vec<i16>,
     phase: Phase,
     stream_cfg: AudioConfig,
     codec: CodecId,
@@ -455,6 +444,37 @@ struct SpkState {
     /// this node listens to are handed up here (the negotiated-mode
     /// wrapper owns the handshake; the speaker stays a §2.3 radio).
     session_hook: Option<SessionHook>,
+}
+
+/// How many sequence numbers back a duplicate is still recognized. A
+/// power of two, so residues run straight across the `u32` wrap.
+const DEDUPE_WINDOW: u32 = 512;
+
+/// The duplicate-suppression window: for each residue modulo
+/// [`DEDUPE_WINDOW`], the sequence number most recently accepted in
+/// that class. An entry is displaced only by a number a multiple of
+/// the window away from it — for a stream advancing in order, the one
+/// exactly `DEDUPE_WINDOW` older — so the filter is bounded, keeps
+/// working across the sequence wrap, and a forged `seq` costs it one
+/// entry rather than the window. The table grows to the highest class
+/// seen, so a speaker that has heard forty packets does not carry 512
+/// slots.
+#[derive(Default)]
+struct SeenSeqs(Vec<Option<u32>>);
+
+impl SeenSeqs {
+    /// Records `seq`; false if it is already in the window.
+    fn insert(&mut self, seq: u32) -> bool {
+        let class = (seq % DEDUPE_WINDOW) as usize;
+        if self.0.len() <= class {
+            self.0.resize(class + 1, None);
+        }
+        self.0[class].replace(seq) != Some(seq)
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
 }
 
 /// Most missing-range entries a speaker holds pending retransmission.
@@ -564,10 +584,11 @@ impl EthernetSpeaker {
             last_seq: None,
             missing_ranges: Vec::new(),
             refill_expected: Vec::new(),
-            seen_seqs: std::collections::BTreeSet::new(),
+            seen_seqs: SeenSeqs::default(),
             fec: None,
             monitor: es_proto::StreamMonitor::new(),
-            last_block: Vec::new(),
+            last_block: None,
+            gain_scratch: Vec::new(),
             phase: Phase::WaitingForControl,
             stream_cfg: AudioConfig::default(),
             codec: CodecId::Pcm,
@@ -947,11 +968,6 @@ impl EthernetSpeaker {
                 st.stats.dropped_duplicate += 1;
                 return;
             }
-            // Bounded window: old sequence numbers fall off the front.
-            while st.seen_seqs.len() > 512 {
-                let oldest = *st.seen_seqs.iter().next().expect("non-empty");
-                st.seen_seqs.remove(&oldest);
-            }
         }
         // PLC: a jump in the sequence numbers means packets were lost
         // on the wire. Conceal up to three of them by replaying the
@@ -987,8 +1003,9 @@ impl EthernetSpeaker {
                 // retransmission) fills a hole we may have NACKed.
                 st.clear_missing(d.seq);
             }
-            let conceal = if gap > 0 && st.cfg.conceal_loss && !st.last_block.is_empty() {
-                Some((gap, st.last_block.clone()))
+            let conceal = if gap > 0 && st.cfg.conceal_loss {
+                let replayable = st.last_block.clone().filter(|block| !block.is_empty());
+                replayable.map(|block| (gap, block))
             } else {
                 None
             };
@@ -1006,11 +1023,13 @@ impl EthernetSpeaker {
                 let back = (gap - k + 1) as u64 * dur_ns;
                 let gap_deadline =
                     es_sim::SimTime::from_nanos(deadline.as_nanos().saturating_sub(back));
-                let mut faded = block.clone();
+                // The fade is this speaker's alone: its neighbours may
+                // still be waiting to play the block it replays.
+                let mut faded = block.to_vec();
                 let fade = 0.6f64.powi(k as i32);
-                es_audio::mix::apply_gain(&mut faded, fade);
+                apply_gain(&mut faded, fade);
                 self.state.borrow_mut().stats.concealed_packets += 1;
-                self.schedule_play(sim, faded, gap_deadline, false);
+                self.schedule_play(sim, Rc::new(faded), gap_deadline, false);
             }
         }
         let pending = Pending {
@@ -1050,10 +1069,11 @@ impl EthernetSpeaker {
     // es-hot-path
     /// Decodes a pending packet against the *live* stream state (a
     /// control packet can reconfigure the stream while a packet sits
-    /// in the serial queue), billing the CPU model; returns the
-    /// samples — this speaker's own copy of the shared decode — and
-    /// the (possibly future) completion time.
-    fn decode_pending(&self, sim: &mut Sim, p: &Pending) -> Option<(Vec<i16>, es_sim::SimTime)> {
+    /// in the serial queue), billing the CPU model — every receiver
+    /// pays for its decode, however many shared it; returns the
+    /// samples — a handle to the shared decode — and the (possibly
+    /// future) completion time.
+    fn decode_pending(&self, sim: &mut Sim, p: &Pending) -> Option<(Pcm, es_sim::SimTime)> {
         let (codec, channels, model) = {
             let st = self.state.borrow();
             (st.codec, st.stream_cfg.channels, st.cfg.cost_model)
@@ -1085,10 +1105,7 @@ impl EthernetSpeaker {
         {
             let mut st = self.state.borrow_mut();
             if st.cfg.conceal_loss {
-                // Reuse the standing concealment buffer instead of
-                // cloning into a fresh allocation per packet.
-                st.last_block.clear();
-                st.last_block.extend_from_slice(&samples);
+                st.last_block = Some(Rc::clone(&samples));
             }
         }
         let deadline = p.deadline;
@@ -1119,7 +1136,6 @@ impl EthernetSpeaker {
                 }
                 PlayDecision::PlayNow => spk.serial_write(sim, samples),
                 PlayDecision::Discard { .. } => {
-                    recycle_sample_buf(samples);
                     spk.note_late_drop(sim, deadline, refill);
                     spk.finish_serial(sim);
                 }
@@ -1127,20 +1143,32 @@ impl EthernetSpeaker {
         });
     }
 
-    fn serial_write(&self, sim: &mut Sim, mut samples: Vec<i16>) {
-        {
-            let mut st = self.state.borrow_mut();
-            st.stats.data_packets += 1;
-            let gain = st.cfg.volume * st.autovol.as_ref().map_or(1.0, |a| a.gain());
-            if (gain - 1.0).abs() > 1e-9 {
-                apply_gain(&mut samples, gain);
-            }
-        }
-        let cfg = self.state.borrow().stream_cfg;
-        let mut bytes = take_byte_buf();
-        es_audio::convert::encode_samples_into(&samples, cfg.encoding, &mut bytes);
-        recycle_sample_buf(samples);
+    fn serial_write(&self, sim: &mut Sim, samples: Pcm) {
+        let (bytes, cfg) = self.render(&samples);
         self.serial_write_bytes(sim, bytes, 0, cfg);
+    }
+
+    /// Counts a block as played and renders it to device bytes at this
+    /// speaker's volume. The block is shared with every other receiver
+    /// of its datagram, so unity gain encodes straight from it and any
+    /// other gain scales a copy in the speaker's own scratch.
+    fn render(&self, samples: &[i16]) -> (Vec<u8>, AudioConfig) {
+        let mut st = self.state.borrow_mut();
+        let st = &mut *st;
+        st.stats.data_packets += 1;
+        let cfg = st.stream_cfg;
+        let gain = st.cfg.volume * st.autovol.as_ref().map_or(1.0, |a| a.gain());
+        let samples = if (gain - 1.0).abs() > 1e-9 {
+            st.gain_scratch.clear();
+            st.gain_scratch.extend_from_slice(samples);
+            apply_gain(&mut st.gain_scratch, gain);
+            &st.gain_scratch
+        } else {
+            samples
+        };
+        let mut bytes = take_byte_buf();
+        es_audio::convert::encode_samples_into(samples, cfg.encoding, &mut bytes);
+        (bytes, cfg)
     }
 
     /// A blocking `write(2)`: short writes park the player thread on
@@ -1183,7 +1211,7 @@ impl EthernetSpeaker {
     }
 
     /// Applies §3.2's sleep/play/discard rule to a decoded block.
-    fn schedule_play(&self, sim: &mut Sim, samples: Vec<i16>, deadline: SimTime, refill: bool) {
+    fn schedule_play(&self, sim: &mut Sim, samples: Pcm, deadline: SimTime, refill: bool) {
         if self.state.borrow().cfg.asap_playback {
             // The early-ES pipeline: straight to the device.
             self.write_out(sim, samples);
@@ -1197,10 +1225,7 @@ impl EthernetSpeaker {
                 sim.schedule_in(d, move |sim| spk.write_out_resync(sim, samples));
             }
             PlayDecision::PlayNow => self.write_out(sim, samples),
-            PlayDecision::Discard { .. } => {
-                recycle_sample_buf(samples);
-                self.note_late_drop(sim, deadline, refill);
-            }
+            PlayDecision::Discard { .. } => self.note_late_drop(sim, deadline, refill),
         }
     }
 
@@ -1220,7 +1245,7 @@ impl EthernetSpeaker {
     /// anchors is thrown away — the paper's catch-up rule. (The
     /// unpaced PlayNow path keeps §3.1 overflow semantics: blocks
     /// arriving in a burst drop at the full ring, not here.)
-    fn write_out_resync(&self, sim: &mut Sim, samples: Vec<i16>) {
+    fn write_out_resync(&self, sim: &mut Sim, samples: Pcm) {
         let epsilon = self.state.borrow().cfg.epsilon;
         // This block's projected start: wait for the next DMA boundary,
         // then behind whatever the ring already holds.
@@ -1297,19 +1322,8 @@ impl EthernetSpeaker {
 
     /// Writes a decoded block to the device, applying volume; a full
     /// ring drops the excess (receiver-side overflow, §3.1).
-    fn write_out(&self, sim: &mut Sim, mut samples: Vec<i16>) {
-        {
-            let mut st = self.state.borrow_mut();
-            st.stats.data_packets += 1;
-            let gain = st.cfg.volume * st.autovol.as_ref().map_or(1.0, |a| a.gain());
-            if (gain - 1.0).abs() > 1e-9 {
-                apply_gain(&mut samples, gain);
-            }
-        }
-        let cfg = self.state.borrow().stream_cfg;
-        let mut bytes = take_byte_buf();
-        es_audio::convert::encode_samples_into(&samples, cfg.encoding, &mut bytes);
-        recycle_sample_buf(samples);
+    fn write_out(&self, sim: &mut Sim, samples: Pcm) {
+        let (bytes, cfg) = self.render(&samples);
         let written = self.dev.write(sim, &bytes).unwrap_or(0);
         {
             let mut st = self.state.borrow_mut();

@@ -238,10 +238,16 @@ fn same_payload_under_another_wire_codec_is_decoded_again() {
     }
 }
 
-/// The distinct non-silent sample values a speaker played, in order.
-fn heard(spk: &EthernetSpeaker) -> Vec<i16> {
+/// Everything a speaker played that is not silence.
+fn audible(spk: &EthernetSpeaker) -> Vec<i16> {
     let mut v = spk.tap().borrow().samples();
     v.retain(|&x| x != 0);
+    v
+}
+
+/// The distinct non-silent sample values a speaker played, in order.
+fn heard(spk: &EthernetSpeaker) -> Vec<i16> {
+    let mut v = audible(spk);
     v.dedup();
     v
 }
@@ -432,4 +438,109 @@ fn late_arrivals_fill_a_gap_that_straddles_the_sequence_wrap() {
     assert_eq!(st.data_packets, 4, "{st:?}");
     assert_eq!(st.dropped_duplicate, 0, "{st:?}");
     assert!(spk[0].take_missing_ranges().is_empty());
+}
+
+/// Sends `count` consecutive packets starting at sequence number
+/// `first`, one per 50 ms of stream time, each played before the next
+/// is sent.
+fn stream(rig: &mut Rig, stream_id: u16, first: u32, count: u32) {
+    for k in 0..count {
+        let at = 300_000 + k as u64 * 50_000;
+        let seq = first.wrapping_add(k);
+        rig.send(
+            G,
+            data(stream_id, seq, at, CodecId::Pcm, pcm(100 + (k % 50) as i16)),
+        );
+        rig.run_ms(50);
+    }
+}
+
+#[test]
+fn duplicates_are_suppressed_after_a_full_window_crosses_the_sequence_wrap() {
+    let (mut rig, spk) = Rig::tuned(1, 54);
+    let first = u32::MAX - 515;
+    stream(&mut rig, 54, first, 519);
+    // The 520th packet, and a LAN duplicate of it on its heels.
+    let last = first.wrapping_add(519);
+    let at = 300_000 + 519 * 50_000;
+    for _ in 0..2 {
+        rig.send(G, data(54, last, at, CodecId::Pcm, pcm(77)));
+    }
+    rig.run_ms(1_000);
+    let st = spk[0].stats();
+    assert_eq!(st.data_packets, 520, "{st:?}");
+    assert_eq!(st.dropped_duplicate, 1, "{st:?}");
+}
+
+#[test]
+fn dedupe_window_is_bounded_at_512_sequence_numbers() {
+    let (mut rig, spk) = Rig::tuned(1, 55);
+    let first = u32::MAX - 300;
+    stream(&mut rig, 55, first, 601);
+    rig.run_ms(1_000);
+    assert_eq!(spk[0].stats().data_packets, 601);
+    let newest = first.wrapping_add(600);
+    let replay = |rig: &mut Rig, back: u32| {
+        rig.send(
+            G,
+            data(55, newest.wrapping_sub(back), 0, CodecId::Pcm, pcm(66)),
+        );
+        rig.run_ms(1);
+    };
+    // 511 back is the oldest number still in the window …
+    replay(&mut rig, 511);
+    let st = spk[0].stats();
+    assert_eq!((st.dropped_duplicate, st.dropped_late), (1, 0), "{st:?}");
+    // … 600 back has left it: the copy gets as far as the §3.2
+    // deadline check, which is what discards it.
+    replay(&mut rig, 600);
+    let st = spk[0].stats();
+    assert_eq!((st.dropped_duplicate, st.dropped_late), (1, 1), "{st:?}");
+}
+
+/// A 50 ms stereo PCM block ramping up from `base`, never zero, so
+/// what a tap heard of it can be told from silence padding.
+fn ramp(base: i16) -> Vec<i16> {
+    (0..2 * 2_205).map(|i| base + i as i16).collect()
+}
+
+#[test]
+fn gain_and_concealment_fade_stay_private_to_the_speaker_that_applies_them() {
+    let mut rig = Rig::new(LanConfig::default());
+    // Delivery runs in attach order, so the speakers that scale and
+    // fade handle every shared block before the unity speaker does.
+    let half = rig.speaker(SpeakerConfig::new("half", G));
+    half.set_volume(0.5);
+    let mut cfg = SpeakerConfig::new("plc", G);
+    cfg.conceal_loss = true;
+    let plc = rig.speaker(cfg);
+    let unity = rig.speaker(SpeakerConfig::new("unity", G));
+    rig.send(G, control(56, 0, AudioConfig::CD, CodecId::Pcm));
+    rig.sim.run();
+
+    // Packets 0, 1 and 3 arrive together, long before any deadline:
+    // the concealing speaker fades its replica of block 1 while the
+    // other two still hold block 1 to play.
+    let before = rx_memo_stats();
+    let source: Vec<Vec<i16>> = [1_000, 7_000, 13_000].map(ramp).to_vec();
+    for (seq, block) in [0u32, 1, 3].into_iter().zip(&source) {
+        let payload = es_audio::convert::encode_samples(block, Encoding::Slinear16Le);
+        let at = 300_000 + seq as u64 * 50_000;
+        rig.send(G, data(56, seq, at, CodecId::Pcm, payload.into()));
+    }
+    rig.run_ms(1_000);
+
+    let shared = delta(rx_memo_stats(), before);
+    assert_eq!((shared.decode_misses, shared.decode_hits), (3, 6));
+    assert_eq!(plc.stats().concealed_packets, 1);
+
+    let played = source.concat();
+    assert_eq!(audible(&unity), played, "unity gain plays the source");
+    let mut halved = played.clone();
+    es_audio::mix::apply_gain(&mut halved, 0.5);
+    assert_eq!(audible(&half), halved);
+    let mut faded = source[1].clone();
+    es_audio::mix::apply_gain(&mut faded, 0.6);
+    let with_replica = [&source[0], &source[1], &faded, &source[2]].map(|b| &b[..]);
+    assert_eq!(audible(&plc), with_replica.concat());
 }

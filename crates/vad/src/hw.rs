@@ -52,11 +52,12 @@ impl OutputTap {
 
     /// Samples played from `start` (inclusive) onward, by wall time.
     pub fn samples_since(&self, start: SimTime) -> Vec<i16> {
+        // Blocks are pushed in playback order, so the tail that
+        // qualifies starts at a binary-searchable point.
+        let first = self.blocks.partition_point(|(t, _, _)| *t < start);
         let mut out = Vec::new();
-        for (t, _, s) in &self.blocks {
-            if *t >= start {
-                out.extend_from_slice(s);
-            }
+        for (_, _, s) in self.blocks.iter().skip(first) {
+            out.extend_from_slice(s);
         }
         out
     }
@@ -146,7 +147,7 @@ impl HwDriver {
     fn schedule_dma(state: Shared<HwState>, sim: &mut Sim) {
         // One block leaves for the DAC now; the completion interrupt
         // fires one block-duration later, when the DAC needs the next.
-        let (block, cfg, dur, epoch) = {
+        let (dur, epoch) = {
             let mut st = state.borrow_mut();
             if !st.running || st.paused {
                 return;
@@ -170,22 +171,15 @@ impl HwDriver {
                 st.idle_blocks = 0;
             }
             // Hardware must always be fed: silence-fill on underrun.
-            let block = src.take_block(true).unwrap_or_default();
-            (block, cfg, dur, epoch)
-        };
-        if block.is_empty() {
-            return;
-        }
-        {
-            let st = state.borrow_mut();
+            let Some(block) = src.take_block(true) else {
+                return;
+            };
             let samples = decode_samples(&block, cfg.encoding);
             st.tap.borrow_mut().blocks.push((sim.now(), cfg, samples));
-        }
-        {
-            let mut st = state.borrow_mut();
             st.blocks_played += 1;
             st.next_boundary = sim.now() + dur;
-        }
+            (dur, epoch)
+        };
         let state2 = state.clone();
         sim.schedule_in(dur, move |sim| {
             {
@@ -393,6 +387,35 @@ mod tests {
         dev.write(&mut sim, &vec![1u8; 8_820 * 3]).unwrap();
         sim.run_for(SimDuration::from_millis(170));
         assert!(count.get() >= 3, "hook fired {} times", count.get());
+    }
+
+    #[test]
+    fn samples_since_agrees_with_a_linear_scan() {
+        // 10 000 blocks 50 ms apart, every seventh sharing its
+        // predecessor's instant (a restart re-triggers DMA at the same
+        // `now`).
+        let mut tap = OutputTap::default();
+        for i in 0..10_000u64 {
+            let slot = if i % 7 == 6 { i - 1 } else { i };
+            let t = SimTime::from_millis(slot * 50);
+            tap.blocks
+                .push((t, AudioConfig::CD, vec![i as i16, (i >> 3) as i16]));
+        }
+        let linear = |start: SimTime| -> Vec<i16> {
+            let mut out = Vec::new();
+            for (t, _, s) in &tap.blocks {
+                if *t >= start {
+                    out.extend_from_slice(s);
+                }
+            }
+            out
+        };
+        for start_ms in [0, 1, 50, 299, 300, 301, 250_000, 499_950, 499_951, 900_000] {
+            let start = SimTime::from_millis(start_ms);
+            assert_eq!(tap.samples_since(start), linear(start), "from {start}");
+        }
+        assert_eq!(tap.samples_since(SimTime::ZERO).len(), 20_000);
+        assert!(tap.samples_since(SimTime::from_secs(900)).is_empty());
     }
 
     #[test]

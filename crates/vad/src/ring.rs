@@ -97,23 +97,26 @@ impl AudioRing {
     /// Without it, `None` is returned unless a full block is buffered —
     /// the VAD path, which must not invent data (§2.1.1 vs §3.3).
     pub fn take_block(&mut self, fill_silence: bool) -> Option<Vec<u8>> {
-        if self.buf.len() >= self.blocksize {
-            // es-allow(hot-path-transitive): ownership handoff of one block per trigger, amortized over blocksize samples
-            let block: Vec<u8> = self.buf.drain(..self.blocksize).collect();
-            self.total_consumed += self.blocksize as u64;
-            return Some(block);
-        }
-        if !fill_silence {
+        let have = self.buf.len().min(self.blocksize);
+        if have < self.blocksize && !fill_silence {
             return None;
         }
-        // Partial data padded with silence.
-        let have = self.buf.len();
-        // es-allow(hot-path-transitive): underrun branch only — silence padding is already off the steady-state path
-        let mut block: Vec<u8> = self.buf.drain(..).collect();
-        block.resize(self.blocksize, 0);
+        // The block leaves as at most two slice copies — the ring's
+        // contiguous halves — never byte by byte.
+        let mut block = Vec::with_capacity(self.blocksize);
+        let (front, back) = self.buf.as_slices();
+        let front = front.get(..have).unwrap_or(front);
+        let back = back.get(..have - front.len()).unwrap_or(back);
+        block.extend_from_slice(front);
+        block.extend_from_slice(back);
+        self.buf.drain(..have);
         self.total_consumed += have as u64;
-        self.silence_bytes += (self.blocksize - have) as u64;
-        self.underruns += 1;
+        if have < self.blocksize {
+            // Partial data padded with silence.
+            block.resize(self.blocksize, 0);
+            self.silence_bytes += (self.blocksize - have) as u64;
+            self.underruns += 1;
+        }
         Some(block)
     }
 
@@ -230,7 +233,108 @@ mod tests {
         let _ = AudioRing::new(64, 0);
     }
 
+    /// The ring as §2.1.1 words it, one byte at a time: the reference
+    /// the slice-copying [`AudioRing`] must be indistinguishable from.
+    struct ByteModel {
+        buf: std::collections::VecDeque<u8>,
+        capacity: usize,
+        blocksize: usize,
+        consumed: u64,
+        underruns: u64,
+        silence: u64,
+    }
+
+    impl ByteModel {
+        fn write(&mut self, data: &[u8]) -> usize {
+            let mut n = 0;
+            for &b in data {
+                if self.buf.len() == self.capacity {
+                    break;
+                }
+                self.buf.push_back(b);
+                n += 1;
+            }
+            n
+        }
+
+        fn take_block(&mut self, fill_silence: bool) -> Option<Vec<u8>> {
+            if self.buf.len() < self.blocksize && !fill_silence {
+                return None;
+            }
+            self.underruns += (self.buf.len() < self.blocksize) as u64;
+            let mut block = Vec::new();
+            for _ in 0..self.blocksize {
+                match self.buf.pop_front() {
+                    Some(b) => {
+                        block.push(b);
+                        self.consumed += 1;
+                    }
+                    None => {
+                        block.push(0);
+                        self.silence += 1;
+                    }
+                }
+            }
+            Some(block)
+        }
+    }
+
     proptest::proptest! {
+        #[test]
+        fn prop_matches_byte_at_a_time_model(
+            ops in proptest::collection::vec((0u8..8, 0usize..80), 1..300)
+        ) {
+            let mut r = AudioRing::new(96, 32);
+            let mut m = ByteModel {
+                buf: std::collections::VecDeque::new(),
+                capacity: 96,
+                blocksize: 32,
+                consumed: 0,
+                underruns: 0,
+                silence: 0,
+            };
+            let mut next = 0u8;
+            let mut bytes = |len: usize| -> Vec<u8> {
+                (0..len).map(|_| { next = next.wrapping_add(1); next }).collect()
+            };
+            // Park the read position mid-buffer and write past the
+            // physical end, so every case starts with its data split
+            // across both halves of the ring.
+            for _ in 0..8 {
+                let data = bytes(40);
+                proptest::prop_assert_eq!(r.write(&data), m.write(&data));
+                if !r.buf.as_slices().1.is_empty() {
+                    break;
+                }
+                proptest::prop_assert_eq!(r.take_block(false), m.take_block(false));
+            }
+            proptest::prop_assert!(!r.buf.as_slices().1.is_empty(), "ring never wrapped");
+            for (kind, len) in ops {
+                match kind {
+                    0..=2 => {
+                        let data = bytes(len);
+                        proptest::prop_assert_eq!(r.write(&data), m.write(&data));
+                    }
+                    3..=6 => {
+                        let fill = kind < 5;
+                        proptest::prop_assert_eq!(r.take_block(fill), m.take_block(fill));
+                    }
+                    _ if len % 5 == 0 => {
+                        r.flush();
+                        m.buf.clear();
+                    }
+                    _ => {
+                        r.set_blocksize(1 + len % 48);
+                        m.blocksize = 1 + len % 48;
+                    }
+                }
+                proptest::prop_assert_eq!(r.used(), m.buf.len());
+                proptest::prop_assert_eq!(r.total_consumed(), m.consumed);
+                proptest::prop_assert_eq!(r.underruns(), m.underruns);
+                proptest::prop_assert_eq!(r.silence_bytes(), m.silence);
+            }
+        }
+
         #[test]
         fn prop_conservation(ops in proptest::collection::vec((0usize..80, proptest::bool::ANY), 1..200)) {
             // Every byte written is eventually consumed exactly once or

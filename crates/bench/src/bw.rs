@@ -56,7 +56,7 @@ pub fn run_policy(
     let mut sys = SystemBuilder::new(seed)
         .lan(LanConfig::default())
         .channel(spec)
-        .speaker(SpeakerSpec::new("probe", McastGroup(1)))
+        .speaker(SpeakerSpec::new("probe", McastGroup(1)).capture_output())
         .build();
     let until = SimTime::from_secs(seconds);
     sys.run_until(until);
@@ -68,6 +68,7 @@ pub fn run_policy(
     let wire_bps = lan.wire_bytes_sent as f64 * 8.0 / elapsed;
     let spk = sys.speaker(0).expect("probe speaker");
     let played = spk.tap().borrow().samples();
+    let played = played.expect("SpeakerSpec::capture_output()");
     // SNR against what the source generated: compare against a fresh
     // reference rendering of the same deterministic source.
     let mut reference = es_audio::gen::MultiTone::music(config.sample_rate);

@@ -69,11 +69,11 @@ pub fn run_configured(
             .fec_group(n)
             .playout_delay(SimDuration::from_millis(450));
     }
-    let spk_spec = if plc {
-        SpeakerSpec::new("es", group).loss_concealment()
-    } else {
-        SpeakerSpec::new("es", group)
-    };
+    // The silence fraction is counted in the played PCM.
+    let mut spk_spec = SpeakerSpec::new("es", group).capture_output();
+    if plc {
+        spk_spec = spk_spec.loss_concealment();
+    }
     let mut sys = SystemBuilder::new(seed)
         .lan(LanConfig::lossy(loss_prob, SimDuration::from_micros(200)))
         .channel(spec)
@@ -89,6 +89,7 @@ pub fn run_configured(
     let sent = rb.data_packets.max(1);
     let packet_loss_measured = (1.0 - received as f64 / sent as f64).max(0.0);
     let played = spk.tap().borrow().samples();
+    let played = played.expect("SpeakerSpec::capture_output()");
     // Ignore the leading playout-delay silence.
     let skip = played.len().min(44_100);
     let body = &played[skip..];

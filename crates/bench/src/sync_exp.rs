@@ -37,7 +37,9 @@ pub fn run_staggered(n: usize, seed: u64) -> SyncRun {
     for i in 0..n {
         let at = SimDuration::from_millis(1_300 * i as u64);
         start_times.push(at.as_secs_f64());
-        builder = builder.speaker(SpeakerSpec::new(format!("es{i}"), group).starting_at(at));
+        // The offsets are cross-correlations of what each DAC played.
+        let spec = SpeakerSpec::new(format!("es{i}"), group).starting_at(at);
+        builder = builder.speaker(spec.capture_output());
     }
     let mut sys = builder.build();
     sys.run_until(SimTime::from_secs(12));

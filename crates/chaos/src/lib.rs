@@ -359,7 +359,8 @@ impl Scenario {
             if self.conceal_loss {
                 spec = spec.loss_concealment();
             }
-            b = b.speaker(spec);
+            // Every probe correlates the taps for the skew fingerprint.
+            b = b.speaker(spec.capture_output());
         }
         b.build()
     }

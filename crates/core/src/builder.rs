@@ -349,6 +349,16 @@ impl SpeakerSpec {
         self.config.cost_model = cost_model;
         self
     }
+
+    /// Keeps every sample this speaker plays readable from its DAC tap
+    /// — for WAV dumps, PCM comparisons and
+    /// [`EsSystem::playback_offset`]. Without it the tap answers how
+    /// much played and when, and the speaker's memory does not grow
+    /// with the stream.
+    pub fn capture_output(mut self) -> Self {
+        self.config.capture_output = true;
+        self
+    }
 }
 
 /// One segment relay: subscribes to an upstream group, re-times and
@@ -1025,8 +1035,9 @@ impl EsSystem {
     /// same absolute instant (block timestamps give the coarse
     /// alignment); cross-correlation of the window then measures the
     /// residual offset. Returns the magnitude of the total offset —
-    /// `None` if either speaker has not played through the window or
-    /// the correlation is ambiguous.
+    /// `None` if either speaker was not built with
+    /// [`SpeakerSpec::capture_output`], has not played through the
+    /// window, or the correlation is ambiguous.
     pub fn playback_offset(
         &self,
         a: usize,
@@ -1042,12 +1053,8 @@ impl EsSystem {
         let slice = |spk: &EthernetSpeaker| -> Option<Vec<i16>> {
             let tap = spk.tap();
             let tap = tap.borrow();
-            let idx = tap.sample_index_at(window_start)?;
-            let all = tap.samples();
-            if all.len() < idx + window / 2 {
-                return None;
-            }
-            Some(all[idx..(idx + window).min(all.len())].to_vec())
+            let heard = tap.window(tap.sample_index_at(window_start)?, window)?;
+            (heard.len() >= window / 2).then_some(heard)
         };
         let xa = slice(&sa)?;
         let xb = slice(&sb)?;
@@ -1221,18 +1228,43 @@ mod tests {
                 c.policy = CompressionPolicy::Never;
                 c
             })
-            .speaker(SpeakerSpec::new("a", McastGroup(1)))
+            .speaker(SpeakerSpec::new("a", McastGroup(1)).capture_output())
             .speaker(
-                SpeakerSpec::new("b", McastGroup(1)).starting_at(SimDuration::from_millis(1_700)),
+                SpeakerSpec::new("b", McastGroup(1))
+                    .starting_at(SimDuration::from_millis(1_700))
+                    .capture_output(),
             )
+            .speaker(SpeakerSpec::new("c", McastGroup(1)))
             .build();
         sys.run_for(SimDuration::from_secs(8));
+        let at = SimTime::from_secs(3);
+        let max_lag = SimDuration::from_millis(400);
         let offset = sys
-            .playback_offset(0, 1, SimTime::from_secs(3), SimDuration::from_millis(400))
+            .playback_offset(0, 1, at, max_lag)
             .expect("correlation must lock");
         assert!(
             offset <= SimDuration::from_millis(60),
             "speakers out of sync by {offset}"
         );
+        // Perfect lock, as measured when the whole capture was
+        // flattened per call; the half-second window it correlates now
+        // is the same samples.
+        assert_eq!(offset, SimDuration::ZERO);
+        for i in 0..2 {
+            let tap = sys.speaker(i).unwrap().tap();
+            let tap = tap.borrow();
+            let idx = tap.sample_index_at(at).unwrap();
+            let all = tap.samples().expect("capture_output");
+            assert_eq!(tap.window(idx, 44_100).unwrap(), all[idx..idx + 44_100]);
+        }
+        // A default speaker played the same audio but kept none of it.
+        let c = sys.speaker(2).unwrap();
+        assert_eq!(
+            c.stats().samples_played,
+            sys.speaker(0).unwrap().stats().samples_played
+        );
+        assert_eq!(c.tap().borrow().retained_samples(), 0);
+        assert_eq!(sys.playback_offset(0, 2, at, max_lag), None);
+        assert_eq!(sys.playback_offset(2, 0, at, max_lag), None);
     }
 }

@@ -25,7 +25,7 @@ use es_proto::auth::{StreamVerifier, VerifierStats};
 use es_proto::{Packet, TRAILER_LEN};
 use es_sim::{shared, CostModel, Shared, Sim, SimCpu, SimDuration, SimTime};
 use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
-use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap};
+use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
 use crate::autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig};
 use crate::sync::{decide, ClockSync, PlayDecision};
@@ -75,7 +75,16 @@ pub struct SpeakerConfig {
     /// accounting by default, [`es_codec::CostModel::Direct`] for the
     /// paper's O(N²)-codec load figures.
     pub cost_model: es_codec::CostModel,
+    /// Keep every sample the DAC plays readable from
+    /// [`EthernetSpeaker::tap`] (memory then grows with the stream).
+    /// Off, the tap keeps counts and block times only — plus the one
+    /// control period of PCM `auto_volume` listens to, if that is set.
+    pub capture_output: bool,
 }
+
+/// The §5.2 auto-volume control period (4 Hz): how often the loop runs
+/// and how much recent DAC output each run listens to.
+const AUTOVOL_PERIOD: SimDuration = SimDuration::from_millis(250);
 
 impl SpeakerConfig {
     /// Defaults: 20 ms epsilon, stock ring geometry, no CPU model, no
@@ -95,6 +104,18 @@ impl SpeakerConfig {
             asap_playback: false,
             conceal_loss: false,
             cost_model: es_codec::CostModel::default(),
+            capture_output: false,
+        }
+    }
+
+    /// What the DAC tap must retain for this speaker's readers.
+    fn tap_retention(&self) -> Retention {
+        if self.capture_output {
+            Retention::Everything
+        } else if self.auto_volume.is_some() {
+            Retention::Recent(AUTOVOL_PERIOD)
+        } else {
+            Retention::Nothing
         }
     }
 }
@@ -565,7 +586,7 @@ impl EthernetSpeaker {
     pub fn start(sim: &mut Sim, lan: &Lan, cfg: SpeakerConfig) -> EthernetSpeaker {
         let node = lan.attach(cfg.name.clone());
         lan.join(node, cfg.group);
-        let (drv, tap) = HwDriver::new();
+        let (drv, tap) = HwDriver::new(cfg.tap_retention());
         let dev = Rc::new(AudioDevice::with_geometry(
             shared(drv),
             cfg.device_ring_capacity,
@@ -612,13 +633,11 @@ impl EthernetSpeaker {
         };
         let s2 = spk.clone();
         lan.set_handler(node, move |sim, dg| s2.on_datagram(sim, dg));
-        // Auto-volume control loop, 4 Hz.
+        // Auto-volume control loop.
         if spk.state.borrow().autovol.is_some() {
             let s3 = spk.clone();
             let timer =
-                es_sim::RepeatingTimer::start(sim, SimDuration::from_millis(250), move |sim| {
-                    s3.autovol_tick(sim)
-                });
+                es_sim::RepeatingTimer::start(sim, AUTOVOL_PERIOD, move |sim| s3.autovol_tick(sim));
             std::mem::forget(timer);
         }
         spk
@@ -703,7 +722,8 @@ impl EthernetSpeaker {
         ranges
     }
 
-    /// The DAC output tap (what actually played, with timestamps).
+    /// The DAC output tap: how much played and when, always; the
+    /// samples themselves only with [`SpeakerConfig::capture_output`].
     pub fn tap(&self) -> Shared<OutputTap> {
         self.tap.clone()
     }
@@ -1349,12 +1369,15 @@ impl EthernetSpeaker {
             (profile.level_at(now_s), avc.self_coupling)
         };
         // What the speaker itself is putting out right now: the RMS of
-        // the most recent ~250 ms of tap output.
+        // the most recent control period of tap output.
         let out_rms = {
-            let tap = self.tap.borrow();
-            let recent = tap.samples_since(SimTime::from_nanos(
-                sim.now().as_nanos().saturating_sub(250_000_000),
-            ));
+            let now_ns = sim.now().as_nanos();
+            let since = SimTime::from_nanos(now_ns.saturating_sub(AUTOVOL_PERIOD.as_nanos()));
+            let recent = self
+                .tap
+                .borrow()
+                .samples_since(since)
+                .expect("tap_retention keeps one control period for auto-volume");
             es_audio::analysis::rms(&recent)
         };
         let mic = crate::autovol::microphone_rms(ambient, out_rms, coupling);
@@ -1370,6 +1393,13 @@ mod tests {
     use bytes::Bytes;
     use es_net::LanConfig;
     use es_proto::{encode_control, encode_data, ControlPacket, DataPacket};
+
+    /// A default speaker whose tap keeps the PCM the test reads back.
+    fn capturing(name: &str, group: McastGroup) -> SpeakerConfig {
+        let mut cfg = SpeakerConfig::new(name, group);
+        cfg.capture_output = true;
+        cfg
+    }
 
     fn lan() -> (Sim, Lan, NodeId) {
         let sim = Sim::new(1);
@@ -1549,7 +1579,7 @@ mod tests {
     fn gap_is_concealed_when_enabled() {
         let (mut sim, net, producer) = lan();
         let g = McastGroup(1);
-        let mut cfg = SpeakerConfig::new("plc", g);
+        let mut cfg = capturing("plc", g);
         cfg.conceal_loss = true;
         let spk = EthernetSpeaker::start(&mut sim, &net, cfg);
         net.multicast(&mut sim, producer, g, control_packet(0, 0));
@@ -1562,7 +1592,7 @@ mod tests {
         let st = spk.stats();
         assert_eq!(st.concealed_packets, 2, "{st:?}");
         // Concealed audio is faded copies of packet 1's constant 1000s.
-        let played = spk.tap().borrow().samples();
+        let played = spk.tap().borrow().samples().expect("capture_output");
         let nonzero = played.iter().filter(|&&s| s != 0).count();
         // 5 packets' worth of audio (3 real + 2 concealed), not 3.
         assert!(
@@ -1571,7 +1601,7 @@ mod tests {
         );
         // And without PLC the same run leaves the gap silent.
         let (mut sim2, lan2, producer2) = lan();
-        let spk2 = EthernetSpeaker::start(&mut sim2, &lan2, SpeakerConfig::new("raw", g));
+        let spk2 = EthernetSpeaker::start(&mut sim2, &lan2, capturing("raw", g));
         lan2.multicast(&mut sim2, producer2, g, control_packet(0, 0));
         sim2.run();
         for (seq, ms) in [(0u32, 300u64), (1, 350), (4, 500)] {
@@ -1579,7 +1609,7 @@ mod tests {
         }
         sim2.run_for(SimDuration::from_secs(1));
         assert_eq!(spk2.stats().concealed_packets, 0);
-        let played2 = spk2.tap().borrow().samples();
+        let played2 = spk2.tap().borrow().samples().expect("capture_output");
         let nonzero2 = played2.iter().filter(|&&s| s != 0).count();
         assert!(nonzero2 < nonzero, "{nonzero2} vs {nonzero}");
     }
@@ -1588,16 +1618,53 @@ mod tests {
     fn volume_scales_output() {
         let (mut sim, lan, producer) = lan();
         let g = McastGroup(1);
-        let mut cfg = SpeakerConfig::new("quiet", g);
+        let mut cfg = capturing("quiet", g);
         cfg.volume = 0.5;
         let spk = EthernetSpeaker::start(&mut sim, &lan, cfg);
         lan.multicast(&mut sim, producer, g, control_packet(0, 0));
         sim.run();
         lan.multicast(&mut sim, producer, g, data_packet(0, 10_000, 2_205));
         sim.run_for(SimDuration::from_millis(200));
-        let played = spk.tap().borrow().samples();
+        let played = spk.tap().borrow().samples().expect("capture_output");
         let peak = played.iter().map(|&s| s.abs()).max().unwrap_or(0);
         assert_eq!(peak, 500, "1000 * 0.5");
+    }
+
+    #[test]
+    fn auto_volume_hears_the_same_with_and_without_capture() {
+        // Ten seconds of 50 ms packets with a one-second hole, in a room
+        // that gets loud and quiet again: the gain moves with both the
+        // ambient level and the speaker's own output.
+        let run = |capture: bool| {
+            let (mut sim, lan, producer) = lan();
+            let g = McastGroup(1);
+            let mut cfg = SpeakerConfig::new("av", g);
+            let room = AmbientProfile::steps(vec![(0.0, 0.01), (3.0, 0.2), (7.0, 0.03)]);
+            cfg.auto_volume = Some((AutoVolumeConfig::music(), room));
+            cfg.capture_output = capture;
+            let spk = EthernetSpeaker::start(&mut sim, &lan, cfg);
+            lan.multicast(&mut sim, producer, g, control_packet(0, 0));
+            let mut gains = Vec::new();
+            for seq in 0..200u32 {
+                if !(80..100).contains(&seq) {
+                    let play_at = 300_000 + seq as u64 * 50_000;
+                    lan.multicast(&mut sim, producer, g, data_packet(seq, play_at, 2_205));
+                }
+                sim.run_for(SimDuration::from_millis(50));
+                gains.push(spk.auto_gain().unwrap());
+            }
+            let held = spk.tap().borrow().retained_samples();
+            (gains, format!("{:?}", spk.stats()), held)
+        };
+        let (gains, stats, held) = run(false);
+        let (gains_cap, stats_cap, held_cap) = run(true);
+        assert!(gains.iter().any(|&g| g != gains[0]), "the gain moved");
+        assert_eq!(gains, gains_cap, "one control period is all it listens to");
+        assert_eq!(stats, stats_cap);
+        // 250 ms of 50 ms blocks plus the one just started, however
+        // long the stream; the capture holds all of it.
+        assert!(held <= 6 * 4_410, "{held}");
+        assert!(held_cap > 8 * 88_200, "{held_cap}");
     }
 
     #[test]

@@ -46,7 +46,10 @@ impl Rig {
         (rig, spk)
     }
 
-    fn speaker(&mut self, cfg: SpeakerConfig) -> EthernetSpeaker {
+    /// Every test here compares what was played sample for sample,
+    /// so every speaker keeps its output.
+    fn speaker(&mut self, mut cfg: SpeakerConfig) -> EthernetSpeaker {
+        cfg.capture_output = true;
         EthernetSpeaker::start(&mut self.sim, &self.lan, cfg)
     }
 
@@ -109,13 +112,14 @@ fn delta(after: RxMemoStats, before: RxMemoStats) -> RxMemoStats {
 /// What one speaker's run is judged by.
 type Outcome = (u64, u64, Vec<i16>);
 
+fn played(spk: &EthernetSpeaker) -> Vec<i16> {
+    let heard = spk.tap().borrow().samples();
+    heard.expect("Rig::speaker sets capture_output")
+}
+
 fn outcome(spk: &EthernetSpeaker) -> Outcome {
     let st = spk.stats();
-    (
-        st.decode_work_units,
-        st.samples_played,
-        spk.tap().borrow().samples(),
-    )
+    (st.decode_work_units, st.samples_played, played(spk))
 }
 
 #[test]
@@ -180,10 +184,7 @@ fn shared_pcm_is_never_scaled_by_a_neighbours_volume() {
     rig.run_ms(200);
     let peaks: Vec<i16> = spk
         .iter()
-        .map(|s| {
-            let played = s.tap().borrow().samples();
-            played.iter().map(|&v| v.abs()).max().unwrap_or(0)
-        })
+        .map(|s| played(s).iter().map(|&v| v.abs()).max().unwrap_or(0))
         .collect();
     assert_eq!(peaks, vec![500, 250, 1_000]);
 }
@@ -240,7 +241,7 @@ fn same_payload_under_another_wire_codec_is_decoded_again() {
 
 /// Everything a speaker played that is not silence.
 fn audible(spk: &EthernetSpeaker) -> Vec<i16> {
-    let mut v = spk.tap().borrow().samples();
+    let mut v = played(spk);
     v.retain(|&x| x != 0);
     v
 }
@@ -324,7 +325,7 @@ fn restamped_copy_shares_the_decode_but_keeps_its_own_deadline() {
     let t_near = near.tap().borrow().first_block_time().unwrap();
     let t_far = far.tap().borrow().first_block_time().unwrap();
     assert_eq!((t_far - t_near).as_millis(), 100);
-    assert_eq!(near.tap().borrow().samples(), far.tap().borrow().samples());
+    assert_eq!(played(&near), played(&far));
 }
 
 #[test]

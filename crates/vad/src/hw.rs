@@ -4,13 +4,17 @@
 //! Models the DMA producer-consumer loop §3.1 describes: the card
 //! consumes exactly one block per block-duration of real time, which is
 //! what makes a conventional audio device "inherently rate limited".
-//! Every consumed block is decoded and appended to an [`OutputTap`]
-//! with its playback timestamp, so experiments can measure exactly what
-//! came out of the speaker cone and when.
+//! Every consumed block is counted in an [`OutputTap`] with its
+//! playback timestamp; the PCM itself is kept only as far back as the
+//! tap's [`Retention`] says, so a speaker's memory does not grow with
+//! the length of the stream unless an experiment asks to measure
+//! exactly what came out of the speaker cone.
 
-use es_audio::convert::decode_samples;
+use std::collections::VecDeque;
+
+use es_audio::convert::decode_samples_into;
 use es_audio::AudioConfig;
-use es_sim::{shared, Shared, Sim, SimTime};
+use es_sim::{shared, Shared, Sim, SimDuration, SimTime};
 
 use crate::device::{BlockSource, Intr, LowLevelDriver};
 
@@ -18,67 +22,204 @@ use crate::device::{BlockSource, Intr, LowLevelDriver};
 /// context-switch accounting model (Figure 5).
 pub type WakeHook = Box<dyn FnMut(&mut Sim)>;
 
-/// Everything the simulated DAC has played: interleaved samples plus
-/// per-block start timestamps.
+/// How far back an [`OutputTap`] keeps the PCM it played. Counts and
+/// block times are always exact; this only bounds what the sample
+/// accessors can answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Retention {
+    /// No PCM: the DMA loop never decodes or stores a block, and the
+    /// tap is O(1) however long the stream runs.
+    #[default]
+    Nothing,
+    /// Blocks that started within this long of the newest one.
+    Recent(SimDuration),
+    /// Every block ever played — memory grows with the stream.
+    Everything,
+}
+
+#[derive(Debug)]
+struct Block {
+    at: SimTime,
+    cfg: AudioConfig,
+    /// Flat index of `samples[0]` among everything ever played.
+    first: usize,
+    samples: Vec<i16>,
+}
+
+impl Block {
+    fn end(&self) -> SimTime {
+        self.at + SimDuration::from_nanos(self.dur_ns())
+    }
+
+    fn frames(&self) -> usize {
+        self.samples.len() / self.cfg.channels as usize
+    }
+
+    fn dur_ns(&self) -> u64 {
+        self.cfg
+            .nanos_for_bytes(self.frames() as u64 * self.cfg.bytes_per_frame() as u64)
+    }
+}
+
+/// What the simulated DAC has played: how many blocks and samples and
+/// when, plus the interleaved samples themselves as far back as the
+/// tap's [`Retention`] reaches.
+///
+/// The sample accessors return `None` when the request reaches past
+/// what was retained, so a reader on a non-capturing speaker fails
+/// where it asks instead of seeing silence.
 #[derive(Debug, Default)]
 pub struct OutputTap {
-    blocks: Vec<(SimTime, AudioConfig, Vec<i16>)>,
+    retention: Retention,
+    /// Retained blocks, in playback order.
+    blocks: VecDeque<Block>,
+    block_count: usize,
+    sample_count: usize,
+    first_block_time: Option<SimTime>,
+    last_block_time: Option<SimTime>,
+    /// Start time of the newest block trimmed from `blocks`.
+    dropped_through: Option<SimTime>,
 }
 
 impl OutputTap {
-    /// All samples played, flattened in playback order.
-    pub fn samples(&self) -> Vec<i16> {
-        let mut out = Vec::new();
-        for (_, _, s) in &self.blocks {
-            out.extend_from_slice(s);
+    /// An empty tap keeping PCM as far back as `retention`.
+    pub fn new(retention: Retention) -> Self {
+        OutputTap {
+            retention,
+            ..OutputTap::default()
         }
-        out
+    }
+
+    /// Counts one DMA block that started playing at `at` and keeps its
+    /// samples if the retention asks for any. The default tap touches
+    /// none of `block`'s bytes.
+    fn record(&mut self, at: SimTime, cfg: AudioConfig, block: &[u8]) {
+        let first = self.sample_count;
+        self.block_count += 1;
+        self.sample_count += block.len() / cfg.encoding.bytes_per_sample() as usize;
+        self.first_block_time.get_or_insert(at);
+        self.last_block_time = Some(at);
+        let keep_from = match self.retention {
+            Retention::Nothing => return,
+            Retention::Recent(horizon) => {
+                SimTime::from_nanos(at.as_nanos().saturating_sub(horizon.as_nanos()))
+            }
+            Retention::Everything => SimTime::ZERO,
+        };
+        // Blocks that fell behind the horizon leave; the last one's
+        // buffer is decoded into again, so a windowed tap stops
+        // allocating once the window is full.
+        let mut samples = Vec::new();
+        while let Some(old) = self.blocks.pop_front_if(|b| b.at < keep_from) {
+            self.dropped_through = Some(old.at);
+            samples = old.samples;
+        }
+        decode_samples_into(block, cfg.encoding, &mut samples);
+        self.blocks.push_back(Block {
+            at,
+            cfg,
+            first,
+            samples,
+        });
+    }
+
+    /// Whether every block that started at or after `start` is retained.
+    fn covers(&self, start: SimTime) -> bool {
+        self.retention != Retention::Nothing && self.dropped_through.is_none_or(|t| t < start)
     }
 
     /// Number of blocks played.
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.block_count
+    }
+
+    /// Number of interleaved samples played.
+    pub fn sample_count(&self) -> usize {
+        self.sample_count
+    }
+
+    /// Number of interleaved samples currently held in memory.
+    pub fn retained_samples(&self) -> usize {
+        self.blocks.iter().map(|b| b.samples.len()).sum()
     }
 
     /// Playback start time of the first block, if anything played.
     pub fn first_block_time(&self) -> Option<SimTime> {
-        self.blocks.first().map(|&(t, _, _)| t)
+        self.first_block_time
     }
 
-    /// Playback start time of block `i`.
+    /// Playback start time of the newest block, if anything played.
+    pub fn last_block_time(&self) -> Option<SimTime> {
+        self.last_block_time
+    }
+
+    /// Playback start time of block `i`, if it played and is retained.
     pub fn block_time(&self, i: usize) -> Option<SimTime> {
-        self.blocks.get(i).map(|&(t, _, _)| t)
+        let dropped = self.block_count - self.blocks.len();
+        self.blocks.get(i.checked_sub(dropped)?).map(|b| b.at)
     }
 
-    /// Samples played from `start` (inclusive) onward, by wall time.
-    pub fn samples_since(&self, start: SimTime) -> Vec<i16> {
+    /// All samples played, flattened in playback order — `None` unless
+    /// every block is still retained.
+    pub fn samples(&self) -> Option<Vec<i16>> {
+        self.samples_since(SimTime::ZERO)
+    }
+
+    /// Samples of the blocks that started at `start` or later — `None`
+    /// if any of those blocks is no longer retained.
+    pub fn samples_since(&self, start: SimTime) -> Option<Vec<i16>> {
+        if !self.covers(start) {
+            return None;
+        }
         // Blocks are pushed in playback order, so the tail that
         // qualifies starts at a binary-searchable point.
-        let first = self.blocks.partition_point(|(t, _, _)| *t < start);
+        let first = self.blocks.partition_point(|b| b.at < start);
         let mut out = Vec::new();
-        for (_, _, s) in self.blocks.iter().skip(first) {
-            out.extend_from_slice(s);
+        for b in self.blocks.iter().skip(first) {
+            out.extend_from_slice(&b.samples);
         }
-        out
+        Some(out)
     }
 
-    /// The interleaved samples that were playing at `at`, located by
+    /// The interleaved sample that was playing at `at`, located by
     /// block timestamps and per-frame interpolation of the offset.
-    /// Returns the flat sample index.
+    /// Returns the flat index among everything ever played — `None` if
+    /// nothing was playing then or that block is no longer retained.
     pub fn sample_index_at(&self, at: SimTime) -> Option<usize> {
-        let mut base = 0usize;
-        for (t, cfg, s) in &self.blocks {
-            let frames = s.len() / cfg.channels as usize;
-            let dur_ns = cfg.nanos_for_bytes(frames as u64 * cfg.bytes_per_frame() as u64);
-            let end = *t + es_sim::SimDuration::from_nanos(dur_ns);
-            if at >= *t && at < end {
-                let into = at.saturating_since(*t).as_nanos() as u128;
-                let frame = (into * frames as u128 / dur_ns.max(1) as u128) as usize;
-                return Some(base + frame * cfg.channels as usize);
-            }
-            base += s.len();
+        // Playback order makes block ends binary-searchable too: the
+        // first block still playing at `at` is the only candidate.
+        let playing = self.blocks.partition_point(|b| b.end() <= at);
+        let b = self.blocks.get(playing)?;
+        if at < b.at {
+            return None;
         }
-        None
+        let into = at.saturating_since(b.at).as_nanos() as u128;
+        let frame = (into * b.frames() as u128 / b.dur_ns().max(1) as u128) as usize;
+        Some(b.first + frame * b.cfg.channels as usize)
+    }
+
+    /// Up to `len` samples from flat index `idx` on (fewer if playback
+    /// has not got that far) — `None` if `idx` has not played yet or is
+    /// no longer retained.
+    pub fn window(&self, idx: usize, len: usize) -> Option<Vec<i16>> {
+        if idx >= self.sample_count {
+            return None;
+        }
+        let holder = self
+            .blocks
+            .partition_point(|b| b.first <= idx)
+            .checked_sub(1)?;
+        let mut skip = idx - self.blocks.get(holder)?.first;
+        let mut out = Vec::with_capacity(len);
+        for b in self.blocks.iter().skip(holder) {
+            let rest = b.samples.get(skip..)?;
+            out.extend_from_slice(rest.get(..len - out.len()).unwrap_or(rest));
+            skip = 0;
+            if out.len() == len {
+                break;
+            }
+        }
+        Some(out)
     }
 }
 
@@ -112,9 +253,10 @@ pub struct HwDriver {
 }
 
 impl HwDriver {
-    /// Creates a card; returns the driver and the output tap.
-    pub fn new() -> (Self, Shared<OutputTap>) {
-        let tap = shared(OutputTap::default());
+    /// Creates a card whose output tap keeps PCM as far back as
+    /// `retention`; returns the driver and the tap.
+    pub fn new(retention: Retention) -> (Self, Shared<OutputTap>) {
+        let tap = shared(OutputTap::new(retention));
         (
             HwDriver {
                 state: shared(HwState {
@@ -174,8 +316,7 @@ impl HwDriver {
             let Some(block) = src.take_block(true) else {
                 return;
             };
-            let samples = decode_samples(&block, cfg.encoding);
-            st.tap.borrow_mut().blocks.push((sim.now(), cfg, samples));
+            st.tap.borrow_mut().record(sim.now(), cfg, &block);
             st.blocks_played += 1;
             st.next_boundary = sim.now() + dur;
             (dur, epoch)
@@ -281,12 +422,14 @@ mod tests {
     use es_sim::{SimDuration, SimTime};
     use std::rc::Rc;
 
-    fn hw_device() -> (
+    fn hw_device(
+        retention: Retention,
+    ) -> (
         AudioDevice,
         Shared<OutputTap>,
         Rc<std::cell::RefCell<HwDriver>>,
     ) {
-        let (drv, tap) = HwDriver::new();
+        let (drv, tap) = HwDriver::new(retention);
         let drv = Rc::new(std::cell::RefCell::new(drv));
         let dev = AudioDevice::new(drv.clone());
         (dev, tap, drv)
@@ -297,7 +440,7 @@ mod tests {
         // §3.1: "If a five second audio clip is sent to the sound
         // device then it will take five seconds ... to play".
         let mut sim = Sim::new(1);
-        let (dev, tap, _) = hw_device();
+        let (dev, tap, _) = hw_device(Retention::Everything);
         dev.open().unwrap();
         let cfg = dev.config();
         let five_secs = (cfg.bytes_per_second() * 5) as usize;
@@ -325,7 +468,7 @@ mod tests {
     #[test]
     fn playback_preserves_samples() {
         let mut sim = Sim::new(1);
-        let (dev, tap, _) = hw_device();
+        let (dev, tap, _) = hw_device(Retention::Everything);
         dev.open().unwrap();
         let samples: Vec<i16> = (0..8_820i32).map(|i| (i % 3_000) as i16).collect();
         let data = encode_samples(&samples, Encoding::Slinear16Le);
@@ -338,7 +481,7 @@ mod tests {
             }
         }
         sim.run();
-        let played = tap.borrow().samples();
+        let played = tap.borrow().samples().expect("capturing tap");
         // Played data starts with our samples; a final partial block is
         // padded with silence.
         assert!(played.len() >= samples.len());
@@ -349,7 +492,7 @@ mod tests {
     #[test]
     fn underrun_inserts_silence_and_counts() {
         let mut sim = Sim::new(1);
-        let (dev, tap, _) = hw_device();
+        let (dev, tap, _) = hw_device(Retention::Nothing);
         dev.open().unwrap();
         // One and a half blocks of data, then nothing: playback outruns
         // the writer and pads with silence.
@@ -364,7 +507,7 @@ mod tests {
     #[test]
     fn halt_stops_the_dma_loop() {
         let mut sim = Sim::new(1);
-        let (dev, tap, _) = hw_device();
+        let (dev, tap, _) = hw_device(Retention::Nothing);
         dev.open().unwrap();
         dev.write(&mut sim, &vec![1u8; 20_000]).unwrap();
         sim.run_for(SimDuration::from_millis(60));
@@ -377,7 +520,7 @@ mod tests {
     #[test]
     fn wake_hook_fires_per_interrupt() {
         let mut sim = Sim::new(1);
-        let (drv, _tap) = HwDriver::new();
+        let (drv, _tap) = HwDriver::new(Retention::Nothing);
         let count = Rc::new(std::cell::Cell::new(0u32));
         let c = count.clone();
         drv.set_wake_hook(Box::new(move |_| c.set(c.get() + 1)));
@@ -389,39 +532,121 @@ mod tests {
         assert!(count.get() >= 3, "hook fired {} times", count.get());
     }
 
+    /// 10 000 two-sample blocks 50 ms apart, every seventh sharing its
+    /// predecessor's instant (a restart re-triggers DMA at the same
+    /// `now`): `(start, samples)` per block, recorded into `tap`.
+    fn feed_10k(tap: &mut OutputTap) -> Vec<(SimTime, Vec<i16>)> {
+        // 40 Hz mono: a two-sample block lasts exactly its 50 ms slot,
+        // so blocks abut as real DMA blocks do.
+        let cfg = AudioConfig {
+            sample_rate: 40,
+            channels: 1,
+            ..AudioConfig::CD
+        };
+        (0..10_000u64)
+            .map(|i| {
+                let slot = if i % 7 == 6 { i - 1 } else { i };
+                let t = SimTime::from_millis(slot * 50);
+                let samples = vec![i as i16, (i >> 3) as i16];
+                tap.record(t, cfg, &encode_samples(&samples, cfg.encoding));
+                (t, samples)
+            })
+            .collect()
+    }
+
     #[test]
-    fn samples_since_agrees_with_a_linear_scan() {
-        // 10 000 blocks 50 ms apart, every seventh sharing its
-        // predecessor's instant (a restart re-triggers DMA at the same
-        // `now`).
-        let mut tap = OutputTap::default();
-        for i in 0..10_000u64 {
-            let slot = if i % 7 == 6 { i - 1 } else { i };
-            let t = SimTime::from_millis(slot * 50);
-            tap.blocks
-                .push((t, AudioConfig::CD, vec![i as i16, (i >> 3) as i16]));
-        }
-        let linear = |start: SimTime| -> Vec<i16> {
+    fn capturing_tap_agrees_with_a_linear_scan() {
+        let mut tap = OutputTap::new(Retention::Everything);
+        let model = feed_10k(&mut tap);
+        let since = |start: SimTime| -> Vec<i16> {
             let mut out = Vec::new();
-            for (t, _, s) in &tap.blocks {
+            for (t, s) in &model {
                 if *t >= start {
                     out.extend_from_slice(s);
                 }
             }
             out
         };
-        for start_ms in [0, 1, 50, 299, 300, 301, 250_000, 499_950, 499_951, 900_000] {
-            let start = SimTime::from_millis(start_ms);
-            assert_eq!(tap.samples_since(start), linear(start), "from {start}");
+        // The first block still playing at `at`, by walking all of them.
+        let index_at = |at: SimTime| -> Option<usize> {
+            let dur = SimDuration::from_millis(50);
+            let i = model.iter().position(|(t, _)| at >= *t && at < *t + dur)?;
+            Some(i * 2 + (at.saturating_since(model[i].0).as_millis() / 25) as usize)
+        };
+        for ms in [0, 1, 50, 299, 300, 301, 324, 325, 250_000, 499_950, 499_999] {
+            let at = SimTime::from_millis(ms);
+            assert_eq!(tap.samples_since(at), Some(since(at)), "since {at}");
+            assert_eq!(tap.sample_index_at(at), index_at(at), "index at {at}");
         }
-        assert_eq!(tap.samples_since(SimTime::ZERO).len(), 20_000);
-        assert!(tap.samples_since(SimTime::from_secs(900)).is_empty());
+        let all = since(SimTime::ZERO);
+        assert_eq!(all.len(), 20_000);
+        assert_eq!(tap.samples().as_ref(), Some(&all));
+        assert_eq!(tap.samples_since(SimTime::from_secs(900)), Some(vec![]));
+        assert_eq!(tap.sample_index_at(SimTime::from_secs(900)), None);
+        for (idx, len) in [(0, 1), (0, 20_000), (7, 5), (13_999, 4_001), (19_999, 9)] {
+            let want = &all[idx..(idx + len).min(all.len())];
+            assert_eq!(tap.window(idx, len).as_deref(), Some(want), "{idx}+{len}");
+        }
+        assert_eq!(tap.window(20_000, 1), None, "not played yet");
+        assert_eq!(tap.retained_samples(), 20_000);
+    }
+
+    #[test]
+    fn default_tap_counts_everything_and_keeps_nothing() {
+        let mut tap = OutputTap::default();
+        let model = feed_10k(&mut tap);
+        assert_eq!(tap.block_count(), 10_000);
+        assert_eq!(tap.sample_count(), 20_000);
+        assert_eq!(tap.first_block_time(), Some(model[0].0));
+        assert_eq!(tap.last_block_time(), Some(model[9_999].0));
+        assert_eq!(tap.retained_samples(), 0);
+        // A reader fails where it asks; it is never handed silence.
+        assert_eq!(tap.samples(), None);
+        assert_eq!(tap.samples_since(SimTime::from_secs(900)), None);
+        assert_eq!(tap.sample_index_at(SimTime::from_millis(300)), None);
+        assert_eq!(tap.window(0, 1), None);
+        assert_eq!(tap.block_time(9_999), None);
+    }
+
+    #[test]
+    fn recent_tap_holds_its_horizon_plus_one_block() {
+        let horizon = SimDuration::from_millis(250);
+        let mut tap = OutputTap::new(Retention::Recent(horizon));
+        let mut full = OutputTap::new(Retention::Everything);
+        let cfg = AudioConfig::CD;
+        let block = vec![0u8; cfg.bytes_for_nanos(50_000_000) as usize];
+        let per_block = block.len() / 2;
+        for i in 0..10_000u64 {
+            let now = SimTime::from_millis(i * 50);
+            tap.record(now, cfg, &block);
+            full.record(now, cfg, &block);
+            // 250 ms of 50 ms blocks, plus the one that just started.
+            assert!(tap.retained_samples() <= 6 * per_block, "block {i}");
+            // What auto-volume asks for is always there, and is what a
+            // full capture would have answered.
+            let from = SimTime::from_nanos(now.as_nanos().saturating_sub(horizon.as_nanos()));
+            let recent = tap.samples_since(from).expect("inside the horizon");
+            assert_eq!(Some(recent), full.samples_since(from));
+        }
+        assert_eq!(tap.retained_samples(), 6 * per_block);
+        assert_eq!(tap.block_count(), 10_000);
+        assert_eq!(tap.sample_count(), full.sample_count());
+        assert_eq!(tap.block_time(9_999), full.block_time(9_999));
+        assert_eq!(tap.block_time(9_993), None, "trimmed");
+        assert_eq!(tap.samples(), None, "the start is long gone");
+        assert_eq!(tap.samples_since(SimTime::from_millis(499_600)), None);
+        let idx = tap.sample_index_at(SimTime::from_millis(499_900)).unwrap();
+        assert_eq!(
+            Some(idx),
+            full.sample_index_at(SimTime::from_millis(499_900))
+        );
+        assert_eq!(tap.window(idx, 100), full.window(idx, 100));
     }
 
     #[test]
     fn tap_sample_index_maps_time() {
         let mut sim = Sim::new(1);
-        let (dev, tap, _) = hw_device();
+        let (dev, tap, _) = hw_device(Retention::Everything);
         dev.open().unwrap();
         dev.write(&mut sim, &vec![1u8; 8_820 * 2]).unwrap();
         sim.run();

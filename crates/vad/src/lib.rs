@@ -28,7 +28,7 @@ pub mod ring;
 pub mod vad;
 
 pub use device::{AudioDevice, BlockSource, DevError, DevStats, Intr, Ioctl, LowLevelDriver};
-pub use hw::{HwDriver, OutputTap};
+pub use hw::{HwDriver, OutputTap, Retention};
 pub use input::{input_pair, InputMaster, InputSlave, InputStats};
 pub use ring::AudioRing;
 pub use vad::{vad_pair, vad_pair_with_geometry, MasterItem, VadMaster, VadMode, VadStats};

@@ -28,12 +28,17 @@ fn main() {
     let mut sys = SystemBuilder::new(42)
         .channel(channel)
         .sessions(SessionSpec::new(announce))
-        .speaker(SpeakerSpec::negotiated("lobby", "campus-radio"))
-        .speaker(SpeakerSpec::negotiated("cafeteria", "campus-radio"))
+        // `capture_output` keeps what each DAC played, for the offset
+        // measurement and the WAV below; by default a speaker keeps
+        // only counts, so its memory does not grow with the stream.
+        .speaker(SpeakerSpec::negotiated("lobby", "campus-radio").capture_output())
+        .speaker(SpeakerSpec::negotiated("cafeteria", "campus-radio").capture_output())
         .speaker(
             // Statically tuned, powered on mid-stream: the original
             // stateless mode, no handshake, just the control-packet gate.
-            SpeakerSpec::new("hallway", group).starting_at(SimDuration::from_secs(4)),
+            SpeakerSpec::new("hallway", group)
+                .starting_at(SimDuration::from_secs(4))
+                .capture_output(),
         )
         .build();
 
@@ -116,6 +121,7 @@ fn main() {
 
     let spk = sys.speaker(0).expect("speaker 0");
     let samples = spk.tap().borrow().samples();
+    let samples = samples.expect("SpeakerSpec::capture_output()");
     es_audio::wav::write_wav("quickstart.wav", 44_100, 2, &samples).expect("write quickstart.wav");
     println!(
         "\nwrote quickstart.wav ({:.1}s of what the lobby speaker played)",

@@ -22,7 +22,11 @@ fn signed_system(seed: u64) -> (es_core::EsSystem, Rc<StreamSigner>) {
         .signer(signer.clone());
     let sys = SystemBuilder::new(seed)
         .channel(ch)
-        .speaker(SpeakerSpec::new("es", group).auth_anchor(signer.anchor()))
+        .speaker(
+            SpeakerSpec::new("es", group)
+                .auth_anchor(signer.anchor())
+                .capture_output(),
+        )
         .build();
     (sys, signer)
 }
@@ -112,7 +116,9 @@ fn injected_packets_are_not_played() {
     // constant 0x5555 payloads decode to a fixed value; a sine has
     // near-zero mean.
     let played = spk.tap().borrow().samples();
-    let mean: f64 = played.iter().map(|&s| s as f64).sum::<f64>() / played.len().max(1) as f64;
+    let played = played.expect("SpeakerSpec::capture_output()");
+    assert!(!played.is_empty());
+    let mean: f64 = played.iter().map(|&s| s as f64).sum::<f64>() / played.len() as f64;
     assert!(
         mean.abs() < 300.0,
         "played audio biased by injected DC: {mean}"

@@ -59,12 +59,11 @@ fn booted_machines_tune_their_configured_channels() {
                 McastGroup(lobby_sys.configured_channel()),
             );
             s = s.volume(lobby_sys.configured_volume());
-            s
+            s.capture_output()
         })
-        .speaker(SpeakerSpec::new(
-            "hall",
-            McastGroup(hall_sys.configured_channel()),
-        ))
+        .speaker(
+            SpeakerSpec::new("hall", McastGroup(hall_sys.configured_channel())).capture_output(),
+        )
         .build();
     sys.run_until(SimTime::from_secs(5));
 
@@ -78,14 +77,18 @@ fn booted_machines_tune_their_configured_channels() {
     // The lobby's 0.5 volume shows in its output level: its channel is
     // a 0.6-amplitude tone (RMS 0.42), so at half volume it plays at
     // RMS ≈ 0.21.
-    let lobby_rms = es_audio::analysis::rms(&lobby_spk.tap().borrow().samples());
+    let played = |spk: &es_speaker::EthernetSpeaker| {
+        let heard = spk.tap().borrow().samples();
+        heard.expect("SpeakerSpec::capture_output()")
+    };
+    let lobby_rms = es_audio::analysis::rms(&played(&lobby_spk));
     let tone_rms = 0.6 / 2f64.sqrt();
     assert!(
         (lobby_rms - tone_rms * 0.5).abs() < 0.04,
         "lobby RMS {lobby_rms}, expected ~{}",
         tone_rms * 0.5
     );
-    assert!(es_audio::analysis::rms(&hall_spk.tap().borrow().samples()) > 0.05);
+    assert!(es_audio::analysis::rms(&played(&hall_spk)) > 0.05);
 }
 
 #[test]

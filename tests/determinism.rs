@@ -13,14 +13,16 @@ fn run_fingerprint(seed: u64) -> (u64, u64, u64, u64, Vec<i16>) {
     let mut sys = SystemBuilder::new(seed)
         .lan(LanConfig::lossy(0.02, SimDuration::from_micros(500)))
         .channel(ch)
-        .speaker(SpeakerSpec::new("es", group))
+        .speaker(SpeakerSpec::new("es", group).capture_output())
         .build();
     sys.run_until(SimTime::from_secs(4));
     let spk = sys.speaker(0).unwrap();
     let st = spk.stats();
     let lan = sys.lan().stats();
     let tap = spk.tap().borrow().samples();
+    let tap = tap.expect("SpeakerSpec::capture_output()");
     let head: Vec<i16> = tap.into_iter().take(4_096).collect();
+    assert_eq!(head.len(), 4_096, "played audio to compare");
     (
         st.datagrams,
         st.samples_played,

@@ -18,9 +18,9 @@ fn compressed_stream_plays_faithfully_everywhere() {
         .policy(CompressionPolicy::paper_default());
     let mut sys = SystemBuilder::new(11)
         .channel(ch)
-        .speaker(SpeakerSpec::new("a", group))
-        .speaker(SpeakerSpec::new("b", group))
-        .speaker(SpeakerSpec::new("c", group))
+        .speaker(SpeakerSpec::new("a", group).capture_output())
+        .speaker(SpeakerSpec::new("b", group).capture_output())
+        .speaker(SpeakerSpec::new("c", group).capture_output())
         .build();
     sys.run_until(SimTime::from_secs(7));
 
@@ -31,6 +31,7 @@ fn compressed_stream_plays_faithfully_everywhere() {
     for i in 0..3 {
         let spk = sys.speaker(i).unwrap();
         let played = spk.tap().borrow().samples();
+        let played = played.expect("SpeakerSpec::capture_output()");
         assert!(played.len() > 5 * 88_200, "speaker {i} played too little");
         // Align (playout delay shifts the stream) then check fidelity.
         let skip = 44_100; // Half a second into both signals.

@@ -21,7 +21,7 @@ fn browser_sees_catalog_and_speaker_switches_channels() {
         .channel(ch1)
         .channel(ch2)
         .announce_on(catalog)
-        .speaker(SpeakerSpec::new("es", music))
+        .speaker(SpeakerSpec::new("es", music).capture_output())
         .build();
 
     // A management console browses the catalog.
@@ -71,6 +71,8 @@ fn browser_sees_catalog_and_speaker_switches_channels() {
     );
     // The new channel's tone (350 Hz) dominates the recent output.
     let recent = spk.tap().borrow().samples_since(SimTime::from_secs(5));
+    let recent = recent.expect("SpeakerSpec::capture_output()");
+    assert!(!recent.is_empty());
     let crossings = recent
         .chunks(2)
         .map(|f| f[0])
@@ -99,7 +101,7 @@ fn announcement_override_full_cycle_with_live_audio() {
     let mut sys = SystemBuilder::new(8)
         .channel(music_ch)
         .channel(pa_ch)
-        .speaker(SpeakerSpec::new("seat-12a", music))
+        .speaker(SpeakerSpec::new("seat-12a", music).capture_output())
         .speaker(SpeakerSpec::new("seat-12b", music))
         .build();
     let ctl_node = sys.lan().attach("crew-panel");
@@ -135,6 +137,7 @@ fn announcement_override_full_cycle_with_live_audio() {
         .unwrap()
         .tap()
         .borrow()
-        .samples_since(SimTime::from_millis(12_000));
+        .samples_since(SimTime::from_millis(12_000))
+        .expect("SpeakerSpec::capture_output()");
     assert!(es_audio::analysis::rms(&recent) > 0.01, "music resumed");
 }

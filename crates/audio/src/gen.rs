@@ -96,11 +96,63 @@ impl Signal for Sine {
     }
 }
 
+/// Partials one [`Bank`] advances together. Six phasors and their six
+/// rotations are twelve two-wide vector registers: the most that stay
+/// in registers on baseline x86-64, and `music` is three full banks.
+const BANK: usize = 6;
+
+/// `BANK` partials of a [`MultiTone`] as parallel arrays: the same
+/// fields as [`Sine`], lane by lane. Unused lanes are idle — zero step,
+/// zero amplitude — and contribute `+0.0`, which leaves every running
+/// sum as it was (a sum seeded with `+0.0` is never `-0.0`).
+#[derive(Debug, Clone)]
+struct Bank {
+    step: [f64; BANK],
+    sin: [f64; BANK],
+    cos: [f64; BANK],
+    step_sin: [f64; BANK],
+    step_cos: [f64; BANK],
+    amplitude: [f32; BANK],
+}
+
+impl Bank {
+    fn new(tones: &[Sine], idle: &Sine) -> Self {
+        let lane = |i: usize| tones.get(i).unwrap_or(idle);
+        Bank {
+            step: core::array::from_fn(|i| lane(i).step),
+            sin: core::array::from_fn(|i| lane(i).sin),
+            cos: core::array::from_fn(|i| lane(i).cos),
+            step_sin: core::array::from_fn(|i| lane(i).step_sin),
+            step_cos: core::array::from_fn(|i| lane(i).step_cos),
+            amplitude: core::array::from_fn(|i| lane(i).amplitude),
+        }
+    }
+
+    /// `acc` plus this bank's partials at phasor `sin`, lane by lane.
+    #[inline]
+    fn mix(&self, acc: f32, sin: &[f64; BANK]) -> f32 {
+        sin.iter()
+            .zip(&self.amplitude)
+            .fold(acc, |acc, (&s, &a)| acc + s as f32 * a)
+    }
+}
+
 /// A sum of sine partials with per-partial amplitude — a stand-in for
 /// harmonically rich "music" content for codec experiments.
+///
+/// The partials are the same phasor recurrence as [`Sine`], advanced a
+/// [`Bank`] at a time over a whole block: the six rotations of a bank
+/// are independent, so they pipeline (and vectorize) where a lone
+/// partial runs one serial multiply-add chain, and the phasors stay in
+/// registers for the length of the block instead of going through
+/// memory every sample. All partials resync on the same sample, so one
+/// counter serves them all. Output is bit-identical to summing a
+/// `Vec<Sine>` in declaration order.
 #[derive(Debug, Clone)]
 pub struct MultiTone {
-    partials: Vec<Sine>,
+    banks: Vec<Bank>,
+    since_sync: u32,
+    sync_base: u64,
     norm: f32,
 }
 
@@ -109,11 +161,15 @@ impl MultiTone {
     pub fn new(sample_rate: u32, partials: &[(f32, f32)]) -> Self {
         let total: f32 = partials.iter().map(|&(_, a)| a.abs()).sum();
         let norm = if total > 1.0 { 1.0 / total } else { 1.0 };
+        let tones: Vec<Sine> = partials
+            .iter()
+            .map(|&(f, a)| Sine::new(f, sample_rate, a.abs().min(1.0)))
+            .collect();
+        let idle = Sine::new(0.0, sample_rate, 0.0);
         MultiTone {
-            partials: partials
-                .iter()
-                .map(|&(f, a)| Sine::new(f, sample_rate, a.abs().min(1.0)))
-                .collect(),
+            banks: tones.chunks(BANK).map(|t| Bank::new(t, &idle)).collect(),
+            since_sync: 0,
+            sync_base: 0,
             norm,
         }
     }
@@ -133,24 +189,59 @@ impl MultiTone {
 
 impl Signal for MultiTone {
     fn next_sample(&mut self) -> f32 {
-        let sum: f32 = self.partials.iter_mut().map(|p| p.next_sample()).sum();
-        sum * self.norm
+        let mut one = [0.0f32];
+        self.fill(&mut one);
+        let [v] = one;
+        v
     }
 
-    /// Batch render, partial-outer for locality. Bit-identical to
-    /// repeated [`Signal::next_sample`] calls: each output sample sums
-    /// the partials in declaration order with an `0.0` seed, exactly
-    /// like the iterator `sum` above, then applies the same
-    /// normalization.
-    fn fill(&mut self, out: &mut [f32]) {
-        out.fill(0.0);
-        for p in &mut self.partials {
-            for slot in out.iter_mut() {
-                *slot += p.next_sample();
+    /// Batch render, bank-outer. Each output sample still sums the
+    /// partials in declaration order from `0.0` — a bank adds its six
+    /// in order to what the banks before it left in the slot — and is
+    /// then normalized, exactly like a `Vec<Sine>` summed per sample.
+    fn fill(&mut self, mut out: &mut [f32]) {
+        while !out.is_empty() {
+            // A run ends where the phasors are re-derived: there the
+            // last sample's rotation is replaced by the exact phase.
+            let room = (Sine::RESYNC - self.since_sync) as usize;
+            let n = out.len().min(room);
+            let resync = n == room;
+            let (run, rest) = out.split_at_mut(n);
+            out = rest;
+            run.fill(0.0);
+            let (body, last) = run.split_at_mut(n - usize::from(resync));
+            let base = self.sync_base + Sine::RESYNC as u64;
+            for bank in &mut self.banks {
+                let (mut sin, mut cos) = (bank.sin, bank.cos);
+                for slot in body.iter_mut() {
+                    *slot = bank.mix(*slot, &sin);
+                    let rotation = bank.step_sin.iter().zip(&bank.step_cos);
+                    for ((s, c), (&ss, &sc)) in sin.iter_mut().zip(&mut cos).zip(rotation) {
+                        let (s0, c0) = (*s, *c);
+                        *s = s0 * sc + c0 * ss;
+                        *c = c0 * sc - s0 * ss;
+                    }
+                }
+                for slot in last.iter_mut() {
+                    *slot = bank.mix(*slot, &sin);
+                    for ((s, c), &step) in sin.iter_mut().zip(&mut cos).zip(&bank.step) {
+                        let phase = (base as f64 * step) % core::f64::consts::TAU;
+                        *s = phase.sin();
+                        *c = phase.cos();
+                    }
+                }
+                bank.sin = sin;
+                bank.cos = cos;
             }
-        }
-        for slot in out.iter_mut() {
-            *slot *= self.norm;
+            for slot in run.iter_mut() {
+                *slot *= self.norm;
+            }
+            if resync {
+                self.sync_base = base;
+                self.since_sync = 0;
+            } else {
+                self.since_sync += n as u32;
+            }
         }
     }
 }
@@ -263,9 +354,27 @@ impl Signal for ImpulseTrain {
     }
 }
 
+/// Rounds half away from zero, exactly like `f32::round` followed by a
+/// saturating `as i32`, without the out-of-line libm `roundf` the
+/// baseline x86-64 target emits per call (which also keeps the loop
+/// around it from vectorizing). `f64` holds `|x| + 0.5` exactly for any
+/// `f32` below 2^52 and `x` is already an integer above, so truncation
+/// lands on the same value; NaN maps to 0 and out-of-range values
+/// saturate (to ±`i32::MAX`), as `as` does.
+#[inline]
+fn round_to_i32(x: f32) -> i32 {
+    let y = x as f64;
+    let r = (y.abs() + 0.5) as i32;
+    if y < 0.0 {
+        -r
+    } else {
+        r
+    }
+}
+
 /// Converts a float sample in `[-1, 1]` to `i16` with clamping.
 pub fn f32_to_i16(v: f32) -> i16 {
-    (v.clamp(-1.0, 1.0) * 32_767.0).round() as i16
+    round_to_i32(v.clamp(-1.0, 1.0) * 32_767.0) as i16
 }
 
 /// Converts an `i16` sample to a float in `[-1, 1]`.
@@ -326,6 +435,49 @@ mod tests {
     }
 
     #[test]
+    fn multitone_is_bit_identical_to_summed_sines() {
+        // The pre-bank MultiTone: one `Sine` per partial, each output
+        // sample summed in declaration order from 0.0, then normalized.
+        // 18 partials are three full banks; 7 leave five idle lanes.
+        for count in [18u32, 7] {
+            let partials: Vec<(f32, f32)> = (1..=count)
+                .map(|h| (97.3 * h as f32, 0.30 / h as f32))
+                .collect();
+            let total: f32 = partials.iter().map(|&(_, a)| a).sum();
+            let norm = if total > 1.0 { 1.0 / total } else { 1.0 };
+            let mut sines: Vec<Sine> = partials
+                .iter()
+                .map(|&(f, a)| Sine::new(f, 44_100, a))
+                .collect();
+            let mut tone = MultiTone::new(44_100, &partials);
+            // Uneven chunks, 160 000 samples: four resyncs (every
+            // 32 768) are crossed, most of them mid-chunk; the
+            // one-sample chunks go through `next_sample`.
+            let mut done = 0usize;
+            let mut chunk = vec![0.0f32; 4_097];
+            for len in [1usize, 882, 4_097, 31, 1_764].iter().cycle() {
+                if done >= 160_000 {
+                    break;
+                }
+                let got = &mut chunk[..*len];
+                match got {
+                    [one] => *one = tone.next_sample(),
+                    _ => tone.fill(got),
+                }
+                for (i, g) in got.iter().enumerate() {
+                    let mut want = 0.0f32;
+                    for s in &mut sines {
+                        want += s.next_sample();
+                    }
+                    want *= norm;
+                    assert_eq!(g.to_bits(), want.to_bits(), "sample {}", done + i);
+                }
+                done += len;
+            }
+        }
+    }
+
+    #[test]
     fn white_noise_is_deterministic_per_seed() {
         let mut a = WhiteNoise::new(5, 1.0);
         let mut b = WhiteNoise::new(5, 1.0);
@@ -377,6 +529,47 @@ mod tests {
         assert_eq!(f32_to_i16(5.0), 32_767);
         assert_eq!(f32_to_i16(-5.0), -32_767);
         assert!((i16_to_f32(16_384) - 0.5).abs() < 0.001);
+    }
+
+    #[test]
+    fn rounding_matches_libm_round_at_every_boundary() {
+        // Every half-integer an i16 conversion can see, one ulp either
+        // side of it, both signs, plus the values `as` special-cases.
+        // Compared inside ±2^24: at saturation the negated i32::MAX is
+        // one above i32::MIN, which every caller's clamp absorbs.
+        let check = |x: f32| {
+            let lim = 1i32 << 24;
+            let want = (x.round() as i32).clamp(-lim, lim);
+            assert_eq!(round_to_i32(x).clamp(-lim, lim), want, "{x:e}");
+        };
+        for k in -32_768i32..32_768 {
+            let half = k as f32 + 0.5;
+            for x in [half, half.next_up(), half.next_down()] {
+                check(x);
+                check(-x);
+            }
+        }
+        for x in [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            0.49999997,
+            8_388_607.5,
+            2_147_483_520.0,
+        ] {
+            check(x);
+        }
+        // And through the public conversion, over the whole unit range.
+        for i in -70_000i32..=70_000 {
+            let v = i as f32 / 65_536.0;
+            let want = (v.clamp(-1.0, 1.0) * 32_767.0).round() as i16;
+            assert_eq!(f32_to_i16(v), want, "{v}");
+        }
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! path is always the O(N log N) FFT; the Figure 4 and §3.4 experiments
 //! explicitly select `CostModel::Direct` so the billed work stays on
 //! this calibration, while everything else defaults to
-//! `CostModel::Fft`, which bills ≈ 13× less for OVL at N = 512.
+//! `CostModel::Fft`, which bills ≈ 57× less per transform at N = 512
+//! (fold + N/2-point FFT, 9216 work units against 524 288; ≈ 50× less
+//! for a whole OVL packet).
 //!
 //! # Figure 5 — context-switch rates
 //!

@@ -333,12 +333,13 @@ mod tests {
 
     #[test]
     fn ovl_costs_most_cpu() {
-        // Under the default FFT accounting OVL is ~12x ADPCM; under the
-        // paper-fidelity direct model it stays >100x.
+        // Under the default FFT accounting (fold + n/2-point FFT) OVL
+        // is ~6x ADPCM; under the paper-fidelity direct model it stays
+        // >100x.
         let codecs = Codecs::new();
         let s = stereo(4_096);
         let work = |c| codecs.encode(c, &s, 2, 10).work_units;
-        assert!(work(CodecId::Ovl) > work(CodecId::Adpcm) * 10);
+        assert!(work(CodecId::Ovl) > work(CodecId::Adpcm) * 5);
         assert!(work(CodecId::Adpcm) >= work(CodecId::ULaw));
         assert!(work(CodecId::ULaw) >= work(CodecId::Pcm));
 

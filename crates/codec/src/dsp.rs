@@ -53,10 +53,19 @@ pub fn interleave_denormalize(synth: &[f32], ch: usize, c: usize, out: &mut [i16
 
 /// Quantizes one band of coefficients: `out[i]` is `band[i]` scaled by
 /// `1/scale`, stretched to the `qmax` grid, rounded and clamped.
+///
+/// Rounding is half away from zero, bit-identical to the
+/// `f32::round() as i32` of [`scalar::quantize_band`] but inline:
+/// `f64` holds `|x| + 0.5` exactly for any `f32` below 2^52 (and `x`
+/// is an integer already above), NaN maps to 0 and out-of-range values
+/// saturate into the clamp — whereas `round` is an out-of-line libm
+/// `roundf` per coefficient on the baseline x86-64 target.
 pub fn quantize_band(band: &[f32], scale: f32, qmax: i32, out: &mut [i32]) {
     let qmax_f = qmax as f32;
     for (o, &c) in out.iter_mut().zip(band) {
-        *o = ((c / scale * qmax_f).round() as i32).clamp(-qmax, qmax);
+        let x = (c / scale * qmax_f) as f64;
+        let r = (x.abs() + 0.5) as i32;
+        *o = (if x < 0.0 { -r } else { r }).clamp(-qmax, qmax);
     }
 }
 

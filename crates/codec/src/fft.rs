@@ -1,8 +1,9 @@
 //! An iterative radix-2 complex FFT for the MDCT fast path.
 //!
-//! The MDCT in [`crate::mdct`] reduces both its forward and inverse
-//! transforms to one complex FFT of the full window length (2N), so a
-//! single engine here serves both directions. The implementation is the
+//! The MDCT in [`crate::mdct`] folds its window to N samples and
+//! reduces both its forward and inverse transforms to one complex FFT
+//! of N/2 points (a DCT-IV between two twiddle passes), so a single
+//! engine here serves both directions. The implementation is the
 //! textbook in-place decimation-in-time form: bit-reversal permutation
 //! followed by log2(len) butterfly passes against a precomputed twiddle
 //! table. Only power-of-two lengths are supported; the MDCT falls back

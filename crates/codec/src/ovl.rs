@@ -270,6 +270,13 @@ impl OvlCodec {
         let padded_len = per_ch.div_ceil(BLOCK) * BLOCK;
         let n_windows = padded_len / BLOCK + 1;
 
+        // Every window × channel spends at least one keep-flag bit per
+        // band, so the header cannot claim more audio than the payload
+        // has bits for — checked before the arena is sized from it.
+        if n_windows * ch * self.widths.len() > (bytes.len() - 6) * 8 {
+            return Err(OvlError::BadBitstream);
+        }
+
         let mut br = BitReader::new(&bytes[6..]);
         let mut work: u64 = (per_ch * ch) as u64 * 2;
         let wn = n_windows * BLOCK;
@@ -432,6 +439,23 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_quality_and_size_are_pinned_to_the_2n_point_mdct() {
+        // The fold + n/2-point-FFT MDCT is equal to the 2n-point one it
+        // replaced only to rounding, so the evidence that the codec did
+        // not change is its quality and its size. One second of stereo
+        // at the parent commit (2n-point FFT): 12 076 bytes, 49.635370
+        // dB. Allowed: 0.01 % and 0.01 dB.
+        let codec = OvlCodec::new();
+        let samples = music_stereo(44_100);
+        let enc = codec.encode(&samples, 2, MAX_QUALITY);
+        let dec = codec.decode(&enc.bytes).unwrap();
+        let snr = snr_db(&samples, &dec.samples).unwrap();
+        assert!((snr - 49.635_370).abs() < 0.01, "snr {snr} dB");
+        let len = enc.bytes.len() as f64;
+        assert!((len - 12_076.0).abs() <= 12_076.0 * 1e-4, "{len} bytes");
+    }
+
+    #[test]
     fn compression_actually_compresses() {
         let codec = OvlCodec::new();
         let samples = music_stereo(4_096);
@@ -547,6 +571,37 @@ mod tests {
             codec.decode(truncated),
             Err(OvlError::BadBitstream)
         ));
+    }
+
+    #[test]
+    fn forged_sample_count_is_rejected_before_allocating() {
+        // 8 channels × 2^24 samples claimed by a 6-byte payload: this
+        // used to zero 515 MiB of arena before reading the first bit.
+        let codec = OvlCodec::new();
+        codec
+            .decode(&codec.encode(&music_stereo(1_024), 2, 10).bytes)
+            .unwrap();
+        let before = codec.arena.borrow().coeffs.capacity();
+        assert!(matches!(
+            codec.decode(&[8, 10, 0, 0, 0, 1]),
+            Err(OvlError::BadBitstream)
+        ));
+        assert_eq!(codec.arena.borrow().coeffs.capacity(), before);
+    }
+
+    #[test]
+    fn smallest_legal_packet_still_decodes() {
+        // One block of mono silence: two windows, one cleared keep
+        // flag per band, nothing else.
+        let codec = OvlCodec::new();
+        let flag_bytes = (2 * band_widths(BLOCK).len()).div_ceil(8);
+        let mut bytes = vec![1u8, MAX_QUALITY];
+        bytes.extend_from_slice(&(BLOCK as u32).to_le_bytes());
+        bytes.resize(6 + flag_bytes, 0);
+        assert_eq!(codec.encode(&[0i16; BLOCK], 1, MAX_QUALITY).bytes, bytes);
+        assert_eq!(codec.decode(&bytes).unwrap().samples, vec![0i16; BLOCK]);
+        bytes.pop();
+        assert!(matches!(codec.decode(&bytes), Err(OvlError::BadBitstream)));
     }
 
     #[test]

@@ -32,6 +32,41 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `quantize_band` rounds inline instead of calling libm `roundf`; the
+/// scalar oracle still calls `f32::round`. With `scale == qmax` (a
+/// power of two) the scaling is exact, so the band values are the
+/// values rounded: every half-integer boundary in the i16 range, one
+/// ulp either side, both signs, and the values `as i32` special-cases.
+#[test]
+fn quantize_rounding_matches_scalar_at_every_half_integer() {
+    let mut band = vec![
+        0.0f32,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MAX,
+        f32::MIN,
+        f32::MIN_POSITIVE,
+        0.49999997,
+        8_388_607.5,
+    ];
+    for k in -32_768i32..32_768 {
+        let half = k as f32 + 0.5;
+        for x in [half, half.next_up(), half.next_down()] {
+            band.extend([x, -x]);
+        }
+    }
+    let qmax = 1i32 << 24;
+    let mut fast = vec![0i32; band.len()];
+    let mut slow = vec![0i32; band.len()];
+    dsp::quantize_band(&band, qmax as f32, qmax, &mut fast);
+    dsp::scalar::quantize_band(&band, qmax as f32, qmax, &mut slow);
+    for ((x, f), s) in band.iter().zip(&fast).zip(&slow) {
+        assert_eq!(f, s, "{x:e}");
+    }
+}
+
 proptest::proptest! {
     #[test]
     fn prop_deinterleave_matches_scalar(

@@ -545,3 +545,23 @@ fn gain_and_concealment_fade_stay_private_to_the_speaker_that_applies_them() {
     let with_replica = [&source[0], &source[1], &faded, &source[2]].map(|b| &b[..]);
     assert_eq!(audible(&plc), with_replica.concat());
 }
+
+#[test]
+fn forged_ovl_sample_count_costs_one_decode_error_and_the_stream_plays_on() {
+    // A 6-byte OVL payload claiming 8 channels × 2^24 samples: the
+    // decoder must refuse it from the header alone (it used to size a
+    // 515 MiB arena first), and the next good packet must play.
+    let mut rig = Rig::new(LanConfig::default());
+    let spk = rig.speakers(1, G).remove(0);
+    rig.send(G, control(57, 0, AudioConfig::CD, CodecId::Ovl));
+    rig.sim.run();
+    let forged = Bytes::from(vec![8u8, 10, 0, 0, 0, 1]);
+    rig.send(G, data(57, 0, 300_000, CodecId::Ovl, forged));
+    let samples = ramp(1_000);
+    let good = Codecs::new().encode(CodecId::Ovl, &samples, 2, MAX_QUALITY);
+    rig.send(G, data(57, 1, 350_000, CodecId::Ovl, good.bytes.into()));
+    rig.run_ms(1_000);
+    let st = spk.stats();
+    assert_eq!(st.decode_errors, 1, "{st:?}");
+    assert_eq!(st.samples_played, samples.len() as u64, "{st:?}");
+}

@@ -30,7 +30,6 @@ impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
         Bytes {
-            // es-allow(hot-path-transitive): empty-buffer constant; Vec::new does not allocate
             data: Arc::new(Vec::new()),
         }
     }
@@ -39,7 +38,6 @@ impl Bytes {
     /// nothing here depends on that optimization).
     pub fn from_static(data: &'static [u8]) -> Self {
         Bytes {
-            // es-allow(hot-path-transitive): one copy at buffer creation; every later clone is a refcount bump
             data: Arc::new(data.to_vec()),
         }
     }
@@ -47,7 +45,6 @@ impl Bytes {
     /// Copies a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes {
-            // es-allow(hot-path-transitive): one copy at buffer creation; every later clone is a refcount bump
             data: Arc::new(data.to_vec()),
         }
     }
@@ -64,7 +61,6 @@ impl Bytes {
 
     /// Copies the contents into a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
-        // es-allow(hot-path-transitive): explicit copy-out API; lane code passes Bytes around by refcounted clone
         self.data.to_vec()
     }
 }

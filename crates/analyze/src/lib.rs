@@ -14,9 +14,13 @@
 //! ([`lexer`]) distinguishes code from comments and strings, a
 //! workspace walker ([`walker`]) attributes files to crates and
 //! target roles, and a rule registry ([`rules`]) runs lexical checks
-//! scoped by that attribution. Legitimate exceptions are written down
-//! in-line as `// es-allow(rule): reason` pragmas ([`pragma`]); the
-//! reason is mandatory and the pragma must name a registered rule.
+//! scoped by that attribution. One check needs every file at once —
+//! a telemetry key must keep one kind workspace-wide — so a
+//! telemetry-site extractor ([`parser`]) feeds a workspace pass
+//! ([`passes`]). Legitimate exceptions are written down in-line as
+//! `// es-allow(rule): reason` pragmas ([`pragma`]); the reason is
+//! mandatory, and the pragma must name a registered check and cover a
+//! finding.
 //!
 //! Run it as `cargo run -p es-analyze -- --workspace` (non-zero exit
 //! on any unexcused finding) — `scripts/check.sh` does, before the
@@ -25,9 +29,6 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-pub mod cache;
-pub mod index;
-pub mod jsonio;
 pub mod lexer;
 pub mod parser;
 pub mod passes;
@@ -60,76 +61,112 @@ pub struct Finding {
     pub reason: Option<String>,
 }
 
-/// Runs phase 1 on one file: lexical rules plus the parsed
-/// [`parser::FileSummary`] the semantic passes consume. Findings
-/// covered by a well-formed pragma come back `allowed` with the
-/// pragma's reason attached.
-fn phase1(file: &SourceFile, src: &str) -> (Vec<Finding>, parser::FileSummary) {
-    let lexed = lexer::lex(src);
-    let pragmas = pragma::parse(&lexed.comments);
-    let ctx = rules::FileCtx {
-        file,
-        tokens: &lexed.tokens,
-        comments: &lexed.comments,
-        pragmas: &pragmas,
-    };
-    let mut out = Vec::new();
-    for rule in rules::all() {
-        for raw in rule.check(&ctx) {
-            let covering = pragma::covering(&pragmas, rule.id, raw.line);
-            out.push(Finding {
-                rule: rule.id.to_string(),
-                rel: file.rel.clone(),
-                line: raw.line,
-                message: raw.message,
-                allowed: covering.is_some(),
-                reason: covering.map(|p| p.reason.clone()),
-            });
-        }
+/// Resolves one raw finding against its file's pragmas: covered by a
+/// well-formed pragma it comes back `allowed` with the pragma's reason
+/// attached, and the pragma is marked used.
+fn resolve(
+    rule: &str,
+    line: u32,
+    message: String,
+    entry: &passes::FileEntry,
+    used: &mut [bool],
+) -> Finding {
+    let covering = pragma::covering(&entry.summary.pragmas, rule, line);
+    if let Some(i) = covering {
+        used[i] = true;
     }
-    let summary = parser::parse(&lexed.tokens, &lexed.comments);
-    (out, summary)
+    Finding {
+        rule: rule.to_string(),
+        rel: entry.rel.clone(),
+        line,
+        message,
+        allowed: covering.is_some(),
+        reason: covering.map(|i| entry.summary.pragmas[i].reason.clone()),
+    }
 }
 
-/// Runs every phase-2 semantic pass over the indexed entries and
-/// resolves each pass finding against its target file's pragmas.
-fn run_passes(entries: &[index::FileEntry]) -> Vec<Finding> {
-    let ix = index::Index::build(entries);
-    let mut out = Vec::new();
+/// Analyzes a set of files as one workspace: the lexical rules on each
+/// file, the workspace pass over all of them, then pragma hygiene —
+/// a pragma naming a registered check that covered no finding of
+/// either kind is a `pragma` finding, which is why it is judged last.
+/// Findings are sorted by (path, line, rule).
+fn analyze_sources(sources: &[(&SourceFile, &str)]) -> (Vec<Finding>, Vec<passes::KeyEntry>) {
+    let mut findings = Vec::new();
+    let mut entries = Vec::with_capacity(sources.len());
+    let mut used: Vec<Vec<bool>> = Vec::with_capacity(sources.len());
+    for &(file, src) in sources {
+        let lexed = lexer::lex(src);
+        let entry = passes::FileEntry {
+            rel: file.rel.clone(),
+            summary: parser::parse(&lexed.tokens, &lexed.comments),
+        };
+        let mut file_used = vec![false; entry.summary.pragmas.len()];
+        let ctx = rules::FileCtx {
+            file,
+            tokens: &lexed.tokens,
+            comments: &lexed.comments,
+            pragmas: &entry.summary.pragmas,
+        };
+        for rule in rules::all() {
+            for raw in rule.check(&ctx) {
+                findings.push(resolve(
+                    rule.id,
+                    raw.line,
+                    raw.message,
+                    &entry,
+                    &mut file_used,
+                ));
+            }
+        }
+        entries.push(entry);
+        used.push(file_used);
+    }
     for pass in passes::all() {
-        for pf in (pass.check)(&ix) {
-            let covering = entries
-                .iter()
-                .find(|e| e.rel == pf.rel)
-                .and_then(|e| pragma::covering(&e.summary.pragmas, pass.id, pf.line));
-            out.push(Finding {
-                rule: pass.id.to_string(),
-                rel: pf.rel,
-                line: pf.line,
-                message: pf.message,
-                allowed: covering.is_some(),
-                reason: covering.map(|p| p.reason.clone()),
+        for pf in (pass.check)(&entries) {
+            if let Some(i) = entries.iter().position(|e| e.rel == pf.rel) {
+                findings.push(resolve(
+                    pass.id,
+                    pf.line,
+                    pf.message,
+                    &entries[i],
+                    &mut used[i],
+                ));
+            }
+        }
+    }
+    for (entry, file_used) in entries.iter().zip(&used) {
+        for (p, &was_used) in entry.summary.pragmas.iter().zip(file_used) {
+            // An unknown rule id is already a finding: the lexical
+            // half of the `pragma` rule.
+            if was_used || !rules::is_registered(&p.rule) {
+                continue;
+            }
+            findings.push(Finding {
+                rule: "pragma".to_string(),
+                rel: entry.rel.clone(),
+                line: p.line,
+                message: format!(
+                    "pragma for `{}` covers no finding on its own line or the line below; \
+                     delete it, or move it next to the code it excuses",
+                    p.rule
+                ),
+                allowed: false,
+                reason: None,
             });
         }
     }
-    out
+    findings.sort_by(|a, b| {
+        (a.rel.as_str(), a.line, a.rule.as_str()).cmp(&(b.rel.as_str(), b.line, b.rule.as_str()))
+    });
+    (findings, passes::inventory(&entries))
 }
 
-/// Analyzes one file's source text under the given attribution — both
-/// the lexical rules and the semantic passes, the latter over a
-/// one-file workspace (which is how the fixture tests exercise them;
-/// cross-file resolution needs [`analyze_workspace`]).
+/// Analyzes one file's source text under the given attribution — the
+/// lexical rules and the workspace pass, the latter over a one-file
+/// workspace (which is how the fixture tests exercise it; cross-file
+/// conflicts need [`analyze_workspace`]).
 pub fn analyze_source(file: &SourceFile, src: &str) -> Vec<Finding> {
-    let (mut out, summary) = phase1(file, src);
-    let entries = vec![index::FileEntry {
-        rel: file.rel.clone(),
-        krate: file.krate.clone(),
-        role: file.role,
-        summary,
-    }];
-    out.extend(run_passes(&entries));
-    out.sort_by(|a, b| (a.line, a.rule.as_str()).cmp(&(b.line, b.rule.as_str())));
-    out
+    analyze_sources(&[(file, src)]).0
 }
 
 /// Analyzes one file from disk.
@@ -140,69 +177,26 @@ pub fn analyze_file(file: &SourceFile) -> io::Result<Vec<Finding>> {
 
 /// Analyzes every `.rs` file under `root` (skipping `target/`,
 /// `results/`, dotdirs, and the analyzer's own rule-violation
-/// fixtures). Findings are sorted by (path, line, rule).
+/// fixtures).
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
-    analyze_workspace_cached(root, None)
-}
-
-/// [`analyze_workspace`] with an optional incremental cache. When
-/// `cache_path` is given, phase 1 (lex → parse → lexical rules) is
-/// skipped for files whose byte hash matches the cached entry; phase 2
-/// always re-runs over the (cached or fresh) summaries because its
-/// findings are cross-file. The refreshed cache is written back
-/// before returning.
-pub fn analyze_workspace_cached(root: &Path, cache_path: Option<&Path>) -> io::Result<Report> {
-    Ok(analyze_workspace_full(root, cache_path)?.0)
+    Ok(analyze_workspace_full(root)?.0)
 }
 
 /// The full workspace sweep: the report plus the telemetry key
 /// inventory (the source of `results/telemetry-keys.json`), extracted
-/// from the same phase-1 summaries so a warm run pays for neither
-/// twice.
-pub fn analyze_workspace_full(
-    root: &Path,
-    cache_path: Option<&Path>,
-) -> io::Result<(Report, Vec<passes::KeyEntry>)> {
+/// from the same per-file summaries.
+pub fn analyze_workspace_full(root: &Path) -> io::Result<(Report, Vec<passes::KeyEntry>)> {
     let files = walker::discover(root)?;
-    let mut cached = cache_path.and_then(cache::Cache::load).unwrap_or_default();
-    let mut findings = Vec::new();
-    let mut entries = Vec::with_capacity(files.len());
-    let mut next = cache::Cache::default();
-    for file in &files {
-        let bytes = fs::read(&file.path)?;
-        let hash = cache::fnv1a64(&bytes);
-        let entry = match cached.files.remove(&file.rel) {
-            Some(e) if e.hash == hash => e,
-            _ => {
-                let src = String::from_utf8_lossy(&bytes);
-                let (file_findings, summary) = phase1(file, &src);
-                cache::Entry {
-                    hash,
-                    findings: file_findings,
-                    summary,
-                }
-            }
-        };
-        findings.extend(entry.findings.iter().cloned());
-        entries.push(index::FileEntry {
-            rel: file.rel.clone(),
-            krate: file.krate.clone(),
-            role: file.role,
-            summary: entry.summary.clone(),
-        });
-        next.files.insert(file.rel.clone(), entry);
-    }
-    findings.extend(run_passes(&entries));
-    findings.sort_by(|a, b| {
-        (a.rel.as_str(), a.line, a.rule.as_str()).cmp(&(b.rel.as_str(), b.line, b.rule.as_str()))
-    });
-    if let Some(path) = cache_path {
-        // A cache that fails to write is a warm-start loss, not an
-        // analysis failure.
-        let _ = next.save(path);
-    }
-    let ix = index::Index::build(&entries);
-    let inventory = passes::inventory(&ix);
+    let texts = files
+        .iter()
+        .map(|f| Ok(String::from_utf8_lossy(&fs::read(&f.path)?).into_owned()))
+        .collect::<io::Result<Vec<String>>>()?;
+    let sources: Vec<(&SourceFile, &str)> = files
+        .iter()
+        .zip(&texts)
+        .map(|(f, t)| (f, t.as_str()))
+        .collect();
+    let (findings, inventory) = analyze_sources(&sources);
     Ok((
         Report {
             // Every path in the report is relative to the workspace
@@ -247,11 +241,26 @@ mod tests {
     }
 
     #[test]
-    fn pragma_for_other_rule_does_not_suppress() {
+    fn pragma_for_other_rule_does_not_suppress_and_is_itself_flagged() {
         let src = "fn f() {\n    // es-allow(unseeded-rng): wrong rule\n    \
                    let t = Instant::now();\n}\n";
         let fs = analyze_source(&file("crates/net/src/lan.rs"), src);
-        assert_eq!(fs.len(), 1);
-        assert!(!fs[0].allowed);
+        let got: Vec<(&str, u32, bool)> = fs
+            .iter()
+            .map(|f| (f.rule.as_str(), f.line, f.allowed))
+            .collect();
+        assert_eq!(got, vec![("pragma", 2, false), ("wall-clock", 3, false)]);
+    }
+
+    #[test]
+    fn pass_findings_count_as_pragma_use() {
+        let src = "fn a(r: &mut R) { r.component(\"net\").counter(\"k\", 1); }\n\
+                   fn b(r: &mut R) { r.component(\"net\").counter(\"k\", 1); }\n\
+                   // es-allow(telemetry-registry): fixture keeps a legacy gauge\n\
+                   fn c(r: &mut R) { r.component(\"net\").gauge(\"k\", 1.0); }\n";
+        let fs = analyze_source(&file("crates/net/src/lan.rs"), src);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!(fs[0].rule, "telemetry-registry");
+        assert!(fs[0].allowed);
     }
 }

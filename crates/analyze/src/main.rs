@@ -1,8 +1,7 @@
 //! The `es-analyze` command-line interface.
 //!
 //! ```text
-//! es-analyze [--workspace] [--json] [--strict]
-//!            [--cache PATH] [--telemetry-keys PATH]
+//! es-analyze [--workspace] [--json] [--strict] [--telemetry-keys PATH]
 //! es-analyze [--as-crate NAME] [--json] [--strict] PATH...
 //! ```
 //!
@@ -11,14 +10,14 @@
 //! `--workspace` makes that explicit. Explicit `PATH`s analyze
 //! individual files — useful for fixtures and editor integration;
 //! `--as-crate` overrides crate attribution so scoped rules apply.
-//! `--cache PATH` enables the incremental phase-1 cache (see
-//! `es_analyze::cache`); `--telemetry-keys PATH` writes the workspace
-//! telemetry key inventory. Exit status: 0 when no active findings,
-//! 1 when findings remain, 2 on usage or I/O errors.
+//! `--telemetry-keys PATH` writes the workspace telemetry key
+//! inventory. Exit status: 0 when no active findings, 1 when findings
+//! remain, 2 on usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use es_analyze::report::json_str;
 use es_analyze::{analyze_file, analyze_workspace_full, passes, rules, walker, Report};
 
 struct Opts {
@@ -26,13 +25,12 @@ struct Opts {
     strict: bool,
     list_rules: bool,
     as_crate: Option<String>,
-    cache: Option<PathBuf>,
     telemetry_keys: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: es-analyze [--workspace] [--json] [--strict] [--cache PATH] [--telemetry-keys PATH]\n\
+    "usage: es-analyze [--workspace] [--json] [--strict] [--telemetry-keys PATH]\n\
      \x20      es-analyze [--as-crate NAME] [--json] [--strict] PATH...\n\
      \x20      es-analyze --list-rules"
 }
@@ -43,7 +41,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         strict: false,
         list_rules: false,
         as_crate: None,
-        cache: None,
         telemetry_keys: None,
         paths: Vec::new(),
     };
@@ -62,12 +59,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                         .ok_or_else(|| "--as-crate needs a crate name".to_string())?
                         .clone(),
                 );
-            }
-            "--cache" => {
-                opts.cache = Some(PathBuf::from(
-                    it.next()
-                        .ok_or_else(|| "--cache needs a path".to_string())?,
-                ));
             }
             "--telemetry-keys" => {
                 opts.telemetry_keys =
@@ -105,9 +96,8 @@ fn analyze_paths(opts: &Opts) -> std::io::Result<Report> {
     let mut scanned = 0usize;
     for path in &opts.paths {
         // `--as-crate net` analyzes the file as if it lived in
-        // `crates/net/src/` — crate-scoped rules apply and the file
-        // counts as library code for the semantic passes (the fixture
-        // harness depends on both).
+        // `crates/net/src/` — crate-scoped rules apply (the fixture
+        // harness depends on it).
         let rel = match &opts.as_crate {
             Some(krate) => format!(
                 "crates/{krate}/src/{}",
@@ -132,27 +122,20 @@ fn analyze_paths(opts: &Opts) -> std::io::Result<Report> {
 /// Renders the telemetry key inventory as deterministic JSON, sorted
 /// by (component, name).
 fn inventory_json(inv: &[passes::KeyEntry]) -> String {
-    use es_analyze::jsonio::Value;
-    let keys = Value::Arr(
-        inv.iter()
-            .map(|k| {
-                Value::Obj(vec![
-                    ("component".into(), Value::Str(k.component.clone())),
-                    ("name".into(), Value::Str(k.name.clone())),
-                    ("kind".into(), Value::Str(k.kind().to_string())),
-                    ("writers".into(), Value::Num(k.writers as f64)),
-                    ("readers".into(), Value::Num(k.readers as f64)),
-                ])
-            })
-            .collect(),
-    );
-    let doc = Value::Obj(vec![
-        ("schema_version".into(), Value::Num(1.0)),
-        ("keys".into(), keys),
-    ]);
-    let mut text = doc.to_json();
-    text.push('\n');
-    text
+    let keys: Vec<String> = inv
+        .iter()
+        .map(|k| {
+            format!(
+                "{{\"component\":{},\"name\":{},\"kind\":{},\"writers\":{},\"readers\":{}}}",
+                json_str(&k.component),
+                json_str(&k.name),
+                json_str(k.kind()),
+                k.writers,
+                k.readers
+            )
+        })
+        .collect();
+    format!("{{\"schema_version\":1,\"keys\":[{}]}}\n", keys.join(","))
 }
 
 fn main() -> ExitCode {
@@ -180,7 +163,7 @@ fn main() -> ExitCode {
             eprintln!("es-analyze: no workspace Cargo.toml above the current directory");
             return ExitCode::from(2);
         };
-        match analyze_workspace_full(&root, opts.cache.as_deref()) {
+        match analyze_workspace_full(&root) {
             Ok((report, inventory)) => {
                 if let Some(path) = &opts.telemetry_keys {
                     if let Some(parent) = path.parent() {
@@ -257,22 +240,16 @@ mod tests {
     }
 
     #[test]
-    fn parse_cache_and_telemetry_paths() {
+    fn parse_telemetry_keys_path() {
         let o = parse_args(&[
-            "--cache".to_string(),
-            "results/analyze-cache.json".to_string(),
             "--telemetry-keys".to_string(),
             "results/telemetry-keys.json".to_string(),
         ])
         .unwrap();
         assert_eq!(
-            o.cache.as_deref(),
-            Some(std::path::Path::new("results/analyze-cache.json"))
-        );
-        assert_eq!(
             o.telemetry_keys.as_deref(),
             Some(std::path::Path::new("results/telemetry-keys.json"))
         );
-        assert!(parse_args(&["--cache".to_string()]).is_err());
+        assert!(parse_args(&["--telemetry-keys".to_string()]).is_err());
     }
 }

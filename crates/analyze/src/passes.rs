@@ -1,18 +1,26 @@
-//! Phase-2 semantic passes over the workspace call graph.
+//! The workspace pass: the one check that needs every file at once.
 //!
-//! Unlike the lexical rules in [`crate::rules`], which see one file's
-//! token stream at a time, passes run over the whole-workspace
-//! [`Index`] and can follow a call from an `// es-hot-path` region in
-//! `es-speaker` into an allocating helper two crates away. Each pass
-//! produces findings attributed to a file and line exactly like a
-//! rule, and `// es-allow(<pass-id>): reason` pragmas suppress them
-//! the same way (see DESIGN.md §8 for each pass's contract and the
-//! resolution approximations it inherits from the index).
+//! The lexical rules in [`crate::rules`] see one file's token stream
+//! at a time. Whether a telemetry key keeps one kind is a property of
+//! the whole workspace — the counter and the gauge that disagree live
+//! in different crates — so it runs after every file has been
+//! summarized, over the per-file telemetry site lists. A pass produces
+//! findings attributed to a file and line exactly like a rule, and
+//! `// es-allow(<pass-id>): reason` pragmas in that file suppress them
+//! the same way (see DESIGN.md §8).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use crate::index::{chain_names, in_regions, FileEntry, FnId, Index};
-use crate::walker::Role;
+use crate::parser::FileSummary;
+
+/// One file as a pass sees it.
+#[derive(Debug, Clone)]
+pub struct FileEntry {
+    /// Workspace-relative path, `/`-separated.
+    pub rel: String,
+    /// Its telemetry sites and pragmas.
+    pub summary: FileSummary,
+}
 
 /// A pass finding before pragma resolution — the cross-file analogue
 /// of [`crate::rules::RawFinding`], carrying the file it lands in.
@@ -26,38 +34,24 @@ pub struct PassFinding {
     pub message: String,
 }
 
-/// One semantic pass.
+/// One workspace pass.
 pub struct Pass {
-    /// Stable id, used in pragmas and reports (`hot-path-transitive`).
+    /// Stable id, used in pragmas and reports (`telemetry-registry`).
     pub id: &'static str,
     /// One-line description for `--list-rules`.
     pub summary: &'static str,
     /// The pass body.
-    pub check: fn(&Index<'_>) -> Vec<PassFinding>,
+    pub check: fn(&[FileEntry]) -> Vec<PassFinding>,
 }
 
-/// Every semantic pass, in documentation order.
+/// Every workspace pass, in documentation order.
 pub fn all() -> Vec<Pass> {
-    vec![
-        Pass {
-            id: "hot-path-transitive",
-            summary: "no allocation in callees reachable from es-hot-path regions \
-                      (extends hot-path-alloc through the call graph)",
-            check: hot_path_transitive,
-        },
-        Pass {
-            id: "panic-path",
-            summary: "no unwrap/expect/panic!/indexing in functions reachable from \
-                      hot-path regions",
-            check: panic_path,
-        },
-        Pass {
-            id: "telemetry-registry",
-            summary: "every component/name telemetry key has exactly one kind \
-                      (counter|gauge|histogram) across the workspace",
-            check: telemetry_registry,
-        },
-    ]
+    vec![Pass {
+        id: "telemetry-registry",
+        summary: "every component/name telemetry key has exactly one kind \
+                  (counter|gauge|histogram) across the workspace",
+        check: telemetry_registry,
+    }]
 }
 
 /// True when a pass id is registered (pragma hygiene uses this).
@@ -65,196 +59,14 @@ pub fn is_registered(id: &str) -> bool {
     all().iter().any(|p| p.id == id)
 }
 
-/// Call sites lexically inside hot regions of lib files, with their
-/// file index — the roots every hot-path sweep starts from.
-fn hot_region_calls<'a>(ix: &'a Index<'_>) -> Vec<(usize, &'a crate::parser::Call)> {
-    let mut out = Vec::new();
-    for (fi, entry) in ix.files.iter().enumerate() {
-        if entry.role != Role::Lib || entry.summary.hot_regions.is_empty() {
-            continue;
-        }
-        for def in &entry.summary.fns {
-            for call in &def.calls {
-                if in_regions(&entry.summary.hot_regions, call.line) {
-                    out.push((fi, call));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// `hot-path-transitive`: for each call site inside a hot region,
-/// walk the reachable callees; if any of them allocates (outside its
-/// own file's hot regions — those sites are the direct rule's job),
-/// flag the *root call site*, naming the shortest chain and the
-/// allocation it reaches. One finding per root call site. An
-/// `es-allow(hot-path-transitive)` pragma at the allocation site
-/// sanctions that allocation for every path that reaches it (cold
-/// setup helpers); a pragma at the call site excuses just that call.
-fn hot_path_transitive(ix: &Index<'_>) -> Vec<PassFinding> {
-    let mut out = Vec::new();
-    for (fi, call) in hot_region_calls(ix) {
-        let roots = ix.resolve(fi, call);
-        if roots.is_empty() {
-            continue;
-        }
-        let reach = ix.reach(&roots);
-        // BFS order → the first offender yields a shortest chain.
-        let mut hit = None;
-        'scan: for &id in &reach.order {
-            let (entry, def) = ix.def(id);
-            for alloc in &def.allocs {
-                if in_regions(&entry.summary.hot_regions, alloc.line) {
-                    continue; // direct hot-path-alloc territory
-                }
-                if crate::pragma::covering(
-                    &entry.summary.pragmas,
-                    "hot-path-transitive",
-                    alloc.line,
-                )
-                .is_some()
-                {
-                    continue; // sanctioned at the allocation site
-                }
-                hit = Some((id, alloc.clone(), entry.rel.clone()));
-                break 'scan;
-            }
-        }
-        if let Some((id, alloc, alloc_rel)) = hit {
-            let chain = chain_names(ix, &reach.chain(id));
-            out.push(PassFinding {
-                rel: ix.files[fi].rel.clone(),
-                line: call.line,
-                message: format!(
-                    "hot-path call `{}` reaches an allocation: {} at {}:{} via {} — keep \
-                     steady-state decode allocation-free (reuse arenas/scratch buffers) or \
-                     sanction the allocation site with es-allow(hot-path-transitive)",
-                    call.name, alloc.kind, alloc_rel, alloc.line, chain
-                ),
-            });
-        }
-    }
-    out.sort_by_key(|f| (f.rel.clone(), f.line));
-    out.dedup();
-    out
-}
-
-/// `panic-path`: functions reachable from hot-path regions must not
-/// `unwrap`/`expect`/`panic!` or index slices. Findings are grouped
-/// per (function, kind) and anchored at the first offending line, so
-/// one reasoned pragma covers a function's audited sites of that
-/// kind. For the functions *containing* a hot region only sites
-/// inside the region count; for reachable callees the whole body
-/// counts (we cannot see which lines the hot caller exercises).
-fn panic_path(ix: &Index<'_>) -> Vec<PassFinding> {
-    let mut out = Vec::new();
-    // Region-resident sites: panic sites lexically inside hot regions,
-    // grouped per (fn, kind).
-    for entry in ix.files.iter() {
-        if entry.role != Role::Lib || entry.summary.hot_regions.is_empty() {
-            continue;
-        }
-        for def in &entry.summary.fns {
-            let mut by_kind: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
-            for site in &def.panics {
-                if in_regions(&entry.summary.hot_regions, site.line)
-                    && !in_regions(&entry.summary.test_regions, site.line)
-                {
-                    by_kind
-                        .entry(site.kind.as_str())
-                        .or_default()
-                        .push(site.line);
-                }
-            }
-            for (kind, lines) in by_kind {
-                out.push(group_finding(
-                    entry,
-                    &def.name,
-                    kind,
-                    &lines,
-                    "inside a hot-path region",
-                ));
-            }
-        }
-    }
-    // Reachable callees: BFS from region call sites; every reached
-    // fn's whole body is audited.
-    let mut roots: Vec<FnId> = hot_region_calls(ix)
-        .into_iter()
-        .flat_map(|(fi, call)| ix.resolve(fi, call))
-        .collect();
-    roots.sort_unstable();
-    roots.dedup();
-    let reach = ix.reach(&roots);
-    let mut emitted: BTreeSet<(String, String, String)> = BTreeSet::new();
-    for &id in &reach.order {
-        let (entry, def) = ix.def(id);
-        let mut by_kind: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
-        for site in &def.panics {
-            if in_regions(&entry.summary.test_regions, site.line) {
-                continue;
-            }
-            by_kind
-                .entry(site.kind.as_str())
-                .or_default()
-                .push(site.line);
-        }
-        if by_kind.is_empty() {
-            continue;
-        }
-        let chain = chain_names(ix, &reach.chain(id));
-        for (kind, lines) in by_kind {
-            if !emitted.insert((entry.rel.clone(), def.name.clone(), kind.to_string())) {
-                continue;
-            }
-            out.push(group_finding(
-                entry,
-                &def.name,
-                kind,
-                &lines,
-                &format!("reachable from a hot-path region via {chain}"),
-            ));
-        }
-    }
-    out.sort_by_key(|f| (f.rel.clone(), f.line));
-    out.dedup();
-    out
-}
-
-/// Builds one grouped panic-path finding anchored at the first site.
-fn group_finding(
-    entry: &FileEntry,
-    fn_name: &str,
-    kind: &str,
-    lines: &[u32],
-    why: &str,
-) -> PassFinding {
-    let first = *lines.iter().min().unwrap_or(&0);
-    let shown: Vec<String> = lines.iter().map(u32::to_string).collect();
-    let what = match kind {
-        "index" => "slice/array indexing (panics out of bounds)".to_string(),
-        "panic!" => "a panic! family macro".to_string(),
-        other => format!("`.{other}()`"),
-    };
-    PassFinding {
-        rel: entry.rel.clone(),
-        line: first,
-        message: format!(
-            "fn `{fn_name}` is {why} and uses {what} at line(s) {}; hot-path code must not \
-             be able to panic — return Result, use get()/split-checked access, or sanction \
-             the audited sites with es-allow(panic-path)",
-            shown.join(", ")
-        ),
-    }
-}
-
 /// `telemetry-registry`: a (component, name) key must keep one kind
-/// workspace-wide — a gauge merged as a counter silently corrupts
-/// `merge_shards`. Findings anchor at the first site of each
+/// workspace-wide — a `Scope` write of one kind replaces whatever the
+/// key held as another, and the snapshot's kind-typed lookups
+/// (`counter`, `counter_delta`, `sum_counters`) read nothing from a key
+/// of the wrong kind. Findings anchor at the first site of each
 /// conflicting kind beyond the majority one.
-fn telemetry_registry(ix: &Index<'_>) -> Vec<PassFinding> {
-    let inv = inventory(ix);
+fn telemetry_registry(files: &[FileEntry]) -> Vec<PassFinding> {
+    let inv = inventory(files);
     let mut out = Vec::new();
     for key in &inv {
         if key.kinds.len() <= 1 {
@@ -281,7 +93,8 @@ fn telemetry_registry(ix: &Index<'_>) -> Vec<PassFinding> {
                 line,
                 message: format!(
                     "telemetry key `{}/{}` is recorded as {} here but as {} at {}:{} — one \
-                     key, one kind ({}): mixed kinds corrupt merge_shards aggregation",
+                     key, one kind ({}): a write of one kind replaces the other's value, and \
+                     counter/counter_delta lookups read nothing from a gauge",
                     key.component,
                     key.name,
                     kind,
@@ -325,9 +138,9 @@ impl KeyEntry {
 
 /// Extracts the complete workspace key inventory, sorted by
 /// (component, name) — the source for `results/telemetry-keys.json`.
-pub fn inventory(ix: &Index<'_>) -> Vec<KeyEntry> {
+pub fn inventory(files: &[FileEntry]) -> Vec<KeyEntry> {
     let mut map: BTreeMap<(String, String), KeyEntry> = BTreeMap::new();
-    for entry in ix.files.iter() {
+    for entry in files {
         for site in &entry.summary.telemetry {
             let Some(component) = &site.component else {
                 continue;
@@ -363,92 +176,12 @@ mod tests {
     use crate::lexer;
     use crate::parser;
 
-    fn entry(rel: &str, krate: &str, src: &str) -> FileEntry {
+    fn entry(rel: &str, src: &str) -> FileEntry {
         let lexed = lexer::lex(src);
         FileEntry {
             rel: rel.to_string(),
-            krate: krate.to_string(),
-            role: Role::Lib,
             summary: parser::parse(&lexed.tokens, &lexed.comments),
         }
-    }
-
-    #[test]
-    fn transitive_alloc_is_flagged_at_the_region_call() {
-        let files = vec![
-            entry(
-                "crates/speaker/src/a.rs",
-                "speaker",
-                "fn decode() {\n// es-hot-path\nstep(1);\n// es-hot-path-end\n}\n",
-            ),
-            entry(
-                "crates/speaker/src/b.rs",
-                "speaker",
-                "pub fn step(x: u8) { deeper(x); }\npub fn deeper(x: u8) { let v = Vec::new(); }\n",
-            ),
-        ];
-        let ix = Index::build(&files);
-        let f = hot_path_transitive(&ix);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rel, "crates/speaker/src/a.rs");
-        assert_eq!(f[0].line, 3);
-        assert!(f[0].message.contains("step → deeper"), "{}", f[0].message);
-    }
-
-    #[test]
-    fn alloc_site_pragma_sanctions_every_path() {
-        let files = vec![
-            entry(
-                "crates/speaker/src/a.rs",
-                "speaker",
-                "fn decode() {\n// es-hot-path\nstep(1);\n// es-hot-path-end\n}\n",
-            ),
-            entry(
-                "crates/speaker/src/b.rs",
-                "speaker",
-                "pub fn step(x: u8) {\n\
-                 // es-allow(hot-path-transitive): cold-start scratch, reused afterwards\n\
-                 let v = Vec::new();\n}\n",
-            ),
-        ];
-        let ix = Index::build(&files);
-        assert!(hot_path_transitive(&ix).is_empty());
-    }
-
-    #[test]
-    fn panic_path_groups_per_fn_and_kind() {
-        let files = vec![
-            entry(
-                "crates/speaker/src/a.rs",
-                "speaker",
-                "fn decode() {\n// es-hot-path\nstep(1);\n// es-hot-path-end\n}\n",
-            ),
-            entry(
-                "crates/speaker/src/b.rs",
-                "speaker",
-                "pub fn step(x: u8) {\nlet a = y.unwrap();\nlet b = z.unwrap();\npanic!(\"no\");\n}\n",
-            ),
-        ];
-        let ix = Index::build(&files);
-        let f = panic_path(&ix);
-        // Two groups: unwrap (2 sites, 1 finding) and panic!.
-        assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f
-            .iter()
-            .any(|x| x.message.contains("lines) 2, 3") || x.message.contains("line(s) 2, 3")));
-    }
-
-    #[test]
-    fn region_resident_indexing_is_flagged_in_region_only() {
-        let files = vec![entry(
-            "crates/codec/src/a.rs",
-            "codec",
-            "fn f(xs: &[u8]) {\nlet cold = xs[0];\n// es-hot-path\nlet hot = xs[1];\n// es-hot-path-end\n}\n",
-        )];
-        let ix = Index::build(&files);
-        let f = panic_path(&ix);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].line, 4);
     }
 
     #[test]
@@ -456,17 +189,14 @@ mod tests {
         let files = vec![
             entry(
                 "crates/net/src/a.rs",
-                "net",
                 r#"fn r(&self, reg: &mut Registry) { reg.component("net").counter("fanout", 1); }"#,
             ),
             entry(
                 "crates/net/src/b.rs",
-                "net",
                 r#"fn r(&self, reg: &mut Registry) { reg.component("net").gauge("fanout", 2.0); }"#,
             ),
         ];
-        let ix = Index::build(&files);
-        let f = telemetry_registry(&ix);
+        let f = telemetry_registry(&files);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("net/fanout"));
     }
@@ -475,15 +205,13 @@ mod tests {
     fn consistent_keys_are_inventoried_without_findings() {
         let files = vec![entry(
             "crates/net/src/a.rs",
-            "net",
             r#"fn r(&self, reg: &mut Registry) {
                 reg.component("net").counter("frames_sent", 1);
             }
             fn probe(m: &M) { let x = m.counter("net/lan0/frames_sent"); }"#,
         )];
-        let ix = Index::build(&files);
-        assert!(telemetry_registry(&ix).is_empty());
-        let inv = inventory(&ix);
+        assert!(telemetry_registry(&files).is_empty());
+        let inv = inventory(&files);
         assert_eq!(inv.len(), 1);
         assert_eq!(inv[0].kind(), "counter");
         assert_eq!((inv[0].writers, inv[0].readers), (1, 1));

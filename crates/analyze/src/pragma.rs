@@ -6,6 +6,9 @@
 //! the line immediately below (comment-above style). A pragma with a
 //! missing or empty reason is *not* honoured, so the finding it meant
 //! to suppress still fails the gate: the reason is the audit trail.
+//! A well-formed pragma that ends up covering no finding is itself a
+//! finding (the `pragma` rule): a suppression that suppresses nothing
+//! is a stale claim about the code below it.
 
 use crate::lexer::LineComment;
 
@@ -49,12 +52,12 @@ pub fn parse(comments: &[LineComment]) -> Vec<Pragma> {
     out
 }
 
-/// Returns the pragma (if any) that suppresses `rule` at `line`: one
-/// on the same line, or one on the line directly above.
-pub fn covering<'a>(pragmas: &'a [Pragma], rule: &str, line: u32) -> Option<&'a Pragma> {
+/// Returns the index of the pragma (if any) that suppresses `rule` at
+/// `line`: one on the same line, or one on the line directly above.
+pub fn covering(pragmas: &[Pragma], rule: &str, line: u32) -> Option<usize> {
     pragmas
         .iter()
-        .find(|p| p.rule == rule && (p.line == line || p.line + 1 == line))
+        .position(|p| p.rule == rule && (p.line == line || p.line + 1 == line))
 }
 
 #[cfg(test)]

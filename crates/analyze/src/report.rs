@@ -115,7 +115,7 @@ impl Report {
 }
 
 /// Escapes a string for JSON output.
-fn json_str(s: &str) -> String {
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

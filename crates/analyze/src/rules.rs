@@ -94,13 +94,13 @@ pub fn all() -> Vec<Rule> {
         },
         Rule {
             id: "pragma",
-            summary: "es-allow pragmas must name a registered rule",
+            summary: "es-allow pragmas must name a registered rule and cover a finding",
             check: pragma_names_known_rule,
         },
     ]
 }
 
-/// True if the rule registry contains `id`. The `pragma` meta-rule
+/// True if `id` is a registered rule or pass. The `pragma` meta-rule
 /// uses this so a typoed suppression fails instead of silently
 /// suppressing nothing.
 pub fn is_registered(id: &str) -> bool {
@@ -471,6 +471,10 @@ fn hot_path_alloc(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     out
 }
 
+/// The lexical half of the `pragma` rule. The other half — a pragma
+/// that names a real check but covers no finding — can only be judged
+/// once every rule and the workspace pass have run, so it lives in
+/// `analyze_sources` (lib.rs) and reports under the same id.
 fn pragma_names_known_rule(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
     ctx.pragmas
         .iter()

@@ -1,15 +1,16 @@
-//! Self-test: every registered rule *and semantic pass* is exercised
-//! by a positive and a negative fixture, both through the library API
-//! and through the compiled CLI (exit codes, `--strict`, `--json`).
+//! Self-test: every registered rule *and the workspace pass* is
+//! exercised by a positive and a negative fixture, both through the
+//! library API and through the compiled CLI (exit codes, `--strict`,
+//! `--json`).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use es_analyze::{analyze_source, passes, rules, walker};
 
-/// Every check id: the lexical rules plus the phase-2 passes. The
+/// Every check id: the lexical rules plus the workspace pass. The
 /// fixture convention is identical for both because `analyze_source`
-/// runs the passes over a one-file workspace.
+/// runs the pass over a one-file workspace.
 fn all_check_ids() -> Vec<String> {
     rules::all()
         .iter()
@@ -96,6 +97,18 @@ fn pragma_fixture_counts_as_allowed() {
     );
 }
 
+#[test]
+fn pragma_fixture_flags_the_typo_and_the_suppression_that_covers_nothing() {
+    let findings = analyze_fixture(&fixture_path("pragma", true));
+    let pragma: Vec<_> = findings.iter().filter(|f| f.rule == "pragma").collect();
+    assert_eq!(pragma.len(), 2, "{findings:?}");
+    assert!(pragma[0].message.contains("unknown rule `wallclock`"));
+    assert!(pragma[1]
+        .message
+        .contains("pragma for `wall-clock` covers no finding"));
+    assert!(pragma.iter().all(|f| !f.allowed));
+}
+
 fn run_cli(args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_es-analyze"))
         .args(args)
@@ -172,6 +185,4 @@ fn cli_usage_error_is_exit_two() {
     let (code, _, stderr) = run_cli(&["--bogus-flag"]);
     assert_eq!(code, 2);
     assert!(stderr.contains("usage"));
-    let (code, _, _) = run_cli(&["--cache"]);
-    assert_eq!(code, 2, "--cache without a path is a usage error");
 }

@@ -50,7 +50,6 @@ static ULAW_ENCODE_TABLE: [u8; 65_536] = {
 /// Compands one linear sample to G.711 µ-law.
 #[inline]
 pub fn linear_to_ulaw(sample: i16) -> u8 {
-    // es-allow(panic-path): 65536-entry table indexed by a u16 is always in bounds
     ULAW_ENCODE_TABLE[sample as u16 as usize]
 }
 
@@ -84,7 +83,6 @@ static ULAW_TABLE: [i16; 256] = {
 /// Expands one G.711 µ-law byte to a linear sample.
 #[inline]
 pub fn ulaw_to_linear(ulaw: u8) -> i16 {
-    // es-allow(panic-path): 256-entry table indexed by a u8 is always in bounds
     ULAW_TABLE[ulaw as usize]
 }
 
@@ -126,7 +124,6 @@ static ALAW_ENCODE_TABLE: [u8; 65_536] = {
 /// Compands one linear sample to G.711 A-law.
 #[inline]
 pub fn linear_to_alaw(sample: i16) -> u8 {
-    // es-allow(panic-path): 65536-entry table indexed by a u16 is always in bounds
     ALAW_ENCODE_TABLE[sample as u16 as usize]
 }
 
@@ -166,7 +163,6 @@ static ALAW_TABLE: [i16; 256] = {
 /// Expands one G.711 A-law byte to a linear sample.
 #[inline]
 pub fn alaw_to_linear(alaw: u8) -> i16 {
-    // es-allow(panic-path): 256-entry table indexed by a u8 is always in bounds
     ALAW_TABLE[alaw as usize]
 }
 
@@ -233,7 +229,6 @@ pub fn decode_samples_into(bytes: &[u8], enc: Encoding, out: &mut Vec<i16>) {
         Encoding::Slinear16Le => out.extend(
             bytes
                 .chunks_exact(2)
-                // es-allow(panic-path): chunks_exact(2) yields exactly-2-byte slices
                 .map(|c| i16::from_le_bytes([c[0], c[1]])),
         ),
         Encoding::Slinear16Be => out.extend(

@@ -77,7 +77,6 @@ impl ChannelState {
     /// Applies a 4-bit code to the predictor (shared by both encode and
     /// decode so their states stay bit-identical).
     fn step(&mut self, code: u8) {
-        // es-allow(panic-path): index is clamped to 0..=88 below and STEP_TABLE holds 89 entries
         let step = STEP_TABLE[self.index as usize];
         let mut diff = step >> 3;
         if code & 4 != 0 {
@@ -182,7 +181,6 @@ pub fn adpcm_decode_into(bytes: &[u8], out: &mut Vec<i16>) -> Result<u8, AdpcmEr
     if bytes.len() < 5 {
         return Err(AdpcmError::ShortPayload);
     }
-    // es-allow(panic-path): every index is guarded — header reads by the len() < 5 bail-out, per-channel state by state_end, code bytes by the need_bytes check
     let channels = bytes[0];
     if !(1..=8).contains(&channels) {
         return Err(AdpcmError::BadHeader("channel count"));

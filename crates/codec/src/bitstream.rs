@@ -178,7 +178,6 @@ impl<'a> BitReader<'a> {
     #[inline]
     fn refill(&mut self) {
         while self.fill <= 56 && self.byte_pos < self.bytes.len() {
-            // es-allow(panic-path): byte_pos < len is the loop condition one token earlier
             self.acc |= (self.bytes[self.byte_pos] as u64) << (56 - self.fill);
             self.fill += 8;
             self.byte_pos += 1;

@@ -27,7 +27,6 @@ pub fn deinterleave_normalize(samples: &[i16], ch: usize, c: usize, out: &mut [f
         }
     } else {
         for (o, frame) in out.iter_mut().zip(samples.chunks_exact(ch)) {
-            // es-allow(panic-path): chunks_exact(ch) frames hold ch samples and c < ch is the documented precondition
             *o = frame[c] as f32 / 32_768.0;
         }
     }
@@ -45,7 +44,6 @@ pub fn interleave_denormalize(synth: &[f32], ch: usize, c: usize, out: &mut [i16
         }
     } else {
         for (frame, &v) in out.chunks_exact_mut(ch).zip(synth) {
-            // es-allow(panic-path): chunks_exact_mut(ch) frames hold ch samples and c < ch is the documented precondition
             frame[c] = (v * 32_767.0).clamp(-32_768.0, 32_767.0) as i16;
         }
     }
@@ -117,7 +115,6 @@ pub mod scalar {
     /// Reference for [`super::quantize_band`].
     pub fn quantize_band(band: &[f32], scale: f32, qmax: i32, out: &mut [i32]) {
         for (i, &c) in band.iter().enumerate() {
-            // es-allow(panic-path): scalar reference impl; callers size out to the band length
             out[i] = ((c / scale * qmax as f32).round() as i32).clamp(-qmax, qmax);
         }
     }
@@ -125,7 +122,6 @@ pub mod scalar {
     /// Reference for [`super::dequantize_band`].
     pub fn dequantize_band(quantized: &[i32], scale: f32, qmax: i32, out: &mut [f32]) {
         for (i, &q) in quantized.iter().enumerate() {
-            // es-allow(panic-path): scalar reference impl; callers size out to the band length
             out[i] = q as f32 * scale / qmax as f32;
         }
     }
@@ -134,7 +130,6 @@ pub mod scalar {
     pub fn accumulate(acc: &mut [f32], add: &[f32]) {
         let n = acc.len().min(add.len());
         for i in 0..n {
-            // es-allow(panic-path): n is the min of both lengths so both indices are in bounds
             acc[i] += add[i];
         }
     }

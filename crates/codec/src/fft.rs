@@ -117,7 +117,6 @@ impl Fft {
         let bits = len.trailing_zeros();
         let rev = (0..len as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
-            // es-allow(hot-path-transitive): bit-reversal table built once in Fft::new, reused every transform
             .collect();
         Fft { len, twiddles, rev }
     }
@@ -148,7 +147,6 @@ impl Fft {
         // First pass (half = 1): the twiddle is 1, so each butterfly is
         // a bare add/sub over adjacent pairs — no multiplies.
         for pair in buf.chunks_exact_mut(2) {
-            // es-allow(panic-path): chunks_exact_mut(2) pairs always hold two elements; twiddle slices are sized off..off+half by construction
             let a = pair[0];
             let b = pair[1];
             pair[0] = a + b;

@@ -160,14 +160,8 @@ impl Mdct {
                 let theta = -core::f64::consts::PI * quarter_steps as f64 / (4 * n) as f64;
                 Complex32::new(theta.cos() as f32, theta.sin() as f32)
             };
-            let pre: Vec<Complex32> = (0..half)
-                .map(|j| twiddle(4 * j))
-                // es-allow(hot-path-transitive): one-time twiddle-table build at codec construction, not per-frame decode
-                .collect();
-            let post: Vec<Complex32> = (0..half)
-                .map(|k| twiddle(4 * k + 1))
-                // es-allow(hot-path-transitive): one-time twiddle-table build at codec construction, not per-frame decode
-                .collect();
+            let pre: Vec<Complex32> = (0..half).map(|j| twiddle(4 * j)).collect();
+            let post: Vec<Complex32> = (0..half).map(|k| twiddle(4 * k + 1)).collect();
             Engine::Fft(FastMdct {
                 fft: Fft::new(half),
                 window,
@@ -181,9 +175,7 @@ impl Mdct {
             n,
             cost_model,
             engine,
-            // es-allow(hot-path-transitive): scratch arenas sized once at construction and reused every frame
             freq: RefCell::new(vec![Complex32::ZERO; half]),
-            // es-allow(hot-path-transitive): scratch arenas sized once at construction and reused every frame
             asm: RefCell::new(vec![0.0; two_n]),
         }
     }
@@ -376,7 +368,6 @@ impl Mdct {
         out.resize(out_len, 0.0);
         let mut asm = self.asm.borrow_mut();
         for w in 0..windows {
-            // es-allow(panic-path): windows = coeffs.len()/n and out is resized to (windows-1)*n, so every slice range is in bounds
             self.inverse(&coeffs[w * n..(w + 1) * n], &mut asm);
             // Window w overlaps out[(w-1)*n..(w+1)*n]; the first
             // window's left half and the last window's right half fall

@@ -80,7 +80,6 @@ pub struct OvlDecoded {
 /// narrow bands at low frequencies, doubling every four bands, the
 /// last band absorbing the remainder.
 pub fn band_widths(n: usize) -> Vec<usize> {
-    // es-allow(hot-path-transitive): band layout is computed once at codec construction, not per-frame
     let mut widths = Vec::new();
     let mut w = 4usize;
     let mut remaining = n;
@@ -97,9 +96,7 @@ pub fn band_widths(n: usize) -> Vec<usize> {
     // A short tail band would get its own scale factor and flag for
     // almost no coefficients; merge it into its neighbour instead.
     if widths.len() > 1 {
-        // es-allow(panic-path): len() > 1 guarantees last() and the len-2 index; the merged band keeps the vec non-empty
         let last = *widths.last().expect("non-empty");
-        // es-allow(panic-path): len() > 1 guarantees the len-2 index
         if last < widths[widths.len() - 2] {
             widths.pop();
             *widths.last_mut().expect("non-empty") += last;
@@ -253,7 +250,6 @@ impl OvlCodec {
         if bytes.len() < 6 {
             return Err(OvlError::ShortHeader);
         }
-        // es-allow(panic-path): header indices and arena slice ranges are guarded by the len() < 6 bail-out and the resize calls above each use
         let channels = bytes[0];
         let quality = bytes[1];
         if !(1..=8).contains(&channels) {
@@ -319,7 +315,6 @@ fn pack_window(
     let cull_floor = (frame_max * 10f32.powf(-mask_db / 20.0)).max(1e-4);
     let mut start = 0usize;
     for (b, &width) in widths.iter().enumerate() {
-        // es-allow(panic-path): widths sum to coeffs.len() by band-layout construction, and qbuf is sized to the widest band
         let band = &coeffs[start..start + width];
         start += width;
         let bits = band_bits(quality, b);
@@ -376,7 +371,6 @@ fn unpack_window(
         // Two phases: the Rice reads are serial (each code's length
         // depends on the bits before it), the rescale is a batch
         // kernel over the staged integers.
-        // es-allow(panic-path): widths sum to coeffs.len() by band-layout construction, and qbuf is sized to the widest band
         let quantized = &mut qbuf[..width];
         for slot in quantized.iter_mut() {
             let q = unzigzag(br.read_rice(k).map_err(|_| OvlError::BadBitstream)?);

@@ -97,7 +97,6 @@ impl DirectMdct {
         for (t, out) in time.iter_mut().enumerate() {
             let mut acc = 0.0f32;
             for (k, &c) in coeffs.iter().enumerate() {
-                // es-allow(panic-path): cos_table holds n*2n entries and k < n, t < 2n are asserted above
                 acc += c * self.cos_table[k * two_n + t];
             }
             *out = acc * self.window[t] * scale;

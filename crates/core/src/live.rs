@@ -98,7 +98,6 @@ impl Telemetry for LiveProducerReport {
 
 /// Streams `signal` for `duration`, pacing against the wall clock.
 /// Blocking; spawn a thread for concurrent producer/speaker runs.
-// es-allow(wall-clock): the live producer paces real playback against the host clock
 #[allow(clippy::disallowed_methods)]
 pub fn run_live_producer(
     cfg: &LiveProducerConfig,
@@ -226,7 +225,6 @@ impl Telemetry for LiveSpeakerReport {
 /// Listens on a channel for `run_for`, collecting decoded audio.
 /// Blocking. Diagnostics go to `journal` (wall-clock stamps) when one
 /// is supplied.
-// es-allow(wall-clock): the live speaker paces real playback against the host clock
 #[allow(clippy::disallowed_methods)]
 pub fn run_live_speaker(
     channel: u8,

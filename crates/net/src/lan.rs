@@ -391,7 +391,6 @@ impl Lan {
 
     /// The host's display name.
     pub fn node_name(&self, node: NodeId) -> String {
-        // es-allow(panic-path): NodeIds are issued densely by join() and never outlive the LAN that minted them
         self.inner.borrow().nodes[node.0 as usize].name.clone()
     }
 
@@ -603,7 +602,6 @@ impl Lan {
             let ser = SimDuration::for_bytes_at_rate(wire_bytes as u64, config.bandwidth_bps);
             let done = match config.medium {
                 MediumMode::Switched => {
-                    // es-allow(panic-path): sender and receiver ids are join()-issued dense indices into nodes
                     let node = &mut inner.nodes[from.0 as usize];
                     let start = sim.now().max(node.link_busy_until);
                     let done = start + ser;
@@ -622,10 +620,8 @@ impl Lan {
             let receivers: Vec<u32> = match dst {
                 Dest::Unicast(NodeId(n)) => {
                     if (n as usize) < inner.nodes.len() {
-                        // es-allow(hot-path-transitive): per-datagram receiver-set bookkeeping in the simulator, not per-packet DSP
                         vec![n]
                     } else {
-                        // es-allow(hot-path-transitive): per-datagram receiver-set bookkeeping in the simulator, not per-packet DSP
                         Vec::new()
                     }
                 }
@@ -635,7 +631,6 @@ impl Lan {
                     .enumerate()
                     .filter(|&(i, node)| i as u32 != from.0 && node.groups.contains(&group))
                     .map(|(i, _)| i as u32)
-                    // es-allow(hot-path-transitive): per-datagram receiver-set bookkeeping in the simulator, not per-packet DSP
                     .collect(),
             };
 
@@ -786,7 +781,6 @@ impl Lan {
         // arrival times (jitter, reordering, duplicates) each get
         // their own singleton batch. The segment key is part of the
         // split because a batch executes in its receivers' segment.
-        // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, costed by the sim model, not per-packet DSP
         let mut batches: Vec<(SimTime, u32, Vec<u32>)> = Vec::new();
         let mut index: std::collections::BTreeMap<(SimTime, u32), usize> =
             std::collections::BTreeMap::new();
@@ -797,14 +791,12 @@ impl Lan {
                 receivers
                     .iter()
                     .map(|&(r, _)| inner.nodes[r as usize].segment)
-                    // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, not per-packet DSP
                     .collect(),
             )
         };
         for (&(r, offset), &seg) in receivers.iter().zip(&segments) {
             let at = deliver_at_base + offset;
             let i = *index.entry((at, seg)).or_insert_with(|| {
-                // es-allow(hot-path-transitive): per-datagram delivery batching in the simulator, not per-packet DSP
                 batches.push((at, seg, Vec::new()));
                 batches.len() - 1
             });
@@ -831,7 +823,6 @@ impl Lan {
 
     fn run_handler(&self, sim: &mut Sim, r: u32, dg: &Datagram) {
         // Take the handler out so it can borrow the LAN itself.
-        // es-allow(panic-path): r is a join()-issued dense index into nodes
         let handler = self.inner.borrow_mut().nodes[r as usize].handler.take();
         if let Some(mut h) = handler {
             self.inner.borrow_mut().stats.datagrams_delivered += 1;

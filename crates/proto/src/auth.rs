@@ -54,7 +54,6 @@ impl AuthTrailer {
     /// Serializes to the fixed wire layout.
     pub fn encode(&self) -> [u8; TRAILER_LEN] {
         let mut out = [0u8; TRAILER_LEN];
-        // es-allow(panic-path): fixed wire layout — every range is a constant within TRAILER_LEN = 72
         out[0..4].copy_from_slice(&self.interval.to_le_bytes());
         out[4..36].copy_from_slice(&self.mac);
         out[36..40].copy_from_slice(&self.disclosed_interval.to_le_bytes());
@@ -137,7 +136,6 @@ impl StreamSigner {
             (1..=self.intervals()).contains(&interval),
             "interval {interval} outside chain"
         );
-        // es-allow(panic-path): interval is asserted within 1..=intervals() and keys holds intervals()+1 entries
         let mac = hmac_sha256(&self.keys[interval as usize], message);
         let (disclosed_interval, disclosed_key) = if interval > self.delay {
             let di = interval - self.delay;

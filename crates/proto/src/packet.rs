@@ -217,7 +217,6 @@ fn get_config(buf: &mut impl Buf) -> Result<AudioConfig, WireError> {
 /// encoders compute the checksum over their own region only, so a
 /// caller may serialize into a buffer that already holds other bytes.
 fn finish_into(buf: &mut BytesMut, start: usize) {
-    // es-allow(panic-path): start is a caller-recorded len() of this very buffer, which only grows afterwards
     let crc = crc32(&buf[start..]);
     buf.put_u32_le(crc);
 }
@@ -747,6 +746,13 @@ mod tests {
         #[test]
         fn prop_random_bytes_never_panic(bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..256)) {
             let _ = decode(&bytes);
+            // The same bytes as an auth trailer in front of its message.
+            use crate::auth::{AuthTrailer, StreamVerifier, TRAILER_LEN};
+            if let Some((trailer, message)) = bytes.split_at_checked(TRAILER_LEN) {
+                let trailer = AuthTrailer::decode(trailer).expect("exactly TRAILER_LEN bytes");
+                let (released, _) = StreamVerifier::new([7; 32]).offer(message, &trailer);
+                proptest::prop_assert!(released.is_empty(), "noise authenticated");
+            }
         }
 
         #[test]

@@ -53,7 +53,6 @@ impl Sha256 {
         self.total_len += data.len() as u64;
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
-            // es-allow(panic-path): buf_len < 64 is the struct invariant and take is clamped to both remainders
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
@@ -84,7 +83,6 @@ impl Sha256 {
             self.update(&[0]);
         }
         // Manual length append (update would re-count it).
-        // es-allow(panic-path): buf is a fixed [u8; 64] and the padding loop above parks buf_len at 56
         self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
@@ -98,7 +96,6 @@ impl Sha256 {
     fn compress(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for i in 0..16 {
-            // es-allow(panic-path): FIPS 180-4 schedule — all indices are compile-time-bounded within the fixed 64-entry arrays
             w[i] = u32::from_be_bytes([
                 block[i * 4],
                 block[i * 4 + 1],
@@ -157,7 +154,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     let mut k = [0u8; 64];
     if key.len() > 64 {
-        // es-allow(panic-path): both branches copy at most 64 bytes into the fixed 64-byte key block
         k[..32].copy_from_slice(&sha256(key));
     } else {
         k[..key.len()].copy_from_slice(key);

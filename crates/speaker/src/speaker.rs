@@ -1194,7 +1194,6 @@ impl EthernetSpeaker {
     /// A blocking `write(2)`: short writes park the player thread on
     /// the device's writable wakeup.
     fn serial_write_bytes(&self, sim: &mut Sim, bytes: Vec<u8>, offset: usize, cfg: AudioConfig) {
-        // es-allow(panic-path): offset only advances by accepted byte counts and re-arming checks next < bytes.len()
         let n = self.dev.write(sim, &bytes[offset..]).unwrap_or(0);
         {
             let mut st = self.state.borrow_mut();

@@ -273,7 +273,6 @@ impl Journal {
                 capacity: capacity.max(1),
                 next_seq: 0,
                 dropped: 0,
-                // es-allow(hot-path-transitive): journal construction happens once per scenario, not per frame
                 sinks: Vec::new(),
             })),
         }
@@ -293,7 +292,6 @@ impl Journal {
         message: &str,
         fields: &[(&str, String)],
     ) {
-        // es-allow(panic-path): a poisoned journal mutex means a sink panicked mid-emit; propagating is the intended failure mode
         let mut inner = self.inner.lock().unwrap();
         let event = Event {
             seq: inner.next_seq,
@@ -304,7 +302,6 @@ impl Journal {
             fields: fields
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.clone()))
-                // es-allow(hot-path-transitive): journal events on hot paths fire on resync/drop faults, not steady-state frames
                 .collect(),
         };
         inner.next_seq += 1;
@@ -340,14 +337,11 @@ impl Journal {
 
     /// A copy of the buffered events, in record order.
     pub fn events(&self) -> Vec<Event> {
-        // es-allow(hot-path-transitive): inspection API for reports and tests, never called from hot-path code
-        // es-allow(panic-path): journal mutex is never poisoned — emit/len/clear hold it without panicking
         self.inner.lock().unwrap().events.iter().cloned().collect()
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        // es-allow(panic-path): a poisoned journal mutex means a sink panicked mid-emit; propagating is the intended failure mode
         self.inner.lock().unwrap().events.len()
     }
 
@@ -363,7 +357,6 @@ impl Journal {
 
     /// Clears the buffer (sequence numbers keep counting).
     pub fn clear(&self) {
-        // es-allow(panic-path): a poisoned journal mutex means a sink panicked mid-emit; propagating is the intended failure mode
         self.inner.lock().unwrap().events.clear();
     }
 

@@ -31,7 +31,6 @@ impl Histogram {
         Histogram {
             count: 0,
             sum: 0,
-            // es-allow(hot-path-transitive): bucket array built once when a key is first recorded
             buckets: vec![0; HISTOGRAM_BUCKETS],
         }
     }
@@ -39,12 +38,10 @@ impl Histogram {
     /// Records one sample.
     pub fn observe(&mut self, value: u64) {
         if self.buckets.is_empty() {
-            // es-allow(hot-path-transitive): one-shot lazy init for Default-built histograms; steady-state never allocates
             self.buckets = vec![0; HISTOGRAM_BUCKETS];
         }
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-        // es-allow(panic-path): bucket_index() caps at 64 and buckets holds HISTOGRAM_BUCKETS = 65 slots
         self.buckets[Self::bucket_index(value)] += 1;
     }
 
@@ -114,13 +111,11 @@ impl Histogram {
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         if self.buckets.is_empty() {
-            // es-allow(hot-path-transitive): one-shot lazy init for Default-built histograms during post-batch merge
             self.buckets = vec![0; HISTOGRAM_BUCKETS];
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         for (i, c) in other.nonzero_buckets() {
-            // es-allow(panic-path): nonzero_buckets yields indices below HISTOGRAM_BUCKETS, the length both sides share
             self.buckets[i] += c;
         }
     }
@@ -345,7 +340,6 @@ impl MetricsSnapshot {
         self.metrics
             .binary_search_by(|m| m.key.cmp(&key))
             .ok()
-            // es-allow(panic-path): binary_search Ok(i) is a proven in-bounds position
             .map(|i| &self.metrics[i].value)
     }
 

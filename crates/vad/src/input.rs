@@ -185,17 +185,14 @@ impl InputSlave {
     /// to block like `read(2)`).
     pub fn read(&self, _sim: &mut Sim, max: usize) -> Vec<u8> {
         let mut st = self.state.borrow_mut();
-        // es-allow(hot-path-transitive): read(2)-style API hands back an owned capture buffer once per block-cadence poll
         let mut out = Vec::new();
         while out.len() < max {
             // Partial tail reads are allowed once no full block remains.
             if !st.ring.has_block() {
                 break;
             }
-            // es-allow(panic-path): has_block() is checked on the line above; take_block(false) cannot return None
             let block = st.ring.take_block(false).expect("has_block checked");
             let take = block.len().min(max - out.len());
-            // es-allow(panic-path): take is min(block.len(), …) so both slice bounds are within block
             out.extend_from_slice(&block[..take]);
             if take < block.len() {
                 // Put the remainder back is not supported by a real

@@ -85,7 +85,6 @@ impl AudioRing {
     /// blocks/retries for the rest).
     pub fn write(&mut self, data: &[u8]) -> usize {
         let n = data.len().min(self.free());
-        // es-allow(panic-path): n is clamped to data.len() so the slice never overruns
         self.buf.extend(&data[..n]);
         self.total_written += n as u64;
         n

@@ -308,14 +308,12 @@ impl VadMaster {
         };
         let _ = pulled;
 
-        // es-allow(hot-path-transitive): master read drains queued items into an owned batch once per poll, not per sample
         let mut out = Vec::new();
         let mut audio = 0usize;
         let mut st = self.state.borrow_mut();
         while let Some(item) = st.queue.items.front() {
             match item {
                 MasterItem::Config(_) => {
-                    // es-allow(panic-path): front() on the line above proves the queue is non-empty
                     out.push(st.queue.items.pop_front().expect("peeked"));
                 }
                 MasterItem::Audio(b) => {
@@ -324,7 +322,6 @@ impl VadMaster {
                     }
                     audio += b.len();
                     st.queue.buffered_audio_bytes -= b.len();
-                    // es-allow(panic-path): front() at the loop head proves the queue is non-empty
                     out.push(st.queue.items.pop_front().expect("peeked"));
                     if audio >= max_audio_bytes {
                         break;

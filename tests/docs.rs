@@ -1,11 +1,12 @@
-//! Docs ⇔ bench targets: every `--bench <name>` the prose tells a
-//! reader to run is a real target, every target is documented, and
-//! nothing points at the perf baselines the ledger replaced.
+//! Docs ⇔ code: every `--bench <name>` the prose tells a reader to
+//! run is a real target, every target is documented, nothing points at
+//! the perf baselines the ledger replaced, and DESIGN.md §8 lists
+//! exactly the checks es-analyze registers.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-/// Every file that hands a reader a `cargo bench` line.
+/// Every file that hands a reader a command to run.
 const DOCS: [&str; 5] = [
     "README.md",
     "DESIGN.md",
@@ -86,6 +87,41 @@ fn no_doc_points_at_the_deleted_perf_baselines() {
     for doc in DOCS {
         let text = read(doc);
         for needle in ["BENCH_PR", "ES_BENCH_BASELINE"] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
+    }
+}
+
+#[test]
+fn design_md_lists_exactly_the_checks_es_analyze_registers() {
+    // Table rows of §8 open with the check id in backticks.
+    let design = read("DESIGN.md");
+    let section = design
+        .split_once("\n## 8. ")
+        .and_then(|(_, rest)| rest.split_once("\n## 9. "))
+        .expect("DESIGN.md has a section 8 followed by a section 9")
+        .0;
+    let documented: BTreeSet<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `")?.split_once('`'))
+        .map(|(id, _)| id)
+        .collect();
+    let registered: BTreeSet<&str> = es_analyze::rules::all()
+        .iter()
+        .map(|r| r.id)
+        .chain(es_analyze::passes::all().iter().map(|p| p.id))
+        .collect();
+    assert_eq!(documented, registered, "DESIGN.md §8 tables vs registries");
+    // The call-graph passes and the incremental cache are gone; no
+    // doc may still send a reader to them.
+    for doc in DOCS {
+        let text = read(doc);
+        for needle in [
+            "panic-path",
+            "hot-path-transitive",
+            "--cache",
+            "analyze-cache",
+        ] {
             assert!(!text.contains(needle), "{doc} still mentions {needle}");
         }
     }

@@ -3,24 +3,27 @@
 //! The simulator proves properties; this module proves the system runs
 //! on an actual network. A producer thread paces a generated signal in
 //! *real* time (the §3.1 rate limiter against the wall clock) and
-//! multicasts control + data packets; a speaker loop joins the group,
-//! gates on the first control packet, decodes and collects the audio.
+//! multicasts control + data packets; a speaker loop joins the group
+//! and drives the [`SpeakerRx`] protocol core the simulated speaker
+//! drives, from a socket and the wall clock, collecting the audio.
 //! `examples/real_udp.rs` wires both over the loopback interface and
 //! writes what the speaker heard to a WAV file.
 //!
-//! Live mode decodes inline on the receive thread: a real Ethernet
-//! Speaker is one node with one stream, so the simulator's
+//! Live mode parses and decodes inline on the receive thread: a real
+//! Ethernet Speaker is one node with one stream, so the simulator's
 //! decode-once-per-datagram sharing has nothing to share here.
 
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use es_audio::gen::{f32_to_i16, Signal};
+use es_audio::gen::{render_interleaved, Signal};
 use es_audio::AudioConfig;
 use es_codec::{CodecId, Codecs};
 use es_net::udp::{McastReceiver, McastSender};
-use es_proto::{encode_control, encode_data, ControlPacket, DataPacket, Packet};
+use es_proto::{encode_control, encode_data, ControlPacket, DataPacket};
+use es_sim::SimTime;
+use es_speaker::{decide, PlayDecision, RxEvent, SpeakerRx, SpeakerStats, DEFAULT_EPSILON};
 use es_telemetry::{Journal, Registry, Severity, Stamp, Telemetry};
 
 /// Producer-side settings for a live run.
@@ -148,15 +151,7 @@ pub fn run_live_producer(
         }
 
         // Generate and encode one chunk.
-        let mut mono = vec![0.0f32; frames_per_chunk];
-        signal.fill(&mut mono);
-        let mut interleaved = Vec::with_capacity(frames_per_chunk * cfg.config.channels as usize);
-        for v in mono {
-            let s = f32_to_i16(v);
-            for _ in 0..cfg.config.channels {
-                interleaved.push(s);
-            }
-        }
+        let interleaved = render_interleaved(signal, cfg.config.channels, frames_per_chunk);
         let enc = codecs.encode(cfg.codec, &interleaved, cfg.config.channels, cfg.quality);
         let play_at =
             (chunk_idx as u128 * cfg.chunk.as_nanos() + cfg.playout_delay.as_nanos()) / 1_000;
@@ -201,24 +196,59 @@ pub struct LiveSpeakerReport {
     pub config: Option<AudioConfig>,
     /// Decoded interleaved samples, in arrival order.
     pub samples: Vec<i16>,
-    /// Control packets seen.
-    pub control_packets: u64,
-    /// Data packets decoded.
-    pub data_packets: u64,
-    /// Data packets dropped while waiting for the first control packet.
-    pub dropped_waiting_control: u64,
-    /// Packets that failed to parse.
-    pub bad_packets: u64,
+    /// The counters every speaker keeps; `samples_played` counts
+    /// `samples`.
+    pub stats: SpeakerStats,
 }
 
-impl Telemetry for LiveSpeakerReport {
-    fn record(&self, registry: &mut Registry) {
-        let mut s = registry.component("speaker");
-        s.counter("control_packets", self.control_packets)
-            .counter("data_packets", self.data_packets)
-            .counter("dropped_waiting_control", self.dropped_waiting_control)
-            .counter("bad_packets", self.bad_packets)
-            .counter("samples_played", self.samples.len() as u64);
+/// The live speaker without its socket: datagrams and their arrival
+/// times in, a report out. [`run_live_speaker`] steps it from a
+/// multicast receiver and the wall clock; tests step it from a trace.
+#[derive(Default)]
+pub struct LiveSpeaker {
+    rx: SpeakerRx,
+    codecs: Codecs,
+    events: Vec<RxEvent>,
+    samples: Vec<i16>,
+}
+
+impl LiveSpeaker {
+    /// One datagram, received `now` after the speaker started.
+    pub fn step(&mut self, now: SimTime, datagram: &[u8]) {
+        for raw in self.rx.admit(&Bytes::copy_from_slice(datagram)) {
+            match es_proto::decode(&raw) {
+                Ok(pkt) => self.rx.on_packet(now, pkt, &mut self.events),
+                Err(_) => self.rx.stats.bad_packets += 1,
+            }
+            // Statically tuned and deviceless: only blocks matter.
+            for event in self.events.drain(..) {
+                let RxEvent::Block(b) = event else { continue };
+                // A collector has nowhere to sleep: early is on time.
+                if let PlayDecision::Discard { .. } = decide(b.deadline, now, DEFAULT_EPSILON) {
+                    self.rx.stats.note_late(b.refill);
+                    continue;
+                }
+                let codec = self.rx.codec_for(b.codec_wire);
+                let channels = self.rx.stream_config().channels;
+                match self.codecs.decode(codec, &b.payload, channels) {
+                    Ok((samples, _)) => {
+                        self.rx.stats.data_packets += 1;
+                        self.rx.stats.samples_played += samples.len() as u64;
+                        self.samples.extend_from_slice(&samples);
+                    }
+                    Err(_) => self.rx.stats.decode_errors += 1,
+                }
+            }
+        }
+    }
+
+    /// Ends the run.
+    pub fn finish(self) -> LiveSpeakerReport {
+        LiveSpeakerReport {
+            config: (self.rx.stats.control_packets > 0).then(|| self.rx.stream_config()),
+            samples: self.samples,
+            stats: self.rx.stats,
+        }
     }
 }
 
@@ -233,7 +263,6 @@ pub fn run_live_speaker(
     journal: Option<Journal>,
 ) -> Result<LiveSpeakerReport, crate::Error> {
     let rx = McastReceiver::join(channel, port, Duration::from_millis(100))?;
-    let codecs = Codecs::new();
     let start = Instant::now();
     if let Some(j) = &journal {
         j.emit(
@@ -244,41 +273,16 @@ pub fn run_live_speaker(
             &[("channel", channel.to_string()), ("port", port.to_string())],
         );
     }
-    let mut report = LiveSpeakerReport::default();
+    let mut speaker = LiveSpeaker::default();
     let mut buf = vec![0u8; 65_536];
     while start.elapsed() < run_for {
-        let Some(n) = rx.recv(&mut buf)? else {
-            continue;
-        };
-        match es_proto::decode(&buf[..n]) {
-            Ok(Packet::Control(c)) => {
-                report.control_packets += 1;
-                report.config = Some(c.config);
-            }
-            Ok(Packet::Data(d)) => {
-                let Some(cfg) = report.config else {
-                    report.dropped_waiting_control += 1;
-                    continue;
-                };
-                match codecs.decode_wire(d.codec, &d.payload, cfg.channels) {
-                    Ok((samples, _)) => {
-                        report.data_packets += 1;
-                        report.samples.extend_from_slice(&samples);
-                    }
-                    Err(_) => report.bad_packets += 1,
-                }
-            }
-            Ok(Packet::Announce(_)) => {}
-            // Loopback does not lose packets; the live collector skips
-            // FEC recovery (the simulator exercises it under real loss).
-            Ok(Packet::Parity(_)) => {}
-            // The live collector is statically tuned; session control
-            // is the negotiated path's concern.
-            Ok(Packet::Session(_)) => {}
-            Err(_) => report.bad_packets += 1,
+        if let Some(n) = rx.recv(&mut buf)? {
+            let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
+            speaker.step(now, &buf[..n]);
         }
     }
     rx.leave().ok();
+    let report = speaker.finish();
     if let Some(j) = &journal {
         j.emit(
             Stamp::wall_now(),
@@ -286,8 +290,8 @@ pub fn run_live_speaker(
             "speaker",
             "live speaker run complete",
             &[
-                ("data_packets", report.data_packets.to_string()),
-                ("bad_packets", report.bad_packets.to_string()),
+                ("data_packets", report.stats.data_packets.to_string()),
+                ("bad_packets", report.stats.bad_packets.to_string()),
             ],
         );
     }
@@ -299,19 +303,9 @@ mod tests {
     use super::*;
     use es_audio::gen::Sine;
 
-    /// End-to-end over real loopback multicast. Skips (without
-    /// failing) in sandboxes that forbid multicast.
-    /// Journals an environment-dependent skip instead of printing.
-    fn skip(journal: &Journal, reason: String) {
-        journal.emit(
-            Stamp::wall_now(),
-            Severity::Warn,
-            "core",
-            "live test skipped",
-            &[("reason", reason)],
-        );
-    }
-
+    /// End-to-end over real loopback multicast. Sandboxes that forbid
+    /// multicast skip without failing, printing the `SKIPPED:` marker
+    /// scripts/check.sh counts (as `tests/session_udp.rs` does).
     #[test]
     fn live_roundtrip_over_loopback() {
         let journal = Journal::new();
@@ -328,14 +322,14 @@ mod tests {
         let produced = match run_live_producer(&cfg, &mut sig, Duration::from_millis(800)) {
             Ok(r) => r,
             Err(e) => {
-                skip(&journal, format!("producer: {e}"));
+                println!("SKIPPED: live_roundtrip_over_loopback: producer: {e}");
                 return;
             }
         };
         let heard = match speaker.join().expect("speaker thread") {
             Ok(r) => r,
             Err(e) => {
-                skip(&journal, format!("speaker: {e}"));
+                println!("SKIPPED: live_roundtrip_over_loopback: speaker: {e}");
                 return;
             }
         };
@@ -348,12 +342,12 @@ mod tests {
         // Pacing: 800 ms of audio takes ~800 ms to send.
         assert!(produced.elapsed >= Duration::from_millis(750));
         assert!(produced.data_packets >= 15);
-        if heard.data_packets == 0 {
-            skip(&journal, "no multicast loopback delivery".to_string());
+        if heard.stats.datagrams == 0 {
+            println!("SKIPPED: live_roundtrip_over_loopback: no multicast loopback delivery");
             return;
         }
         assert_eq!(heard.config, Some(AudioConfig::CD));
         assert!(heard.samples.len() > 44_100 / 4);
-        assert_eq!(heard.bad_packets, 0);
+        assert_eq!(heard.stats.bad_packets, 0);
     }
 }

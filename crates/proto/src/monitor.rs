@@ -97,9 +97,11 @@ impl StreamMonitor {
 
         // RFC 3550 jitter: J += (|D| - J) / 16, with D the difference
         // in (arrival - timestamp) transit between consecutive packets.
-        let transit = arrival_us as i64 - play_at_us as i64;
+        // The timestamp is wire input; wrapping keeps a forged one a
+        // wrong number instead of an overflow.
+        let transit = (arrival_us as i64).wrapping_sub(play_at_us as i64);
         if let Some(prev) = self.last_transit_us {
-            let d = (transit - prev).abs() as f64;
+            let d = transit.wrapping_sub(prev).unsigned_abs() as f64;
             self.jitter_us += (d - self.jitter_us) / 16.0;
         }
         self.last_transit_us = Some(transit);

@@ -4,11 +4,13 @@
 //!
 //! - [`sync`]: producer wall-clock tracking and the sleep/play/discard
 //!   rule with its epsilon leeway.
-//! - [`speaker`]: the full receive → verify → decode → play pipeline,
-//!   including control-packet gating, channel tuning, ring-overflow
-//!   accounting and optional CPU-model billing (§3.4). Parse and
-//!   codec decode are memoized per datagram, so a fleet on one group
-//!   decodes each packet once.
+//! - [`rx`]: the receive protocol — auth gate, control-packet
+//!   gating, dedupe, FEC recovery, gap ledgers — as a state machine
+//!   with no clock or socket, stepped by a driver.
+//! - [`speaker`]: its simulator driver, the receive → decode → play
+//!   pipeline: channel tuning, concealment, ring-overflow accounting
+//!   and optional CPU-model billing (§3.4). Parse and codec decode are
+//!   memoized per datagram, so a fleet decodes each packet once.
 //! - [`autovol`]: the §5.2 ambient-noise automatic volume control with
 //!   a simulated microphone.
 
@@ -16,12 +18,14 @@
 #![deny(rust_2018_idioms)]
 
 pub mod autovol;
+pub mod rx;
 pub mod speaker;
 pub mod sync;
 
 pub use autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig, ContentKind};
-pub use speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SpeakerConfig, SpeakerStats};
-pub use sync::{decide, ClockSync, PlayDecision};
+pub use rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats};
+pub use speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SpeakerConfig};
+pub use sync::{decide, ClockSync, PlayDecision, DEFAULT_EPSILON};
 
 /// Converts decode work units to Geode-class CPU cycles (same
 /// calibration as the encode path; see `es-bench::calib`).

@@ -6,6 +6,8 @@
 //! control packet before it can start playing the audio stream"),
 //! learns the producer wall clock, and then plays each data packet at
 //! its deadline — sleeping, playing, or discarding per §3.2's rule.
+//! What the packets mean is [`SpeakerRx`]'s call; this is the driver
+//! that feeds it from the simulated LAN and plays what it clears.
 //!
 //! The playback path is the full §3.4 pipeline: receive → (verify) →
 //! decode (billable to a Geode-class CPU model) → write to the audio
@@ -21,14 +23,15 @@ use es_audio::mix::apply_gain;
 use es_audio::AudioConfig;
 use es_codec::{CodecId, Codecs};
 use es_net::{Datagram, Lan, McastGroup, NodeId};
-use es_proto::auth::{StreamVerifier, VerifierStats};
-use es_proto::{Packet, TRAILER_LEN};
+use es_proto::auth::VerifierStats;
+use es_proto::Packet;
 use es_sim::{shared, CostModel, Shared, Sim, SimCpu, SimDuration, SimTime};
 use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
 use crate::autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig};
-use crate::sync::{decide, ClockSync, PlayDecision};
+use crate::rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats};
+use crate::sync::{decide, PlayDecision};
 
 /// Speaker tuning knobs.
 pub struct SpeakerConfig {
@@ -93,7 +96,7 @@ impl SpeakerConfig {
         SpeakerConfig {
             name: name.into(),
             group,
-            epsilon: SimDuration::from_millis(20),
+            epsilon: crate::sync::DEFAULT_EPSILON,
             device_ring_capacity: es_vad::device::DEFAULT_RING_CAPACITY,
             device_block_ms: es_vad::device::DEFAULT_BLOCK_MS,
             cpu: None,
@@ -118,90 +121,6 @@ impl SpeakerConfig {
             Retention::Nothing
         }
     }
-}
-
-/// Observable speaker counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpeakerStats {
-    /// Datagrams received on the tuned group.
-    pub datagrams: u64,
-    /// Packets that failed CRC/parse.
-    pub bad_packets: u64,
-    /// Control packets absorbed.
-    pub control_packets: u64,
-    /// Data packets accepted for playback.
-    pub data_packets: u64,
-    /// Data packets that arrived before any control packet and were
-    /// dropped (the §2.3 gating rule).
-    pub dropped_waiting_control: u64,
-    /// Data packets discarded as too late (§3.2).
-    pub dropped_late: u64,
-    /// Bytes dropped because the device ring was full (§3.1 overflow).
-    pub dropped_overflow_bytes: u64,
-    /// Payloads that failed codec decode.
-    pub decode_errors: u64,
-    /// Decode work units billed.
-    pub decode_work_units: u64,
-    /// Samples written to the audio device.
-    pub samples_played: u64,
-    /// Packets lost because the single-threaded player was busy and its
-    /// receive queue was full (§3.4 serial mode only).
-    pub dropped_busy: u64,
-    /// Gap packets concealed by replaying faded audio (PLC extension).
-    pub concealed_packets: u64,
-    /// Packets reconstructed from XOR parity (FEC extension).
-    pub fec_recovered: u64,
-    /// Data packets suppressed because their sequence number already
-    /// played — LAN duplicates, or an FEC copy of a packet that also
-    /// arrived on its own.
-    pub dropped_duplicate: u64,
-    /// Times the device playback grid was flushed and re-anchored to
-    /// the stream clock (§3.2's "throwing away data up until the
-    /// current wall time").
-    pub playback_resyncs: u64,
-    /// Times a control-plane FLUSH re-gated playback (session mode).
-    pub session_resyncs: u64,
-    /// NACK retransmissions that landed in a hole this speaker
-    /// reported missing (healing-plane refills).
-    pub refills_received: u64,
-    /// Refills that arrived past their original play deadline. Kept
-    /// apart from `dropped_late`: the underlying loss was already
-    /// counted when the gap was detected, so a late refill is a
-    /// repair that missed its window, not a second failure — folding
-    /// it into `deadline_misses` made each loss burst cost the heal
-    /// detector an extra sick epoch (the "refill echo").
-    pub refill_late: u64,
-}
-
-impl Telemetry for SpeakerStats {
-    fn record(&self, registry: &mut Registry) {
-        let mut s = registry.component("speaker");
-        s.counter("datagrams", self.datagrams)
-            .counter("bad_packets", self.bad_packets)
-            .counter("control_packets", self.control_packets)
-            .counter("data_packets", self.data_packets)
-            .counter("dropped_waiting_control", self.dropped_waiting_control)
-            .counter("deadline_misses", self.dropped_late)
-            .counter("dropped_overflow_bytes", self.dropped_overflow_bytes)
-            .counter("decode_errors", self.decode_errors)
-            .counter("decode_work_units", self.decode_work_units)
-            .counter("samples_played", self.samples_played)
-            .counter("dropped_busy", self.dropped_busy)
-            .counter("concealed_packets", self.concealed_packets)
-            .counter("fec_recovered", self.fec_recovered)
-            .counter("dropped_duplicate", self.dropped_duplicate)
-            .counter("playback_resyncs", self.playback_resyncs)
-            .counter("session_resyncs", self.session_resyncs)
-            .counter("refills_received", self.refills_received)
-            .counter("refill_late", self.refill_late);
-    }
-}
-
-enum Phase {
-    /// §2.3: no control packet yet; data cannot be interpreted.
-    WaitingForControl,
-    /// Stream description known; playing.
-    Playing,
 }
 
 // es-hot-path
@@ -411,159 +330,25 @@ fn parse_shared(raw: &Bytes) -> Result<Packet, es_proto::WireError> {
     })
 }
 
-struct Pending {
-    payload: Bytes,
-    codec_wire: u8,
-    deadline: es_sim::SimTime,
-    /// This packet is a healing-plane refill of a reported gap; a late
-    /// arrival counts as `refill_late`, not a fresh deadline miss.
-    refill: bool,
-}
-
 struct SpkState {
     cfg: SpeakerConfig,
+    /// The receive protocol; this speaker is its simulator driver.
+    rx: SpeakerRx,
+    /// Reused buffer for what a message made the protocol decide.
+    events: Vec<RxEvent>,
     serial_busy: bool,
-    serial_queue: std::collections::VecDeque<Pending>,
-    /// Highest data sequence number seen (gap detection for PLC).
-    last_seq: Option<u32>,
-    /// Sequence ranges `(first, count)` detected missing and not yet
-    /// naturally filled — the healing plane drains these into NACK
-    /// retransmit requests. Bounded; oldest ranges fall off the front.
-    missing_ranges: Vec<(u32, u16)>,
-    /// Ranges already handed to the healing plane via
-    /// [`EthernetSpeaker::take_missing_ranges`]; a data packet landing
-    /// inside one is a NACK refill, and its lateness is accounted as
-    /// `refill_late` rather than a fresh deadline miss. Bounded like
-    /// `missing_ranges`; cleared on tune and resync.
-    refill_expected: Vec<(u32, u16)>,
-    /// Recently accepted sequence numbers — the duplicate-suppression
-    /// filter.
-    seen_seqs: SeenSeqs,
-    /// FEC recovery state, created lazily on the first parity packet.
-    fec: Option<es_proto::FecRecoverer>,
-    /// Reception-quality monitor (the §5.3 management numbers).
-    monitor: es_proto::StreamMonitor,
+    serial_queue: std::collections::VecDeque<RxBlock>,
     /// The most recent decoded block, kept for concealment.
     last_block: Option<Pcm>,
     /// Where this speaker scales a block by its own gain; the shared
     /// block is only ever read.
     gain_scratch: Vec<i16>,
-    phase: Phase,
-    stream_cfg: AudioConfig,
-    codec: CodecId,
-    clock: ClockSync,
-    stats: SpeakerStats,
     /// How early decoded blocks reach the §3.2 play decision, in
     /// microseconds (0 = at or past the deadline).
     deadline_slack_us: Histogram,
     journal: Option<Journal>,
-    verifier: Option<StreamVerifier>,
     autovol: Option<AutoVolume>,
-    dev_configured: bool,
     tuned: McastGroup,
-    /// Control-plane delegate: session packets arriving on any group
-    /// this node listens to are handed up here (the negotiated-mode
-    /// wrapper owns the handshake; the speaker stays a §2.3 radio).
-    session_hook: Option<SessionHook>,
-}
-
-/// How many sequence numbers back a duplicate is still recognized. A
-/// power of two, so residues run straight across the `u32` wrap.
-const DEDUPE_WINDOW: u32 = 512;
-
-/// The duplicate-suppression window: for each residue modulo
-/// [`DEDUPE_WINDOW`], the sequence number most recently accepted in
-/// that class. An entry is displaced only by a number a multiple of
-/// the window away from it — for a stream advancing in order, the one
-/// exactly `DEDUPE_WINDOW` older — so the filter is bounded, keeps
-/// working across the sequence wrap, and a forged `seq` costs it one
-/// entry rather than the window. The table grows to the highest class
-/// seen, so a speaker that has heard forty packets does not carry 512
-/// slots.
-#[derive(Default)]
-struct SeenSeqs(Vec<Option<u32>>);
-
-impl SeenSeqs {
-    /// Records `seq`; false if it is already in the window.
-    fn insert(&mut self, seq: u32) -> bool {
-        let class = (seq % DEDUPE_WINDOW) as usize;
-        if self.0.len() <= class {
-            self.0.resize(class + 1, None);
-        }
-        self.0[class].replace(seq) != Some(seq)
-    }
-
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
-/// Most missing-range entries a speaker holds pending retransmission.
-const MAX_MISSING_RANGES: usize = 32;
-/// Longest single missing range worth reporting (a jump bigger than
-/// this is a stream restart, not a loss burst).
-const MAX_MISSING_RANGE_LEN: u32 = 1_024;
-
-impl SpkState {
-    /// Notes a freshly detected sequence gap for the NACK ledger.
-    fn note_missing_range(&mut self, first: u32, count: u32) {
-        if count == 0 || count > MAX_MISSING_RANGE_LEN {
-            return;
-        }
-        self.missing_ranges
-            .push((first, count.min(u16::MAX as u32) as u16));
-        while self.missing_ranges.len() > MAX_MISSING_RANGES {
-            self.missing_ranges.remove(0);
-        }
-    }
-
-    /// A previously-missing sequence number arrived after all (reorder,
-    /// FEC recovery, or a retransmission): shrink or split its range so
-    /// it is not NACKed again.
-    fn clear_missing(&mut self, seq: u32) {
-        let mut out: Vec<(u32, u16)> = Vec::with_capacity(self.missing_ranges.len());
-        for &range in &self.missing_ranges {
-            push_without(&mut out, range, seq);
-        }
-        self.missing_ranges = out;
-    }
-
-    /// Checks whether `seq` falls inside a range the healing plane is
-    /// refilling, consuming that sequence from the expectation ledger
-    /// so a LAN duplicate of the refill is not classified twice.
-    fn consume_refill(&mut self, seq: u32) -> bool {
-        let mut hit = false;
-        let mut out: Vec<(u32, u16)> = Vec::with_capacity(self.refill_expected.len());
-        for &range in &self.refill_expected {
-            if hit {
-                out.push(range);
-            } else {
-                hit = push_without(&mut out, range, seq);
-            }
-        }
-        self.refill_expected = out;
-        hit
-    }
-}
-
-/// Pushes what is left of the range `(first, count)` once `seq` is
-/// taken out of it — the whole range when `seq` lies outside — and
-/// says whether `seq` was inside. Offsets are wrapping, so a range may
-/// straddle the `u32` sequence wrap.
-fn push_without(out: &mut Vec<(u32, u16)>, (first, count): (u32, u16), seq: u32) -> bool {
-    let off = seq.wrapping_sub(first);
-    if off >= count as u32 {
-        out.push((first, count));
-        return false;
-    }
-    if off > 0 {
-        out.push((first, off as u16));
-    }
-    let after = count as u32 - off - 1;
-    if after > 0 {
-        out.push((seq.wrapping_add(1), after as u16));
-    }
-    true
 }
 
 /// Callback receiving control-plane packets (see
@@ -578,6 +363,10 @@ pub struct EthernetSpeaker {
     node: NodeId,
     dev: Rc<AudioDevice>,
     tap: Shared<OutputTap>,
+    /// Control-plane delegate (the negotiated-mode wrapper owns the
+    /// handshake; the speaker stays a §2.3 radio). In a cell of its
+    /// own, so the callback may re-enter `tune` and `resync`.
+    session_hook: Shared<Option<SessionHook>>,
 }
 
 impl EthernetSpeaker {
@@ -593,35 +382,21 @@ impl EthernetSpeaker {
             cfg.device_block_ms,
         ));
         dev.open().expect("fresh device opens");
-        let verifier = cfg.auth_anchor.map(StreamVerifier::new);
         let autovol = cfg
             .auto_volume
             .as_ref()
             .map(|(avc, _)| AutoVolume::new(*avc));
-        let tuned = cfg.group;
         let state = shared(SpkState {
+            rx: SpeakerRx::new(cfg.auth_anchor),
+            events: Vec::new(),
             serial_busy: false,
             serial_queue: std::collections::VecDeque::new(),
-            last_seq: None,
-            missing_ranges: Vec::new(),
-            refill_expected: Vec::new(),
-            seen_seqs: SeenSeqs::default(),
-            fec: None,
-            monitor: es_proto::StreamMonitor::new(),
             last_block: None,
             gain_scratch: Vec::new(),
-            phase: Phase::WaitingForControl,
-            stream_cfg: AudioConfig::default(),
-            codec: CodecId::Pcm,
-            clock: ClockSync::new(),
-            stats: SpeakerStats::default(),
             deadline_slack_us: Histogram::default(),
             journal: None,
-            verifier,
             autovol,
-            dev_configured: false,
-            tuned,
-            session_hook: None,
+            tuned: cfg.group,
             cfg,
         });
         let spk = EthernetSpeaker {
@@ -630,6 +405,7 @@ impl EthernetSpeaker {
             node,
             dev,
             tap,
+            session_hook: shared(None),
         };
         let s2 = spk.clone();
         lan.set_handler(node, move |sim, dg| s2.on_datagram(sim, dg));
@@ -650,31 +426,11 @@ impl EthernetSpeaker {
     pub fn tune(&self, sim: &mut Sim, group: McastGroup) {
         let old = {
             let mut st = self.state.borrow_mut();
-            let old = st.tuned;
-            st.tuned = group;
-            st.phase = Phase::WaitingForControl;
-            st.clock = ClockSync::new();
-            st.dev_configured = false;
-            st.last_seq = None;
-            st.missing_ranges.clear();
-            st.refill_expected.clear();
-            st.seen_seqs.clear();
-            st.fec = None;
-            if let Some(j) = st.journal.clone() {
-                j.emit(
-                    Stamp::virtual_ns(sim.now().as_nanos()),
-                    Severity::Info,
-                    "speaker",
-                    "tuned to new channel",
-                    &[
-                        ("speaker", st.cfg.name.clone()),
-                        ("from_group", old.0.to_string()),
-                        ("to_group", group.0.to_string()),
-                    ],
-                );
-            }
-            old
+            st.rx.retune();
+            std::mem::replace(&mut st.tuned, group)
         };
+        let groups = [("from_group", old.0.into()), ("to_group", group.0.into())];
+        self.journal(sim, Severity::Info, "tuned to new channel", &groups);
         self.lan.leave(self.node, old);
         self.lan.join(self.node, group);
     }
@@ -691,35 +447,24 @@ impl EthernetSpeaker {
 
     /// Counter snapshot.
     pub fn stats(&self) -> SpeakerStats {
-        self.state.borrow().stats
+        self.state.borrow().rx.stats
     }
 
     /// Authentication counters, when auth is enabled.
     pub fn auth_stats(&self) -> Option<VerifierStats> {
-        self.state.borrow().verifier.as_ref().map(|v| v.stats())
+        self.state.borrow().rx.verifier.as_ref().map(|v| v.stats())
     }
 
     /// Reception-quality snapshot (jitter/loss/reorder) — what a §5.3
     /// management console would poll.
     pub fn quality(&self) -> es_proto::QualityReport {
-        self.state.borrow().monitor.report()
+        self.state.borrow().rx.monitor.report()
     }
 
-    /// Drains the missing-sequence ledger: ranges `(first, count)` the
-    /// speaker detected as lost and which no late arrival has filled.
-    /// The healing plane turns these into NACK retransmit requests;
-    /// taking them resets the ledger so a range is reported once.
+    /// Drains the missing-sequence ledger into the healing plane's
+    /// NACK requests; see [`SpeakerRx::take_missing_ranges`].
     pub fn take_missing_ranges(&self) -> Vec<(u32, u16)> {
-        let mut st = self.state.borrow_mut();
-        let ranges = std::mem::take(&mut st.missing_ranges);
-        // The caller will NACK these; remember them so the refills,
-        // when they land, are billed as repairs rather than fresh
-        // deadline misses (the "refill echo").
-        st.refill_expected.extend_from_slice(&ranges);
-        while st.refill_expected.len() > MAX_MISSING_RANGES {
-            st.refill_expected.remove(0);
-        }
-        ranges
+        self.state.borrow_mut().rx.take_missing_ranges()
     }
 
     /// The DAC output tap: how much played and when, always; the
@@ -740,7 +485,7 @@ impl EthernetSpeaker {
 
     /// Current clock offset estimate versus the producer.
     pub fn clock_offset_us(&self) -> Option<i64> {
-        self.state.borrow().clock.offset_us()
+        self.state.borrow().rx.clock.offset_us()
     }
 
     /// Current auto-volume gain, if enabled.
@@ -759,31 +504,14 @@ impl EthernetSpeaker {
     /// being dropped. Used by the negotiated-session wrapper in
     /// `es-core`; the speaker itself stays a stateless radio.
     pub fn set_session_handler(&self, f: impl FnMut(&mut Sim, es_proto::SessionPacket) + 'static) {
-        self.state.borrow_mut().session_hook = Some(Box::new(f));
+        *self.session_hook.borrow_mut() = Some(Box::new(f));
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate on the
-    /// next control packet, exactly as a fresh tune-in would. The
-    /// producer uses this to resynchronize a fleet after a seek or a
-    /// stream restart.
+    /// next control packet; see [`SpeakerRx::resync`].
     pub fn resync(&self, sim: &mut Sim) {
-        let mut st = self.state.borrow_mut();
-        st.phase = Phase::WaitingForControl;
-        st.clock = ClockSync::new();
-        st.last_seq = None;
-        st.missing_ranges.clear();
-        st.refill_expected.clear();
-        st.seen_seqs.clear();
-        st.stats.session_resyncs += 1;
-        if let Some(j) = st.journal.clone() {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Info,
-                "speaker",
-                "session flush resync",
-                &[("speaker", st.cfg.name.clone())],
-            );
-        }
+        self.state.borrow_mut().rx.resync();
+        self.journal(sim, Severity::Info, "session flush resync", &[]);
     }
 
     /// Sets the fixed volume gain (the control plane's PARAM update;
@@ -805,10 +533,10 @@ impl EthernetSpeaker {
         let (stats, slack, offset, report) = {
             let st = self.state.borrow();
             (
-                st.stats,
+                st.rx.stats,
                 st.deadline_slack_us.clone(),
-                st.clock.offset_us(),
-                st.monitor.report(),
+                st.rx.clock.offset_us(),
+                st.rx.monitor.report(),
             )
         };
         stats.record(registry);
@@ -825,287 +553,133 @@ impl EthernetSpeaker {
             .counter("quality_duplicates", report.duplicates);
     }
 
+    /// Journals a diagnostic about this speaker, if a journal is
+    /// attached; `fields` follow the speaker's name.
+    fn journal(&self, sim: &Sim, severity: Severity, message: &str, fields: &[(&str, u64)]) {
+        let st = self.state.borrow();
+        if let Some(j) = &st.journal {
+            let mut named = vec![("speaker", st.cfg.name.clone())];
+            named.extend(fields.iter().map(|&(k, v)| (k, v.to_string())));
+            let stamp = Stamp::virtual_ns(sim.now().as_nanos());
+            j.emit(stamp, severity, "speaker", message, &named);
+        }
+    }
+
     fn on_datagram(&self, sim: &mut Sim, dg: Datagram) {
-        self.state.borrow_mut().stats.datagrams += 1;
-        let raw = dg.payload.as_ref();
-        let has_verifier = self.state.borrow().verifier.is_some();
-        if has_verifier {
-            // Authenticated channel: every packet carries a trailer;
-            // nothing plays until its key interval is disclosed.
-            if raw.len() <= TRAILER_LEN {
-                self.state.borrow_mut().stats.bad_packets += 1;
-                return;
-            }
-            let (body, tbytes) = raw.split_at(raw.len() - TRAILER_LEN);
-            let Some(trailer) = es_proto::AuthTrailer::decode(tbytes) else {
-                self.state.borrow_mut().stats.bad_packets += 1;
-                return;
-            };
-            let released = {
-                let mut st = self.state.borrow_mut();
-                let verifier = st.verifier.as_mut().expect("checked above");
-                let (released, _reject) = verifier.offer(body, &trailer);
-                released
-            };
-            for msg in released {
-                self.handle_packet(sim, &Bytes::from(msg));
-            }
-        } else {
-            self.handle_packet(sim, &dg.payload);
+        let released = self.state.borrow_mut().rx.admit(&dg.payload);
+        for raw in released {
+            self.handle_packet(sim, &raw);
         }
     }
 
-    /// Every packet this speaker acts on — straight off the LAN or
-    /// released by the verifier — enters here, through the shared
-    /// parse.
+    /// Every message this speaker acts on enters here, through the
+    /// shared parse, and steps the protocol once; what that decided is
+    /// carried out before the next message is looked at.
     fn handle_packet(&self, sim: &mut Sim, raw: &Bytes) {
-        let pkt = match parse_shared(raw) {
-            Ok(pkt) => pkt,
-            Err(_) => {
-                self.state.borrow_mut().stats.bad_packets += 1;
-                return;
+        let parsed = parse_shared(raw);
+        let mut events = {
+            let mut st = self.state.borrow_mut();
+            let st = &mut *st;
+            match parsed {
+                Ok(pkt) => st.rx.on_packet(sim.now(), pkt, &mut st.events),
+                Err(_) => st.rx.stats.bad_packets += 1,
             }
+            std::mem::take(&mut st.events)
         };
-        match pkt {
-            Packet::Control(c) => self.on_control(sim, c),
-            Packet::Data(d) => {
-                self.state.borrow_mut().monitor.on_packet(
-                    d.seq,
-                    d.play_at_us,
-                    sim.now().as_micros(),
-                );
-                // Feed the FEC tracker first: a recovered packet from an
-                // earlier group plays like any other.
-                let recovered = self
-                    .state
-                    .borrow_mut()
-                    .fec
-                    .as_mut()
-                    .and_then(|f| f.on_data(&d));
-                self.on_data(sim, d);
-                if let Some(r) = recovered {
-                    self.state.borrow_mut().stats.fec_recovered += 1;
-                    self.on_data(sim, r);
+        for event in events.drain(..) {
+            match event {
+                RxEvent::Configure(config) => {
+                    // Valid by parse; a refusing device keeps its format.
+                    let _ = self.dev.ioctl(sim, Ioctl::SetInfo(config));
                 }
-            }
-            Packet::Parity(p) => {
-                let recovered = {
-                    let mut st = self.state.borrow_mut();
-                    // The healing plane can change the FEC level mid-stream;
-                    // a parity packet with a different group size means the
-                    // old recoverer's partial state is for a dead layout.
-                    if let Some(old) = st.fec.as_ref().map(|f| f.group()) {
-                        if old != p.count {
-                            st.fec = Some(es_proto::FecRecoverer::new(p.count));
-                            if let Some(j) = st.journal.clone() {
-                                j.emit(
-                                    Stamp::virtual_ns(sim.now().as_nanos()),
-                                    Severity::Info,
-                                    "speaker",
-                                    "fec parity group changed",
-                                    &[
-                                        ("speaker", st.cfg.name.clone()),
-                                        ("from", old.to_string()),
-                                        ("to", p.count.to_string()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    let fec = st
-                        .fec
-                        .get_or_insert_with(|| es_proto::FecRecoverer::new(p.count));
-                    fec.on_parity(&p)
-                };
-                if let Some(r) = recovered {
-                    self.state.borrow_mut().stats.fec_recovered += 1;
-                    self.on_data(sim, r);
-                }
-            }
-            Packet::Announce(_) => { /* catalog handled by es-core's browser */ }
-            Packet::Session(sp) => {
-                // Take the hook out while calling it so the callback
-                // may re-enter speaker methods (tune, resync).
-                let hook = self.state.borrow_mut().session_hook.take();
-                if let Some(mut hook) = hook {
-                    hook(sim, sp);
-                    let mut st = self.state.borrow_mut();
-                    if st.session_hook.is_none() {
-                        st.session_hook = Some(hook);
+                RxEvent::Block(block) => self.on_block(sim, block),
+                RxEvent::Session(sp) => {
+                    if let Some(hook) = self.session_hook.borrow_mut().as_mut() {
+                        hook(sim, *sp);
                     }
                 }
+                RxEvent::FecGroupChanged { from, to } => self.journal(
+                    sim,
+                    Severity::Info,
+                    "fec parity group changed",
+                    &[("from", from.into()), ("to", to.into())],
+                ),
             }
         }
+        self.state.borrow_mut().events = events;
     }
 
-    fn on_control(&self, sim: &mut Sim, c: es_proto::ControlPacket) {
-        let reconfigure = {
-            let mut st = self.state.borrow_mut();
-            st.stats.control_packets += 1;
-            st.clock.on_control(sim.now(), c.producer_time_us);
-            let codec = CodecId::from_wire(c.codec).unwrap_or(CodecId::Pcm);
-            let changed = !st.dev_configured || st.stream_cfg != c.config;
-            st.stream_cfg = c.config;
-            st.codec = codec;
-            st.phase = Phase::Playing;
-            changed
-        };
-        if reconfigure {
-            // Program the local audio hardware with the stream format
-            // the control packet carries (§2.3: the configuration block
-            // needed to decode the stream).
-            if self.dev.ioctl(sim, Ioctl::SetInfo(c.config)).is_ok() {
-                self.state.borrow_mut().dev_configured = true;
-            }
-        }
-    }
-
-    fn on_data(&self, sim: &mut Sim, d: es_proto::DataPacket) {
-        // §2.3: no control packet yet means the stream cannot be
-        // decoded — wait, do not guess.
-        let deadline = {
-            let mut st = self.state.borrow_mut();
-            match st.phase {
-                Phase::WaitingForControl => {
-                    st.stats.dropped_waiting_control += 1;
-                    return;
-                }
-                Phase::Playing => {}
-            }
-            let Some(deadline) = st.clock.to_local(d.play_at_us) else {
-                st.stats.dropped_waiting_control += 1;
-                return;
-            };
-            deadline
-        };
-        // Duplicate suppression: a sequence number that already went to
-        // playback must never play twice, whether the copy came from
-        // the LAN's duplication impairment or from FEC recovering a
-        // packet that also arrived on its own.
-        {
-            let mut st = self.state.borrow_mut();
-            if !st.seen_seqs.insert(d.seq) {
-                st.stats.dropped_duplicate += 1;
-                return;
-            }
-        }
+    /// Plays one block the protocol cleared: conceals the loss before
+    /// it, if any, then hands it to the player.
+    fn on_block(&self, sim: &mut Sim, block: RxBlock) {
         // PLC: a jump in the sequence numbers means packets were lost
         // on the wire. Conceal up to three of them by replaying the
         // previous block, faded, at the deadlines the missing packets
         // would have had.
-        let (conceal, refill) = {
-            let mut st = self.state.borrow_mut();
-            // A sequence number inside a range we handed to the healing
-            // plane is its NACK retransmission coming back.
-            let refill = st.consume_refill(d.seq);
-            if refill {
-                st.stats.refills_received += 1;
-            }
-            // The wire `seq` is unauthenticated and wraps, so "ahead of"
-            // is the sign of the wrapping difference (serial-number
-            // arithmetic), never `last + 1`: a forged `u32::MAX` must
-            // neither overflow nor pin `last_seq` for good.
-            let ahead = st
-                .last_seq
-                .map_or(0, |last| d.seq.wrapping_sub(last) as i32);
-            let gap = if ahead > 1 {
-                let raw = ahead as u32 - 1;
-                // The `raw` sequence numbers just before this one.
-                st.note_missing_range(d.seq.wrapping_sub(raw), raw);
-                raw.min(3)
-            } else {
-                0
-            };
-            if ahead >= 0 {
-                st.last_seq = Some(d.seq);
-            } else {
-                // A late arrival (reorder, FEC recovery or a healing-plane
-                // retransmission) fills a hole we may have NACKed.
-                st.clear_missing(d.seq);
-            }
-            let conceal = if gap > 0 && st.cfg.conceal_loss {
-                let replayable = st.last_block.clone().filter(|block| !block.is_empty());
-                replayable.map(|block| (gap, block))
-            } else {
-                None
-            };
-            (conceal, refill)
+        let conceal = {
+            let st = self.state.borrow();
+            let wanted = block.gap > 0 && st.cfg.conceal_loss;
+            let prev = st.last_block.as_ref().filter(|b| wanted && !b.is_empty());
+            prev.map(|prev| (Rc::clone(prev), st.rx.stream_config()))
         };
-        if let Some((gap, block)) = conceal {
-            let dur_ns = {
-                let st = self.state.borrow();
-                st.stream_cfg.nanos_for_bytes(
-                    (block.len() * st.stream_cfg.encoding.bytes_per_sample() as usize) as u64,
-                )
-            };
+        if let Some((prev, cfg)) = conceal {
+            let bytes = prev.len() * cfg.encoding.bytes_per_sample() as usize;
+            let dur_ns = cfg.nanos_for_bytes(bytes as u64);
+            let gap = block.gap.min(3);
             for k in 1..=gap {
                 // The k-th missing packet before this one.
                 let back = (gap - k + 1) as u64 * dur_ns;
                 let gap_deadline =
-                    es_sim::SimTime::from_nanos(deadline.as_nanos().saturating_sub(back));
+                    SimTime::from_nanos(block.deadline.as_nanos().saturating_sub(back));
                 // The fade is this speaker's alone: its neighbours may
                 // still be waiting to play the block it replays.
-                let mut faded = block.to_vec();
+                let mut faded = prev.to_vec();
                 let fade = 0.6f64.powi(k as i32);
                 apply_gain(&mut faded, fade);
-                self.state.borrow_mut().stats.concealed_packets += 1;
+                self.state.borrow_mut().rx.stats.concealed_packets += 1;
                 self.schedule_play(sim, Rc::new(faded), gap_deadline, false);
             }
         }
-        let pending = Pending {
-            payload: d.payload,
-            codec_wire: d.codec,
-            deadline,
-            refill,
+        let mut st = self.state.borrow_mut();
+        let Some(depth) = st.cfg.serial_queue_depth else {
+            drop(st);
+            return self.process_pipelined(sim, block);
         };
-        let serial_depth = self.state.borrow().cfg.serial_queue_depth;
-        match serial_depth {
-            None => self.process_pipelined(sim, pending),
-            Some(depth) => {
-                let start = {
-                    let mut st = self.state.borrow_mut();
-                    if st.serial_busy {
-                        if st.serial_queue.len() >= depth {
-                            // The player thread is wedged and the
-                            // receive buffer is full: §3.4's lost audio.
-                            st.stats.dropped_busy += 1;
-                            None
-                        } else {
-                            st.serial_queue.push_back(pending);
-                            None
-                        }
-                    } else {
-                        st.serial_busy = true;
-                        Some(pending)
-                    }
-                };
-                if let Some(p) = start {
-                    self.process_serial(sim, p);
-                }
+        if st.serial_busy {
+            if st.serial_queue.len() < depth {
+                st.serial_queue.push_back(block);
+            } else {
+                // The player thread is wedged and the receive buffer is
+                // full: §3.4's lost audio.
+                st.rx.stats.dropped_busy += 1;
             }
+            return;
         }
+        st.serial_busy = true;
+        drop(st);
+        self.process_serial(sim, block);
     }
 
     // es-hot-path
-    /// Decodes a pending packet against the *live* stream state (a
-    /// control packet can reconfigure the stream while a packet sits
+    /// Decodes a cleared block against the *live* stream state (a
+    /// control packet can reconfigure the stream while a block sits
     /// in the serial queue), billing the CPU model — every receiver
     /// pays for its decode, however many shared it; returns the
     /// samples — a handle to the shared decode — and the (possibly
     /// future) completion time.
-    fn decode_pending(&self, sim: &mut Sim, p: &Pending) -> Option<(Pcm, es_sim::SimTime)> {
+    fn decode_pending(&self, sim: &mut Sim, p: &RxBlock) -> Option<(Pcm, SimTime)> {
         let (codec, channels, model) = {
             let st = self.state.borrow();
-            (st.codec, st.stream_cfg.channels, st.cfg.cost_model)
+            let channels = st.rx.stream_config().channels;
+            (st.rx.codec_for(p.codec_wire), channels, st.cfg.cost_model)
         };
-        let wire_codec = CodecId::from_wire(p.codec_wire).unwrap_or(codec);
-        let Some((samples, work)) = decode_shared(model, wire_codec, channels, &p.payload) else {
-            self.state.borrow_mut().stats.decode_errors += 1;
+        let Some((samples, work)) = decode_shared(model, codec, channels, &p.payload) else {
+            self.state.borrow_mut().rx.stats.decode_errors += 1;
             return None;
         };
         let decoded_at = {
             let mut st = self.state.borrow_mut();
-            st.stats.decode_work_units += work;
+            st.rx.stats.decode_work_units += work;
             match &st.cfg.cpu {
                 Some(cpu) => cpu
                     .borrow_mut()
@@ -1118,33 +692,27 @@ impl EthernetSpeaker {
 
     /// The default pipelined path: every packet decodes independently
     /// and is scheduled at its deadline.
-    fn process_pipelined(&self, sim: &mut Sim, p: Pending) {
+    fn process_pipelined(&self, sim: &mut Sim, p: RxBlock) {
         let Some((samples, decoded_at)) = self.decode_pending(sim, &p) else {
             return;
         };
-        {
-            let mut st = self.state.borrow_mut();
-            if st.cfg.conceal_loss {
-                st.last_block = Some(Rc::clone(&samples));
-            }
+        if self.state.borrow().cfg.conceal_loss {
+            self.state.borrow_mut().last_block = Some(Rc::clone(&samples));
         }
-        let deadline = p.deadline;
-        let refill = p.refill;
         let spk = self.clone();
         sim.schedule_at(decoded_at, move |sim| {
-            spk.schedule_play(sim, samples, deadline, refill);
+            spk.schedule_play(sim, samples, p.deadline, p.refill);
         });
     }
 
     /// The §3.4 single-threaded path: decode, sleep to the deadline,
     /// then a blocking write; only then is the next packet considered.
-    fn process_serial(&self, sim: &mut Sim, p: Pending) {
+    fn process_serial(&self, sim: &mut Sim, p: RxBlock) {
         let Some((samples, decoded_at)) = self.decode_pending(sim, &p) else {
             self.finish_serial(sim);
             return;
         };
-        let deadline = p.deadline;
-        let refill = p.refill;
+        let (deadline, refill) = (p.deadline, p.refill);
         let spk = self.clone();
         sim.schedule_at(decoded_at, move |sim| {
             let epsilon = spk.state.borrow().cfg.epsilon;
@@ -1175,8 +743,8 @@ impl EthernetSpeaker {
     fn render(&self, samples: &[i16]) -> (Vec<u8>, AudioConfig) {
         let mut st = self.state.borrow_mut();
         let st = &mut *st;
-        st.stats.data_packets += 1;
-        let cfg = st.stream_cfg;
+        st.rx.stats.data_packets += 1;
+        let cfg = st.rx.stream_config();
         let gain = st.cfg.volume * st.autovol.as_ref().map_or(1.0, |a| a.gain());
         let samples = if (gain - 1.0).abs() > 1e-9 {
             st.gain_scratch.clear();
@@ -1195,10 +763,8 @@ impl EthernetSpeaker {
     /// the device's writable wakeup.
     fn serial_write_bytes(&self, sim: &mut Sim, bytes: Vec<u8>, offset: usize, cfg: AudioConfig) {
         let n = self.dev.write(sim, &bytes[offset..]).unwrap_or(0);
-        {
-            let mut st = self.state.borrow_mut();
-            st.stats.samples_played += (n / cfg.encoding.bytes_per_sample() as usize) as u64;
-        }
+        let played = (n / cfg.encoding.bytes_per_sample() as usize) as u64;
+        self.state.borrow_mut().rx.stats.samples_played += played;
         let next = offset + n;
         if next < bytes.len() {
             let spk = self.clone();
@@ -1216,13 +782,9 @@ impl EthernetSpeaker {
     fn finish_serial(&self, sim: &mut Sim) {
         let next = {
             let mut st = self.state.borrow_mut();
-            match st.serial_queue.pop_front() {
-                Some(p) => Some(p),
-                None => {
-                    st.serial_busy = false;
-                    None
-                }
-            }
+            let next = st.serial_queue.pop_front();
+            st.serial_busy = next.is_some();
+            next
         };
         if let Some(p) = next {
             self.process_serial(sim, p);
@@ -1280,20 +842,13 @@ impl EthernetSpeaker {
         let lateness = boundary_wait + queued;
         if lateness > epsilon {
             self.dev.restart_output(sim);
-            let mut st = self.state.borrow_mut();
-            st.stats.playback_resyncs += 1;
-            if let Some(j) = st.journal.clone() {
-                j.emit(
-                    Stamp::virtual_ns(sim.now().as_nanos()),
-                    Severity::Debug,
-                    "speaker",
-                    "playback grid resynced to stream clock",
-                    &[
-                        ("speaker", st.cfg.name.clone()),
-                        ("late_us", lateness.as_micros().to_string()),
-                    ],
-                );
-            }
+            self.state.borrow_mut().rx.stats.playback_resyncs += 1;
+            self.journal(
+                sim,
+                Severity::Debug,
+                "playback grid resynced to stream clock",
+                &[("late_us", lateness.as_micros())],
+            );
         }
         self.write_out(sim, samples);
     }
@@ -1301,11 +856,8 @@ impl EthernetSpeaker {
     /// Records how early (or late: slack 0) a block reached the play
     /// decision.
     fn observe_slack(&self, sim: &mut Sim, deadline: SimTime) {
-        let slack = deadline.saturating_since(sim.now());
-        self.state
-            .borrow_mut()
-            .deadline_slack_us
-            .observe(slack.as_micros());
+        let slack = deadline.saturating_since(sim.now()).as_micros();
+        self.state.borrow_mut().deadline_slack_us.observe(slack);
     }
 
     /// Counts a §3.2 deadline miss and journals it. A late NACK refill
@@ -1314,29 +866,14 @@ impl EthernetSpeaker {
     /// repair itself as a miss made every loss burst cost the healing
     /// detector a second sick epoch (the "refill echo").
     fn note_late_drop(&self, sim: &mut Sim, deadline: SimTime, refill: bool) {
-        let mut st = self.state.borrow_mut();
-        if refill {
-            st.stats.refill_late += 1;
+        self.state.borrow_mut().rx.stats.note_late(refill);
+        let message = if refill {
+            "nack refill arrived past deadline"
         } else {
-            st.stats.dropped_late += 1;
-        }
-        if let Some(j) = st.journal.clone() {
-            let late = sim.now().saturating_since(deadline);
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Debug,
-                "speaker",
-                if refill {
-                    "nack refill arrived past deadline"
-                } else {
-                    "data packet discarded past deadline"
-                },
-                &[
-                    ("speaker", st.cfg.name.clone()),
-                    ("late_us", late.as_micros().to_string()),
-                ],
-            );
-        }
+            "data packet discarded past deadline"
+        };
+        let late = sim.now().saturating_since(deadline).as_micros();
+        self.journal(sim, Severity::Debug, message, &[("late_us", late)]);
     }
 
     /// Writes a decoded block to the device, applying volume; a full
@@ -1344,12 +881,11 @@ impl EthernetSpeaker {
     fn write_out(&self, sim: &mut Sim, samples: Pcm) {
         let (bytes, cfg) = self.render(&samples);
         let written = self.dev.write(sim, &bytes).unwrap_or(0);
+        let played = (written / cfg.encoding.bytes_per_sample() as usize) as u64;
         {
             let mut st = self.state.borrow_mut();
-            st.stats.samples_played += (written / cfg.encoding.bytes_per_sample() as usize) as u64;
-            if written < bytes.len() {
-                st.stats.dropped_overflow_bytes += (bytes.len() - written) as u64;
-            }
+            st.rx.stats.samples_played += played;
+            st.rx.stats.dropped_overflow_bytes += (bytes.len() - written) as u64;
         }
         recycle_byte_buf(bytes);
     }

@@ -49,13 +49,21 @@ impl ClockSync {
     /// true offset, and a delayed one — even the very first, if the
     /// network held it back — is corrected by the next packet that
     /// arrives on time and can never yank playback later again.
-    pub fn on_control(&mut self, local_now: SimTime, producer_time_us: u64) {
-        let observed = local_now.as_micros() as i64 - producer_time_us as i64;
+    ///
+    /// The timestamp is wire input: one past `i64::MAX` has no signed
+    /// offset, so the sample is refused — `false` — and changes nothing.
+    pub fn on_control(&mut self, local_now: SimTime, producer_time_us: u64) -> bool {
+        let Ok(producer) = i64::try_from(producer_time_us) else {
+            return false;
+        };
+        // Local microseconds stay below 2^54, so this cannot overflow.
+        let observed = local_now.as_micros() as i64 - producer;
         self.samples += 1;
         self.offset_us = Some(match self.offset_us {
             None => observed,
             Some(prev) => prev.min(observed),
         });
+        true
     }
 
     /// The current offset estimate in microseconds (`local -
@@ -65,14 +73,21 @@ impl ClockSync {
     }
 
     /// Maps a producer-timeline deadline to local time. `None` until
-    /// synchronized. Deadlines that would land before the local epoch
-    /// clamp to zero.
+    /// synchronized, and for a deadline local time cannot represent
+    /// (the field is wire input). Deadlines that would land before the
+    /// local epoch clamp to zero.
     pub fn to_local(&self, producer_us: u64) -> Option<SimTime> {
-        let off = self.offset_us?;
-        let local = producer_us as i64 + off;
-        Some(SimTime::from_micros(local.max(0) as u64))
+        let local = i64::try_from(producer_us)
+            .ok()?
+            .checked_add(self.offset_us?)?;
+        (local.max(0) as u64)
+            .checked_mul(1_000)
+            .map(SimTime::from_nanos)
     }
 }
+
+/// The stock epsilon: lateness tolerated before data is discarded.
+pub const DEFAULT_EPSILON: SimDuration = SimDuration::from_millis(20);
 
 /// What to do with a packet whose (local) play deadline is known.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,6 +176,19 @@ mod tests {
         assert_eq!(cs.to_local(61_000_000), Some(SimTime::from_secs(2)));
         // A deadline before the local epoch clamps.
         assert_eq!(cs.to_local(1_000_000), Some(SimTime::ZERO));
+    }
+
+    #[test]
+    fn unrepresentable_timestamps_are_refused_not_wrapped() {
+        let mut cs = ClockSync::new();
+        assert!(!cs.on_control(SimTime::from_secs(1), 1 << 63));
+        assert!(!cs.is_synced(), "a refused sample changes nothing");
+        assert_eq!(cs.samples(), 0);
+        assert!(cs.on_control(SimTime::from_secs(10), 3_000_000));
+        for forged in [i64::MAX as u64, 1 << 63, u64::MAX, u64::MAX / 1_000] {
+            assert_eq!(cs.to_local(forged), None, "{forged}");
+        }
+        assert_eq!(cs.to_local(4_000_000), Some(SimTime::from_secs(11)));
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! simulator; this example proves the same wire protocol works on a
 //! real network stack. A producer thread paces an OVL-compressed
 //! CD-quality stream against the wall clock (the §3.1 rate limiter for
-//! real) and multicasts it on `239.77.83.23`; two speaker threads join
-//! the group, gate on the control packet, decode, and report what they
-//! heard. The first speaker's audio is written to `real_udp.wav`.
+//! real) and multicasts it on `239.77.83.23`; a speaker thread joins
+//! the group and runs the same receive protocol as the simulated
+//! speakers (`es_speaker::SpeakerRx`: control gating, producer clock,
+//! dedupe, FEC recovery, §3.2 late drops) from a socket and the wall
+//! clock, then reports what it heard. Its audio is written to
+//! `real_udp.wav`.
 //!
 //! Needs a network stack that permits multicast on loopback; if the
 //! environment forbids it the example says so and exits cleanly.
@@ -68,16 +71,21 @@ fn main() {
     for (i, h) in [spk1].into_iter().enumerate() {
         match h.join().expect("speaker thread") {
             Ok(heard) => {
-                heard.record(&mut reg);
+                heard.stats.record(&mut reg);
                 let secs = heard
                     .config
                     .map(|c| {
                         heard.samples.len() as f64 / (c.sample_rate as f64 * c.channels as f64)
                     })
                     .unwrap_or(0.0);
+                let st = heard.stats;
                 println!(
                     "speaker {i}: {} control, {} data packets, {:.1}s decoded, {} bad",
-                    heard.control_packets, heard.data_packets, secs, heard.bad_packets
+                    st.control_packets, st.data_packets, secs, st.bad_packets
+                );
+                println!(
+                    "          {} duplicates dropped, {} recovered by FEC, {} dropped late, {} before control",
+                    st.dropped_duplicate, st.fec_recovered, st.dropped_late, st.dropped_waiting_control
                 );
                 if i == 0 && !heard.samples.is_empty() {
                     let cfg = heard.config.expect("decoded implies config");
@@ -90,7 +98,7 @@ fn main() {
                     .expect("write real_udp.wav");
                     println!("          wrote real_udp.wav");
                 }
-                if heard.data_packets == 0 {
+                if st.datagrams == 0 {
                     println!(
                         "          (no multicast loopback delivery here — common in sandboxes)"
                     );

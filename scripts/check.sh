@@ -83,18 +83,22 @@ for seed in 61 62 63; do
     }
 done
 
-# Live-UDP session smoke, skips surfaced: sandboxes without multicast
-# loopback print a `SKIPPED:` marker per skipped test instead of
+# Live-UDP smokes, skips surfaced: the session handshake and the live
+# producer→speaker roundtrip over real loopback multicast. Sandboxes
+# without it print a `SKIPPED:` marker per skipped test instead of
 # passing silently; the count is part of the gate's output so a CI
 # environment that never exercises the UDP path is visible.
-echo "== live-udp session smoke (skips surfaced)"
-udp_out=$(cargo test -q --test session_udp -- --nocapture 2>&1) || {
+echo "== live-udp smokes (skips surfaced)"
+udp_out=$({
+    cargo test -q --test session_udp -- --nocapture &&
+        cargo test -q -p es-core live_ -- --nocapture
+} 2>&1) || {
     printf '%s\n' "$udp_out" >&2
     exit 1
 }
 printf '%s\n' "$udp_out"
 udp_skips=$(printf '%s\n' "$udp_out" | grep -c '^SKIPPED:' || true)
-echo "session_udp skipped tests: $udp_skips"
+echo "live-udp skipped tests: $udp_skips"
 
 # Session-mode determinism gate: the negotiated-session scenarios
 # (discover → setup → stream → flush → teardown, plus the mid-handshake

@@ -40,8 +40,8 @@ pub fn run(control_interval_ms: u64, joins: usize, seed: u64) -> JoinRun {
         poll: SimDuration::from_millis(10),
     });
     let mut rcfg = RebroadcasterConfig::new(1, group);
-    rcfg.control_interval = SimDuration::from_millis(control_interval_ms);
-    rcfg.policy = CompressionPolicy::Never;
+    rcfg.tx.control_interval = SimDuration::from_millis(control_interval_ms);
+    rcfg.tx.policy = CompressionPolicy::Never;
     let rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
 
     let total_secs = 2 + joins as u64 * (control_interval_ms * 2 + 500) / 1_000 + 2;

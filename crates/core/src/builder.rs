@@ -653,14 +653,14 @@ impl SystemBuilder {
                 ch.vad_block_ms,
             );
             let mut rcfg = RebroadcasterConfig::new(ch.stream_id, ch.group);
-            rcfg.rate_limiter = ch.rate_limiter;
-            rcfg.policy = ch.policy;
-            rcfg.flags = ch.flags;
+            rcfg.tx.rate_limiter = ch.rate_limiter;
+            rcfg.tx.policy = ch.policy;
+            rcfg.tx.flags = ch.flags;
             rcfg.cpu = ch.cpu.clone();
-            rcfg.signer = ch.signer.clone();
-            rcfg.playout_delay = ch.playout_delay;
-            rcfg.fec_group = ch.fec_group;
-            rcfg.cost_model = ch.cost_model;
+            rcfg.tx.signer = ch.signer.clone();
+            rcfg.tx.playout_delay = ch.playout_delay;
+            rcfg.tx.fec_group = ch.fec_group;
+            rcfg.tx.cost_model = ch.cost_model;
             // A warm standby shares the VAD master: it sees the same
             // stream but neither reads nor sends until promoted.
             let standby_parts = standby_node.map(|node| (node, master.clone(), rcfg.clone()));

@@ -38,8 +38,8 @@ pub use catalog::{CatalogAnnouncer, ChannelBrowser};
 pub use error::Error;
 pub use heal_ctl::{HealMonitor, HealSpec};
 pub use live::{
-    run_live_producer, run_live_speaker, LiveProducerConfig, LiveProducerReport, LiveSpeaker,
-    LiveSpeakerReport,
+    run_live_producer, run_live_speaker, LiveProducer, LiveProducerConfig, LiveProducerReport,
+    LiveSpeaker, LiveSpeakerReport,
 };
 pub use override_ctl::{OverrideController, OverrideStats};
 pub use session_ctl::{BrokerStats, NegotiatedSpeaker, SessionBroker};

@@ -1,11 +1,10 @@
 //! Live mode: the same protocol over real UDP multicast.
 //!
 //! The simulator proves properties; this module proves the system runs
-//! on an actual network. A producer thread paces a generated signal in
-//! *real* time (the §3.1 rate limiter against the wall clock) and
-//! multicasts control + data packets; a speaker loop joins the group
-//! and drives the [`SpeakerRx`] protocol core the simulated speaker
-//! drives, from a socket and the wall clock, collecting the audio.
+//! on an actual network, with no protocol code of its own: a producer
+//! loop steps the [`StreamTx`] core the simulated rebroadcaster drives
+//! from a generated signal and the wall clock; a speaker loop joins the
+//! group and steps the [`SpeakerRx`] core the simulated speaker drives.
 //! `examples/real_udp.rs` wires both over the loopback interface and
 //! writes what the speaker heard to a WAV file.
 //!
@@ -17,11 +16,12 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
+use es_audio::convert::encode_samples_into;
 use es_audio::gen::{render_interleaved, Signal};
 use es_audio::AudioConfig;
-use es_codec::{CodecId, Codecs};
+use es_codec::Codecs;
 use es_net::udp::{McastReceiver, McastSender};
-use es_proto::{encode_control, encode_data, ControlPacket, DataPacket};
+use es_rebroadcast::{ProducerStats, StreamTx, StreamTxConfig};
 use es_sim::SimTime;
 use es_speaker::{decide, PlayDecision, RxEvent, SpeakerRx, SpeakerStats, DEFAULT_EPSILON};
 use es_telemetry::{Journal, Registry, Severity, Stamp, Telemetry};
@@ -32,74 +32,101 @@ pub struct LiveProducerConfig {
     pub channel: u8,
     /// UDP port.
     pub port: u16,
-    /// Stream id in packets.
-    pub stream_id: u16,
     /// Audio format.
     pub config: AudioConfig,
-    /// Codec for data payloads.
-    pub codec: CodecId,
-    /// OVL quality.
-    pub quality: u8,
-    /// Control packet period.
-    pub control_interval: Duration,
     /// Audio per data packet.
     pub chunk: Duration,
-    /// Playout delay granted to receivers.
-    pub playout_delay: Duration,
+    /// Protocol settings, as a simulated channel's rebroadcaster takes.
+    pub tx: StreamTxConfig,
     /// Structured diagnostics sink (wall-clock stamps).
     pub journal: Option<Journal>,
 }
 
 impl LiveProducerConfig {
-    /// Defaults: CD audio, OVL max quality, 500 ms control interval,
-    /// 50 ms chunks.
+    /// CD audio in 50 ms chunks, stream 1 of [`StreamTxConfig::new`].
     pub fn new(channel: u8, port: u16) -> Self {
         LiveProducerConfig {
             channel,
             port,
-            stream_id: 1,
             config: AudioConfig::CD,
-            codec: CodecId::Ovl,
-            quality: es_codec::MAX_QUALITY,
-            control_interval: Duration::from_millis(500),
             chunk: Duration::from_millis(50),
-            playout_delay: Duration::from_millis(200),
+            tx: StreamTxConfig::new(1),
             journal: None,
         }
-    }
-
-    /// Attaches a journal for structured diagnostics.
-    pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = Some(journal);
-        self
     }
 }
 
 /// What a live producer run did.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LiveProducerReport {
-    /// Data packets sent.
-    pub data_packets: u64,
-    /// Control packets sent.
-    pub control_packets: u64,
-    /// Payload bytes sent.
-    pub payload_bytes: u64,
-    /// Wall time the run took (should approximate the clip length:
-    /// the 5-minute-song property).
+    /// The counters every rebroadcaster keeps.
+    pub stats: ProducerStats,
+    /// Datagrams handed to the socket: data, control and parity.
+    pub datagrams: u64,
+    /// Wall time taken: clip + playout (the 5-minute-song property).
     pub elapsed: Duration,
 }
 
 impl Telemetry for LiveProducerReport {
     fn record(&self, registry: &mut Registry) {
-        let mut s = registry.component("rebroadcast");
-        s.counter("data_packets", self.data_packets)
-            .counter("control_packets", self.control_packets)
-            .counter("payload_bytes_out", self.payload_bytes)
+        self.stats.record(registry);
+        registry
+            .component("rebroadcast")
             .gauge("elapsed_ms", self.elapsed.as_millis() as f64);
     }
 }
 
-/// Streams `signal` for `duration`, pacing against the wall clock.
+/// The live producer without its socket or its clock: a signal in,
+/// sealed datagrams and the time they may leave out.
+pub struct LiveProducer {
+    tx: StreamTx,
+    config: AudioConfig,
+    frames_per_chunk: usize,
+    next_control: SimTime,
+    chunk: Vec<u8>,
+}
+
+impl LiveProducer {
+    /// A producer about to stream `cfg.config` audio.
+    pub fn new(cfg: &LiveProducerConfig) -> Self {
+        let mut tx = StreamTx::new(cfg.tx.clone(), false);
+        tx.on_config(cfg.config);
+        let frames = cfg.config.sample_rate as u128 * cfg.chunk.as_nanos() / 1_000_000_000;
+        LiveProducer {
+            tx,
+            config: cfg.config,
+            frames_per_chunk: frames as usize,
+            next_control: SimTime::ZERO,
+            chunk: Vec::new(),
+        }
+    }
+
+    /// Offers the next chunk of `signal` to the §3.1 limiter at `now`
+    /// and seals it, behind a due control packet, for the returned time.
+    pub fn step(&mut self, now: SimTime, signal: &mut dyn Signal, out: &mut Vec<Bytes>) -> SimTime {
+        let samples = render_interleaved(signal, self.config.channels, self.frames_per_chunk);
+        encode_samples_into(&samples, self.config.encoding, &mut self.chunk);
+        let Some(mut block) = self.tx.pace(now, self.chunk.len()) else {
+            return now;
+        };
+        let send_at = block.send_at;
+        if send_at >= self.next_control {
+            self.tx.control(send_at, out);
+            self.next_control = send_at + self.tx.config().control_interval;
+        }
+        self.tx.encode(&self.chunk, &mut block);
+        self.tx.seal(send_at, block, out);
+        send_at
+    }
+
+    /// The protocol core, for its counters and its stream clock.
+    pub fn tx(&self) -> &StreamTx {
+        &self.tx
+    }
+}
+
+/// Streams `signal` for `duration`, pacing against the wall clock, and
+/// returns once the stream clock says the last chunk has played.
 /// Blocking; spawn a thread for concurrent producer/speaker runs.
 #[allow(clippy::disallowed_methods)]
 pub fn run_live_producer(
@@ -107,9 +134,13 @@ pub fn run_live_producer(
     signal: &mut dyn Signal,
     duration: Duration,
 ) -> Result<LiveProducerReport, crate::Error> {
-    let tx = McastSender::new(cfg.channel, cfg.port)?;
-    let codecs = Codecs::new();
+    let socket = McastSender::new(cfg.channel, cfg.port)?;
     let start = Instant::now();
+    let wait_until = |at: SimTime| {
+        if let Some(early) = Duration::from_nanos(at.as_nanos()).checked_sub(start.elapsed()) {
+            std::thread::sleep(early);
+        }
+    };
     if let Some(j) = &cfg.journal {
         j.emit(
             Stamp::wall_now(),
@@ -119,61 +150,29 @@ pub fn run_live_producer(
             &[
                 ("channel", cfg.channel.to_string()),
                 ("port", cfg.port.to_string()),
-                ("codec", format!("{:?}", cfg.codec)),
                 ("duration_ms", duration.as_millis().to_string()),
             ],
         );
     }
-    let mut report = LiveProducerReport::default();
-    let frames_per_chunk =
-        (cfg.config.sample_rate as u128 * cfg.chunk.as_nanos() / 1_000_000_000) as usize;
-    let total_chunks = (duration.as_nanos() / cfg.chunk.as_nanos().max(1)) as u64;
-    let mut next_control = Instant::now();
-    let mut control_seq = 0u32;
-
-    for chunk_idx in 0..total_chunks {
-        let now = Instant::now();
-        if now >= next_control {
-            let pkt = ControlPacket {
-                stream_id: cfg.stream_id,
-                seq: control_seq,
-                producer_time_us: start.elapsed().as_micros() as u64,
-                config: cfg.config,
-                codec: cfg.codec.to_wire(),
-                quality: cfg.quality,
-                control_interval_ms: cfg.control_interval.as_millis() as u16,
-                flags: 0,
-            };
-            tx.send(&encode_control(&pkt))?;
-            control_seq += 1;
-            report.control_packets += 1;
-            next_control = now + cfg.control_interval;
-        }
-
-        // Generate and encode one chunk.
-        let interleaved = render_interleaved(signal, cfg.config.channels, frames_per_chunk);
-        let enc = codecs.encode(cfg.codec, &interleaved, cfg.config.channels, cfg.quality);
-        let play_at =
-            (chunk_idx as u128 * cfg.chunk.as_nanos() + cfg.playout_delay.as_nanos()) / 1_000;
-        let pkt = DataPacket {
-            stream_id: cfg.stream_id,
-            seq: chunk_idx as u32,
-            play_at_us: play_at as u64,
-            codec: cfg.codec.to_wire(),
-            payload: Bytes::from(enc.bytes),
-        };
-        tx.send(&encode_data(&pkt))?;
-        report.data_packets += 1;
-        report.payload_bytes += pkt.payload.len() as u64;
-
-        // The rate limiter: sleep until this chunk's stream deadline.
-        let deadline = start + cfg.chunk * (chunk_idx as u32 + 1);
-        let now = Instant::now();
-        if deadline > now {
-            std::thread::sleep(deadline - now);
+    let mut producer = LiveProducer::new(cfg);
+    let mut datagrams = 0u64;
+    let mut out = Vec::new();
+    for _ in 0..duration.as_nanos() / cfg.chunk.as_nanos().max(1) {
+        let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
+        wait_until(producer.step(now, signal, &mut out));
+        for datagram in out.drain(..) {
+            socket.send(&datagram)?;
+            datagrams += 1;
         }
     }
-    report.elapsed = start.elapsed();
+    if let Some(played_out) = producer.tx().played_out_at() {
+        wait_until(played_out);
+    }
+    let report = LiveProducerReport {
+        stats: producer.tx().stats,
+        datagrams,
+        elapsed: start.elapsed(),
+    };
     if let Some(j) = &cfg.journal {
         j.emit(
             Stamp::wall_now(),
@@ -181,7 +180,7 @@ pub fn run_live_producer(
             "rebroadcast",
             "live producer finished",
             &[
-                ("data_packets", report.data_packets.to_string()),
+                ("data_packets", report.stats.data_packets.to_string()),
                 ("elapsed_ms", report.elapsed.as_millis().to_string()),
             ],
         );
@@ -316,8 +315,8 @@ mod tests {
             run_live_speaker(channel, port, Duration::from_millis(1_500), Some(j2))
         });
         std::thread::sleep(Duration::from_millis(150));
-        let mut cfg = LiveProducerConfig::new(channel, port).with_journal(journal.clone());
-        cfg.codec = CodecId::Adpcm;
+        let mut cfg = LiveProducerConfig::new(channel, port);
+        cfg.journal = Some(journal.clone());
         let mut sig = Sine::new(440.0, 44_100, 0.5);
         let produced = match run_live_producer(&cfg, &mut sig, Duration::from_millis(800)) {
             Ok(r) => r,
@@ -339,9 +338,9 @@ mod tests {
             .iter()
             .all(|e| e.stamp.domain == es_telemetry::TimeDomain::Wall));
         assert!(journal.len() >= 3, "start/joined/finished events");
-        // Pacing: 800 ms of audio takes ~800 ms to send.
-        assert!(produced.elapsed >= Duration::from_millis(750));
-        assert!(produced.data_packets >= 15);
+        // Pacing: back when 800 ms of audio + 200 ms playout has played.
+        assert!(produced.elapsed >= Duration::from_millis(1_000));
+        assert_eq!(produced.stats.data_packets, 16);
         if heard.stats.datagrams == 0 {
             println!("SKIPPED: live_roundtrip_over_loopback: no multicast loopback delivery");
             return;

@@ -957,7 +957,7 @@ mod tests {
             poll: SimDuration::from_millis(10),
         });
         let mut rcfg = es_rebroadcast::RebroadcasterConfig::new(1, data_group);
-        rcfg.policy = es_rebroadcast::CompressionPolicy::Never;
+        rcfg.tx.policy = es_rebroadcast::CompressionPolicy::Never;
         let rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
         let _app = es_rebroadcast::AudioApp::start(
             &mut sim,

@@ -48,10 +48,18 @@ fn xor_into(acc: &mut Vec<u8>, data: &[u8]) {
 
 /// Producer side: absorbs data packets and emits a parity packet per
 /// full group.
+///
+/// Groups sit on the grid the recoverer assumes: [`FecRecoverer`]
+/// files a data packet under `seq - seq % group`, so a group opens
+/// only at a multiple of the group size and holds consecutive
+/// sequence numbers. Whatever breaks the run — the accumulator being
+/// created mid-group by a level change, numbers burnt while the
+/// producer was down — costs the partial group its parity instead of
+/// emitting parity no receiver can use.
 #[derive(Debug)]
 pub struct ParityAccumulator {
     group: u8,
-    base_seq: Option<u32>,
+    base_seq: u32,
     count: u8,
     xor_play: u64,
     xor_len: u32,
@@ -70,7 +78,7 @@ impl ParityAccumulator {
         assert!(group >= 2, "a parity group needs at least two packets");
         ParityAccumulator {
             group,
-            base_seq: None,
+            base_seq: 0,
             count: 0,
             xor_play: 0,
             xor_len: 0,
@@ -82,8 +90,17 @@ impl ParityAccumulator {
     /// Absorbs a just-sent data packet; returns the parity packet when
     /// the group completes.
     pub fn absorb(&mut self, pkt: &DataPacket) -> Option<ParityPacket> {
-        if self.base_seq.is_none() {
-            self.base_seq = Some(pkt.seq);
+        // `checked_add`: a group size that does not divide 2^32 leaves
+        // a short group below the wrap, and the recoverer's grid
+        // restarts at 0.
+        if self.count > 0 && self.base_seq.checked_add(self.count.into()) != Some(pkt.seq) {
+            self.reset();
+        }
+        if self.count == 0 {
+            if !pkt.seq.is_multiple_of(u32::from(self.group)) {
+                return None;
+            }
+            self.base_seq = pkt.seq;
         }
         self.count += 1;
         self.xor_play ^= pkt.play_at_us;
@@ -95,19 +112,23 @@ impl ParityAccumulator {
         }
         let parity = ParityPacket {
             stream_id: pkt.stream_id,
-            base_seq: self.base_seq.expect("set on first absorb"),
+            base_seq: self.base_seq,
             count: self.count,
             xor_play_at_us: self.xor_play,
             xor_len: self.xor_len,
             xor_codec: self.xor_codec,
             payload: Bytes::from(std::mem::take(&mut self.payload)),
         };
-        self.base_seq = None;
+        self.reset();
+        Some(parity)
+    }
+
+    fn reset(&mut self) {
         self.count = 0;
         self.xor_play = 0;
         self.xor_len = 0;
         self.xor_codec = 0;
-        Some(parity)
+        self.payload.clear();
     }
 }
 
@@ -290,6 +311,65 @@ mod tests {
         assert_eq!(p.payload.len(), 6, "padded to the longest member");
         // Next group starts clean.
         assert!(acc.absorb(&pkt(4, b"x")).is_none());
+    }
+
+    #[test]
+    fn groups_keep_the_recoverers_grid_wherever_the_accumulator_starts() {
+        // A level change creates the accumulator at whatever `seq` is
+        // next; only starts 0 and 4 used to be decodable.
+        for start in 0..8u32 {
+            let mut acc = ParityAccumulator::new(4);
+            let mut rec = FecRecoverer::new(4);
+            let mut parities = 0;
+            for seq in start..start + 12 {
+                let p = pkt(seq, &seq.to_le_bytes());
+                // Lose the second member of every group.
+                let rebuilt = if seq % 4 == 1 { None } else { rec.on_data(&p) };
+                assert_eq!(
+                    rebuilt, None,
+                    "start {start}: nothing to rebuild before parity"
+                );
+                if let Some(parity) = acc.absorb(&p) {
+                    parities += 1;
+                    assert_eq!(parity.base_seq % 4, 0, "start {start}");
+                    let rebuilt = rec.on_parity(&parity).expect("one loss in the group");
+                    assert_eq!(
+                        rebuilt,
+                        pkt(parity.base_seq + 1, &rebuilt.seq.to_le_bytes())
+                    );
+                }
+            }
+            assert_eq!(
+                parities,
+                if start % 4 == 0 { 3 } else { 2 },
+                "start {start}"
+            );
+            assert_eq!(rec.recovered(), parities);
+        }
+    }
+
+    #[test]
+    fn a_broken_run_costs_the_partial_group_its_parity() {
+        let mut acc = ParityAccumulator::new(4);
+        // 6 was burnt while the producer was down.
+        for seq in [4, 5, 7] {
+            assert_eq!(acc.absorb(&pkt(seq, b"x")), None, "seq {seq}");
+        }
+        let parity = (8..12).find_map(|seq| acc.absorb(&pkt(seq, b"yy")));
+        let parity = parity.expect("the next whole group");
+        assert_eq!((parity.base_seq, parity.count), (8, 4));
+        assert_eq!(
+            parity.payload.as_ref(),
+            &[0, 0],
+            "4, 5 and 7 left no residue"
+        );
+        // Group sizes that do not divide 2^32 leave a short group below
+        // the wrap; the grid restarts at 0.
+        let mut acc = ParityAccumulator::new(3);
+        for seq in [u32::MAX, 0, 1] {
+            assert_eq!(acc.absorb(&pkt(seq, b"z")), None, "seq {seq}");
+        }
+        assert_eq!(acc.absorb(&pkt(2, b"z")).map(|p| p.base_seq), Some(0));
     }
 
     #[test]

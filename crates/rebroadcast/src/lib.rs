@@ -10,7 +10,9 @@
 //! - [`rate`]: the §3.1 rate limiter ("why does a 5 minute song take
 //!   5 minutes?").
 //! - [`policy`]: §2.2's selective compression.
-//! - [`producer`]: the stateless single-threaded rebroadcaster itself.
+//! - [`tx`]: the send protocol itself — clock-free, socket-free.
+//! - [`producer`]: the stateless single-threaded rebroadcaster, the
+//!   simulator's driver of [`tx`].
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -20,9 +22,11 @@ pub mod policy;
 pub mod producer;
 pub mod rate;
 pub mod relay;
+pub mod tx;
 
 pub use app::{AppPacing, AppStats, AudioApp};
 pub use policy::CompressionPolicy;
-pub use producer::{ProducerStats, Rebroadcaster, RebroadcasterConfig};
+pub use producer::{Rebroadcaster, RebroadcasterConfig};
 pub use rate::RateLimiter;
 pub use relay::{RelayConfig, RelayStats, SegmentRelay};
+pub use tx::{ProducerStats, StreamTx, StreamTxConfig};

@@ -1,207 +1,76 @@
-//! The Audio Stream Rebroadcaster (§2.2, §2.3).
+//! The Audio Stream Rebroadcaster (§2.2, §2.3) under virtual time.
 //!
 //! "The Rebroadcaster is just a single-threaded process that collects
 //! audio from the master-side VAD and delivers it to the LAN." It
-//! keeps *no state about the speakers*: control packets carrying the
-//! audio configuration and the producer wall clock go out at a fixed
-//! interval; data packets carry a play deadline on the producer
-//! timeline. Everything a late joiner needs arrives within one control
-//! interval.
+//! keeps *no state about the speakers*: everything a late joiner needs
+//! arrives within one control interval.
 //!
-//! Responsibilities modelled here:
-//! - drain the [`VadMaster`] (audio + in-band configuration updates),
-//! - pace sends with the [`RateLimiter`] (§3.1),
-//! - pick a codec per the [`CompressionPolicy`] (§2.2) and encode,
-//! - optionally bill encode work to a [`SimCpu`] (the Figure 4 CPU
-//!   model) — the send then happens when the CPU finishes, which is
-//!   also the compression latency the paper mentions,
-//! - multicast data + periodic control packets, optionally signing
-//!   them (§5.1).
+//! What goes into its packets is [`StreamTx`]'s business.
+//! [`Rebroadcaster`] is that core's simulator driver:
+//! - drains the [`VadMaster`] (audio + in-band configuration updates),
+//! - schedules each block's three steps on the event engine — pace on
+//!   arrival, encode at the send time, seal when the encode is done,
+//! - optionally bills encode work to a [`SimCpu`] (the Figure 4 CPU
+//!   model): the send happens when the CPU finishes, which is the
+//!   compression latency the paper mentions,
+//! - multicasts what the core sealed, arms the control timer, journals,
+//!   and carries the stream's [`SessionTable`].
 
-use std::rc::Rc;
+use bytes::Bytes;
 
-use bytes::{Bytes, BytesMut};
-
-use es_audio::convert::decode_samples;
 use es_audio::AudioConfig;
-use es_codec::{CodecId, Codecs, CostModel};
 use es_net::{Lan, McastGroup, NodeId};
-use es_proto::auth::StreamSigner;
-use es_proto::{
-    encode_control_into, encode_data_into, ControlPacket, DataPacket, SessionEntry, SessionTable,
-    FLAG_AUTHENTICATED,
-};
+use es_proto::{SessionEntry, SessionTable};
 use es_sim::{shared, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime};
 use es_telemetry::{Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{MasterItem, VadMaster};
 
-use crate::policy::CompressionPolicy;
-use crate::rate::RateLimiter;
+use crate::tx::{Block, ProducerStats, StreamTx, StreamTxConfig};
 
-/// Data packets kept for NACK retransmission (the healing plane's
-/// neighbor-assist window). At 50 ms blocks this is ~3 s of audio.
-const RECENT_CACHE: usize = 64;
+/// One `key = value` of a journal line.
+type Field<'a> = (&'a str, String);
 
 /// Tuning knobs for one rebroadcast stream.
 #[derive(Clone)]
 pub struct RebroadcasterConfig {
-    /// Stream identifier carried in every packet.
-    pub stream_id: u16,
+    /// The stream's protocol settings.
+    pub tx: StreamTxConfig,
     /// Multicast group for this channel.
     pub group: McastGroup,
-    /// Control packet period (§2.3's "regular intervals").
-    pub control_interval: SimDuration,
-    /// Fixed playout delay granted to receivers: data packet `play_at`
-    /// deadlines sit this far behind the producer stream clock.
-    pub playout_delay: SimDuration,
-    /// Rate limiter (disable to reproduce the §3.1 failure).
-    pub rate_limiter: RateLimiter,
-    /// Compression policy.
-    pub policy: CompressionPolicy,
-    /// Stream flags to advertise (e.g. [`es_proto::FLAG_PRIORITY`]).
-    pub flags: u16,
     /// Optional CPU model billed for encode work.
     pub cpu: Option<Shared<SimCpu>>,
-    /// Optional signer; when set, packets carry auth trailers and the
-    /// control flags advertise [`FLAG_AUTHENTICATED`].
-    pub signer: Option<Rc<StreamSigner>>,
-    /// Auth interval length (virtual time per key-chain interval).
-    pub auth_interval: SimDuration,
-    /// Emit one XOR-parity packet per this many data packets (single-
-    /// loss FEC, an extension for lossy links). `None` disables FEC.
-    pub fec_group: Option<u8>,
-    /// How transform work is billed to the CPU model: the default FFT
-    /// accounting, or [`CostModel::Direct`] to reproduce the paper's
-    /// O(N²)-codec load figures (Figure 4).
-    pub cost_model: CostModel,
 }
 
 impl RebroadcasterConfig {
-    /// Sensible defaults for a channel: 500 ms control interval,
-    /// 200 ms playout delay, paper-default compression, rate limiting
-    /// on.
+    /// [`StreamTxConfig::new`]'s defaults on `group`, no CPU model.
     pub fn new(stream_id: u16, group: McastGroup) -> Self {
         RebroadcasterConfig {
-            stream_id,
+            tx: StreamTxConfig::new(stream_id),
             group,
-            control_interval: SimDuration::from_millis(500),
-            playout_delay: SimDuration::from_millis(200),
-            rate_limiter: RateLimiter::new(),
-            policy: CompressionPolicy::paper_default(),
-            flags: 0,
             cpu: None,
-            signer: None,
-            auth_interval: SimDuration::from_millis(500),
-            fec_group: None,
-            cost_model: CostModel::default(),
         }
-    }
-}
-
-/// Counters for one stream.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProducerStats {
-    /// Data packets sent.
-    pub data_packets: u64,
-    /// Control packets sent.
-    pub control_packets: u64,
-    /// Raw audio bytes consumed from the VAD.
-    pub audio_bytes_in: u64,
-    /// Encoded payload bytes sent.
-    pub payload_bytes_out: u64,
-    /// Total encode work units billed.
-    pub encode_work_units: u64,
-    /// Configuration changes observed.
-    pub config_changes: u64,
-    /// Injected crashes ([`Rebroadcaster::crash`]).
-    pub crashes: u64,
-    /// Audio blocks consumed but never sent because the process was
-    /// down — each one is a sequence-number gap on the wire.
-    pub crash_dropped_blocks: u64,
-    /// Cached data packets re-multicast on NACK (healing plane).
-    pub retransmits_sent: u64,
-    /// Mid-stream FEC parity-group changes applied.
-    pub fec_changes: u64,
-    /// Times this instance was promoted from standby to primary.
-    pub promotions: u64,
-}
-
-impl ProducerStats {
-    /// Encoded-to-raw byte ratio (1.0 = no compression, lower is
-    /// smaller). Zero until audio has flowed.
-    pub fn compression_ratio(&self) -> f64 {
-        if self.audio_bytes_in == 0 {
-            0.0
-        } else {
-            self.payload_bytes_out as f64 / self.audio_bytes_in as f64
-        }
-    }
-}
-
-impl Telemetry for ProducerStats {
-    fn record(&self, registry: &mut Registry) {
-        let mut s = registry.component("rebroadcast");
-        s.counter("data_packets", self.data_packets)
-            .counter("control_packets", self.control_packets)
-            .counter("audio_bytes_in", self.audio_bytes_in)
-            .counter("payload_bytes_out", self.payload_bytes_out)
-            .counter("encode_work_units", self.encode_work_units)
-            .counter("config_changes", self.config_changes)
-            .counter("crashes", self.crashes)
-            .counter("crash_dropped_blocks", self.crash_dropped_blocks)
-            .counter("retransmits_sent", self.retransmits_sent)
-            .counter("fec_changes", self.fec_changes)
-            .counter("promotions", self.promotions)
-            .gauge("compression_ratio", self.compression_ratio());
     }
 }
 
 struct ProducerState {
-    cfg: RebroadcasterConfig,
-    stream_cfg: AudioConfig,
-    have_cfg: bool,
-    codec: CodecId,
-    quality: u8,
-    /// Cumulative stream duration in nanoseconds (survives config
-    /// changes, unlike a byte counter).
-    stream_pos_ns: u128,
-    /// Producer-timeline origin of the stream (first byte plays at
-    /// `origin + playout_delay`).
-    origin: Option<SimTime>,
-    data_seq: u32,
-    control_seq: u32,
-    /// While true the process is "down": audio drains into the void
-    /// (sequence numbers still advance, so receivers see wire loss) and
-    /// control packets stop.
-    crashed: bool,
-    /// A standby holds the VAD but neither reads it nor sends anything
-    /// until [`Rebroadcaster::promote`] flips this off.
-    standby: bool,
+    tx: StreamTx,
+    group: McastGroup,
+    cpu: Option<Shared<SimCpu>>,
     /// A detached (superseded) primary stops reading the VAD and never
     /// re-arms its readable waiter, leaving queued items for the
     /// promoted standby.
     detached: bool,
-    stats: ProducerStats,
-    parity_acc: Option<es_proto::ParityAccumulator>,
-    /// Recently sent data packets, oldest first — the retransmission
-    /// window the healing plane can NACK into.
-    recent: std::collections::VecDeque<DataPacket>,
     /// Negotiated receivers of this stream (empty in static mode). The
     /// broker in `es-core` drives open/touch/expire; the table lives
     /// here because its lifecycle counters are producer telemetry.
     sessions: SessionTable,
     journal: Option<Journal>,
-    /// Reusable packet-serialization buffer: every outgoing packet is
-    /// encoded and signed in place here, then split off as a shared
-    /// [`Bytes`] — one allocation per packet, zero copies.
-    scratch: BytesMut,
 }
 
 /// A running rebroadcaster for one stream.
 #[derive(Clone)]
 pub struct Rebroadcaster {
     state: Shared<ProducerState>,
-    codecs: Rc<Codecs>,
     lan: Lan,
     node: NodeId,
     master: VadMaster,
@@ -223,8 +92,6 @@ impl Rebroadcaster {
     /// Starts a *standby* rebroadcaster for the same VAD: it holds the
     /// master but neither reads it nor sends anything until
     /// [`Rebroadcaster::promote`] hands it the primary's stream state.
-    /// The §2.2 rebroadcaster keeps no speaker state, so a warm spare
-    /// only needs the stream clock and the session table to take over.
     pub fn start_standby(
         sim: &mut Sim,
         lan: Lan,
@@ -243,32 +110,17 @@ impl Rebroadcaster {
         cfg: RebroadcasterConfig,
         standby: bool,
     ) -> Rebroadcaster {
-        let control_interval = cfg.control_interval;
-        let cost_model = cfg.cost_model;
-        let parity_acc = cfg.fec_group.map(es_proto::ParityAccumulator::new);
+        let control_interval = cfg.tx.control_interval;
         let state = shared(ProducerState {
-            stream_cfg: AudioConfig::default(),
-            have_cfg: false,
-            codec: CodecId::Pcm,
-            quality: 0,
-            stream_pos_ns: 0,
-            origin: None,
-            data_seq: 0,
-            control_seq: 0,
-            crashed: false,
-            standby,
+            tx: StreamTx::new(cfg.tx, standby),
+            group: cfg.group,
+            cpu: cfg.cpu,
             detached: false,
-            stats: ProducerStats::default(),
-            parity_acc,
-            recent: std::collections::VecDeque::new(),
             sessions: SessionTable::new(),
             journal: None,
-            scratch: BytesMut::new(),
-            cfg,
         });
         let rb = Rebroadcaster {
             state,
-            codecs: Rc::new(Codecs::with_cost_model(cost_model)),
             lan,
             node,
             master,
@@ -306,7 +158,7 @@ impl Rebroadcaster {
     fn drain(&self, sim: &mut Sim) {
         {
             let st = self.state.borrow();
-            if st.detached || st.standby {
+            if st.detached || st.tx.is_standby() {
                 return;
             }
         }
@@ -314,304 +166,141 @@ impl Rebroadcaster {
         for item in items {
             match item {
                 MasterItem::Config(c) => {
-                    let mut st = self.state.borrow_mut();
-                    st.stream_cfg = c;
-                    if st.have_cfg {
-                        st.stats.config_changes += 1;
-                    }
-                    st.have_cfg = true;
-                    let (codec, quality) = st.cfg.policy.select(&c);
-                    st.codec = codec;
-                    st.quality = quality;
-                    if let Some(j) = st.journal.clone() {
-                        j.emit(
-                            Stamp::virtual_ns(sim.now().as_nanos()),
-                            Severity::Info,
-                            "rebroadcast",
-                            "stream configuration selected",
-                            &[
-                                ("stream_id", st.cfg.stream_id.to_string()),
-                                ("sample_rate", c.sample_rate.to_string()),
-                                ("channels", c.channels.to_string()),
-                                ("codec", format!("{codec:?}")),
-                                ("quality", quality.to_string()),
-                            ],
-                        );
-                    }
-                    drop(st);
+                    let (codec, quality) = self.state.borrow_mut().tx.on_config(c);
+                    self.journal_stream(
+                        sim,
+                        Severity::Info,
+                        "stream configuration selected",
+                        &[
+                            ("sample_rate", c.sample_rate.to_string()),
+                            ("channels", c.channels.to_string()),
+                            ("codec", format!("{codec:?}")),
+                            ("quality", quality.to_string()),
+                        ],
+                    );
                     // Announce the change immediately as well as on the
                     // periodic timer.
                     self.send_control(sim);
                 }
-                MasterItem::Audio(block) => {
-                    self.queue_audio(sim, block);
+                MasterItem::Audio(raw) => {
+                    let paced = self.state.borrow_mut().tx.pace(sim.now(), raw.len());
+                    if let Some(block) = paced {
+                        let rb = self.clone();
+                        sim.schedule_at(block.send_at, move |sim| {
+                            rb.encode_and_send(sim, raw, block);
+                        });
+                    }
                 }
             }
         }
     }
 
-    /// Paces, encodes and schedules one block of audio.
-    fn queue_audio(&self, sim: &mut Sim, block: Vec<u8>) {
-        let (send_at, play_at, cfg, codec, quality) = {
-            let mut st = self.state.borrow_mut();
-            if !st.have_cfg {
-                // Data before any config: drop (cannot describe it).
-                return;
-            }
-            st.stats.audio_bytes_in += block.len() as u64;
-            let cfg = st.stream_cfg;
-            let origin = *st.origin.get_or_insert(sim.now());
-            let playout = st.cfg.playout_delay;
-            let play_at = origin + SimDuration::from_nanos(st.stream_pos_ns as u64) + playout;
-            st.stream_pos_ns += cfg.nanos_for_bytes(block.len() as u64) as u128;
-            if st.crashed {
-                // The stream clock and sequence space keep advancing so
-                // that post-restart deadlines stay continuous; receivers
-                // see the outage as wire loss.
-                st.data_seq += 1;
-                st.stats.crash_dropped_blocks += 1;
-                return;
-            }
-            let send_at = st.cfg.rate_limiter.pace(sim.now(), &cfg, block.len());
-            (send_at, play_at, cfg, st.codec, st.quality)
-        };
-        let rb = self.clone();
-        sim.schedule_at(send_at, move |sim| {
-            rb.encode_and_send(sim, block, cfg, codec, quality, play_at);
-        });
-    }
-
-    fn encode_and_send(
-        &self,
-        sim: &mut Sim,
-        block: Vec<u8>,
-        cfg: AudioConfig,
-        codec: CodecId,
-        quality: u8,
-        play_at: SimTime,
-    ) {
-        // The VAD hands us the raw byte stream in the app's encoding;
-        // codecs work on linear samples.
-        let samples = decode_samples(&block, cfg.encoding);
-        let enc = self.codecs.encode(codec, &samples, cfg.channels, quality);
-        let work = enc.work_units;
-        {
-            let mut st = self.state.borrow_mut();
-            st.stats.encode_work_units += work;
-        }
-        // Bill the CPU; the packet leaves when the encode finishes.
+    /// Encodes a paced block, bills the CPU, and schedules the send
+    /// for when the encode finishes.
+    fn encode_and_send(&self, sim: &mut Sim, raw: Vec<u8>, mut block: Block) {
         let done_at = {
-            let st = self.state.borrow();
-            match &st.cfg.cpu {
-                Some(cpu) => cpu.borrow_mut().submit(sim.now(), work_to_cycles(work)),
+            let mut st = self.state.borrow_mut();
+            st.tx.encode(&raw, &mut block);
+            match &st.cpu {
+                Some(cpu) => cpu
+                    .borrow_mut()
+                    .submit(sim.now(), work_to_cycles(block.work_units)),
                 None => sim.now(),
             }
         };
         let rb = self.clone();
         sim.schedule_at(done_at, move |sim| {
-            let (seq, stream_id, group) = {
-                let mut st = rb.state.borrow_mut();
-                let seq = st.data_seq;
-                st.data_seq += 1;
-                if st.crashed {
-                    // Encoded before the crash, due to leave after it:
-                    // the packet dies with the process.
-                    st.stats.crash_dropped_blocks += 1;
-                    return;
-                }
-                st.stats.data_packets += 1;
-                st.stats.payload_bytes_out += enc.bytes.len() as u64;
-                (seq, st.cfg.stream_id, st.cfg.group)
-            };
-            let pkt = DataPacket {
-                stream_id,
-                seq,
-                play_at_us: play_at.as_micros(),
-                codec: codec.to_wire(),
-                payload: Bytes::from(enc.bytes),
-            };
-            let sealed = rb.seal(sim, |buf| encode_data_into(&pkt, buf));
-            rb.lan.multicast(sim, rb.node, group, sealed);
-            // FEC: absorb the packet; a completed group emits parity.
-            let parity = {
-                let mut st = rb.state.borrow_mut();
-                st.parity_acc.as_mut().and_then(|acc| acc.absorb(&pkt))
-            };
-            if let Some(parity) = parity {
-                let sealed = rb.seal(sim, |buf| es_proto::encode_parity_into(&parity, buf));
-                rb.lan.multicast(sim, rb.node, group, sealed);
-            }
-            // Keep the packet around for NACK retransmission (payload
-            // is a shared Bytes, so the cache holds refcounts, not
-            // copies).
-            let mut st = rb.state.borrow_mut();
-            st.recent.push_back(pkt);
-            while st.recent.len() > RECENT_CACHE {
-                st.recent.pop_front();
-            }
+            rb.send(sim, |tx, now, out| tx.seal(now, block, out));
         });
     }
 
     fn send_control(&self, sim: &mut Sim) {
-        let pkt = {
+        if !self.state.borrow().detached {
+            self.send(sim, |tx, now, out| tx.control(now, out));
+        }
+    }
+
+    /// Runs one core step and multicasts what it sealed.
+    fn send<R>(
+        &self,
+        sim: &mut Sim,
+        step: impl FnOnce(&mut StreamTx, SimTime, &mut Vec<Bytes>) -> R,
+    ) -> R {
+        let mut out = Vec::new();
+        let (result, group) = {
             let mut st = self.state.borrow_mut();
-            if !st.have_cfg || st.crashed || st.standby || st.detached {
-                return;
-            }
-            let seq = st.control_seq;
-            st.control_seq += 1;
-            st.stats.control_packets += 1;
-            let mut flags = st.cfg.flags;
-            if st.cfg.signer.is_some() {
-                flags |= FLAG_AUTHENTICATED;
-            }
-            ControlPacket {
-                stream_id: st.cfg.stream_id,
-                seq,
-                producer_time_us: sim.now().as_micros(),
-                config: st.stream_cfg,
-                codec: st.codec.to_wire(),
-                quality: st.quality,
-                control_interval_ms: st.cfg.control_interval.as_millis() as u16,
-                flags,
-            }
+            (step(&mut st.tx, sim.now(), &mut out), st.group)
         };
-        let group = self.state.borrow().cfg.group;
-        let sealed = self.seal(sim, |buf| encode_control_into(&pkt, buf));
-        self.lan.multicast(sim, self.node, group, sealed);
+        for datagram in out {
+            self.lan.multicast(sim, self.node, group, datagram);
+        }
+        result
     }
 
-    /// Serializes one packet in the reusable scratch buffer, appends
-    /// the auth trailer when signing is configured, and hands the bytes
-    /// off as an immutable [`Bytes`] without copying. The buffer is
-    /// taken out of the shared state for the duration so `encode` and
-    /// [`Self::maybe_sign`] may borrow the state themselves.
-    fn seal(&self, sim: &mut Sim, encode: impl FnOnce(&mut BytesMut)) -> Bytes {
-        let mut scratch = std::mem::take(&mut self.state.borrow_mut().scratch);
-        scratch.clear();
-        encode(&mut scratch);
-        self.maybe_sign(sim, &mut scratch);
-        let sealed = scratch.split().freeze();
-        self.state.borrow_mut().scratch = scratch;
-        sealed
+    /// One journal line under component `rebroadcast`.
+    fn journal(&self, sim: &Sim, severity: Severity, message: &str, fields: &[Field<'_>]) {
+        if let Some(j) = &self.state.borrow().journal {
+            let stamp = Stamp::virtual_ns(sim.now().as_nanos());
+            j.emit(stamp, severity, "rebroadcast", message, fields);
+        }
     }
 
-    /// Appends an auth trailer when signing is configured.
-    fn maybe_sign(&self, sim: &mut Sim, bytes: &mut BytesMut) {
-        let st = self.state.borrow();
-        let Some(signer) = st.cfg.signer.as_ref() else {
-            return;
-        };
-        let interval_len = st.cfg.auth_interval.as_nanos().max(1);
-        let interval = (sim.now().as_nanos() / interval_len + 1) as u32;
-        let interval = interval.min(signer.intervals());
-        let trailer = signer.sign(interval, bytes);
-        bytes.extend_from_slice(&trailer.encode());
+    /// [`Self::journal`] with this stream's id among the fields.
+    fn journal_stream(&self, sim: &Sim, severity: Severity, message: &str, fields: &[Field<'_>]) {
+        let id = self.state.borrow().tx.config().stream_id.to_string();
+        self.journal(
+            sim,
+            severity,
+            message,
+            &[&[("stream_id", id)], fields].concat(),
+        );
     }
 
     /// Simulates the rebroadcaster process dying: data and control
-    /// packets stop (receivers therefore see a control-packet gap), but
-    /// the upstream VAD keeps producing, so the stream clock and
-    /// sequence numbers keep advancing. A second crash while down is a
-    /// no-op.
+    /// packets stop, but the upstream VAD keeps producing, so the
+    /// stream clock and sequence numbers keep advancing. A second
+    /// crash while down is a no-op.
     pub fn crash(&self, sim: &mut Sim) {
-        let journal = {
-            let mut st = self.state.borrow_mut();
-            if st.crashed {
-                return;
-            }
-            st.crashed = true;
-            st.stats.crashes += 1;
-            st.journal.clone()
-        };
-        if let Some(j) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Error,
-                "rebroadcast",
-                "rebroadcaster crashed",
-                &[("stream_id", self.state.borrow().cfg.stream_id.to_string())],
-            );
+        if self.state.borrow_mut().tx.crash() {
+            self.journal_stream(sim, Severity::Error, "rebroadcaster crashed", &[]);
         }
     }
 
     /// Brings a crashed rebroadcaster back: a control packet goes out
     /// immediately (late joiners and stalled speakers resynchronize
-    /// from it) and subsequent audio flows again. The blocks lost while
-    /// down stay lost — exactly like wire loss, §3.2's recovery paths
-    /// handle them.
+    /// from it) and subsequent audio flows again.
     pub fn restart(&self, sim: &mut Sim) {
-        let journal = {
-            let mut st = self.state.borrow_mut();
-            if !st.crashed {
-                return;
-            }
-            st.crashed = false;
-            st.journal.clone()
-        };
-        if let Some(j) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Info,
-                "rebroadcast",
-                "rebroadcaster restarted",
-                &[("stream_id", self.state.borrow().cfg.stream_id.to_string())],
-            );
+        if self.state.borrow_mut().tx.restart() {
+            self.journal_stream(sim, Severity::Info, "rebroadcaster restarted", &[]);
+            self.send_control(sim);
         }
-        self.send_control(sim);
     }
 
     /// True while the process is down.
     pub fn is_crashed(&self) -> bool {
-        self.state.borrow().crashed
+        self.state.borrow().tx.is_down()
     }
 
     /// True while this instance is a warm spare awaiting promotion.
     pub fn is_standby(&self) -> bool {
-        self.state.borrow().standby
+        self.state.borrow().tx.is_standby()
     }
 
     /// Re-multicasts cached data packets covering the NACKed
-    /// `(first_seq, count)` ranges; returns how many went out. Ranges
-    /// older than the retransmission window are silently unfillable —
-    /// FEC and concealment remain the only recourse for those.
+    /// `(first_seq, count)` ranges; returns how many went out (see
+    /// [`StreamTx::retransmit`] for what a request can and cannot
+    /// reach).
     pub fn retransmit(&self, sim: &mut Sim, ranges: &[(u32, u16)]) -> u64 {
-        let (pkts, group) = {
-            let st = self.state.borrow();
-            if st.crashed || st.standby || st.detached {
-                return 0;
-            }
-            let mut pkts: Vec<DataPacket> = Vec::new();
-            for &(first, count) in ranges {
-                for seq in first..first.saturating_add(count as u32) {
-                    if let Some(p) = st.recent.iter().find(|p| p.seq == seq) {
-                        pkts.push(p.clone());
-                    }
-                }
-            }
-            (pkts, st.cfg.group)
-        };
-        if pkts.is_empty() {
+        if self.state.borrow().detached {
             return 0;
         }
-        for pkt in &pkts {
-            let sealed = self.seal(sim, |buf| encode_data_into(pkt, buf));
-            self.lan.multicast(sim, self.node, group, sealed);
-        }
-        let n = pkts.len() as u64;
-        let journal = {
-            let mut st = self.state.borrow_mut();
-            st.stats.retransmits_sent += n;
-            st.journal.clone().map(|j| (j, st.cfg.stream_id))
-        };
-        if let Some((j, stream_id)) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
+        let n = self.send(sim, |tx, now, out| tx.retransmit(now, ranges, out));
+        if n > 0 {
+            self.journal_stream(
+                sim,
                 Severity::Info,
-                "rebroadcast",
                 "retransmitted missed packets",
                 &[
-                    ("stream_id", stream_id.to_string()),
                     ("ranges", format!("{ranges:?}")),
                     ("packets", n.to_string()),
                 ],
@@ -620,51 +309,29 @@ impl Rebroadcaster {
         n
     }
 
-    /// Changes the FEC parity-group size mid-stream (the healing
-    /// plane's loss-adaptive ladder). `None` disables parity. A
-    /// partially accumulated group is abandoned; receivers notice the
-    /// new group size on the next parity packet and rebuild their
-    /// recoverers. Group sizes outside `2..=32` are ignored.
+    /// Changes the FEC parity-group size mid-stream; `None` disables
+    /// parity, sizes outside `2..=32` are ignored (see
+    /// [`StreamTx::set_fec_group`]).
     pub fn set_fec_group(&self, sim: &mut Sim, group: Option<u8>) {
-        if let Some(g) = group {
-            if !(2..=32).contains(&g) {
-                return;
-            }
-        }
-        let journal = {
-            let mut st = self.state.borrow_mut();
-            if st.cfg.fec_group == group {
-                return;
-            }
-            let from = st.cfg.fec_group;
-            st.cfg.fec_group = group;
-            st.parity_acc = group.map(es_proto::ParityAccumulator::new);
-            st.stats.fec_changes += 1;
-            st.journal.clone().map(|j| (j, from, st.cfg.stream_id))
-        };
-        if let Some((j, from, stream_id)) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
+        let changed = self.state.borrow_mut().tx.set_fec_group(group);
+        if let Some(from) = changed {
+            self.journal_stream(
+                sim,
                 Severity::Info,
-                "rebroadcast",
                 "fec level changed",
-                &[
-                    ("stream_id", stream_id.to_string()),
-                    ("from", format!("{from:?}")),
-                    ("to", format!("{group:?}")),
-                ],
+                &[("from", format!("{from:?}")), ("to", format!("{group:?}"))],
             );
         }
     }
 
     /// The current FEC parity-group size, `None` when parity is off.
     pub fn fec_group(&self) -> Option<u8> {
-        self.state.borrow().cfg.fec_group
+        self.state.borrow().tx.config().fec_group
     }
 
     /// The multicast group this channel transmits on.
     pub fn group(&self) -> McastGroup {
-        self.state.borrow().cfg.group
+        self.state.borrow().group
     }
 
     /// Permanently detaches this instance from the VAD: it stops
@@ -672,81 +339,48 @@ impl Rebroadcaster {
     /// for the successor), and sends nothing further. Called on the
     /// old primary by [`Rebroadcaster::promote`]; idempotent.
     pub fn detach(&self, sim: &mut Sim) {
-        let journal = {
-            let mut st = self.state.borrow_mut();
-            if st.detached {
-                return;
-            }
-            st.detached = true;
-            st.journal.clone().map(|j| (j, st.cfg.stream_id))
-        };
-        if let Some((j, stream_id)) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Warn,
-                "rebroadcast",
-                "rebroadcaster detached",
-                &[("stream_id", stream_id.to_string())],
-            );
+        if !std::mem::replace(&mut self.state.borrow_mut().detached, true) {
+            self.journal_stream(sim, Severity::Warn, "rebroadcaster detached", &[]);
         }
     }
 
     /// Promotes this standby to primary: detaches `primary`, adopts its
-    /// stream clock, sequence space, codec selection and session table
-    /// (so granted sessions and play deadlines survive the failover
-    /// bit-for-bit), then starts reading the shared VAD and announces
-    /// itself with an immediate control packet. No-op unless this
-    /// instance is a standby.
+    /// stream state and session table (so granted sessions and play
+    /// deadlines survive the failover bit-for-bit), then starts reading
+    /// the shared VAD and announces itself with an immediate control
+    /// packet. No-op unless this instance is a standby.
     pub fn promote(&self, sim: &mut Sim, primary: &Rebroadcaster) {
-        {
-            if !self.state.borrow().standby {
-                return;
-            }
+        if !self.is_standby() {
+            return;
         }
         primary.detach(sim);
-        let journal = {
+        let (at_seq, sessions) = {
             let prim = primary.state.borrow();
             let mut st = self.state.borrow_mut();
-            st.standby = false;
-            st.stream_cfg = prim.stream_cfg;
-            st.have_cfg = prim.have_cfg;
-            st.codec = prim.codec;
-            st.quality = prim.quality;
-            st.stream_pos_ns = prim.stream_pos_ns;
-            st.origin = prim.origin;
-            st.data_seq = prim.data_seq;
-            st.control_seq = prim.control_seq;
             st.sessions = prim.sessions.clone();
-            st.stats.promotions += 1;
-            st.journal
-                .clone()
-                .map(|j| (j, st.cfg.stream_id, st.data_seq, st.sessions.active()))
+            (st.tx.promote(&prim.tx), st.sessions.active())
         };
-        if let Some((j, stream_id, at_seq, sessions)) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Warn,
-                "rebroadcast",
-                "standby promoted",
-                &[
-                    ("stream_id", stream_id.to_string()),
-                    ("at_seq", at_seq.to_string()),
-                    ("sessions_adopted", sessions.to_string()),
-                ],
-            );
-        }
+        self.journal_stream(
+            sim,
+            Severity::Warn,
+            "standby promoted",
+            &[
+                ("at_seq", at_seq.to_string()),
+                ("sessions_adopted", sessions.to_string()),
+            ],
+        );
         self.arm_reader(sim);
         self.send_control(sim);
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> ProducerStats {
-        self.state.borrow().stats
+        self.state.borrow().tx.stats
     }
 
     /// Rate-limiter sleep statistics for this stream.
     pub fn rate_stats(&self) -> crate::rate::RateStats {
-        self.state.borrow().cfg.rate_limiter.stats().clone()
+        self.state.borrow().tx.config().rate_limiter.stats().clone()
     }
 
     /// Forwarding statistics of the VAD feeding this stream.
@@ -756,7 +390,7 @@ impl Rebroadcaster {
 
     /// The configured control packet period.
     pub fn control_interval(&self) -> SimDuration {
-        self.state.borrow().cfg.control_interval
+        self.state.borrow().tx.config().control_interval
     }
 
     /// Attaches a journal for structured diagnostics (configuration
@@ -767,28 +401,12 @@ impl Rebroadcaster {
 
     /// Records a newly negotiated session for this stream.
     pub fn open_session(&self, sim: &mut Sim, entry: SessionEntry) {
-        let journal = {
-            let mut st = self.state.borrow_mut();
-            let j = st
-                .journal
-                .clone()
-                .map(|j| (j, entry.session_id, entry.speaker.clone(), st.cfg.stream_id));
-            st.sessions.open(entry);
-            j
-        };
-        if let Some((j, sid, speaker, stream_id)) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Info,
-                "rebroadcast",
-                "session opened",
-                &[
-                    ("session_id", sid.to_string()),
-                    ("speaker", speaker),
-                    ("stream_id", stream_id.to_string()),
-                ],
-            );
-        }
+        let fields = [
+            ("session_id", entry.session_id.to_string()),
+            ("speaker", entry.speaker.clone()),
+        ];
+        self.state.borrow_mut().sessions.open(entry);
+        self.journal_stream(sim, Severity::Info, "session opened", &fields);
     }
 
     /// Refreshes a session's liveness (KEEPALIVE); false if unknown.
@@ -798,23 +416,9 @@ impl Rebroadcaster {
 
     /// Removes a session on TEARDOWN; returns the closed entry.
     pub fn close_session(&self, sim: &mut Sim, session_id: u32) -> Option<SessionEntry> {
-        let (entry, journal) = {
-            let mut st = self.state.borrow_mut();
-            let e = st.sessions.close(session_id);
-            let j = st.journal.clone();
-            (e, j)
-        };
-        if let (Some(e), Some(j)) = (&entry, journal) {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Info,
-                "rebroadcast",
-                "session closed",
-                &[
-                    ("session_id", e.session_id.to_string()),
-                    ("speaker", e.speaker.clone()),
-                ],
-            );
+        let entry = self.state.borrow_mut().sessions.close(session_id);
+        if let Some(e) = &entry {
+            self.journal_session(sim, Severity::Info, "session closed", e);
         }
         entry
     }
@@ -828,27 +432,19 @@ impl Rebroadcaster {
         now_us: u64,
         timeout_us: u64,
     ) -> Vec<SessionEntry> {
-        let (dead, journal) = {
-            let mut st = self.state.borrow_mut();
-            let dead = st.sessions.expire(now_us, timeout_us);
-            let j = st.journal.clone();
-            (dead, j)
-        };
-        if let Some(j) = journal {
-            for e in &dead {
-                j.emit(
-                    Stamp::virtual_ns(sim.now().as_nanos()),
-                    Severity::Warn,
-                    "rebroadcast",
-                    "session expired",
-                    &[
-                        ("session_id", e.session_id.to_string()),
-                        ("speaker", e.speaker.clone()),
-                    ],
-                );
-            }
+        let dead = self.state.borrow_mut().sessions.expire(now_us, timeout_us);
+        for e in &dead {
+            self.journal_session(sim, Severity::Warn, "session expired", e);
         }
         dead
+    }
+
+    fn journal_session(&self, sim: &Sim, severity: Severity, message: &str, e: &SessionEntry) {
+        let fields = [
+            ("session_id", e.session_id.to_string()),
+            ("speaker", e.speaker.clone()),
+        ];
+        self.journal(sim, severity, message, &fields);
     }
 
     /// The live session held by `speaker`, if any (SETUP retries from
@@ -882,13 +478,13 @@ impl Rebroadcaster {
     /// component `rebroadcast`.
     pub fn record_telemetry(&self, registry: &mut Registry) {
         let st = self.state.borrow();
-        st.stats.record(registry);
-        st.cfg.rate_limiter.stats().record(registry);
+        st.tx.stats.record(registry);
+        st.tx.config().rate_limiter.stats().record(registry);
         registry
             .component("rebroadcast")
             .gauge(
                 "control_interval_ms",
-                st.cfg.control_interval.as_millis() as f64,
+                st.tx.config().control_interval.as_millis() as f64,
             )
             .counter("sessions_opened", st.sessions.opened)
             .counter("sessions_expired", st.sessions.expired)
@@ -899,7 +495,7 @@ impl Rebroadcaster {
     /// The stream's current audio configuration (meaningful once
     /// [`ProducerStats::control_packets`] is non-zero).
     pub fn stream_config(&self) -> AudioConfig {
-        self.state.borrow().stream_cfg
+        self.state.borrow().tx.stream_config()
     }
 }
 
@@ -920,10 +516,14 @@ pub fn work_to_cycles(work_units: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::app::{AppPacing, AudioApp};
+    use crate::{CompressionPolicy, RateLimiter};
     use es_audio::gen::Sine;
+    use es_codec::CodecId;
     use es_net::{Datagram, LanConfig};
-    use es_proto::Packet;
+    use es_proto::auth::StreamSigner;
+    use es_proto::{ControlPacket, DataPacket, Packet, FLAG_AUTHENTICATED};
     use es_vad::{vad_pair, VadMode};
+    use std::rc::Rc;
 
     /// Full producer-side pipeline: app → VAD → rebroadcaster → LAN.
     fn rig(
@@ -947,8 +547,8 @@ mod tests {
             poll: SimDuration::from_millis(10),
         });
         let mut rcfg = RebroadcasterConfig::new(7, group);
-        rcfg.rate_limiter = rl;
-        rcfg.policy = policy;
+        rcfg.tx.rate_limiter = rl;
+        rcfg.tx.policy = policy;
         let rb = Rebroadcaster::start(sim, lan.clone(), producer, master, rcfg);
         let app = AudioApp::start(
             sim,
@@ -1085,8 +685,8 @@ mod tests {
             poll: SimDuration::from_millis(10),
         });
         let mut rcfg = RebroadcasterConfig::new(1, group);
-        rcfg.rate_limiter = RateLimiter::disabled();
-        rcfg.policy = CompressionPolicy::Never;
+        rcfg.tx.rate_limiter = RateLimiter::disabled();
+        rcfg.tx.policy = CompressionPolicy::Never;
         let _rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
         let _app = AudioApp::start(
             &mut sim,
@@ -1123,8 +723,8 @@ mod tests {
         });
         let signer = Rc::new(StreamSigner::new(b"k", 1_000, 2));
         let mut rcfg = RebroadcasterConfig::new(1, group);
-        rcfg.signer = Some(signer.clone());
-        rcfg.policy = CompressionPolicy::Never;
+        rcfg.tx.signer = Some(signer.clone());
+        rcfg.tx.policy = CompressionPolicy::Never;
         let _rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
         let _app = AudioApp::start(
             &mut sim,
@@ -1170,7 +770,7 @@ mod tests {
             poll: SimDuration::from_millis(10),
         });
         let mut rcfg = RebroadcasterConfig::new(7, group);
-        rcfg.policy = CompressionPolicy::Never;
+        rcfg.tx.policy = CompressionPolicy::Never;
         let rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
         let _app = AudioApp::start(
             &mut sim,
@@ -1280,8 +880,8 @@ mod tests {
             poll: SimDuration::from_millis(10),
         });
         let mut rcfg = RebroadcasterConfig::new(7, group);
-        rcfg.policy = CompressionPolicy::Never;
-        rcfg.fec_group = Some(4);
+        rcfg.tx.policy = CompressionPolicy::Never;
+        rcfg.tx.fec_group = Some(4);
         let rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
         let _app = AudioApp::start(
             &mut sim,
@@ -1340,10 +940,10 @@ mod tests {
             poll: SimDuration::from_millis(10),
         });
         let mut c1 = RebroadcasterConfig::new(7, group);
-        c1.policy = CompressionPolicy::Never;
+        c1.tx.policy = CompressionPolicy::Never;
         let primary = Rebroadcaster::start(&mut sim, lan.clone(), n1, master.clone(), c1);
         let mut c2 = RebroadcasterConfig::new(7, group);
-        c2.policy = CompressionPolicy::Never;
+        c2.tx.policy = CompressionPolicy::Never;
         let standby = Rebroadcaster::start_standby(&mut sim, lan.clone(), n2, master, c2);
         assert!(standby.is_standby());
         let _app = AudioApp::start(

@@ -48,6 +48,12 @@ use es_telemetry::{Registry, Telemetry};
 /// for parity re-folding; generously above any FEC group size.
 const DEADLINE_WINDOW: usize = 256;
 
+/// How many streams get such a window. The stream id is sixteen bits
+/// anyone on the upstream group can forge; an upstream group carries
+/// one stream, a relay chain a few. Data of a stream past the cap is
+/// still re-stamped and forwarded, only its parity stays stale.
+const MAX_STREAMS: usize = 16;
+
 /// Static configuration for one segment relay.
 #[derive(Debug, Clone)]
 pub struct RelayConfig {
@@ -112,10 +118,12 @@ impl Telemetry for RelayStats {
     }
 }
 
+#[derive(Default)]
 struct RelayState {
     stats: RelayStats,
-    /// Original `play_at_us` of recently forwarded data packets, per
-    /// stream, for parity XOR re-folding.
+    /// `old ^ shifted` deadline of recently forwarded data packets, per
+    /// stream and sequence number: the term that re-folds a parity
+    /// packet's deadline XOR onto the relay timeline.
     deadlines: BTreeMap<u16, BTreeMap<u32, u64>>,
 }
 
@@ -139,10 +147,7 @@ impl SegmentRelay {
         let node = lan.attach(cfg.name.clone());
         lan.set_segment(node, cfg.segment);
         lan.join(node, cfg.upstream);
-        let state = shared(RelayState {
-            stats: RelayStats::default(),
-            deadlines: BTreeMap::new(),
-        });
+        let state = shared(RelayState::default());
         let relay = SegmentRelay {
             node,
             config_segment: cfg.segment,
@@ -178,31 +183,39 @@ impl SegmentRelay {
 }
 
 /// Shifts a packet's producer-timeline fields by `hold_us` and
-/// re-encodes it; undecodable input is returned as-is.
+/// re-encodes it; input that does not parse, or whose stamp is too
+/// close to `u64::MAX` to shift (only a forger's), is returned as-is
+/// and counted opaque.
 fn restamp(state: &Shared<RelayState>, raw: &bytes::Bytes, hold_us: u64) -> bytes::Bytes {
     let mut st = state.borrow_mut();
-    match es_proto::packet::decode(raw) {
-        Ok(Packet::Control(mut c)) => {
-            c.producer_time_us += hold_us;
+    let shifted = match es_proto::packet::decode(raw) {
+        Ok(Packet::Control(mut c)) => c.producer_time_us.checked_add(hold_us).map(|t| {
+            c.producer_time_us = t;
             st.stats.control_relayed += 1;
             encode_control(&c)
-        }
-        Ok(Packet::Data(mut d)) => {
-            let window = st.deadlines.entry(d.stream_id).or_default();
-            window.insert(d.seq, d.play_at_us);
-            while window.len() > DEADLINE_WINDOW {
-                window.pop_first();
+        }),
+        Ok(Packet::Data(mut d)) => d.play_at_us.checked_add(hold_us).map(|t| {
+            if st.deadlines.len() < MAX_STREAMS || st.deadlines.contains_key(&d.stream_id) {
+                let window = st.deadlines.entry(d.stream_id).or_default();
+                window.insert(d.seq, d.play_at_us ^ t);
+                while window.len() > DEADLINE_WINDOW {
+                    // Oldest in serial order: the first key past `seq`
+                    // while the window straddles the wrap.
+                    let past = window.range(d.seq.wrapping_add(1)..).next();
+                    let oldest = past.or(window.first_key_value()).map(|(&k, _)| k);
+                    oldest.map(|k| window.remove(&k));
+                }
             }
-            d.play_at_us += hold_us;
+            d.play_at_us = t;
             st.stats.data_relayed += 1;
             encode_data(&d)
-        }
+        }),
         Ok(Packet::Parity(mut p)) => {
-            let window = st.deadlines.entry(p.stream_id).or_default();
+            let window = st.deadlines.get(&p.stream_id);
             let mut stale = false;
-            for seq in p.base_seq..p.base_seq.saturating_add(p.count as u32) {
-                match window.get(&seq) {
-                    Some(&old) => p.xor_play_at_us ^= old ^ (old + hold_us),
+            for i in 0..u32::from(p.count) {
+                match window.and_then(|w| w.get(&p.base_seq.wrapping_add(i))) {
+                    Some(&refold) => p.xor_play_at_us ^= refold,
                     None => stale = true,
                 }
             }
@@ -211,17 +224,18 @@ fn restamp(state: &Shared<RelayState>, raw: &bytes::Bytes, hold_us: u64) -> byte
             } else {
                 st.stats.parity_relayed += 1;
             }
-            encode_parity(&p)
+            Some(encode_parity(&p))
         }
         Ok(Packet::Announce(_)) | Ok(Packet::Session(_)) => {
             st.stats.passthrough += 1;
-            raw.clone()
+            Some(raw.clone())
         }
-        Err(_) => {
-            st.stats.opaque += 1;
-            raw.clone()
-        }
-    }
+        Err(_) => None,
+    };
+    shifted.unwrap_or_else(|| {
+        st.stats.opaque += 1;
+        raw.clone()
+    })
 }
 
 #[cfg(test)]
@@ -357,5 +371,87 @@ mod tests {
         assert_eq!(*got.borrow(), vec![junk]);
         assert_eq!(relay.stats().opaque, 1);
         assert_eq!(relay.stats().data_relayed, 0);
+    }
+    #[test]
+    fn relay_forwards_unshiftable_stamps_verbatim() {
+        // A forged deadline or producer time within one hold of
+        // `u64::MAX` used to panic a dev build in `+=`.
+        let hold = SimDuration::from_millis(2);
+        let forged_data = data(3, u64::MAX);
+        let forged_control = encode_control(&ControlPacket {
+            stream_id: 1,
+            seq: 0,
+            producer_time_us: u64::MAX - 1_999,
+            config: AudioConfig::CD,
+            codec: 0,
+            quality: 0,
+            control_interval_ms: 100,
+            flags: 0,
+        });
+        let state = shared(RelayState::default());
+        for forged in [&forged_data, &forged_control] {
+            assert_eq!(restamp(&state, forged, hold.as_micros()), *forged);
+        }
+        assert_eq!(state.borrow().stats.opaque, 2);
+        assert_eq!(state.borrow().stats.data_relayed, 0);
+        assert!(state.borrow().deadlines.is_empty(), "nothing to re-fold");
+        // The last shiftable stamp still shifts.
+        let edge = restamp(&state, &data(4, u64::MAX - 2_000), hold.as_micros());
+        match es_proto::packet::decode(&edge) {
+            Ok(Packet::Data(d)) => assert_eq!(d.play_at_us, u64::MAX),
+            p => panic!("expected data, got {p:?}"),
+        }
+    }
+
+    #[test]
+    fn relay_refolds_parity_across_the_sequence_wrap_and_caps_streams() {
+        let hold_us = 2_000;
+        let state = shared(RelayState::default());
+        let (d0, d1) = (40_000u64, 60_000u64);
+        // A window already full below the wrap: what it evicts next is
+        // its oldest deadline, not its smallest sequence number.
+        for back in (1..=DEADLINE_WINDOW as u32).rev() {
+            restamp(&state, &data(u32::MAX - back, 0), hold_us);
+        }
+        restamp(&state, &data(u32::MAX, d0), hold_us);
+        restamp(&state, &data(0, d1), hold_us);
+        let parity = |stream_id, base_seq| {
+            encode_parity(&es_proto::fec::ParityPacket {
+                stream_id,
+                base_seq,
+                count: 2,
+                xor_play_at_us: d0 ^ d1,
+                xor_len: 0,
+                xor_codec: 0,
+                payload: Bytes::from_static(&[0, 0, 0, 0]),
+            })
+        };
+        match es_proto::packet::decode(&restamp(&state, &parity(1, u32::MAX), hold_us)) {
+            Ok(Packet::Parity(p)) => {
+                assert_eq!(p.xor_play_at_us, (d0 + hold_us) ^ (d1 + hold_us))
+            }
+            p => panic!("expected parity, got {p:?}"),
+        }
+        assert_eq!(state.borrow().stats.parity_relayed, 1);
+        assert_eq!(state.borrow().deadlines[&1].len(), DEADLINE_WINDOW);
+
+        // 65 536 forged stream ids cost MAX_STREAMS windows, and their
+        // data is still forwarded.
+        let before = state.borrow().stats.data_relayed;
+        for stream_id in 2..=u16::MAX {
+            let forged = encode_data(&DataPacket {
+                stream_id,
+                seq: 0,
+                play_at_us: d0,
+                codec: 0,
+                payload: Bytes::from_static(&[9]),
+            });
+            restamp(&state, &forged, hold_us);
+        }
+        assert_eq!(state.borrow().deadlines.len(), MAX_STREAMS);
+        let forwarded = state.borrow().stats.data_relayed - before;
+        assert_eq!(forwarded, u64::from(u16::MAX) - 1);
+        restamp(&state, &parity(u16::MAX, 0), hold_us);
+        assert_eq!(state.borrow().stats.parity_stale, 1);
     }
 }

@@ -2,14 +2,14 @@
 //!
 //! Everything else in this repository runs in the deterministic
 //! simulator; this example proves the same wire protocol works on a
-//! real network stack. A producer thread paces an OVL-compressed
-//! CD-quality stream against the wall clock (the §3.1 rate limiter for
-//! real) and multicasts it on `239.77.83.23`; a speaker thread joins
-//! the group and runs the same receive protocol as the simulated
-//! speakers (`es_speaker::SpeakerRx`: control gating, producer clock,
-//! dedupe, FEC recovery, §3.2 late drops) from a socket and the wall
-//! clock, then reports what it heard. Its audio is written to
-//! `real_udp.wav`.
+//! real network stack, from the same two protocol cores. The producer
+//! steps `es_rebroadcast::StreamTx` — the §3.1 rate limiter, the §2.2
+//! compression policy (OVL for CD audio), one XOR-parity packet per
+//! four data packets — against the wall clock and multicasts what it
+//! seals on `239.77.83.23`; a speaker thread joins the group and steps
+//! `es_speaker::SpeakerRx` (control gating, producer clock, dedupe,
+//! FEC recovery, §3.2 late drops) from a socket, then reports what it
+//! heard. Its audio is written to `real_udp.wav`.
 //!
 //! Needs a network stack that permits multicast on loopback; if the
 //! environment forbids it the example says so and exits cleanly.
@@ -19,7 +19,6 @@
 use std::time::Duration;
 
 use es_audio::gen::MultiTone;
-use es_codec::CodecId;
 use es_core::prelude::*;
 use es_core::{run_live_producer, run_live_speaker, LiveProducerConfig};
 
@@ -39,11 +38,12 @@ fn main() {
     });
     std::thread::sleep(Duration::from_millis(200));
 
-    let mut cfg = LiveProducerConfig::new(channel, port).with_journal(journal.clone());
-    cfg.codec = CodecId::Ovl;
+    let mut cfg = LiveProducerConfig::new(channel, port);
+    cfg.journal = Some(journal.clone());
+    cfg.tx.fec_group = Some(4);
+    let (codec, quality) = cfg.tx.policy.select(&cfg.config);
     println!(
-        "streaming {:?} of CD audio, OVL quality {} (paper's max) ...",
-        clip, cfg.quality
+        "streaming {clip:?} of CD audio, {codec:?} quality {quality} (paper's max), FEC 4+1 ..."
     );
     let mut signal = MultiTone::music(44_100);
     let produced = match run_live_producer(&cfg, &mut signal, clip) {
@@ -53,11 +53,13 @@ fn main() {
             return;
         }
     };
+    let sent = produced.stats;
     println!(
-        "producer: {} data + {} control packets, {} KiB payload, elapsed {:.2?} (clip {:?} — the 5-minute-song property)",
-        produced.data_packets,
-        produced.control_packets,
-        produced.payload_bytes / 1024,
+        "producer: {} data + {} control + {} parity packets, {} KiB payload, elapsed {:.2?} (clip {:?} + playout — the 5-minute-song property)",
+        sent.data_packets,
+        sent.control_packets,
+        produced.datagrams - sent.data_packets - sent.control_packets,
+        sent.payload_bytes_out / 1024,
         produced.elapsed,
         clip
     );

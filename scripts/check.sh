@@ -87,11 +87,14 @@ done
 # producer→speaker roundtrip over real loopback multicast. Sandboxes
 # without it print a `SKIPPED:` marker per skipped test instead of
 # passing silently; the count is part of the gate's output so a CI
-# environment that never exercises the UDP path is visible.
+# environment that never exercises the UDP path is visible. The
+# socket-free half of the live producer (one_send_path: rate limiter,
+# FEC, auth under a fake clock) cannot skip, so it runs here too.
 echo "== live-udp smokes (skips surfaced)"
 udp_out=$({
     cargo test -q --test session_udp -- --nocapture &&
-        cargo test -q -p es-core live_ -- --nocapture
+        cargo test -q -p es-core live_ -- --nocapture &&
+        cargo test -q -p es-core --test one_send_path -- --nocapture
 } 2>&1) || {
     printf '%s\n' "$udp_out" >&2
     exit 1

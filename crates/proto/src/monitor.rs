@@ -80,11 +80,13 @@ impl StreamMonitor {
             self.seen_window.pop_front();
         }
 
-        match self.highest_seq {
+        // Serial-number arithmetic: "ahead of the highest seen" is the
+        // sign of the wrapped distance, so the stream counts on across
+        // the `u32` wrap.
+        match self.highest_seq.map(|h| seq.wrapping_sub(h) as i32) {
             None => self.highest_seq = Some(seq),
-            Some(h) if seq > h => {
-                let gap = seq - h - 1;
-                self.lost += gap as u64;
+            Some(ahead) if ahead > 0 => {
+                self.lost += ahead as u64 - 1;
                 self.highest_seq = Some(seq);
             }
             Some(_) => {
@@ -172,6 +174,24 @@ mod tests {
         assert_eq!(r.lost, 0, "2 arrived late, not lost");
         assert_eq!(r.reordered, 1);
         assert_eq!(r.grade(), "good");
+    }
+
+    #[test]
+    fn loss_and_reordering_are_counted_across_the_sequence_wrap() {
+        let mut m = StreamMonitor::new();
+        let at = |k: u32| (u32::MAX - 3).wrapping_add(k);
+        // Stream positions 0..=9 carry u32::MAX - 3 ..= 5. Clean up to
+        // u32::MAX, then positions 4..=6 (seq 0, 1, 2) go missing and
+        // position 5 (seq 1) turns up late.
+        for k in [0u32, 1, 2, 3, 7, 5, 8, 9] {
+            m.on_packet(at(k), k as u64 * 50_000, k as u64 * 50_000 + 100);
+        }
+        let r = m.report();
+        assert_eq!(r.received, 8);
+        assert_eq!(r.lost, 2, "seq 0 and 2; seq 1 was late, not lost");
+        assert_eq!(r.reordered, 1);
+        assert_eq!(r.duplicates, 0);
+        assert_eq!(m.highest_seq, Some(5), "the highest follows the wrap");
     }
 
     #[test]

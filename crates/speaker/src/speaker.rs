@@ -19,8 +19,9 @@
 use std::rc::Rc;
 
 use bytes::Bytes;
+use es_audio::convert::encode_samples_into;
 use es_audio::mix::apply_gain;
-use es_audio::AudioConfig;
+use es_audio::{AudioConfig, Encoding};
 use es_codec::{CodecId, Codecs};
 use es_net::{Datagram, Lan, McastGroup, NodeId};
 use es_proto::auth::VerifierStats;
@@ -188,11 +189,45 @@ impl<K: PartialEq, V> RxMemo<K, V> {
     }
 }
 
-/// One decoded block of interleaved PCM, shared by every receiver of
-/// the datagram it came from. Nobody holding a handle writes through
-/// it: a speaker that scales or fades audio does so in a copy of its
-/// own.
-type Pcm = Rc<Vec<i16>>;
+/// One decoded block, shared by every receiver of the datagram it came
+/// from: the interleaved PCM and, once a receiver has played it at
+/// unity gain, the device bytes that PCM renders to. Nobody holding a
+/// handle changes either: a speaker that scales or fades audio does so
+/// in a copy of its own.
+#[derive(Default)]
+struct SharedBlock {
+    samples: Vec<i16>,
+    /// `samples` in the device encoding last asked for (`None` until
+    /// somebody asks), in a buffer the device rings hold handles to.
+    rendered: std::cell::RefCell<(Option<Encoding>, Rc<Vec<u8>>)>,
+}
+
+type Pcm = Rc<SharedBlock>;
+
+impl SharedBlock {
+    /// The block as device bytes in `encoding`: rendered by the first
+    /// receiver to ask, a handle to that rendering for the rest. A
+    /// stream that changed encoding under a waiting block renders it
+    /// again; the stale bytes stay with whoever still plays them.
+    fn device_bytes(&self, encoding: Encoding) -> Rc<Vec<u8>> {
+        let mut rendered = self.rendered.borrow_mut();
+        let (held, bytes) = &mut *rendered;
+        let hit = *held == Some(encoding);
+        if !hit {
+            if Rc::get_mut(bytes).is_none() {
+                *bytes = Rc::default();
+            }
+            let out = Rc::get_mut(bytes).expect("unique or just replaced");
+            encode_samples_into(&self.samples, encoding, out);
+            *held = Some(encoding);
+        }
+        RENDERS.with(|r| {
+            let (hits, misses) = r.get();
+            r.set((hits + hit as u64, misses + !hit as u64));
+        });
+        Rc::clone(bytes)
+    }
+}
 
 /// What a payload decodes to under one `(cost model, codec, channels)`:
 /// the PCM (kept on failure too, for its allocation) and the work
@@ -201,7 +236,8 @@ type Decoded = (Pcm, Option<u64>);
 
 thread_local! {
     /// Wire bytes → parsed packet, and payload bytes → PCM. Per thread,
-    /// like the buffer pool below.
+    /// because independent simulations (the test suite's) run on
+    /// parallel threads.
     static PARSED: std::cell::RefCell<RxMemo<(), Result<Packet, es_proto::WireError>>> =
         const { std::cell::RefCell::new(RxMemo::new()) };
     static DECODED: std::cell::RefCell<RxMemo<(CostModel, CodecId, u8), Decoded>> =
@@ -211,6 +247,8 @@ thread_local! {
     /// holds MDCT tables and scratch).
     static ENGINES: (std::cell::OnceCell<Codecs>, std::cell::OnceCell<Codecs>) =
         const { (std::cell::OnceCell::new(), std::cell::OnceCell::new()) };
+    /// Unity-gain renderings shared and executed: `(hits, misses)`.
+    static RENDERS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 /// Decodes `payload` once per distinct buffer and `(model, codec,
@@ -233,7 +271,9 @@ fn decode_shared(
                     .map(|(pcm, _)| pcm)
                     .filter(|pcm| Rc::strong_count(pcm) == 1)
                     .unwrap_or_default();
-                let work = Rc::get_mut(&mut pcm).and_then(|out| {
+                let work = Rc::get_mut(&mut pcm).and_then(|block| {
+                    // What it rendered to was the evicted PCM.
+                    block.rendered.get_mut().0 = None;
                     ENGINES.with(|(direct, fft)| {
                         let engine = match model {
                             CostModel::Direct => direct,
@@ -241,7 +281,7 @@ fn decode_shared(
                         };
                         engine
                             .get_or_init(|| Codecs::with_cost_model(model))
-                            .decode_into(codec, payload, channels, out)
+                            .decode_into(codec, payload, channels, &mut block.samples)
                             .ok()
                     })
                 });
@@ -253,8 +293,9 @@ fn decode_shared(
 }
 
 /// Hit and miss counts of this thread's receive memos: a miss is a
-/// parse or a codec decode actually executed, a hit one shared from an
-/// earlier receiver of the same bytes.
+/// parse, a codec decode or a unity-gain rendering to device bytes
+/// actually executed, a hit one shared from an earlier receiver of the
+/// same bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RxMemoStats {
     /// Packets whose parse was shared.
@@ -265,6 +306,11 @@ pub struct RxMemoStats {
     pub decode_hits: u64,
     /// Payloads run through a codec for real.
     pub decode_misses: u64,
+    /// Blocks played from device bytes an earlier receiver rendered.
+    pub render_hits: u64,
+    /// Shared blocks rendered to device bytes for real. A speaker that
+    /// scales or fades renders privately and counts as neither.
+    pub render_misses: u64,
 }
 
 /// Cumulative [`RxMemoStats`] of the calling thread. A wall-clock-side
@@ -280,42 +326,15 @@ pub fn rx_memo_stats() -> RxMemoStats {
         let m = m.borrow();
         (m.hits, m.misses)
     });
+    let (render_hits, render_misses) = RENDERS.with(std::cell::Cell::get);
     RxMemoStats {
         parse_hits,
         parse_misses,
         decode_hits,
         decode_misses,
+        render_hits,
+        render_misses,
     }
-}
-
-/// How many spent device-write buffers the per-thread free list
-/// retains. Steady state needs one (encode, write, recycle happen in
-/// one event); the headroom covers serial-path writes parked on a full
-/// ring.
-const BUF_POOL_CAP: usize = 16;
-
-thread_local! {
-    /// Free list of encoded-byte buffers for the device-write side, so
-    /// after warm-up a delivery allocates nothing between the shared
-    /// decode and the device ring. Per-thread because independent
-    /// simulations (the test suite's) run on parallel threads.
-    static BYTE_BUFS: std::cell::RefCell<Vec<Vec<u8>>> =
-        // es-allow(hot-path-alloc): one-time thread-local init, not per-packet
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-fn take_byte_buf() -> Vec<u8> {
-    BYTE_BUFS.with(|p| p.borrow_mut().pop()).unwrap_or_default()
-}
-
-fn recycle_byte_buf(mut v: Vec<u8>) {
-    v.clear();
-    BYTE_BUFS.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.len() < BUF_POOL_CAP {
-            pool.push(v);
-        }
-    });
 }
 
 // es-hot-path-end
@@ -340,9 +359,14 @@ struct SpkState {
     serial_queue: std::collections::VecDeque<RxBlock>,
     /// The most recent decoded block, kept for concealment.
     last_block: Option<Pcm>,
-    /// Where this speaker scales a block by its own gain; the shared
-    /// block is only ever read.
+    /// Where this speaker scales or fades a block; the shared block is
+    /// only ever read.
     gain_scratch: Vec<i16>,
+    /// Device bytes of the blocks this speaker scaled or faded. The
+    /// device ring holds a handle to each until it has played, so
+    /// there are as many as the ring queues blocks; one whose handle
+    /// came back is rendered into again.
+    private_bytes: Vec<Rc<Vec<u8>>>,
     /// How early decoded blocks reach the §3.2 play decision, in
     /// microseconds (0 = at or past the deadline).
     deadline_slack_us: Histogram,
@@ -393,6 +417,7 @@ impl EthernetSpeaker {
             serial_queue: std::collections::VecDeque::new(),
             last_block: None,
             gain_scratch: Vec::new(),
+            private_bytes: Vec::new(),
             deadline_slack_us: Histogram::default(),
             journal: None,
             autovol,
@@ -619,11 +644,14 @@ impl EthernetSpeaker {
         let conceal = {
             let st = self.state.borrow();
             let wanted = block.gap > 0 && st.cfg.conceal_loss;
-            let prev = st.last_block.as_ref().filter(|b| wanted && !b.is_empty());
+            let prev = st
+                .last_block
+                .as_ref()
+                .filter(|b| wanted && !b.samples.is_empty());
             prev.map(|prev| (Rc::clone(prev), st.rx.stream_config()))
         };
         if let Some((prev, cfg)) = conceal {
-            let bytes = prev.len() * cfg.encoding.bytes_per_sample() as usize;
+            let bytes = prev.samples.len() * cfg.encoding.bytes_per_sample() as usize;
             let dur_ns = cfg.nanos_for_bytes(bytes as u64);
             let gap = block.gap.min(3);
             for k in 1..=gap {
@@ -631,13 +659,12 @@ impl EthernetSpeaker {
                 let back = (gap - k + 1) as u64 * dur_ns;
                 let gap_deadline =
                     SimTime::from_nanos(block.deadline.as_nanos().saturating_sub(back));
-                // The fade is this speaker's alone: its neighbours may
-                // still be waiting to play the block it replays.
-                let mut faded = prev.to_vec();
+                // The fade is this speaker's alone, applied when it
+                // renders: its neighbours may still be waiting to play
+                // the block it replays.
                 let fade = 0.6f64.powi(k as i32);
-                apply_gain(&mut faded, fade);
                 self.state.borrow_mut().rx.stats.concealed_packets += 1;
-                self.schedule_play(sim, Rc::new(faded), gap_deadline, false);
+                self.schedule_play(sim, Rc::clone(&prev), fade, gap_deadline, false);
             }
         }
         let mut st = self.state.borrow_mut();
@@ -701,7 +728,7 @@ impl EthernetSpeaker {
         }
         let spk = self.clone();
         sim.schedule_at(decoded_at, move |sim| {
-            spk.schedule_play(sim, samples, p.deadline, p.refill);
+            spk.schedule_play(sim, samples, 1.0, p.deadline, p.refill);
         });
     }
 
@@ -732,37 +759,61 @@ impl EthernetSpeaker {
     }
 
     fn serial_write(&self, sim: &mut Sim, samples: Pcm) {
-        let (bytes, cfg) = self.render(&samples);
+        let (bytes, cfg) = self.render(&samples, 1.0);
         self.serial_write_bytes(sim, bytes, 0, cfg);
     }
 
     /// Counts a block as played and renders it to device bytes at this
-    /// speaker's volume. The block is shared with every other receiver
-    /// of its datagram, so unity gain encodes straight from it and any
-    /// other gain scales a copy in the speaker's own scratch.
-    fn render(&self, samples: &[i16]) -> (Vec<u8>, AudioConfig) {
+    /// speaker's volume, times `fade` for a concealment replica. The
+    /// block is shared with every other receiver of its datagram, and
+    /// at unity gain so are the bytes: the first receiver encodes
+    /// them, the rest take a handle. Any other gain scales a copy in
+    /// `gain_scratch` and encodes that into bytes of the speaker's
+    /// own. That scratch and a tap that retains what it played
+    /// (`Retention::Recent` for auto-volume, `Everything` on request)
+    /// are the only per-speaker PCM copies left.
+    fn render(&self, block: &SharedBlock, fade: f64) -> (Rc<Vec<u8>>, AudioConfig) {
         let mut st = self.state.borrow_mut();
         let st = &mut *st;
         st.rx.stats.data_packets += 1;
         let cfg = st.rx.stream_config();
         let gain = st.cfg.volume * st.autovol.as_ref().map_or(1.0, |a| a.gain());
-        let samples = if (gain - 1.0).abs() > 1e-9 {
-            st.gain_scratch.clear();
-            st.gain_scratch.extend_from_slice(samples);
+        let scaled = (gain - 1.0).abs() > 1e-9;
+        if !scaled && fade == 1.0 {
+            return (block.device_bytes(cfg.encoding), cfg);
+        }
+        st.gain_scratch.clear();
+        st.gain_scratch.extend_from_slice(&block.samples);
+        if fade != 1.0 {
+            apply_gain(&mut st.gain_scratch, fade);
+        }
+        if scaled {
             apply_gain(&mut st.gain_scratch, gain);
-            &st.gain_scratch
-        } else {
-            samples
-        };
-        let mut bytes = take_byte_buf();
-        es_audio::convert::encode_samples_into(samples, cfg.encoding, &mut bytes);
-        (bytes, cfg)
+        }
+        let free = st
+            .private_bytes
+            .iter()
+            .position(|b| Rc::strong_count(b) == 1);
+        let slot = free.unwrap_or_else(|| {
+            st.private_bytes.push(Rc::default());
+            st.private_bytes.len() - 1
+        });
+        let bytes = &mut st.private_bytes[slot];
+        let out = Rc::get_mut(bytes).expect("the device let go of it");
+        encode_samples_into(&st.gain_scratch, cfg.encoding, out);
+        (Rc::clone(bytes), cfg)
     }
 
     /// A blocking `write(2)`: short writes park the player thread on
     /// the device's writable wakeup.
-    fn serial_write_bytes(&self, sim: &mut Sim, bytes: Vec<u8>, offset: usize, cfg: AudioConfig) {
-        let n = self.dev.write(sim, &bytes[offset..]).unwrap_or(0);
+    fn serial_write_bytes(
+        &self,
+        sim: &mut Sim,
+        bytes: Rc<Vec<u8>>,
+        offset: usize,
+        cfg: AudioConfig,
+    ) {
+        let n = self.dev.write_shared(sim, &bytes, offset).unwrap_or(0);
         let played = (n / cfg.encoding.bytes_per_sample() as usize) as u64;
         self.state.borrow_mut().rx.stats.samples_played += played;
         let next = offset + n;
@@ -772,7 +823,6 @@ impl EthernetSpeaker {
                 spk.serial_write_bytes(sim, bytes, next, cfg);
             });
         } else {
-            recycle_byte_buf(bytes);
             self.finish_serial(sim);
         }
     }
@@ -792,10 +842,17 @@ impl EthernetSpeaker {
     }
 
     /// Applies §3.2's sleep/play/discard rule to a decoded block.
-    fn schedule_play(&self, sim: &mut Sim, samples: Pcm, deadline: SimTime, refill: bool) {
+    fn schedule_play(
+        &self,
+        sim: &mut Sim,
+        samples: Pcm,
+        fade: f64,
+        deadline: SimTime,
+        refill: bool,
+    ) {
         if self.state.borrow().cfg.asap_playback {
             // The early-ES pipeline: straight to the device.
-            self.write_out(sim, samples);
+            self.write_out(sim, samples, fade);
             return;
         }
         let epsilon = self.state.borrow().cfg.epsilon;
@@ -803,9 +860,9 @@ impl EthernetSpeaker {
         match decide(deadline, sim.now(), epsilon) {
             PlayDecision::Sleep(d) => {
                 let spk = self.clone();
-                sim.schedule_in(d, move |sim| spk.write_out_resync(sim, samples));
+                sim.schedule_in(d, move |sim| spk.write_out_resync(sim, samples, fade));
             }
-            PlayDecision::PlayNow => self.write_out(sim, samples),
+            PlayDecision::PlayNow => self.write_out(sim, samples, fade),
             PlayDecision::Discard { .. } => self.note_late_drop(sim, deadline, refill),
         }
     }
@@ -826,7 +883,7 @@ impl EthernetSpeaker {
     /// anchors is thrown away — the paper's catch-up rule. (The
     /// unpaced PlayNow path keeps §3.1 overflow semantics: blocks
     /// arriving in a burst drop at the full ring, not here.)
-    fn write_out_resync(&self, sim: &mut Sim, samples: Pcm) {
+    fn write_out_resync(&self, sim: &mut Sim, samples: Pcm, fade: f64) {
         let epsilon = self.state.borrow().cfg.epsilon;
         // This block's projected start: wait for the next DMA boundary,
         // then behind whatever the ring already holds.
@@ -850,7 +907,7 @@ impl EthernetSpeaker {
                 &[("late_us", lateness.as_micros())],
             );
         }
-        self.write_out(sim, samples);
+        self.write_out(sim, samples, fade);
     }
 
     /// Records how early (or late: slack 0) a block reached the play
@@ -876,18 +933,16 @@ impl EthernetSpeaker {
         self.journal(sim, Severity::Debug, message, &[("late_us", late)]);
     }
 
-    /// Writes a decoded block to the device, applying volume; a full
-    /// ring drops the excess (receiver-side overflow, §3.1).
-    fn write_out(&self, sim: &mut Sim, samples: Pcm) {
-        let (bytes, cfg) = self.render(&samples);
-        let written = self.dev.write(sim, &bytes).unwrap_or(0);
+    /// Hands a decoded block to the device, rendered at this speaker's
+    /// volume — one handle moves, no bytes; a full ring drops the
+    /// excess (receiver-side overflow, §3.1).
+    fn write_out(&self, sim: &mut Sim, samples: Pcm, fade: f64) {
+        let (bytes, cfg) = self.render(&samples, fade);
+        let written = self.dev.write_shared(sim, &bytes, 0).unwrap_or(0);
         let played = (written / cfg.encoding.bytes_per_sample() as usize) as u64;
-        {
-            let mut st = self.state.borrow_mut();
-            st.rx.stats.samples_played += played;
-            st.rx.stats.dropped_overflow_bytes += (bytes.len() - written) as u64;
-        }
-        recycle_byte_buf(bytes);
+        let mut st = self.state.borrow_mut();
+        st.rx.stats.samples_played += played;
+        st.rx.stats.dropped_overflow_bytes += (bytes.len() - written) as u64;
     }
 
     // es-hot-path-end

@@ -106,6 +106,8 @@ fn delta(after: RxMemoStats, before: RxMemoStats) -> RxMemoStats {
         parse_misses: after.parse_misses - before.parse_misses,
         decode_hits: after.decode_hits - before.decode_hits,
         decode_misses: after.decode_misses - before.decode_misses,
+        render_hits: after.render_hits - before.render_hits,
+        render_misses: after.render_misses - before.render_misses,
     }
 }
 
@@ -159,8 +161,10 @@ fn fleet_parses_and_decodes_each_datagram_once_and_no_speaker_can_tell() {
             parse_hits: datagrams * (N - 1),
             decode_misses: PACKETS,
             decode_hits: PACKETS * (N - 1),
+            render_misses: PACKETS,
+            render_hits: PACKETS * (N - 1),
         },
-        "one parse and one decode per produced datagram"
+        "one parse, one decode and one rendering per produced datagram"
     );
 
     let alone = run(1).remove(0);
@@ -521,29 +525,130 @@ fn gain_and_concealment_fade_stay_private_to_the_speaker_that_applies_them() {
 
     // Packets 0, 1 and 3 arrive together, long before any deadline:
     // the concealing speaker fades its replica of block 1 while the
-    // other two still hold block 1 to play.
+    // other two still hold block 1 to play. Packet 4 carries block 1's
+    // audio once more and arrives when all of that has played: it
+    // finds the shared block, and what that block rendered to, as the
+    // scaling and the fade left them.
     let before = rx_memo_stats();
     let source: Vec<Vec<i16>> = [1_000, 7_000, 13_000].map(ramp).to_vec();
-    for (seq, block) in [0u32, 1, 3].into_iter().zip(&source) {
+    let send = |rig: &mut Rig, seq: u32, block: &[i16]| {
         let payload = es_audio::convert::encode_samples(block, Encoding::Slinear16Le);
         let at = 300_000 + seq as u64 * 50_000;
         rig.send(G, data(56, seq, at, CodecId::Pcm, payload.into()));
+    };
+    for (seq, block) in [0u32, 1, 3].into_iter().zip(&source) {
+        send(&mut rig, seq, block);
     }
+    rig.run_ms(480);
+    send(&mut rig, 4, &source[1]);
     rig.run_ms(1_000);
 
     let shared = delta(rx_memo_stats(), before);
-    assert_eq!((shared.decode_misses, shared.decode_hits), (3, 6));
+    assert_eq!((shared.decode_misses, shared.decode_hits), (3, 9));
     assert_eq!(plc.stats().concealed_packets, 1);
+    // Four blocks each at unity gain on two speakers, of three
+    // payloads; the halved blocks and the replica are nobody else's.
+    assert_eq!((shared.render_misses, shared.render_hits), (3, 5));
 
-    let played = source.concat();
-    assert_eq!(audible(&unity), played, "unity gain plays the source");
-    let mut halved = played.clone();
+    let played = [&source[0], &source[1], &source[2], &source[1]].map(|b| &b[..]);
+    assert_eq!(
+        audible(&unity),
+        played.concat(),
+        "unity gain plays the source"
+    );
+    let mut halved = played.concat();
     es_audio::mix::apply_gain(&mut halved, 0.5);
     assert_eq!(audible(&half), halved);
     let mut faded = source[1].clone();
     es_audio::mix::apply_gain(&mut faded, 0.6);
-    let with_replica = [&source[0], &source[1], &faded, &source[2]].map(|b| &b[..]);
+    let with_replica = [&source[0], &source[1], &faded, &source[2], &source[1]].map(|b| &b[..]);
     assert_eq!(audible(&plc), with_replica.concat());
+}
+
+#[test]
+fn fleet_at_unity_gain_plays_one_rendering_per_datagram() {
+    const N: u64 = 64;
+    let (mut rig, spk) = Rig::tuned(N as usize, 58);
+    let before = rx_memo_stats();
+    let source: Vec<Vec<i16>> = [2_000, 9_000, 16_000].map(ramp).to_vec();
+    for (seq, block) in source.iter().enumerate() {
+        let payload = es_audio::convert::encode_samples(block, Encoding::Slinear16Le);
+        let at = 300_000 + seq as u64 * 50_000;
+        rig.send(G, data(58, seq as u32, at, CodecId::Pcm, payload.into()));
+    }
+    rig.run_ms(1_000);
+    let shared = delta(rx_memo_stats(), before);
+    assert_eq!(
+        (shared.render_misses, shared.render_hits),
+        (3, 3 * (N - 1)),
+        "the first receiver renders, the rest take a handle"
+    );
+    for s in &spk {
+        assert_eq!(audible(s), source.concat());
+    }
+}
+
+#[test]
+fn encoding_change_renders_a_shared_block_again() {
+    // The same audio before and after the stream turns big-endian: the
+    // second packet finds the first one's decode — and its
+    // little-endian rendering, which must not be what the device gets.
+    let (mut rig, spk) = Rig::tuned(2, 59);
+    let block = ramp(3_000);
+    let payload = Bytes::from(es_audio::convert::encode_samples(
+        &block,
+        Encoding::Slinear16Le,
+    ));
+    let before = rx_memo_stats();
+    rig.send(G, data(59, 0, 300_000, CodecId::Pcm, payload.clone()));
+    rig.run_ms(400);
+    let big_endian = AudioConfig {
+        encoding: Encoding::Slinear16Be,
+        ..AudioConfig::CD
+    };
+    let now_us = rig.sim.now().as_micros();
+    rig.send(G, control(59, now_us, big_endian, CodecId::Pcm));
+    rig.send(G, data(59, 1, now_us + 300_000, CodecId::Pcm, payload));
+    rig.run_ms(1_000);
+    let shared = delta(rx_memo_stats(), before);
+    assert_eq!((shared.decode_misses, shared.decode_hits), (1, 3));
+    assert_eq!((shared.render_misses, shared.render_hits), (2, 2));
+    for s in &spk {
+        assert_eq!(audible(s), [&block[..], &block[..]].concat());
+    }
+}
+
+#[test]
+fn tap_hears_what_the_device_encoding_makes_of_the_block() {
+    // µ-law is lossy, so what a capturing tap holds is the decode of
+    // the device bytes, not the PCM they were rendered from — shared
+    // rendering or private.
+    let mut rig = Rig::new(LanConfig::default());
+    let unity = rig.speakers(2, G);
+    let half = rig.speaker(SpeakerConfig::new("half", G));
+    half.set_volume(0.5);
+    let ulaw = AudioConfig {
+        encoding: Encoding::ULaw,
+        ..AudioConfig::CD
+    };
+    rig.send(G, control(60, 0, ulaw, CodecId::Pcm));
+    rig.sim.run();
+    let block = ramp(5_000);
+    let payload = es_audio::convert::encode_samples(&block, Encoding::Slinear16Le);
+    rig.send(G, data(60, 0, 300_000, CodecId::Pcm, payload.into()));
+    rig.run_ms(1_000);
+    let through_ulaw = |pcm: &[i16]| {
+        let bytes = es_audio::convert::encode_samples(pcm, Encoding::ULaw);
+        es_audio::convert::decode_samples(&bytes, Encoding::ULaw)
+    };
+    let heard = through_ulaw(&block);
+    assert_ne!(heard, block, "lossy");
+    for s in &unity {
+        assert_eq!(played(s)[..block.len()], heard[..]);
+    }
+    let mut halved = block.clone();
+    es_audio::mix::apply_gain(&mut halved, 0.5);
+    assert_eq!(played(&half)[..block.len()], through_ulaw(&halved)[..]);
 }
 
 #[test]

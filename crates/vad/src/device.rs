@@ -16,7 +16,7 @@ use std::rc::{Rc, Weak};
 use es_audio::{AudioConfig, ConfigError};
 use es_sim::{shared, Shared, Sim, SimDuration, SimTime};
 
-use crate::ring::AudioRing;
+use crate::ring::{AudioRing, Block};
 
 /// Default ring capacity, matching OpenBSD's 64 KiB `AU_RING_SIZE`.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
@@ -143,7 +143,7 @@ pub struct BlockSource {
 impl BlockSource {
     /// Takes one block; see [`AudioRing::take_block`] for the silence
     /// semantics. Returns `None` once the device is gone.
-    pub fn take_block(&self, fill_silence: bool) -> Option<Vec<u8>> {
+    pub fn take_block(&self, fill_silence: bool) -> Option<Block> {
         let inner = self.inner.upgrade()?;
         let mut inner = inner.borrow_mut();
         inner.ring.take_block(fill_silence)
@@ -315,13 +315,37 @@ impl AudioDevice {
     /// writes mean the ring is full — register [`AudioDevice::on_writable`]
     /// and retry, the event-driven analogue of a blocking `write(2)`).
     pub fn write(&self, sim: &mut Sim, data: &[u8]) -> Result<usize, DevError> {
+        self.write_with(sim, |ring| ring.write(data))
+    }
+
+    // es-hot-path
+    /// [`AudioDevice::write`] for a writer that shares its buffer
+    /// instead of lending it: offers `buf[from..]`, of which the ring
+    /// keeps a handle, not a copy (see [`AudioRing::write_shared`]).
+    pub fn write_shared(
+        &self,
+        sim: &mut Sim,
+        buf: &Rc<Vec<u8>>,
+        from: usize,
+    ) -> Result<usize, DevError> {
+        self.write_with(sim, |ring| ring.write_shared(buf, from))
+    }
+
+    /// Puts data in the ring with `put` and tells the low-level driver
+    /// what that completed: the first block triggers output, later ones
+    /// are announced if the driver asked for that.
+    fn write_with(
+        &self,
+        sim: &mut Sim,
+        put: impl FnOnce(&mut AudioRing) -> usize,
+    ) -> Result<usize, DevError> {
         let (accepted, must_trigger, completed_blocks) = {
             let mut inner = self.inner.borrow_mut();
             if !inner.open {
                 return Err(DevError::NotOpen);
             }
             let before_blocks = inner.ring.used() / inner.ring.blocksize();
-            let accepted = inner.ring.write(data);
+            let accepted = put(&mut inner.ring);
             let after_blocks = inner.ring.used() / inner.ring.blocksize();
             let must_trigger = !inner.triggered && inner.ring.has_block();
             if must_trigger {
@@ -345,6 +369,8 @@ impl AudioDevice {
         }
         Ok(accepted)
     }
+
+    // es-hot-path-end
 
     /// Registers a one-shot callback fired at the next interrupt (ring
     /// space was freed).
@@ -631,7 +657,7 @@ mod tests {
         let (dev, _) = device(false);
         let src = dev.block_source();
         drop(dev);
-        assert_eq!(src.take_block(true), None);
+        assert!(src.take_block(true).is_none());
         assert_eq!(src.config(), None);
         assert_eq!(src.blocksize(), 0);
         assert_eq!(src.block_duration(), SimDuration::ZERO);

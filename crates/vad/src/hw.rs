@@ -37,8 +37,9 @@ pub enum Retention {
     Everything,
 }
 
+/// One played block as the tap retains it.
 #[derive(Debug)]
-struct Block {
+struct TapBlock {
     at: SimTime,
     cfg: AudioConfig,
     /// Flat index of `samples[0]` among everything ever played.
@@ -46,7 +47,7 @@ struct Block {
     samples: Vec<i16>,
 }
 
-impl Block {
+impl TapBlock {
     fn end(&self) -> SimTime {
         self.at + SimDuration::from_nanos(self.dur_ns())
     }
@@ -72,7 +73,7 @@ impl Block {
 pub struct OutputTap {
     retention: Retention,
     /// Retained blocks, in playback order.
-    blocks: VecDeque<Block>,
+    blocks: VecDeque<TapBlock>,
     block_count: usize,
     sample_count: usize,
     first_block_time: Option<SimTime>,
@@ -115,7 +116,7 @@ impl OutputTap {
             samples = old.samples;
         }
         decode_samples_into(block, cfg.encoding, &mut samples);
-        self.blocks.push_back(Block {
+        self.blocks.push_back(TapBlock {
             at,
             cfg,
             first,
@@ -286,9 +287,11 @@ impl HwDriver {
         self.state.borrow().blocks_played
     }
 
+    // es-hot-path
     fn schedule_dma(state: Shared<HwState>, sim: &mut Sim) {
         // One block leaves for the DAC now; the completion interrupt
         // fires one block-duration later, when the DAC needs the next.
+        // What leaves is a handle: the default tap reads its length.
         let (dur, epoch) = {
             let mut st = state.borrow_mut();
             if !st.running || st.paused {
@@ -346,6 +349,7 @@ impl HwDriver {
             Self::schedule_dma(state2, sim);
         });
     }
+    // es-hot-path-end
 }
 
 impl LowLevelDriver for HwDriver {

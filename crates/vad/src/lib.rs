@@ -6,7 +6,8 @@
 //! lives in:
 //!
 //! - [`ring::AudioRing`]: the hardware-independent driver's block ring
-//!   with silence insertion.
+//!   with silence insertion; it queues handles to the writers' buffers
+//!   and hands out [`ring::Block`]s, so a played block is not copied.
 //! - [`device::AudioDevice`] / [`device::LowLevelDriver`]: the
 //!   two-level `audio(4)`/`audio(9)` split, including the
 //!   only-triggered-once contract that makes pseudo-devices awkward
@@ -30,5 +31,5 @@ pub mod vad;
 pub use device::{AudioDevice, BlockSource, DevError, DevStats, Intr, Ioctl, LowLevelDriver};
 pub use hw::{HwDriver, OutputTap, Retention};
 pub use input::{input_pair, InputMaster, InputSlave, InputStats};
-pub use ring::AudioRing;
+pub use ring::{AudioRing, Block};
 pub use vad::{vad_pair, vad_pair_with_geometry, MasterItem, VadMaster, VadMode, VadStats};

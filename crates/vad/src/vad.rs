@@ -107,7 +107,7 @@ impl VadState {
         };
         let mut moved = 0;
         while let Some(block) = src.take_block(false) {
-            self.queue.push_audio(block);
+            self.queue.push_audio(block.into_vec());
             moved += 1;
         }
         (moved, if moved > 0 { self.intr.clone() } else { None })

@@ -1,12 +1,35 @@
 //! The discrete-event simulation engine.
 //!
-//! A [`Sim`] owns a virtual clock and a priority queue of events. An
-//! event is a boxed `FnOnce(&mut Sim)`; components hold their state in
+//! A [`Sim`] owns a virtual clock and a queue of events. An event is a
+//! boxed `FnOnce(&mut Sim)`; components hold their state in
 //! `Rc<RefCell<...>>` cells, capture clones in the closures they
 //! schedule, and re-schedule themselves from inside the handler. The
-//! engine is single-threaded and deterministic: events at the same
-//! instant fire in scheduling order (FIFO ties), and all randomness
-//! flows from one seeded RNG.
+//! engine is single-threaded and deterministic: events fire in
+//! `(time, seq)` order, where `seq` is the scheduling counter — events
+//! at the same instant fire in scheduling order (FIFO ties) — and all
+//! randomness flows from one seeded RNG.
+//!
+//! # The queue holds runs, not events
+//!
+//! A multicast datagram reaches every speaker at one virtual instant
+//! and carries one play deadline, so a synchronized fleet schedules
+//! hundreds of events back to back for the same instant. The queue
+//! stores such a *run* — the events scheduled consecutively for one
+//! instant — as a FIFO of its own, and the priority heap holds one
+//! entry per run, keyed by `(instant, seq of the run's first event)`.
+//! Scheduling for the instant of the previous push appends to that run
+//! without touching the heap; anything else opens a new run. Firing
+//! pops the front of the head run and pops the heap only when the run
+//! drains.
+//!
+//! Only the newest run is ever appended to. A run that has been
+//! followed by a push for another instant is closed for good, so two
+//! runs of one instant hold disjoint, ascending `seq` ranges and the
+//! older one drains completely before the newer one starts: ordering
+//! runs by `(instant, seq of first)` and events within a run by
+//! arrival is exactly `(time, seq)` order. A workload whose events all
+//! fall on instants of their own degenerates to one run per event,
+//! i.e. the plain event heap.
 //!
 //! # Segments
 //!
@@ -15,11 +38,11 @@
 //! scheduled it, or set explicitly by a
 //! [`ShardRouter`](crate::shard::ShardRouter) post. The label never
 //! influences execution order: there is one queue, popped in
-//! `(time, seq)` order, where `seq` is the scheduling counter.
+//! `(time, seq)` order.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -29,31 +52,40 @@ use crate::time::{SimDuration, SimTime};
 
 type EventFn = Box<dyn FnOnce(&mut Sim)>;
 
+/// One scheduled event. Its instant is its run's; its `seq` is
+/// implied by its place in the run.
 struct Queued {
-    at: SimTime,
-    seq: u64,
     segment: u32,
     f: EventFn,
 }
 
-impl PartialEq for Queued {
+/// The events scheduled back to back for one instant, as the heap sees
+/// them; the events themselves sit FIFO in `Sim::slots[slot]`.
+struct Run {
+    at: SimTime,
+    /// `seq` of the run's first event: orders runs of one instant.
+    seq_of_first: u64,
+    slot: usize,
+}
+
+impl PartialEq for Run {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.seq_of_first == other.seq_of_first
     }
 }
-impl Eq for Queued {}
+impl Eq for Run {}
 
-impl PartialOrd for Queued {
+impl PartialOrd for Run {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Queued {
+impl Ord for Run {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (time, seq)
         // pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        (other.at, other.seq_of_first).cmp(&(self.at, self.seq_of_first))
     }
 }
 
@@ -76,7 +108,18 @@ impl Ord for Queued {
 /// ```
 pub struct Sim {
     now: SimTime,
-    queue: BinaryHeap<Queued>,
+    /// One entry per run with events left, earliest first.
+    runs: BinaryHeap<Run>,
+    /// Event storage, indexed by `Run::slot`. A slot is either named by
+    /// exactly one entry of `runs` (and then non-empty) or in `free`.
+    slots: Vec<VecDeque<Queued>>,
+    /// Slots no run holds, each empty with its capacity kept; the most
+    /// recently drained one is handed out first.
+    free: Vec<usize>,
+    /// Instant and slot of the run the previous push went to, while
+    /// that run is still queued: the only run that may be appended to.
+    open: Option<(SimTime, usize)>,
+    runs_opened: u64,
     /// Scheduling counter: total order for same-instant events.
     next_seq: u64,
     rng: StdRng,
@@ -92,7 +135,11 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim {
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
+            runs: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            open: None,
+            runs_opened: 0,
             next_seq: 0,
             rng: StdRng::seed_from_u64(seed),
             seed,
@@ -139,9 +186,18 @@ impl Sim {
         self.processed
     }
 
-    /// Number of events scheduled and not yet fired.
+    /// Total number of runs opened so far: events scheduled for an
+    /// instant other than the previous push's (or after that run
+    /// drained). `events_processed() / runs_opened()` is how many
+    /// events the queue handled per heap entry.
+    pub fn runs_opened(&self) -> u64 {
+        self.runs_opened
+    }
+
+    /// Number of events scheduled and not yet fired: every event takes
+    /// a `seq` when scheduled and is counted when it fires.
     pub fn events_pending(&self) -> usize {
-        self.queue.len()
+        (self.next_seq - self.processed) as usize
     }
 
     /// The segment of the currently executing event (0 outside event
@@ -164,6 +220,7 @@ impl Sim {
     /// label. Crate-private: everything outside `es-sim` posts through
     /// [`ShardRouter`](crate::shard::ShardRouter), which keeps the
     /// cross-segment accounting in one place.
+    // es-hot-path
     pub(crate) fn schedule_at_segment(
         &mut self,
         segment: u32,
@@ -173,9 +230,21 @@ impl Sim {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Queued {
-            at,
-            seq,
+        let slot = match self.open {
+            Some((open_at, slot)) if open_at == at => slot,
+            _ => {
+                let slot = self.free.pop().unwrap_or_else(|| self.add_slot());
+                self.runs.push(Run {
+                    at,
+                    seq_of_first: seq,
+                    slot,
+                });
+                self.open = Some((at, slot));
+                self.runs_opened += 1;
+                slot
+            }
+        };
+        self.slots[slot].push_back(Queued {
             segment,
             f: Box::new(f),
         });
@@ -188,15 +257,35 @@ impl Sim {
 
     /// Runs a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some(head) = self.runs.peek() else {
             return false;
         };
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
+        let (at, slot) = (head.at, head.slot);
+        let events = &mut self.slots[slot];
+        let ev = events.pop_front().expect("a queued run holds an event");
+        if events.is_empty() {
+            // Drained before the handler runs, so the queue is
+            // consistent whatever the handler schedules.
+            self.runs.pop();
+            self.free.push(slot);
+            if self.open == Some((at, slot)) {
+                self.open = None;
+            }
+        }
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         self.current_segment = ev.segment;
         self.processed += 1;
         (ev.f)(self);
         true
+    }
+    // es-hot-path-end
+
+    /// A fresh event slot, for when every existing one holds a run;
+    /// drained slots come back through `free` with their capacity.
+    fn add_slot(&mut self) -> usize {
+        self.slots.push(VecDeque::new());
+        self.slots.len() - 1
     }
 
     /// Runs events until the queue is empty. Returns the number of
@@ -212,7 +301,7 @@ impl Sim {
     /// number of events processed by this call.
     pub fn run_until(&mut self, t: SimTime) -> u64 {
         let before = self.processed;
-        while self.queue.peek().is_some_and(|head| head.at <= t) {
+        while self.runs.peek().is_some_and(|head| head.at <= t) {
             self.step();
         }
         if t > self.now && t != SimTime::MAX {
@@ -493,11 +582,12 @@ mod tests {
 
     /// The engine's contract, executed naively: keep every pending
     /// event in a list and always fire the smallest `(time, seq)`.
-    /// Returns the firing log and the cross-segment post count.
-    fn oracle(prog: &[Node], roots: &[usize]) -> (Vec<Fired>, u64) {
+    /// Returns the firing log, the cross-segment post count, and the
+    /// number of pending events before the first event and after each.
+    fn oracle(prog: &[Node], roots: &[usize]) -> (Vec<Fired>, u64, Vec<usize>) {
         let mut pending: Vec<(SimTime, u64, u32, usize)> = Vec::new();
         let (mut now, mut current, mut seq, mut cross) = (SimTime::ZERO, 0u32, 0u64, 0u64);
-        let mut log = Vec::new();
+        let (mut log, mut pending_after) = (Vec::new(), Vec::new());
         let mut batch = roots.to_vec();
         loop {
             for &i in &batch {
@@ -506,9 +596,10 @@ mod tests {
                 pending.push((prog[i].at.max(now), seq, segment, i));
                 seq += 1;
             }
+            pending_after.push(pending.len());
             pending.sort_unstable();
             if pending.is_empty() {
-                return (log, cross);
+                return (log, cross, pending_after);
             }
             let (at, _, segment, i) = pending.remove(0);
             (now, current) = (at, segment);
@@ -517,30 +608,211 @@ mod tests {
         }
     }
 
+    /// What `Sim`'s fields promise each other, checked from outside
+    /// the hot path: every slot is either one queued run's non-empty
+    /// FIFO or empty on the free list, `open` names a queued run, and
+    /// the pending count is the number of stored events.
+    fn assert_queue_consistent(sim: &Sim) {
+        let mut owner = vec![None; sim.slots.len()];
+        for run in &sim.runs {
+            assert!(!sim.slots[run.slot].is_empty(), "an empty run is queued");
+            assert!(
+                owner[run.slot].replace(run.at).is_none(),
+                "two queued runs share slot {}",
+                run.slot
+            );
+        }
+        for &slot in &sim.free {
+            assert!(sim.slots[slot].is_empty(), "a free slot holds events");
+            assert!(
+                owner[slot].is_none(),
+                "a queued run's slot is on the free list"
+            );
+        }
+        assert_eq!(sim.runs.len() + sim.free.len(), sim.slots.len());
+        if let Some((at, slot)) = sim.open {
+            assert_eq!(owner[slot], Some(at), "`open` names no queued run");
+        }
+        let stored: usize = sim.slots.iter().map(VecDeque::len).sum();
+        assert_eq!(sim.events_pending(), stored);
+    }
+
+    /// Schedules an event at `at` that logs `label` and then runs
+    /// `then` (more scheduling, usually).
+    fn log_at(
+        sim: &mut Sim,
+        log: &Shared<Vec<u32>>,
+        at: SimTime,
+        label: u32,
+        then: impl FnOnce(&mut Sim) + 'static,
+    ) {
+        let log = log.clone();
+        sim.schedule_at(at, move |sim| {
+            log.borrow_mut().push(label);
+            then(sim);
+        });
+    }
+
+    /// Steps to completion, checking the queue's invariants and the
+    /// pending count after every event.
+    fn step_to_end(sim: &mut Sim) {
+        assert_queue_consistent(sim);
+        while sim.step() {
+            assert_queue_consistent(sim);
+        }
+        assert_eq!(sim.events_pending(), 0);
+    }
+
+    #[test]
+    fn a_run_takes_appends_while_it_drains_and_none_after_it_drained() {
+        // 300 events at X from outside; the first one, firing at X
+        // while the run is still the newest, schedules 300 more for X:
+        // they join the run being drained. The last of those fires when
+        // the run has just drained, so what it schedules for X opens a
+        // fresh run — and still fires.
+        let mut sim = Sim::new(1);
+        let log = shared(Vec::new());
+        let x = SimTime::from_millis(5);
+        for label in 0..300 {
+            let l = log.clone();
+            log_at(&mut sim, &log, x, label, move |sim| {
+                if label != 0 {
+                    return;
+                }
+                for label in 300..600 {
+                    let l2 = l.clone();
+                    log_at(sim, &l, x, label, move |sim| {
+                        if label == 599 {
+                            log_at(sim, &l2, x, 600, |_| {});
+                        }
+                    });
+                }
+            });
+        }
+        assert_eq!((sim.events_pending(), sim.runs_opened()), (300, 1));
+        sim.step();
+        assert_eq!(
+            (sim.events_pending(), sim.runs_opened()),
+            (599, 1),
+            "events scheduled for now from inside a draining run join it"
+        );
+        step_to_end(&mut sim);
+        assert_eq!(*log.borrow(), (0..=600).collect::<Vec<_>>());
+        assert_eq!(sim.runs_opened(), 2, "a drained run is never reopened");
+        assert_eq!(sim.now(), x);
+    }
+
+    #[test]
+    fn a_second_run_for_an_instant_fires_after_the_first_and_only_it_grows() {
+        // W, X, Y, X from outside: two runs for X, {1} and {3, 4}. W's
+        // handler then schedules Y, X — by now the *older* X run is the
+        // head of the queue, and the new X event (7) must still fire
+        // after 3 and 4, not join the older run behind 1. (6 does join
+        // 5: that run is the newest, and the newest of its instant.)
+        let mut sim = Sim::new(1);
+        let log = shared(Vec::new());
+        let [w, x, y] = [1, 2, 3].map(SimTime::from_millis);
+        let l = log.clone();
+        log_at(&mut sim, &log, w, 0, move |sim| {
+            log_at(sim, &l, y, 6, |_| {});
+            log_at(sim, &l, x, 7, |_| {});
+        });
+        log_at(&mut sim, &log, x, 1, |_| {});
+        log_at(&mut sim, &log, y, 2, |_| {});
+        log_at(&mut sim, &log, x, 3, |_| {});
+        log_at(&mut sim, &log, x, 4, |_| {});
+        log_at(&mut sim, &log, y, 5, |_| {});
+        assert_eq!(sim.runs_opened(), 5, "W, X, Y, X+X, Y");
+        step_to_end(&mut sim);
+        assert_eq!(*log.borrow(), vec![0, 1, 3, 4, 7, 2, 5, 6]);
+        assert_eq!(sim.runs_opened(), 6);
+    }
+
+    #[test]
+    fn drained_slots_are_reused_and_never_while_still_queued() {
+        // 200 rounds, 1 ms apart; each round's first event schedules
+        // the next round: a pair for the next instant, a pair two
+        // instants out, and another pair for the next instant (a second
+        // run of it). Up to six runs are queued at a time, each freed
+        // slot is handed to a later run while its neighbours still hold
+        // events, and storage stops growing after round one.
+        fn round(sim: &mut Sim, log: &Shared<Vec<u32>>, n: u32) {
+            let ms = |k: u32| SimTime::from_millis(u64::from(n + k));
+            let l = log.clone();
+            log_at(sim, log, ms(1), 6 * n, move |sim| {
+                if n < 200 {
+                    round(sim, &l, n + 1);
+                }
+            });
+            log_at(sim, log, ms(1), 6 * n + 1, |_| {});
+            log_at(sim, log, ms(2), 6 * n + 4, |_| {});
+            log_at(sim, log, ms(2), 6 * n + 5, |_| {});
+            log_at(sim, log, ms(1), 6 * n + 2, |_| {});
+            log_at(sim, log, ms(1), 6 * n + 3, |_| {});
+        }
+        let mut sim = Sim::new(1);
+        let log = shared(Vec::new());
+        round(&mut sim, &log, 0);
+        step_to_end(&mut sim);
+        // Round n's late pair (6n+4, 6n+5) was scheduled before round
+        // n+1 existed, so at their shared instant it fires first.
+        let mut expected = vec![0, 1, 2, 3];
+        for n in 1..=200 {
+            expected.extend([6 * n - 2, 6 * n - 1, 6 * n, 6 * n + 1, 6 * n + 2, 6 * n + 3]);
+        }
+        expected.extend([6 * 200 + 4, 6 * 200 + 5]);
+        assert_eq!(*log.borrow(), expected);
+        assert_eq!(sim.runs_opened(), 3 * 201);
+        assert_eq!(sim.slots.len(), 6, "one slot per concurrently queued run");
+    }
+
     proptest::proptest! {
         /// Random programs — nested scheduling from handlers, times
-        /// drawn from a 12 ms window so same-instant ties and
-        /// past-clamped children are the common case, router posts
-        /// into foreign segments — fire in exactly the oracle's order,
-        /// and `current_segment()` is the inherited or posted label.
+        /// drawn from a 12 ms window (or "now") so same-instant ties,
+        /// `X, Y, X` interleavings and past-clamped children are the
+        /// common case, router posts into foreign segments, and now and
+        /// then a burst of 300+ back-to-back events for one instant,
+        /// from outside or from a handler, whose members schedule in
+        /// turn — fire in exactly the oracle's order, with the
+        /// oracle's pending count after every event, and
+        /// `current_segment()` is the inherited or posted label.
         #[test]
         fn firing_order_matches_sort_by_time_seq_oracle(
-            spec in proptest::collection::vec((0usize..1000, 0u64..12, 0u32..5), 1..80),
+            spec in proptest::collection::vec(
+                ((0usize..1000, 0u64..16, 0u32..5), 0u32..32),
+                1..80,
+            ),
         ) {
             let mut prog: Vec<Node> = Vec::new();
             let mut roots = Vec::new();
-            for (i, &(pick, at_ms, seg)) in spec.iter().enumerate() {
-                prog.push(Node {
-                    at: SimTime::from_millis(at_ms),
-                    segment: seg.checked_sub(1),
-                    children: Vec::new(),
-                });
-                match pick % (i + 1) {
-                    parent if parent < i => prog[parent].children.push(i),
-                    _ => roots.push(i),
+            // Per spec entry: its nodes, `prog[first..first + len]`.
+            let mut entries: Vec<(usize, usize)> = Vec::new();
+            for (i, &((pick, at_code, seg), burst_code)) in spec.iter().enumerate() {
+                let parent = match pick % (i + 1) {
+                    e if e < i => {
+                        // First, last, or some member of the entry.
+                        let (first, len) = entries[e];
+                        Some(first + [0, len - 1, pick % len][pick % 3])
+                    }
+                    _ => None,
+                };
+                let len = if burst_code == 0 { 300 + pick % 40 } else { 1 };
+                entries.push((prog.len(), len));
+                for node in prog.len()..prog.len() + len {
+                    match parent {
+                        Some(parent) => prog[parent].children.push(node),
+                        None => roots.push(node),
+                    }
+                    prog.push(Node {
+                        // 12..16: time zero, i.e. whatever "now" is
+                        // when the parent fires.
+                        at: SimTime::from_millis(if at_code < 12 { at_code } else { 0 }),
+                        segment: seg.checked_sub(1),
+                        children: Vec::new(),
+                    });
                 }
             }
-            let (expected, expected_cross) = oracle(&prog, &roots);
+            let (expected, expected_cross, expected_pending) = oracle(&prog, &roots);
             proptest::prop_assert_eq!(expected.len(), prog.len());
 
             let mut sim = Sim::new(1);
@@ -550,11 +822,17 @@ mod tests {
             for &i in &roots {
                 spawn(&mut sim, &router, &prog, &log, i);
             }
-            proptest::prop_assert_eq!(sim.events_pending(), roots.len());
-            sim.run();
+            let mut pending = vec![sim.events_pending()];
+            assert_queue_consistent(&sim);
+            while sim.step() {
+                pending.push(sim.events_pending());
+                assert_queue_consistent(&sim);
+            }
             proptest::prop_assert_eq!(&*log.borrow(), &expected);
+            proptest::prop_assert_eq!(pending, expected_pending);
             proptest::prop_assert_eq!(router.cross_posts(), expected_cross);
-            proptest::prop_assert_eq!(sim.events_pending(), 0);
+            proptest::prop_assert_eq!(sim.events_processed(), expected.len() as u64);
+            proptest::prop_assert!(sim.runs_opened() <= sim.events_processed());
         }
     }
 }

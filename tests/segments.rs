@@ -13,19 +13,22 @@ use es_sim::SimDuration;
 const UPSTREAM: McastGroup = McastGroup(1);
 const DOWNSTREAM: McastGroup = McastGroup(101);
 
+/// `secs` of full-quality OVL on the upstream group.
+fn radio(secs: u64) -> ChannelSpec {
+    ChannelSpec::new(1, UPSTREAM, "radio")
+        .policy(CompressionPolicy::Always {
+            codec: es_codec::CodecId::Ovl,
+            quality: es_codec::MAX_QUALITY,
+        })
+        .duration(SimDuration::from_secs(secs))
+}
+
 /// One producer on the backbone (segment 0), one speaker listening
 /// there directly, a relay re-multicasting into segment 1, and two
 /// speakers on the relayed group.
 fn relayed_system() -> es_core::EsSystem {
     SystemBuilder::new(23)
-        .channel(
-            ChannelSpec::new(1, UPSTREAM, "radio")
-                .policy(CompressionPolicy::Always {
-                    codec: es_codec::CodecId::Ovl,
-                    quality: es_codec::MAX_QUALITY,
-                })
-                .duration(SimDuration::from_secs(3)),
-        )
+        .channel(radio(3))
         .speaker(SpeakerSpec::new("backbone", UPSTREAM))
         .relay(RelaySpec::new(UPSTREAM, DOWNSTREAM).segment(1))
         .speaker(SpeakerSpec::new("seg1-a", DOWNSTREAM).segment(1))
@@ -119,4 +122,46 @@ fn relay_hold_preserves_downstream_sync() {
             "speaker {i} starts {skew} away from the backbone"
         );
     }
+}
+
+/// Events fired per run the engine opened (`es_sim::Sim` queues the
+/// events scheduled back to back for one instant as one run) over one
+/// virtual second of full-quality OVL. With relays this is the perf
+/// ledger's `fleet1k-relayed` shape, speakers dealt round-robin behind
+/// them; with none, its `solo` shape.
+fn events_per_run(relays: u32, speakers: u32) -> f64 {
+    let downstream = |k: u32| McastGroup(100 + k as u16);
+    let mut b = SystemBuilder::new(7).channel(radio(1));
+    for k in 1..=relays {
+        b = b.relay(RelaySpec::new(UPSTREAM, downstream(k)).segment(k));
+    }
+    for i in 0..speakers {
+        b = b.speaker(match relays {
+            0 => SpeakerSpec::new(format!("es{i}"), UPSTREAM),
+            _ => {
+                let seg = i % relays + 1;
+                SpeakerSpec::new(format!("es{i}"), downstream(seg)).segment(seg)
+            }
+        });
+    }
+    let mut sys = b.build();
+    sys.run_for(SimDuration::from_secs(1));
+    sys.sim.events_processed() as f64 / sys.sim.runs_opened() as f64
+}
+
+#[test]
+fn a_synchronized_fleet_schedules_in_runs_and_a_lone_speaker_does_not() {
+    // §2.3 multicasts one datagram to every speaker and §3.2 stamps it
+    // with one deadline, so a fleet's receive, decode and play events
+    // fall on shared instants, scheduled back to back. A handler that
+    // interleaved two instants per speaker would de-coalesce the
+    // fleet and show up only as a slower benchmark; this fails first.
+    let fleet = events_per_run(4, 200);
+    assert!(fleet >= 10.0, "{fleet:.1} events per run at 200 speakers");
+    // One speaker has nobody to share an instant with.
+    let lone = events_per_run(0, 1);
+    assert!(
+        (0.8..1.2).contains(&lone),
+        "{lone:.2} events per run at one speaker"
+    );
 }

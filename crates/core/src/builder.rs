@@ -746,6 +746,12 @@ impl SystemBuilder {
             )
         });
 
+        // Under a healing plane every speaker repairs its own losses:
+        // a negotiated one NACKs over its session, a statically wired
+        // one through the monitor, which starts once they all exist.
+        let heal_slot: Shared<Option<HealMonitor>> = es_sim::shared(None);
+        let repairs = self.healing.is_some();
+
         let mut speakers = Vec::new();
         for spec in self.speakers {
             let segment = spec.segment;
@@ -768,6 +774,9 @@ impl SystemBuilder {
                         Some(journal.clone()),
                     );
                     lan.set_segment(ns.speaker().node(), segment);
+                    if repairs {
+                        ns.nack_over_session();
+                    }
                     speakers.push(SpeakerHandle::Negotiated(ns));
                 } else {
                     let slot: Shared<Option<NegotiatedSpeaker>> = es_sim::shared(None);
@@ -779,6 +788,9 @@ impl SystemBuilder {
                         let ns =
                             NegotiatedSpeaker::start(sim, &lan2, cfg, announce, ccfg, Some(j2));
                         lan2.set_segment(ns.speaker().node(), segment);
+                        if repairs {
+                            ns.nack_over_session();
+                        }
                         *slot2.borrow_mut() = Some(ns);
                     });
                     speakers.push(SpeakerHandle::DeferredNegotiated(slot));
@@ -787,6 +799,9 @@ impl SystemBuilder {
                 let spk = EthernetSpeaker::start(&mut sim, &lan, spec.config);
                 lan.set_segment(spk.node(), segment);
                 spk.set_journal(journal.clone());
+                if repairs {
+                    nack_via_monitor(&spk, &heal_slot);
+                }
                 speakers.push(SpeakerHandle::Ready(spk));
             } else {
                 let slot: Shared<Option<EthernetSpeaker>> = es_sim::shared(None);
@@ -794,10 +809,14 @@ impl SystemBuilder {
                 let lan2 = lan.clone();
                 let cfg = spec.config;
                 let j2 = journal.clone();
+                let heal2 = heal_slot.clone();
                 sim.schedule_in(spec.start_at, move |sim| {
                     let spk = EthernetSpeaker::start(sim, &lan2, cfg);
                     lan2.set_segment(spk.node(), segment);
                     spk.set_journal(j2.clone());
+                    if repairs {
+                        nack_via_monitor(&spk, &heal2);
+                    }
                     *slot2.borrow_mut() = Some(spk);
                 });
                 speakers.push(SpeakerHandle::Deferred(slot));
@@ -813,7 +832,7 @@ impl SystemBuilder {
             speakers: Rc::new(speakers),
             announcer,
             broker,
-            heal: es_sim::shared(None),
+            heal: heal_slot,
         };
         let heal = self.healing.map(|spec| {
             let standbys = hub.standbys.clone();
@@ -831,6 +850,19 @@ impl SystemBuilder {
     }
 }
 
+/// Makes the healing monitor in `heal` the back channel of a
+/// statically wired speaker: its NACKs go to the stream's live
+/// producer through [`HealMonitor::retransmit_request`].
+fn nack_via_monitor(spk: &EthernetSpeaker, heal: &Shared<Option<HealMonitor>>) {
+    let (heal, from) = (heal.clone(), spk.clone());
+    spk.set_nack_handler(move |sim, ranges| {
+        let monitor = heal.borrow().clone();
+        if let Some(monitor) = monitor {
+            monitor.retransmit_request(sim, &from, ranges);
+        }
+    });
+}
+
 #[derive(Clone)]
 pub(crate) enum SpeakerHandle {
     Ready(EthernetSpeaker),
@@ -842,8 +874,9 @@ pub(crate) enum SpeakerHandle {
 /// Clone-shareable view of every component's telemetry handles: the
 /// one place the "walk the whole deployment and snapshot it" logic
 /// lives. [`EsSystem::metrics`] delegates here, and the healing
-/// monitor holds its own clone so it can snapshot from inside
-/// simulator callbacks, where `EsSystem` itself is not reachable.
+/// monitor holds its own clone so it can read speakers and producers
+/// from inside simulator callbacks, where `EsSystem` itself is not
+/// reachable.
 #[derive(Clone)]
 pub(crate) struct MetricsHub {
     pub(crate) lan: Lan,

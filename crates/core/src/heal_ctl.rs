@@ -1,15 +1,16 @@
 //! The self-healing control loop (DESIGN.md §10).
 //!
-//! A [`HealMonitor`] wakes once per virtual-time *epoch*, takes the
-//! same merged [`MetricsSnapshot`] an operator would poll, and feeds
-//! per-receiver deltas (interval loss, deadline-miss growth, clock
-//! drift) to [`es_heal`]'s pure detector. The actions that come back —
-//! plus two the monitor derives itself, NACK retransmission from the
-//! speakers' gap ledgers and producer failover from a stalled
-//! control-packet counter — are executed against the live system and
-//! journaled under component `heal`, every event carrying `action` and
-//! `target` fields (the `es-analyze` `heal-event-fields` rule enforces
-//! this).
+//! A [`HealMonitor`] wakes once per virtual-time *epoch*, reads the
+//! counters an operator would poll, and feeds per-receiver deltas
+//! (interval loss, deadline-miss growth, clock drift) to [`es_heal`]'s
+//! pure detector. The actions that come back — plus producer failover,
+//! which the monitor derives itself from a stalled control-packet
+//! counter — are executed against the live system. Between epochs it
+//! is the back channel of statically wired speakers: a NACK such a
+//! speaker raises is handed to its stream's live producer at once.
+//! Everything is journaled under component `heal`, every event
+//! carrying `action` and `target` fields (the `es-analyze`
+//! `heal-event-fields` rule enforces this).
 //!
 //! Everything here is driven by the deterministic simulator: the same
 //! seed heals the same way, bit for bit, at any fleet-thread count.
@@ -20,7 +21,7 @@ use es_heal::{EpochSample, FleetDetector, HealAction, HealPolicy, HealStats, Hea
 use es_rebroadcast::Rebroadcaster;
 use es_sim::{RepeatingTimer, Shared, Sim, SimDuration};
 use es_speaker::EthernetSpeaker;
-use es_telemetry::{Journal, MetricsSnapshot, Severity, Stamp};
+use es_telemetry::{Journal, Severity, Stamp};
 
 use crate::builder::MetricsHub;
 
@@ -84,9 +85,22 @@ impl Default for HealSpec {
     }
 }
 
+/// The counters one epoch's deltas are taken against.
+#[derive(Clone, Copy)]
+struct Seen {
+    lost: u64,
+    received: u64,
+    deadline_misses: u64,
+}
+
 struct MonitorState {
     detector: FleetDetector,
-    prev: Option<MetricsSnapshot>,
+    /// Per speaker: its counters at the previous epoch, once it has
+    /// been seen at one.
+    prev_speakers: Vec<Option<Seen>>,
+    /// Per channel: its control-packet counter at the previous epoch;
+    /// `None` until the first epoch has run.
+    prev_controls: Option<Vec<u64>>,
     /// Per channel: ever saw control packets flow.
     chan_active: Vec<bool>,
     /// Per channel: consecutive epochs with zero control packets.
@@ -124,7 +138,8 @@ impl HealMonitor {
         let n = hub.rebroadcasters.len();
         let state = es_sim::shared(MonitorState {
             detector,
-            prev: None,
+            prev_speakers: vec![None; hub.speaker_count()],
+            prev_controls: None,
             chan_active: vec![false; n],
             chan_stalled: vec![0; n],
             failed_over: vec![false; n],
@@ -167,116 +182,96 @@ impl HealMonitor {
         self.state.borrow().journal.clone()
     }
 
-    /// One epoch: observe, relay NACKs, apply detector actions, check
-    /// for a dead primary.
+    /// One epoch: observe, apply detector actions, check for a dead
+    /// primary.
     fn tick(&self, sim: &mut Sim) {
-        let snap = self.hub.snapshot();
-        self.observe_receivers(&snap);
-        self.relay_nacks(sim);
+        self.observe_receivers();
         let actions = self.state.borrow_mut().detector.end_epoch();
         for action in actions {
             self.execute(sim, action);
         }
-        self.check_failover(sim, &snap);
-        self.state.borrow_mut().prev = Some(snap);
+        self.check_failover(sim);
     }
 
-    fn observe_receivers(&self, snap: &MetricsSnapshot) {
+    fn observe_receivers(&self) {
         let mut st = self.state.borrow_mut();
-        for i in 0..self.hub.speaker_count() {
+        let st = &mut *st;
+        // The first epoch has no baseline: everybody reads healthy.
+        let baseline = st.prev_controls.is_some();
+        for (i, prev) in st.prev_speakers.iter_mut().enumerate() {
             let Some(spk) = self.hub.speaker(i) else {
                 continue;
             };
-            let name = spk.name();
-            let sample = match &st.prev {
-                Some(prev) => {
-                    let lost = snap
-                        .counter_delta(prev, &format!("speaker/{name}/quality_lost"))
-                        .unwrap_or(0);
-                    let received = snap
-                        .counter_delta(prev, &format!("speaker/{name}/quality_received"))
-                        .unwrap_or(0);
-                    let expected = lost + received;
-                    EpochSample {
-                        loss_fraction: if expected == 0 {
-                            0.0
-                        } else {
-                            lost as f64 / expected as f64
-                        },
-                        deadline_miss_delta: snap
-                            .counter_delta(prev, &format!("speaker/{name}/deadline_misses"))
-                            .unwrap_or(0),
-                        drift_us: snap
-                            .gauge(&format!("speaker/{name}/sync_offset_us"))
-                            .unwrap_or(0.0) as i64,
-                    }
-                }
-                // The first epoch has no baseline: treat as healthy.
-                None => EpochSample::default(),
+            let (stats, quality) = (spk.stats(), spk.quality());
+            let now = Seen {
+                // Link loss: the monitor nets a refill off its loss
+                // count the moment it lands; put it back.
+                lost: quality.lost + stats.refills_received,
+                received: quality.received,
+                deadline_misses: stats.dropped_late,
             };
-            st.detector.observe(&name, sample);
+            // Nor has a speaker first seen this epoch: its counters
+            // read as not having moved.
+            let was = prev.replace(now).unwrap_or(now);
+            let lost = now.lost.saturating_sub(was.lost);
+            let expected = lost + now.received.saturating_sub(was.received);
+            let sample = EpochSample {
+                loss_fraction: if expected == 0 {
+                    0.0
+                } else {
+                    lost as f64 / expected as f64
+                },
+                deadline_miss_delta: now.deadline_misses.saturating_sub(was.deadline_misses),
+                drift_us: spk.clock_offset_us().unwrap_or(0),
+            };
+            let sample = if baseline {
+                sample
+            } else {
+                EpochSample::default()
+            };
+            st.detector.observe(&spk.name(), sample);
         }
     }
 
-    /// Drains every speaker's missing-sequence ledger and relays the
-    /// ranges to the stream's live producer (neighbor-assisted refill).
-    fn relay_nacks(&self, sim: &mut Sim) {
-        for i in 0..self.hub.speaker_count() {
-            let Some(spk) = self.hub.speaker(i) else {
-                continue;
-            };
-            let ranges = spk.take_missing_ranges();
-            if ranges.is_empty() {
-                continue;
-            }
-            let name = spk.name();
-            let sent = self.execute_retransmit(sim, &spk, &name, &ranges);
-            self.state.borrow_mut().detector.stats.retransmits_requested += 1;
-            self.journal().emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Info,
-                "heal",
-                "retransmission requested",
-                &[
-                    ("action", "retransmit".into()),
-                    ("target", name),
-                    ("ranges", format!("{ranges:?}")),
-                    ("packets", sent.to_string()),
-                ],
-            );
-        }
-    }
-
-    fn execute_retransmit(
+    /// A statically wired speaker's NACK: hands the ranges to the live
+    /// producer of the group it is tuned to (a negotiated speaker
+    /// sends its own over the session). Returns how many cached
+    /// packets went back out.
+    pub(crate) fn retransmit_request(
         &self,
         sim: &mut Sim,
         spk: &EthernetSpeaker,
-        name: &str,
         ranges: &[(u32, u16)],
     ) -> u64 {
-        // Session-routed first: the broker maps the speaker to its
-        // granted stream. Statically wired speakers (no session) fall
-        // back to group matching.
-        if let Some(broker) = self.hub.broker.as_ref() {
-            let n = broker.retransmit_for(sim, name, ranges);
-            if n > 0 {
-                return n;
-            }
-        }
         let group = spk.tuned();
-        let failed_over = self.state.borrow().failed_over.clone();
-        for (i, rb) in self.hub.rebroadcasters.iter().enumerate() {
-            if rb.group() != group {
-                continue;
-            }
-            let producer = if failed_over[i] {
+        let channel = self
+            .hub
+            .rebroadcasters
+            .iter()
+            .position(|rb| rb.group() == group);
+        let sent = channel.map_or(0, |i| {
+            let failed_over = self.state.borrow().failed_over[i];
+            let producer = if failed_over {
                 &self.standbys[i]
             } else {
-                rb
+                &self.hub.rebroadcasters[i]
             };
-            return producer.retransmit(sim, ranges);
-        }
-        0
+            producer.retransmit(sim, ranges)
+        });
+        self.state.borrow_mut().detector.stats.retransmits_requested += 1;
+        self.journal().emit(
+            Stamp::virtual_ns(sim.now().as_nanos()),
+            Severity::Info,
+            "heal",
+            "retransmission requested",
+            &[
+                ("action", "retransmit".into()),
+                ("target", spk.name()),
+                ("ranges", format!("{ranges:?}")),
+                ("packets", sent.to_string()),
+            ],
+        );
+        sent
     }
 
     fn execute(&self, sim: &mut Sim, action: HealAction) {
@@ -320,7 +315,8 @@ impl HealMonitor {
                     &[("action", "recovered".into()), ("target", target)],
                 );
             }
-            // Constructed and executed inline by the monitor itself.
+            // Not the detector's: a speaker raises the one, the
+            // monitor's stall check the other.
             HealAction::Retransmit { .. } | HealAction::Failover => {}
         }
     }
@@ -349,16 +345,16 @@ impl HealMonitor {
     /// A channel whose control-packet counter stops growing for
     /// `failover_after` consecutive epochs — after the stream was seen
     /// alive — has a dead primary: promote the standby.
-    fn check_failover(&self, sim: &mut Sim, snap: &MetricsSnapshot) {
+    fn check_failover(&self, sim: &mut Sim) {
         let mut promotions = Vec::new();
         {
             let mut st = self.state.borrow_mut();
-            for i in 0..self.hub.rebroadcasters.len() {
-                let path = format!("rebroadcast/ch{i}/control_packets");
-                let delta = match &st.prev {
-                    Some(prev) => snap.counter_delta(prev, &path).unwrap_or(0),
-                    None => snap.counter(&path).unwrap_or(0),
-                };
+            let controls = self.hub.rebroadcasters.iter();
+            let controls: Vec<u64> = controls.map(|rb| rb.stats().control_packets).collect();
+            let prev = st.prev_controls.replace(controls.clone());
+            for (i, &now) in controls.iter().enumerate() {
+                // The first epoch counts from the start of the stream.
+                let delta = now.saturating_sub(prev.as_ref().map_or(0, |prev| prev[i]));
                 if delta > 0 {
                     st.chan_active[i] = true;
                     st.chan_stalled[i] = 0;

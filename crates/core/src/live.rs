@@ -219,7 +219,9 @@ impl LiveSpeaker {
                 Ok(pkt) => self.rx.on_packet(now, pkt, &mut self.events),
                 Err(_) => self.rx.stats.bad_packets += 1,
             }
-            // Statically tuned and deviceless: only blocks matter.
+            // Statically tuned, deviceless and with no way back to the
+            // producer: it neither conceals nor NACKs, so the protocol
+            // keeps no holes and only blocks matter.
             for event in self.events.drain(..) {
                 let RxEvent::Block(b) = event else { continue };
                 // A collector has nowhere to sleep: early is on time.

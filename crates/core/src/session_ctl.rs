@@ -438,26 +438,6 @@ impl SessionBroker {
         }
     }
 
-    /// Routes NACKed sequence ranges straight into the stream's
-    /// retransmit cache on behalf of `speaker` (the heal monitor's
-    /// management-plane path; the wire path is a receiver-originated
-    /// PARAM). Returns how many cached packets went back out.
-    pub fn retransmit_for(&self, sim: &mut Sim, speaker: &str, ranges: &[(u32, u16)]) -> u64 {
-        let found = self
-            .state
-            .borrow()
-            .streams
-            .iter()
-            .find_map(|(_, rb)| rb.find_session(speaker).map(|_| rb.clone()));
-        match found {
-            Some(rb) => {
-                self.state.borrow_mut().stats.nacks += 1;
-                rb.retransmit(sim, ranges)
-            }
-            None => 0,
-        }
-    }
-
     /// Live sessions across every stream.
     pub fn sessions_active(&self) -> usize {
         self.state
@@ -588,15 +568,32 @@ impl NegotiatedSpeaker {
         }
     }
 
+    /// Multicasts a control-plane packet on the announce group.
+    fn send(&self, sim: &mut Sim, pkt: &SessionPacket) {
+        let announce = self.state.borrow().announce_group;
+        let bytes = Bytes::from(encode_session(pkt).to_vec());
+        self.lan
+            .send(sim, self.spk.node(), Dest::Multicast(announce), bytes);
+    }
+
+    /// Lets the speaker ask for the blocks it is missing: each NACK
+    /// leaves as a PARAM of the session it holds, which the broker
+    /// routes to the stream's retransmit cache. Between sessions there
+    /// is nobody to ask.
+    pub(crate) fn nack_over_session(&self) {
+        let ns = self.clone();
+        self.spk.set_nack_handler(move |sim, ranges| {
+            if let Some(session_id) = ns.session_id() {
+                ns.send(sim, &SessionPacket::param_nack(session_id, ranges.to_vec()));
+            }
+        });
+    }
+
     fn apply(&self, sim: &mut Sim, actions: Vec<ClientAction>) {
         let announce = self.state.borrow().announce_group;
         for a in actions {
             match a {
-                ClientAction::Send(pkt) => {
-                    let bytes = Bytes::from(encode_session(&pkt).to_vec());
-                    self.lan
-                        .send(sim, self.spk.node(), Dest::Multicast(announce), bytes);
-                }
+                ClientAction::Send(pkt) => self.send(sim, &pkt),
                 ClientAction::JoinData(g) => {
                     self.spk.tune(sim, McastGroup(g));
                     // Stay on the control plane: tune() left the

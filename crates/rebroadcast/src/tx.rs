@@ -33,10 +33,17 @@ use es_telemetry::{Registry, Telemetry};
 use crate::policy::CompressionPolicy;
 use crate::rate::RateLimiter;
 
-/// Data packets kept for NACK retransmission (the healing plane's
-/// neighbor-assist window). At 50 ms blocks this is ~3 s of audio.
-/// One bit each in [`StreamTx::retransmit`]'s already-sent mask.
+/// Data packets kept for NACK retransmission (the repair window). At
+/// 50 ms blocks this is ~3 s of audio.
 const RECENT_CACHE: usize = 64;
+
+/// How long a packet that just went back out is not sent again: a
+/// retransmission is multicast, so the speakers that lost the same
+/// datagram — their NACKs arrive microseconds apart — are all served
+/// by the first. Shorter than a speaker's re-ask interval
+/// (`es_speaker::rx::NACK_REASK`), so a re-ask for a refill that was
+/// itself lost is always served.
+pub const REPAIR_HOLDOFF: SimDuration = SimDuration::from_millis(10);
 
 /// The protocol settings of one stream — what both drivers embed.
 #[derive(Clone)]
@@ -199,9 +206,10 @@ pub struct StreamTx {
     /// What this stream has sent and lost so far.
     pub stats: ProducerStats,
     parity: Option<ParityAccumulator>,
-    /// Recently sent data packets, oldest first — the window the
-    /// healing plane can NACK into. Payloads are shared `Bytes`.
-    recent: VecDeque<DataPacket>,
+    /// Recently sent data packets, oldest first — the window a NACK
+    /// can reach into — each with when it last went back out. Payloads
+    /// are shared `Bytes`.
+    recent: VecDeque<(DataPacket, Option<SimTime>)>,
     /// Every outgoing packet is encoded and signed in place here, then
     /// split off as a shared [`Bytes`]: one allocation, zero copies.
     scratch: BytesMut,
@@ -311,7 +319,7 @@ impl StreamTx {
                 encode_parity_into(&parity, buf)
             }));
         }
-        self.recent.push_back(pkt);
+        self.recent.push_back((pkt, None));
         while self.recent.len() > RECENT_CACHE {
             self.recent.pop_front();
         }
@@ -353,40 +361,43 @@ impl StreamTx {
     /// Re-sends cached data packets covering the NACKed
     /// `(first_seq, count)` ranges; returns how many were pushed.
     /// Ranges are clamped to the window by serial-number distance from
-    /// its oldest packet (so it may straddle the `u32` wrap) and each
-    /// cached packet leaves at most once per request: a request costs
-    /// at most the cache, whatever it asks for. What is older is
-    /// silently unfillable — FEC and concealment are the recourse.
+    /// its oldest packet (so it may straddle the `u32` wrap) and a
+    /// packet that went back out less than [`REPAIR_HOLDOFF`] ago —
+    /// earlier in this request, or for a neighbour's — is not sent
+    /// again: a request costs at most the cache, whatever it asks
+    /// for. What is older is silently unfillable — FEC and concealment
+    /// are the recourse.
     pub fn retransmit(&mut self, now: SimTime, ranges: &[(u32, u16)], out: &mut Vec<Bytes>) -> u64 {
-        let Some(oldest) = self.recent.front().map(|p| p.seq) else {
+        let Some(oldest) = self.recent.front().map(|(p, _)| p.seq) else {
             return 0;
         };
         if self.down || self.standby {
             return 0;
         }
         let offset = |seq: u32| i64::from(seq.wrapping_sub(oldest));
-        let mut sent = 0u64; // one bit per cache slot
+        let mut sent = 0;
         for &(first, count) in ranges {
             // Signed: a range starting before the window has a
             // negative `lo` and is served from the window's start.
             let lo = i64::from(first.wrapping_sub(oldest) as i32);
             let hi = lo + i64::from(count);
-            let start = self.recent.partition_point(|p| offset(p.seq) < lo);
-            for (i, pkt) in self.recent.iter().enumerate().skip(start) {
+            let start = self.recent.partition_point(|(p, _)| offset(p.seq) < lo);
+            for (pkt, resent_at) in self.recent.iter_mut().skip(start) {
                 if offset(pkt.seq) >= hi {
                     break;
                 }
-                if sent & (1 << i) == 0 {
-                    sent |= 1 << i;
-                    out.push(seal_with(&mut self.scratch, &self.cfg, now, |buf| {
-                        encode_data_into(pkt, buf)
-                    }));
+                if resent_at.is_some_and(|at| now < at.saturating_add(REPAIR_HOLDOFF)) {
+                    continue;
                 }
+                *resent_at = Some(now);
+                sent += 1;
+                out.push(seal_with(&mut self.scratch, &self.cfg, now, |buf| {
+                    encode_data_into(pkt, buf)
+                }));
             }
         }
-        let n = u64::from(sent.count_ones());
-        self.stats.retransmits_sent += n;
-        n
+        self.stats.retransmits_sent += sent;
+        sent
     }
 
     /// Changes the FEC parity-group size mid-stream (the healing
@@ -537,6 +548,7 @@ mod tests {
         // Drop the second packet past the wrap; its group (0..=3) is
         // whole otherwise.
         let mut rx = SpeakerRx::new(None);
+        rx.request_repairs();
         let mut events = Vec::new();
         let mut blocks = 0;
         for (at, raw) in &trace {
@@ -555,7 +567,8 @@ mod tests {
         assert_eq!(rx.stats.fec_recovered, 1);
         assert_eq!(rx.stats.dropped_duplicate, 0);
         assert_eq!(rx.stats.bad_packets, 0);
-        assert!(rx.take_missing_ranges().is_empty(), "recovery left a gap");
+        assert_eq!(rx.table_sizes()[0], 0, "recovery left a hole");
+        assert_eq!(rx.next_wakeup(), None);
     }
 
     #[test]
@@ -564,7 +577,7 @@ mod tests {
         stream(&mut tx, 40);
         let mut out = Vec::new();
         // The widest request the session plane can carry.
-        let now = SimTime::from_secs(3);
+        let mut now = SimTime::from_secs(3);
         assert_eq!(tx.retransmit(now, &[(0, u16::MAX); 16], &mut out), 40);
         assert_eq!(data_seqs(&out), (0..40).collect::<Vec<_>>());
         assert_eq!(tx.stats.retransmits_sent, 40);
@@ -572,6 +585,7 @@ mod tests {
         // Disjoint in-window ranges: served in request order, the part
         // of a range past the newest packet is nothing.
         out.clear();
+        now += REPAIR_HOLDOFF;
         assert_eq!(
             tx.retransmit(now, &[(20, 3), (10, 2), (38, 9)], &mut out),
             7
@@ -583,6 +597,7 @@ mod tests {
         // Past 64 packets the window slides; a range that starts
         // before it is served from its oldest packet.
         stream(&mut tx, 60);
+        now += REPAIR_HOLDOFF;
         assert_eq!(tx.retransmit(now, &[(30, 10)], &mut out), 4);
         assert_eq!(data_seqs(&out), [36, 37, 38, 39]);
 
@@ -591,6 +606,45 @@ mod tests {
         tx.crash();
         assert_eq!(tx.retransmit(now, &[(90, 5)], &mut out), 0);
         assert_eq!(tx.stats.retransmits_sent, before);
+    }
+
+    /// Two speakers lost the same datagrams and say so a moment apart;
+    /// one of them loses the refill too and asks again.
+    fn neighbours_then_a_reask(first: u32) {
+        let mut tx = pcm_stream(None);
+        tx.stream.data_seq = first;
+        stream(&mut tx, 12);
+        let lost = (first.wrapping_add(4), 3);
+        let seqs = [4, 5, 6].map(|k| first.wrapping_add(k));
+        let mut out = Vec::new();
+        let t0 = SimTime::from_secs(1);
+        assert_eq!(tx.retransmit(t0, &[lost], &mut out), 3);
+        assert_eq!(data_seqs(&out), seqs);
+        // The neighbour's NACK, 40 µs behind and one packet wider: the
+        // multicast refill is already on its way to both.
+        let wider = (lost.0, 4);
+        let t1 = t0 + SimDuration::from_micros(40);
+        assert_eq!(tx.retransmit(t1, &[wider], &mut out), 1);
+        assert_eq!(data_seqs(&out)[3..], [first.wrapping_add(7)]);
+        let almost = t0 + REPAIR_HOLDOFF - SimDuration::from_nanos(1);
+        assert_eq!(tx.retransmit(almost, &[lost], &mut out), 0);
+        // The re-ask is served, however short the holdoff left it.
+        assert!(REPAIR_HOLDOFF < es_speaker::NACK_REASK);
+        out.clear();
+        assert_eq!(tx.retransmit(t0 + REPAIR_HOLDOFF, &[lost], &mut out), 3);
+        assert_eq!(data_seqs(&out), seqs);
+        assert_eq!(tx.stats.retransmits_sent, 7);
+    }
+
+    #[test]
+    fn repeat_inside_the_holdoff_is_skipped_and_a_reask_is_served() {
+        neighbours_then_a_reask(100);
+    }
+
+    #[test]
+    fn repair_holdoff_holds_across_the_sequence_wrap() {
+        // The lost packets are u32::MAX - 1, u32::MAX and 0.
+        neighbours_then_a_reask(u32::MAX - 5);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! - [`sync`]: producer wall-clock tracking and the sleep/play/discard
 //!   rule with its epsilon leeway.
 //! - [`rx`]: the receive protocol — auth gate, control-packet
-//!   gating, dedupe, FEC recovery, gap ledgers — as a state machine
-//!   with no clock or socket, stepped by a driver.
+//!   gating, dedupe, FEC recovery, the hole table behind NACK and
+//!   concealment — as a state machine with no clock or socket, stepped
+//!   by a driver.
 //! - [`speaker`]: its simulator driver, the receive → decode → play
 //!   pipeline: channel tuning, concealment, ring-overflow accounting
 //!   and optional CPU-model billing (§3.4). Parse and codec decode are
@@ -23,7 +24,7 @@ pub mod speaker;
 pub mod sync;
 
 pub use autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig, ContentKind};
-pub use rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats};
+pub use rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats, NACK_REASK};
 pub use speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SpeakerConfig};
 pub use sync::{decide, ClockSync, PlayDecision, DEFAULT_EPSILON};
 

@@ -70,10 +70,10 @@ pub struct SpeakerConfig {
     /// the §3.4 buffer-size experiment: blocks larger than the ring
     /// overflow and audibly skip.
     pub asap_playback: bool,
-    /// Conceal lost packets by replaying the previous block with a
-    /// fade instead of letting the device insert silence — an extension
-    /// beyond the paper (its LAN never lost packets, §2.3); the E-LOSS
-    /// ablation measures what it buys.
+    /// Conceal a block still missing when it is due by replaying the
+    /// last block played, faded, instead of letting the device insert
+    /// silence — an extension beyond the paper (its LAN never lost
+    /// packets, §2.3); the E-LOSS ablation measures what it buys.
     pub conceal_loss: bool,
     /// How transform decode work is billed to the CPU model: FFT
     /// accounting by default, [`es_codec::CostModel::Direct`] for the
@@ -357,8 +357,12 @@ struct SpkState {
     events: Vec<RxEvent>,
     serial_busy: bool,
     serial_queue: std::collections::VecDeque<RxBlock>,
-    /// The most recent decoded block, kept for concealment.
+    /// The block most recently handed to the device, kept for
+    /// concealment.
     last_block: Option<Pcm>,
+    /// The instant the protocol's next [`SpeakerRx::poll`] is scheduled
+    /// for, if one is.
+    wake_at: Option<SimTime>,
     /// Where this speaker scales or fades a block; the shared block is
     /// only ever read.
     gain_scratch: Vec<i16>,
@@ -375,9 +379,37 @@ struct SpkState {
     tuned: McastGroup,
 }
 
+impl SpkState {
+    /// What the protocol just decided, and the instant it wants to be
+    /// polled at if that is sooner than the wakeup already armed.
+    /// (Carrying the events out cannot open or close a hole, so the
+    /// instant is known before they are.)
+    fn take_decisions(&mut self) -> (Vec<RxEvent>, Option<SimTime>) {
+        let next = self.rx.next_wakeup();
+        let sooner = next.filter(|&at| self.wake_at.is_none_or(|armed| at < armed));
+        if sooner.is_some() {
+            self.wake_at = sooner;
+        }
+        (std::mem::take(&mut self.events), sooner)
+    }
+}
+
 /// Callback receiving control-plane packets (see
 /// [`EthernetSpeaker::set_session_handler`]).
 type SessionHook = Box<dyn FnMut(&mut Sim, es_proto::SessionPacket)>;
+
+/// Callback carrying this speaker's NACKs towards the producer (see
+/// [`EthernetSpeaker::set_nack_handler`]).
+type NackHook = Box<dyn FnMut(&mut Sim, &[(u32, u16)])>;
+
+#[derive(Default)]
+struct Hooks {
+    /// Control-plane delegate (the negotiated-mode wrapper owns the
+    /// handshake; the speaker stays a §2.3 radio).
+    session: std::cell::RefCell<Option<SessionHook>>,
+    /// Where a NACK goes; a speaker without one asks for nothing.
+    nack: std::cell::RefCell<Option<NackHook>>,
+}
 
 /// A running Ethernet Speaker.
 #[derive(Clone)]
@@ -387,10 +419,11 @@ pub struct EthernetSpeaker {
     node: NodeId,
     dev: Rc<AudioDevice>,
     tap: Shared<OutputTap>,
-    /// Control-plane delegate (the negotiated-mode wrapper owns the
-    /// handshake; the speaker stays a §2.3 radio). In a cell of its
-    /// own, so the callback may re-enter `tune` and `resync`.
-    session_hook: Shared<Option<SessionHook>>,
+    /// What the speaker delegates, in cells of their own so a
+    /// callback may re-enter `tune` and `resync` — and in one
+    /// allocation: every scheduled block clones this handle, and each
+    /// `Rc` in it is a count on a line of its own to touch.
+    hooks: Rc<Hooks>,
 }
 
 impl EthernetSpeaker {
@@ -410,12 +443,17 @@ impl EthernetSpeaker {
             .auto_volume
             .as_ref()
             .map(|(avc, _)| AutoVolume::new(*avc));
+        let mut rx = SpeakerRx::new(cfg.auth_anchor);
+        if cfg.conceal_loss {
+            rx.conceal_losses();
+        }
         let state = shared(SpkState {
-            rx: SpeakerRx::new(cfg.auth_anchor),
+            rx,
             events: Vec::new(),
             serial_busy: false,
             serial_queue: std::collections::VecDeque::new(),
             last_block: None,
+            wake_at: None,
             gain_scratch: Vec::new(),
             private_bytes: Vec::new(),
             deadline_slack_us: Histogram::default(),
@@ -430,7 +468,7 @@ impl EthernetSpeaker {
             node,
             dev,
             tap,
-            session_hook: shared(None),
+            hooks: Rc::default(),
         };
         let s2 = spk.clone();
         lan.set_handler(node, move |sim, dg| s2.on_datagram(sim, dg));
@@ -452,6 +490,7 @@ impl EthernetSpeaker {
         let old = {
             let mut st = self.state.borrow_mut();
             st.rx.retune();
+            st.last_block = None;
             std::mem::replace(&mut st.tuned, group)
         };
         let groups = [("from_group", old.0.into()), ("to_group", group.0.into())];
@@ -484,12 +523,6 @@ impl EthernetSpeaker {
     /// management console would poll.
     pub fn quality(&self) -> es_proto::QualityReport {
         self.state.borrow().rx.monitor.report()
-    }
-
-    /// Drains the missing-sequence ledger into the healing plane's
-    /// NACK requests; see [`SpeakerRx::take_missing_ranges`].
-    pub fn take_missing_ranges(&self) -> Vec<(u32, u16)> {
-        self.state.borrow_mut().rx.take_missing_ranges()
     }
 
     /// The DAC output tap: how much played and when, always; the
@@ -529,13 +562,26 @@ impl EthernetSpeaker {
     /// being dropped. Used by the negotiated-session wrapper in
     /// `es-core`; the speaker itself stays a stateless radio.
     pub fn set_session_handler(&self, f: impl FnMut(&mut Sim, es_proto::SessionPacket) + 'static) {
-        *self.session_hook.borrow_mut() = Some(Box::new(f));
+        *self.hooks.session.borrow_mut() = Some(Box::new(f));
+    }
+
+    /// Gives the speaker a way to reach the producer: from now on it
+    /// asks for the blocks it is missing, `f` carrying each request's
+    /// `(first_seq, count)` ranges (a PARAM datagram in a negotiated
+    /// session, the heal monitor for a statically wired speaker).
+    pub fn set_nack_handler(&self, f: impl FnMut(&mut Sim, &[(u32, u16)]) + 'static) {
+        *self.hooks.nack.borrow_mut() = Some(Box::new(f));
+        self.state.borrow_mut().rx.request_repairs();
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate on the
     /// next control packet; see [`SpeakerRx::resync`].
     pub fn resync(&self, sim: &mut Sim) {
-        self.state.borrow_mut().rx.resync();
+        {
+            let mut st = self.state.borrow_mut();
+            st.rx.resync();
+            st.last_block = None;
+        }
         self.journal(sim, Severity::Info, "session flush resync", &[]);
     }
 
@@ -598,19 +644,25 @@ impl EthernetSpeaker {
     }
 
     /// Every message this speaker acts on enters here, through the
-    /// shared parse, and steps the protocol once; what that decided is
-    /// carried out before the next message is looked at.
+    /// shared parse, and steps the protocol once.
     fn handle_packet(&self, sim: &mut Sim, raw: &Bytes) {
         let parsed = parse_shared(raw);
-        let mut events = {
+        let decided = {
             let mut st = self.state.borrow_mut();
             let st = &mut *st;
             match parsed {
                 Ok(pkt) => st.rx.on_packet(sim.now(), pkt, &mut st.events),
                 Err(_) => st.rx.stats.bad_packets += 1,
             }
-            std::mem::take(&mut st.events)
+            st.take_decisions()
         };
+        self.carry_out(sim, decided);
+    }
+
+    /// Carries out what a step of the protocol — a message, or the
+    /// clock — decided, before anything else is looked at, and makes
+    /// sure the protocol is polled at the next instant it asks for.
+    fn carry_out(&self, sim: &mut Sim, (mut events, wake): (Vec<RxEvent>, Option<SimTime>)) {
         for event in events.drain(..) {
             match event {
                 RxEvent::Configure(config) => {
@@ -619,7 +671,7 @@ impl EthernetSpeaker {
                 }
                 RxEvent::Block(block) => self.on_block(sim, block),
                 RxEvent::Session(sp) => {
-                    if let Some(hook) = self.session_hook.borrow_mut().as_mut() {
+                    if let Some(hook) = self.hooks.session.borrow_mut().as_mut() {
                         hook(sim, *sp);
                     }
                 }
@@ -629,44 +681,61 @@ impl EthernetSpeaker {
                     "fec parity group changed",
                     &[("from", from.into()), ("to", to.into())],
                 ),
+                RxEvent::Nack(ranges) => {
+                    if let Some(hook) = self.hooks.nack.borrow_mut().as_mut() {
+                        hook(sim, &ranges);
+                    }
+                }
+                RxEvent::Conceal { deadline, nth } => self.conceal(sim, deadline, nth),
+                RxEvent::Late { deadline, refill } => self.note_late_drop(sim, deadline, refill),
             }
         }
         self.state.borrow_mut().events = events;
+        if let Some(at) = wake {
+            let spk = self.clone();
+            sim.schedule_at(at.max(sim.now()), move |sim| spk.on_wakeup(sim, at));
+        }
     }
 
-    /// Plays one block the protocol cleared: conceals the loss before
-    /// it, if any, then hands it to the player.
-    fn on_block(&self, sim: &mut Sim, block: RxBlock) {
-        // PLC: a jump in the sequence numbers means packets were lost
-        // on the wire. Conceal up to three of them by replaying the
-        // previous block, faded, at the deadlines the missing packets
-        // would have had.
-        let conceal = {
-            let st = self.state.borrow();
-            let wanted = block.gap > 0 && st.cfg.conceal_loss;
-            let prev = st
-                .last_block
-                .as_ref()
-                .filter(|b| wanted && !b.samples.is_empty());
-            prev.map(|prev| (Rc::clone(prev), st.rx.stream_config()))
-        };
-        if let Some((prev, cfg)) = conceal {
-            let bytes = prev.samples.len() * cfg.encoding.bytes_per_sample() as usize;
-            let dur_ns = cfg.nanos_for_bytes(bytes as u64);
-            let gap = block.gap.min(3);
-            for k in 1..=gap {
-                // The k-th missing packet before this one.
-                let back = (gap - k + 1) as u64 * dur_ns;
-                let gap_deadline =
-                    SimTime::from_nanos(block.deadline.as_nanos().saturating_sub(back));
-                // The fade is this speaker's alone, applied when it
-                // renders: its neighbours may still be waiting to play
-                // the block it replays.
-                let fade = 0.6f64.powi(k as i32);
-                self.state.borrow_mut().rx.stats.concealed_packets += 1;
-                self.schedule_play(sim, Rc::clone(&prev), fade, gap_deadline, false);
+    /// The instant the protocol asked for: holes that have waited out
+    /// the reorder hold-off are NACKed, holes that are due concealed.
+    /// A wakeup superseded by an earlier one finds `wake_at` moved on
+    /// and does nothing.
+    fn on_wakeup(&self, sim: &mut Sim, at: SimTime) {
+        let decided = {
+            let mut st = self.state.borrow_mut();
+            let st = &mut *st;
+            if st.wake_at != Some(at) {
+                return;
             }
+            st.wake_at = None;
+            st.rx.poll(sim.now(), &mut st.events);
+            st.take_decisions()
+        };
+        self.carry_out(sim, decided);
+    }
+
+    /// PLC: nothing repaired the block due at `deadline`, the `nth`
+    /// missing in a row. Replay the block played last, faded a step
+    /// further each time — this speaker's fade alone, applied when it
+    /// renders: its neighbours may be playing the same shared block.
+    /// A gap that only showed once the block was overdue (an outage
+    /// longer than the playout delay) has been heard as silence
+    /// already; there is nothing left to paper over.
+    fn conceal(&self, sim: &mut Sim, deadline: SimTime, nth: u32) {
+        let (prev, epsilon) = {
+            let st = self.state.borrow();
+            (st.last_block.clone(), st.cfg.epsilon)
+        };
+        let overdue = sim.now().saturating_since(deadline) > epsilon;
+        if let Some(prev) = prev.filter(|b| !overdue && !b.samples.is_empty()) {
+            // Due now: straight to the device.
+            self.write_out(sim, prev, 0.6f64.powi(nth as i32));
         }
+    }
+
+    /// Hands one block the protocol cleared to the player.
+    fn on_block(&self, sim: &mut Sim, block: RxBlock) {
         let mut st = self.state.borrow_mut();
         let Some(depth) = st.cfg.serial_queue_depth else {
             drop(st);
@@ -723,12 +792,9 @@ impl EthernetSpeaker {
         let Some((samples, decoded_at)) = self.decode_pending(sim, &p) else {
             return;
         };
-        if self.state.borrow().cfg.conceal_loss {
-            self.state.borrow_mut().last_block = Some(Rc::clone(&samples));
-        }
         let spk = self.clone();
         sim.schedule_at(decoded_at, move |sim| {
-            spk.schedule_play(sim, samples, 1.0, p.deadline, p.refill);
+            spk.schedule_play(sim, samples, p.deadline, p.refill);
         });
     }
 
@@ -842,17 +908,10 @@ impl EthernetSpeaker {
     }
 
     /// Applies §3.2's sleep/play/discard rule to a decoded block.
-    fn schedule_play(
-        &self,
-        sim: &mut Sim,
-        samples: Pcm,
-        fade: f64,
-        deadline: SimTime,
-        refill: bool,
-    ) {
+    fn schedule_play(&self, sim: &mut Sim, samples: Pcm, deadline: SimTime, refill: bool) {
         if self.state.borrow().cfg.asap_playback {
             // The early-ES pipeline: straight to the device.
-            self.write_out(sim, samples, fade);
+            self.write_out(sim, samples, 1.0);
             return;
         }
         let epsilon = self.state.borrow().cfg.epsilon;
@@ -860,9 +919,9 @@ impl EthernetSpeaker {
         match decide(deadline, sim.now(), epsilon) {
             PlayDecision::Sleep(d) => {
                 let spk = self.clone();
-                sim.schedule_in(d, move |sim| spk.write_out_resync(sim, samples, fade));
+                sim.schedule_in(d, move |sim| spk.write_out_resync(sim, samples));
             }
-            PlayDecision::PlayNow => self.write_out(sim, samples, fade),
+            PlayDecision::PlayNow => self.write_out(sim, samples, 1.0),
             PlayDecision::Discard { .. } => self.note_late_drop(sim, deadline, refill),
         }
     }
@@ -883,7 +942,7 @@ impl EthernetSpeaker {
     /// anchors is thrown away — the paper's catch-up rule. (The
     /// unpaced PlayNow path keeps §3.1 overflow semantics: blocks
     /// arriving in a burst drop at the full ring, not here.)
-    fn write_out_resync(&self, sim: &mut Sim, samples: Pcm, fade: f64) {
+    fn write_out_resync(&self, sim: &mut Sim, samples: Pcm) {
         let epsilon = self.state.borrow().cfg.epsilon;
         // This block's projected start: wait for the next DMA boundary,
         // then behind whatever the ring already holds.
@@ -907,7 +966,7 @@ impl EthernetSpeaker {
                 &[("late_us", lateness.as_micros())],
             );
         }
-        self.write_out(sim, samples, fade);
+        self.write_out(sim, samples, 1.0);
     }
 
     /// Records how early (or late: slack 0) a block reached the play
@@ -943,6 +1002,12 @@ impl EthernetSpeaker {
         let mut st = self.state.borrow_mut();
         st.rx.stats.samples_played += played;
         st.rx.stats.dropped_overflow_bytes += (bytes.len() - written) as u64;
+        if fade != 1.0 {
+            st.rx.stats.concealed_packets += 1;
+        } else if st.cfg.conceal_loss {
+            // What a replica replays: the last real block played.
+            st.last_block = Some(samples);
+        }
     }
 
     // es-hot-path-end
@@ -1309,83 +1374,266 @@ mod tests {
         assert_eq!(st.data_packets, 2);
     }
 
-    #[test]
-    fn missing_ranges_noted_and_pruned_on_late_fill() {
+    /// A 50 ms CD block of the constant `value`, due at `300 ms + seq ·
+    /// 50 ms` — late enough for a whole repair round trip.
+    fn block(seq: u32, value: i16) -> Bytes {
+        encode_data(&DataPacket {
+            stream_id: 1,
+            seq,
+            play_at_us: due(seq).as_micros(),
+            codec: CodecId::Pcm.to_wire(),
+            payload: Bytes::from(es_audio::convert::encode_samples(
+                &vec![value; 2 * 2_205],
+                es_audio::Encoding::Slinear16Le,
+            )),
+        })
+    }
+
+    fn due(seq: u32) -> SimTime {
+        SimTime::from_millis(300 + 50 * seq as u64)
+    }
+
+    /// A concealing speaker, synchronized at time zero, whose NACKs are
+    /// logged with the time they left.
+    #[allow(clippy::type_complexity)]
+    fn repairing() -> (
+        Sim,
+        Lan,
+        NodeId,
+        EthernetSpeaker,
+        Shared<Vec<(SimTime, Vec<(u32, u16)>)>>,
+    ) {
         let (mut sim, lan, producer) = lan();
-        let g = McastGroup(1);
-        let spk = EthernetSpeaker::start(&mut sim, &lan, SpeakerConfig::new("es1", g));
-        lan.multicast(&mut sim, producer, g, control_packet(0, 0));
+        let mut cfg = capturing("plc", McastGroup(1));
+        cfg.conceal_loss = true;
+        let spk = EthernetSpeaker::start(&mut sim, &lan, cfg);
+        let nacks = shared(Vec::new());
+        let log = nacks.clone();
+        spk.set_nack_handler(move |sim, ranges| {
+            log.borrow_mut().push((sim.now(), ranges.to_vec()));
+        });
+        lan.multicast(&mut sim, producer, McastGroup(1), control_packet(0, 0));
         sim.run();
-        let base = sim.now().as_micros() + 400_000;
-        // Sequences 0 then 5: a four-packet hole [1, 4].
-        lan.multicast(&mut sim, producer, g, data_packet(0, base, 100));
-        sim.run();
-        lan.multicast(&mut sim, producer, g, data_packet(5, base + 50_000, 100));
-        sim.run();
-        // Sequence 2 arrives late (a retransmission): the hole splits.
-        lan.multicast(&mut sim, producer, g, data_packet(2, base + 20_000, 100));
-        sim.run();
-        let ranges = spk.take_missing_ranges();
-        assert_eq!(ranges, vec![(1, 1), (3, 2)], "split around the late fill");
-        // The ledger drains on take.
-        assert!(spk.take_missing_ranges().is_empty());
-        sim.run_for(SimDuration::from_secs(1));
+        (sim, lan, producer, spk, nacks)
+    }
+
+    /// The constant each 50 ms slot from `due(first)` on played at —
+    /// `None` where the DAC had nothing (it pauses after two idle
+    /// blocks).
+    fn slots(spk: &EthernetSpeaker, first: u32, count: u32) -> Vec<Option<i16>> {
+        let tap = spk.tap();
+        let tap = tap.borrow();
+        // Writes land on the DMA grid, up to a block after the
+        // deadline: sample well inside the slot.
+        let mid = |seq| due(seq) + SimDuration::from_millis(35);
+        (first..first + count)
+            .map(|seq| {
+                let idx = tap.sample_index_at(mid(seq))?;
+                tap.window(idx, 1)?.first().copied()
+            })
+            .collect()
     }
 
     #[test]
-    fn resync_clears_missing_ranges() {
-        let (mut sim, lan, producer) = lan();
+    fn hole_closed_by_fec_before_its_deadline_plays_the_real_block_once() {
+        use es_proto::{encode_parity, ParityAccumulator};
+        let (mut sim, lan, producer, spk, nacks) = repairing();
         let g = McastGroup(1);
-        let spk = EthernetSpeaker::start(&mut sim, &lan, SpeakerConfig::new("es1", g));
-        lan.multicast(&mut sim, producer, g, control_packet(0, 0));
-        sim.run();
-        let base = sim.now().as_micros() + 400_000;
-        lan.multicast(&mut sim, producer, g, data_packet(0, base, 100));
-        sim.run();
-        lan.multicast(&mut sim, producer, g, data_packet(3, base + 30_000, 100));
-        sim.run();
-        spk.resync(&mut sim);
-        assert!(
-            spk.take_missing_ranges().is_empty(),
-            "flush must forget pre-resync gaps"
-        );
+        let data_of = |bytes: &Bytes| match es_proto::decode(bytes) {
+            Ok(es_proto::Packet::Data(d)) => d,
+            other => panic!("{other:?}"),
+        };
+        // Two parity groups of four, one per millisecond; seq 5 is
+        // lost and its group's parity rebuilds it 3 ms after the gap
+        // shows — inside the hold-off, so nothing is asked for either.
+        let mut acc = ParityAccumulator::new(4);
+        for seq in 0..8u32 {
+            let b = block(seq, 100 + seq as i16);
+            let parity = acc.absorb(&data_of(&b));
+            if seq != 5 {
+                lan.multicast(&mut sim, producer, g, b);
+            }
+            if let Some(p) = parity {
+                lan.multicast(&mut sim, producer, g, encode_parity(&p));
+            }
+            sim.run_for(SimDuration::from_millis(1));
+        }
+        sim.run_for(SimDuration::from_millis(5));
+        assert_eq!(spk.stats().fec_recovered, 1);
+        assert_eq!(spk.state.borrow().rx.table_sizes()[0], 0, "hole closed");
         sim.run_for(SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn late_refill_is_billed_as_repair_not_deadline_miss() {
-        let (mut sim, lan, producer) = lan();
-        let g = McastGroup(1);
-        let spk = EthernetSpeaker::start(&mut sim, &lan, SpeakerConfig::new("es1", g));
-        lan.multicast(&mut sim, producer, g, control_packet(0, 0));
-        sim.run();
-        let base = sim.now().as_micros() + 200_000;
-        // Sequences 0 then 3: a two-packet hole [1, 2].
-        lan.multicast(&mut sim, producer, g, data_packet(0, base, 100));
-        sim.run();
-        lan.multicast(&mut sim, producer, g, data_packet(3, base + 30_000, 100));
-        sim.run();
-        // The healing plane drains the ledger into a NACK…
-        assert_eq!(spk.take_missing_ranges(), vec![(1, 2)]);
-        // …and the retransmission lands long after the original
-        // deadlines (base + 10/20 ms, epsilon 20 ms).
-        sim.run_until(SimTime::from_millis(800));
-        lan.multicast(&mut sim, producer, g, data_packet(1, base + 10_000, 100));
-        lan.multicast(&mut sim, producer, g, data_packet(2, base + 20_000, 100));
-        sim.run_for(SimDuration::from_millis(100));
         let st = spk.stats();
-        assert_eq!(st.refills_received, 2, "{st:?}");
-        assert_eq!(st.refill_late, 2, "{st:?}");
         assert_eq!(
-            st.dropped_late, 0,
-            "a late refill must not echo as a fresh deadline miss: {st:?}"
+            (st.concealed_packets, st.playback_resyncs),
+            (0, 0),
+            "{st:?}"
         );
-        // A late packet that is NOT a refill still counts as a miss.
-        lan.multicast(&mut sim, producer, g, data_packet(4, base + 40_000, 100));
+        assert_eq!((st.data_packets, st.samples_played), (8, 8 * 4_410));
+        let want: Vec<_> = (100..108).map(Some).collect();
+        assert_eq!(slots(&spk, 0, 8), want, "each block once, in its slot");
+        assert!(nacks.borrow().is_empty(), "{:?}", nacks.borrow());
+    }
+
+    #[test]
+    fn hole_closed_by_a_refill_before_its_deadline_plays_the_real_block_once() {
+        let (mut sim, lan, producer, spk, nacks) = repairing();
+        let g = McastGroup(1);
+        for seq in [0u32, 1, 2, 5, 6] {
+            lan.multicast(&mut sim, producer, g, block(seq, 100 + seq as i16));
+        }
+        // The hold-off passes, one NACK names both holes.
+        sim.run_until(SimTime::from_millis(40));
+        let asked: Vec<_> = nacks.borrow().iter().map(|(_, r)| r.clone()).collect();
+        assert_eq!(asked, [vec![(3, 2)]]);
+        assert!(nacks.borrow()[0].0 >= SimTime::from_millis(20));
+        // The producer answers; a LAN duplicate of one refill rides along.
+        for seq in [3u32, 4, 4] {
+            lan.multicast(&mut sim, producer, g, block(seq, 100 + seq as i16));
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        let st = spk.stats();
+        assert_eq!((st.refills_received, st.refill_late), (2, 0), "{st:?}");
+        assert_eq!(
+            (st.concealed_packets, st.playback_resyncs),
+            (0, 0),
+            "{st:?}"
+        );
+        assert_eq!((st.data_packets, st.dropped_duplicate), (7, 1), "{st:?}");
+        let want: Vec<_> = (100..107).map(Some).collect();
+        assert_eq!(slots(&spk, 0, 7), want);
+        assert_eq!(
+            nacks.borrow().len(),
+            1,
+            "a filled hole is not asked for again"
+        );
+    }
+
+    #[test]
+    fn unrepaired_run_of_five_plays_three_fading_replicas_then_silence() {
+        let (mut sim, lan, producer, spk, nacks) = repairing();
+        let g = McastGroup(1);
+        for (seq, value) in [(0u32, 1_000), (1, 1_000), (7, 5_000), (8, 5_000)] {
+            lan.multicast(&mut sim, producer, g, block(seq, value));
+        }
+        // Nobody answers: asked at the hold-off, once more after the
+        // re-ask interval, then left alone.
+        sim.run_until(due(1));
+        let times: Vec<u64> = nacks.borrow().iter().map(|(t, _)| t.as_millis()).collect();
+        // (The gap showed when seq 7 arrived, a transit time in.)
+        assert_eq!(times, [22, 62], "{:?}", nacks.borrow());
+        assert!(nacks.borrow().iter().all(|(_, r)| r == &[(2, 5)]));
+        assert_eq!(spk.stats().concealed_packets, 0, "nothing is due yet");
+        sim.run_for(SimDuration::from_secs(1));
+        let st = spk.stats();
+        assert_eq!(st.concealed_packets, 3, "{st:?}");
+        assert_eq!((st.data_packets, st.playback_resyncs), (4 + 3, 0), "{st:?}");
+        // The last block *played* (not the newest received) × 0.6,
+        // 0.36, 0.216 in the first three missing slots, nothing in the
+        // other two, then the stream again.
+        assert_eq!(
+            slots(&spk, 1, 7),
+            [1_000, 600, 360, 216, 0, 0, 5_000].map(Some)
+        );
+    }
+
+    #[test]
+    fn a_new_hole_is_asked_for_on_its_own_schedule() {
+        let (mut sim, lan, producer, _spk, nacks) = repairing();
+        let g = McastGroup(1);
+        for seq in [0u32, 2] {
+            lan.multicast(&mut sim, producer, g, block(seq, 1_000));
+        }
+        // Hole 1 has been asked for and waits for its re-ask when hole
+        // 3 opens: the wakeup armed for the one moves up for the other.
+        sim.run_until(SimTime::from_millis(30));
+        lan.multicast(&mut sim, producer, g, block(4, 1_000));
+        sim.run_until(due(0));
+        let log: Vec<_> = nacks
+            .borrow()
+            .iter()
+            .map(|(t, r)| (t.as_millis(), r[0]))
+            .collect();
+        assert_eq!(
+            log,
+            [(21, (1, 1)), (50, (3, 1)), (61, (1, 1)), (90, (3, 1))]
+        );
+    }
+
+    #[test]
+    fn a_gap_that_shows_late_conceals_only_what_is_not_yet_due() {
+        let (mut sim, lan, producer, spk, nacks) = repairing();
+        let g = McastGroup(1);
+        for seq in [0u32, 1] {
+            lan.multicast(&mut sim, producer, g, block(seq, 1_000));
+        }
+        // An outage longer than the playout delay: when seq 6 shows
+        // the gap, blocks 2 and 3 are 80 and 30 ms overdue — heard as
+        // silence already — and block 4 is due in 20 ms.
+        sim.run_until(due(3) + SimDuration::from_millis(30));
+        lan.multicast(&mut sim, producer, g, block(6, 5_000));
+        sim.run_for(SimDuration::from_secs(1));
+        let st = spk.stats();
+        // Third in the run, so faded that far; the fourth is silent.
+        assert_eq!((st.concealed_packets, st.dropped_late), (1, 0), "{st:?}");
+        let heard: Vec<i16> = slots(&spk, 1, 6)
+            .into_iter()
+            .map(|s| s.unwrap_or(0))
+            .collect();
+        assert_eq!(heard, [1_000, 0, 0, 216, 0, 5_000]);
+        // Only what a round trip could still save was asked for.
+        assert!(nacks.borrow().iter().all(|(_, r)| r == &[(5, 1)]));
+        assert_eq!(nacks.borrow().len(), 2);
+    }
+
+    #[test]
+    fn refill_after_the_deadline_is_billed_late_and_writes_nothing() {
+        let (mut sim, lan, producer, spk, _nacks) = repairing();
+        let g = McastGroup(1);
+        for seq in [0u32, 1, 3, 4] {
+            lan.multicast(&mut sim, producer, g, block(seq, 1_000));
+        }
+        // The refill of seq 2 turns up 5 ms after the block was due:
+        // inside §3.2's epsilon, but the replica has played.
+        sim.run_until(due(2) + SimDuration::from_millis(5));
+        assert_eq!(spk.stats().concealed_packets, 1);
+        lan.multicast(&mut sim, producer, g, block(2, 7_777));
+        sim.run_for(SimDuration::from_secs(1));
+        let st = spk.stats();
+        assert_eq!((st.refills_received, st.refill_late), (1, 1), "{st:?}");
+        assert_eq!((st.dropped_late, st.dropped_duplicate), (0, 0), "{st:?}");
+        assert_eq!((st.data_packets, st.samples_played), (5, 5 * 4_410));
+        assert_eq!(
+            slots(&spk, 0, 5),
+            [1_000, 1_000, 600, 1_000, 1_000].map(Some)
+        );
+        // A late copy of a block nobody asked for is a plain miss.
+        let past = sim.now().as_micros() - 100_000;
+        lan.multicast(&mut sim, producer, g, data_packet(2_000, past, 100));
         sim.run_for(SimDuration::from_millis(100));
         let st = spk.stats();
-        assert_eq!(st.dropped_late, 1, "{st:?}");
-        assert_eq!(st.refill_late, 2, "{st:?}");
+        assert_eq!((st.dropped_late, st.refill_late), (1, 1), "{st:?}");
+    }
+
+    #[test]
+    fn a_speaker_that_neither_conceals_nor_nacks_keeps_no_holes() {
+        let (mut sim, lan, producer) = lan();
+        let g = McastGroup(1);
+        let spk = EthernetSpeaker::start(&mut sim, &lan, SpeakerConfig::new("es1", g));
+        lan.multicast(&mut sim, producer, g, control_packet(0, 0));
+        sim.run();
+        for seq in [0u32, 1, 5] {
+            lan.multicast(&mut sim, producer, g, block(seq, 1_000));
+        }
+        sim.run();
+        assert_eq!(spk.state.borrow().rx.table_sizes()[..2], [0, 0]);
+        assert_eq!(spk.state.borrow().wake_at, None);
+        // A copy past its deadline is §3.2's discard, as ever.
+        sim.run_until(due(3) + SimDuration::from_millis(30));
+        lan.multicast(&mut sim, producer, g, block(3, 1_000));
+        sim.run_for(SimDuration::from_secs(1));
+        let st = spk.stats();
+        assert_eq!((st.dropped_late, st.refill_late), (1, 0), "{st:?}");
+        assert_eq!((st.data_packets, st.concealed_packets), (3, 0), "{st:?}");
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! mixed in. [`SpeakerRx`] has no clock, socket or simulator, so the
 //! properties are about the protocol alone: no panic (dev profile, so
 //! arithmetic overflow panics too), a bounded number of events per
-//! message, and bounded tables however long the abuse lasts.
+//! message and per wakeup, bounded tables however long the abuse
+//! lasts, and — sequence jumps being the cheapest bait there is — a
+//! bounded appetite for retransmissions: a hole is asked for twice at
+//! most, sixteen ranges to a NACK.
 //!
 //! `PROPTEST_CASES=5000 cargo test -p es-speaker --test hostile_rx` is
 //! the deep run; the default 64 cases keep it in the tier-1 budget.
@@ -21,7 +24,7 @@ use es_audio::AudioConfig;
 use es_proto::{
     decode, encode_announce, encode_control, encode_data, encode_parity, encode_session,
     AnnouncePacket, ControlPacket, DataPacket, ParityPacket, SessionPacket, StreamSigner,
-    TRAILER_LEN,
+    MAX_NACK_RANGES, TRAILER_LEN,
 };
 use es_sim::{SimDuration, SimTime};
 use es_speaker::{RxEvent, SpeakerRx};
@@ -146,20 +149,59 @@ fn feed(rx: &mut SpeakerRx, now: SimTime, datagram: &Bytes, events: &mut Vec<RxE
             .drain(..)
             .filter(|e| matches!(e, RxEvent::Block(_)))
             .count();
-        let [missing, refills, dedupe] = rx.table_sizes();
+        let [holes, settled, dedupe] = rx.table_sizes();
         assert!(
-            missing <= 32 && refills <= 32,
-            "{missing} / {refills} ranges"
+            holes <= MAX_HOLES && settled <= MAX_HOLES,
+            "{holes} open / {settled} settled holes"
         );
         assert!(dedupe <= 512, "{dedupe} dedupe slots");
     }
     blocks
 }
 
-/// A few hundred hostile messages with the control surface — heal
-/// epochs draining the gap ledger, retunes, session flushes —
-/// exercised in between.
+/// The hole table's bound (`rx::MAX_HOLES`; the producer's retransmit
+/// cache is as long).
+const MAX_HOLES: usize = 64;
+
+/// Polls `rx` the way a driver does when `now` is the instant it
+/// asked for, again while it asks for `now` again, and holds every
+/// poll to the bounds; returns the NACKs raised.
+fn wake(rx: &mut SpeakerRx, now: SimTime, events: &mut Vec<RxEvent>) -> Vec<Vec<(u32, u16)>> {
+    let mut nacks = Vec::new();
+    let mut polls = 0;
+    while rx.next_wakeup().is_some_and(|at| at <= now) {
+        polls += 1;
+        // Each poll settles or asks for at least one range-full of
+        // holes, so the table is worked off in a handful.
+        assert!(polls <= 1 + MAX_HOLES / MAX_NACK_RANGES, "poll {polls}");
+        rx.poll(now, events);
+        // A replica per hole at the very most, and one NACK.
+        assert!(events.len() <= MAX_HOLES + 1, "{} events", events.len());
+        for event in events.drain(..) {
+            match event {
+                RxEvent::Nack(ranges) => {
+                    assert!((1..=MAX_NACK_RANGES).contains(&ranges.len()));
+                    assert!(ranges.iter().all(|&(_, count)| count >= 1));
+                    let asked: usize = ranges.iter().map(|&(_, n)| n as usize).sum();
+                    assert!(asked <= MAX_HOLES, "asked for {asked}");
+                    nacks.push(ranges.into_vec());
+                }
+                RxEvent::Conceal { nth, .. } => assert!((1..=3).contains(&nth)),
+                _ => panic!("poll emits NACKs and replicas only"),
+            }
+        }
+        let [holes, settled, _] = rx.table_sizes();
+        assert!(holes <= MAX_HOLES && settled <= MAX_HOLES);
+    }
+    nacks
+}
+
+/// A few hundred hostile messages into a speaker that conceals and
+/// NACKs, with the rest of its surface — the wakeups it asks for,
+/// retunes, session flushes — exercised in between.
 fn abuse(rx: &mut SpeakerRx, rng: &mut StdRng, mut wrap: impl FnMut(&mut StdRng, Bytes) -> Bytes) {
+    rx.conceal_losses();
+    rx.request_repairs();
     let mut events = Vec::new();
     let mut now = SimTime::ZERO;
     for _ in 0..300 {
@@ -168,9 +210,9 @@ fn abuse(rx: &mut SpeakerRx, rng: &mut StdRng, mut wrap: impl FnMut(&mut StdRng,
         feed(rx, now, &datagram, &mut events);
         now = now.saturating_add(SimDuration::from_micros(rng.gen::<u64>() % 60_000));
         match rng.gen::<u8>() % 32 {
-            0 | 1 => assert!(rx.take_missing_ranges().len() <= 32),
-            2 => rx.retune(),
-            3 => rx.resync(),
+            0..=7 => drop(wake(rx, now, &mut events)),
+            8 => rx.retune(),
+            9 => rx.resync(),
             _ => {}
         }
     }
@@ -240,6 +282,107 @@ fn forged_play_deadline_is_counted_and_ignored() {
     }
     // The stream itself is unharmed.
     assert_eq!(feed(&mut rx, now, &data(9, 4_000_000), &mut events), 1);
+}
+
+/// A synchronized speaker that conceals and NACKs, having played
+/// sequence number `first`.
+fn baited(first: u32) -> (SpeakerRx, Vec<RxEvent>) {
+    let mut rx = SpeakerRx::new(None);
+    rx.conceal_losses();
+    rx.request_repairs();
+    let mut events = Vec::new();
+    feed(&mut rx, SimTime::ZERO, &control(0), &mut events);
+    assert_eq!(
+        feed(&mut rx, SimTime::ZERO, &data(first, 200_000), &mut events),
+        1
+    );
+    (rx, events)
+}
+
+/// NACK-bait, first kind: forged sequence numbers alternating between
+/// two far-apart neighbourhoods, every jump a "loss burst" of a
+/// thousand packets.
+#[test]
+fn alternating_far_apart_seqs_cannot_grow_the_hole_table_or_a_nack() {
+    let (mut rx, mut events) = baited(u32::MAX - 2_000);
+    let mut nacks = 0;
+    for round in 0..200u32 {
+        let now = SimTime::from_millis(round as u64 * 25);
+        let near = (u32::MAX - 2_000).wrapping_add(round * 3 + 1);
+        let seq = [near.wrapping_add(1_000), near][round as usize % 2];
+        feed(
+            &mut rx,
+            now,
+            &data(seq, 200_000 + now.as_micros()),
+            &mut events,
+        );
+        nacks += wake(&mut rx, now, &mut events).len();
+    }
+    // Every forward jump opens the newest 64 of its thousand holes,
+    // in one range: one NACK and one re-ask per jump, no more.
+    assert!(nacks <= 2 * 100, "{nacks} NACKs for 100 forged jumps");
+    assert_eq!(
+        rx.table_sizes()[1],
+        MAX_HOLES,
+        "what came due is remembered, to the bound"
+    );
+}
+
+/// Second kind: every other packet "lost", so no two holes share a
+/// range and a NACK fills up.
+#[test]
+fn a_flood_of_one_packet_gaps_is_asked_for_sixteen_ranges_at_a_time() {
+    let (mut rx, mut events) = baited(u32::MAX - 100);
+    // 150 gaps inside one hold-off: the table keeps the newest 64.
+    for k in 1..=150u32 {
+        let seq = (u32::MAX - 100).wrapping_add(2 * k);
+        let now = SimTime::from_micros(k as u64 * 10);
+        feed(&mut rx, now, &data(seq, 10_000_000 + k as u64), &mut events);
+    }
+    assert_eq!(rx.table_sizes()[0], MAX_HOLES);
+    assert!(wake(&mut rx, SimTime::from_millis(19), &mut events).is_empty());
+    let nacks = wake(&mut rx, SimTime::from_millis(30), &mut events);
+    assert_eq!(nacks.len(), MAX_HOLES / MAX_NACK_RANGES);
+    // Oldest first, each range one packet, across the sequence wrap.
+    let asked: Vec<u32> = nacks.concat().iter().map(|&(first, _)| first).collect();
+    let newest = (u32::MAX - 100).wrapping_add(299);
+    let want: Vec<u32> = (0..64).rev().map(|k| newest.wrapping_sub(2 * k)).collect();
+    assert_eq!(asked, want);
+    // Once more after the re-ask interval, then never again.
+    assert_eq!(
+        wake(&mut rx, SimTime::from_millis(75), &mut events).len(),
+        4
+    );
+    assert!(wake(&mut rx, SimTime::from_secs(5), &mut events).is_empty());
+    // (The oldest hole left, between the 86th and 87th packets.)
+    assert_eq!(rx.next_wakeup(), Some(SimTime::from_nanos(10_000_086_500)));
+}
+
+/// Third kind: gaps whose deadlines are an hour away never come due,
+/// so nothing ever clears them out — except the bound.
+#[test]
+fn gaps_with_far_future_deadlines_are_held_to_the_bound_and_asked_twice() {
+    let (mut rx, mut events) = baited(7);
+    let hour = 3_600_000_000u64;
+    let mut nacks = 0;
+    for k in 1..=500u32 {
+        let now = SimTime::from_millis(k as u64 * 50);
+        feed(&mut rx, now, &data(7 + 3 * k, hour + k as u64), &mut events);
+        nacks += wake(&mut rx, now, &mut events).len();
+    }
+    assert_eq!(rx.table_sizes()[..2], [MAX_HOLES, 0]);
+    // Two holes a packet, one range: asked for at the next packet's
+    // wakeup and once more at the one after, where it shares the NACK
+    // with its successor's first request.
+    assert_eq!(nacks, 499);
+    // The last two pairs are asked for (again) …
+    assert_eq!(wake(&mut rx, SimTime::from_secs(26), &mut events).len(), 1);
+    assert_eq!(wake(&mut rx, SimTime::from_secs(27), &mut events).len(), 1);
+    // … and, left alone, the speaker sleeps until the first is due.
+    assert!(wake(&mut rx, SimTime::from_secs(60), &mut events).is_empty());
+    assert!(rx
+        .next_wakeup()
+        .is_some_and(|at| at > SimTime::from_secs(3_000)));
 }
 
 /// Parity counts the recoverer cannot be built for never reach it.

@@ -373,21 +373,34 @@ fn buffers_freed_and_reallocated_between_sends_never_alias() {
     }
 }
 
+/// What a speaker asked its producer to send again, request by
+/// request.
+type Nacks = es_sim::Shared<Vec<Vec<(u32, u16)>>>;
+
+/// Gives `spk` a back channel that only takes notes.
+fn log_nacks(spk: &EthernetSpeaker) -> Nacks {
+    let nacks = es_sim::shared(Vec::new());
+    let log = nacks.clone();
+    spk.set_nack_handler(move |_, ranges| log.borrow_mut().push(ranges.to_vec()));
+    nacks
+}
+
 /// One loss-concealing speaker on [`G`], tuned to a CD-format PCM
-/// stream.
-fn concealing(stream_id: u16) -> (Rig, EthernetSpeaker) {
+/// stream, and the NACKs it raises.
+fn concealing(stream_id: u16) -> (Rig, EthernetSpeaker, Nacks) {
     let mut rig = Rig::new(LanConfig::default());
     let mut cfg = SpeakerConfig::new("plc", G);
     cfg.conceal_loss = true;
     let spk = rig.speaker(cfg);
+    let nacks = log_nacks(&spk);
     rig.send(G, control(stream_id, 0, AudioConfig::CD, CodecId::Pcm));
     rig.sim.run();
-    (rig, spk)
+    (rig, spk, nacks)
 }
 
 #[test]
 fn forged_max_seq_neither_panics_nor_disables_concealment() {
-    let (mut rig, spk) = concealing(51);
+    let (mut rig, spk, nacks) = concealing(51);
     let at = |seq: u32| 300_000 + seq as u64 * 50_000;
     // One unauthenticated datagram at the top of the sequence space,
     // then the real stream.
@@ -399,20 +412,22 @@ fn forged_max_seq_neither_panics_nor_disables_concealment() {
         );
     }
     rig.run_ms(10);
-    // Whatever the forged jump itself cost is not the point; what
-    // follows it is.
-    let concealed_before = spk.stats().concealed_packets;
-    spk.take_missing_ranges();
     rig.send(G, data(51, 8, at(8), CodecId::Pcm, pcm(508)));
+    // Whatever the forged jump itself cost is not the point — the
+    // holes it opened (0..=4) have all come due by the time block 6
+    // plays; what follows it is.
+    rig.sim
+        .run_until(es_sim::SimTime::from_micros(at(6) + 40_000));
+    let concealed_before = spk.stats().concealed_packets;
     rig.run_ms(1_000);
     let st = spk.stats();
     assert_eq!(st.concealed_packets, concealed_before + 1, "{st:?}");
-    assert_eq!(spk.take_missing_ranges(), vec![(7, 1)]);
+    assert_eq!(nacks.borrow().last(), Some(&vec![(7, 1)]));
 }
 
 #[test]
 fn stream_plays_straight_across_the_sequence_wrap() {
-    let (mut rig, spk) = concealing(52);
+    let (mut rig, spk, nacks) = concealing(52);
     for k in 0..6u32 {
         let seq = (u32::MAX - 2).wrapping_add(k);
         let at = 300_000 + k as u64 * 50_000;
@@ -423,13 +438,14 @@ fn stream_plays_straight_across_the_sequence_wrap() {
     assert_eq!(st.data_packets, 6, "{st:?}");
     assert_eq!(st.dropped_duplicate, 0, "{st:?}");
     assert_eq!(st.concealed_packets, 0, "{st:?}");
-    assert!(spk.take_missing_ranges().is_empty());
+    assert!(nacks.borrow().is_empty());
     assert_eq!(heard(&spk), (800..806).collect::<Vec<i16>>());
 }
 
 #[test]
 fn late_arrivals_fill_a_gap_that_straddles_the_sequence_wrap() {
     let (mut rig, spk) = Rig::tuned(1, 53);
+    let nacks = log_nacks(&spk[0]);
     // Stream positions 0..4 carry u32::MAX - 1, u32::MAX, 0, 1. The
     // middle two overtake nothing and arrive last: reordered, not lost.
     for k in [0u32, 3, 1, 2] {
@@ -442,7 +458,8 @@ fn late_arrivals_fill_a_gap_that_straddles_the_sequence_wrap() {
     let st = spk[0].stats();
     assert_eq!(st.data_packets, 4, "{st:?}");
     assert_eq!(st.dropped_duplicate, 0, "{st:?}");
-    assert!(spk[0].take_missing_ranges().is_empty());
+    // Both holes were filled inside the reorder hold-off.
+    assert!(nacks.borrow().is_empty(), "{:?}", nacks.borrow());
 }
 
 /// Sends `count` consecutive packets starting at sequence number

@@ -5,6 +5,8 @@
 //! schedule fails before its invariants are even evaluated. On failure
 //! every assertion prints the reproducing one-liner, e.g.
 //! `ES_CHAOS_SEED=61 cargo test --test healing producer_failover`.
+//! Two fleet-sized runs at the end hold receiver-originated repair to
+//! its deadline, over the session wire and through the monitor.
 //!
 //! Scenario shape matches the chaos tier: one CD channel streaming
 //! 5 virtual seconds, two or three speakers, a 7-second run, probes
@@ -12,9 +14,12 @@
 //! epochs tick throughout.
 
 use es_chaos::{conformance, Fault, Scenario, Trace};
-use es_core::HealSpec;
+use es_core::{ChannelSpec, HealSpec, SessionSpec, Source, SpeakerSpec, SystemBuilder};
 use es_heal::HealPolicy;
+use es_net::{LanConfig, McastGroup};
+use es_proto::{Packet, SessionPacket};
 use es_sim::SimDuration;
+use es_telemetry::MetricsSnapshot;
 
 const STREAM: SimDuration = SimDuration::from_secs(5);
 const RUN: SimDuration = SimDuration::from_secs(7);
@@ -417,4 +422,118 @@ fn heal_actions_are_deterministic() {
     for sc in &healing_scenarios() {
         assert_indistinguishable(&sc.run(), &sc.run(), "two runs of one seed");
     }
+}
+
+/// Sixteen concealing speakers behind 5 % bursty loss, FEC 4+1 and
+/// the healing plane, 20 virtual seconds of music: the metrics at the
+/// end, and how many PARAMs with a non-empty NACK list a tap on the
+/// announce group saw. `ES_CHAOS_SEED` overrides `seed`.
+fn repair_fleet(seed: u64, negotiated: bool) -> (u64, MetricsSnapshot, usize) {
+    let seed = std::env::var("ES_CHAOS_SEED")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(seed);
+    let (announce, group) = (McastGroup(0), McastGroup(1));
+    let stream = SimDuration::from_secs(20);
+    let channel = ChannelSpec::new(1, group, "campus")
+        .source(Source::Music)
+        .duration(stream)
+        .fec_group(4);
+    let mut b = SystemBuilder::new(seed)
+        .lan(LanConfig::bursty(0.05, 3.0))
+        .channel(channel)
+        .healing(HealSpec::new());
+    if negotiated {
+        b = b.sessions(SessionSpec::new(announce));
+    }
+    for i in 0..16 {
+        let spec = if negotiated {
+            SpeakerSpec::negotiated(format!("es{i}"), "campus")
+        } else {
+            SpeakerSpec::new(format!("es{i}"), group)
+        };
+        b = b.speaker(spec.loss_concealment());
+    }
+    let mut sys = b.build();
+    let tap = sys.lan().attach("tap");
+    sys.lan().join(tap, announce);
+    let nacks = es_sim::shared(0usize);
+    let seen = nacks.clone();
+    sys.lan().set_handler(tap, move |_, dg| {
+        if let Ok(Packet::Session(SessionPacket::Param { nack, .. })) =
+            es_proto::decode(&dg.payload)
+        {
+            *seen.borrow_mut() += usize::from(!nack.is_empty());
+        }
+    });
+    sys.run_for(stream + SimDuration::from_secs(2));
+    let nacks = *nacks.borrow();
+    (seed, sys.metrics(), nacks)
+}
+
+/// Runs [`repair_fleet`] twice, demands identical metrics, and holds
+/// the run to the deadline: at most 1 % of blocks concealed or late,
+/// at most 5 % of refills past their block's deadline.
+fn repair_meets_the_deadline(test: &str, seed: u64, negotiated: bool) -> (MetricsSnapshot, usize) {
+    let (seed, m, nacks) = repair_fleet(seed, negotiated);
+    let repro = format!("ES_CHAOS_SEED={seed} cargo test --test healing {test}");
+    let (_, again, nacks_again) = repair_fleet(seed, negotiated);
+    assert_eq!(
+        (m.to_json_lines(), nacks),
+        (again.to_json_lines(), nacks_again),
+        "NONDETERMINISM — reproduce with: {repro}"
+    );
+    let sum = |name| m.sum_counters("speaker", name);
+    assert!(
+        sum("fec_recovered") > 0,
+        "parity repaired nothing\n  {repro}"
+    );
+    let refills = sum("refills_received");
+    assert!(
+        refills > 50,
+        "only {refills} refills under 5 % loss\n  {repro}"
+    );
+    let missed = sum("concealed_packets") + sum("deadline_misses");
+    let blocks = sum("data_packets") + sum("deadline_misses");
+    assert!(
+        missed * 100 <= blocks,
+        "{missed} of {blocks} blocks concealed or late\n  {repro}"
+    );
+    assert!(
+        sum("refill_late") * 20 <= refills,
+        "{} of {refills} refills late\n  {repro}",
+        sum("refill_late")
+    );
+    // No block is written over its own replica any more.
+    assert!(
+        sum("playback_resyncs") <= 3 * 16,
+        "{} playback resyncs\n  {repro}",
+        sum("playback_resyncs")
+    );
+    (m, nacks)
+}
+
+/// The NACK is on the wire: negotiated speakers send PARAMs the broker
+/// routes to the retransmit cache, and the monitor relays nothing.
+#[test]
+fn negotiated_fleet_repairs_over_the_session_wire() {
+    let test = "negotiated_fleet_repairs_over_the_session_wire";
+    let (m, nacks) = repair_meets_the_deadline(test, 71, true);
+    assert!(nacks > 50, "the tap saw {nacks} NACK PARAMs");
+    // The tap loses its 5 % too; the broker heard about as many.
+    let routed = m.counter("session/broker/nacks").unwrap_or(0);
+    assert!(routed > 50, "the broker routed {routed} NACKs");
+    assert_eq!(m.counter("heal/heal0/retransmits_requested"), Some(0));
+}
+
+/// A statically wired speaker has no wire back: its NACK goes through
+/// the monitor, request by request, and is repaired as promptly.
+#[test]
+fn static_fleet_repairs_through_the_monitor() {
+    let test = "static_fleet_repairs_through_the_monitor";
+    let (m, nacks) = repair_meets_the_deadline(test, 72, false);
+    assert_eq!(nacks, 0, "nobody holds a session");
+    let requested = m.counter("heal/heal0/retransmits_requested").unwrap_or(0);
+    assert!(requested > 50, "the monitor relayed {requested} NACKs");
+    assert!(m.counter("rebroadcast/ch0/retransmits_sent").unwrap_or(0) > 50);
 }

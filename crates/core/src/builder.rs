@@ -729,19 +729,18 @@ impl SystemBuilder {
             )
         });
 
+        let producers = Rc::new(Producers {
+            primaries: rebroadcasters,
+            standbys,
+        });
         let broker = self.sessions.as_ref().map(|ses| {
             SessionBroker::start(
                 &mut sim,
                 &lan,
                 producer_node,
-                ses.announce_group,
-                stream_infos
-                    .iter()
-                    .cloned()
-                    .zip(rebroadcasters.iter().cloned())
-                    .collect(),
-                ses.session_timeout,
-                ses.sweep_interval,
+                ses,
+                stream_infos,
+                producers.clone(),
                 Some(journal.clone()),
             )
         });
@@ -825,8 +824,7 @@ impl SystemBuilder {
 
         let hub = MetricsHub {
             lan,
-            rebroadcasters,
-            standbys,
+            producers,
             relays,
             apps,
             speakers: Rc::new(speakers),
@@ -835,8 +833,7 @@ impl SystemBuilder {
             heal: heal_slot,
         };
         let heal = self.healing.map(|spec| {
-            let standbys = hub.standbys.clone();
-            let mon = HealMonitor::start(&mut sim, hub.clone(), standbys, spec, journal.clone());
+            let mon = HealMonitor::start(&mut sim, hub.clone(), spec, journal.clone());
             *hub.heal.borrow_mut() = Some(mon.clone());
             mon
         });
@@ -863,6 +860,26 @@ fn nack_via_monitor(spk: &EthernetSpeaker, heal: &Shared<Option<HealMonitor>>) {
     });
 }
 
+/// Every channel's producers, in declaration order.
+pub(crate) struct Producers {
+    pub(crate) primaries: Vec<Rebroadcaster>,
+    /// One per channel under [`HealSpec::standby`], else empty.
+    pub(crate) standbys: Vec<Rebroadcaster>,
+}
+
+impl Producers {
+    /// Who serves channel `i` now: its standby once promoted, else the
+    /// primary. Asked of the rebroadcasters themselves every time —
+    /// repair, FEC changes and NACK routing all follow this one
+    /// answer, so none of them can keep talking to a detached primary.
+    pub(crate) fn live(&self, i: usize) -> &Rebroadcaster {
+        match self.standbys.get(i) {
+            Some(standby) if !standby.is_standby() => standby,
+            _ => &self.primaries[i],
+        }
+    }
+}
+
 #[derive(Clone)]
 pub(crate) enum SpeakerHandle {
     Ready(EthernetSpeaker),
@@ -880,8 +897,7 @@ pub(crate) enum SpeakerHandle {
 #[derive(Clone)]
 pub(crate) struct MetricsHub {
     pub(crate) lan: Lan,
-    pub(crate) rebroadcasters: Vec<Rebroadcaster>,
-    pub(crate) standbys: Vec<Rebroadcaster>,
+    pub(crate) producers: Rc<Producers>,
     pub(crate) relays: Vec<SegmentRelay>,
     pub(crate) apps: Vec<Shared<Option<AudioApp>>>,
     pub(crate) speakers: Rc<Vec<SpeakerHandle>>,
@@ -920,15 +936,25 @@ impl MetricsHub {
         let mut reg = Registry::new();
         reg.set_instance("lan0");
         self.lan.stats().record(&mut reg);
-        for (i, rb) in self.rebroadcasters.iter().enumerate() {
+        for (i, rb) in self.producers.primaries.iter().enumerate() {
             reg.set_instance(&format!("ch{i}"));
             rb.record_telemetry(&mut reg);
+            // The stream's negotiated receivers live in the broker's
+            // table, not in the producer; they are reported beside it.
+            let broker = self.broker.as_ref();
+            let (opened, expired, closed, active) =
+                broker.map_or((0, 0, 0, 0), |b| b.table_counts(i));
+            reg.component("rebroadcast")
+                .counter("sessions_opened", opened)
+                .counter("sessions_expired", expired)
+                .counter("sessions_closed", closed)
+                .gauge("sessions_active", active as f64);
             rb.vad_stats().record(&mut reg);
             if let Some(app) = self.apps[i].borrow().as_ref() {
                 app.stats().record(&mut reg);
             }
         }
-        for (i, rb) in self.standbys.iter().enumerate() {
+        for (i, rb) in self.producers.standbys.iter().enumerate() {
             reg.set_instance(&format!("standby{i}"));
             rb.record_telemetry(&mut reg);
         }
@@ -988,13 +1014,13 @@ impl EsSystem {
 
     /// Channel rebroadcasters, in declaration order.
     pub fn rebroadcaster(&self, i: usize) -> &Rebroadcaster {
-        &self.hub.rebroadcasters[i]
+        &self.hub.producers.primaries[i]
     }
 
     /// Channel `i`'s warm-standby rebroadcaster, when
     /// [`HealSpec::standby`] is on.
     pub fn standby(&self, i: usize) -> Option<&Rebroadcaster> {
-        self.hub.standbys.get(i)
+        self.hub.producers.standbys.get(i)
     }
 
     /// Segment relay `i`, in declaration order.

@@ -15,10 +15,7 @@
 //! Everything here is driven by the deterministic simulator: the same
 //! seed heals the same way, bit for bit, at any fleet-thread count.
 
-use std::rc::Rc;
-
 use es_heal::{EpochSample, FleetDetector, HealAction, HealPolicy, HealStats, Health};
-use es_rebroadcast::Rebroadcaster;
 use es_sim::{RepeatingTimer, Shared, Sim, SimDuration};
 use es_speaker::EthernetSpeaker;
 use es_telemetry::{Journal, Severity, Stamp};
@@ -105,8 +102,6 @@ struct MonitorState {
     chan_active: Vec<bool>,
     /// Per channel: consecutive epochs with zero control packets.
     chan_stalled: Vec<u32>,
-    /// Per channel: standby already promoted.
-    failed_over: Vec<bool>,
     failover_after: u32,
     journal: Journal,
 }
@@ -116,7 +111,6 @@ struct MonitorState {
 #[derive(Clone)]
 pub struct HealMonitor {
     hub: MetricsHub,
-    standbys: Rc<Vec<Rebroadcaster>>,
     state: Shared<MonitorState>,
 }
 
@@ -127,30 +121,24 @@ impl HealMonitor {
     pub(crate) fn start(
         sim: &mut Sim,
         hub: MetricsHub,
-        standbys: Vec<Rebroadcaster>,
         spec: HealSpec,
         journal: Journal,
     ) -> HealMonitor {
         let mut detector = FleetDetector::new(spec.policy);
-        if let Some(rb) = hub.rebroadcasters.first() {
+        if let Some(rb) = hub.producers.primaries.first() {
             detector.seed_fec_level(rb.fec_group());
         }
-        let n = hub.rebroadcasters.len();
+        let n = hub.producers.primaries.len();
         let state = es_sim::shared(MonitorState {
             detector,
             prev_speakers: vec![None; hub.speaker_count()],
             prev_controls: None,
             chan_active: vec![false; n],
             chan_stalled: vec![0; n],
-            failed_over: vec![false; n],
             failover_after: spec.failover_after,
             journal,
         });
-        let mon = HealMonitor {
-            hub,
-            standbys: Rc::new(standbys),
-            state,
-        };
+        let mon = HealMonitor { hub, state };
         let phase = spec.epoch.min(SimDuration::from_millis(170));
         let m2 = mon.clone();
         let timer = RepeatingTimer::start_with_phase(sim, spec.epoch, phase, move |sim| {
@@ -244,20 +232,12 @@ impl HealMonitor {
         ranges: &[(u32, u16)],
     ) -> u64 {
         let group = spk.tuned();
-        let channel = self
-            .hub
-            .rebroadcasters
+        let producers = &self.hub.producers;
+        let channel = producers
+            .primaries
             .iter()
             .position(|rb| rb.group() == group);
-        let sent = channel.map_or(0, |i| {
-            let failed_over = self.state.borrow().failed_over[i];
-            let producer = if failed_over {
-                &self.standbys[i]
-            } else {
-                &self.hub.rebroadcasters[i]
-            };
-            producer.retransmit(sim, ranges)
-        });
+        let sent = channel.map_or(0, |i| producers.live(i).retransmit(sim, ranges));
         self.state.borrow_mut().detector.stats.retransmits_requested += 1;
         self.journal().emit(
             Stamp::virtual_ns(sim.now().as_nanos()),
@@ -315,30 +295,18 @@ impl HealMonitor {
                     &[("action", "recovered".into()), ("target", target)],
                 );
             }
-            // Not the detector's: a speaker raises the one, the
-            // monitor's stall check the other.
-            HealAction::Retransmit { .. } | HealAction::Failover => {}
         }
     }
 
-    /// Applies a new ladder rung to every channel's *live* producer:
-    /// through the broker (which also announces it via PARAM) where
-    /// sessions are on, and directly to promoted standbys, which the
-    /// broker's stream table does not know about.
+    /// Applies a new ladder rung to every channel's live producer,
+    /// then lets the broker — where sessions are on — announce it to
+    /// their receivers via PARAM.
     fn apply_fec(&self, sim: &mut Sim, to: Option<u8>) {
-        if let Some(broker) = self.hub.broker.as_ref() {
-            broker.update_fec(sim, to);
-        } else {
-            for (i, rb) in self.hub.rebroadcasters.iter().enumerate() {
-                if !self.state.borrow().failed_over[i] {
-                    rb.set_fec_group(sim, to);
-                }
-            }
+        for i in 0..self.hub.producers.primaries.len() {
+            self.hub.producers.live(i).set_fec_group(sim, to);
         }
-        for (i, standby) in self.standbys.iter().enumerate() {
-            if self.state.borrow().failed_over[i] {
-                standby.set_fec_group(sim, to);
-            }
+        if let Some(broker) = &self.hub.broker {
+            broker.update_fec(sim, to);
         }
     }
 
@@ -346,10 +314,11 @@ impl HealMonitor {
     /// `failover_after` consecutive epochs — after the stream was seen
     /// alive — has a dead primary: promote the standby.
     fn check_failover(&self, sim: &mut Sim) {
+        let producers = &self.hub.producers;
         let mut promotions = Vec::new();
         {
             let mut st = self.state.borrow_mut();
-            let controls = self.hub.rebroadcasters.iter();
+            let controls = producers.primaries.iter();
             let controls: Vec<u64> = controls.map(|rb| rb.stats().control_packets).collect();
             let prev = st.prev_controls.replace(controls.clone());
             for (i, &now) in controls.iter().enumerate() {
@@ -360,19 +329,20 @@ impl HealMonitor {
                     st.chan_stalled[i] = 0;
                     continue;
                 }
-                if !st.chan_active[i] || st.failed_over[i] {
+                // Nothing to promote, or already promoted.
+                let spare = producers.standbys.get(i).is_some_and(|s| s.is_standby());
+                if !st.chan_active[i] || !spare {
                     continue;
                 }
                 st.chan_stalled[i] += 1;
-                if st.chan_stalled[i] >= st.failover_after && i < self.standbys.len() {
-                    st.failed_over[i] = true;
+                if st.chan_stalled[i] >= st.failover_after {
                     st.detector.stats.failovers += 1;
                     promotions.push(i);
                 }
             }
         }
         for i in promotions {
-            self.standbys[i].promote(sim, &self.hub.rebroadcasters[i]);
+            producers.standbys[i].promote(sim, &producers.primaries[i]);
             self.journal().emit(
                 Stamp::virtual_ns(sim.now().as_nanos()),
                 Severity::Warn,

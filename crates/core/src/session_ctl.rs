@@ -1,472 +1,249 @@
 //! The control plane, wired into the simulator: the producer-side
 //! [`SessionBroker`] and the receiver-side [`NegotiatedSpeaker`].
 //!
-//! Both are thin transport shells around the pure state machines in
-//! [`es_proto::session`]: the broker answers DISCOVER with the channel
-//! line-up, grants sessions per [`es_proto::negotiate`], keeps each
-//! stream's [`es_proto::SessionTable`] fresh from keepalives and
-//! sweeps it on a timer; the negotiated speaker drives an
+//! Both are drivers of the pure state machines in [`es_proto`] and
+//! decide nothing themselves. The broker decodes what the producer
+//! host hears into an [`es_proto::SessionServer`] — line-up, session
+//! tables, grants, expiry, NACK routing all live there — arms its
+//! sweep timer, and carries each [`ServerAction`] out: packets onto
+//! the LAN, hooks into the journal, retransmissions to whichever
+//! producer serves the stream now. The negotiated speaker drives an
 //! [`es_proto::SessionClient`] from a tick timer and applies its
 //! actions to a plain [`EthernetSpeaker`] (tune, resync, volume). The
 //! speaker itself remains the paper's stateless radio — negotiation is
 //! a layer on top, and static `McastGroup` wiring keeps working
 //! without it.
 
+use std::rc::Rc;
+
 use bytes::Bytes;
 
-use es_net::{Datagram, Dest, Lan, McastGroup, NodeId};
+use es_net::{Dest, Lan, McastGroup, NodeId};
+pub use es_proto::BrokerStats;
 use es_proto::{
-    encode_session, negotiate, Capabilities, ClientAction, ClientPhase, Packet, RefuseReason,
-    SessionClient, SessionClientConfig, SessionEntry, SessionPacket, StreamInfo, TeardownReason,
+    encode_session, Capabilities, ClientAction, ClientPhase, Packet, ServerAction, SessionClient,
+    SessionClientConfig, SessionEntry, SessionPacket, SessionServer, StreamInfo,
 };
-use es_rebroadcast::Rebroadcaster;
 use es_sim::{shared, RepeatingTimer, Shared, Sim, SimDuration};
 use es_speaker::{EthernetSpeaker, SpeakerConfig};
 use es_telemetry::{Journal, Registry, Severity, Stamp};
 
-/// Control-plane counters on the producer side.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BrokerStats {
-    /// DISCOVERs heard.
-    pub discovers: u64,
-    /// OFFERs sent.
-    pub offers: u64,
-    /// SETUPs heard.
-    pub setups: u64,
-    /// Sessions granted (SETUP-ACKs sent, including idempotent
-    /// re-grants to retrying receivers).
-    pub acks: u64,
-    /// SETUPs refused.
-    pub refusals: u64,
-    /// KEEPALIVEs absorbed.
-    pub keepalives: u64,
-    /// FLUSH packets sent.
-    pub flushes: u64,
-    /// TEARDOWN packets sent (expiry and requested).
-    pub teardowns: u64,
-    /// NACK PARAMs heard and routed to a stream's retransmit cache.
-    pub nacks: u64,
-}
-
-struct BrokerState {
-    announce_group: McastGroup,
-    /// The line-up, with each stream's rebroadcaster (its session
-    /// table lives there). Declaration order; OFFERs list it verbatim.
-    streams: Vec<(StreamInfo, Rebroadcaster)>,
-    next_sid: u32,
-    offer_seq: u32,
-    session_timeout: SimDuration,
-    journal: Option<Journal>,
-    stats: BrokerStats,
-}
+use crate::builder::{Producers, SessionSpec};
 
 /// The producer-side control plane: one broker serves every channel
-/// on the host.
+/// on the host. The simulator driver of [`SessionServer`].
 #[derive(Clone)]
 pub struct SessionBroker {
-    state: Shared<BrokerState>,
+    server: Shared<SessionServer>,
+    /// The line-up's producers, for [`ServerAction::Retransmit`].
+    producers: Rc<Producers>,
+    journal: Option<Journal>,
     lan: Lan,
     node: NodeId,
+    announce_group: McastGroup,
 }
 
 impl SessionBroker {
     /// Installs the broker on the producer's LAN node: joins the
     /// announce group, takes over the node's receive handler (the
     /// producer host had none — rebroadcasters only send), and arms
-    /// the expiry sweep.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start(
+    /// the expiry sweep. `streams` is the line-up, in the order of
+    /// `producers`.
+    pub(crate) fn start(
         sim: &mut Sim,
         lan: &Lan,
         node: NodeId,
-        announce_group: McastGroup,
-        streams: Vec<(StreamInfo, Rebroadcaster)>,
-        session_timeout: SimDuration,
-        sweep_interval: SimDuration,
+        spec: &SessionSpec,
+        streams: Vec<StreamInfo>,
+        producers: Rc<Producers>,
         journal: Option<Journal>,
     ) -> SessionBroker {
-        lan.join(node, announce_group);
-        let state = shared(BrokerState {
-            announce_group,
-            streams,
-            next_sid: 1,
-            offer_seq: 0,
-            session_timeout,
-            journal,
-            stats: BrokerStats::default(),
-        });
+        lan.join(node, spec.announce_group);
         let broker = SessionBroker {
-            state,
+            server: shared(SessionServer::new(
+                streams,
+                spec.session_timeout.as_micros(),
+            )),
+            producers,
+            journal,
             lan: lan.clone(),
             node,
+            announce_group: spec.announce_group,
         };
         let b2 = broker.clone();
-        lan.set_handler(node, move |sim, dg| b2.on_datagram(sim, dg));
+        lan.set_handler(node, move |sim, dg| {
+            if let Ok(Packet::Session(sp)) = es_proto::decode(&dg.payload) {
+                b2.step(sim, Some(dg.src), |server, now_us, out| {
+                    server.on_packet(now_us, &sp, out)
+                });
+            }
+        });
         let b3 = broker.clone();
         let timer = RepeatingTimer::start_with_phase(
             sim,
-            sweep_interval,
+            spec.sweep_interval,
             SimDuration::from_millis(130),
-            move |sim| b3.sweep(sim),
+            move |sim| {
+                b3.step(sim, None, SessionServer::sweep);
+            },
         );
         std::mem::forget(timer);
         broker
     }
 
-    fn journal_event(&self, sim: &Sim, message: &'static str, fields: &[(&str, String)]) {
-        if let Some(j) = self.state.borrow().journal.clone() {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Info,
-                "session",
-                message,
-                fields,
-            );
+    fn journal(
+        &self,
+        sim: &Sim,
+        severity: Severity,
+        component: &str,
+        message: &str,
+        fields: &[(&str, String)],
+    ) {
+        if let Some(j) = &self.journal {
+            let stamp = Stamp::virtual_ns(sim.now().as_nanos());
+            j.emit(stamp, severity, component, message, fields);
         }
     }
 
-    fn send_to(&self, sim: &mut Sim, dst: Dest, pkt: &SessionPacket) {
+    fn send(&self, sim: &mut Sim, dst: Dest, pkt: &SessionPacket) {
         let bytes = Bytes::from(encode_session(pkt).to_vec());
         self.lan.send(sim, self.node, dst, bytes);
     }
 
-    fn on_datagram(&self, sim: &mut Sim, dg: Datagram) {
-        let Ok(Packet::Session(sp)) = es_proto::decode(&dg.payload) else {
-            return;
-        };
-        match sp {
-            SessionPacket::Discover { speaker, .. } => {
-                let offer = {
-                    let mut st = self.state.borrow_mut();
-                    st.stats.discovers += 1;
-                    st.stats.offers += 1;
-                    let seq = st.offer_seq;
-                    st.offer_seq += 1;
-                    SessionPacket::Offer {
-                        seq,
-                        streams: st.streams.iter().map(|(info, _)| info.clone()).collect(),
-                    }
-                };
-                self.journal_event(sim, "discover heard", &[("speaker", speaker)]);
-                let group = self.state.borrow().announce_group;
-                self.send_to(sim, Dest::Multicast(group), &offer);
-            }
-            SessionPacket::Setup {
-                speaker,
-                stream_id,
-                codec,
-                playout_delay_us,
-                caps,
-            } => {
-                self.on_setup(
-                    sim,
-                    dg.src,
-                    speaker,
-                    stream_id,
-                    codec,
-                    playout_delay_us,
-                    caps,
-                );
-            }
-            SessionPacket::Keepalive { session_id } => {
-                let now_us = sim.now().as_micros();
-                let mut st = self.state.borrow_mut();
-                st.stats.keepalives += 1;
-                for (_, rb) in &st.streams {
-                    if rb.touch_session(session_id, now_us) {
-                        break;
-                    }
-                }
-            }
-            SessionPacket::Teardown { session_id, .. } => {
-                // Receiver-initiated close; the entry's removal is
-                // journaled by the rebroadcaster.
-                let streams: Vec<Rebroadcaster> = self
-                    .state
-                    .borrow()
-                    .streams
-                    .iter()
-                    .map(|(_, rb)| rb.clone())
-                    .collect();
-                for rb in streams {
-                    if rb.close_session(sim, session_id).is_some() {
-                        break;
-                    }
-                }
-            }
-            SessionPacket::Param {
-                session_id, nack, ..
-            } => {
-                // Receiver→producer PARAMs carry NACKed sequence
-                // ranges; route them to whichever stream holds the
-                // session. Producer-originated PARAMs echo back with an
-                // empty NACK list and fall through harmlessly.
-                if !nack.is_empty() {
-                    let rb = self.state.borrow().streams.iter().find_map(|(_, rb)| {
-                        rb.session_entries()
-                            .iter()
-                            .any(|e| e.session_id == session_id)
-                            .then(|| rb.clone())
-                    });
-                    if let Some(rb) = rb {
-                        self.state.borrow_mut().stats.nacks += 1;
-                        rb.retransmit(sim, &nack);
-                    }
-                }
-            }
-            // Producer-originated kinds echoed back (or a second
-            // producer on the segment): not ours to handle.
-            SessionPacket::Offer { .. }
-            | SessionPacket::SetupAck { .. }
-            | SessionPacket::Refuse { .. }
-            | SessionPacket::Flush { .. } => {}
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn on_setup(
+    /// Runs one step of the core at the current instant and carries
+    /// out what it decided, in order; `from` is who a
+    /// [`ServerAction::Reply`] goes back to. Returns the action count.
+    fn step(
         &self,
         sim: &mut Sim,
-        src: NodeId,
-        speaker: String,
-        stream_id: u16,
-        codec: u8,
-        playout_delay_us: u64,
-        caps: Capabilities,
-    ) {
-        self.state.borrow_mut().stats.setups += 1;
-        let found = self
-            .state
-            .borrow()
-            .streams
-            .iter()
-            .find(|(info, _)| info.stream_id == stream_id)
-            .map(|(info, rb)| (info.clone(), rb.clone()));
-        let Some((info, rb)) = found else {
-            self.refuse(sim, src, speaker, stream_id, RefuseReason::UnknownStream);
-            return;
-        };
-        // A SETUP retry from a receiver that missed our ACK must not
-        // open a second session: re-grant the one it already holds.
-        if let Some(existing) = rb.find_session(&speaker) {
-            if existing.stream_id == stream_id {
-                self.state.borrow_mut().stats.acks += 1;
-                let ack = SessionPacket::SetupAck {
-                    session_id: existing.session_id,
-                    speaker,
-                    stream_id,
-                    group: info.group,
-                    codec: existing.codec,
-                    playout_delay_us: existing.playout_delay_us,
-                };
-                self.send_to(sim, Dest::Unicast(src), &ack);
-                return;
-            }
-        }
-        match negotiate(&info, &caps, codec, playout_delay_us) {
-            Ok(grant) => {
-                let session_id = {
-                    let mut st = self.state.borrow_mut();
-                    let sid = st.next_sid;
-                    st.next_sid += 1;
-                    st.stats.acks += 1;
-                    sid
-                };
-                let now_us = sim.now().as_micros();
-                rb.open_session(
-                    sim,
-                    SessionEntry {
-                        session_id,
-                        speaker: speaker.clone(),
-                        stream_id,
-                        codec: grant.codec,
-                        playout_delay_us: grant.playout_delay_us,
-                        opened_at_us: now_us,
-                        last_seen_us: now_us,
-                    },
-                );
-                let ack = SessionPacket::SetupAck {
-                    session_id,
-                    speaker,
-                    stream_id,
-                    group: grant.group,
-                    codec: grant.codec,
-                    playout_delay_us: grant.playout_delay_us,
-                };
-                self.send_to(sim, Dest::Unicast(src), &ack);
-            }
-            Err(reason) => self.refuse(sim, src, speaker, stream_id, reason),
-        }
-    }
-
-    fn refuse(
-        &self,
-        sim: &mut Sim,
-        src: NodeId,
-        speaker: String,
-        stream_id: u16,
-        reason: RefuseReason,
-    ) {
-        self.state.borrow_mut().stats.refusals += 1;
-        self.journal_event(
-            sim,
-            "setup refused",
-            &[
-                ("speaker", speaker.clone()),
-                ("stream_id", stream_id.to_string()),
-                ("reason", reason.to_string()),
-            ],
-        );
-        let pkt = SessionPacket::Refuse {
-            speaker,
-            stream_id,
-            reason,
-        };
-        self.send_to(sim, Dest::Unicast(src), &pkt);
-    }
-
-    /// The timeout-driven expiry sweep: sessions whose keepalives
-    /// stopped are dropped from the table and told so (best-effort —
-    /// a receiver that died never hears it, one that was partitioned
-    /// re-discovers either way).
-    fn sweep(&self, sim: &mut Sim) {
-        let (streams, timeout_us) = {
-            let st = self.state.borrow();
-            let rbs: Vec<Rebroadcaster> = st.streams.iter().map(|(_, rb)| rb.clone()).collect();
-            (rbs, st.session_timeout.as_micros())
-        };
+        from: Option<NodeId>,
+        step: impl FnOnce(&mut SessionServer, u64, &mut Vec<ServerAction>),
+    ) -> usize {
+        let mut out = Vec::new();
         let now_us = sim.now().as_micros();
-        let group = self.state.borrow().announce_group;
-        for rb in streams {
-            for dead in rb.expire_sessions(sim, now_us, timeout_us) {
-                self.state.borrow_mut().stats.teardowns += 1;
-                let pkt = SessionPacket::Teardown {
-                    session_id: dead.session_id,
-                    reason: TeardownReason::Expired,
-                };
-                self.send_to(sim, Dest::Multicast(group), &pkt);
-            }
+        step(&mut self.server.borrow_mut(), now_us, &mut out);
+        let actions = out.len();
+        let of = |e: &SessionEntry| {
+            vec![
+                ("session_id", e.session_id.to_string()),
+                ("speaker", e.speaker.clone()),
+            ]
+        };
+        for action in out {
+            // A table's lifecycle is journaled beside its stream's
+            // producer, where the journal's readers look for it.
+            let (severity, component, message, fields) = match action {
+                ServerAction::Reply(pkt) => {
+                    if let Some(src) = from {
+                        self.send(sim, Dest::Unicast(src), &pkt);
+                    }
+                    continue;
+                }
+                ServerAction::Announce(pkt) => {
+                    self.send(sim, Dest::Multicast(self.announce_group), &pkt);
+                    continue;
+                }
+                ServerAction::Retransmit { stream, ranges } => {
+                    self.producers.live(stream).retransmit(sim, &ranges);
+                    continue;
+                }
+                ServerAction::Discovered { speaker } => {
+                    let fields = vec![("speaker", speaker)];
+                    (Severity::Info, "session", "discover heard", fields)
+                }
+                ServerAction::Refused {
+                    speaker,
+                    stream_id,
+                    reason,
+                } => {
+                    let fields = vec![
+                        ("speaker", speaker),
+                        ("stream_id", stream_id.to_string()),
+                        ("reason", reason.to_string()),
+                    ];
+                    (Severity::Info, "session", "setup refused", fields)
+                }
+                ServerAction::Opened(e) => {
+                    let fields = [of(&e), vec![("stream_id", e.stream_id.to_string())]].concat();
+                    (Severity::Info, "rebroadcast", "session opened", fields)
+                }
+                ServerAction::Closed(e) => {
+                    (Severity::Info, "rebroadcast", "session closed", of(&e))
+                }
+                ServerAction::Expired(e) => {
+                    (Severity::Warn, "rebroadcast", "session expired", of(&e))
+                }
+            };
+            self.journal(sim, severity, component, message, &fields);
         }
+        actions
     }
 
     /// Commands every live session to flush and re-gate on the next
     /// control packet (the producer-side resync after a seek or
     /// restart).
     pub fn flush_all(&self, sim: &mut Sim) {
-        let streams: Vec<Rebroadcaster> = self
-            .state
-            .borrow()
-            .streams
-            .iter()
-            .map(|(_, rb)| rb.clone())
-            .collect();
-        let group = self.state.borrow().announce_group;
-        let mut flushed = 0u64;
-        for rb in streams {
-            for e in rb.session_entries() {
-                let pkt = SessionPacket::Flush {
-                    session_id: e.session_id,
-                };
-                self.send_to(sim, Dest::Multicast(group), &pkt);
-                flushed += 1;
-            }
-        }
-        self.state.borrow_mut().stats.flushes += flushed;
-        self.journal_event(sim, "session flush", &[("sessions", flushed.to_string())]);
+        let flushed = self.step(sim, None, |server, _, out| server.flush_all(out));
+        let fields = [("sessions", flushed.to_string())];
+        self.journal(sim, Severity::Info, "session", "session flush", &fields);
     }
 
     /// Tears down `speaker`'s session (management-initiated), telling
     /// the receiver why.
     pub fn teardown_speaker(&self, sim: &mut Sim, speaker: &str) {
-        let streams: Vec<Rebroadcaster> = self
-            .state
-            .borrow()
-            .streams
-            .iter()
-            .map(|(_, rb)| rb.clone())
-            .collect();
-        let group = self.state.borrow().announce_group;
-        for rb in streams {
-            if let Some(e) = rb.find_session(speaker) {
-                rb.close_session(sim, e.session_id);
-                self.state.borrow_mut().stats.teardowns += 1;
-                let pkt = SessionPacket::Teardown {
-                    session_id: e.session_id,
-                    reason: TeardownReason::Requested,
-                };
-                self.send_to(sim, Dest::Multicast(group), &pkt);
-                return;
-            }
-        }
+        self.step(sim, None, |server, _, out| {
+            server.teardown_speaker(speaker, out)
+        });
     }
 
     /// Sends an in-session parameter update (volume in thousandths,
     /// free-form metadata) to `speaker`'s session.
     pub fn update_params(&self, sim: &mut Sim, speaker: &str, volume_milli: u16, metadata: &str) {
-        let session = self
-            .state
-            .borrow()
-            .streams
-            .iter()
-            .find_map(|(_, rb)| rb.find_session(speaker));
-        let group = self.state.borrow().announce_group;
-        if let Some(e) = session {
-            let pkt = SessionPacket::param_volume(e.session_id, volume_milli, metadata.into());
-            self.send_to(sim, Dest::Multicast(group), &pkt);
-        }
+        self.step(sim, None, |server, _, out| {
+            server.update_params(speaker, volume_milli, metadata, out)
+        });
     }
 
     /// Announces an FEC parity-group change (the healing plane's
-    /// loss-adaptive ladder): applies it to every stream's
-    /// rebroadcaster and tells each live session via a PARAM, so
+    /// loss-adaptive ladder) to each live session via a PARAM, so
     /// negotiated receivers journal the level they should expect.
+    /// Setting the level on the producers is the caller's business.
     pub fn update_fec(&self, sim: &mut Sim, group: Option<u8>) {
-        let streams: Vec<Rebroadcaster> = self
-            .state
-            .borrow()
-            .streams
-            .iter()
-            .map(|(_, rb)| rb.clone())
-            .collect();
-        let announce = self.state.borrow().announce_group;
-        for rb in streams {
-            rb.set_fec_group(sim, group);
-            for e in rb.session_entries() {
-                let pkt = SessionPacket::param_fec(e.session_id, group);
-                self.send_to(sim, Dest::Multicast(announce), &pkt);
-            }
-        }
+        self.step(sim, None, |server, _, out| server.update_fec(group, out));
     }
 
     /// Live sessions across every stream.
     pub fn sessions_active(&self) -> usize {
-        self.state
-            .borrow()
-            .streams
-            .iter()
-            .map(|(_, rb)| rb.sessions_active())
-            .sum()
+        self.server.borrow().sessions_active()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> BrokerStats {
-        self.state.borrow().stats
+        self.server.borrow().stats()
     }
 
     /// Records broker counters into `registry` under component
     /// `session`.
     pub fn record_telemetry(&self, registry: &mut Registry) {
-        let st = self.state.borrow();
+        let stats = self.stats();
         let mut s = registry.component("session");
-        s.counter("discovers", st.stats.discovers)
-            .counter("offers", st.stats.offers)
-            .counter("setups", st.stats.setups)
-            .counter("acks", st.stats.acks)
-            .counter("refusals", st.stats.refusals)
-            .counter("keepalives", st.stats.keepalives)
-            .counter("flushes", st.stats.flushes)
-            .counter("teardowns", st.stats.teardowns)
-            .counter("nacks", st.stats.nacks);
+        s.counter("discovers", stats.discovers)
+            .counter("offers", stats.offers)
+            .counter("setups", stats.setups)
+            .counter("acks", stats.acks)
+            .counter("refusals", stats.refusals)
+            .counter("keepalives", stats.keepalives)
+            .counter("flushes", stats.flushes)
+            .counter("teardowns", stats.teardowns)
+            .counter("nacks", stats.nacks);
+    }
+
+    /// Stream `i`'s session-table lifecycle: `(opened, expired,
+    /// closed, active)`.
+    pub(crate) fn table_counts(&self, i: usize) -> (u64, u64, u64, usize) {
+        let server = self.server.borrow();
+        let t = server.table(i);
+        (t.opened, t.expired, t.closed, t.active())
     }
 }
 
@@ -737,228 +514,29 @@ pub fn stream_info_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use es_net::LanConfig;
+    use es_net::{Datagram, LanConfig};
+    use es_rebroadcast::{Rebroadcaster, RebroadcasterConfig};
     use es_sim::SimTime;
 
-    /// Broker + bare client rig without audio: exercises the grant,
-    /// keepalive and expiry paths end to end over the simulated LAN.
-    #[test]
-    fn broker_grants_and_expires_sessions() {
-        let mut sim = Sim::new(11);
-        let lan = Lan::new(LanConfig::default());
-        let producer = lan.attach("producer-host");
-        let announce = McastGroup(0);
-        // A stream with a live rebroadcaster (its session table).
-        let (_slave, master) = es_vad::vad_pair(es_vad::VadMode::KernelThread {
-            poll: SimDuration::from_millis(10),
-        });
-        let rcfg = es_rebroadcast::RebroadcasterConfig::new(1, McastGroup(5));
-        let rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
-        let info = stream_info_for(
-            1,
-            McastGroup(5),
-            "radio",
-            es_audio::AudioConfig::CD,
-            0,
-            &es_rebroadcast::CompressionPolicy::paper_default(),
-        );
-        let broker = SessionBroker::start(
-            &mut sim,
-            &lan,
-            producer,
-            announce,
-            vec![(info, rb.clone())],
-            SimDuration::from_millis(800),
-            SimDuration::from_millis(200),
-            None,
-        );
-
-        // A hand-driven client node.
-        let client_node = lan.attach("es1");
-        lan.join(client_node, announce);
-        let inbox: Shared<Vec<SessionPacket>> = shared(Vec::new());
-        let i2 = inbox.clone();
-        lan.set_handler(client_node, move |_sim, dg: Datagram| {
-            if let Ok(Packet::Session(sp)) = es_proto::decode(&dg.payload) {
-                i2.borrow_mut().push(sp);
-            }
-        });
-        let send = move |sim: &mut Sim, lan: &Lan, pkt: &SessionPacket| {
-            let bytes = Bytes::from(encode_session(pkt).to_vec());
-            lan.send(sim, client_node, Dest::Multicast(announce), bytes);
-        };
-
-        // DISCOVER → OFFER with the advertised codec set.
-        let l2 = lan.clone();
-        sim.schedule_at(SimTime::from_millis(10), move |sim| {
-            send(
-                sim,
-                &l2,
-                &SessionPacket::Discover {
-                    seq: 0,
-                    speaker: "es1".into(),
-                    caps: Capabilities::any(),
-                },
-            );
-        });
-        sim.run_until(SimTime::from_millis(50));
-        let offered = inbox.borrow().clone();
-        let Some(SessionPacket::Offer { streams, .. }) = offered.first() else {
-            panic!("no offer: {offered:?}");
-        };
-        assert_eq!(streams.len(), 1);
-        assert!(!streams[0].caps.codecs.is_empty(), "caps advertised");
-
-        // SETUP → ACK, session opens.
-        let codec = streams[0].caps.codecs[0];
-        let l3 = lan.clone();
-        sim.schedule_at(SimTime::from_millis(60), move |sim| {
-            send(
-                sim,
-                &l3,
-                &SessionPacket::Setup {
-                    speaker: "es1".into(),
-                    stream_id: 1,
-                    codec,
-                    playout_delay_us: 150_000,
-                    caps: Capabilities::any(),
-                },
-            );
-        });
-        sim.run_until(SimTime::from_millis(100));
-        let acks: Vec<SessionPacket> = inbox.borrow().clone();
-        let sid = acks
-            .iter()
-            .find_map(|p| match p {
-                SessionPacket::SetupAck {
-                    session_id,
-                    group,
-                    playout_delay_us,
-                    ..
-                } => {
-                    assert_eq!(*group, 5);
-                    assert_eq!(*playout_delay_us, 150_000);
-                    Some(*session_id)
-                }
-                _ => None,
-            })
-            .expect("ack");
-        assert_eq!(rb.sessions_active(), 1);
-        assert_eq!(broker.sessions_active(), 1);
-
-        // A duplicate SETUP re-grants the same session id.
-        let l4 = lan.clone();
-        sim.schedule_at(SimTime::from_millis(120), move |sim| {
-            send(
-                sim,
-                &l4,
-                &SessionPacket::Setup {
-                    speaker: "es1".into(),
-                    stream_id: 1,
-                    codec,
-                    playout_delay_us: 150_000,
-                    caps: Capabilities::any(),
-                },
-            );
-        });
-        sim.run_until(SimTime::from_millis(160));
-        let re_acks: Vec<u32> = inbox
-            .borrow()
-            .iter()
-            .filter_map(|p| match p {
-                SessionPacket::SetupAck { session_id, .. } => Some(*session_id),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(re_acks, vec![sid, sid], "idempotent re-grant");
-        assert_eq!(rb.sessions_active(), 1);
-
-        // Silence past the timeout: the sweep expires the session and
-        // multicasts TEARDOWN(expired).
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(rb.sessions_active(), 0);
-        let torn: Vec<&SessionPacket> = offered.iter().collect();
-        drop(torn);
-        let saw_teardown = inbox.borrow().iter().any(|p| {
-            matches!(
-                p,
-                SessionPacket::Teardown {
-                    reason: TeardownReason::Expired,
-                    ..
-                }
-            )
-        });
-        assert!(saw_teardown, "expiry must notify the receiver");
-        let (opened, expired, closed) = rb.session_counts();
-        assert_eq!((opened, expired, closed), (1, 1, 0));
-    }
-
-    #[test]
-    fn unknown_stream_is_refused() {
-        let mut sim = Sim::new(12);
-        let lan = Lan::new(LanConfig::default());
-        let producer = lan.attach("producer-host");
-        let announce = McastGroup(0);
-        let _broker = SessionBroker::start(
-            &mut sim,
-            &lan,
-            producer,
-            announce,
-            vec![],
-            SimDuration::from_secs(1),
-            SimDuration::from_millis(500),
-            None,
-        );
-        let client_node = lan.attach("es1");
-        lan.join(client_node, announce);
-        let inbox: Shared<Vec<SessionPacket>> = shared(Vec::new());
-        let i2 = inbox.clone();
-        lan.set_handler(client_node, move |_sim, dg: Datagram| {
-            if let Ok(Packet::Session(sp)) = es_proto::decode(&dg.payload) {
-                i2.borrow_mut().push(sp);
-            }
-        });
-        let l2 = lan.clone();
-        sim.schedule_at(SimTime::from_millis(10), move |sim| {
-            let pkt = SessionPacket::Setup {
-                speaker: "es1".into(),
-                stream_id: 42,
-                codec: 0,
-                playout_delay_us: 0,
-                caps: Capabilities::any(),
-            };
-            let bytes = Bytes::from(encode_session(&pkt).to_vec());
-            l2.send(sim, client_node, Dest::Multicast(announce), bytes);
-        });
-        sim.run_until(SimTime::from_millis(50));
-        assert!(inbox.borrow().iter().any(|p| matches!(
-            p,
-            SessionPacket::Refuse {
-                reason: RefuseReason::UnknownStream,
-                ..
-            }
-        )));
-    }
-
-    /// A PARAM carrying NACK ranges for an established session is
-    /// routed to that stream's rebroadcaster, which re-multicasts the
-    /// cached packets; an unknown session id is ignored.
+    /// The protocol is `es_proto::server`'s to test; this is the
+    /// driver: a NACK PARAM heard on the announce group comes back out
+    /// of the stream's producer as re-multicast data packets.
     #[test]
     fn param_nack_routes_to_the_rebroadcaster() {
         let mut sim = Sim::new(13);
         let lan = Lan::new(LanConfig::default());
         let producer = lan.attach("producer-host");
-        let announce = McastGroup(0);
-        let data_group = McastGroup(5);
+        let spec = SessionSpec::new(McastGroup(0)).session_timeout(SimDuration::from_secs(10));
+        let (announce, data_group) = (spec.announce_group, McastGroup(5));
         let (slave, master) = es_vad::vad_pair(es_vad::VadMode::KernelThread {
             poll: SimDuration::from_millis(10),
         });
-        let mut rcfg = es_rebroadcast::RebroadcasterConfig::new(1, data_group);
+        let mut rcfg = RebroadcasterConfig::new(1, data_group);
         rcfg.tx.policy = es_rebroadcast::CompressionPolicy::Never;
         let rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
         let _app = es_rebroadcast::AudioApp::start(
             &mut sim,
-            std::rc::Rc::new(slave),
+            Rc::new(slave),
             es_audio::AudioConfig::CD,
             Box::new(es_audio::gen::Sine::new(440.0, 44_100, 0.5)),
             SimDuration::from_secs(3),
@@ -973,16 +551,12 @@ mod tests {
             0,
             &es_rebroadcast::CompressionPolicy::paper_default(),
         );
-        let broker = SessionBroker::start(
-            &mut sim,
-            &lan,
-            producer,
-            announce,
-            vec![(info, rb.clone())],
-            SimDuration::from_secs(10),
-            SimDuration::from_millis(500),
-            None,
-        );
+        let producers = Rc::new(Producers {
+            primaries: vec![rb.clone()],
+            standbys: vec![],
+        });
+        let broker =
+            SessionBroker::start(&mut sim, &lan, producer, &spec, vec![info], producers, None);
 
         let client_node = lan.attach("es1");
         lan.join(client_node, announce);
@@ -998,50 +572,34 @@ mod tests {
                 _ => {}
             },
         );
-        let send = move |sim: &mut Sim, lan: &Lan, pkt: &SessionPacket| {
-            let bytes = Bytes::from(encode_session(pkt).to_vec());
-            lan.send(sim, client_node, Dest::Multicast(announce), bytes);
-        };
+        let wire = |pkt: &SessionPacket| Bytes::from(encode_session(pkt).to_vec());
+        let to_broker = Dest::Multicast(announce);
 
+        let setup = wire(&SessionPacket::Setup {
+            speaker: "es1".into(),
+            stream_id: 1,
+            codec: 0,
+            playout_delay_us: 150_000,
+            caps: Capabilities::any(),
+        });
         let l2 = lan.clone();
         sim.schedule_at(SimTime::from_millis(10), move |sim| {
-            send(
-                sim,
-                &l2,
-                &SessionPacket::Setup {
-                    speaker: "es1".into(),
-                    stream_id: 1,
-                    codec: 0,
-                    playout_delay_us: 150_000,
-                    caps: Capabilities::any(),
-                },
-            );
+            l2.send(sim, client_node, to_broker, setup);
         });
         sim.run_until(SimTime::from_secs(2));
-        let sid = inbox
-            .borrow()
-            .iter()
-            .find_map(|p| match p {
-                SessionPacket::SetupAck { session_id, .. } => Some(*session_id),
-                _ => None,
-            })
-            .expect("session granted");
+        let granted = inbox.borrow().iter().find_map(SessionPacket::session_id);
+        let sid = granted.expect("session granted");
+        assert_eq!(broker.sessions_active(), 1);
         let max_seq = *data_seqs.borrow().iter().max().expect("data flowed");
 
         // NACK two recent sequences, plus one for a session the broker
         // has never heard of.
+        let ours = wire(&SessionPacket::param_nack(sid, vec![(max_seq - 1, 2)]));
+        let nobodys = wire(&SessionPacket::param_nack(sid + 999, vec![(0, 1)]));
         let l3 = lan.clone();
         sim.schedule_at(SimTime::from_millis(2_010), move |sim| {
-            send(
-                sim,
-                &l3,
-                &SessionPacket::param_nack(sid, vec![(max_seq - 1, 2)]),
-            );
-            send(
-                sim,
-                &l3,
-                &SessionPacket::param_nack(sid.wrapping_add(999), vec![(0, 1)]),
-            );
+            l3.send(sim, client_node, to_broker, ours);
+            l3.send(sim, client_node, to_broker, nobodys);
         });
         sim.run_until(SimTime::from_millis(2_500));
 

@@ -16,12 +16,12 @@
 //!    stronger protection), raised for the whole channel when any
 //!    receiver is *sustainedly* sick, lowered when the whole fleet has
 //!    been healthy for a while.
-//! 2. **NACK retransmission** — receivers report missing sequence
-//!    ranges; the monitor relays them to the producer's retransmit
-//!    cache. The planner here only journals the decision shape.
+//! 2. **NACK retransmission** — a receiver asks the stream's live
+//!    producer for the sequence ranges it misses. Its own decision,
+//!    not this crate's; only counted here.
 //! 3. **Producer failover** — a warm standby adopts the stream clock
-//!    and session table when the primary stops emitting control
-//!    packets.
+//!    when the primary stops emitting control packets. The monitor's
+//!    stall check decides it; only counted here.
 //!
 //! Hysteresis (`raise_after` sick epochs before escalating,
 //! `recover_after` healthy epochs before relaxing) keeps a *flapping*
@@ -127,10 +127,7 @@ pub fn classify(policy: &HealPolicy, s: &EpochSample) -> Health {
     }
 }
 
-/// A repair decision. `RaiseFec`/`LowerFec`/`Recovered` come out of
-/// [`FleetDetector::end_epoch`]; `Retransmit` and `Failover` are
-/// constructed by the monitor from gap reports and control-packet
-/// stalls, using the same type so the journal speaks one language.
+/// A repair decision, as [`FleetDetector::end_epoch`] returns them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HealAction {
     /// Strengthen the channel's FEC one ladder rung.
@@ -147,15 +144,6 @@ pub enum HealAction {
         /// New parity-group size (`None` = parity off).
         to: Option<u8>,
     },
-    /// Ask the producer to re-multicast missed sequence ranges.
-    Retransmit {
-        /// Receiver that reported the gaps.
-        target: String,
-        /// `(first_seq, count)` ranges to refill.
-        ranges: Vec<(u32, u16)>,
-    },
-    /// Promote the standby producer.
-    Failover,
     /// A formerly Sick receiver has stayed healthy `recover_after`
     /// epochs.
     Recovered {

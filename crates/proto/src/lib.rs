@@ -17,6 +17,10 @@
 //! - [`session`]: the negotiated control plane — discovery, capability
 //!   negotiation, per-receiver sessions with keepalive/flush/teardown —
 //!   as pure, deterministic state machines over the same framing.
+//! - [`server`]: the producer side of that plane, [`SessionServer`] —
+//!   line-up, per-stream session tables, grants, expiry and NACK
+//!   routing as `(now, packet) → actions`, stepped by a simulator
+//!   driver and a UDP driver.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -26,6 +30,7 @@ pub mod crc;
 pub mod fec;
 pub mod monitor;
 pub mod packet;
+pub mod server;
 pub mod session;
 pub mod sha256;
 
@@ -38,6 +43,7 @@ pub use packet::{
     ControlPacket, DataPacket, Packet, StreamInfo, WireError, FLAG_AUTHENTICATED, FLAG_PRIORITY,
     RECOMMENDED_MAX_PAYLOAD,
 };
+pub use server::{BrokerStats, ServerAction, SessionServer};
 pub use session::{
     encode_session, encode_session_into, negotiate, Capabilities, ClientAction, ClientPhase,
     DeviceClass, Grant, RefuseReason, SessionClient, SessionClientConfig, SessionEntry,

@@ -13,14 +13,13 @@
 //! - optionally bills encode work to a [`SimCpu`] (the Figure 4 CPU
 //!   model): the send happens when the CPU finishes, which is the
 //!   compression latency the paper mentions,
-//! - multicasts what the core sealed, arms the control timer, journals,
-//!   and carries the stream's [`SessionTable`].
+//! - multicasts what the core sealed, arms the control timer and
+//!   journals.
 
 use bytes::Bytes;
 
 use es_audio::AudioConfig;
 use es_net::{Lan, McastGroup, NodeId};
-use es_proto::{SessionEntry, SessionTable};
 use es_sim::{shared, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime};
 use es_telemetry::{Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{MasterItem, VadMaster};
@@ -60,10 +59,6 @@ struct ProducerState {
     /// re-arms its readable waiter, leaving queued items for the
     /// promoted standby.
     detached: bool,
-    /// Negotiated receivers of this stream (empty in static mode). The
-    /// broker in `es-core` drives open/touch/expire; the table lives
-    /// here because its lifecycle counters are producer telemetry.
-    sessions: SessionTable,
     journal: Option<Journal>,
 }
 
@@ -116,7 +111,6 @@ impl Rebroadcaster {
             group: cfg.group,
             cpu: cfg.cpu,
             detached: false,
-            sessions: SessionTable::new(),
             journal: None,
         });
         let rb = Rebroadcaster {
@@ -345,29 +339,24 @@ impl Rebroadcaster {
     }
 
     /// Promotes this standby to primary: detaches `primary`, adopts its
-    /// stream state and session table (so granted sessions and play
-    /// deadlines survive the failover bit-for-bit), then starts reading
-    /// the shared VAD and announces itself with an immediate control
-    /// packet. No-op unless this instance is a standby.
+    /// stream state (so play deadlines survive the failover
+    /// bit-for-bit), then starts reading the shared VAD and announces
+    /// itself with an immediate control packet. No-op unless this
+    /// instance is a standby.
     pub fn promote(&self, sim: &mut Sim, primary: &Rebroadcaster) {
         if !self.is_standby() {
             return;
         }
         primary.detach(sim);
-        let (at_seq, sessions) = {
+        let at_seq = {
             let prim = primary.state.borrow();
-            let mut st = self.state.borrow_mut();
-            st.sessions = prim.sessions.clone();
-            (st.tx.promote(&prim.tx), st.sessions.active())
+            self.state.borrow_mut().tx.promote(&prim.tx)
         };
         self.journal_stream(
             sim,
             Severity::Warn,
             "standby promoted",
-            &[
-                ("at_seq", at_seq.to_string()),
-                ("sessions_adopted", sessions.to_string()),
-            ],
+            &[("at_seq", at_seq.to_string())],
         );
         self.arm_reader(sim);
         self.send_control(sim);
@@ -399,97 +388,17 @@ impl Rebroadcaster {
         self.state.borrow_mut().journal = Some(journal);
     }
 
-    /// Records a newly negotiated session for this stream.
-    pub fn open_session(&self, sim: &mut Sim, entry: SessionEntry) {
-        let fields = [
-            ("session_id", entry.session_id.to_string()),
-            ("speaker", entry.speaker.clone()),
-        ];
-        self.state.borrow_mut().sessions.open(entry);
-        self.journal_stream(sim, Severity::Info, "session opened", &fields);
-    }
-
-    /// Refreshes a session's liveness (KEEPALIVE); false if unknown.
-    pub fn touch_session(&self, session_id: u32, now_us: u64) -> bool {
-        self.state.borrow_mut().sessions.touch(session_id, now_us)
-    }
-
-    /// Removes a session on TEARDOWN; returns the closed entry.
-    pub fn close_session(&self, sim: &mut Sim, session_id: u32) -> Option<SessionEntry> {
-        let entry = self.state.borrow_mut().sessions.close(session_id);
-        if let Some(e) = &entry {
-            self.journal_session(sim, Severity::Info, "session closed", e);
-        }
-        entry
-    }
-
-    /// Expires sessions silent past `timeout_us`, journaling each;
-    /// the expired entries are returned so the broker can notify the
-    /// receivers with TEARDOWN packets.
-    pub fn expire_sessions(
-        &self,
-        sim: &mut Sim,
-        now_us: u64,
-        timeout_us: u64,
-    ) -> Vec<SessionEntry> {
-        let dead = self.state.borrow_mut().sessions.expire(now_us, timeout_us);
-        for e in &dead {
-            self.journal_session(sim, Severity::Warn, "session expired", e);
-        }
-        dead
-    }
-
-    fn journal_session(&self, sim: &Sim, severity: Severity, message: &str, e: &SessionEntry) {
-        let fields = [
-            ("session_id", e.session_id.to_string()),
-            ("speaker", e.speaker.clone()),
-        ];
-        self.journal(sim, severity, message, &fields);
-    }
-
-    /// The live session held by `speaker`, if any (SETUP retries from
-    /// a receiver that missed the ACK re-grant the same session).
-    pub fn find_session(&self, speaker: &str) -> Option<SessionEntry> {
-        self.state
-            .borrow()
-            .sessions
-            .find_by_speaker(speaker)
-            .cloned()
-    }
-
-    /// Live negotiated-session count for this stream.
-    pub fn sessions_active(&self) -> usize {
-        self.state.borrow().sessions.active()
-    }
-
-    /// Snapshot of every live session, ascending by session id.
-    pub fn session_entries(&self) -> Vec<SessionEntry> {
-        self.state.borrow().sessions.iter().cloned().collect()
-    }
-
-    /// Session lifecycle counters `(opened, expired, closed)`.
-    pub fn session_counts(&self) -> (u64, u64, u64) {
-        let st = self.state.borrow();
-        (st.sessions.opened, st.sessions.expired, st.sessions.closed)
-    }
-
-    /// Records producer counters, the compression ratio, rate-limiter
-    /// sleeps and session-table lifecycle into `registry` under
-    /// component `rebroadcast`.
+    /// Records producer counters, the compression ratio and
+    /// rate-limiter sleeps into `registry` under component
+    /// `rebroadcast`.
     pub fn record_telemetry(&self, registry: &mut Registry) {
         let st = self.state.borrow();
         st.tx.stats.record(registry);
         st.tx.config().rate_limiter.stats().record(registry);
-        registry
-            .component("rebroadcast")
-            .gauge(
-                "control_interval_ms",
-                st.tx.config().control_interval.as_millis() as f64,
-            )
-            .counter("sessions_opened", st.sessions.opened)
-            .counter("sessions_expired", st.sessions.expired)
-            .counter("sessions_closed", st.sessions.closed)
-            .gauge("sessions_active", st.sessions.active() as f64);
+        registry.component("rebroadcast").gauge(
+            "control_interval_ms",
+            st.tx.config().control_interval.as_millis() as f64,
+        );
     }
 
     /// The stream's current audio configuration (meaningful once

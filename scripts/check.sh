@@ -87,12 +87,15 @@ done
 # producer→speaker roundtrip over real loopback multicast. Sandboxes
 # without it print a `SKIPPED:` marker per skipped test instead of
 # passing silently; the count is part of the gate's output so a CI
-# environment that never exercises the UDP path is visible. The
-# socket-free half of the live producer (one_send_path: rate limiter,
-# FEC, auth under a fake clock) cannot skip, so it runs here too.
+# environment that never exercises the UDP path is visible. What
+# cannot skip is the socket-free half of each: the broker's protocol
+# (es-proto's `server` unit tests — session_udp only drives it over
+# sockets) and the live producer's (one_send_path: rate limiter, FEC,
+# auth under a fake clock), so both run here too.
 echo "== live-udp smokes (skips surfaced)"
 udp_out=$({
     cargo test -q --test session_udp -- --nocapture &&
+        cargo test -q -p es-proto server -- --nocapture &&
         cargo test -q -p es-core live_ -- --nocapture &&
         cargo test -q -p es-core --test one_send_path -- --nocapture
 } 2>&1) || {

@@ -5,8 +5,9 @@
 //! schedule fails before its invariants are even evaluated. On failure
 //! every assertion prints the reproducing one-liner, e.g.
 //! `ES_CHAOS_SEED=61 cargo test --test healing producer_failover`.
-//! Two fleet-sized runs at the end hold receiver-originated repair to
-//! its deadline, over the session wire and through the monitor.
+//! Fleet-sized runs at the end hold receiver-originated repair to its
+//! deadline, over the session wire and through the monitor — and past
+//! the death of the producer that was doing the repairing.
 //!
 //! Scenario shape matches the chaos tier: one CD channel streaming
 //! 5 virtual seconds, two or three speakers, a 7-second run, probes
@@ -18,7 +19,7 @@ use es_core::{ChannelSpec, HealSpec, SessionSpec, Source, SpeakerSpec, SystemBui
 use es_heal::HealPolicy;
 use es_net::{LanConfig, McastGroup};
 use es_proto::{Packet, SessionPacket};
-use es_sim::SimDuration;
+use es_sim::{SimDuration, SimTime};
 use es_telemetry::MetricsSnapshot;
 
 const STREAM: SimDuration = SimDuration::from_secs(5);
@@ -425,10 +426,12 @@ fn heal_actions_are_deterministic() {
 }
 
 /// Sixteen concealing speakers behind 5 % bursty loss, FEC 4+1 and
-/// the healing plane, 20 virtual seconds of music: the metrics at the
-/// end, and how many PARAMs with a non-empty NACK list a tap on the
-/// announce group saw. `ES_CHAOS_SEED` overrides `seed`.
-fn repair_fleet(seed: u64, negotiated: bool) -> (u64, MetricsSnapshot, usize) {
+/// the healing plane, 20 virtual seconds of music: the metrics at 7 s
+/// and at the end, and how many PARAMs with a non-empty NACK list a
+/// tap on the announce group saw. With `failover` a warm standby is
+/// on and the primary dies at 5 s, for good; the monitor has promoted
+/// the standby by 6.2 s. `ES_CHAOS_SEED` overrides `seed`.
+fn repair_fleet(seed: u64, negotiated: bool, failover: bool) -> (u64, [MetricsSnapshot; 2], usize) {
     let seed = std::env::var("ES_CHAOS_SEED")
         .ok()
         .and_then(|s| s.trim().parse().ok())
@@ -439,10 +442,15 @@ fn repair_fleet(seed: u64, negotiated: bool) -> (u64, MetricsSnapshot, usize) {
         .source(Source::Music)
         .duration(stream)
         .fec_group(4);
+    let heal = if failover {
+        HealSpec::new().standby()
+    } else {
+        HealSpec::new()
+    };
     let mut b = SystemBuilder::new(seed)
         .lan(LanConfig::bursty(0.05, 3.0))
         .channel(channel)
-        .healing(HealSpec::new());
+        .healing(heal);
     if negotiated {
         b = b.sessions(SessionSpec::new(announce));
     }
@@ -466,23 +474,49 @@ fn repair_fleet(seed: u64, negotiated: bool) -> (u64, MetricsSnapshot, usize) {
             *seen.borrow_mut() += usize::from(!nack.is_empty());
         }
     });
-    sys.run_for(stream + SimDuration::from_secs(2));
+    if failover {
+        let primary = sys.rebroadcaster(0).clone();
+        sys.sim
+            .schedule_at(SimTime::from_secs(5), move |sim| primary.crash(sim));
+    }
+    sys.run_until(SimTime::from_secs(7));
+    let at_7s = sys.metrics();
+    sys.run_until(SimTime::ZERO + stream + SimDuration::from_secs(2));
     let nacks = *nacks.borrow();
-    (seed, sys.metrics(), nacks)
+    (seed, [at_7s, sys.metrics()], nacks)
 }
 
-/// Runs [`repair_fleet`] twice, demands identical metrics, and holds
-/// the run to the deadline: at most 1 % of blocks concealed or late,
-/// at most 5 % of refills past their block's deadline.
-fn repair_meets_the_deadline(test: &str, seed: u64, negotiated: bool) -> (MetricsSnapshot, usize) {
-    let (seed, m, nacks) = repair_fleet(seed, negotiated);
+/// Runs [`repair_fleet`] twice and demands identical metrics; returns
+/// the reproducing one-liner with them.
+fn repair_fleet_twice(
+    test: &str,
+    seed: u64,
+    negotiated: bool,
+    failover: bool,
+) -> (String, [MetricsSnapshot; 2], usize) {
+    let (seed, m, nacks) = repair_fleet(seed, negotiated, failover);
     let repro = format!("ES_CHAOS_SEED={seed} cargo test --test healing {test}");
-    let (_, again, nacks_again) = repair_fleet(seed, negotiated);
+    let (_, again, nacks_again) = repair_fleet(seed, negotiated, failover);
     assert_eq!(
-        (m.to_json_lines(), nacks),
-        (again.to_json_lines(), nacks_again),
+        (m[1].to_json_lines(), nacks),
+        (again[1].to_json_lines(), nacks_again),
         "NONDETERMINISM — reproduce with: {repro}"
     );
+    (repro, m, nacks)
+}
+
+/// Fleet-wide `[blocks concealed or late, blocks due]`.
+fn missed_of_blocks(m: &MetricsSnapshot) -> [u64; 2] {
+    let sum = |name| m.sum_counters("speaker", name);
+    let late = sum("deadline_misses");
+    [sum("concealed_packets") + late, sum("data_packets") + late]
+}
+
+/// Holds a run of [`repair_fleet`] to the deadline: at most 1 % of
+/// blocks concealed or late, at most 5 % of refills past their block's
+/// deadline.
+fn repair_meets_the_deadline(test: &str, seed: u64, negotiated: bool) -> (MetricsSnapshot, usize) {
+    let (repro, [_, m], nacks) = repair_fleet_twice(test, seed, negotiated, false);
     let sum = |name| m.sum_counters("speaker", name);
     assert!(
         sum("fec_recovered") > 0,
@@ -493,8 +527,7 @@ fn repair_meets_the_deadline(test: &str, seed: u64, negotiated: bool) -> (Metric
         refills > 50,
         "only {refills} refills under 5 % loss\n  {repro}"
     );
-    let missed = sum("concealed_packets") + sum("deadline_misses");
-    let blocks = sum("data_packets") + sum("deadline_misses");
+    let [missed, blocks] = missed_of_blocks(&m);
     assert!(
         missed * 100 <= blocks,
         "{missed} of {blocks} blocks concealed or late\n  {repro}"
@@ -536,4 +569,37 @@ fn static_fleet_repairs_through_the_monitor() {
     let requested = m.counter("heal/heal0/retransmits_requested").unwrap_or(0);
     assert!(requested > 50, "the monitor relayed {requested} NACKs");
     assert!(m.counter("rebroadcast/ch0/retransmits_sent").unwrap_or(0) > 50);
+}
+
+/// Repair outlives the producer that was doing it. Whoever a speaker
+/// NACKs through — the monitor, or its session with the broker — the
+/// request has to reach the promoted standby, not the primary's
+/// corpse: from 7 s on the standby retransmits, refills land, and the
+/// fleet is held to the same 1 % as before the crash.
+#[test]
+fn repair_survives_failover() {
+    for (fleet, negotiated) in [("static", false), ("negotiated", true)] {
+        let test = "repair_survives_failover";
+        let (repro, [after, end], _) = repair_fleet_twice(test, 71, negotiated, true);
+        let which = format!("{fleet} fleet\n  {repro}");
+        assert_eq!(end.counter("heal/heal0/failovers"), Some(1), "{which}");
+        let resent = end
+            .counter_delta(&after, "rebroadcast/standby0/retransmits_sent")
+            .unwrap_or(0);
+        assert!(resent > 50, "the standby re-sent {resent} packets: {which}");
+        let refills = |m: &MetricsSnapshot| m.sum_counters("speaker", "refills_received");
+        assert!(
+            refills(&end) > refills(&after) + 50,
+            "refills {} -> {}: {which}",
+            refills(&after),
+            refills(&end)
+        );
+        let ([missed_7s, blocks_7s], [missed, blocks]) =
+            (missed_of_blocks(&after), missed_of_blocks(&end));
+        let (missed, blocks) = (missed - missed_7s, blocks - blocks_7s);
+        assert!(
+            missed * 100 <= blocks,
+            "{missed} of {blocks} blocks concealed or late after the failover: {which}"
+        );
+    }
 }

@@ -1,25 +1,27 @@
 //! Smoke test: the session control plane over real UDP loopback
 //! multicast — one broker thread serving 8 concurrent receiver
-//! handshakes from a single `SessionTable`.
+//! handshakes from a single `SessionServer`.
 //!
-//! The pure state machines (`SessionClient`, `SessionTable`,
-//! `negotiate`) run here exactly as they do in the simulator; only the
-//! transport differs. Time is synthetic — each loop iteration advances
-//! a per-thread microsecond clock — so the determinism lints hold and
-//! the handshake logic, not the host clock, drives the protocol.
-//! Sandboxes that forbid multicast skip *explicitly*: every skip
-//! prints a `SKIPPED:` marker to stdout (run with `--nocapture`) and
-//! journals the reason, so `scripts/check.sh` can count skips instead
-//! of mistaking an unsupported sandbox for a green run.
+//! This is the broker's socket driver, as `es_core::SessionBroker` is
+//! its simulator driver: `recv` → `on_packet` / `sweep` → `send`, with
+//! no protocol of its own. The state machines (`SessionServer`,
+//! `SessionClient`) run here exactly as they do in the simulator; only
+//! the transport differs. Time is synthetic — each loop iteration
+//! advances a per-thread microsecond clock — so the determinism lints
+//! hold and the handshake logic, not the host clock, drives the
+//! protocol. Sandboxes that forbid multicast skip *explicitly*: every
+//! skip prints a `SKIPPED:` marker to stdout (run with `--nocapture`)
+//! and journals the reason, so `scripts/check.sh` can count skips
+//! instead of mistaking an unsupported sandbox for a green run.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use es_net::udp::{McastReceiver, McastSender};
 use es_proto::{
-    encode_session, negotiate, Capabilities, ClientAction, ClientPhase, Packet, SessionClient,
-    SessionClientConfig, SessionEntry, SessionPacket, SessionTable, StreamInfo, TeardownReason,
+    encode_session, Capabilities, ClientAction, ClientPhase, Packet, ServerAction, SessionClient,
+    SessionClientConfig, SessionPacket, SessionServer, StreamInfo, TeardownReason,
 };
 use es_telemetry::{Journal, Severity, Stamp};
 
@@ -59,26 +61,41 @@ fn radio_info() -> StreamInfo {
     }
 }
 
-struct BrokerOutcome {
-    max_concurrent: usize,
+/// Carries out what the server decided: a reply goes down the socket
+/// of the client that was heard (`bind_reusable` admits a single
+/// receiver per port per process, so each client has its own pair),
+/// an announcement down all of them. No producer stands behind this
+/// broker and nobody reads a journal, so the rest is dropped.
+fn carry_out(txs: &[McastSender], from: Option<usize>, out: &mut Vec<ServerAction>) {
+    for action in out.drain(..) {
+        match (action, from) {
+            (ServerAction::Reply(pkt), Some(i)) => {
+                let _ = txs[i].send(&encode_session(&pkt));
+            }
+            (ServerAction::Announce(pkt), _) => {
+                let bytes = encode_session(&pkt);
+                for tx in txs {
+                    let _ = tx.send(&bytes);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
-/// The broker loop: one `SessionTable`, eight receiver sockets (one
-/// UDP port per client — `bind_reusable` admits a single receiver per
-/// port per process), grants via `negotiate`.
-#[allow(clippy::too_many_arguments)]
+/// The broker loop; returns the most sessions it held at once, and
+/// the server for its tables.
 fn broker_loop(
     rxs: Vec<McastReceiver>,
     txs: Vec<McastSender>,
-    table: Arc<Mutex<SessionTable>>,
     stop: Arc<AtomicBool>,
-) -> BrokerOutcome {
-    let info = radio_info();
+) -> (usize, SessionServer) {
+    // Never expire a session mid-test.
+    let mut server = SessionServer::new(vec![radio_info()], 60_000_000);
     let mut now_us: u64 = 0;
-    let mut next_sid: u32 = 1;
-    let mut offer_seq: u32 = 0;
     let mut max_concurrent = 0usize;
     let mut buf = vec![0u8; 2_048];
+    let mut out = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         now_us += TICK_US;
         for (i, rx) in rxs.iter().enumerate() {
@@ -88,80 +105,14 @@ fn broker_loop(
             let Ok(Packet::Session(sp)) = es_proto::decode(&buf[..n]) else {
                 continue;
             };
-            match sp {
-                SessionPacket::Discover { .. } => {
-                    let offer = SessionPacket::Offer {
-                        seq: offer_seq,
-                        streams: vec![info.clone()],
-                    };
-                    offer_seq += 1;
-                    let _ = txs[i].send(&encode_session(&offer));
-                }
-                SessionPacket::Setup {
-                    speaker,
-                    stream_id,
-                    codec,
-                    playout_delay_us,
-                    caps,
-                } => {
-                    let mut table = table.lock().unwrap();
-                    // Idempotent re-grant on SETUP retry, as in the sim
-                    // broker.
-                    let existing = table.find_by_speaker(&speaker).cloned();
-                    let reply = if let Some(e) = existing {
-                        SessionPacket::SetupAck {
-                            session_id: e.session_id,
-                            speaker,
-                            stream_id: e.stream_id,
-                            group: info.group,
-                            codec: e.codec,
-                            playout_delay_us: e.playout_delay_us,
-                        }
-                    } else {
-                        match negotiate(&info, &caps, codec, playout_delay_us) {
-                            Ok(grant) => {
-                                let session_id = next_sid;
-                                next_sid += 1;
-                                table.open(SessionEntry {
-                                    session_id,
-                                    speaker: speaker.clone(),
-                                    stream_id,
-                                    codec: grant.codec,
-                                    playout_delay_us: grant.playout_delay_us,
-                                    opened_at_us: now_us,
-                                    last_seen_us: now_us,
-                                });
-                                max_concurrent = max_concurrent.max(table.active());
-                                SessionPacket::SetupAck {
-                                    session_id,
-                                    speaker,
-                                    stream_id,
-                                    group: grant.group,
-                                    codec: grant.codec,
-                                    playout_delay_us: grant.playout_delay_us,
-                                }
-                            }
-                            Err(reason) => SessionPacket::Refuse {
-                                speaker,
-                                stream_id,
-                                reason,
-                            },
-                        }
-                    };
-                    drop(table);
-                    let _ = txs[i].send(&encode_session(&reply));
-                }
-                SessionPacket::Keepalive { session_id } => {
-                    table.lock().unwrap().touch(session_id, now_us);
-                }
-                SessionPacket::Teardown { session_id, .. } => {
-                    table.lock().unwrap().close(session_id);
-                }
-                _ => {}
-            }
+            server.on_packet(now_us, &sp, &mut out);
+            carry_out(&txs, Some(i), &mut out);
+            max_concurrent = max_concurrent.max(server.sessions_active());
         }
+        server.sweep(now_us, &mut out);
+        carry_out(&txs, None, &mut out);
     }
-    BrokerOutcome { max_concurrent }
+    (max_concurrent, server)
 }
 
 struct ClientOutcome {
@@ -282,13 +233,12 @@ fn eight_concurrent_sessions_over_udp_loopback() {
         }
     }
 
-    let table = Arc::new(Mutex::new(SessionTable::new()));
     let stop = Arc::new(AtomicBool::new(false));
     let established_count = Arc::new(AtomicUsize::new(0));
 
     let broker = {
-        let (table, stop) = (table.clone(), stop.clone());
-        std::thread::spawn(move || broker_loop(broker_rxs, broker_txs, table, stop))
+        let stop = stop.clone();
+        std::thread::spawn(move || broker_loop(broker_rxs, broker_txs, stop))
     };
     let clients: Vec<_> = client_sockets
         .into_iter()
@@ -306,7 +256,7 @@ fn eight_concurrent_sessions_over_udp_loopback() {
     // Give the broker a beat to absorb the final teardowns, then stop.
     std::thread::sleep(Duration::from_millis(100));
     stop.store(true, Ordering::Relaxed);
-    let broker_outcome = broker.join().expect("broker thread");
+    let (max_concurrent, server) = broker.join().expect("broker thread");
 
     if outcomes.iter().all(|o| !o.heard_any) {
         skip(&journal, "no multicast loopback delivery".into());
@@ -320,10 +270,10 @@ fn eight_concurrent_sessions_over_udp_loopback() {
         );
     }
     assert_eq!(
-        broker_outcome.max_concurrent, CLIENTS,
+        max_concurrent, CLIENTS,
         "all {CLIENTS} sessions must be open simultaneously"
     );
-    let table = table.lock().unwrap();
+    let table = server.table(0);
     assert_eq!(table.opened, CLIENTS as u64, "one grant per client");
     assert_eq!(table.closed, CLIENTS as u64, "every teardown processed");
     assert_eq!(table.active(), 0, "table drained after the teardowns");

@@ -601,7 +601,16 @@ impl SystemBuilder {
                 }
             }
         }
+        // Metrics instances, the detector's receivers and their
+        // baselines are all keyed by name.
+        let mut seen_names = std::collections::BTreeSet::new();
         for spec in &self.speakers {
+            if !seen_names.insert(&spec.config.name) {
+                return Err(Error::Config(format!(
+                    "duplicate speaker name '{}'",
+                    spec.config.name
+                )));
+            }
             if let Some(channel) = &spec.channel {
                 if self.sessions.is_none() {
                     return Err(Error::Config(format!(
@@ -745,119 +754,82 @@ impl SystemBuilder {
             )
         });
 
-        // Under a healing plane every speaker repairs its own losses:
-        // a negotiated one NACKs over its session, a statically wired
-        // one through the monitor, which starts once they all exist.
-        let heal_slot: Shared<Option<HealMonitor>> = es_sim::shared(None);
-        let repairs = self.healing.is_some();
-
-        let mut speakers = Vec::new();
-        for spec in self.speakers {
-            let segment = spec.segment;
-            if let Some(channel) = spec.channel {
+        let speakers: Rc<[SpeakerHandle]> =
+            self.speakers.iter().map(|_| Default::default()).collect();
+        let heal = self.healing.map(|spec| {
+            let (producers, speakers) = (producers.clone(), speakers.clone());
+            HealMonitor::new(spec, producers, speakers, broker.clone(), journal.clone())
+        });
+        for (spec, handle) in self.speakers.into_iter().zip(speakers.iter().cloned()) {
+            let session = spec.channel.map(|channel| {
                 let ses = self.sessions.as_ref().expect("validated above");
                 let mut ccfg = SessionClientConfig::new(spec.config.name.clone(), channel);
-                ccfg.caps = spec.caps.clone();
+                ccfg.caps = spec.caps;
                 ccfg.discover_interval_us = ses.discover_interval.as_micros();
                 ccfg.setup_retry_us = ses.setup_retry.as_micros();
                 ccfg.keepalive_interval_us = ses.keepalive_interval.as_micros();
                 ccfg.session_timeout_us = ses.session_timeout.as_micros();
-                let announce = ses.announce_group;
-                if spec.start_at.is_zero() {
-                    let ns = NegotiatedSpeaker::start(
-                        &mut sim,
-                        &lan,
-                        spec.config,
-                        announce,
-                        ccfg,
-                        Some(journal.clone()),
-                    );
-                    lan.set_segment(ns.speaker().node(), segment);
-                    if repairs {
-                        ns.nack_over_session();
-                    }
-                    speakers.push(SpeakerHandle::Negotiated(ns));
-                } else {
-                    let slot: Shared<Option<NegotiatedSpeaker>> = es_sim::shared(None);
-                    let slot2 = slot.clone();
-                    let lan2 = lan.clone();
-                    let cfg = spec.config;
-                    let j2 = journal.clone();
-                    sim.schedule_in(spec.start_at, move |sim| {
-                        let ns =
-                            NegotiatedSpeaker::start(sim, &lan2, cfg, announce, ccfg, Some(j2));
-                        lan2.set_segment(ns.speaker().node(), segment);
-                        if repairs {
+                (ses.announce_group, ccfg)
+            });
+            let (lan, journal, heal) = (lan.clone(), journal.clone(), heal.clone());
+            // Under a healing plane every speaker repairs its own
+            // losses: a negotiated one NACKs over its session, a
+            // statically wired one through the monitor.
+            let power_on = move |sim: &mut Sim| {
+                let powered = match session {
+                    Some((announce, ccfg)) => {
+                        let ns = NegotiatedSpeaker::start(
+                            sim,
+                            &lan,
+                            spec.config,
+                            announce,
+                            ccfg,
+                            Some(journal),
+                        );
+                        lan.set_segment(ns.speaker().node(), spec.segment);
+                        if heal.is_some() {
                             ns.nack_over_session();
                         }
-                        *slot2.borrow_mut() = Some(ns);
-                    });
-                    speakers.push(SpeakerHandle::DeferredNegotiated(slot));
-                }
-            } else if spec.start_at.is_zero() {
-                let spk = EthernetSpeaker::start(&mut sim, &lan, spec.config);
-                lan.set_segment(spk.node(), segment);
-                spk.set_journal(journal.clone());
-                if repairs {
-                    nack_via_monitor(&spk, &heal_slot);
-                }
-                speakers.push(SpeakerHandle::Ready(spk));
-            } else {
-                let slot: Shared<Option<EthernetSpeaker>> = es_sim::shared(None);
-                let slot2 = slot.clone();
-                let lan2 = lan.clone();
-                let cfg = spec.config;
-                let j2 = journal.clone();
-                let heal2 = heal_slot.clone();
-                sim.schedule_in(spec.start_at, move |sim| {
-                    let spk = EthernetSpeaker::start(sim, &lan2, cfg);
-                    lan2.set_segment(spk.node(), segment);
-                    spk.set_journal(j2.clone());
-                    if repairs {
-                        nack_via_monitor(&spk, &heal2);
+                        Powered::Negotiated(ns)
                     }
-                    *slot2.borrow_mut() = Some(spk);
-                });
-                speakers.push(SpeakerHandle::Deferred(slot));
+                    None => {
+                        let spk = EthernetSpeaker::start(sim, &lan, spec.config);
+                        lan.set_segment(spk.node(), spec.segment);
+                        spk.set_journal(journal);
+                        if let Some(mon) = &heal {
+                            mon.relay_nacks_of(&spk);
+                        }
+                        Powered::Static(spk)
+                    }
+                };
+                *handle.0.borrow_mut() = Some(powered);
+            };
+            // Inline at t=0: no event the build did not schedule before.
+            if spec.start_at.is_zero() {
+                power_on(&mut sim);
+            } else {
+                sim.schedule_in(spec.start_at, power_on);
             }
         }
-
-        let hub = MetricsHub {
-            lan,
-            producers,
-            relays,
-            apps,
-            speakers: Rc::new(speakers),
-            announcer,
-            broker,
-            heal: heal_slot,
-        };
-        let heal = self.healing.map(|spec| {
-            let mon = HealMonitor::start(&mut sim, hub.clone(), spec, journal.clone());
-            *hub.heal.borrow_mut() = Some(mon.clone());
-            mon
-        });
+        if let Some(mon) = &heal {
+            mon.start(&mut sim);
+        }
 
         Ok(EsSystem {
             sim,
-            hub,
-            heal,
+            hub: MetricsHub {
+                lan,
+                producers,
+                relays,
+                apps,
+                speakers,
+                announcer,
+                broker,
+                heal,
+            },
             journal,
         })
     }
-}
-
-/// Makes the healing monitor in `heal` the back channel of a
-/// statically wired speaker: its NACKs go to the stream's live
-/// producer through [`HealMonitor::retransmit_request`].
-fn nack_via_monitor(spk: &EthernetSpeaker, heal: &Shared<Option<HealMonitor>>) {
-    let (heal, from) = (heal.clone(), spk.clone());
-    spk.set_nack_handler(move |sim, ranges| {
-        let monitor = heal.borrow().clone();
-        if let Some(monitor) = monitor {
-            monitor.retransmit_request(sim, &from, ranges);
-        }
-    });
 }
 
 /// Every channel's producers, in declaration order.
@@ -880,59 +852,49 @@ impl Producers {
     }
 }
 
-#[derive(Clone)]
-pub(crate) enum SpeakerHandle {
-    Ready(EthernetSpeaker),
-    Deferred(Shared<Option<EthernetSpeaker>>),
+/// One declared speaker: empty until it powers on.
+#[derive(Clone, Default)]
+pub(crate) struct SpeakerHandle(Shared<Option<Powered>>);
+
+enum Powered {
+    Static(EthernetSpeaker),
     Negotiated(NegotiatedSpeaker),
-    DeferredNegotiated(Shared<Option<NegotiatedSpeaker>>),
 }
 
-/// Clone-shareable view of every component's telemetry handles: the
-/// one place the "walk the whole deployment and snapshot it" logic
-/// lives. [`EsSystem::metrics`] delegates here, and the healing
-/// monitor holds its own clone so it can read speakers and producers
-/// from inside simulator callbacks, where `EsSystem` itself is not
-/// reachable.
-#[derive(Clone)]
-pub(crate) struct MetricsHub {
-    pub(crate) lan: Lan,
-    pub(crate) producers: Rc<Producers>,
-    pub(crate) relays: Vec<SegmentRelay>,
-    pub(crate) apps: Vec<Shared<Option<AudioApp>>>,
-    pub(crate) speakers: Rc<Vec<SpeakerHandle>>,
-    pub(crate) announcer: Option<CatalogAnnouncer>,
-    pub(crate) broker: Option<SessionBroker>,
-    /// Back-reference filled in once the monitor starts, so its
-    /// counters appear in the same snapshot it produces.
-    pub(crate) heal: Shared<Option<HealMonitor>>,
+impl SpeakerHandle {
+    /// The speaker, negotiated or not, once powered on.
+    pub(crate) fn speaker(&self) -> Option<EthernetSpeaker> {
+        self.0.borrow().as_ref().map(|p| match p {
+            Powered::Static(spk) => spk.clone(),
+            Powered::Negotiated(ns) => ns.speaker().clone(),
+        })
+    }
+
+    /// Its session wrapper, for a powered negotiated speaker.
+    fn session(&self) -> Option<NegotiatedSpeaker> {
+        match self.0.borrow().as_ref()? {
+            Powered::Negotiated(ns) => Some(ns.clone()),
+            Powered::Static(_) => None,
+        }
+    }
+}
+
+/// Every component's telemetry handles: the one place the "walk the
+/// whole deployment and snapshot it" logic lives.
+/// [`EsSystem::metrics`] delegates here.
+struct MetricsHub {
+    lan: Lan,
+    producers: Rc<Producers>,
+    relays: Vec<SegmentRelay>,
+    apps: Vec<Shared<Option<AudioApp>>>,
+    speakers: Rc<[SpeakerHandle]>,
+    announcer: Option<CatalogAnnouncer>,
+    broker: Option<SessionBroker>,
+    heal: Option<HealMonitor>,
 }
 
 impl MetricsHub {
-    pub(crate) fn speaker_count(&self) -> usize {
-        self.speakers.len()
-    }
-
-    pub(crate) fn speaker(&self, i: usize) -> Option<EthernetSpeaker> {
-        match &self.speakers[i] {
-            SpeakerHandle::Ready(s) => Some(s.clone()),
-            SpeakerHandle::Deferred(slot) => slot.borrow().clone(),
-            SpeakerHandle::Negotiated(ns) => Some(ns.speaker().clone()),
-            SpeakerHandle::DeferredNegotiated(slot) => {
-                slot.borrow().as_ref().map(|ns| ns.speaker().clone())
-            }
-        }
-    }
-
-    pub(crate) fn session(&self, i: usize) -> Option<NegotiatedSpeaker> {
-        match &self.speakers[i] {
-            SpeakerHandle::Negotiated(ns) => Some(ns.clone()),
-            SpeakerHandle::DeferredNegotiated(slot) => slot.borrow().clone(),
-            _ => None,
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+    fn snapshot(&self) -> MetricsSnapshot {
         let mut reg = Registry::new();
         reg.set_instance("lan0");
         self.lan.stats().record(&mut reg);
@@ -962,12 +924,14 @@ impl MetricsHub {
             reg.set_instance(&format!("relay{i}"));
             relay.stats().record(&mut reg);
         }
-        for i in 0..self.speakers.len() {
-            let Some(spk) = self.speaker(i) else { continue };
+        for handle in self.speakers.iter() {
+            let Some(spk) = handle.speaker() else {
+                continue;
+            };
             reg.set_instance(&spk.name());
             spk.record_telemetry(&mut reg);
             spk.device().stats().record(&mut reg);
-            if let Some(ns) = self.session(i) {
+            if let Some(ns) = handle.session() {
                 ns.record_telemetry(&mut reg);
             }
         }
@@ -979,7 +943,7 @@ impl MetricsHub {
             reg.set_instance("broker");
             b.record_telemetry(&mut reg);
         }
-        if let Some(m) = self.heal.borrow().as_ref() {
+        if let Some(m) = &self.heal {
             reg.set_instance("heal0");
             m.stats().record(&mut reg);
         }
@@ -992,7 +956,6 @@ pub struct EsSystem {
     /// The simulator; exposed for custom event scheduling.
     pub sim: Sim,
     hub: MetricsHub,
-    heal: Option<HealMonitor>,
     journal: Journal,
 }
 
@@ -1035,7 +998,7 @@ impl EsSystem {
 
     /// The healing monitor, if [`SystemBuilder::healing`] was set.
     pub fn heal(&self) -> Option<&HealMonitor> {
-        self.heal.as_ref()
+        self.hub.heal.as_ref()
     }
 
     /// The application driving channel `i` (None before its start
@@ -1047,18 +1010,18 @@ impl EsSystem {
     /// Speaker `i` (None before its power-on time). Negotiated
     /// speakers resolve to their underlying [`EthernetSpeaker`].
     pub fn speaker(&self, i: usize) -> Option<EthernetSpeaker> {
-        self.hub.speaker(i)
+        self.hub.speakers[i].speaker()
     }
 
     /// The negotiated-session wrapper for speaker `i` (None for
     /// statically wired speakers or before power-on).
     pub fn session(&self, i: usize) -> Option<NegotiatedSpeaker> {
-        self.hub.session(i)
+        self.hub.speakers[i].session()
     }
 
     /// Number of declared speakers.
     pub fn speaker_count(&self) -> usize {
-        self.hub.speaker_count()
+        self.hub.speakers.len()
     }
 
     /// The catalog announcer, if enabled.
@@ -1212,6 +1175,16 @@ mod tests {
             .speaker(SpeakerSpec::negotiated("es1", "jazz"))
             .try_build());
         assert!(e.to_string().contains("unknown channel"), "{e}");
+
+        // One name would merge two speakers' counters and health.
+        let e = err(SystemBuilder::new(1)
+            .channel(ChannelSpec::new(1, McastGroup(1), "radio"))
+            .sessions(SessionSpec::new(McastGroup(0)))
+            .speaker(SpeakerSpec::new("es", McastGroup(1)))
+            .speaker(SpeakerSpec::negotiated("es", "radio"))
+            .try_build());
+        assert!(matches!(e, crate::Error::Config(_)), "{e}");
+        assert!(e.to_string().contains("duplicate speaker name"), "{e}");
     }
 
     #[test]

@@ -1,26 +1,22 @@
-//! The self-healing control loop (DESIGN.md §10).
+//! The self-healing control loop's simulator driver (DESIGN.md §10).
 //!
-//! A [`HealMonitor`] wakes once per virtual-time *epoch*, reads the
-//! counters an operator would poll, and feeds per-receiver deltas
-//! (interval loss, deadline-miss growth, clock drift) to [`es_heal`]'s
-//! pure detector. The actions that come back — plus producer failover,
-//! which the monitor derives itself from a stalled control-packet
-//! counter — are executed against the live system. Between epochs it
-//! is the back channel of statically wired speakers: a NACK such a
-//! speaker raises is handed to its stream's live producer at once.
-//! Everything is journaled under component `heal`, every event
-//! carrying `action` and `target` fields (the `es-analyze`
+//! A [`HealMonitor`] wakes once per virtual-time *epoch*, hands the
+//! raw counters an operator would poll to [`es_heal`]'s pure detector
+//! — which makes every decision — and carries out the actions that
+//! come back. Between epochs it is the back channel of statically
+//! wired speakers. Everything is journaled under component `heal`,
+//! every event carrying `action` and `target` fields (the `es-analyze`
 //! `heal-event-fields` rule enforces this).
-//!
-//! Everything here is driven by the deterministic simulator: the same
-//! seed heals the same way, bit for bit, at any fleet-thread count.
 
-use es_heal::{EpochSample, FleetDetector, HealAction, HealPolicy, HealStats, Health};
+use std::rc::Rc;
+
+use es_heal::{FleetDetector, HealAction, HealPolicy, HealStats, Health, ReceiverCounters};
 use es_sim::{RepeatingTimer, Shared, Sim, SimDuration};
 use es_speaker::EthernetSpeaker;
 use es_telemetry::{Journal, Severity, Stamp};
 
-use crate::builder::MetricsHub;
+use crate::builder::{Producers, SpeakerHandle};
+use crate::session_ctl::SessionBroker;
 
 /// Healing-plane configuration for [`SystemBuilder::healing`].
 ///
@@ -34,20 +30,15 @@ pub struct HealSpec {
     /// Start a warm-standby rebroadcaster per channel, eligible for
     /// promotion when the primary stops emitting control packets.
     pub standby: bool,
-    /// Consecutive epochs with zero control packets (after the stream
-    /// was seen alive) before the standby is promoted.
-    pub failover_after: u32,
 }
 
 impl HealSpec {
-    /// Defaults: 500 ms epochs, default [`HealPolicy`], no standby,
-    /// failover after 2 stalled epochs.
+    /// Defaults: 500 ms epochs, default [`HealPolicy`], no standby.
     pub fn new() -> Self {
         HealSpec {
             policy: HealPolicy::default(),
             epoch: SimDuration::from_millis(500),
             standby: false,
-            failover_after: 2,
         }
     }
 
@@ -68,12 +59,6 @@ impl HealSpec {
         self.standby = true;
         self
     }
-
-    /// Sets the failover stall threshold, in epochs.
-    pub fn failover_after(mut self, epochs: u32) -> Self {
-        self.failover_after = epochs;
-        self
-    }
 }
 
 impl Default for HealSpec {
@@ -82,204 +67,142 @@ impl Default for HealSpec {
     }
 }
 
-/// The counters one epoch's deltas are taken against.
-#[derive(Clone, Copy)]
-struct Seen {
-    lost: u64,
-    received: u64,
-    deadline_misses: u64,
-}
-
-struct MonitorState {
-    detector: FleetDetector,
-    /// Per speaker: its counters at the previous epoch, once it has
-    /// been seen at one.
-    prev_speakers: Vec<Option<Seen>>,
-    /// Per channel: its control-packet counter at the previous epoch;
-    /// `None` until the first epoch has run.
-    prev_controls: Option<Vec<u64>>,
-    /// Per channel: ever saw control packets flow.
-    chan_active: Vec<bool>,
-    /// Per channel: consecutive epochs with zero control packets.
-    chan_stalled: Vec<u32>,
-    failover_after: u32,
-    journal: Journal,
-}
-
-/// The running healing plane. Clone-shareable; all state lives behind
-/// [`Shared`].
+/// The running healing plane. Clone-shareable; the detector lives
+/// behind [`Shared`].
 #[derive(Clone)]
 pub struct HealMonitor {
-    hub: MetricsHub,
-    state: Shared<MonitorState>,
+    producers: Rc<Producers>,
+    speakers: Rc<[SpeakerHandle]>,
+    broker: Option<SessionBroker>,
+    detector: Shared<FleetDetector>,
+    journal: Journal,
+    epoch: SimDuration,
 }
 
 impl HealMonitor {
-    /// Starts the epoch timer. The first sample fires a fraction into
-    /// the first epoch so the walk lands between the broker sweep and
-    /// the producers' control cadence rather than on them.
-    pub(crate) fn start(
-        sim: &mut Sim,
-        hub: MetricsHub,
+    /// A monitor over the system's producers and speakers; its epochs
+    /// begin at [`Self::start`].
+    pub(crate) fn new(
         spec: HealSpec,
+        producers: Rc<Producers>,
+        speakers: Rc<[SpeakerHandle]>,
+        broker: Option<SessionBroker>,
         journal: Journal,
     ) -> HealMonitor {
         let mut detector = FleetDetector::new(spec.policy);
-        if let Some(rb) = hub.producers.primaries.first() {
+        if let Some(rb) = producers.primaries.first() {
             detector.seed_fec_level(rb.fec_group());
         }
-        let n = hub.producers.primaries.len();
-        let state = es_sim::shared(MonitorState {
-            detector,
-            prev_speakers: vec![None; hub.speaker_count()],
-            prev_controls: None,
-            chan_active: vec![false; n],
-            chan_stalled: vec![0; n],
-            failover_after: spec.failover_after,
+        HealMonitor {
+            producers,
+            speakers,
+            broker,
+            detector: es_sim::shared(detector),
             journal,
-        });
-        let mon = HealMonitor { hub, state };
-        let phase = spec.epoch.min(SimDuration::from_millis(170));
-        let m2 = mon.clone();
-        let timer = RepeatingTimer::start_with_phase(sim, spec.epoch, phase, move |sim| {
-            m2.tick(sim);
-        });
+            epoch: spec.epoch,
+        }
+    }
+
+    /// Starts the epoch timer. The first sample fires a fraction into
+    /// the first epoch so the walk lands between the broker sweep and
+    /// the producers' control cadence rather than on them.
+    pub(crate) fn start(&self, sim: &mut Sim) {
+        let phase = self.epoch.min(SimDuration::from_millis(170));
+        let mon = self.clone();
+        let timer = RepeatingTimer::start_with_phase(sim, self.epoch, phase, move |s| mon.tick(s));
         // The monitor runs for the life of the simulation, like every
         // other component timer.
         std::mem::forget(timer);
-        mon
     }
 
     /// Lifecycle counters (also exported under `heal/heal0/*` in the
     /// system metrics snapshot).
     pub fn stats(&self) -> HealStats {
-        self.state.borrow().detector.stats
+        self.detector.borrow().stats
     }
 
     /// The hysteresis-filtered health of receiver `name`.
     pub fn health_of(&self, name: &str) -> Health {
-        self.state.borrow().detector.health_of(name)
+        self.detector.borrow().health_of(name)
     }
 
     /// The FEC ladder rung currently in force.
     pub fn fec_level(&self) -> Option<u8> {
-        self.state.borrow().detector.fec_level()
+        self.detector.borrow().fec_level()
     }
 
-    fn journal(&self) -> Journal {
-        self.state.borrow().journal.clone()
-    }
-
-    /// One epoch: observe, apply detector actions, check for a dead
-    /// primary.
+    /// One epoch: hand every powered speaker's and every channel's
+    /// counters to the detector, then carry out what it decides.
     fn tick(&self, sim: &mut Sim) {
-        self.observe_receivers();
-        let actions = self.state.borrow_mut().detector.end_epoch();
+        let actions = {
+            let mut detector = self.detector.borrow_mut();
+            for spk in self.speakers.iter().filter_map(SpeakerHandle::speaker) {
+                let (stats, quality) = (spk.stats(), spk.quality());
+                let counters = ReceiverCounters {
+                    quality_lost: quality.lost,
+                    refills_received: stats.refills_received,
+                    quality_received: quality.received,
+                    dropped_late: stats.dropped_late,
+                    clock_offset_us: spk.clock_offset_us().unwrap_or(0),
+                };
+                detector.observe_receiver(&spk.name(), counters);
+            }
+            let producers = &self.producers;
+            for (i, rb) in producers.primaries.iter().enumerate() {
+                let ready = producers.standbys.get(i).is_some_and(|s| s.is_standby());
+                detector.observe_channel(i, rb.stats().control_packets, ready);
+            }
+            detector.end_epoch()
+        };
         for action in actions {
             self.execute(sim, action);
         }
-        self.check_failover(sim);
     }
 
-    fn observe_receivers(&self) {
-        let mut st = self.state.borrow_mut();
-        let st = &mut *st;
-        // The first epoch has no baseline: everybody reads healthy.
-        let baseline = st.prev_controls.is_some();
-        for (i, prev) in st.prev_speakers.iter_mut().enumerate() {
-            let Some(spk) = self.hub.speaker(i) else {
-                continue;
-            };
-            let (stats, quality) = (spk.stats(), spk.quality());
-            let now = Seen {
-                // Link loss: the monitor nets a refill off its loss
-                // count the moment it lands; put it back.
-                lost: quality.lost + stats.refills_received,
-                received: quality.received,
-                deadline_misses: stats.dropped_late,
-            };
-            // Nor has a speaker first seen this epoch: its counters
-            // read as not having moved.
-            let was = prev.replace(now).unwrap_or(now);
-            let lost = now.lost.saturating_sub(was.lost);
-            let expected = lost + now.received.saturating_sub(was.received);
-            let sample = EpochSample {
-                loss_fraction: if expected == 0 {
-                    0.0
-                } else {
-                    lost as f64 / expected as f64
-                },
-                deadline_miss_delta: now.deadline_misses.saturating_sub(was.deadline_misses),
-                drift_us: spk.clock_offset_us().unwrap_or(0),
-            };
-            let sample = if baseline {
-                sample
-            } else {
-                EpochSample::default()
-            };
-            st.detector.observe(&spk.name(), sample);
-        }
-    }
-
-    /// A statically wired speaker's NACK: hands the ranges to the live
-    /// producer of the group it is tuned to (a negotiated speaker
-    /// sends its own over the session). Returns how many cached
-    /// packets went back out.
-    pub(crate) fn retransmit_request(
-        &self,
-        sim: &mut Sim,
-        spk: &EthernetSpeaker,
-        ranges: &[(u32, u16)],
-    ) -> u64 {
-        let group = spk.tuned();
-        let producers = &self.hub.producers;
-        let channel = producers
-            .primaries
-            .iter()
-            .position(|rb| rb.group() == group);
-        let sent = channel.map_or(0, |i| producers.live(i).retransmit(sim, ranges));
-        self.state.borrow_mut().detector.stats.retransmits_requested += 1;
-        self.journal().emit(
-            Stamp::virtual_ns(sim.now().as_nanos()),
-            Severity::Info,
-            "heal",
-            "retransmission requested",
-            &[
-                ("action", "retransmit".into()),
-                ("target", spk.name()),
-                ("ranges", format!("{ranges:?}")),
-                ("packets", sent.to_string()),
-            ],
-        );
-        sent
+    /// Makes this monitor the back channel of a statically wired
+    /// speaker (a negotiated one sends its NACKs over its session):
+    /// each NACK goes at once to the live producer of the group the
+    /// speaker is tuned to.
+    pub(crate) fn relay_nacks_of(&self, spk: &EthernetSpeaker) {
+        let (mon, from) = (self.clone(), spk.clone());
+        spk.set_nack_handler(move |sim, ranges| {
+            let (primaries, group) = (&mon.producers.primaries, from.tuned());
+            let channel = primaries.iter().position(|rb| rb.group() == group);
+            let sent = channel.map_or(0, |i| mon.producers.live(i).retransmit(sim, ranges));
+            mon.detector.borrow_mut().note_retransmit_request();
+            mon.journal.emit(
+                Stamp::virtual_ns(sim.now().as_nanos()),
+                Severity::Info,
+                "heal",
+                "retransmission requested",
+                &[
+                    ("action", "retransmit".into()),
+                    ("target", from.name()),
+                    ("ranges", format!("{ranges:?}")),
+                    ("packets", sent.to_string()),
+                ],
+            );
+        });
     }
 
     fn execute(&self, sim: &mut Sim, action: HealAction) {
+        let stamp = Stamp::virtual_ns(sim.now().as_nanos());
+        let raise = matches!(action, HealAction::RaiseFec { .. });
         match action {
-            HealAction::RaiseFec { from, to } => {
+            HealAction::RaiseFec { from, to } | HealAction::LowerFec { from, to } => {
                 self.apply_fec(sim, to);
-                self.journal().emit(
-                    Stamp::virtual_ns(sim.now().as_nanos()),
-                    Severity::Warn,
+                let (severity, message, name) = if raise {
+                    (Severity::Warn, "fec ladder raised", "raise_fec")
+                } else {
+                    (Severity::Info, "fec ladder lowered", "lower_fec")
+                };
+                self.journal.emit(
+                    stamp,
+                    severity,
                     "heal",
-                    "fec ladder raised",
+                    message,
                     &[
-                        ("action", "raise_fec".into()),
-                        ("target", "fleet".into()),
-                        ("from", format!("{from:?}")),
-                        ("to", format!("{to:?}")),
-                    ],
-                );
-            }
-            HealAction::LowerFec { from, to } => {
-                self.apply_fec(sim, to);
-                self.journal().emit(
-                    Stamp::virtual_ns(sim.now().as_nanos()),
-                    Severity::Info,
-                    "heal",
-                    "fec ladder lowered",
-                    &[
-                        ("action", "lower_fec".into()),
+                        ("action", name.into()),
                         ("target", "fleet".into()),
                         ("from", format!("{from:?}")),
                         ("to", format!("{to:?}")),
@@ -287,12 +210,26 @@ impl HealMonitor {
                 );
             }
             HealAction::Recovered { target } => {
-                self.journal().emit(
-                    Stamp::virtual_ns(sim.now().as_nanos()),
+                self.journal.emit(
+                    stamp,
                     Severity::Info,
                     "heal",
                     "receiver recovered",
                     &[("action", "recovered".into()), ("target", target)],
+                );
+            }
+            HealAction::Failover { channel } => {
+                let producers = &self.producers;
+                producers.standbys[channel].promote(sim, &producers.primaries[channel]);
+                self.journal.emit(
+                    stamp,
+                    Severity::Warn,
+                    "heal",
+                    "standby promoted after control stall",
+                    &[
+                        ("action", "failover".into()),
+                        ("target", format!("ch{channel}")),
+                    ],
                 );
             }
         }
@@ -302,54 +239,11 @@ impl HealMonitor {
     /// then lets the broker — where sessions are on — announce it to
     /// their receivers via PARAM.
     fn apply_fec(&self, sim: &mut Sim, to: Option<u8>) {
-        for i in 0..self.hub.producers.primaries.len() {
-            self.hub.producers.live(i).set_fec_group(sim, to);
+        for i in 0..self.producers.primaries.len() {
+            self.producers.live(i).set_fec_group(sim, to);
         }
-        if let Some(broker) = &self.hub.broker {
+        if let Some(broker) = &self.broker {
             broker.update_fec(sim, to);
-        }
-    }
-
-    /// A channel whose control-packet counter stops growing for
-    /// `failover_after` consecutive epochs — after the stream was seen
-    /// alive — has a dead primary: promote the standby.
-    fn check_failover(&self, sim: &mut Sim) {
-        let producers = &self.hub.producers;
-        let mut promotions = Vec::new();
-        {
-            let mut st = self.state.borrow_mut();
-            let controls = producers.primaries.iter();
-            let controls: Vec<u64> = controls.map(|rb| rb.stats().control_packets).collect();
-            let prev = st.prev_controls.replace(controls.clone());
-            for (i, &now) in controls.iter().enumerate() {
-                // The first epoch counts from the start of the stream.
-                let delta = now.saturating_sub(prev.as_ref().map_or(0, |prev| prev[i]));
-                if delta > 0 {
-                    st.chan_active[i] = true;
-                    st.chan_stalled[i] = 0;
-                    continue;
-                }
-                // Nothing to promote, or already promoted.
-                let spare = producers.standbys.get(i).is_some_and(|s| s.is_standby());
-                if !st.chan_active[i] || !spare {
-                    continue;
-                }
-                st.chan_stalled[i] += 1;
-                if st.chan_stalled[i] >= st.failover_after {
-                    st.detector.stats.failovers += 1;
-                    promotions.push(i);
-                }
-            }
-        }
-        for i in promotions {
-            producers.standbys[i].promote(sim, &producers.primaries[i]);
-            self.journal().emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Warn,
-                "heal",
-                "standby promoted after control stall",
-                &[("action", "failover".into()), ("target", format!("ch{i}"))],
-            );
         }
     }
 }

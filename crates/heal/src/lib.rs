@@ -3,11 +3,13 @@
 //! The paper's producer is deliberately stateless about its receivers
 //! (§2.2); this crate is the *management-plane* counterpart §5.3
 //! gestures at: a pure, deterministic policy engine that watches
-//! per-receiver reception telemetry epoch by epoch and decides repair
-//! actions. It owns no I/O and no clock — `es-core`'s heal monitor
-//! feeds it [`EpochSample`]s from [`MetricsSnapshot`] deltas and
+//! per-receiver and per-channel counters epoch by epoch and decides
+//! repair actions. It owns no I/O and no clock — `es-core`'s heal
+//! monitor reads the raw counters off speakers and producers, hands
+//! them over as [`ReceiverCounters`] and control-packet counts, and
 //! executes whatever [`HealAction`]s come back, so every decision is
-//! reproducible from the journal alone.
+//! reproducible from the journal alone and unit-testable without a
+//! simulator.
 //!
 //! Three repairs are modelled, in escalating order of intrusiveness:
 //!
@@ -17,19 +19,16 @@
 //!    receiver is *sustainedly* sick, lowered when the whole fleet has
 //!    been healthy for a while.
 //! 2. **NACK retransmission** — a receiver asks the stream's live
-//!    producer for the sequence ranges it misses. Its own decision,
-//!    not this crate's; only counted here.
+//!    producer for the sequence ranges it misses: its own decision,
+//!    only counted here.
 //! 3. **Producer failover** — a warm standby adopts the stream clock
-//!    when the primary stops emitting control packets. The monitor's
-//!    stall check decides it; only counted here.
+//!    when its channel stops emitting control packets.
 //!
 //! Hysteresis (`raise_after` sick epochs before escalating,
 //! `recover_after` healthy epochs before relaxing) keeps a *flapping*
 //! receiver — one oscillating across the sick threshold — from
 //! whipsawing the FEC level; suppressed oscillations are counted
 //! instead of acted on.
-//!
-//! [`MetricsSnapshot`]: es_telemetry::MetricsSnapshot
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -99,18 +98,37 @@ impl Default for HealPolicy {
     }
 }
 
-/// One receiver's telemetry for one virtual-time epoch, distilled from
-/// [`MetricsSnapshot`] deltas by the monitor.
-///
-/// [`MetricsSnapshot`]: es_telemetry::MetricsSnapshot
+/// Consecutive epochs a channel that was seen sending may emit no
+/// control packet before its standby is promoted.
+const FAILOVER_AFTER: u32 = 2;
+
+/// One receiver's telemetry for one virtual-time epoch, as
+/// [`FleetDetector::observe_receiver`] distils it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EpochSample {
-    /// Reception loss fraction (RFC 3550-style, 0.0..=1.0).
+    /// Link loss fraction over the epoch (0.0..=1.0).
     pub loss_fraction: f64,
     /// `speaker/*/deadline_misses` growth this epoch.
     pub deadline_miss_delta: u64,
     /// Current clock offset estimate versus the producer, µs.
     pub drift_us: i64,
+}
+
+/// One receiver's raw counters at an epoch boundary, as its driver
+/// reads them; [`FleetDetector::observe_receiver`] takes the deltas.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReceiverCounters {
+    /// Sequence numbers the RFC 3550-style quality monitor counts
+    /// lost — net of NACK refills, which it subtracts on arrival.
+    pub quality_lost: u64,
+    /// NACK refills that arrived.
+    pub refills_received: u64,
+    /// Sequence numbers the quality monitor counts received.
+    pub quality_received: u64,
+    /// Data packets discarded past their deadline.
+    pub dropped_late: u64,
+    /// Clock offset estimate versus the producer, µs (0 before sync).
+    pub clock_offset_us: i64,
 }
 
 /// Classifies one epoch sample against `policy` thresholds.
@@ -149,6 +167,11 @@ pub enum HealAction {
     Recovered {
         /// The recovered receiver.
         target: String,
+    },
+    /// Promote the channel's warm standby: its primary went silent.
+    Failover {
+        /// The channel, as numbered by [`FleetDetector::observe_channel`].
+        channel: usize,
     },
 }
 
@@ -192,23 +215,35 @@ struct ReceiverState {
     reported: Health,
     sick_streak: u32,
     healthy_streak: u32,
-    /// Latest raw classification (for inspection).
-    last: Health,
+    /// Counters at the previous epoch, once seen at one.
+    counters: Option<ReceiverCounters>,
 }
 
-/// Per-fleet detector: feed every receiver's [`EpochSample`] each
-/// epoch via [`FleetDetector::observe`], then call
+#[derive(Debug, Default)]
+struct ChannelState {
+    /// Control-packet counter at the previous epoch.
+    controls: u64,
+    /// Ever seen sending.
+    active: bool,
+    /// Consecutive silent epochs with a standby ready.
+    stalled: u32,
+    /// Fail over at this epoch's end.
+    fail_over: bool,
+}
+
+/// Per-fleet detector: feed every receiver's and every channel's
+/// counters each epoch via the `observe_*` methods, then call
 /// [`FleetDetector::end_epoch`] for the epoch's repair decisions.
-/// Deterministic: iteration is name-ordered (BTreeMap) and no clocks
-/// or randomness are consulted.
+/// Deterministic: iteration is name- and channel-ordered (BTreeMap)
+/// and no clocks or randomness are consulted.
 #[derive(Debug)]
 pub struct FleetDetector {
     policy: HealPolicy,
     /// Current rung on `policy.fec_ladder`.
     fec_idx: usize,
     receivers: BTreeMap<String, ReceiverState>,
-    /// Counters; `epochs`/`fec_*`/`recoveries`/`suppressed_flaps` are
-    /// maintained here, the action-execution counters by the monitor.
+    channels: BTreeMap<usize, ChannelState>,
+    /// Every healing-plane counter; all of them are maintained here.
     pub stats: HealStats,
 }
 
@@ -223,6 +258,7 @@ impl FleetDetector {
             policy,
             fec_idx: 0,
             receivers: BTreeMap::new(),
+            channels: BTreeMap::new(),
             stats: HealStats::default(),
         }
     }
@@ -249,42 +285,84 @@ impl FleetDetector {
             .map_or(Health::Healthy, |r| r.reported)
     }
 
+    /// Records one receiver's counters at this epoch's end and
+    /// classifies their growth since its previous epoch (see
+    /// [`Self::observe`]). With no baseline the sample reads healthy:
+    /// the whole first epoch, and the counters of a receiver first
+    /// seen later (they read as not having moved).
+    pub fn observe_receiver(&mut self, name: &str, now: ReceiverCounters) -> Health {
+        let r = self.receivers.entry(name.to_string()).or_default();
+        let was = r.counters.replace(now).unwrap_or(now);
+        if self.stats.epochs == 0 {
+            return self.observe(name, EpochSample::default());
+        }
+        // The *link's* loss: the quality monitor nets a refill off
+        // `quality_lost`, so prompt repair would hide a 35 % link.
+        let link_lost = |c: &ReceiverCounters| c.quality_lost + c.refills_received;
+        let lost = link_lost(&now).saturating_sub(link_lost(&was));
+        let expected = lost + now.quality_received.saturating_sub(was.quality_received);
+        let sample = EpochSample {
+            loss_fraction: if expected == 0 {
+                0.0
+            } else {
+                lost as f64 / expected as f64
+            },
+            deadline_miss_delta: now.dropped_late.saturating_sub(was.dropped_late),
+            drift_us: now.clock_offset_us,
+        };
+        self.observe(name, sample)
+    }
+
+    /// Records channel `channel`'s control-packet counter at this
+    /// epoch's end (the first epoch counts from zero) and whether a
+    /// warm standby is ready to take it over. A channel seen sending
+    /// that then sends nothing for two epochs in a row while a standby
+    /// is ready fails over at [`Self::end_epoch`].
+    pub fn observe_channel(&mut self, channel: usize, control_packets: u64, standby_ready: bool) {
+        let c = self.channels.entry(channel).or_default();
+        if control_packets > std::mem::replace(&mut c.controls, control_packets) {
+            c.active = true;
+            c.stalled = 0;
+        } else if c.active && standby_ready {
+            c.stalled += 1;
+            c.fail_over = c.stalled >= FAILOVER_AFTER;
+        }
+    }
+
+    /// Counts a receiver's NACK relayed to its stream's producer.
+    pub fn note_retransmit_request(&mut self) {
+        self.stats.retransmits_requested += 1;
+    }
+
     /// Records one receiver's epoch sample; returns the raw (pre-
     /// hysteresis) classification.
     pub fn observe(&mut self, name: &str, sample: EpochSample) -> Health {
         let h = classify(&self.policy, &sample);
-        let raise_after = self.policy.raise_after;
         let r = self.receivers.entry(name.to_string()).or_default();
-        r.last = h;
-        match h {
-            Health::Sick => {
-                r.sick_streak += 1;
-                r.healthy_streak = 0;
-            }
-            Health::Healthy => {
-                // A short sick burst that ended on its own is a flap:
-                // count it, do not escalate.
-                if r.sick_streak > 0 && r.sick_streak < raise_after {
-                    self.stats.suppressed_flaps += 1;
-                }
-                r.sick_streak = 0;
-                r.healthy_streak += 1;
-            }
-            Health::Degraded => {
-                // Neutral: neither streak accumulates.
-                if r.sick_streak > 0 && r.sick_streak < raise_after {
-                    self.stats.suppressed_flaps += 1;
-                }
-                r.sick_streak = 0;
-                r.healthy_streak = 0;
-            }
+        if h == Health::Sick {
+            r.sick_streak += 1;
+            r.healthy_streak = 0;
+            return h;
         }
+        // A short sick burst that ended on its own is a flap: count
+        // it, do not escalate.
+        if r.sick_streak > 0 && r.sick_streak < self.policy.raise_after {
+            self.stats.suppressed_flaps += 1;
+        }
+        r.sick_streak = 0;
+        // Degraded is neutral: neither streak accumulates.
+        r.healthy_streak = if h == Health::Healthy {
+            r.healthy_streak + 1
+        } else {
+            0
+        };
         h
     }
 
     /// Closes the epoch: applies hysteresis, moves the FEC ladder, and
     /// returns the repair decisions in deterministic order (raises
-    /// before lowers before recoveries; receivers name-ordered).
+    /// before lowers before recoveries before failovers; receivers
+    /// name-ordered, channels in order).
     pub fn end_epoch(&mut self) -> Vec<HealAction> {
         self.stats.epochs += 1;
         let mut actions = Vec::new();
@@ -293,9 +371,7 @@ impl FleetDetector {
         let mut raise = false;
         for r in self.receivers.values_mut() {
             if r.sick_streak >= self.policy.raise_after {
-                if r.reported != Health::Sick {
-                    r.reported = Health::Sick;
-                }
+                r.reported = Health::Sick;
                 raise = true;
                 // Demand renewed sustained sickness for the next rung.
                 r.sick_streak = 0;
@@ -315,7 +391,9 @@ impl FleetDetector {
             if r.reported == Health::Sick && r.healthy_streak >= self.policy.recover_after {
                 r.reported = Health::Healthy;
                 self.stats.recoveries += 1;
-                recovered.push(name.clone());
+                recovered.push(HealAction::Recovered {
+                    target: name.clone(),
+                });
             }
         }
         // Relaxation: the whole fleet healthy long enough lowers one
@@ -335,11 +413,13 @@ impl FleetDetector {
             }
             actions.push(HealAction::LowerFec { from, to });
         }
-        actions.extend(
-            recovered
-                .into_iter()
-                .map(|target| HealAction::Recovered { target }),
-        );
+        actions.extend(recovered);
+        for (&channel, c) in self.channels.iter_mut() {
+            if std::mem::take(&mut c.fail_over) {
+                self.stats.failovers += 1;
+                actions.push(HealAction::Failover { channel });
+            }
+        }
         actions
     }
 }
@@ -507,10 +587,135 @@ mod tests {
             d.observe("es1", sick());
             d.end_epoch();
         }
+        d.note_retransmit_request();
         let mut reg = Registry::new();
         d.stats.record(&mut reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("heal/0/epochs"), Some(3));
         assert_eq!(snap.counter("heal/0/fec_raises"), Some(1));
+        assert_eq!(snap.counter("heal/0/retransmits_requested"), Some(1));
+    }
+
+    /// Counters of a receiver that has heard `received` and lost `lost`.
+    fn counters(lost: u64, received: u64) -> ReceiverCounters {
+        ReceiverCounters {
+            quality_lost: lost,
+            quality_received: received,
+            ..ReceiverCounters::default()
+        }
+    }
+
+    // Mutation: drop the `stats.epochs == 0` branch of
+    // `observe_receiver` — the first epoch's drift is then read.
+    #[test]
+    fn first_epoch_reads_healthy() {
+        let mut d = FleetDetector::new(HealPolicy::default());
+        let drifting = ReceiverCounters {
+            clock_offset_us: 50_000,
+            ..counters(0, 100)
+        };
+        assert_eq!(d.observe_receiver("es1", drifting), Health::Healthy);
+        d.end_epoch();
+        // From the second epoch on, the same offset is sick.
+        assert_eq!(d.observe_receiver("es1", drifting), Health::Sick);
+    }
+
+    // Mutation: `unwrap_or(now)` → `unwrap_or_default()` in
+    // `observe_receiver` — a late joiner's whole history reads as one
+    // epoch's loss.
+    #[test]
+    fn receiver_first_seen_mid_run_reads_unmoved() {
+        let mut d = FleetDetector::new(HealPolicy::default());
+        d.observe_receiver("es1", counters(0, 100));
+        d.end_epoch();
+        let late = ReceiverCounters {
+            dropped_late: 50,
+            ..counters(500, 100)
+        };
+        assert_eq!(d.observe_receiver("es2", late), Health::Healthy);
+        d.end_epoch();
+        // Its baseline was kept: the next epoch's growth counts.
+        let worse = ReceiverCounters {
+            dropped_late: 50,
+            ..counters(530, 170)
+        };
+        assert_eq!(d.observe_receiver("es2", worse), Health::Sick);
+    }
+
+    // Mutation: drop `+ c.refills_received` from the link-loss sum.
+    #[test]
+    fn refill_does_not_hide_link_loss() {
+        let mut d = FleetDetector::new(HealPolicy::default());
+        d.observe_receiver("es1", counters(10, 1_000));
+        d.end_epoch();
+        // 30 of 130 blocks lost on the link, all refilled: the quality
+        // monitor has netted every one off its loss count.
+        let refilled = ReceiverCounters {
+            refills_received: 30,
+            ..counters(10, 1_130)
+        };
+        assert_eq!(d.observe_receiver("es1", refilled), Health::Sick);
+    }
+
+    // Mutation: drop `c.active &&` from `observe_channel`.
+    #[test]
+    fn channel_never_seen_active_never_fails_over() {
+        let mut d = FleetDetector::new(HealPolicy::default());
+        for _ in 0..6 {
+            d.observe_channel(0, 0, true);
+            assert!(d.end_epoch().is_empty());
+        }
+        assert_eq!(d.stats.failovers, 0);
+    }
+
+    // Mutation: drop `&& standby_ready` from `observe_channel`.
+    #[test]
+    fn no_promotion_without_a_ready_standby() {
+        let mut d = FleetDetector::new(HealPolicy::default());
+        d.observe_channel(0, 10, false);
+        d.end_epoch();
+        for _ in 0..6 {
+            d.observe_channel(0, 10, false);
+            assert!(d.end_epoch().is_empty());
+        }
+        assert_eq!(d.stats.failovers, 0);
+    }
+
+    // Mutations: `FAILOVER_AFTER` 1 or 3 (or `>=` → `>`) moves the
+    // decision off the second stalled epoch; reading `fail_over`
+    // without `std::mem::take` in `end_epoch` repeats it.
+    #[test]
+    fn failover_decided_once_after_two_stalled_epochs() {
+        let mut d = FleetDetector::new(HealPolicy::default());
+        // Epoch 1: the channel is seen sending.
+        d.observe_channel(0, 10, true);
+        d.observe_channel(1, 10, true);
+        assert!(d.end_epoch().is_empty());
+        // Epoch 2: channel 0 falls silent; channel 1 keeps sending.
+        d.observe("es1", sick());
+        d.observe_channel(0, 10, true);
+        d.observe_channel(1, 20, true);
+        assert!(d.end_epoch().is_empty(), "one silent epoch is not a stall");
+        // Epoch 3: the second silent epoch, decided after the ladder.
+        d.observe("es1", sick());
+        d.observe_channel(0, 10, true);
+        d.observe_channel(1, 30, true);
+        assert_eq!(
+            d.end_epoch(),
+            vec![
+                HealAction::RaiseFec {
+                    from: None,
+                    to: Some(8)
+                },
+                HealAction::Failover { channel: 0 },
+            ]
+        );
+        // Promoted: its standby is no longer ready, and the primary's
+        // counter never moves again.
+        for _ in 0..4 {
+            d.observe_channel(0, 10, false);
+            assert!(d.end_epoch().is_empty());
+        }
+        assert_eq!(d.stats.failovers, 1);
     }
 }

@@ -1,10 +1,13 @@
 //! Docs ⇔ code: every `--bench <name>` the prose tells a reader to
 //! run is a real target, every target is documented, nothing points at
-//! the perf baselines the ledger replaced, and DESIGN.md §8 lists
-//! exactly the checks es-analyze registers.
+//! the perf baselines the ledger replaced, DESIGN.md §8 lists exactly
+//! the checks es-analyze registers, and §10 exactly the counters the
+//! healing plane exports.
 
 use std::collections::BTreeSet;
 use std::path::Path;
+
+use es_telemetry::Telemetry;
 
 /// Every file that hands a reader a command to run.
 const DOCS: [&str; 5] = [
@@ -125,4 +128,24 @@ fn design_md_lists_exactly_the_checks_es_analyze_registers() {
             assert!(!text.contains(needle), "{doc} still mentions {needle}");
         }
     }
+}
+
+#[test]
+fn design_md_lists_exactly_the_counters_heal_stats_records() {
+    // §10 "Journal contract": "… export under `heal/heal0/*`: `a`,
+    // `b`, … `z`." — the backticked words up to the full stop.
+    let design = read("DESIGN.md");
+    let list = design
+        .split_once("\n### Journal contract")
+        .and_then(|(_, rest)| rest.split_once("`heal/heal0/*`:"))
+        .and_then(|(_, rest)| rest.split_once('.'))
+        .expect("DESIGN.md §10 Journal contract lists the `heal/heal0/*` counters")
+        .0;
+    let documented: BTreeSet<&str> = list.split('`').skip(1).step_by(2).collect();
+    let mut reg = es_telemetry::Registry::new();
+    es_heal::HealStats::default().record(&mut reg);
+    let snap = reg.snapshot();
+    assert!(snap.iter().all(|m| m.key.component == "heal"));
+    let recorded: BTreeSet<&str> = snap.iter().map(|m| m.key.name.as_str()).collect();
+    assert_eq!(documented, recorded, "DESIGN.md §10 vs HealStats::record");
 }

@@ -10,13 +10,13 @@ fn fine(journal: &Journal, now: Stamp) {
     );
     journal.emit(
         now,
-        Severity::Info,
+        Severity::Warn,
         "heal",
-        "retransmission requested",
+        "fec ladder raised",
         &[
-            ("action", "retransmit".into()),
-            ("target", "es1".into()),
-            ("packets", "3".into()),
+            ("action", "raise_fec".into()),
+            ("target", "fleet".into()),
+            ("to", "Some(4)".into()),
         ],
     );
     journal.emit(

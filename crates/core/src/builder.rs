@@ -11,9 +11,9 @@ use std::rc::Rc;
 use es_audio::gen::{ImpulseTrain, MultiTone, Signal, Sine, Sweep, WhiteNoise};
 use es_audio::AudioConfig;
 use es_codec::CostModel;
-use es_net::{Lan, LanConfig, McastGroup};
+use es_net::{Datagram, Lan, LanConfig, McastGroup};
 use es_proto::auth::StreamSigner;
-use es_proto::{Capabilities, SessionClientConfig, StreamInfo};
+use es_proto::{Capabilities, Packet, SessionClientConfig, StreamInfo};
 use es_rebroadcast::{
     AppPacing, AudioApp, CompressionPolicy, RateLimiter, Rebroadcaster, RebroadcasterConfig,
     RelayConfig, SegmentRelay,
@@ -544,10 +544,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables the self-healing plane: a [`HealMonitor`] samples the
-    /// fleet's telemetry every `spec.epoch` and repairs sustained
-    /// faults (loss-adaptive FEC, NACK retransmission, and — with
-    /// [`HealSpec::standby`] — producer failover).
+    /// Enables the self-healing plane: every speaker asks for the
+    /// blocks it misses (a NACK to whoever it hears the stream from),
+    /// and a [`HealMonitor`] samples the fleet's counters every
+    /// `spec.epoch` and repairs sustained faults (loss-adaptive FEC
+    /// and — with [`HealSpec::standby`] — producer failover).
     pub fn healing(mut self, spec: HealSpec) -> Self {
         self.healing = Some(spec);
         self
@@ -649,7 +650,6 @@ impl SystemBuilder {
         let standby_node = want_standby.then(|| lan.attach("standby-host"));
 
         for ch in self.channels {
-            lan.join(producer_node, ch.group);
             // The slave ring must hold several blocks even when blocks
             // are large (§3.4 sweeps block sizes up to half a second).
             let block_bytes = ch.config.bytes_for_nanos(ch.vad_block_ms * 1_000_000) as usize;
@@ -742,17 +742,32 @@ impl SystemBuilder {
             primaries: rebroadcasters,
             standbys,
         });
+        let stream_ids: Rc<[u16]> = stream_infos.iter().map(|s| s.stream_id).collect();
         let broker = self.sessions.as_ref().map(|ses| {
-            SessionBroker::start(
-                &mut sim,
-                &lan,
-                producer_node,
-                ses,
-                stream_infos,
-                producers.clone(),
-                Some(journal.clone()),
-            )
+            let journal = Some(journal.clone());
+            SessionBroker::start(&mut sim, &lan, producer_node, ses, stream_infos, journal)
         });
+        // What a producer host hears: session packets for the broker,
+        // and NACKs, each served by whoever serves its stream now.
+        let host = {
+            let (producers, broker) = (producers.clone(), broker.clone());
+            move |sim: &mut Sim, dg: Datagram| match es_proto::decode(&dg.payload) {
+                Ok(Packet::Session(sp)) => {
+                    if let Some(broker) = &broker {
+                        broker.on_packet(sim, dg.src, &sp);
+                    }
+                }
+                Ok(Packet::Nack { stream_id, ranges }) => {
+                    if let Some(i) = stream_ids.iter().position(|&id| id == stream_id) {
+                        producers.live(i).retransmit(sim, &ranges);
+                    }
+                }
+                _ => {}
+            }
+        };
+        for node in std::iter::once(producer_node).chain(standby_node) {
+            lan.set_handler(node, host.clone());
+        }
 
         let speakers: Rc<[SpeakerHandle]> =
             self.speakers.iter().map(|_| Default::default()).collect();
@@ -771,38 +786,30 @@ impl SystemBuilder {
                 ccfg.session_timeout_us = ses.session_timeout.as_micros();
                 (ses.announce_group, ccfg)
             });
-            let (lan, journal, heal) = (lan.clone(), journal.clone(), heal.clone());
-            // Under a healing plane every speaker repairs its own
-            // losses: a negotiated one NACKs over its session, a
-            // statically wired one through the monitor.
+            let (lan, journal) = (lan.clone(), journal.clone());
+            // Under a healing plane every speaker repairs its own losses.
+            let repair = heal.is_some();
             let power_on = move |sim: &mut Sim| {
-                let powered = match session {
-                    Some((announce, ccfg)) => {
-                        let ns = NegotiatedSpeaker::start(
-                            sim,
-                            &lan,
-                            spec.config,
-                            announce,
-                            ccfg,
-                            Some(journal),
-                        );
-                        lan.set_segment(ns.speaker().node(), spec.segment);
-                        if heal.is_some() {
-                            ns.nack_over_session();
-                        }
-                        Powered::Negotiated(ns)
-                    }
+                *handle.0.borrow_mut() = Some(match session {
+                    Some((announce, ccfg)) => Powered::Negotiated(NegotiatedSpeaker::start(
+                        sim,
+                        &lan,
+                        spec.config,
+                        announce,
+                        ccfg,
+                        Some(journal),
+                    )),
                     None => {
                         let spk = EthernetSpeaker::start(sim, &lan, spec.config);
-                        lan.set_segment(spk.node(), spec.segment);
                         spk.set_journal(journal);
-                        if let Some(mon) = &heal {
-                            mon.relay_nacks_of(&spk);
-                        }
                         Powered::Static(spk)
                     }
-                };
-                *handle.0.borrow_mut() = Some(powered);
+                });
+                let spk = handle.speaker().expect("just powered on");
+                lan.set_segment(spk.node(), spec.segment);
+                if repair {
+                    spk.request_repairs();
+                }
             };
             // Inline at t=0: no event the build did not schedule before.
             if spec.start_at.is_zero() {
@@ -842,8 +849,8 @@ pub(crate) struct Producers {
 impl Producers {
     /// Who serves channel `i` now: its standby once promoted, else the
     /// primary. Asked of the rebroadcasters themselves every time —
-    /// repair, FEC changes and NACK routing all follow this one
-    /// answer, so none of them can keep talking to a detached primary.
+    /// NACKs and FEC changes both follow this one answer, so neither
+    /// can keep talking to a detached primary.
     pub(crate) fn live(&self, i: usize) -> &Rebroadcaster {
         match self.standbys.get(i) {
             Some(standby) if !standby.is_standby() => standby,
@@ -1185,6 +1192,63 @@ mod tests {
             .try_build());
         assert!(matches!(e, crate::Error::Config(_)), "{e}");
         assert!(e.to_string().contains("duplicate speaker name"), "{e}");
+    }
+
+    /// The producer host's handler is the driver of the data plane's
+    /// back channel: a NACK datagram for a stream on the line-up comes
+    /// back out as re-multicast data packets, one for a stream nobody
+    /// sends comes back as nothing, and the widest NACK costs at most
+    /// the 64-packet window.
+    #[test]
+    fn a_nack_datagram_at_the_producer_host_is_served_by_its_stream() {
+        let mut sys = SystemBuilder::new(13)
+            .channel(ChannelSpec::new(1, McastGroup(1), "radio"))
+            .build();
+        let lan = sys.lan().clone();
+        let tap = lan.attach("tap");
+        lan.join(tap, McastGroup(1));
+        let heard: Shared<Vec<(es_net::NodeId, Packet)>> = es_sim::shared(Vec::new());
+        let log = heard.clone();
+        lan.set_handler(tap, move |_, dg: Datagram| {
+            if let Ok(p) = es_proto::decode(&dg.payload) {
+                log.borrow_mut().push((dg.src, p));
+            }
+        });
+        sys.run_for(SimDuration::from_secs(5));
+        let (host, newest) = {
+            let heard = heard.borrow();
+            let host = heard.iter().find(|(_, p)| matches!(p, Packet::Control(_)));
+            let seqs = heard.iter().filter_map(|(_, p)| match p {
+                Packet::Data(d) => Some(d.seq),
+                _ => None,
+            });
+            (
+                host.expect("control heard").0,
+                seqs.max().expect("data heard"),
+            )
+        };
+        assert!(newest > 64, "the window has slid: {newest}");
+        let copies_of = |seq: u32| {
+            let heard = heard.borrow();
+            let of =
+                |(_, p): &&(es_net::NodeId, Packet)| matches!(p, Packet::Data(d) if d.seq == seq);
+            heard.iter().filter(of).count()
+        };
+        let nack = |sys: &mut EsSystem, stream_id, ranges: &[(u32, u16)]| {
+            let nack = es_proto::encode_nack(stream_id, ranges);
+            lan.send(&mut sys.sim, tap, es_net::Dest::Unicast(host), nack);
+            sys.run_for(SimDuration::from_millis(20));
+        };
+        nack(&mut sys, 1, &[(newest - 1, 2)]);
+        nack(&mut sys, 99, &[(newest - 1, 2)]);
+        let st = sys.rebroadcaster(0).stats();
+        assert_eq!((st.nacks_received, st.retransmits_sent), (1, 2));
+        assert_eq!(copies_of(newest - 1), 2, "original + retransmission");
+        nack(&mut sys, 1, &[(0, u16::MAX); 16]);
+        let st = sys.rebroadcaster(0).stats();
+        assert_eq!((st.nacks_received, st.retransmits_sent), (2, 2 + 64));
+        let snap = sys.metrics();
+        assert_eq!(snap.counter("rebroadcast/ch0/nacks_received"), Some(2));
     }
 
     #[test]

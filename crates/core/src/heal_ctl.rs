@@ -3,16 +3,14 @@
 //! A [`HealMonitor`] wakes once per virtual-time *epoch*, hands the
 //! raw counters an operator would poll to [`es_heal`]'s pure detector
 //! — which makes every decision — and carries out the actions that
-//! come back. Between epochs it is the back channel of statically
-//! wired speakers. Everything is journaled under component `heal`,
-//! every event carrying `action` and `target` fields (the `es-analyze`
+//! come back. Everything is journaled under component `heal`, every
+//! event carrying `action` and `target` fields (the `es-analyze`
 //! `heal-event-fields` rule enforces this).
 
 use std::rc::Rc;
 
 use es_heal::{FleetDetector, HealAction, HealPolicy, HealStats, Health, ReceiverCounters};
 use es_sim::{RepeatingTimer, Shared, Sim, SimDuration};
-use es_speaker::EthernetSpeaker;
 use es_telemetry::{Journal, Severity, Stamp};
 
 use crate::builder::{Producers, SpeakerHandle};
@@ -143,6 +141,7 @@ impl HealMonitor {
                     refills_received: stats.refills_received,
                     quality_received: quality.received,
                     dropped_late: stats.dropped_late,
+                    nacks_sent: stats.nacks_sent,
                     clock_offset_us: spk.clock_offset_us().unwrap_or(0),
                 };
                 detector.observe_receiver(&spk.name(), counters);
@@ -157,32 +156,6 @@ impl HealMonitor {
         for action in actions {
             self.execute(sim, action);
         }
-    }
-
-    /// Makes this monitor the back channel of a statically wired
-    /// speaker (a negotiated one sends its NACKs over its session):
-    /// each NACK goes at once to the live producer of the group the
-    /// speaker is tuned to.
-    pub(crate) fn relay_nacks_of(&self, spk: &EthernetSpeaker) {
-        let (mon, from) = (self.clone(), spk.clone());
-        spk.set_nack_handler(move |sim, ranges| {
-            let (primaries, group) = (&mon.producers.primaries, from.tuned());
-            let channel = primaries.iter().position(|rb| rb.group() == group);
-            let sent = channel.map_or(0, |i| mon.producers.live(i).retransmit(sim, ranges));
-            mon.detector.borrow_mut().note_retransmit_request();
-            mon.journal.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Info,
-                "heal",
-                "retransmission requested",
-                &[
-                    ("action", "retransmit".into()),
-                    ("target", from.name()),
-                    ("ranges", format!("{ranges:?}")),
-                    ("packets", sent.to_string()),
-                ],
-            );
-        });
     }
 
     fn execute(&self, sim: &mut Sim, action: HealAction) {

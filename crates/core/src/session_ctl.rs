@@ -2,41 +2,36 @@
 //! [`SessionBroker`] and the receiver-side [`NegotiatedSpeaker`].
 //!
 //! Both are drivers of the pure state machines in [`es_proto`] and
-//! decide nothing themselves. The broker decodes what the producer
-//! host hears into an [`es_proto::SessionServer`] — line-up, session
-//! tables, grants, expiry, NACK routing all live there — arms its
-//! sweep timer, and carries each [`ServerAction`] out: packets onto
-//! the LAN, hooks into the journal, retransmissions to whichever
-//! producer serves the stream now. The negotiated speaker drives an
+//! decide nothing themselves. The broker hands the session packets the
+//! producer host hears to an [`es_proto::SessionServer`] — line-up,
+//! session tables, grants and expiry all live there — arms its sweep
+//! timer, and carries each [`ServerAction`] out: packets onto the LAN,
+//! hooks into the journal. The negotiated speaker drives an
 //! [`es_proto::SessionClient`] from a tick timer and applies its
 //! actions to a plain [`EthernetSpeaker`] (tune, resync, volume). The
 //! speaker itself remains the paper's stateless radio — negotiation is
 //! a layer on top, and static `McastGroup` wiring keeps working
 //! without it.
 
-use std::rc::Rc;
-
 use bytes::Bytes;
 
 use es_net::{Dest, Lan, McastGroup, NodeId};
 pub use es_proto::BrokerStats;
 use es_proto::{
-    encode_session, Capabilities, ClientAction, ClientPhase, Packet, ServerAction, SessionClient,
+    encode_session, Capabilities, ClientAction, ClientPhase, ServerAction, SessionClient,
     SessionClientConfig, SessionEntry, SessionPacket, SessionServer, StreamInfo,
 };
 use es_sim::{shared, RepeatingTimer, Shared, Sim, SimDuration};
 use es_speaker::{EthernetSpeaker, SpeakerConfig};
 use es_telemetry::{Journal, Registry, Severity, Stamp};
 
-use crate::builder::{Producers, SessionSpec};
+use crate::builder::SessionSpec;
 
 /// The producer-side control plane: one broker serves every channel
 /// on the host. The simulator driver of [`SessionServer`].
 #[derive(Clone)]
 pub struct SessionBroker {
     server: Shared<SessionServer>,
-    /// The line-up's producers, for [`ServerAction::Retransmit`].
-    producers: Rc<Producers>,
     journal: Option<Journal>,
     lan: Lan,
     node: NodeId,
@@ -45,17 +40,14 @@ pub struct SessionBroker {
 
 impl SessionBroker {
     /// Installs the broker on the producer's LAN node: joins the
-    /// announce group, takes over the node's receive handler (the
-    /// producer host had none — rebroadcasters only send), and arms
-    /// the expiry sweep. `streams` is the line-up, in the order of
-    /// `producers`.
+    /// announce group and arms the expiry sweep. The host's receive
+    /// handler hands it what it hears through [`Self::on_packet`].
     pub(crate) fn start(
         sim: &mut Sim,
         lan: &Lan,
         node: NodeId,
         spec: &SessionSpec,
         streams: Vec<StreamInfo>,
-        producers: Rc<Producers>,
         journal: Option<Journal>,
     ) -> SessionBroker {
         lan.join(node, spec.announce_group);
@@ -64,20 +56,11 @@ impl SessionBroker {
                 streams,
                 spec.session_timeout.as_micros(),
             )),
-            producers,
             journal,
             lan: lan.clone(),
             node,
             announce_group: spec.announce_group,
         };
-        let b2 = broker.clone();
-        lan.set_handler(node, move |sim, dg| {
-            if let Ok(Packet::Session(sp)) = es_proto::decode(&dg.payload) {
-                b2.step(sim, Some(dg.src), |server, now_us, out| {
-                    server.on_packet(now_us, &sp, out)
-                });
-            }
-        });
         let b3 = broker.clone();
         let timer = RepeatingTimer::start_with_phase(
             sim,
@@ -108,6 +91,13 @@ impl SessionBroker {
     fn send(&self, sim: &mut Sim, dst: Dest, pkt: &SessionPacket) {
         let bytes = Bytes::from(encode_session(pkt).to_vec());
         self.lan.send(sim, self.node, dst, bytes);
+    }
+
+    /// One session packet the host heard from `from`.
+    pub(crate) fn on_packet(&self, sim: &mut Sim, from: NodeId, pkt: &SessionPacket) {
+        self.step(sim, Some(from), |server, now_us, out| {
+            server.on_packet(now_us, pkt, out)
+        });
     }
 
     /// Runs one step of the core at the current instant and carries
@@ -141,10 +131,6 @@ impl SessionBroker {
                 }
                 ServerAction::Announce(pkt) => {
                     self.send(sim, Dest::Multicast(self.announce_group), &pkt);
-                    continue;
-                }
-                ServerAction::Retransmit { stream, ranges } => {
-                    self.producers.live(stream).retransmit(sim, &ranges);
                     continue;
                 }
                 ServerAction::Discovered { speaker } => {
@@ -234,8 +220,7 @@ impl SessionBroker {
             .counter("refusals", stats.refusals)
             .counter("keepalives", stats.keepalives)
             .counter("flushes", stats.flushes)
-            .counter("teardowns", stats.teardowns)
-            .counter("nacks", stats.nacks);
+            .counter("teardowns", stats.teardowns);
     }
 
     /// Stream `i`'s session-table lifecycle: `(opened, expired,
@@ -351,19 +336,6 @@ impl NegotiatedSpeaker {
         let bytes = Bytes::from(encode_session(pkt).to_vec());
         self.lan
             .send(sim, self.spk.node(), Dest::Multicast(announce), bytes);
-    }
-
-    /// Lets the speaker ask for the blocks it is missing: each NACK
-    /// leaves as a PARAM of the session it holds, which the broker
-    /// routes to the stream's retransmit cache. Between sessions there
-    /// is nobody to ask.
-    pub(crate) fn nack_over_session(&self) {
-        let ns = self.clone();
-        self.spk.set_nack_handler(move |sim, ranges| {
-            if let Some(session_id) = ns.session_id() {
-                ns.send(sim, &SessionPacket::param_nack(session_id, ranges.to_vec()));
-            }
-        });
     }
 
     fn apply(&self, sim: &mut Sim, actions: Vec<ClientAction>) {
@@ -508,108 +480,5 @@ pub fn stream_info_for(
             sample_rates: vec![config.sample_rate],
             device_class: es_proto::DeviceClass::Standard,
         },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use es_net::{Datagram, LanConfig};
-    use es_rebroadcast::{Rebroadcaster, RebroadcasterConfig};
-    use es_sim::SimTime;
-
-    /// The protocol is `es_proto::server`'s to test; this is the
-    /// driver: a NACK PARAM heard on the announce group comes back out
-    /// of the stream's producer as re-multicast data packets.
-    #[test]
-    fn param_nack_routes_to_the_rebroadcaster() {
-        let mut sim = Sim::new(13);
-        let lan = Lan::new(LanConfig::default());
-        let producer = lan.attach("producer-host");
-        let spec = SessionSpec::new(McastGroup(0)).session_timeout(SimDuration::from_secs(10));
-        let (announce, data_group) = (spec.announce_group, McastGroup(5));
-        let (slave, master) = es_vad::vad_pair(es_vad::VadMode::KernelThread {
-            poll: SimDuration::from_millis(10),
-        });
-        let mut rcfg = RebroadcasterConfig::new(1, data_group);
-        rcfg.tx.policy = es_rebroadcast::CompressionPolicy::Never;
-        let rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
-        let _app = es_rebroadcast::AudioApp::start(
-            &mut sim,
-            Rc::new(slave),
-            es_audio::AudioConfig::CD,
-            Box::new(es_audio::gen::Sine::new(440.0, 44_100, 0.5)),
-            SimDuration::from_secs(3),
-            es_rebroadcast::AppPacing::RealTime,
-        )
-        .unwrap();
-        let info = stream_info_for(
-            1,
-            data_group,
-            "radio",
-            es_audio::AudioConfig::CD,
-            0,
-            &es_rebroadcast::CompressionPolicy::paper_default(),
-        );
-        let producers = Rc::new(Producers {
-            primaries: vec![rb.clone()],
-            standbys: vec![],
-        });
-        let broker =
-            SessionBroker::start(&mut sim, &lan, producer, &spec, vec![info], producers, None);
-
-        let client_node = lan.attach("es1");
-        lan.join(client_node, announce);
-        lan.join(client_node, data_group);
-        let inbox: Shared<Vec<SessionPacket>> = shared(Vec::new());
-        let data_seqs: Shared<Vec<u32>> = shared(Vec::new());
-        let (i2, d2) = (inbox.clone(), data_seqs.clone());
-        lan.set_handler(
-            client_node,
-            move |_sim, dg: Datagram| match es_proto::decode(&dg.payload) {
-                Ok(Packet::Session(sp)) => i2.borrow_mut().push(sp),
-                Ok(Packet::Data(d)) => d2.borrow_mut().push(d.seq),
-                _ => {}
-            },
-        );
-        let wire = |pkt: &SessionPacket| Bytes::from(encode_session(pkt).to_vec());
-        let to_broker = Dest::Multicast(announce);
-
-        let setup = wire(&SessionPacket::Setup {
-            speaker: "es1".into(),
-            stream_id: 1,
-            codec: 0,
-            playout_delay_us: 150_000,
-            caps: Capabilities::any(),
-        });
-        let l2 = lan.clone();
-        sim.schedule_at(SimTime::from_millis(10), move |sim| {
-            l2.send(sim, client_node, to_broker, setup);
-        });
-        sim.run_until(SimTime::from_secs(2));
-        let granted = inbox.borrow().iter().find_map(SessionPacket::session_id);
-        let sid = granted.expect("session granted");
-        assert_eq!(broker.sessions_active(), 1);
-        let max_seq = *data_seqs.borrow().iter().max().expect("data flowed");
-
-        // NACK two recent sequences, plus one for a session the broker
-        // has never heard of.
-        let ours = wire(&SessionPacket::param_nack(sid, vec![(max_seq - 1, 2)]));
-        let nobodys = wire(&SessionPacket::param_nack(sid + 999, vec![(0, 1)]));
-        let l3 = lan.clone();
-        sim.schedule_at(SimTime::from_millis(2_010), move |sim| {
-            l3.send(sim, client_node, to_broker, ours);
-            l3.send(sim, client_node, to_broker, nobodys);
-        });
-        sim.run_until(SimTime::from_millis(2_500));
-
-        assert_eq!(broker.stats().nacks, 1, "unknown session must not route");
-        assert_eq!(rb.stats().retransmits_sent, 2);
-        let copies = data_seqs
-            .borrow()
-            .iter()
-            .filter(|&&s| s == max_seq - 1)
-            .count();
-        assert_eq!(copies, 2, "original + retransmission");
     }
 }

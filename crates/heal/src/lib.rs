@@ -20,7 +20,7 @@
 //!    been healthy for a while.
 //! 2. **NACK retransmission** — a receiver asks the stream's live
 //!    producer for the sequence ranges it misses: its own decision,
-//!    only counted here.
+//!    only counted here, from its own `nacks_sent`.
 //! 3. **Producer failover** — a warm standby adopts the stream clock
 //!    when its channel stops emitting control packets.
 //!
@@ -127,6 +127,8 @@ pub struct ReceiverCounters {
     pub quality_received: u64,
     /// Data packets discarded past their deadline.
     pub dropped_late: u64,
+    /// NACK datagrams the receiver sent.
+    pub nacks_sent: u64,
     /// Clock offset estimate versus the producer, µs (0 before sync).
     pub clock_offset_us: i64,
 }
@@ -185,7 +187,8 @@ pub struct HealStats {
     pub fec_raises: u64,
     /// FEC ladder lowers applied.
     pub fec_lowers: u64,
-    /// NACK retransmission requests relayed to the producer.
+    /// NACKs the receivers sent, summed from their `nacks_sent`
+    /// growth since each was first seen.
     pub retransmits_requested: u64,
     /// Standby promotions triggered.
     pub failovers: u64,
@@ -293,6 +296,7 @@ impl FleetDetector {
     pub fn observe_receiver(&mut self, name: &str, now: ReceiverCounters) -> Health {
         let r = self.receivers.entry(name.to_string()).or_default();
         let was = r.counters.replace(now).unwrap_or(now);
+        self.stats.retransmits_requested += now.nacks_sent.saturating_sub(was.nacks_sent);
         if self.stats.epochs == 0 {
             return self.observe(name, EpochSample::default());
         }
@@ -327,11 +331,6 @@ impl FleetDetector {
             c.stalled += 1;
             c.fail_over = c.stalled >= FAILOVER_AFTER;
         }
-    }
-
-    /// Counts a receiver's NACK relayed to its stream's producer.
-    pub fn note_retransmit_request(&mut self) {
-        self.stats.retransmits_requested += 1;
     }
 
     /// Records one receiver's epoch sample; returns the raw (pre-
@@ -587,7 +586,7 @@ mod tests {
             d.observe("es1", sick());
             d.end_epoch();
         }
-        d.note_retransmit_request();
+        d.stats.retransmits_requested = 1;
         let mut reg = Registry::new();
         d.stats.record(&mut reg);
         let snap = reg.snapshot();
@@ -655,6 +654,26 @@ mod tests {
             ..counters(10, 1_130)
         };
         assert_eq!(d.observe_receiver("es1", refilled), Health::Sick);
+    }
+
+    // Mutations: count `nacks_sent` itself instead of its growth, or
+    // against a zero baseline for a receiver first seen mid-run.
+    #[test]
+    fn retransmits_requested_sums_each_receivers_nack_growth() {
+        let mut d = FleetDetector::new(HealPolicy::default());
+        let asked = |nacks_sent| ReceiverCounters {
+            nacks_sent,
+            ..counters(0, 100)
+        };
+        d.observe_receiver("es1", asked(3));
+        d.end_epoch();
+        d.observe_receiver("es1", asked(5));
+        d.observe_receiver("es2", asked(40));
+        d.end_epoch();
+        d.observe_receiver("es1", asked(5));
+        d.observe_receiver("es2", asked(47));
+        d.end_epoch();
+        assert_eq!(d.stats.retransmits_requested, 2 + 7);
     }
 
     // Mutation: drop `c.active &&` from `observe_channel`.

@@ -12,11 +12,15 @@
 //! - **Announce packets** implement the MFTP-inspired out-of-band
 //!   catalog the paper plans in §4.3: a well-known group lists the
 //!   active channels so speakers can browse without tuning in.
+//! - **NACK packets** (an extension for lossy links) are the one thing
+//!   a speaker sends on the data plane: unicast to the node it hears
+//!   the stream from, they name the sequence ranges it missed.
 //!
 //! The producer keeps no per-client state; everything a late joiner
-//! needs is in the periodic control packet. All integers are
-//! little-endian; every packet ends with a CRC-32 of everything before
-//! it.
+//! needs is in the periodic control packet, and a NACK is answered
+//! from the stream's retransmit window, not from a record of who asked.
+//! All integers are little-endian; every packet ends with a CRC-32 of
+//! everything before it.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -47,6 +51,9 @@ pub const RECOMMENDED_MAX_PAYLOAD: usize = 1_472 - DATA_ENVELOPE;
 /// Bytes of envelope around a data payload (header 10 + timestamp 8 +
 /// codec 1 + length 4 + crc 4).
 pub const DATA_ENVELOPE: usize = 10 + 8 + 1 + 4 + 4;
+
+/// Most `(first_seq, count)` ranges one NACK packet carries.
+pub const MAX_NACK_RANGES: usize = 16;
 
 /// Parse errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -162,6 +169,14 @@ pub enum Packet {
     Parity(ParityPacket),
     /// Session control plane (extension; see [`crate::session`]).
     Session(SessionPacket),
+    /// A speaker asking for data packets again (extension).
+    Nack {
+        /// The stream the ranges belong to.
+        stream_id: u16,
+        /// Missed `(first_seq, count)` ranges: 1 to
+        /// [`MAX_NACK_RANGES`] of them, each count ≥ 1.
+        ranges: Vec<(u32, u16)>,
+    },
 }
 
 impl Packet {
@@ -173,6 +188,7 @@ impl Packet {
             Packet::Announce(_) => 0,
             Packet::Parity(p) => p.stream_id,
             Packet::Session(s) => s.stream_id(),
+            Packet::Nack { stream_id, .. } => *stream_id,
         }
     }
 }
@@ -182,6 +198,7 @@ const TYPE_DATA: u8 = 2;
 const TYPE_ANNOUNCE: u8 = 3;
 const TYPE_PARITY: u8 = 4;
 const TYPE_SESSION: u8 = 5;
+const TYPE_NACK: u8 = 6;
 
 fn put_header(buf: &mut BytesMut, ptype: u8, stream_id: u16, seq: u32) {
     buf.put_u16_le(MAGIC);
@@ -367,6 +384,21 @@ pub fn encode_parity(p: &ParityPacket) -> Bytes {
     buf.freeze()
 }
 
+/// Serializes a NACK for `stream_id`; ranges past the first
+/// [`MAX_NACK_RANGES`] are left out.
+pub fn encode_nack(stream_id: u16, ranges: &[(u32, u16)]) -> Bytes {
+    let ranges = &ranges[..ranges.len().min(MAX_NACK_RANGES)];
+    let mut buf = BytesMut::with_capacity(15 + 6 * ranges.len());
+    put_header(&mut buf, TYPE_NACK, stream_id, 0);
+    buf.put_u8(ranges.len() as u8);
+    for &(first, count) in ranges {
+        buf.put_u32_le(first);
+        buf.put_u16_le(count);
+    }
+    finish_into(&mut buf, 0);
+    buf.freeze()
+}
+
 /// Parses any packet, verifying magic, version and CRC.
 pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
     if bytes.len() < 14 {
@@ -480,6 +512,28 @@ pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
         TYPE_SESSION => Ok(Packet::Session(crate::session::decode_session_body(
             stream_id, seq, buf,
         )?)),
+        TYPE_NACK => {
+            if buf.remaining() < 1 {
+                return Err(WireError::TooShort);
+            }
+            let n = buf.get_u8() as usize;
+            if !(1..=MAX_NACK_RANGES).contains(&n) {
+                return Err(WireError::BadField("nack range count"));
+            }
+            if buf.remaining() != 6 * n {
+                return Err(WireError::BadField("nack length"));
+            }
+            let mut ranges = Vec::with_capacity(n);
+            for _ in 0..n {
+                let first = buf.get_u32_le();
+                let count = buf.get_u16_le();
+                if count == 0 {
+                    return Err(WireError::BadField("nack range length"));
+                }
+                ranges.push((first, count));
+            }
+            Ok(Packet::Nack { stream_id, ranges })
+        }
         t => Err(WireError::BadType(t)),
     }
 }
@@ -615,6 +669,61 @@ mod tests {
     }
 
     #[test]
+    fn nack_roundtrips_and_refuses_what_no_speaker_sends() {
+        let ranges = vec![(100, 3), (u32::MAX - 1, 4), (7, u16::MAX)];
+        let bytes = encode_nack(9, &ranges);
+        assert_eq!(
+            decode(&bytes),
+            Ok(Packet::Nack {
+                stream_id: 9,
+                ranges
+            })
+        );
+        // More ranges than the wire carries are left out at encode.
+        let long: Vec<(u32, u16)> = (0..40).map(|i| (i, 1)).collect();
+        match decode(&encode_nack(1, &long)) {
+            Ok(Packet::Nack { ranges, .. }) => assert_eq!(ranges, long[..MAX_NACK_RANGES]),
+            other => panic!("{other:?}"),
+        }
+        // A forger's: no ranges, seventeen, a zero count, a short or a
+        // long body — each re-sealed, so the parser sees it.
+        let forge = |count: u8, body: &[(u32, u16)], extra: &[u8]| {
+            let mut m = BytesMut::new();
+            put_header(&mut m, TYPE_NACK, 1, 0);
+            m.put_u8(count);
+            for &(first, n) in body {
+                m.put_u32_le(first);
+                m.put_u16_le(n);
+            }
+            m.put_slice(extra);
+            finish_into(&mut m, 0);
+            decode(&m)
+        };
+        let many = vec![(0, 1); MAX_NACK_RANGES + 1];
+        assert!(forge(0, &[], &[]).is_err(), "empty");
+        assert!(forge(17, &many, &[]).is_err(), "seventeen ranges");
+        assert!(forge(1, &[(5, 0)], &[]).is_err(), "zero count");
+        assert!(forge(2, &[(5, 1)], &[]).is_err(), "short body");
+        assert!(forge(1, &[(5, 1)], &[0]).is_err(), "trailing byte");
+        assert!(forge(1, &[(5, 1)], &[]).is_ok());
+    }
+
+    #[test]
+    fn nack_corruption_and_truncation_are_detected() {
+        let bytes = encode_nack(3, &[(10, 2), (40, 1)]);
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut m = bytes.to_vec();
+                m[i] ^= 1 << bit;
+                assert!(decode(&m).is_err(), "undetected flip at byte {i} bit {bit}");
+            }
+        }
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "undetected cut at {cut}");
+        }
+    }
+
+    #[test]
     fn corruption_is_detected_everywhere() {
         let bytes = encode_control(&control());
         for i in 0..bytes.len() {
@@ -746,6 +855,16 @@ mod tests {
         #[test]
         fn prop_random_bytes_never_panic(bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..256)) {
             let _ = decode(&bytes);
+            // The same bytes as the body of a sealed NACK: the CRC
+            // passes, so the range parser sees them.
+            let mut nack = BytesMut::new();
+            put_header(&mut nack, TYPE_NACK, 1, 0);
+            nack.put_slice(&bytes);
+            finish_into(&mut nack, 0);
+            if let Ok(Packet::Nack { ranges, .. }) = decode(&nack) {
+                proptest::prop_assert!((1..=MAX_NACK_RANGES).contains(&ranges.len()));
+                proptest::prop_assert!(ranges.iter().all(|&(_, n)| n > 0));
+            }
             // The same bytes as an auth trailer in front of its message.
             use crate::auth::{AuthTrailer, StreamVerifier, TRAILER_LEN};
             if let Some((trailer, message)) = bytes.split_at_checked(TRAILER_LEN) {
@@ -772,6 +891,15 @@ mod tests {
             };
             let bytes = encode_data(&p);
             proptest::prop_assert_eq!(decode(&bytes).unwrap(), Packet::Data(p));
+        }
+
+        #[test]
+        fn prop_nack_roundtrip(
+            stream_id in proptest::num::u16::ANY,
+            ranges in proptest::collection::vec((proptest::num::u32::ANY, 1u16..=u16::MAX), 1..MAX_NACK_RANGES + 1),
+        ) {
+            let back = decode(&encode_nack(stream_id, &ranges));
+            proptest::prop_assert_eq!(back, Ok(Packet::Nack { stream_id, ranges }));
         }
     }
 }

@@ -8,15 +8,22 @@
 //! into a vector the caller owns; the caller owns every clock, socket
 //! and log. Two drivers step it: `es_core::SessionBroker` on the
 //! simulated LAN and `tests/session_udp.rs` over UDP sockets. The
-//! producers themselves keep no per-receiver state (§2.3): a
-//! [`ServerAction::Retransmit`] names a stream, and the driver hands it
-//! to whichever producer serves that stream *now*.
+//! producers themselves keep no per-receiver state (§2.3), and the
+//! control plane carries no audio: a speaker asks for a lost block on
+//! the data plane, where the stream is.
 
 use crate::packet::StreamInfo;
 use crate::session::{
     negotiate, RefuseReason, SessionEntry, SessionPacket, SessionTable, TeardownReason,
-    MAX_NACK_RANGES,
 };
+
+/// Most live sessions one stream's table holds. The control plane is
+/// unauthenticated, so every SETUP under a fresh name would otherwise
+/// be a new entry — and each SETUP scans its stream's table for the
+/// name. Well above the largest negotiated fleet anything here builds
+/// (16 speakers); a SETUP past it is refused with
+/// [`RefuseReason::TableFull`] until the sweep frees a place.
+const MAX_SESSIONS_PER_STREAM: usize = 256;
 
 /// Control-plane counters on the producer side.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -38,13 +45,10 @@ pub struct BrokerStats {
     pub flushes: u64,
     /// TEARDOWN packets sent (expiry and requested).
     pub teardowns: u64,
-    /// NACK PARAMs accepted for a live session and handed to its
-    /// stream's retransmit cache.
-    pub nacks: u64,
 }
 
 /// What the surrounding transport must do in response to an event,
-/// in the order it must do it. The first three are the wire; the rest
+/// in the order it must do it. The first two are the wire; the rest
 /// are hooks for whatever record the driver keeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerAction {
@@ -52,15 +56,6 @@ pub enum ServerAction {
     Reply(SessionPacket),
     /// Send on the announce group.
     Announce(SessionPacket),
-    /// Re-multicast these `(first_seq, count)` ranges — at most
-    /// [`MAX_NACK_RANGES`] — from the retransmit cache of the
-    /// line-up's `stream`-th entry.
-    Retransmit {
-        /// Index into the line-up, declaration order.
-        stream: usize,
-        /// The NACKed ranges.
-        ranges: Vec<(u32, u16)>,
-    },
     /// A DISCOVER was heard.
     Discovered {
         /// Who is looking.
@@ -147,6 +142,9 @@ impl SessionServer {
                     if let Some(held) = self.tables[i].find_by_speaker(&speaker) {
                         return Ok((self.streams[i].group, held.clone()));
                     }
+                    if self.tables[i].active() >= MAX_SESSIONS_PER_STREAM {
+                        return Err(RefuseReason::TableFull);
+                    }
                     let grant = negotiate(&self.streams[i], caps, *codec, *playout_delay_us)?;
                     let entry = SessionEntry {
                         session_id: self.next_sid,
@@ -202,21 +200,8 @@ impl SessionServer {
                     out.push(ServerAction::Closed(e));
                 }
             }
-            // Receiver→producer PARAMs carry NACKed sequence ranges,
-            // for the stream that holds the session.
-            SessionPacket::Param {
-                session_id, nack, ..
-            } if !nack.is_empty() => {
-                let holder = |t: &SessionTable| t.get(*session_id).is_some();
-                if let Some(stream) = self.tables.iter().position(holder) {
-                    self.stats.nacks += 1;
-                    let ranges = nack[..nack.len().min(MAX_NACK_RANGES)].to_vec();
-                    out.push(ServerAction::Retransmit { stream, ranges });
-                }
-            }
-            // Producer-originated kinds echoed back — our own PARAMs
-            // carry no NACK — or a second producer on the segment: not
-            // ours to handle.
+            // Producer-originated kinds echoed back, or a second
+            // producer on the segment: not ours to handle.
             SessionPacket::Param { .. }
             | SessionPacket::Offer { .. }
             | SessionPacket::SetupAck { .. }
@@ -525,31 +510,41 @@ mod tests {
     }
 
     #[test]
-    fn nack_param_is_routed_to_the_stream_that_holds_the_session() {
+    fn a_full_table_refuses_fresh_names_and_still_regrants_held_ones() {
         let mut s = server();
-        join(&mut s, 0, "es1", 1);
-        let id = join(&mut s, 0, "es2", 2);
-        let ranges = vec![(100, 2), (u32::MAX, 3)];
+        let ids: Vec<u32> = (0..MAX_SESSIONS_PER_STREAM)
+            .map(|i| join(&mut s, 0, &format!("es{i}"), 1))
+            .collect();
+        let refused = ServerAction::Refused {
+            speaker: "late".into(),
+            stream_id: 1,
+            reason: RefuseReason::TableFull,
+        };
+        let refuse = SessionPacket::Refuse {
+            speaker: "late".into(),
+            stream_id: 1,
+            reason: RefuseReason::TableFull,
+        };
         assert_eq!(
-            step(&mut s, 1, &SessionPacket::param_nack(id, ranges.clone())),
-            [ServerAction::Retransmit { stream: 1, ranges }]
+            step(&mut s, 1, &setup("late", 1, 0)),
+            [refused, Reply(refuse)]
         );
-        // Nobody holds this session; a producer's own PARAM echoed
-        // back carries no NACK.
-        assert!(step(
-            &mut s,
-            2,
-            &SessionPacket::param_nack(id + 999, vec![(0, 1)])
-        )
-        .is_empty());
-        assert!(step(&mut s, 3, &SessionPacket::param_fec(id, Some(4))).is_empty());
-        assert_eq!(s.stats().nacks, 1);
-        // More ranges than the wire admits are cut, not served.
-        let long = SessionPacket::param_nack(id, vec![(7, u16::MAX); 40]);
-        let out = step(&mut s, 4, &long);
-        assert!(
-            matches!(out.as_slice(), [ServerAction::Retransmit { ranges, .. }] if ranges.len() == MAX_NACK_RANGES)
+        assert_eq!(
+            (s.stats().refusals, counts(&s, 0).3),
+            (1, MAX_SESSIONS_PER_STREAM)
         );
+        // A name that holds a session is answered as before, and the
+        // other stream's table has its own room.
+        assert_eq!(join(&mut s, 2, "es7", 1), ids[7]);
+        join(&mut s, 2, "late", 2);
+        // A receiver PARAM is not ours to act on.
+        let echoed = SessionPacket::param_volume(ids[0], 500, String::new());
+        assert!(step(&mut s, 3, &echoed).is_empty());
+        // The sweep frees the places of the silent.
+        let mut out = Vec::new();
+        s.sweep(TIMEOUT_US + 1, &mut out);
+        assert_eq!(counts(&s, 0).3, 0);
+        join(&mut s, TIMEOUT_US + 2, "late", 1);
     }
 
     #[test]

@@ -110,6 +110,8 @@ pub enum RefuseReason {
     CodecMismatch,
     /// The stream's sample rate is outside the receiver's set.
     RateMismatch,
+    /// The stream's session table is at its cap.
+    TableFull,
 }
 
 impl RefuseReason {
@@ -119,6 +121,7 @@ impl RefuseReason {
             RefuseReason::UnknownStream => 0,
             RefuseReason::CodecMismatch => 1,
             RefuseReason::RateMismatch => 2,
+            RefuseReason::TableFull => 3,
         }
     }
 
@@ -128,6 +131,7 @@ impl RefuseReason {
             0 => RefuseReason::UnknownStream,
             1 => RefuseReason::CodecMismatch,
             2 => RefuseReason::RateMismatch,
+            3 => RefuseReason::TableFull,
             _ => return None,
         })
     }
@@ -139,6 +143,7 @@ impl core::fmt::Display for RefuseReason {
             RefuseReason::UnknownStream => f.write_str("unknown stream"),
             RefuseReason::CodecMismatch => f.write_str("codec mismatch"),
             RefuseReason::RateMismatch => f.write_str("sample-rate mismatch"),
+            RefuseReason::TableFull => f.write_str("session table full"),
         }
     }
 }
@@ -260,10 +265,8 @@ pub enum SessionPacket {
         /// Why.
         reason: TeardownReason,
     },
-    /// In-session parameter update (volume, metadata, FEC level,
-    /// NACKed sequence ranges). Either direction: producer→receiver
-    /// carries volume/metadata/FEC announcements, receiver→producer
-    /// carries NACK ranges asking for retransmission.
+    /// In-session parameter update from the producer (volume,
+    /// metadata, FEC level).
     Param {
         /// Session being updated.
         session_id: u32,
@@ -276,9 +279,6 @@ pub enum SessionPacket {
         /// change), [`PARAM_FEC_OFF`] (disable parity), or a group
         /// size in `2..=32`.
         fec_group: u8,
-        /// Missed sequence ranges as `(first_seq, count)` pairs, at
-        /// most [`MAX_NACK_RANGES`] per packet, each count ≥ 1.
-        nack: Vec<(u32, u16)>,
     },
 }
 
@@ -291,8 +291,6 @@ pub const PARAM_FEC_OFF: u8 = 1;
 /// Largest parity group expressible in a PARAM (matches
 /// [`crate::fec`]'s wire bound).
 pub const PARAM_FEC_MAX_GROUP: u8 = 32;
-/// Most NACK ranges one PARAM may carry.
-pub const MAX_NACK_RANGES: usize = 16;
 
 impl SessionPacket {
     /// A PARAM that only changes the volume/metadata (the original
@@ -303,7 +301,6 @@ impl SessionPacket {
             volume_milli,
             metadata,
             fec_group: PARAM_FEC_UNCHANGED,
-            nack: Vec::new(),
         }
     }
 
@@ -314,18 +311,6 @@ impl SessionPacket {
             volume_milli: PARAM_VOLUME_UNCHANGED,
             metadata: String::new(),
             fec_group: group.unwrap_or(PARAM_FEC_OFF),
-            nack: Vec::new(),
-        }
-    }
-
-    /// A PARAM NACKing missed sequence ranges (receiver→producer).
-    pub fn param_nack(session_id: u32, nack: Vec<(u32, u16)>) -> SessionPacket {
-        SessionPacket::Param {
-            session_id,
-            volume_milli: PARAM_VOLUME_UNCHANGED,
-            metadata: String::new(),
-            fec_group: PARAM_FEC_UNCHANGED,
-            nack,
         }
     }
 }
@@ -338,18 +323,6 @@ impl SessionPacket {
             | SessionPacket::SetupAck { stream_id, .. }
             | SessionPacket::Refuse { stream_id, .. } => *stream_id,
             _ => 0,
-        }
-    }
-
-    /// The session this packet concerns, when one exists yet.
-    pub fn session_id(&self) -> Option<u32> {
-        match self {
-            SessionPacket::SetupAck { session_id, .. }
-            | SessionPacket::Keepalive { session_id }
-            | SessionPacket::Flush { session_id }
-            | SessionPacket::Teardown { session_id, .. }
-            | SessionPacket::Param { session_id, .. } => Some(*session_id),
-            _ => None,
         }
     }
 
@@ -527,18 +500,12 @@ pub fn encode_session_into(p: &SessionPacket, buf: &mut BytesMut) {
             volume_milli,
             metadata,
             fec_group,
-            nack,
             ..
         } => {
             buf.put_u8(K_PARAM);
             buf.put_u16_le(*volume_milli);
             put_name(buf, metadata);
             buf.put_u8(*fec_group);
-            buf.put_u8(nack.len().min(MAX_NACK_RANGES) as u8);
-            for (first, count) in nack.iter().take(MAX_NACK_RANGES) {
-                buf.put_u32_le(*first);
-                buf.put_u16_le(*count);
-            }
         }
     }
     crate::packet::finish_session(buf, start);
@@ -647,35 +614,18 @@ pub(crate) fn decode_session_body(
             }
             let volume_milli = buf.get_u16_le();
             let metadata = get_name(&mut buf)?;
-            if buf.remaining() < 2 {
+            if buf.remaining() < 1 {
                 return Err(WireError::TooShort);
             }
             let fec_group = buf.get_u8();
             if fec_group > PARAM_FEC_MAX_GROUP {
                 return Err(WireError::BadField("fec group"));
             }
-            let n_ranges = buf.get_u8() as usize;
-            if n_ranges > MAX_NACK_RANGES {
-                return Err(WireError::BadField("nack count"));
-            }
-            if buf.remaining() < n_ranges * 6 {
-                return Err(WireError::TooShort);
-            }
-            let mut nack = Vec::with_capacity(n_ranges);
-            for _ in 0..n_ranges {
-                let first = buf.get_u32_le();
-                let count = buf.get_u16_le();
-                if count == 0 {
-                    return Err(WireError::BadField("nack range length"));
-                }
-                nack.push((first, count));
-            }
             SessionPacket::Param {
                 session_id: seq,
                 volume_milli,
                 metadata,
                 fec_group,
-                nack,
             }
         }
         _ => return Err(WireError::BadField("session kind")),
@@ -807,11 +757,6 @@ impl SessionTable {
             }
         }
         out
-    }
-
-    /// The entry for `session_id`, if present.
-    pub fn get(&self, session_id: u32) -> Option<&SessionEntry> {
-        self.entries.get(&session_id)
     }
 
     /// The live session held by `speaker`, if any (a speaker holds at
@@ -1347,36 +1292,18 @@ mod tests {
             volume_milli: 750,
             metadata: "now playing: chapter 3".into(),
             fec_group: PARAM_FEC_UNCHANGED,
-            nack: vec![],
         });
         roundtrip(SessionPacket::param_fec(42, Some(8)));
         roundtrip(SessionPacket::param_fec(42, None));
-        roundtrip(SessionPacket::param_nack(
-            42,
-            vec![(100, 3), (200, 1), (u32::MAX - 4, 4)],
-        ));
     }
 
     #[test]
-    fn param_decode_rejects_bad_fec_and_nack_fields() {
-        // Out-of-range FEC group.
+    fn param_decode_rejects_an_out_of_range_fec_group() {
         let mut bad = SessionPacket::param_fec(1, Some(8));
         if let SessionPacket::Param { fec_group, .. } = &mut bad {
             *fec_group = PARAM_FEC_MAX_GROUP + 1;
         }
         assert!(decode(&encode_session(&bad)).is_err(), "fec group > 32");
-        // Zero-length NACK range.
-        let bad = SessionPacket::param_nack(1, vec![(10, 0)]);
-        assert!(decode(&encode_session(&bad)).is_err(), "empty nack range");
-        // Oversized NACK lists are truncated at encode, never rejected
-        // on the way back in.
-        let long = SessionPacket::param_nack(1, (0..40u32).map(|i| (i, 1)).collect());
-        match decode(&encode_session(&long)).unwrap() {
-            Packet::Session(SessionPacket::Param { nack, .. }) => {
-                assert_eq!(nack.len(), MAX_NACK_RANGES);
-            }
-            other => panic!("wrong type: {other:?}"),
-        }
     }
 
     #[test]
@@ -1472,7 +1399,7 @@ mod tests {
         );
         assert_eq!(t.active(), 1);
         assert_eq!(t.expired, 2);
-        assert!(t.get(2).is_some());
+        assert_eq!(t.iter().map(|e| e.session_id).collect::<Vec<_>>(), [2]);
         assert!(!t.touch(1, 6_000_000), "expired id is gone");
         assert!(t.close(2).is_some());
         assert_eq!(t.closed, 1);
@@ -1514,7 +1441,7 @@ mod tests {
         // A late-arriving keepalive with an older stamp never rolls
         // liveness backwards.
         assert!(t.touch(1, 1));
-        assert_eq!(t.get(1).unwrap().last_seen_us, epoch);
+        assert_eq!(t.iter().next().unwrap().last_seen_us, epoch);
         assert!(t.expire(epoch + timeout, timeout).is_empty());
     }
 

@@ -323,11 +323,6 @@ impl Rebroadcaster {
         self.state.borrow().tx.config().fec_group
     }
 
-    /// The multicast group this channel transmits on.
-    pub fn group(&self) -> McastGroup {
-        self.state.borrow().group
-    }
-
     /// Permanently detaches this instance from the VAD: it stops
     /// reading, never re-arms its readable waiter (queued items stay
     /// for the successor), and sends nothing further. Called on the

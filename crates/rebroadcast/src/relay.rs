@@ -32,6 +32,13 @@
 //! — e.g. an authenticated stream, whose trailer the relay cannot
 //! re-sign — is forwarded verbatim and counted as opaque.
 //!
+//! A speaker behind the relay hears its stream's control packets from
+//! the relay, so that is where it sends a NACK. The relay passes the
+//! NACK straight upstream, unchanged, to the node it last heard that
+//! stream's control from — the producer, or the next relay up — and
+//! never downstream; a NACK for a stream it has not heard goes nowhere.
+//! The refill comes back down the tree like any data packet.
+//!
 //! The relay's LAN node is pinned to its segment
 //! ([`Lan::set_segment`]), so the upstream hand-off is one
 //! cross-segment post into the relay and everything downstream of it
@@ -39,7 +46,7 @@
 
 use std::collections::BTreeMap;
 
-use es_net::{Lan, McastGroup, NodeId};
+use es_net::{Dest, Lan, McastGroup, NodeId};
 use es_proto::packet::{encode_control, encode_data, encode_parity, Packet};
 use es_sim::{shared, Shared, Sim, SimDuration};
 use es_telemetry::{Registry, Telemetry};
@@ -99,7 +106,8 @@ pub struct RelayStats {
     /// Parity packets forwarded with at least one stale (unseen)
     /// deadline term left in the XOR.
     pub parity_stale: u64,
-    /// Announce/session packets forwarded unchanged.
+    /// Announce/session packets forwarded unchanged, and NACKs passed
+    /// upstream.
     pub passthrough: u64,
     /// Undecodable datagrams forwarded verbatim (e.g. authenticated
     /// streams the relay cannot re-sign).
@@ -125,6 +133,26 @@ struct RelayState {
     /// stream and sequence number: the term that re-folds a parity
     /// packet's deadline XOR onto the relay timeline.
     deadlines: BTreeMap<u16, BTreeMap<u32, u64>>,
+    /// Who sent each stream's latest control packet: where its NACKs
+    /// go.
+    sources: BTreeMap<u16, NodeId>,
+}
+
+/// True when `map` may hold an entry for `stream_id`: it does, or it
+/// has room for one more of the [`MAX_STREAMS`].
+fn has_room<V>(map: &BTreeMap<u16, V>, stream_id: u16) -> bool {
+    map.len() < MAX_STREAMS || map.contains_key(&stream_id)
+}
+
+/// Where the relay sends what it heard.
+#[derive(Debug, PartialEq, Eq)]
+enum Hop {
+    /// Re-multicast these bytes downstream, one hold window on.
+    Down(bytes::Bytes),
+    /// A NACK: unicast it, as it came, to this node upstream now.
+    Up(NodeId),
+    /// Nowhere.
+    Drop,
 }
 
 /// A running segment relay (cheap cloneable handle).
@@ -157,11 +185,16 @@ impl SegmentRelay {
         let hold = cfg.hold;
         let downstream = cfg.downstream;
         lan.set_handler(node, move |sim, dg| {
-            let out = restamp(&state, &dg.payload, hold.as_micros());
-            let fwd_lan = fwd_lan.clone();
-            sim.schedule_in(hold, move |sim| {
-                fwd_lan.multicast(sim, node, downstream, out);
-            });
+            match route(&state, dg.src, &dg.payload, hold.as_micros()) {
+                Hop::Down(out) => {
+                    let fwd_lan = fwd_lan.clone();
+                    sim.schedule_in(hold, move |sim| {
+                        fwd_lan.multicast(sim, node, downstream, out);
+                    });
+                }
+                Hop::Up(to) => fwd_lan.send(sim, node, Dest::Unicast(to), dg.payload),
+                Hop::Drop => {}
+            }
         });
         relay
     }
@@ -182,20 +215,31 @@ impl SegmentRelay {
     }
 }
 
-/// Shifts a packet's producer-timeline fields by `hold_us` and
-/// re-encodes it; input that does not parse, or whose stamp is too
-/// close to `u64::MAX` to shift (only a forger's), is returned as-is
-/// and counted opaque.
-fn restamp(state: &Shared<RelayState>, raw: &bytes::Bytes, hold_us: u64) -> bytes::Bytes {
+/// Routes a datagram heard from `src`. A NACK goes back up to its
+/// stream's source. Anything else goes down with its producer-timeline
+/// fields shifted by `hold_us`, re-encoded; input that does not parse,
+/// or whose stamp is too close to `u64::MAX` to shift (only a
+/// forger's), goes down as-is and is counted opaque.
+fn route(state: &Shared<RelayState>, src: NodeId, raw: &bytes::Bytes, hold_us: u64) -> Hop {
     let mut st = state.borrow_mut();
     let shifted = match es_proto::packet::decode(raw) {
+        Ok(Packet::Nack { stream_id, .. }) => {
+            let Some(&up) = st.sources.get(&stream_id) else {
+                return Hop::Drop;
+            };
+            st.stats.passthrough += 1;
+            return Hop::Up(up);
+        }
         Ok(Packet::Control(mut c)) => c.producer_time_us.checked_add(hold_us).map(|t| {
+            if has_room(&st.sources, c.stream_id) {
+                st.sources.insert(c.stream_id, src);
+            }
             c.producer_time_us = t;
             st.stats.control_relayed += 1;
             encode_control(&c)
         }),
         Ok(Packet::Data(mut d)) => d.play_at_us.checked_add(hold_us).map(|t| {
-            if st.deadlines.len() < MAX_STREAMS || st.deadlines.contains_key(&d.stream_id) {
+            if has_room(&st.deadlines, d.stream_id) {
                 let window = st.deadlines.entry(d.stream_id).or_default();
                 window.insert(d.seq, d.play_at_us ^ t);
                 while window.len() > DEADLINE_WINDOW {
@@ -232,10 +276,10 @@ fn restamp(state: &Shared<RelayState>, raw: &bytes::Bytes, hold_us: u64) -> byte
         }
         Err(_) => None,
     };
-    shifted.unwrap_or_else(|| {
+    Hop::Down(shifted.unwrap_or_else(|| {
         st.stats.opaque += 1;
         raw.clone()
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -244,10 +288,32 @@ mod tests {
     use bytes::Bytes;
     use es_audio::AudioConfig;
     use es_net::{Datagram, Dest, LanConfig};
-    use es_proto::packet::{ControlPacket, DataPacket};
+    use es_proto::packet::{encode_nack, ControlPacket, DataPacket};
     use es_sim::SimTime;
     use std::cell::RefCell;
     use std::rc::Rc;
+
+    /// [`route`] for a packet that must go downstream.
+    fn down(state: &Shared<RelayState>, raw: &Bytes, hold_us: u64) -> Bytes {
+        let up = Lan::new(LanConfig::default()).attach("up");
+        match route(state, up, raw, hold_us) {
+            Hop::Down(out) => out,
+            other => panic!("not forwarded down: {other:?}"),
+        }
+    }
+
+    fn control(stream_id: u16, producer_time_us: u64) -> Bytes {
+        encode_control(&ControlPacket {
+            stream_id,
+            seq: 0,
+            producer_time_us,
+            config: AudioConfig::CD,
+            codec: 0,
+            quality: 0,
+            control_interval_ms: 100,
+            flags: 0,
+        })
+    }
 
     fn data(seq: u32, play_at_us: u64) -> Bytes {
         encode_data(&DataPacket {
@@ -293,17 +359,7 @@ mod tests {
     #[test]
     fn relay_restamps_data_and_control_by_hold() {
         let hold = SimDuration::from_millis(2);
-        let control = encode_control(&ControlPacket {
-            stream_id: 1,
-            seq: 0,
-            producer_time_us: 1_000,
-            config: AudioConfig::CD,
-            codec: 0,
-            quality: 0,
-            control_interval_ms: 100,
-            flags: 0,
-        });
-        let got = relay_rig(hold, vec![control, data(7, 50_000)]);
+        let got = relay_rig(hold, vec![control(1, 1_000), data(7, 50_000)]);
         assert_eq!(got.len(), 2);
         match &got[0].1 {
             Packet::Control(c) => assert_eq!(c.producer_time_us, 1_000 + 2_000),
@@ -373,30 +429,68 @@ mod tests {
         assert_eq!(relay.stats().data_relayed, 0);
     }
     #[test]
+    fn a_nack_goes_up_once_to_the_streams_source_and_never_down() {
+        let mut sim = Sim::new(5);
+        let lan = Lan::new(LanConfig::default());
+        let producer = lan.attach("producer");
+        let relay = SegmentRelay::start(
+            &mut sim,
+            &lan,
+            RelayConfig::new(McastGroup(10), McastGroup(20)),
+        );
+        // A speaker behind the relay, and a second one beside it.
+        let (speaker, neighbour) = (lan.attach("es1"), lan.attach("es2"));
+        let log = |node| {
+            let got = Rc::new(RefCell::new(Vec::new()));
+            let g = got.clone();
+            lan.set_handler(node, move |_sim, dg: Datagram| {
+                g.borrow_mut()
+                    .push(es_proto::packet::decode(&dg.payload).unwrap());
+            });
+            got
+        };
+        let (up, beside) = (log(producer), log(neighbour));
+        for node in [speaker, neighbour] {
+            lan.join(node, McastGroup(20));
+        }
+        lan.multicast(&mut sim, producer, McastGroup(10), control(1, 1_000));
+        sim.run();
+        // One NACK for the stream it carries, one for a stream it never
+        // heard.
+        for stream_id in [1, 2] {
+            let nack = encode_nack(stream_id, &[(7, 2)]);
+            lan.send(&mut sim, speaker, Dest::Unicast(relay.node()), nack);
+        }
+        sim.run();
+        let asked = Packet::Nack {
+            stream_id: 1,
+            ranges: vec![(7, 2)],
+        };
+        assert_eq!(*up.borrow(), [asked]);
+        assert!(
+            matches!(beside.borrow()[..], [Packet::Control(_)]),
+            "{:?}",
+            beside.borrow()
+        );
+        assert_eq!(relay.stats().passthrough, 1);
+    }
+
+    #[test]
     fn relay_forwards_unshiftable_stamps_verbatim() {
         // A forged deadline or producer time within one hold of
         // `u64::MAX` used to panic a dev build in `+=`.
         let hold = SimDuration::from_millis(2);
         let forged_data = data(3, u64::MAX);
-        let forged_control = encode_control(&ControlPacket {
-            stream_id: 1,
-            seq: 0,
-            producer_time_us: u64::MAX - 1_999,
-            config: AudioConfig::CD,
-            codec: 0,
-            quality: 0,
-            control_interval_ms: 100,
-            flags: 0,
-        });
+        let forged_control = control(1, u64::MAX - 1_999);
         let state = shared(RelayState::default());
         for forged in [&forged_data, &forged_control] {
-            assert_eq!(restamp(&state, forged, hold.as_micros()), *forged);
+            assert_eq!(down(&state, forged, hold.as_micros()), *forged);
         }
         assert_eq!(state.borrow().stats.opaque, 2);
         assert_eq!(state.borrow().stats.data_relayed, 0);
         assert!(state.borrow().deadlines.is_empty(), "nothing to re-fold");
         // The last shiftable stamp still shifts.
-        let edge = restamp(&state, &data(4, u64::MAX - 2_000), hold.as_micros());
+        let edge = down(&state, &data(4, u64::MAX - 2_000), hold.as_micros());
         match es_proto::packet::decode(&edge) {
             Ok(Packet::Data(d)) => assert_eq!(d.play_at_us, u64::MAX),
             p => panic!("expected data, got {p:?}"),
@@ -411,10 +505,10 @@ mod tests {
         // A window already full below the wrap: what it evicts next is
         // its oldest deadline, not its smallest sequence number.
         for back in (1..=DEADLINE_WINDOW as u32).rev() {
-            restamp(&state, &data(u32::MAX - back, 0), hold_us);
+            down(&state, &data(u32::MAX - back, 0), hold_us);
         }
-        restamp(&state, &data(u32::MAX, d0), hold_us);
-        restamp(&state, &data(0, d1), hold_us);
+        down(&state, &data(u32::MAX, d0), hold_us);
+        down(&state, &data(0, d1), hold_us);
         let parity = |stream_id, base_seq| {
             encode_parity(&es_proto::fec::ParityPacket {
                 stream_id,
@@ -426,7 +520,7 @@ mod tests {
                 payload: Bytes::from_static(&[0, 0, 0, 0]),
             })
         };
-        match es_proto::packet::decode(&restamp(&state, &parity(1, u32::MAX), hold_us)) {
+        match es_proto::packet::decode(&down(&state, &parity(1, u32::MAX), hold_us)) {
             Ok(Packet::Parity(p)) => {
                 assert_eq!(p.xor_play_at_us, (d0 + hold_us) ^ (d1 + hold_us))
             }
@@ -446,12 +540,12 @@ mod tests {
                 codec: 0,
                 payload: Bytes::from_static(&[9]),
             });
-            restamp(&state, &forged, hold_us);
+            down(&state, &forged, hold_us);
         }
         assert_eq!(state.borrow().deadlines.len(), MAX_STREAMS);
         let forwarded = state.borrow().stats.data_relayed - before;
         assert_eq!(forwarded, u64::from(u16::MAX) - 1);
-        restamp(&state, &parity(u16::MAX, 0), hold_us);
+        down(&state, &parity(u16::MAX, 0), hold_us);
         assert_eq!(state.borrow().stats.parity_stale, 1);
     }
 }

@@ -114,7 +114,9 @@ pub struct ProducerStats {
     /// Audio blocks consumed but never sent because the process was
     /// down — each one is a sequence-number gap on the wire.
     pub crash_dropped_blocks: u64,
-    /// Cached data packets re-sent on NACK (healing plane).
+    /// NACKs this stream was asked to serve.
+    pub nacks_received: u64,
+    /// Cached data packets re-sent on NACK.
     pub retransmits_sent: u64,
     /// Mid-stream FEC parity-group changes applied.
     pub fec_changes: u64,
@@ -149,6 +151,10 @@ impl Telemetry for ProducerStats {
             .counter("fec_changes", self.fec_changes)
             .counter("promotions", self.promotions)
             .gauge("compression_ratio", self.compression_ratio());
+        // Listed once some arrive, like the speakers' `nacks_sent`.
+        if self.nacks_received > 0 {
+            s.counter("nacks_received", self.nacks_received);
+        }
     }
 }
 
@@ -368,6 +374,7 @@ impl StreamTx {
     /// for. What is older is silently unfillable — FEC and concealment
     /// are the recourse.
     pub fn retransmit(&mut self, now: SimTime, ranges: &[(u32, u16)], out: &mut Vec<Bytes>) -> u64 {
+        self.stats.nacks_received += 1;
         let Some(oldest) = self.recent.front().map(|(p, _)| p.seq) else {
             return 0;
         };
@@ -576,7 +583,7 @@ mod tests {
         let mut tx = pcm_stream(None);
         stream(&mut tx, 40);
         let mut out = Vec::new();
-        // The widest request the session plane can carry.
+        // The widest request one NACK can carry.
         let mut now = SimTime::from_secs(3);
         assert_eq!(tx.retransmit(now, &[(0, u16::MAX); 16], &mut out), 40);
         assert_eq!(data_seqs(&out), (0..40).collect::<Vec<_>>());
@@ -601,11 +608,12 @@ mod tests {
         assert_eq!(tx.retransmit(now, &[(30, 10)], &mut out), 4);
         assert_eq!(data_seqs(&out), [36, 37, 38, 39]);
 
-        // Silent while down, and nothing is counted.
+        // Silent while down: the request is counted, nothing is sent.
         let before = tx.stats.retransmits_sent;
         tx.crash();
         assert_eq!(tx.retransmit(now, &[(90, 5)], &mut out), 0);
         assert_eq!(tx.stats.retransmits_sent, before);
+        assert_eq!(tx.stats.nacks_received, 5);
     }
 
     /// Two speakers lost the same datagrams and say so a moment apart;

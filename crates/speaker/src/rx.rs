@@ -80,6 +80,9 @@ pub struct SpeakerStats {
     /// the heal detector an extra sick epoch per loss burst (the
     /// "refill echo").
     pub refill_late: u64,
+    /// NACK datagrams sent to the stream's source (the driver counts
+    /// what it sends).
+    pub nacks_sent: u64,
 }
 
 impl SpeakerStats {
@@ -114,6 +117,11 @@ impl Telemetry for SpeakerStats {
             .counter("session_resyncs", self.session_resyncs)
             .counter("refills_received", self.refills_received)
             .counter("refill_late", self.refill_late);
+        // Repair traffic is listed once there is some: a speaker that
+        // never asks reads exactly like one that cannot.
+        if self.nacks_sent > 0 {
+            s.counter("nacks_sent", self.nacks_sent);
+        }
     }
 }
 
@@ -153,7 +161,7 @@ pub enum RxEvent {
     },
     /// Ask the producer for these `(first_seq, count)` ranges again:
     /// holes no reordered packet filled within the hold-off, at most
-    /// [`MAX_NACK_RANGES`] of them (what one PARAM packet carries; the
+    /// [`MAX_NACK_RANGES`] of them (what one NACK packet carries; the
     /// rest are asked for at the next poll). Boxed to the size of the
     /// other events: every packet's `Block` is moved as one of these.
     Nack(Box<[(u32, u16)]>),
@@ -510,6 +518,9 @@ impl SpeakerRx {
             Packet::Parity(p) => self.on_parity(now, p, events),
             Packet::Announce(_) => { /* catalog handled by es-core's browser */ }
             Packet::Session(sp) => events.push(RxEvent::Session(Box::new(sp))),
+            // Another speaker's request, or a forger's: a speaker
+            // serves nobody.
+            Packet::Nack { .. } => {}
         }
     }
 

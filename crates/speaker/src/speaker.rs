@@ -7,7 +7,10 @@
 //! learns the producer wall clock, and then plays each data packet at
 //! its deadline — sleeping, playing, or discarding per §3.2's rule.
 //! What the packets mean is [`SpeakerRx`]'s call; this is the driver
-//! that feeds it from the simulated LAN and plays what it clears.
+//! that feeds it from the simulated LAN and plays what it clears — and,
+//! once it [requests repairs](EthernetSpeaker::request_repairs), sends
+//! the protocol's NACKs back up the LAN to whoever it hears the stream
+//! from.
 //!
 //! The playback path is the full §3.4 pipeline: receive → (verify) →
 //! decode (billable to a Geode-class CPU model) → write to the audio
@@ -23,7 +26,7 @@ use es_audio::convert::encode_samples_into;
 use es_audio::mix::apply_gain;
 use es_audio::{AudioConfig, Encoding};
 use es_codec::{CodecId, Codecs};
-use es_net::{Datagram, Lan, McastGroup, NodeId};
+use es_net::{Datagram, Dest, Lan, McastGroup, NodeId};
 use es_proto::auth::VerifierStats;
 use es_proto::Packet;
 use es_sim::{shared, CostModel, Shared, Sim, SimCpu, SimDuration, SimTime};
@@ -377,6 +380,9 @@ struct SpkState {
     journal: Option<Journal>,
     autovol: Option<AutoVolume>,
     tuned: McastGroup,
+    /// The stream id and sender of the last control packet heard: the
+    /// producer, its promoted standby, or a relay — where a NACK goes.
+    source: Option<(u16, NodeId)>,
 }
 
 impl SpkState {
@@ -398,19 +404,6 @@ impl SpkState {
 /// [`EthernetSpeaker::set_session_handler`]).
 type SessionHook = Box<dyn FnMut(&mut Sim, es_proto::SessionPacket)>;
 
-/// Callback carrying this speaker's NACKs towards the producer (see
-/// [`EthernetSpeaker::set_nack_handler`]).
-type NackHook = Box<dyn FnMut(&mut Sim, &[(u32, u16)])>;
-
-#[derive(Default)]
-struct Hooks {
-    /// Control-plane delegate (the negotiated-mode wrapper owns the
-    /// handshake; the speaker stays a §2.3 radio).
-    session: std::cell::RefCell<Option<SessionHook>>,
-    /// Where a NACK goes; a speaker without one asks for nothing.
-    nack: std::cell::RefCell<Option<NackHook>>,
-}
-
 /// A running Ethernet Speaker.
 #[derive(Clone)]
 pub struct EthernetSpeaker {
@@ -419,11 +412,10 @@ pub struct EthernetSpeaker {
     node: NodeId,
     dev: Rc<AudioDevice>,
     tap: Shared<OutputTap>,
-    /// What the speaker delegates, in cells of their own so a
-    /// callback may re-enter `tune` and `resync` — and in one
-    /// allocation: every scheduled block clones this handle, and each
-    /// `Rc` in it is a count on a line of its own to touch.
-    hooks: Rc<Hooks>,
+    /// The control-plane delegate (the negotiated-mode wrapper owns
+    /// the handshake; the speaker stays a §2.3 radio), in a cell of its
+    /// own so the callback may re-enter `tune` and `resync`.
+    session: Rc<std::cell::RefCell<Option<SessionHook>>>,
 }
 
 impl EthernetSpeaker {
@@ -460,6 +452,7 @@ impl EthernetSpeaker {
             journal: None,
             autovol,
             tuned: cfg.group,
+            source: None,
             cfg,
         });
         let spk = EthernetSpeaker {
@@ -468,7 +461,7 @@ impl EthernetSpeaker {
             node,
             dev,
             tap,
-            hooks: Rc::default(),
+            session: Rc::default(),
         };
         let s2 = spk.clone();
         lan.set_handler(node, move |sim, dg| s2.on_datagram(sim, dg));
@@ -562,15 +555,13 @@ impl EthernetSpeaker {
     /// being dropped. Used by the negotiated-session wrapper in
     /// `es-core`; the speaker itself stays a stateless radio.
     pub fn set_session_handler(&self, f: impl FnMut(&mut Sim, es_proto::SessionPacket) + 'static) {
-        *self.hooks.session.borrow_mut() = Some(Box::new(f));
+        *self.session.borrow_mut() = Some(Box::new(f));
     }
 
-    /// Gives the speaker a way to reach the producer: from now on it
-    /// asks for the blocks it is missing, `f` carrying each request's
-    /// `(first_seq, count)` ranges (a PARAM datagram in a negotiated
-    /// session, the heal monitor for a statically wired speaker).
-    pub fn set_nack_handler(&self, f: impl FnMut(&mut Sim, &[(u32, u16)]) + 'static) {
-        *self.hooks.nack.borrow_mut() = Some(Box::new(f));
+    /// From now on the speaker asks for the blocks it is missing: each
+    /// NACK the protocol raises leaves as a datagram unicast to the
+    /// node it last heard a control packet of its stream from.
+    pub fn request_repairs(&self) {
         self.state.borrow_mut().rx.request_repairs();
     }
 
@@ -639,19 +630,24 @@ impl EthernetSpeaker {
     fn on_datagram(&self, sim: &mut Sim, dg: Datagram) {
         let released = self.state.borrow_mut().rx.admit(&dg.payload);
         for raw in released {
-            self.handle_packet(sim, &raw);
+            self.handle_packet(sim, dg.src, &raw);
         }
     }
 
     /// Every message this speaker acts on enters here, through the
     /// shared parse, and steps the protocol once.
-    fn handle_packet(&self, sim: &mut Sim, raw: &Bytes) {
+    fn handle_packet(&self, sim: &mut Sim, from: NodeId, raw: &Bytes) {
         let parsed = parse_shared(raw);
         let decided = {
             let mut st = self.state.borrow_mut();
             let st = &mut *st;
             match parsed {
-                Ok(pkt) => st.rx.on_packet(sim.now(), pkt, &mut st.events),
+                Ok(pkt) => {
+                    if let Packet::Control(c) = &pkt {
+                        st.source = Some((c.stream_id, from));
+                    }
+                    st.rx.on_packet(sim.now(), pkt, &mut st.events)
+                }
                 Err(_) => st.rx.stats.bad_packets += 1,
             }
             st.take_decisions()
@@ -671,7 +667,7 @@ impl EthernetSpeaker {
                 }
                 RxEvent::Block(block) => self.on_block(sim, block),
                 RxEvent::Session(sp) => {
-                    if let Some(hook) = self.hooks.session.borrow_mut().as_mut() {
+                    if let Some(hook) = self.session.borrow_mut().as_mut() {
                         hook(sim, *sp);
                     }
                 }
@@ -681,11 +677,7 @@ impl EthernetSpeaker {
                     "fec parity group changed",
                     &[("from", from.into()), ("to", to.into())],
                 ),
-                RxEvent::Nack(ranges) => {
-                    if let Some(hook) = self.hooks.nack.borrow_mut().as_mut() {
-                        hook(sim, &ranges);
-                    }
-                }
+                RxEvent::Nack(ranges) => self.send_nack(sim, &ranges),
                 RxEvent::Conceal { deadline, nth } => self.conceal(sim, deadline, nth),
                 RxEvent::Late { deadline, refill } => self.note_late_drop(sim, deadline, refill),
             }
@@ -695,6 +687,17 @@ impl EthernetSpeaker {
             let spk = self.clone();
             sim.schedule_at(at.max(sim.now()), move |sim| spk.on_wakeup(sim, at));
         }
+    }
+
+    /// Unicasts a NACK for `ranges` to the stream's source. Holes open
+    /// only behind a control packet, so there is one.
+    fn send_nack(&self, sim: &mut Sim, ranges: &[(u32, u16)]) {
+        let Some((stream_id, to)) = self.state.borrow().source else {
+            return;
+        };
+        self.state.borrow_mut().rx.stats.nacks_sent += 1;
+        let nack = es_proto::encode_nack(stream_id, ranges);
+        self.lan.send(sim, self.node, Dest::Unicast(to), nack);
     }
 
     /// The instant the protocol asked for: holes that have waited out
@@ -1393,24 +1396,46 @@ mod tests {
         SimTime::from_millis(300 + 50 * seq as u64)
     }
 
-    /// A concealing speaker, synchronized at time zero, whose NACKs are
-    /// logged with the time they left.
-    #[allow(clippy::type_complexity)]
-    fn repairing() -> (
-        Sim,
-        Lan,
-        NodeId,
-        EthernetSpeaker,
-        Shared<Vec<(SimTime, Vec<(u32, u16)>)>>,
-    ) {
+    /// Every NACK datagram a node received, with when it arrived.
+    type NackLog = Shared<Vec<(SimTime, Vec<(u32, u16)>)>>;
+
+    /// [`serving`] by a producer that answers nothing.
+    fn repairing() -> (Sim, Lan, NodeId, EthernetSpeaker, NackLog) {
+        serving(|_| false)
+    }
+
+    /// A concealing speaker that requests repairs, synchronized at
+    /// time zero by a control packet from the producer node — so that
+    /// is where its NACKs go. The node logs each NACK of stream 1 and,
+    /// where `answer(k)` says so for the `k`-th, multicasts the blocks
+    /// it names (`block(seq, 100 + seq)`).
+    fn serving(
+        answer: impl Fn(usize) -> bool + 'static,
+    ) -> (Sim, Lan, NodeId, EthernetSpeaker, NackLog) {
         let (mut sim, lan, producer) = lan();
         let mut cfg = capturing("plc", McastGroup(1));
         cfg.conceal_loss = true;
         let spk = EthernetSpeaker::start(&mut sim, &lan, cfg);
-        let nacks = shared(Vec::new());
-        let log = nacks.clone();
-        spk.set_nack_handler(move |sim, ranges| {
-            log.borrow_mut().push((sim.now(), ranges.to_vec()));
+        spk.request_repairs();
+        let nacks: NackLog = shared(Vec::new());
+        let (log, net) = (nacks.clone(), lan.clone());
+        lan.set_handler(producer, move |sim, dg| {
+            let Ok(Packet::Nack {
+                stream_id: 1,
+                ranges,
+            }) = es_proto::decode(&dg.payload)
+            else {
+                return;
+            };
+            let k = log.borrow().len();
+            log.borrow_mut().push((sim.now(), ranges.clone()));
+            if answer(k) {
+                for (first, count) in ranges {
+                    for seq in first..first + u32::from(count) {
+                        net.multicast(sim, producer, McastGroup(1), block(seq, 100 + seq as i16));
+                    }
+                }
+            }
         });
         lan.multicast(&mut sim, producer, McastGroup(1), control_packet(0, 0));
         sim.run();
@@ -1506,6 +1531,59 @@ mod tests {
             1,
             "a filled hole is not asked for again"
         );
+    }
+
+    #[test]
+    fn a_lost_nack_is_asked_again_and_the_refill_plays_in_its_slot() {
+        // The producer loses the first request; the re-ask, 40 ms on,
+        // is answered well before the block is due.
+        let (mut sim, lan, producer, spk, nacks) = serving(|k| k == 1);
+        for seq in [0u32, 1, 2, 4, 5] {
+            lan.multicast(
+                &mut sim,
+                producer,
+                McastGroup(1),
+                block(seq, 100 + seq as i16),
+            );
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        // (The gap shows when block 4 lands, four blocks' serialization
+        // in; each NACK crosses the LAN once.)
+        let times: Vec<u64> = nacks.borrow().iter().map(|(t, _)| t.as_millis()).collect();
+        assert_eq!(times, [23, 63], "{:?}", nacks.borrow());
+        assert!(nacks.borrow().iter().all(|(_, r)| r == &[(3, 1)]));
+        let st = spk.stats();
+        assert_eq!(
+            (st.nacks_sent, st.refills_received, st.refill_late),
+            (2, 1, 0)
+        );
+        assert_eq!(
+            (st.concealed_packets, st.playback_resyncs),
+            (0, 0),
+            "{st:?}"
+        );
+        let want: Vec<_> = (100..106).map(Some).collect();
+        assert_eq!(slots(&spk, 0, 6), want);
+    }
+
+    #[test]
+    fn both_asks_lost_write_exactly_one_replica() {
+        let (mut sim, lan, producer, spk, nacks) = repairing();
+        for seq in [0u32, 1, 2, 4, 5] {
+            lan.multicast(
+                &mut sim,
+                producer,
+                McastGroup(1),
+                block(seq, 100 + seq as i16),
+            );
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(nacks.borrow().len(), 2, "asked twice, then left alone");
+        let st = spk.stats();
+        assert_eq!((st.nacks_sent, st.refills_received), (2, 0), "{st:?}");
+        assert_eq!((st.concealed_packets, st.data_packets), (1, 6), "{st:?}");
+        // Block 2 × 0.6 in the hole's slot.
+        assert_eq!(slots(&spk, 0, 6), [100, 101, 102, 61, 104, 105].map(Some));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! Sequence numbers and parity bases sit around `u32::MAX` and off the
 //! group grid, timestamps at the edges of `u64` and `i64`, parity
 //! counts change mid-stream, `xor_len` overshoots its payload,
-//! payloads are empty; noise, truncations and bad auth trailers are
-//! mixed in. [`SpeakerRx`] has no clock, socket or simulator, so the
+//! payloads are empty; other speakers' NACKs, noise, truncations and
+//! bad auth trailers are mixed in. [`SpeakerRx`] has no clock, socket or simulator, so the
 //! properties are about the protocol alone: no panic (dev profile, so
 //! arithmetic overflow panics too), a bounded number of events per
 //! message and per wakeup, bounded tables however long the abuse
@@ -22,9 +22,9 @@
 use bytes::Bytes;
 use es_audio::AudioConfig;
 use es_proto::{
-    decode, encode_announce, encode_control, encode_data, encode_parity, encode_session,
-    AnnouncePacket, ControlPacket, DataPacket, ParityPacket, SessionPacket, StreamSigner,
-    MAX_NACK_RANGES, TRAILER_LEN,
+    decode, encode_announce, encode_control, encode_data, encode_nack, encode_parity,
+    encode_session, AnnouncePacket, ControlPacket, DataPacket, ParityPacket, SessionPacket,
+    StreamSigner, MAX_NACK_RANGES, TRAILER_LEN,
 };
 use es_sim::{SimDuration, SimTime};
 use es_speaker::{RxEvent, SpeakerRx};
@@ -71,7 +71,7 @@ fn bytes(rng: &mut StdRng, max: usize) -> Vec<u8> {
 
 /// One well-formed packet with hostile fields, or damage.
 fn message(rng: &mut StdRng) -> Bytes {
-    match rng.gen::<u8>() % 10 {
+    match rng.gen::<u8>() % 11 {
         0 | 1 => encode_control(&ControlPacket {
             stream_id: 1,
             seq: seq(rng),
@@ -117,6 +117,7 @@ fn message(rng: &mut StdRng) -> Bytes {
         8 => encode_session(&SessionPacket::Flush {
             session_id: rng.gen(),
         }),
+        9 => encode_nack(1, &[(seq(rng), u16::MAX); MAX_NACK_RANGES]),
         // Noise, or a real packet cut short.
         _ => {
             let whole = control(0);
@@ -383,6 +384,23 @@ fn gaps_with_far_future_deadlines_are_held_to_the_bound_and_asked_twice() {
     assert!(rx
         .next_wakeup()
         .is_some_and(|at| at > SimTime::from_secs(3_000)));
+}
+
+/// A NACK is the one packet a speaker sends; one that reaches a
+/// speaker — another speaker's on a shared LAN, or a forger's — is
+/// nobody's business there.
+#[test]
+fn a_nack_sent_to_a_speaker_is_ignored() {
+    let (mut rx, mut events) = baited(10);
+    let before = format!("{:?}", rx.stats);
+    let nack = encode_nack(1, &[(11, 3), (0, u16::MAX)]);
+    for msg in rx.admit(&nack) {
+        rx.on_packet(SimTime::from_millis(1), decode(&msg).unwrap(), &mut events);
+    }
+    assert!(events.is_empty());
+    let after = format!("{:?}", rx.stats);
+    assert_eq!(after, before.replace("datagrams: 2", "datagrams: 3"));
+    assert_eq!((rx.table_sizes()[0], rx.next_wakeup()), (0, None));
 }
 
 /// Parity counts the recoverer cannot be built for never reach it.

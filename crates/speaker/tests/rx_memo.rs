@@ -11,7 +11,7 @@ use es_audio::gen::{render_stereo, MultiTone, Sine};
 use es_audio::{AudioConfig, Encoding};
 use es_codec::{CodecId, Codecs, MAX_QUALITY};
 use es_net::{Lan, LanConfig, McastGroup, NodeId};
-use es_proto::{encode_control, encode_data, ControlPacket, DataPacket};
+use es_proto::{encode_control, encode_data, ControlPacket, DataPacket, Packet};
 use es_sim::{Sim, SimDuration};
 use es_speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SpeakerConfig};
 
@@ -377,11 +377,23 @@ fn buffers_freed_and_reallocated_between_sends_never_alias() {
 /// request.
 type Nacks = es_sim::Shared<Vec<Vec<(u32, u16)>>>;
 
-/// Gives `spk` a back channel that only takes notes.
-fn log_nacks(spk: &EthernetSpeaker) -> Nacks {
+/// Has `spk` request repairs and the rig's producer node — the one its
+/// control packets come from — take notes of the NACKs of `stream_id`
+/// it receives, answering none.
+fn log_nacks(rig: &Rig, spk: &EthernetSpeaker, stream_id: u16) -> Nacks {
+    spk.request_repairs();
     let nacks = es_sim::shared(Vec::new());
     let log = nacks.clone();
-    spk.set_nack_handler(move |_, ranges| log.borrow_mut().push(ranges.to_vec()));
+    rig.lan.set_handler(rig.producer, move |_, dg| {
+        if let Ok(Packet::Nack {
+            stream_id: s,
+            ranges,
+        }) = es_proto::decode(&dg.payload)
+        {
+            assert_eq!(s, stream_id);
+            log.borrow_mut().push(ranges);
+        }
+    });
     nacks
 }
 
@@ -392,7 +404,7 @@ fn concealing(stream_id: u16) -> (Rig, EthernetSpeaker, Nacks) {
     let mut cfg = SpeakerConfig::new("plc", G);
     cfg.conceal_loss = true;
     let spk = rig.speaker(cfg);
-    let nacks = log_nacks(&spk);
+    let nacks = log_nacks(&rig, &spk, stream_id);
     rig.send(G, control(stream_id, 0, AudioConfig::CD, CodecId::Pcm));
     rig.sim.run();
     (rig, spk, nacks)
@@ -445,7 +457,7 @@ fn stream_plays_straight_across_the_sequence_wrap() {
 #[test]
 fn late_arrivals_fill_a_gap_that_straddles_the_sequence_wrap() {
     let (mut rig, spk) = Rig::tuned(1, 53);
-    let nacks = log_nacks(&spk[0]);
+    let nacks = log_nacks(&rig, &spk[0], 53);
     // Stream positions 0..4 carry u32::MAX - 1, u32::MAX, 0, 1. The
     // middle two overtake nothing and arrive last: reordered, not lost.
     for k in [0u32, 3, 1, 2] {

@@ -93,6 +93,16 @@ for seed in 1 2 3 4 5 6 7 8 9 10; do
         flapping_receiver_damped sick_receiver_fec_upshift
 done
 
+# The repair fleets hold NACK repair to the deadline under bursty
+# loss; like the detector scenarios, whether they pass depends on
+# where the bursts fall, and each run is one seed (≈ 2 s for all five).
+echo "== healing seed sweep (repair fleets, seeds 1-5)"
+for seed in 1 2 3 4 5; do
+    ES_CHAOS_SEED=$seed cargo test -q --test healing -- \
+        static_fleet_repairs_over_the_wire negotiated_fleet_repairs_over_the_wire \
+        repair_survives_failover
+done
+
 # Live-UDP smokes, skips surfaced: the session handshake and the live
 # producer→speaker roundtrip over real loopback multicast. Sandboxes
 # without it print a `SKIPPED:` marker per skipped test instead of

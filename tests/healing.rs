@@ -6,8 +6,8 @@
 //! every assertion prints the reproducing one-liner, e.g.
 //! `ES_CHAOS_SEED=61 cargo test --test healing producer_failover`.
 //! Fleet-sized runs at the end hold receiver-originated repair to its
-//! deadline, over the session wire and through the monitor — and past
-//! the death of the producer that was doing the repairing.
+//! deadline, for statically wired and negotiated speakers alike — and
+//! past the death of the producer that was doing the repairing.
 //!
 //! Scenario shape matches the chaos tier: one CD channel streaming
 //! 5 virtual seconds, two or three speakers, a 7-second run, probes
@@ -18,7 +18,6 @@ use es_chaos::{conformance, Fault, Scenario, Trace};
 use es_core::{ChannelSpec, HealSpec, SessionSpec, Source, SpeakerSpec, SystemBuilder};
 use es_heal::HealPolicy;
 use es_net::{LanConfig, McastGroup};
-use es_proto::{Packet, SessionPacket};
 use es_sim::{SimDuration, SimTime};
 use es_telemetry::MetricsSnapshot;
 
@@ -131,9 +130,8 @@ fn sick_receiver_fec_upshift() {
 
 /// Loss concealment stays OFF and the playout delay is stretched to
 /// 800 ms, so the only way es1 can play through a 50% loss window is
-/// the monitor draining its missing-sequence ledger and relaying the
-/// NACK to the producer, which re-multicasts the cached packets in
-/// time for their (delayed) deadlines.
+/// its own NACKs reaching the producer, which re-multicasts the cached
+/// packets in time for their (delayed) deadlines.
 fn neighbor_retransmit_scenario() -> Scenario {
     Scenario::new("neighbor_retransmit_fills_gap", 62)
         .test_binary("healing")
@@ -153,11 +151,11 @@ fn neighbor_retransmit_scenario() -> Scenario {
         .probe(SimDuration::from_secs(5))
         .check("gaps-were-nacked", |t| {
             let m = &t.final_probe().metrics;
-            if m.counter("heal/heal0/retransmits_requested").unwrap_or(0) == 0 {
-                return Err("monitor never relayed a NACK".into());
+            if m.counter("speaker/es1/nacks_sent").unwrap_or(0) == 0 {
+                return Err("es1 never sent a NACK".into());
             }
-            if !t.journal_lines.contains("retransmission requested") {
-                return Err("journal missing \"retransmission requested\"".into());
+            if m.counter("heal/heal0/retransmits_requested").unwrap_or(0) == 0 {
+                return Err("the monitor never counted a NACK".into());
             }
             Ok(())
         })
@@ -199,8 +197,8 @@ fn neighbor_retransmit_fills_gap() {
 
 /// The primary rebroadcaster dies at 1.5 s and never restarts. The
 /// monitor sees the control-packet counter stall, promotes the warm
-/// standby — which adopts the stream clock, sequence space and session
-/// table — and playback resumes without the speakers ever re-tuning.
+/// standby — which adopts the stream clock and sequence space — and
+/// playback resumes without the speakers ever re-tuning.
 fn producer_failover_scenario(seed: u64) -> Scenario {
     Scenario::new("producer_failover_preserves_clock", seed)
         .test_binary("healing")
@@ -426,11 +424,10 @@ fn heal_actions_are_deterministic() {
 
 /// Sixteen concealing speakers behind 5 % bursty loss, FEC 4+1 and
 /// the healing plane, 20 virtual seconds of music: the metrics at 7 s
-/// and at the end, and how many PARAMs with a non-empty NACK list a
-/// tap on the announce group saw. With `failover` a warm standby is
-/// on and the primary dies at 5 s, for good; the monitor has promoted
-/// the standby by 6.2 s. `ES_CHAOS_SEED` overrides `seed`.
-fn repair_fleet(seed: u64, negotiated: bool, failover: bool) -> (u64, [MetricsSnapshot; 2], usize) {
+/// and at the end. With `failover` a warm standby is on and the primary
+/// dies at 5 s, for good; the monitor has promoted the standby by
+/// 6.2 s. `ES_CHAOS_SEED` overrides `seed`.
+fn repair_fleet(seed: u64, negotiated: bool, failover: bool) -> (u64, [MetricsSnapshot; 2]) {
     let seed = std::env::var("ES_CHAOS_SEED")
         .ok()
         .and_then(|s| s.trim().parse().ok())
@@ -462,17 +459,6 @@ fn repair_fleet(seed: u64, negotiated: bool, failover: bool) -> (u64, [MetricsSn
         b = b.speaker(spec.loss_concealment());
     }
     let mut sys = b.build();
-    let tap = sys.lan().attach("tap");
-    sys.lan().join(tap, announce);
-    let nacks = es_sim::shared(0usize);
-    let seen = nacks.clone();
-    sys.lan().set_handler(tap, move |_, dg| {
-        if let Ok(Packet::Session(SessionPacket::Param { nack, .. })) =
-            es_proto::decode(&dg.payload)
-        {
-            *seen.borrow_mut() += usize::from(!nack.is_empty());
-        }
-    });
     if failover {
         let primary = sys.rebroadcaster(0).clone();
         sys.sim
@@ -481,8 +467,7 @@ fn repair_fleet(seed: u64, negotiated: bool, failover: bool) -> (u64, [MetricsSn
     sys.run_until(SimTime::from_secs(7));
     let at_7s = sys.metrics();
     sys.run_until(SimTime::ZERO + stream + SimDuration::from_secs(2));
-    let nacks = *nacks.borrow();
-    (seed, [at_7s, sys.metrics()], nacks)
+    (seed, [at_7s, sys.metrics()])
 }
 
 /// Runs [`repair_fleet`] twice and demands identical metrics; returns
@@ -492,16 +477,16 @@ fn repair_fleet_twice(
     seed: u64,
     negotiated: bool,
     failover: bool,
-) -> (String, [MetricsSnapshot; 2], usize) {
-    let (seed, m, nacks) = repair_fleet(seed, negotiated, failover);
+) -> (String, [MetricsSnapshot; 2]) {
+    let (seed, m) = repair_fleet(seed, negotiated, failover);
     let repro = format!("ES_CHAOS_SEED={seed} cargo test --test healing {test}");
-    let (_, again, nacks_again) = repair_fleet(seed, negotiated, failover);
+    let (_, again) = repair_fleet(seed, negotiated, failover);
     assert_eq!(
-        (m[1].to_json_lines(), nacks),
-        (again[1].to_json_lines(), nacks_again),
+        m[1].to_json_lines(),
+        again[1].to_json_lines(),
         "NONDETERMINISM — reproduce with: {repro}"
     );
-    (repro, m, nacks)
+    (repro, m)
 }
 
 /// Fleet-wide `[blocks concealed or late, blocks due]`.
@@ -511,16 +496,24 @@ fn missed_of_blocks(m: &MetricsSnapshot) -> [u64; 2] {
     [sum("concealed_packets") + late, sum("data_packets") + late]
 }
 
-/// Holds a run of [`repair_fleet`] to the deadline: at most 1 % of
-/// blocks concealed or late, at most 5 % of refills past their block's
-/// deadline.
-fn repair_meets_the_deadline(test: &str, seed: u64, negotiated: bool) -> (MetricsSnapshot, usize) {
-    let (repro, [_, m], nacks) = repair_fleet_twice(test, seed, negotiated, false);
+/// Holds a run of [`repair_fleet`] to the deadline, whatever kind of
+/// speaker the fleet is: the speakers NACK on the wire and the
+/// producer hears them, at most 1 % of blocks are concealed or late,
+/// at most 5 % of refills land past their block's deadline.
+fn repair_meets_the_deadline(test: &str, seed: u64, negotiated: bool) {
+    let (repro, [_, m]) = repair_fleet_twice(test, seed, negotiated, false);
     let sum = |name| m.sum_counters("speaker", name);
     assert!(
         sum("fec_recovered") > 0,
         "parity repaired nothing\n  {repro}"
     );
+    let sent = sum("nacks_sent");
+    assert!(sent > 50, "the speakers sent {sent} NACKs\n  {repro}");
+    // The unicast NACK crosses the lossy LAN too; most arrive.
+    let heard = m.counter("rebroadcast/ch0/nacks_received").unwrap_or(0);
+    assert!(heard > 50, "the producer heard {heard} NACKs\n  {repro}");
+    let counted = m.counter("heal/heal0/retransmits_requested").unwrap_or(0);
+    assert!(counted > 0, "the monitor counted no NACK\n  {repro}");
     let refills = sum("refills_received");
     assert!(
         refills > 50,
@@ -542,44 +535,28 @@ fn repair_meets_the_deadline(test: &str, seed: u64, negotiated: bool) -> (Metric
         "{} playback resyncs\n  {repro}",
         sum("playback_resyncs")
     );
-    (m, nacks)
 }
 
-/// The NACK is on the wire: negotiated speakers send PARAMs the broker
-/// routes to the retransmit cache, and the monitor relays nothing.
 #[test]
-fn negotiated_fleet_repairs_over_the_session_wire() {
-    let test = "negotiated_fleet_repairs_over_the_session_wire";
-    let (m, nacks) = repair_meets_the_deadline(test, 71, true);
-    assert!(nacks > 50, "the tap saw {nacks} NACK PARAMs");
-    // The tap loses its 5 % too; the broker heard about as many.
-    let routed = m.counter("session/broker/nacks").unwrap_or(0);
-    assert!(routed > 50, "the broker routed {routed} NACKs");
-    assert_eq!(m.counter("heal/heal0/retransmits_requested"), Some(0));
+fn negotiated_fleet_repairs_over_the_wire() {
+    repair_meets_the_deadline("negotiated_fleet_repairs_over_the_wire", 71, true);
 }
 
-/// A statically wired speaker has no wire back: its NACK goes through
-/// the monitor, request by request, and is repaired as promptly.
 #[test]
-fn static_fleet_repairs_through_the_monitor() {
-    let test = "static_fleet_repairs_through_the_monitor";
-    let (m, nacks) = repair_meets_the_deadline(test, 72, false);
-    assert_eq!(nacks, 0, "nobody holds a session");
-    let requested = m.counter("heal/heal0/retransmits_requested").unwrap_or(0);
-    assert!(requested > 50, "the monitor relayed {requested} NACKs");
-    assert!(m.counter("rebroadcast/ch0/retransmits_sent").unwrap_or(0) > 50);
+fn static_fleet_repairs_over_the_wire() {
+    repair_meets_the_deadline("static_fleet_repairs_over_the_wire", 72, false);
 }
 
-/// Repair outlives the producer that was doing it. Whoever a speaker
-/// NACKs through — the monitor, or its session with the broker — the
-/// request has to reach the promoted standby, not the primary's
-/// corpse: from 7 s on the standby retransmits, refills land, and the
-/// fleet is held to the same 1 % as before the crash.
+/// Repair outlives the producer that was doing it. A speaker NACKs
+/// whoever it hears the stream from, and from the promotion on that is
+/// the standby, not the primary's corpse: from 7 s on the standby
+/// retransmits, refills land, and the fleet is held to the same 1 % as
+/// before the crash.
 #[test]
 fn repair_survives_failover() {
     for (fleet, negotiated) in [("static", false), ("negotiated", true)] {
         let test = "repair_survives_failover";
-        let (repro, [after, end], _) = repair_fleet_twice(test, 71, negotiated, true);
+        let (repro, [after, end]) = repair_fleet_twice(test, 71, negotiated, true);
         let which = format!("{fleet} fleet\n  {repro}");
         assert_eq!(end.counter("heal/heal0/failovers"), Some(1), "{which}");
         let resent = end

@@ -599,10 +599,11 @@ fn arb_session_packet(r: &mut Rng64, kind: u8) -> es_proto::SessionPacket {
         4 => SessionPacket::Refuse {
             speaker: arb_name(r, 16),
             stream_id: r.next() as u16,
-            reason: match r.below(3) {
+            reason: match r.below(4) {
                 0 => es_proto::RefuseReason::UnknownStream,
                 1 => es_proto::RefuseReason::CodecMismatch,
-                _ => es_proto::RefuseReason::RateMismatch,
+                2 => es_proto::RefuseReason::RateMismatch,
+                _ => es_proto::RefuseReason::TableFull,
             },
         },
         5 => SessionPacket::Keepalive {
@@ -629,12 +630,6 @@ fn arb_session_packet(r: &mut Rng64, kind: u8) -> es_proto::SessionPacket {
                 0 => es_proto::PARAM_FEC_UNCHANGED,
                 1 => es_proto::PARAM_FEC_OFF,
                 _ => 2 + r.below(es_proto::PARAM_FEC_MAX_GROUP as u64 - 1) as u8,
-            },
-            nack: {
-                let n = r.below(es_proto::MAX_NACK_RANGES as u64 + 1);
-                (0..n)
-                    .map(|_| (r.next() as u32, 1 + r.below(500) as u16))
-                    .collect()
             },
         },
     }

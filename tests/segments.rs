@@ -5,7 +5,7 @@
 //! are not in the chaos conformance set, so the same-seed comparison
 //! lives here.
 
-use es_core::{ChannelSpec, RelaySpec, SpeakerSpec, SystemBuilder};
+use es_core::{ChannelSpec, HealSpec, RelaySpec, SpeakerSpec, SystemBuilder};
 use es_net::McastGroup;
 use es_rebroadcast::CompressionPolicy;
 use es_sim::SimDuration;
@@ -122,6 +122,35 @@ fn relay_hold_preserves_downstream_sync() {
             "speaker {i} starts {skew} away from the backbone"
         );
     }
+}
+
+/// A speaker behind a relay hears its stream from the relay, so that
+/// is where its NACK goes; the relay passes it up to the producer, and
+/// the refill comes back down the way the stream does.
+#[test]
+fn relayed_speakers_repair_through_the_relay() {
+    let mut b = SystemBuilder::new(29)
+        .channel(radio(6))
+        .relay(RelaySpec::new(UPSTREAM, DOWNSTREAM).segment(1))
+        .healing(HealSpec::new());
+    for i in 0..4 {
+        let spec = SpeakerSpec::new(format!("seg1-{i}"), DOWNSTREAM).segment(1);
+        b = b.speaker(spec.loss_concealment());
+    }
+    let mut sys = b.build();
+    // Each relayed speaker's own link loses a tenth of what reaches it.
+    for i in 0..4 {
+        let node = sys.speaker(i).expect("powered at build").node();
+        sys.lan().clone().degrade(&mut sys.sim, node, 0.1);
+    }
+    sys.run_for(SimDuration::from_secs(7));
+    let m = sys.metrics();
+    let sum = |name| m.sum_counters("speaker", name);
+    assert!(sum("nacks_sent") > 0, "no speaker asked");
+    let heard = m.counter("rebroadcast/ch0/nacks_received").unwrap_or(0);
+    assert!(heard > 0, "the producer heard no NACK");
+    assert_eq!(m.counter("relay/relay0/passthrough"), Some(heard));
+    assert!(sum("refills_received") > 0, "no refill came back down");
 }
 
 /// Events fired per run the engine opened (`es_sim::Sim` queues the

@@ -382,27 +382,58 @@ pub fn i16_to_f32(v: i16) -> f32 {
     v as f32 / 32_768.0
 }
 
+/// Frames a renderer asks its source for per [`Signal::fill`] call.
+/// Every source's `fill` equals as many `next_sample` calls, so the
+/// block size changes no sample; it only lets a batch source such as
+/// [`MultiTone`] run its bank loop over a block instead of one frame.
+const RENDER_BLOCK: usize = 256;
+
 /// Renders `frames` frames of a mono source duplicated across
 /// `channels` interleaved channels.
 pub fn render_interleaved(sig: &mut dyn Signal, channels: u8, frames: usize) -> Vec<i16> {
-    assert!(channels >= 1, "need at least one channel");
-    let mut out = Vec::with_capacity(frames * channels as usize);
-    for _ in 0..frames {
-        let s = f32_to_i16(sig.next_sample());
-        for _ in 0..channels {
-            out.push(s);
-        }
-    }
+    let mut out = Vec::new();
+    render_interleaved_into(sig, channels, frames, &mut out);
     out
+}
+
+/// [`render_interleaved`] into a caller-owned buffer (cleared first),
+/// so a source that renders chunk after chunk recycles one allocation.
+pub fn render_interleaved_into(
+    sig: &mut dyn Signal,
+    channels: u8,
+    frames: usize,
+    out: &mut Vec<i16>,
+) {
+    assert!(channels >= 1, "need at least one channel");
+    out.clear();
+    out.reserve(frames * channels as usize);
+    let mut block = [0.0f32; RENDER_BLOCK];
+    let mut left = frames;
+    while left > 0 {
+        let mono = &mut block[..left.min(RENDER_BLOCK)];
+        sig.fill(mono);
+        for &v in mono.iter() {
+            out.extend(std::iter::repeat_n(f32_to_i16(v), channels as usize));
+        }
+        left -= mono.len();
+    }
 }
 
 /// Renders `frames` frames with distinct left and right sources,
 /// interleaved L R L R.
 pub fn render_stereo(left: &mut dyn Signal, right: &mut dyn Signal, frames: usize) -> Vec<i16> {
     let mut out = Vec::with_capacity(frames * 2);
-    for _ in 0..frames {
-        out.push(f32_to_i16(left.next_sample()));
-        out.push(f32_to_i16(right.next_sample()));
+    let (mut l, mut r) = ([0.0f32; RENDER_BLOCK], [0.0f32; RENDER_BLOCK]);
+    let mut remaining = frames;
+    while remaining > 0 {
+        let n = remaining.min(RENDER_BLOCK);
+        left.fill(&mut l[..n]);
+        right.fill(&mut r[..n]);
+        for (&a, &b) in l[..n].iter().zip(&r[..n]) {
+            out.push(f32_to_i16(a));
+            out.push(f32_to_i16(b));
+        }
+        remaining -= n;
     }
     out
 }
@@ -580,6 +611,43 @@ mod tests {
         for f in stereo.chunks_exact(2) {
             assert_eq!(f[0], f[1]);
         }
+    }
+
+    #[test]
+    fn renderers_equal_a_sample_by_sample_render() {
+        // The renderers fill a block at a time; what they must equal is
+        // one `next_sample` per frame, for every source and across block
+        // boundaries and a MultiTone resync (every 32 768 samples).
+        fn sources() -> Vec<Box<dyn Signal>> {
+            vec![
+                Box::new(MultiTone::music(44_100)),
+                Box::new(Sine::new(440.0, 44_100, 0.7)),
+                Box::new(WhiteNoise::new(9, 0.5)),
+                Box::new(Sweep::new(50.0, 9_000.0, 0.5, 44_100, 0.9)),
+                Box::new(ImpulseTrain::new(300, 1.0)),
+                Box::new(Silence),
+            ]
+        }
+        let frames = 33_000 + RENDER_BLOCK / 2;
+        for (mut a, mut b) in sources().into_iter().zip(sources()) {
+            let want: Vec<i16> = (0..frames)
+                .flat_map(|_| {
+                    let s = f32_to_i16(b.next_sample());
+                    [s, s, s]
+                })
+                .collect();
+            assert_eq!(render_interleaved(a.as_mut(), 3, frames), want);
+        }
+        let (mut l, mut r) = (MultiTone::music(44_100), WhiteNoise::new(3, 0.4));
+        let (mut l2, mut r2) = (l.clone(), r.clone());
+        let want: Vec<i16> = (0..frames)
+            .flat_map(|_| [f32_to_i16(l2.next_sample()), f32_to_i16(r2.next_sample())])
+            .collect();
+        assert_eq!(render_stereo(&mut l, &mut r, frames), want);
+        // `_into` clears what the buffer held.
+        let mut out = vec![7i16; 5];
+        render_interleaved_into(&mut Silence, 2, 3, &mut out);
+        assert_eq!(out, [0; 6]);
     }
 
     #[test]

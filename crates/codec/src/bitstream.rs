@@ -39,12 +39,14 @@ impl BitWriter {
 
     #[inline]
     fn flush_acc(&mut self) {
-        // Spill whole bytes from the top of the accumulator.
-        while self.fill >= 8 {
-            self.bytes.push((self.acc >> 56) as u8);
-            self.acc <<= 8;
-            self.fill -= 8;
-        }
+        // Spill every whole byte from the top of the accumulator at
+        // once: store all eight, keep the whole ones. Leaves < 8 bits.
+        let whole = self.fill / 8;
+        let len = self.bytes.len();
+        self.bytes.extend_from_slice(&self.acc.to_be_bytes());
+        self.bytes.truncate(len + whole as usize);
+        self.acc = self.acc.checked_shl(whole * 8).unwrap_or(0);
+        self.fill -= whole * 8;
     }
 
     /// Appends the low `n` bits of `value`, MSB first. `n` may be 0..=32.
@@ -96,12 +98,34 @@ impl BitWriter {
 
     /// Writes a non-negative value Rice-coded with parameter `k`:
     /// quotient in unary, remainder in `k` raw bits.
+    ///
+    /// A code of up to 56 bits goes in as one shifted OR after at most
+    /// one spill, which always leaves room for it. Longer ones — a lone
+    /// peak in a band of near-zeros, coded with a small `k` — fall back
+    /// to [`BitWriter::write_unary`] and [`BitWriter::write_bits`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= 32`.
     #[inline]
     pub fn write_rice(&mut self, value: u32, k: u8) {
         assert!(k < 32, "rice parameter must be < 32");
+        let k = k as u32;
         let q = value >> k;
-        self.write_unary(q);
-        self.write_bits(value & ((1u32 << k) - 1), k);
+        let rem = value & ((1u32 << k) - 1);
+        let len = q + 1 + k;
+        if len > 56 {
+            self.write_unary(q);
+            self.write_bits(rem, k as u8);
+            return;
+        }
+        if self.fill + len > 64 {
+            self.flush_acc();
+        }
+        // `q` ones, the stop bit, then the remainder, right-aligned.
+        let code = (((1u64 << q) - 1) << (k + 1)) | rem as u64;
+        self.acc |= code << (64 - len - self.fill);
+        self.fill += len;
     }
 
     /// Number of bits written so far.
@@ -177,6 +201,20 @@ impl<'a> BitReader<'a> {
 
     #[inline]
     fn refill(&mut self) {
+        if let Some(next) = self.bytes.get(self.byte_pos..self.byte_pos + 8) {
+            // Eight bytes remain: take as many whole ones as fit from
+            // one big-endian load — the same bytes the loop below
+            // takes one at a time, so the reader's state is the same.
+            let whole = (64 - self.fill) / 8;
+            if whole > 0 {
+                let drop = 64 - whole * 8;
+                let word = u64::from_be_bytes(next.try_into().expect("eight bytes"));
+                self.acc |= (word >> drop << drop) >> self.fill;
+                self.fill += whole * 8;
+                self.byte_pos += whole as usize;
+            }
+            return;
+        }
         while self.fill <= 56 && self.byte_pos < self.bytes.len() {
             self.acc |= (self.bytes[self.byte_pos] as u64) << (56 - self.fill);
             self.fill += 8;
@@ -277,15 +315,6 @@ pub fn unzigzag(v: u32) -> i32 {
     ((v >> 1) as i32) ^ -((v & 1) as i32)
 }
 
-/// Picks a Rice parameter close to optimal for values with the given
-/// mean magnitude.
-pub fn rice_param_for_mean(mean: f64) -> u8 {
-    if mean < 1.0 {
-        return 0;
-    }
-    (mean.log2().ceil() as i64).clamp(0, 24) as u8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,15 +389,133 @@ mod tests {
         assert_eq!(unzigzag(4), 2);
     }
 
-    #[test]
-    fn rice_param_heuristic() {
-        assert_eq!(rice_param_for_mean(0.3), 0);
-        assert_eq!(rice_param_for_mean(1.0), 0);
-        assert_eq!(rice_param_for_mean(7.9), 3);
-        assert_eq!(rice_param_for_mean(1e12), 24);
+    /// The Rice writer before the one-shift [`BitWriter::write_rice`]:
+    /// the quotient in unary, then the remainder, as two calls.
+    fn oracle_write_rice(w: &mut BitWriter, value: u32, k: u8) {
+        w.write_unary(value >> k);
+        w.write_bits(value & ((1u32 << k) - 1), k);
+    }
+
+    /// A writer with nothing to get wrong: one `bool` per bit.
+    #[derive(Default)]
+    struct BitByBit(Vec<bool>);
+
+    impl BitByBit {
+        fn bits(&mut self, value: u32, n: u8) {
+            for i in (0..n).rev() {
+                self.0.push((value >> i) & 1 == 1);
+            }
+        }
+
+        fn rice(&mut self, value: u32, k: u8) {
+            self.0
+                .extend(std::iter::repeat_n(true, (value >> k) as usize));
+            self.0.push(false);
+            self.bits(value, k);
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let byte =
+                |c: &[bool]| (0..8).fold(0u8, |b, i| (b << 1) | u8::from(c.get(i) == Some(&true)));
+            self.0.chunks(8).map(byte).collect()
+        }
+    }
+
+    /// A reader with nothing to get wrong: one bit at a time, failing
+    /// without consuming when the bits run out.
+    struct ReadBitByBit<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+    }
+
+    impl ReadBitByBit<'_> {
+        fn bit(&mut self) -> Result<bool, OutOfBits> {
+            let byte = self.bytes.get(self.pos / 8).ok_or(OutOfBits)?;
+            let bit = (byte >> (7 - self.pos % 8)) & 1 == 1;
+            self.pos += 1;
+            Ok(bit)
+        }
+
+        fn bits(&mut self, n: u8) -> Result<u32, OutOfBits> {
+            if self.bytes.len() * 8 - self.pos < n as usize {
+                return Err(OutOfBits);
+            }
+            (0..n).try_fold(0u32, |v, _| Ok((v << 1) | u32::from(self.bit()?)))
+        }
+
+        fn rice(&mut self, k: u8) -> Result<u32, OutOfBits> {
+            let mut q = 0u32;
+            while self.bit()? {
+                q += 1;
+            }
+            if q > 1 << 20 {
+                return Err(OutOfBits);
+            }
+            Ok((q << k) | self.bits(k)?)
+        }
+    }
+
+    /// One step of a random bit stream: `kind` picks the call, `v` and
+    /// `k` are its arguments after folding into the call's range. Kind
+    /// 0 is what OVL writes (k ≤ 12, quotients that fit one shift);
+    /// kind 1 reaches codes past 56 bits and the two-call fallback.
+    fn writer_step(kind: u32, v: u32, k: u8) -> (u32, u32, u8) {
+        match kind {
+            0 => (0, v % 4_096, k % 13),
+            1 => (0, v % 100_000, k % 16),
+            2 => (1, v & 1, 1),
+            _ => (1, v, (k * 2) % 33),
+        }
     }
 
     proptest! {
+        #[test]
+        fn prop_write_rice_matches_the_two_call_oracle_byte_for_byte(
+            steps in proptest::collection::vec((0u32..4, 0u32..=u32::MAX, 0u8..16), 0..300),
+        ) {
+            let mut new = BitWriter::new();
+            let mut old = BitWriter::new();
+            let mut naive = BitByBit::default();
+            for &(kind, v, k) in &steps {
+                match writer_step(kind, v, k) {
+                    (0, v, k) => {
+                        new.write_rice(v, k);
+                        oracle_write_rice(&mut old, v, k);
+                        naive.rice(v, k);
+                    }
+                    (_, v, n) => {
+                        new.write_bits(v, n);
+                        old.write_bits(v, n);
+                        naive.bits(v, n);
+                    }
+                }
+            }
+            prop_assert_eq!(new.bit_len(), naive.0.len());
+            let new = new.into_bytes();
+            prop_assert_eq!(&new, &old.into_bytes());
+            prop_assert_eq!(&new, &naive.bytes());
+        }
+
+        #[test]
+        fn prop_reader_matches_a_bit_by_bit_reader_up_to_the_first_error(
+            bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..80),
+            steps in proptest::collection::vec((0u32..3, 0u8..=32), 0..200),
+        ) {
+            let mut r = BitReader::new(&bytes);
+            let mut naive = ReadBitByBit { bytes: &bytes, pos: 0 };
+            for &(kind, n) in &steps {
+                let (got, want) = match kind {
+                    0 => (r.read_bits(n), naive.bits(n)),
+                    1 => (r.read_bit().map(u32::from), naive.bit().map(u32::from)),
+                    _ => (r.read_rice(n % 16), naive.rice(n % 16)),
+                };
+                prop_assert_eq!(got, want);
+                if got.is_err() {
+                    break;
+                }
+                prop_assert_eq!(r.remaining(), bytes.len() * 8 - naive.pos);
+            }
+        }
         #[test]
         fn prop_bits_roundtrip(values in proptest::collection::vec((0u32..=u32::MAX, 1u8..=32), 0..64)) {
             let mut w = BitWriter::new();

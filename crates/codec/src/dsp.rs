@@ -50,7 +50,10 @@ pub fn interleave_denormalize(synth: &[f32], ch: usize, c: usize, out: &mut [i16
 }
 
 /// Quantizes one band of coefficients: `out[i]` is `band[i]` scaled by
-/// `1/scale`, stretched to the `qmax` grid, rounded and clamped.
+/// `inv_scale`, stretched to the `qmax` grid, rounded and clamped.
+///
+/// OVL's scales are powers of two, so multiplying by the reciprocal
+/// rounds to the same value dividing by the scale would.
 ///
 /// Rounding is half away from zero, bit-identical to the
 /// `f32::round() as i32` of [`scalar::quantize_band`] but inline:
@@ -58,10 +61,10 @@ pub fn interleave_denormalize(synth: &[f32], ch: usize, c: usize, out: &mut [i16
 /// is an integer already above), NaN maps to 0 and out-of-range values
 /// saturate into the clamp — whereas `round` is an out-of-line libm
 /// `roundf` per coefficient on the baseline x86-64 target.
-pub fn quantize_band(band: &[f32], scale: f32, qmax: i32, out: &mut [i32]) {
+pub fn quantize_band(band: &[f32], inv_scale: f32, qmax: i32, out: &mut [i32]) {
     let qmax_f = qmax as f32;
     for (o, &c) in out.iter_mut().zip(band) {
-        let x = (c / scale * qmax_f) as f64;
+        let x = (c * inv_scale * qmax_f) as f64;
         let r = (x.abs() + 0.5) as i32;
         *o = (if x < 0.0 { -r } else { r }).clamp(-qmax, qmax);
     }
@@ -85,9 +88,33 @@ pub fn accumulate(acc: &mut [f32], add: &[f32]) {
     }
 }
 
-/// Largest absolute value in `band` (0.0 for an empty band).
+/// Largest absolute value in `band` (0.0 for an empty band); NaNs are
+/// skipped.
+///
+/// Eight independent running maxima instead of one serial chain: max is
+/// exact and order-free, so the split changes no bit. `a > m` keeps `m`
+/// when `a` is NaN, which is what `f32::max` does for the `m` here: an
+/// accumulator seeded with `+0.0` that only ever takes an `abs`.
 pub fn peak_abs(band: &[f32]) -> f32 {
-    band.iter().fold(0.0f32, |m, &c| m.max(c.abs()))
+    fn keep_max(m: f32, a: f32) -> f32 {
+        if a > m {
+            a
+        } else {
+            m
+        }
+    }
+    let mut lanes = [0.0f32; 8];
+    let chunks = band.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (m, &c) in lanes.iter_mut().zip(chunk) {
+            *m = keep_max(*m, c.abs());
+        }
+    }
+    for (m, &c) in lanes.iter_mut().zip(tail) {
+        *m = keep_max(*m, c.abs());
+    }
+    lanes.into_iter().fold(0.0, keep_max)
 }
 
 // es-hot-path-end
@@ -113,9 +140,9 @@ pub mod scalar {
     }
 
     /// Reference for [`super::quantize_band`].
-    pub fn quantize_band(band: &[f32], scale: f32, qmax: i32, out: &mut [i32]) {
+    pub fn quantize_band(band: &[f32], inv_scale: f32, qmax: i32, out: &mut [i32]) {
         for (i, &c) in band.iter().enumerate() {
-            out[i] = ((c / scale * qmax as f32).round() as i32).clamp(-qmax, qmax);
+            out[i] = ((c * inv_scale * qmax as f32).round() as i32).clamp(-qmax, qmax);
         }
     }
 
@@ -171,8 +198,8 @@ mod tests {
             .collect();
         let mut q_fast = vec![0i32; 37];
         let mut q_slow = vec![0i32; 37];
-        quantize_band(&band, 0.5, 127, &mut q_fast);
-        scalar::quantize_band(&band, 0.5, 127, &mut q_slow);
+        quantize_band(&band, 2.0, 127, &mut q_fast);
+        scalar::quantize_band(&band, 2.0, 127, &mut q_slow);
         assert_eq!(q_fast, q_slow);
         let mut d_fast = vec![0.0f32; 37];
         let mut d_slow = vec![0.0f32; 37];
@@ -195,5 +222,11 @@ mod tests {
     fn peak_abs_finds_magnitude() {
         assert_eq!(peak_abs(&[]), 0.0);
         assert_eq!(peak_abs(&[0.25, -0.75, 0.5]), 0.75);
+        // Past the eight lanes, NaNs skipped wherever they sit.
+        let mut band: Vec<f32> = (0..19).map(|i| i as f32 * -0.5).collect();
+        band[3] = f32::NAN;
+        band[17] = f32::NAN;
+        assert_eq!(peak_abs(&band), 9.0);
+        assert_eq!(peak_abs(&[f32::NAN; 9]).to_bits(), 0.0f32.to_bits());
     }
 }

@@ -121,16 +121,42 @@ pub fn band_bits(quality: u8, band: usize) -> Option<u8> {
     }
 }
 
-/// The OVL codec engine. Construction precomputes the MDCT tables;
-/// reuse one instance across packets — the window pipeline runs out of
-/// a flat [`DecodeArena`] that grows once and is reused per packet, so
-/// steady-state encode and decode perform no per-packet allocation
-/// beyond the returned payload/output buffers (which callers can also
-/// recycle via [`OvlCodec::decode_into`]).
+/// The OVL codec engine. Construction precomputes the MDCT tables and
+/// what each quality index decides per band; reuse one instance across
+/// packets — the window pipeline runs out of a flat [`DecodeArena`]
+/// that grows once and is reused per packet, so steady-state encode
+/// and decode perform no per-packet allocation beyond the returned
+/// payload/output buffers (which callers can also recycle via
+/// [`OvlCodec::decode_into`]).
 pub struct OvlCodec {
     mdct: Mdct,
     widths: Vec<usize>,
+    /// Indexed by quality index, `0..=MAX_QUALITY`.
+    qualities: Vec<QualityTable>,
     arena: RefCell<DecodeArena>,
+}
+
+/// One quality index's per-band decisions, built once per codec by
+/// calling the expressions themselves, so each entry is exactly what
+/// evaluating them per window gives.
+struct QualityTable {
+    /// [`band_bits`] for each band.
+    bits: Vec<Option<u8>>,
+    /// The masking model's cull factor: a band whose peak sits below
+    /// the frame's peak times this is inaudible next to it and is
+    /// culled outright. The margin widens with quality (quality 10
+    /// keeps everything within 60 dB of the peak).
+    mask: f32,
+}
+
+impl QualityTable {
+    fn new(quality: u8, bands: usize) -> Self {
+        let mask_db = 30.0 + 3.0 * quality as f32;
+        QualityTable {
+            bits: (0..bands).map(|b| band_bits(quality, b)).collect(),
+            mask: 10f32.powf(-mask_db / 20.0),
+        }
+    }
 }
 
 /// Reusable per-packet workspace (single-threaded; the sim never
@@ -150,6 +176,8 @@ struct DecodeArena {
     qbuf: Vec<i32>,
     /// Recycled backing store for the encode-side bit writer.
     bits: Vec<u8>,
+    /// Each band's peak magnitude in the window being packed.
+    peaks: Vec<f32>,
 }
 
 impl Default for OvlCodec {
@@ -168,9 +196,14 @@ impl OvlCodec {
     /// Creates an engine billing MDCT work under `cost_model` (see
     /// [`es_sim::CostModel`]); execution is identical either way.
     pub fn with_cost_model(cost_model: CostModel) -> Self {
+        let widths = band_widths(BLOCK);
+        let qualities = (0..=MAX_QUALITY)
+            .map(|q| QualityTable::new(q, widths.len()))
+            .collect();
         OvlCodec {
             mdct: Mdct::with_cost_model(BLOCK, cost_model),
-            widths: band_widths(BLOCK),
+            widths,
+            qualities,
             arena: RefCell::new(DecodeArena::default()),
         }
     }
@@ -213,10 +246,19 @@ impl OvlCodec {
 
         let mut bw = BitWriter::with_buffer(std::mem::take(&mut arena.bits));
         arena.qbuf.resize(BLOCK, 0);
+        arena.peaks.resize(self.widths.len(), 0.0);
+        let table = &self.qualities[quality as usize];
         for w in 0..n_windows {
             for c in 0..ch {
                 let coeffs = &arena.coeffs[c * wn + w * BLOCK..][..BLOCK];
-                pack_window(&self.widths, &mut bw, coeffs, quality, &mut arena.qbuf);
+                pack_window(
+                    &self.widths,
+                    table,
+                    &mut bw,
+                    coeffs,
+                    &mut arena.peaks,
+                    &mut arena.qbuf,
+                );
             }
         }
 
@@ -280,10 +322,11 @@ impl OvlCodec {
         let arena = &mut *arena;
         arena.coeffs.resize(ch * wn, 0.0);
         arena.qbuf.resize(BLOCK, 0);
+        let table = &self.qualities[quality as usize];
         for w in 0..n_windows {
             for c in 0..ch {
                 let coeffs = &mut arena.coeffs[c * wn + w * BLOCK..][..BLOCK];
-                unpack_window(&self.widths, &mut br, quality, coeffs, &mut arena.qbuf)?;
+                unpack_window(&self.widths, table, &mut br, coeffs, &mut arena.qbuf)?;
             }
         }
 
@@ -299,48 +342,88 @@ impl OvlCodec {
     }
 }
 
+/// `2^e` for an exponent a 6-bit field can carry (`-32..=31`) or its
+/// negation, built from its bits: every such power of two is a normal
+/// `f32`, and the bits are exactly what `(e as f32).exp2()` returns.
+fn exp2i(e: i32) -> f32 {
+    debug_assert!((-32..=32).contains(&e));
+    f32::from_bits(((e + 127) as u32) << 23)
+}
+
+/// The band's scale exponent: the smallest `e` with `2^e >= x`,
+/// clamped to `-32..=31` — exactly `x.log2().ceil()` clamped.
+///
+/// For a normal `x` with at least 2^12 of 2^23 mantissa steps above
+/// the power of two below it, `2^exp < x < 2^(exp+1)` and `log2(x)`
+/// sits at least 7e-4 above `exp`, far more than `log2f`'s rounding
+/// at any `f32` exponent, so the ceiling is `exp + 1`. Right above a
+/// power of two `log2f` may round down onto `exp` itself (16.000002
+/// gives 4.0), so that sliver, zero, subnormals and non-finite values
+/// take the libm call.
+fn band_exponent(x: f32) -> i32 {
+    let bits = x.to_bits();
+    // The sign bit makes `biased` ≥ 256: negative input goes to libm.
+    let biased = bits >> 23;
+    if (1..255).contains(&biased) && bits & 0x7F_FFFF >= 1 << 12 {
+        (biased as i32 - 126).clamp(-32, 31)
+    } else {
+        x.log2().ceil().clamp(-32.0, 31.0) as i32
+    }
+}
+
+/// The Rice parameter for a band whose zig-zagged values sum to `sum`:
+/// the smallest `k ≤ 12` with `sum ≤ width · 2^k`, i.e. the smallest
+/// `2^k` at or above the mean. Equal to `ceil(log2(mean))` of the mean
+/// in `f64`, capped at 12 (the test oracle): with `width ≤ 128` and
+/// `sum < 2^20`, a mean above `2^k` is above it by at least `2^-7`,
+/// too far for `f64` rounding to land on the power of two.
+fn rice_param(sum: u32, width: usize) -> u8 {
+    let mut k = 0u8;
+    while k < 12 && sum > (width as u32) << k {
+        k += 1;
+    }
+    k
+}
+
 fn pack_window(
     widths: &[usize],
+    table: &QualityTable,
     bw: &mut BitWriter,
     coeffs: &[f32],
-    quality: u8,
+    peaks: &mut [f32],
     qbuf: &mut [i32],
 ) {
-    // Masking model: a band whose peak sits far enough below the
-    // frame's loudest coefficient is inaudible next to it and is
-    // culled outright. The margin widens with quality (quality 10
-    // keeps everything within 60 dB of the peak).
-    let frame_max = crate::dsp::peak_abs(coeffs);
-    let mask_db = 30.0 + 3.0 * quality as f32;
-    let cull_floor = (frame_max * 10f32.powf(-mask_db / 20.0)).max(1e-4);
+    // Each band's peak once; the frame's peak is the largest of them.
     let mut start = 0usize;
-    for (b, &width) in widths.iter().enumerate() {
+    for (peak, &width) in peaks.iter_mut().zip(widths) {
+        *peak = crate::dsp::peak_abs(&coeffs[start..start + width]);
+        start += width;
+    }
+    let frame_max = peaks.iter().fold(0.0f32, |m, &p| m.max(p));
+    // Masking model (see `QualityTable::mask`).
+    let cull_floor = (frame_max * table.mask).max(1e-4);
+    let mut start = 0usize;
+    for ((&width, &bits), &max_mag) in widths.iter().zip(&table.bits).zip(peaks.iter()) {
         let band = &coeffs[start..start + width];
         start += width;
-        let bits = band_bits(quality, b);
-        let max_mag = crate::dsp::peak_abs(band);
-        let (bits, keep) = match bits {
-            Some(bits) if max_mag >= cull_floor => (bits, true),
-            _ => (0, false),
+        let bits = match bits {
+            Some(bits) if max_mag >= cull_floor => bits,
+            _ => {
+                bw.write_bit(false);
+                continue;
+            }
         };
-        if !keep {
-            bw.write_bit(false);
-            continue;
-        }
-        bw.write_bit(true);
-        // Scale exponent: smallest e with 2^e >= max_mag.
-        let e = max_mag.log2().ceil().clamp(-32.0, 31.0) as i32;
-        bw.write_bits((e + 32) as u32, 6);
-        let scale = (e as f32).exp2();
+        // Keep flag, then the scale exponent: smallest e with 2^e >= max_mag.
+        let e = band_exponent(max_mag);
+        bw.write_bits((1 << 6) | (e + 32) as u32, 7);
         let qmax = (1i32 << (bits - 1)) - 1;
         let quantized = &mut qbuf[..width];
-        crate::dsp::quantize_band(band, scale, qmax, quantized);
+        crate::dsp::quantize_band(band, exp2i(-e), qmax, quantized);
         // Rice parameter adapted to this band's actual content;
         // tonal bands are mostly zeros and pack near one bit per
         // coefficient.
-        let mean =
-            quantized.iter().map(|&q| zigzag(q) as f64).sum::<f64>() / quantized.len() as f64;
-        let k = crate::bitstream::rice_param_for_mean(mean).min(12);
+        let sum = quantized.iter().map(|&q| zigzag(q)).sum();
+        let k = rice_param(sum, width);
         bw.write_bits(k as u32, 4);
         for &q in quantized.iter() {
             bw.write_rice(zigzag(q), k);
@@ -350,34 +433,37 @@ fn pack_window(
 
 fn unpack_window(
     widths: &[usize],
+    table: &QualityTable,
     br: &mut BitReader<'_>,
-    quality: u8,
     coeffs: &mut [f32],
     qbuf: &mut [i32],
 ) -> Result<(), OvlError> {
     coeffs.fill(0.0);
     let mut start = 0usize;
-    for (b, &width) in widths.iter().enumerate() {
+    for (&width, &bits) in widths.iter().zip(&table.bits) {
         let keep = br.read_bit().map_err(|_| OvlError::BadBitstream)?;
         if !keep {
             start += width;
             continue;
         }
-        let bits = band_bits(quality, b).ok_or(OvlError::BadBitstream)?;
+        let bits = bits.ok_or(OvlError::BadBitstream)?;
         let e = br.read_bits(6).map_err(|_| OvlError::BadBitstream)? as i32 - 32;
-        let scale = (e as f32).exp2();
+        let scale = exp2i(e);
         let qmax = (1i32 << (bits - 1)) - 1;
+        // A zig-zagged value above `2 * qmax` decodes to a magnitude
+        // above `qmax`.
+        let zmax = 2 * qmax as u32;
         let k = br.read_bits(4).map_err(|_| OvlError::BadBitstream)? as u8;
         // Two phases: the Rice reads are serial (each code's length
         // depends on the bits before it), the rescale is a batch
         // kernel over the staged integers.
         let quantized = &mut qbuf[..width];
         for slot in quantized.iter_mut() {
-            let q = unzigzag(br.read_rice(k).map_err(|_| OvlError::BadBitstream)?);
-            if q.abs() > qmax {
+            let z = br.read_rice(k).map_err(|_| OvlError::BadBitstream)?;
+            if z > zmax {
                 return Err(OvlError::BadBitstream);
             }
-            *slot = q;
+            *slot = unzigzag(z);
         }
         crate::dsp::dequantize_band(quantized, scale, qmax, &mut coeffs[start..start + width]);
         start += width;
@@ -392,6 +478,8 @@ mod tests {
     use super::*;
     use es_audio::analysis::snr_db;
     use es_audio::gen::{render_stereo, MultiTone, Signal, Sine};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn music_stereo(frames: usize) -> Vec<i16> {
         let mut l = MultiTone::music(44_100);
@@ -421,6 +509,64 @@ mod tests {
     }
 
     #[test]
+    fn exp2i_is_exp2_at_every_exponent_a_header_can_carry() {
+        for e in -32..=32 {
+            assert_eq!(exp2i(e).to_bits(), (e as f32).exp2().to_bits(), "2^{e}");
+            assert_eq!(exp2i(-e), 1.0 / exp2i(e), "2^-{e}");
+        }
+    }
+
+    #[test]
+    fn band_exponent_is_log2_ceil_near_every_power_of_two_and_at_random() {
+        let oracle = |x: f32| x.log2().ceil().clamp(-32.0, 31.0) as i32;
+        let check = |x: f32| assert_eq!(band_exponent(x), oracle(x), "{x:e} ({:#x})", x.to_bits());
+        for e in -32..=31 {
+            let p = (e as f32).exp2();
+            let (mut up, mut down) = (p, p);
+            check(p);
+            for _ in 0..4_096 {
+                up = up.next_up();
+                down = down.next_down();
+                check(up);
+                check(down);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0xE4_B0);
+        for _ in 0..200_000 {
+            check(f32::from_bits(rng.gen::<u32>() >> 1));
+        }
+        for x in [
+            0.0,
+            f32::MIN_POSITIVE,
+            1e-45,
+            1e-4,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NAN,
+        ] {
+            check(x);
+        }
+    }
+
+    #[test]
+    fn rice_param_is_the_f64_mean_formula_for_every_band_and_sum() {
+        // The Rice parameter before it went integer: ceil(log2) of the
+        // f64 mean, 0 below a mean of 1, capped at 12 by the caller.
+        fn rice_param_for_mean(mean: f64) -> u8 {
+            if mean < 1.0 {
+                return 0;
+            }
+            (mean.log2().ceil() as i64).clamp(0, 24) as u8
+        }
+        for width in band_widths(BLOCK) {
+            for sum in 0..=width as u32 * 4_096 {
+                let want = rice_param_for_mean(sum as f64 / width as f64).min(12);
+                assert_eq!(rice_param(sum, width), want, "width {width}, sum {sum}");
+            }
+        }
+    }
+
+    #[test]
     fn roundtrip_preserves_shape_at_max_quality() {
         let codec = OvlCodec::new();
         let samples = music_stereo(2_048);
@@ -447,6 +593,70 @@ mod tests {
         assert!((snr - 49.635_370).abs() < 0.01, "snr {snr} dB");
         let len = enc.bytes.len() as f64;
         assert!((len - 12_076.0).abs() <= 12_076.0 * 1e-4, "{len} bytes");
+    }
+
+    #[test]
+    fn bitstream_and_decoded_samples_are_pinned_byte_for_byte() {
+        // Size and SNR (above) let a changed bitstream pass; this pins
+        // every encoded byte and every decoded sample. FNV-1a over
+        // encode + decode of four signals × qualities 0/3/7/10 × mono
+        // and stereo, at a length that is not a multiple of BLOCK. The
+        // signals are rendered sample by sample, so the hash pins the
+        // codec, not the renderer. The value is the one the codec gave
+        // before its entropy layer went table-driven.
+        use es_audio::gen::{f32_to_i16, ImpulseTrain, Sweep, WhiteNoise};
+        fn fnv(h: &mut u64, bytes: &[u8]) {
+            for &b in bytes {
+                *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        fn sources(kind: usize) -> [Box<dyn Signal>; 2] {
+            match kind {
+                0 => [
+                    Box::new(MultiTone::music(44_100)),
+                    Box::new(MultiTone::new(44_100, &[(523.25, 0.4), (1_046.5, 0.2)])),
+                ],
+                1 => [
+                    Box::new(WhiteNoise::new(27, 0.6)),
+                    Box::new(WhiteNoise::new(28, 0.3)),
+                ],
+                2 => [
+                    Box::new(Sweep::new(40.0, 18_000.0, 0.1, 44_100, 0.8)),
+                    Box::new(Sweep::new(9_000.0, 200.0, 0.05, 44_100, 0.5)),
+                ],
+                _ => [
+                    Box::new(ImpulseTrain::new(441, 0.9)),
+                    Box::new(ImpulseTrain::new(97, 0.25)),
+                ],
+            }
+        }
+        const FRAMES: usize = 5_000;
+        assert_ne!(FRAMES % BLOCK, 0);
+        let codec = OvlCodec::new();
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        let mut out = Vec::new();
+        for kind in 0..4 {
+            for channels in [1u8, 2] {
+                let mut src = sources(kind);
+                let mut samples = Vec::with_capacity(FRAMES * channels as usize);
+                for _ in 0..FRAMES {
+                    for s in src.iter_mut().take(channels as usize) {
+                        samples.push(f32_to_i16(s.next_sample()));
+                    }
+                }
+                for quality in [0u8, 3, 7, 10] {
+                    let enc = codec.encode(&samples, channels, quality);
+                    fnv(&mut hash, &(enc.bytes.len() as u64).to_le_bytes());
+                    fnv(&mut hash, &enc.bytes);
+                    codec.decode_into(&enc.bytes, &mut out).unwrap();
+                    assert_eq!(out.len(), samples.len());
+                    for s in &out {
+                        fnv(&mut hash, &s.to_le_bytes());
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, 0x773C_E43D_C592_166F, "hash {hash:#018x}");
     }
 
     #[test]
@@ -596,6 +806,27 @@ mod tests {
         assert_eq!(codec.decode(&bytes).unwrap().samples, vec![0i16; BLOCK]);
         bytes.pop();
         assert!(matches!(codec.decode(&bytes), Err(OvlError::BadBitstream)));
+    }
+
+    #[test]
+    fn a_rice_code_that_unzigzags_to_i32_min_is_rejected() {
+        // k = 15 and a 2^17 − 1 run of ones make the Rice value
+        // u32::MAX, which unzigzags to i32::MIN: a 16 KiB datagram whose
+        // magnitude check used to be `q.abs()`, an overflow panic in a
+        // checked build and an accepted coefficient in a release one.
+        let mut bw = BitWriter::new();
+        bw.write_bit(true);
+        bw.write_bits(32, 6);
+        bw.write_bits(15, 4);
+        bw.write_unary((1 << 17) - 1);
+        bw.write_bits(0x7FFF, 15);
+        let mut bytes = vec![1u8, MAX_QUALITY];
+        bytes.extend_from_slice(&(BLOCK as u32).to_le_bytes());
+        bytes.extend_from_slice(&bw.into_bytes());
+        assert!(matches!(
+            OvlCodec::new().decode(&bytes),
+            Err(OvlError::BadBitstream)
+        ));
     }
 
     #[test]

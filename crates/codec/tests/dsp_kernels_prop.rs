@@ -33,8 +33,8 @@ fn bits(v: &[f32]) -> Vec<u32> {
 }
 
 /// `quantize_band` rounds inline instead of calling libm `roundf`; the
-/// scalar oracle still calls `f32::round`. With `scale == qmax` (a
-/// power of two) the scaling is exact, so the band values are the
+/// scalar oracle still calls `f32::round`. With `inv_scale == 1/qmax`
+/// (a power of two) the scaling is exact, so the band values are the
 /// values rounded: every half-integer boundary in the i16 range, one
 /// ulp either side, both signs, and the values `as i32` special-cases.
 #[test]
@@ -60,8 +60,8 @@ fn quantize_rounding_matches_scalar_at_every_half_integer() {
     let qmax = 1i32 << 24;
     let mut fast = vec![0i32; band.len()];
     let mut slow = vec![0i32; band.len()];
-    dsp::quantize_band(&band, qmax as f32, qmax, &mut fast);
-    dsp::scalar::quantize_band(&band, qmax as f32, qmax, &mut slow);
+    dsp::quantize_band(&band, 1.0 / qmax as f32, qmax, &mut fast);
+    dsp::scalar::quantize_band(&band, 1.0 / qmax as f32, qmax, &mut slow);
     for ((x, f), s) in band.iter().zip(&fast).zip(&slow) {
         assert_eq!(f, s, "{x:e}");
     }
@@ -111,14 +111,37 @@ proptest::proptest! {
         let qmax = (1i32 << (bits_alloc - 1)) - 1;
         let mut q_fast = vec![0i32; n];
         let mut q_slow = vec![0i32; n];
-        dsp::quantize_band(&band, scale, qmax, &mut q_fast);
-        dsp::scalar::quantize_band(&band, scale, qmax, &mut q_slow);
+        dsp::quantize_band(&band, 1.0 / scale, qmax, &mut q_fast);
+        dsp::scalar::quantize_band(&band, 1.0 / scale, qmax, &mut q_slow);
         proptest::prop_assert_eq!(&q_fast, &q_slow);
         let mut d_fast = vec![0.0f32; n];
         let mut d_slow = vec![0.0f32; n];
         dsp::dequantize_band(&q_fast, scale, qmax, &mut d_fast);
         dsp::scalar::dequantize_band(&q_slow, scale, qmax, &mut d_slow);
         proptest::prop_assert_eq!(bits(&d_fast), bits(&d_slow));
+    }
+
+    /// OVL quantizes by the reciprocal of a power-of-two scale; the
+    /// oracle is the division it replaced, `c / scale`, at every scale
+    /// a 6-bit exponent can name, on coefficients that reach down into
+    /// the subnormals and up past the largest scale.
+    #[test]
+    fn prop_reciprocal_of_a_power_of_two_quantizes_like_dividing(
+        e in -32i32..=31,
+        bits_alloc in 2u32..=12,
+        magnitude in -150i32..=40,
+        seed in 0u64..u64::MAX / 2,
+    ) {
+        let scale = (e as f32).exp2();
+        let band: Vec<f32> = random_f32(96, seed).iter().map(|c| c * (magnitude as f32).exp2()).collect();
+        let qmax = (1i32 << (bits_alloc - 1)) - 1;
+        let mut fast = vec![0i32; band.len()];
+        dsp::quantize_band(&band, 1.0 / scale, qmax, &mut fast);
+        let divided: Vec<i32> = band
+            .iter()
+            .map(|&c| ((c / scale * qmax as f32).round() as i32).clamp(-qmax, qmax))
+            .collect();
+        proptest::prop_assert_eq!(fast, divided);
     }
 
     #[test]

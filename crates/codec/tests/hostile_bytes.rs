@@ -10,12 +10,20 @@
 //! an attacker damages them: flipped bits, truncation at every length,
 //! and a forged header in front of a real body.
 //!
+//! Every OVL input is also decoded by an oracle: the decoder as it was
+//! before its entropy layer went table-driven (libm `band_bits` and
+//! `exp2` per band, the two-call Rice read, the scalar kernels), built
+//! from public pieces. The two must agree on every input — the same
+//! samples and work, or the same error.
+//!
 //! `PROPTEST_CASES=20000 cargo test -p es-codec --test hostile_bytes`
 //! is the deep run; the default 64 cases per property keep it in the
 //! tier-1 budget.
 
-use es_codec::ovl::{band_widths, BLOCK};
-use es_codec::{CodecId, Codecs, MAX_QUALITY};
+use es_codec::bitstream::{unzigzag, BitReader, OutOfBits};
+use es_codec::mdct::Mdct;
+use es_codec::ovl::{band_bits, band_widths, OvlError, BLOCK};
+use es_codec::{dsp, CodecError, CodecId, Codecs, MAX_QUALITY};
 use proptest::collection::vec;
 use proptest::num::u8::ANY as ANY_U8;
 use proptest::prelude::*;
@@ -36,6 +44,7 @@ const VALID_SAMPLES: usize = 4_096;
 
 thread_local! {
     static CODECS: Codecs = Codecs::new();
+    static ORACLE_MDCT: Mdct = Mdct::new(BLOCK);
 }
 
 /// The most samples a `len`-byte payload can honestly decode to.
@@ -51,9 +60,109 @@ fn max_samples(codec: CodecId, len: usize) -> usize {
     }
 }
 
-/// Decodes `bytes` and holds an `Ok` to the format's bound.
+/// The oracle's Rice read: the unary quotient, then the remainder.
+fn oracle_read_rice(br: &mut BitReader<'_>, k: u8) -> Result<u32, OutOfBits> {
+    let q = br.read_unary()?;
+    let r = br.read_bits(k)?;
+    Ok((q << k) | r)
+}
+
+/// One window of one channel, unpacked the way the oracle decoder did.
+fn oracle_unpack_window(
+    br: &mut BitReader<'_>,
+    quality: u8,
+    coeffs: &mut [f32],
+) -> Result<(), OvlError> {
+    let bad = |_| OvlError::BadBitstream;
+    coeffs.fill(0.0);
+    let mut start = 0usize;
+    for (b, width) in band_widths(BLOCK).into_iter().enumerate() {
+        let band = &mut coeffs[start..start + width];
+        start += width;
+        if !br.read_bit().map_err(bad)? {
+            continue;
+        }
+        let bits = band_bits(quality, b).ok_or(OvlError::BadBitstream)?;
+        let scale = ((br.read_bits(6).map_err(bad)? as i32 - 32) as f32).exp2();
+        let qmax = (1i32 << (bits - 1)) - 1;
+        let k = br.read_bits(4).map_err(bad)? as u8;
+        let mut quantized = vec![0i32; width];
+        for slot in &mut quantized {
+            let q = unzigzag(oracle_read_rice(br, k).map_err(bad)?);
+            // `q.abs()`, made total: i32::MIN is out of range too.
+            if q.unsigned_abs() > qmax as u32 {
+                return Err(OvlError::BadBitstream);
+            }
+            *slot = q;
+        }
+        dsp::scalar::dequantize_band(&quantized, scale, qmax, band);
+    }
+    Ok(())
+}
+
+/// `Codecs::decode_wire` for OVL as it was: header checks, the window
+/// unpack above, synthesis, the scalar interleave and the same work
+/// units.
+fn oracle_ovl_decode(bytes: &[u8], channels: u8) -> Result<(Vec<i16>, u64), CodecError> {
+    if bytes.len() < 6 {
+        return Err(OvlError::ShortHeader.into());
+    }
+    let (ch, quality) = (bytes[0], bytes[1]);
+    if !(1..=8).contains(&ch) {
+        return Err(OvlError::BadHeader("channel count").into());
+    }
+    if quality > MAX_QUALITY {
+        return Err(OvlError::BadHeader("quality index").into());
+    }
+    let per_ch = u32::from_le_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]) as usize;
+    if per_ch > 1 << 24 {
+        return Err(OvlError::BadHeader("sample count").into());
+    }
+    let chs = ch as usize;
+    let n_windows = per_ch.div_ceil(BLOCK) + 1;
+    if n_windows * chs * band_widths(BLOCK).len() > (bytes.len() - 6) * 8 {
+        return Err(OvlError::BadBitstream.into());
+    }
+    let mut br = BitReader::new(&bytes[6..]);
+    let wn = n_windows * BLOCK;
+    let mut coeffs = vec![0.0f32; chs * wn];
+    for w in 0..n_windows {
+        for c in 0..chs {
+            oracle_unpack_window(&mut br, quality, &mut coeffs[c * wn + w * BLOCK..][..BLOCK])?;
+        }
+    }
+    let mut out = vec![0i16; per_ch * chs];
+    let mut work = (per_ch * chs) as u64 * 2;
+    let mut synth = Vec::new();
+    for c in 0..chs {
+        ORACLE_MDCT.with(|m| {
+            m.synthesize_into(&coeffs[c * wn..(c + 1) * wn], &mut synth);
+            work += n_windows as u64 * m.ops_per_transform();
+        });
+        dsp::scalar::interleave_denormalize(&synth[..per_ch], chs, c, &mut out);
+    }
+    if ch != channels {
+        return Err(CodecError::ChannelMismatch {
+            expected: channels,
+            got: ch,
+        });
+    }
+    Ok((out, work))
+}
+
+/// Decodes `bytes` and holds an `Ok` to the format's bound, and an OVL
+/// decode to the oracle's.
 fn assert_total(codec: CodecId, channels: u8, bytes: &[u8]) {
     let decoded = CODECS.with(|c| c.decode_wire(codec.to_wire(), bytes, channels));
+    if codec == CodecId::Ovl {
+        let oracle = oracle_ovl_decode(bytes, channels);
+        assert_eq!(
+            format!("{decoded:?}"),
+            format!("{oracle:?}"),
+            "ovl x{channels}: {} bytes decode unlike the oracle",
+            bytes.len()
+        );
+    }
     if let Ok((samples, _)) = decoded {
         assert!(
             samples.len() <= max_samples(codec, bytes.len()),

@@ -17,8 +17,8 @@
 
 use std::rc::Rc;
 
-use es_audio::convert::encode_samples;
-use es_audio::gen::Signal;
+use es_audio::convert::encode_samples_into;
+use es_audio::gen::{render_interleaved_into, Signal};
 use es_audio::AudioConfig;
 use es_sim::{shared, Shared, Sim, SimDuration, SimTime};
 use es_telemetry::{Registry, Telemetry};
@@ -61,6 +61,8 @@ struct AppState {
     /// descriptor, so the device outlives transient closures.
     dev: Rc<AudioDevice>,
     signal: Box<dyn Signal>,
+    /// The chunk being rendered, recycled chunk after chunk.
+    pcm: Vec<i16>,
     cfg: AudioConfig,
     remaining_frames: u64,
     chunk_frames: u64,
@@ -96,6 +98,7 @@ impl AudioApp {
         let state = shared(AppState {
             dev: dev.clone(),
             signal,
+            pcm: Vec::new(),
             cfg,
             remaining_frames: total_frames,
             chunk_frames,
@@ -130,34 +133,30 @@ impl AudioApp {
 fn pump(sim: &mut Sim, dev: Rc<AudioDevice>, state: Shared<AppState>, mut pending: Vec<u8>) {
     loop {
         if pending.is_empty() {
-            let (done, chunk, pacing, chunk_dur) = {
+            let (done, pacing, chunk_dur) = {
                 let mut st = state.borrow_mut();
+                let st = &mut *st;
                 if st.remaining_frames == 0 {
                     st.stats.finished_at = Some(sim.now());
-                    (true, Vec::new(), st.pacing, SimDuration::ZERO)
+                    (true, st.pacing, SimDuration::ZERO)
                 } else {
                     let frames = st.chunk_frames.min(st.remaining_frames);
                     st.remaining_frames -= frames;
-                    let mut mono = vec![0.0f32; frames as usize];
-                    st.signal.fill(&mut mono);
-                    let mut interleaved =
-                        Vec::with_capacity(frames as usize * st.cfg.channels as usize);
-                    for v in mono {
-                        let s = es_audio::gen::f32_to_i16(v);
-                        for _ in 0..st.cfg.channels {
-                            interleaved.push(s);
-                        }
-                    }
-                    let bytes = encode_samples(&interleaved, st.cfg.encoding);
+                    render_interleaved_into(
+                        &mut *st.signal,
+                        st.cfg.channels,
+                        frames as usize,
+                        &mut st.pcm,
+                    );
+                    encode_samples_into(&st.pcm, st.cfg.encoding, &mut pending);
                     let chunk_dur =
-                        SimDuration::from_nanos(st.cfg.nanos_for_bytes(bytes.len() as u64));
-                    (false, bytes, st.pacing, chunk_dur)
+                        SimDuration::from_nanos(st.cfg.nanos_for_bytes(pending.len() as u64));
+                    (false, st.pacing, chunk_dur)
                 }
             };
             if done {
                 return;
             }
-            pending = chunk;
             // A real-time source waits out the chunk duration before
             // producing the next one; the write itself happens now.
             if pacing == AppPacing::RealTime {

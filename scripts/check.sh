@@ -1,7 +1,8 @@
 #!/bin/sh
 # The full local gate: formatting, lints (warnings are errors), the
 # tier-1 verify line (see ROADMAP.md), the other workspace members'
-# tests, one perf step (the ledger's unit tests and --quick smoke), the
+# tests, the codec's deep differential run, one perf step (the
+# ledger's unit tests and --quick smoke), the
 # cross-process determinism diffs and a healing seed sweep. Writes
 # nothing tracked outside results/.
 set -eu
@@ -37,6 +38,13 @@ cargo test -q
 # healing a second time.
 echo "== workspace tests (every member but the root package)"
 cargo test --workspace --exclude ethernet-speaker -q
+
+# The codec's deep differential run: every hostile OVL input decoded
+# by the table-driven decoder and by the oracle decoder it replaced,
+# and every batch kernel against its scalar oracle, at 2000 cases per
+# property instead of 64 (≈ 5 s release).
+echo "== codec differential oracles (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test -q --release -p es-codec --test hostile_bytes --test dsp_kernels_prop
 
 # The one perf step: the ledger (benches/ledger, the BENCHMARK.json
 # harness) is the only wall-clock perf harness. Its own unit tests,

@@ -16,18 +16,41 @@
 
 // es-hot-path
 
-/// Deinterleaves channel `c` out of `ch`-channel interleaved
-/// `samples` into `out`, normalizing i16 to ±1.0. Writes
-/// `min(out.len(), samples.len() / ch)` frames.
-pub fn deinterleave_normalize(samples: &[i16], ch: usize, c: usize, out: &mut [f32]) {
-    debug_assert!(c < ch);
-    if ch == 1 {
-        for (o, &s) in out.iter_mut().zip(samples) {
-            *o = s as f32 / 32_768.0;
+/// Deinterleaves `ch`-channel interleaved `samples` into per-channel
+/// planes in one pass over the frames, normalizing i16 to ±1.0: frame
+/// `f` of channel `c` lands in `planes[c * stride + f]`. Writes
+/// `samples.len() / ch` frames per channel.
+///
+/// # Panics
+///
+/// Panics if a channel's frames would run past `stride` or past the
+/// end of `planes`.
+pub fn deinterleave_normalize(samples: &[i16], ch: usize, planes: &mut [f32], stride: usize) {
+    let frames = samples.len() / ch;
+    assert!(
+        frames <= stride && (ch - 1) * stride + frames <= planes.len(),
+        "planes must hold every frame"
+    );
+    match ch {
+        1 => {
+            for (o, &s) in planes.iter_mut().zip(samples) {
+                *o = s as f32 / 32_768.0;
+            }
         }
-    } else {
-        for (o, frame) in out.iter_mut().zip(samples.chunks_exact(ch)) {
-            *o = frame[c] as f32 / 32_768.0;
+        2 => {
+            let (left, right) = planes.split_at_mut(stride);
+            let outs = left.iter_mut().zip(right.iter_mut());
+            for ((l, r), frame) in outs.zip(samples.chunks_exact(2)) {
+                *l = frame[0] as f32 / 32_768.0;
+                *r = frame[1] as f32 / 32_768.0;
+            }
+        }
+        _ => {
+            for (f, frame) in samples.chunks_exact(ch).enumerate() {
+                for (plane, &s) in planes.chunks_mut(stride).zip(frame) {
+                    plane[f] = s as f32 / 32_768.0;
+                }
+            }
         }
     }
 }
@@ -80,14 +103,6 @@ pub fn dequantize_band(quantized: &[i32], scale: f32, qmax: i32, out: &mut [f32]
     }
 }
 
-/// Elementwise `acc[i] += add[i]` over the overlapping region — the
-/// overlap-add inner loop. Adds `min(acc.len(), add.len())` values.
-pub fn accumulate(acc: &mut [f32], add: &[f32]) {
-    for (a, &v) in acc.iter_mut().zip(add) {
-        *a += v;
-    }
-}
-
 /// Largest absolute value in `band` (0.0 for an empty band); NaNs are
 /// skipped.
 ///
@@ -123,7 +138,8 @@ pub fn peak_abs(band: &[f32]) -> f32 {
 /// loops the batch kernels replaced, retained as the property-test
 /// oracle. Not used by the hot path.
 pub mod scalar {
-    /// Reference for [`super::deinterleave_normalize`].
+    /// Reference for [`super::deinterleave_normalize`], one channel
+    /// (`c` of `ch`) at a time: the per-channel pass it replaced.
     pub fn deinterleave_normalize(samples: &[i16], ch: usize, c: usize, out: &mut [f32]) {
         let frames = out.len().min(samples.len() / ch);
         for (f, o) in out.iter_mut().enumerate().take(frames) {
@@ -152,14 +168,6 @@ pub mod scalar {
             out[i] = q as f32 * scale / qmax as f32;
         }
     }
-
-    /// Reference for [`super::accumulate`].
-    pub fn accumulate(acc: &mut [f32], add: &[f32]) {
-        let n = acc.len().min(add.len());
-        for i in 0..n {
-            acc[i] += add[i];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -169,13 +177,22 @@ mod tests {
     #[test]
     fn deinterleave_matches_scalar_stereo() {
         let samples: Vec<i16> = (0..64).map(|i| (i * 997 - 16_000) as i16).collect();
+        // Planes 40 apart: the 8 values past each channel's 32 frames
+        // stay untouched.
+        let mut fast = vec![9.0f32; 80];
+        deinterleave_normalize(&samples, 2, &mut fast, 40);
         for c in 0..2 {
-            let mut fast = vec![0.0f32; 32];
             let mut slow = vec![0.0f32; 32];
-            deinterleave_normalize(&samples, 2, c, &mut fast);
             scalar::deinterleave_normalize(&samples, 2, c, &mut slow);
-            assert_eq!(fast, slow);
+            assert_eq!(fast[c * 40..][..32], slow[..]);
+            assert!(fast[c * 40 + 32..][..8].iter().all(|&v| v == 9.0));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "every frame")]
+    fn deinterleave_checks_the_planes_fit() {
+        deinterleave_normalize(&[0; 12], 3, &mut [0.0; 11], 4);
     }
 
     #[test]
@@ -206,16 +223,6 @@ mod tests {
         dequantize_band(&q_fast, 0.5, 127, &mut d_fast);
         scalar::dequantize_band(&q_slow, 0.5, 127, &mut d_slow);
         assert_eq!(d_fast, d_slow);
-    }
-
-    #[test]
-    fn accumulate_matches_scalar() {
-        let add: Vec<f32> = (0..48).map(|i| i as f32 * 0.125).collect();
-        let mut fast: Vec<f32> = (0..48).map(|i| 1.0 - i as f32 * 0.0625).collect();
-        let mut slow = fast.clone();
-        accumulate(&mut fast, &add);
-        scalar::accumulate(&mut slow, &add);
-        assert_eq!(fast, slow);
     }
 
     #[test]

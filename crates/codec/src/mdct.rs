@@ -43,10 +43,34 @@
 //!
 //! That is O(N log N) against the O(N²) direct evaluation retained in
 //! [`crate::reference`], which doubles as the execution fallback when
-//! `n/2` is not a power of two (or `n = 2`, where it would be a
-//! one-point FFT) and as the ground truth for the property tests. The
-//! fast path agrees with it to rounding (≈ 1e-6 of the coefficient
-//! scale), not bit for bit.
+//! `n/2` is not a power of two or is below 4 (`n` = 2 and 4: the
+//! [`Fft`] starts at four points) and as the ground truth for the
+//! property tests. The fast path agrees with it to rounding (≈ 1e-6 of
+//! the coefficient scale), not bit for bit.
+//!
+//! # Passes over the data
+//!
+//! Each sample is touched as few times as the arithmetic needs:
+//!
+//! - The DCT-IV reads its input where it lies — the fold's output on
+//!   analysis, the caller's coefficients on synthesis — pre-twiddles it
+//!   into one FFT buffer, transforms it out of place into a second and
+//!   post-twiddles from there into its destination. Nothing is copied
+//!   in first.
+//! - The unfold multiplies by one table, `(2/n)·window`. The product it
+//!   replaces, `scale * w * v`, evaluates as `(scale·w)·v`, so the table
+//!   gives the same bits.
+//! - Analysis and synthesis work on a *framed plane*: the padded signal
+//!   with `n` zeros on each side, so window `w` is the contiguous slice
+//!   `plane[w·n..][..2n]` in both directions. Analysis transforms that
+//!   slice in place; synthesis adds each window's IMDCT straight into
+//!   it, so every output sample is `0.0 + tail_w + head_{w+1}` — the
+//!   same sums, in the same order, as overlap-adding assembled windows.
+//!
+//! None of this changes an operation or its operands, so the output is
+//! identical to the bit to the form that assembled each window and
+//! copied the coefficients; that form is kept as the oracle in
+//! `tests/fft_mdct_prop.rs`.
 //!
 //! Work is billed through a [`CostModel`]: the default bills what the
 //! fast path actually performs, while [`CostModel::Direct`] preserves
@@ -64,31 +88,87 @@ struct FastMdct {
     /// `n/2`-point engine.
     fft: Fft,
     window: Vec<f32>,
+    /// `(2/n)·window`, the inverse's scale and window as one factor.
+    synth_window: Vec<f32>,
     /// `pre[j] = e^{-iπ j / n}`, length `n/2`.
     pre: Vec<Complex32>,
     /// `post[k] = e^{-iπ (4k+1) / (4n)}`, length `n/2`.
     post: Vec<Complex32>,
 }
 
+/// The fast path's per-call workspace.
+#[derive(Default)]
+struct Work {
+    /// The pre-twiddled DCT-IV input, length `n/2`.
+    z: Vec<Complex32>,
+    /// Its spectrum, length `n/2`.
+    spec: Vec<Complex32>,
+    /// The inverse's DCT-IV output, length `n`.
+    v: Vec<f32>,
+}
+
 impl FastMdct {
-    /// DCT-IV of the `n` values in `io`, in place, through `z`.
-    fn dct4(&self, io: &mut [f32], z: &mut [Complex32]) {
-        let pairs = io.chunks_exact(2);
+    /// `u` folded from one window of `2n` time samples (see the module
+    /// docs), into `u`'s `n` slots.
+    fn fold(&self, time: &[f32], u: &mut [f32]) {
+        let [a, b, c, d] = quarters(time);
+        let [wa, wb, wc, wd] = quarters(&self.window);
+        let (u_lo, u_hi) = u.split_at_mut(u.len() / 2);
+        let tail = windowed(c, wc).rev().zip(windowed(d, wd));
+        for (u, (c, d)) in u_lo.iter_mut().zip(tail) {
+            *u = -c - d;
+        }
+        let head = windowed(a, wa).zip(windowed(b, wb).rev());
+        for (u, (a, b)) in u_hi.iter_mut().zip(head) {
+            *u = a - b;
+        }
+    }
+
+    /// The DCT-IV of `u` up to its post-twiddle: `z` pre-twiddled from
+    /// `u`, then `spec = FFT(z)`.
+    fn spectrum(&self, u: &[f32], z: &mut [Complex32], spec: &mut [Complex32]) {
+        let pairs = u.chunks_exact(2);
         let ends = pairs.clone().zip(pairs.rev());
         for ((slot, ends), &p) in z.iter_mut().zip(ends).zip(&self.pre) {
             if let ([even, _], [_, odd]) = ends {
                 *slot = Complex32::new(*even, *odd) * p;
             }
         }
-        self.fft.forward(z);
-        let bins = z.iter().zip(&self.post);
+        self.fft.forward(z, spec);
+    }
+
+    /// The DCT-IV's post-twiddle, from `spec` into its `n` outputs.
+    fn post_twiddle(&self, spec: &[Complex32], out: &mut [f32]) {
+        let bins = spec.iter().zip(&self.post);
         let ends = bins.clone().zip(bins.rev());
-        for (pair, ((f, p), (g, q))) in io.chunks_exact_mut(2).zip(ends) {
+        for (pair, ((f, p), (g, q))) in out.chunks_exact_mut(2).zip(ends) {
             if let [even, odd] = pair {
                 // Re(Z[k]·post[k]) and −Im(Z[k']·post[k']), k' = n/2−1−k.
                 *even = f.re * p.re - f.im * p.im;
                 *odd = -(g.re * q.im + g.im * q.re);
             }
+        }
+    }
+
+    /// The unfold of `v = DCT-IV(coeffs)` into one window of `2n`
+    /// samples, each handed to `put` with its destination.
+    fn unfold(&self, v: &[f32], time: &mut [f32], mut put: impl FnMut(&mut f32, f32)) {
+        let (v_lo, v_hi) = v.split_at(v.len() / 2);
+        let (lo, hi) = time.split_at_mut(time.len() / 2);
+        let (q0, q1) = lo.split_at_mut(lo.len() / 2);
+        let (q2, q3) = hi.split_at_mut(hi.len() / 2);
+        let [s0, s1, s2, s3] = quarters(&self.synth_window);
+        for ((out, &x), &s) in q0.iter_mut().zip(v_hi).zip(s0) {
+            put(out, s * x);
+        }
+        for ((out, &x), &s) in q1.iter_mut().zip(v_hi.iter().rev()).zip(s1) {
+            put(out, s * -x);
+        }
+        for ((out, &x), &s) in q2.iter_mut().zip(v_lo.iter().rev()).zip(s2) {
+            put(out, s * -x);
+        }
+        for ((out, &x), &s) in q3.iter_mut().zip(v_lo).zip(s3) {
+            put(out, s * -x);
         }
     }
 }
@@ -117,13 +197,11 @@ pub struct Mdct {
     n: usize,
     cost_model: CostModel,
     engine: Engine,
-    /// FFT workspace, length `n/2`. Interior mutability keeps `forward`/
-    /// `inverse` at `&self` (the codec engine is shared behind `Rc`)
-    /// while still being allocation-free per call.
-    freq: RefCell<Vec<Complex32>>,
-    /// Window-assembly workspace for the flat analyze/synthesize
-    /// pipeline, length `2n`.
-    asm: RefCell<Vec<f32>>,
+    /// Fast-path workspace (empty on the direct engine). Interior
+    /// mutability keeps `forward`/`inverse` at `&self` (the codec
+    /// engine is shared behind `Rc`) while still being allocation-free
+    /// per call.
+    work: RefCell<Work>,
 }
 
 impl Mdct {
@@ -151,32 +229,40 @@ impl Mdct {
         );
         let two_n = 2 * n;
         let half = n / 2;
-        let engine = if half >= 2 && half.is_power_of_two() {
+        let (engine, work) = if half >= 4 && half.is_power_of_two() {
             let mut window = Vec::with_capacity(two_n);
             for t in 0..two_n {
                 window.push((core::f32::consts::PI / two_n as f32 * (t as f32 + 0.5)).sin());
             }
+            let scale = 2.0 / n as f32;
+            let synth_window = window.iter().map(|&w| scale * w).collect();
             let twiddle = |quarter_steps: usize| {
                 let theta = -core::f64::consts::PI * quarter_steps as f64 / (4 * n) as f64;
                 Complex32::new(theta.cos() as f32, theta.sin() as f32)
             };
             let pre: Vec<Complex32> = (0..half).map(|j| twiddle(4 * j)).collect();
             let post: Vec<Complex32> = (0..half).map(|k| twiddle(4 * k + 1)).collect();
-            Engine::Fft(FastMdct {
+            let fast = FastMdct {
                 fft: Fft::new(half),
                 window,
+                synth_window,
                 pre,
                 post,
-            })
+            };
+            let work = Work {
+                z: vec![Complex32::ZERO; half],
+                spec: vec![Complex32::ZERO; half],
+                v: vec![0.0; n],
+            };
+            (Engine::Fft(fast), work)
         } else {
-            Engine::Direct(DirectMdct::new(n))
+            (Engine::Direct(DirectMdct::new(n)), Work::default())
         };
         Mdct {
             n,
             cost_model,
             engine,
-            freq: RefCell::new(vec![Complex32::ZERO; half]),
-            asm: RefCell::new(vec![0.0; two_n]),
+            work: RefCell::new(work),
         }
     }
 
@@ -204,7 +290,7 @@ impl Mdct {
     }
 
     /// True when the O(N log N) FFT path is active: `n/2` is a power
-    /// of two and at least 2, i.e. `n` is 4, 8, 16, ….
+    /// of two and at least 4, i.e. `n` is 8, 16, 32, ….
     pub fn uses_fft(&self) -> bool {
         matches!(self.engine, Engine::Fft(_))
     }
@@ -221,18 +307,11 @@ impl Mdct {
         match &self.engine {
             Engine::Direct(d) => d.forward(time, coeffs),
             Engine::Fft(fast) => {
-                let [a, b, c, d] = quarters(time);
-                let [wa, wb, wc, wd] = quarters(&fast.window);
-                let (u_lo, u_hi) = coeffs.split_at_mut(self.n / 2);
-                let tail = windowed(c, wc).rev().zip(windowed(d, wd));
-                for (u, (c, d)) in u_lo.iter_mut().zip(tail) {
-                    *u = -c - d;
-                }
-                let head = windowed(a, wa).zip(windowed(b, wb).rev());
-                for (u, (a, b)) in u_hi.iter_mut().zip(head) {
-                    *u = a - b;
-                }
-                fast.dct4(coeffs, &mut self.freq.borrow_mut());
+                let mut work = self.work.borrow_mut();
+                let Work { z, spec, .. } = &mut *work;
+                fast.fold(time, coeffs);
+                fast.spectrum(coeffs, z, spec);
+                fast.post_twiddle(spec, coeffs);
             }
         }
     }
@@ -244,33 +323,22 @@ impl Mdct {
     ///
     /// Panics on length mismatches.
     pub fn inverse(&self, coeffs: &[f32], time: &mut [f32]) {
+        self.inverse_with(coeffs, time, |out, x| *out = x);
+    }
+
+    /// [`Mdct::inverse`], handing each windowed sample to `put` with
+    /// its destination instead of storing it.
+    fn inverse_with(&self, coeffs: &[f32], time: &mut [f32], put: impl FnMut(&mut f32, f32)) {
         assert_eq!(coeffs.len(), self.n, "input must hold n coefficients");
         assert_eq!(time.len(), 2 * self.n, "output must be one full window");
         match &self.engine {
-            Engine::Direct(d) => d.inverse(coeffs, time),
+            Engine::Direct(d) => d.inverse_with(coeffs, time, put),
             Engine::Fft(fast) => {
-                // v = DCT-IV(coeffs) is computed in the middle half of
-                // `time`, then unfolded outwards and in place.
-                let h = self.n / 2;
-                let (q0, rest) = time.split_at_mut(h);
-                let (mid, q3) = rest.split_at_mut(self.n);
-                mid.copy_from_slice(coeffs);
-                fast.dct4(mid, &mut self.freq.borrow_mut());
-                let (q1, q2) = mid.split_at_mut(h);
-                let [w0, w1, w2, w3] = quarters(&fast.window);
-                let scale = 2.0 / self.n as f32;
-                for ((out, &v_hi), &w) in q0.iter_mut().zip(q2.iter()).zip(w0) {
-                    *out = scale * w * v_hi;
-                }
-                for ((out, &v_lo), &w) in q3.iter_mut().zip(q1.iter()).zip(w3) {
-                    *out = scale * w * -v_lo;
-                }
-                let inner_w = w1.iter().zip(w2.iter().rev());
-                for ((lo, hi), (&wl, &wh)) in q1.iter_mut().zip(q2.iter_mut().rev()).zip(inner_w) {
-                    let (v_lo, v_hi) = (*lo, *hi);
-                    *lo = scale * wl * -v_hi;
-                    *hi = scale * wh * -v_lo;
-                }
+                let mut work = self.work.borrow_mut();
+                let Work { z, spec, v } = &mut *work;
+                fast.spectrum(coeffs, z, spec);
+                fast.post_twiddle(spec, v);
+                fast.unfold(v, time, put);
             }
         }
     }
@@ -304,101 +372,92 @@ impl Mdct {
         padded_len / self.n + 1
     }
 
-    /// Transforms a padded signal into flat MDCT coefficients with 50%
-    /// overlap: window `w` lands in `out[w*n..(w+1)*n]`. `padded` must
-    /// be a multiple of `n` samples and `out` must hold exactly
-    /// [`Mdct::analyze_windows`]`(padded.len()) * n` values. No
-    /// allocation is performed.
+    /// Length of the framed plane around `padded_len` samples: the
+    /// signal with `n` zeros on each side, so that window `w` is the
+    /// contiguous slice `plane[w*n..][..2n]`.
+    pub fn plane_len(&self, padded_len: usize) -> usize {
+        padded_len + 2 * self.n
+    }
+
+    /// Transforms a framed plane ([`Mdct::plane_len`]: a padded signal
+    /// of whole `n`-sample blocks with `n` zeros before and after it)
+    /// into flat MDCT coefficients with 50% overlap: window `w` is
+    /// `plane[w*n..][..2n]`, read in place, and lands in
+    /// `out[w*n..(w+1)*n]`. `out` must hold exactly
+    /// `(plane.len() / n - 1) * n` values. No allocation is performed.
     ///
     /// # Panics
     ///
     /// Panics on length mismatches.
-    pub fn analyze_into(&self, padded: &[f32], out: &mut [f32]) {
+    pub fn analyze_plane(&self, plane: &[f32], out: &mut [f32]) {
         let n = self.n;
         assert!(
-            padded.len().is_multiple_of(n),
-            "input must be a multiple of n"
+            plane.len().is_multiple_of(n) && plane.len() >= 2 * n,
+            "plane must be whole blocks framed by n zeros each side"
         );
-        let windows = self.analyze_windows(padded.len());
+        let windows = plane.len() / n - 1;
         assert_eq!(out.len(), windows * n, "output must hold windows * n");
-        let mut asm = self.asm.borrow_mut();
-        for w in 0..windows {
-            // Window w covers padded[(w-1)*n .. (w+1)*n] with zero fill
-            // outside the signal; each half is either a straight copy
-            // or all zeros, so assembly is two memcpy-shaped moves
-            // instead of a per-sample branch.
-            {
-                let (head, tail) = asm.split_at_mut(n);
-                if w == 0 {
-                    head.fill(0.0);
-                } else {
-                    head.copy_from_slice(&padded[(w - 1) * n..w * n]);
-                }
-                if w * n >= padded.len() {
-                    tail.fill(0.0);
-                } else {
-                    tail.copy_from_slice(&padded[w * n..(w + 1) * n]);
-                }
-            }
-            self.forward(&asm, &mut out[w * n..(w + 1) * n]);
+        for (w, coeffs) in out.chunks_exact_mut(n).enumerate() {
+            self.forward(&plane[w * n..][..2 * n], coeffs);
         }
     }
 
-    /// Reconstructs the signal from [`Mdct::analyze_into`]-shaped flat
-    /// coefficients via overlap-add. `coeffs` holds `windows`
-    /// consecutive blocks of `n` values; `out` is resized to
-    /// `(windows - 1) * n` samples. The only allocation is `out`'s own
-    /// growth.
+    /// Reconstructs a framed plane from [`Mdct::analyze_plane`]-shaped
+    /// flat coefficients via overlap-add: the plane is zeroed, then
+    /// each window's IMDCT is added into `plane[w*n..][..2n]`. The
+    /// signal is `plane[n..plane.len() - n]`; the two frames receive
+    /// the discarded outer halves of the first and last windows.
+    /// `plane` must hold `coeffs.len() + n` values. No allocation is
+    /// performed.
     ///
     /// # Panics
     ///
-    /// Panics if `coeffs.len()` is not a multiple of `n`.
-    pub fn synthesize_into(&self, coeffs: &[f32], out: &mut Vec<f32>) {
+    /// Panics on length mismatches.
+    pub fn synthesize_plane(&self, coeffs: &[f32], plane: &mut [f32]) {
         let n = self.n;
         assert!(
             coeffs.len().is_multiple_of(n),
             "coefficients must be whole windows"
         );
-        let windows = coeffs.len() / n;
-        out.clear();
-        if windows == 0 {
-            return;
-        }
-        let out_len = (windows - 1) * n;
-        out.resize(out_len, 0.0);
-        let mut asm = self.asm.borrow_mut();
-        for w in 0..windows {
-            self.inverse(&coeffs[w * n..(w + 1) * n], &mut asm);
-            // Window w overlaps out[(w-1)*n..(w+1)*n]; the first
-            // window's left half and the last window's right half fall
-            // outside the signal and are discarded, so each remaining
-            // half is one chunked elementwise add.
-            let (head, tail) = asm.split_at(n);
-            if w > 0 {
-                crate::dsp::accumulate(&mut out[(w - 1) * n..w * n], head);
-            }
-            if w + 1 < windows {
-                crate::dsp::accumulate(&mut out[w * n..(w + 1) * n], tail);
-            }
+        assert_eq!(
+            plane.len(),
+            coeffs.len() + n,
+            "plane must hold windows + 1 blocks"
+        );
+        plane.fill(0.0);
+        for (w, window) in coeffs.chunks_exact(n).enumerate() {
+            self.inverse_with(window, &mut plane[w * n..][..2 * n], |out, x| *out += x);
         }
     }
 }
 
-/// Convenience wrapper over [`Mdct::analyze_into`] that allocates the
-/// flat coefficient buffer. Hot paths should reuse a scratch buffer
-/// instead.
+/// Convenience wrapper over [`Mdct::analyze_plane`] that frames
+/// `padded` (a multiple of `n` samples) and allocates the flat
+/// coefficient buffer. Hot paths should keep a framed plane instead.
+///
+/// # Panics
+///
+/// Panics if `padded.len()` is not a multiple of `n`.
 pub fn analyze(mdct: &Mdct, padded: &[f32]) -> Vec<f32> {
-    let mut out = vec![0.0f32; mdct.analyze_windows(padded.len()) * mdct.half_len()];
-    mdct.analyze_into(padded, &mut out);
+    let n = mdct.half_len();
+    let mut plane = vec![0.0f32; mdct.plane_len(padded.len())];
+    plane[n..n + padded.len()].copy_from_slice(padded);
+    let mut out = vec![0.0f32; mdct.analyze_windows(padded.len()) * n];
+    mdct.analyze_plane(&plane, &mut out);
     out
 }
 
-/// Convenience wrapper over [`Mdct::synthesize_into`] that allocates
-/// the output buffer. Hot paths should reuse a scratch buffer instead.
+/// Convenience wrapper over [`Mdct::synthesize_plane`] that allocates
+/// the plane and returns the `(windows - 1) * n` samples inside its
+/// frames. Hot paths should reuse a plane instead.
 pub fn synthesize(mdct: &Mdct, coeffs: &[f32]) -> Vec<f32> {
-    let mut out = Vec::new();
-    mdct.synthesize_into(coeffs, &mut out);
-    out
+    let n = mdct.half_len();
+    if coeffs.is_empty() {
+        return Vec::new();
+    }
+    let mut plane = vec![0.0f32; coeffs.len() + n];
+    mdct.synthesize_plane(coeffs, &mut plane);
+    plane[n..plane.len() - n].to_vec()
 }
 
 #[cfg(test)]
@@ -440,7 +499,7 @@ mod tests {
 
     #[test]
     fn fft_path_matches_direct_reference() {
-        for n in [4usize, 64, 256, 512] {
+        for n in [8usize, 64, 256, 512] {
             let fast = Mdct::new(n);
             assert!(fast.uses_fft());
             let reference = crate::reference::DirectMdct::new(n);
@@ -501,10 +560,10 @@ mod tests {
 
     #[test]
     fn sizes_without_a_half_length_fft_fall_back_to_direct() {
-        // n/2 = 15 is not a power of two and n/2 = 1 would be a
-        // one-point FFT; the engine must still be correct (via the
+        // n/2 = 15 is not a power of two and n/2 = 1 or 2 is below the
+        // FFT's four points; the engine must still be correct (via the
         // direct fallback) and bill direct cost.
-        for n in [30usize, 2] {
+        for n in [30usize, 2, 4] {
             let mdct = Mdct::new(n);
             assert!(!mdct.uses_fft());
             assert_eq!(mdct.ops_per_transform(), (n * 2 * n) as u64);
@@ -546,9 +605,17 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "windows * n")]
-    fn analyze_into_checks_output_length() {
+    fn analyze_plane_checks_output_length() {
         let mdct = Mdct::new(32);
         let mut out = vec![0.0; 32];
-        mdct.analyze_into(&[0.0; 64], &mut out);
+        mdct.analyze_plane(&[0.0; 128], &mut out);
+    }
+
+    #[test]
+    #[should_panic(expected = "windows + 1 blocks")]
+    fn synthesize_plane_checks_plane_length() {
+        let mdct = Mdct::new(32);
+        let mut plane = vec![0.0; 64];
+        mdct.synthesize_plane(&[0.0; 64], &mut plane);
     }
 }

@@ -164,13 +164,15 @@ impl QualityTable {
 /// instance and therefore its own arena).
 #[derive(Default)]
 struct DecodeArena {
-    /// One channel's deinterleaved, zero-padded time samples.
-    plane: Vec<f32>,
+    /// Framed time-domain planes ([`Mdct::plane_len`]): on encode, one
+    /// per channel, channel `c`'s at `planes[c * plane_len..]`, each a
+    /// block of zeros, the channel's samples, zero padding and a block
+    /// of zeros; on decode, the first is each channel's overlap-add
+    /// target in turn.
+    planes: Vec<f32>,
     /// Flat MDCT coefficients for all channels: channel `c`'s windows
     /// occupy `coeffs[c * windows * BLOCK..][..windows * BLOCK]`.
     coeffs: Vec<f32>,
-    /// One channel's reconstructed time samples.
-    synth: Vec<f32>,
     /// Quantized coefficient staging for one band (encode and decode):
     /// Rice I/O is serial, scaling is a batch kernel over this buffer.
     qbuf: Vec<i32>,
@@ -227,20 +229,23 @@ impl OvlCodec {
 
         let mut work: u64 = samples.len() as u64 * 4;
 
-        // Deinterleave, pad and analyze channel by channel into one
-        // flat coefficient buffer, then pack windows interleaved by
-        // channel so the decoder can stream in the same order.
+        // Deinterleave every channel into its framed plane in one pass,
+        // analyze plane by plane into one flat coefficient buffer, then
+        // pack windows interleaved by channel so the decoder can stream
+        // in the same order.
         let n_windows = self.mdct.analyze_windows(padded_len);
         let wn = n_windows * BLOCK;
+        let plane_len = self.mdct.plane_len(padded_len);
         let mut arena = self.arena.borrow_mut();
         let arena = &mut *arena;
         arena.coeffs.resize(ch * wn, 0.0);
-        arena.plane.resize(padded_len, 0.0);
-        for c in 0..ch {
-            crate::dsp::deinterleave_normalize(samples, ch, c, &mut arena.plane[..per_ch]);
-            arena.plane[per_ch..].fill(0.0);
-            self.mdct
-                .analyze_into(&arena.plane, &mut arena.coeffs[c * wn..(c + 1) * wn]);
+        arena.planes.resize(ch * plane_len, 0.0);
+        crate::dsp::deinterleave_normalize(samples, ch, &mut arena.planes[BLOCK..], plane_len);
+        let planes = arena.planes.chunks_exact_mut(plane_len);
+        for (plane, coeffs) in planes.zip(arena.coeffs.chunks_exact_mut(wn)) {
+            plane[..BLOCK].fill(0.0);
+            plane[BLOCK + per_ch..].fill(0.0);
+            self.mdct.analyze_plane(plane, coeffs);
             work += n_windows as u64 * self.mdct.ops_per_transform();
         }
 
@@ -332,11 +337,11 @@ impl OvlCodec {
 
         out.clear();
         out.resize(per_ch * ch, 0);
-        for c in 0..ch {
-            self.mdct
-                .synthesize_into(&arena.coeffs[c * wn..(c + 1) * wn], &mut arena.synth);
+        arena.planes.resize(self.mdct.plane_len(padded_len), 0.0);
+        for (c, coeffs) in arena.coeffs.chunks_exact(wn).enumerate() {
+            self.mdct.synthesize_plane(coeffs, &mut arena.planes);
             work += n_windows as u64 * self.mdct.ops_per_transform();
-            crate::dsp::interleave_denormalize(&arena.synth[..per_ch], ch, c, out);
+            crate::dsp::interleave_denormalize(&arena.planes[BLOCK..][..per_ch], ch, c, out);
         }
         Ok((channels, work))
     }

@@ -90,6 +90,17 @@ impl DirectMdct {
     ///
     /// Panics on length mismatches.
     pub fn inverse(&self, coeffs: &[f32], time: &mut [f32]) {
+        self.inverse_with(coeffs, time, |out, x| *out = x);
+    }
+
+    /// [`DirectMdct::inverse`], handing each windowed sample to `put`
+    /// with its destination instead of storing it (overlap-add adds).
+    pub(crate) fn inverse_with(
+        &self,
+        coeffs: &[f32],
+        time: &mut [f32],
+        mut put: impl FnMut(&mut f32, f32),
+    ) {
         assert_eq!(coeffs.len(), self.n, "input must hold n coefficients");
         assert_eq!(time.len(), 2 * self.n, "output must be one full window");
         let two_n = 2 * self.n;
@@ -99,7 +110,7 @@ impl DirectMdct {
             for (k, &c) in coeffs.iter().enumerate() {
                 acc += c * self.cos_table[k * two_n + t];
             }
-            *out = acc * self.window[t] * scale;
+            put(out, acc * self.window[t] * scale);
         }
     }
 

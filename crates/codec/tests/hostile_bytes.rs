@@ -133,13 +133,13 @@ fn oracle_ovl_decode(bytes: &[u8], channels: u8) -> Result<(Vec<i16>, u64), Code
     }
     let mut out = vec![0i16; per_ch * chs];
     let mut work = (per_ch * chs) as u64 * 2;
-    let mut synth = Vec::new();
+    let mut plane = vec![0.0f32; wn + BLOCK];
     for c in 0..chs {
         ORACLE_MDCT.with(|m| {
-            m.synthesize_into(&coeffs[c * wn..(c + 1) * wn], &mut synth);
+            m.synthesize_plane(&coeffs[c * wn..(c + 1) * wn], &mut plane);
             work += n_windows as u64 * m.ops_per_transform();
         });
-        dsp::scalar::interleave_denormalize(&synth[..per_ch], chs, c, &mut out);
+        dsp::scalar::interleave_denormalize(&plane[BLOCK..][..per_ch], chs, c, &mut out);
     }
     if ch != channels {
         return Err(CodecError::ChannelMismatch {

@@ -41,10 +41,12 @@ cargo test --workspace --exclude ethernet-speaker -q
 
 # The codec's deep differential run: every hostile OVL input decoded
 # by the table-driven decoder and by the oracle decoder it replaced,
-# and every batch kernel against its scalar oracle, at 2000 cases per
-# property instead of 64 (≈ 5 s release).
+# every batch kernel against its scalar oracle, and the FFT, MDCT,
+# framed analysis/synthesis and one-pass deinterleave against the
+# multi-pass forms they replaced, bit for bit, at 2000 cases per
+# property instead of 64 (≈ 10 s release).
 echo "== codec differential oracles (PROPTEST_CASES=2000)"
-PROPTEST_CASES=2000 cargo test -q --release -p es-codec --test hostile_bytes --test dsp_kernels_prop
+PROPTEST_CASES=2000 cargo test -q --release -p es-codec --test hostile_bytes --test dsp_kernels_prop --test fft_mdct_prop
 
 # The one perf step: the ledger (benches/ledger, the BENCHMARK.json
 # harness) is the only wall-clock perf harness. Its own unit tests,

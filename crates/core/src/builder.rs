@@ -361,11 +361,11 @@ impl SpeakerSpec {
     }
 }
 
-/// One segment relay: subscribes to an upstream group, re-times and
-/// re-stamps the stream against its own segment clock, and
-/// re-multicasts on a downstream group for its segment's fleet (the
-/// §4.4 "internet radio" hierarchy node; see
-/// [`es_rebroadcast::SegmentRelay`]).
+/// One segment relay: subscribes to an upstream group and
+/// re-multicasts every datagram it hears, unchanged and 2 ms later, on
+/// a downstream group for its segment's fleet (the §4.4 "internet
+/// radio" hierarchy node; see [`es_rebroadcast::SegmentRelay`]). Its
+/// speakers' §3.2 clock offset absorbs the hop.
 pub struct RelaySpec {
     /// Group the relay subscribes to (a channel's group, or another
     /// relay's downstream).
@@ -375,33 +375,22 @@ pub struct RelaySpec {
     pub downstream: McastGroup,
     /// Logical engine segment of the relay and its fleet.
     pub segment: u32,
-    /// Hold window: packets forward this long after arrival, timeline
-    /// fields shifted to match.
-    pub hold: SimDuration,
 }
 
 impl RelaySpec {
-    /// A relay forwarding `upstream` onto `downstream` with the
-    /// default 2 ms hold, in segment 0.
+    /// A relay forwarding `upstream` onto `downstream`, in segment 0.
     pub fn new(upstream: McastGroup, downstream: McastGroup) -> Self {
         let d = RelayConfig::new(upstream, downstream);
         RelaySpec {
             upstream,
             downstream,
             segment: d.segment,
-            hold: d.hold,
         }
     }
 
     /// Sets the relay's (and its fleet's) logical engine segment.
     pub fn segment(mut self, segment: u32) -> Self {
         self.segment = segment;
-        self
-    }
-
-    /// Sets the hold window.
-    pub fn hold(mut self, hold: SimDuration) -> Self {
-        self.hold = hold;
         self
     }
 }
@@ -514,9 +503,10 @@ impl SystemBuilder {
     }
 
     /// Adds a segment relay, making a producer → relays → per-segment
-    /// fleet topology declarable in one spec. Relays cannot re-sign
-    /// authenticated streams, so combining them with a channel signer
-    /// is rejected by [`Self::try_build`].
+    /// fleet topology declarable in one spec. A relay cannot parse an
+    /// authenticated stream's control packets, so it could not route
+    /// that stream's NACKs; combining relays with a channel signer is
+    /// rejected by [`Self::try_build`].
     pub fn relay(mut self, spec: RelaySpec) -> Self {
         self.relays.push(spec);
         self
@@ -589,7 +579,8 @@ impl SystemBuilder {
         if !self.relays.is_empty() {
             if let Some(ch) = self.channels.iter().find(|c| c.signer.is_some()) {
                 return Err(Error::Config(format!(
-                    "channel '{}' is signed but relays cannot re-sign a re-stamped stream",
+                    "channel '{}' is signed, but a relay cannot parse a signed stream's \
+                     control packets, so it cannot route that stream's NACKs",
                     ch.name
                 )));
             }
@@ -722,7 +713,6 @@ impl SystemBuilder {
                 let mut rcfg = RelayConfig::new(spec.upstream, spec.downstream);
                 rcfg.name = format!("relay{i}");
                 rcfg.segment = spec.segment;
-                rcfg.hold = spec.hold;
                 SegmentRelay::start(&mut sim, &lan, rcfg)
             })
             .collect();
@@ -1011,19 +1001,20 @@ impl EsSystem {
     /// The application driving channel `i` (None before its start
     /// delay).
     pub fn app(&self, i: usize) -> Option<AudioApp> {
-        self.hub.apps[i].borrow().clone()
+        self.hub.apps.get(i)?.borrow().clone()
     }
 
-    /// Speaker `i` (None before its power-on time). Negotiated
+    /// Speaker `i` (None before its power-on time, and for an `i`
+    /// past the last declared speaker). Negotiated
     /// speakers resolve to their underlying [`EthernetSpeaker`].
     pub fn speaker(&self, i: usize) -> Option<EthernetSpeaker> {
-        self.hub.speakers[i].speaker()
+        self.hub.speakers.get(i)?.speaker()
     }
 
     /// The negotiated-session wrapper for speaker `i` (None for
     /// statically wired speakers or before power-on).
     pub fn session(&self, i: usize) -> Option<NegotiatedSpeaker> {
-        self.hub.speakers[i].session()
+        self.hub.speakers.get(i)?.session()
     }
 
     /// Number of declared speakers.
@@ -1312,7 +1303,22 @@ mod tests {
             .try_build()
             .err()
             .expect("signed channel + relay must be rejected");
-        assert!(e.to_string().contains("re-sign"), "{e}");
+        assert!(
+            e.to_string().contains("cannot route that stream's NACKs"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn handles_past_the_last_index_are_none() {
+        let sys = SystemBuilder::new(1)
+            .channel(ChannelSpec::new(1, McastGroup(1), "radio"))
+            .speaker(SpeakerSpec::new("es1", McastGroup(1)))
+            .build();
+        assert!(sys.speaker(0).is_some());
+        assert!(sys.speaker(sys.speaker_count()).is_none());
+        assert!(sys.session(sys.speaker_count()).is_none());
+        assert!(sys.app(1).is_none());
     }
 
     #[test]

@@ -144,15 +144,12 @@ const RX_MEMO_SLOTS: usize = 8;
 /// the *same* bytes, so what one receiver computed from them — the
 /// parse with its CRC check, the codec decode — is what every other
 /// receiver would compute. Entries are matched by buffer identity
-/// first (the LAN fans out one pointer-equal [`Bytes`]) and by byte
-/// equality otherwise (auth-released copies, relay-re-stamped and
-/// FEC-recovered payloads); each holds a clone of its buffer, so the
-/// allocation stays alive and a recycled address can never alias. A
-/// hit by bytes moves the entry onto the new buffer: a relay hands its
-/// whole segment one re-encoded copy, so the rest of that segment hits
-/// by pointer instead of comparing kilobytes each. The match is byte
-/// equality either way, so which buffer is held changes no hit or miss.
-/// Newest first; the oldest entry falls off the end.
+/// first (the LAN fans out one pointer-equal [`Bytes`], and a segment
+/// relay forwards that same buffer) and by byte equality otherwise
+/// (auth-released copies and FEC-recovered payloads); each holds a
+/// clone of its buffer, so the allocation stays alive and a recycled
+/// address can never alias. Newest first; the oldest entry falls off
+/// the end.
 struct RxMemo<K, V> {
     slots: [Option<(Bytes, K, V)>; RX_MEMO_SLOTS],
     hits: u64,
@@ -178,15 +175,11 @@ impl<K: PartialEq, V> RxMemo<K, V> {
         fill: impl FnOnce(Option<V>) -> V,
         read: impl FnOnce(&V) -> R,
     ) -> R {
-        for (held, k, v) in self.slots.iter_mut().flatten() {
-            if *k != key {
-                continue;
-            }
-            let by_pointer = held.as_ptr() == buf.as_ptr() && held.len() == buf.len();
-            if by_pointer || held == buf {
-                if !by_pointer {
-                    *held = buf.clone();
-                }
+        let same = |held: &Bytes| {
+            (held.as_ptr() == buf.as_ptr() && held.len() == buf.len()) || held == buf
+        };
+        for (held, k, v) in self.slots.iter().flatten() {
+            if *k == key && same(held) {
                 self.hits += 1;
                 return read(v);
             }
@@ -1099,42 +1092,6 @@ mod tests {
                 es_audio::Encoding::Slinear16Le,
             )),
         })
-    }
-
-    #[test]
-    fn a_memo_hit_by_bytes_moves_the_entry_onto_the_new_buffer() {
-        let mut memo: RxMemo<(), usize> = RxMemo::new();
-        let first = Bytes::from(vec![7u8; 3_500]);
-        let copy = Bytes::from(first.to_vec());
-        let other = Bytes::from(vec![8u8; 3_500]);
-        assert_ne!(first.as_ptr(), copy.as_ptr());
-        let mut fills = 0;
-        let mut look = |memo: &mut RxMemo<(), usize>, buf: &Bytes| {
-            memo.with(
-                buf,
-                (),
-                |_| {
-                    fills += 1;
-                    fills
-                },
-                |&v| v,
-            )
-        };
-        let held = |memo: &RxMemo<(), usize>| memo.slots[0].as_ref().map(|(b, _, _)| b.as_ptr());
-        assert_eq!(look(&mut memo, &first), 1);
-        assert_eq!(held(&memo), Some(first.as_ptr()));
-        // Equal bytes at a new address: a hit, and the slot now holds
-        // the new buffer, so its next receivers match by pointer.
-        assert_eq!(look(&mut memo, &copy), 1);
-        assert_eq!(held(&memo), Some(copy.as_ptr()));
-        assert_eq!(look(&mut memo, &copy), 1);
-        assert_eq!(look(&mut memo, &first), 1);
-        assert_eq!(held(&memo), Some(first.as_ptr()));
-        assert_eq!(look(&mut memo, &other), 2);
-        assert_eq!(look(&mut memo, &copy), 1);
-        // Byte equality decides every match, as it did when the slot
-        // kept its first buffer: 4 hits, 2 misses.
-        assert_eq!((memo.hits, memo.misses), (4, 2));
     }
 
     #[test]

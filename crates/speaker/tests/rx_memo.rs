@@ -302,8 +302,8 @@ fn lan_duplicates_play_once_on_every_speaker() {
 
 #[test]
 fn restamped_copy_shares_the_decode_but_keeps_its_own_deadline() {
-    // What a segment relay does: same audio, new datagram, later
-    // `play_at_us`, another group.
+    // Same audio in a new datagram with a later `play_at_us`, on
+    // another group.
     let mut rig = Rig::new(LanConfig::default());
     let near = rig.speakers(1, G).remove(0);
     let far = rig.speakers(1, G2).remove(0);

@@ -1,6 +1,7 @@
 //! Docs ⇔ code: every `--bench <name>` the prose tells a reader to
 //! run is a real target, every target is documented, nothing points at
-//! the perf baselines the ledger replaced, DESIGN.md §8 lists exactly
+//! the perf baselines the ledger replaced or the relay re-stamping
+//! that was deleted, DESIGN.md §8 lists exactly
 //! the checks es-analyze registers, and §10 exactly the counters the
 //! healing plane exports.
 
@@ -90,6 +91,18 @@ fn no_doc_points_at_the_deleted_perf_baselines() {
     for doc in DOCS {
         let text = read(doc);
         for needle in ["BENCH_PR", "ES_BENCH_BASELINE"] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
+    }
+}
+
+#[test]
+fn no_doc_describes_the_deleted_relay_restamping() {
+    // A segment relay forwards the datagram it heard; the deadline
+    // ledger, stale-parity count and timeline rewrite are gone.
+    for doc in DOCS {
+        let text = read(doc);
+        for needle in ["DEADLINE_WINDOW", "parity_stale", "re-stamping contract"] {
             assert!(!text.contains(needle), "{doc} still mentions {needle}");
         }
     }

@@ -101,10 +101,6 @@ pub struct ChannelSpec {
     /// How transform work is billed to the CPU model (paper-fidelity
     /// direct cost vs. the default FFT fast path).
     pub cost_model: CostModel,
-    /// Logical segment label of the producer host (see
-    /// `es_sim::ShardRouter`). The producer host is shared, so the
-    /// last channel that sets a non-zero segment wins.
-    pub segment: u32,
 }
 
 impl ChannelSpec {
@@ -128,7 +124,6 @@ impl ChannelSpec {
             playout_delay: SimDuration::from_millis(200),
             fec_group: None,
             cost_model: CostModel::default(),
-            segment: 0,
         }
     }
 
@@ -215,13 +210,6 @@ impl ChannelSpec {
         self.cost_model = cost_model;
         self
     }
-
-    /// Pins the producer host to a logical segment. Segments are
-    /// topology labels and never change what the fleet plays.
-    pub fn segment(mut self, segment: u32) -> Self {
-        self.segment = segment;
-        self
-    }
 }
 
 /// One speaker: where it listens and when it powers on.
@@ -239,21 +227,18 @@ pub struct SpeakerSpec {
     pub channel: Option<String>,
     /// Capabilities advertised during the handshake (negotiated mode).
     pub caps: Capabilities,
-    /// Logical segment this speaker's deliveries execute in (see
-    /// `es_sim::ShardRouter`); speakers behind a relay share the
-    /// relay's segment.
-    pub segment: u32,
 }
 
 impl SpeakerSpec {
-    /// A default speaker statically wired to `group`, on from t=0.
+    /// A default speaker statically wired to `group`, on from t=0. A
+    /// speaker behind a [`RelaySpec`] is wired to the relay's
+    /// downstream group.
     pub fn new(name: impl Into<String>, group: McastGroup) -> Self {
         SpeakerSpec {
             config: SpeakerConfig::new(name, group),
             start_at: SimDuration::ZERO,
             channel: None,
             caps: Capabilities::any(),
-            segment: 0,
         }
     }
 
@@ -279,11 +264,11 @@ impl SpeakerSpec {
         self
     }
 
-    /// Pins this speaker to a logical engine segment (a speaker behind
-    /// a [`RelaySpec`] should use the relay's segment and the relay's
-    /// downstream group).
-    pub fn segment(mut self, segment: u32) -> Self {
-        self.segment = segment;
+    // Shim owed to the next `benchmark` PR: the frozen `benches/ledger`
+    // still labels its relayed speakers. Events carry no label; the
+    // value is ignored.
+    #[doc(hidden)]
+    pub fn segment(self, _label: u32) -> Self {
         self
     }
 
@@ -363,9 +348,9 @@ impl SpeakerSpec {
 
 /// One segment relay: subscribes to an upstream group and
 /// re-multicasts every datagram it hears, unchanged and 2 ms later, on
-/// a downstream group for its segment's fleet (the §4.4 "internet
-/// radio" hierarchy node; see [`es_rebroadcast::SegmentRelay`]). Its
-/// speakers' §3.2 clock offset absorbs the hop.
+/// a downstream group (the §4.4 "internet radio" hierarchy node; see
+/// [`es_rebroadcast::SegmentRelay`]). Its fleet is the speakers tuned
+/// to that group, and their §3.2 clock offset absorbs the hop.
 pub struct RelaySpec {
     /// Group the relay subscribes to (a channel's group, or another
     /// relay's downstream).
@@ -373,24 +358,22 @@ pub struct RelaySpec {
     /// Group the relay re-multicasts on; its fleet's speakers tune
     /// here.
     pub downstream: McastGroup,
-    /// Logical engine segment of the relay and its fleet.
-    pub segment: u32,
 }
 
 impl RelaySpec {
-    /// A relay forwarding `upstream` onto `downstream`, in segment 0.
+    /// A relay forwarding `upstream` onto `downstream`.
     pub fn new(upstream: McastGroup, downstream: McastGroup) -> Self {
-        let d = RelayConfig::new(upstream, downstream);
         RelaySpec {
             upstream,
             downstream,
-            segment: d.segment,
         }
     }
 
-    /// Sets the relay's (and its fleet's) logical engine segment.
-    pub fn segment(mut self, segment: u32) -> Self {
-        self.segment = segment;
+    // Shim owed to the next `benchmark` PR: the frozen `benches/ledger`
+    // still labels its relays. Events carry no label; the value is
+    // ignored.
+    #[doc(hidden)]
+    pub fn segment(self, _label: u32) -> Self {
         self
     }
 }
@@ -502,7 +485,7 @@ impl SystemBuilder {
         self
     }
 
-    /// Adds a segment relay, making a producer → relays → per-segment
+    /// Adds a segment relay, making a producer → relays → per-group
     /// fleet topology declarable in one spec. A relay cannot parse an
     /// authenticated stream's control packets, so it could not route
     /// that stream's NACKs; combining relays with a channel signer is
@@ -624,14 +607,6 @@ impl SystemBuilder {
         let lan = Lan::new(self.lan);
         lan.set_journal(journal.clone());
         let producer_node = lan.attach("producer-host");
-        if let Some(seg) = self
-            .channels
-            .iter()
-            .rev()
-            .find_map(|c| (c.segment != 0).then_some(c.segment))
-        {
-            lan.set_segment(producer_node, seg);
-        }
 
         let mut rebroadcasters = Vec::new();
         let mut standbys = Vec::new();
@@ -699,12 +674,6 @@ impl SystemBuilder {
             rebroadcasters.push(rb);
         }
 
-        // Standby shares the producer's segment: promotion swaps the
-        // sender without moving the stream across segments.
-        if let Some(node) = standby_node {
-            lan.set_segment(node, lan.segment(producer_node));
-        }
-
         let relays: Vec<SegmentRelay> = self
             .relays
             .iter()
@@ -712,7 +681,6 @@ impl SystemBuilder {
             .map(|(i, spec)| {
                 let mut rcfg = RelayConfig::new(spec.upstream, spec.downstream);
                 rcfg.name = format!("relay{i}");
-                rcfg.segment = spec.segment;
                 SegmentRelay::start(&mut sim, &lan, rcfg)
             })
             .collect();
@@ -795,10 +763,8 @@ impl SystemBuilder {
                         Powered::Static(spk)
                     }
                 });
-                let spk = handle.speaker().expect("just powered on");
-                lan.set_segment(spk.node(), spec.segment);
                 if repair {
-                    spk.request_repairs();
+                    handle.speaker().expect("just powered on").request_repairs();
                 }
             };
             // Inline at t=0: no event the build did not schedule before.
@@ -1267,13 +1233,13 @@ mod tests {
 
     #[test]
     fn relayed_fleet_plays_through_segment_relay() {
-        // producer (segment 0) → relay (segment 1) → two speakers on
-        // the relay's downstream group, in the relay's segment.
+        // producer → relay → two speakers on the relay's downstream
+        // group.
         let mut sys = SystemBuilder::new(11)
             .channel(ChannelSpec::new(1, McastGroup(1), "radio"))
-            .relay(RelaySpec::new(McastGroup(1), McastGroup(101)).segment(1))
-            .speaker(SpeakerSpec::new("r1a", McastGroup(101)).segment(1))
-            .speaker(SpeakerSpec::new("r1b", McastGroup(101)).segment(1))
+            .relay(RelaySpec::new(McastGroup(1), McastGroup(101)))
+            .speaker(SpeakerSpec::new("r1a", McastGroup(101)))
+            .speaker(SpeakerSpec::new("r1b", McastGroup(101)))
             .build();
         sys.run_for(SimDuration::from_secs(5));
         assert_eq!(sys.relay_count(), 1);
@@ -1285,8 +1251,6 @@ mod tests {
             assert!(st.samples_played > 100_000, "speaker {i}: {st:?}");
             assert_eq!(st.bad_packets, 0, "speaker {i}: {st:?}");
         }
-        // The upstream hand-off crossed the segment boundary.
-        assert!(sys.lan().cross_segment_posts() > 0);
         let snap = sys.metrics();
         assert_eq!(
             snap.counter("relay/relay0/data_relayed"),

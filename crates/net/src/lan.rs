@@ -20,9 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use es_sim::random::{chance, normal, GilbertElliott};
-use es_sim::{
-    shared, BucketAccumulator, ShardRouter, Shared, Sim, SimDuration, SimTime, TimeSeries,
-};
+use es_sim::{shared, BucketAccumulator, Shared, Sim, SimDuration, SimTime, TimeSeries};
 use es_telemetry::{Journal, Registry, Severity, Stamp, Telemetry};
 
 /// Identifies a host attached to the LAN.
@@ -296,9 +294,6 @@ struct Node {
     /// flaky NIC or radio link); 0.0 = healthy. One draw per datagram
     /// from the node's private stream, on top of the LAN-wide model.
     degrade_loss: f64,
-    /// Logical segment this host's deliveries execute in (see
-    /// `es_sim::ShardRouter`). A topology label, fixed per scenario.
-    segment: u32,
 }
 
 /// Derives a node's private RNG stream from the sim seed. SplitMix64's
@@ -319,9 +314,6 @@ struct LanInner {
     group_bytes: std::collections::BTreeMap<McastGroup, u64>,
     /// Event journal for loss diagnostics, if attached.
     journal: Option<Journal>,
-    /// Cross-segment channel: every delivery is posted into the
-    /// receiver's segment through here.
-    router: ShardRouter,
 }
 
 /// The LAN fabric. Cheap to clone (shared handle).
@@ -342,7 +334,6 @@ impl Lan {
                 medium_busy_until: SimTime::ZERO,
                 group_bytes: std::collections::BTreeMap::new(),
                 journal: None,
-                router: ShardRouter::new(),
             }),
         }
     }
@@ -366,27 +357,16 @@ impl Lan {
             burst_chain: GilbertElliott::new(),
             partitioned_until: None,
             degrade_loss: 0.0,
-            segment: 0,
         });
         NodeId(inner.nodes.len() as u32 - 1)
     }
 
-    /// Assigns `node` to a logical segment; its deliveries are
-    /// scheduled into that segment from now on. Segments are topology
-    /// (e.g. "the fleet behind relay 2"), set once at build time.
-    pub fn set_segment(&self, node: NodeId, segment: u32) {
-        self.inner.borrow_mut().nodes[node.0 as usize].segment = segment;
-    }
-
-    /// The logical segment `node` is assigned to (0 = default).
-    pub fn segment(&self, node: NodeId) -> u32 {
-        self.inner.borrow().nodes[node.0 as usize].segment
-    }
-
-    /// Deliveries posted across a segment boundary (a topology
-    /// diagnostic; not in any telemetry snapshot).
+    // Shim owed to the next `benchmark` PR: the frozen `benches/ledger`
+    // still reports `sim.cross_segment_posts`. Deliveries carry no
+    // label to cross; the count is 0.
+    #[doc(hidden)]
     pub fn cross_segment_posts(&self) -> u64 {
-        self.inner.borrow().router.cross_posts()
+        0
     }
 
     /// The host's display name.
@@ -774,42 +754,30 @@ impl Lan {
             }
         }
 
-        // Group deliveries that share an arrival instant *and* a
-        // receiver segment into one batch event: the common case — a
-        // zero-jitter multicast to a whole fleet on one segment —
-        // becomes a single event instead of one per receiver. Distinct
-        // arrival times (jitter, reordering, duplicates) each get
-        // their own singleton batch. The segment key is part of the
-        // split because a batch executes in its receivers' segment.
-        let mut batches: Vec<(SimTime, u32, Vec<u32>)> = Vec::new();
-        let mut index: std::collections::BTreeMap<(SimTime, u32), usize> =
+        // Group deliveries that share an arrival instant into one batch
+        // event: the common case — a zero-jitter multicast to a whole
+        // fleet — becomes a single event instead of one per receiver.
+        // Distinct arrival times (jitter, reordering, duplicates) each
+        // get their own batch.
+        let mut batches: Vec<(SimTime, Vec<u32>)> = Vec::new();
+        let mut index: std::collections::BTreeMap<SimTime, usize> =
             std::collections::BTreeMap::new();
-        let (router, segments): (ShardRouter, Vec<u32>) = {
-            let inner = self.inner.borrow();
-            (
-                inner.router.clone(),
-                receivers
-                    .iter()
-                    .map(|&(r, _)| inner.nodes[r as usize].segment)
-                    .collect(),
-            )
-        };
-        for (&(r, offset), &seg) in receivers.iter().zip(&segments) {
+        for (r, offset) in receivers {
             let at = deliver_at_base + offset;
-            let i = *index.entry((at, seg)).or_insert_with(|| {
-                batches.push((at, seg, Vec::new()));
+            let i = *index.entry(at).or_insert_with(|| {
+                batches.push((at, Vec::new()));
                 batches.len() - 1
             });
-            batches[i].2.push(r);
+            batches[i].1.push(r);
         }
-        for (at, seg, rs) in batches {
+        for (at, rs) in batches {
             let lan = lan.clone();
             let dg = Datagram {
                 src: from,
                 dst,
                 payload: payload.clone(),
             };
-            router.post(sim, seg, at, move |sim| lan.deliver_batch(sim, &rs, dg));
+            sim.schedule_at(at, move |sim| lan.deliver_batch(sim, &rs, dg));
         }
     }
 
@@ -1397,10 +1365,11 @@ mod tests {
 
     #[test]
     fn batch_delivery_preserves_multicast_instant_and_order() {
-        // Same-instant fan-out runs as one batch; handlers still see
-        // one delivery each, in node-index order, at the same time —
-        // and the very same payload allocation, which is what lets
-        // receivers share per-datagram work by buffer identity.
+        // Same-instant fan-out runs as one batch, i.e. one engine
+        // event; handlers still see one delivery each, in node-index
+        // order, at the same time — and the very same payload
+        // allocation, which is what lets receivers share per-datagram
+        // work by buffer identity.
         let mut sim = Sim::new(1);
         let lan = Lan::new(LanConfig::default());
         let a = lan.attach("a");
@@ -1426,6 +1395,11 @@ mod tests {
             .iter()
             .all(|&(_, t, buf)| t == order[0].1 && buf == order[0].2));
         assert_eq!(lan.stats().datagrams_delivered, 5);
+        assert_eq!(
+            sim.events_processed(),
+            1,
+            "one multicast instant, one event"
+        );
     }
 
     #[test]

@@ -20,10 +20,8 @@
 //! that source is the one reason the relay parses what it hears; what
 //! does not parse (an authenticated stream) still goes down, as opaque.
 //!
-//! The relay's LAN node is pinned to its segment
-//! ([`Lan::set_segment`]), so the upstream hand-off is one
-//! cross-segment post into the relay and everything downstream of it
-//! stays inside the segment.
+//! A relay's fleet is named by its downstream group alone: a speaker
+//! behind it tunes there, and nothing else about it changes.
 
 use std::collections::BTreeMap;
 
@@ -53,18 +51,15 @@ pub struct RelayConfig {
     pub upstream: McastGroup,
     /// Group the relay re-multicasts on; its fleet tunes here.
     pub downstream: McastGroup,
-    /// Logical engine segment of this relay and its fleet.
-    pub segment: u32,
 }
 
 impl RelayConfig {
-    /// A relay forwarding `upstream` onto `downstream`, in segment 0.
+    /// A relay forwarding `upstream` onto `downstream`.
     pub fn new(upstream: McastGroup, downstream: McastGroup) -> Self {
         RelayConfig {
             name: "relay".to_string(),
             upstream,
             downstream,
-            segment: 0,
         }
     }
 }
@@ -123,26 +118,23 @@ enum Hop {
 #[derive(Clone)]
 pub struct SegmentRelay {
     node: NodeId,
-    config_segment: u32,
     state: Shared<RelayState>,
 }
 
 impl SegmentRelay {
-    /// Attaches a relay to the LAN, pins it to its segment, joins the
-    /// upstream group, and starts forwarding.
+    /// Attaches a relay to the LAN, joins the upstream group, and
+    /// starts forwarding.
     pub fn start(sim: &mut Sim, lan: &Lan, cfg: RelayConfig) -> SegmentRelay {
         let _ = sim; // Attaching is instantaneous; kept for API symmetry.
         assert_ne!(
             cfg.upstream, cfg.downstream,
             "relay would loop: upstream and downstream group are the same"
         );
-        let node = lan.attach(cfg.name.clone());
-        lan.set_segment(node, cfg.segment);
+        let node = lan.attach(cfg.name);
         lan.join(node, cfg.upstream);
         let state = shared(RelayState::default());
         let relay = SegmentRelay {
             node,
-            config_segment: cfg.segment,
             state: state.clone(),
         };
         let fwd_lan = lan.clone();
@@ -165,11 +157,6 @@ impl SegmentRelay {
     /// The relay's LAN node.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The logical segment this relay (and its fleet) runs in.
-    pub fn segment(&self) -> u32 {
-        self.config_segment
     }
 
     /// Forwarding counters so far.
@@ -248,8 +235,8 @@ mod tests {
     /// What one node heard: arrival instant and the buffer itself.
     type Heard = Rc<RefCell<Vec<(SimTime, Bytes)>>>;
 
-    /// A producer node, a relay from group 10 onto group 20 in segment
-    /// 3, and one listener on each group.
+    /// A producer node, a relay from group 10 onto group 20, and one
+    /// listener on each group.
     struct Rig {
         sim: Sim,
         lan: Lan,
@@ -264,14 +251,13 @@ mod tests {
             let mut sim = Sim::new(5);
             let lan = Lan::new(LanConfig::default());
             let producer = lan.attach("producer");
-            let relay = SegmentRelay::start(&mut sim, &lan, {
-                let mut c = RelayConfig::new(McastGroup(10), McastGroup(20));
-                c.segment = 3;
-                c
-            });
+            let relay = SegmentRelay::start(
+                &mut sim,
+                &lan,
+                RelayConfig::new(McastGroup(10), McastGroup(20)),
+            );
             let listen = |name: &str, group| {
                 let node = lan.attach(name);
-                lan.set_segment(node, 3);
                 lan.join(node, group);
                 let heard = Heard::default();
                 let h = heard.clone();

@@ -25,11 +25,11 @@ pub mod engine;
 pub mod random;
 pub mod sched;
 pub mod series;
-pub mod shard;
 pub mod time;
 
 pub use cpu::{CostModel, SimCpu};
+#[doc(hidden)]
+pub use engine::ShardRouter;
 pub use engine::{shared, RepeatingTimer, Shared, Sim};
 pub use series::{BucketAccumulator, TimeSeries};
-pub use shard::ShardRouter;
 pub use time::{SimDuration, SimTime};

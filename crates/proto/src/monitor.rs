@@ -109,6 +109,16 @@ impl StreamMonitor {
         self.last_transit_us = Some(transit);
     }
 
+    /// Starts over on a new stream (a channel switch): forgets the
+    /// sequence and transit baseline so the new stream's numbering
+    /// reads as neither loss nor reordering, and keeps the cumulative
+    /// totals, which are counters and never go backwards.
+    pub fn restart_stream(&mut self) {
+        self.highest_seq = None;
+        self.seen_window.clear();
+        self.last_transit_us = None;
+    }
+
     /// The current quality snapshot.
     pub fn report(&self) -> QualityReport {
         let expected = self.received - self.duplicates + self.lost;

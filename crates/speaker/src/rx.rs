@@ -448,11 +448,13 @@ impl SpeakerRx {
     }
 
     /// The driver switched channels: wait for the new stream's control
-    /// packet, reconfigure the device on it, start FEC afresh.
+    /// packet, reconfigure the device on it, start FEC and the quality
+    /// monitor's sequence afresh.
     pub fn retune(&mut self) {
         self.regate();
         self.configured = false;
         self.fec = None;
+        self.monitor.restart_stream();
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate. The
@@ -741,6 +743,32 @@ mod tests {
             assert_eq!(rx.table_sizes()[..2], [0, 0]);
             assert_eq!(rx.stats.refills_received, 0);
         }
+    }
+
+    #[test]
+    fn a_channel_switch_is_neither_loss_nor_reordering() {
+        // Music at seq 1000, an announcement from seq 0, music again
+        // having moved on while the speaker was away.
+        let mut rx = repairing();
+        let mut now = 0;
+        let mut play = |rx: &mut SpeakerRx, seqs: std::ops::Range<u32>| {
+            tune(rx, MS(now));
+            for seq in seqs {
+                now += 50;
+                data(rx, MS(now), seq, now + 200);
+            }
+        };
+        play(&mut rx, 1_000..1_010);
+        rx.retune();
+        play(&mut rx, 0..10);
+        rx.retune();
+        play(&mut rx, 1_030..1_040);
+        let q = rx.monitor.report();
+        assert_eq!((q.received, q.lost, q.reordered), (30, 0, 0), "{q:?}");
+        // A FLUSH keeps the stream: a gap after it is still loss.
+        rx.resync();
+        play(&mut rx, 1_041..1_042);
+        assert_eq!(rx.monitor.report().lost, 1);
     }
 
     #[test]

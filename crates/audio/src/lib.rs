@@ -14,8 +14,6 @@
 //! - [`wav`]: minimal RIFF reader/writer so simulated playback can be
 //!   auditioned.
 //! - [`mix`]: gain, mixing and the AGC that powers auto-volume (§5.2).
-//! - [`resample`]: linear and windowed-sinc rate conversion for
-//!   fixed-rate speaker DACs.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -25,7 +23,6 @@ pub mod convert;
 pub mod encoding;
 pub mod gen;
 pub mod mix;
-pub mod resample;
 pub mod wav;
 
 pub use encoding::{AudioConfig, ConfigError, Encoding};

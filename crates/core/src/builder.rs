@@ -215,7 +215,7 @@ impl ChannelSpec {
 /// One speaker: where it listens and when it powers on.
 ///
 /// Builder methods use bare field names (`epsilon`, `volume`, …), the
-/// same convention as [`ChannelSpec`] and [`SessionSpec`].
+/// same convention as [`ChannelSpec`].
 pub struct SpeakerSpec {
     /// Speaker configuration.
     pub config: SpeakerConfig,
@@ -379,64 +379,18 @@ impl RelaySpec {
 }
 
 /// Control-plane configuration: the announce group sessions are
-/// negotiated on, plus the handshake's timers. Defaults match
-/// [`SessionClientConfig::new`].
+/// negotiated on. The handshake's timers are
+/// [`SessionClientConfig::new`]'s, and the broker expires a session
+/// after the same [`es_proto::SESSION_TIMEOUT_US`] of silence.
 pub struct SessionSpec {
     /// Group DISCOVER/OFFER (and the catalog, if enabled) run on.
     pub announce_group: McastGroup,
-    /// DISCOVER period while a receiver is unattached.
-    pub discover_interval: SimDuration,
-    /// SETUP retransmit period.
-    pub setup_retry: SimDuration,
-    /// KEEPALIVE period while established.
-    pub keepalive_interval: SimDuration,
-    /// Silence after which either side declares the session dead.
-    pub session_timeout: SimDuration,
-    /// How often the broker sweeps its tables for expired sessions.
-    pub sweep_interval: SimDuration,
 }
 
 impl SessionSpec {
-    /// Control plane on `announce_group` with simulator-scale timers.
+    /// Control plane on `announce_group`.
     pub fn new(announce_group: McastGroup) -> Self {
-        SessionSpec {
-            announce_group,
-            discover_interval: SimDuration::from_millis(300),
-            setup_retry: SimDuration::from_millis(400),
-            keepalive_interval: SimDuration::from_secs(1),
-            session_timeout: SimDuration::from_millis(2_500),
-            sweep_interval: SimDuration::from_millis(500),
-        }
-    }
-
-    /// Sets the DISCOVER period.
-    pub fn discover_interval(mut self, d: SimDuration) -> Self {
-        self.discover_interval = d;
-        self
-    }
-
-    /// Sets the SETUP retransmit period.
-    pub fn setup_retry(mut self, d: SimDuration) -> Self {
-        self.setup_retry = d;
-        self
-    }
-
-    /// Sets the KEEPALIVE period.
-    pub fn keepalive_interval(mut self, d: SimDuration) -> Self {
-        self.keepalive_interval = d;
-        self
-    }
-
-    /// Sets the session-loss timeout.
-    pub fn session_timeout(mut self, d: SimDuration) -> Self {
-        self.session_timeout = d;
-        self
-    }
-
-    /// Sets the broker's expiry-sweep period.
-    pub fn sweep_interval(mut self, d: SimDuration) -> Self {
-        self.sweep_interval = d;
-        self
+        SessionSpec { announce_group }
     }
 }
 
@@ -738,10 +692,6 @@ impl SystemBuilder {
                 let ses = self.sessions.as_ref().expect("validated above");
                 let mut ccfg = SessionClientConfig::new(spec.config.name.clone(), channel);
                 ccfg.caps = spec.caps;
-                ccfg.discover_interval_us = ses.discover_interval.as_micros();
-                ccfg.setup_retry_us = ses.setup_retry.as_micros();
-                ccfg.keepalive_interval_us = ses.keepalive_interval.as_micros();
-                ccfg.session_timeout_us = ses.session_timeout.as_micros();
                 (ses.announce_group, ccfg)
             });
             let (lan, journal) = (lan.clone(), journal.clone());

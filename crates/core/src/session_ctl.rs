@@ -20,12 +20,16 @@ pub use es_proto::BrokerStats;
 use es_proto::{
     encode_session, Capabilities, ClientAction, ClientPhase, ServerAction, SessionClient,
     SessionClientConfig, SessionEntry, SessionPacket, SessionServer, StreamInfo,
+    SESSION_TIMEOUT_US,
 };
 use es_sim::{shared, RepeatingTimer, Shared, Sim, SimDuration};
 use es_speaker::{EthernetSpeaker, SpeakerConfig};
 use es_telemetry::{Journal, Registry, Severity, Stamp};
 
 use crate::builder::SessionSpec;
+
+/// How often the broker sweeps its tables for expired sessions.
+const SWEEP_INTERVAL: SimDuration = SimDuration::from_millis(500);
 
 /// The producer-side control plane: one broker serves every channel
 /// on the host. The simulator driver of [`SessionServer`].
@@ -52,10 +56,7 @@ impl SessionBroker {
     ) -> SessionBroker {
         lan.join(node, spec.announce_group);
         let broker = SessionBroker {
-            server: shared(SessionServer::new(
-                streams,
-                spec.session_timeout.as_micros(),
-            )),
+            server: shared(SessionServer::new(streams, SESSION_TIMEOUT_US)),
             journal,
             lan: lan.clone(),
             node,
@@ -64,7 +65,7 @@ impl SessionBroker {
         let b3 = broker.clone();
         let timer = RepeatingTimer::start_with_phase(
             sim,
-            spec.sweep_interval,
+            SWEEP_INTERVAL,
             SimDuration::from_millis(130),
             move |sim| {
                 b3.step(sim, None, SessionServer::sweep);

@@ -49,5 +49,5 @@ pub use session::{
     encode_session, encode_session_into, negotiate, Capabilities, ClientAction, ClientPhase,
     DeviceClass, Grant, RefuseReason, SessionClient, SessionClientConfig, SessionEntry,
     SessionError, SessionPacket, SessionTable, TeardownReason, PARAM_FEC_MAX_GROUP, PARAM_FEC_OFF,
-    PARAM_FEC_UNCHANGED, PARAM_VOLUME_UNCHANGED,
+    PARAM_FEC_UNCHANGED, PARAM_VOLUME_UNCHANGED, SESSION_TIMEOUT_US,
 };

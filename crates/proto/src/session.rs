@@ -776,6 +776,11 @@ impl SessionTable {
     }
 }
 
+/// Silence after which either side of a session declares the peer gone:
+/// the client's default `session_timeout_us` and the simulated broker's
+/// expiry age.
+pub const SESSION_TIMEOUT_US: u64 = 2_500_000;
+
 /// Client (receiver-side) session state machine configuration. All
 /// times are in microseconds on whatever monotone clock the caller
 /// drives [`SessionClient::poll`] with.
@@ -817,7 +822,7 @@ impl SessionClientConfig {
             setup_retry_us: 400_000,
             max_setup_attempts: 4,
             keepalive_interval_us: 1_000_000,
-            session_timeout_us: 2_500_000,
+            session_timeout_us: SESSION_TIMEOUT_US,
             auto_rejoin: true,
         }
     }

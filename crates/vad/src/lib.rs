@@ -16,20 +16,16 @@
 //!   output tap with playback timestamps).
 //! - [`vad::vad_pair`]: the master/slave VAD in both §3.3 designs
 //!   (kernel thread vs. master-driven).
-//! - [`input::input_pair`]: the capture direction the paper left as a
-//!   limitation ("currently vads only supports audio output").
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
 pub mod device;
 pub mod hw;
-pub mod input;
 pub mod ring;
 pub mod vad;
 
 pub use device::{AudioDevice, BlockSource, DevError, DevStats, Intr, Ioctl, LowLevelDriver};
 pub use hw::{HwDriver, OutputTap, Retention};
-pub use input::{input_pair, InputMaster, InputSlave, InputStats};
 pub use ring::{AudioRing, Block};
 pub use vad::{vad_pair, vad_pair_with_geometry, MasterItem, VadMaster, VadMode, VadStats};

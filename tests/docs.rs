@@ -109,6 +109,85 @@ fn no_doc_describes_the_deleted_relay_restamping() {
 }
 
 #[test]
+fn no_doc_describes_the_deleted_segment_labels() {
+    // Events carry no segment label; a relay's fleet is named by its
+    // downstream group alone.
+    for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        let text = read(doc);
+        for needle in ["set_segment", "current_segment", "schedule_at_segment"] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
+    }
+}
+
+/// What a caller of a shim kept only so the frozen `benches/ledger`
+/// builds writes.
+const LEDGER_SHIM_CALLS: [&str; 9] = [
+    ".fleet_threads(",
+    ".sim_shards(",
+    "::with_shards(",
+    ".merge_scans(",
+    "parity_stale",
+    ".segment(",
+    "ShardRouter",
+    ".cross_segment_posts(",
+    "::cross_segment_posts(",
+];
+
+/// How a shim's own definition opens (after indentation).
+const LEDGER_SHIM_DEFINITIONS: [&str; 4] = [
+    "pub struct ShardRouter",
+    "impl ShardRouter",
+    "pub use engine::ShardRouter",
+    "pub parity_stale:",
+];
+
+/// Every `.rs` file under `dir`, build output aside.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn the_ledger_shims_have_no_callers_outside_the_ledger() {
+    // The next `benchmark` PR deletes these together with the frozen
+    // ledger's calls; a new caller here would block it.
+    let this_file = root().join(file!());
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "examples"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    assert!(files.len() > 100, "only {} .rs files found", files.len());
+    let mut callers = Vec::new();
+    for path in files.iter().filter(|p| **p != this_file) {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        for (n, line) in text.lines().enumerate() {
+            let code = line.split("//").next().unwrap_or("").trim_start();
+            if LEDGER_SHIM_DEFINITIONS.iter().any(|d| code.starts_with(d)) {
+                continue;
+            }
+            if let Some(call) = LEDGER_SHIM_CALLS.iter().find(|c| code.contains(*c)) {
+                let rel = path.strip_prefix(root()).unwrap_or(path);
+                callers.push(format!("{}:{}: {call}", rel.display(), n + 1));
+            }
+        }
+    }
+    assert!(
+        callers.is_empty(),
+        "ledger-only shims called outside benches/ledger:\n{}",
+        callers.join("\n")
+    );
+}
+
+#[test]
 fn design_md_lists_exactly_the_checks_es_analyze_registers() {
     // Table rows of §8 open with the check id in backticks.
     let design = read("DESIGN.md");

@@ -19,13 +19,13 @@ use es_rebroadcast::{
     RelayConfig, SegmentRelay,
 };
 use es_sim::{Shared, Sim, SimCpu, SimDuration, SimTime};
-use es_speaker::{AmbientProfile, AutoVolumeConfig, EthernetSpeaker, SpeakerConfig};
+use es_speaker::{AmbientProfile, AutoVolumeConfig, EthernetSpeaker, SessionStatus, SpeakerConfig};
 use es_telemetry::{Journal, MetricsSnapshot, Registry, Telemetry};
 
 use crate::catalog::CatalogAnnouncer;
 use crate::error::Error;
 use crate::heal_ctl::{HealMonitor, HealSpec};
-use crate::session_ctl::{stream_info_for, NegotiatedSpeaker, SessionBroker};
+use crate::session_ctl::{stream_info_for, SessionBroker};
 
 /// What an audio application plays into a channel.
 #[derive(Debug, Clone)]
@@ -221,12 +221,6 @@ pub struct SpeakerSpec {
     pub config: SpeakerConfig,
     /// When the speaker joins (mid-stream joins exercise §3.2).
     pub start_at: SimDuration,
-    /// Channel to join by handshake instead of static group wiring.
-    /// `Some` makes this a negotiated speaker and requires
-    /// [`SystemBuilder::sessions`].
-    pub channel: Option<String>,
-    /// Capabilities advertised during the handshake (negotiated mode).
-    pub caps: Capabilities,
 }
 
 impl SpeakerSpec {
@@ -237,18 +231,18 @@ impl SpeakerSpec {
         SpeakerSpec {
             config: SpeakerConfig::new(name, group),
             start_at: SimDuration::ZERO,
-            channel: None,
-            caps: Capabilities::any(),
         }
     }
 
     /// A speaker that joins `channel` via the session handshake: it
     /// discovers the line-up on the announce group, negotiates codec
     /// and playout delay, and only then tunes to the granted data
-    /// group. Requires [`SystemBuilder::sessions`].
+    /// group. Requires [`SystemBuilder::sessions`], whose announce
+    /// group becomes the speaker's [`SpeakerConfig::group`].
     pub fn negotiated(name: impl Into<String>, channel: impl Into<String>) -> Self {
-        let mut spec = SpeakerSpec::new(name, McastGroup(0));
-        spec.channel = Some(channel.into());
+        let name = name.into();
+        let mut spec = SpeakerSpec::new(name.clone(), McastGroup(0));
+        spec.config.session = Some(SessionClientConfig::new(name, channel));
         spec
     }
 
@@ -258,9 +252,12 @@ impl SpeakerSpec {
         self
     }
 
-    /// Sets the capabilities advertised in the handshake.
+    /// Sets the capabilities a negotiated speaker advertises in the
+    /// handshake; a static speaker advertises nothing.
     pub fn caps(mut self, caps: Capabilities) -> Self {
-        self.caps = caps;
+        if let Some(session) = &mut self.config.session {
+            session.caps = caps;
+        }
         self
     }
 
@@ -540,17 +537,17 @@ impl SystemBuilder {
                     spec.config.name
                 )));
             }
-            if let Some(channel) = &spec.channel {
+            if let Some(session) = &spec.config.session {
                 if self.sessions.is_none() {
                     return Err(Error::Config(format!(
                         "negotiated speaker '{}' requires sessions(SessionSpec)",
                         spec.config.name
                     )));
                 }
-                if !self.channels.iter().any(|c| &c.name == channel) {
+                if !self.channels.iter().any(|c| c.name == session.channel) {
                     return Err(Error::Config(format!(
                         "negotiated speaker '{}' wants unknown channel '{}'",
-                        spec.config.name, channel
+                        spec.config.name, session.channel
                     )));
                 }
             }
@@ -687,35 +684,21 @@ impl SystemBuilder {
             let (producers, speakers) = (producers.clone(), speakers.clone());
             HealMonitor::new(spec, producers, speakers, broker.clone(), journal.clone())
         });
-        for (spec, handle) in self.speakers.into_iter().zip(speakers.iter().cloned()) {
-            let session = spec.channel.map(|channel| {
+        for (mut spec, handle) in self.speakers.into_iter().zip(speakers.iter().cloned()) {
+            if spec.config.session.is_some() {
                 let ses = self.sessions.as_ref().expect("validated above");
-                let mut ccfg = SessionClientConfig::new(spec.config.name.clone(), channel);
-                ccfg.caps = spec.caps;
-                (ses.announce_group, ccfg)
-            });
+                spec.config.group = ses.announce_group;
+            }
             let (lan, journal) = (lan.clone(), journal.clone());
             // Under a healing plane every speaker repairs its own losses.
             let repair = heal.is_some();
             let power_on = move |sim: &mut Sim| {
-                *handle.0.borrow_mut() = Some(match session {
-                    Some((announce, ccfg)) => Powered::Negotiated(NegotiatedSpeaker::start(
-                        sim,
-                        &lan,
-                        spec.config,
-                        announce,
-                        ccfg,
-                        Some(journal),
-                    )),
-                    None => {
-                        let spk = EthernetSpeaker::start(sim, &lan, spec.config);
-                        spk.set_journal(journal);
-                        Powered::Static(spk)
-                    }
-                });
+                let spk = EthernetSpeaker::start(sim, &lan, spec.config);
+                spk.set_journal(journal);
                 if repair {
-                    handle.speaker().expect("just powered on").request_repairs();
+                    spk.request_repairs();
                 }
+                *handle.0.borrow_mut() = Some(spk);
             };
             // Inline at t=0: no event the build did not schedule before.
             if spec.start_at.is_zero() {
@@ -767,28 +750,12 @@ impl Producers {
 
 /// One declared speaker: empty until it powers on.
 #[derive(Clone, Default)]
-pub(crate) struct SpeakerHandle(Shared<Option<Powered>>);
-
-enum Powered {
-    Static(EthernetSpeaker),
-    Negotiated(NegotiatedSpeaker),
-}
+pub(crate) struct SpeakerHandle(Shared<Option<EthernetSpeaker>>);
 
 impl SpeakerHandle {
-    /// The speaker, negotiated or not, once powered on.
+    /// The speaker, once powered on.
     pub(crate) fn speaker(&self) -> Option<EthernetSpeaker> {
-        self.0.borrow().as_ref().map(|p| match p {
-            Powered::Static(spk) => spk.clone(),
-            Powered::Negotiated(ns) => ns.speaker().clone(),
-        })
-    }
-
-    /// Its session wrapper, for a powered negotiated speaker.
-    fn session(&self) -> Option<NegotiatedSpeaker> {
-        match self.0.borrow().as_ref()? {
-            Powered::Negotiated(ns) => Some(ns.clone()),
-            Powered::Static(_) => None,
-        }
+        self.0.borrow().clone()
     }
 }
 
@@ -844,9 +811,6 @@ impl MetricsHub {
             reg.set_instance(&spk.name());
             spk.record_telemetry(&mut reg);
             spk.device().stats().record(&mut reg);
-            if let Some(ns) = handle.session() {
-                ns.record_telemetry(&mut reg);
-            }
         }
         if let Some(a) = &self.announcer {
             reg.set_instance("catalog");
@@ -921,16 +885,15 @@ impl EsSystem {
     }
 
     /// Speaker `i` (None before its power-on time, and for an `i`
-    /// past the last declared speaker). Negotiated
-    /// speakers resolve to their underlying [`EthernetSpeaker`].
+    /// past the last declared speaker).
     pub fn speaker(&self, i: usize) -> Option<EthernetSpeaker> {
         self.hub.speakers.get(i)?.speaker()
     }
 
-    /// The negotiated-session wrapper for speaker `i` (None for
-    /// statically wired speakers or before power-on).
-    pub fn session(&self, i: usize) -> Option<NegotiatedSpeaker> {
-        self.hub.speakers.get(i)?.session()
+    /// Where speaker `i`'s session handshake stands (None for a
+    /// statically wired speaker or before power-on).
+    pub fn session(&self, i: usize) -> Option<SessionStatus> {
+        self.speaker(i)?.session()
     }
 
     /// Number of declared speakers.

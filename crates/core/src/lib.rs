@@ -42,7 +42,7 @@ pub use live::{
     LiveSpeaker, LiveSpeakerReport,
 };
 pub use override_ctl::{OverrideController, OverrideStats};
-pub use session_ctl::{BrokerStats, NegotiatedSpeaker, SessionBroker};
+pub use session_ctl::{BrokerStats, SessionBroker};
 
 /// The common imports: everything a typical scenario script touches.
 ///
@@ -63,7 +63,7 @@ pub mod prelude {
     pub use crate::error::Error;
     pub use crate::heal_ctl::{HealMonitor, HealSpec};
     pub use crate::override_ctl::{OverrideController, OverrideStats};
-    pub use crate::session_ctl::{NegotiatedSpeaker, SessionBroker};
+    pub use crate::session_ctl::SessionBroker;
     pub use es_audio::AudioConfig;
     pub use es_heal::{HealPolicy, Health};
     pub use es_net::{Lan, LanConfig, McastGroup};

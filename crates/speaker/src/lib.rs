@@ -25,7 +25,7 @@ pub mod sync;
 
 pub use autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig, ContentKind};
 pub use rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats, NACK_REASK};
-pub use speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SpeakerConfig};
+pub use speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SessionStatus, SpeakerConfig};
 pub use sync::{decide, ClockSync, PlayDecision, DEFAULT_EPSILON};
 
 /// Converts decode work units to Geode-class CPU cycles (same

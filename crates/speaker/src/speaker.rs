@@ -12,6 +12,13 @@
 //! the protocol's NACKs back up the LAN to whoever it hears the stream
 //! from.
 //!
+//! With [`SpeakerConfig::session`] set the same speaker is a negotiated
+//! one (DESIGN.md §9): it owns an [`es_proto::SessionClient`], ticks it,
+//! and carries out what it decides — the DISCOVER/SETUP it sends on the
+//! announce group, the data group it tunes to, the FLUSH and volume it
+//! applies. Without it the speaker is the paper's statically wired
+//! radio.
+//!
 //! The playback path is the full §3.4 pipeline: receive → (verify) →
 //! decode (billable to a Geode-class CPU model) → write to the audio
 //! device, whose ring and DMA pacing supply the final rate limiting.
@@ -28,8 +35,10 @@ use es_audio::{AudioConfig, Encoding};
 use es_codec::{CodecId, Codecs};
 use es_net::{Datagram, Dest, Lan, McastGroup, NodeId};
 use es_proto::auth::VerifierStats;
-use es_proto::Packet;
-use es_sim::{shared, CostModel, Shared, Sim, SimCpu, SimDuration, SimTime};
+use es_proto::{
+    encode_session, ClientAction, ClientPhase, Packet, SessionClient, SessionClientConfig,
+};
+use es_sim::{shared, CostModel, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime};
 use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
@@ -87,11 +96,21 @@ pub struct SpeakerConfig {
     /// Off, the tap keeps counts and block times only — plus the one
     /// control period of PCM `auto_volume` listens to, if that is set.
     pub capture_output: bool,
+    /// Join a channel by the session handshake instead of static
+    /// wiring: `group` is then the announce group the handshake runs
+    /// on, and the speaker tunes to whichever data group it is granted.
+    /// `None` (default) is the paper's statically wired radio.
+    pub session: Option<SessionClientConfig>,
 }
 
 /// The §5.2 auto-volume control period (4 Hz): how often the loop runs
 /// and how much recent DAC output each run listens to.
 const AUTOVOL_PERIOD: SimDuration = SimDuration::from_millis(250);
+
+/// How often a negotiated speaker advances its session client's timers.
+/// Handshake latency quantizes to this; correctness does not depend on
+/// it.
+const SESSION_TICK: SimDuration = SimDuration::from_millis(100);
 
 impl SpeakerConfig {
     /// Defaults: 20 ms epsilon, stock ring geometry, no CPU model, no
@@ -112,6 +131,7 @@ impl SpeakerConfig {
             conceal_loss: false,
             cost_model: es_codec::CostModel::default(),
             capture_output: false,
+            session: None,
         }
     }
 
@@ -383,6 +403,55 @@ struct SpkState {
     /// The stream id and sender of the last control packet heard: the
     /// producer, its promoted standby, or a relay — where a NACK goes.
     source: Option<(u16, NodeId)>,
+    /// The handshake of a negotiated speaker (boxed: a static speaker
+    /// carries one pointer).
+    session: Option<Box<Session>>,
+}
+
+/// A negotiated speaker's session client and the control-packet count
+/// its last tick saw: growth between ticks is proof the stream is
+/// alive.
+struct Session {
+    client: SessionClient,
+    controls_seen: u64,
+}
+
+/// Where a negotiated speaker's handshake stands, as of the call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionStatus {
+    phase: ClientPhase,
+    session_id: Option<u32>,
+    counts: (u64, u64, u64, u64),
+}
+
+impl SessionStatus {
+    fn of(client: &SessionClient) -> Self {
+        SessionStatus {
+            phase: client.phase(),
+            session_id: client.session_id(),
+            counts: (
+                client.discovers_sent,
+                client.setups_sent,
+                client.sessions_established,
+                client.sessions_lost,
+            ),
+        }
+    }
+
+    /// Where the handshake stands.
+    pub fn phase(&self) -> ClientPhase {
+        self.phase
+    }
+
+    /// The granted session id, while established.
+    pub fn session_id(&self) -> Option<u32> {
+        self.session_id
+    }
+
+    /// Handshake counters `(discovers, setups, established, lost)`.
+    pub fn client_counts(&self) -> (u64, u64, u64, u64) {
+        self.counts
+    }
 }
 
 impl SpkState {
@@ -400,10 +469,6 @@ impl SpkState {
     }
 }
 
-/// Callback receiving control-plane packets (see
-/// [`EthernetSpeaker::set_session_handler`]).
-type SessionHook = Box<dyn FnMut(&mut Sim, es_proto::SessionPacket)>;
-
 /// A running Ethernet Speaker.
 #[derive(Clone)]
 pub struct EthernetSpeaker {
@@ -412,16 +477,12 @@ pub struct EthernetSpeaker {
     node: NodeId,
     dev: Rc<AudioDevice>,
     tap: Shared<OutputTap>,
-    /// The control-plane delegate (the negotiated-mode wrapper owns
-    /// the handshake; the speaker stays a §2.3 radio), in a cell of its
-    /// own so the callback may re-enter `tune` and `resync`.
-    session: Rc<std::cell::RefCell<Option<SessionHook>>>,
 }
 
 impl EthernetSpeaker {
-    /// Attaches the speaker to the LAN, joins its channel and starts
-    /// listening.
-    pub fn start(sim: &mut Sim, lan: &Lan, cfg: SpeakerConfig) -> EthernetSpeaker {
+    /// Attaches the speaker to the LAN, joins its channel — or, when
+    /// negotiated, the announce group — and starts listening.
+    pub fn start(sim: &mut Sim, lan: &Lan, mut cfg: SpeakerConfig) -> EthernetSpeaker {
         let node = lan.attach(cfg.name.clone());
         lan.join(node, cfg.group);
         let (drv, tap) = HwDriver::new(cfg.tap_retention());
@@ -439,6 +500,12 @@ impl EthernetSpeaker {
         if cfg.conceal_loss {
             rx.conceal_losses();
         }
+        let session = cfg.session.take().map(|ccfg| {
+            Box::new(Session {
+                client: SessionClient::new(ccfg),
+                controls_seen: 0,
+            })
+        });
         let state = shared(SpkState {
             rx,
             events: Vec::new(),
@@ -453,6 +520,7 @@ impl EthernetSpeaker {
             autovol,
             tuned: cfg.group,
             source: None,
+            session,
             cfg,
         });
         let spk = EthernetSpeaker {
@@ -461,16 +529,21 @@ impl EthernetSpeaker {
             node,
             dev,
             tap,
-            session: Rc::default(),
         };
         let s2 = spk.clone();
         lan.set_handler(node, move |sim, dg| s2.on_datagram(sim, dg));
         // Auto-volume control loop.
         if spk.state.borrow().autovol.is_some() {
             let s3 = spk.clone();
-            let timer =
-                es_sim::RepeatingTimer::start(sim, AUTOVOL_PERIOD, move |sim| s3.autovol_tick(sim));
-            std::mem::forget(timer);
+            RepeatingTimer::start(sim, AUTOVOL_PERIOD, move |sim| s3.autovol_tick(sim));
+        }
+        // The session client's clock.
+        if spk.state.borrow().session.is_some() {
+            let s4 = spk.clone();
+            let phase = SimDuration::from_millis(10);
+            RepeatingTimer::start_with_phase(sim, SESSION_TICK, phase, move |sim| {
+                s4.session_tick(sim)
+            });
         }
         spk
     }
@@ -545,17 +618,16 @@ impl EthernetSpeaker {
     }
 
     /// Attaches a journal for structured diagnostics (tuning, late
-    /// packets and the like).
+    /// packets, the session handshake and the like).
     pub fn set_journal(&self, journal: Journal) {
         self.state.borrow_mut().journal = Some(journal);
     }
 
-    /// Installs the control-plane delegate: session packets received
-    /// on any group this node listens to are handed to `f` instead of
-    /// being dropped. Used by the negotiated-session wrapper in
-    /// `es-core`; the speaker itself stays a stateless radio.
-    pub fn set_session_handler(&self, f: impl FnMut(&mut Sim, es_proto::SessionPacket) + 'static) {
-        *self.session.borrow_mut() = Some(Box::new(f));
+    /// Where a negotiated speaker's handshake stands; `None` for a
+    /// statically wired one.
+    pub fn session(&self) -> Option<SessionStatus> {
+        let st = self.state.borrow();
+        st.session.as_ref().map(|s| SessionStatus::of(&s.client))
     }
 
     /// From now on the speaker asks for the blocks it is missing: each
@@ -590,15 +662,17 @@ impl EthernetSpeaker {
     /// Records speaker counters, the deadline-slack histogram, the
     /// jitter-buffer depth, the producer-clock sync offset and the
     /// [`es_proto::StreamMonitor`] quality numbers into `registry`
-    /// under component `speaker`.
+    /// under component `speaker`, and a negotiated speaker's handshake
+    /// counters under component `session`.
     pub fn record_telemetry(&self, registry: &mut Registry) {
-        let (stats, slack, offset, report) = {
+        let (stats, slack, offset, report, session) = {
             let st = self.state.borrow();
             (
                 st.rx.stats,
                 st.deadline_slack_us.clone(),
                 st.rx.clock.offset_us(),
                 st.rx.monitor.report(),
+                st.session.as_ref().map(|s| SessionStatus::of(&s.client)),
             )
         };
         stats.record(registry);
@@ -613,17 +687,39 @@ impl EthernetSpeaker {
             .counter("quality_lost", report.lost)
             .counter("quality_reordered", report.reordered)
             .counter("quality_duplicates", report.duplicates);
+        if let Some(session) = session {
+            let (discovers, setups, established, lost) = session.client_counts();
+            registry
+                .component("session")
+                .counter("discovers_sent", discovers)
+                .counter("setups_sent", setups)
+                .counter("sessions_established", established)
+                .counter("sessions_lost", lost);
+        }
     }
 
     /// Journals a diagnostic about this speaker, if a journal is
     /// attached; `fields` follow the speaker's name.
     fn journal(&self, sim: &Sim, severity: Severity, message: &str, fields: &[(&str, u64)]) {
+        let fields = fields.iter().map(|&(k, v)| (k, v.to_string()));
+        self.journal_in(sim, severity, "speaker", message, fields);
+    }
+
+    /// [`Self::journal`] under any `component`.
+    fn journal_in<'a>(
+        &self,
+        sim: &Sim,
+        severity: Severity,
+        component: &str,
+        message: &str,
+        fields: impl IntoIterator<Item = (&'a str, String)>,
+    ) {
         let st = self.state.borrow();
         if let Some(j) = &st.journal {
             let mut named = vec![("speaker", st.cfg.name.clone())];
-            named.extend(fields.iter().map(|&(k, v)| (k, v.to_string())));
+            named.extend(fields);
             let stamp = Stamp::virtual_ns(sim.now().as_nanos());
-            j.emit(stamp, severity, "speaker", message, &named);
+            j.emit(stamp, severity, component, message, &named);
         }
     }
 
@@ -667,9 +763,7 @@ impl EthernetSpeaker {
                 }
                 RxEvent::Block(block) => self.on_block(sim, block),
                 RxEvent::Session(sp) => {
-                    if let Some(hook) = self.session.borrow_mut().as_mut() {
-                        hook(sim, *sp);
-                    }
+                    self.step_session(sim, |s, _, now_us| s.client.on_packet(now_us, &sp));
                 }
                 RxEvent::FecGroupChanged { from, to } => self.journal(
                     sim,
@@ -687,6 +781,93 @@ impl EthernetSpeaker {
             let spk = self.clone();
             sim.schedule_at(at.max(sim.now()), move |sim| spk.on_wakeup(sim, at));
         }
+    }
+
+    /// One tick of the session client's clock. Control packets are
+    /// liveness: a producer still describing the stream defers the
+    /// session timeout even if keepalive ACK-ing is quiet.
+    fn session_tick(&self, sim: &mut Sim) {
+        self.step_session(sim, |s, stats, now_us| {
+            if stats.control_packets > s.controls_seen {
+                s.controls_seen = stats.control_packets;
+                s.client.note_stream_alive(now_us);
+            }
+            s.client.poll(now_us)
+        });
+    }
+
+    /// Steps a negotiated speaker's session client at the current
+    /// instant and carries out what it decided, in order. A static
+    /// speaker has no client and ignores the control plane.
+    fn step_session(
+        &self,
+        sim: &mut Sim,
+        step: impl FnOnce(&mut Session, &SpeakerStats, u64) -> Vec<ClientAction>,
+    ) {
+        let actions = {
+            let mut st = self.state.borrow_mut();
+            let st = &mut *st;
+            let Some(session) = st.session.as_mut() else {
+                return;
+            };
+            step(session, &st.rx.stats, sim.now().as_micros())
+        };
+        for action in actions {
+            self.apply(sim, action);
+        }
+    }
+
+    /// Carries out one session-client decision; the journaling ones
+    /// land under component `session`.
+    fn apply(&self, sim: &mut Sim, action: ClientAction) {
+        let announce = self.state.borrow().cfg.group;
+        let (message, fields) = match action {
+            ClientAction::Send(pkt) => {
+                let dst = Dest::Multicast(announce);
+                return self.lan.send(sim, self.node, dst, encode_session(&pkt));
+            }
+            ClientAction::JoinData(g) => {
+                self.tune(sim, McastGroup(g));
+                // Stay on the control plane: tune() left the announce
+                // group, re-join it.
+                return self.lan.join(self.node, announce);
+            }
+            ClientAction::LeaveData(_) => return self.tune(sim, announce),
+            ClientAction::Resync => return self.resync(sim),
+            ClientAction::SetVolume(v) => return self.set_volume(v as f64 / 1_000.0),
+            // The speaker adapts to whatever parity packets arrive; the
+            // announcement is journaled so a fleet operator can
+            // correlate level changes.
+            ClientAction::SetFec { group } => {
+                ("fec level announced", vec![("group", format!("{group:?}"))])
+            }
+            ClientAction::Established {
+                session_id,
+                stream_id,
+                group,
+                ..
+            } => (
+                "session established",
+                vec![
+                    ("session_id", session_id.to_string()),
+                    ("stream_id", stream_id.to_string()),
+                    ("group", group.to_string()),
+                ],
+            ),
+            ClientAction::Lost { session_id } => (
+                "session lost; rediscovering",
+                vec![("session_id", session_id.to_string())],
+            ),
+            ClientAction::Closed { session_id, reason } => (
+                "session closed",
+                vec![
+                    ("session_id", session_id.to_string()),
+                    ("reason", reason.to_string()),
+                ],
+            ),
+            ClientAction::GaveUp => ("setup attempts exhausted; rediscovering", vec![]),
+        };
+        self.journal_in(sim, Severity::Info, "session", message, fields);
     }
 
     /// Unicasts a NACK for `ranges` to the stream's source. Holes open

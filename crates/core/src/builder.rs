@@ -1028,6 +1028,24 @@ mod tests {
         assert!(broker.stats().acks >= 1);
     }
 
+    /// A §5.3 `tune` from outside — the override controller's, a
+    /// remote control's — moves a discovering speaker's data group but
+    /// never takes it off the announce group its handshake runs on.
+    #[test]
+    fn an_outside_tune_does_not_strand_a_discovering_speaker() {
+        let mut sys = SystemBuilder::new(7)
+            .channel(ChannelSpec::new(1, McastGroup(1), "radio"))
+            .sessions(SessionSpec::new(McastGroup(0)))
+            .speaker(SpeakerSpec::negotiated("es1", "radio"))
+            .build();
+        let spk = sys.speaker(0).expect("powered at t=0");
+        spk.tune(&mut sys.sim, McastGroup(9));
+        sys.run_for(SimDuration::from_secs(3));
+        assert!(sys.lan().is_member(spk.node(), McastGroup(0)));
+        let status = sys.session(0).expect("negotiated");
+        assert_eq!(status.phase(), es_proto::ClientPhase::Established);
+    }
+
     #[test]
     fn try_build_rejects_bad_configs() {
         let err = |r: Result<EsSystem, Error>| match r {

@@ -551,17 +551,21 @@ impl EthernetSpeaker {
     /// Switches channels ("the ability to receive input from the user
     /// (e.g., some remote control device)", §5.3): leaves the old
     /// group, joins the new one, and waits for that stream's control
-    /// packet before playing again.
+    /// packet before playing again. A negotiated speaker never leaves
+    /// its announce group: its handshake runs there, whoever tunes it.
     pub fn tune(&self, sim: &mut Sim, group: McastGroup) {
-        let old = {
+        let (old, keep) = {
             let mut st = self.state.borrow_mut();
             st.rx.retune();
             st.last_block = None;
-            std::mem::replace(&mut st.tuned, group)
+            let keep = st.session.is_some().then_some(st.cfg.group);
+            (std::mem::replace(&mut st.tuned, group), keep)
         };
         let groups = [("from_group", old.0.into()), ("to_group", group.0.into())];
         self.journal(sim, Severity::Info, "tuned to new channel", &groups);
-        self.lan.leave(self.node, old);
+        if keep != Some(old) {
+            self.lan.leave(self.node, old);
+        }
         self.lan.join(self.node, group);
     }
 
@@ -826,12 +830,7 @@ impl EthernetSpeaker {
                 let dst = Dest::Multicast(announce);
                 return self.lan.send(sim, self.node, dst, encode_session(&pkt));
             }
-            ClientAction::JoinData(g) => {
-                self.tune(sim, McastGroup(g));
-                // Stay on the control plane: tune() left the announce
-                // group, re-join it.
-                return self.lan.join(self.node, announce);
-            }
+            ClientAction::JoinData(g) => return self.tune(sim, McastGroup(g)),
             ClientAction::LeaveData(_) => return self.tune(sim, announce),
             ClientAction::Resync => return self.resync(sim),
             ClientAction::SetVolume(v) => return self.set_volume(v as f64 / 1_000.0),

@@ -1046,6 +1046,31 @@ mod tests {
         assert_eq!(status.phase(), es_proto::ClientPhase::Established);
     }
 
+    /// A negotiated speaker gets no keepalive ACK: the data group's
+    /// control packets, counted at each session tick, are what keeps
+    /// its session alive, and their silence is what loses it.
+    #[test]
+    fn a_session_lives_on_control_packets_and_dies_without_them() {
+        let mut sys = SystemBuilder::new(7)
+            .channel(ChannelSpec::new(1, McastGroup(1), "radio"))
+            .sessions(SessionSpec::new(McastGroup(0)))
+            .speaker(SpeakerSpec::negotiated("es1", "radio"))
+            .build();
+        let lost = |sys: &EsSystem| sys.session(0).expect("negotiated").client_counts().3;
+        sys.run_for(SimDuration::from_secs(1));
+        let status = sys.session(0).expect("negotiated");
+        assert_eq!(status.phase(), es_proto::ClientPhase::Established);
+        sys.run_for(SimDuration::from_secs(3));
+        assert_eq!(lost(&sys), 0, "control packets kept the session alive");
+        sys.rebroadcaster(0).clone().crash(&mut sys.sim);
+        sys.run_for(SimDuration::from_secs(3));
+        assert!(lost(&sys) >= 1, "silence must lose the session");
+        let events = sys.journal().events();
+        assert!(events
+            .iter()
+            .any(|e| e.component == "session" && e.message == "session lost; rediscovering"));
+    }
+
     #[test]
     fn try_build_rejects_bad_configs() {
         let err = |r: Result<EsSystem, Error>| match r {
@@ -1211,6 +1236,7 @@ mod tests {
             .speaker(SpeakerSpec::new("es1", McastGroup(1)))
             .build();
         assert!(sys.speaker(0).is_some());
+        assert!(sys.session(0).is_none(), "a static speaker has no session");
         assert!(sys.speaker(sys.speaker_count()).is_none());
         assert!(sys.session(sys.speaker_count()).is_none());
         assert!(sys.app(1).is_none());

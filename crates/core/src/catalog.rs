@@ -45,7 +45,7 @@ impl CatalogAnnouncer {
             sent: 0,
         });
         let st2 = state.clone();
-        let timer = RepeatingTimer::start_with_phase(
+        RepeatingTimer::start_with_phase(
             sim,
             SimDuration::from_secs(1),
             SimDuration::from_millis(50),
@@ -69,7 +69,6 @@ impl CatalogAnnouncer {
                 );
             },
         );
-        std::mem::forget(timer);
         CatalogAnnouncer { state }
     }
 

@@ -107,10 +107,9 @@ impl HealMonitor {
     pub(crate) fn start(&self, sim: &mut Sim) {
         let phase = self.epoch.min(SimDuration::from_millis(170));
         let mon = self.clone();
-        let timer = RepeatingTimer::start_with_phase(sim, self.epoch, phase, move |s| mon.tick(s));
         // The monitor runs for the life of the simulation, like every
         // other component timer.
-        std::mem::forget(timer);
+        RepeatingTimer::start_with_phase(sim, self.epoch, phase, move |s| mon.tick(s));
     }
 
     /// Lifecycle counters (also exported under `heal/heal0/*` in the

@@ -77,10 +77,9 @@ impl OverrideController {
         });
         // Staleness checker: restore once the announcement stops.
         let c3 = ctl.clone();
-        let timer = RepeatingTimer::start(sim, SimDuration::from_millis(100), move |sim| {
+        RepeatingTimer::start(sim, SimDuration::from_millis(100), move |sim| {
             c3.check_stale(sim);
         });
-        std::mem::forget(timer);
         ctl
     }
 

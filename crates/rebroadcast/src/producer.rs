@@ -121,15 +121,13 @@ impl Rebroadcaster {
         };
         // Periodic control packets (§2.3). They start flowing once the
         // first configuration arrives from the VAD (and, for a standby,
-        // once it has been promoted).
+        // once it has been promoted). The rebroadcaster runs for the
+        // life of the simulation; stopping a stream is modelled by
+        // dropping the whole Sim.
         let rb2 = rb.clone();
-        let _timer = RepeatingTimer::start(sim, control_interval, move |sim| {
+        RepeatingTimer::start(sim, control_interval, move |sim| {
             rb2.send_control(sim);
         });
-        // Intentionally leak the timer handle: the rebroadcaster runs
-        // for the life of the simulation. (Stopping a stream is modelled
-        // by dropping the whole Sim.)
-        std::mem::forget(_timer);
         if !standby {
             rb.arm_reader(sim);
         }

@@ -242,7 +242,7 @@ impl SpeakerSpec {
     pub fn negotiated(name: impl Into<String>, channel: impl Into<String>) -> Self {
         let name = name.into();
         let mut spec = SpeakerSpec::new(name.clone(), McastGroup(0));
-        spec.config.session = Some(SessionClientConfig::new(name, channel));
+        spec.config.session = Some(Box::new(SessionClientConfig::new(name, channel)));
         spec
     }
 

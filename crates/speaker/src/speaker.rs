@@ -99,8 +99,10 @@ pub struct SpeakerConfig {
     /// Join a channel by the session handshake instead of static
     /// wiring: `group` is then the announce group the handshake runs
     /// on, and the speaker tunes to whichever data group it is granted.
-    /// `None` (default) is the paper's statically wired radio.
-    pub session: Option<SessionClientConfig>,
+    /// `None` (default) is the paper's statically wired radio. Boxed,
+    /// like the client it becomes: a fleet's static speakers keep one
+    /// pointer each.
+    pub session: Option<Box<SessionClientConfig>>,
 }
 
 /// The §5.2 auto-volume control period (4 Hz): how often the loop runs
@@ -502,7 +504,7 @@ impl EthernetSpeaker {
         }
         let session = cfg.session.take().map(|ccfg| {
             Box::new(Session {
-                client: SessionClient::new(ccfg),
+                client: SessionClient::new(*ccfg),
                 controls_seen: 0,
             })
         });

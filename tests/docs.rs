@@ -120,6 +120,18 @@ fn no_doc_describes_the_deleted_segment_labels() {
     }
 }
 
+#[test]
+fn no_doc_describes_the_deleted_session_wrapper() {
+    // There is one speaker type: a negotiated speaker is an
+    // `EthernetSpeaker` whose `SpeakerConfig::session` is set.
+    for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        let text = read(doc);
+        for needle in ["NegotiatedSpeaker", "set_session_handler", "Powered::"] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
+    }
+}
+
 /// What a caller of a shim kept only so the frozen `benches/ledger`
 /// builds writes.
 const LEDGER_SHIM_CALLS: [&str; 9] = [

@@ -1017,9 +1017,9 @@ mod tests {
             .speaker(SpeakerSpec::negotiated("es1", "radio"))
             .build();
         sys.run_for(SimDuration::from_secs(6));
-        let ns = sys.session(0).expect("negotiated handle");
-        assert_eq!(ns.phase(), es_proto::ClientPhase::Established);
-        assert!(ns.session_id().is_some());
+        let status = sys.session(0).expect("negotiated");
+        assert_eq!(status.phase(), es_proto::ClientPhase::Established);
+        assert!(status.session_id().is_some());
         let st = sys.speaker(0).unwrap().stats();
         assert!(st.samples_played > 100_000, "{st:?}");
         assert_eq!(st.bad_packets, 0);

@@ -70,10 +70,10 @@ fn main() {
         let st = spk.stats();
         let secs = st.samples_played as f64 / (44_100.0 * 2.0);
         let mode = match sys.session(i) {
-            Some(ns) => format!(
+            Some(session) => format!(
                 "session {} ({:?})",
-                ns.session_id().unwrap_or(0),
-                ns.phase()
+                session.session_id().unwrap_or(0),
+                session.phase()
             ),
             None => "static".into(),
         };

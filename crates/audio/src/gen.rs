@@ -30,7 +30,7 @@ pub trait Signal {
 /// side of a one-speaker run spends its time here (the perf ledger's
 /// `audio.gen_ms_per_audio_s`), and the recurrence is ~20× cheaper.
 /// The phasor is re-derived from the exact phase every
-/// [`Sine::RESYNC`] samples, so rounding drift cannot accumulate over
+/// `Sine::RESYNC` samples, so rounding drift cannot accumulate over
 /// long streams; output is fully deterministic (pure function of the
 /// constructor arguments and sample index).
 #[derive(Debug, Clone)]
@@ -141,7 +141,7 @@ impl Bank {
 /// harmonically rich "music" content for codec experiments.
 ///
 /// The partials are the same phasor recurrence as [`Sine`], advanced a
-/// [`Bank`] at a time over a whole block: the six rotations of a bank
+/// `Bank` at a time over a whole block: the six rotations of a bank
 /// are independent, so they pipeline (and vectorize) where a lone
 /// partial runs one serial multiply-add chain, and the phasors stay in
 /// registers for the length of the block instead of going through

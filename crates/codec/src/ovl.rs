@@ -123,7 +123,7 @@ pub fn band_bits(quality: u8, band: usize) -> Option<u8> {
 
 /// The OVL codec engine. Construction precomputes the MDCT tables and
 /// what each quality index decides per band; reuse one instance across
-/// packets — the window pipeline runs out of a flat [`DecodeArena`]
+/// packets — the window pipeline runs out of a flat `DecodeArena`
 /// that grows once and is reused per packet, so steady-state encode
 /// and decode perform no per-packet allocation beyond the returned
 /// payload/output buffers (which callers can also recycle via

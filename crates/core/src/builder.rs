@@ -774,6 +774,9 @@ struct MetricsHub {
 }
 
 impl MetricsHub {
+    /// Walks every component into one registry and freezes it; the
+    /// registry's map becomes the snapshot, so at no point are there
+    /// two copies of a fleet's metrics.
     fn snapshot(&self) -> MetricsSnapshot {
         let mut reg = Registry::new();
         reg.set_instance("lan0");

@@ -34,7 +34,9 @@ mod metrics;
 
 pub use journal::{Event, Journal, JournalSink, Severity, Stamp, TimeDomain};
 pub use json::{JsonError, JsonValue};
-pub use metrics::{Histogram, Metric, MetricKey, MetricValue, MetricsSnapshot, Registry, Scope};
+pub use metrics::{
+    Histogram, Label, Metric, MetricKey, MetricValue, MetricsSnapshot, Registry, Scope,
+};
 
 /// A component whose statistics can be recorded into a [`Registry`].
 ///

@@ -6,9 +6,21 @@
 //! is chosen by whoever walks the system, and the name is the quantity.
 //! Snapshots export as JSON lines, one metric per line, and parse back
 //! for round-trip tests and offline analysis.
+//!
+//! A 1 000-speaker fleet's snapshot holds ≈ 33k metrics, so it is one
+//! compact copy: a registry interns each distinct key part once as a
+//! [`Label`] (every key of one instance shares one allocation of its
+//! text), a [`Histogram`] stores buckets only up to its highest
+//! non-empty one, and [`Registry::snapshot`] moves the recorded map
+//! into the snapshot instead of copying it.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::{self, Write as _};
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use crate::json::{self, JsonValue};
 
@@ -18,31 +30,40 @@ use crate::json::{self, JsonValue};
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A fixed log-scale (power-of-two bucket) histogram of `u64` samples.
+///
+/// Only the buckets up to the highest non-empty one are stored, so a
+/// histogram of microsecond latencies holds about 20 of the 65. Two
+/// histograms are equal when they hold the same samples per bucket.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Histogram {
     count: u64,
     sum: u64,
-    buckets: Vec<u64>,
+    /// Empty, or ending in a non-zero count.
+    buckets: Box<[u64]>,
 }
 
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        Histogram {
-            count: 0,
-            sum: 0,
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-        }
+        Histogram::default()
     }
 
     /// Records one sample.
     pub fn observe(&mut self, value: u64) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; HISTOGRAM_BUCKETS];
-        }
+        let i = Self::bucket_index(value);
+        self.widen(i + 1);
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-        self.buckets[Self::bucket_index(value)] += 1;
+        self.buckets[i] += 1;
+    }
+
+    /// Makes room for the first `len` buckets.
+    fn widen(&mut self, len: usize) {
+        if self.buckets.len() < len {
+            let mut wider = vec![0; len];
+            wider[..self.buckets.len()].copy_from_slice(&self.buckets);
+            self.buckets = wider.into_boxed_slice();
+        }
     }
 
     /// The bucket a value falls into.
@@ -110,44 +131,149 @@ impl Histogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; HISTOGRAM_BUCKETS];
-        }
+        self.widen(other.buckets.len());
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
-        for (i, c) in other.nonzero_buckets() {
-            self.buckets[i] += c;
+        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *mine += theirs;
         }
     }
+}
+
+/// One part of a [`MetricKey`]: shared, immutable text.
+///
+/// A [`Registry`] interns each distinct part once, so every key of one
+/// instance (and every key with one name) points at one allocation.
+/// Labels compare, order and hash by their text — two labels from
+/// different registries, or parsed back from JSON, behave exactly like
+/// the strings they hold — and compare equal to `&str`.
+#[derive(Clone)]
+pub struct Label(Arc<str>);
+
+impl Label {
+    /// A label holding `text` in an allocation of its own.
+    pub fn new(text: &str) -> Self {
+        Label(Arc::from(text))
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Default for Label {
+    fn default() -> Self {
+        Label::new("")
+    }
+}
+
+impl Deref for Label {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Borrow<str> for Label {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Label) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl Eq for Label {}
+
+impl PartialOrd for Label {
+    fn partial_cmp(&self, other: &Label) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Label {
+    fn cmp(&self, other: &Label) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            Ordering::Equal
+        } else {
+            self.0.cmp(&other.0)
+        }
+    }
+}
+
+impl Hash for Label {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// The one shared [`Label`] for `text` in `labels`, added if new.
+fn intern(labels: &mut BTreeSet<Label>, text: &str) -> Label {
+    if let Some(label) = labels.get(text) {
+        return label.clone();
+    }
+    let label = Label::new(text);
+    labels.insert(label.clone());
+    label
 }
 
 /// The full identity of a metric: `component/instance/name`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricKey {
     /// The subsystem that owns the number (`"net"`, `"speaker"`, …).
-    pub component: String,
+    pub component: Label,
     /// Which replica of the component (speaker name, link id, …).
-    pub instance: String,
+    pub instance: Label,
     /// The quantity itself (`"samples_played"`, …).
-    pub name: String,
+    pub name: Label,
 }
 
 impl MetricKey {
     /// Builds a key from its three parts.
     pub fn new(component: &str, instance: &str, name: &str) -> Self {
         MetricKey {
-            component: component.to_string(),
-            instance: instance.to_string(),
-            name: name.to_string(),
+            component: Label::new(component),
+            instance: Label::new(instance),
+            name: Label::new(name),
         }
     }
 
     /// Parses `component/instance/name` (the name may itself contain
     /// slashes).
     pub fn from_path(path: &str) -> Option<Self> {
-        let mut it = path.splitn(3, '/');
-        Some(MetricKey::new(it.next()?, it.next()?, it.next()?))
+        let (component, instance, name) = split_path(path)?;
+        Some(MetricKey::new(component, instance, name))
     }
+}
+
+/// `component/instance/name` in three parts (the name may itself
+/// contain slashes).
+fn split_path(path: &str) -> Option<(&str, &str, &str)> {
+    let mut it = path.splitn(3, '/');
+    Some((it.next()?, it.next()?, it.next()?))
 }
 
 impl fmt::Display for MetricKey {
@@ -163,8 +289,9 @@ pub enum MetricValue {
     Counter(u64),
     /// A point-in-time measurement; last write wins.
     Gauge(f64),
-    /// A log-scale distribution of samples.
-    Histogram(Histogram),
+    /// A log-scale distribution of samples, boxed so that counters and
+    /// gauges do not pay for its size.
+    Histogram(Box<Histogram>),
 }
 
 impl MetricValue {
@@ -181,15 +308,20 @@ impl MetricValue {
 /// The mutable collection point instrumented code records into.
 #[derive(Debug, Default)]
 pub struct Registry {
-    instance: String,
+    /// Every key part recorded so far, each held once.
+    labels: BTreeSet<Label>,
+    instance: Label,
     metrics: BTreeMap<MetricKey, MetricValue>,
 }
 
 impl Registry {
     /// An empty registry with the default instance label `"0"`.
     pub fn new() -> Self {
+        let mut labels = BTreeSet::new();
+        let instance = intern(&mut labels, "0");
         Registry {
-            instance: "0".to_string(),
+            labels,
+            instance,
             metrics: BTreeMap::new(),
         }
     }
@@ -198,20 +330,17 @@ impl Registry {
     /// metrics. The caller that walks the system knows which replica
     /// it is visiting; the component code does not.
     pub fn set_instance(&mut self, instance: &str) {
-        self.instance = instance.to_string();
+        self.instance = intern(&mut self.labels, instance);
     }
 
     /// Opens a recording scope for one component under the current
     /// instance label.
     pub fn component<'a>(&'a mut self, component: &str) -> Scope<'a> {
+        let component = intern(&mut self.labels, component);
         Scope {
             registry: self,
-            component: component.to_string(),
+            component,
         }
-    }
-
-    fn key(&self, component: &str, name: &str) -> MetricKey {
-        MetricKey::new(component, &self.instance, name)
     }
 
     /// Number of metrics recorded.
@@ -224,16 +353,14 @@ impl Registry {
         self.metrics.is_empty()
     }
 
-    /// Freezes the current contents into an immutable snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    /// Freezes the contents into an immutable snapshot. The recorded
+    /// map moves into it; nothing is copied.
+    pub fn snapshot(self) -> MetricsSnapshot {
         MetricsSnapshot {
             metrics: self
                 .metrics
-                .iter()
-                .map(|(k, v)| Metric {
-                    key: k.clone(),
-                    value: v.clone(),
-                })
+                .into_iter()
+                .map(|(key, value)| Metric { key, value })
                 .collect(),
         }
     }
@@ -242,19 +369,24 @@ impl Registry {
 /// A recording scope: one component, one instance.
 pub struct Scope<'a> {
     registry: &'a mut Registry,
-    component: String,
+    component: Label,
 }
 
 impl Scope<'_> {
+    /// The value stored under `name`, created by `init` if absent.
+    fn slot(&mut self, name: &str, init: impl FnOnce() -> MetricValue) -> &mut MetricValue {
+        let registry = &mut *self.registry;
+        let key = MetricKey {
+            component: self.component.clone(),
+            instance: registry.instance.clone(),
+            name: intern(&mut registry.labels, name),
+        };
+        registry.metrics.entry(key).or_insert_with(init)
+    }
+
     /// Adds to a counter (creating it at zero).
     pub fn counter(&mut self, name: &str, delta: u64) -> &mut Self {
-        let key = self.registry.key(&self.component, name);
-        match self
-            .registry
-            .metrics
-            .entry(key)
-            .or_insert(MetricValue::Counter(0))
-        {
+        match self.slot(name, || MetricValue::Counter(0)) {
             MetricValue::Counter(c) => *c += delta,
             other => *other = MetricValue::Counter(delta),
         }
@@ -263,25 +395,18 @@ impl Scope<'_> {
 
     /// Sets a gauge (last write wins).
     pub fn gauge(&mut self, name: &str, value: f64) -> &mut Self {
-        let key = self.registry.key(&self.component, name);
-        self.registry.metrics.insert(key, MetricValue::Gauge(value));
+        *self.slot(name, || MetricValue::Gauge(value)) = MetricValue::Gauge(value);
         self
     }
 
     /// Records one sample into a histogram (creating it empty).
     pub fn observe(&mut self, name: &str, value: u64) -> &mut Self {
-        let key = self.registry.key(&self.component, name);
-        match self
-            .registry
-            .metrics
-            .entry(key)
-            .or_insert_with(|| MetricValue::Histogram(Histogram::new()))
-        {
+        match self.slot(name, || MetricValue::Histogram(Box::default())) {
             MetricValue::Histogram(h) => h.observe(value),
             other => {
                 let mut h = Histogram::new();
                 h.observe(value);
-                *other = MetricValue::Histogram(h);
+                *other = MetricValue::Histogram(Box::new(h));
             }
         }
         self
@@ -289,15 +414,9 @@ impl Scope<'_> {
 
     /// Merges an externally maintained histogram under `name`.
     pub fn histogram(&mut self, name: &str, hist: &Histogram) -> &mut Self {
-        let key = self.registry.key(&self.component, name);
-        match self
-            .registry
-            .metrics
-            .entry(key)
-            .or_insert_with(|| MetricValue::Histogram(Histogram::new()))
-        {
+        match self.slot(name, || MetricValue::Histogram(Box::default())) {
             MetricValue::Histogram(h) => h.merge(hist),
-            other => *other = MetricValue::Histogram(hist.clone()),
+            other => *other = MetricValue::Histogram(Box::new(hist.clone())),
         }
         self
     }
@@ -334,13 +453,28 @@ impl MetricsSnapshot {
         self.metrics.iter()
     }
 
+    /// The metrics of one component: a contiguous run, since the
+    /// snapshot is key-sorted.
+    fn for_component(&self, component: &str) -> &[Metric] {
+        let start = self
+            .metrics
+            .partition_point(|m| m.key.component.as_str() < component);
+        let len = self.metrics[start..].partition_point(|m| m.key.component == component);
+        &self.metrics[start..start + len]
+    }
+
+    /// The metrics of one component instance, in name order.
+    fn for_instance(&self, component: &str, instance: &str) -> &[Metric] {
+        let metrics = self.for_component(component);
+        let start = metrics.partition_point(|m| m.key.instance.as_str() < instance);
+        let len = metrics[start..].partition_point(|m| m.key.instance == instance);
+        &metrics[start..start + len]
+    }
+
     /// Looks up a metric by `component/instance/name` path.
     pub fn get(&self, path: &str) -> Option<&MetricValue> {
-        let key = MetricKey::from_path(path)?;
-        self.metrics
-            .binary_search_by(|m| m.key.cmp(&key))
-            .ok()
-            .map(|i| &self.metrics[i].value)
+        let (component, instance, name) = split_path(path)?;
+        find(self.for_instance(component, instance), name)
     }
 
     /// A counter's value by path.
@@ -378,9 +512,9 @@ impl MetricsSnapshot {
     /// Sums a counter across every instance of a component — the
     /// fleet-wide total an NMS console would chart.
     pub fn sum_counters(&self, component: &str, name: &str) -> u64 {
-        self.metrics
+        self.for_component(component)
             .iter()
-            .filter(|m| m.key.component == component && m.key.name == name)
+            .filter(|m| m.key.name == name)
             .map(|m| match &m.value {
                 MetricValue::Counter(c) => *c,
                 _ => 0,
@@ -393,8 +527,8 @@ impl MetricsSnapshot {
     /// each epoch.
     pub fn instances(&self, component: &str) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
-        for m in &self.metrics {
-            if m.key.component == component && out.last() != Some(&m.key.instance.as_str()) {
+        for m in self.for_component(component) {
+            if out.last() != Some(&m.key.instance.as_str()) {
                 out.push(&m.key.instance);
             }
         }
@@ -408,15 +542,12 @@ impl MetricsSnapshot {
         component: &'a str,
         instance: &'a str,
     ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.metrics.iter().filter_map(move |m| {
-            if m.key.component != component || m.key.instance != instance {
-                return None;
-            }
-            match &m.value {
+        self.for_instance(component, instance)
+            .iter()
+            .filter_map(|m| match &m.value {
                 MetricValue::Counter(c) => Some((m.key.name.as_str(), *c)),
                 _ => None,
-            }
-        })
+            })
     }
 
     /// Per-counter growth for one component instance since `earlier`,
@@ -430,15 +561,16 @@ impl MetricsSnapshot {
         component: &str,
         instance: &str,
     ) -> Vec<(&'s str, u64)> {
-        self.metrics
+        let before = earlier.for_instance(component, instance);
+        self.for_instance(component, instance)
             .iter()
-            .filter(|m| m.key.component == component && m.key.instance == instance)
             .filter_map(|m| match &m.value {
                 MetricValue::Counter(now) => {
-                    let before = earlier
-                        .counter(&format!("{component}/{instance}/{}", m.key.name))
-                        .unwrap_or(0);
-                    Some((m.key.name.as_str(), now.saturating_sub(before)))
+                    let then = match find(before, &m.key.name) {
+                        Some(MetricValue::Counter(c)) => *c,
+                        _ => 0,
+                    };
+                    Some((m.key.name.as_str(), now.saturating_sub(then)))
                 }
                 _ => None,
             })
@@ -448,9 +580,12 @@ impl MetricsSnapshot {
     /// Serializes to JSON lines, one metric per line, sorted by key.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
+        let mut path = String::new();
         for m in &self.metrics {
+            path.clear();
+            let _ = write!(path, "{}", m.key);
             out.push_str("{\"key\":");
-            json::write_str(&mut out, &m.key.to_string());
+            json::write_str(&mut out, &path);
             out.push_str(",\"type\":\"");
             out.push_str(m.value.kind());
             out.push('"');
@@ -464,13 +599,13 @@ impl MetricsSnapshot {
                     json::write_num(&mut out, *g);
                 }
                 MetricValue::Histogram(h) => {
-                    out.push_str(&format!(",\"count\":{},\"sum\":{}", h.count(), h.sum()));
+                    let _ = write!(out, ",\"count\":{},\"sum\":{}", h.count(), h.sum());
                     out.push_str(",\"buckets\":[");
                     for (n, (i, c)) in h.nonzero_buckets().enumerate() {
                         if n > 0 {
                             out.push(',');
                         }
-                        out.push_str(&format!("[{i},{c}]"));
+                        let _ = write!(out, "[{i},{c}]");
                     }
                     out.push(']');
                 }
@@ -480,8 +615,11 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Parses the output of [`Self::to_json_lines`].
+    /// Parses the output of [`Self::to_json_lines`]. A histogram whose
+    /// buckets repeat an index, or do not add up to its count, is
+    /// rejected.
     pub fn from_json_lines(input: &str) -> Result<Self, crate::JsonError> {
+        let mut labels = BTreeSet::new();
         let mut metrics = Vec::new();
         for line in input.lines() {
             let line = line.trim();
@@ -493,11 +631,16 @@ impl MetricsSnapshot {
                 message: message.to_string(),
                 offset: 0,
             };
-            let key = v
+            let (component, instance, name) = v
                 .get("key")
                 .and_then(JsonValue::as_str)
-                .and_then(MetricKey::from_path)
+                .and_then(split_path)
                 .ok_or_else(|| bad("missing or malformed key"))?;
+            let key = MetricKey {
+                component: intern(&mut labels, component),
+                instance: intern(&mut labels, instance),
+                name: intern(&mut labels, name),
+            };
             let value = match v.get("type").and_then(JsonValue::as_str) {
                 Some("counter") => MetricValue::Counter(
                     v.get("value")
@@ -510,15 +653,17 @@ impl MetricsSnapshot {
                         .ok_or_else(|| bad("gauge needs a numeric value"))?,
                 ),
                 Some("histogram") => {
-                    let mut h = Histogram::new();
-                    h.count = v
+                    let count = v
                         .get("count")
                         .and_then(JsonValue::as_u64)
                         .ok_or_else(|| bad("histogram needs a count"))?;
-                    h.sum = v
+                    let sum = v
                         .get("sum")
                         .and_then(JsonValue::as_u64)
                         .ok_or_else(|| bad("histogram needs a sum"))?;
+                    let mut buckets = [0u64; HISTOGRAM_BUCKETS];
+                    let mut seen = 0u128;
+                    let mut total = 0u64;
                     for pair in v
                         .get("buckets")
                         .and_then(JsonValue::items)
@@ -534,9 +679,24 @@ impl MetricsSnapshot {
                         if i as usize >= HISTOGRAM_BUCKETS {
                             return Err(bad("bucket index out of range"));
                         }
-                        h.buckets[i as usize] = c;
+                        if seen & (1 << i) != 0 {
+                            return Err(bad("bucket index repeated"));
+                        }
+                        seen |= 1 << i;
+                        buckets[i as usize] = c;
+                        total = total
+                            .checked_add(c)
+                            .ok_or_else(|| bad("bucket counts overflow"))?;
                     }
-                    MetricValue::Histogram(h)
+                    if total != count {
+                        return Err(bad("bucket counts do not sum to the count"));
+                    }
+                    let len = buckets.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
+                    MetricValue::Histogram(Box::new(Histogram {
+                        count,
+                        sum,
+                        buckets: buckets[..len].into(),
+                    }))
                 }
                 _ => return Err(bad("unknown metric type")),
             };
@@ -545,6 +705,14 @@ impl MetricsSnapshot {
         metrics.sort_by(|a, b| a.key.cmp(&b.key));
         Ok(MetricsSnapshot { metrics })
     }
+}
+
+/// The value named `name` among one instance's name-sorted metrics.
+fn find<'a>(metrics: &'a [Metric], name: &str) -> Option<&'a MetricValue> {
+    metrics
+        .binary_search_by(|m| m.key.name.as_str().cmp(name))
+        .ok()
+        .map(|i| &metrics[i].value)
 }
 
 #[cfg(test)]
@@ -599,6 +767,18 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.sum(), 906);
         assert_eq!(a.nonzero_buckets().count(), 2);
+    }
+
+    #[test]
+    fn histogram_stores_buckets_up_to_its_highest_sample() {
+        let mut h = Histogram::new();
+        assert!(h.buckets.is_empty());
+        h.observe(5);
+        assert_eq!(h.buckets.len(), 4);
+        h.observe(1);
+        assert_eq!(h.buckets.len(), 4);
+        h.observe(u64::MAX);
+        assert_eq!(h.buckets.len(), HISTOGRAM_BUCKETS);
     }
 
     #[test]
@@ -696,6 +876,30 @@ mod tests {
     }
 
     #[test]
+    fn lookups_agree_with_a_linear_scan() {
+        // Components, instances and names that share prefixes, so a
+        // range boundary off by one shows.
+        let mut r = Registry::new();
+        for instance in ["a", "a0", "b", "ab"] {
+            r.set_instance(instance);
+            for component in ["net", "ne", "speaker"] {
+                r.component(component)
+                    .counter("x", 1)
+                    .counter("xy", 2)
+                    .gauge("x0", 3.0);
+            }
+        }
+        let snap = r.snapshot();
+        for m in snap.iter() {
+            assert_eq!(snap.get(&m.key.to_string()), Some(&m.value));
+        }
+        for path in ["net/a/x/", "net/a", "n/a/x", "net/a0/y", "speaker/c/x"] {
+            assert_eq!(snap.get(path), None, "{path}");
+        }
+        assert_eq!(snap.instances("ne"), vec!["a", "a0", "ab", "b"]);
+    }
+
+    #[test]
     fn snapshot_json_lines_roundtrip() {
         let mut r = Registry::new();
         r.set_instance("lan0");
@@ -722,5 +926,38 @@ mod tests {
         assert!(MetricsSnapshot::from_json_lines("not json").is_err());
         let ok = MetricsSnapshot::from_json_lines("").unwrap();
         assert!(ok.is_empty());
+    }
+
+    fn histogram_line(count: u64, buckets: &str) -> String {
+        format!(
+            "{{\"key\":\"net/lan0/queue_delay_us\",\"type\":\"histogram\",\
+             \"count\":{count},\"sum\":20,\"buckets\":[{buckets}]}}"
+        )
+    }
+
+    #[test]
+    fn a_repeated_bucket_index_is_rejected() {
+        let ok = MetricsSnapshot::from_json_lines(&histogram_line(3, "[2,1],[4,2]")).unwrap();
+        let Some(MetricValue::Histogram(h)) = ok.iter().next().map(|m| &m.value) else {
+            panic!("no histogram in {ok:?}");
+        };
+        assert_eq!(h.nonzero_buckets().collect::<Vec<_>>(), [(2, 1), (4, 2)]);
+        // The second `[4, _]` used to overwrite the first silently.
+        let err = MetricsSnapshot::from_json_lines(&histogram_line(3, "[4,1],[4,2]")).unwrap_err();
+        assert!(err.message.contains("repeated"), "{err:?}");
+    }
+
+    #[test]
+    fn bucket_counts_that_miss_the_count_are_rejected() {
+        // This used to parse, and `quantile(1.0)` then read `u64::MAX`.
+        for count in [1, 5] {
+            let err = MetricsSnapshot::from_json_lines(&histogram_line(count, "[2,1],[4,2]"))
+                .unwrap_err();
+            assert!(err.message.contains("sum"), "{err:?}");
+        }
+        let err =
+            MetricsSnapshot::from_json_lines(&histogram_line(0, "[1,18446744073709551615],[2,1]"))
+                .unwrap_err();
+        assert!(err.message.contains("overflow"), "{err:?}");
     }
 }

@@ -30,6 +30,10 @@ cargo run -q -p es-analyze -- --workspace --json \
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Doc comments are API: a broken or private intra-doc link is an error.
+echo "== cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q

@@ -274,7 +274,7 @@ fn producer_failover_preserves_clock() {
                     es_telemetry::MetricValue::Counter(c) => c,
                     ref other => panic!("samples_played is {}", other.kind()),
                 };
-                (m.key.instance.clone(), count)
+                (m.key.instance.to_string(), count)
             })
             .collect();
         assert!(
@@ -375,7 +375,7 @@ fn samples_played(trace: &Trace) -> Vec<(String, u64)> {
                 es_telemetry::MetricValue::Counter(c) => c,
                 ref other => panic!("samples_played is {}", other.kind()),
             };
-            (m.key.instance.clone(), count)
+            (m.key.instance.to_string(), count)
         })
         .collect();
     assert!(

@@ -48,7 +48,7 @@ fn observe(sys: &es_core::EsSystem) -> (Vec<(String, u64)>, String) {
                 es_telemetry::MetricValue::Counter(c) => c,
                 ref other => panic!("samples_played is {}", other.kind()),
             };
-            (m.key.instance.clone(), count)
+            (m.key.instance.to_string(), count)
         })
         .collect();
     (played, snap.to_json_lines())

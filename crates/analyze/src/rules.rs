@@ -108,11 +108,11 @@ pub fn is_registered(id: &str) -> bool {
 }
 
 /// Files where reading the wall clock is the *point*: the live
-/// producer paces real playback against it, and the bench harness
+/// producer paces real playback against it, and the perf ledger
 /// measures it. Everything else simulates time (paper §3.2) and must
 /// not look at the host clock.
 fn wall_clock_allowlisted(file: &SourceFile) -> bool {
-    file.krate == "bench" || file.role == Role::Bench || file.rel == "crates/core/src/live.rs"
+    file.role == Role::Bench || file.rel == "crates/core/src/live.rs"
 }
 
 fn wall_clock(ctx: &FileCtx<'_>) -> Vec<RawFinding> {
@@ -524,9 +524,12 @@ mod tests {
             run_on("crates/net/src/lan.rs", src),
             vec![("wall-clock".to_string(), 1)]
         );
-        assert!(run_on("crates/bench/src/calib.rs", src).is_empty());
         assert!(run_on("crates/core/src/live.rs", src).is_empty());
-        assert!(run_on("crates/bench/benches/fig4_cpu_load.rs", src).is_empty());
+        assert!(run_on("benches/ledger/src/probes.rs", src).is_empty());
+        assert_eq!(
+            run_on("tests/paper/auth_exp.rs", src),
+            vec![("wall-clock".to_string(), 1)]
+        );
     }
 
     #[test]

@@ -128,8 +128,8 @@ mod tests {
         assert_eq!(f.krate, "net");
         assert_eq!(f.role, Role::Lib);
 
-        let f = attr("crates/bench/benches/fig4_cpu_load.rs");
-        assert_eq!(f.krate, "bench");
+        let f = attr("benches/ledger/src/probes.rs");
+        assert_eq!(f.krate, "root");
         assert_eq!(f.role, Role::Bench);
 
         let f = attr("compat/rand/src/lib.rs");

@@ -116,7 +116,7 @@ pub struct Encoded {
     /// The payload bytes.
     pub bytes: Vec<u8>,
     /// Abstract CPU work performed (multiply-accumulate scale; see the
-    /// Figure 4 calibration in `es-bench`).
+    /// Figure 4 calibration in `tests/paper/calib.rs`).
     pub work_units: u64,
 }
 

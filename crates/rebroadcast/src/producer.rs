@@ -409,7 +409,7 @@ impl Rebroadcaster {
 /// arithmetic of the FFT-based codec the paper used. Figure 4 implies
 /// one Vorbis CD stream costs ≈ 11% of the 233 MHz Geode
 /// (≈ 26 M cycles/s), so each OVL work unit is billed 26 M / 126 M ≈
-/// 0.21 cycles. `es-bench::calib` documents the derivation.
+/// 0.21 cycles. `tests/paper/calib.rs` documents the derivation.
 pub fn work_to_cycles(work_units: u64) -> u64 {
     work_units * 21 / 100
 }

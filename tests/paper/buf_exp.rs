@@ -24,13 +24,10 @@ use es_sim::{shared, SimCpu, SimDuration, SimTime};
 use crate::calib;
 
 /// Result of one block-size point.
+#[derive(Debug)]
 pub struct BufRun {
-    /// Producer block size in milliseconds of audio.
-    pub block_ms: u64,
     /// Fraction of audio bytes lost (overflow at the device ring).
     pub loss_fraction: f64,
-    /// Device underruns (each one an audible gap).
-    pub underruns: u64,
     /// Mean decode latency contribution per packet, in ms.
     pub decode_ms_per_packet: f64,
 }
@@ -65,7 +62,6 @@ pub fn run(block_ms: u64, seconds: u64, seed: u64) -> BufRun {
     sys.run_until(SimTime::from_secs(seconds));
     let spk = sys.speaker(0).expect("speaker");
     let st = spk.stats();
-    let dev = spk.device().stats();
     let total_in = st.samples_played * 2 + st.dropped_overflow_bytes;
     let loss_fraction = if total_in == 0 {
         0.0
@@ -78,16 +74,17 @@ pub fn run(block_ms: u64, seconds: u64, seed: u64) -> BufRun {
         cycles as f64 / calib::GEODE_HZ as f64 * 1_000.0 / packets as f64
     };
     BufRun {
-        block_ms,
         loss_fraction,
-        underruns: dev.underruns,
         decode_ms_per_packet: decode_ms,
     }
 }
 
-/// The full sweep the EXPERIMENTS table reports.
+/// The producer block sizes of the sweep, in milliseconds.
+pub const SWEEP_BLOCK_MS: [u64; 5] = [25, 50, 100, 250, 500];
+
+/// One run per [`SWEEP_BLOCK_MS`] entry, in that order.
 pub fn sweep(seconds: u64, seed: u64) -> Vec<BufRun> {
-    [25u64, 50, 100, 250, 500]
+    SWEEP_BLOCK_MS
         .iter()
         .map(|&b| run(b, seconds, seed))
         .collect()
@@ -101,6 +98,7 @@ mod tests {
     fn small_blocks_flow_large_blocks_skip() {
         let small = run(50, 8, 1);
         let large = run(500, 8, 1);
+        println!("50 ms, seed 1, 8 s: {small:?}\n500 ms, seed 1, 8 s: {large:?}");
         assert!(
             small.loss_fraction < 0.01,
             "50 ms blocks must play cleanly: lost {}",
@@ -117,6 +115,9 @@ mod tests {
     #[test]
     fn loss_grows_monotonically_past_the_ring() {
         let sweep = sweep(6, 2);
+        for (ms, r) in SWEEP_BLOCK_MS.iter().zip(&sweep) {
+            println!("{ms} ms, seed 2, 6 s: {r:?}");
+        }
         // Blocks under the ring budget (93 ms) are clean; above it the
         // loss fraction grows with block size.
         assert!(

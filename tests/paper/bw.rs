@@ -15,18 +15,14 @@
 //! shows why low-rate streams stay uncompressed.
 
 use es_audio::AudioConfig;
-use es_codec::CodecId;
 use es_core::{ChannelSpec, Source, SpeakerSpec, SystemBuilder};
 use es_net::{LanConfig, McastGroup};
 use es_rebroadcast::CompressionPolicy;
 use es_sim::{SimDuration, SimTime};
 
 /// One measured policy row.
+#[derive(Debug)]
 pub struct BwRow {
-    /// Row label.
-    pub label: String,
-    /// Stream configuration used.
-    pub config: AudioConfig,
     /// Payload bits per second (audio after encoding).
     pub payload_bps: f64,
     /// Wire bits per second (payload + packet + frame overhead).
@@ -35,9 +31,6 @@ pub struct BwRow {
     pub share_of_10mbps: f64,
     /// Encoder work units per second (the CPU side of the trade).
     pub encode_work_per_sec: f64,
-    /// Mean output SNR at the speaker versus PCM reference, in dB
-    /// (`None` for the reference itself).
-    pub snr_db: Option<f64>,
 }
 
 /// Runs one policy for `seconds` and measures the wire.
@@ -56,7 +49,7 @@ pub fn run_policy(
     let mut sys = SystemBuilder::new(seed)
         .lan(LanConfig::default())
         .channel(spec)
-        .speaker(SpeakerSpec::new("probe", McastGroup(1)).capture_output())
+        .speaker(SpeakerSpec::new("probe", McastGroup(1)))
         .build();
     let until = SimTime::from_secs(seconds);
     sys.run_until(until);
@@ -64,104 +57,13 @@ pub fn run_policy(
     let lan = sys.lan().stats();
     let rb = sys.rebroadcaster(0).stats();
     let elapsed = seconds as f64;
-    let payload_bps = rb.payload_bytes_out as f64 * 8.0 / elapsed;
     let wire_bps = lan.wire_bytes_sent as f64 * 8.0 / elapsed;
-    let spk = sys.speaker(0).expect("probe speaker");
-    let played = spk.tap().borrow().samples();
-    let played = played.expect("SpeakerSpec::capture_output()");
-    // SNR against what the source generated: compare against a fresh
-    // reference rendering of the same deterministic source.
-    let mut reference = es_audio::gen::MultiTone::music(config.sample_rate);
-    let ref_samples = es_audio::gen::render_interleaved(
-        &mut reference,
-        config.channels,
-        played.len() / config.channels as usize,
-    );
-    // Skip the leading playout-delay region (zeros/partial block).
-    let skip = (config.sample_rate as usize / 10) * config.channels as usize;
-    let snr_db = if played.len() > skip * 2 {
-        let lag = es_audio::analysis::correlation_lag(
-            &ref_samples[skip..(skip + 20_000).min(ref_samples.len())],
-            &played[skip..(skip + 20_000).min(played.len())],
-            4_000,
-        );
-        lag.and_then(|l| {
-            let (a, b) = if l >= 0 {
-                (&ref_samples[skip..], &played[skip + l as usize..])
-            } else {
-                (&ref_samples[skip + (-l) as usize..], &played[skip..])
-            };
-            es_audio::analysis::snr_db(a, b)
-        })
-    } else {
-        None
-    };
     BwRow {
-        label: label.to_string(),
-        config,
-        payload_bps,
+        payload_bps: rb.payload_bytes_out as f64 * 8.0 / elapsed,
         wire_bps,
         share_of_10mbps: wire_bps / 10_000_000.0,
         encode_work_per_sec: rb.encode_work_units as f64 / elapsed,
-        snr_db,
     }
-}
-
-/// The full E-BW sweep.
-pub fn run_sweep(seconds: u64, seed: u64) -> Vec<BwRow> {
-    vec![
-        run_policy(
-            "cd/pcm (early system)",
-            AudioConfig::CD,
-            CompressionPolicy::Never,
-            seconds,
-            seed,
-        ),
-        run_policy(
-            "cd/ulaw",
-            AudioConfig::CD,
-            CompressionPolicy::Always {
-                codec: CodecId::ULaw,
-                quality: 0,
-            },
-            seconds,
-            seed,
-        ),
-        run_policy(
-            "cd/adpcm",
-            AudioConfig::CD,
-            CompressionPolicy::Always {
-                codec: CodecId::Adpcm,
-                quality: 0,
-            },
-            seconds,
-            seed,
-        ),
-        run_policy(
-            "cd/ovl-q10 (paper)",
-            AudioConfig::CD,
-            CompressionPolicy::paper_default(),
-            seconds,
-            seed,
-        ),
-        run_policy(
-            "cd/ovl-q5",
-            AudioConfig::CD,
-            CompressionPolicy::Always {
-                codec: CodecId::Ovl,
-                quality: 5,
-            },
-            seconds,
-            seed,
-        ),
-        run_policy(
-            "phone/pcm (low-rate rule)",
-            AudioConfig::PHONE,
-            CompressionPolicy::paper_default(),
-            seconds,
-            seed,
-        ),
-    ]
 }
 
 #[cfg(test)]
@@ -171,6 +73,7 @@ mod tests {
     #[test]
     fn raw_cd_is_about_1_3_mbps() {
         let row = run_policy("cd/pcm", AudioConfig::CD, CompressionPolicy::Never, 5, 1);
+        println!("cd/pcm, seed 1, 5 s: {row:?}");
         // Payload: exactly the PCM rate.
         assert!(
             (row.payload_bps - 1_411_200.0).abs() < 30_000.0,
@@ -194,6 +97,7 @@ mod tests {
             5,
             2,
         );
+        println!("cd/pcm, seed 2, 5 s: {pcm:?}\ncd/ovl-q10, seed 2, 5 s: {ovl:?}");
         assert!(
             ovl.wire_bps < pcm.wire_bps / 2.0,
             "ovl {} vs pcm {}",
@@ -212,6 +116,7 @@ mod tests {
             5,
             3,
         );
+        println!("phone/pcm, seed 3, 5 s: {row:?}");
         // 64 kbps payload plus overhead.
         assert!(
             (row.payload_bps - 64_000.0).abs() < 4_000.0,

@@ -75,9 +75,6 @@ pub const DAEMON_BURST: SimDuration = SimDuration::from_micros(40);
 /// the module docs for the derivation from the paper's means).
 pub const KTHREAD_POLL: SimDuration = SimDuration::from_millis(122);
 
-/// Alias kept for readability at call sites.
-pub const USERLEVEL_POLL: SimDuration = KTHREAD_POLL;
-
 /// CPU burst for a kernel-thread drain pass.
 pub const KTHREAD_BURST: SimDuration = SimDuration::from_micros(60);
 
@@ -87,11 +84,8 @@ pub const READER_BURST: SimDuration = SimDuration::from_micros(120);
 /// CPU burst for the audio application's unblocked `write(2)`.
 pub const APP_BURST: SimDuration = SimDuration::from_micros(80);
 
-/// Duration of each Figure 4/5 run (the paper plots 60 s).
-pub const RUN_SECONDS: u64 = 60;
-
-/// Measurement window: skip the first second (pipeline warm-up), take
-/// the next [`RUN_SECONDS`].
+/// Measurement window: skip the first second (pipeline warm-up), then
+/// take the run's seconds.
 pub const WARMUP: SimDuration = SimDuration::from_secs(1);
 
 #[cfg(test)]
@@ -107,7 +101,7 @@ mod tests {
         let kt = 4.2 + 3.0 * (1000.0 / KTHREAD_POLL.as_millis() as f64);
         assert!((kt - 28.7).abs() < 0.8, "kthread mean model: {kt}");
         // User-level: 4 switches per drain cycle (+ reader).
-        let ul = 4.2 + 4.0 * (1000.0 / USERLEVEL_POLL.as_millis() as f64);
+        let ul = 4.2 + 4.0 * (1000.0 / KTHREAD_POLL.as_millis() as f64);
         assert!((ul - 37.2).abs() < 0.8, "user-level mean model: {ul}");
     }
 

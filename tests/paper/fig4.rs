@@ -18,35 +18,22 @@ use es_sim::{shared, SimCpu, SimDuration, SimTime, TimeSeries};
 use crate::calib;
 
 /// Result of one Figure 4 run.
+#[derive(Debug)]
 pub struct Fig4Run {
-    /// Stream count.
-    pub streams: usize,
     /// Transform cost accounting the run billed.
     pub cost_model: CostModel,
     /// Userland CPU % per second.
     pub series: TimeSeries,
     /// Mean over the measurement window.
     pub mean: f64,
-    /// Maximum over the measurement window.
-    pub max: f64,
 }
 
 /// Runs the Figure 4 workload with `streams` CD channels for
-/// `seconds`, billing the paper's direct O(N²) transform cost — the
-/// accounting the `es-bench::calib` constants are calibrated against.
-pub fn run(streams: usize, seconds: u64, seed: u64) -> Fig4Run {
-    run_with_cost_model(streams, seconds, seed, CostModel::Direct)
-}
-
-/// [`run`] with an explicit cost accounting: [`CostModel::Direct`]
-/// reproduces the paper's load figures, [`CostModel::Fft`] shows what
+/// `seconds`. [`CostModel::Direct`] bills the paper's O(N²) transform,
+/// the accounting the `calib` constants are calibrated against, and
+/// reproduces the paper's load figures; [`CostModel::Fft`] shows what
 /// the same workload costs on the O(N log N) fast path.
-pub fn run_with_cost_model(
-    streams: usize,
-    seconds: u64,
-    seed: u64,
-    cost_model: CostModel,
-) -> Fig4Run {
+pub fn run(streams: usize, seconds: u64, seed: u64, cost_model: CostModel) -> Fig4Run {
     let cpu = shared(SimCpu::new(calib::GEODE_HZ, SimDuration::from_secs(1)));
     let mut builder = SystemBuilder::new(seed);
     for i in 0..streams {
@@ -73,21 +60,14 @@ pub fn run_with_cost_model(
     // Snapshot the CPU accounting (producer pipelines keep clones of
     // the handle alive inside the simulation).
     let cpu = cpu.borrow().clone();
-    let label = match cost_model {
-        CostModel::Direct => format!("{streams} streams (direct)"),
-        CostModel::Fft => format!("{streams} streams (fft)"),
-    };
     let series = cpu
-        .utilization_series(label, until)
+        .utilization_series(format!("{streams} streams ({cost_model:?})"), until)
         .window(SimTime::ZERO + calib::WARMUP, until);
     let mean = series.mean().unwrap_or(0.0);
-    let max = series.max().unwrap_or(0.0);
     Fig4Run {
-        streams,
         cost_model,
         series,
         mean,
-        max,
     }
 }
 
@@ -97,8 +77,9 @@ mod tests {
 
     #[test]
     fn eight_streams_cost_about_twice_four() {
-        let four = run(4, 10, 1);
-        let eight = run(8, 10, 1);
+        let four = run(4, 10, 1, CostModel::Direct);
+        let eight = run(8, 10, 1, CostModel::Direct);
+        println!("seed 1, 10 s: {four:?}\nseed 1, 10 s: {eight:?}");
         assert!(four.mean > 25.0, "4 streams mean {}", four.mean);
         assert!(four.mean < 70.0, "4 streams mean {}", four.mean);
         assert!(
@@ -115,7 +96,8 @@ mod tests {
 
     #[test]
     fn one_stream_is_cheap() {
-        let one = run(1, 6, 2);
+        let one = run(1, 6, 2, CostModel::Direct);
+        println!("seed 2, 6 s: {one:?}");
         assert!(
             (5.0..25.0).contains(&one.mean),
             "one stream should sit near 11%: {}",
@@ -125,8 +107,9 @@ mod tests {
 
     #[test]
     fn fft_cost_model_is_far_cheaper_than_direct() {
-        let direct = run(4, 6, 3);
-        let fft = run_with_cost_model(4, 6, 3, CostModel::Fft);
+        let direct = run(4, 6, 3, CostModel::Direct);
+        let fft = run(4, 6, 3, CostModel::Fft);
+        println!("seed 3, 6 s: {direct:?}\nseed 3, 6 s: {fft:?}");
         assert_eq!(direct.cost_model, CostModel::Direct);
         assert!(
             fft.mean < direct.mean / 5.0,

@@ -17,7 +17,7 @@ use es_audio::AudioConfig;
 use es_rebroadcast::{AppPacing, AudioApp};
 use es_sim::sched::{poisson_source, shared_sched, TaskKind};
 use es_sim::{Sim, SimDuration, SimTime, TimeSeries};
-use es_vad::{vad_pair_with_geometry, MasterItem, VadMaster, VadMode};
+use es_vad::{vad_pair_with_geometry, VadMaster, VadMode};
 
 use crate::calib;
 
@@ -44,9 +44,8 @@ impl Fig5Config {
 }
 
 /// Result of one Figure 5 run.
+#[derive(Debug)]
 pub struct Fig5Run {
-    /// Which configuration ran.
-    pub config: Fig5Config,
     /// Context switches per vmstat interval.
     pub series: TimeSeries,
     /// Mean over the measurement window.
@@ -73,10 +72,7 @@ pub fn run(config: Fig5Config, seconds: u64, seed: u64) -> Fig5Run {
     );
 
     if config != Fig5Config::Unloaded {
-        let poll = match config {
-            Fig5Config::KernelVad => calib::KTHREAD_POLL,
-            _ => calib::USERLEVEL_POLL,
-        };
+        let poll = calib::KTHREAD_POLL;
         // Ring must absorb one poll period of CD audio so the writer
         // blocks exactly once per drain cycle.
         let ring = (AudioConfig::CD.bytes_per_second() as usize * poll.as_millis() as usize
@@ -146,18 +142,12 @@ pub fn run(config: Fig5Config, seconds: u64, seed: u64) -> Fig5Run {
         .finish(until)
         .window(SimTime::ZERO + calib::WARMUP, until);
     let mean = series.mean().unwrap_or(0.0);
-    let mut series = series;
-    let relabeled = {
-        let mut t = TimeSeries::new(config.label());
-        for &(at, v) in series.samples() {
-            t.push(at, v);
-        }
-        t
-    };
-    series = relabeled;
+    let mut relabeled = TimeSeries::new(config.label());
+    for &(at, v) in series.samples() {
+        relabeled.push(at, v);
+    }
     Fig5Run {
-        config,
-        series,
+        series: relabeled,
         mean,
     }
 }
@@ -189,7 +179,6 @@ fn drain_master_forever(
         });
     }
     arm(master.clone());
-    let _ = MasterItem::Config(AudioConfig::CD); // (type anchor for docs)
 }
 
 #[cfg(test)]
@@ -201,6 +190,9 @@ mod tests {
         let unloaded = run(Fig5Config::Unloaded, 60, 5);
         let kernel = run(Fig5Config::KernelVad, 60, 5);
         let user = run(Fig5Config::UserVad, 60, 5);
+        for r in [&unloaded, &kernel, &user] {
+            println!("seed 5, 60 s: {r:?}");
+        }
         assert!(
             (3.0..6.0).contains(&unloaded.mean),
             "unloaded mean {} (paper: 4.2)",

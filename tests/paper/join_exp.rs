@@ -15,9 +15,8 @@ use es_speaker::{EthernetSpeaker, SpeakerConfig};
 use es_vad::{vad_pair, VadMode};
 
 /// One control-interval point.
+#[derive(Debug)]
 pub struct JoinRun {
-    /// Control interval in milliseconds.
-    pub control_interval_ms: u64,
     /// Mean join latency (power-on to first sample written), seconds.
     pub mean_join_s: f64,
     /// Worst observed join latency, seconds.
@@ -81,7 +80,6 @@ pub fn run(control_interval_ms: u64, joins: usize, seed: u64) -> JoinRun {
     let stats = rb.stats();
     let total_packets = stats.data_packets + stats.control_packets;
     JoinRun {
-        control_interval_ms,
         mean_join_s: mean,
         max_join_s: max,
         joins: lat.len(),
@@ -109,14 +107,6 @@ fn poll_first_output(
     });
 }
 
-/// The sweep the EXPERIMENTS table reports.
-pub fn sweep(joins: usize, seed: u64) -> Vec<JoinRun> {
-    [100u64, 250, 500, 1_000, 2_000]
-        .iter()
-        .map(|&ms| run(ms, joins, seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +115,7 @@ mod tests {
     fn join_latency_tracks_control_interval() {
         let fast = run(100, 6, 1);
         let slow = run(2_000, 6, 1);
+        println!("100 ms, 6 joins, seed 1: {fast:?}\n2000 ms, 6 joins, seed 1: {slow:?}");
         assert_eq!(fast.joins, 6);
         assert_eq!(slow.joins, 6);
         // Expected join latency ≈ half the interval + playout delay
@@ -147,6 +138,7 @@ mod tests {
     #[test]
     fn worst_case_is_bounded_by_interval_plus_playout() {
         let r = run(500, 8, 2);
+        println!("500 ms, 8 joins, seed 2: {r:?}");
         assert!(
             r.max_join_s < 0.5 + 0.2 + 0.3,
             "max join {}s exceeds interval + playout + slack",

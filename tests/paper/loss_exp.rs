@@ -23,9 +23,8 @@ pub fn expected_datagram_loss(p: f64) -> f64 {
 }
 
 /// One loss-rate point.
+#[derive(Debug)]
 pub struct LossRun {
-    /// Injected per-wire-frame loss probability.
-    pub loss_prob: f64,
     /// Fraction of data packets that did not arrive.
     pub packet_loss_measured: f64,
     /// Fraction of played samples that are exact zeros (inserted
@@ -35,26 +34,11 @@ pub struct LossRun {
     pub underruns: u64,
 }
 
-/// Runs one loss point for `seconds`.
-pub fn run(loss_prob: f64, seconds: u64, seed: u64) -> LossRun {
-    run_with_plc(loss_prob, seconds, seed, false)
-}
-
-/// Like [`run`], optionally with the speaker's packet-loss concealment
-/// (the ablation beyond the paper).
-pub fn run_with_plc(loss_prob: f64, seconds: u64, seed: u64, plc: bool) -> LossRun {
-    run_configured(loss_prob, seconds, seed, plc, None)
-}
-
-/// Full ablation entry: PLC and/or XOR-parity FEC (one parity packet
-/// per `fec_group` data packets).
-pub fn run_configured(
-    loss_prob: f64,
-    seconds: u64,
-    seed: u64,
-    plc: bool,
-    fec_group: Option<u8>,
-) -> LossRun {
+/// Runs one loss point for `seconds`. The paper's speaker has
+/// `plc == false` and `fec_group == None`; the ablation beyond the
+/// paper turns on the speaker's packet-loss concealment and/or
+/// XOR-parity FEC (one parity packet per `fec_group` data packets).
+pub fn run(loss_prob: f64, seconds: u64, seed: u64, plc: bool, fec_group: Option<u8>) -> LossRun {
     let group = McastGroup(1);
     let mut spec = ChannelSpec::new(1, group, "stream")
         // Full-scale noise: every genuine sample is almost surely
@@ -94,19 +78,10 @@ pub fn run_configured(
     let skip = played.len().min(44_100);
     let body = &played[skip..];
     LossRun {
-        loss_prob,
         packet_loss_measured,
         silence_fraction: es_audio::analysis::zero_fraction(body),
         underruns: spk.device().stats().underruns,
     }
-}
-
-/// The sweep the EXPERIMENTS table reports.
-pub fn sweep(seconds: u64, seed: u64) -> Vec<LossRun> {
-    [0.0, 0.001, 0.01, 0.03, 0.05]
-        .iter()
-        .map(|&p| run(p, seconds, seed))
-        .collect()
 }
 
 #[cfg(test)]
@@ -115,7 +90,8 @@ mod tests {
 
     #[test]
     fn clean_lan_plays_clean_audio() {
-        let r = run(0.0, 8, 1);
+        let r = run(0.0, 8, 1, false, None);
+        println!("0% frame loss, seed 1, 8 s: {r:?}");
         assert!(r.packet_loss_measured.abs() < 0.01);
         assert!(
             r.silence_fraction < 0.02,
@@ -126,8 +102,9 @@ mod tests {
 
     #[test]
     fn loss_costs_proportional_silence() {
-        let small = run(0.01, 8, 2);
-        let big = run(0.05, 8, 2);
+        let small = run(0.01, 8, 2, false, None);
+        let big = run(0.05, 8, 2, false, None);
+        println!("1% frame loss, seed 2, 8 s: {small:?}\n5% frame loss, seed 2, 8 s: {big:?}");
         // Measured datagram loss tracks the fragmentation-compounded
         // expectation (7 wire frames per PCM datagram).
         let exp_small = expected_datagram_loss(0.01);
@@ -154,8 +131,9 @@ mod tests {
 
     #[test]
     fn fec_recovers_single_losses() {
-        let plain = run_configured(0.01, 8, 5, false, None);
-        let fec = run_configured(0.01, 8, 5, false, Some(4));
+        let plain = run(0.01, 8, 5, false, None);
+        let fec = run(0.01, 8, 5, false, Some(4));
+        println!("1% frame loss, seed 5, 8 s: {plain:?}\nsame with FEC 4+1: {fec:?}");
         assert!(
             fec.silence_fraction < plain.silence_fraction * 0.5,
             "FEC should repair most single losses: {} vs {}",
@@ -166,14 +144,36 @@ mod tests {
 
     #[test]
     fn concealment_reduces_silence() {
-        let plain = run_with_plc(0.03, 8, 4, false);
-        let plc = run_with_plc(0.03, 8, 4, true);
+        let plain = run(0.03, 8, 4, false, None);
+        let plc = run(0.03, 8, 4, true, None);
+        println!("3% frame loss, seed 4, 8 s: {plain:?}\nsame with PLC: {plc:?}");
         assert!(
             plc.silence_fraction < plain.silence_fraction * 0.6,
             "PLC should fill most gaps: {} vs {}",
             plc.silence_fraction,
             plain.silence_fraction
         );
+    }
+
+    #[test]
+    fn silence_tracks_datagram_loss() {
+        // A lost datagram costs its own 50 ms of samples and nothing
+        // more: no error propagation, at any loss rate.
+        for p in [0.0, 0.001, 0.01, 0.03, 0.05] {
+            let r = run(p, 20, 21, false, None);
+            let expected = expected_datagram_loss(p);
+            println!(
+                "{}% frame loss, seed 21, 20 s, {expected:.3} expected: {r:?}",
+                p * 100.0
+            );
+            assert!(
+                (r.silence_fraction - r.packet_loss_measured).abs() < 0.02,
+                "{}% frame loss: {} silence for {} datagram loss",
+                p * 100.0,
+                r.silence_fraction,
+                r.packet_loss_measured
+            );
+        }
     }
 
     #[test]

@@ -16,13 +16,10 @@ use es_rebroadcast::CompressionPolicy;
 use es_sim::{SimDuration, SimTime};
 
 /// Result of the staggered-join sync measurement.
+#[derive(Debug)]
 pub struct SyncRun {
-    /// Start times of the speakers (seconds).
-    pub start_times: Vec<f64>,
     /// Pairwise playback offsets versus speaker 0, in milliseconds.
     pub offsets_ms: Vec<f64>,
-    /// The largest offset.
-    pub max_offset_ms: f64,
 }
 
 /// Staggered-join playback offsets across `n` speakers.
@@ -33,10 +30,8 @@ pub fn run_staggered(n: usize, seed: u64) -> SyncRun {
         .policy(CompressionPolicy::Never)
         .duration(SimDuration::from_secs(14));
     let mut builder = SystemBuilder::new(seed).channel(spec);
-    let mut start_times = Vec::new();
     for i in 0..n {
         let at = SimDuration::from_millis(1_300 * i as u64);
-        start_times.push(at.as_secs_f64());
         // The offsets are cross-correlations of what each DAC played.
         let spec = SpeakerSpec::new(format!("es{i}"), group).starting_at(at);
         builder = builder.speaker(spec.capture_output());
@@ -51,24 +46,16 @@ pub fn run_staggered(n: usize, seed: u64) -> SyncRun {
             .unwrap_or(f64::NAN);
         offsets_ms.push(off);
     }
-    let max_offset_ms = offsets_ms.iter().cloned().fold(0.0, f64::max);
-    SyncRun {
-        start_times,
-        offsets_ms,
-        max_offset_ms,
-    }
+    SyncRun { offsets_ms }
 }
 
-/// Result of the epsilon sweep.
+/// Result of one epsilon point.
+#[derive(Debug)]
 pub struct EpsilonRun {
-    /// Epsilon in milliseconds.
-    pub epsilon_ms: u64,
     /// Packets discarded as late over the run.
     pub dropped_late: u64,
     /// Fraction of packets discarded.
     pub drop_fraction: f64,
-    /// Device underruns (audible skips).
-    pub underruns: u64,
 }
 
 /// Runs a jittery LAN against a given epsilon.
@@ -88,16 +75,13 @@ pub fn run_epsilon(epsilon_ms: u64, seed: u64) -> EpsilonRun {
     sys.run_until(SimTime::from_secs(11));
     let st = sys.speaker(0).expect("speaker").stats();
     let total = st.data_packets + st.dropped_late;
-    let dev = sys.speaker(0).unwrap().device().stats();
     EpsilonRun {
-        epsilon_ms,
         dropped_late: st.dropped_late,
         drop_fraction: if total == 0 {
             0.0
         } else {
             st.dropped_late as f64 / total as f64
         },
-        underruns: dev.underruns,
     }
 }
 
@@ -108,6 +92,7 @@ mod tests {
     #[test]
     fn staggered_speakers_converge_below_audibility() {
         let r = run_staggered(3, 7);
+        println!("3 speakers joined 1.3 s apart, seed 7: {r:?}");
         assert_eq!(r.offsets_ms.len(), 2);
         for (i, off) in r.offsets_ms.iter().enumerate() {
             assert!(off.is_finite(), "offset {i} did not lock");
@@ -123,6 +108,7 @@ mod tests {
     fn zero_epsilon_throws_data_away_with_jitter() {
         let tight = run_epsilon(0, 3);
         let leeway = run_epsilon(20, 3);
+        println!("epsilon 0 ms, seed 3: {tight:?}\nepsilon 20 ms, seed 3: {leeway:?}");
         assert!(
             tight.dropped_late > leeway.dropped_late * 3,
             "eps=0 dropped {} vs eps=20ms dropped {}",

@@ -1,10 +1,10 @@
 //! Docs ⇔ code: every `--test paper <name>` the prose tells a reader
 //! to run names a test in `tests/paper/`, every experiment section of
-//! EXPERIMENTS.md has one, nothing points at the removed bench harness,
-//! the perf baselines the ledger replaced or the relay re-stamping that
-//! was deleted, DESIGN.md §8 lists exactly
-//! the checks es-analyze registers, and §10 exactly the counters the
-//! healing plane exports.
+//! EXPERIMENTS.md has one and documents every module there, nothing
+//! points at the removed bench harness, the perf baselines the ledger
+//! replaced or the relay re-stamping that was deleted, DESIGN.md §8
+//! lists exactly the checks es-analyze registers, and §10 exactly the
+//! counters the healing plane exports.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -28,24 +28,43 @@ fn read(rel: &str) -> String {
     std::fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
 }
 
-/// The name of every `fn` in `tests/paper/`.
-fn paper_fns() -> BTreeSet<String> {
+/// The test fns of each module in `tests/paper/`, by file name.
+fn paper_modules() -> Vec<(String, BTreeSet<String>)> {
     let mut files = Vec::new();
     rust_files(&root().join("tests/paper"), &mut files);
-    let mut out = BTreeSet::new();
-    for path in files {
-        let text = std::fs::read_to_string(&path).expect("readable source");
-        for line in text.lines() {
-            if let Some((name, _)) = line
-                .trim_start()
+    files
+        .iter()
+        .filter(|path| !path.ends_with("main.rs"))
+        .map(|path| {
+            let file = path
+                .file_name()
+                .expect("a file")
+                .to_string_lossy()
+                .into_owned();
+            (file, fns_in(path))
+        })
+        .collect()
+}
+
+/// The name of every `fn` in the source file at `path`.
+fn fns_in(path: &Path) -> BTreeSet<String> {
+    let text = std::fs::read_to_string(path).expect("readable source");
+    text.lines()
+        .filter_map(|line| {
+            line.trim_start()
                 .strip_prefix("fn ")
                 .and_then(|r| r.split_once('('))
-            {
-                out.insert(name.to_string());
-            }
-        }
-    }
-    out
+                .map(|(name, _)| name.to_string())
+        })
+        .collect()
+}
+
+/// The name of every `fn` in `tests/paper/`.
+fn paper_fns() -> BTreeSet<String> {
+    paper_modules()
+        .into_iter()
+        .flat_map(|(_, fns)| fns)
+        .collect()
 }
 
 /// The test name after each `--test paper` in `text`, stripped of
@@ -62,8 +81,11 @@ fn paper_tests_mentioned(text: &str) -> BTreeSet<String> {
         .collect()
 }
 
+// The paper's figure benches are the tests in `tests/paper/`; a bench
+// target is one of its tests, and its file is the module holding it.
+
 #[test]
-fn every_experiment_names_a_paper_test_that_exists() {
+fn every_bench_the_docs_mention_is_a_target_with_a_file() {
     let fns = paper_fns();
     assert!(
         fns.len() > 20,
@@ -78,17 +100,6 @@ fn every_experiment_names_a_paper_test_that_exists() {
             );
         }
     }
-    let experiments = read("EXPERIMENTS.md");
-    let (figures, _) = experiments
-        .split_once("\n## Chaos conformance suite")
-        .expect("EXPERIMENTS.md has a Chaos conformance suite section");
-    for section in figures.split("\n## ").skip(1) {
-        let title = section.lines().next().unwrap_or("");
-        assert!(
-            !paper_tests_mentioned(section).is_empty(),
-            "EXPERIMENTS.md `## {title}` has no `--test paper` command"
-        );
-    }
     // Spelled in halves so a search of the repository for the removed
     // harness's names does not find this file.
     for doc in DOCS {
@@ -100,6 +111,35 @@ fn every_experiment_names_a_paper_test_that_exists() {
         ] {
             assert!(!text.contains(needle), "{doc} still mentions {needle}");
         }
+    }
+}
+
+#[test]
+fn every_bench_target_is_documented_in_experiments_md() {
+    let experiments = read("EXPERIMENTS.md");
+    let (figures, _) = experiments
+        .split_once("\n## Chaos conformance suite")
+        .expect("EXPERIMENTS.md has a Chaos conformance suite section");
+    for section in figures.split("\n## ").skip(1) {
+        let title = section.lines().next().unwrap_or("");
+        assert!(
+            !paper_tests_mentioned(section).is_empty(),
+            "EXPERIMENTS.md `## {title}` has no `--test paper` command"
+        );
+    }
+    let documented = paper_tests_mentioned(&experiments);
+    let modules = paper_modules();
+    assert!(
+        modules.len() > 10,
+        "only {} modules in tests/paper/",
+        modules.len()
+    );
+    for (file, fns) in modules {
+        assert!(
+            fns.iter().any(|name| documented.contains(name))
+                || experiments.contains(&format!("tests/paper/{file}")),
+            "EXPERIMENTS.md neither runs a test of tests/paper/{file} nor names the file"
+        );
     }
 }
 

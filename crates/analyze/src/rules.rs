@@ -625,7 +625,7 @@ mod tests {
     fn heal_event_fields_requires_action_and_target() {
         // Missing target: one finding.
         let missing_target = r#"fn f(j: &J) {
-            j.emit(s, sev, "heal", "fec ladder raised", &[("action", a)]);
+            j.emit(s, sev, "heal", "receiver recovered", &[("action", a)]);
         }"#;
         assert_eq!(
             run_on("crates/core/src/heal_ctl.rs", missing_target),

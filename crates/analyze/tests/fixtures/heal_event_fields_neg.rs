@@ -10,14 +10,10 @@ fn fine(journal: &Journal, now: Stamp) {
     );
     journal.emit(
         now,
-        Severity::Warn,
+        Severity::Info,
         "heal",
-        "fec ladder raised",
-        &[
-            ("action", "raise_fec".into()),
-            ("target", "fleet".into()),
-            ("to", "Some(4)".into()),
-        ],
+        "receiver recovered",
+        &[("action", "recovered".into()), ("target", "es1".into())],
     );
     journal.emit(
         now,

@@ -6,7 +6,7 @@ fn broken(journal: &Journal, now: Stamp) {
         now,
         Severity::Warn,
         "heal",
-        "fec ladder raised",
-        &[("action", "raise_fec".into())],
+        "receiver recovered",
+        &[("action", "recovered".into())],
     );
 }

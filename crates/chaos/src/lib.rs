@@ -44,7 +44,7 @@ pub enum Fault {
     /// is independently dropped with probability `loss` for the
     /// window, then the path clears. Unlike [`Fault::PartitionSpeaker`]
     /// the speaker stays reachable — this is the lossy-leaf-link case
-    /// the healing plane's FEC ladder exists for.
+    /// the healing plane's detector and NACK repair exist for.
     DegradeSpeaker {
         /// Speaker index (declaration order).
         speaker: usize,

@@ -682,7 +682,7 @@ impl SystemBuilder {
             self.speakers.iter().map(|_| Default::default()).collect();
         let heal = self.healing.map(|spec| {
             let (producers, speakers) = (producers.clone(), speakers.clone());
-            HealMonitor::new(spec, producers, speakers, broker.clone(), journal.clone())
+            HealMonitor::new(spec, producers, speakers, journal.clone())
         });
         for (mut spec, handle) in self.speakers.into_iter().zip(speakers.iter().cloned()) {
             if spec.config.session.is_some() {

@@ -14,14 +14,13 @@ use es_sim::{RepeatingTimer, Shared, Sim, SimDuration};
 use es_telemetry::{Journal, Severity, Stamp};
 
 use crate::builder::{Producers, SpeakerHandle};
-use crate::session_ctl::SessionBroker;
 
 /// Healing-plane configuration for [`SystemBuilder::healing`].
 ///
 /// [`SystemBuilder::healing`]: crate::builder::SystemBuilder::healing
 #[derive(Debug, Clone)]
 pub struct HealSpec {
-    /// Detector thresholds and the FEC ladder.
+    /// Detector thresholds and hysteresis.
     pub policy: HealPolicy,
     /// Epoch length: how often telemetry is sampled and repairs run.
     pub epoch: SimDuration,
@@ -71,7 +70,6 @@ impl Default for HealSpec {
 pub struct HealMonitor {
     producers: Rc<Producers>,
     speakers: Rc<[SpeakerHandle]>,
-    broker: Option<SessionBroker>,
     detector: Shared<FleetDetector>,
     journal: Journal,
     epoch: SimDuration,
@@ -84,18 +82,12 @@ impl HealMonitor {
         spec: HealSpec,
         producers: Rc<Producers>,
         speakers: Rc<[SpeakerHandle]>,
-        broker: Option<SessionBroker>,
         journal: Journal,
     ) -> HealMonitor {
-        let mut detector = FleetDetector::new(spec.policy);
-        if let Some(rb) = producers.primaries.first() {
-            detector.seed_fec_level(rb.fec_group());
-        }
         HealMonitor {
             producers,
             speakers,
-            broker,
-            detector: es_sim::shared(detector),
+            detector: es_sim::shared(FleetDetector::new(spec.policy)),
             journal,
             epoch: spec.epoch,
         }
@@ -123,11 +115,6 @@ impl HealMonitor {
         self.detector.borrow().health_of(name)
     }
 
-    /// The FEC ladder rung currently in force.
-    pub fn fec_level(&self) -> Option<u8> {
-        self.detector.borrow().fec_level()
-    }
-
     /// One epoch: hand every powered speaker's and every channel's
     /// counters to the detector, then carry out what it decides.
     fn tick(&self, sim: &mut Sim) {
@@ -141,7 +128,7 @@ impl HealMonitor {
                     quality_received: quality.received,
                     dropped_late: stats.dropped_late,
                     nacks_sent: stats.nacks_sent,
-                    clock_offset_us: spk.clock_offset_us().unwrap_or(0),
+                    clock_offset_us: spk.clock_offset_us(),
                 };
                 detector.observe_receiver(&spk.name(), counters);
             }
@@ -159,28 +146,7 @@ impl HealMonitor {
 
     fn execute(&self, sim: &mut Sim, action: HealAction) {
         let stamp = Stamp::virtual_ns(sim.now().as_nanos());
-        let raise = matches!(action, HealAction::RaiseFec { .. });
         match action {
-            HealAction::RaiseFec { from, to } | HealAction::LowerFec { from, to } => {
-                self.apply_fec(sim, to);
-                let (severity, message, name) = if raise {
-                    (Severity::Warn, "fec ladder raised", "raise_fec")
-                } else {
-                    (Severity::Info, "fec ladder lowered", "lower_fec")
-                };
-                self.journal.emit(
-                    stamp,
-                    severity,
-                    "heal",
-                    message,
-                    &[
-                        ("action", name.into()),
-                        ("target", "fleet".into()),
-                        ("from", format!("{from:?}")),
-                        ("to", format!("{to:?}")),
-                    ],
-                );
-            }
             HealAction::Recovered { target } => {
                 self.journal.emit(
                     stamp,
@@ -204,18 +170,6 @@ impl HealMonitor {
                     ],
                 );
             }
-        }
-    }
-
-    /// Applies a new ladder rung to every channel's live producer,
-    /// then lets the broker — where sessions are on — announce it to
-    /// their receivers via PARAM.
-    fn apply_fec(&self, sim: &mut Sim, to: Option<u8>) {
-        for i in 0..self.producers.primaries.len() {
-            self.producers.live(i).set_fec_group(sim, to);
-        }
-        if let Some(broker) = &self.broker {
-            broker.update_fec(sim, to);
         }
     }
 }

@@ -188,14 +188,6 @@ impl SessionBroker {
         });
     }
 
-    /// Announces an FEC parity-group change (the healing plane's
-    /// loss-adaptive ladder) to each live session via a PARAM, so
-    /// negotiated receivers journal the level they should expect.
-    /// Setting the level on the producers is the caller's business.
-    pub fn update_fec(&self, sim: &mut Sim, group: Option<u8>) {
-        self.step(sim, None, |server, _, out| server.update_fec(group, out));
-    }
-
     /// Live sessions across every stream.
     pub fn sessions_active(&self) -> usize {
         self.server.borrow().sessions_active()

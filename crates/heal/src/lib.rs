@@ -11,24 +11,23 @@
 //! reproducible from the journal alone and unit-testable without a
 //! simulator.
 //!
-//! Three repairs are modelled, in escalating order of intrusiveness:
+//! Two repairs are modelled, each the one way to do its job:
 //!
-//! 1. **Loss-adaptive FEC** — the parity-group ladder
-//!    `None → 8 → 4 → 2` (smaller group = more parity overhead =
-//!    stronger protection), raised for the whole channel when any
-//!    receiver is *sustainedly* sick, lowered when the whole fleet has
-//!    been healthy for a while.
-//! 2. **NACK retransmission** — a receiver asks the stream's live
+//! 1. **NACK retransmission** — a receiver asks the stream's live
 //!    producer for the sequence ranges it misses: its own decision,
 //!    only counted here, from its own `nacks_sent`.
-//! 3. **Producer failover** — a warm standby adopts the stream clock
+//! 2. **Producer failover** — a warm standby adopts the stream clock
 //!    when its channel stops emitting control packets.
 //!
-//! Hysteresis (`raise_after` sick epochs before escalating,
-//! `recover_after` healthy epochs before relaxing) keeps a *flapping*
-//! receiver — one oscillating across the sick threshold — from
-//! whipsawing the FEC level; suppressed oscillations are counted
-//! instead of acted on.
+//! Parity is not a decision: a channel's FEC group is static
+//! configuration. The loss the detector reads is the link's, before
+//! parity or a refill repaired it.
+//!
+//! Hysteresis (`sick_after` sick epochs before a receiver is reported
+//! Sick, `recover_after` healthy epochs before it is reported
+//! recovered) keeps a *flapping* receiver — one oscillating across the
+//! sick threshold — from being reported at every blip; suppressed
+//! oscillations are counted instead.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -71,17 +70,14 @@ pub struct HealPolicy {
     /// Per-epoch deadline-miss delta at or above which an epoch is
     /// Sick.
     pub sick_deadline_misses: u64,
-    /// Absolute clock offset (µs) at or above which an epoch is Sick.
+    /// Clock-offset drift (µs) from the receiver's first synced
+    /// offset at or above which an epoch is Sick.
     pub sick_drift_us: i64,
-    /// Consecutive Sick epochs before the FEC ladder is raised.
-    pub raise_after: u32,
-    /// Consecutive Healthy epochs (fleet-wide) before the ladder is
-    /// lowered, and (per receiver) before a Sick receiver is declared
-    /// recovered.
+    /// Consecutive Sick epochs before a receiver is reported Sick.
+    pub sick_after: u32,
+    /// Consecutive Healthy epochs before a reported-Sick receiver is
+    /// declared recovered.
     pub recover_after: u32,
-    /// FEC parity-group ladder, weakest first. `None` means parity
-    /// off; a smaller group is stronger protection.
-    pub fec_ladder: Vec<Option<u8>>,
 }
 
 impl Default for HealPolicy {
@@ -91,9 +87,8 @@ impl Default for HealPolicy {
             degraded_loss: 0.05,
             sick_deadline_misses: 3,
             sick_drift_us: 20_000,
-            raise_after: 2,
+            sick_after: 2,
             recover_after: 4,
-            fec_ladder: vec![None, Some(8), Some(4), Some(2)],
         }
     }
 }
@@ -110,7 +105,7 @@ pub struct EpochSample {
     pub loss_fraction: f64,
     /// `speaker/*/deadline_misses` growth this epoch.
     pub deadline_miss_delta: u64,
-    /// Current clock offset estimate versus the producer, µs.
+    /// Clock-offset growth since the receiver's first synced offset, µs.
     pub drift_us: i64,
 }
 
@@ -129,8 +124,9 @@ pub struct ReceiverCounters {
     pub dropped_late: u64,
     /// NACK datagrams the receiver sent.
     pub nacks_sent: u64,
-    /// Clock offset estimate versus the producer, µs (0 before sync).
-    pub clock_offset_us: i64,
+    /// Clock offset estimate versus the producer, µs (`None` before
+    /// sync).
+    pub clock_offset_us: Option<i64>,
 }
 
 /// Classifies one epoch sample against `policy` thresholds.
@@ -150,20 +146,6 @@ pub fn classify(policy: &HealPolicy, s: &EpochSample) -> Health {
 /// A repair decision, as [`FleetDetector::end_epoch`] returns them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HealAction {
-    /// Strengthen the channel's FEC one ladder rung.
-    RaiseFec {
-        /// Previous parity-group size (`None` = parity off).
-        from: Option<u8>,
-        /// New parity-group size.
-        to: Option<u8>,
-    },
-    /// Relax the channel's FEC one ladder rung.
-    LowerFec {
-        /// Previous parity-group size.
-        from: Option<u8>,
-        /// New parity-group size (`None` = parity off).
-        to: Option<u8>,
-    },
     /// A formerly Sick receiver has stayed healthy `recover_after`
     /// epochs.
     Recovered {
@@ -183,9 +165,10 @@ pub enum HealAction {
 pub struct HealStats {
     /// Monitor epochs completed.
     pub epochs: u64,
-    /// FEC ladder raises applied.
+    /// Always 0 and not recorded: kept only because the frozen
+    /// `benches/ledger` reads it (ROADMAP item 1(a)).
     pub fec_raises: u64,
-    /// FEC ladder lowers applied.
+    /// Always 0 and not recorded, like `fec_raises`.
     pub fec_lowers: u64,
     /// NACKs the receivers sent, summed from their `nacks_sent`
     /// growth since each was first seen.
@@ -203,8 +186,6 @@ impl Telemetry for HealStats {
         registry
             .component("heal")
             .counter("epochs", self.epochs)
-            .counter("fec_raises", self.fec_raises)
-            .counter("fec_lowers", self.fec_lowers)
             .counter("retransmits_requested", self.retransmits_requested)
             .counter("failovers", self.failovers)
             .counter("recoveries", self.recoveries)
@@ -220,6 +201,9 @@ struct ReceiverState {
     healthy_streak: u32,
     /// Counters at the previous epoch, once seen at one.
     counters: Option<ReceiverCounters>,
+    /// The first synced clock offset seen: drift is growth from it, so
+    /// a relay hop's constant share of the offset is not drift.
+    offset_baseline: Option<i64>,
 }
 
 #[derive(Debug, Default)]
@@ -242,8 +226,6 @@ struct ChannelState {
 #[derive(Debug)]
 pub struct FleetDetector {
     policy: HealPolicy,
-    /// Current rung on `policy.fec_ladder`.
-    fec_idx: usize,
     receivers: BTreeMap<String, ReceiverState>,
     channels: BTreeMap<usize, ChannelState>,
     /// Every healing-plane counter; all of them are maintained here.
@@ -251,33 +233,14 @@ pub struct FleetDetector {
 }
 
 impl FleetDetector {
-    /// A detector starting at the bottom (weakest) ladder rung.
+    /// A detector that has seen no receiver and no channel yet.
     pub fn new(policy: HealPolicy) -> Self {
-        assert!(
-            !policy.fec_ladder.is_empty(),
-            "the FEC ladder needs at least one rung"
-        );
         FleetDetector {
             policy,
-            fec_idx: 0,
             receivers: BTreeMap::new(),
             channels: BTreeMap::new(),
             stats: HealStats::default(),
         }
-    }
-
-    /// Starts the ladder at the rung matching `group` (e.g. when the
-    /// channel was configured with FEC already on). Unknown values
-    /// leave the detector at the bottom rung.
-    pub fn seed_fec_level(&mut self, group: Option<u8>) {
-        if let Some(i) = self.policy.fec_ladder.iter().position(|&g| g == group) {
-            self.fec_idx = i;
-        }
-    }
-
-    /// The ladder rung currently in force.
-    pub fn fec_level(&self) -> Option<u8> {
-        self.policy.fec_ladder[self.fec_idx]
     }
 
     /// The hysteresis-filtered health of `name` (Healthy for unknown
@@ -291,15 +254,16 @@ impl FleetDetector {
     /// Records one receiver's counters at this epoch's end and
     /// classifies their growth since its previous epoch (see
     /// [`Self::observe`]). With no baseline the sample reads healthy:
-    /// the whole first epoch, and the counters of a receiver first
-    /// seen later (they read as not having moved).
+    /// the counters of a receiver first seen read as not having moved,
+    /// and its first synced clock offset is the one its drift is
+    /// measured from.
     pub fn observe_receiver(&mut self, name: &str, now: ReceiverCounters) -> Health {
         let r = self.receivers.entry(name.to_string()).or_default();
         let was = r.counters.replace(now).unwrap_or(now);
         self.stats.retransmits_requested += now.nacks_sent.saturating_sub(was.nacks_sent);
-        if self.stats.epochs == 0 {
-            return self.observe(name, EpochSample::default());
-        }
+        let drift_us = now.clock_offset_us.map_or(0, |offset| {
+            offset.saturating_sub(*r.offset_baseline.get_or_insert(offset))
+        });
         // The *link's* loss: the quality monitor nets a refill off
         // `quality_lost`, so prompt repair would hide a 35 % link.
         let link_lost = |c: &ReceiverCounters| c.quality_lost + c.refills_received;
@@ -312,7 +276,7 @@ impl FleetDetector {
                 lost as f64 / expected as f64
             },
             deadline_miss_delta: now.dropped_late.saturating_sub(was.dropped_late),
-            drift_us: now.clock_offset_us,
+            drift_us,
         };
         self.observe(name, sample)
     }
@@ -344,8 +308,8 @@ impl FleetDetector {
             return h;
         }
         // A short sick burst that ended on its own is a flap: count
-        // it, do not escalate.
-        if r.sick_streak > 0 && r.sick_streak < self.policy.raise_after {
+        // it, do not report it.
+        if r.sick_streak > 0 && r.sick_streak < self.policy.sick_after {
             self.stats.suppressed_flaps += 1;
         }
         r.sick_streak = 0;
@@ -358,61 +322,23 @@ impl FleetDetector {
         h
     }
 
-    /// Closes the epoch: applies hysteresis, moves the FEC ladder, and
-    /// returns the repair decisions in deterministic order (raises
-    /// before lowers before recoveries before failovers; receivers
-    /// name-ordered, channels in order).
+    /// Closes the epoch: applies hysteresis and returns the repair
+    /// decisions in deterministic order (recoveries before failovers;
+    /// receivers name-ordered, channels in order).
     pub fn end_epoch(&mut self) -> Vec<HealAction> {
         self.stats.epochs += 1;
         let mut actions = Vec::new();
-        // Escalation: any receiver sustainedly sick raises the ladder
-        // one rung per epoch at most.
-        let mut raise = false;
-        for r in self.receivers.values_mut() {
-            if r.sick_streak >= self.policy.raise_after {
-                r.reported = Health::Sick;
-                raise = true;
-                // Demand renewed sustained sickness for the next rung.
-                r.sick_streak = 0;
-            }
-        }
-        if raise && self.fec_idx + 1 < self.policy.fec_ladder.len() {
-            let from = self.policy.fec_ladder[self.fec_idx];
-            self.fec_idx += 1;
-            let to = self.policy.fec_ladder[self.fec_idx];
-            self.stats.fec_raises += 1;
-            actions.push(HealAction::RaiseFec { from, to });
-        }
-        // Recoveries: a reported-Sick receiver healthy long enough.
-        // Decided before relaxation, which resets the streaks it reads.
-        let mut recovered = Vec::new();
         for (name, r) in self.receivers.iter_mut() {
-            if r.reported == Health::Sick && r.healthy_streak >= self.policy.recover_after {
+            if r.sick_streak >= self.policy.sick_after {
+                r.reported = Health::Sick;
+            } else if r.reported == Health::Sick && r.healthy_streak >= self.policy.recover_after {
                 r.reported = Health::Healthy;
                 self.stats.recoveries += 1;
-                recovered.push(HealAction::Recovered {
+                actions.push(HealAction::Recovered {
                     target: name.clone(),
                 });
             }
         }
-        // Relaxation: the whole fleet healthy long enough lowers one
-        // rung and restarts the clock.
-        let all_recovered = !self.receivers.is_empty()
-            && self
-                .receivers
-                .values()
-                .all(|r| r.healthy_streak >= self.policy.recover_after);
-        if all_recovered && self.fec_idx > 0 {
-            let from = self.policy.fec_ladder[self.fec_idx];
-            self.fec_idx -= 1;
-            let to = self.policy.fec_ladder[self.fec_idx];
-            self.stats.fec_lowers += 1;
-            for r in self.receivers.values_mut() {
-                r.healthy_streak = 0;
-            }
-            actions.push(HealAction::LowerFec { from, to });
-        }
-        actions.extend(recovered);
         for (&channel, c) in self.channels.iter_mut() {
             if std::mem::take(&mut c.fail_over) {
                 self.stats.failovers += 1;
@@ -476,76 +402,52 @@ mod tests {
     }
 
     #[test]
-    fn sustained_sickness_climbs_the_ladder_one_rung_per_epoch() {
+    fn sustained_sickness_is_reported_after_hysteresis() {
         let mut d = FleetDetector::new(HealPolicy::default());
-        assert_eq!(d.fec_level(), None);
         // Epoch 1: one sick epoch is not enough.
         d.observe("es1", sick());
         d.observe("es2", healthy());
         assert!(d.end_epoch().is_empty());
-        // Epoch 2: raise_after reached — one rung.
+        assert_eq!(d.health_of("es1"), Health::Healthy);
+        // Epoch 2: sick_after reached.
         d.observe("es1", sick());
         d.observe("es2", healthy());
-        let a = d.end_epoch();
-        assert_eq!(
-            a,
-            vec![HealAction::RaiseFec {
-                from: None,
-                to: Some(8)
-            }]
-        );
-        assert_eq!(d.health_of("es1"), Health::Sick);
-        // Two more sick epochs: the next rung.
-        d.observe("es1", sick());
         assert!(d.end_epoch().is_empty());
-        d.observe("es1", sick());
-        assert_eq!(
-            d.end_epoch(),
-            vec![HealAction::RaiseFec {
-                from: Some(8),
-                to: Some(4)
-            }]
-        );
-        assert_eq!(d.stats.fec_raises, 2);
-    }
-
-    #[test]
-    fn ladder_tops_out() {
-        let mut d = FleetDetector::new(HealPolicy::default());
-        for _ in 0..20 {
+        assert_eq!(d.health_of("es1"), Health::Sick);
+        assert_eq!(d.health_of("es2"), Health::Healthy);
+        // However long it lasts, sustained sickness is no flap.
+        for _ in 0..5 {
             d.observe("es1", sick());
             d.end_epoch();
         }
-        assert_eq!(d.fec_level(), Some(2), "strongest rung");
-        assert_eq!(d.stats.fec_raises, 3, "one raise per rung only");
+        d.observe("es1", healthy());
+        d.end_epoch();
+        assert_eq!(d.stats.suppressed_flaps, 0);
     }
 
     #[test]
-    fn fleet_health_lowers_the_ladder_and_reports_recovery() {
+    fn recovery_is_reported_once_after_recover_after_healthy_epochs() {
         let mut d = FleetDetector::new(HealPolicy::default());
         for _ in 0..2 {
             d.observe("es1", sick());
-            d.observe("es2", healthy());
             d.end_epoch();
         }
-        assert_eq!(d.fec_level(), Some(8));
-        // recover_after healthy epochs: lower + recovered, same epoch.
-        let mut actions = Vec::new();
-        for _ in 0..4 {
+        for _ in 0..3 {
             d.observe("es1", healthy());
-            d.observe("es2", healthy());
-            actions.extend(d.end_epoch());
+            assert!(d.end_epoch().is_empty());
         }
-        assert!(actions.contains(&HealAction::LowerFec {
-            from: Some(8),
-            to: None
-        }));
-        assert!(actions.contains(&HealAction::Recovered {
-            target: "es1".into()
-        }));
+        assert_eq!(d.health_of("es1"), Health::Sick, "three healthy epochs");
+        d.observe("es1", healthy());
+        assert_eq!(
+            d.end_epoch(),
+            vec![HealAction::Recovered {
+                target: "es1".into()
+            }]
+        );
+        d.observe("es1", healthy());
+        assert!(d.end_epoch().is_empty(), "recovered once");
         assert_eq!(d.health_of("es1"), Health::Healthy);
         assert_eq!(d.stats.recoveries, 1);
-        assert_eq!(d.fec_level(), None);
     }
 
     #[test]
@@ -555,28 +457,11 @@ mod tests {
         for i in 0..8 {
             let s = if i % 2 == 0 { sick() } else { healthy() };
             d.observe("es1", s);
-            assert!(d.end_epoch().is_empty(), "flap must not move the ladder");
+            assert!(d.end_epoch().is_empty(), "a flap is not acted on");
+            assert_eq!(d.health_of("es1"), Health::Healthy);
         }
-        assert_eq!(d.fec_level(), None);
         assert_eq!(d.stats.suppressed_flaps, 4);
-        assert_eq!(d.stats.fec_raises, 0);
-    }
-
-    #[test]
-    fn seeded_fec_level_starts_mid_ladder() {
-        let mut d = FleetDetector::new(HealPolicy::default());
-        d.seed_fec_level(Some(4));
-        assert_eq!(d.fec_level(), Some(4));
-        d.observe("es1", sick());
-        d.end_epoch();
-        d.observe("es1", sick());
-        assert_eq!(
-            d.end_epoch(),
-            vec![HealAction::RaiseFec {
-                from: Some(4),
-                to: Some(2)
-            }]
-        );
+        assert_eq!(d.stats.recoveries, 0);
     }
 
     #[test]
@@ -591,8 +476,8 @@ mod tests {
         d.stats.record(&mut reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("heal/0/epochs"), Some(3));
-        assert_eq!(snap.counter("heal/0/fec_raises"), Some(1));
         assert_eq!(snap.counter("heal/0/retransmits_requested"), Some(1));
+        assert_eq!(snap.len(), 5, "the two ladder fields are not recorded");
     }
 
     /// Counters of a receiver that has heard `received` and lost `lost`.
@@ -604,19 +489,41 @@ mod tests {
         }
     }
 
-    // Mutation: drop the `stats.epochs == 0` branch of
-    // `observe_receiver` — the first epoch's drift is then read.
-    #[test]
-    fn first_epoch_reads_healthy() {
-        let mut d = FleetDetector::new(HealPolicy::default());
-        let drifting = ReceiverCounters {
-            clock_offset_us: 50_000,
+    /// Counters of a receiver synced at `offset_us`.
+    fn offset(offset_us: i64) -> ReceiverCounters {
+        ReceiverCounters {
+            clock_offset_us: Some(offset_us),
             ..counters(0, 100)
-        };
-        assert_eq!(d.observe_receiver("es1", drifting), Health::Healthy);
+        }
+    }
+
+    // Mutation: judge `clock_offset_us` itself instead of its growth
+    // from the receiver's first synced offset. Ten relay hops add
+    // 20 ms to the offset; that is latency, not drift.
+    #[test]
+    fn a_constant_offset_is_not_drift() {
+        let mut d = FleetDetector::new(HealPolicy::default());
+        for _ in 0..4 {
+            assert_eq!(d.observe_receiver("es1", offset(20_116)), Health::Healthy);
+            d.end_epoch();
+        }
+    }
+
+    // Mutations: take the baseline from the first observation even
+    // before sync, or move it with every epoch.
+    #[test]
+    fn drift_is_growth_from_the_first_synced_offset() {
+        let mut d = FleetDetector::new(HealPolicy::default());
+        let unsynced = counters(0, 100);
+        assert_eq!(d.observe_receiver("es1", unsynced), Health::Healthy);
         d.end_epoch();
-        // From the second epoch on, the same offset is sick.
-        assert_eq!(d.observe_receiver("es1", drifting), Health::Sick);
+        assert_eq!(d.observe_receiver("es1", offset(20_116)), Health::Healthy);
+        d.end_epoch();
+        assert_eq!(d.observe_receiver("es1", offset(30_116)), Health::Healthy);
+        d.end_epoch();
+        assert_eq!(d.observe_receiver("es1", offset(40_116)), Health::Sick);
+        d.end_epoch();
+        assert_eq!(d.observe_receiver("es1", offset(116)), Health::Sick);
     }
 
     // Mutation: `unwrap_or(now)` → `unwrap_or_default()` in
@@ -711,24 +618,13 @@ mod tests {
         d.observe_channel(1, 10, true);
         assert!(d.end_epoch().is_empty());
         // Epoch 2: channel 0 falls silent; channel 1 keeps sending.
-        d.observe("es1", sick());
         d.observe_channel(0, 10, true);
         d.observe_channel(1, 20, true);
         assert!(d.end_epoch().is_empty(), "one silent epoch is not a stall");
-        // Epoch 3: the second silent epoch, decided after the ladder.
-        d.observe("es1", sick());
+        // Epoch 3: the second silent epoch.
         d.observe_channel(0, 10, true);
         d.observe_channel(1, 30, true);
-        assert_eq!(
-            d.end_epoch(),
-            vec![
-                HealAction::RaiseFec {
-                    from: None,
-                    to: Some(8)
-                },
-                HealAction::Failover { channel: 0 },
-            ]
-        );
+        assert_eq!(d.end_epoch(), vec![HealAction::Failover { channel: 0 }]);
         // Promoted: its standby is no longer ready, and the primary's
         // counter never moves again.
         for _ in 0..4 {

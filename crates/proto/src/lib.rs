@@ -48,6 +48,6 @@ pub use server::{BrokerStats, ServerAction, SessionServer};
 pub use session::{
     encode_session, encode_session_into, negotiate, Capabilities, ClientAction, ClientPhase,
     DeviceClass, Grant, RefuseReason, SessionClient, SessionClientConfig, SessionEntry,
-    SessionError, SessionPacket, SessionTable, TeardownReason, PARAM_FEC_MAX_GROUP, PARAM_FEC_OFF,
-    PARAM_FEC_UNCHANGED, PARAM_VOLUME_UNCHANGED, SESSION_TIMEOUT_US,
+    SessionError, SessionPacket, SessionTable, TeardownReason, PARAM_VOLUME_UNCHANGED,
+    SESSION_TIMEOUT_US,
 };

@@ -271,13 +271,6 @@ impl SessionServer {
         }
     }
 
-    /// Tells every live session the FEC parity group its stream now
-    /// carries (`None` = parity off): one PARAM per session.
-    pub fn update_fec(&self, group: Option<u8>, out: &mut Vec<ServerAction>) {
-        let param = |e: &SessionEntry| Announce(SessionPacket::param_fec(e.session_id, group));
-        out.extend(self.sessions().map(param));
-    }
-
     /// Live sessions across every stream.
     pub fn sessions_active(&self) -> usize {
         self.tables.iter().map(SessionTable::active).sum()
@@ -561,11 +554,6 @@ mod tests {
         let flush = |session_id| Announce(SessionPacket::Flush { session_id });
         assert_eq!(out, [flush(b), flush(c), flush(a)]);
         assert_eq!(s.stats().flushes, 3);
-
-        out.clear();
-        s.update_fec(Some(4), &mut out);
-        let fec = |id| Announce(SessionPacket::param_fec(id, Some(4)));
-        assert_eq!(out, [fec(b), fec(c), fec(a)]);
 
         out.clear();
         s.update_params("c", 500, "now playing", &mut out);

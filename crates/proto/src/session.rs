@@ -266,7 +266,7 @@ pub enum SessionPacket {
         reason: TeardownReason,
     },
     /// In-session parameter update from the producer (volume,
-    /// metadata, FEC level).
+    /// metadata).
     Param {
         /// Session being updated.
         session_id: u32,
@@ -275,42 +275,19 @@ pub enum SessionPacket {
         volume_milli: u16,
         /// Free-form metadata (now-playing string and the like).
         metadata: String,
-        /// FEC parity-group change: [`PARAM_FEC_UNCHANGED`] (no
-        /// change), [`PARAM_FEC_OFF`] (disable parity), or a group
-        /// size in `2..=32`.
-        fec_group: u8,
     },
 }
 
 /// `Param::volume_milli` sentinel: leave the volume unchanged.
 pub const PARAM_VOLUME_UNCHANGED: u16 = u16::MAX;
-/// `Param::fec_group` sentinel: leave the FEC level unchanged.
-pub const PARAM_FEC_UNCHANGED: u8 = 0;
-/// `Param::fec_group` sentinel: disable parity emission.
-pub const PARAM_FEC_OFF: u8 = 1;
-/// Largest parity group expressible in a PARAM (matches
-/// [`crate::fec`]'s wire bound).
-pub const PARAM_FEC_MAX_GROUP: u8 = 32;
 
 impl SessionPacket {
-    /// A PARAM that only changes the volume/metadata (the original
-    /// PR 6 shape).
+    /// A PARAM carrying a volume and metadata.
     pub fn param_volume(session_id: u32, volume_milli: u16, metadata: String) -> SessionPacket {
         SessionPacket::Param {
             session_id,
             volume_milli,
             metadata,
-            fec_group: PARAM_FEC_UNCHANGED,
-        }
-    }
-
-    /// A PARAM announcing an FEC parity-group change (`None` = off).
-    pub fn param_fec(session_id: u32, group: Option<u8>) -> SessionPacket {
-        SessionPacket::Param {
-            session_id,
-            volume_milli: PARAM_VOLUME_UNCHANGED,
-            metadata: String::new(),
-            fec_group: group.unwrap_or(PARAM_FEC_OFF),
         }
     }
 }
@@ -499,13 +476,11 @@ pub fn encode_session_into(p: &SessionPacket, buf: &mut BytesMut) {
         SessionPacket::Param {
             volume_milli,
             metadata,
-            fec_group,
             ..
         } => {
             buf.put_u8(K_PARAM);
             buf.put_u16_le(*volume_milli);
             put_name(buf, metadata);
-            buf.put_u8(*fec_group);
         }
     }
     crate::packet::finish_session(buf, start);
@@ -614,18 +589,10 @@ pub(crate) fn decode_session_body(
             }
             let volume_milli = buf.get_u16_le();
             let metadata = get_name(&mut buf)?;
-            if buf.remaining() < 1 {
-                return Err(WireError::TooShort);
-            }
-            let fec_group = buf.get_u8();
-            if fec_group > PARAM_FEC_MAX_GROUP {
-                return Err(WireError::BadField("fec group"));
-            }
             SessionPacket::Param {
                 session_id: seq,
                 volume_milli,
                 metadata,
-                fec_group,
             }
         }
         _ => return Err(WireError::BadField("session kind")),
@@ -856,14 +823,6 @@ pub enum ClientAction {
     Resync,
     /// Apply a granted volume (thousandths; 1000 = unity).
     SetVolume(u16),
-    /// The producer changed the FEC parity group for this stream
-    /// (`None` = parity off). Informational: the decoder adapts to
-    /// arriving parity packets on its own; this is the journaling
-    /// hook for the healing plane.
-    SetFec {
-        /// New parity group (`None` disables parity).
-        group: Option<u8>,
-    },
     /// The handshake completed (journaling hook).
     Established {
         /// Granted session id.
@@ -1178,17 +1137,11 @@ impl SessionClient {
                 SessionPacket::Param {
                     session_id: target,
                     volume_milli,
-                    fec_group,
                     ..
                 },
             ) if target == session_id => {
                 if *volume_milli != PARAM_VOLUME_UNCHANGED {
                     out.push(ClientAction::SetVolume(*volume_milli));
-                }
-                match *fec_group {
-                    PARAM_FEC_UNCHANGED => {}
-                    PARAM_FEC_OFF => out.push(ClientAction::SetFec { group: None }),
-                    g => out.push(ClientAction::SetFec { group: Some(g) }),
                 }
                 self.note_stream_alive(now_us);
             }
@@ -1292,23 +1245,27 @@ mod tests {
             session_id: 42,
             reason: TeardownReason::Expired,
         });
-        roundtrip(SessionPacket::Param {
-            session_id: 42,
-            volume_milli: 750,
-            metadata: "now playing: chapter 3".into(),
-            fec_group: PARAM_FEC_UNCHANGED,
-        });
-        roundtrip(SessionPacket::param_fec(42, Some(8)));
-        roundtrip(SessionPacket::param_fec(42, None));
+        roundtrip(SessionPacket::param_volume(
+            42,
+            750,
+            "now playing: chapter 3".into(),
+        ));
+        roundtrip(SessionPacket::param_volume(
+            42,
+            PARAM_VOLUME_UNCHANGED,
+            String::new(),
+        ));
     }
 
+    // The PARAM used to end in a FEC-group byte; a sender that still
+    // writes one is refused, not half-read.
     #[test]
-    fn param_decode_rejects_an_out_of_range_fec_group() {
-        let mut bad = SessionPacket::param_fec(1, Some(8));
-        if let SessionPacket::Param { fec_group, .. } = &mut bad {
-            *fec_group = PARAM_FEC_MAX_GROUP + 1;
-        }
-        assert!(decode(&encode_session(&bad)).is_err(), "fec group > 32");
+    fn param_with_the_old_fec_byte_is_refused() {
+        let param = encode_session(&SessionPacket::param_volume(42, 750, "news".into()));
+        let mut old = param[..param.len() - 4].to_vec();
+        old.push(0);
+        old.extend_from_slice(&crate::crc::crc32(&old).to_le_bytes());
+        assert_eq!(decode(&old), Err(WireError::BadField("trailing bytes")));
     }
 
     #[test]
@@ -1519,14 +1476,13 @@ mod tests {
             c.on_packet(41_000, &SessionPacket::param_volume(7, 500, String::new())),
             vec![ClientAction::SetVolume(500)]
         );
-        // An FEC-only PARAM must not touch the volume, and vice versa.
+        // A metadata-only PARAM leaves the volume alone.
         assert_eq!(
-            c.on_packet(42_000, &SessionPacket::param_fec(7, Some(4))),
-            vec![ClientAction::SetFec { group: Some(4) }]
-        );
-        assert_eq!(
-            c.on_packet(43_000, &SessionPacket::param_fec(7, None)),
-            vec![ClientAction::SetFec { group: None }]
+            c.on_packet(
+                42_000,
+                &SessionPacket::param_volume(7, PARAM_VOLUME_UNCHANGED, "news".into())
+            ),
+            vec![]
         );
         let a = c.on_packet(
             50_000,

@@ -123,7 +123,6 @@ fn packet(rng: &mut StdRng, seen: &Seen) -> SessionPacket {
             session_id: session_id(rng, seen),
             volume_milli: rng.gen(),
             metadata: speaker(rng),
-            fec_group: rng.gen(),
         },
         // The producer's own kinds, echoed back.
         9 => SessionPacket::Offer {
@@ -195,8 +194,7 @@ fn abuse(rng: &mut StdRng) -> BrokerStats {
             }
             4 => {
                 server.flush_all(&mut out);
-                server.update_fec(pick(rng, &[None, Some(4)]), &mut out);
-                judge(&out, 2 * live, &mut seen);
+                judge(&out, live, &mut seen);
             }
             5 => {
                 server.teardown_speaker(&speaker(rng), &mut out);

@@ -301,26 +301,6 @@ impl Rebroadcaster {
         n
     }
 
-    /// Changes the FEC parity-group size mid-stream; `None` disables
-    /// parity, sizes outside `2..=32` are ignored (see
-    /// [`StreamTx::set_fec_group`]).
-    pub fn set_fec_group(&self, sim: &mut Sim, group: Option<u8>) {
-        let changed = self.state.borrow_mut().tx.set_fec_group(group);
-        if let Some(from) = changed {
-            self.journal_stream(
-                sim,
-                Severity::Info,
-                "fec level changed",
-                &[("from", format!("{from:?}")), ("to", format!("{group:?}"))],
-            );
-        }
-    }
-
-    /// The current FEC parity-group size, `None` when parity is off.
-    pub fn fec_group(&self) -> Option<u8> {
-        self.state.borrow().tx.config().fec_group
-    }
-
     /// Permanently detaches this instance from the VAD: it stops
     /// reading, never re-arms its readable waiter (queued items stay
     /// for the successor), and sends nothing further. Called on the
@@ -761,65 +741,6 @@ mod tests {
         assert_eq!(copies, 2, "original + retransmission");
         // Nothing cached leaves nothing to send.
         assert_eq!(rb.retransmit(&mut sim, &[(max_seq + 100, 1)]), 0);
-    }
-
-    #[test]
-    fn fec_level_change_emits_new_parity_group() {
-        let mut sim = Sim::new(1);
-        let lan = Lan::new(LanConfig::default());
-        let producer = lan.attach("producer");
-        let listener = lan.attach("listener");
-        let group = McastGroup(1);
-        lan.join(listener, group);
-        let log: Shared<Vec<(SimTime, Packet)>> = shared(Vec::new());
-        let l = log.clone();
-        lan.set_handler(listener, move |sim: &mut Sim, dg: Datagram| {
-            if let Ok(p) = es_proto::decode(&dg.payload) {
-                l.borrow_mut().push((sim.now(), p));
-            }
-        });
-        let (slave, master) = vad_pair(VadMode::KernelThread {
-            poll: SimDuration::from_millis(10),
-        });
-        let mut rcfg = RebroadcasterConfig::new(7, group);
-        rcfg.tx.policy = CompressionPolicy::Never;
-        rcfg.tx.fec_group = Some(4);
-        let rb = Rebroadcaster::start(&mut sim, lan.clone(), producer, master, rcfg);
-        let _app = AudioApp::start(
-            &mut sim,
-            Rc::new(slave),
-            AudioConfig::CD,
-            Box::new(Sine::new(440.0, 44_100, 0.5)),
-            SimDuration::from_secs(2),
-            AppPacing::RealTime,
-        )
-        .unwrap();
-        let rb2 = rb.clone();
-        sim.schedule_at(SimTime::from_secs(1), move |sim| {
-            rb2.set_fec_group(sim, Some(2));
-            rb2.set_fec_group(sim, Some(2)); // no-op repeat
-            rb2.set_fec_group(sim, Some(99)); // out of range: ignored
-        });
-        sim.run_until(SimTime::from_secs(3));
-        assert_eq!(rb.stats().fec_changes, 1);
-        assert_eq!(rb.fec_group(), Some(2));
-        let log = log.borrow();
-        let counts: Vec<(SimTime, u8)> = log
-            .iter()
-            .filter_map(|(t, p)| match p {
-                Packet::Parity(p) => Some((*t, p.count)),
-                _ => None,
-            })
-            .collect();
-        assert!(counts.iter().any(|&(_, c)| c == 4), "{counts:?}");
-        assert!(counts.iter().any(|&(_, c)| c == 2), "{counts:?}");
-        for &(t, c) in &counts {
-            if t < SimTime::from_secs(1) {
-                assert_eq!(c, 4, "pre-change parity at {t}");
-            } else if t > SimTime::from_millis(1_200) {
-                assert_eq!(c, 2, "post-change parity at {t}");
-            }
-        }
     }
 
     #[test]

@@ -118,8 +118,6 @@ pub struct ProducerStats {
     pub nacks_received: u64,
     /// Cached data packets re-sent on NACK.
     pub retransmits_sent: u64,
-    /// Mid-stream FEC parity-group changes applied.
-    pub fec_changes: u64,
     /// Times this instance was promoted from standby to primary.
     pub promotions: u64,
 }
@@ -148,7 +146,6 @@ impl Telemetry for ProducerStats {
             .counter("crashes", self.crashes)
             .counter("crash_dropped_blocks", self.crash_dropped_blocks)
             .counter("retransmits_sent", self.retransmits_sent)
-            .counter("fec_changes", self.fec_changes)
             .counter("promotions", self.promotions)
             .gauge("compression_ratio", self.compression_ratio());
         // Listed once some arrive, like the speakers' `nacks_sent`.
@@ -407,20 +404,6 @@ impl StreamTx {
         sent
     }
 
-    /// Changes the FEC parity-group size mid-stream (the healing
-    /// plane's loss-adaptive ladder); `None` disables parity. Returns
-    /// the previous level if the level changed — not for a repeat or a
-    /// size outside `2..=32`. A partial group is abandoned; receivers
-    /// rebuild their recoverers on the next parity packet's size.
-    pub fn set_fec_group(&mut self, group: Option<u8>) -> Option<Option<u8>> {
-        if group.is_some_and(|g| !(2..=32).contains(&g)) || self.cfg.fec_group == group {
-            return None;
-        }
-        self.parity = group.map(ParityAccumulator::new);
-        self.stats.fec_changes += 1;
-        Some(std::mem::replace(&mut self.cfg.fec_group, group))
-    }
-
     /// The process dies: data and control stop while the source keeps
     /// producing. False (and no effect) when already down.
     pub fn crash(&mut self) -> bool {
@@ -459,8 +442,7 @@ impl StreamTx {
         self.standby
     }
 
-    /// The settings in force (`fec_group` follows
-    /// [`StreamTx::set_fec_group`]; `rate_limiter` carries its stats).
+    /// The settings in force (`rate_limiter` carries its stats).
     pub fn config(&self) -> &StreamTxConfig {
         &self.cfg
     }

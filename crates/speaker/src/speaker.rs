@@ -836,12 +836,6 @@ impl EthernetSpeaker {
             ClientAction::LeaveData(_) => return self.tune(sim, announce),
             ClientAction::Resync => return self.resync(sim),
             ClientAction::SetVolume(v) => return self.set_volume(v as f64 / 1_000.0),
-            // The speaker adapts to whatever parity packets arrive; the
-            // announcement is journaled so a fleet operator can
-            // correlate level changes.
-            ClientAction::SetFec { group } => {
-                ("fec level announced", vec![("group", format!("{group:?}"))])
-            }
             ClientAction::Established {
                 session_id,
                 stream_id,

@@ -77,10 +77,10 @@ diff -r target/chaos-a target/chaos-b || {
     exit 1
 }
 
-# Healing determinism gate: the self-healing tier (FEC ladder, NACK
-# refill, producer failover, flap damping) runs twice per seed in
-# separate processes over a 3-seed matrix; fingerprints must match
-# byte for byte. One run also archives every scenario's event journal
+# Healing determinism gate: the self-healing tier (sick-receiver
+# detection and recovery, NACK refill, producer failover, flap damping)
+# runs twice per seed in separate processes over a 3-seed matrix;
+# fingerprints must match byte for byte. One run also archives every scenario's event journal
 # under results/healing-journal/ — the heal/ events in there are what
 # the es-analyze heal-event-fields rule audits for action/target.
 echo "== healing determinism (3-seed matrix, cross-process)"
@@ -104,7 +104,7 @@ done
 echo "== healing seed sweep (detector scenarios, seeds 1-10)"
 for seed in 1 2 3 4 5 6 7 8 9 10; do
     ES_CHAOS_SEED=$seed cargo test -q --test healing -- \
-        flapping_receiver_damped sick_receiver_fec_upshift
+        flapping_receiver_damped sick_receiver_detected_and_recovered
 done
 
 # The repair fleets hold NACK repair to the deadline under bursty

@@ -2,9 +2,9 @@
 //! to run names a test in `tests/paper/`, every experiment section of
 //! EXPERIMENTS.md has one and documents every module there, nothing
 //! points at the removed bench harness, the perf baselines the ledger
-//! replaced or the relay re-stamping that was deleted, DESIGN.md §8
-//! lists exactly the checks es-analyze registers, and §10 exactly the
-//! counters the healing plane exports.
+//! replaced or the relay re-stamping and FEC ladder that were deleted,
+//! DESIGN.md §8 lists exactly the checks es-analyze registers, and §10
+//! exactly the counters the healing plane exports.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -190,9 +190,29 @@ fn no_doc_describes_the_deleted_session_wrapper() {
     }
 }
 
+#[test]
+fn no_doc_describes_the_deleted_fec_ladder() {
+    // Parity is a channel's static `fec_group`; nothing moves it, and
+    // the PARAM carries no FEC byte. Spelled in halves, like the
+    // needles above, so a search of the code for the deleted names
+    // finds only this test's own name.
+    for doc in DOCS {
+        let text = read(doc);
+        for needle in [
+            concat!("fec_", "ladder"),
+            concat!("Raise", "Fec"),
+            concat!("param_", "fec"),
+            concat!("update_", "fec"),
+            "fec level announced",
+        ] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
+    }
+}
+
 /// What a caller of a shim kept only so the frozen `benches/ledger`
 /// builds writes.
-const LEDGER_SHIM_CALLS: [&str; 9] = [
+const LEDGER_SHIM_CALLS: [&str; 11] = [
     ".fleet_threads(",
     ".sim_shards(",
     "::with_shards(",
@@ -202,6 +222,8 @@ const LEDGER_SHIM_CALLS: [&str; 9] = [
     "ShardRouter",
     ".cross_segment_posts(",
     "::cross_segment_posts(",
+    ".fec_raises",
+    ".fec_lowers",
 ];
 
 /// How a shim's own definition opens (after indentation).

@@ -624,13 +624,6 @@ fn arb_session_packet(r: &mut Rng64, kind: u8) -> es_proto::SessionPacket {
             session_id: r.next() as u32,
             volume_milli: r.next() as u16,
             metadata: arb_name(r, 24),
-            // Only wire-legal values round-trip: unchanged, off, or a
-            // group size in 2..=PARAM_FEC_MAX_GROUP.
-            fec_group: match r.below(3) {
-                0 => es_proto::PARAM_FEC_UNCHANGED,
-                1 => es_proto::PARAM_FEC_OFF,
-                _ => 2 + r.below(es_proto::PARAM_FEC_MAX_GROUP as u64 - 1) as u8,
-            },
         },
     }
 }

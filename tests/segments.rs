@@ -93,31 +93,54 @@ fn relayed_topology_is_deterministic() {
     );
 }
 
+/// The relay's store-and-forward hold (`es_rebroadcast`'s private
+/// `HOLD`).
+const HOLD: SimDuration = SimDuration::from_millis(2);
+
 #[test]
 fn relay_hold_preserves_downstream_sync() {
-    // The relay delays control and data alike by its 2 ms hold, so
-    // downstream speakers' §3.2 clock offset absorbs the hop: they
-    // play one hold behind the backbone, far inside the paper's 60 ms
-    // bound of each other and of the backbone.
-    let mut sys = relayed_system();
+    // A chain of three relays, one speaker at each depth. Each hop
+    // delays control and data alike by one hold plus one wire transit,
+    // so a speaker's §3.2 clock offset absorbs the hops: it plays the
+    // whole stream k holds (and k transits) behind the backbone, inside
+    // the paper's 60 ms bound but not zero. This pins today's skew;
+    // ROADMAP item 9 removes the hold from it and must change this.
+    let hop = |k: u16| McastGroup(100 + k);
+    let mut b = SystemBuilder::new(23)
+        .channel(radio(3))
+        .speaker(SpeakerSpec::new("backbone", UPSTREAM));
+    for k in 1..=3 {
+        let upstream = if k == 1 { UPSTREAM } else { hop(k - 1) };
+        b = b
+            .relay(RelaySpec::new(upstream, hop(k)))
+            .speaker(SpeakerSpec::new(format!("hop{k}"), hop(k)));
+    }
+    let mut sys = b.build();
     sys.run_for(SimDuration::from_secs(4));
-    let first_block = |i: usize| {
-        sys.speaker(i)
-            .and_then(|s| s.tap().borrow().first_block_time())
-            .unwrap_or_else(|| panic!("speaker {i} never played"))
+    let played = |i: usize| {
+        let tap = sys.speaker(i).expect("powered at build").tap();
+        let tap = tap.borrow();
+        match (tap.first_block_time(), tap.last_block_time()) {
+            (Some(first), Some(last)) => [first, last],
+            _ => panic!("speaker {i} never played"),
+        }
     };
-    let backbone = first_block(0);
-    for i in [1usize, 2] {
-        let seg1 = first_block(i);
-        let skew = if seg1 > backbone {
-            seg1.saturating_since(backbone)
-        } else {
-            backbone.saturating_since(seg1)
-        };
-        assert!(
-            skew <= SimDuration::from_millis(60),
-            "speaker {i} starts {skew} away from the backbone"
-        );
+    // One hop's wire transit of a control packet: what the backbone
+    // speaker's offset reads on a clock shared with the producer.
+    let transit = sys.speaker(0).and_then(|s| s.clock_offset_us()).unwrap();
+    let transit = SimDuration::from_micros(transit.try_into().unwrap());
+    let backbone = played(0);
+    for k in 1..=3u64 {
+        let (least, most) = (HOLD * k, (HOLD + transit) * k);
+        let ends = played(k as usize).into_iter().zip(backbone);
+        for (end, (at, base)) in ["first", "last"].into_iter().zip(ends) {
+            let skew = at.saturating_since(base);
+            assert!(
+                least <= skew && skew <= most,
+                "{k} hops down the {end} block plays {skew} after the backbone's, \
+                 not within {least}..={most}"
+            );
+        }
     }
 }
 

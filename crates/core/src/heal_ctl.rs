@@ -121,11 +121,10 @@ impl HealMonitor {
         let actions = {
             let mut detector = self.detector.borrow_mut();
             for spk in self.speakers.iter().filter_map(SpeakerHandle::speaker) {
-                let (stats, quality) = (spk.stats(), spk.quality());
+                let stats = spk.stats();
                 let counters = ReceiverCounters {
-                    quality_lost: quality.lost,
-                    refills_received: stats.refills_received,
-                    quality_received: quality.received,
+                    quality_lost: stats.quality_lost,
+                    quality_expected: stats.quality_expected,
                     dropped_late: stats.dropped_late,
                     nacks_sent: stats.nacks_sent,
                     clock_offset_us: spk.clock_offset_us(),

@@ -113,13 +113,13 @@ pub struct EpochSample {
 /// reads them; [`FleetDetector::observe_receiver`] takes the deltas.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReceiverCounters {
-    /// Sequence numbers the RFC 3550-style quality monitor counts
-    /// lost — net of NACK refills, which it subtracts on arrival.
+    /// Sequence numbers no original packet arrived for
+    /// (`SpeakerStats::quality_lost`): the link's loss, before FEC or
+    /// a refill repaired it.
     pub quality_lost: u64,
-    /// NACK refills that arrived.
-    pub refills_received: u64,
-    /// Sequence numbers the quality monitor counts received.
-    pub quality_received: u64,
+    /// Sequence numbers the stream advanced over
+    /// (`SpeakerStats::quality_expected`); a duplicate adds none.
+    pub quality_expected: u64,
     /// Data packets discarded past their deadline.
     pub dropped_late: u64,
     /// NACK datagrams the receiver sent.
@@ -264,11 +264,8 @@ impl FleetDetector {
         let drift_us = now.clock_offset_us.map_or(0, |offset| {
             offset.saturating_sub(*r.offset_baseline.get_or_insert(offset))
         });
-        // The *link's* loss: the quality monitor nets a refill off
-        // `quality_lost`, so prompt repair would hide a 35 % link.
-        let link_lost = |c: &ReceiverCounters| c.quality_lost + c.refills_received;
-        let lost = link_lost(&now).saturating_sub(link_lost(&was));
-        let expected = lost + now.quality_received.saturating_sub(was.quality_received);
+        let lost = now.quality_lost.saturating_sub(was.quality_lost);
+        let expected = now.quality_expected.saturating_sub(was.quality_expected);
         let sample = EpochSample {
             loss_fraction: if expected == 0 {
                 0.0
@@ -480,11 +477,11 @@ mod tests {
         assert_eq!(snap.len(), 5, "the two ladder fields are not recorded");
     }
 
-    /// Counters of a receiver that has heard `received` and lost `lost`.
-    fn counters(lost: u64, received: u64) -> ReceiverCounters {
+    /// Counters of a receiver that has lost `lost` of `expected`.
+    fn counters(lost: u64, expected: u64) -> ReceiverCounters {
         ReceiverCounters {
             quality_lost: lost,
-            quality_received: received,
+            quality_expected: expected,
             ..ReceiverCounters::default()
         }
     }
@@ -536,31 +533,26 @@ mod tests {
         d.end_epoch();
         let late = ReceiverCounters {
             dropped_late: 50,
-            ..counters(500, 100)
+            ..counters(500, 600)
         };
         assert_eq!(d.observe_receiver("es2", late), Health::Healthy);
         d.end_epoch();
         // Its baseline was kept: the next epoch's growth counts.
         let worse = ReceiverCounters {
             dropped_late: 50,
-            ..counters(530, 170)
+            ..counters(530, 700)
         };
         assert_eq!(d.observe_receiver("es2", worse), Health::Sick);
     }
 
-    // Mutation: drop `+ c.refills_received` from the link-loss sum.
+    // Mutation: divide by `Δlost + Δexpected`, as a count of packets
+    // received needed — 20 of 130 would read 0.133, not sick.
     #[test]
-    fn refill_does_not_hide_link_loss() {
+    fn loss_fraction_is_lost_over_expected() {
         let mut d = FleetDetector::new(HealPolicy::default());
         d.observe_receiver("es1", counters(10, 1_000));
         d.end_epoch();
-        // 30 of 130 blocks lost on the link, all refilled: the quality
-        // monitor has netted every one off its loss count.
-        let refilled = ReceiverCounters {
-            refills_received: 30,
-            ..counters(10, 1_130)
-        };
-        assert_eq!(d.observe_receiver("es1", refilled), Health::Sick);
+        assert_eq!(d.observe_receiver("es1", counters(30, 1_130)), Health::Sick);
     }
 
     // Mutations: count `nacks_sent` itself instead of its growth, or

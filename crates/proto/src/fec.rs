@@ -209,9 +209,9 @@ impl FecRecoverer {
         }
     }
 
-    /// The parity-group size this recoverer was built for. The healing
-    /// plane compares it against arriving parity packets to notice a
-    /// mid-stream FEC level change and rebuild the recoverer.
+    /// The parity-group size this recoverer was built for. A speaker
+    /// compares it against arriving parity packets and rebuilds the
+    /// recoverer when a reconfigured producer changed the group.
     pub fn group(&self) -> u8 {
         self.group
     }

@@ -13,8 +13,6 @@
 //!   authentication with a cheap, DoS-bounded verification path (§5.1).
 //! - [`fec`]: XOR-parity single-loss recovery (extension for lossy
 //!   links, keeping the producer stateless and speakers receive-only).
-//! - [`monitor`]: RFC 3550-style reception quality (jitter, loss,
-//!   reorder) — the numbers §5.3's management MIB would export.
 //! - [`session`]: the negotiated control plane — discovery, capability
 //!   negotiation, per-receiver sessions with keepalive/flush/teardown —
 //!   as pure, deterministic state machines over the same framing.
@@ -29,7 +27,6 @@
 pub mod auth;
 pub mod crc;
 pub mod fec;
-pub mod monitor;
 pub mod packet;
 pub mod server;
 pub mod session;
@@ -37,7 +34,6 @@ pub mod sha256;
 
 pub use auth::{AuthTrailer, StreamSigner, StreamVerifier, TRAILER_LEN};
 pub use fec::{FecRecoverer, ParityAccumulator, ParityPacket};
-pub use monitor::{QualityReport, StreamMonitor};
 pub use packet::{
     decode, encode_announce, encode_announce_into, encode_control, encode_control_into,
     encode_data, encode_data_into, encode_nack, encode_parity, encode_parity_into, AnnouncePacket,

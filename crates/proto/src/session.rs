@@ -36,7 +36,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use crate::packet::{StreamInfo, WireError};
 
 /// What kind of playback device a receiver is (capability
-/// advertisement; the adaptive-quality ladder will key off this).
+/// advertisement: carried on the wire, decided on by nothing yet).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum DeviceClass {
     /// Minimal decoder budget (e.g. the paper's 266 MHz Geode).

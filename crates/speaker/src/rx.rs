@@ -19,7 +19,7 @@ use es_codec::CodecId;
 use es_proto::auth::StreamVerifier;
 use es_proto::{
     AuthTrailer, ControlPacket, DataPacket, FecRecoverer, Packet, ParityPacket, SessionPacket,
-    StreamMonitor, MAX_NACK_RANGES, TRAILER_LEN,
+    MAX_NACK_RANGES, TRAILER_LEN,
 };
 use es_sim::{SimDuration, SimTime};
 use es_telemetry::{Registry, Telemetry};
@@ -83,6 +83,17 @@ pub struct SpeakerStats {
     /// NACK datagrams sent to the stream's source (the driver counts
     /// what it sends).
     pub nacks_sent: u64,
+    /// Sequence numbers the stream advanced over: each new highest
+    /// number adds its distance from the last (the first one after a
+    /// re-gate, or a restart, adds one). The §5.3 loss fraction is
+    /// `quality_lost` over this.
+    pub quality_expected: u64,
+    /// Of those, numbers no original packet arrived for: the link's
+    /// loss, whether or not FEC or a refill repaired it afterwards.
+    pub quality_lost: u64,
+    /// Original packets that arrived behind a higher number; each was
+    /// counted lost when the gap opened and is moved here.
+    pub quality_reordered: u64,
 }
 
 impl SpeakerStats {
@@ -116,7 +127,10 @@ impl Telemetry for SpeakerStats {
             .counter("playback_resyncs", self.playback_resyncs)
             .counter("session_resyncs", self.session_resyncs)
             .counter("refills_received", self.refills_received)
-            .counter("refill_late", self.refill_late);
+            .counter("refill_late", self.refill_late)
+            .counter("quality_expected", self.quality_expected)
+            .counter("quality_lost", self.quality_lost)
+            .counter("quality_reordered", self.quality_reordered);
         // Repair traffic is listed once there is some: a speaker that
         // never asks reads exactly like one that cannot.
         if self.nacks_sent > 0 {
@@ -151,8 +165,9 @@ pub enum RxEvent {
     /// A control-plane packet for whoever runs the session (boxed:
     /// rare, and several times the size of everything else here).
     Session(Box<SessionPacket>),
-    /// Parity arrived for a different group size (the healing plane
-    /// changes the FEC level mid-stream); the recoverer was rebuilt.
+    /// Parity arrived for a different group size (the producer was
+    /// reconfigured, or a standby with another group took over); the
+    /// recoverer was rebuilt.
     FecGroupChanged {
         /// The old group size.
         from: u8,
@@ -212,8 +227,29 @@ impl SeenSeqs {
     }
 }
 
-/// Longest sequence jump read as a loss burst; a bigger one is a
-/// stream restart and opens no holes.
+/// RFC 3550 §6.4.1 interarrival jitter: `J += (|D| − J) / 16`, with
+/// `D` the change in transit (arrival minus producer timestamp)
+/// between consecutive packets.
+#[derive(Default)]
+struct Jitter {
+    us: f64,
+    last_transit_us: Option<i64>,
+}
+
+impl Jitter {
+    fn on_arrival(&mut self, now: SimTime, play_at_us: u64) {
+        // The timestamp is wire input; wrapping keeps a forged one a
+        // wrong number instead of an overflow.
+        let transit = (now.as_micros() as i64).wrapping_sub(play_at_us as i64);
+        if let Some(last) = self.last_transit_us.replace(transit) {
+            let d = transit.wrapping_sub(last).unsigned_abs() as f64;
+            self.us += (d - self.us) / 16.0;
+        }
+    }
+}
+
+/// Longest sequence jump read as a loss burst; a bigger one, either
+/// way, is a stream restart: it opens no holes and counts no loss.
 const MAX_MISSING_RANGE_LEN: u32 = 1_024;
 /// Most holes held open, and most settled ones remembered; the oldest
 /// fall off. The producer's retransmit cache is as long, so a hole
@@ -296,15 +332,11 @@ impl HoleTable {
     }
 
     /// Opens a hole for each of the `gap` sequence numbers before
-    /// `seq` — the newest [`MAX_HOLES`] of them, unless the jump is a
-    /// stream restart — due at even steps between the deadlines
-    /// `before` and `after` of the packets either side (a producer
-    /// that burnt numbers while it was down kept its stream clock
-    /// running, so the steps still fit).
+    /// `seq` — the newest [`MAX_HOLES`] of them — due at even steps
+    /// between the deadlines `before` and `after` of the packets
+    /// either side (a producer that burnt numbers while it was down
+    /// kept its stream clock running, so the steps still fit).
     fn open(&mut self, now: SimTime, seq: u32, gap: u32, before: SimTime, after: SimTime) {
-        if gap > MAX_MISSING_RANGE_LEN {
-            return;
-        }
         let span = u128::from(after.saturating_since(before).as_nanos());
         let ask_at = self.nack.then(|| now.saturating_add(NACK_HOLDOFF));
         for k in gap.saturating_sub(MAX_HOLES as u32) + 1..=gap {
@@ -401,8 +433,8 @@ pub struct SpeakerRx {
     codec_wire: u8,
     /// A [`RxEvent::Configure`] went out since the last tune.
     configured: bool,
-    /// Reception-quality monitor (the §5.3 management numbers).
-    pub(crate) monitor: StreamMonitor,
+    /// Interarrival jitter of the stream's original packets.
+    jitter: Jitter,
     /// FEC recovery state, created lazily on the first parity packet.
     fec: Option<FecRecoverer>,
     /// The duplicate-suppression filter.
@@ -441,6 +473,7 @@ impl SpeakerRx {
     fn regate(&mut self) {
         self.clock = ClockSync::new();
         self.last = None;
+        self.jitter.last_transit_us = None;
         if let Some(table) = &mut self.repair {
             table.forget();
         }
@@ -448,13 +481,11 @@ impl SpeakerRx {
     }
 
     /// The driver switched channels: wait for the new stream's control
-    /// packet, reconfigure the device on it, start FEC and the quality
-    /// monitor's sequence afresh.
+    /// packet, reconfigure the device on it, start FEC afresh.
     pub fn retune(&mut self) {
         self.regate();
         self.configured = false;
         self.fec = None;
-        self.monitor.restart_stream();
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate. The
@@ -463,6 +494,13 @@ impl SpeakerRx {
     pub fn resync(&mut self) {
         self.regate();
         self.stats.session_resyncs += 1;
+    }
+
+    /// RFC 3550 §6.4.1 interarrival jitter of the original data
+    /// packets, µs — with `quality_*` in [`SpeakerStats`], what a §5.3
+    /// management console polls.
+    pub fn jitter_us(&self) -> f64 {
+        self.jitter.us
     }
 
     /// The stream format the latest control packet described.
@@ -510,7 +548,6 @@ impl SpeakerRx {
         match pkt {
             Packet::Control(c) => self.on_control(now, c, events),
             Packet::Data(d) => {
-                self.monitor.on_packet(d.seq, d.play_at_us, now.as_micros());
                 // Feed the FEC tracker first: a recovered packet from an
                 // earlier group plays like any other.
                 let recovered = self.fec.as_mut().and_then(|f| f.on_data(&d));
@@ -586,32 +623,53 @@ impl SpeakerRx {
         }
         // The wire `seq` is unauthenticated and wraps, so "ahead of"
         // is the sign of the wrapping difference (serial-number
-        // arithmetic), never `last + 1`: a forged `u32::MAX` must
-        // neither overflow nor pin `last` for good.
+        // arithmetic), never `last + 1`. A jump longer than a loss
+        // burst either way is a restart: the stream re-anchors on it,
+        // opens no holes and counts no loss — so neither a forged
+        // `u32::MAX` nor one forged far-ahead number can pin `last`
+        // and turn every real packet after it into a late arrival.
         let ahead = self
             .last
             .map_or(0, |(last, _)| d.seq.wrapping_sub(last) as i32);
-        let mut refill = false;
-        if ahead < 0 {
+        let restart = ahead.unsigned_abs() > MAX_MISSING_RANGE_LEN;
+        let (mut refill, mut late) = (false, false);
+        if ahead < 0 && !restart {
             // A late arrival closes its hole, if the speaker keeps any.
-            let (asked, late) = self
+            let asked;
+            (asked, late) = self
                 .repair
                 .as_mut()
                 .map_or((false, false), |t| t.close(d.seq));
             refill = asked && !via_fec;
             self.stats.refills_received += u64::from(refill);
-            if late {
-                events.push(RxEvent::Late { deadline, refill });
-                return;
+            // An original (neither an asked-for refill nor an FEC
+            // rebuild) was reordered, not lost; a repair leaves the
+            // link's loss counted.
+            if !asked && !via_fec {
+                self.stats.quality_lost = self.stats.quality_lost.saturating_sub(1);
+                self.stats.quality_reordered += 1;
             }
         } else {
-            let gap = (ahead.max(1) - 1) as u32;
+            let gap = if restart {
+                0
+            } else {
+                (ahead.max(1) - 1) as u32
+            };
             if let (Some((_, before)), Some(table)) =
                 (self.last.filter(|_| gap > 0), &mut self.repair)
             {
                 table.open(now, d.seq, gap, before, deadline);
             }
             self.last = Some((d.seq, deadline));
+            self.stats.quality_expected += u64::from(gap) + 1;
+            self.stats.quality_lost += u64::from(gap);
+        }
+        if !via_fec && !refill {
+            self.jitter.on_arrival(now, d.play_at_us);
+        }
+        if late {
+            events.push(RxEvent::Late { deadline, refill });
+            return;
         }
         events.push(RxEvent::Block(RxBlock {
             payload: d.payload,
@@ -763,12 +821,78 @@ mod tests {
         play(&mut rx, 0..10);
         rx.retune();
         play(&mut rx, 1_030..1_040);
-        let q = rx.monitor.report();
-        assert_eq!((q.received, q.lost, q.reordered), (30, 0, 0), "{q:?}");
-        // A FLUSH keeps the stream: a gap after it is still loss.
+        let st = rx.stats;
+        let counts = (st.quality_expected, st.quality_lost, st.quality_reordered);
+        assert_eq!(counts, (30, 0, 0), "{st:?}");
+        // A FLUSH re-gates too: the stream re-anchors on its first
+        // packet after the control packet, and what it skipped while
+        // gated is not the link's loss.
         rx.resync();
         play(&mut rx, 1_041..1_042);
-        assert_eq!(rx.monitor.report().lost, 1);
+        assert_eq!((rx.stats.quality_expected, rx.stats.quality_lost), (31, 0));
+    }
+
+    /// Reception quality is counted where the protocol decides gap,
+    /// duplicate and late arrival, so each number means one thing. A
+    /// row feeds stream positions in arrival order: position `k`
+    /// carries `base + k`, is due at `k · 50 ms + 200 ms` and arrives
+    /// at `k · 50 ms`, `shake` µs later on even positions and earlier
+    /// on odd ones.
+    #[test]
+    fn reception_quality_counts_each_sequence_number_once() {
+        let clean: Vec<u32> = (0..200).collect();
+        // Every packet heard twice and every fifth lost, as when a
+        // speaker hears its neighbours' refills: lost / expected is
+        // 0.2, not 0.2 / 1.8.
+        let twice: Vec<u32> = (0..100)
+            .filter(|k| k % 5 != 2)
+            .flat_map(|k| [k, k])
+            .collect();
+        let forged = 1 + 0x7fff_0000;
+        // Name, base, positions, shake; expected, lost, reordered,
+        // dropped_duplicate; jitter_us.
+        type Row<'a> = (&'a str, u32, &'a [u32], i64, [u64; 4], std::ops::Range<f64>);
+        #[rustfmt::skip]
+        let rows: [Row<'_>; 8] = [
+            ("clean", 0, &clean, 0, [200, 0, 0, 0], 0.0..1.0),
+            ("gaps", 0, &[0, 1, 2, 5, 6, 10], 0, [11, 5, 0, 0], 0.0..1.0),
+            ("reorder is not loss", 0, &[0, 1, 3, 2, 4], 0, [5, 0, 1, 0], 0.0..1.0),
+            ("duplicates never count", 0, &[0, 1, 1, 1, 2], 0, [3, 0, 0, 2], 0.0..1.0),
+            ("across the wrap", u32::MAX - 3, &[0, 1, 2, 3, 7, 5, 8, 9], 0, [10, 2, 1, 0], 0.0..1.0),
+            ("heard twice, 20 % lost", 0, &twice, 0, [100, 20, 0, 80], 0.0..1.0),
+            ("a far jump is a restart", 0, &[0, 1, forged, 2, 4], 0, [6, 1, 0, 0], 0.0..1.0),
+            // RFC smoothing converges toward the mean |D| = 16 ms.
+            ("jitter", 0, &clean, 8_000, [200, 0, 0, 0], 10_000.0..20_000.0),
+        ];
+        for (name, base, positions, shake, want, jitter) in rows {
+            let mut rx = SpeakerRx::new(None);
+            tune(&mut rx, SimTime::ZERO);
+            for &k in positions {
+                let at_us = i64::from(k) * 50_000 + [shake, -shake][k as usize % 2];
+                let packet = DataPacket {
+                    stream_id: 1,
+                    seq: base.wrapping_add(k),
+                    play_at_us: u64::from(k) * 50_000 + 200_000,
+                    codec: 0,
+                    payload: Bytes::from(vec![0u8; 8]),
+                };
+                let now = SimTime::from_micros(at_us.max(0) as u64);
+                offer(&mut rx, now, encode_data(&packet));
+            }
+            let st = rx.stats;
+            let got = [
+                st.quality_expected,
+                st.quality_lost,
+                st.quality_reordered,
+                st.dropped_duplicate,
+            ];
+            assert_eq!(got, want, "{name}");
+            assert!(
+                jitter.contains(&rx.jitter_us()),
+                "{name}: {}",
+                rx.jitter_us()
+            );
+        }
     }
 
     #[test]

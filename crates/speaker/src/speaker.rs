@@ -591,12 +591,6 @@ impl EthernetSpeaker {
         self.state.borrow().rx.verifier.as_ref().map(|v| v.stats())
     }
 
-    /// Reception-quality snapshot (jitter/loss/reorder) — what a §5.3
-    /// management console would poll.
-    pub fn quality(&self) -> es_proto::QualityReport {
-        self.state.borrow().rx.monitor.report()
-    }
-
     /// The DAC output tap: how much played and when, always; the
     /// samples themselves only with [`SpeakerConfig::capture_output`].
     pub fn tap(&self) -> Shared<OutputTap> {
@@ -667,17 +661,17 @@ impl EthernetSpeaker {
 
     /// Records speaker counters, the deadline-slack histogram, the
     /// jitter-buffer depth, the producer-clock sync offset and the
-    /// [`es_proto::StreamMonitor`] quality numbers into `registry`
-    /// under component `speaker`, and a negotiated speaker's handshake
-    /// counters under component `session`.
+    /// interarrival jitter into `registry` under component `speaker`,
+    /// and a negotiated speaker's handshake counters under component
+    /// `session`.
     pub fn record_telemetry(&self, registry: &mut Registry) {
-        let (stats, slack, offset, report, session) = {
+        let (stats, slack, offset, jitter_us, session) = {
             let st = self.state.borrow();
             (
                 st.rx.stats,
                 st.deadline_slack_us.clone(),
                 st.rx.clock.offset_us(),
-                st.rx.monitor.report(),
+                st.rx.jitter_us(),
                 st.session.as_ref().map(|s| SessionStatus::of(&s.client)),
             )
         };
@@ -687,12 +681,7 @@ impl EthernetSpeaker {
         s.histogram("deadline_slack_us", &slack)
             .gauge("jitter_buffer_bytes", depth as f64)
             .gauge("sync_offset_us", offset.unwrap_or(0) as f64)
-            .gauge("quality_loss_fraction", report.loss_fraction)
-            .gauge("quality_jitter_us", report.jitter_us)
-            .counter("quality_received", report.received)
-            .counter("quality_lost", report.lost)
-            .counter("quality_reordered", report.reordered)
-            .counter("quality_duplicates", report.duplicates);
+            .gauge("quality_jitter_us", jitter_us);
         if let Some(session) = session {
             let (discovers, setups, established, lost) = session.client_counts();
             registry
@@ -1402,11 +1391,30 @@ mod tests {
             );
         }
         sim.run_for(SimDuration::from_secs(1));
-        let q = spk.quality();
-        assert_eq!(q.received, 5);
-        assert_eq!(q.lost, 1, "seq 3 missing");
-        assert!(q.loss_fraction > 0.1);
-        assert_ne!(q.grade(), "good");
+        let st = spk.stats();
+        assert_eq!(
+            (st.quality_expected, st.quality_lost),
+            (6, 1),
+            "seq 3 missing"
+        );
+        assert_eq!(st.quality_reordered, 0);
+        let mut reg = Registry::new();
+        spk.record_telemetry(&mut reg);
+        let snap = reg.snapshot();
+        let quality: Vec<&str> = snap
+            .iter()
+            .map(|m| m.key.name.as_str())
+            .filter(|name| name.starts_with("quality_"))
+            .collect();
+        let keys = [
+            "quality_expected",
+            "quality_lost",
+            "quality_reordered",
+            "quality_jitter_us",
+        ];
+        assert_eq!(quality.len(), 4, "{quality:?}");
+        assert!(keys.iter().all(|k| quality.contains(k)), "{quality:?}");
+        assert_eq!(snap.counter("speaker/0/quality_lost"), Some(1));
     }
 
     #[test]
@@ -1520,8 +1528,8 @@ mod tests {
         assert_eq!(st.dropped_duplicate, 5, "{st:?}");
         assert_eq!(st.data_packets, 5, "each timestamp plays exactly once");
         assert_eq!(st.samples_played, 5 * 4_410, "no doubled audio");
-        // The monitor still sees the duplicates (management numbers).
-        assert_eq!(spk.quality().duplicates, 5);
+        // A copy never reaches the reception-quality count.
+        assert_eq!((st.quality_expected, st.quality_lost), (5, 0));
     }
 
     #[test]

@@ -329,6 +329,41 @@ fn alternating_far_apart_seqs_cannot_grow_the_hole_table_or_a_nack() {
     );
 }
 
+/// One forged datagram must not turn repair off. A well-formed data
+/// packet `0x7fff_0000` ahead of the stream is still "ahead" in serial
+/// arithmetic; it used to pin the newest sequence number, so every
+/// real packet after it read as a late arrival and no gap opened
+/// again. A jump that long either way is a restart: the real stream
+/// re-anchors on its next packet.
+#[test]
+fn a_forged_far_jump_does_not_stop_repair() {
+    let repair = |forge: bool| {
+        let (mut rx, mut events) = baited(100);
+        if forge {
+            let forged = data(100 + 0x7fff_0000, 250_000);
+            feed(&mut rx, SimTime::from_millis(10), &forged, &mut events);
+        }
+        // Seq 100 + k arrives at k · 50 ms, due 200 ms later; 103 is
+        // lost on the wire.
+        let mut nacks = 0;
+        for ms in (10..=500u64).step_by(10) {
+            let now = SimTime::from_millis(ms);
+            let k = ms / 50;
+            if ms % 50 == 0 && [1, 2, 4, 5].contains(&k) {
+                let real = data(100 + k as u32, 200_000 + ms * 1_000);
+                assert_eq!(feed(&mut rx, now, &real, &mut events), 1);
+            }
+            nacks += wake(&mut rx, now, &mut events).len();
+        }
+        (nacks, rx.stats.quality_lost)
+    };
+    let (clean, lost) = repair(false);
+    assert_eq!((clean, lost), (2, 1), "the NACK and its re-ask");
+    let (forged, lost) = repair(true);
+    assert_eq!(forged, clean, "repair survives the forged jump");
+    assert!(lost < 2, "the jump is no loss: quality_lost {lost}");
+}
+
 /// Second kind: every other packet "lost", so no two holes share a
 /// range and a NACK fills up.
 #[test]

@@ -2,9 +2,10 @@
 //! to run names a test in `tests/paper/`, every experiment section of
 //! EXPERIMENTS.md has one and documents every module there, nothing
 //! points at the removed bench harness, the perf baselines the ledger
-//! replaced or the relay re-stamping and FEC ladder that were deleted,
-//! DESIGN.md §8 lists exactly the checks es-analyze registers, and §10
-//! exactly the counters the healing plane exports.
+//! replaced or the relay re-stamping, FEC ladder and stream monitor
+//! that were deleted, DESIGN.md §8 lists exactly the checks es-analyze
+//! registers, §10 exactly the counters the healing plane exports, and
+//! §6 exactly the keys a speaker records.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -210,6 +211,25 @@ fn no_doc_describes_the_deleted_fec_ladder() {
     }
 }
 
+#[test]
+fn no_doc_describes_the_deleted_stream_monitor() {
+    // Reception quality is counted by `SpeakerRx`; the separate
+    // monitor, its report type and its two restating keys are gone.
+    // Spelled in halves, like the needles above.
+    for doc in DOCS {
+        let text = read(doc);
+        for needle in [
+            concat!("Stream", "Monitor"),
+            concat!("Quality", "Report"),
+            concat!("quality_", "duplicates"),
+            concat!("quality_", "loss_fraction"),
+            concat!("es-proto::", "monitor"),
+        ] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
+    }
+}
+
 /// What a caller of a shim kept only so the frozen `benches/ledger`
 /// builds writes.
 const LEDGER_SHIM_CALLS: [&str; 11] = [
@@ -332,4 +352,41 @@ fn design_md_lists_exactly_the_counters_heal_stats_records() {
     assert!(snap.iter().all(|m| m.key.component == "heal"));
     let recorded: BTreeSet<&str> = snap.iter().map(|m| m.key.name.as_str()).collect();
     assert_eq!(documented, recorded, "DESIGN.md §10 vs HealStats::record");
+}
+
+#[test]
+fn design_md_lists_exactly_the_keys_a_speaker_records() {
+    // §6 "Reception quality": "… under `speaker/<name>/*`: `a`, `b`,
+    // … `z`." — the backticked words up to the full stop.
+    let design = read("DESIGN.md");
+    let list = design
+        .split_once("`speaker/<name>/*`:")
+        .and_then(|(_, rest)| rest.split_once('.'))
+        .expect("DESIGN.md §6 lists the `speaker/<name>/*` keys")
+        .0;
+    let documented: BTreeSet<&str> = list.split('`').skip(1).step_by(2).collect();
+    // A speaker that has sent a NACK, so the key listed once non-zero
+    // is there too.
+    let mut sim = es_sim::Sim::new(1);
+    let lan = es_net::Lan::new(es_net::LanConfig::default());
+    let group = es_net::McastGroup(1);
+    let spk = es_speaker::EthernetSpeaker::start(
+        &mut sim,
+        &lan,
+        es_speaker::SpeakerConfig::new("es0", group),
+    );
+    let mut reg = es_telemetry::Registry::new();
+    spk.record_telemetry(&mut reg);
+    es_speaker::SpeakerStats {
+        nacks_sent: 1,
+        ..Default::default()
+    }
+    .record(&mut reg);
+    let snap = reg.snapshot();
+    assert!(snap.iter().all(|m| m.key.component == "speaker"));
+    let recorded: BTreeSet<&str> = snap.iter().map(|m| m.key.name.as_str()).collect();
+    assert_eq!(
+        documented, recorded,
+        "DESIGN.md §6 vs what a speaker records"
+    );
 }

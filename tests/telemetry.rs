@@ -164,7 +164,7 @@ fn export_is_pinned_byte_for_byte() {
     let text = snap.to_json_lines();
     assert_eq!(
         (snap.len(), fnv1a(text.as_bytes())),
-        (242, 5_125_727_415_569_604_429),
+        (232, 12_676_629_105_144_680_235),
         "the export moved:\n{text}"
     );
 }

@@ -18,6 +18,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use crate::json::{self, JsonValue};
+use crate::Label;
 
 /// How urgent an event is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -237,17 +238,121 @@ pub trait JournalSink: Send {
     fn emit(&mut self, event: &Event);
 }
 
+/// One retained event. The texts are indices into the journal's
+/// [`Texts`]; the sequence number is implied by the entry's position.
+struct Entry {
+    nanos: u64,
+    component: u32,
+    message: u32,
+    /// Every field in emit order, each `varint(key index)
+    /// varint(value length) value bytes`; empty (no allocation) for an
+    /// event without fields.
+    fields: Box<[u8]>,
+    domain: TimeDomain,
+    severity: Severity,
+}
+
+/// The journal's text table: each distinct component, message and
+/// field key held once as a [`Label`], numbered in first-seen order.
+/// Emitters pass fixed texts, so the table stays as small as the set of
+/// distinct event shapes.
+#[derive(Default)]
+struct Texts {
+    by_index: Vec<Label>,
+    index: BTreeMap<Label, u32>,
+}
+
+impl Texts {
+    /// The index of `text`, added if new.
+    fn intern(&mut self, text: &str) -> u32 {
+        if let Some(&i) = self.index.get(text) {
+            return i;
+        }
+        let i = self.by_index.len() as u32;
+        let label = Label::new(text);
+        self.by_index.push(label.clone());
+        self.index.insert(label, i);
+        i
+    }
+
+    fn get(&self, i: u32) -> &str {
+        &self.by_index[i as usize]
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: usize) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn take_varint(bytes: &mut &[u8]) -> usize {
+    let mut v = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        v |= ((b & 0x7f) as usize) << (7 * i);
+        if b < 0x80 {
+            *bytes = &bytes[i + 1..];
+            return v;
+        }
+    }
+    *bytes = &[];
+    v
+}
+
+/// The `(key index, value)` pairs of an entry's packed fields.
+fn unpack(mut packed: &[u8]) -> impl Iterator<Item = (u32, &str)> {
+    std::iter::from_fn(move || {
+        if packed.is_empty() {
+            return None;
+        }
+        let key = take_varint(&mut packed) as u32;
+        let len = take_varint(&mut packed).min(packed.len());
+        let (value, rest) = packed.split_at(len);
+        packed = rest;
+        // Packed from a `String`, so always valid UTF-8.
+        Some((key, std::str::from_utf8(value).unwrap_or_default()))
+    })
+}
+
 struct Inner {
-    events: VecDeque<Event>,
+    entries: VecDeque<Entry>,
+    texts: Texts,
     capacity: usize,
     next_seq: u64,
     dropped: u64,
     sinks: Vec<Box<dyn JournalSink>>,
 }
 
+impl Inner {
+    /// The retained entry at `i` (0 = oldest) as the public read type.
+    fn event(&self, i: usize) -> Event {
+        let e = &self.entries[i];
+        Event {
+            seq: self.next_seq - self.entries.len() as u64 + i as u64,
+            stamp: Stamp {
+                domain: e.domain,
+                nanos: e.nanos,
+            },
+            severity: e.severity,
+            component: self.texts.get(e.component).to_string(),
+            message: self.texts.get(e.message).to_string(),
+            fields: unpack(&e.fields)
+                .map(|(k, v)| (self.texts.get(k).to_string(), v.to_string()))
+                .collect(),
+        }
+    }
+}
+
 /// The shared journal handle. Cloning is cheap and every clone feeds
 /// the same buffer, so one journal can thread through a whole system —
 /// single-threaded simulator or multi-threaded live deployment alike.
+///
+/// The buffer stores events compactly — texts interned once per
+/// journal, field values packed into one byte slice, sequence numbers
+/// implied by position — and builds [`Event`]s only when they are read
+/// or fanned out to a sink.
 #[derive(Clone)]
 pub struct Journal {
     inner: Arc<Mutex<Inner>>,
@@ -269,7 +374,8 @@ impl Journal {
     pub fn with_capacity(capacity: usize) -> Self {
         Journal {
             inner: Arc::new(Mutex::new(Inner {
-                events: VecDeque::new(),
+                entries: VecDeque::new(),
+                texts: Texts::default(),
                 capacity: capacity.max(1),
                 next_seq: 0,
                 dropped: 0,
@@ -283,7 +389,8 @@ impl Journal {
         self.inner.lock().unwrap().sinks.push(sink);
     }
 
-    /// Records an event with structured fields.
+    /// Records an event with structured fields. A key given twice keeps
+    /// its last value.
     pub fn emit(
         &self,
         stamp: Stamp,
@@ -293,26 +400,36 @@ impl Journal {
         fields: &[(&str, String)],
     ) {
         let mut inner = self.inner.lock().unwrap();
-        let event = Event {
-            seq: inner.next_seq,
-            stamp,
-            severity,
-            component: component.to_string(),
-            message: message.to_string(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
-        };
-        inner.next_seq += 1;
-        for sink in &mut inner.sinks {
-            sink.emit(&event);
+        let inner = &mut *inner;
+        let component = inner.texts.intern(component);
+        let message = inner.texts.intern(message);
+        // Exact whenever key indices and value lengths are below 128;
+        // nothing is allocated for an event without fields.
+        let mut packed = Vec::with_capacity(fields.iter().map(|(_, v)| 2 + v.len()).sum());
+        for (k, v) in fields {
+            put_varint(&mut packed, inner.texts.intern(k) as usize);
+            put_varint(&mut packed, v.len());
+            packed.extend_from_slice(v.as_bytes());
         }
-        if inner.events.len() == inner.capacity {
-            inner.events.pop_front();
+        if inner.entries.len() == inner.capacity {
+            inner.entries.pop_front();
             inner.dropped += 1;
         }
-        inner.events.push_back(event);
+        inner.entries.push_back(Entry {
+            nanos: stamp.nanos,
+            component,
+            message,
+            fields: packed.into_boxed_slice(),
+            domain: stamp.domain,
+            severity,
+        });
+        inner.next_seq += 1;
+        if !inner.sinks.is_empty() {
+            let event = inner.event(inner.entries.len() - 1);
+            for sink in &mut inner.sinks {
+                sink.emit(&event);
+            }
+        }
     }
 
     /// Records a debug event without fields.
@@ -337,12 +454,13 @@ impl Journal {
 
     /// A copy of the buffered events, in record order.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.lock().unwrap().events.iter().cloned().collect()
+        let inner = self.inner.lock().unwrap();
+        (0..inner.entries.len()).map(|i| inner.event(i)).collect()
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().events.len()
+        self.inner.lock().unwrap().entries.len()
     }
 
     /// True if nothing is buffered.
@@ -357,15 +475,15 @@ impl Journal {
 
     /// Clears the buffer (sequence numbers keep counting).
     pub fn clear(&self) {
-        self.inner.lock().unwrap().events.clear();
+        self.inner.lock().unwrap().entries.clear();
     }
 
     /// Serializes the buffered events as JSON lines.
     pub fn to_json_lines(&self) -> String {
         let inner = self.inner.lock().unwrap();
         let mut out = String::new();
-        for e in &inner.events {
-            out.push_str(&e.to_json_line());
+        for i in 0..inner.entries.len() {
+            out.push_str(&inner.event(i).to_json_line());
             out.push('\n');
         }
         out
@@ -376,7 +494,7 @@ impl fmt::Debug for Journal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.lock().unwrap();
         f.debug_struct("Journal")
-            .field("len", &inner.events.len())
+            .field("len", &inner.entries.len())
             .field("dropped", &inner.dropped)
             .finish()
     }
@@ -458,5 +576,225 @@ mod tests {
         j2.info(Stamp::wall_now(), "live", "hello");
         assert_eq!(j.len(), 1);
         assert_eq!(j.events()[0].stamp.domain, TimeDomain::Wall);
+    }
+
+    #[test]
+    fn wall_stamps_roundtrip_exactly() {
+        // Above 2^53: a parse through f64 read this back as …768.
+        let stamp = Stamp::wall_ns(1_760_000_000_123_456_789);
+        let j = Journal::new();
+        j.info(stamp, "live", "hello");
+        let back = Event::from_json_line(j.to_json_lines().trim_end()).unwrap();
+        assert_eq!(back.stamp, stamp);
+        assert_eq!(back, j.events()[0]);
+    }
+
+    /// The retained layout: an entry fits in 40 bytes, each distinct
+    /// text is held once however many events repeat it, and an event
+    /// without fields packs nothing.
+    #[test]
+    fn retained_layout_is_compact() {
+        assert!(std::mem::size_of::<Entry>() <= 40);
+        let j = Journal::new();
+        for i in 0..10_000u64 {
+            let stamp = Stamp::virtual_ns(i);
+            match i % 3 {
+                0 => j.emit(
+                    stamp,
+                    Severity::Warn,
+                    "net",
+                    "datagram lost in transit",
+                    &[
+                        ("from", "producer".into()),
+                        ("receivers_lost", (i % 7).to_string()),
+                        ("bytes", "1200".into()),
+                    ],
+                ),
+                1 => j.emit(
+                    stamp,
+                    Severity::Debug,
+                    "speaker",
+                    "late packet discarded",
+                    &[
+                        ("speaker", format!("es{}", i % 16)),
+                        ("late_us", i.to_string()),
+                    ],
+                ),
+                _ => j.info(stamp, "heal", "receiver recovered"),
+            }
+        }
+        let inner = j.inner.lock().unwrap();
+        let texts: Vec<&str> = inner.texts.by_index.iter().map(|l| l.as_str()).collect();
+        // `speaker` is a component and a key, and is held once.
+        assert_eq!(
+            texts,
+            [
+                "net",
+                "datagram lost in transit",
+                "from",
+                "receivers_lost",
+                "bytes",
+                "speaker",
+                "late packet discarded",
+                "late_us",
+                "heal",
+                "receiver recovered",
+            ]
+        );
+        assert_eq!(inner.texts.index.len(), texts.len());
+        let heal = inner.texts.index["heal"];
+        let fieldless: Vec<&Entry> = inner
+            .entries
+            .iter()
+            .filter(|e| e.component == heal)
+            .collect();
+        assert!(!fieldless.is_empty());
+        assert!(fieldless.iter().all(|e| e.fields.is_empty()));
+    }
+
+    /// The journal as it stored events before the compact layout: each
+    /// retained event owns its texts, a `BTreeMap` of fields and its
+    /// `seq`.
+    struct Oracle {
+        events: VecDeque<Event>,
+        capacity: usize,
+        next_seq: u64,
+        dropped: u64,
+    }
+
+    impl Oracle {
+        fn emit(
+            &mut self,
+            stamp: Stamp,
+            severity: Severity,
+            component: &str,
+            message: &str,
+            fields: &[(&str, String)],
+        ) -> Event {
+            let event = Event {
+                seq: self.next_seq,
+                stamp,
+                severity,
+                component: component.to_string(),
+                message: message.to_string(),
+                fields: fields
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.clone()))
+                    .collect(),
+            };
+            self.next_seq += 1;
+            if self.events.len() == self.capacity {
+                self.events.pop_front();
+                self.dropped += 1;
+            }
+            self.events.push_back(event.clone());
+            event
+        }
+
+        fn to_json_lines(&self) -> String {
+            self.events
+                .iter()
+                .map(|e| e.to_json_line() + "\n")
+                .collect()
+        }
+    }
+
+    /// A sink that keeps what it receives.
+    struct Keep(Arc<Mutex<Vec<Event>>>);
+
+    impl JournalSink for Keep {
+        fn emit(&mut self, event: &Event) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
+    /// A value drawn from `r`: empty, or up to 150 characters (so its
+    /// length varint may take two bytes) from a pool holding every
+    /// ASCII control byte, JSON's escapes, separators and multi-byte
+    /// UTF-8.
+    fn value(mut r: u64) -> String {
+        const POOL: [char; 12] = [
+            '=', ',', ':', '"', '\\', '\u{7f}', 'é', '→', '😀', 'x', ' ', '}',
+        ];
+        let len = (r % 151) as usize;
+        r /= 151;
+        (0..len)
+            .map(|i| {
+                let pick = (r.rotate_left(i as u32 * 5) as usize + i) % (POOL.len() + 32);
+                POOL.get(pick)
+                    .copied()
+                    .unwrap_or_else(|| char::from((pick - POOL.len()) as u8))
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The compact journal reads exactly like the old one:
+        /// `events()`, `to_json_lines()` and what a sink receives,
+        /// under eviction at capacities 1–8 and interleaved `clear()`.
+        #[test]
+        fn compact_journal_matches_the_oracle(
+            capacity in 1usize..9,
+            warm in proptest::bool::ANY,
+            ops in proptest::collection::vec(
+                (0u8..12, proptest::num::u64::ANY, proptest::num::u64::ANY),
+                0..64,
+            ),
+        ) {
+            let j = Journal::with_capacity(capacity);
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            j.add_sink(Box::new(Keep(seen.clone())));
+            let mut oracle = Oracle {
+                events: VecDeque::new(),
+                capacity,
+                next_seq: 0,
+                dropped: 0,
+            };
+            let mut sent = Vec::new();
+            // Half the cases start with 130 texts interned, so every key
+            // index takes two varint bytes.
+            for i in 0..if warm { 130 } else { 0 } {
+                let message = format!("warm{i}");
+                j.info(Stamp::virtual_ns(i), "warm", &message);
+                sent.push(oracle.emit(Stamp::virtual_ns(i), Severity::Info, "warm", &message, &[]));
+            }
+            for (kind, a, b) in ops {
+                if kind == 0 {
+                    j.clear();
+                    oracle.events.clear();
+                } else {
+                    let stamp = match a & 1 {
+                        0 => Stamp::virtual_ns(b),
+                        _ => Stamp::wall_ns(b),
+                    };
+                    let severity = [Severity::Debug, Severity::Info, Severity::Warn, Severity::Error]
+                        [(a >> 1) as usize % 4];
+                    let component = ["net", "speaker", "heal", ""][(a >> 3) as usize % 4];
+                    let message = format!("m{}", (a >> 5) % 5);
+                    // Keys from a small pool (duplicates are common) and,
+                    // now and then, from 300 names: indices past 127.
+                    let keys: Vec<String> = (0..(a >> 8) % 5)
+                        .map(|i| match (a >> (12 + i * 10)) % 8 {
+                            0 => format!("k{}", (b >> (i * 8)) % 300),
+                            k => ["speaker", "seq", "late_us", "", "é", "a b", "from"][k as usize - 1]
+                                .to_string(),
+                        })
+                        .collect();
+                    let fields: Vec<(&str, String)> = keys
+                        .iter()
+                        .enumerate()
+                        .map(|(i, k)| (k.as_str(), value(b.rotate_left(i as u32 * 13) ^ a)))
+                        .collect();
+                    j.emit(stamp, severity, component, &message, &fields);
+                    sent.push(oracle.emit(stamp, severity, component, &message, &fields));
+                }
+                let events = j.events();
+                proptest::prop_assert_eq!(&events, &Vec::from(oracle.events.clone()));
+                proptest::prop_assert_eq!(j.to_json_lines(), oracle.to_json_lines());
+                proptest::prop_assert_eq!(j.len(), oracle.events.len());
+                proptest::prop_assert_eq!(j.dropped(), oracle.dropped);
+                proptest::prop_assert_eq!(&*seen.lock().unwrap(), &sent);
+            }
+        }
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! The workspace builds offline (no serde); the telemetry export
 //! formats are flat JSON-lines objects, so a small hand-rolled value
-//! model covers them completely. Numbers are kept as `f64` with an
-//! integer fast path, strings support the standard escapes, and the
-//! parser accepts exactly the subset the encoder emits (plus
-//! insignificant whitespace).
+//! model covers them completely. An unsigned integer literal is kept
+//! exactly as a `u64` (wall stamps and counters exceed `f64`'s 2^53);
+//! every other number is an `f64`. Strings support the standard
+//! escapes, and the parser accepts exactly the subset the encoder emits
+//! (plus insignificant whitespace).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -17,7 +18,9 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number.
+    /// An unsigned integer literal that fits a `u64`, kept exact.
+    Int(u64),
+    /// Any other number.
     Num(f64),
     /// A string.
     Str(String),
@@ -39,6 +42,7 @@ impl JsonValue {
     /// The value as a number, if it is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
@@ -47,6 +51,7 @@ impl JsonValue {
     /// The value as a non-negative integer, if it is one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            JsonValue::Int(n) => Some(*n),
             JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
@@ -291,11 +296,15 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(JsonValue::Int(n));
+            }
+        }
+        text.parse::<f64>()
             .map(JsonValue::Num)
-            .ok_or_else(|| self.err("invalid number"))
+            .map_err(|_| self.err("invalid number"))
     }
 }
 
@@ -325,6 +334,23 @@ mod tests {
         let b = v.get("buckets").unwrap().items().unwrap();
         assert_eq!(b[0].items().unwrap()[0].as_u64(), Some(3));
         assert_eq!(v.get("g").unwrap().as_f64(), Some(-0.25));
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_are_exact() {
+        for n in [(1u64 << 53) + 1, 1_760_000_000_123_456_789, u64::MAX] {
+            let v = parse(&format!("{{\"n\":{n}}}")).unwrap();
+            assert_eq!(v.get("n").unwrap().as_u64(), Some(n));
+        }
+        // One past u64::MAX, a sign, a fraction or an exponent is an f64.
+        assert_eq!(
+            parse("18446744073709551616").unwrap(),
+            JsonValue::Num(18446744073709551616.0)
+        );
+        assert_eq!(parse("-3").unwrap(), JsonValue::Num(-3.0));
+        assert_eq!(parse("2.5").unwrap().as_u64(), None);
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+        assert_eq!(parse("7").unwrap().as_f64(), Some(7.0));
     }
 
     #[test]

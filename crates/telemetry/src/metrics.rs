@@ -591,8 +591,7 @@ impl MetricsSnapshot {
             out.push('"');
             match &m.value {
                 MetricValue::Counter(c) => {
-                    out.push_str(",\"value\":");
-                    json::write_num(&mut out, *c as f64);
+                    let _ = write!(out, ",\"value\":{c}");
                 }
                 MetricValue::Gauge(g) => {
                     out.push_str(",\"value\":");
@@ -918,6 +917,21 @@ mod tests {
         assert_eq!(back, snap);
         // And a second generation survives too (stable format).
         assert_eq!(back.to_json_lines(), lines);
+    }
+
+    #[test]
+    fn counters_above_2_pow_53_roundtrip_exactly() {
+        // 2^53 + 1, which a parse or a write through f64 turns into 2^53.
+        let lines = "{\"key\":\"net/lan0/frames_delivered\",\"type\":\"counter\",\"value\":9007199254740993}\n\
+                     {\"key\":\"net/lan0/queue_delay_us\",\"type\":\"histogram\",\"count\":1,\"sum\":9007199254740993,\"buckets\":[[54,1]]}\n";
+        let snap = MetricsSnapshot::from_json_lines(lines).unwrap();
+        let values: Vec<&MetricValue> = snap.iter().map(|m| &m.value).collect();
+        assert!(matches!(
+            values[0],
+            MetricValue::Counter(9_007_199_254_740_993)
+        ));
+        assert!(matches!(values[1], MetricValue::Histogram(h) if h.sum() == 9_007_199_254_740_993));
+        assert_eq!(snap.to_json_lines(), lines);
     }
 
     #[test]

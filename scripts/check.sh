@@ -3,8 +3,8 @@
 # tier-1 verify line (see ROADMAP.md), the other workspace members'
 # tests, the codec's deep differential run, one perf step (the
 # ledger's unit tests and --quick smoke), the
-# cross-process determinism diffs and a healing seed sweep. Writes
-# nothing tracked outside results/.
+# cross-process determinism diffs, the healing journal drift check and
+# a healing seed sweep. Writes nothing tracked outside results/.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -96,6 +96,18 @@ for seed in 61 62 63; do
         exit 1
     }
 done
+
+# Journal drift gate: the archived journals are committed, so a change
+# that moves a byte of them (or adds a scenario's file) must commit the
+# regenerated copy. Outside a git work tree there is nothing to compare.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    echo "== healing journal drift (against the committed copy)"
+    untracked=$(git ls-files --others --exclude-standard -- results/healing-journal)
+    git diff --exit-code -- results/healing-journal && [ -z "$untracked" ] || {
+        echo "results/healing-journal differs from the committed copy${untracked:+; untracked: $untracked}" >&2
+        exit 1
+    }
+fi
 
 # Healing seed sweep: the matrix above pins 61-63, and both misses of
 # ROADMAP 5(e) sat at other seeds and were found only by sweeping by

@@ -7,16 +7,21 @@
 //! Snapshots export as JSON lines, one metric per line, and parse back
 //! for round-trip tests and offline analysis.
 //!
-//! A 1 000-speaker fleet's snapshot holds ≈ 33k metrics, so it is one
-//! compact copy: a registry interns each distinct key part once as a
+//! A 1 000-speaker fleet's snapshot holds ≈ 31k metrics, so it is one
+//! compact buffer: a registry interns each distinct key part once as a
 //! [`Label`] (every key of one instance shares one allocation of its
 //! text), a [`Histogram`] stores buckets only up to its highest
-//! non-empty one, and [`Registry::snapshot`] moves the recorded map
-//! into the snapshot instead of copying it.
+//! non-empty one, and a [`Registry`] records into an append-only log
+//! of 64-byte entries, the size of a [`Metric`], that
+//! [`Registry::snapshot`] sorts once and turns into the snapshot in
+//! place. The `BTreeMap` the log replaced cost ≈ 110 B per key and was
+//! still live when the snapshot's 64 B per key were allocated: 178 B
+//! per key at the peak of a 1k fleet's walk, where the log peaks at
+//! 75 B (its entries, the `Vec`'s growth slack, histograms and labels).
 
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
@@ -160,6 +165,12 @@ impl Label {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// True if both labels share one allocation (one registry interned
+    /// them as one).
+    fn is(&self, other: &Label) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl Default for Label {
@@ -184,7 +195,7 @@ impl Borrow<str> for Label {
 
 impl PartialEq for Label {
     fn eq(&self, other: &Label) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        self.is(other) || self.0 == other.0
     }
 }
 
@@ -198,7 +209,7 @@ impl PartialOrd for Label {
 
 impl Ord for Label {
     fn cmp(&self, other: &Label) -> Ordering {
-        if Arc::ptr_eq(&self.0, &other.0) {
+        if self.is(other) {
             Ordering::Equal
         } else {
             self.0.cmp(&other.0)
@@ -306,12 +317,75 @@ impl MetricValue {
 }
 
 /// The mutable collection point instrumented code records into.
+///
+/// Recording appends to a log of 64-byte entries, one per key a scope
+/// recorded: a [`Scope`] folds a name it already recorded into its own
+/// earlier entry, and [`Registry::snapshot`] folds the rest once, after
+/// one sort. A walk records each key once, so the log holds one entry
+/// per key and becomes the snapshot in place.
 #[derive(Debug, Default)]
 pub struct Registry {
     /// Every key part recorded so far, each held once.
     labels: BTreeSet<Label>,
     instance: Label,
-    metrics: BTreeMap<MetricKey, MetricValue>,
+    /// Everything recorded, in recording order.
+    log: Vec<Entry>,
+    /// Where the current scope's entries start in `log`. A scope
+    /// reopened on the same component and instance continues them.
+    scope_start: usize,
+}
+
+/// One log entry: a key, and what one scope recorded under it since the
+/// key last changed kind there.
+#[derive(Debug)]
+struct Entry {
+    key: MetricKey,
+    op: Op,
+}
+
+/// What an entry does to the value recorded before it under its key: a
+/// counter adds, a gauge overwrites, a histogram merges, and an entry
+/// of another kind replaces the value. `order` is the entry's position
+/// in the log, so that an unstable sort keeps a key's entries in
+/// recording order.
+#[derive(Debug)]
+enum Op {
+    Counter { order: u32, delta: u64 },
+    Gauge { order: u32, value: f64 },
+    Histogram { order: u32, hist: Box<Histogram> },
+}
+
+impl Op {
+    fn order(&self) -> u32 {
+        match *self {
+            Op::Counter { order, .. } | Op::Gauge { order, .. } | Op::Histogram { order, .. } => {
+                order
+            }
+        }
+    }
+
+    /// Applies `later`, recorded after `self` under the same key.
+    fn then(&mut self, later: &mut Op) {
+        match (self, later) {
+            (Op::Counter { delta, .. }, Op::Counter { delta: more, .. }) => *delta += *more,
+            (Op::Histogram { hist, .. }, Op::Histogram { hist: more, .. }) => hist.merge(more),
+            (earlier, later) => std::mem::swap(earlier, later),
+        }
+    }
+}
+
+impl Entry {
+    fn into_metric(self) -> Metric {
+        let value = match self.op {
+            Op::Counter { delta, .. } => MetricValue::Counter(delta),
+            Op::Gauge { value, .. } => MetricValue::Gauge(value),
+            Op::Histogram { hist, .. } => MetricValue::Histogram(hist),
+        };
+        Metric {
+            key: self.key,
+            value,
+        }
+    }
 }
 
 impl Registry {
@@ -322,7 +396,8 @@ impl Registry {
         Registry {
             labels,
             instance,
-            metrics: BTreeMap::new(),
+            log: Vec::new(),
+            scope_start: 0,
         }
     }
 
@@ -337,31 +412,40 @@ impl Registry {
     /// instance label.
     pub fn component<'a>(&'a mut self, component: &str) -> Scope<'a> {
         let component = intern(&mut self.labels, component);
+        let continues = self
+            .log
+            .get(self.scope_start)
+            .is_some_and(|e| e.key.component.is(&component) && e.key.instance.is(&self.instance));
+        if !continues {
+            self.scope_start = self.log.len();
+        }
         Scope {
             registry: self,
             component,
         }
     }
 
-    /// Number of metrics recorded.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// True if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// Freezes the contents into an immutable snapshot. The recorded
-    /// map moves into it; nothing is copied.
+    /// Freezes the contents into an immutable snapshot: sorts the log
+    /// by key, folds each key's entries in recording order, and turns
+    /// the log into the snapshot's `Vec` in place. The log's buffer is
+    /// the only one: 64 B per key, where the map it replaced held
+    /// ≈ 110 B per key while the snapshot's 64 B were allocated.
     pub fn snapshot(self) -> MetricsSnapshot {
+        let mut log = self.log;
+        log.sort_unstable_by(|a, b| {
+            a.key
+                .cmp(&b.key)
+                .then_with(|| a.op.order().cmp(&b.op.order()))
+        });
+        log.dedup_by(|later, earlier| {
+            let same = later.key == earlier.key;
+            if same {
+                earlier.op.then(&mut later.op);
+            }
+            same
+        });
         MetricsSnapshot {
-            metrics: self
-                .metrics
-                .into_iter()
-                .map(|(key, value)| Metric { key, value })
-                .collect(),
+            metrics: log.into_iter().map(Entry::into_metric).collect(),
         }
     }
 }
@@ -373,51 +457,112 @@ pub struct Scope<'a> {
 }
 
 impl Scope<'_> {
-    /// The value stored under `name`, created by `init` if absent.
-    fn slot(&mut self, name: &str, init: impl FnOnce() -> MetricValue) -> &mut MetricValue {
-        let registry = &mut *self.registry;
-        let key = MetricKey {
-            component: self.component.clone(),
-            instance: registry.instance.clone(),
-            name: intern(&mut registry.labels, name),
+    /// Folds into this scope's latest entry under `name` if `fold`
+    /// accepts it (the entry is of its kind), else appends `op`.
+    fn record(
+        &mut self,
+        name: &str,
+        fold: impl FnOnce(&mut Op) -> bool,
+        op: impl FnOnce(u32) -> Op,
+    ) {
+        let Registry {
+            labels,
+            instance,
+            log,
+            scope_start,
+        } = &mut *self.registry;
+        let name = match labels.get(name) {
+            Some(label) => {
+                let latest = log[*scope_start..]
+                    .iter_mut()
+                    .rev()
+                    .find(|e| e.key.name.is(label));
+                if latest.is_some_and(|e| fold(&mut e.op)) {
+                    return;
+                }
+                label.clone()
+            }
+            None => intern(labels, name),
         };
-        registry.metrics.entry(key).or_insert_with(init)
+        let order = u32::try_from(log.len()).expect("a registry holds under 2^32 entries");
+        log.push(Entry {
+            key: MetricKey {
+                component: self.component.clone(),
+                instance: instance.clone(),
+                name,
+            },
+            op: op(order),
+        });
     }
 
     /// Adds to a counter (creating it at zero).
     pub fn counter(&mut self, name: &str, delta: u64) -> &mut Self {
-        match self.slot(name, || MetricValue::Counter(0)) {
-            MetricValue::Counter(c) => *c += delta,
-            other => *other = MetricValue::Counter(delta),
-        }
+        self.record(
+            name,
+            |op| match op {
+                Op::Counter { delta: c, .. } => {
+                    *c += delta;
+                    true
+                }
+                _ => false,
+            },
+            |order| Op::Counter { order, delta },
+        );
         self
     }
 
     /// Sets a gauge (last write wins).
     pub fn gauge(&mut self, name: &str, value: f64) -> &mut Self {
-        *self.slot(name, || MetricValue::Gauge(value)) = MetricValue::Gauge(value);
+        self.record(
+            name,
+            |op| match op {
+                Op::Gauge { value: g, .. } => {
+                    *g = value;
+                    true
+                }
+                _ => false,
+            },
+            |order| Op::Gauge { order, value },
+        );
         self
     }
 
     /// Records one sample into a histogram (creating it empty).
     pub fn observe(&mut self, name: &str, value: u64) -> &mut Self {
-        match self.slot(name, || MetricValue::Histogram(Box::default())) {
-            MetricValue::Histogram(h) => h.observe(value),
-            other => {
-                let mut h = Histogram::new();
-                h.observe(value);
-                *other = MetricValue::Histogram(Box::new(h));
-            }
-        }
+        self.record(
+            name,
+            |op| match op {
+                Op::Histogram { hist, .. } => {
+                    hist.observe(value);
+                    true
+                }
+                _ => false,
+            },
+            |order| {
+                let mut hist = Box::<Histogram>::default();
+                hist.observe(value);
+                Op::Histogram { order, hist }
+            },
+        );
         self
     }
 
     /// Merges an externally maintained histogram under `name`.
     pub fn histogram(&mut self, name: &str, hist: &Histogram) -> &mut Self {
-        match self.slot(name, || MetricValue::Histogram(Box::default())) {
-            MetricValue::Histogram(h) => h.merge(hist),
-            other => *other = MetricValue::Histogram(Box::new(hist.clone())),
-        }
+        self.record(
+            name,
+            |op| match op {
+                Op::Histogram { hist: h, .. } => {
+                    h.merge(hist);
+                    true
+                }
+                _ => false,
+            },
+            |order| Op::Histogram {
+                order,
+                hist: Box::new(hist.clone()),
+            },
+        );
         self
     }
 }
@@ -614,9 +759,9 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Parses the output of [`Self::to_json_lines`]. A histogram whose
-    /// buckets repeat an index, or do not add up to its count, is
-    /// rejected.
+    /// Parses the output of [`Self::to_json_lines`]. A key that appears
+    /// twice, or a histogram whose buckets repeat an index or do not add
+    /// up to its count, is rejected.
     pub fn from_json_lines(input: &str) -> Result<Self, crate::JsonError> {
         let mut labels = BTreeSet::new();
         let mut metrics = Vec::new();
@@ -701,7 +846,13 @@ impl MetricsSnapshot {
             };
             metrics.push(Metric { key, value });
         }
-        metrics.sort_by(|a, b| a.key.cmp(&b.key));
+        metrics.sort_unstable_by(|a, b| a.key.cmp(&b.key));
+        if let Some(pair) = metrics.windows(2).find(|pair| pair[0].key == pair[1].key) {
+            return Err(crate::JsonError {
+                message: format!("key repeated: {}", pair[0].key),
+                offset: 0,
+            });
+        }
         Ok(MetricsSnapshot { metrics })
     }
 }
@@ -717,6 +868,7 @@ fn find<'a>(metrics: &'a [Metric], name: &str) -> Option<&'a MetricValue> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn histogram_bucket_boundaries() {
@@ -973,5 +1125,196 @@ mod tests {
             MetricsSnapshot::from_json_lines(&histogram_line(0, "[1,18446744073709551615],[2,1]"))
                 .unwrap_err();
         assert!(err.message.contains("overflow"), "{err:?}");
+    }
+
+    #[test]
+    fn a_repeated_key_is_rejected() {
+        let lines = "{\"key\":\"speaker/es0/x\",\"type\":\"counter\",\"value\":1}\n\
+                     {\"key\":\"speaker/es0/x\",\"type\":\"counter\",\"value\":2}\n\
+                     {\"key\":\"speaker/es0/x\",\"type\":\"gauge\",\"value\":7.5}\n";
+        // These used to parse into three entries under one key, and
+        // `counter("speaker/es0/x")` then found the gauge.
+        let err = MetricsSnapshot::from_json_lines(lines).unwrap_err();
+        assert!(err.message.contains("repeated"), "{err:?}");
+        let one = lines.lines().next().unwrap();
+        let snap = MetricsSnapshot::from_json_lines(one).unwrap();
+        let path = "speaker/es0/x";
+        assert_eq!(snap.counter(path), Some(1));
+    }
+
+    /// The ledger probe's pattern: four counters, 250 times each. (Key
+    /// names in these tests are variables, so that es-analyze's key
+    /// inventory sees none of them.)
+    fn probe_pattern(s: &mut Scope<'_>) {
+        let names = [
+            "data_packets",
+            "datagrams",
+            "samples_played",
+            "control_packets",
+        ];
+        for _ in 0..250 {
+            for name in names {
+                s.counter(name, 1);
+            }
+        }
+    }
+
+    #[test]
+    fn a_scope_keeps_one_entry_per_name() {
+        let mut r = Registry::new();
+        r.set_instance("probe");
+        probe_pattern(&mut r.component("speaker"));
+        assert_eq!(r.log.len(), 4);
+        // Reopened on the same component and instance, a scope folds
+        // into the entries before it.
+        for _ in 0..10 {
+            probe_pattern(&mut r.component("speaker"));
+        }
+        assert_eq!(r.log.len(), 4);
+        let snap = r.snapshot();
+        assert_eq!(snap.len(), 4);
+        assert!(snap.iter().all(|m| m.value == MetricValue::Counter(2_750)));
+    }
+
+    #[test]
+    fn the_snapshot_is_the_log() {
+        assert_eq!(std::mem::size_of::<Entry>(), std::mem::size_of::<Metric>());
+        assert_eq!(std::mem::size_of::<Metric>(), 64);
+        let (sent, delay, level) = ("sent", "delay_us", "level");
+        let mut r = Registry::new();
+        for instance in ["b", "a", "b"] {
+            r.set_instance(instance);
+            r.component("net").counter(sent, 1).observe(delay, 9);
+            r.component("speaker").gauge(level, 0.5);
+        }
+        let log = r.log.as_ptr();
+        let snap = r.snapshot();
+        assert_eq!(snap.metrics.as_ptr(), log.cast::<Metric>());
+        assert_eq!(snap.len(), 6);
+        assert_eq!(snap.sum_counters("net", sent), 3);
+    }
+
+    /// The registry as it recorded before the log: one `BTreeMap` entry
+    /// per key, updated in place by every recording.
+    #[derive(Default)]
+    struct MapRegistry {
+        instance: String,
+        metrics: BTreeMap<MetricKey, MetricValue>,
+    }
+
+    impl MapRegistry {
+        fn slot(
+            &mut self,
+            component: &str,
+            name: &str,
+            init: impl FnOnce() -> MetricValue,
+        ) -> &mut MetricValue {
+            let key = MetricKey::new(component, &self.instance, name);
+            self.metrics.entry(key).or_insert_with(init)
+        }
+
+        fn counter(&mut self, component: &str, name: &str, delta: u64) {
+            match self.slot(component, name, || MetricValue::Counter(0)) {
+                MetricValue::Counter(c) => *c += delta,
+                other => *other = MetricValue::Counter(delta),
+            }
+        }
+
+        fn gauge(&mut self, component: &str, name: &str, value: f64) {
+            *self.slot(component, name, || MetricValue::Gauge(value)) = MetricValue::Gauge(value);
+        }
+
+        fn observe(&mut self, component: &str, name: &str, value: u64) {
+            match self.slot(component, name, || MetricValue::Histogram(Box::default())) {
+                MetricValue::Histogram(h) => h.observe(value),
+                other => {
+                    let mut h = Histogram::new();
+                    h.observe(value);
+                    *other = MetricValue::Histogram(Box::new(h));
+                }
+            }
+        }
+
+        fn histogram(&mut self, component: &str, name: &str, hist: &Histogram) {
+            match self.slot(component, name, || MetricValue::Histogram(Box::default())) {
+                MetricValue::Histogram(h) => h.merge(hist),
+                other => *other = MetricValue::Histogram(Box::new(hist.clone())),
+            }
+        }
+
+        fn snapshot(self) -> MetricsSnapshot {
+            MetricsSnapshot {
+                metrics: self
+                    .metrics
+                    .into_iter()
+                    .map(|(key, value)| Metric { key, value })
+                    .collect(),
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The log registry snapshots exactly like the map it replaced:
+        /// kinds mixed under one key, instances switched back and
+        /// forth, names repeated within a scope and across scopes,
+        /// empty histograms.
+        #[test]
+        fn log_registry_matches_the_map_oracle(
+            scopes in proptest::collection::vec(
+                (
+                    0u8..5,
+                    0u8..3,
+                    proptest::collection::vec((0u8..4, 0u8..4, proptest::num::u64::ANY), 0..12),
+                ),
+                0..16,
+            ),
+        ) {
+            let mut log = Registry::new();
+            let mut map = MapRegistry {
+                instance: "0".to_string(),
+                ..MapRegistry::default()
+            };
+            for (instance, component, ops) in scopes {
+                // 3 and 4 keep the instance, so a scope may continue the
+                // entries of the scope before it.
+                if let Some(instance) = ["a", "b", "0"].get(usize::from(instance)) {
+                    log.set_instance(instance);
+                    map.instance = instance.to_string();
+                }
+                let component = ["net", "speaker", "ne"][usize::from(component)];
+                let mut scope = log.component(component);
+                for (kind, name, v) in ops {
+                    let name = ["x", "y", "xy", "x/0"][usize::from(name)];
+                    match kind {
+                        0 => {
+                            scope.counter(name, v % 1_000);
+                            map.counter(component, name, v % 1_000);
+                        }
+                        1 => {
+                            let value = (v % 4_001) as f64 / 8.0 - 250.0;
+                            scope.gauge(name, value);
+                            map.gauge(component, name, value);
+                        }
+                        2 => {
+                            let value = v >> (v % 64);
+                            scope.observe(name, value);
+                            map.observe(component, name, value);
+                        }
+                        _ => {
+                            // Empty for a quarter of the draws.
+                            let mut hist = Histogram::new();
+                            for i in 0..v % 4 {
+                                hist.observe(v.rotate_left(i as u32 * 17) >> (v % 61));
+                            }
+                            scope.histogram(name, &hist);
+                            map.histogram(component, name, &hist);
+                        }
+                    }
+                }
+            }
+            let (got, want) = (log.snapshot(), map.snapshot());
+            proptest::prop_assert_eq!(&got, &want);
+            proptest::prop_assert_eq!(got.to_json_lines(), want.to_json_lines());
+        }
     }
 }

@@ -1,8 +1,8 @@
 #!/bin/sh
 # The full local gate: formatting, lints (warnings are errors), the
 # tier-1 verify line (see ROADMAP.md), the other workspace members'
-# tests, the codec's deep differential run, one perf step (the
-# ledger's unit tests and --quick smoke), the
+# tests, the codec's and the telemetry crate's deep differential runs,
+# one perf step (the ledger's unit tests and --quick smoke), the
 # cross-process determinism diffs, the healing journal drift check and
 # a healing seed sweep. Writes nothing tracked outside results/.
 set -eu
@@ -53,6 +53,13 @@ cargo test --workspace --exclude ethernet-speaker -q
 # property instead of 64 (≈ 10 s release).
 echo "== codec differential oracles (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test -q --release -p es-codec --test hostile_bytes --test dsp_kernels_prop --test fft_mdct_prop
+
+# The telemetry crate's differential run: the compact journal against
+# the owned-`Event` journal it replaced, and the log registry against
+# the `BTreeMap` registry it replaced (equal snapshots, byte-identical
+# JSON lines), at 2000 cases per property.
+echo "== telemetry differential oracles (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test -q --release -p es-telemetry
 
 # The one perf step: the ledger (benches/ledger, the BENCHMARK.json
 # harness) is the only wall-clock perf harness. Its own unit tests,

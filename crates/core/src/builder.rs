@@ -1115,7 +1115,7 @@ mod tests {
     /// back channel: a NACK datagram for a stream on the line-up comes
     /// back out as re-multicast data packets, one for a stream nobody
     /// sends comes back as nothing, and the widest NACK costs at most
-    /// the 64-packet window.
+    /// the blocks not yet due.
     #[test]
     fn a_nack_datagram_at_the_producer_host_is_served_by_its_stream() {
         let mut sys = SystemBuilder::new(13)
@@ -1163,7 +1163,8 @@ mod tests {
         assert_eq!(copies_of(newest - 1), 2, "original + retransmission");
         nack(&mut sys, 1, &[(0, u16::MAX); 16]);
         let st = sys.rebroadcaster(0).stats();
-        assert_eq!((st.nacks_received, st.retransmits_sent), (2, 2 + 64));
+        // 200 ms of playout delay is four 50 ms blocks.
+        assert_eq!((st.nacks_received, st.retransmits_sent), (2, 2 + 4));
         let snap = sys.metrics();
         assert_eq!(snap.counter("rebroadcast/ch0/nacks_received"), Some(2));
     }

@@ -12,6 +12,12 @@
 //! play deadlines, the lengths and the codec ids, so a missing packet
 //! is reconstructed *fully*, metadata included, by XOR-ing the parity
 //! with the group's surviving packets.
+//!
+//! The producer folds each packet into one running accumulator; a
+//! receiver does not. [`FecRecoverer`] keeps a group's surviving
+//! packets by handle — their payloads are the `Bytes` every receiver
+//! of the datagram shares — and XORs once, when the parity and all but
+//! one member are in. A receiver that loses nothing copies nothing.
 
 use bytes::Bytes;
 
@@ -132,26 +138,24 @@ impl ParityAccumulator {
     }
 }
 
+/// One parity group as a receiver has heard it so far: the members
+/// that arrived, by handle, and the parity once it came.
 struct GroupState {
     base_seq: u32,
     seen: u32, // Bitmap of received members.
-    xor_play: u64,
-    xor_len: u32,
-    xor_codec: u8,
-    payload: Vec<u8>,
+    /// The received members in arrival order. Their payloads are the
+    /// caller's `Bytes`, shared, never copied.
+    members: Vec<DataPacket>,
     parity: Option<ParityPacket>,
     stream_id: u16,
 }
 
 impl GroupState {
-    fn new(base_seq: u32, stream_id: u16) -> Self {
+    fn new(base_seq: u32, stream_id: u16, group: u8) -> Self {
         GroupState {
             base_seq,
             seen: 0,
-            xor_play: 0,
-            xor_len: 0,
-            xor_codec: 0,
-            payload: Vec::new(),
+            members: Vec::with_capacity(group.into()),
             parity: None,
             stream_id,
         }
@@ -161,25 +165,39 @@ impl GroupState {
         self.seen.count_ones()
     }
 
-    fn try_recover(&mut self) -> Option<DataPacket> {
+    /// Rebuilds the one missing member once the parity is here and
+    /// every other member is: the only place a payload is XORed.
+    fn try_recover(&self) -> Option<DataPacket> {
         let parity = self.parity.as_ref()?;
         if self.seen_count() != parity.count as u32 - 1 {
             return None;
         }
         // The single missing member index.
         let missing = (0..parity.count as u32).find(|i| self.seen & (1 << i) == 0)?;
-        let mut payload = parity.payload.to_vec();
-        xor_into(&mut payload, &self.payload);
-        let len = (self.xor_len ^ parity.xor_len) as usize;
-        if len > payload.len() {
+        let (mut xor_play, mut xor_len, mut xor_codec) =
+            (parity.xor_play_at_us, parity.xor_len, parity.xor_codec);
+        let mut longest = parity.payload.len();
+        for m in &self.members {
+            xor_play ^= m.play_at_us;
+            xor_len ^= m.payload.len() as u32;
+            xor_codec ^= m.codec;
+            longest = longest.max(m.payload.len());
+        }
+        let len = xor_len as usize;
+        if len > longest {
             return None; // Corrupt accounting; refuse.
         }
-        payload.truncate(len);
+        let mut payload = vec![0; len];
+        for src in std::iter::once(&parity.payload).chain(self.members.iter().map(|m| &m.payload)) {
+            for (a, &b) in payload.iter_mut().zip(src.iter()) {
+                *a ^= b;
+            }
+        }
         Some(DataPacket {
             stream_id: self.stream_id,
             seq: self.base_seq + missing,
-            play_at_us: self.xor_play ^ parity.xor_play_at_us,
-            codec: self.xor_codec ^ parity.xor_codec,
+            play_at_us: xor_play,
+            codec: xor_codec,
             payload: Bytes::from(payload),
         })
     }
@@ -243,7 +261,8 @@ impl FecRecoverer {
                 }
             }
         }
-        self.groups.push(GroupState::new(base, stream_id));
+        self.groups
+            .push(GroupState::new(base, stream_id, self.group));
         self.groups.last_mut().expect("just pushed")
     }
 
@@ -256,10 +275,7 @@ impl FecRecoverer {
             return None; // Duplicate.
         }
         state.seen |= 1 << idx;
-        state.xor_play ^= pkt.play_at_us;
-        state.xor_len ^= pkt.payload.len() as u32;
-        state.xor_codec ^= pkt.codec;
-        xor_into(&mut state.payload, &pkt.payload);
+        state.members.push(pkt.clone());
         let rec = state.try_recover();
         if rec.is_some() {
             self.recovered += 1;
@@ -282,6 +298,150 @@ impl FecRecoverer {
             self.groups.retain(|g| g.base_seq != base);
         }
         rec
+    }
+}
+
+/// The recoverer [`FecRecoverer`] replaced, kept as its oracle: each
+/// group XORs every arriving member into accumulators of its own.
+#[cfg(test)]
+mod oracle {
+    use super::{xor_into, Bytes, DataPacket, ParityPacket};
+
+    struct GroupState {
+        base_seq: u32,
+        seen: u32, // Bitmap of received members.
+        xor_play: u64,
+        xor_len: u32,
+        xor_codec: u8,
+        payload: Vec<u8>,
+        parity: Option<ParityPacket>,
+        stream_id: u16,
+    }
+
+    impl GroupState {
+        fn new(base_seq: u32, stream_id: u16) -> Self {
+            GroupState {
+                base_seq,
+                seen: 0,
+                xor_play: 0,
+                xor_len: 0,
+                xor_codec: 0,
+                payload: Vec::new(),
+                parity: None,
+                stream_id,
+            }
+        }
+
+        fn seen_count(&self) -> u32 {
+            self.seen.count_ones()
+        }
+
+        fn try_recover(&mut self) -> Option<DataPacket> {
+            let parity = self.parity.as_ref()?;
+            if self.seen_count() != parity.count as u32 - 1 {
+                return None;
+            }
+            // The single missing member index.
+            let missing = (0..parity.count as u32).find(|i| self.seen & (1 << i) == 0)?;
+            let mut payload = parity.payload.to_vec();
+            xor_into(&mut payload, &self.payload);
+            let len = (self.xor_len ^ parity.xor_len) as usize;
+            if len > payload.len() {
+                return None; // Corrupt accounting; refuse.
+            }
+            payload.truncate(len);
+            Some(DataPacket {
+                stream_id: self.stream_id,
+                seq: self.base_seq + missing,
+                play_at_us: self.xor_play ^ parity.xor_play_at_us,
+                codec: self.xor_codec ^ parity.xor_codec,
+                payload: Bytes::from(payload),
+            })
+        }
+    }
+
+    /// Speaker side: tracks recent groups and reconstructs single losses.
+    pub struct AccumulatingRecoverer {
+        group: u8,
+        groups: Vec<GroupState>,
+        recovered: u64,
+        unrecoverable: u64,
+    }
+
+    impl AccumulatingRecoverer {
+        pub fn new(group: u8) -> Self {
+            assert!((2..=32).contains(&group), "group must be 2..=32");
+            AccumulatingRecoverer {
+                group,
+                groups: Vec::new(),
+                recovered: 0,
+                unrecoverable: 0,
+            }
+        }
+
+        pub fn recovered(&self) -> u64 {
+            self.recovered
+        }
+
+        pub fn unrecoverable(&self) -> u64 {
+            self.unrecoverable
+        }
+
+        fn group_base(&self, seq: u32) -> u32 {
+            seq - seq % self.group as u32
+        }
+
+        fn state_for(&mut self, base: u32, stream_id: u16) -> &mut GroupState {
+            if let Some(i) = self.groups.iter().position(|g| g.base_seq == base) {
+                return &mut self.groups[i];
+            }
+            // Bound memory: retire the oldest groups.
+            while self.groups.len() >= 4 {
+                let g = self.groups.remove(0);
+                if let Some(p) = &g.parity {
+                    if g.seen_count() < p.count as u32 - 1 {
+                        self.unrecoverable += 1;
+                    }
+                }
+            }
+            self.groups.push(GroupState::new(base, stream_id));
+            self.groups.last_mut().expect("just pushed")
+        }
+
+        pub fn on_data(&mut self, pkt: &DataPacket) -> Option<DataPacket> {
+            let base = self.group_base(pkt.seq);
+            let idx = pkt.seq - base;
+            let state = self.state_for(base, pkt.stream_id);
+            if state.seen & (1 << idx) != 0 {
+                return None; // Duplicate.
+            }
+            state.seen |= 1 << idx;
+            state.xor_play ^= pkt.play_at_us;
+            state.xor_len ^= pkt.payload.len() as u32;
+            state.xor_codec ^= pkt.codec;
+            xor_into(&mut state.payload, &pkt.payload);
+            let rec = state.try_recover();
+            if rec.is_some() {
+                self.recovered += 1;
+                self.groups.retain(|g| g.base_seq != base);
+            }
+            rec
+        }
+
+        pub fn on_parity(&mut self, pkt: &ParityPacket) -> Option<DataPacket> {
+            let base = pkt.base_seq;
+            let state = self.state_for(base, pkt.stream_id);
+            state.parity = Some(pkt.clone());
+            let rec = state.try_recover();
+            if rec.is_some() {
+                self.recovered += 1;
+                self.groups.retain(|g| g.base_seq != base);
+            } else if state.seen_count() == pkt.count as u32 {
+                // Nothing was lost; the group is done.
+                self.groups.retain(|g| g.base_seq != base);
+            }
+            rec
+        }
     }
 }
 
@@ -491,6 +651,196 @@ mod tests {
             }
             got = rec.on_parity(&parity).or(got);
             proptest::prop_assert_eq!(got.expect("recovered"), packets[missing as usize].clone());
+        }
+    }
+
+    #[test]
+    fn a_group_holds_the_callers_payloads_and_copies_nothing_until_a_recovery() {
+        let packets: Vec<DataPacket> = (0..4u32).map(|i| pkt(i, b"shared payload")).collect();
+        let mut acc = ParityAccumulator::new(4);
+        let parity = packets
+            .iter()
+            .find_map(|p| acc.absorb(p))
+            .expect("one group");
+        let mut rec = FecRecoverer::new(4);
+        for p in [&packets[2], &packets[0], &packets[3]] {
+            assert_eq!(rec.on_data(p), None);
+        }
+        let held = &rec.groups[0].members;
+        assert_eq!(held.len(), 3);
+        for (h, p) in held.iter().zip([&packets[2], &packets[0], &packets[3]]) {
+            assert_eq!(h.payload.as_ptr(), p.payload.as_ptr(), "seq {}", p.seq);
+        }
+        let rebuilt = rec.on_parity(&parity).expect("one loss");
+        assert_eq!(rebuilt, packets[1]);
+        assert_ne!(rebuilt.payload.as_ptr(), packets[1].payload.as_ptr());
+        assert!(rec.groups.is_empty(), "a recovered group is done");
+    }
+
+    /// SplitMix64: the traffic of one oracle case, drawn from its seed.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    #[derive(Clone)]
+    enum Arrival {
+        Data(DataPacket),
+        Parity(ParityPacket),
+    }
+
+    /// Random traffic for a recoverer: whole groups through the
+    /// producer's accumulator, then per group no, one or several
+    /// losses (parity included), some groups' parity sent again with a
+    /// hostile field or a payload shorter than its members, duplicates, and a reordering window wide enough
+    /// to put parity before its data and keep more than four groups
+    /// open at once.
+    fn traffic(seed: u64) -> (u8, Vec<Arrival>) {
+        let mut d = Draw(seed);
+        let group = [2u8, 3, 4, 4, 5, 8, 32][d.below(7) as usize];
+        let g = u32::from(group);
+        let groups = 1 + d.below(12) as u32;
+        // On the grid; a power of two may run through the `u32` wrap.
+        let first = if g.is_power_of_two() && d.chance(25) {
+            0u32.wrapping_sub(g * (1 + d.below(3) as u32))
+        } else {
+            d.below(1_000) as u32 * g
+        };
+        let mut acc = ParityAccumulator::new(group);
+        let mut sent: Vec<Vec<Arrival>> = Vec::new();
+        for k in 0..groups * g {
+            if k % g == 0 {
+                sent.push(Vec::new());
+            }
+            let body: Vec<u8> = (0..d.below(48)).map(|_| d.next() as u8).collect();
+            let pkt = DataPacket {
+                stream_id: 9,
+                seq: first.wrapping_add(k),
+                play_at_us: d.next() >> 8,
+                codec: d.next() as u8,
+                payload: Bytes::from(body),
+            };
+            let parity = acc.absorb(&pkt);
+            let members = sent.last_mut().expect("opened");
+            members.push(Arrival::Data(pkt));
+            members.extend(parity.map(Arrival::Parity));
+        }
+        let mut arrivals = Vec::new();
+        for mut members in sent {
+            let hostile = members.iter().find_map(|a| match a {
+                Arrival::Parity(p) if d.chance(30) => Some(p.clone()),
+                _ => None,
+            });
+            let losses = match d.below(10) {
+                0..=3 => 0,
+                4..=6 => 1,
+                _ => 2 + d.below(g as u64) as usize,
+            };
+            for _ in 0..losses.min(members.len()) {
+                members.remove(d.below(members.len() as u64) as usize);
+            }
+            if let Some(mut p) = hostile {
+                match d.below(5) {
+                    0 => p.base_seq = p.base_seq.wrapping_add(1 + d.below(g as u64 - 1) as u32),
+                    1 => p.xor_len ^= 1 << (8 + d.below(24)),
+                    2 => p.xor_codec = d.next() as u8,
+                    3 => p.xor_play_at_us = d.next(),
+                    _ => {
+                        let short = d.below(p.payload.len() as u64 + 1) as usize;
+                        p.payload = Bytes::copy_from_slice(&p.payload[..short]);
+                    }
+                }
+                members.push(Arrival::Parity(p));
+            }
+            arrivals.extend(members);
+        }
+        for _ in 0..d.below(4) {
+            if arrivals.is_empty() {
+                break;
+            }
+            let copy = arrivals[d.below(arrivals.len() as u64) as usize].clone();
+            let at = d.below(arrivals.len() as u64 + 1) as usize;
+            arrivals.insert(at, copy);
+        }
+        let window = 1 + d.below(3 * (g as u64 + 1));
+        let mut keyed: Vec<(u64, Arrival)> = arrivals
+            .into_iter()
+            .enumerate()
+            .map(|(i, a)| (i as u64 + d.below(window), a))
+            .collect();
+        keyed.sort_by_key(|(key, _)| *key);
+        (group, keyed.into_iter().map(|(_, a)| a).collect())
+    }
+
+    /// What one case exercised: recoveries completed by a data packet
+    /// (its parity came first) and by parity, and groups given up.
+    #[derive(Default)]
+    struct Coverage {
+        by_data: u64,
+        by_parity: u64,
+        unrecoverable: u64,
+    }
+
+    /// Feeds one case's traffic to the recoverer and to its oracle:
+    /// every answer and both counters must agree at every step.
+    fn against_the_oracle(seed: u64) -> Coverage {
+        let (group, arrivals) = traffic(seed);
+        let mut rec = FecRecoverer::new(group);
+        let mut oracle = oracle::AccumulatingRecoverer::new(group);
+        let mut cov = Coverage::default();
+        for a in &arrivals {
+            let (got, want) = match a {
+                Arrival::Data(p) => (rec.on_data(p), oracle.on_data(p)),
+                Arrival::Parity(p) => (rec.on_parity(p), oracle.on_parity(p)),
+            };
+            assert_eq!(got, want, "seed {seed}");
+            if let Some((got, want)) = got.as_ref().zip(want.as_ref()) {
+                assert_eq!(got.payload.as_ref(), want.payload.as_ref(), "seed {seed}");
+                match a {
+                    Arrival::Data(_) => cov.by_data += 1,
+                    Arrival::Parity(_) => cov.by_parity += 1,
+                }
+            }
+            assert_eq!(rec.recovered(), oracle.recovered(), "seed {seed}");
+            assert_eq!(rec.unrecoverable(), oracle.unrecoverable(), "seed {seed}");
+        }
+        cov.unrecoverable = rec.unrecoverable();
+        cov
+    }
+
+    #[test]
+    fn the_oracle_traffic_reaches_every_branch() {
+        let mut total = Coverage::default();
+        for seed in 0..200 {
+            let cov = against_the_oracle(seed);
+            total.by_data += cov.by_data;
+            total.by_parity += cov.by_parity;
+            total.unrecoverable += cov.unrecoverable;
+        }
+        assert!(total.by_data > 0, "no recovery completed by data");
+        assert!(total.by_parity > 0, "no recovery completed by parity");
+        assert!(total.unrecoverable > 0, "no group given up");
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_recoverer_matches_the_accumulator_oracle(seed in proptest::num::u64::ANY) {
+            against_the_oracle(seed);
         }
     }
 }

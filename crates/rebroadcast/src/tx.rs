@@ -33,8 +33,11 @@ use es_telemetry::{Registry, Telemetry};
 use crate::policy::CompressionPolicy;
 use crate::rate::RateLimiter;
 
-/// Data packets kept for NACK retransmission (the repair window). At
-/// 50 ms blocks this is ~3 s of audio.
+/// Most data packets kept for NACK retransmission. A packet leaves the
+/// cache once its play deadline is no longer ahead of the producer's
+/// clock — about playout delay ÷ block duration + 1 packets, 5 at the
+/// defaults — so this cap binds only under a playout delay longer than
+/// 64 blocks.
 const RECENT_CACHE: usize = 64;
 
 /// How long a packet that just went back out is not sent again: a
@@ -209,9 +212,9 @@ pub struct StreamTx {
     /// What this stream has sent and lost so far.
     pub stats: ProducerStats,
     parity: Option<ParityAccumulator>,
-    /// Recently sent data packets, oldest first — the window a NACK
-    /// can reach into — each with when it last went back out. Payloads
-    /// are shared `Bytes`.
+    /// Sent data packets still ahead of their play deadline, oldest
+    /// first — the window a NACK can reach into — each with when it
+    /// last went back out. Payloads are shared `Bytes`.
     recent: VecDeque<(DataPacket, Option<SimTime>)>,
     /// Every outgoing packet is encoded and signed in place here, then
     /// split off as a shared [`Bytes`]: one allocation, zero copies.
@@ -323,7 +326,23 @@ impl StreamTx {
             }));
         }
         self.recent.push_back((pkt, None));
+        self.expire(now);
         while self.recent.len() > RECENT_CACHE {
+            self.recent.pop_front();
+        }
+    }
+
+    /// Drops the cached packets whose play deadline is not ahead of
+    /// `now`: a copy sent now reaches no speaker before the block is
+    /// due. A relay hop delays the copy by the same hold it adds to its
+    /// speakers' deadlines, so that holds behind relays too.
+    fn expire(&mut self, now: SimTime) {
+        let now_us = now.as_micros();
+        while self
+            .recent
+            .front()
+            .is_some_and(|(p, _)| p.play_at_us <= now_us)
+        {
             self.recent.pop_front();
         }
     }
@@ -363,15 +382,17 @@ impl StreamTx {
 
     /// Re-sends cached data packets covering the NACKed
     /// `(first_seq, count)` ranges; returns how many were pushed.
-    /// Ranges are clamped to the window by serial-number distance from
-    /// its oldest packet (so it may straddle the `u32` wrap) and a
-    /// packet that went back out less than [`REPAIR_HOLDOFF`] ago —
-    /// earlier in this request, or for a neighbour's — is not sent
-    /// again: a request costs at most the cache, whatever it asks
-    /// for. What is older is silently unfillable — FEC and concealment
-    /// are the recourse.
+    /// Packets already due at `now` leave the cache first. Ranges are
+    /// clamped to the window by serial-number distance from its oldest
+    /// packet (so it may straddle the `u32` wrap) and a packet that
+    /// went back out less than [`REPAIR_HOLDOFF`] ago — earlier in
+    /// this request, or for a neighbour's — is not sent again: a
+    /// request costs at most the cache, whatever it asks for. What is
+    /// older is silently unfillable — FEC and concealment are the
+    /// recourse.
     pub fn retransmit(&mut self, now: SimTime, ranges: &[(u32, u16)], out: &mut Vec<Bytes>) -> u64 {
         self.stats.nacks_received += 1;
+        self.expire(now);
         let Some(oldest) = self.recent.front().map(|(p, _)| p.seq) else {
             return 0;
         };
@@ -489,11 +510,21 @@ mod tests {
 
     /// 50 ms of CD audio.
     const BLOCK: usize = 8_820;
+    /// The play-out time of one [`BLOCK`].
+    const BLOCK_TIME: SimDuration = SimDuration::from_millis(50);
+    /// A playout delay of 1 200 blocks: nothing below falls due, so
+    /// only the [`RECENT_CACHE`] cap leaves the cache.
+    const LONG_PLAYOUT: SimDuration = SimDuration::from_secs(60);
 
     fn pcm_stream(fec_group: Option<u8>) -> StreamTx {
+        pcm_stream_delayed(fec_group, StreamTxConfig::new(7).playout_delay)
+    }
+
+    fn pcm_stream_delayed(fec_group: Option<u8>, playout_delay: SimDuration) -> StreamTx {
         let mut cfg = StreamTxConfig::new(7);
         cfg.policy = CompressionPolicy::Never;
         cfg.fec_group = fec_group;
+        cfg.playout_delay = playout_delay;
         let mut tx = StreamTx::new(cfg, false);
         assert_eq!(tx.on_config(AudioConfig::CD), (CodecId::Pcm, 0));
         tx
@@ -562,8 +593,9 @@ mod tests {
 
     #[test]
     fn retransmit_serves_each_cached_packet_at_most_once_per_request() {
-        let mut tx = pcm_stream(None);
-        stream(&mut tx, 40);
+        // Every request below falls before its packets are due.
+        let mut tx = pcm_stream_delayed(None, LONG_PLAYOUT);
+        stream(&mut tx, 40); // sealed by 1.9 s
         let mut out = Vec::new();
         // The widest request one NACK can carry.
         let mut now = SimTime::from_secs(3);
@@ -585,8 +617,8 @@ mod tests {
 
         // Past 64 packets the window slides; a range that starts
         // before it is served from its oldest packet.
-        stream(&mut tx, 60);
-        now += REPAIR_HOLDOFF;
+        stream(&mut tx, 60); // sealed by 4.9 s
+        now = SimTime::from_secs(5);
         assert_eq!(tx.retransmit(now, &[(30, 10)], &mut out), 4);
         assert_eq!(data_seqs(&out), [36, 37, 38, 39]);
 
@@ -599,15 +631,16 @@ mod tests {
     }
 
     /// Two speakers lost the same datagrams and say so a moment apart;
-    /// one of them loses the refill too and asks again.
+    /// one of them loses the refill too and asks again, all before the
+    /// first lost block is due at 600 ms.
     fn neighbours_then_a_reask(first: u32) {
         let mut tx = pcm_stream(None);
         tx.stream.data_seq = first;
-        stream(&mut tx, 12);
-        let lost = (first.wrapping_add(4), 3);
-        let seqs = [4, 5, 6].map(|k| first.wrapping_add(k));
+        stream(&mut tx, 12); // sealed by 450 ms
+        let lost = (first.wrapping_add(8), 3);
+        let seqs = [8, 9, 10].map(|k| first.wrapping_add(k));
         let mut out = Vec::new();
-        let t0 = SimTime::from_secs(1);
+        let t0 = SimTime::from_millis(500);
         assert_eq!(tx.retransmit(t0, &[lost], &mut out), 3);
         assert_eq!(data_seqs(&out), seqs);
         // The neighbour's NACK, 40 µs behind and one packet wider: the
@@ -615,7 +648,7 @@ mod tests {
         let wider = (lost.0, 4);
         let t1 = t0 + SimDuration::from_micros(40);
         assert_eq!(tx.retransmit(t1, &[wider], &mut out), 1);
-        assert_eq!(data_seqs(&out)[3..], [first.wrapping_add(7)]);
+        assert_eq!(data_seqs(&out)[3..], [first.wrapping_add(11)]);
         let almost = t0 + REPAIR_HOLDOFF - SimDuration::from_nanos(1);
         assert_eq!(tx.retransmit(almost, &[lost], &mut out), 0);
         // The re-ask is served, however short the holdoff left it.
@@ -634,23 +667,83 @@ mod tests {
     #[test]
     fn repair_holdoff_holds_across_the_sequence_wrap() {
         // The lost packets are u32::MAX - 1, u32::MAX and 0.
-        neighbours_then_a_reask(u32::MAX - 5);
+        neighbours_then_a_reask(u32::MAX - 9);
     }
 
     #[test]
     fn retransmit_window_straddles_the_wrap_and_skips_burnt_numbers() {
-        let mut tx = pcm_stream(None);
+        // Due from 1 s on: the request at 300 ms is in time for all.
+        let mut tx = pcm_stream_delayed(None, SimDuration::from_secs(1));
         tx.stream.data_seq = u32::MAX - 5;
         stream(&mut tx, 4); // MAX-5 ..= MAX-2
         tx.crash();
         for _ in 0..3 {
-            assert!(tx.pace(SimTime::from_secs(1), BLOCK).is_none()); // MAX-1, MAX, 0 burnt
+            assert!(tx.pace(SimTime::from_millis(100), BLOCK).is_none()); // MAX-1, MAX, 0 burnt
         }
         assert!(tx.restart());
-        stream(&mut tx, 4); // 1 ..= 4
+        stream(&mut tx, 4); // 1 ..= 4, sealed by 250 ms
         let mut out = Vec::new();
-        let sent = tx.retransmit(SimTime::from_secs(2), &[(u32::MAX - 3, 8)], &mut out);
+        let sent = tx.retransmit(SimTime::from_millis(300), &[(u32::MAX - 3, 8)], &mut out);
         assert_eq!(sent, 5);
         assert_eq!(data_seqs(&out), [u32::MAX - 3, u32::MAX - 2, 1, 2, 3]);
+    }
+
+    /// Offers `blocks` blocks in real time from `start`, one every
+    /// [`BLOCK_TIME`], each sealed at its send time; returns the
+    /// largest the cache grew after a seal.
+    fn stream_live(tx: &mut StreamTx, start: SimTime, blocks: u64) -> usize {
+        let mut out = Vec::new();
+        let mut largest = 0;
+        for i in 0..blocks {
+            let mut block = tx.pace(start + BLOCK_TIME * i, BLOCK).expect("up");
+            tx.encode(&[0; BLOCK], &mut block);
+            tx.seal(block.send_at, block, &mut out);
+            largest = largest.max(tx.recent.len());
+        }
+        largest
+    }
+
+    #[test]
+    fn a_nack_after_the_deadline_sends_nothing() {
+        // Sealed by 450 ms; block k is due at 200 + 50·k ms.
+        let due = |k: u64| SimTime::from_millis(200 + 50 * k);
+        let mut out = Vec::new();
+        let mut tx = pcm_stream(None);
+        stream(&mut tx, 12);
+        let just_in_time = due(8) - SimDuration::from_micros(1);
+        assert_eq!(tx.retransmit(just_in_time, &[(8, 1)], &mut out), 1);
+
+        let mut tx = pcm_stream(None);
+        stream(&mut tx, 12);
+        assert_eq!(tx.retransmit(due(8), &[(8, 1)], &mut out), 0);
+        assert_eq!(tx.stats.retransmits_sent, 0);
+        assert_eq!(tx.stats.nacks_received, 1);
+        // The rest of the range is still in time.
+        assert_eq!(tx.retransmit(due(8), &[(8, 2)], &mut out), 1);
+        assert_eq!(data_seqs(&out), [8, 9]);
+        // A NACK after the newest block is due finds an empty cache.
+        assert_eq!(tx.retransmit(due(11), &[(0, u16::MAX)], &mut out), 0);
+        assert!(tx.recent.is_empty());
+        assert_eq!(tx.stats.retransmits_sent, 1);
+    }
+
+    #[test]
+    fn in_steady_state_the_cache_holds_what_is_not_yet_due() {
+        for ms in [50, 200, 230, 1_000] {
+            let playout = SimDuration::from_millis(ms);
+            let mut tx = pcm_stream_delayed(None, playout);
+            let largest = stream_live(&mut tx, SimTime::ZERO, 200);
+            let bound = playout.as_nanos().div_ceil(BLOCK_TIME.as_nanos()) as usize + 1;
+            assert!(largest <= bound, "{ms} ms: {largest} cached, bound {bound}");
+            assert!(largest + 1 >= bound, "{ms} ms: only {largest} cached");
+        }
+    }
+
+    #[test]
+    fn a_playout_delay_longer_than_the_cap_keeps_the_newest_64() {
+        let mut tx = pcm_stream_delayed(None, LONG_PLAYOUT);
+        assert_eq!(stream_live(&mut tx, SimTime::ZERO, 200), RECENT_CACHE);
+        let cached: Vec<u32> = tx.recent.iter().map(|(p, _)| p.seq).collect();
+        assert_eq!(cached, (136..200).collect::<Vec<_>>());
     }
 }

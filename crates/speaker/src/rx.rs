@@ -252,8 +252,9 @@ impl Jitter {
 /// way, is a stream restart: it opens no holes and counts no loss.
 const MAX_MISSING_RANGE_LEN: u32 = 1_024;
 /// Most holes held open, and most settled ones remembered; the oldest
-/// fall off. The producer's retransmit cache is as long, so a hole
-/// that falls off could not have been refilled anyway.
+/// fall off. The producer keeps a packet for repair only until it is
+/// due — 64 at most, about 5 at the defaults — so a hole that falls
+/// off could not have been refilled anyway.
 const MAX_HOLES: usize = 64;
 /// How long a hole waits for a reordered packet to fill it before the
 /// speaker asks for it.

@@ -61,6 +61,13 @@ PROPTEST_CASES=2000 cargo test -q --release -p es-codec --test hostile_bytes --t
 echo "== telemetry differential oracles (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test -q --release -p es-telemetry
 
+# The FEC recoverer's differential run: the handle-holding recoverer
+# against the per-group accumulator recoverer it replaced, on random
+# traffic with losses, duplicates, reordering, retired groups and
+# hostile parity, at 2000 cases (≈ 1 s release).
+echo "== FEC recoverer differential oracle (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test -q --release -p es-proto fec::
+
 # The one perf step: the ledger (benches/ledger, the BENCHMARK.json
 # harness) is the only wall-clock perf harness. Its own unit tests,
 # then the --quick smoke — five workloads, two runs each, exit non-zero

@@ -111,12 +111,10 @@ pub mod rngs {
 
 /// Present so `clippy.toml`'s `disallowed-methods` entry for
 /// `rand::thread_rng` resolves to a real path. Calling it anywhere in
-/// the workspace is banned twice over — by that clippy lint and by
-/// es-analyze's `unseeded-rng` rule — because all randomness must flow
-/// from an explicit scenario seed. The stub is deterministic on
-/// purpose: even if a call slipped past both linters it could not
-/// smuggle host entropy into a replay.
-// es-allow(unseeded-rng): definition site of the banned API; deterministic stub
+/// the workspace is banned by that clippy lint, because all randomness
+/// must flow from an explicit scenario seed (DESIGN.md §8). The stub is
+/// deterministic on purpose: even if a call slipped past the lint it
+/// could not smuggle host entropy into a replay.
 pub fn thread_rng() -> rngs::StdRng {
     rngs::StdRng::seed_from_u64(0)
 }

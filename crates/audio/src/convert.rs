@@ -166,7 +166,6 @@ pub fn alaw_to_linear(alaw: u8) -> i16 {
     ALAW_TABLE[alaw as usize]
 }
 
-// es-hot-path
 /// Fills a preallocated output with one 2-byte pattern per sample —
 /// a single resize plus straight-line stores per frame, instead of a
 /// length-checked `extend_from_slice` call per sample.
@@ -202,8 +201,6 @@ pub fn encode_samples_into(samples: &[i16], enc: Encoding, out: &mut Vec<u8>) {
     }
 }
 
-// es-hot-path-end
-
 /// Unpacks a byte stream in the layout of `enc` into linear samples.
 ///
 /// For 16-bit encodings a trailing odd byte (a torn frame from a
@@ -214,7 +211,6 @@ pub fn decode_samples(bytes: &[u8], enc: Encoding) -> Vec<i16> {
     out
 }
 
-// es-hot-path
 /// [`decode_samples`] into a caller-provided buffer (cleared first).
 /// Reusing `out` across packets makes steady-state decode
 /// allocation-free; each arm extends from a LUT-mapped iterator the
@@ -248,8 +244,6 @@ pub fn decode_samples_into(bytes: &[u8], enc: Encoding, out: &mut Vec<i16>) {
         ),
     }
 }
-
-// es-hot-path-end
 
 #[cfg(test)]
 mod tests {

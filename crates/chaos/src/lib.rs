@@ -33,7 +33,7 @@ use es_core::prelude::CompressionPolicy;
 use es_core::{ChannelSpec, EsSystem, HealSpec, SessionSpec, Source, SpeakerSpec, SystemBuilder};
 use es_net::{LanConfig, McastGroup};
 use es_sim::{SimDuration, SimTime};
-use es_telemetry::MetricsSnapshot;
+use es_telemetry::{Event, MetricsSnapshot};
 
 /// One scripted impairment, applied at a scheduled virtual time.
 #[derive(Debug, Clone)]
@@ -492,9 +492,10 @@ impl Scenario {
 }
 
 /// Runs `scenario` twice with the same seed, verifies the two traces
-/// are byte-identical, evaluates every invariant check, and returns the
-/// first run's trace. Any failure panics with the scenario, the seed,
-/// and the exact one-liner that reproduces the run.
+/// are byte-identical, evaluates the journal contract and every
+/// invariant check, and returns the first run's trace. Any failure
+/// panics with the scenario, the seed, and the exact one-liner that
+/// reproduces the run.
 pub fn conformance(scenario: &Scenario) -> Trace {
     let first = scenario.run();
     let second = scenario.run();
@@ -526,8 +527,16 @@ pub fn conformance(scenario: &Scenario) -> Trace {
         std::fs::write(&path, &first.journal_lines)
             .unwrap_or_else(|e| panic!("cannot write journal {}: {e}", path.display()));
     }
-    for (name, check) in &scenario.checks {
-        if let Err(why) = check(&first) {
+    let journal = (
+        "heal events carry action and target",
+        heal_events_are_auditable(&first),
+    );
+    let checks = scenario
+        .checks
+        .iter()
+        .map(|(name, check)| (name.as_str(), check(&first)));
+    for (name, verdict) in std::iter::once(journal).chain(checks) {
+        if let Err(why) = verdict {
             panic!(
                 "INVARIANT '{name}' failed in scenario '{}': {why}\n  reproduce with: {}",
                 first.name,
@@ -536,6 +545,24 @@ pub fn conformance(scenario: &Scenario) -> Trace {
         }
     }
     first
+}
+
+/// The healing journal contract (DESIGN.md §10), checked on the journal
+/// a run actually wrote: every event under component `heal` names what
+/// was done (`action`) and to whom (`target`).
+fn heal_events_are_auditable(trace: &Trace) -> Result<(), String> {
+    for line in trace.journal_lines.lines() {
+        let event = Event::from_json_line(line).map_err(|e| format!("{e:?}: {line}"))?;
+        if event.component != "heal" {
+            continue;
+        }
+        for field in ["action", "target"] {
+            if !event.fields.contains_key(field) {
+                return Err(format!("heal event without `{field}`: {line}"));
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -172,7 +172,6 @@ pub fn adpcm_decode(bytes: &[u8]) -> Result<(Vec<i16>, u8), AdpcmError> {
     Ok((out, channels))
 }
 
-// es-hot-path
 /// [`adpcm_decode`] into a caller-provided buffer (cleared and
 /// resized), returning the channel count. Reusing `out` across packets
 /// makes steady-state decode allocation-free; channel predictor state
@@ -225,8 +224,6 @@ pub fn adpcm_decode_into(bytes: &[u8], out: &mut Vec<i16>) -> Result<u8, AdpcmEr
     }
     Ok(channels)
 }
-
-// es-hot-path-end
 
 #[cfg(test)]
 mod tests {

@@ -14,8 +14,6 @@
 //! property-test oracle (`tests/dsp_kernels_prop.rs` asserts bit
 //! identity across block sizes, qualities and channel layouts).
 
-// es-hot-path
-
 /// Deinterleaves `ch`-channel interleaved `samples` into per-channel
 /// planes in one pass over the frames, normalizing i16 to ±1.0: frame
 /// `f` of channel `c` lands in `planes[c * stride + f]`. Writes
@@ -131,8 +129,6 @@ pub fn peak_abs(band: &[f32]) -> f32 {
     }
     lanes.into_iter().fold(0.0, keep_max)
 }
-
-// es-hot-path-end
 
 /// Scalar reference implementations — the exact per-sample indexed
 /// loops the batch kernels replaced, retained as the property-test

@@ -289,7 +289,6 @@ impl OvlCodec {
         })
     }
 
-    // es-hot-path
     /// Decodes a packet into a caller-provided buffer (cleared and
     /// resized), returning `(channels, work_units)`. Reusing `out`
     /// across packets makes steady-state decode allocation-free.
@@ -475,8 +474,6 @@ fn unpack_window(
     }
     Ok(())
 }
-
-// es-hot-path-end
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,8 @@
 //! raw counters an operator would poll to [`es_heal`]'s pure detector
 //! — which makes every decision — and carries out the actions that
 //! come back. Everything is journaled under component `heal`, every
-//! event carrying `action` and `target` fields (the `es-analyze`
-//! `heal-event-fields` rule enforces this).
+//! event carrying `action` and `target` fields (`es_chaos::conformance`
+//! checks this on every scenario's journal).
 
 use std::rc::Rc;
 

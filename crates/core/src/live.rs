@@ -128,7 +128,10 @@ impl LiveProducer {
 /// Streams `signal` for `duration`, pacing against the wall clock, and
 /// returns once the stream clock says the last chunk has played.
 /// Blocking; spawn a thread for concurrent producer/speaker runs.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the live producer paces real playback against the host clock (DESIGN.md §8)"
+)]
 pub fn run_live_producer(
     cfg: &LiveProducerConfig,
     signal: &mut dyn Signal,
@@ -256,7 +259,10 @@ impl LiveSpeaker {
 /// Listens on a channel for `run_for`, collecting decoded audio.
 /// Blocking. Diagnostics go to `journal` (wall-clock stamps) when one
 /// is supplied.
-#[allow(clippy::disallowed_methods)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the live speaker listens for a span of host time (DESIGN.md §8)"
+)]
 pub fn run_live_speaker(
     channel: u8,
     port: u16,

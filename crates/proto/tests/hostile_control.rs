@@ -268,8 +268,10 @@ fn a_fresh_name_setup_flood_stops_at_the_cap() {
         playout_delay_us: 0,
         caps: Capabilities::any(),
     };
-    #[allow(clippy::disallowed_methods)]
-    // es-allow(wall-clock): the bound under test is the flood's cost in time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bound under test is the flood's cost in time (DESIGN.md §8)"
+    )]
     let start = std::time::Instant::now();
     let mut full = 0;
     for i in 0..FLOOD {

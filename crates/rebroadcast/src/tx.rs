@@ -256,7 +256,6 @@ impl StreamTx {
         (codec, quality)
     }
 
-    // es-hot-path
     /// Accepts `bytes` of audio offered at `now`: advances the stream
     /// clock, stamps the play deadline and asks the limiter when the
     /// block may leave. `None` when it goes nowhere — before any
@@ -378,7 +377,6 @@ impl StreamTx {
             encode_control_into(&pkt, buf)
         }));
     }
-    // es-hot-path-end
 
     /// Re-sends cached data packets covering the NACKed
     /// `(first_seq, count)` ranges; returns how many were pushed.

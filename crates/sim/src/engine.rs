@@ -187,7 +187,6 @@ impl Sim {
     /// Scheduling in the past is clamped to "now" (the event fires
     /// before the clock advances further), which keeps handlers that
     /// compute deadlines from stale state safe.
-    // es-hot-path
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
         let at = at.max(self.now);
         let seq = self.next_seq;
@@ -237,7 +236,6 @@ impl Sim {
         ev(self);
         true
     }
-    // es-hot-path-end
 
     /// A fresh event slot, for when every existing one holds a run;
     /// drained slots come back through `free` with their capacity.

@@ -284,7 +284,6 @@ struct Hole {
     asks: u8,
 }
 
-// es-hot-path
 /// Adds `seq` to the `(first, count)` ranges of a NACK being built,
 /// growing the last range when `seq` follows it; false when that
 /// would take one range more than [`MAX_NACK_RANGES`].
@@ -301,7 +300,6 @@ fn add_to_ranges(ranges: &mut Vec<(u32, u16)>, seq: u32) -> bool {
     ranges.push((seq, 1));
     true
 }
-// es-hot-path-end
 
 /// What a speaker that repairs its losses knows about them. A speaker
 /// that neither conceals nor NACKs has none (and pays for none: the
@@ -324,7 +322,6 @@ struct HoleTable {
 }
 
 impl HoleTable {
-    // es-hot-path
     /// The stream is gone, and every hole in it.
     fn forget(&mut self) {
         self.holes.clear();
@@ -375,14 +372,11 @@ impl HoleTable {
         self.holes.iter().map(next).min()
     }
 
-    // es-hot-path-end
-
     /// See [`SpeakerRx::poll`].
     fn poll(&mut self, now: SimTime, events: &mut Vec<RxEvent>) {
         // The ranges to ask for; nothing is allocated until there is
         // one, and then the event owns them.
         let mut nack = Vec::new();
-        // es-hot-path
         let (conceal, run) = (self.conceal, &mut self.concealed_run);
         let settled = &mut self.settled;
         self.holes.retain_mut(|h| {
@@ -412,7 +406,6 @@ impl HoleTable {
         });
         let excess = settled.len().saturating_sub(MAX_HOLES);
         settled.drain(..excess);
-        // es-hot-path-end
         if !nack.is_empty() {
             events.push(RxEvent::Nack(nack.into_boxed_slice()));
         }
@@ -524,7 +517,6 @@ impl SpeakerRx {
         [holes, settled, self.seen_seqs.0.len()]
     }
 
-    // es-hot-path
     /// Counts a datagram and passes it through the §5.1 gate; yields
     /// the messages now cleared for parsing: on an open channel the
     /// datagram itself, on an authenticated one whatever its trailer's
@@ -679,8 +671,6 @@ impl SpeakerRx {
             refill,
         }));
     }
-
-    // es-hot-path-end
 
     /// When [`SpeakerRx::poll`] next has something to do: the earliest
     /// instant an open hole is to be asked for or comes due.

@@ -149,7 +149,6 @@ impl SpeakerConfig {
     }
 }
 
-// es-hot-path
 /// How many distinct buffers each receive memo remembers. A clean
 /// fleet needs one (all receivers of a datagram run back to back in
 /// one delivery batch); jitter, reordering, duplicates, parity and
@@ -361,8 +360,6 @@ pub fn rx_memo_stats() -> RxMemoStats {
         render_misses,
     }
 }
-
-// es-hot-path-end
 
 /// Parses a wire packet (CRC check included) once per distinct
 /// buffer: the first receiver of a datagram pays, the rest of the
@@ -924,7 +921,6 @@ impl EthernetSpeaker {
         self.process_serial(sim, block);
     }
 
-    // es-hot-path
     /// Decodes a cleared block against the *live* stream state (a
     /// control packet can reconfigure the stream while a block sits
     /// in the serial queue), billing the CPU model — every receiver
@@ -1177,8 +1173,6 @@ impl EthernetSpeaker {
             st.last_block = Some(samples);
         }
     }
-
-    // es-hot-path-end
 
     /// One auto-volume control period: sample the simulated microphone
     /// and update the gain.

@@ -125,8 +125,10 @@ impl Stamp {
     /// A wall-clock stamp read from the system clock now — the only
     /// clock access in the crate, and only on the live path.
     pub fn wall_now() -> Self {
-        #[allow(clippy::disallowed_methods)]
-        // es-allow(wall-clock): the one sanctioned wall read — live-path stamps only
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one sanctioned wall read — live-path stamps only (DESIGN.md §8)"
+        )]
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)

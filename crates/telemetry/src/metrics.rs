@@ -1142,9 +1142,7 @@ mod tests {
         assert_eq!(snap.counter(path), Some(1));
     }
 
-    /// The ledger probe's pattern: four counters, 250 times each. (Key
-    /// names in these tests are variables, so that es-analyze's key
-    /// inventory sees none of them.)
+    /// The ledger probe's pattern: four counters, 250 times each.
     fn probe_pattern(s: &mut Scope<'_>) {
         let names = [
             "data_packets",

@@ -318,7 +318,6 @@ impl AudioDevice {
         self.write_with(sim, |ring| ring.write(data))
     }
 
-    // es-hot-path
     /// [`AudioDevice::write`] for a writer that shares its buffer
     /// instead of lending it: offers `buf[from..]`, of which the ring
     /// keeps a handle, not a copy (see [`AudioRing::write_shared`]).
@@ -369,8 +368,6 @@ impl AudioDevice {
         }
         Ok(accepted)
     }
-
-    // es-hot-path-end
 
     /// Registers a one-shot callback fired at the next interrupt (ring
     /// space was freed).

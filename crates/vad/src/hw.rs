@@ -287,7 +287,6 @@ impl HwDriver {
         self.state.borrow().blocks_played
     }
 
-    // es-hot-path
     fn schedule_dma(state: Shared<HwState>, sim: &mut Sim) {
         // One block leaves for the DAC now; the completion interrupt
         // fires one block-duration later, when the DAC needs the next.
@@ -349,7 +348,6 @@ impl HwDriver {
             Self::schedule_dma(state2, sim);
         });
     }
-    // es-hot-path-end
 }
 
 impl LowLevelDriver for HwDriver {

@@ -142,7 +142,6 @@ impl AudioRing {
         n
     }
 
-    // es-hot-path
     /// [`AudioRing::write`] by reference: appends as much of
     /// `buf[from..]` as fits and returns the number of bytes accepted.
     /// Nothing is copied; the ring holds `buf` until the range has
@@ -194,7 +193,6 @@ impl AudioRing {
                 range: start..start + blocksize,
             });
         }
-        // es-hot-path-end
         // The block straddles runs or the ring ran dry: it is assembled
         // in a buffer of its own, one slice copy per run it spans and
         // the silence padding of an underrun after them.

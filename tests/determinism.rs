@@ -58,8 +58,10 @@ fn different_seed_different_loss_pattern() {
 fn virtual_time_outruns_wall_time() {
     // A 60-second experiment must run in a small fraction of real time
     // (the whole point of the discrete-event substrate).
-    #[allow(clippy::disallowed_methods)]
-    // es-allow(wall-clock): asserts virtual time outruns wall time; needs a real clock
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "asserts virtual time outruns wall time; needs a real clock (DESIGN.md §8)"
+    )]
     let start = std::time::Instant::now();
     let group = McastGroup(1);
     let ch = ChannelSpec::new(1, group, "stream")

@@ -3,9 +3,9 @@
 //! EXPERIMENTS.md has one and documents every module there, nothing
 //! points at the removed bench harness, the perf baselines the ledger
 //! replaced or the relay re-stamping, FEC ladder and stream monitor
-//! that were deleted, DESIGN.md §8 lists exactly the checks es-analyze
-//! registers, §10 exactly the counters the healing plane exports, and
-//! §6 exactly the keys a speaker records.
+//! that were deleted, DESIGN.md §8 lists exactly the bans `clippy.toml`
+//! and the lints `[workspace.lints]` configure, §10 exactly the counters
+//! the healing plane exports, and §6 exactly the keys a speaker records.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -299,28 +299,75 @@ fn the_ledger_shims_have_no_callers_outside_the_ledger() {
     );
 }
 
+/// Every `path = "…"` entry of `clippy.toml`.
+fn clippy_toml_paths() -> BTreeSet<String> {
+    read("clippy.toml")
+        .split("path = \"")
+        .skip(1)
+        .filter_map(|rest| rest.split_once('"'))
+        .map(|(path, _)| path.to_string())
+        .collect()
+}
+
+/// Every lint the root `Cargo.toml` sets under `[workspace.lints.*]`.
+fn workspace_lints() -> BTreeSet<String> {
+    let manifest = read("Cargo.toml");
+    let mut lints = BTreeSet::new();
+    let mut in_lints = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            in_lints = line.starts_with("[workspace.lints.");
+        } else if let Some((name, _)) = line.split_once('=').filter(|_| in_lints) {
+            lints.insert(name.trim().to_string());
+        }
+    }
+    lints
+}
+
 #[test]
-fn design_md_lists_exactly_the_checks_es_analyze_registers() {
-    // Table rows of §8 open with the check id in backticks.
+fn design_md_lists_exactly_the_bans_and_lints_configured() {
+    // §8's table: | invariant | enforced by | what fails |. In the
+    // middle column a backticked `a::b` outside the workspace's own
+    // crates is a clippy.toml path, a bare backticked identifier a
+    // `[workspace.lints]` entry, and anything with a `/` a file.
     let design = read("DESIGN.md");
     let section = design
         .split_once("\n## 8. ")
         .and_then(|(_, rest)| rest.split_once("\n## 9. "))
         .expect("DESIGN.md has a section 8 followed by a section 9")
         .0;
-    let documented: BTreeSet<&str> = section
+    let enforced_by: Vec<&str> = section
         .lines()
-        .filter_map(|l| l.strip_prefix("| `")?.split_once('`'))
-        .map(|(id, _)| id)
+        .filter(|l| l.starts_with("| ") && !l.starts_with("| invariant"))
+        .filter_map(|l| l.split('|').nth(2))
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
         .collect();
-    let registered: BTreeSet<&str> = es_analyze::rules::all()
+    assert!(enforced_by.len() > 10, "DESIGN.md §8 has no table");
+    let paths: BTreeSet<String> = enforced_by
         .iter()
-        .map(|r| r.id)
-        .chain(es_analyze::passes::all().iter().map(|p| p.id))
+        .filter(|w| w.contains("::") && !w.starts_with("es_"))
+        .map(|w| w.to_string())
         .collect();
-    assert_eq!(documented, registered, "DESIGN.md §8 tables vs registries");
-    // The call-graph passes and the incremental cache are gone; no
-    // doc may still send a reader to them.
+    let lints: BTreeSet<String> = enforced_by
+        .iter()
+        .filter(|w| w.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
+        .map(|w| w.to_string())
+        .collect();
+    assert_eq!(paths, clippy_toml_paths(), "DESIGN.md §8 vs clippy.toml");
+    assert_eq!(
+        lints,
+        workspace_lints(),
+        "DESIGN.md §8 vs [workspace.lints]"
+    );
+    for file in enforced_by.iter().filter(|w| w.contains('/')) {
+        assert!(
+            root().join(file).is_file(),
+            "DESIGN.md §8 names {file}, which is no file"
+        );
+    }
+    // The lexical analyzer, its call-graph passes and its cache are
+    // gone; no doc may still send a reader to them. Spelled in halves,
+    // like the needles above.
     for doc in DOCS {
         let text = read(doc);
         for needle in [
@@ -328,6 +375,10 @@ fn design_md_lists_exactly_the_checks_es_analyze_registers() {
             "hot-path-transitive",
             "--cache",
             "analyze-cache",
+            concat!("es-", "analyze"),
+            concat!("es-", "allow"),
+            concat!("es-", "hot-path"),
+            concat!("analyze", ".json"),
         ] {
             assert!(!text.contains(needle), "{doc} still mentions {needle}");
         }

@@ -3,6 +3,8 @@
 //! orders its events by virtual time, and snapshots survive a JSON-lines
 //! round trip.
 
+use std::path::Path;
+
 use es_core::prelude::*;
 use es_telemetry::{Histogram, Metric};
 
@@ -205,5 +207,83 @@ fn snapshot_layout_is_compact() {
     let path = "speaker/es0/deadline_slack_us";
     for rebuilt in [snap.histogram(path), Some(&merged), back.histogram(path)] {
         assert_eq!(rebuilt, Some(&direct));
+    }
+}
+
+/// `(component, name, kind)` of every metric in `snap`, after checking
+/// that each key is three `[A-Za-z0-9_.-]+` segments.
+fn key_kinds(snap: &MetricsSnapshot) -> Vec<(String, String, &'static str)> {
+    let segment = |s: &str| {
+        !s.is_empty()
+            && s.chars()
+                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '-'))
+    };
+    snap.iter()
+        .map(|m| {
+            let k = &m.key;
+            assert!(
+                [&k.component, &k.instance, &k.name]
+                    .iter()
+                    .all(|s| segment(s)),
+                "metric key {k} is not three [A-Za-z0-9_.-]+ segments"
+            );
+            (k.component.to_string(), k.name.to_string(), m.value.kind())
+        })
+        .collect()
+}
+
+/// Every key production code records: what `every_kind_system()` does,
+/// plus the catalog announcer, the override controller and the live
+/// producer's report, which it has none of. Each (component, name)
+/// keeps one kind across every instance, and the sorted inventory is
+/// the committed `results/telemetry-keys.json`.
+#[test]
+fn recorded_keys_match_the_inventory() {
+    let mut sys = every_kind_system();
+    sys.run_for(SimDuration::from_secs(4));
+    let mut keys = key_kinds(&sys.metrics());
+
+    let group = McastGroup(1);
+    let mut announced = SystemBuilder::new(1)
+        .announce_on(McastGroup(0))
+        .channel(ChannelSpec::new(1, group, "radio").duration(SimDuration::from_secs(2)))
+        .build();
+    announced.run_for(SimDuration::from_secs(1));
+    keys.extend(key_kinds(&announced.metrics()));
+
+    let mut reg = Registry::new();
+    reg.set_instance("ctl0");
+    OverrideStats::default().record(&mut reg);
+    es_core::LiveProducerReport::default().record(&mut reg);
+    keys.extend(key_kinds(&reg.snapshot()));
+
+    keys.sort();
+    keys.dedup();
+    for pair in keys.windows(2) {
+        let (c, n, a) = &pair[0];
+        assert!(
+            (c, n) != (&pair[1].0, &pair[1].1),
+            "{c}/*/{n} is recorded both as a {a} and as a {}",
+            pair[1].2
+        );
+    }
+    let mut fresh = String::from("[\n");
+    for (i, (component, name, kind)) in keys.iter().enumerate() {
+        let sep = if i + 1 < keys.len() { "," } else { "" };
+        fresh.push_str(&format!(
+            "{{\"component\":\"{component}\",\"name\":\"{name}\",\"kind\":\"{kind}\"}}{sep}\n"
+        ));
+    }
+    fresh.push_str("]\n");
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/telemetry-keys.json");
+    if std::fs::read_to_string(&committed).ok().as_deref() != Some(fresh.as_str()) {
+        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("telemetry-keys.json");
+        std::fs::write(&out, &fresh).expect("write the fresh inventory");
+        panic!(
+            "the recorded telemetry keys differ from {}; the fresh inventory is {} — \
+             commit it if the change is meant",
+            committed.display(),
+            out.display()
+        );
     }
 }

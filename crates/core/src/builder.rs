@@ -235,8 +235,8 @@ impl SpeakerSpec {
     }
 
     /// A speaker that joins `channel` via the session handshake: it
-    /// discovers the line-up on the announce group, negotiates codec
-    /// and playout delay, and only then tunes to the granted data
+    /// learns the line-up from an OFFER on the announce group, asks the
+    /// broker for a session, and only then tunes to the granted data
     /// group. Requires [`SystemBuilder::sessions`], whose announce
     /// group becomes the speaker's [`SpeakerConfig::group`].
     pub fn negotiated(name: impl Into<String>, channel: impl Into<String>) -> Self {
@@ -380,7 +380,10 @@ impl RelaySpec {
 /// [`SessionClientConfig::new`]'s, and the broker expires a session
 /// after the same [`es_proto::SESSION_TIMEOUT_US`] of silence.
 pub struct SessionSpec {
-    /// Group DISCOVER/OFFER (and the catalog, if enabled) run on.
+    /// Group the handshake (DISCOVER, OFFER, SETUP and the rest) runs
+    /// on. The catalog runs on [`SystemBuilder::announce_on`]'s group;
+    /// set both to one group and a negotiated speaker sets up from the
+    /// catalog's OFFERs as well as from the broker's.
     pub announce_group: McastGroup,
 }
 
@@ -454,7 +457,8 @@ impl SystemBuilder {
         self
     }
 
-    /// Enables the §4.3 catalog announcer on `group`.
+    /// Enables the §4.3 catalog announcer on `group`: an OFFER of the
+    /// line-up every second.
     pub fn announce_on(mut self, group: McastGroup) -> Self {
         self.announce_group = Some(group);
         self
@@ -471,8 +475,9 @@ impl SystemBuilder {
     /// Enables the self-healing plane: every speaker asks for the
     /// blocks it misses (a NACK to whoever it hears the stream from),
     /// and a [`HealMonitor`] samples the fleet's counters every
-    /// `spec.epoch` and repairs sustained faults (loss-adaptive FEC
-    /// and — with [`HealSpec::standby`] — producer failover).
+    /// `spec.epoch`, flags sick receivers and damps flapping ones, and
+    /// — with [`HealSpec::standby`] — fails a dead producer over to
+    /// its warm standby.
     pub fn healing(mut self, spec: HealSpec) -> Self {
         self.healing = Some(spec);
         self
@@ -905,11 +910,6 @@ impl EsSystem {
         self.hub.speakers.len()
     }
 
-    /// The catalog announcer, if enabled.
-    pub fn announcer(&self) -> Option<&CatalogAnnouncer> {
-        self.hub.announcer.as_ref()
-    }
-
     /// The session broker, if [`SystemBuilder::sessions`] was set.
     pub fn broker(&self) -> Option<&SessionBroker> {
         self.hub.broker.as_ref()
@@ -1030,6 +1030,30 @@ mod tests {
         let broker = sys.broker().unwrap();
         assert_eq!(broker.sessions_active(), 1);
         assert!(broker.stats().acks >= 1);
+    }
+
+    /// The catalog and the handshake on one group: with the catalog's
+    /// OFFERs arriving beside the broker's, every negotiated speaker,
+    /// early or late, ends up with exactly one session.
+    #[test]
+    fn negotiated_speakers_share_the_catalog_group() {
+        let g = McastGroup(0);
+        let mut b = SystemBuilder::new(7)
+            .channel(ChannelSpec::new(1, McastGroup(1), "radio"))
+            .announce_on(g)
+            .sessions(SessionSpec::new(g));
+        for i in 0..4u64 {
+            let at = SimDuration::from_millis(700 * i);
+            b = b.speaker(SpeakerSpec::negotiated(format!("es{i}"), "radio").starting_at(at));
+        }
+        let mut sys = b.build();
+        sys.run_for(SimDuration::from_secs(5));
+        for i in 0..4 {
+            let status = sys.session(i).expect("negotiated");
+            assert_eq!(status.phase(), es_proto::ClientPhase::Established);
+            assert!(sys.speaker(i).unwrap().stats().samples_played > 0);
+        }
+        assert_eq!(sys.broker().unwrap().sessions_active(), 4);
     }
 
     /// A §5.3 `tune` from outside — the override controller's, a

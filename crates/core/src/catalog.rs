@@ -8,26 +8,21 @@
 //! programs are being multicast, rather than having to switch channels
 //! to monitor the audio transmissions."
 //!
-//! [`CatalogAnnouncer`] multicasts the stream list periodically on a
-//! well-known group; [`ChannelBrowser`] is the receive side any speaker
-//! or management console can embed.
-
-use bytes::Bytes;
+//! [`CatalogAnnouncer`] multicasts the line-up periodically on a
+//! well-known group as a session OFFER — the one line-up packet, the
+//! same one the broker answers a DISCOVER with — so a negotiated
+//! speaker on that group sets up from a catalog announce too.
+//! [`ChannelBrowser`] is the receive side any speaker or management
+//! console can embed. The line-up is fixed when the system is built.
 
 use es_net::{Datagram, Lan, McastGroup, NodeId};
-use es_proto::{encode_announce, AnnouncePacket, Packet, StreamInfo};
-use es_sim::{shared, RepeatingTimer, Shared, Sim, SimDuration, SimTime};
+use es_proto::{encode_session, Packet, SessionPacket, StreamInfo};
+use es_sim::{shared, RepeatingTimer, Shared, Sim, SimDuration};
 
 /// Periodically announces the channel line-up.
 #[derive(Clone)]
 pub struct CatalogAnnouncer {
-    state: Shared<AnnouncerState>,
-}
-
-struct AnnouncerState {
-    streams: Vec<StreamInfo>,
-    seq: u32,
-    sent: u64,
+    sent: Shared<u32>,
 }
 
 impl CatalogAnnouncer {
@@ -39,61 +34,37 @@ impl CatalogAnnouncer {
         group: McastGroup,
         streams: Vec<StreamInfo>,
     ) -> CatalogAnnouncer {
-        let state = shared(AnnouncerState {
-            streams,
-            seq: 0,
-            sent: 0,
-        });
-        let st2 = state.clone();
+        let sent = shared(0u32);
+        let counter = sent.clone();
         RepeatingTimer::start_with_phase(
             sim,
             SimDuration::from_secs(1),
             SimDuration::from_millis(50),
             move |sim| {
-                let pkt = {
-                    let mut st = st2.borrow_mut();
-                    let pkt = AnnouncePacket {
-                        seq: st.seq,
-                        producer_time_us: sim.now().as_micros(),
-                        streams: st.streams.clone(),
-                    };
-                    st.seq += 1;
-                    st.sent += 1;
-                    pkt
+                let seq = {
+                    let mut sent = counter.borrow_mut();
+                    *sent += 1;
+                    *sent - 1
                 };
-                lan.multicast(
-                    sim,
-                    node,
-                    group,
-                    Bytes::from(encode_announce(&pkt).to_vec()),
-                );
+                let streams = streams.clone();
+                let offer = encode_session(&SessionPacket::Offer { seq, streams });
+                lan.multicast(sim, node, group, offer);
             },
         );
-        CatalogAnnouncer { state }
-    }
-
-    /// Replaces the advertised line-up (e.g. a channel went off the
-    /// air; the server "can suspend transmission of a particular
-    /// channel").
-    pub fn set_streams(&self, streams: Vec<StreamInfo>) {
-        self.state.borrow_mut().streams = streams;
+        CatalogAnnouncer { sent }
     }
 
     /// Announcements sent so far.
     pub fn sent(&self) -> u64 {
-        self.state.borrow().sent
+        u64::from(*self.sent.borrow())
     }
 }
 
 /// Receives the catalog and remembers the latest line-up.
 #[derive(Clone)]
 pub struct ChannelBrowser {
-    state: Shared<BrowserState>,
-}
-
-struct BrowserState {
-    latest: Option<AnnouncePacket>,
-    received_at: Option<SimTime>,
+    /// The latest OFFER's sequence number and line-up.
+    latest: Shared<Option<(u32, Vec<StreamInfo>)>>,
 }
 
 impl ChannelBrowser {
@@ -103,42 +74,33 @@ impl ChannelBrowser {
     /// node for browsing (speakers keep their own handler).
     pub fn start(lan: &Lan, node: NodeId, group: McastGroup) -> ChannelBrowser {
         lan.join(node, group);
-        let state = shared(BrowserState {
-            latest: None,
-            received_at: None,
-        });
-        let st = state.clone();
-        lan.set_handler(node, move |sim: &mut Sim, dg: Datagram| {
-            if let Ok(Packet::Announce(a)) = es_proto::decode(&dg.payload) {
-                let mut s = st.borrow_mut();
-                let newer = s.latest.as_ref().is_none_or(|old| a.seq >= old.seq);
-                if newer {
-                    s.latest = Some(a);
-                    s.received_at = Some(sim.now());
+        let latest = shared(None);
+        let st = latest.clone();
+        lan.set_handler(node, move |_: &mut Sim, dg: Datagram| {
+            if let Ok(Packet::Session(SessionPacket::Offer { seq, streams })) =
+                es_proto::decode(&dg.payload)
+            {
+                let mut latest = st.borrow_mut();
+                if latest.as_ref().is_none_or(|(old, _)| seq >= *old) {
+                    *latest = Some((seq, streams));
                 }
             }
         });
-        ChannelBrowser { state }
+        ChannelBrowser { latest }
     }
 
     /// The latest line-up, if any announcement arrived.
     pub fn channels(&self) -> Vec<StreamInfo> {
-        self.state
-            .borrow()
-            .latest
+        let latest = self.latest.borrow();
+        latest
             .as_ref()
-            .map(|a| a.streams.clone())
+            .map(|(_, streams)| streams.clone())
             .unwrap_or_default()
     }
 
     /// Finds a channel by name.
     pub fn find(&self, name: &str) -> Option<StreamInfo> {
         self.channels().into_iter().find(|s| s.name == name)
-    }
-
-    /// When the latest announcement arrived.
-    pub fn last_heard(&self) -> Option<SimTime> {
-        self.state.borrow().received_at
     }
 }
 
@@ -147,6 +109,7 @@ mod tests {
     use super::*;
     use es_audio::AudioConfig;
     use es_net::LanConfig;
+    use es_proto::{ClientAction, SessionClient, SessionClientConfig};
 
     fn info(id: u16, name: &str) -> StreamInfo {
         StreamInfo {
@@ -159,53 +122,61 @@ mod tests {
             caps: es_proto::Capabilities {
                 codecs: vec![0, 3],
                 sample_rates: vec![44_100],
-                device_class: es_proto::DeviceClass::Standard,
             },
         }
     }
 
+    /// One catalog datagram serves both of its readers: it is an OFFER,
+    /// a browser learns the line-up from it, and a fresh session client
+    /// answers it with a SETUP for its channel.
     #[test]
-    fn browser_learns_the_lineup() {
+    fn one_catalog_datagram_serves_browser_and_session_client() {
         let mut sim = Sim::new(1);
         let lan = Lan::new(LanConfig::default());
         let server = lan.attach("server");
-        let console = lan.attach("console");
+        let (console, tap) = (lan.attach("console"), lan.attach("tap"));
         let g = McastGroup(0);
         lan.join(server, g);
-        let announcer = CatalogAnnouncer::start(
-            &mut sim,
-            lan.clone(),
-            server,
-            g,
-            vec![info(1, "radio"), info(2, "pa")],
-        );
+        lan.join(tap, g);
+        let heard = shared(Vec::new());
+        let h = heard.clone();
+        lan.set_handler(tap, move |_: &mut Sim, dg: Datagram| {
+            h.borrow_mut().push(dg.payload)
+        });
+        let lineup = vec![info(1, "radio"), info(2, "pa")];
+        let announcer = CatalogAnnouncer::start(&mut sim, lan.clone(), server, g, lineup.clone());
         let browser = ChannelBrowser::start(&lan, console, g);
         assert!(browser.channels().is_empty());
         sim.run_for(SimDuration::from_secs(2));
-        let chans = browser.channels();
-        assert_eq!(chans.len(), 2);
+        assert_eq!(browser.channels(), lineup);
         assert_eq!(browser.find("pa").unwrap().stream_id, 2);
         assert!(browser.find("nope").is_none());
-        assert!(browser.last_heard().is_some());
-        assert!(announcer.sent() >= 2);
-    }
+        assert_eq!(announcer.sent(), 2);
 
-    #[test]
-    fn lineup_updates_propagate() {
-        let mut sim = Sim::new(1);
-        let lan = Lan::new(LanConfig::default());
-        let server = lan.attach("server");
-        let console = lan.attach("console");
-        let g = McastGroup(0);
-        lan.join(server, g);
-        let announcer =
-            CatalogAnnouncer::start(&mut sim, lan.clone(), server, g, vec![info(1, "radio")]);
-        let browser = ChannelBrowser::start(&lan, console, g);
-        sim.run_for(SimDuration::from_secs(2));
-        assert_eq!(browser.channels().len(), 1);
-        // A channel is suspended: next announcement drops it.
-        announcer.set_streams(vec![]);
-        sim.run_for(SimDuration::from_secs(2));
-        assert!(browser.channels().is_empty());
+        let heard = heard.borrow();
+        assert_eq!(heard.len(), 2);
+        for (seq, bytes) in heard.iter().enumerate() {
+            let Ok(Packet::Session(offer @ SessionPacket::Offer { .. })) = es_proto::decode(bytes)
+            else {
+                panic!("catalog sent {bytes:?}");
+            };
+            let want = SessionPacket::Offer {
+                seq: seq as u32,
+                streams: lineup.clone(),
+            };
+            assert_eq!(offer, want);
+            let mut client = SessionClient::new(SessionClientConfig::new("es1", "pa"));
+            let answer = client.on_packet(0, &offer);
+            assert!(
+                matches!(
+                    answer.as_slice(),
+                    [ClientAction::Send(SessionPacket::Setup {
+                        stream_id: 2,
+                        ..
+                    })]
+                ),
+                "{answer:?}"
+            );
+        }
     }
 }

@@ -1,25 +1,12 @@
 //! The single error type fallible `es-core` entry points return.
 //!
-//! Before this existed, failures surfaced as a mix of panics, `bool`
-//! returns and raw `io::Error`s. Everything now funnels through
-//! [`Error`], which wraps the protocol layer's [`WireError`], the
-//! auth layer's [`Reject`], the control plane's [`SessionError`] and
-//! plain I/O, plus [`Error::Config`] for invalid builder input caught
-//! by [`crate::SystemBuilder::try_build`].
-
-use es_proto::auth::Reject;
-use es_proto::{SessionError, WireError};
+//! It names exactly what they return: [`Error::Config`] for invalid
+//! builder input caught by [`crate::SystemBuilder::try_build`], and
+//! [`Error::Io`] from the live UDP drivers.
 
 /// Any failure an `es-core` public entry point can report.
 #[derive(Debug)]
 pub enum Error {
-    /// A packet failed to parse or validate.
-    Wire(WireError),
-    /// The stream authenticator rejected input.
-    Auth(Reject),
-    /// The session control plane failed (refused, timed out, unknown
-    /// channel).
-    Session(SessionError),
     /// Invalid builder/spec configuration, caught before anything
     /// runs.
     Config(String),
@@ -30,9 +17,6 @@ pub enum Error {
 impl core::fmt::Display for Error {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            Error::Wire(e) => write!(f, "wire error: {e}"),
-            Error::Auth(r) => write!(f, "authentication rejected: {r:?}"),
-            Error::Session(e) => write!(f, "session error: {e}"),
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
             Error::Io(e) => write!(f, "io error: {e}"),
         }
@@ -42,29 +26,9 @@ impl core::fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Wire(e) => Some(e),
-            Error::Session(e) => Some(e),
             Error::Io(e) => Some(e),
-            Error::Auth(_) | Error::Config(_) => None,
+            Error::Config(_) => None,
         }
-    }
-}
-
-impl From<WireError> for Error {
-    fn from(e: WireError) -> Self {
-        Error::Wire(e)
-    }
-}
-
-impl From<Reject> for Error {
-    fn from(r: Reject) -> Self {
-        Error::Auth(r)
-    }
-}
-
-impl From<SessionError> for Error {
-    fn from(e: SessionError) -> Self {
-        Error::Session(e)
     }
 }
 
@@ -79,11 +43,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wraps_every_layer_and_displays() {
+    fn wraps_what_is_returned_and_displays() {
         let cases: Vec<Error> = vec![
-            WireError::BadCrc.into(),
-            Reject::BufferFull.into(),
-            SessionError::Timeout.into(),
             Error::Config("no such channel".into()),
             std::io::Error::other("boom").into(),
         ];
@@ -91,9 +52,7 @@ mod tests {
             assert!(!e.to_string().is_empty());
         }
         // Sources chain where an inner std error exists.
-        let wire: Error = WireError::BadMagic.into();
-        assert!(std::error::Error::source(&wire).is_some());
-        let cfg = Error::Config("x".into());
-        assert!(std::error::Error::source(&cfg).is_none());
+        assert!(std::error::Error::source(&cases[0]).is_none());
+        assert!(std::error::Error::source(&cases[1]).is_some());
     }
 }

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use es_audio::AudioConfig;
     pub use es_heal::{HealPolicy, Health};
     pub use es_net::{Lan, LanConfig, McastGroup};
-    pub use es_proto::{Capabilities, ClientPhase, DeviceClass, SessionPacket};
+    pub use es_proto::{Capabilities, ClientPhase, SessionPacket};
     pub use es_rebroadcast::{AppPacing, CompressionPolicy, RateLimiter};
     pub use es_sim::{Sim, SimDuration, SimTime};
     pub use es_speaker::{EthernetSpeaker, SpeakerConfig};

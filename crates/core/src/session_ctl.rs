@@ -180,11 +180,11 @@ impl SessionBroker {
         });
     }
 
-    /// Sends an in-session parameter update (volume in thousandths,
-    /// free-form metadata) to `speaker`'s session.
-    pub fn update_params(&self, sim: &mut Sim, speaker: &str, volume_milli: u16, metadata: &str) {
+    /// Sends an in-session volume update (thousandths; 1000 = unity)
+    /// to `speaker`'s session.
+    pub fn update_params(&self, sim: &mut Sim, speaker: &str, volume_milli: u16) {
         self.step(sim, None, |server, _, out| {
-            server.update_params(speaker, volume_milli, metadata, out)
+            server.update_params(speaker, volume_milli, out)
         });
     }
 
@@ -244,7 +244,6 @@ pub fn stream_info_for(
         caps: Capabilities {
             codecs: policy.advertised_codecs(&config),
             sample_rates: vec![config.sample_rate],
-            device_class: es_proto::DeviceClass::Standard,
         },
     }
 }

@@ -9,9 +9,11 @@
 //! - **Data packets** carry the audio payload and "a timestamp within
 //!   each audio data packet that instructs the ES when it should play
 //!   the data", relative to the producer wall clock.
-//! - **Announce packets** implement the MFTP-inspired out-of-band
-//!   catalog the paper plans in §4.3: a well-known group lists the
-//!   active channels so speakers can browse without tuning in.
+//! - **The catalog** the paper plans in §4.3 (MFTP-inspired: a
+//!   well-known group lists the active channels so speakers can browse
+//!   without tuning in) is the session plane's OFFER, the one line-up
+//!   packet: see [`crate::session`]. Type 3, the catalog's own packet
+//!   before it, is retired and refused as [`WireError::BadType`].
 //! - **NACK packets** (an extension for lossy links) are the one thing
 //!   a speaker sends on the data plane: unicast to the node it hears
 //!   the stream from, they name the sequence ranges it missed.
@@ -124,7 +126,7 @@ pub struct DataPacket {
     pub payload: Bytes,
 }
 
-/// One catalog entry in an announce packet.
+/// One line-up entry of an OFFER.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamInfo {
     /// Stream identifier.
@@ -140,20 +142,9 @@ pub struct StreamInfo {
     /// Stream flags.
     pub flags: u16,
     /// Capability advertisement: the codec set this stream may put on
-    /// the wire, its rate, and the device class it targets. Session
-    /// negotiation validates SETUPs against this.
+    /// the wire and its rate. Session negotiation validates SETUPs
+    /// against this.
     pub caps: Capabilities,
-}
-
-/// The out-of-band catalog packet (§4.3's MFTP-style announcement).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AnnouncePacket {
-    /// Monotone announce sequence number.
-    pub seq: u32,
-    /// Producer wall clock at send time.
-    pub producer_time_us: u64,
-    /// Channels currently on the air.
-    pub streams: Vec<StreamInfo>,
 }
 
 /// Any parsed packet.
@@ -163,8 +154,6 @@ pub enum Packet {
     Control(ControlPacket),
     /// Audio data.
     Data(DataPacket),
-    /// Channel catalog.
-    Announce(AnnouncePacket),
     /// FEC parity (extension; see [`crate::fec`]).
     Parity(ParityPacket),
     /// Session control plane (extension; see [`crate::session`]).
@@ -180,12 +169,11 @@ pub enum Packet {
 }
 
 impl Packet {
-    /// The packet's stream id (announce packets use stream id 0).
+    /// The packet's stream id (0 for session packets that name none).
     pub fn stream_id(&self) -> u16 {
         match self {
             Packet::Control(c) => c.stream_id,
             Packet::Data(d) => d.stream_id,
-            Packet::Announce(_) => 0,
             Packet::Parity(p) => p.stream_id,
             Packet::Session(s) => s.stream_id(),
             Packet::Nack { stream_id, .. } => *stream_id,
@@ -195,12 +183,15 @@ impl Packet {
 
 const TYPE_CONTROL: u8 = 1;
 const TYPE_DATA: u8 = 2;
-const TYPE_ANNOUNCE: u8 = 3;
+// Type 3 (the catalog's retired packet) must not be reused: a datagram
+// of type 3 is refused, never read as something else.
 const TYPE_PARITY: u8 = 4;
-const TYPE_SESSION: u8 = 5;
+pub(crate) const TYPE_SESSION: u8 = 5;
 const TYPE_NACK: u8 = 6;
 
-fn put_header(buf: &mut BytesMut, ptype: u8, stream_id: u16, seq: u32) {
+/// Writes the common header (the session module shares this framing
+/// rather than inventing its own).
+pub(crate) fn put_header(buf: &mut BytesMut, ptype: u8, stream_id: u16, seq: u32) {
     buf.put_u16_le(MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(ptype);
@@ -233,23 +224,12 @@ fn get_config(buf: &mut impl Buf) -> Result<AudioConfig, WireError> {
 /// Appends the CRC of everything written since `start`. The `_into`
 /// encoders compute the checksum over their own region only, so a
 /// caller may serialize into a buffer that already holds other bytes.
-fn finish_into(buf: &mut BytesMut, start: usize) {
+pub(crate) fn finish_into(buf: &mut BytesMut, start: usize) {
     let crc = crc32(&buf[start..]);
     buf.put_u32_le(crc);
 }
 
-/// Writes the common header for a session packet (the session module
-/// shares this framing rather than inventing its own).
-pub(crate) fn put_session_header(buf: &mut BytesMut, stream_id: u16, seq: u32) {
-    put_header(buf, TYPE_SESSION, stream_id, seq);
-}
-
-/// Appends the region CRC for a session packet.
-pub(crate) fn finish_session(buf: &mut BytesMut, start: usize) {
-    finish_into(buf, start);
-}
-
-/// Writes one catalog entry (shared by announce and session OFFER).
+/// Writes one line-up entry of an OFFER.
 pub(crate) fn put_stream_info(buf: &mut BytesMut, s: &StreamInfo) {
     buf.put_u16_le(s.stream_id);
     buf.put_u16_le(s.group);
@@ -263,7 +243,7 @@ pub(crate) fn put_stream_info(buf: &mut BytesMut, s: &StreamInfo) {
     crate::session::put_caps(buf, &s.caps);
 }
 
-/// Reads one catalog entry (shared by announce and session OFFER).
+/// Reads one line-up entry of an OFFER.
 pub(crate) fn get_stream_info(buf: &mut &[u8]) -> Result<StreamInfo, WireError> {
     if buf.remaining() < 5 {
         return Err(WireError::TooShort);
@@ -338,27 +318,6 @@ pub fn encode_data_into(p: &DataPacket, buf: &mut BytesMut) {
 pub fn encode_data(p: &DataPacket) -> Bytes {
     let mut buf = BytesMut::with_capacity(DATA_ENVELOPE + p.payload.len());
     encode_data_into(p, &mut buf);
-    buf.freeze()
-}
-
-/// Serializes an announce packet into `buf`, appending to any existing
-/// contents. See [`encode_control_into`].
-pub fn encode_announce_into(p: &AnnouncePacket, buf: &mut BytesMut) {
-    let start = buf.len();
-    buf.reserve(64 + p.streams.len() * 32);
-    put_header(buf, TYPE_ANNOUNCE, 0, p.seq);
-    buf.put_u64_le(p.producer_time_us);
-    buf.put_u16_le(p.streams.len() as u16);
-    for s in &p.streams {
-        put_stream_info(buf, s);
-    }
-    finish_into(buf, start);
-}
-
-/// Serializes an announce packet.
-pub fn encode_announce(p: &AnnouncePacket) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + p.streams.len() * 32);
-    encode_announce_into(p, &mut buf);
     buf.freeze()
 }
 
@@ -460,28 +419,6 @@ pub fn decode(bytes: &[u8]) -> Result<Packet, WireError> {
                 play_at_us,
                 codec,
                 payload,
-            }))
-        }
-        TYPE_ANNOUNCE => {
-            if buf.remaining() < 8 + 2 {
-                return Err(WireError::TooShort);
-            }
-            let producer_time_us = buf.get_u64_le();
-            let count = buf.get_u16_le() as usize;
-            if count > 512 {
-                return Err(WireError::BadField("stream count"));
-            }
-            let mut streams = Vec::with_capacity(count);
-            for _ in 0..count {
-                streams.push(get_stream_info(&mut buf)?);
-            }
-            if buf.has_remaining() {
-                return Err(WireError::BadField("trailing bytes"));
-            }
-            Ok(Packet::Announce(AnnouncePacket {
-                seq,
-                producer_time_us,
-                streams,
             }))
         }
         TYPE_PARITY => {
@@ -593,54 +530,6 @@ mod tests {
         };
         let bytes = encode_data(&p);
         assert!(matches!(decode(&bytes).unwrap(), Packet::Data(d) if d == p));
-    }
-
-    #[test]
-    fn announce_roundtrip() {
-        let p = AnnouncePacket {
-            seq: 5,
-            producer_time_us: 88,
-            streams: vec![
-                StreamInfo {
-                    stream_id: 1,
-                    group: 10,
-                    name: "campus radio".into(),
-                    codec: 3,
-                    config: AudioConfig::CD,
-                    flags: 0,
-                    caps: Capabilities {
-                        codecs: vec![0, 3],
-                        sample_rates: vec![44_100],
-                        device_class: crate::session::DeviceClass::Hifi,
-                    },
-                },
-                StreamInfo {
-                    stream_id: 2,
-                    group: 11,
-                    name: "pa-announcements".into(),
-                    codec: 0,
-                    config: AudioConfig::PHONE,
-                    flags: FLAG_PRIORITY,
-                    caps: Capabilities::any(),
-                },
-            ],
-        };
-        let bytes = encode_announce(&p);
-        match decode(&bytes).unwrap() {
-            Packet::Announce(a) => assert_eq!(a, p),
-            other => panic!("wrong type: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_announce_roundtrips() {
-        let p = AnnouncePacket {
-            seq: 0,
-            producer_time_us: 0,
-            streams: vec![],
-        };
-        let bytes = encode_announce(&p);
-        assert!(matches!(decode(&bytes).unwrap(), Packet::Announce(a) if a == p));
     }
 
     #[test]
@@ -817,23 +706,6 @@ mod tests {
 
     #[test]
     fn encode_into_matches_allocating_encoders() {
-        let a = AnnouncePacket {
-            seq: 1,
-            producer_time_us: 2,
-            streams: vec![StreamInfo {
-                stream_id: 1,
-                group: 10,
-                name: "ch".into(),
-                codec: 3,
-                config: AudioConfig::CD,
-                flags: 0,
-                caps: Capabilities {
-                    codecs: vec![3],
-                    sample_rates: vec![44_100],
-                    device_class: crate::session::DeviceClass::Standard,
-                },
-            }],
-        };
         let p = ParityPacket {
             stream_id: 3,
             base_seq: 40,
@@ -844,9 +716,6 @@ mod tests {
             payload: Bytes::from(vec![0x55; 32]),
         };
         let mut buf = BytesMut::new();
-        encode_announce_into(&a, &mut buf);
-        assert_eq!(&buf[..], &encode_announce(&a)[..]);
-        buf.clear();
         encode_parity_into(&p, &mut buf);
         assert_eq!(&buf[..], &encode_parity(&p)[..]);
     }

@@ -135,41 +135,41 @@ impl SessionServer {
                 self.stats.setups += 1;
                 let (speaker, stream_id) = (speaker.clone(), *stream_id);
                 let at = self.streams.iter().position(|s| s.stream_id == stream_id);
-                let held = at.ok_or(RefuseReason::UnknownStream).and_then(|i| {
+                let granted = at.ok_or(RefuseReason::UnknownStream).and_then(|i| {
                     // A SETUP retry from a receiver that missed our ACK
-                    // must not open a second session: re-grant the one
-                    // it already holds.
-                    if let Some(held) = self.tables[i].find_by_speaker(&speaker) {
-                        return Ok((self.streams[i].group, held.clone()));
-                    }
-                    if self.tables[i].active() >= MAX_SESSIONS_PER_STREAM {
+                    // must not open a second session: its fields are the
+                    // first SETUP's, so it is re-negotiated and re-ACKed
+                    // under the id it already holds.
+                    let held = self.tables[i].find_by_speaker(&speaker);
+                    let held = held.map(|e| e.session_id);
+                    if held.is_none() && self.tables[i].active() >= MAX_SESSIONS_PER_STREAM {
                         return Err(RefuseReason::TableFull);
                     }
                     let grant = negotiate(&self.streams[i], caps, *codec, *playout_delay_us)?;
+                    if let Some(session_id) = held {
+                        return Ok((session_id, grant));
+                    }
                     let entry = SessionEntry {
                         session_id: self.next_sid,
                         speaker: speaker.clone(),
                         stream_id,
-                        codec: grant.codec,
-                        playout_delay_us: grant.playout_delay_us,
-                        opened_at_us: now_us,
                         last_seen_us: now_us,
                     };
                     self.next_sid = self.next_sid.wrapping_add(1);
                     self.tables[i].open(entry.clone());
                     out.push(ServerAction::Opened(entry.clone()));
-                    Ok((grant.group, entry))
+                    Ok((entry.session_id, grant))
                 });
-                let reply = match held {
-                    Ok((group, held)) => {
+                let reply = match granted {
+                    Ok((session_id, grant)) => {
                         self.stats.acks += 1;
                         SessionPacket::SetupAck {
-                            session_id: held.session_id,
+                            session_id,
                             speaker,
                             stream_id,
-                            group,
-                            codec: held.codec,
-                            playout_delay_us: held.playout_delay_us,
+                            group: grant.group,
+                            codec: grant.codec,
+                            playout_delay_us: grant.playout_delay_us,
                         }
                     }
                     Err(reason) => {
@@ -256,18 +256,15 @@ impl SessionServer {
         }
     }
 
-    /// An in-session parameter update (volume in thousandths,
-    /// free-form metadata) for `speaker`'s session.
-    pub fn update_params(
-        &self,
-        speaker: &str,
-        volume_milli: u16,
-        metadata: &str,
-        out: &mut Vec<ServerAction>,
-    ) {
+    /// An in-session volume update (thousandths; 1000 = unity) for
+    /// `speaker`'s session.
+    pub fn update_params(&self, speaker: &str, volume_milli: u16, out: &mut Vec<ServerAction>) {
         if let Some(e) = self.sessions().find(|e| e.speaker == speaker) {
-            let pkt = SessionPacket::param_volume(e.session_id, volume_milli, metadata.into());
-            out.push(Announce(pkt));
+            let session_id = e.session_id;
+            out.push(Announce(SessionPacket::Param {
+                session_id,
+                volume_milli,
+            }));
         }
     }
 
@@ -297,7 +294,7 @@ fn teardown(e: &SessionEntry, reason: TeardownReason) -> ServerAction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Capabilities, DeviceClass};
+    use crate::session::Capabilities;
     use es_audio::AudioConfig;
 
     const TIMEOUT_US: u64 = 800_000;
@@ -313,7 +310,6 @@ mod tests {
             caps: Capabilities {
                 codecs: codecs.to_vec(),
                 sample_rates: vec![44_100],
-                device_class: DeviceClass::Standard,
             },
         }
     }
@@ -363,7 +359,6 @@ mod tests {
         let discover = SessionPacket::Discover {
             seq: 9,
             speaker: "es1".into(),
-            caps: Capabilities::any(),
         };
         for seq in 0..2 {
             let out = step(&mut s, 10_000, &discover);
@@ -386,7 +381,7 @@ mod tests {
         let [ServerAction::Opened(entry), Reply(ack)] = out.as_slice() else {
             panic!("{out:?}");
         };
-        assert_eq!((entry.session_id, entry.opened_at_us), (1, 60_000));
+        assert_eq!((entry.session_id, entry.last_seen_us), (1, 60_000));
         let granted = SessionPacket::SetupAck {
             session_id: 1,
             speaker: "es1".into(),
@@ -396,9 +391,9 @@ mod tests {
             playout_delay_us: 150_000,
         };
         assert_eq!(*ack, granted);
-        // A retry (the ACK was lost) asks for PCM this time: it is
-        // re-granted what it holds, and nothing is opened twice.
-        assert_eq!(step(&mut s, 120_000, &setup("es1", 1, 0)), [Reply(granted)]);
+        // A retry (the ACK was lost) is the same SETUP: it is re-ACKed
+        // under the id it holds, and nothing is opened twice.
+        assert_eq!(step(&mut s, 120_000, &setup("es1", 1, 3)), [Reply(granted)]);
         assert_eq!(counts(&s, 0), (1, 0, 0, 1));
         assert_eq!((s.stats().setups, s.stats().acks), (2, 2));
         // The same speaker on another stream is another session.
@@ -531,7 +526,10 @@ mod tests {
         assert_eq!(join(&mut s, 2, "es7", 1), ids[7]);
         join(&mut s, 2, "late", 2);
         // A receiver PARAM is not ours to act on.
-        let echoed = SessionPacket::param_volume(ids[0], 500, String::new());
+        let echoed = SessionPacket::Param {
+            session_id: ids[0],
+            volume_milli: 500,
+        };
         assert!(step(&mut s, 3, &echoed).is_empty());
         // The sweep frees the places of the silent.
         let mut out = Vec::new();
@@ -556,9 +554,12 @@ mod tests {
         assert_eq!(s.stats().flushes, 3);
 
         out.clear();
-        s.update_params("c", 500, "now playing", &mut out);
-        s.update_params("nobody", 500, "", &mut out);
-        let param = SessionPacket::param_volume(c, 500, "now playing".into());
+        s.update_params("c", 500, &mut out);
+        s.update_params("nobody", 500, &mut out);
+        let param = SessionPacket::Param {
+            session_id: c,
+            volume_milli: 500,
+        };
         assert_eq!(out, [Announce(param)]);
 
         out.clear();
@@ -587,7 +588,6 @@ mod tests {
         let discover = SessionPacket::Discover {
             seq: 0,
             speaker: "es".into(),
-            caps: Capabilities::any(),
         };
         for want in [u32::MAX - 1, u32::MAX, 0, 1] {
             let out = step(&mut s, 0, &discover);

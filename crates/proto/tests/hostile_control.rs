@@ -12,7 +12,9 @@
 //! arithmetic overflow panics too), a bounded answer to every packet,
 //! and a table that holds no more sessions than SETUPs it accepted.
 //! `a_fresh_name_setup_flood_stops_at_the_cap` holds the table itself
-//! to its per-stream cap, in entries and in time (DESIGN.md §9).
+//! to its per-stream cap, in entries and in time (DESIGN.md §9), and
+//! `retired_wire_fields_are_refused` holds the decoder to the fields
+//! the plane no longer carries.
 //!
 //! `PROPTEST_CASES=5000 cargo test -p es-proto --test hostile_control`
 //! is the deep run; the default 64 cases keep it in the tier-1 budget.
@@ -20,9 +22,10 @@
 use std::collections::BTreeSet;
 
 use es_audio::AudioConfig;
+use es_proto::crc::crc32;
 use es_proto::{
-    BrokerStats, Capabilities, DeviceClass, RefuseReason, ServerAction, SessionPacket,
-    SessionServer, StreamInfo, TeardownReason,
+    decode, encode_session, BrokerStats, Capabilities, RefuseReason, ServerAction, SessionPacket,
+    SessionServer, StreamInfo, TeardownReason, WireError,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -41,7 +44,6 @@ fn lineup() -> Vec<StreamInfo> {
         caps: Capabilities {
             codecs: codecs.to_vec(),
             sample_rates: vec![44_100],
-            device_class: DeviceClass::Standard,
         },
     };
     vec![stream(1, "radio", &[0, 3]), stream(2, "pa", &[0])]
@@ -67,7 +69,6 @@ fn caps(rng: &mut StdRng) -> Capabilities {
     Capabilities {
         codecs: pick(rng, &[vec![], vec![0], vec![3], vec![0; 255]]),
         sample_rates: pick(rng, &[vec![], vec![8_000], vec![u32::MAX; 255]]),
-        device_class: DeviceClass::Thin,
     }
 }
 
@@ -91,19 +92,11 @@ fn session_id(rng: &mut StdRng, seen: &Seen) -> u32 {
 
 /// One well-formed packet of any kind, hostile fields included.
 fn packet(rng: &mut StdRng, seen: &Seen) -> SessionPacket {
-    let reason = pick(
-        rng,
-        &[
-            TeardownReason::Requested,
-            TeardownReason::Expired,
-            TeardownReason::StreamEnded,
-        ],
-    );
+    let reason = pick(rng, &[TeardownReason::Requested, TeardownReason::Expired]);
     match rng.gen::<u8>() % 13 {
         0 => SessionPacket::Discover {
             seq: rng.gen(),
             speaker: speaker(rng),
-            caps: caps(rng),
         },
         1..=4 => SessionPacket::Setup {
             speaker: speaker(rng),
@@ -122,7 +115,6 @@ fn packet(rng: &mut StdRng, seen: &Seen) -> SessionPacket {
         7 | 8 => SessionPacket::Param {
             session_id: session_id(rng, seen),
             volume_milli: rng.gen(),
-            metadata: speaker(rng),
         },
         // The producer's own kinds, echoed back.
         9 => SessionPacket::Offer {
@@ -198,7 +190,7 @@ fn abuse(rng: &mut StdRng) -> BrokerStats {
             }
             5 => {
                 server.teardown_speaker(&speaker(rng), &mut out);
-                server.update_params(&speaker(rng), rng.gen(), "", &mut out);
+                server.update_params(&speaker(rng), rng.gen(), &mut out);
                 judge(&out, 2, &mut seen);
             }
             // A packet is answered with one packet at most, however
@@ -308,4 +300,63 @@ fn a_fresh_name_setup_flood_stops_at_the_cap() {
     server.sweep(FLOOD as u64 + TIMEOUT_US + 1, &mut out);
     assert_eq!(out.len(), 2 * cap, "an Expired and a TEARDOWN each");
     assert_eq!(server.sessions_active(), 0);
+}
+
+/// Bytes the decoder once accepted: the catalog's retired packet
+/// (type 3), a caps block still ending in its old device-class byte,
+/// and a PARAM still carrying metadata. Each is sealed with a good CRC,
+/// so the parser sees it, and each is refused with an error.
+#[test]
+fn retired_wire_fields_are_refused() {
+    let seal = |mut body: Vec<u8>| {
+        body.extend_from_slice(&crc32(&body).to_le_bytes());
+        decode(&body)
+    };
+    // `pkt` re-sealed with `tail` appended to its body.
+    let with_tail = |pkt: &SessionPacket, tail: &[u8]| {
+        let bytes = encode_session(pkt);
+        seal([&bytes[..bytes.len() - 4], tail].concat())
+    };
+    let trailing = Err(WireError::BadField("trailing bytes"));
+
+    // Header (magic, version, type 3, stream 0, seq 0), producer time
+    // and an empty line-up: the old catalog announce.
+    let mut announce = vec![0xAB, 0xE5, 1, 3, 0, 0, 0, 0, 0, 0];
+    announce.extend_from_slice(&[0; 8 + 2]);
+    assert_eq!(seal(announce), Err(WireError::BadType(3)));
+
+    // The old device byte after a caps block: SETUP ends in one, and an
+    // OFFER in its last entry's.
+    let setup = SessionPacket::Setup {
+        speaker: "es1".into(),
+        stream_id: 1,
+        codec: 0,
+        playout_delay_us: 200_000,
+        caps: Capabilities {
+            codecs: vec![0, 3],
+            sample_rates: vec![44_100],
+        },
+    };
+    let offer = SessionPacket::Offer {
+        seq: 0,
+        streams: lineup(),
+    };
+    for device in 0..=3 {
+        assert_eq!(with_tail(&setup, &[device]), trailing);
+        assert_eq!(with_tail(&offer, &[device]), trailing);
+    }
+    // The old DISCOVER carried a whole caps block after the name.
+    let discover = SessionPacket::Discover {
+        seq: 0,
+        speaker: "es1".into(),
+    };
+    assert_eq!(with_tail(&discover, &[0, 0, 1]), trailing);
+
+    // A PARAM with metadata: its length byte and text after the volume.
+    let param = SessionPacket::Param {
+        session_id: 7,
+        volume_milli: 500,
+    };
+    assert_eq!(with_tail(&param, b"\x04news"), trailing);
+    assert_eq!(with_tail(&param, &[0]), trailing);
 }

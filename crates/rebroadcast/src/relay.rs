@@ -77,7 +77,8 @@ pub struct RelayStats {
     // because the frozen `benches/ledger` harness still sums it.
     #[doc(hidden)]
     pub parity_stale: u64,
-    /// Announce/session packets forwarded, and NACKs passed upstream.
+    /// Session packets (the catalog's OFFERs among them) forwarded, and
+    /// NACKs passed upstream.
     pub passthrough: u64,
     /// Datagrams that do not parse, forwarded all the same (e.g. an
     /// authenticated stream's).
@@ -187,7 +188,7 @@ fn route(state: &Shared<RelayState>, src: NodeId, raw: &[u8]) -> Hop {
         }
         Ok(Packet::Data(_)) => &mut st.stats.data_relayed,
         Ok(Packet::Parity(_)) => &mut st.stats.parity_relayed,
-        Ok(Packet::Announce(_) | Packet::Session(_)) => &mut st.stats.passthrough,
+        Ok(Packet::Session(_)) => &mut st.stats.passthrough,
         Err(_) => &mut st.stats.opaque,
     };
     *count += 1;
@@ -201,8 +202,7 @@ mod tests {
     use es_audio::AudioConfig;
     use es_net::{Datagram, LanConfig};
     use es_proto::packet::{
-        encode_announce, encode_control, encode_data, encode_nack, encode_parity, AnnouncePacket,
-        ControlPacket, DataPacket,
+        encode_control, encode_data, encode_nack, encode_parity, ControlPacket, DataPacket,
     };
     use es_proto::{FecRecoverer, ParityAccumulator};
     use es_sim::SimTime;
@@ -294,9 +294,8 @@ mod tests {
             acc.absorb(&data(0, 40_000));
             acc.absorb(&data(1, 60_000)).expect("group of two")
         };
-        let announce = encode_announce(&AnnouncePacket {
+        let announce = es_proto::encode_session(&es_proto::SessionPacket::Offer {
             seq: 0,
-            producer_time_us: 1_000,
             streams: Vec::new(),
         });
         let sent = [

@@ -548,7 +548,6 @@ impl SpeakerRx {
                 self.on_recovered(now, recovered, events);
             }
             Packet::Parity(p) => self.on_parity(now, p, events),
-            Packet::Announce(_) => { /* catalog handled by es-core's browser */ }
             Packet::Session(sp) => events.push(RxEvent::Session(Box::new(sp))),
             // Another speaker's request, or a forger's: a speaker
             // serves nobody.

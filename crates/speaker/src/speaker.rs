@@ -826,7 +826,6 @@ impl EthernetSpeaker {
                 session_id,
                 stream_id,
                 group,
-                ..
             } => (
                 "session established",
                 vec![

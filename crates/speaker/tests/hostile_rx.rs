@@ -22,9 +22,8 @@
 use bytes::Bytes;
 use es_audio::AudioConfig;
 use es_proto::{
-    decode, encode_announce, encode_control, encode_data, encode_nack, encode_parity,
-    encode_session, AnnouncePacket, ControlPacket, DataPacket, ParityPacket, SessionPacket,
-    StreamSigner, MAX_NACK_RANGES, TRAILER_LEN,
+    decode, encode_control, encode_data, encode_nack, encode_parity, encode_session, ControlPacket,
+    DataPacket, ParityPacket, SessionPacket, StreamSigner, MAX_NACK_RANGES, TRAILER_LEN,
 };
 use es_sim::{SimDuration, SimTime};
 use es_speaker::{RxEvent, SpeakerRx};
@@ -109,9 +108,9 @@ fn message(rng: &mut StdRng) -> Bytes {
                 payload: Bytes::from(payload),
             })
         }
-        7 => encode_announce(&AnnouncePacket {
+        // A catalog announce.
+        7 => encode_session(&SessionPacket::Offer {
             seq: seq(rng),
-            producer_time_us: pick(rng, &TIMES),
             streams: Vec::new(),
         }),
         8 => encode_session(&SessionPacket::Flush {

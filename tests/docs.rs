@@ -212,6 +212,28 @@ fn no_doc_describes_the_deleted_fec_ladder() {
 }
 
 #[test]
+fn no_doc_describes_the_deleted_session_fields() {
+    // The catalog sends OFFERs, a DISCOVER carries a name, caps carry
+    // codecs and rates, a PARAM carries a volume, and a client always
+    // re-discovers. Spelled in halves, like the needles above.
+    for doc in DOCS {
+        let text = read(doc);
+        for needle in [
+            concat!("Device", "Class"),
+            concat!("device ", "class"),
+            concat!("Announce", "Packet"),
+            concat!("TYPE_", "ANNOUNCE"),
+            concat!("encode_", "announce"),
+            concat!("auto_", "rejoin"),
+            concat!("Stream", "Ended"),
+            concat!("volume and ", "metadata"),
+        ] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
+    }
+}
+
+#[test]
 fn no_doc_describes_the_deleted_stream_monitor() {
     // Reception quality is counted by `SpeakerRx`; the separate
     // monitor, its report type and its two restating keys are gone.

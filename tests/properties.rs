@@ -376,9 +376,7 @@ proptest! {
         use es_proto::{ClientAction, ClientPhase, SessionPacket};
 
         let mut r = Rng64(seed);
-        let auto_rejoin = r.below(2) == 0;
-        let mut cfg = es_proto::SessionClientConfig::new("fsm-es", "radio");
-        cfg.auto_rejoin = auto_rejoin;
+        let cfg = es_proto::SessionClientConfig::new("fsm-es", "radio");
         let mut client = es_proto::SessionClient::new(cfg);
         let mut now_us = 0u64;
         let (mut established_seen, mut lost_seen) = (0u64, 0u64);
@@ -445,12 +443,6 @@ proptest! {
                 client.session_id().is_some(),
                 "phase and session id disagree"
             );
-            if auto_rejoin {
-                prop_assert!(
-                    client.phase() != ClientPhase::Done,
-                    "auto_rejoin client reached the terminal phase"
-                );
-            }
         }
         prop_assert_eq!(
             client.sessions_established, established_seen,
@@ -516,15 +508,9 @@ fn arb_name(r: &mut Rng64, max_len: u64) -> String {
 }
 
 fn arb_caps(r: &mut Rng64) -> es_proto::Capabilities {
-    let device_class = match r.below(3) {
-        0 => es_proto::DeviceClass::Thin,
-        1 => es_proto::DeviceClass::Standard,
-        _ => es_proto::DeviceClass::Hifi,
-    };
     es_proto::Capabilities {
         codecs: (0..r.below(4)).map(|_| r.next() as u8).collect(),
         sample_rates: (0..r.below(4)).map(|_| r.next() as u32).collect(),
-        device_class,
     }
 }
 
@@ -557,7 +543,6 @@ fn radio_stream_info() -> es_proto::StreamInfo {
         caps: es_proto::Capabilities {
             codecs: vec![0],
             sample_rates: vec![44_100],
-            device_class: es_proto::DeviceClass::Standard,
         },
     }
 }
@@ -571,7 +556,6 @@ fn arb_session_packet(r: &mut Rng64, kind: u8) -> es_proto::SessionPacket {
         0 => SessionPacket::Discover {
             seq: r.next() as u32,
             speaker: arb_name(r, 16),
-            caps: arb_caps(r),
         },
         1 => SessionPacket::Offer {
             seq: r.next() as u32,
@@ -613,16 +597,14 @@ fn arb_session_packet(r: &mut Rng64, kind: u8) -> es_proto::SessionPacket {
         },
         7 => SessionPacket::Teardown {
             session_id: r.next() as u32,
-            reason: match r.below(3) {
+            reason: match r.below(2) {
                 0 => es_proto::TeardownReason::Requested,
-                1 => es_proto::TeardownReason::Expired,
-                _ => es_proto::TeardownReason::StreamEnded,
+                _ => es_proto::TeardownReason::Expired,
             },
         },
         _ => SessionPacket::Param {
             session_id: r.next() as u32,
             volume_milli: r.next() as u16,
-            metadata: arb_name(r, 24),
         },
     }
 }

@@ -56,7 +56,6 @@ fn radio_info() -> StreamInfo {
         caps: Capabilities {
             codecs: vec![0],
             sample_rates: vec![44_100],
-            device_class: es_proto::DeviceClass::Standard,
         },
     }
 }

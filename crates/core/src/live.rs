@@ -4,13 +4,11 @@
 //! on an actual network, with no protocol code of its own: a producer
 //! loop steps the [`StreamTx`] core the simulated rebroadcaster drives
 //! from a generated signal and the wall clock; a speaker loop joins the
-//! group and steps the [`SpeakerRx`] core the simulated speaker drives.
+//! group and steps the [`SpeakerNode`] the simulated speaker drives, so
+//! it plays each block at its §3.2 deadline — sleeping, playing or
+//! discarding — and conceals what is missing when told to.
 //! `examples/real_udp.rs` wires both over the loopback interface and
-//! writes what the speaker heard to a WAV file.
-//!
-//! Live mode parses and decodes inline on the receive thread: a real
-//! Ethernet Speaker is one node with one stream, so the simulator's
-//! decode-once-per-datagram sharing has nothing to share here.
+//! writes what the speaker played to a WAV file.
 
 use std::time::{Duration, Instant};
 
@@ -19,12 +17,16 @@ use bytes::Bytes;
 use es_audio::convert::encode_samples_into;
 use es_audio::gen::{render_interleaved, Signal};
 use es_audio::AudioConfig;
-use es_codec::Codecs;
+use es_codec::{CodecId, Codecs};
 use es_net::udp::{McastReceiver, McastSender};
+use es_net::McastGroup;
+use es_proto::{Packet, WireError};
 use es_rebroadcast::{ProducerStats, StreamTx, StreamTxConfig};
 use es_sim::SimTime;
-use es_speaker::{decide, PlayDecision, RxEvent, SpeakerRx, SpeakerStats, DEFAULT_EPSILON};
-use es_telemetry::{Journal, Registry, Severity, Stamp, Telemetry};
+use es_speaker::{
+    Action, Decoder, Pcm, PlayMode, SharedBlock, SpeakerConfig, SpeakerNode, SpeakerStats,
+};
+use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 
 /// Producer-side settings for a live run.
 pub struct LiveProducerConfig {
@@ -196,51 +198,98 @@ pub fn run_live_producer(
 pub struct LiveSpeakerReport {
     /// Stream configuration learned from the control packet.
     pub config: Option<AudioConfig>,
-    /// Decoded interleaved samples, in arrival order.
+    /// The interleaved samples it played, in play order: each block at
+    /// its deadline, each concealment replica in its hole's slot.
     pub samples: Vec<i16>,
     /// The counters every speaker keeps; `samples_played` counts
     /// `samples`.
     pub stats: SpeakerStats,
+    /// How early blocks reached the §3.2 play decision, µs.
+    pub deadline_slack_us: Histogram,
 }
 
-/// The live speaker without its socket: datagrams and their arrival
-/// times in, a report out. [`run_live_speaker`] steps it from a
+/// The live speaker's decoder: parse and decode inline on the receive
+/// thread. A real Ethernet Speaker is one node with one stream, so the
+/// simulator's decode-once sharing across a fleet has nothing to share
+/// here.
+struct LiveDecoder(Codecs);
+
+impl Decoder for LiveDecoder {
+    fn parse(&mut self, raw: &Bytes) -> Result<Packet, WireError> {
+        es_proto::decode(raw)
+    }
+
+    fn decode(
+        &mut self,
+        now: SimTime,
+        codec: CodecId,
+        channels: u8,
+        payload: &Bytes,
+    ) -> Option<(Pcm, u64, SimTime)> {
+        let (samples, work) = self.0.decode(codec, payload, channels).ok()?;
+        Some((SharedBlock::new(samples), work, now))
+    }
+}
+
+/// The live speaker without its socket: the socket adapter of
+/// [`SpeakerNode`], the same speaker the simulator drives. Datagrams
+/// and their arrival times in, the instants it asked to be woken at,
+/// and what it played out. [`run_live_speaker`] steps it from a
 /// multicast receiver and the wall clock; tests step it from a trace.
-#[derive(Default)]
+/// It has no way back to the producer and no session: a statically
+/// tuned radio that asks for no repairs.
 pub struct LiveSpeaker {
-    rx: SpeakerRx,
-    codecs: Codecs,
-    events: Vec<RxEvent>,
+    node: SpeakerNode<(), LiveDecoder>,
     samples: Vec<i16>,
 }
 
+impl Default for LiveSpeaker {
+    fn default() -> Self {
+        LiveSpeaker::new(SpeakerConfig::new("live", McastGroup(0)))
+    }
+}
+
 impl LiveSpeaker {
+    /// A speaker playing as `cfg` says; its device geometry, CPU model
+    /// and tap are the simulator's and mean nothing here.
+    pub fn new(cfg: SpeakerConfig) -> Self {
+        let decoder = LiveDecoder(Codecs::with_cost_model(cfg.cost_model));
+        LiveSpeaker {
+            node: SpeakerNode::new(cfg, decoder),
+            samples: Vec::new(),
+        }
+    }
+
     /// One datagram, received `now` after the speaker started.
     pub fn step(&mut self, now: SimTime, datagram: &[u8]) {
-        for raw in self.rx.admit(&Bytes::copy_from_slice(datagram)) {
-            match es_proto::decode(&raw) {
-                Ok(pkt) => self.rx.on_packet(now, pkt, &mut self.events),
-                Err(_) => self.rx.stats.bad_packets += 1,
-            }
-            // Statically tuned, deviceless and with no way back to the
-            // producer: it neither conceals nor NACKs, so the protocol
-            // keeps no holes and only blocks matter.
-            for event in self.events.drain(..) {
-                let RxEvent::Block(b) = event else { continue };
-                // A collector has nowhere to sleep: early is on time.
-                if let PlayDecision::Discard { .. } = decide(b.deadline, now, DEFAULT_EPSILON) {
-                    self.rx.stats.note_late(b.refill);
-                    continue;
-                }
-                let codec = self.rx.codec_for(b.codec_wire);
-                let channels = self.rx.stream_config().channels;
-                match self.codecs.decode(codec, &b.payload, channels) {
-                    Ok((samples, _)) => {
-                        self.rx.stats.data_packets += 1;
-                        self.rx.stats.samples_played += samples.len() as u64;
-                        self.samples.extend_from_slice(&samples);
-                    }
-                    Err(_) => self.rx.stats.decode_errors += 1,
+        let raw = Bytes::copy_from_slice(datagram);
+        self.node.on_datagram(now, (), &raw);
+        self.carry_out(now);
+    }
+
+    /// The earliest instant the speaker asks to be woken at.
+    pub fn next_wake(&self) -> Option<SimTime> {
+        self.node.next_wake()
+    }
+
+    /// Serves every wakeup due at or before `now`.
+    pub fn wake(&mut self, now: SimTime) {
+        while self.node.next_wake().is_some_and(|at| at <= now) {
+            self.node.on_wake(now);
+            self.carry_out(now);
+        }
+    }
+
+    /// Plays what the node handed out; the rest — device format,
+    /// wakeups, journal notes — is the node's bookkeeping here.
+    fn carry_out(&mut self, now: SimTime) {
+        while let Some(action) = self.node.actions.pop_front() {
+            if let Action::Play(play) = action {
+                let from = self.samples.len();
+                play.render_into(&mut self.samples);
+                self.node.rx.stats.samples_played += (self.samples.len() - from) as u64;
+                if play.mode == PlayMode::Serial {
+                    self.node.serial_done(now);
                 }
             }
         }
@@ -248,17 +297,19 @@ impl LiveSpeaker {
 
     /// Ends the run.
     pub fn finish(self) -> LiveSpeakerReport {
+        let rx = &self.node.rx;
         LiveSpeakerReport {
-            config: (self.rx.stats.control_packets > 0).then(|| self.rx.stream_config()),
+            config: (rx.stats.control_packets > 0).then(|| rx.stream_config()),
             samples: self.samples,
-            stats: self.rx.stats,
+            stats: rx.stats,
+            deadline_slack_us: self.node.deadline_slack_us,
         }
     }
 }
 
-/// Listens on a channel for `run_for`, collecting decoded audio.
-/// Blocking. Diagnostics go to `journal` (wall-clock stamps) when one
-/// is supplied.
+/// Listens on a channel for `run_for`, playing what it hears at each
+/// block's deadline. Blocking. Diagnostics go to `journal` (wall-clock
+/// stamps) when one is supplied.
 #[expect(
     clippy::disallowed_methods,
     reason = "the live speaker listens for a span of host time (DESIGN.md §8)"
@@ -282,11 +333,17 @@ pub fn run_live_speaker(
     }
     let mut speaker = LiveSpeaker::default();
     let mut buf = vec![0u8; 65_536];
+    let now = || SimTime::from_nanos(start.elapsed().as_nanos() as u64);
     while start.elapsed() < run_for {
-        if let Some(n) = rx.recv(&mut buf)? {
-            let now = SimTime::from_nanos(start.elapsed().as_nanos() as u64);
-            speaker.step(now, &buf[..n]);
+        // Wait no longer than the speaker's next wakeup.
+        let wake = speaker
+            .next_wake()
+            .map(|at| Duration::from_nanos(at.as_nanos()));
+        let until = wake.map_or(run_for, |at| at.min(run_for));
+        if let Some(n) = rx.recv_within(&mut buf, until.saturating_sub(start.elapsed()))? {
+            speaker.step(now(), &buf[..n]);
         }
+        speaker.wake(now());
     }
     rx.leave().ok();
     let report = speaker.finish();

@@ -97,7 +97,14 @@ fn live_producer_paces_compresses_and_protects_like_the_simulated_one() {
     // One data packet lost on the wire; its group's parity survives.
     let mut speaker = LiveSpeaker::default();
     for (at, raw) in trace.iter().filter(|(_, raw)| data_seq(raw) != Some(5)) {
+        // Every wakeup the speaker asked for, at its instant.
+        while let Some(wake) = speaker.next_wake().filter(|&wake| wake < *at) {
+            speaker.wake(wake);
+        }
         speaker.step(*at, raw);
+    }
+    while let Some(wake) = speaker.next_wake() {
+        speaker.wake(wake);
     }
     let heard = speaker.finish();
     assert_eq!(heard.stats.fec_recovered, 1);

@@ -62,6 +62,7 @@ impl McastSender {
 pub struct McastReceiver {
     socket: UdpSocket,
     group: Ipv4Addr,
+    timeout: Duration,
 }
 
 impl McastReceiver {
@@ -71,12 +72,24 @@ impl McastReceiver {
         let group = channel_addr(channel);
         let socket = bind_reusable(port)?;
         socket.join_multicast_v4(&group, &Ipv4Addr::UNSPECIFIED)?;
-        socket.set_read_timeout(Some(timeout))?;
-        Ok(McastReceiver { socket, group })
+        Ok(McastReceiver {
+            socket,
+            group,
+            timeout,
+        })
     }
 
-    /// Receives one datagram into `buf`; `Ok(None)` on timeout.
+    /// Receives one datagram into `buf`, waiting at most the timeout
+    /// given at [`McastReceiver::join`]; `Ok(None)` on timeout.
     pub fn recv(&self, buf: &mut [u8]) -> io::Result<Option<usize>> {
+        self.recv_within(buf, self.timeout)
+    }
+
+    /// [`McastReceiver::recv`], waiting at most `timeout` — at least a
+    /// microsecond, since the socket reads a zero timeout as none.
+    pub fn recv_within(&self, buf: &mut [u8], timeout: Duration) -> io::Result<Option<usize>> {
+        let timeout = timeout.max(Duration::from_micros(1));
+        self.socket.set_read_timeout(Some(timeout))?;
         match self.socket.recv_from(buf) {
             Ok((n, _)) => Ok(Some(n)),
             Err(e)

@@ -8,10 +8,15 @@
 //!   gating, dedupe, FEC recovery, the hole table behind NACK and
 //!   concealment — as a state machine with no clock or socket, stepped
 //!   by a driver.
-//! - [`speaker`]: its simulator driver, the receive → decode → play
-//!   pipeline: channel tuning, concealment, ring-overflow accounting
-//!   and optional CPU-model billing (§3.4). Parse and codec decode are
-//!   memoized per datagram, so a fleet decodes each packet once.
+//! - [`node`]: the playback half as a sans-IO core — §3.2's
+//!   sleep/play/discard rule, concealment, the §3.4 single-threaded
+//!   player, volume, NACK addressing and the session client — stepped
+//!   by an adapter that decodes, plays and sends what it decides.
+//! - [`speaker`]: its simulator adapter, the receive → decode → play
+//!   pipeline on the simulated LAN and audio device, with channel
+//!   tuning, ring-overflow accounting and optional CPU-model billing
+//!   (§3.4). Parse and codec decode are memoized per datagram, so a
+//!   fleet decodes each packet once.
 //! - [`autovol`]: the §5.2 ambient-noise automatic volume control with
 //!   a simulated microphone.
 
@@ -19,11 +24,13 @@
 #![deny(rust_2018_idioms)]
 
 pub mod autovol;
+pub mod node;
 pub mod rx;
 pub mod speaker;
 pub mod sync;
 
 pub use autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig, ContentKind};
+pub use node::{Action, Decoder, Note, Pcm, Play, PlayMode, SharedBlock, SpeakerNode};
 pub use rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats, NACK_REASK};
 pub use speaker::{rx_memo_stats, EthernetSpeaker, RxMemoStats, SessionStatus, SpeakerConfig};
 pub use sync::{decide, ClockSync, PlayDecision, DEFAULT_EPSILON};

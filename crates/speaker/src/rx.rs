@@ -28,7 +28,7 @@ use crate::sync::ClockSync;
 
 /// Observable speaker counters: the protocol's are kept by
 /// [`SpeakerRx`], the playback outcomes are added by its driver.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpeakerStats {
     /// Datagrams received on the tuned group.
     pub datagrams: u64,
@@ -94,17 +94,6 @@ pub struct SpeakerStats {
     /// Original packets that arrived behind a higher number; each was
     /// counted lost when the gap opened and is moved here.
     pub quality_reordered: u64,
-}
-
-impl SpeakerStats {
-    /// Counts a block discarded past its §3.2 deadline.
-    pub fn note_late(&mut self, refill: bool) {
-        if refill {
-            self.refill_late += 1;
-        } else {
-            self.dropped_late += 1;
-        }
-    }
 }
 
 impl Telemetry for SpeakerStats {

@@ -6,18 +6,17 @@
 //! control packet before it can start playing the audio stream"),
 //! learns the producer wall clock, and then plays each data packet at
 //! its deadline — sleeping, playing, or discarding per §3.2's rule.
-//! What the packets mean is [`SpeakerRx`]'s call; this is the driver
-//! that feeds it from the simulated LAN and plays what it clears — and,
-//! once it [requests repairs](EthernetSpeaker::request_repairs), sends
-//! the protocol's NACKs back up the LAN to whoever it hears the stream
-//! from.
+//! What the packets mean is [`SpeakerRx`]'s call and what becomes of
+//! each block [`SpeakerNode`]'s; this is the simulator adapter that
+//! feeds the node from the simulated LAN and the engine's clock, sends
+//! what it asks to send — NACKs to whoever the stream is heard from,
+//! once it [requests repairs](EthernetSpeaker::request_repairs), and a
+//! negotiated speaker's handshake — and plays what it clears.
 //!
 //! With [`SpeakerConfig::session`] set the same speaker is a negotiated
-//! one (DESIGN.md §9): it owns an [`es_proto::SessionClient`], ticks it,
-//! and carries out what it decides — the DISCOVER/SETUP it sends on the
-//! announce group, the data group it tunes to, the FLUSH and volume it
-//! applies. Without it the speaker is the paper's statically wired
-//! radio.
+//! one (DESIGN.md §9): its node owns an [`es_proto::SessionClient`],
+//! this adapter ticks it. Without it the speaker is the paper's
+//! statically wired radio.
 //!
 //! The playback path is the full §3.4 pipeline: receive → (verify) →
 //! decode (billable to a Geode-class CPU model) → write to the audio
@@ -30,21 +29,18 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use es_audio::convert::encode_samples_into;
-use es_audio::mix::apply_gain;
 use es_audio::{AudioConfig, Encoding};
 use es_codec::{CodecId, Codecs};
-use es_net::{Datagram, Dest, Lan, McastGroup, NodeId};
+use es_net::{Dest, Lan, McastGroup, NodeId};
 use es_proto::auth::VerifierStats;
-use es_proto::{
-    encode_session, ClientAction, ClientPhase, Packet, SessionClient, SessionClientConfig,
-};
+use es_proto::{ClientPhase, Packet, SessionClient, SessionClientConfig};
 use es_sim::{shared, CostModel, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime};
 use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
-use crate::autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig};
-use crate::rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats};
-use crate::sync::{decide, PlayDecision};
+use crate::autovol::{AmbientProfile, AutoVolumeConfig};
+use crate::node::{Action, Decoder, Pcm, Play, PlayMode, SharedBlock, SpeakerNode};
+use crate::rx::{SpeakerRx, SpeakerStats};
 
 /// Speaker tuning knobs.
 pub struct SpeakerConfig {
@@ -214,21 +210,6 @@ impl<K: PartialEq, V> RxMemo<K, V> {
     }
 }
 
-/// One decoded block, shared by every receiver of the datagram it came
-/// from: the interleaved PCM and, once a receiver has played it at
-/// unity gain, the device bytes that PCM renders to. Nobody holding a
-/// handle changes either: a speaker that scales or fades audio does so
-/// in a copy of its own.
-#[derive(Default)]
-struct SharedBlock {
-    samples: Vec<i16>,
-    /// `samples` in the device encoding last asked for (`None` until
-    /// somebody asks), in a buffer the device rings hold handles to.
-    rendered: std::cell::RefCell<(Option<Encoding>, Rc<Vec<u8>>)>,
-}
-
-type Pcm = Rc<SharedBlock>;
-
 impl SharedBlock {
     /// The block as device bytes in `encoding`: rendered by the first
     /// receiver to ask, a handle to that rendering for the rest. A
@@ -361,30 +342,42 @@ pub fn rx_memo_stats() -> RxMemoStats {
     }
 }
 
-/// Parses a wire packet (CRC check included) once per distinct
-/// buffer: the first receiver of a datagram pays, the rest of the
-/// fan-out clone the result.
-fn parse_shared(raw: &Bytes) -> Result<Packet, es_proto::WireError> {
-    PARSED.with(|m| {
-        m.borrow_mut()
-            .with(raw, (), |_| es_proto::decode(raw), Clone::clone)
-    })
+/// The simulator's decoder: parse and decode once per datagram shared
+/// across the thread's speakers, every receiver billing its own CPU
+/// model for the decode, however many shared it.
+struct SimDecoder {
+    cpu: Option<Shared<SimCpu>>,
+    model: CostModel,
+}
+
+impl Decoder for SimDecoder {
+    fn parse(&mut self, raw: &Bytes) -> Result<Packet, es_proto::WireError> {
+        PARSED.with(|m| {
+            m.borrow_mut()
+                .with(raw, (), |_| es_proto::decode(raw), Clone::clone)
+        })
+    }
+
+    fn decode(
+        &mut self,
+        now: SimTime,
+        codec: CodecId,
+        channels: u8,
+        payload: &Bytes,
+    ) -> Option<(Pcm, u64, SimTime)> {
+        let (pcm, work) = decode_shared(self.model, codec, channels, payload)?;
+        let cycles = crate::decode_work_to_cycles(work);
+        let ready = self
+            .cpu
+            .as_ref()
+            .map_or(now, |cpu| cpu.borrow_mut().submit(now, cycles));
+        Some((pcm, work, ready))
+    }
 }
 
 struct SpkState {
-    cfg: SpeakerConfig,
-    /// The receive protocol; this speaker is its simulator driver.
-    rx: SpeakerRx,
-    /// Reused buffer for what a message made the protocol decide.
-    events: Vec<RxEvent>,
-    serial_busy: bool,
-    serial_queue: std::collections::VecDeque<RxBlock>,
-    /// The block most recently handed to the device, kept for
-    /// concealment.
-    last_block: Option<Pcm>,
-    /// The instant the protocol's next [`SpeakerRx::poll`] is scheduled
-    /// for, if one is.
-    wake_at: Option<SimTime>,
+    /// The speaker's decisions; this is their simulator adapter.
+    node: SpeakerNode<NodeId, SimDecoder>,
     /// Where this speaker scales or fades a block; the shared block is
     /// only ever read.
     gain_scratch: Vec<i16>,
@@ -393,26 +386,8 @@ struct SpkState {
     /// there are as many as the ring queues blocks; one whose handle
     /// came back is rendered into again.
     private_bytes: Vec<Rc<Vec<u8>>>,
-    /// How early decoded blocks reach the §3.2 play decision, in
-    /// microseconds (0 = at or past the deadline).
-    deadline_slack_us: Histogram,
     journal: Option<Journal>,
-    autovol: Option<AutoVolume>,
     tuned: McastGroup,
-    /// The stream id and sender of the last control packet heard: the
-    /// producer, its promoted standby, or a relay — where a NACK goes.
-    source: Option<(u16, NodeId)>,
-    /// The handshake of a negotiated speaker (boxed: a static speaker
-    /// carries one pointer).
-    session: Option<Box<Session>>,
-}
-
-/// A negotiated speaker's session client and the control-packet count
-/// its last tick saw: growth between ticks is proof the stream is
-/// alive.
-struct Session {
-    client: SessionClient,
-    controls_seen: u64,
 }
 
 /// Where a negotiated speaker's handshake stands, as of the call.
@@ -453,21 +428,6 @@ impl SessionStatus {
     }
 }
 
-impl SpkState {
-    /// What the protocol just decided, and the instant it wants to be
-    /// polled at if that is sooner than the wakeup already armed.
-    /// (Carrying the events out cannot open or close a hole, so the
-    /// instant is known before they are.)
-    fn take_decisions(&mut self) -> (Vec<RxEvent>, Option<SimTime>) {
-        let next = self.rx.next_wakeup();
-        let sooner = next.filter(|&at| self.wake_at.is_none_or(|armed| at < armed));
-        if sooner.is_some() {
-            self.wake_at = sooner;
-        }
-        (std::mem::take(&mut self.events), sooner)
-    }
-}
-
 /// A running Ethernet Speaker.
 #[derive(Clone)]
 pub struct EthernetSpeaker {
@@ -481,7 +441,7 @@ pub struct EthernetSpeaker {
 impl EthernetSpeaker {
     /// Attaches the speaker to the LAN, joins its channel — or, when
     /// negotiated, the announce group — and starts listening.
-    pub fn start(sim: &mut Sim, lan: &Lan, mut cfg: SpeakerConfig) -> EthernetSpeaker {
+    pub fn start(sim: &mut Sim, lan: &Lan, cfg: SpeakerConfig) -> EthernetSpeaker {
         let node = lan.attach(cfg.name.clone());
         lan.join(node, cfg.group);
         let (drv, tap) = HwDriver::new(cfg.tap_retention());
@@ -491,36 +451,17 @@ impl EthernetSpeaker {
             cfg.device_block_ms,
         ));
         dev.open().expect("fresh device opens");
-        let autovol = cfg
-            .auto_volume
-            .as_ref()
-            .map(|(avc, _)| AutoVolume::new(*avc));
-        let mut rx = SpeakerRx::new(cfg.auth_anchor);
-        if cfg.conceal_loss {
-            rx.conceal_losses();
-        }
-        let session = cfg.session.take().map(|ccfg| {
-            Box::new(Session {
-                client: SessionClient::new(*ccfg),
-                controls_seen: 0,
-            })
-        });
+        let decoder = SimDecoder {
+            cpu: cfg.cpu.clone(),
+            model: cfg.cost_model,
+        };
+        let (autovol, negotiated) = (cfg.auto_volume.is_some(), cfg.session.is_some());
         let state = shared(SpkState {
-            rx,
-            events: Vec::new(),
-            serial_busy: false,
-            serial_queue: std::collections::VecDeque::new(),
-            last_block: None,
-            wake_at: None,
+            tuned: cfg.group,
+            node: SpeakerNode::new(cfg, decoder),
             gain_scratch: Vec::new(),
             private_bytes: Vec::new(),
-            deadline_slack_us: Histogram::default(),
             journal: None,
-            autovol,
-            tuned: cfg.group,
-            source: None,
-            session,
-            cfg,
         });
         let spk = EthernetSpeaker {
             state,
@@ -530,18 +471,20 @@ impl EthernetSpeaker {
             tap,
         };
         let s2 = spk.clone();
-        lan.set_handler(node, move |sim, dg| s2.on_datagram(sim, dg));
+        lan.set_handler(node, move |sim, dg| {
+            s2.step(sim, |n, now| n.on_datagram(now, dg.src, &dg.payload));
+        });
         // Auto-volume control loop.
-        if spk.state.borrow().autovol.is_some() {
+        if autovol {
             let s3 = spk.clone();
             RepeatingTimer::start(sim, AUTOVOL_PERIOD, move |sim| s3.autovol_tick(sim));
         }
         // The session client's clock.
-        if spk.state.borrow().session.is_some() {
+        if negotiated {
             let s4 = spk.clone();
             let phase = SimDuration::from_millis(10);
             RepeatingTimer::start_with_phase(sim, SESSION_TICK, phase, move |sim| {
-                s4.session_tick(sim)
+                s4.step(sim, SpeakerNode::on_session_tick)
             });
         }
         spk
@@ -553,19 +496,7 @@ impl EthernetSpeaker {
     /// packet before playing again. A negotiated speaker never leaves
     /// its announce group: its handshake runs there, whoever tunes it.
     pub fn tune(&self, sim: &mut Sim, group: McastGroup) {
-        let (old, keep) = {
-            let mut st = self.state.borrow_mut();
-            st.rx.retune();
-            st.last_block = None;
-            let keep = st.session.is_some().then_some(st.cfg.group);
-            (std::mem::replace(&mut st.tuned, group), keep)
-        };
-        let groups = [("from_group", old.0.into()), ("to_group", group.0.into())];
-        self.journal(sim, Severity::Info, "tuned to new channel", &groups);
-        if keep != Some(old) {
-            self.lan.leave(self.node, old);
-        }
-        self.lan.join(self.node, group);
+        self.step(sim, |n, _| n.tune(group));
     }
 
     /// The group currently tuned.
@@ -575,17 +506,17 @@ impl EthernetSpeaker {
 
     /// The speaker's configured name.
     pub fn name(&self) -> String {
-        self.state.borrow().cfg.name.clone()
+        self.state.borrow().node.cfg.name.clone()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> SpeakerStats {
-        self.state.borrow().rx.stats
+        self.state.borrow().node.rx.stats
     }
 
     /// Authentication counters, when auth is enabled.
     pub fn auth_stats(&self) -> Option<VerifierStats> {
-        self.state.borrow().rx.verifier.as_ref().map(|v| v.stats())
+        self.rx(|rx| rx.verifier.as_ref().map(|v| v.stats()))
     }
 
     /// The DAC output tap: how much played and when, always; the
@@ -606,12 +537,12 @@ impl EthernetSpeaker {
 
     /// Current clock offset estimate versus the producer.
     pub fn clock_offset_us(&self) -> Option<i64> {
-        self.state.borrow().rx.clock.offset_us()
+        self.rx(|rx| rx.clock.offset_us())
     }
 
     /// Current auto-volume gain, if enabled.
     pub fn auto_gain(&self) -> Option<f64> {
-        self.state.borrow().autovol.as_ref().map(|a| a.gain())
+        self.state.borrow().node.autovol.as_ref().map(|a| a.gain())
     }
 
     /// Attaches a journal for structured diagnostics (tuning, late
@@ -623,37 +554,31 @@ impl EthernetSpeaker {
     /// Where a negotiated speaker's handshake stands; `None` for a
     /// statically wired one.
     pub fn session(&self) -> Option<SessionStatus> {
-        let st = self.state.borrow();
-        st.session.as_ref().map(|s| SessionStatus::of(&s.client))
+        self.state.borrow().node.session().map(SessionStatus::of)
     }
 
     /// From now on the speaker asks for the blocks it is missing: each
     /// NACK the protocol raises leaves as a datagram unicast to the
     /// node it last heard a control packet of its stream from.
     pub fn request_repairs(&self) {
-        self.state.borrow_mut().rx.request_repairs();
+        self.state.borrow_mut().node.rx.request_repairs();
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate on the
     /// next control packet; see [`SpeakerRx::resync`].
     pub fn resync(&self, sim: &mut Sim) {
-        {
-            let mut st = self.state.borrow_mut();
-            st.rx.resync();
-            st.last_block = None;
-        }
-        self.journal(sim, Severity::Info, "session flush resync", &[]);
+        self.step(sim, |n, _| n.resync());
     }
 
     /// Sets the fixed volume gain (the control plane's PARAM update;
     /// auto-volume, when enabled, still multiplies on top).
     pub fn set_volume(&self, volume: f64) {
-        self.state.borrow_mut().cfg.volume = volume;
+        self.state.borrow_mut().node.cfg.volume = volume;
     }
 
     /// Distribution of deadline slack seen by the §3.2 play decision.
     pub fn deadline_slack(&self) -> Histogram {
-        self.state.borrow().deadline_slack_us.clone()
+        self.state.borrow().node.deadline_slack_us.clone()
     }
 
     /// Records speaker counters, the deadline-slack histogram, the
@@ -662,24 +587,16 @@ impl EthernetSpeaker {
     /// and a negotiated speaker's handshake counters under component
     /// `session`.
     pub fn record_telemetry(&self, registry: &mut Registry) {
-        let (stats, slack, offset, jitter_us, session) = {
-            let st = self.state.borrow();
-            (
-                st.rx.stats,
-                st.deadline_slack_us.clone(),
-                st.rx.clock.offset_us(),
-                st.rx.jitter_us(),
-                st.session.as_ref().map(|s| SessionStatus::of(&s.client)),
-            )
-        };
-        stats.record(registry);
+        let st = self.state.borrow();
+        let (node, rx) = (&st.node, &st.node.rx);
+        rx.stats.record(registry);
         let depth = self.dev.stats().ring_occupancy;
         let mut s = registry.component("speaker");
-        s.histogram("deadline_slack_us", &slack)
+        s.histogram("deadline_slack_us", &node.deadline_slack_us)
             .gauge("jitter_buffer_bytes", depth as f64)
-            .gauge("sync_offset_us", offset.unwrap_or(0) as f64)
-            .gauge("quality_jitter_us", jitter_us);
-        if let Some(session) = session {
+            .gauge("sync_offset_us", rx.clock.offset_us().unwrap_or(0) as f64)
+            .gauge("quality_jitter_us", rx.jitter_us());
+        if let Some(session) = node.session().map(SessionStatus::of) {
             let (discovers, setups, established, lost) = session.client_counts();
             registry
                 .component("session")
@@ -687,6 +604,65 @@ impl EthernetSpeaker {
                 .counter("setups_sent", setups)
                 .counter("sessions_established", established)
                 .counter("sessions_lost", lost);
+        }
+    }
+
+    /// Reads the receive protocol.
+    fn rx<R>(&self, read: impl FnOnce(&SpeakerRx) -> R) -> R {
+        read(&self.state.borrow().node.rx)
+    }
+
+    /// Steps the node at the current instant with `f`, then carries out
+    /// everything it decided, in order.
+    fn step(&self, sim: &mut Sim, f: impl FnOnce(&mut SpeakerNode<NodeId, SimDecoder>, SimTime)) {
+        f(&mut self.state.borrow_mut().node, sim.now());
+        while let Some(action) = self.next_action() {
+            self.act(sim, action);
+        }
+    }
+
+    fn next_action(&self) -> Option<Action<NodeId>> {
+        self.state.borrow_mut().node.actions.pop_front()
+    }
+
+    /// Carries out one of the node's decisions.
+    fn act(&self, sim: &mut Sim, action: Action<NodeId>) {
+        match action {
+            Action::Configure(config) => {
+                // Valid by parse; a refusing device keeps its format.
+                let _ = self.dev.ioctl(sim, Ioctl::SetInfo(config));
+            }
+            Action::Wake(at) => {
+                let spk = self.clone();
+                sim.schedule_at(at, move |sim| spk.step(sim, SpeakerNode::on_wake));
+            }
+            Action::Play(play) => match play.mode {
+                PlayMode::Now => self.write_out(sim, &play),
+                PlayMode::AtDeadline => self.write_out_resync(sim, &play),
+                PlayMode::Serial => {
+                    let (bytes, cfg) = self.render(&play);
+                    self.serial_write(sim, bytes, 0, cfg);
+                }
+            },
+            Action::Nack(to, nack) => self.lan.send(sim, self.node, Dest::Unicast(to), nack),
+            Action::Announce(pkt) => {
+                let announce = Dest::Multicast(self.state.borrow().node.cfg.group);
+                self.lan.send(sim, self.node, announce, pkt);
+            }
+            Action::Tune(group) => {
+                let (old, keep) = {
+                    let mut st = self.state.borrow_mut();
+                    let keep = st.node.session().is_some().then_some(st.node.cfg.group);
+                    (std::mem::replace(&mut st.tuned, group), keep)
+                };
+                let groups = [("from_group", old.0.into()), ("to_group", group.0.into())];
+                self.journal(sim, Severity::Info, "tuned to new channel", &groups);
+                if keep != Some(old) {
+                    self.lan.leave(self.node, old);
+                }
+                self.lan.join(self.node, group);
+            }
+            Action::Note(n) => self.journal_in(sim, n.severity, n.component, n.message, n.fields),
         }
     }
 
@@ -708,292 +684,14 @@ impl EthernetSpeaker {
     ) {
         let st = self.state.borrow();
         if let Some(j) = &st.journal {
-            let mut named = vec![("speaker", st.cfg.name.clone())];
+            let mut named = vec![("speaker", st.node.cfg.name.clone())];
             named.extend(fields);
             let stamp = Stamp::virtual_ns(sim.now().as_nanos());
             j.emit(stamp, severity, component, message, &named);
         }
     }
 
-    fn on_datagram(&self, sim: &mut Sim, dg: Datagram) {
-        let released = self.state.borrow_mut().rx.admit(&dg.payload);
-        for raw in released {
-            self.handle_packet(sim, dg.src, &raw);
-        }
-    }
-
-    /// Every message this speaker acts on enters here, through the
-    /// shared parse, and steps the protocol once.
-    fn handle_packet(&self, sim: &mut Sim, from: NodeId, raw: &Bytes) {
-        let parsed = parse_shared(raw);
-        let decided = {
-            let mut st = self.state.borrow_mut();
-            let st = &mut *st;
-            match parsed {
-                Ok(pkt) => {
-                    if let Packet::Control(c) = &pkt {
-                        st.source = Some((c.stream_id, from));
-                    }
-                    st.rx.on_packet(sim.now(), pkt, &mut st.events)
-                }
-                Err(_) => st.rx.stats.bad_packets += 1,
-            }
-            st.take_decisions()
-        };
-        self.carry_out(sim, decided);
-    }
-
-    /// Carries out what a step of the protocol — a message, or the
-    /// clock — decided, before anything else is looked at, and makes
-    /// sure the protocol is polled at the next instant it asks for.
-    fn carry_out(&self, sim: &mut Sim, (mut events, wake): (Vec<RxEvent>, Option<SimTime>)) {
-        for event in events.drain(..) {
-            match event {
-                RxEvent::Configure(config) => {
-                    // Valid by parse; a refusing device keeps its format.
-                    let _ = self.dev.ioctl(sim, Ioctl::SetInfo(config));
-                }
-                RxEvent::Block(block) => self.on_block(sim, block),
-                RxEvent::Session(sp) => {
-                    self.step_session(sim, |s, _, now_us| s.client.on_packet(now_us, &sp));
-                }
-                RxEvent::FecGroupChanged { from, to } => self.journal(
-                    sim,
-                    Severity::Info,
-                    "fec parity group changed",
-                    &[("from", from.into()), ("to", to.into())],
-                ),
-                RxEvent::Nack(ranges) => self.send_nack(sim, &ranges),
-                RxEvent::Conceal { deadline, nth } => self.conceal(sim, deadline, nth),
-                RxEvent::Late { deadline, refill } => self.note_late_drop(sim, deadline, refill),
-            }
-        }
-        self.state.borrow_mut().events = events;
-        if let Some(at) = wake {
-            let spk = self.clone();
-            sim.schedule_at(at.max(sim.now()), move |sim| spk.on_wakeup(sim, at));
-        }
-    }
-
-    /// One tick of the session client's clock. Control packets are
-    /// liveness: a producer still describing the stream defers the
-    /// session timeout even if keepalive ACK-ing is quiet.
-    fn session_tick(&self, sim: &mut Sim) {
-        self.step_session(sim, |s, stats, now_us| {
-            if stats.control_packets > s.controls_seen {
-                s.controls_seen = stats.control_packets;
-                s.client.note_stream_alive(now_us);
-            }
-            s.client.poll(now_us)
-        });
-    }
-
-    /// Steps a negotiated speaker's session client at the current
-    /// instant and carries out what it decided, in order. A static
-    /// speaker has no client and ignores the control plane.
-    fn step_session(
-        &self,
-        sim: &mut Sim,
-        step: impl FnOnce(&mut Session, &SpeakerStats, u64) -> Vec<ClientAction>,
-    ) {
-        let actions = {
-            let mut st = self.state.borrow_mut();
-            let st = &mut *st;
-            let Some(session) = st.session.as_mut() else {
-                return;
-            };
-            step(session, &st.rx.stats, sim.now().as_micros())
-        };
-        for action in actions {
-            self.apply(sim, action);
-        }
-    }
-
-    /// Carries out one session-client decision; the journaling ones
-    /// land under component `session`.
-    fn apply(&self, sim: &mut Sim, action: ClientAction) {
-        let announce = self.state.borrow().cfg.group;
-        let (message, fields) = match action {
-            ClientAction::Send(pkt) => {
-                let dst = Dest::Multicast(announce);
-                return self.lan.send(sim, self.node, dst, encode_session(&pkt));
-            }
-            ClientAction::JoinData(g) => return self.tune(sim, McastGroup(g)),
-            ClientAction::LeaveData(_) => return self.tune(sim, announce),
-            ClientAction::Resync => return self.resync(sim),
-            ClientAction::SetVolume(v) => return self.set_volume(v as f64 / 1_000.0),
-            ClientAction::Established {
-                session_id,
-                stream_id,
-                group,
-            } => (
-                "session established",
-                vec![
-                    ("session_id", session_id.to_string()),
-                    ("stream_id", stream_id.to_string()),
-                    ("group", group.to_string()),
-                ],
-            ),
-            ClientAction::Lost { session_id } => (
-                "session lost; rediscovering",
-                vec![("session_id", session_id.to_string())],
-            ),
-            ClientAction::Closed { session_id, reason } => (
-                "session closed",
-                vec![
-                    ("session_id", session_id.to_string()),
-                    ("reason", reason.to_string()),
-                ],
-            ),
-            ClientAction::GaveUp => ("setup attempts exhausted; rediscovering", vec![]),
-        };
-        self.journal_in(sim, Severity::Info, "session", message, fields);
-    }
-
-    /// Unicasts a NACK for `ranges` to the stream's source. Holes open
-    /// only behind a control packet, so there is one.
-    fn send_nack(&self, sim: &mut Sim, ranges: &[(u32, u16)]) {
-        let Some((stream_id, to)) = self.state.borrow().source else {
-            return;
-        };
-        self.state.borrow_mut().rx.stats.nacks_sent += 1;
-        let nack = es_proto::encode_nack(stream_id, ranges);
-        self.lan.send(sim, self.node, Dest::Unicast(to), nack);
-    }
-
-    /// The instant the protocol asked for: holes that have waited out
-    /// the reorder hold-off are NACKed, holes that are due concealed.
-    /// A wakeup superseded by an earlier one finds `wake_at` moved on
-    /// and does nothing.
-    fn on_wakeup(&self, sim: &mut Sim, at: SimTime) {
-        let decided = {
-            let mut st = self.state.borrow_mut();
-            let st = &mut *st;
-            if st.wake_at != Some(at) {
-                return;
-            }
-            st.wake_at = None;
-            st.rx.poll(sim.now(), &mut st.events);
-            st.take_decisions()
-        };
-        self.carry_out(sim, decided);
-    }
-
-    /// PLC: nothing repaired the block due at `deadline`, the `nth`
-    /// missing in a row. Replay the block played last, faded a step
-    /// further each time — this speaker's fade alone, applied when it
-    /// renders: its neighbours may be playing the same shared block.
-    /// A gap that only showed once the block was overdue (an outage
-    /// longer than the playout delay) has been heard as silence
-    /// already; there is nothing left to paper over.
-    fn conceal(&self, sim: &mut Sim, deadline: SimTime, nth: u32) {
-        let (prev, epsilon) = {
-            let st = self.state.borrow();
-            (st.last_block.clone(), st.cfg.epsilon)
-        };
-        let overdue = sim.now().saturating_since(deadline) > epsilon;
-        if let Some(prev) = prev.filter(|b| !overdue && !b.samples.is_empty()) {
-            // Due now: straight to the device.
-            self.write_out(sim, prev, 0.6f64.powi(nth as i32));
-        }
-    }
-
-    /// Hands one block the protocol cleared to the player.
-    fn on_block(&self, sim: &mut Sim, block: RxBlock) {
-        let mut st = self.state.borrow_mut();
-        let Some(depth) = st.cfg.serial_queue_depth else {
-            drop(st);
-            return self.process_pipelined(sim, block);
-        };
-        if st.serial_busy {
-            if st.serial_queue.len() < depth {
-                st.serial_queue.push_back(block);
-            } else {
-                // The player thread is wedged and the receive buffer is
-                // full: §3.4's lost audio.
-                st.rx.stats.dropped_busy += 1;
-            }
-            return;
-        }
-        st.serial_busy = true;
-        drop(st);
-        self.process_serial(sim, block);
-    }
-
-    /// Decodes a cleared block against the *live* stream state (a
-    /// control packet can reconfigure the stream while a block sits
-    /// in the serial queue), billing the CPU model — every receiver
-    /// pays for its decode, however many shared it; returns the
-    /// samples — a handle to the shared decode — and the (possibly
-    /// future) completion time.
-    fn decode_pending(&self, sim: &mut Sim, p: &RxBlock) -> Option<(Pcm, SimTime)> {
-        let (codec, channels, model) = {
-            let st = self.state.borrow();
-            let channels = st.rx.stream_config().channels;
-            (st.rx.codec_for(p.codec_wire), channels, st.cfg.cost_model)
-        };
-        let Some((samples, work)) = decode_shared(model, codec, channels, &p.payload) else {
-            self.state.borrow_mut().rx.stats.decode_errors += 1;
-            return None;
-        };
-        let decoded_at = {
-            let mut st = self.state.borrow_mut();
-            st.rx.stats.decode_work_units += work;
-            match &st.cfg.cpu {
-                Some(cpu) => cpu
-                    .borrow_mut()
-                    .submit(sim.now(), crate::decode_work_to_cycles(work)),
-                None => sim.now(),
-            }
-        };
-        Some((samples, decoded_at))
-    }
-
-    /// The default pipelined path: every packet decodes independently
-    /// and is scheduled at its deadline.
-    fn process_pipelined(&self, sim: &mut Sim, p: RxBlock) {
-        let Some((samples, decoded_at)) = self.decode_pending(sim, &p) else {
-            return;
-        };
-        let spk = self.clone();
-        sim.schedule_at(decoded_at, move |sim| {
-            spk.schedule_play(sim, samples, p.deadline, p.refill);
-        });
-    }
-
-    /// The §3.4 single-threaded path: decode, sleep to the deadline,
-    /// then a blocking write; only then is the next packet considered.
-    fn process_serial(&self, sim: &mut Sim, p: RxBlock) {
-        let Some((samples, decoded_at)) = self.decode_pending(sim, &p) else {
-            self.finish_serial(sim);
-            return;
-        };
-        let (deadline, refill) = (p.deadline, p.refill);
-        let spk = self.clone();
-        sim.schedule_at(decoded_at, move |sim| {
-            let epsilon = spk.state.borrow().cfg.epsilon;
-            spk.observe_slack(sim, deadline);
-            match decide(deadline, sim.now(), epsilon) {
-                PlayDecision::Sleep(d) => {
-                    let spk2 = spk.clone();
-                    sim.schedule_in(d, move |sim| spk2.serial_write(sim, samples));
-                }
-                PlayDecision::PlayNow => spk.serial_write(sim, samples),
-                PlayDecision::Discard { .. } => {
-                    spk.note_late_drop(sim, deadline, refill);
-                    spk.finish_serial(sim);
-                }
-            }
-        });
-    }
-
-    fn serial_write(&self, sim: &mut Sim, samples: Pcm) {
-        let (bytes, cfg) = self.render(&samples, 1.0);
-        self.serial_write_bytes(sim, bytes, 0, cfg);
-    }
-
-    /// Counts a block as played and renders it to device bytes at this
-    /// speaker's volume, times `fade` for a concealment replica. The
+    /// Renders a block to device bytes in the stream's encoding. The
     /// block is shared with every other receiver of its datagram, and
     /// at unity gain so are the bytes: the first receiver encodes
     /// them, the rest take a handle. Any other gain scales a copy in
@@ -1001,24 +699,15 @@ impl EthernetSpeaker {
     /// own. That scratch and a tap that retains what it played
     /// (`Retention::Recent` for auto-volume, `Everything` on request)
     /// are the only per-speaker PCM copies left.
-    fn render(&self, block: &SharedBlock, fade: f64) -> (Rc<Vec<u8>>, AudioConfig) {
+    fn render(&self, play: &Play) -> (Rc<Vec<u8>>, AudioConfig) {
         let mut st = self.state.borrow_mut();
         let st = &mut *st;
-        st.rx.stats.data_packets += 1;
-        let cfg = st.rx.stream_config();
-        let gain = st.cfg.volume * st.autovol.as_ref().map_or(1.0, |a| a.gain());
-        let scaled = (gain - 1.0).abs() > 1e-9;
-        if !scaled && fade == 1.0 {
-            return (block.device_bytes(cfg.encoding), cfg);
+        let cfg = st.node.rx.stream_config();
+        if play.unity() {
+            return (play.pcm.device_bytes(cfg.encoding), cfg);
         }
         st.gain_scratch.clear();
-        st.gain_scratch.extend_from_slice(&block.samples);
-        if fade != 1.0 {
-            apply_gain(&mut st.gain_scratch, fade);
-        }
-        if scaled {
-            apply_gain(&mut st.gain_scratch, gain);
-        }
+        play.render_into(&mut st.gain_scratch);
         let free = st
             .private_bytes
             .iter()
@@ -1034,58 +723,19 @@ impl EthernetSpeaker {
     }
 
     /// A blocking `write(2)`: short writes park the player thread on
-    /// the device's writable wakeup.
-    fn serial_write_bytes(
-        &self,
-        sim: &mut Sim,
-        bytes: Rc<Vec<u8>>,
-        offset: usize,
-        cfg: AudioConfig,
-    ) {
+    /// the device's writable wakeup; the last one frees the player.
+    fn serial_write(&self, sim: &mut Sim, bytes: Rc<Vec<u8>>, offset: usize, cfg: AudioConfig) {
         let n = self.dev.write_shared(sim, &bytes, offset).unwrap_or(0);
         let played = (n / cfg.encoding.bytes_per_sample() as usize) as u64;
-        self.state.borrow_mut().rx.stats.samples_played += played;
+        self.state.borrow_mut().node.rx.stats.samples_played += played;
         let next = offset + n;
         if next < bytes.len() {
             let spk = self.clone();
             self.dev.on_writable(move |sim| {
-                spk.serial_write_bytes(sim, bytes, next, cfg);
+                spk.serial_write(sim, bytes, next, cfg);
             });
         } else {
-            self.finish_serial(sim);
-        }
-    }
-
-    /// The player thread finished a packet: take the next one or go
-    /// idle.
-    fn finish_serial(&self, sim: &mut Sim) {
-        let next = {
-            let mut st = self.state.borrow_mut();
-            let next = st.serial_queue.pop_front();
-            st.serial_busy = next.is_some();
-            next
-        };
-        if let Some(p) = next {
-            self.process_serial(sim, p);
-        }
-    }
-
-    /// Applies §3.2's sleep/play/discard rule to a decoded block.
-    fn schedule_play(&self, sim: &mut Sim, samples: Pcm, deadline: SimTime, refill: bool) {
-        if self.state.borrow().cfg.asap_playback {
-            // The early-ES pipeline: straight to the device.
-            self.write_out(sim, samples, 1.0);
-            return;
-        }
-        let epsilon = self.state.borrow().cfg.epsilon;
-        self.observe_slack(sim, deadline);
-        match decide(deadline, sim.now(), epsilon) {
-            PlayDecision::Sleep(d) => {
-                let spk = self.clone();
-                sim.schedule_in(d, move |sim| spk.write_out_resync(sim, samples));
-            }
-            PlayDecision::PlayNow => self.write_out(sim, samples, 1.0),
-            PlayDecision::Discard { .. } => self.note_late_drop(sim, deadline, refill),
+            self.step(sim, SpeakerNode::serial_done);
         }
     }
 
@@ -1103,10 +753,10 @@ impl EthernetSpeaker {
     /// the current grid, flush and re-trigger the device so the grid
     /// re-anchors at this deadline. The audio between the old and new
     /// anchors is thrown away — the paper's catch-up rule. (The
-    /// unpaced PlayNow path keeps §3.1 overflow semantics: blocks
-    /// arriving in a burst drop at the full ring, not here.)
-    fn write_out_resync(&self, sim: &mut Sim, samples: Pcm) {
-        let epsilon = self.state.borrow().cfg.epsilon;
+    /// unpaced `PlayMode::Now` path keeps §3.1 overflow semantics:
+    /// blocks arriving in a burst drop at the full ring, not here.)
+    fn write_out_resync(&self, sim: &mut Sim, play: &Play) {
+        let epsilon = self.state.borrow().node.cfg.epsilon;
         // This block's projected start: wait for the next DMA boundary,
         // then behind whatever the ring already holds.
         let boundary_wait = self
@@ -1121,7 +771,7 @@ impl EthernetSpeaker {
         let lateness = boundary_wait + queued;
         if lateness > epsilon {
             self.dev.restart_output(sim);
-            self.state.borrow_mut().rx.stats.playback_resyncs += 1;
+            self.state.borrow_mut().node.rx.stats.playback_resyncs += 1;
             self.journal(
                 sim,
                 Severity::Debug,
@@ -1129,48 +779,20 @@ impl EthernetSpeaker {
                 &[("late_us", lateness.as_micros())],
             );
         }
-        self.write_out(sim, samples, 1.0);
+        self.write_out(sim, play);
     }
 
-    /// Records how early (or late: slack 0) a block reached the play
-    /// decision.
-    fn observe_slack(&self, sim: &mut Sim, deadline: SimTime) {
-        let slack = deadline.saturating_since(sim.now()).as_micros();
-        self.state.borrow_mut().deadline_slack_us.observe(slack);
-    }
-
-    /// Counts a §3.2 deadline miss and journals it. A late NACK refill
-    /// is billed to `refill_late` instead: the gap it repaired was
-    /// already counted as lost when detected, and classifying the
-    /// repair itself as a miss made every loss burst cost the healing
-    /// detector a second sick epoch (the "refill echo").
-    fn note_late_drop(&self, sim: &mut Sim, deadline: SimTime, refill: bool) {
-        self.state.borrow_mut().rx.stats.note_late(refill);
-        let message = if refill {
-            "nack refill arrived past deadline"
-        } else {
-            "data packet discarded past deadline"
-        };
-        let late = sim.now().saturating_since(deadline).as_micros();
-        self.journal(sim, Severity::Debug, message, &[("late_us", late)]);
-    }
-
-    /// Hands a decoded block to the device, rendered at this speaker's
-    /// volume — one handle moves, no bytes; a full ring drops the
-    /// excess (receiver-side overflow, §3.1).
-    fn write_out(&self, sim: &mut Sim, samples: Pcm, fade: f64) {
-        let (bytes, cfg) = self.render(&samples, fade);
+    /// Hands a block to the device, rendered at this speaker's gain —
+    /// one handle moves, no bytes; a full ring drops the excess
+    /// (receiver-side overflow, §3.1).
+    fn write_out(&self, sim: &mut Sim, play: &Play) {
+        let (bytes, cfg) = self.render(play);
         let written = self.dev.write_shared(sim, &bytes, 0).unwrap_or(0);
         let played = (written / cfg.encoding.bytes_per_sample() as usize) as u64;
         let mut st = self.state.borrow_mut();
-        st.rx.stats.samples_played += played;
-        st.rx.stats.dropped_overflow_bytes += (bytes.len() - written) as u64;
-        if fade != 1.0 {
-            st.rx.stats.concealed_packets += 1;
-        } else if st.cfg.conceal_loss {
-            // What a replica replays: the last real block played.
-            st.last_block = Some(samples);
-        }
+        let stats = &mut st.node.rx.stats;
+        stats.samples_played += played;
+        stats.dropped_overflow_bytes += (bytes.len() - written) as u64;
     }
 
     /// One auto-volume control period: sample the simulated microphone
@@ -1179,7 +801,7 @@ impl EthernetSpeaker {
         let now_s = sim.now().as_secs_f64();
         let (ambient, coupling) = {
             let st = self.state.borrow();
-            let Some((avc, profile)) = st.cfg.auto_volume.as_ref() else {
+            let Some((avc, profile)) = st.node.cfg.auto_volume.as_ref() else {
                 return;
             };
             (profile.level_at(now_s), avc.self_coupling)
@@ -1197,7 +819,7 @@ impl EthernetSpeaker {
             es_audio::analysis::rms(&recent)
         };
         let mic = crate::autovol::microphone_rms(ambient, out_rms, coupling);
-        if let Some(av) = self.state.borrow_mut().autovol.as_mut() {
+        if let Some(av) = self.state.borrow_mut().node.autovol.as_mut() {
             av.update(mic, out_rms);
         }
     }
@@ -1662,7 +1284,11 @@ mod tests {
         }
         sim.run_for(SimDuration::from_millis(5));
         assert_eq!(spk.stats().fec_recovered, 1);
-        assert_eq!(spk.state.borrow().rx.table_sizes()[0], 0, "hole closed");
+        assert_eq!(
+            spk.state.borrow().node.rx.table_sizes()[0],
+            0,
+            "hole closed"
+        );
         sim.run_for(SimDuration::from_secs(1));
         let st = spk.stats();
         assert_eq!(
@@ -1880,8 +1506,8 @@ mod tests {
             lan.multicast(&mut sim, producer, g, block(seq, 1_000));
         }
         sim.run();
-        assert_eq!(spk.state.borrow().rx.table_sizes()[..2], [0, 0]);
-        assert_eq!(spk.state.borrow().wake_at, None);
+        assert_eq!(spk.state.borrow().node.rx.table_sizes()[..2], [0, 0]);
+        assert_eq!(spk.state.borrow().node.next_wake(), None);
         // A copy past its deadline is §3.2's discard, as ever.
         sim.run_until(due(3) + SimDuration::from_millis(30));
         lan.multicast(&mut sim, producer, g, block(3, 1_000));

@@ -266,7 +266,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// `group`.
     pub fn tune(&mut self, group: McastGroup) {
         self.rx.retune();
-        self.last_block = None;
+        self.forget_blocks();
         self.actions.push_back(Action::Tune(group));
     }
 
@@ -274,8 +274,23 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// next control packet; see [`SpeakerRx::resync`].
     pub fn resync(&mut self) {
         self.rx.resync();
-        self.last_block = None;
+        self.forget_blocks();
         self.note(Severity::Info, "speaker", "session flush resync", vec![]);
+    }
+
+    /// Drops every block cleared before a re-gate — waiting for its
+    /// decode or its deadline, or queued behind the §3.4 player — and
+    /// the one a replica would replay: a page does not play over old
+    /// music, nor a FLUSH pre-seek audio. A blocking write under way
+    /// finishes; the player then finds its queue empty.
+    fn forget_blocks(&mut self) {
+        let serial = |due: &Due| matches!(due, Due::Block(w) if w.serial);
+        if self.timers.iter().any(|(.., due)| serial(due)) {
+            self.serial_busy = false;
+        }
+        self.timers.retain(|(.., due)| matches!(due, Due::Poll(_)));
+        self.serial_queue.clear();
+        self.last_block = None;
     }
 
     /// A datagram from `from`, received `now`: each message the §5.1

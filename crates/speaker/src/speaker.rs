@@ -978,6 +978,47 @@ mod tests {
     }
 
     #[test]
+    fn a_tune_or_flush_drops_every_block_cleared_before_it() {
+        type Regate = fn(&EthernetSpeaker, &mut Sim);
+        let tune: Regate = |spk, sim| spk.tune(sim, McastGroup(2));
+        let flush: Regate = |spk, sim| spk.resync(sim);
+        for (regate, serial) in [
+            (tune, None),
+            (flush, None),
+            (tune, Some(4)),
+            (flush, Some(4)),
+        ] {
+            let (mut sim, lan, producer) = lan();
+            let g = McastGroup(1);
+            let mut cfg = SpeakerConfig::new("es1", g);
+            cfg.serial_queue_depth = serial;
+            let spk = EthernetSpeaker::start(&mut sim, &lan, cfg);
+            lan.multicast(&mut sim, producer, g, control_packet(0, 0));
+            for seq in 0..4u32 {
+                let play_at = 200_000 + seq as u64 * 50_000;
+                lan.multicast(&mut sim, producer, g, data_packet(seq, play_at, 2_205));
+            }
+            sim.run_until(SimTime::from_millis(100));
+            regate(&spk, &mut sim);
+            sim.run_for(SimDuration::from_secs(1));
+            let st = spk.stats();
+            assert_eq!(
+                (st.data_packets, st.samples_played),
+                (0, 0),
+                "{serial:?}: {st:?}"
+            );
+            assert_eq!(spk.state.borrow().node.next_wake(), None);
+            // The player is free for the stream it re-gated onto.
+            let (tuned, now_us) = (spk.tuned(), sim.now().as_micros());
+            lan.multicast(&mut sim, producer, tuned, control_packet(0, now_us));
+            let block = data_packet(9, now_us + 100_000, 2_205);
+            lan.multicast(&mut sim, producer, tuned, block);
+            sim.run_for(SimDuration::from_secs(1));
+            assert_eq!(spk.stats().data_packets, 1, "{serial:?}");
+        }
+    }
+
+    #[test]
     fn corrupt_packets_are_counted_not_played() {
         let (mut sim, lan, producer) = lan();
         let g = McastGroup(1);

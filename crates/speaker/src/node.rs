@@ -156,6 +156,16 @@ pub enum Action<A> {
     Note(Note),
 }
 
+/// Most blocks held waiting for their decode or their deadline. Chosen
+/// by measurement: the deepest any test or ledger workload reaches is
+/// 29 (a burst of 29 blocks sent at once, all due after it), a steady
+/// stream holds its playout delay over its block length plus the one
+/// in decode (5 at the defaults). 64 is also the most packets a
+/// producer keeps for repair, its bound on what one playout delay can
+/// hold. Beyond it, blocks are an unauthenticated sender's far-future
+/// deadlines, each a decoded block held until it is due.
+const MAX_WAITING_BLOCKS: usize = 64;
+
 /// A block waiting for its decode to complete or, once §3.2 said
 /// sleep, for its deadline.
 struct Waiting {
@@ -412,6 +422,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     fn arm(&mut self, at: SimTime, due: Due) {
         self.next_seq += 1;
         self.timers.push((at, self.next_seq, due));
+
         self.actions.push_back(Action::Wake(at));
     }
 
@@ -530,6 +541,21 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             slept,
         };
         self.arm(ready, Due::Block(waiting));
+        // Past the cap, the block due last goes: the one a flood of
+        // far-future deadlines would otherwise hold longest.
+        let blocks = self
+            .timers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| match &t.2 {
+                Due::Block(w) => Some((w.deadline, t.1, i)),
+                Due::Poll(_) => None,
+            });
+        if blocks.clone().count() > MAX_WAITING_BLOCKS {
+            let (.., last) = blocks.max().expect("over the cap");
+            self.timers.swap_remove(last);
+            self.rx.stats.dropped_busy += 1;
+        }
     }
 
     /// §3.2's sleep/play/discard rule applied to a decoded block; the

@@ -52,8 +52,10 @@ pub struct SpeakerStats {
     pub decode_work_units: u64,
     /// Samples written to the audio device.
     pub samples_played: u64,
-    /// Packets lost because the single-threaded player was busy and its
-    /// receive queue was full (§3.4 serial mode only).
+    /// Packets lost because the receive buffer was full: the
+    /// single-threaded player was busy and its queue full (§3.4 serial
+    /// mode), or more blocks were waiting for their deadlines than the
+    /// speaker holds (the one due last is dropped).
     pub dropped_busy: u64,
     /// Faded replicas written in place of blocks still missing when
     /// they were due (PLC extension).

@@ -423,6 +423,69 @@ fn gaps_with_far_future_deadlines_are_held_to_the_bound_and_asked_twice() {
 /// A NACK is the one packet a speaker sends; one that reaches a
 /// speaker — another speaker's on a shared LAN, or a forger's — is
 /// nobody's business there.
+/// Decodes every payload to a 50 ms CD block, and keeps a weak
+/// handle on each: what is still alive, the node holds.
+type Decoded = std::rc::Rc<std::cell::RefCell<Vec<std::rc::Weak<es_speaker::SharedBlock>>>>;
+struct Blocks(Decoded);
+
+impl es_speaker::Decoder for Blocks {
+    fn parse(&mut self, raw: &Bytes) -> Result<es_proto::Packet, es_proto::WireError> {
+        decode(raw)
+    }
+
+    fn decode(
+        &mut self,
+        now: SimTime,
+        _: es_codec::CodecId,
+        _: u8,
+        _: &Bytes,
+    ) -> Option<(es_speaker::Pcm, u64, SimTime)> {
+        let pcm = es_speaker::SharedBlock::new(vec![1; 4_410]);
+        self.0.borrow_mut().push(std::rc::Rc::downgrade(&pcm));
+        Some((pcm, 0, now))
+    }
+}
+
+/// An open channel accepts any deadline: two thousand blocks due an
+/// hour from now would each hold a decoded block for the hour. The
+/// node holds 64, the soonest due, and counts the rest as receive-
+/// buffer drops.
+#[test]
+fn a_flood_of_far_future_blocks_is_held_to_the_bound() {
+    let cfg = es_speaker::SpeakerConfig::new("es", es_net::McastGroup(1));
+    let decoded = Decoded::default();
+    let mut node = es_speaker::SpeakerNode::new(cfg, Blocks(decoded.clone()));
+    let hour = 3_600_000_000;
+    node.on_datagram(SimTime::ZERO, (), &control(0));
+    for seq in 0..2_000u32 {
+        node.on_datagram(
+            SimTime::ZERO,
+            (),
+            &data(seq, hour + u64::from(seq) * 50_000),
+        );
+        node.on_wake(SimTime::ZERO);
+    }
+    let held = decoded
+        .borrow()
+        .iter()
+        .filter(|b| b.strong_count() > 0)
+        .count();
+    assert_eq!((decoded.borrow().len(), held), (2_000, 64));
+    assert_eq!(node.rx.stats.dropped_busy, 2_000 - 64);
+    let played = |node: &mut es_speaker::SpeakerNode<(), Blocks>| {
+        let plays = node.actions.drain(..);
+        plays
+            .filter(|a| matches!(a, es_speaker::Action::Play(_)))
+            .count()
+    };
+    assert_eq!(played(&mut node), 0, "nothing is due yet");
+    while let Some(at) = node.next_wake() {
+        node.on_wake(at);
+    }
+    assert_eq!(played(&mut node), 64);
+    assert_eq!(node.rx.stats.data_packets, 64);
+}
+
 #[test]
 fn a_nack_sent_to_a_speaker_is_ignored() {
     let (mut rx, mut events) = baited(10);

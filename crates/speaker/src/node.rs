@@ -152,8 +152,8 @@ pub enum Action<A> {
     /// Listen to this group instead of the tuned one; the node has
     /// re-gated already.
     Tune(McastGroup),
-    /// Journal this.
-    Note(Note),
+    /// Journal this (boxed: rare, and the largest).
+    Note(Box<Note>),
 }
 
 /// Most blocks held waiting for their decode or their deadline. Chosen
@@ -165,6 +165,13 @@ pub enum Action<A> {
 /// hold. Beyond it, blocks are an unauthenticated sender's far-future
 /// deadlines, each a decoded block held until it is due.
 const MAX_WAITING_BLOCKS: usize = 64;
+
+thread_local! {
+    /// What one message or poll made the protocol decide, on its way
+    /// to becoming actions; one buffer for every node on the thread,
+    /// since a node drains it before it returns.
+    static EVENTS: std::cell::RefCell<Vec<RxEvent>> = const { std::cell::RefCell::new(Vec::new()) };
+}
 
 /// A block waiting for its decode to complete or, once §3.2 said
 /// sleep, for its deadline.
@@ -208,12 +215,9 @@ pub struct SpeakerNode<A, D> {
     /// What the adapter is to carry out, oldest first.
     pub actions: VecDeque<Action<A>>,
     decoder: D,
-    /// Reused buffer for what a message made the protocol decide.
-    events: Vec<RxEvent>,
-    /// Every wakeup asked for and not yet served, `(at, seq, due)`:
-    /// `seq` orders the wakeups of one instant as they were asked for.
-    timers: Vec<(SimTime, u64, Due)>,
-    next_seq: u64,
+    /// Every wakeup asked for and not yet served, in the order asked
+    /// for: that orders the wakeups of one instant.
+    timers: Vec<(SimTime, Due)>,
     /// The instant the hole table's next poll is armed for, if one is.
     wake_at: Option<SimTime>,
     /// The stream id and sender of the last control packet heard: the
@@ -250,9 +254,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             deadline_slack_us: Histogram::default(),
             actions: VecDeque::new(),
             decoder,
-            events: Vec::new(),
             timers: Vec::new(),
-            next_seq: 0,
             wake_at: None,
             source: None,
             session,
@@ -269,7 +271,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// The earliest instant a wakeup is asked for.
     pub fn next_wake(&self) -> Option<SimTime> {
-        self.timers.iter().map(|&(at, ..)| at).min()
+        self.timers.iter().map(|&(at, _)| at).min()
     }
 
     /// Switches channels: re-gate, and tell the adapter to listen to
@@ -295,10 +297,10 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// finishes; the player then finds its queue empty.
     fn forget_blocks(&mut self) {
         let serial = |due: &Due| matches!(due, Due::Block(w) if w.serial);
-        if self.timers.iter().any(|(.., due)| serial(due)) {
+        if self.timers.iter().any(|(_, due)| serial(due)) {
             self.serial_busy = false;
         }
-        self.timers.retain(|(.., due)| matches!(due, Due::Poll(_)));
+        self.timers.retain(|(_, due)| matches!(due, Due::Poll(_)));
         self.serial_queue.clear();
         self.last_block = None;
     }
@@ -313,7 +315,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                     if let Packet::Control(c) = &pkt {
                         self.source = Some((c.stream_id, from));
                     }
-                    self.rx.on_packet(now, pkt, &mut self.events);
+                    EVENTS.with_borrow_mut(|events| self.rx.on_packet(now, pkt, events));
                 }
                 Err(_) => self.rx.stats.bad_packets += 1,
             }
@@ -326,15 +328,15 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// node from [`SpeakerNode::next_wake`], until nothing is due.
     pub fn on_wake(&mut self, now: SimTime) {
         let due = self.timers.iter().enumerate().filter(|(_, t)| t.0 <= now);
-        let Some((i, _)) = due.min_by_key(|(_, &(at, seq, _))| (at, seq)) else {
+        let Some((i, _)) = due.min_by_key(|(_, t)| t.0) else {
             return;
         };
-        match self.timers.swap_remove(i).2 {
+        match self.timers.remove(i).1 {
             // A poll superseded by an earlier one finds `wake_at` moved
             // on and does nothing.
             Due::Poll(at) if self.wake_at == Some(at) => {
                 self.wake_at = None;
-                self.rx.poll(now, &mut self.events);
+                EVENTS.with_borrow_mut(|events| self.rx.poll(now, events));
                 self.carry_out(now);
             }
             Due::Poll(_) => {}
@@ -382,7 +384,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         if sooner.is_some() {
             self.wake_at = sooner;
         }
-        let mut events = std::mem::take(&mut self.events);
+        let mut events = EVENTS.with_borrow_mut(std::mem::take);
         for event in events.drain(..) {
             match event {
                 RxEvent::Configure(config) => self.actions.push_back(Action::Configure(config)),
@@ -412,7 +414,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                 RxEvent::Late { deadline, refill } => self.late(now, deadline, refill),
             }
         }
-        self.events = events;
+        EVENTS.with_borrow_mut(|scratch| *scratch = events);
         if let Some(at) = sooner {
             self.arm(at.max(now), Due::Poll(at));
         }
@@ -420,9 +422,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// Asks the adapter for a wakeup at `at` for `due`.
     fn arm(&mut self, at: SimTime, due: Due) {
-        self.next_seq += 1;
-        self.timers.push((at, self.next_seq, due));
-
+        self.timers.push((at, due));
         self.actions.push_back(Action::Wake(at));
     }
 
@@ -439,7 +439,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             message,
             fields,
         };
-        self.actions.push_back(Action::Note(note));
+        self.actions.push_back(Action::Note(Box::new(note)));
     }
 
     /// Steps a negotiated speaker's session client and carries out what
@@ -547,13 +547,13 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             .timers
             .iter()
             .enumerate()
-            .filter_map(|(i, t)| match &t.2 {
-                Due::Block(w) => Some((w.deadline, t.1, i)),
+            .filter_map(|(i, t)| match &t.1 {
+                Due::Block(w) => Some((w.deadline, i)),
                 Due::Poll(_) => None,
             });
         if blocks.clone().count() > MAX_WAITING_BLOCKS {
-            let (.., last) = blocks.max().expect("over the cap");
-            self.timers.swap_remove(last);
+            let (_, last) = blocks.max().expect("over the cap");
+            self.timers.remove(last);
             self.rx.stats.dropped_busy += 1;
         }
     }

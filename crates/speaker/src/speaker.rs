@@ -428,10 +428,13 @@ impl SessionStatus {
     }
 }
 
-/// A running Ethernet Speaker.
+/// A running Ethernet Speaker: a handle every event it schedules
+/// clones, so one pointer.
 #[derive(Clone)]
-pub struct EthernetSpeaker {
-    state: Shared<SpkState>,
+pub struct EthernetSpeaker(Rc<Parts>);
+
+struct Parts {
+    state: std::cell::RefCell<SpkState>,
     lan: Lan,
     node: NodeId,
     dev: Rc<AudioDevice>,
@@ -456,20 +459,20 @@ impl EthernetSpeaker {
             model: cfg.cost_model,
         };
         let (autovol, negotiated) = (cfg.auto_volume.is_some(), cfg.session.is_some());
-        let state = shared(SpkState {
+        let state = std::cell::RefCell::new(SpkState {
             tuned: cfg.group,
             node: SpeakerNode::new(cfg, decoder),
             gain_scratch: Vec::new(),
             private_bytes: Vec::new(),
             journal: None,
         });
-        let spk = EthernetSpeaker {
+        let spk = EthernetSpeaker(Rc::new(Parts {
             state,
             lan: lan.clone(),
             node,
             dev,
             tap,
-        };
+        }));
         let s2 = spk.clone();
         lan.set_handler(node, move |sim, dg| {
             s2.step(sim, |n, now| n.on_datagram(now, dg.src, &dg.payload));
@@ -501,17 +504,17 @@ impl EthernetSpeaker {
 
     /// The group currently tuned.
     pub fn tuned(&self) -> McastGroup {
-        self.state.borrow().tuned
+        self.0.state.borrow().tuned
     }
 
     /// The speaker's configured name.
     pub fn name(&self) -> String {
-        self.state.borrow().node.cfg.name.clone()
+        self.0.state.borrow().node.cfg.name.clone()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> SpeakerStats {
-        self.state.borrow().node.rx.stats
+        self.0.state.borrow().node.rx.stats
     }
 
     /// Authentication counters, when auth is enabled.
@@ -522,17 +525,17 @@ impl EthernetSpeaker {
     /// The DAC output tap: how much played and when, always; the
     /// samples themselves only with [`SpeakerConfig::capture_output`].
     pub fn tap(&self) -> Shared<OutputTap> {
-        self.tap.clone()
+        self.0.tap.clone()
     }
 
     /// The speaker's audio device (ring stats, underruns).
     pub fn device(&self) -> Rc<AudioDevice> {
-        self.dev.clone()
+        self.0.dev.clone()
     }
 
     /// The LAN node id.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.0.node
     }
 
     /// Current clock offset estimate versus the producer.
@@ -542,26 +545,32 @@ impl EthernetSpeaker {
 
     /// Current auto-volume gain, if enabled.
     pub fn auto_gain(&self) -> Option<f64> {
-        self.state.borrow().node.autovol.as_ref().map(|a| a.gain())
+        self.0
+            .state
+            .borrow()
+            .node
+            .autovol
+            .as_ref()
+            .map(|a| a.gain())
     }
 
     /// Attaches a journal for structured diagnostics (tuning, late
     /// packets, the session handshake and the like).
     pub fn set_journal(&self, journal: Journal) {
-        self.state.borrow_mut().journal = Some(journal);
+        self.0.state.borrow_mut().journal = Some(journal);
     }
 
     /// Where a negotiated speaker's handshake stands; `None` for a
     /// statically wired one.
     pub fn session(&self) -> Option<SessionStatus> {
-        self.state.borrow().node.session().map(SessionStatus::of)
+        self.0.state.borrow().node.session().map(SessionStatus::of)
     }
 
     /// From now on the speaker asks for the blocks it is missing: each
     /// NACK the protocol raises leaves as a datagram unicast to the
     /// node it last heard a control packet of its stream from.
     pub fn request_repairs(&self) {
-        self.state.borrow_mut().node.rx.request_repairs();
+        self.0.state.borrow_mut().node.rx.request_repairs();
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate on the
@@ -573,12 +582,12 @@ impl EthernetSpeaker {
     /// Sets the fixed volume gain (the control plane's PARAM update;
     /// auto-volume, when enabled, still multiplies on top).
     pub fn set_volume(&self, volume: f64) {
-        self.state.borrow_mut().node.cfg.volume = volume;
+        self.0.state.borrow_mut().node.cfg.volume = volume;
     }
 
     /// Distribution of deadline slack seen by the §3.2 play decision.
     pub fn deadline_slack(&self) -> Histogram {
-        self.state.borrow().node.deadline_slack_us.clone()
+        self.0.state.borrow().node.deadline_slack_us.clone()
     }
 
     /// Records speaker counters, the deadline-slack histogram, the
@@ -587,10 +596,10 @@ impl EthernetSpeaker {
     /// and a negotiated speaker's handshake counters under component
     /// `session`.
     pub fn record_telemetry(&self, registry: &mut Registry) {
-        let st = self.state.borrow();
+        let st = self.0.state.borrow();
         let (node, rx) = (&st.node, &st.node.rx);
         rx.stats.record(registry);
-        let depth = self.dev.stats().ring_occupancy;
+        let depth = self.0.dev.stats().ring_occupancy;
         let mut s = registry.component("speaker");
         s.histogram("deadline_slack_us", &node.deadline_slack_us)
             .gauge("jitter_buffer_bytes", depth as f64)
@@ -609,20 +618,20 @@ impl EthernetSpeaker {
 
     /// Reads the receive protocol.
     fn rx<R>(&self, read: impl FnOnce(&SpeakerRx) -> R) -> R {
-        read(&self.state.borrow().node.rx)
+        read(&self.0.state.borrow().node.rx)
     }
 
     /// Steps the node at the current instant with `f`, then carries out
     /// everything it decided, in order.
     fn step(&self, sim: &mut Sim, f: impl FnOnce(&mut SpeakerNode<NodeId, SimDecoder>, SimTime)) {
-        f(&mut self.state.borrow_mut().node, sim.now());
+        f(&mut self.0.state.borrow_mut().node, sim.now());
         while let Some(action) = self.next_action() {
             self.act(sim, action);
         }
     }
 
     fn next_action(&self) -> Option<Action<NodeId>> {
-        self.state.borrow_mut().node.actions.pop_front()
+        self.0.state.borrow_mut().node.actions.pop_front()
     }
 
     /// Carries out one of the node's decisions.
@@ -630,7 +639,7 @@ impl EthernetSpeaker {
         match action {
             Action::Configure(config) => {
                 // Valid by parse; a refusing device keeps its format.
-                let _ = self.dev.ioctl(sim, Ioctl::SetInfo(config));
+                let _ = self.0.dev.ioctl(sim, Ioctl::SetInfo(config));
             }
             Action::Wake(at) => {
                 let spk = self.clone();
@@ -644,23 +653,23 @@ impl EthernetSpeaker {
                     self.serial_write(sim, bytes, 0, cfg);
                 }
             },
-            Action::Nack(to, nack) => self.lan.send(sim, self.node, Dest::Unicast(to), nack),
+            Action::Nack(to, nack) => self.0.lan.send(sim, self.0.node, Dest::Unicast(to), nack),
             Action::Announce(pkt) => {
-                let announce = Dest::Multicast(self.state.borrow().node.cfg.group);
-                self.lan.send(sim, self.node, announce, pkt);
+                let announce = Dest::Multicast(self.0.state.borrow().node.cfg.group);
+                self.0.lan.send(sim, self.0.node, announce, pkt);
             }
             Action::Tune(group) => {
                 let (old, keep) = {
-                    let mut st = self.state.borrow_mut();
+                    let mut st = self.0.state.borrow_mut();
                     let keep = st.node.session().is_some().then_some(st.node.cfg.group);
                     (std::mem::replace(&mut st.tuned, group), keep)
                 };
                 let groups = [("from_group", old.0.into()), ("to_group", group.0.into())];
                 self.journal(sim, Severity::Info, "tuned to new channel", &groups);
                 if keep != Some(old) {
-                    self.lan.leave(self.node, old);
+                    self.0.lan.leave(self.0.node, old);
                 }
-                self.lan.join(self.node, group);
+                self.0.lan.join(self.0.node, group);
             }
             Action::Note(n) => self.journal_in(sim, n.severity, n.component, n.message, n.fields),
         }
@@ -682,7 +691,7 @@ impl EthernetSpeaker {
         message: &str,
         fields: impl IntoIterator<Item = (&'a str, String)>,
     ) {
-        let st = self.state.borrow();
+        let st = self.0.state.borrow();
         if let Some(j) = &st.journal {
             let mut named = vec![("speaker", st.node.cfg.name.clone())];
             named.extend(fields);
@@ -700,7 +709,7 @@ impl EthernetSpeaker {
     /// (`Retention::Recent` for auto-volume, `Everything` on request)
     /// are the only per-speaker PCM copies left.
     fn render(&self, play: &Play) -> (Rc<Vec<u8>>, AudioConfig) {
-        let mut st = self.state.borrow_mut();
+        let mut st = self.0.state.borrow_mut();
         let st = &mut *st;
         let cfg = st.node.rx.stream_config();
         if play.unity() {
@@ -725,13 +734,13 @@ impl EthernetSpeaker {
     /// A blocking `write(2)`: short writes park the player thread on
     /// the device's writable wakeup; the last one frees the player.
     fn serial_write(&self, sim: &mut Sim, bytes: Rc<Vec<u8>>, offset: usize, cfg: AudioConfig) {
-        let n = self.dev.write_shared(sim, &bytes, offset).unwrap_or(0);
+        let n = self.0.dev.write_shared(sim, &bytes, offset).unwrap_or(0);
         let played = (n / cfg.encoding.bytes_per_sample() as usize) as u64;
-        self.state.borrow_mut().node.rx.stats.samples_played += played;
+        self.0.state.borrow_mut().node.rx.stats.samples_played += played;
         let next = offset + n;
         if next < bytes.len() {
             let spk = self.clone();
-            self.dev.on_writable(move |sim| {
+            self.0.dev.on_writable(move |sim| {
                 spk.serial_write(sim, bytes, next, cfg);
             });
         } else {
@@ -756,22 +765,24 @@ impl EthernetSpeaker {
     /// unpaced `PlayMode::Now` path keeps §3.1 overflow semantics:
     /// blocks arriving in a burst drop at the full ring, not here.)
     fn write_out_resync(&self, sim: &mut Sim, play: &Play) {
-        let epsilon = self.state.borrow().node.cfg.epsilon;
+        let epsilon = self.0.state.borrow().node.cfg.epsilon;
         // This block's projected start: wait for the next DMA boundary,
         // then behind whatever the ring already holds.
         let boundary_wait = self
+            .0
             .dev
             .next_block_start(sim.now())
             .map_or(SimDuration::ZERO, |b| b.saturating_since(sim.now()));
         let queued = SimDuration::from_nanos(
-            self.dev
+            self.0
+                .dev
                 .config()
-                .nanos_for_bytes(self.dev.stats().ring_occupancy as u64),
+                .nanos_for_bytes(self.0.dev.stats().ring_occupancy as u64),
         );
         let lateness = boundary_wait + queued;
         if lateness > epsilon {
-            self.dev.restart_output(sim);
-            self.state.borrow_mut().node.rx.stats.playback_resyncs += 1;
+            self.0.dev.restart_output(sim);
+            self.0.state.borrow_mut().node.rx.stats.playback_resyncs += 1;
             self.journal(
                 sim,
                 Severity::Debug,
@@ -787,9 +798,9 @@ impl EthernetSpeaker {
     /// (receiver-side overflow, §3.1).
     fn write_out(&self, sim: &mut Sim, play: &Play) {
         let (bytes, cfg) = self.render(play);
-        let written = self.dev.write_shared(sim, &bytes, 0).unwrap_or(0);
+        let written = self.0.dev.write_shared(sim, &bytes, 0).unwrap_or(0);
         let played = (written / cfg.encoding.bytes_per_sample() as usize) as u64;
-        let mut st = self.state.borrow_mut();
+        let mut st = self.0.state.borrow_mut();
         let stats = &mut st.node.rx.stats;
         stats.samples_played += played;
         stats.dropped_overflow_bytes += (bytes.len() - written) as u64;
@@ -800,7 +811,7 @@ impl EthernetSpeaker {
     fn autovol_tick(&self, sim: &mut Sim) {
         let now_s = sim.now().as_secs_f64();
         let (ambient, coupling) = {
-            let st = self.state.borrow();
+            let st = self.0.state.borrow();
             let Some((avc, profile)) = st.node.cfg.auto_volume.as_ref() else {
                 return;
             };
@@ -812,6 +823,7 @@ impl EthernetSpeaker {
             let now_ns = sim.now().as_nanos();
             let since = SimTime::from_nanos(now_ns.saturating_sub(AUTOVOL_PERIOD.as_nanos()));
             let recent = self
+                .0
                 .tap
                 .borrow()
                 .samples_since(since)
@@ -819,7 +831,7 @@ impl EthernetSpeaker {
             es_audio::analysis::rms(&recent)
         };
         let mic = crate::autovol::microphone_rms(ambient, out_rms, coupling);
-        if let Some(av) = self.state.borrow_mut().node.autovol.as_mut() {
+        if let Some(av) = self.0.state.borrow_mut().node.autovol.as_mut() {
             av.update(mic, out_rms);
         }
     }
@@ -1007,7 +1019,7 @@ mod tests {
                 (0, 0),
                 "{serial:?}: {st:?}"
             );
-            assert_eq!(spk.state.borrow().node.next_wake(), None);
+            assert_eq!(spk.0.state.borrow().node.next_wake(), None);
             // The player is free for the stream it re-gated onto.
             let (tuned, now_us) = (spk.tuned(), sim.now().as_micros());
             lan.multicast(&mut sim, producer, tuned, control_packet(0, now_us));
@@ -1326,7 +1338,7 @@ mod tests {
         sim.run_for(SimDuration::from_millis(5));
         assert_eq!(spk.stats().fec_recovered, 1);
         assert_eq!(
-            spk.state.borrow().node.rx.table_sizes()[0],
+            spk.0.state.borrow().node.rx.table_sizes()[0],
             0,
             "hole closed"
         );
@@ -1547,8 +1559,8 @@ mod tests {
             lan.multicast(&mut sim, producer, g, block(seq, 1_000));
         }
         sim.run();
-        assert_eq!(spk.state.borrow().node.rx.table_sizes()[..2], [0, 0]);
-        assert_eq!(spk.state.borrow().node.next_wake(), None);
+        assert_eq!(spk.0.state.borrow().node.rx.table_sizes()[..2], [0, 0]);
+        assert_eq!(spk.0.state.borrow().node.next_wake(), None);
         // A copy past its deadline is §3.2's discard, as ever.
         sim.run_until(due(3) + SimDuration::from_millis(30));
         lan.multicast(&mut sim, producer, g, block(3, 1_000));

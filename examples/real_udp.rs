@@ -7,9 +7,9 @@
 //! compression policy (OVL for CD audio), one XOR-parity packet per
 //! four data packets — against the wall clock and multicasts what it
 //! seals on `239.77.83.23`; a speaker thread joins the group and steps
-//! `es_speaker::SpeakerRx` (control gating, producer clock, dedupe,
-//! FEC recovery, §3.2 late drops) from a socket, then reports what it
-//! heard. Its audio is written to `real_udp.wav`.
+//! `es_speaker::SpeakerNode` (control gating, producer clock, dedupe,
+//! FEC recovery, §3.2's sleep/play/discard) from a socket, then reports
+//! what it played. Its audio is written to `real_udp.wav`.
 //!
 //! Needs a network stack that permits multicast on loopback; if the
 //! environment forbids it the example says so and exits cleanly.

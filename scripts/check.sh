@@ -143,14 +143,18 @@ done
 # environment that never exercises the UDP path is visible. What
 # cannot skip is the socket-free half of each: the broker's protocol
 # (es-proto's `server` unit tests — session_udp only drives it over
-# sockets) and the live producer's (one_send_path: rate limiter, FEC,
-# auth under a fake clock), so both run here too.
+# sockets), the live producer's (one_send_path: rate limiter, FEC,
+# auth under a fake clock) and the live speaker's (one_receive_path:
+# one damaged trace through both adapters of the speaker node, equal
+# counters, deadline slack and played audio), so all three run here
+# too.
 echo "== live-udp smokes (skips surfaced)"
 udp_out=$({
     cargo test -q --test session_udp -- --nocapture &&
         cargo test -q -p es-proto server -- --nocapture &&
         cargo test -q -p es-core live_ -- --nocapture &&
-        cargo test -q -p es-core --test one_send_path -- --nocapture
+        cargo test -q -p es-core --test one_send_path -- --nocapture &&
+        cargo test -q --test one_receive_path -- --nocapture
 } 2>&1) || {
     printf '%s\n' "$udp_out" >&2
     exit 1

@@ -3,7 +3,8 @@
 //! EXPERIMENTS.md has one and documents every module there, nothing
 //! points at the removed bench harness, the perf baselines the ledger
 //! replaced or the relay re-stamping, FEC ladder and stream monitor
-//! that were deleted, DESIGN.md §8 lists exactly the bans `clippy.toml`
+//! that were deleted, nor describes the live speaker as the collector
+//! it was, DESIGN.md §8 lists exactly the bans `clippy.toml`
 //! and the lints `[workspace.lints]` configure, §10 exactly the counters
 //! the healing plane exports, and §6 exactly the keys a speaker records.
 
@@ -186,6 +187,23 @@ fn no_doc_describes_the_deleted_session_wrapper() {
     for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
         let text = read(doc);
         for needle in ["NegotiatedSpeaker", "set_session_handler", "Powered::"] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
+    }
+}
+
+#[test]
+fn no_doc_describes_the_live_speaker_as_a_collector() {
+    // The live speaker is an adapter of the one `SpeakerNode`: it
+    // sleeps, plays or discards each block by §3.2 and conceals when
+    // configured to. Spelled in halves, like the needles above.
+    for doc in DOCS {
+        let text = read(doc);
+        for needle in [
+            concat!("treats early ", "as on time"),
+            concat!("never ", "conceals"),
+            concat!("decodes ", "on arrival"),
+        ] {
             assert!(!text.contains(needle), "{doc} still mentions {needle}");
         }
     }

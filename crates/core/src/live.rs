@@ -283,14 +283,21 @@ impl LiveSpeaker {
     /// Plays what the node handed out; the rest — device format,
     /// wakeups, journal notes — is the node's bookkeeping here.
     fn carry_out(&mut self, now: SimTime) {
-        while let Some(action) = self.node.actions.pop_front() {
-            if let Action::Play(play) = action {
+        let mut batch = std::mem::take(&mut self.node.actions);
+        loop {
+            for action in batch.drain(..) {
+                let Action::Play(play) = action else { continue };
                 let from = self.samples.len();
                 play.render_into(&mut self.samples);
                 self.node.rx.stats.samples_played += (self.samples.len() - from) as u64;
                 if play.mode == PlayMode::Serial {
                     self.node.serial_done(now);
                 }
+            }
+            // The §3.4 player's next block queues behind the batch.
+            std::mem::swap(&mut batch, &mut self.node.actions);
+            if batch.is_empty() {
+                break;
             }
         }
     }

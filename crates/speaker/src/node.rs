@@ -213,11 +213,11 @@ pub struct SpeakerNode<A, D> {
     /// what its microphone hears.
     pub autovol: Option<AutoVolume>,
     /// What the adapter is to carry out, oldest first.
-    pub actions: VecDeque<Action<A>>,
+    pub actions: Vec<Action<A>>,
     decoder: D,
-    /// Every wakeup asked for and not yet served, in the order asked
-    /// for: that orders the wakeups of one instant.
-    timers: Vec<(SimTime, Due)>,
+    /// Every wakeup asked for and not yet served, earliest first;
+    /// wakeups of one instant in the order they were asked for.
+    timers: VecDeque<(SimTime, Due)>,
     /// The instant the hole table's next poll is armed for, if one is.
     wake_at: Option<SimTime>,
     /// The stream id and sender of the last control packet heard: the
@@ -252,9 +252,9 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             cfg,
             rx,
             deadline_slack_us: Histogram::default(),
-            actions: VecDeque::new(),
+            actions: Vec::new(),
             decoder,
-            timers: Vec::new(),
+            timers: VecDeque::new(),
             wake_at: None,
             source: None,
             session,
@@ -271,7 +271,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// The earliest instant a wakeup is asked for.
     pub fn next_wake(&self) -> Option<SimTime> {
-        self.timers.iter().map(|&(at, _)| at).min()
+        self.timers.front().map(|&(at, _)| at)
     }
 
     /// Switches channels: re-gate, and tell the adapter to listen to
@@ -279,7 +279,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     pub fn tune(&mut self, group: McastGroup) {
         self.rx.retune();
         self.forget_blocks();
-        self.actions.push_back(Action::Tune(group));
+        self.actions.push(Action::Tune(group));
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate on the
@@ -327,11 +327,10 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// this once per [`Action::Wake`], at its instant — or, driving the
     /// node from [`SpeakerNode::next_wake`], until nothing is due.
     pub fn on_wake(&mut self, now: SimTime) {
-        let due = self.timers.iter().enumerate().filter(|(_, t)| t.0 <= now);
-        let Some((i, _)) = due.min_by_key(|(_, t)| t.0) else {
+        if self.next_wake().is_none_or(|at| at > now) {
             return;
-        };
-        match self.timers.remove(i).1 {
+        }
+        match self.timers.pop_front().expect("one is due").1 {
             // A poll superseded by an earlier one finds `wake_at` moved
             // on and does nothing.
             Due::Poll(at) if self.wake_at == Some(at) => {
@@ -387,7 +386,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         let mut events = EVENTS.with_borrow_mut(std::mem::take);
         for event in events.drain(..) {
             match event {
-                RxEvent::Configure(config) => self.actions.push_back(Action::Configure(config)),
+                RxEvent::Configure(config) => self.actions.push(Action::Configure(config)),
                 RxEvent::Block(block) => self.on_block(now, block),
                 RxEvent::Session(sp) => {
                     self.step_session(now, |s, _, now_us| s.client.on_packet(now_us, &sp));
@@ -407,7 +406,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                     if let Some((stream_id, to)) = self.source {
                         self.rx.stats.nacks_sent += 1;
                         let nack = encode_nack(stream_id, &ranges);
-                        self.actions.push_back(Action::Nack(to, nack));
+                        self.actions.push(Action::Nack(to, nack));
                     }
                 }
                 RxEvent::Conceal { deadline, nth } => self.conceal(now, deadline, nth),
@@ -422,8 +421,14 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// Asks the adapter for a wakeup at `at` for `due`.
     fn arm(&mut self, at: SimTime, due: Due) {
-        self.timers.push((at, due));
-        self.actions.push_back(Action::Wake(at));
+        // Deadlines mostly arrive in order: look from the back.
+        let i = self
+            .timers
+            .iter()
+            .rposition(|&(t, _)| t <= at)
+            .map_or(0, |i| i + 1);
+        self.timers.insert(i, (at, due));
+        self.actions.push(Action::Wake(at));
     }
 
     fn note(
@@ -439,7 +444,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             message,
             fields,
         };
-        self.actions.push_back(Action::Note(Box::new(note)));
+        self.actions.push(Action::Note(Box::new(note)));
     }
 
     /// Steps a negotiated speaker's session client and carries out what
@@ -456,8 +461,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         for action in step(session, &self.rx.stats, now.as_micros()) {
             match action {
                 ClientAction::Send(pkt) => {
-                    self.actions
-                        .push_back(Action::Announce(encode_session(&pkt)));
+                    self.actions.push(Action::Announce(encode_session(&pkt)));
                 }
                 ClientAction::JoinData(g) => self.tune(McastGroup(g)),
                 ClientAction::LeaveData(_) => self.tune(self.cfg.group),
@@ -551,7 +555,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                 Due::Block(w) => Some((w.deadline, i)),
                 Due::Poll(_) => None,
             });
-        if blocks.clone().count() > MAX_WAITING_BLOCKS {
+        if self.timers.len() > MAX_WAITING_BLOCKS && blocks.clone().count() > MAX_WAITING_BLOCKS {
             let (_, last) = blocks.max().expect("over the cap");
             self.timers.remove(last);
             self.rx.stats.dropped_busy += 1;
@@ -613,7 +617,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             gain,
             mode,
         };
-        self.actions.push_back(Action::Play(play));
+        self.actions.push(Action::Play(play));
     }
 
     /// Counts a §3.2 deadline miss. A late NACK refill is billed to

@@ -255,6 +255,11 @@ thread_local! {
         const { (std::cell::OnceCell::new(), std::cell::OnceCell::new()) };
     /// Unity-gain renderings shared and executed: `(hits, misses)`.
     static RENDERS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    /// The action buffer every speaker on the thread steps its node
+    /// with: each carries out what its step queued before the next
+    /// step, so one buffer serves them all.
+    static ACTIONS: std::cell::RefCell<Vec<Action<NodeId>>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Decodes `payload` once per distinct buffer and `(model, codec,
@@ -624,14 +629,20 @@ impl EthernetSpeaker {
     /// Steps the node at the current instant with `f`, then carries out
     /// everything it decided, in order.
     fn step(&self, sim: &mut Sim, f: impl FnOnce(&mut SpeakerNode<NodeId, SimDecoder>, SimTime)) {
-        f(&mut self.0.state.borrow_mut().node, sim.now());
-        while let Some(action) = self.next_action() {
+        // The node queues into the thread's buffer, which stays warm
+        // across a fleet; a step nested in carrying one out (the §3.4
+        // player's next block) finds it lent out and uses one of its own.
+        let mut batch = ACTIONS.with_borrow_mut(std::mem::take);
+        {
+            let node = &mut self.0.state.borrow_mut().node;
+            std::mem::swap(&mut node.actions, &mut batch);
+            f(node, sim.now());
+            std::mem::swap(&mut node.actions, &mut batch);
+        }
+        for action in batch.drain(..) {
             self.act(sim, action);
         }
-    }
-
-    fn next_action(&self) -> Option<Action<NodeId>> {
-        self.0.state.borrow_mut().node.actions.pop_front()
+        ACTIONS.with_borrow_mut(|actions| *actions = batch);
     }
 
     /// Carries out one of the node's decisions.

@@ -309,18 +309,20 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// gate releases is parsed and steps the protocol once, and what it
     /// decided is carried out before the next is looked at.
     pub fn on_datagram(&mut self, now: SimTime, from: A, raw: &Bytes) {
+        let mut events = EVENTS.with_borrow_mut(std::mem::take);
         for raw in self.rx.admit(raw) {
             match self.decoder.parse(&raw) {
                 Ok(pkt) => {
                     if let Packet::Control(c) = &pkt {
                         self.source = Some((c.stream_id, from));
                     }
-                    EVENTS.with_borrow_mut(|events| self.rx.on_packet(now, pkt, events));
+                    self.rx.on_packet(now, pkt, &mut events);
                 }
                 Err(_) => self.rx.stats.bad_packets += 1,
             }
-            self.carry_out(now);
+            self.carry_out(now, &mut events);
         }
+        EVENTS.with_borrow_mut(|scratch| *scratch = events);
     }
 
     /// Serves the earliest wakeup due at `now`, if any. An adapter calls
@@ -335,8 +337,10 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             // on and does nothing.
             Due::Poll(at) if self.wake_at == Some(at) => {
                 self.wake_at = None;
-                EVENTS.with_borrow_mut(|events| self.rx.poll(now, events));
-                self.carry_out(now);
+                let mut events = EVENTS.with_borrow_mut(std::mem::take);
+                self.rx.poll(now, &mut events);
+                self.carry_out(now, &mut events);
+                EVENTS.with_borrow_mut(|scratch| *scratch = events);
             }
             Due::Poll(_) => {}
             Due::Block(w) if w.slept => {
@@ -377,13 +381,12 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// at the instant it next asks for if that is sooner than the one
     /// armed. (Carrying the events out cannot open or close a hole, so
     /// the instant is known before they are.)
-    fn carry_out(&mut self, now: SimTime) {
+    fn carry_out(&mut self, now: SimTime, events: &mut Vec<RxEvent>) {
         let next = self.rx.next_wakeup();
         let sooner = next.filter(|&at| self.wake_at.is_none_or(|armed| at < armed));
         if sooner.is_some() {
             self.wake_at = sooner;
         }
-        let mut events = EVENTS.with_borrow_mut(std::mem::take);
         for event in events.drain(..) {
             match event {
                 RxEvent::Configure(config) => self.actions.push(Action::Configure(config)),
@@ -413,7 +416,6 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                 RxEvent::Late { deadline, refill } => self.late(now, deadline, refill),
             }
         }
-        EVENTS.with_borrow_mut(|scratch| *scratch = events);
         if let Some(at) = sooner {
             self.arm(at.max(now), Due::Poll(at));
         }
@@ -421,12 +423,13 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// Asks the adapter for a wakeup at `at` for `due`.
     fn arm(&mut self, at: SimTime, due: Due) {
-        // Deadlines mostly arrive in order: look from the back.
-        let i = self
-            .timers
-            .iter()
-            .rposition(|&(t, _)| t <= at)
-            .map_or(0, |i| i + 1);
+        // A deadline is mostly the latest yet, a finished decode the
+        // earliest: look at the ends before searching.
+        let i = match (self.timers.front(), self.timers.back()) {
+            (_, Some(&(last, _))) if last <= at => self.timers.len(),
+            (Some(&(first, _)), _) if at < first => 0,
+            _ => self.timers.partition_point(|&(t, _)| t <= at),
+        };
         self.timers.insert(i, (at, due));
         self.actions.push(Action::Wake(at));
     }

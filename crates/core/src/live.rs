@@ -17,15 +17,11 @@ use bytes::Bytes;
 use es_audio::convert::encode_samples_into;
 use es_audio::gen::{render_interleaved, Signal};
 use es_audio::AudioConfig;
-use es_codec::{CodecId, Codecs};
 use es_net::udp::{McastReceiver, McastSender};
 use es_net::McastGroup;
-use es_proto::{Packet, WireError};
 use es_rebroadcast::{ProducerStats, StreamTx, StreamTxConfig};
 use es_sim::SimTime;
-use es_speaker::{
-    Action, Decoder, Pcm, PlayMode, SharedBlock, SpeakerConfig, SpeakerNode, SpeakerStats,
-};
+use es_speaker::{Action, MemoDecoder, PlayMode, SpeakerConfig, SpeakerNode, SpeakerStats};
 use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 
 /// Producer-side settings for a live run.
@@ -208,29 +204,6 @@ pub struct LiveSpeakerReport {
     pub deadline_slack_us: Histogram,
 }
 
-/// The live speaker's decoder: parse and decode inline on the receive
-/// thread. A real Ethernet Speaker is one node with one stream, so the
-/// simulator's decode-once sharing across a fleet has nothing to share
-/// here.
-struct LiveDecoder(Codecs);
-
-impl Decoder for LiveDecoder {
-    fn parse(&mut self, raw: &Bytes) -> Result<Packet, WireError> {
-        es_proto::decode(raw)
-    }
-
-    fn decode(
-        &mut self,
-        now: SimTime,
-        codec: CodecId,
-        channels: u8,
-        payload: &Bytes,
-    ) -> Option<(Pcm, u64, SimTime)> {
-        let (samples, work) = self.0.decode(codec, payload, channels).ok()?;
-        Some((SharedBlock::new(samples), work, now))
-    }
-}
-
 /// The live speaker without its socket: the socket adapter of
 /// [`SpeakerNode`], the same speaker the simulator drives. Datagrams
 /// and their arrival times in, the instants it asked to be woken at,
@@ -239,7 +212,7 @@ impl Decoder for LiveDecoder {
 /// It has no way back to the producer and no session: a statically
 /// tuned radio that asks for no repairs.
 pub struct LiveSpeaker {
-    node: SpeakerNode<(), LiveDecoder>,
+    node: SpeakerNode<(), MemoDecoder>,
     samples: Vec<i16>,
 }
 
@@ -250,10 +223,10 @@ impl Default for LiveSpeaker {
 }
 
 impl LiveSpeaker {
-    /// A speaker playing as `cfg` says; its device geometry, CPU model
-    /// and tap are the simulator's and mean nothing here.
+    /// A speaker playing as `cfg` says; its device geometry and tap
+    /// are the simulator's and mean nothing here.
     pub fn new(cfg: SpeakerConfig) -> Self {
-        let decoder = LiveDecoder(Codecs::with_cost_model(cfg.cost_model));
+        let decoder = MemoDecoder::new(&cfg);
         LiveSpeaker {
             node: SpeakerNode::new(cfg, decoder),
             samples: Vec::new(),

@@ -347,15 +347,26 @@ pub fn rx_memo_stats() -> RxMemoStats {
     }
 }
 
-/// The simulator's decoder: parse and decode once per datagram shared
-/// across the thread's speakers, every receiver billing its own CPU
-/// model for the decode, however many shared it.
-struct SimDecoder {
+/// The decoder both adapters lend their node: parse and decode once
+/// per datagram for every speaker on the thread (a simulated fleet
+/// shares them; a live speaker is alone on its thread), each receiver
+/// billing its own CPU model, if it has one, for its decode.
+pub struct MemoDecoder {
     cpu: Option<Shared<SimCpu>>,
     model: CostModel,
 }
 
-impl Decoder for SimDecoder {
+impl MemoDecoder {
+    /// The decoder `cfg` asks for: its CPU model and cost accounting.
+    pub fn new(cfg: &SpeakerConfig) -> Self {
+        MemoDecoder {
+            cpu: cfg.cpu.clone(),
+            model: cfg.cost_model,
+        }
+    }
+}
+
+impl Decoder for MemoDecoder {
     fn parse(&mut self, raw: &Bytes) -> Result<Packet, es_proto::WireError> {
         PARSED.with(|m| {
             m.borrow_mut()
@@ -382,7 +393,7 @@ impl Decoder for SimDecoder {
 
 struct SpkState {
     /// The speaker's decisions; this is their simulator adapter.
-    node: SpeakerNode<NodeId, SimDecoder>,
+    node: SpeakerNode<NodeId, MemoDecoder>,
     /// Where this speaker scales or fades a block; the shared block is
     /// only ever read.
     gain_scratch: Vec<i16>,
@@ -459,10 +470,7 @@ impl EthernetSpeaker {
             cfg.device_block_ms,
         ));
         dev.open().expect("fresh device opens");
-        let decoder = SimDecoder {
-            cpu: cfg.cpu.clone(),
-            model: cfg.cost_model,
-        };
+        let decoder = MemoDecoder::new(&cfg);
         let (autovol, negotiated) = (cfg.auto_volume.is_some(), cfg.session.is_some());
         let state = std::cell::RefCell::new(SpkState {
             tuned: cfg.group,
@@ -628,7 +636,7 @@ impl EthernetSpeaker {
 
     /// Steps the node at the current instant with `f`, then carries out
     /// everything it decided, in order.
-    fn step(&self, sim: &mut Sim, f: impl FnOnce(&mut SpeakerNode<NodeId, SimDecoder>, SimTime)) {
+    fn step(&self, sim: &mut Sim, f: impl FnOnce(&mut SpeakerNode<NodeId, MemoDecoder>, SimTime)) {
         // The node queues into the thread's buffer, which stays warm
         // across a fleet; a step nested in carrying one out (the §3.4
         // player's next block) finds it lent out and uses one of its own.

@@ -254,7 +254,10 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             deadline_slack_us: Histogram::default(),
             actions: Vec::new(),
             decoder,
-            timers: VecDeque::new(),
+            // A steady stream keeps five or six waiting; made now, the
+            // buffer sits beside the node's state rather than wherever
+            // the first block's arrival finds room.
+            timers: VecDeque::with_capacity(8),
             wake_at: None,
             source: None,
             session,

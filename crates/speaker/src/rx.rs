@@ -8,8 +8,8 @@
 //! time: [`SpeakerRx::admit`] a datagram, parse each released message,
 //! [`SpeakerRx::on_packet`] it, act on the [`RxEvent`]s — and, while
 //! [`SpeakerRx::next_wakeup`] names an instant, [`SpeakerRx::poll`] at
-//! it. The simulator's [`crate::EthernetSpeaker`] is one driver,
-//! `es_core::live` the other.
+//! it. [`crate::SpeakerNode`] is its one driver, and the simulator's
+//! and the socket's speakers are that node's adapters.
 
 use std::collections::VecDeque;
 
@@ -27,7 +27,9 @@ use es_telemetry::{Registry, Telemetry};
 use crate::sync::ClockSync;
 
 /// Observable speaker counters: the protocol's are kept by
-/// [`SpeakerRx`], the playback outcomes are added by its driver.
+/// [`SpeakerRx`], the playback outcomes by [`crate::SpeakerNode`] and
+/// what the device did (samples played, ring overflow, grid resyncs) by
+/// the node's adapter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpeakerStats {
     /// Datagrams received on the tuned group.
@@ -82,8 +84,8 @@ pub struct SpeakerStats {
     /// the heal detector an extra sick epoch per loss burst (the
     /// "refill echo").
     pub refill_late: u64,
-    /// NACK datagrams sent to the stream's source (the driver counts
-    /// what it sends).
+    /// NACK datagrams sent to the stream's source (the node counts what
+    /// it asks its adapter to send).
     pub nacks_sent: u64,
     /// Sequence numbers the stream advanced over: each new highest
     /// number adds its distance from the last (the first one after a

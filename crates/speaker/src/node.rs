@@ -254,10 +254,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             deadline_slack_us: Histogram::default(),
             actions: Vec::new(),
             decoder,
-            // A steady stream keeps five or six waiting; made now, the
-            // buffer sits beside the node's state rather than wherever
-            // the first block's arrival finds room.
-            timers: VecDeque::with_capacity(8),
+            timers: VecDeque::new(),
             wake_at: None,
             source: None,
             session,

@@ -156,11 +156,12 @@ pub enum Action<A> {
     Note(Box<Note>),
 }
 
-/// Most blocks held waiting for their decode or their deadline. Chosen
-/// by measurement: the deepest any test or ledger workload reaches is
-/// 29 (a burst of 29 blocks sent at once, all due after it), a steady
-/// stream holds its playout delay over its block length plus the one
-/// in decode (5 at the defaults). 64 is also the most packets a
+/// Most decoded blocks held for the instant their §3.2 outcome is
+/// carried out: a sleeping block's deadline or, on a CPU model, the end
+/// of its decode. Chosen by measurement: the deepest any test or ledger
+/// workload reaches is 29 (a burst of 29 blocks sent at once, all due
+/// after it), a steady stream holds its playout delay over its block
+/// length plus one (5 at the defaults). 64 is also the most packets a
 /// producer keeps for repair, its bound on what one playout delay can
 /// hold. Beyond it, blocks are an unauthenticated sender's far-future
 /// deadlines, each a decoded block held until it is due.
@@ -173,14 +174,16 @@ thread_local! {
     static EVENTS: std::cell::RefCell<Vec<RxEvent>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// A block waiting for its decode to complete or, once §3.2 said
-/// sleep, for its deadline.
+/// A decoded block held for the instant its §3.2 outcome is carried
+/// out: its deadline if it sleeps, else the instant its decode
+/// completes.
 struct Waiting {
     pcm: Pcm,
+    /// How it plays; `None`: it is discarded as late.
+    mode: Option<PlayMode>,
     deadline: SimTime,
     refill: bool,
     serial: bool,
-    slept: bool,
 }
 
 /// What a wakeup is for: a block, or a poll of the hole table armed
@@ -290,11 +293,11 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         self.note(Severity::Info, "speaker", "session flush resync", vec![]);
     }
 
-    /// Drops every block cleared before a re-gate — waiting for its
-    /// decode or its deadline, or queued behind the §3.4 player — and
-    /// the one a replica would replay: a page does not play over old
-    /// music, nor a FLUSH pre-seek audio. A blocking write under way
-    /// finishes; the player then finds its queue empty.
+    /// Drops every block cleared before a re-gate — held for its §3.2
+    /// outcome or queued behind the §3.4 player — and the one a replica
+    /// would replay: a page does not play over old music, nor a FLUSH
+    /// pre-seek audio. A blocking write under way finishes; the player
+    /// then finds its queue empty.
     fn forget_blocks(&mut self) {
         let serial = |due: &Due| matches!(due, Due::Block(w) if w.serial);
         if self.timers.iter().any(|(_, due)| serial(due)) {
@@ -343,15 +346,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                 EVENTS.with_borrow_mut(|scratch| *scratch = events);
             }
             Due::Poll(_) => {}
-            Due::Block(w) if w.slept => {
-                let mode = if w.serial {
-                    PlayMode::Serial
-                } else {
-                    PlayMode::AtDeadline
-                };
-                self.play(w.pcm, 1.0, mode);
-            }
-            Due::Block(w) => self.decided(now, w),
+            Due::Block(w) => self.settle(now, w),
         }
     }
 
@@ -423,8 +418,8 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// Asks the adapter for a wakeup at `at` for `due`.
     fn arm(&mut self, at: SimTime, due: Due) {
-        // A deadline is mostly the latest yet, a finished decode the
-        // earliest: look at the ends before searching.
+        // A deadline is mostly the latest yet, a decode finishing on a
+        // CPU model the earliest: look at the ends before searching.
         let i = match (self.timers.front(), self.timers.back()) {
             (_, Some(&(last, _))) if last <= at => self.timers.len(),
             (Some(&(first, _)), _) if at < first => 0,
@@ -526,7 +521,10 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// Decodes a block against the *live* stream state (a control
     /// packet can reconfigure the stream while a block sits in the
-    /// serial queue) and waits for the decode to complete.
+    /// serial queue) and applies §3.2's sleep/play/discard rule once,
+    /// for the instant the decode completes; the early speaker plays
+    /// whatever it decoded at once. The outcome is carried out now if
+    /// it is due now, else held for its instant.
     fn decode(&mut self, now: SimTime, block: RxBlock, serial: bool) {
         let codec = self.rx.codec_for(block.codec_wire);
         let channels = self.rx.stream_config().channels;
@@ -539,54 +537,52 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             return;
         };
         self.rx.stats.decode_work_units += work;
-        let (deadline, refill, slept) = (block.deadline, block.refill, false);
+        let (deadline, refill) = (block.deadline, block.refill);
+        let (at, mode) = if self.cfg.asap_playback && !serial {
+            (ready, Some(PlayMode::Now))
+        } else {
+            let slack = deadline.saturating_since(ready).as_micros();
+            self.deadline_slack_us.observe(slack);
+            match decide(deadline, ready, self.cfg.epsilon) {
+                PlayDecision::Sleep(_) if serial => (deadline, Some(PlayMode::Serial)),
+                PlayDecision::Sleep(_) => (deadline, Some(PlayMode::AtDeadline)),
+                PlayDecision::PlayNow if serial => (ready, Some(PlayMode::Serial)),
+                PlayDecision::PlayNow => (ready, Some(PlayMode::Now)),
+                PlayDecision::Discard { .. } => (ready, None),
+            }
+        };
         let waiting = Waiting {
             pcm,
+            mode,
             deadline,
             refill,
             serial,
-            slept,
         };
-        self.arm(ready, Due::Block(waiting));
-        // Past the cap, the block due last goes: the one a flood of
-        // far-future deadlines would otherwise hold longest.
-        let blocks = self
-            .timers
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| match &t.1 {
-                Due::Block(w) => Some((w.deadline, i)),
-                Due::Poll(_) => None,
-            });
-        if self.timers.len() > MAX_WAITING_BLOCKS && blocks.clone().count() > MAX_WAITING_BLOCKS {
-            let (_, last) = blocks.max().expect("over the cap");
+        if at <= now {
+            return self.settle(now, waiting);
+        }
+        self.arm(at, Due::Block(waiting));
+        // Past the cap, the block held longest goes — the queue's last,
+        // as it is ordered by instant: a flood of far-future deadlines
+        // would otherwise hold every one of them.
+        let held = |t: &(SimTime, Due)| matches!(t.1, Due::Block(_));
+        if self.timers.len() > MAX_WAITING_BLOCKS
+            && self.timers.iter().filter(|t| held(t)).count() > MAX_WAITING_BLOCKS
+        {
+            let last = self.timers.iter().rposition(held).expect("over the cap");
             self.timers.remove(last);
             self.rx.stats.dropped_busy += 1;
         }
     }
 
-    /// §3.2's sleep/play/discard rule applied to a decoded block; the
-    /// early speaker plays whatever it decoded at once.
-    fn decided(&mut self, now: SimTime, mut w: Waiting) {
-        let serial = w.serial;
-        if self.cfg.asap_playback && !serial {
-            return self.play(w.pcm, 1.0, PlayMode::Now);
+    /// Carries out a block's §3.2 outcome.
+    fn settle(&mut self, now: SimTime, w: Waiting) {
+        if let Some(mode) = w.mode {
+            return self.play(w.pcm, 1.0, mode);
         }
-        let slack = w.deadline.saturating_since(now).as_micros();
-        self.deadline_slack_us.observe(slack);
-        match decide(w.deadline, now, self.cfg.epsilon) {
-            PlayDecision::Sleep(d) => {
-                w.slept = true;
-                self.arm(now.saturating_add(d), Due::Block(w));
-            }
-            PlayDecision::PlayNow if serial => self.play(w.pcm, 1.0, PlayMode::Serial),
-            PlayDecision::PlayNow => self.play(w.pcm, 1.0, PlayMode::Now),
-            PlayDecision::Discard { .. } => {
-                self.late(now, w.deadline, w.refill);
-                if serial {
-                    self.serial_done(now);
-                }
-            }
+        self.late(now, w.deadline, w.refill);
+        if w.serial {
+            self.serial_done(now);
         }
     }
 

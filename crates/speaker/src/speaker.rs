@@ -966,6 +966,64 @@ mod tests {
         );
     }
 
+    /// A synced speaker on a 1 GHz CPU model (a cycle a nanosecond)
+    /// and one block sent at 10 ms, due at `deadline`; the CPU is
+    /// pre-loaded so the block's decode completes at `ready`.
+    fn decoding(ready: SimTime, deadline: SimTime, asap: bool) -> (Sim, EthernetSpeaker) {
+        let (mut sim, lan, producer) = lan();
+        let g = McastGroup(1);
+        let cpu = shared(SimCpu::new(1_000_000_000, SimDuration::from_secs(1)));
+        let mut cfg = capturing("es1", g);
+        cfg.cpu = Some(cpu.clone());
+        cfg.asap_playback = asap;
+        let spk = EthernetSpeaker::start(&mut sim, &lan, cfg);
+        lan.multicast(&mut sim, producer, g, control_packet(0, 0));
+        sim.run_until(SimTime::from_millis(10));
+        let decode = crate::decode_work_to_cycles(2 * 2_205);
+        let busy = ready.saturating_since(sim.now()).as_nanos() - decode;
+        cpu.borrow_mut().submit(sim.now(), busy);
+        let offset = spk.clock_offset_us().expect("synced") as u64;
+        let block = data_packet(0, deadline.as_micros() - offset, 2_205);
+        lan.multicast(&mut sim, producer, g, block);
+        (sim, spk)
+    }
+
+    #[test]
+    fn a_cpu_billed_block_is_judged_when_its_decode_completes() {
+        let ms = SimTime::from_millis;
+        let played_at = |spk: &EthernetSpeaker| spk.tap().borrow().first_block_time();
+        // (a) Decoded before its deadline: it sleeps to the deadline,
+        // and the slack is what was left when the decode completed.
+        let (mut sim, spk) = decoding(ms(40), ms(100), false);
+        sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(played_at(&spk), Some(ms(100)));
+        let slack = spk.deadline_slack();
+        assert_eq!((slack.count(), slack.sum()), (1, 60_000));
+        // (b) Done within epsilon past it: plays when the decode is.
+        let (mut sim, spk) = decoding(ms(50), ms(40), false);
+        sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(played_at(&spk), Some(ms(50)));
+        assert_eq!(spk.deadline_slack().count(), 1);
+        // (c) Done beyond epsilon: discarded, once the decode is.
+        let (mut sim, spk) = decoding(ms(70), ms(40), false);
+        sim.run_until(ms(70) - SimDuration::from_nanos(1));
+        assert_eq!(spk.stats().dropped_late, 0);
+        sim.run_until(ms(70));
+        assert_eq!((spk.stats().dropped_late, spk.stats().data_packets), (1, 0));
+        // (d) The early speaker plays it once decoded, deadline or not.
+        let (mut sim, spk) = decoding(ms(40), ms(100), true);
+        sim.run_for(SimDuration::from_secs(1));
+        assert_eq!(played_at(&spk), Some(ms(40)));
+        // (e) A tune while it decodes drops it.
+        let (mut sim, spk) = decoding(ms(40), ms(100), false);
+        sim.run_until(ms(20));
+        spk.tune(&mut sim, McastGroup(2));
+        sim.run_for(SimDuration::from_secs(1));
+        let st = spk.stats();
+        assert_eq!((st.data_packets, st.samples_played), (0, 0), "{st:?}");
+        assert_eq!(played_at(&spk), None);
+    }
+
     #[test]
     fn ring_overflow_drops_bytes() {
         let (mut sim, lan, producer) = lan();

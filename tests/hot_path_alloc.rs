@@ -192,8 +192,8 @@ fn one_speaker_pipelines_allocate_exactly_as_pinned() {
         quality: MAX_QUALITY,
     };
     let pinned = [
-        ("ovl", pipeline_allocations(ovl), 6_255),
-        ("pcm", pipeline_allocations(CompressionPolicy::Never), 6_255),
+        ("ovl", pipeline_allocations(ovl), 6_055),
+        ("pcm", pipeline_allocations(CompressionPolicy::Never), 6_055),
     ];
     for (name, measured, expected) in pinned {
         assert_eq!(

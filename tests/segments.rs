@@ -173,14 +173,15 @@ fn relayed_speakers_repair_through_the_relay() {
     assert!(sum("refills_received") > 0, "no refill came back down");
 }
 
-/// Events fired per run the engine opened (`es_sim::Sim` queues the
-/// events scheduled back to back for one instant as one run) over one
-/// virtual second of full-quality OVL. With relays this is the perf
+/// The engine events fired over one timed second of full-quality OVL,
+/// after one to settle: per run the engine opened (`es_sim::Sim`
+/// queues the events scheduled back to back for one instant as one
+/// run), and per block a speaker played. With relays this is the perf
 /// ledger's `fleet1k-relayed` shape, speakers dealt round-robin behind
 /// them; with none, its `solo` shape.
-fn events_per_run(relays: u32, speakers: u32) -> f64 {
+fn events_per_run(relays: u32, speakers: u32) -> (f64, f64) {
     let downstream = |k: u32| McastGroup(100 + k as u16);
-    let mut b = SystemBuilder::new(7).channel(radio(1));
+    let mut b = SystemBuilder::new(7).channel(radio(3));
     for k in 1..=relays {
         b = b.relay(RelaySpec::new(UPSTREAM, downstream(k)));
     }
@@ -191,8 +192,20 @@ fn events_per_run(relays: u32, speakers: u32) -> f64 {
         });
     }
     let mut sys = b.build();
+    let played = |sys: &es_core::EsSystem| -> u64 {
+        let spk = |i| sys.speaker(i).expect("built").stats().data_packets;
+        (0..speakers as usize).map(spk).sum()
+    };
     sys.run_for(SimDuration::from_secs(1));
-    sys.sim.events_processed() as f64 / sys.sim.runs_opened() as f64
+    let (events, runs, blocks) = (
+        sys.sim.events_processed(),
+        sys.sim.runs_opened(),
+        played(&sys),
+    );
+    sys.run_for(SimDuration::from_secs(1));
+    let events = (sys.sim.events_processed() - events) as f64;
+    let runs = (sys.sim.runs_opened() - runs) as f64;
+    (events / runs, events / (played(&sys) - blocks) as f64)
 }
 
 #[test]
@@ -202,12 +215,29 @@ fn a_synchronized_fleet_schedules_in_runs_and_a_lone_speaker_does_not() {
     // fall on shared instants, scheduled back to back. A handler that
     // interleaved two instants per speaker would de-coalesce the
     // fleet and show up only as a slower benchmark; this fails first.
-    let fleet = events_per_run(4, 200);
+    let (fleet, _) = events_per_run(4, 200);
     assert!(fleet >= 10.0, "{fleet:.1} events per run at 200 speakers");
     // One speaker has nobody to share an instant with.
-    let lone = events_per_run(0, 1);
+    let (lone, _) = events_per_run(0, 1);
     assert!(
         (0.8..1.2).contains(&lone),
         "{lone:.2} events per run at one speaker"
+    );
+}
+
+#[test]
+fn a_fleet_fires_two_events_per_block_played() {
+    // A multicast datagram reaches every speaker on its group in one
+    // engine event, and each speaker decodes a block and takes §3.2's
+    // decision for it there. What is left per block a speaker plays
+    // is two events of its own: the wakeup at the block's deadline,
+    // which hands it to the device, and the device's DMA completion
+    // interrupt, at which the DAC takes its next block (one per 50 ms
+    // device block, the stream's block length here). A third, say one
+    // that only carried a decoded block to its decision, reads 3.
+    let (_, per_block) = events_per_run(4, 200);
+    assert!(
+        per_block <= 2.5,
+        "{per_block:.2} events per speaker-block at 200 speakers"
     );
 }

@@ -3,8 +3,9 @@
 # tier-1 verify line (see ROADMAP.md), the other workspace members'
 # tests, the codec's and the telemetry crate's deep differential runs,
 # one perf step (the ledger's unit tests and --quick smoke), the
-# cross-process determinism diffs, the healing journal drift check and
-# a healing seed sweep. Writes nothing tracked outside results/.
+# cross-process determinism diffs (scripts/fingerprints.sh), the
+# healing journal drift check and a healing seed sweep. Writes nothing
+# tracked outside results/.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -72,37 +73,23 @@ echo "== perf ledger (unit tests + --quick smoke)"
 cargo test -q --release --offline --manifest-path benches/ledger/Cargo.toml
 cargo run -q --release --offline --manifest-path benches/ledger/Cargo.toml -- --quick
 
-# Chaos determinism gate: the conformance suite already runs every
-# scenario twice in-process; here the whole suite runs twice in
-# separate processes with a pinned seed, and the telemetry fingerprints
-# each run writes must be byte-identical (see EXPERIMENTS.md).
-echo "== chaos determinism (ES_CHAOS_SEED pinned)"
-rm -rf target/chaos-a target/chaos-b
-ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-a cargo test -q --test chaos
-ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR=target/chaos-b cargo test -q --test chaos
-diff -r target/chaos-a target/chaos-b || {
-    echo "chaos suite is nondeterministic: fingerprints differ between identical runs" >&2
+# Determinism gates, cross-process: scripts/fingerprints.sh runs the
+# chaos suite (seed 7), the self-healing tier (sick-receiver detection
+# and recovery, NACK refill, producer failover, flap damping; seeds
+# 61-63) and the negotiated-session scenarios (discover → setup →
+# stream → flush → teardown, plus the mid-handshake partition; seed
+# 11), each suite in a process of its own, and writes every scenario's
+# telemetry fingerprint. It runs twice and the two must match byte for
+# byte. The first run also archives the healing tier's event journals
+# under results/healing-journal/ (see EXPERIMENTS.md).
+echo "== determinism: chaos, healing and session fingerprints (two runs, cross-process)"
+rm -rf target/fp-a target/fp-b results/healing-journal
+scripts/fingerprints.sh . target/fp-a results/healing-journal
+scripts/fingerprints.sh . target/fp-b
+diff -r target/fp-a target/fp-b || {
+    echo "nondeterministic: fingerprints differ between identical runs" >&2
     exit 1
 }
-
-# Healing determinism gate: the self-healing tier (sick-receiver
-# detection and recovery, NACK refill, producer failover, flap damping)
-# runs twice per seed in separate processes over a 3-seed matrix;
-# fingerprints must match byte for byte. One run also archives every scenario's event journal
-# under results/healing-journal/.
-echo "== healing determinism (3-seed matrix, cross-process)"
-rm -rf results/healing-journal
-for seed in 61 62 63; do
-    rm -rf target/heal-a target/heal-b
-    ES_CHAOS_SEED=$seed ES_CHAOS_FP_DIR=target/heal-a \
-        ES_CHAOS_JOURNAL_DIR=results/healing-journal \
-        cargo test -q --test healing
-    ES_CHAOS_SEED=$seed ES_CHAOS_FP_DIR=target/heal-b cargo test -q --test healing
-    diff -r target/heal-a target/heal-b || {
-        echo "healing plane is nondeterministic at seed $seed: fingerprints differ between identical runs" >&2
-        exit 1
-    }
-done
 
 # Journal drift gate: the archived journals are committed, so a change
 # that moves a byte of them (or adds a scenario's file) must commit the
@@ -162,19 +149,5 @@ udp_out=$({
 printf '%s\n' "$udp_out"
 udp_skips=$(printf '%s\n' "$udp_out" | grep -c '^SKIPPED:' || true)
 echo "live-udp skipped tests: $udp_skips"
-
-# Session-mode determinism gate: the negotiated-session scenarios
-# (discover → setup → stream → flush → teardown, plus the mid-handshake
-# partition) run twice in separate processes and their fingerprints
-# must match byte for byte — the control plane handshake, timeout
-# sweeps, and re-discovery backoff are all on the deterministic clock.
-echo "== session determinism (negotiated scenarios, cross-process)"
-rm -rf target/session-a target/session-b
-ES_CHAOS_SEED=11 ES_CHAOS_FP_DIR=target/session-a cargo test -q --test chaos session_
-ES_CHAOS_SEED=11 ES_CHAOS_FP_DIR=target/session-b cargo test -q --test chaos session_
-diff -r target/session-a target/session-b || {
-    echo "session control plane is nondeterministic: fingerprints differ between identical runs" >&2
-    exit 1
-}
 
 echo "ok"

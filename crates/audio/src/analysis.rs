@@ -32,16 +32,6 @@ pub fn peak(samples: &[i16]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// RMS level in dBFS; `-inf` for silence is clamped to -120 dB.
-pub fn rms_dbfs(samples: &[i16]) -> f64 {
-    let r = rms(samples);
-    if r <= 0.0 {
-        -120.0
-    } else {
-        (20.0 * r.log10()).max(-120.0)
-    }
-}
-
 /// Signal-to-noise ratio in dB between a reference and a degraded copy
 /// of the same signal. Compares the overlapping prefix; returns `None`
 /// if either input is empty or the reference is pure silence.
@@ -114,32 +104,6 @@ pub fn correlation_lag(a: &[i16], b: &[i16], max_lag: usize) -> Option<isize> {
     best.map(|(_, lag)| lag)
 }
 
-/// Counts sample-to-sample jumps larger than `threshold` — clicks from
-/// discarded data. A clean band-limited signal has none.
-pub fn count_discontinuities(samples: &[i16], threshold: i32) -> usize {
-    samples
-        .windows(2)
-        .filter(|w| (w[1] as i32 - w[0] as i32).abs() > threshold)
-        .count()
-}
-
-/// Length of the longest run of exact zeros — inserted silence from an
-/// underrun (the hardware-independent driver "inserting silence if the
-/// internal ring-buffer runs out of data", §2.1.1).
-pub fn longest_zero_run(samples: &[i16]) -> usize {
-    let mut best = 0usize;
-    let mut cur = 0usize;
-    for &s in samples {
-        if s == 0 {
-            cur += 1;
-            best = best.max(cur);
-        } else {
-            cur = 0;
-        }
-    }
-    best
-}
-
 /// Fraction of samples that are exact zeros.
 pub fn zero_fraction(samples: &[i16]) -> f64 {
     if samples.is_empty() {
@@ -165,16 +129,6 @@ mod tests {
         let expected = 0.8 / 2f64.sqrt();
         assert!((r - expected).abs() < 0.01, "rms {r}");
         assert!((peak(&s) - 0.8).abs() < 0.01);
-    }
-
-    #[test]
-    fn rms_dbfs_levels() {
-        assert_eq!(rms_dbfs(&[]), -120.0);
-        assert_eq!(rms_dbfs(&[0, 0, 0]), -120.0);
-        let full = sine(1_000.0, 48_000, 48_000);
-        let db = rms_dbfs(&full);
-        // 0.8 / sqrt(2) = -4.9 dBFS.
-        assert!((db + 4.9).abs() < 0.2, "{db}");
     }
 
     #[test]
@@ -231,23 +185,11 @@ mod tests {
     }
 
     #[test]
-    fn discontinuity_counter() {
-        let clean = sine(440.0, 44_100, 4_410);
-        assert_eq!(count_discontinuities(&clean, 2_000), 0);
-        let mut torn = clean.clone();
-        // Cut a chunk out, splicing unrelated phases together.
-        torn.drain(1_000..2_000);
-        assert!(count_discontinuities(&torn, 2_000) >= 1);
-    }
-
-    #[test]
     fn zero_run_detection() {
         let mut s = sine(440.0, 44_100, 1_000);
-        assert!(longest_zero_run(&s) < 4);
         for v in &mut s[300..500] {
             *v = 0;
         }
-        assert_eq!(longest_zero_run(&s), 200);
         assert!(zero_fraction(&s) >= 0.2);
         assert_eq!(zero_fraction(&[]), 0.0);
     }

@@ -207,11 +207,6 @@ impl AudioConfig {
         let frame = self.bytes_per_frame() as u64;
         raw / frame * frame
     }
-
-    /// Number of frames in `bytes` (truncating).
-    pub fn frames_in_bytes(&self, bytes: u64) -> u64 {
-        bytes / self.bytes_per_frame() as u64
-    }
 }
 
 impl Default for AudioConfig {

@@ -377,11 +377,6 @@ pub fn f32_to_i16(v: f32) -> i16 {
     round_to_i32(v.clamp(-1.0, 1.0) * 32_767.0) as i16
 }
 
-/// Converts an `i16` sample to a float in `[-1, 1]`.
-pub fn i16_to_f32(v: i16) -> f32 {
-    v as f32 / 32_768.0
-}
-
 /// Frames a renderer asks its source for per [`Signal::fill`] call.
 /// Every source's `fill` equals as many `next_sample` calls, so the
 /// block size changes no sample; it only lets a batch source such as
@@ -559,7 +554,6 @@ mod tests {
         assert_eq!(f32_to_i16(-1.0), -32_767);
         assert_eq!(f32_to_i16(5.0), 32_767);
         assert_eq!(f32_to_i16(-5.0), -32_767);
-        assert!((i16_to_f32(16_384) - 0.5).abs() < 0.001);
     }
 
     #[test]

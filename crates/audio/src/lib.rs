@@ -13,7 +13,8 @@
 //!   the paper's listening tests into numbers.
 //! - [`wav`]: minimal RIFF reader/writer so simulated playback can be
 //!   auditioned.
-//! - [`mix`]: gain, mixing and the AGC that powers auto-volume (§5.2).
+//! - [`mix`]: dB/linear gain conversion and the saturating gain the
+//!   speaker applies (auto-volume, §5.2, picks its level).
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

@@ -1,13 +1,10 @@
-//! Mixing, gain and automatic volume control.
+//! Gain.
 //!
 //! §5.2 of the paper sketches the Ethernet Speaker's planned
-//! "automation": set the output volume from the ambient noise level,
-//! lowering background music in quiet rooms and raising announcements
-//! in noisy ones. This module provides the level primitives (dB gain,
-//! saturating mix) plus the [`Agc`] loop the speaker's auto-volume
-//! feature is built on.
-
-use crate::analysis::rms;
+//! "automation": set the output volume from the ambient noise level.
+//! The speaker's auto-volume picks a gain in dB; this module holds the
+//! conversions between dB and linear gain and the saturating multiply
+//! that applies one to a block.
 
 /// Converts decibels to a linear gain factor.
 pub fn db_to_gain(db: f64) -> f64 {
@@ -32,109 +29,9 @@ pub fn apply_gain(samples: &mut [i16], gain: f64) {
     }
 }
 
-/// Mixes `src` into `dst` sample-by-sample with saturating addition.
-/// Extra samples in either buffer are left untouched.
-pub fn mix_into(dst: &mut [i16], src: &[i16]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = d.saturating_add(s);
-    }
-}
-
-/// A cubic soft clipper: transparent below ~2/3 full scale, rounding
-/// off what hard clipping would square off.
-pub fn soft_clip(samples: &mut [i16]) {
-    for s in samples {
-        let x = *s as f64 / 32_768.0;
-        // Value of the cubic at |x| = 2/3, where the curve flattens.
-        let knee: f64 = (2.0 / 3.0) * 1.125 - (2.0f64 / 3.0).powi(3) * 0.421_875;
-        let y = if x.abs() <= 2.0 / 3.0 {
-            x * 1.125 - x * x * x * 0.421_875
-        } else {
-            x.signum() * knee.min(1.0)
-        };
-        *s = (y.clamp(-1.0, 1.0) * 32_767.0) as i16;
-    }
-}
-
-/// Automatic gain control driving block RMS toward a target level.
-///
-/// Gain moves multiplicatively with separate attack (gain falling,
-/// signal too loud) and release (gain rising) speeds, bounded to
-/// `[min_gain, max_gain]` — the shape of every hardware AGC, and what
-/// the speaker's ambient-noise auto-volume (§5.2) composes with.
-#[derive(Debug, Clone)]
-pub struct Agc {
-    target_rms: f64,
-    attack: f64,
-    release: f64,
-    min_gain: f64,
-    max_gain: f64,
-    gain: f64,
-}
-
-impl Agc {
-    /// Creates an AGC. `attack`/`release` are per-block smoothing
-    /// factors in `(0, 1]`; 1.0 snaps immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_rms` is not in `(0, 1)`, the smoothing factors
-    /// are outside `(0, 1]`, or the gain bounds are inverted.
-    pub fn new(target_rms: f64, attack: f64, release: f64, min_gain: f64, max_gain: f64) -> Self {
-        assert!(target_rms > 0.0 && target_rms < 1.0, "target_rms in (0,1)");
-        assert!(attack > 0.0 && attack <= 1.0, "attack in (0,1]");
-        assert!(release > 0.0 && release <= 1.0, "release in (0,1]");
-        assert!(min_gain > 0.0 && min_gain <= max_gain, "gain bounds");
-        Agc {
-            target_rms,
-            attack,
-            release,
-            min_gain,
-            max_gain,
-            gain: 1.0,
-        }
-    }
-
-    /// An AGC tuned for speech/announcement levelling.
-    pub fn speech() -> Self {
-        Agc::new(0.20, 0.5, 0.1, 0.05, 16.0)
-    }
-
-    /// The current gain factor.
-    pub fn gain(&self) -> f64 {
-        self.gain
-    }
-
-    /// Processes one block in place, updating the gain from the block's
-    /// input level. Silent blocks leave the gain unchanged (no pumping
-    /// up on pauses).
-    pub fn process(&mut self, block: &mut [i16]) {
-        let level = rms(block);
-        if level > 1e-5 {
-            let desired = (self.target_rms / level).clamp(self.min_gain, self.max_gain);
-            let speed = if desired < self.gain {
-                self.attack
-            } else {
-                self.release
-            };
-            // Multiplicative smoothing in log space.
-            let ratio = desired / self.gain;
-            self.gain *= ratio.powf(speed);
-            self.gain = self.gain.clamp(self.min_gain, self.max_gain);
-        }
-        apply_gain(block, self.gain);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{render_interleaved, Sine};
-
-    fn tone(amplitude: f32, n: usize) -> Vec<i16> {
-        let mut s = Sine::new(440.0, 44_100, amplitude);
-        render_interleaved(&mut s, 1, n)
-    }
 
     #[test]
     fn db_gain_conversions() {
@@ -154,78 +51,5 @@ mod tests {
         let mut s = vec![i16::MIN];
         apply_gain(&mut s, 3.0);
         assert_eq!(s, vec![i16::MIN]);
-    }
-
-    #[test]
-    fn mix_saturates() {
-        let mut dst = vec![30_000i16, -30_000, 0];
-        mix_into(&mut dst, &[10_000, -10_000, 5]);
-        assert_eq!(dst, vec![32_767, -32_768, 5]);
-    }
-
-    #[test]
-    fn mix_handles_length_mismatch() {
-        let mut dst = vec![1i16, 2, 3];
-        mix_into(&mut dst, &[10]);
-        assert_eq!(dst, vec![11, 2, 3]);
-    }
-
-    #[test]
-    fn soft_clip_transparent_when_quiet_and_bounded_when_loud() {
-        let mut quiet = tone(0.3, 1_000);
-        let orig = quiet.clone();
-        soft_clip(&mut quiet);
-        // Small gain change allowed (1.125x slope), but shape preserved.
-        for (a, b) in orig.iter().zip(&quiet) {
-            let scaled = (*a as f64 * 1.125) as i16;
-            assert!((scaled as i32 - *b as i32).abs() < 400, "{a} {b}");
-        }
-        let mut loud = tone(1.0, 1_000);
-        soft_clip(&mut loud);
-        assert!(crate::analysis::peak(&loud) <= 1.0);
-    }
-
-    #[test]
-    fn agc_converges_to_target() {
-        let mut agc = Agc::new(0.2, 0.5, 0.5, 0.01, 32.0);
-        // Quiet input: gain should rise until RMS ~ 0.2.
-        let mut last_rms = 0.0;
-        for _ in 0..50 {
-            let mut block = tone(0.05, 2_048);
-            agc.process(&mut block);
-            last_rms = rms(&block);
-        }
-        assert!((last_rms - 0.2).abs() < 0.02, "rms {last_rms}");
-        assert!(agc.gain() > 1.0);
-    }
-
-    #[test]
-    fn agc_attacks_on_loud_input() {
-        let mut agc = Agc::new(0.1, 1.0, 0.1, 0.01, 32.0);
-        let mut block = tone(0.9, 2_048);
-        agc.process(&mut block);
-        // Full-speed attack: one block reaches target.
-        let r = rms(&block);
-        assert!((r - 0.1).abs() < 0.02, "rms {r}");
-        assert!(agc.gain() < 0.3);
-    }
-
-    #[test]
-    fn agc_ignores_silence() {
-        let mut agc = Agc::speech();
-        let mut block = tone(0.01, 2_048);
-        agc.process(&mut block);
-        let g = agc.gain();
-        let mut silence = vec![0i16; 2_048];
-        for _ in 0..20 {
-            agc.process(&mut silence);
-        }
-        assert_eq!(agc.gain(), g, "gain pumped up on silence");
-    }
-
-    #[test]
-    #[should_panic(expected = "target_rms")]
-    fn agc_rejects_bad_target() {
-        let _ = Agc::new(0.0, 0.5, 0.5, 0.1, 10.0);
     }
 }

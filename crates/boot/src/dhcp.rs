@@ -137,11 +137,6 @@ impl DhcpServer {
             hostname: res_host,
         })
     }
-
-    /// Number of active assignments.
-    pub fn active_leases(&self) -> usize {
-        self.assigned.len()
-    }
 }
 
 #[cfg(test)]
@@ -160,7 +155,7 @@ mod tests {
         let a2 = s.request(mac(1)).unwrap();
         assert_eq!(a1.ip, a2.ip, "same MAC, same address");
         assert_ne!(a1.ip, b.ip);
-        assert_eq!(s.active_leases(), 2);
+        assert_eq!(s.assigned.len(), 2);
     }
 
     #[test]

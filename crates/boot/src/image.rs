@@ -35,8 +35,6 @@ pub struct BootServer {
     host_key: HostKey,
     image: BootImage,
     bundles: BTreeMap<Mac, RamdiskFs>,
-    image_downloads: u64,
-    bundle_downloads: u64,
 }
 
 impl BootServer {
@@ -50,8 +48,6 @@ impl BootServer {
                 pinned_key: host_key,
             },
             bundles: BTreeMap::new(),
-            image_downloads: 0,
-            bundle_downloads: 0,
         }
     }
 
@@ -82,24 +78,17 @@ impl BootServer {
     }
 
     /// TFTP/PXE image download.
-    pub fn download_image(&mut self) -> BootImage {
-        self.image_downloads += 1;
+    pub fn download_image(&self) -> BootImage {
         self.image.clone()
     }
 
     /// The scp'd config bundle fetch. The client presents the key it
     /// has pinned; a mismatch (rogue boot server) yields nothing.
-    pub fn download_bundle(&mut self, mac: Mac, presented_key: HostKey) -> Option<RamdiskFs> {
+    pub fn download_bundle(&self, mac: Mac, presented_key: HostKey) -> Option<RamdiskFs> {
         if presented_key != self.host_key {
             return None;
         }
-        self.bundle_downloads += 1;
         Some(self.bundles.get(&mac).cloned().unwrap_or_default())
-    }
-
-    /// `(image, bundle)` download counters.
-    pub fn download_counts(&self) -> (u64, u64) {
-        (self.image_downloads, self.bundle_downloads)
     }
 }
 
@@ -147,16 +136,5 @@ mod tests {
         let mut s = server();
         s.set_bundle(mac(1), RamdiskFs::new().with_file("/etc/es/name", "a\n"));
         assert!(s.download_bundle(mac(1), [0u8; 32]).is_none());
-        assert_eq!(s.download_counts().1, 0);
-    }
-
-    #[test]
-    fn download_counters() {
-        let mut s = server();
-        let key = s.host_key();
-        s.download_image();
-        s.download_image();
-        s.download_bundle(mac(1), key);
-        assert_eq!(s.download_counts(), (2, 1));
     }
 }

@@ -86,7 +86,6 @@ impl BootedSystem {
 pub struct SpeakerMachine {
     mac: Mac,
     phase: BootPhase,
-    boots: u32,
 }
 
 impl SpeakerMachine {
@@ -95,7 +94,6 @@ impl SpeakerMachine {
         SpeakerMachine {
             mac,
             phase: BootPhase::PoweredOff,
-            boots: 0,
         }
     }
 
@@ -109,11 +107,6 @@ impl SpeakerMachine {
         self.phase
     }
 
-    /// Number of boot attempts.
-    pub fn boot_count(&self) -> u32 {
-        self.boots
-    }
-
     /// Runs the whole boot sequence against the given servers. The
     /// `reachable_key` is the host key of whatever machine answers the
     /// config fetch — normally `boot.host_key()`, different under a
@@ -124,7 +117,6 @@ impl SpeakerMachine {
         boot: &mut BootServer,
         reachable_key: HostKey,
     ) -> Result<BootedSystem, BootError> {
-        self.boots += 1;
         self.phase = BootPhase::Dhcp;
         let Some(lease) = dhcp.request(self.mac) else {
             self.phase = BootPhase::Failed;
@@ -258,7 +250,6 @@ mod tests {
         // Power-failure-mid-boot property: a reboots fine, state fresh.
         a.power_off();
         assert!(a.boot(&mut dhcp, &mut boot, key).is_ok());
-        assert_eq!(a.boot_count(), 2);
     }
 
     #[test]

@@ -60,11 +60,6 @@ pub enum Fault {
         /// Window length; the partition heals by itself afterwards.
         duration: SimDuration,
     },
-    /// End a speaker's partition window early.
-    HealSpeaker {
-        /// Speaker index (declaration order).
-        speaker: usize,
-    },
     /// Kill a channel's rebroadcaster process (control packets stop).
     CrashProducer {
         /// Channel index (declaration order).
@@ -414,14 +409,6 @@ impl Scenario {
                     let heal = lan.clone();
                     sys.sim
                         .schedule_in(at + *duration, move |sim| heal.heal(sim, node));
-                }
-                Fault::HealSpeaker { speaker } => {
-                    let lan = lan.clone();
-                    let node = sys
-                        .speaker(*speaker)
-                        .expect("scenario speakers power on at t=0")
-                        .node();
-                    sys.sim.schedule_in(at, move |sim| lan.heal(sim, node));
                 }
                 Fault::CrashProducer { channel } => {
                     let rb = sys.rebroadcaster(*channel).clone();

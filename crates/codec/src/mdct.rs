@@ -271,11 +271,6 @@ impl Mdct {
         self.n
     }
 
-    /// The window length (`2 * half_len`).
-    pub fn window_len(&self) -> usize {
-        2 * self.n
-    }
-
     /// The cost model work is billed under.
     pub fn cost_model(&self) -> CostModel {
         self.cost_model

@@ -8,7 +8,7 @@
 
 use std::rc::Rc;
 
-use es_audio::gen::{ImpulseTrain, MultiTone, Signal, Sine, Sweep, WhiteNoise};
+use es_audio::gen::{ImpulseTrain, MultiTone, Signal, Sine, WhiteNoise};
 use es_audio::AudioConfig;
 use es_codec::CostModel;
 use es_net::{Datagram, Lan, LanConfig, McastGroup};
@@ -36,26 +36,17 @@ pub enum Source {
     Music,
     /// Seeded white noise.
     Noise(u64),
-    /// A linear sweep `f0 → f1` over the clip duration.
-    Sweep(f32, f32),
     /// A click train (one impulse every N samples) — the sharpest
     /// signal for sync measurements.
     Impulses(u32),
 }
 
 impl Source {
-    fn build(&self, cfg: &AudioConfig, duration: SimDuration) -> Box<dyn Signal> {
+    fn build(&self, cfg: &AudioConfig) -> Box<dyn Signal> {
         match *self {
             Source::Tone(f) => Box::new(Sine::new(f, cfg.sample_rate, 0.6)),
             Source::Music => Box::new(MultiTone::music(cfg.sample_rate)),
             Source::Noise(seed) => Box::new(WhiteNoise::new(seed, 0.5)),
-            Source::Sweep(f0, f1) => Box::new(Sweep::new(
-                f0,
-                f1,
-                duration.as_secs_f64() as f32,
-                cfg.sample_rate,
-                0.6,
-            )),
             Source::Impulses(period) => Box::new(ImpulseTrain::new(period, 0.9)),
         }
     }
@@ -615,7 +606,7 @@ impl SystemBuilder {
 
             // The application starts at its delay.
             let slave = Rc::new(slave);
-            let signal = ch.source.build(&ch.config, ch.duration);
+            let signal = ch.source.build(&ch.config);
             let app_slot: Shared<Option<AudioApp>> = es_sim::shared(None);
             let slot2 = app_slot.clone();
             let cfg = ch.config;

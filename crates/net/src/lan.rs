@@ -74,8 +74,8 @@ pub enum MediumMode {
 ///
 /// When set on a [`LanConfig`] this *replaces* the i.i.d. `loss_prob`
 /// model: each receiver carries its own two-state chain, stepped once
-/// per wire fragment, losing fragments at `loss_good` in the quiet
-/// state and `loss_bad` inside a burst.
+/// per wire fragment, losing no fragment in the quiet state and every
+/// fragment inside a burst.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstLossConfig {
     /// Per-step probability of entering a burst.
@@ -83,17 +83,12 @@ pub struct BurstLossConfig {
     /// Per-step probability of a burst ending (mean burst length is its
     /// reciprocal, in fragments).
     pub p_bad_to_good: f64,
-    /// Fragment loss probability in the quiet state.
-    pub loss_good: f64,
-    /// Fragment loss probability inside a burst.
-    pub loss_bad: f64,
 }
 
 impl BurstLossConfig {
-    /// A convenient bursty profile: clean quiet state, bursts of mean
-    /// length `mean_burst` fragments arriving so that the long-run
-    /// fragment loss rate is roughly `target_loss` (burst-state loss is
-    /// total).
+    /// A bursty profile: bursts of mean length `mean_burst` fragments
+    /// arriving so that the long-run fragment loss rate is roughly
+    /// `target_loss`.
     pub fn bursty(target_loss: f64, mean_burst: f64) -> Self {
         let p_bad_to_good = 1.0 / mean_burst.max(1.0);
         // Stationary bad occupancy g/(g+b) == target_loss.
@@ -101,8 +96,6 @@ impl BurstLossConfig {
         BurstLossConfig {
             p_good_to_bad,
             p_bad_to_good,
-            loss_good: 0.0,
-            loss_bad: 1.0,
         }
     }
 }
@@ -237,14 +230,6 @@ pub struct LanStats {
 }
 
 impl LanStats {
-    /// Mean offered load in bits/s over `elapsed`.
-    pub fn offered_bits_per_sec(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            return 0.0;
-        }
-        self.wire_bytes_sent as f64 * 8.0 / elapsed.as_secs_f64()
-    }
-
     /// Mean receivers reached per multicast datagram.
     pub fn multicast_fanout(&self) -> f64 {
         if self.multicast_sent == 0 {
@@ -518,13 +503,6 @@ impl Lan {
         self.inner.borrow().nodes[node.0 as usize].degrade_loss
     }
 
-    /// True while `node` sits inside a partition window at `now`.
-    pub fn is_partitioned(&self, node: NodeId, now: SimTime) -> bool {
-        self.inner.borrow().nodes[node.0 as usize]
-            .partitioned_until
-            .is_some_and(|until| now < until)
-    }
-
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> LanStats {
         self.inner.borrow().stats
@@ -658,13 +636,9 @@ impl Lan {
                         let mut lost_frags = 0usize;
                         for _ in 0..frags {
                             let frag_lost = match config.burst {
-                                Some(b) => node.burst_chain.step(
-                                    rng,
-                                    b.p_good_to_bad,
-                                    b.p_bad_to_good,
-                                    b.loss_good,
-                                    b.loss_bad,
-                                ),
+                                Some(b) => {
+                                    node.burst_chain.step(rng, b.p_good_to_bad, b.p_bad_to_good)
+                                }
                                 None => config.loss_prob > 0.0 && chance(rng, config.loss_prob),
                             };
                             lost_frags += frag_lost as usize;
@@ -1081,9 +1055,7 @@ mod tests {
         let b = lan.attach("b");
         lan.send(&mut sim, a, Dest::Unicast(b), Bytes::from(vec![0u8; 934]));
         sim.run();
-        let bps = lan.stats().offered_bits_per_sec(SimDuration::from_secs(1));
-        assert!((bps - 8_000.0).abs() < 1.0, "{bps}");
-        assert_eq!(lan.stats().offered_bits_per_sec(SimDuration::ZERO), 0.0);
+        assert_eq!(lan.stats().wire_bytes_sent, 1_000);
     }
 
     #[test]
@@ -1284,8 +1256,10 @@ mod tests {
         lan.join(b, g);
         let log = collect_deliveries(&lan, b);
         lan.partition(&mut sim, b, SimTime::from_secs(1));
-        assert!(lan.is_partitioned(b, SimTime::ZERO));
-        assert!(!lan.is_partitioned(b, SimTime::from_secs(1)));
+        assert_eq!(
+            lan.inner.borrow().nodes[b.0 as usize].partitioned_until,
+            Some(SimTime::from_secs(1))
+        );
         for ms in [0u64, 500, 1_500] {
             let lan2 = lan.clone();
             sim.schedule_at(SimTime::from_millis(ms), move |sim| {

@@ -18,9 +18,6 @@ use std::time::Duration;
 /// maps to `239.77.83.n` (administratively scoped range).
 pub const CHANNEL_BASE: [u8; 3] = [239, 77, 83];
 
-/// Default UDP port for audio channels.
-pub const DEFAULT_PORT: u16 = 47_000;
-
 /// Maps a channel number to its multicast group address.
 pub fn channel_addr(channel: u8) -> Ipv4Addr {
     Ipv4Addr::new(CHANNEL_BASE[0], CHANNEL_BASE[1], CHANNEL_BASE[2], channel)

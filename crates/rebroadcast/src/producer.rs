@@ -20,7 +20,7 @@ use bytes::Bytes;
 
 use es_audio::AudioConfig;
 use es_net::{Lan, McastGroup, NodeId};
-use es_sim::{shared, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime};
+use es_sim::{shared, work_to_cycles, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime};
 use es_telemetry::{Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{MasterItem, VadMaster};
 
@@ -268,11 +268,6 @@ impl Rebroadcaster {
         }
     }
 
-    /// True while the process is down.
-    pub fn is_crashed(&self) -> bool {
-        self.state.borrow().tx.is_down()
-    }
-
     /// True while this instance is a warm spare awaiting promotion.
     pub fn is_standby(&self) -> bool {
         self.state.borrow().tx.is_standby()
@@ -340,11 +335,6 @@ impl Rebroadcaster {
         self.state.borrow().tx.stats
     }
 
-    /// Rate-limiter sleep statistics for this stream.
-    pub fn rate_stats(&self) -> crate::rate::RateStats {
-        self.state.borrow().tx.config().rate_limiter.stats().clone()
-    }
-
     /// Forwarding statistics of the VAD feeding this stream.
     pub fn vad_stats(&self) -> es_vad::VadStats {
         self.master.stats()
@@ -379,19 +369,6 @@ impl Rebroadcaster {
     pub fn stream_config(&self) -> AudioConfig {
         self.state.borrow().tx.stream_config()
     }
-}
-
-/// Converts codec work units to Geode-class CPU cycles.
-///
-/// Calibration: OVL's direct O(N²) MDCT performs ~126 M multiply-
-/// accumulate work units per second of CD stereo (measured by
-/// `es-codec`'s accounting at 50 ms packets), roughly 4.8× the
-/// arithmetic of the FFT-based codec the paper used. Figure 4 implies
-/// one Vorbis CD stream costs ≈ 11% of the 233 MHz Geode
-/// (≈ 26 M cycles/s), so each OVL work unit is billed 26 M / 126 M ≈
-/// 0.21 cycles. `tests/paper/calib.rs` documents the derivation.
-pub fn work_to_cycles(work_units: u64) -> u64 {
-    work_units * 21 / 100
 }
 
 #[cfg(test)]
@@ -666,13 +643,13 @@ mod tests {
         let rb2 = rb.clone();
         sim.schedule_at(SimTime::from_secs(1), move |sim| {
             rb2.crash(sim);
-            assert!(rb2.is_crashed());
+            assert!(rb2.state.borrow().tx.is_down());
             rb2.crash(sim); // double crash is a no-op
         });
         let rb3 = rb.clone();
         sim.schedule_at(SimTime::from_secs(2), move |sim| {
             rb3.restart(sim);
-            assert!(!rb3.is_crashed());
+            assert!(!rb3.state.borrow().tx.is_down());
         });
         sim.run_until(SimTime::from_secs(5));
 

@@ -72,11 +72,6 @@ impl RateLimiter {
         }
     }
 
-    /// Whether pacing is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Sleep statistics accumulated by [`Self::pace`].
     pub fn stats(&self) -> &RateStats {
         &self.stats

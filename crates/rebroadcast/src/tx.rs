@@ -40,6 +40,9 @@ use crate::rate::RateLimiter;
 /// 64 blocks.
 const RECENT_CACHE: usize = 64;
 
+/// Producer time per §5.1 key-chain interval of a signed stream.
+const AUTH_INTERVAL: SimDuration = SimDuration::from_millis(500);
+
 /// How long a packet that just went back out is not sent again: a
 /// retransmission is multicast, so the speakers that lost the same
 /// datagram — their NACKs arrive microseconds apart — are all served
@@ -67,8 +70,6 @@ pub struct StreamTxConfig {
     /// Optional signer; when set, packets carry auth trailers and the
     /// control flags advertise [`FLAG_AUTHENTICATED`].
     pub signer: Option<Rc<StreamSigner>>,
-    /// Auth interval length (producer time per key-chain interval).
-    pub auth_interval: SimDuration,
     /// Emit one XOR-parity packet per this many data packets (single-
     /// loss FEC, an extension for lossy links). `None` disables FEC.
     pub fec_group: Option<u8>,
@@ -90,7 +91,6 @@ impl StreamTxConfig {
             policy: CompressionPolicy::paper_default(),
             flags: 0,
             signer: None,
-            auth_interval: SimDuration::from_millis(500),
             fec_group: None,
             cost_model: CostModel::default(),
         }
@@ -492,8 +492,8 @@ fn seal_with(
     scratch.clear();
     encode(scratch);
     if let Some(signer) = &cfg.signer {
-        let interval_len = cfg.auth_interval.as_nanos().max(1);
-        let interval = ((now.as_nanos() / interval_len + 1) as u32).min(signer.intervals());
+        let interval =
+            ((now.as_nanos() / AUTH_INTERVAL.as_nanos() + 1) as u32).min(signer.intervals());
         let trailer = signer.sign(interval, scratch);
         scratch.extend_from_slice(&trailer.encode());
     }

@@ -50,9 +50,9 @@ pub fn chance<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     }
 }
 
-/// A Gilbert–Elliott two-state loss chain: a `Good` state with low loss
-/// and a `Bad` (burst) state with high loss, with per-step transition
-/// probabilities between them. Mean burst length is `1 / p_bad_to_good`
+/// A Gilbert–Elliott two-state loss chain: a loss-free `Good` state and
+/// a `Bad` (burst) state that loses every packet, with per-step
+/// transition probabilities between them. Mean burst length is `1 / p_bad_to_good`
 /// steps; stationary bad-state occupancy is
 /// `p_good_to_bad / (p_good_to_bad + p_bad_to_good)`.
 ///
@@ -71,16 +71,14 @@ impl GilbertElliott {
         GilbertElliott { bad: false }
     }
 
-    /// Advances the chain one step and samples one loss decision:
-    /// first the state transition, then a loss draw at the new state's
-    /// rate. Returns `true` if this step's packet is lost.
+    /// Advances the chain one step and returns the state it moved to:
+    /// `true` for `Bad`, which is also whether this step's packet is
+    /// lost.
     pub fn step<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         p_good_to_bad: f64,
         p_bad_to_good: f64,
-        loss_good: f64,
-        loss_bad: f64,
     ) -> bool {
         let flip = if self.bad {
             chance(rng, p_bad_to_good)
@@ -90,7 +88,7 @@ impl GilbertElliott {
         if flip {
             self.bad = !self.bad;
         }
-        chance(rng, if self.bad { loss_bad } else { loss_good })
+        self.bad
     }
 }
 
@@ -169,41 +167,38 @@ mod tests {
         let (g2b, b2g) = (1.0 / 90.0, 0.1);
         let n = 200_000;
         let mut bad_steps = 0u64;
-        let mut losses = 0u64;
         let mut run = 0u64;
         let mut runs = Vec::new();
         for _ in 0..n {
-            let lost = ge.step(&mut r, g2b, b2g, 0.0, 1.0);
-            if ge.bad {
+            let lost = ge.step(&mut r, g2b, b2g);
+            assert_eq!(lost, ge.bad);
+            if lost {
                 bad_steps += 1;
                 run += 1;
             } else if run > 0 {
                 runs.push(run);
                 run = 0;
             }
-            losses += lost as u64;
         }
         let occupancy = bad_steps as f64 / n as f64;
         assert!((occupancy - 0.1).abs() < 0.02, "occupancy {occupancy}");
         let mean_burst = runs.iter().sum::<u64>() as f64 / runs.len() as f64;
         assert!((mean_burst - 10.0).abs() < 1.5, "mean burst {mean_burst}");
-        // With loss_good = 0 and loss_bad = 1, losses == bad steps.
-        assert_eq!(losses, bad_steps);
     }
 
     #[test]
     fn gilbert_elliott_degenerate_rates() {
         let mut r = rng();
-        // Never enters the bad state: loss follows loss_good exactly.
+        // Never enters the bad state: nothing lost.
         let mut ge = GilbertElliott::new();
         for _ in 0..1_000 {
-            assert!(!ge.step(&mut r, 0.0, 1.0, 0.0, 1.0));
+            assert!(!ge.step(&mut r, 0.0, 1.0));
             assert!(!ge.bad);
         }
         // Starts bad and never leaves: every packet lost.
         let mut stuck = GilbertElliott { bad: true };
         for _ in 0..1_000 {
-            assert!(stuck.step(&mut r, 0.0, 0.0, 0.0, 1.0));
+            assert!(stuck.step(&mut r, 0.0, 0.0));
         }
     }
 }

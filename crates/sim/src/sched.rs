@@ -9,14 +9,13 @@
 //! the missing audio-hardware interrupt (§3.3), and the user process
 //! `read(2)`-ing the master device.
 //!
-//! This module models exactly that: named tasks on a single CPU, FIFO
+//! This module models exactly that: tasks on a single CPU, FIFO
 //! dispatch, and a counter that increments whenever the running task
 //! changes (including switches to and from the idle loop, which is how
 //! `vmstat` counts on OpenBSD). Per-interval samples come out as a
 //! [`TimeSeries`] ready for the Figure 5 harness.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use crate::engine::{shared, Shared, Sim};
 use crate::random::exponential;
@@ -27,30 +26,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskId(usize);
 
-/// What kind of execution context a task is; affects nothing in the
-/// dispatch logic but is reported in summaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TaskKind {
-    /// A user-level process (context switches to it cross the
-    /// kernel/user boundary).
-    UserProcess,
-    /// An in-kernel thread.
-    KernelThread,
-    /// An interrupt-like context (short, high priority in real systems;
-    /// modelled as an ordinary short burst here).
-    Interrupt,
-}
-
-/// The name is an interned `Arc<str>`: Figure 5 harnesses clone the
-/// whole scheduler per configuration, and a `String` name made every
-/// clone (and the derived `Clone` of each `Task`) allocate.
-#[derive(Debug, Clone)]
-struct Task {
-    name: Arc<str>,
-    kind: TaskKind,
-    dispatches: u64,
-}
-
 /// Which task the CPU is running; `None` is the idle loop.
 type Running = Option<(TaskId, SimTime)>;
 
@@ -58,7 +33,7 @@ type Running = Option<(TaskId, SimTime)>;
 /// context-switch counter bucketed per sampling interval.
 #[derive(Debug, Clone)]
 pub struct KernelSched {
-    tasks: Vec<Task>,
+    tasks: usize,
     current: Option<TaskId>,
     running: Running,
     queue: VecDeque<(TaskId, SimDuration)>,
@@ -71,7 +46,7 @@ impl KernelSched {
     /// `interval` (the paper uses one-second `vmstat` intervals).
     pub fn new(interval: SimDuration) -> Self {
         KernelSched {
-            tasks: Vec::new(),
+            tasks: 0,
             current: None,
             running: None,
             queue: VecDeque::new(),
@@ -80,30 +55,10 @@ impl KernelSched {
         }
     }
 
-    /// Registers a task and returns its id. The name is interned once;
-    /// `&'static str` and `Arc<str>` arguments do not allocate.
-    pub fn register(&mut self, name: impl Into<Arc<str>>, kind: TaskKind) -> TaskId {
-        self.tasks.push(Task {
-            name: name.into(),
-            kind,
-            dispatches: 0,
-        });
-        TaskId(self.tasks.len() - 1)
-    }
-
-    /// The task's display name.
-    pub fn task_name(&self, id: TaskId) -> &str {
-        &self.tasks[id.0].name
-    }
-
-    /// The task's kind.
-    pub fn task_kind(&self, id: TaskId) -> TaskKind {
-        self.tasks[id.0].kind
-    }
-
-    /// How many times the task has been dispatched onto the CPU.
-    pub fn dispatch_count(&self, id: TaskId) -> u64 {
-        self.tasks[id.0].dispatches
+    /// Registers a task and returns its id.
+    pub fn register(&mut self) -> TaskId {
+        self.tasks += 1;
+        TaskId(self.tasks - 1)
     }
 
     /// Total context switches so far.
@@ -128,7 +83,6 @@ impl KernelSched {
             }
             match self.queue.pop_front() {
                 Some((next, burst)) => {
-                    self.tasks[next.0].dispatches += 1;
                     self.switch_to(ends, Some(next));
                     self.running = Some((next, ends + burst));
                 }
@@ -151,7 +105,6 @@ impl KernelSched {
         self.advance(now);
         match self.running {
             None => {
-                self.tasks[task.0].dispatches += 1;
                 self.switch_to(now, Some(task));
                 self.running = Some((task, now + burst));
             }
@@ -201,37 +154,6 @@ pub fn poisson_source(
     arm(sim, sched, task, rate_per_sec, burst, until);
 }
 
-/// Wakes a task at a fixed period — the model for the VAD's
-/// kernel-thread "interrupt" heartbeat and for block-paced reads.
-pub fn periodic_source(
-    sim: &mut Sim,
-    sched: Shared<KernelSched>,
-    task: TaskId,
-    period: SimDuration,
-    burst: SimDuration,
-    until: SimTime,
-) {
-    assert!(!period.is_zero(), "periodic source needs a non-zero period");
-    fn arm(
-        sim: &mut Sim,
-        sched: Shared<KernelSched>,
-        task: TaskId,
-        period: SimDuration,
-        burst: SimDuration,
-        until: SimTime,
-    ) {
-        let at = sim.now().saturating_add(period);
-        if at > until {
-            return;
-        }
-        sim.schedule_at(at, move |sim| {
-            sched.borrow_mut().wakeup(sim.now(), task, burst);
-            arm(sim, sched, task, period, burst, until);
-        });
-    }
-    arm(sim, sched, task, period, burst, until);
-}
-
 /// Convenience: builds a `Shared<KernelSched>` sampling at `interval`.
 pub fn shared_sched(interval: SimDuration) -> Shared<KernelSched> {
     shared(KernelSched::new(interval))
@@ -249,7 +171,7 @@ mod tests {
     fn single_wakeup_costs_two_switches() {
         // idle -> task -> idle.
         let mut s = KernelSched::new(SimDuration::from_secs(1));
-        let t = s.register("daemon", TaskKind::UserProcess);
+        let t = s.register();
         s.wakeup(SimTime::from_millis(100), t, US(50));
         let series = s.finish(SimTime::from_secs(1));
         assert_eq!(series.values().sum::<f64>(), 2.0);
@@ -258,7 +180,7 @@ mod tests {
     #[test]
     fn back_to_back_same_task_does_not_switch_between_bursts() {
         let mut s = KernelSched::new(SimDuration::from_secs(1));
-        let t = s.register("w", TaskKind::KernelThread);
+        let t = s.register();
         // Second wakeup arrives while the first burst still runs: it
         // queues, and dispatching the same task again is not a switch.
         s.wakeup(SimTime::from_millis(0), t, SimDuration::from_millis(10));
@@ -272,50 +194,20 @@ mod tests {
     #[test]
     fn two_tasks_queued_switch_between_them() {
         let mut s = KernelSched::new(SimDuration::from_secs(1));
-        let a = s.register("a", TaskKind::UserProcess);
-        let b = s.register("b", TaskKind::KernelThread);
+        let a = s.register();
+        let b = s.register();
         s.wakeup(SimTime::ZERO, a, SimDuration::from_millis(10));
         s.wakeup(SimTime::from_millis(1), b, SimDuration::from_millis(10));
         let series = s.finish(SimTime::from_secs(1));
         // idle->a, a->b, b->idle = 3.
         assert_eq!(series.values().sum::<f64>(), 3.0);
-        assert_eq!(s_dispatches(&series), ());
-    }
-
-    // Helper placeholder so the assertion above reads naturally.
-    fn s_dispatches(_: &TimeSeries) {}
-
-    #[test]
-    fn periodic_source_produces_two_switches_per_period() {
-        let mut sim = Sim::new(3);
-        let sched = shared_sched(SimDuration::from_secs(1));
-        let t = sched
-            .borrow_mut()
-            .register("kthread", TaskKind::KernelThread);
-        let until = SimTime::from_secs(10);
-        periodic_source(
-            &mut sim,
-            sched.clone(),
-            t,
-            SimDuration::from_millis(100),
-            US(30),
-            until,
-        );
-        sim.run_until(until);
-        let sched = Rc::try_unwrap(sched).expect("sole owner");
-        let series = RefCell::into_inner(sched).finish(until);
-        // 10 wakeups/sec * 2 switches = 20 per 1-second bucket.
-        let mean = series.mean().unwrap();
-        assert!((mean - 20.0).abs() < 0.5, "mean {mean}");
     }
 
     #[test]
     fn poisson_source_mean_rate_matches() {
         let mut sim = Sim::new(9);
         let sched = shared_sched(SimDuration::from_secs(1));
-        let t = sched
-            .borrow_mut()
-            .register("daemons", TaskKind::UserProcess);
+        let t = sched.borrow_mut().register();
         let until = SimTime::from_secs(300);
         // 2.1 wakeups/sec -> ~4.2 switches/sec: the paper's unloaded mean.
         poisson_source(&mut sim, sched.clone(), t, 2.1, US(40), until);
@@ -324,26 +216,5 @@ mod tests {
         let series = RefCell::into_inner(sched).finish(until);
         let mean = series.mean().unwrap();
         assert!((mean - 4.2).abs() < 0.5, "mean {mean}");
-    }
-
-    #[test]
-    fn cloned_scheds_share_interned_task_names() {
-        let mut s = KernelSched::new(SimDuration::from_secs(1));
-        let a = s.register("vad-kthread", TaskKind::KernelThread);
-        let c = s.clone();
-        // `Arc<str>` interning: the clone points at the same bytes.
-        assert_eq!(s.task_name(a).as_ptr(), c.task_name(a).as_ptr());
-    }
-
-    #[test]
-    fn dispatch_counts_are_tracked() {
-        let mut s = KernelSched::new(SimDuration::from_secs(1));
-        let a = s.register("a", TaskKind::UserProcess);
-        for ms in [0u64, 100, 200] {
-            s.wakeup(SimTime::from_millis(ms), a, US(10));
-        }
-        assert_eq!(s.dispatch_count(a), 3);
-        assert_eq!(s.task_name(a), "a");
-        assert_eq!(s.task_kind(a), TaskKind::UserProcess);
     }
 }

@@ -17,66 +17,52 @@ use es_audio::mix::db_to_gain;
 #[cfg(test)]
 use es_audio::mix::gain_to_db;
 
-/// What kind of content the channel carries, which flips the control
-/// law's direction for quiet rooms.
+/// Gain applied at the reference ambient level, in dB.
+const BASE_GAIN_DB: f64 = 0.0;
+/// Ambient RMS regarded as a "normal" room.
+const REFERENCE_AMBIENT: f64 = 0.05;
+/// Fraction of the speaker's own output power the microphone picks up.
+const SELF_COUPLING: f64 = 0.1;
+
+/// Auto-volume configuration: which of §5.2's two examples the
+/// channel carries, which sets the control law's slope, gain bounds and
+/// smoothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContentKind {
+pub enum AutoVolumeConfig {
     /// Background music: follow the room down — quiet room, quiet
     /// music.
-    BackgroundMusic,
+    Music,
     /// Announcements: fight the room — noisy room, louder speech.
     Announcement,
 }
 
-/// Auto-volume configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AutoVolumeConfig {
-    /// Content type driving the control law.
-    pub kind: ContentKind,
-    /// Gain applied at the reference ambient level, in dB.
-    pub base_gain_db: f64,
-    /// Ambient RMS regarded as a "normal" room.
-    pub reference_ambient: f64,
-    /// dB of gain change per dB of ambient change (positive; the sign
-    /// comes from [`ContentKind`]).
-    pub slope: f64,
-    /// Gain bounds in dB.
-    pub min_gain_db: f64,
+/// One preset's control law.
+struct Law {
+    /// dB of gain change per dB of ambient change.
+    slope: f64,
+    /// Lower gain bound in dB.
+    min_gain_db: f64,
     /// Upper gain bound in dB.
-    pub max_gain_db: f64,
+    max_gain_db: f64,
     /// Per-update smoothing factor in `(0, 1]`.
-    pub smoothing: f64,
-    /// Fraction of the speaker's own output power the microphone picks
-    /// up.
-    pub self_coupling: f64,
+    smoothing: f64,
 }
 
 impl AutoVolumeConfig {
-    /// Defaults for background music.
-    pub fn music() -> Self {
-        AutoVolumeConfig {
-            kind: ContentKind::BackgroundMusic,
-            base_gain_db: 0.0,
-            reference_ambient: 0.05,
-            slope: 0.8,
-            min_gain_db: -30.0,
-            max_gain_db: 6.0,
-            smoothing: 0.25,
-            self_coupling: 0.1,
-        }
-    }
-
-    /// Defaults for announcements.
-    pub fn announcement() -> Self {
-        AutoVolumeConfig {
-            kind: ContentKind::Announcement,
-            base_gain_db: 0.0,
-            reference_ambient: 0.05,
-            slope: 1.0,
-            min_gain_db: -6.0,
-            max_gain_db: 18.0,
-            smoothing: 0.5,
-            self_coupling: 0.1,
+    fn law(self) -> Law {
+        match self {
+            AutoVolumeConfig::Music => Law {
+                slope: 0.8,
+                min_gain_db: -30.0,
+                max_gain_db: 6.0,
+                smoothing: 0.25,
+            },
+            AutoVolumeConfig::Announcement => Law {
+                slope: 1.0,
+                min_gain_db: -6.0,
+                max_gain_db: 18.0,
+                smoothing: 0.5,
+            },
         }
     }
 }
@@ -93,8 +79,8 @@ impl AutoVolume {
     /// Creates a controller at its base gain.
     pub fn new(cfg: AutoVolumeConfig) -> Self {
         AutoVolume {
-            gain_db: cfg.base_gain_db,
-            last_ambient_estimate: cfg.reference_ambient,
+            gain_db: BASE_GAIN_DB,
+            last_ambient_estimate: REFERENCE_AMBIENT,
             cfg,
         }
     }
@@ -120,26 +106,19 @@ impl AutoVolume {
     pub fn update(&mut self, mic_rms: f64, output_rms: f64) -> f64 {
         // Powers add; subtract our own contribution to estimate the
         // room ("compare its own output against the ambient levels").
-        let self_power = (output_rms * self.cfg.self_coupling).powi(2);
+        let self_power = (output_rms * SELF_COUPLING).powi(2);
         let ambient_power = (mic_rms * mic_rms - self_power).max(0.0);
         let ambient = ambient_power.sqrt().max(1e-4);
         self.last_ambient_estimate = ambient;
 
-        let ambient_db_rel = 20.0 * (ambient / self.cfg.reference_ambient).log10();
-        let direction = match self.cfg.kind {
-            // Louder room -> louder announcements.
-            ContentKind::Announcement => 1.0,
-            // Quieter room -> quieter music (equivalently: louder room,
-            // somewhat louder music, but tracking downward matters
-            // most).
-            ContentKind::BackgroundMusic => 1.0,
-        };
-        let target = (self.cfg.base_gain_db + direction * self.cfg.slope * ambient_db_rel)
-            .clamp(self.cfg.min_gain_db, self.cfg.max_gain_db);
-        self.gain_db += (target - self.gain_db) * self.cfg.smoothing;
-        self.gain_db = self
-            .gain_db
-            .clamp(self.cfg.min_gain_db, self.cfg.max_gain_db);
+        // A louder room raises the gain under both laws: announcements
+        // fight the noise, music follows a quiet room down.
+        let law = self.cfg.law();
+        let ambient_db_rel = 20.0 * (ambient / REFERENCE_AMBIENT).log10();
+        let target =
+            (BASE_GAIN_DB + law.slope * ambient_db_rel).clamp(law.min_gain_db, law.max_gain_db);
+        self.gain_db += (target - self.gain_db) * law.smoothing;
+        self.gain_db = self.gain_db.clamp(law.min_gain_db, law.max_gain_db);
         db_to_gain(self.gain_db)
     }
 }
@@ -183,8 +162,8 @@ impl AmbientProfile {
 
 /// Simulates the microphone: ambient plus coupled self-output, powers
 /// added.
-pub fn microphone_rms(ambient_rms: f64, output_rms: f64, self_coupling: f64) -> f64 {
-    (ambient_rms * ambient_rms + (output_rms * self_coupling).powi(2)).sqrt()
+pub fn microphone_rms(ambient_rms: f64, output_rms: f64) -> f64 {
+    (ambient_rms * ambient_rms + (output_rms * SELF_COUPLING).powi(2)).sqrt()
 }
 
 #[cfg(test)]
@@ -194,7 +173,7 @@ mod tests {
     fn settle(av: &mut AutoVolume, ambient: f64, output: f64, rounds: usize) -> f64 {
         let mut g = av.gain();
         for _ in 0..rounds {
-            let mic = microphone_rms(ambient, output * g, av.cfg.self_coupling);
+            let mic = microphone_rms(ambient, output * g);
             g = av.update(mic, output * g);
         }
         g
@@ -202,9 +181,9 @@ mod tests {
 
     #[test]
     fn announcements_get_louder_in_noise() {
-        let mut av = AutoVolume::new(AutoVolumeConfig::announcement());
+        let mut av = AutoVolume::new(AutoVolumeConfig::Announcement);
         let quiet = settle(&mut av, 0.05, 0.2, 50);
-        let mut av = AutoVolume::new(AutoVolumeConfig::announcement());
+        let mut av = AutoVolume::new(AutoVolumeConfig::Announcement);
         let noisy = settle(&mut av, 0.4, 0.2, 50);
         assert!(
             noisy > quiet * 2.0,
@@ -214,9 +193,9 @@ mod tests {
 
     #[test]
     fn music_gets_quieter_in_quiet_rooms() {
-        let mut av = AutoVolume::new(AutoVolumeConfig::music());
+        let mut av = AutoVolume::new(AutoVolumeConfig::Music);
         let normal = settle(&mut av, 0.05, 0.2, 50);
-        let mut av = AutoVolume::new(AutoVolumeConfig::music());
+        let mut av = AutoVolume::new(AutoVolumeConfig::Music);
         let silent = settle(&mut av, 0.005, 0.2, 50);
         assert!(
             silent < normal / 2.0,
@@ -226,10 +205,10 @@ mod tests {
 
     #[test]
     fn gain_respects_bounds() {
-        let mut av = AutoVolume::new(AutoVolumeConfig::announcement());
+        let mut av = AutoVolume::new(AutoVolumeConfig::Announcement);
         let g = settle(&mut av, 0.99, 0.2, 200);
         assert!(gain_to_db(g) <= 18.0 + 1e-9);
-        let mut av = AutoVolume::new(AutoVolumeConfig::music());
+        let mut av = AutoVolume::new(AutoVolumeConfig::Music);
         let g = settle(&mut av, 1e-6, 0.2, 200);
         assert!(gain_to_db(g) >= -30.0 - 1e-9);
     }
@@ -238,11 +217,11 @@ mod tests {
     fn self_output_is_subtracted() {
         // A speaker alone in a silent room must not chase its own
         // output upward.
-        let mut av = AutoVolume::new(AutoVolumeConfig::announcement());
+        let mut av = AutoVolume::new(AutoVolumeConfig::Announcement);
         let g0 = av.gain();
         for _ in 0..50 {
             let out = 0.5 * av.gain();
-            let mic = microphone_rms(0.0, out, av.cfg.self_coupling);
+            let mic = microphone_rms(0.0, out);
             av.update(mic, out);
         }
         assert!(
@@ -268,8 +247,8 @@ mod tests {
 
     #[test]
     fn microphone_adds_powers() {
-        let m = microphone_rms(0.3, 0.4, 1.0);
+        let m = microphone_rms(0.3, 4.0);
         assert!((m - 0.5).abs() < 1e-9);
-        assert_eq!(microphone_rms(0.3, 0.4, 0.0), 0.3);
+        assert_eq!(microphone_rms(0.3, 0.0), 0.3);
     }
 }

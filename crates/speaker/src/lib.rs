@@ -29,16 +29,10 @@ pub mod rx;
 pub mod speaker;
 pub mod sync;
 
-pub use autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig, ContentKind};
+pub use autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig};
 pub use node::{Action, Decoder, Note, Pcm, Play, PlayMode, SharedBlock, SpeakerNode};
 pub use rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats, NACK_REASK};
 pub use speaker::{
     rx_memo_stats, EthernetSpeaker, MemoDecoder, RxMemoStats, SessionStatus, SpeakerConfig,
 };
 pub use sync::{decide, ClockSync, PlayDecision, DEFAULT_EPSILON};
-
-/// Converts decode work units to Geode-class CPU cycles (same
-/// calibration as the encode path; see `tests/paper/calib.rs`).
-pub fn decode_work_to_cycles(work_units: u64) -> u64 {
-    work_units * 21 / 100
-}

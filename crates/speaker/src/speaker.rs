@@ -34,7 +34,9 @@ use es_codec::{CodecId, Codecs};
 use es_net::{Dest, Lan, McastGroup, NodeId};
 use es_proto::auth::VerifierStats;
 use es_proto::{ClientPhase, Packet, SessionClient, SessionClientConfig};
-use es_sim::{shared, CostModel, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime};
+use es_sim::{
+    shared, work_to_cycles, CostModel, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime,
+};
 use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
@@ -382,7 +384,7 @@ impl Decoder for MemoDecoder {
         payload: &Bytes,
     ) -> Option<(Pcm, u64, SimTime)> {
         let (pcm, work) = decode_shared(self.model, codec, channels, payload)?;
-        let cycles = crate::decode_work_to_cycles(work);
+        let cycles = work_to_cycles(work);
         let ready = self
             .cpu
             .as_ref()
@@ -829,12 +831,12 @@ impl EthernetSpeaker {
     /// and update the gain.
     fn autovol_tick(&self, sim: &mut Sim) {
         let now_s = sim.now().as_secs_f64();
-        let (ambient, coupling) = {
+        let ambient = {
             let st = self.0.state.borrow();
-            let Some((avc, profile)) = st.node.cfg.auto_volume.as_ref() else {
+            let Some((_, profile)) = st.node.cfg.auto_volume.as_ref() else {
                 return;
             };
-            (profile.level_at(now_s), avc.self_coupling)
+            profile.level_at(now_s)
         };
         // What the speaker itself is putting out right now: the RMS of
         // the most recent control period of tap output.
@@ -849,7 +851,7 @@ impl EthernetSpeaker {
                 .expect("tap_retention keeps one control period for auto-volume");
             es_audio::analysis::rms(&recent)
         };
-        let mic = crate::autovol::microphone_rms(ambient, out_rms, coupling);
+        let mic = crate::autovol::microphone_rms(ambient, out_rms);
         if let Some(av) = self.0.state.borrow_mut().node.autovol.as_mut() {
             av.update(mic, out_rms);
         }
@@ -979,7 +981,7 @@ mod tests {
         let spk = EthernetSpeaker::start(&mut sim, &lan, cfg);
         lan.multicast(&mut sim, producer, g, control_packet(0, 0));
         sim.run_until(SimTime::from_millis(10));
-        let decode = crate::decode_work_to_cycles(2 * 2_205);
+        let decode = work_to_cycles(2 * 2_205);
         let busy = ready.saturating_since(sim.now()).as_nanos() - decode;
         cpu.borrow_mut().submit(sim.now(), busy);
         let offset = spk.clock_offset_us().expect("synced") as u64;
@@ -1227,7 +1229,7 @@ mod tests {
             let g = McastGroup(1);
             let mut cfg = SpeakerConfig::new("av", g);
             let room = AmbientProfile::steps(vec![(0.0, 0.01), (3.0, 0.2), (7.0, 0.03)]);
-            cfg.auto_volume = Some((AutoVolumeConfig::music(), room));
+            cfg.auto_volume = Some((AutoVolumeConfig::Music, room));
             cfg.capture_output = capture;
             let spk = EthernetSpeaker::start(&mut sim, &lan, cfg);
             lan.multicast(&mut sim, producer, g, control_packet(0, 0));

@@ -3,10 +3,8 @@
 //! Components log notable moments — a late packet discarded, a config
 //! change, a link joining a group — as [`Event`]s: severity, explicit
 //! timestamp, component, message, and `key=value` fields. The journal
-//! buffers a bounded window in memory (oldest events drop first) and
-//! fans every event out to pluggable [`JournalSink`]s, so a live
-//! deployment can stream JSON lines to a collector while tests inspect
-//! the ring directly.
+//! buffers a bounded window in memory (oldest events drop first);
+//! readers take [`Journal::events`] or [`Journal::to_json_lines`].
 //!
 //! The journal never reads a clock: callers stamp events with
 //! [`Stamp::virtual_ns`] (simulator time) or [`Stamp::wall_now`]
@@ -234,12 +232,6 @@ impl Event {
     }
 }
 
-/// A destination events are fanned out to as they are recorded.
-pub trait JournalSink: Send {
-    /// Receives one event (already sequence-stamped).
-    fn emit(&mut self, event: &Event);
-}
-
 /// One retained event. The texts are indices into the journal's
 /// [`Texts`]; the sequence number is implied by the entry's position.
 struct Entry {
@@ -324,7 +316,6 @@ struct Inner {
     capacity: usize,
     next_seq: u64,
     dropped: u64,
-    sinks: Vec<Box<dyn JournalSink>>,
 }
 
 impl Inner {
@@ -353,8 +344,7 @@ impl Inner {
 ///
 /// The buffer stores events compactly — texts interned once per
 /// journal, field values packed into one byte slice, sequence numbers
-/// implied by position — and builds [`Event`]s only when they are read
-/// or fanned out to a sink.
+/// implied by position — and builds [`Event`]s only when they are read.
 #[derive(Clone)]
 pub struct Journal {
     inner: Arc<Mutex<Inner>>,
@@ -381,14 +371,8 @@ impl Journal {
                 capacity: capacity.max(1),
                 next_seq: 0,
                 dropped: 0,
-                sinks: Vec::new(),
             })),
         }
-    }
-
-    /// Adds a sink that will see every subsequent event.
-    pub fn add_sink(&self, sink: Box<dyn JournalSink>) {
-        self.inner.lock().unwrap().sinks.push(sink);
     }
 
     /// Records an event with structured fields. A key given twice keeps
@@ -426,32 +410,6 @@ impl Journal {
             severity,
         });
         inner.next_seq += 1;
-        if !inner.sinks.is_empty() {
-            let event = inner.event(inner.entries.len() - 1);
-            for sink in &mut inner.sinks {
-                sink.emit(&event);
-            }
-        }
-    }
-
-    /// Records a debug event without fields.
-    pub fn debug(&self, stamp: Stamp, component: &str, message: &str) {
-        self.emit(stamp, Severity::Debug, component, message, &[]);
-    }
-
-    /// Records an info event without fields.
-    pub fn info(&self, stamp: Stamp, component: &str, message: &str) {
-        self.emit(stamp, Severity::Info, component, message, &[]);
-    }
-
-    /// Records a warning without fields.
-    pub fn warn(&self, stamp: Stamp, component: &str, message: &str) {
-        self.emit(stamp, Severity::Warn, component, message, &[]);
-    }
-
-    /// Records an error without fields.
-    pub fn error(&self, stamp: Stamp, component: &str, message: &str) {
-        self.emit(stamp, Severity::Error, component, message, &[]);
     }
 
     /// A copy of the buffered events, in record order.
@@ -510,10 +468,10 @@ mod tests {
     fn ordering_is_total_under_virtual_time() {
         let j = Journal::new();
         // Three events at the same virtual instant, one earlier.
-        j.info(Stamp::virtual_ns(500), "net", "b");
-        j.info(Stamp::virtual_ns(500), "vad", "c");
-        j.warn(Stamp::virtual_ns(100), "speaker", "a");
-        j.info(Stamp::virtual_ns(500), "net", "d");
+        j.emit(Stamp::virtual_ns(500), Severity::Info, "net", "b", &[]);
+        j.emit(Stamp::virtual_ns(500), Severity::Info, "vad", "c", &[]);
+        j.emit(Stamp::virtual_ns(100), Severity::Warn, "speaker", "a", &[]);
+        j.emit(Stamp::virtual_ns(500), Severity::Info, "net", "d", &[]);
         let evs = j.events();
         // Record order is preserved and seq is strictly increasing,
         // even though timestamps tie or go backwards.
@@ -527,31 +485,13 @@ mod tests {
     #[test]
     fn bounded_buffer_drops_oldest() {
         let j = Journal::with_capacity(2);
-        j.info(Stamp::virtual_ns(1), "x", "one");
-        j.info(Stamp::virtual_ns(2), "x", "two");
-        j.info(Stamp::virtual_ns(3), "x", "three");
+        j.emit(Stamp::virtual_ns(1), Severity::Info, "x", "one", &[]);
+        j.emit(Stamp::virtual_ns(2), Severity::Info, "x", "two", &[]);
+        j.emit(Stamp::virtual_ns(3), Severity::Info, "x", "three", &[]);
         assert_eq!(j.len(), 2);
         assert_eq!(j.dropped(), 1);
         let msgs: Vec<String> = j.events().into_iter().map(|e| e.message).collect();
         assert_eq!(msgs, vec!["two", "three"]);
-    }
-
-    #[test]
-    fn sinks_see_every_event_including_evicted() {
-        struct Collect(std::sync::mpsc::Sender<String>);
-        impl JournalSink for Collect {
-            fn emit(&mut self, event: &Event) {
-                self.0.send(event.message.clone()).unwrap();
-            }
-        }
-        let (tx, rx) = std::sync::mpsc::channel();
-        let j = Journal::with_capacity(1);
-        j.add_sink(Box::new(Collect(tx)));
-        j.info(Stamp::wall_ns(1), "x", "a");
-        j.info(Stamp::wall_ns(2), "x", "b");
-        let got: Vec<String> = rx.try_iter().collect();
-        assert_eq!(got, vec!["a", "b"]);
-        assert_eq!(j.len(), 1);
     }
 
     #[test]
@@ -575,7 +515,7 @@ mod tests {
     fn clones_share_one_buffer() {
         let j = Journal::new();
         let j2 = j.clone();
-        j2.info(Stamp::wall_now(), "live", "hello");
+        j2.emit(Stamp::wall_now(), Severity::Info, "live", "hello", &[]);
         assert_eq!(j.len(), 1);
         assert_eq!(j.events()[0].stamp.domain, TimeDomain::Wall);
     }
@@ -585,7 +525,7 @@ mod tests {
         // Above 2^53: a parse through f64 read this back as …768.
         let stamp = Stamp::wall_ns(1_760_000_000_123_456_789);
         let j = Journal::new();
-        j.info(stamp, "live", "hello");
+        j.emit(stamp, Severity::Info, "live", "hello", &[]);
         let back = Event::from_json_line(j.to_json_lines().trim_end()).unwrap();
         assert_eq!(back.stamp, stamp);
         assert_eq!(back, j.events()[0]);
@@ -622,7 +562,7 @@ mod tests {
                         ("late_us", i.to_string()),
                     ],
                 ),
-                _ => j.info(stamp, "heal", "receiver recovered"),
+                _ => j.emit(stamp, Severity::Info, "heal", "receiver recovered", &[]),
             }
         }
         let inner = j.inner.lock().unwrap();
@@ -672,7 +612,7 @@ mod tests {
             component: &str,
             message: &str,
             fields: &[(&str, String)],
-        ) -> Event {
+        ) {
             let event = Event {
                 seq: self.next_seq,
                 stamp,
@@ -689,8 +629,7 @@ mod tests {
                 self.events.pop_front();
                 self.dropped += 1;
             }
-            self.events.push_back(event.clone());
-            event
+            self.events.push_back(event);
         }
 
         fn to_json_lines(&self) -> String {
@@ -698,15 +637,6 @@ mod tests {
                 .iter()
                 .map(|e| e.to_json_line() + "\n")
                 .collect()
-        }
-    }
-
-    /// A sink that keeps what it receives.
-    struct Keep(Arc<Mutex<Vec<Event>>>);
-
-    impl JournalSink for Keep {
-        fn emit(&mut self, event: &Event) {
-            self.0.lock().unwrap().push(event.clone());
         }
     }
 
@@ -732,8 +662,7 @@ mod tests {
 
     proptest::proptest! {
         /// The compact journal reads exactly like the old one:
-        /// `events()`, `to_json_lines()` and what a sink receives,
-        /// under eviction at capacities 1–8 and interleaved `clear()`.
+        /// `events()` and `to_json_lines()`, under eviction at capacities 1–8 and interleaved `clear()`.
         #[test]
         fn compact_journal_matches_the_oracle(
             capacity in 1usize..9,
@@ -744,21 +673,18 @@ mod tests {
             ),
         ) {
             let j = Journal::with_capacity(capacity);
-            let seen = Arc::new(Mutex::new(Vec::new()));
-            j.add_sink(Box::new(Keep(seen.clone())));
             let mut oracle = Oracle {
                 events: VecDeque::new(),
                 capacity,
                 next_seq: 0,
                 dropped: 0,
             };
-            let mut sent = Vec::new();
             // Half the cases start with 130 texts interned, so every key
             // index takes two varint bytes.
             for i in 0..if warm { 130 } else { 0 } {
                 let message = format!("warm{i}");
-                j.info(Stamp::virtual_ns(i), "warm", &message);
-                sent.push(oracle.emit(Stamp::virtual_ns(i), Severity::Info, "warm", &message, &[]));
+                j.emit(Stamp::virtual_ns(i), Severity::Info, "warm", &message, &[]);
+                oracle.emit(Stamp::virtual_ns(i), Severity::Info, "warm", &message, &[]);
             }
             for (kind, a, b) in ops {
                 if kind == 0 {
@@ -788,14 +714,13 @@ mod tests {
                         .map(|(i, k)| (k.as_str(), value(b.rotate_left(i as u32 * 13) ^ a)))
                         .collect();
                     j.emit(stamp, severity, component, &message, &fields);
-                    sent.push(oracle.emit(stamp, severity, component, &message, &fields));
+                    oracle.emit(stamp, severity, component, &message, &fields);
                 }
                 let events = j.events();
                 proptest::prop_assert_eq!(&events, &Vec::from(oracle.events.clone()));
                 proptest::prop_assert_eq!(j.to_json_lines(), oracle.to_json_lines());
                 proptest::prop_assert_eq!(j.len(), oracle.events.len());
                 proptest::prop_assert_eq!(j.dropped(), oracle.dropped);
-                proptest::prop_assert_eq!(&*seen.lock().unwrap(), &sent);
             }
         }
     }

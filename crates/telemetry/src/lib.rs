@@ -8,9 +8,9 @@
 //! - [`Registry`] / [`MetricsSnapshot`] — counters, gauges, and
 //!   log-scale histograms keyed `component/instance/name`, exportable
 //!   as JSON lines for dashboards;
-//! - [`Journal`] — a structured event log (severity, timestamp,
-//!   component, message, `key=value` fields) with pluggable sinks,
-//!   replacing ad-hoc `eprintln!` diagnostics;
+//! - [`Journal`] — a bounded structured event log (severity,
+//!   timestamp, component, message, `key=value` fields), readable as
+//!   JSON lines, replacing ad-hoc `eprintln!` diagnostics;
 //! - the [`Telemetry`] trait — implemented by each component's stats
 //!   snapshot so new components surface in `EsSystem::metrics()`
 //!   without touching `es-core`.
@@ -32,7 +32,7 @@ mod journal;
 pub mod json;
 mod metrics;
 
-pub use journal::{Event, Journal, JournalSink, Severity, Stamp, TimeDomain};
+pub use journal::{Event, Journal, Severity, Stamp, TimeDomain};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{
     Histogram, Label, Metric, MetricKey, MetricValue, MetricsSnapshot, Registry, Scope,

@@ -271,13 +271,6 @@ impl MetricKey {
             name: Label::new(name),
         }
     }
-
-    /// Parses `component/instance/name` (the name may itself contain
-    /// slashes).
-    pub fn from_path(path: &str) -> Option<Self> {
-        let (component, instance, name) = split_path(path)?;
-        Some(MetricKey::new(component, instance, name))
-    }
 }
 
 /// `component/instance/name` in three parts (the name may itself
@@ -680,48 +673,6 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Every counter of one component instance as `(name, value)`
-    /// pairs, in name order (the snapshot is key-sorted).
-    pub fn counters_for<'a>(
-        &'a self,
-        component: &'a str,
-        instance: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.for_instance(component, instance)
-            .iter()
-            .filter_map(|m| match &m.value {
-                MetricValue::Counter(c) => Some((m.key.name.as_str(), *c)),
-                _ => None,
-            })
-    }
-
-    /// Per-counter growth for one component instance since `earlier`,
-    /// as `(name, delta)` pairs in name order. Counters absent from
-    /// `earlier` (born this epoch) report their full current value;
-    /// shrunken counters saturate to zero like
-    /// [`counter_delta`](Self::counter_delta).
-    pub fn counter_deltas_for<'s>(
-        &'s self,
-        earlier: &MetricsSnapshot,
-        component: &str,
-        instance: &str,
-    ) -> Vec<(&'s str, u64)> {
-        let before = earlier.for_instance(component, instance);
-        self.for_instance(component, instance)
-            .iter()
-            .filter_map(|m| match &m.value {
-                MetricValue::Counter(now) => {
-                    let then = match find(before, &m.key.name) {
-                        Some(MetricValue::Counter(c)) => *c,
-                        _ => 0,
-                    };
-                    Some((m.key.name.as_str(), now.saturating_sub(then)))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Serializes to JSON lines, one metric per line, sorted by key.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
@@ -989,41 +940,23 @@ mod tests {
     }
 
     #[test]
-    fn delta_iteration_helpers() {
-        let snap = |played: u64, missed: u64| {
-            let mut r = Registry::new();
-            r.set_instance("es0");
-            {
-                let mut s = r.component("speaker");
-                s.counter("samples_played", played);
-                s.counter("deadline_misses", missed);
-                s.gauge("sync_offset_us", 12.0);
-            }
-            r.set_instance("es1");
-            r.component("speaker").counter("samples_played", 5);
-            r.set_instance("lan0");
-            r.component("net").counter("frames_sent", 9);
-            r.snapshot()
-        };
-        let (early, late) = (snap(100, 2), snap(180, 3));
-        assert_eq!(late.instances("speaker"), vec!["es0", "es1"]);
-        assert_eq!(late.instances("net"), vec!["lan0"]);
-        assert!(late.instances("heal").is_empty());
-        // Gauges are excluded from counter iteration.
-        let counters: Vec<_> = late.counters_for("speaker", "es0").collect();
-        assert_eq!(
-            counters,
-            vec![("deadline_misses", 3u64), ("samples_played", 180)]
-        );
-        assert_eq!(
-            late.counter_deltas_for(&early, "speaker", "es0"),
-            vec![("deadline_misses", 1u64), ("samples_played", 80)]
-        );
-        // A counter born after `earlier` reports its full value.
-        assert_eq!(
-            late.counter_deltas_for(&MetricsSnapshot::default(), "speaker", "es1"),
-            vec![("samples_played", 5u64)]
-        );
+    fn instances_lists_each_label_once() {
+        let mut r = Registry::new();
+        r.set_instance("es0");
+        {
+            let mut s = r.component("speaker");
+            s.counter("samples_played", 180);
+            s.counter("deadline_misses", 3);
+            s.gauge("sync_offset_us", 12.0);
+        }
+        r.set_instance("es1");
+        r.component("speaker").counter("samples_played", 5);
+        r.set_instance("lan0");
+        r.component("net").counter("frames_sent", 9);
+        let snap = r.snapshot();
+        assert_eq!(snap.instances("speaker"), vec!["es0", "es1"]);
+        assert_eq!(snap.instances("net"), vec!["lan0"]);
+        assert!(snap.instances("heal").is_empty());
     }
 
     #[test]

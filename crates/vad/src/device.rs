@@ -14,7 +14,7 @@
 use std::rc::{Rc, Weak};
 
 use es_audio::{AudioConfig, ConfigError};
-use es_sim::{shared, Shared, Sim, SimDuration, SimTime};
+use es_sim::{Shared, Sim, SimDuration, SimTime};
 
 use crate::ring::{AudioRing, Block};
 
@@ -277,11 +277,6 @@ impl AudioDevice {
         self.low.borrow_mut().halt_output(sim);
     }
 
-    /// True if open.
-    pub fn is_open(&self) -> bool {
-        self.inner.borrow().open
-    }
-
     /// The current configuration.
     pub fn config(&self) -> AudioConfig {
         self.inner.borrow().config
@@ -375,11 +370,6 @@ impl AudioDevice {
         self.inner.borrow_mut().write_waiters.push(Box::new(f));
     }
 
-    /// Free bytes in the ring.
-    pub fn writable_bytes(&self) -> usize {
-        self.inner.borrow().ring.free()
-    }
-
     /// The instant audio written right now would start playing, if the
     /// underlying engine is running and block-quantizes writes to a
     /// DMA grid; `None` means playback would start immediately.
@@ -448,13 +438,6 @@ impl AudioDevice {
     }
 }
 
-/// Builds the `Shared` cell most callers want around a low-level
-/// driver value.
-pub fn shared_driver<D: LowLevelDriver + 'static>(driver: D) -> Shared<dyn LowLevelDriver> {
-    let cell: Shared<D> = shared(driver);
-    cell
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,7 +502,7 @@ mod tests {
         let (dev, _) = device(false);
         dev.open().unwrap();
         assert!(matches!(dev.open(), Err(DevError::Busy)));
-        assert!(dev.is_open());
+        assert!(dev.inner.borrow().open);
     }
 
     #[test]
@@ -603,10 +586,10 @@ mod tests {
         let (dev, low) = device(false);
         dev.open().unwrap();
         // Fill the ring completely.
-        let cap = dev.writable_bytes();
+        let cap = dev.inner.borrow().ring.free();
         let n = dev.write(&mut sim, &vec![1u8; cap + 100]).unwrap();
         assert_eq!(n, cap);
-        assert_eq!(dev.writable_bytes(), 0);
+        assert_eq!(dev.inner.borrow().ring.free(), 0);
         let woken = Rc::new(std::cell::Cell::new(false));
         let w = woken.clone();
         dev.on_writable(move |_| w.set(true));
@@ -618,7 +601,7 @@ mod tests {
         assert!(src.take_block(false).is_some());
         intr(&mut sim);
         assert!(woken.get());
-        assert!(dev.writable_bytes() > 0);
+        assert!(dev.inner.borrow().ring.free() > 0);
         assert_eq!(dev.stats().interrupts, 1);
     }
 
@@ -630,7 +613,7 @@ mod tests {
         dev.write(&mut sim, &vec![1u8; 10_000]).unwrap();
         dev.close(&mut sim);
         assert_eq!(low.borrow().halted, 1);
-        assert!(!dev.is_open());
+        assert!(!dev.inner.borrow().open);
         // Reopen works.
         dev.open().unwrap();
     }

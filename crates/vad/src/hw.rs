@@ -18,10 +18,6 @@ use es_sim::{shared, Shared, Sim, SimDuration, SimTime};
 
 use crate::device::{BlockSource, Intr, LowLevelDriver};
 
-/// A wake hook invoked on every hardware interrupt, used to feed the
-/// context-switch accounting model (Figure 5).
-pub type WakeHook = Box<dyn FnMut(&mut Sim)>;
-
 /// How far back an [`OutputTap`] keeps the PCM it played. Counts and
 /// block times are always exact; this only bounds what the sample
 /// accessors can answer.
@@ -237,7 +233,6 @@ struct HwState {
     src: Option<BlockSource>,
     intr: Option<Intr>,
     tap: Shared<OutputTap>,
-    wake_hook: Option<WakeHook>,
     blocks_played: u64,
     /// When the next DMA block will leave for the DAC — the earliest
     /// instant newly written audio can start playing while the engine
@@ -267,7 +262,6 @@ impl HwDriver {
                     src: None,
                     intr: None,
                     tap: tap.clone(),
-                    wake_hook: None,
                     blocks_played: 0,
                     next_boundary: SimTime::ZERO,
                     epoch: 0,
@@ -275,11 +269,6 @@ impl HwDriver {
             },
             tap,
         )
-    }
-
-    /// Installs a hook fired at every DMA-completion interrupt.
-    pub fn set_wake_hook(&self, hook: WakeHook) {
-        self.state.borrow_mut().wake_hook = Some(hook);
     }
 
     /// Blocks played so far.
@@ -329,16 +318,6 @@ impl HwDriver {
                 let st = state2.borrow();
                 if !st.running || st.epoch != epoch {
                     return;
-                }
-            }
-            // Fire the wake hook (context-switch accounting) with the
-            // hook taken out of the cell so it may borrow state itself.
-            let hook = state2.borrow_mut().wake_hook.take();
-            if let Some(mut h) = hook {
-                h(sim);
-                let mut st = state2.borrow_mut();
-                if st.wake_hook.is_none() {
-                    st.wake_hook = Some(h);
                 }
             }
             let intr = state2.borrow().intr.clone();
@@ -517,21 +496,6 @@ mod tests {
         let played = tap.borrow().block_count();
         sim.run_for(SimDuration::from_secs(1));
         assert_eq!(tap.borrow().block_count(), played, "no blocks after halt");
-    }
-
-    #[test]
-    fn wake_hook_fires_per_interrupt() {
-        let mut sim = Sim::new(1);
-        let (drv, _tap) = HwDriver::new(Retention::Nothing);
-        let count = Rc::new(std::cell::Cell::new(0u32));
-        let c = count.clone();
-        drv.set_wake_hook(Box::new(move |_| c.set(c.get() + 1)));
-        let drv = Rc::new(std::cell::RefCell::new(drv));
-        let dev = AudioDevice::new(drv.clone());
-        dev.open().unwrap();
-        dev.write(&mut sim, &vec![1u8; 8_820 * 3]).unwrap();
-        sim.run_for(SimDuration::from_millis(170));
-        assert!(count.get() >= 3, "hook fired {} times", count.get());
     }
 
     /// 10 000 two-sample blocks 50 ms apart, every seventh sharing its

@@ -341,11 +341,6 @@ impl VadMaster {
             .push(Box::new(f));
     }
 
-    /// True if items are queued.
-    pub fn has_items(&self) -> bool {
-        !self.state.borrow().queue.items.is_empty()
-    }
-
     /// The configuration most recently forwarded.
     pub fn current_config(&self) -> AudioConfig {
         self.state.borrow().queue.current_config
@@ -529,7 +524,7 @@ mod tests {
         // At least one block is always delivered; the budget stops it
         // from swallowing everything.
         assert!(audio >= blk && audio < blk * 4, "audio {audio}");
-        assert!(master.has_items());
+        assert!(!master.state.borrow().queue.items.is_empty());
     }
 
     #[test]

@@ -40,10 +40,10 @@ fn main() {
         .announce_on(catalog)
         .speaker(
             SpeakerSpec::new("lobby", music)
-                .auto_volume(AutoVolumeConfig::announcement(), lobby_noise),
+                .auto_volume(AutoVolumeConfig::Announcement, lobby_noise),
         )
         .speaker(
-            SpeakerSpec::new("office", music).auto_volume(AutoVolumeConfig::music(), office_noise),
+            SpeakerSpec::new("office", music).auto_volume(AutoVolumeConfig::Music, office_noise),
         )
         .build();
 

@@ -2,8 +2,8 @@
 //! to run names a test in `tests/paper/`, every experiment section of
 //! EXPERIMENTS.md has one and documents every module there, nothing
 //! points at the removed bench harness, the perf baselines the ledger
-//! replaced or the relay re-stamping, FEC ladder and stream monitor
-//! that were deleted, nor describes the live speaker as the collector
+//! replaced or the relay re-stamping, FEC ladder, stream monitor,
+//! mixer, AGC and journal sinks that were deleted, nor describes the live speaker as the collector
 //! it was, DESIGN.md §8 lists exactly the bans `clippy.toml`
 //! and the lints `[workspace.lints]` configure, §10 exactly the counters
 //! the healing plane exports, and §6 exactly the keys a speaker records.
@@ -264,6 +264,26 @@ fn no_doc_describes_the_deleted_stream_monitor() {
             concat!("quality_", "duplicates"),
             concat!("quality_", "loss_fraction"),
             concat!("es-proto::", "monitor"),
+        ] {
+            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+        }
+    }
+}
+
+#[test]
+fn no_doc_describes_the_deleted_mixer_or_journal_sinks() {
+    // es-audio keeps dB gain only; the journal keeps its ring and
+    // nothing fans events out; auto-volume has one preset per content
+    // kind, with no kind field. Spelled in halves, like the needles
+    // above.
+    for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
+        let text = read(doc);
+        for needle in [
+            concat!("Ag", "c"),
+            concat!("Journal", "Sink"),
+            concat!("add_", "sink"),
+            concat!("Content", "Kind"),
+            concat!("mixer, ", "AGC"),
         ] {
             assert!(!text.contains(needle), "{doc} still mentions {needle}");
         }

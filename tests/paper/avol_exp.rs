@@ -36,7 +36,7 @@ pub fn run_announcement(seconds: u64, seed: u64) -> AvolRun {
     let mut sys = SystemBuilder::new(seed)
         .channel(spec)
         .speaker(
-            SpeakerSpec::new("hall", group).auto_volume(AutoVolumeConfig::announcement(), profile),
+            SpeakerSpec::new("hall", group).auto_volume(AutoVolumeConfig::Announcement, profile),
         )
         .build();
     let mut series = TimeSeries::new("announcement gain dB");
@@ -77,7 +77,7 @@ pub fn run_music(seconds: u64, seed: u64) -> (f64, f64) {
     let profile = AmbientProfile::steps(vec![(0.0, 0.05), (mid, 0.003)]);
     let mut sys = SystemBuilder::new(seed)
         .channel(spec)
-        .speaker(SpeakerSpec::new("lounge", group).auto_volume(AutoVolumeConfig::music(), profile))
+        .speaker(SpeakerSpec::new("lounge", group).auto_volume(AutoVolumeConfig::Music, profile))
         .build();
     let mut normal = Vec::new();
     let mut silent = Vec::new();

@@ -70,7 +70,7 @@ pub fn run(block_ms: u64, seconds: u64, seed: u64) -> BufRun {
     };
     let packets = st.data_packets.max(1);
     let decode_ms = {
-        let cycles = es_speaker::decode_work_to_cycles(st.decode_work_units);
+        let cycles = es_sim::work_to_cycles(st.decode_work_units);
         cycles as f64 / calib::GEODE_HZ as f64 * 1_000.0 / packets as f64
     };
     BufRun {

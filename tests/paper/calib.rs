@@ -16,8 +16,8 @@
 //! CD stream cost ≈ 11% of the 233 MHz Geode (four streams ≈ 45%,
 //! eight approaching saturation) — i.e. ≈ 26 M cycles/s/stream. The
 //! billing rate is therefore 26 M / 126 M ≈ **0.21 cycles per work
-//! unit** (`work_to_cycles` in `es-rebroadcast`, `decode_work_to_cycles`
-//! in `es-speaker`).
+//! unit** (`es_sim::work_to_cycles`, which bills encode and decode
+//! alike).
 //!
 //! These constants are calibrated against `es_codec::CostModel::Direct`
 //! accounting (the paper-era O(N²) transform). The codec's execution
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn figure4_per_stream_cost_is_plausible() {
         // One CD stream ≈ 26 Mcycles/s ≈ 11% of the Geode.
-        let stream_cycles = es_rebroadcast::producer::work_to_cycles(126_000_000) as f64;
+        let stream_cycles = es_sim::work_to_cycles(126_000_000) as f64;
         let share = stream_cycles / GEODE_HZ as f64;
         assert!((0.09..0.14).contains(&share), "per-stream share {share}");
     }

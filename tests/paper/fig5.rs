@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use es_audio::AudioConfig;
 use es_rebroadcast::{AppPacing, AudioApp};
-use es_sim::sched::{poisson_source, shared_sched, TaskKind};
+use es_sim::sched::{poisson_source, shared_sched};
 use es_sim::{Sim, SimDuration, SimTime, TimeSeries};
 use es_vad::{vad_pair_with_geometry, VadMaster, VadMode};
 
@@ -59,9 +59,7 @@ pub fn run(config: Fig5Config, seconds: u64, seed: u64) -> Fig5Run {
     let until = SimTime::ZERO + calib::WARMUP + SimDuration::from_secs(seconds);
 
     // Background daemons — present in every configuration.
-    let daemons = sched
-        .borrow_mut()
-        .register("background-daemons", TaskKind::UserProcess);
+    let daemons = sched.borrow_mut().register();
     poisson_source(
         &mut sim,
         sched.clone(),
@@ -81,12 +79,8 @@ pub fn run(config: Fig5Config, seconds: u64, seed: u64) -> Fig5Run {
             * 2;
         let (slave, master) = vad_pair_with_geometry(VadMode::KernelThread { poll }, ring, 50);
 
-        let kthread = sched
-            .borrow_mut()
-            .register("vad-kthread", TaskKind::KernelThread);
-        let app = sched
-            .borrow_mut()
-            .register("audio-app", TaskKind::UserProcess);
+        let kthread = sched.borrow_mut().register();
+        let app = sched.borrow_mut().register();
         {
             // Each kernel-thread tick runs the interrupt routine and
             // unblocks the application's write(2).
@@ -108,9 +102,7 @@ pub fn run(config: Fig5Config, seconds: u64, seed: u64) -> Fig5Run {
             Fig5Config::UserVad => {
                 // User-level streaming: the reader process wakes per
                 // drain cycle.
-                let reader = sched
-                    .borrow_mut()
-                    .register("rebroadcaster", TaskKind::UserProcess);
+                let reader = sched.borrow_mut().register();
                 drain_master_forever(&master, Some(reader), sched.clone());
             }
             Fig5Config::Unloaded => unreachable!(),

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation is largely by ear ("our experience so far has
 //! not revealed any audible defects", "any phase difference ... is
-//! inaudible"). A reproduction needs numbers instead: RMS/peak levels,
+//! inaudible"). A reproduction needs numbers instead: RMS levels,
 //! SNR between a reference and a processed stream (codec loss),
 //! cross-correlation lag (inter-speaker playback offset, §3.2), and
 //! dropout detection (skipped audio from overflowing buffers, §3.1 and
@@ -22,14 +22,6 @@ pub fn rms(samples: &[i16]) -> f64 {
         })
         .sum();
     (sum / samples.len() as f64).sqrt()
-}
-
-/// Peak absolute level in full-scale units.
-pub fn peak(samples: &[i16]) -> f64 {
-    samples
-        .iter()
-        .map(|&s| (s as f64 / 32_768.0).abs())
-        .fold(0.0, f64::max)
 }
 
 /// Signal-to-noise ratio in dB between a reference and a degraded copy
@@ -128,7 +120,6 @@ mod tests {
         let r = rms(&s);
         let expected = 0.8 / 2f64.sqrt();
         assert!((r - expected).abs() < 0.01, "rms {r}");
-        assert!((peak(&s) - 0.8).abs() < 0.01);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl BootServer {
         self.host_key
     }
 
-    /// Current image version.
-    pub fn image_version(&self) -> u32 {
-        self.image.version
-    }
-
     /// Replaces the fleet image (the "update one image, reboot
     /// everywhere" path). Bumps the version.
     pub fn update_image(&mut self, ramdisk: RamdiskFs) -> u32 {
@@ -108,7 +103,7 @@ mod tests {
     #[test]
     fn image_versioning() {
         let mut s = server();
-        assert_eq!(s.image_version(), 1);
+        assert_eq!(s.image.version, 1);
         let v = s.update_image(RamdiskFs::new().with_file("/etc/es/channel", "2\n"));
         assert_eq!(v, 2);
         let img = s.download_image();

@@ -60,22 +60,6 @@ impl RamdiskFs {
         self.files.is_empty()
     }
 
-    /// Paths under a directory prefix, sorted.
-    pub fn list(&self, dir: &str) -> Vec<&str> {
-        let prefix = {
-            let mut d = normalize(dir);
-            if !d.ends_with('/') {
-                d.push('/');
-            }
-            d
-        };
-        self.files
-            .keys()
-            .filter(|p| p.starts_with(&prefix))
-            .map(|p| p.as_str())
-            .collect()
-    }
-
     /// Expands `bundle` over this filesystem — the paper's overwrite
     /// rule: bundle files win, everything else is preserved. Returns
     /// the number of files overwritten (as opposed to added).
@@ -143,15 +127,6 @@ mod tests {
         assert_eq!(fs.read_str("/etc/es/channel"), Some("7"));
         assert_eq!(fs.read_str("etc/es/channel"), Some("7"));
         assert!(!fs.contains("/etc/es"));
-    }
-
-    #[test]
-    fn listing_is_sorted_and_prefix_scoped() {
-        let fs = skeleton();
-        let etc = fs.list("/etc");
-        assert_eq!(etc, vec!["/etc/es/channel", "/etc/es/volume", "/etc/hosts"]);
-        assert_eq!(fs.list("/bin").len(), 1);
-        assert!(fs.list("/nonexistent").is_empty());
     }
 
     #[test]

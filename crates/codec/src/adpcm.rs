@@ -164,15 +164,8 @@ pub fn adpcm_encode(samples: &[i16], channels: u8) -> Vec<u8> {
     out
 }
 
-/// Decodes a packet produced by [`adpcm_encode`]. Returns interleaved
-/// samples and the channel count.
-pub fn adpcm_decode(bytes: &[u8]) -> Result<(Vec<i16>, u8), AdpcmError> {
-    let mut out = Vec::new();
-    let channels = adpcm_decode_into(bytes, &mut out)?;
-    Ok((out, channels))
-}
-
-/// [`adpcm_decode`] into a caller-provided buffer (cleared and
+/// Decodes a packet produced by [`adpcm_encode`] into a
+/// caller-provided buffer of interleaved samples (cleared and
 /// resized), returning the channel count. Reusing `out` across packets
 /// makes steady-state decode allocation-free; channel predictor state
 /// lives in a fixed stack array (the header caps channels at 8).
@@ -235,6 +228,12 @@ mod tests {
         let mut l = MultiTone::music(44_100);
         let mut r = Sine::new(660.0, 44_100, 0.5);
         render_stereo(&mut l, &mut r, frames)
+    }
+
+    /// Decodes into a fresh buffer: `(samples, channels)`.
+    fn adpcm_decode(bytes: &[u8]) -> Result<(Vec<i16>, u8), AdpcmError> {
+        let mut out = Vec::new();
+        adpcm_decode_into(bytes, &mut out).map(|channels| (out, channels))
     }
 
     #[test]

@@ -42,15 +42,6 @@ impl Complex32 {
             im: theta.sin(),
         }
     }
-
-    /// Scales both parts by a real factor.
-    #[inline]
-    pub fn scale(self, s: f32) -> Complex32 {
-        Complex32 {
-            re: self.re * s,
-            im: self.im * s,
-        }
-    }
 }
 
 impl core::ops::Mul for Complex32 {

@@ -295,8 +295,6 @@ struct LanInner {
     wire_usage: BucketAccumulator,
     /// Shared-medium busy horizon ([`MediumMode::SharedHub`] only).
     medium_busy_until: SimTime,
-    /// Payload bytes per multicast group (channel accounting).
-    group_bytes: std::collections::BTreeMap<McastGroup, u64>,
     /// Event journal for loss diagnostics, if attached.
     journal: Option<Journal>,
 }
@@ -317,7 +315,6 @@ impl Lan {
                 stats: LanStats::default(),
                 wire_usage: BucketAccumulator::new("wire-bytes", SimDuration::from_secs(1)),
                 medium_busy_until: SimTime::ZERO,
-                group_bytes: std::collections::BTreeMap::new(),
                 journal: None,
             }),
         }
@@ -497,26 +494,9 @@ impl Lan {
         }
     }
 
-    /// The extra per-datagram loss probability currently applied to
-    /// `node` (0.0 = healthy).
-    pub fn degrade_loss(&self, node: NodeId) -> f64 {
-        self.inner.borrow().nodes[node.0 as usize].degrade_loss
-    }
-
     /// Snapshot of the traffic counters.
     pub fn stats(&self) -> LanStats {
         self.inner.borrow().stats
-    }
-
-    /// Payload bytes multicast to `group` so far (per-channel
-    /// accounting for multi-stream deployments).
-    pub fn group_bytes(&self, group: McastGroup) -> u64 {
-        self.inner
-            .borrow()
-            .group_bytes
-            .get(&group)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Per-second wire utilization series (fraction of line rate),
@@ -550,9 +530,8 @@ impl Lan {
             inner.stats.wire_bytes_sent += wire_bytes as u64;
             inner.wire_usage.add(sim.now(), wire_bytes as f64);
 
-            if let Dest::Multicast(g) = dst {
+            if matches!(dst, Dest::Multicast(_)) {
                 inner.stats.multicast_sent += 1;
-                *inner.group_bytes.entry(g).or_insert(0) += payload.len() as u64;
             }
 
             // FIFO serialization: per sender link on a switch, on the
@@ -896,7 +875,7 @@ mod tests {
         assert_eq!(stats.datagrams_lost, 20);
         // Clearing restores delivery.
         lan.degrade(&mut sim, sick, 0.0);
-        assert_eq!(lan.degrade_loss(sick), 0.0);
+        assert_eq!(lan.inner.borrow().nodes[sick.0 as usize].degrade_loss, 0.0);
         lan.multicast(&mut sim, producer, g, Bytes::from_static(b"pkt"));
         sim.run();
         assert_eq!(lsick.borrow().len(), 1);
@@ -1106,23 +1085,6 @@ mod tests {
             hub > switched * 19 / 10,
             "hub {hub} ns vs switched {switched} ns"
         );
-    }
-
-    #[test]
-    fn group_byte_accounting() {
-        let mut sim = Sim::new(1);
-        let lan = Lan::new(LanConfig::default());
-        let a = lan.attach("a");
-        let b = lan.attach("b");
-        lan.join(b, McastGroup(1));
-        lan.join(b, McastGroup(2));
-        lan.multicast(&mut sim, a, McastGroup(1), Bytes::from(vec![0u8; 100]));
-        lan.multicast(&mut sim, a, McastGroup(1), Bytes::from(vec![0u8; 50]));
-        lan.multicast(&mut sim, a, McastGroup(2), Bytes::from(vec![0u8; 7]));
-        sim.run();
-        assert_eq!(lan.group_bytes(McastGroup(1)), 150);
-        assert_eq!(lan.group_bytes(McastGroup(2)), 7);
-        assert_eq!(lan.group_bytes(McastGroup(9)), 0);
     }
 
     #[test]

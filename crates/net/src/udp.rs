@@ -47,11 +47,6 @@ impl McastSender {
     pub fn send(&self, payload: &[u8]) -> io::Result<usize> {
         self.socket.send_to(payload, self.dest)
     }
-
-    /// The destination group address.
-    pub fn dest(&self) -> SocketAddrV4 {
-        self.dest
-    }
 }
 
 /// A socket joined to an Ethernet Speaker channel for receiving.

@@ -33,9 +33,6 @@ use crate::sha256::{ct_eq, hmac_sha256, sha256, Sha256};
 /// Wire size of an [`AuthTrailer`].
 pub const TRAILER_LEN: usize = 4 + 32 + 4 + 32;
 
-/// Default disclosure delay in intervals.
-pub const DEFAULT_DISCLOSURE_DELAY: u32 = 2;
-
 /// The per-packet authentication trailer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuthTrailer {
@@ -118,11 +115,6 @@ impl StreamSigner {
     /// Number of usable signing intervals.
     pub fn intervals(&self) -> u32 {
         (self.keys.len() - 1) as u32
-    }
-
-    /// The configured disclosure delay.
-    pub fn delay(&self) -> u32 {
-        self.delay
     }
 
     /// Signs `message` as sent during `interval` (1-based) and embeds
@@ -322,7 +314,7 @@ mod tests {
     use super::*;
 
     fn signer() -> StreamSigner {
-        StreamSigner::new(b"test-seed", 64, DEFAULT_DISCLOSURE_DELAY)
+        StreamSigner::new(b"test-seed", 64, 2)
     }
 
     #[test]

@@ -20,7 +20,7 @@ use bytes::Bytes;
 
 use es_audio::AudioConfig;
 use es_net::{Lan, McastGroup, NodeId};
-use es_sim::{shared, work_to_cycles, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime};
+use es_sim::{shared, work_to_cycles, RepeatingTimer, Shared, Sim, SimCpu, SimTime};
 use es_telemetry::{Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{MasterItem, VadMaster};
 
@@ -340,11 +340,6 @@ impl Rebroadcaster {
         self.master.stats()
     }
 
-    /// The configured control packet period.
-    pub fn control_interval(&self) -> SimDuration {
-        self.state.borrow().tx.config().control_interval
-    }
-
     /// Attaches a journal for structured diagnostics (configuration
     /// changes and the like).
     pub fn set_journal(&self, journal: Journal) {
@@ -381,6 +376,7 @@ mod tests {
     use es_net::{Datagram, LanConfig};
     use es_proto::auth::StreamSigner;
     use es_proto::{ControlPacket, DataPacket, Packet, FLAG_AUTHENTICATED};
+    use es_sim::SimDuration;
     use es_vad::{vad_pair, VadMode};
     use std::rc::Rc;
 

@@ -65,8 +65,6 @@ pub struct SimCpu {
     sample_interval: SimDuration,
     busy_until: SimTime,
     busy_ns: BucketAccumulator,
-    total_busy: SimDuration,
-    total_cycles: u64,
 }
 
 impl SimCpu {
@@ -83,14 +81,7 @@ impl SimCpu {
             sample_interval,
             busy_until: SimTime::ZERO,
             busy_ns: BucketAccumulator::new("cpu-busy-ns", sample_interval),
-            total_busy: SimDuration::ZERO,
-            total_cycles: 0,
         }
-    }
-
-    /// The modelled clock rate in Hz.
-    pub fn clock_hz(&self) -> u64 {
-        self.clock_hz
     }
 
     /// Converts a cycle count to execution time on this CPU, rounding
@@ -103,31 +94,14 @@ impl SimCpu {
     /// Submits `cycles` of work at time `now`; returns the completion
     /// time. Work queues FIFO behind any outstanding work, which is how
     /// saturation (demand above capacity) manifests: completion times
-    /// drift ever later and [`SimCpu::backlog`] grows.
+    /// drift ever later.
     pub fn submit(&mut self, now: SimTime, cycles: u64) -> SimTime {
         let start = now.max(self.busy_until);
         let dur = self.cycles_to_duration(cycles);
         let end = start + dur;
         self.record_busy_span(start, end);
         self.busy_until = end;
-        self.total_busy += dur;
-        self.total_cycles += cycles;
         end
-    }
-
-    /// The amount of queued-but-unfinished work at `now`.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        self.busy_until.saturating_since(now)
-    }
-
-    /// Total busy time accumulated so far.
-    pub fn total_busy(&self) -> SimDuration {
-        self.total_busy
-    }
-
-    /// Total cycles consumed so far.
-    pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
     }
 
     fn record_busy_span(&mut self, start: SimTime, end: SimTime) {
@@ -194,7 +168,7 @@ mod tests {
         assert_eq!(e1, SimTime::from_secs(1));
         assert_eq!(e2, SimTime::from_secs(2));
         assert_eq!(
-            c.backlog(SimTime::from_millis(500)),
+            c.busy_until.saturating_since(SimTime::from_millis(500)),
             SimDuration::from_millis(1500)
         );
     }

@@ -38,7 +38,6 @@ pub struct KernelSched {
     running: Running,
     queue: VecDeque<(TaskId, SimDuration)>,
     switches: BucketAccumulator,
-    total_switches: u64,
 }
 
 impl KernelSched {
@@ -51,7 +50,6 @@ impl KernelSched {
             running: None,
             queue: VecDeque::new(),
             switches: BucketAccumulator::new("ctx-switches", interval),
-            total_switches: 0,
         }
     }
 
@@ -61,14 +59,8 @@ impl KernelSched {
         TaskId(self.tasks - 1)
     }
 
-    /// Total context switches so far.
-    pub fn total_switches(&self) -> u64 {
-        self.total_switches
-    }
-
     fn switch_to(&mut self, at: SimTime, to: Option<TaskId>) {
         if self.current != to {
-            self.total_switches += 1;
             self.switches.add(at, 1.0);
             self.current = to;
         }
@@ -185,9 +177,8 @@ mod tests {
         // queues, and dispatching the same task again is not a switch.
         s.wakeup(SimTime::from_millis(0), t, SimDuration::from_millis(10));
         s.wakeup(SimTime::from_millis(5), t, SimDuration::from_millis(10));
-        assert_eq!(s.total_switches(), 1); // idle -> t
         let series = s.finish(SimTime::from_secs(1));
-        // Plus the final t -> idle.
+        // idle -> t, then the final t -> idle.
         assert_eq!(series.values().sum::<f64>(), 2.0);
     }
 

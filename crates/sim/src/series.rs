@@ -75,14 +75,6 @@ impl TimeSeries {
             .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.min(v))))
     }
 
-    /// Population standard deviation; `None` when empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var =
-            self.values().map(|v| (v - mean).powi(2)).sum::<f64>() / self.samples.len() as f64;
-        Some(var.sqrt())
-    }
-
     /// The `q`-th quantile (0.0..=1.0) by nearest-rank on a sorted copy;
     /// `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
@@ -199,7 +191,6 @@ mod tests {
         assert_eq!(s.mean(), None);
         assert_eq!(s.max(), None);
         assert_eq!(s.min(), None);
-        assert_eq!(s.std_dev(), None);
         assert_eq!(s.quantile(0.5), None);
     }
 
@@ -209,8 +200,6 @@ mod tests {
         assert_eq!(s.mean(), Some(2.5));
         assert_eq!(s.max(), Some(4.0));
         assert_eq!(s.min(), Some(1.0));
-        let sd = s.std_dev().unwrap();
-        assert!((sd - 1.118).abs() < 0.001, "sd {sd}");
         assert_eq!(s.quantile(0.0), Some(1.0));
         assert_eq!(s.quantile(1.0), Some(4.0));
     }

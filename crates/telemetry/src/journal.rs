@@ -428,11 +428,6 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Events evicted by the bounded buffer so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
-    }
-
     /// Clears the buffer (sequence numbers keep counting).
     pub fn clear(&self) {
         self.inner.lock().unwrap().entries.clear();
@@ -489,7 +484,7 @@ mod tests {
         j.emit(Stamp::virtual_ns(2), Severity::Info, "x", "two", &[]);
         j.emit(Stamp::virtual_ns(3), Severity::Info, "x", "three", &[]);
         assert_eq!(j.len(), 2);
-        assert_eq!(j.dropped(), 1);
+        assert_eq!(j.inner.lock().unwrap().dropped, 1);
         let msgs: Vec<String> = j.events().into_iter().map(|e| e.message).collect();
         assert_eq!(msgs, vec!["two", "three"]);
     }
@@ -720,7 +715,7 @@ mod tests {
                 proptest::prop_assert_eq!(&events, &Vec::from(oracle.events.clone()));
                 proptest::prop_assert_eq!(j.to_json_lines(), oracle.to_json_lines());
                 proptest::prop_assert_eq!(j.len(), oracle.events.len());
-                proptest::prop_assert_eq!(j.dropped(), oracle.dropped);
+                proptest::prop_assert_eq!(j.inner.lock().unwrap().dropped, oracle.dropped);
             }
         }
     }

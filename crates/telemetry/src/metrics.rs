@@ -660,19 +660,6 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// The distinct instance labels recorded under one component, in
-    /// sorted order — the monitor loop's roster of replicas to examine
-    /// each epoch.
-    pub fn instances(&self, component: &str) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for m in self.for_component(component) {
-            if out.last() != Some(&m.key.instance.as_str()) {
-                out.push(&m.key.instance);
-            }
-        }
-        out
-    }
-
     /// Serializes to JSON lines, one metric per line, sorted by key.
     pub fn to_json_lines(&self) -> String {
         let mut out = String::new();
@@ -940,26 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn instances_lists_each_label_once() {
-        let mut r = Registry::new();
-        r.set_instance("es0");
-        {
-            let mut s = r.component("speaker");
-            s.counter("samples_played", 180);
-            s.counter("deadline_misses", 3);
-            s.gauge("sync_offset_us", 12.0);
-        }
-        r.set_instance("es1");
-        r.component("speaker").counter("samples_played", 5);
-        r.set_instance("lan0");
-        r.component("net").counter("frames_sent", 9);
-        let snap = r.snapshot();
-        assert_eq!(snap.instances("speaker"), vec!["es0", "es1"]);
-        assert_eq!(snap.instances("net"), vec!["lan0"]);
-        assert!(snap.instances("heal").is_empty());
-    }
-
-    #[test]
     fn lookups_agree_with_a_linear_scan() {
         // Components, instances and names that share prefixes, so a
         // range boundary off by one shows.
@@ -980,7 +947,6 @@ mod tests {
         for path in ["net/a/x/", "net/a", "n/a/x", "net/a0/y", "speaker/c/x"] {
             assert_eq!(snap.get(path), None, "{path}");
         }
-        assert_eq!(snap.instances("ne"), vec!["a", "a0", "ab", "b"]);
     }
 
     #[test]

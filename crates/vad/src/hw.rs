@@ -58,8 +58,8 @@ impl TapBlock {
     }
 }
 
-/// What the simulated DAC has played: how many blocks and samples and
-/// when, plus the interleaved samples themselves as far back as the
+/// What the simulated DAC has played: how many samples and when,
+/// plus the interleaved samples themselves as far back as the
 /// tap's [`Retention`] reaches.
 ///
 /// The sample accessors return `None` when the request reaches past
@@ -70,7 +70,6 @@ pub struct OutputTap {
     retention: Retention,
     /// Retained blocks, in playback order.
     blocks: VecDeque<TapBlock>,
-    block_count: usize,
     sample_count: usize,
     first_block_time: Option<SimTime>,
     last_block_time: Option<SimTime>,
@@ -92,7 +91,6 @@ impl OutputTap {
     /// none of `block`'s bytes.
     fn record(&mut self, at: SimTime, cfg: AudioConfig, block: &[u8]) {
         let first = self.sample_count;
-        self.block_count += 1;
         self.sample_count += block.len() / cfg.encoding.bytes_per_sample() as usize;
         self.first_block_time.get_or_insert(at);
         self.last_block_time = Some(at);
@@ -125,11 +123,6 @@ impl OutputTap {
         self.retention != Retention::Nothing && self.dropped_through.is_none_or(|t| t < start)
     }
 
-    /// Number of blocks played.
-    pub fn block_count(&self) -> usize {
-        self.block_count
-    }
-
     /// Number of interleaved samples played.
     pub fn sample_count(&self) -> usize {
         self.sample_count
@@ -148,12 +141,6 @@ impl OutputTap {
     /// Playback start time of the newest block, if anything played.
     pub fn last_block_time(&self) -> Option<SimTime> {
         self.last_block_time
-    }
-
-    /// Playback start time of block `i`, if it played and is retained.
-    pub fn block_time(&self, i: usize) -> Option<SimTime> {
-        let dropped = self.block_count - self.blocks.len();
-        self.blocks.get(i.checked_sub(dropped)?).map(|b| b.at)
     }
 
     /// All samples played, flattened in playback order — `None` unless
@@ -233,7 +220,6 @@ struct HwState {
     src: Option<BlockSource>,
     intr: Option<Intr>,
     tap: Shared<OutputTap>,
-    blocks_played: u64,
     /// When the next DMA block will leave for the DAC — the earliest
     /// instant newly written audio can start playing while the engine
     /// runs (writes land block-quantized on this grid).
@@ -262,18 +248,12 @@ impl HwDriver {
                     src: None,
                     intr: None,
                     tap: tap.clone(),
-                    blocks_played: 0,
                     next_boundary: SimTime::ZERO,
                     epoch: 0,
                 }),
             },
             tap,
         )
-    }
-
-    /// Blocks played so far.
-    pub fn blocks_played(&self) -> u64 {
-        self.state.borrow().blocks_played
     }
 
     fn schedule_dma(state: Shared<HwState>, sim: &mut Sim) {
@@ -308,7 +288,6 @@ impl HwDriver {
                 return;
             };
             st.tap.borrow_mut().record(sim.now(), cfg, &block);
-            st.blocks_played += 1;
             st.next_boundary = sim.now() + dur;
             (dur, epoch)
         };
@@ -440,7 +419,7 @@ mod tests {
         sim.run();
         // All blocks played; last block starts at ~5s minus one block.
         // 100 data blocks; anything after index 99 is idle-pause silence.
-        let t_last = tap.borrow().block_time(99).unwrap();
+        let t_last = tap.borrow().blocks[99].at;
         let expected = SimTime::from_secs(5) - SimDuration::from_millis(50);
         let err_ms = (t_last.as_millis() as i64 - expected.as_millis() as i64).abs();
         assert!(err_ms <= 50, "last block at {t_last}, expected ~{expected}");
@@ -482,7 +461,8 @@ mod tests {
         sim.run_for(SimDuration::from_millis(200));
         assert!(dev.stats().underruns >= 1);
         assert!(dev.stats().silence_bytes > 0);
-        assert!(tap.borrow().block_count() >= 2);
+        // At least two blocks of `blk` bytes, two bytes a sample.
+        assert!(tap.borrow().sample_count() >= blk);
     }
 
     #[test]
@@ -493,9 +473,9 @@ mod tests {
         dev.write(&mut sim, &vec![1u8; 20_000]).unwrap();
         sim.run_for(SimDuration::from_millis(60));
         dev.close(&mut sim);
-        let played = tap.borrow().block_count();
+        let played = tap.borrow().sample_count();
         sim.run_for(SimDuration::from_secs(1));
-        assert_eq!(tap.borrow().block_count(), played, "no blocks after halt");
+        assert_eq!(tap.borrow().sample_count(), played, "no blocks after halt");
     }
 
     /// 10 000 two-sample blocks 50 ms apart, every seventh sharing its
@@ -561,7 +541,6 @@ mod tests {
     fn default_tap_counts_everything_and_keeps_nothing() {
         let mut tap = OutputTap::default();
         let model = feed_10k(&mut tap);
-        assert_eq!(tap.block_count(), 10_000);
         assert_eq!(tap.sample_count(), 20_000);
         assert_eq!(tap.first_block_time(), Some(model[0].0));
         assert_eq!(tap.last_block_time(), Some(model[9_999].0));
@@ -571,7 +550,7 @@ mod tests {
         assert_eq!(tap.samples_since(SimTime::from_secs(900)), None);
         assert_eq!(tap.sample_index_at(SimTime::from_millis(300)), None);
         assert_eq!(tap.window(0, 1), None);
-        assert_eq!(tap.block_time(9_999), None);
+        assert!(tap.blocks.is_empty());
     }
 
     #[test]
@@ -595,10 +574,10 @@ mod tests {
             assert_eq!(Some(recent), full.samples_since(from));
         }
         assert_eq!(tap.retained_samples(), 6 * per_block);
-        assert_eq!(tap.block_count(), 10_000);
         assert_eq!(tap.sample_count(), full.sample_count());
-        assert_eq!(tap.block_time(9_999), full.block_time(9_999));
-        assert_eq!(tap.block_time(9_993), None, "trimmed");
+        // Blocks 9 994–9 999 are kept, 9 993 is trimmed.
+        assert_eq!(tap.blocks.len(), 6);
+        assert_eq!(tap.blocks[0].at, full.blocks[9_994].at);
         assert_eq!(tap.samples(), None, "the start is long gone");
         assert_eq!(tap.samples_since(SimTime::from_millis(499_600)), None);
         let idx = tap.sample_index_at(SimTime::from_millis(499_900)).unwrap();

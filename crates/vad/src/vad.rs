@@ -65,7 +65,6 @@ struct MasterQueue {
     readable_waiters: Vec<crate::device::Waiter>,
     audio_bytes_forwarded: u64,
     config_updates: u64,
-    current_config: AudioConfig,
 }
 
 impl MasterQueue {
@@ -77,7 +76,6 @@ impl MasterQueue {
 
     fn push_config(&mut self, cfg: AudioConfig) {
         self.config_updates += 1;
-        self.current_config = cfg;
         self.items.push_back(MasterItem::Config(cfg));
     }
 
@@ -172,7 +170,6 @@ pub fn vad_pair_with_geometry(
             readable_waiters: Vec::new(),
             audio_bytes_forwarded: 0,
             config_updates: 0,
-            current_config: AudioConfig::default(),
         },
         src: None,
         intr: None,
@@ -341,11 +338,6 @@ impl VadMaster {
             .push(Box::new(f));
     }
 
-    /// The configuration most recently forwarded.
-    pub fn current_config(&self) -> AudioConfig {
-        self.state.borrow().queue.current_config
-    }
-
     /// Forwarding statistics.
     pub fn stats(&self) -> VadStats {
         let st = self.state.borrow();
@@ -434,7 +426,6 @@ mod tests {
             panic!("last item must be the PHONE config");
         };
         assert_eq!(*last, AudioConfig::PHONE);
-        assert_eq!(master.current_config(), AudioConfig::PHONE);
     }
 
     #[test]

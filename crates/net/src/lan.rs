@@ -227,15 +227,19 @@ pub struct LanStats {
     pub payload_bytes_sent: u64,
     /// Bytes on the wire including fragmentation and frame overhead.
     pub wire_bytes_sent: u64,
+    /// Group members each multicast was addressed to (the sender
+    /// excluded), summed over multicasts.
+    multicast_receivers: u64,
 }
 
 impl LanStats {
-    /// Mean receivers reached per multicast datagram.
+    /// Mean receivers per multicast datagram: the group members it was
+    /// addressed to, whether or not their copy arrived.
     pub fn multicast_fanout(&self) -> f64 {
         if self.multicast_sent == 0 {
             0.0
         } else {
-            (self.datagrams_delivered + self.datagrams_lost) as f64 / self.multicast_sent as f64
+            self.multicast_receivers as f64 / self.multicast_sent as f64
         }
     }
 }
@@ -562,13 +566,17 @@ impl Lan {
                         Vec::new()
                     }
                 }
-                Dest::Multicast(group) => inner
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, node)| i as u32 != from.0 && node.groups.contains(&group))
-                    .map(|(i, _)| i as u32)
-                    .collect(),
+                Dest::Multicast(group) => {
+                    let members: Vec<u32> = inner
+                        .nodes
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, node)| i as u32 != from.0 && node.groups.contains(&group))
+                        .map(|(i, _)| i as u32)
+                        .collect();
+                    inner.stats.multicast_receivers += members.len() as u64;
+                    members
+                }
             };
 
             // Per-receiver impairments, each sampled from the
@@ -1206,6 +1214,40 @@ mod tests {
         );
         let rate = stats.datagrams_duplicated as f64 / n as f64;
         assert!((rate - 0.25).abs() < 0.04, "duplication rate {rate}");
+    }
+
+    #[test]
+    fn multicast_fanout_counts_receivers_not_deliveries() {
+        // Three members: neither duplicate copies nor unicasts between
+        // the multicasts add to the mean receivers per multicast.
+        for (config, unicasts) in [
+            (LanConfig::default(), false),
+            (LanConfig::duplicating(0.25), false),
+            (LanConfig::default(), true),
+        ] {
+            let mut sim = Sim::new(5);
+            let lan = Lan::new(config);
+            let a = lan.attach("a");
+            let g = McastGroup(0);
+            let members: Vec<NodeId> = (0..3).map(|i| lan.attach(format!("r{i}"))).collect();
+            for &m in &members {
+                lan.join(m, g);
+                lan.set_handler(m, |_, _| {});
+            }
+            for _ in 0..1_000 {
+                lan.multicast(&mut sim, a, g, Bytes::from_static(b"p"));
+                if unicasts {
+                    lan.send(
+                        &mut sim,
+                        a,
+                        Dest::Unicast(members[0]),
+                        Bytes::from_static(b"u"),
+                    );
+                }
+                sim.run();
+            }
+            assert_eq!(lan.stats().multicast_fanout(), 3.0);
+        }
     }
 
     #[test]

@@ -947,6 +947,16 @@ mod tests {
         for path in ["net/a/x/", "net/a", "n/a/x", "net/a0/y", "speaker/c/x"] {
             assert_eq!(snap.get(path), None, "{path}");
         }
+        for component in ["n", "ne", "net", "nett", "speaker"] {
+            let scan: Vec<_> = snap
+                .iter()
+                .filter(|m| m.key.component == component)
+                .collect();
+            let run: Vec<_> = snap.for_component(component).iter().collect();
+            assert_eq!(run, scan, "{component}");
+        }
+        // `ne` sorts before `net`: a run that ran on would read 5.
+        assert_eq!(snap.sum_counters("ne", "x"), 4);
     }
 
     #[test]

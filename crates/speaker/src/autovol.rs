@@ -17,9 +17,8 @@ use es_audio::mix::db_to_gain;
 #[cfg(test)]
 use es_audio::mix::gain_to_db;
 
-/// Gain applied at the reference ambient level, in dB.
-const BASE_GAIN_DB: f64 = 0.0;
-/// Ambient RMS regarded as a "normal" room.
+/// Ambient RMS regarded as a "normal" room; the gain is 0 dB at this
+/// level.
 const REFERENCE_AMBIENT: f64 = 0.05;
 /// Fraction of the speaker's own output power the microphone picks up.
 const SELF_COUPLING: f64 = 0.1;
@@ -76,10 +75,10 @@ pub struct AutoVolume {
 }
 
 impl AutoVolume {
-    /// Creates a controller at its base gain.
+    /// Creates a controller at 0 dB.
     pub fn new(cfg: AutoVolumeConfig) -> Self {
         AutoVolume {
-            gain_db: BASE_GAIN_DB,
+            gain_db: 0.0,
             last_ambient_estimate: REFERENCE_AMBIENT,
             cfg,
         }
@@ -115,8 +114,7 @@ impl AutoVolume {
         // fight the noise, music follows a quiet room down.
         let law = self.cfg.law();
         let ambient_db_rel = 20.0 * (ambient / REFERENCE_AMBIENT).log10();
-        let target =
-            (BASE_GAIN_DB + law.slope * ambient_db_rel).clamp(law.min_gain_db, law.max_gain_db);
+        let target = (law.slope * ambient_db_rel).clamp(law.min_gain_db, law.max_gain_db);
         self.gain_db += (target - self.gain_db) * law.smoothing;
         self.gain_db = self.gain_db.clamp(law.min_gain_db, law.max_gain_db);
         db_to_gain(self.gain_db)

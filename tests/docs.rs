@@ -145,51 +145,54 @@ fn every_bench_target_is_documented_in_experiments_md() {
     }
 }
 
-#[test]
-fn no_doc_points_at_the_deleted_perf_baselines() {
-    for doc in DOCS {
+/// The docs that describe the design and how to build and check it.
+const DESIGN_DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+
+/// Fails naming the first of `docs` that still mentions one of
+/// `needles`.
+fn assert_no_doc_mentions(docs: &[&str], needles: &[&str]) {
+    for doc in docs {
         let text = read(doc);
-        // Spelled in halves, like the needles above.
-        for needle in ["BENCH_PR", concat!("ES_", "BENCH_BASELINE")] {
+        for needle in needles {
             assert!(!text.contains(needle), "{doc} still mentions {needle}");
         }
     }
+}
+
+#[test]
+fn no_doc_points_at_the_deleted_perf_baselines() {
+    // Spelled in halves, like the needles above.
+    assert_no_doc_mentions(&DOCS, &["BENCH_PR", concat!("ES_", "BENCH_BASELINE")]);
 }
 
 #[test]
 fn no_doc_describes_the_deleted_relay_restamping() {
     // A segment relay forwards the datagram it heard; the deadline
     // ledger, stale-parity count and timeline rewrite are gone.
-    for doc in DOCS {
-        let text = read(doc);
-        for needle in ["DEADLINE_WINDOW", "parity_stale", "re-stamping contract"] {
-            assert!(!text.contains(needle), "{doc} still mentions {needle}");
-        }
-    }
+    assert_no_doc_mentions(
+        &DOCS,
+        &["DEADLINE_WINDOW", "parity_stale", "re-stamping contract"],
+    );
 }
 
 #[test]
 fn no_doc_describes_the_deleted_segment_labels() {
     // Events carry no segment label; a relay's fleet is named by its
     // downstream group alone.
-    for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
-        let text = read(doc);
-        for needle in ["set_segment", "current_segment", "schedule_at_segment"] {
-            assert!(!text.contains(needle), "{doc} still mentions {needle}");
-        }
-    }
+    assert_no_doc_mentions(
+        &DESIGN_DOCS,
+        &["set_segment", "current_segment", "schedule_at_segment"],
+    );
 }
 
 #[test]
 fn no_doc_describes_the_deleted_session_wrapper() {
     // There is one speaker type: a negotiated speaker is an
     // `EthernetSpeaker` whose `SpeakerConfig::session` is set.
-    for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
-        let text = read(doc);
-        for needle in ["NegotiatedSpeaker", "set_session_handler", "Powered::"] {
-            assert!(!text.contains(needle), "{doc} still mentions {needle}");
-        }
-    }
+    assert_no_doc_mentions(
+        &DESIGN_DOCS,
+        &["NegotiatedSpeaker", "set_session_handler", "Powered::"],
+    );
 }
 
 #[test]
@@ -197,16 +200,14 @@ fn no_doc_describes_the_live_speaker_as_a_collector() {
     // The live speaker is an adapter of the one `SpeakerNode`: it
     // sleeps, plays or discards each block by §3.2 and conceals when
     // configured to. Spelled in halves, like the needles above.
-    for doc in DOCS {
-        let text = read(doc);
-        for needle in [
+    assert_no_doc_mentions(
+        &DOCS,
+        &[
             concat!("treats early ", "as on time"),
             concat!("never ", "conceals"),
             concat!("decodes ", "on arrival"),
-        ] {
-            assert!(!text.contains(needle), "{doc} still mentions {needle}");
-        }
-    }
+        ],
+    );
 }
 
 #[test]
@@ -215,18 +216,16 @@ fn no_doc_describes_the_deleted_fec_ladder() {
     // the PARAM carries no FEC byte. Spelled in halves, like the
     // needles above, so a search of the code for the deleted names
     // finds only this test's own name.
-    for doc in DOCS {
-        let text = read(doc);
-        for needle in [
+    assert_no_doc_mentions(
+        &DOCS,
+        &[
             concat!("fec_", "ladder"),
             concat!("Raise", "Fec"),
             concat!("param_", "fec"),
             concat!("update_", "fec"),
             "fec level announced",
-        ] {
-            assert!(!text.contains(needle), "{doc} still mentions {needle}");
-        }
-    }
+        ],
+    );
 }
 
 #[test]
@@ -234,9 +233,9 @@ fn no_doc_describes_the_deleted_session_fields() {
     // The catalog sends OFFERs, a DISCOVER carries a name, caps carry
     // codecs and rates, a PARAM carries a volume, and a client always
     // re-discovers. Spelled in halves, like the needles above.
-    for doc in DOCS {
-        let text = read(doc);
-        for needle in [
+    assert_no_doc_mentions(
+        &DOCS,
+        &[
             concat!("Device", "Class"),
             concat!("device ", "class"),
             concat!("Announce", "Packet"),
@@ -245,10 +244,8 @@ fn no_doc_describes_the_deleted_session_fields() {
             concat!("auto_", "rejoin"),
             concat!("Stream", "Ended"),
             concat!("volume and ", "metadata"),
-        ] {
-            assert!(!text.contains(needle), "{doc} still mentions {needle}");
-        }
-    }
+        ],
+    );
 }
 
 #[test]
@@ -256,18 +253,16 @@ fn no_doc_describes_the_deleted_stream_monitor() {
     // Reception quality is counted by `SpeakerRx`; the separate
     // monitor, its report type and its two restating keys are gone.
     // Spelled in halves, like the needles above.
-    for doc in DOCS {
-        let text = read(doc);
-        for needle in [
+    assert_no_doc_mentions(
+        &DOCS,
+        &[
             concat!("Stream", "Monitor"),
             concat!("Quality", "Report"),
             concat!("quality_", "duplicates"),
             concat!("quality_", "loss_fraction"),
             concat!("es-proto::", "monitor"),
-        ] {
-            assert!(!text.contains(needle), "{doc} still mentions {needle}");
-        }
-    }
+        ],
+    );
 }
 
 #[test]
@@ -276,18 +271,16 @@ fn no_doc_describes_the_deleted_mixer_or_journal_sinks() {
     // nothing fans events out; auto-volume has one preset per content
     // kind, with no kind field. Spelled in halves, like the needles
     // above.
-    for doc in ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"] {
-        let text = read(doc);
-        for needle in [
+    assert_no_doc_mentions(
+        &DESIGN_DOCS,
+        &[
             concat!("Ag", "c"),
             concat!("Journal", "Sink"),
             concat!("add_", "sink"),
             concat!("Content", "Kind"),
             concat!("mixer, ", "AGC"),
-        ] {
-            assert!(!text.contains(needle), "{doc} still mentions {needle}");
-        }
-    }
+        ],
+    );
 }
 
 /// What a caller of a shim kept only so the frozen `benches/ledger`

@@ -33,6 +33,9 @@ pub const BLOCK: usize = 512;
 /// to its maximum", §2.2).
 pub const MAX_QUALITY: u8 = 10;
 
+/// Most channels a packet may carry.
+const MAX_CHANNELS: usize = 8;
+
 /// Errors from OVL decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OvlError {
@@ -128,6 +131,15 @@ pub fn band_bits(quality: u8, band: usize) -> Option<u8> {
 /// and decode perform no per-packet allocation beyond the returned
 /// payload/output buffers (which callers can also recycle via
 /// [`OvlCodec::decode_into`]).
+///
+/// A channel that carries the same samples as an earlier one (a mono
+/// signal fanned out to every channel, as the producers send) is
+/// analyzed and packed once: its windows repeat the earlier channel's
+/// bits. The decoder skips a window whose bits repeat the previous
+/// channel's window, and copies the previous channel's samples for a
+/// channel that repeated it in every window instead of synthesizing
+/// them. The bytes and samples are the same as coding each channel on
+/// its own, and the work units still bill every channel.
 pub struct OvlCodec {
     mdct: Mdct,
     widths: Vec<usize>,
@@ -229,6 +241,15 @@ impl OvlCodec {
 
         let mut work: u64 = samples.len() as u64 * 4;
 
+        // A channel whose samples equal an earlier channel's (a mono
+        // signal fanned out to every channel) codes to that channel's
+        // bits: `twin[c]` is the first such channel, or `c` itself.
+        let mut twin = [0u8; 256];
+        for c in 0..ch {
+            let same = |e: usize| samples.chunks_exact(ch).all(|f| f[e] == f[c]);
+            twin[c] = (0..c).find(|&e| same(e)).unwrap_or(c) as u8;
+        }
+
         // Deinterleave every channel into its framed plane in one pass,
         // analyze plane by plane into one flat coefficient buffer, then
         // pack windows interleaved by channel so the decoder can stream
@@ -242,19 +263,32 @@ impl OvlCodec {
         arena.planes.resize(ch * plane_len, 0.0);
         crate::dsp::deinterleave_normalize(samples, ch, &mut arena.planes[BLOCK..], plane_len);
         let planes = arena.planes.chunks_exact_mut(plane_len);
-        for (plane, coeffs) in planes.zip(arena.coeffs.chunks_exact_mut(wn)) {
+        for (c, (plane, coeffs)) in planes.zip(arena.coeffs.chunks_exact_mut(wn)).enumerate() {
+            // Billed for every channel, analyzed once per distinct one.
+            work += n_windows as u64 * self.mdct.ops_per_transform();
+            if twin[c] as usize != c {
+                continue;
+            }
             plane[..BLOCK].fill(0.0);
             plane[BLOCK + per_ch..].fill(0.0);
             self.mdct.analyze_plane(plane, coeffs);
-            work += n_windows as u64 * self.mdct.ops_per_transform();
         }
 
         let mut bw = BitWriter::with_buffer(std::mem::take(&mut arena.bits));
         arena.qbuf.resize(BLOCK, 0);
         arena.peaks.resize(self.widths.len(), 0.0);
         let table = &self.qualities[quality as usize];
+        // Where each channel's bits of the current window begin; its
+        // window ends where the next channel's begins.
+        let mut starts = [0usize; 256];
         for w in 0..n_windows {
             for c in 0..ch {
+                starts[c] = bw.bit_len();
+                let t = twin[c] as usize;
+                if t != c {
+                    bw.repeat(starts[t], starts[t + 1]);
+                    continue;
+                }
                 let coeffs = &arena.coeffs[c * wn + w * BLOCK..][..BLOCK];
                 pack_window(
                     &self.widths,
@@ -298,7 +332,7 @@ impl OvlCodec {
         }
         let channels = bytes[0];
         let quality = bytes[1];
-        if !(1..=8).contains(&channels) {
+        if !(1..=MAX_CHANNELS as u8).contains(&channels) {
             return Err(OvlError::BadHeader("channel count"));
         }
         if quality > MAX_QUALITY {
@@ -327,8 +361,32 @@ impl OvlCodec {
         arena.coeffs.resize(ch * wn, 0.0);
         arena.qbuf.resize(BLOCK, 0);
         let table = &self.qualities[quality as usize];
+        // `twin[c]`: every window of channel `c` so far repeated the
+        // bits of channel `c - 1`'s window, so it unpacks to the same
+        // coefficients, which were not stored again. `starts[c]` is
+        // where channel `c`'s bits of the current window begin.
+        let mut twin = [false; MAX_CHANNELS];
+        twin[1..ch].fill(true);
+        let mut starts = [0usize; MAX_CHANNELS];
         for w in 0..n_windows {
             for c in 0..ch {
+                starts[c] = br.position();
+                if twin[c] {
+                    if br.skip_repeat(starts[c - 1]) {
+                        continue;
+                    }
+                    // Unpack from here on; the windows before this one
+                    // are those of the first channel down the twin
+                    // chain that stored its own.
+                    twin[c] = false;
+                    let from = (0..c)
+                        .rev()
+                        .find(|&s| !twin[s])
+                        .expect("channel 0 is no twin");
+                    arena
+                        .coeffs
+                        .copy_within(from * wn..from * wn + w * BLOCK, c * wn);
+                }
                 let coeffs = &mut arena.coeffs[c * wn + w * BLOCK..][..BLOCK];
                 unpack_window(&self.widths, table, &mut br, coeffs, &mut arena.qbuf)?;
             }
@@ -338,8 +396,15 @@ impl OvlCodec {
         out.resize(per_ch * ch, 0);
         arena.planes.resize(self.mdct.plane_len(padded_len), 0.0);
         for (c, coeffs) in arena.coeffs.chunks_exact(wn).enumerate() {
-            self.mdct.synthesize_plane(coeffs, &mut arena.planes);
+            // Billed for every channel, synthesized once per distinct one.
             work += n_windows as u64 * self.mdct.ops_per_transform();
+            if twin[c] {
+                for frame in out.chunks_exact_mut(ch) {
+                    frame[c] = frame[c - 1];
+                }
+                continue;
+            }
+            self.mdct.synthesize_plane(coeffs, &mut arena.planes);
             crate::dsp::interleave_denormalize(&arena.planes[BLOCK..][..per_ch], ch, c, out);
         }
         Ok((channels, work))
@@ -597,6 +662,54 @@ mod tests {
         assert!((len - 12_076.0).abs() <= 12_076.0 * 1e-4, "{len} bytes");
     }
 
+    /// Length of the pinned signals: not a multiple of BLOCK.
+    const PIN_FRAMES: usize = 5_000;
+
+    fn fnv(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    /// The pinned signals: two sources of each of four kinds.
+    fn pin_sources(kind: usize) -> [Box<dyn Signal>; 2] {
+        use es_audio::gen::{ImpulseTrain, Sweep, WhiteNoise};
+        match kind {
+            0 => [
+                Box::new(MultiTone::music(44_100)),
+                Box::new(MultiTone::new(44_100, &[(523.25, 0.4), (1_046.5, 0.2)])),
+            ],
+            1 => [
+                Box::new(WhiteNoise::new(27, 0.6)),
+                Box::new(WhiteNoise::new(28, 0.3)),
+            ],
+            2 => [
+                Box::new(Sweep::new(40.0, 18_000.0, 0.1, 44_100, 0.8)),
+                Box::new(Sweep::new(9_000.0, 200.0, 0.05, 44_100, 0.5)),
+            ],
+            _ => [
+                Box::new(ImpulseTrain::new(441, 0.9)),
+                Box::new(ImpulseTrain::new(97, 0.25)),
+            ],
+        }
+    }
+
+    /// Hashes the encode and the decode of `samples` at qualities
+    /// 0/3/7/10 into `hash`.
+    fn hash_roundtrips(codec: &OvlCodec, samples: &[i16], channels: u8, hash: &mut u64) {
+        let mut out = Vec::new();
+        for quality in [0u8, 3, 7, 10] {
+            let enc = codec.encode(samples, channels, quality);
+            fnv(hash, &(enc.bytes.len() as u64).to_le_bytes());
+            fnv(hash, &enc.bytes);
+            codec.decode_into(&enc.bytes, &mut out).unwrap();
+            assert_eq!(out.len(), samples.len());
+            for s in &out {
+                fnv(hash, &s.to_le_bytes());
+            }
+        }
+    }
+
     #[test]
     fn bitstream_and_decoded_samples_are_pinned_byte_for_byte() {
         // Size and SNR (above) let a changed bitstream pass; this pins
@@ -606,59 +719,56 @@ mod tests {
         // signals are rendered sample by sample, so the hash pins the
         // codec, not the renderer. The value is the one the codec gave
         // before its entropy layer went table-driven.
-        use es_audio::gen::{f32_to_i16, ImpulseTrain, Sweep, WhiteNoise};
-        fn fnv(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        fn sources(kind: usize) -> [Box<dyn Signal>; 2] {
-            match kind {
-                0 => [
-                    Box::new(MultiTone::music(44_100)),
-                    Box::new(MultiTone::new(44_100, &[(523.25, 0.4), (1_046.5, 0.2)])),
-                ],
-                1 => [
-                    Box::new(WhiteNoise::new(27, 0.6)),
-                    Box::new(WhiteNoise::new(28, 0.3)),
-                ],
-                2 => [
-                    Box::new(Sweep::new(40.0, 18_000.0, 0.1, 44_100, 0.8)),
-                    Box::new(Sweep::new(9_000.0, 200.0, 0.05, 44_100, 0.5)),
-                ],
-                _ => [
-                    Box::new(ImpulseTrain::new(441, 0.9)),
-                    Box::new(ImpulseTrain::new(97, 0.25)),
-                ],
-            }
-        }
-        const FRAMES: usize = 5_000;
-        assert_ne!(FRAMES % BLOCK, 0);
+        use es_audio::gen::f32_to_i16;
+        assert_ne!(PIN_FRAMES % BLOCK, 0);
         let codec = OvlCodec::new();
         let mut hash = 0xCBF2_9CE4_8422_2325u64;
-        let mut out = Vec::new();
         for kind in 0..4 {
             for channels in [1u8, 2] {
-                let mut src = sources(kind);
-                let mut samples = Vec::with_capacity(FRAMES * channels as usize);
-                for _ in 0..FRAMES {
+                let mut src = pin_sources(kind);
+                let mut samples = Vec::with_capacity(PIN_FRAMES * channels as usize);
+                for _ in 0..PIN_FRAMES {
                     for s in src.iter_mut().take(channels as usize) {
                         samples.push(f32_to_i16(s.next_sample()));
                     }
                 }
-                for quality in [0u8, 3, 7, 10] {
-                    let enc = codec.encode(&samples, channels, quality);
-                    fnv(&mut hash, &(enc.bytes.len() as u64).to_le_bytes());
-                    fnv(&mut hash, &enc.bytes);
-                    codec.decode_into(&enc.bytes, &mut out).unwrap();
-                    assert_eq!(out.len(), samples.len());
-                    for s in &out {
-                        fnv(&mut hash, &s.to_le_bytes());
-                    }
-                }
+                hash_roundtrips(&codec, &samples, channels, &mut hash);
             }
         }
         assert_eq!(hash, 0x773C_E43D_C592_166F, "hash {hash:#018x}");
+    }
+
+    #[test]
+    fn twin_channels_are_pinned_byte_for_byte() {
+        // The pin above has distinct channels, so it never codes a
+        // channel as a repeat of another. This one does: each kind's
+        // first source as dual mono, then the same with one sample of
+        // the right channel raised at mid-packet (its windows there
+        // stop repeating the left's), then three channels whose last
+        // repeats the first. The value is the one the codec gave
+        // before it coded each distinct channel once.
+        use es_audio::gen::f32_to_i16;
+        let codec = OvlCodec::new();
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        for kind in 0..4 {
+            let [mut a, mut b] = pin_sources(kind);
+            let mono: Vec<i16> = (0..PIN_FRAMES)
+                .map(|_| f32_to_i16(a.next_sample()))
+                .collect();
+            let mut dual: Vec<i16> = mono.iter().flat_map(|&s| [s, s]).collect();
+            hash_roundtrips(&codec, &dual, 2, &mut hash);
+            let mid = PIN_FRAMES / 2 * 2 + 1;
+            dual[mid] = dual[mid].wrapping_add(16_000);
+            hash_roundtrips(&codec, &dual, 2, &mut hash);
+            let other = (0..PIN_FRAMES).map(|_| f32_to_i16(b.next_sample()));
+            let aba: Vec<i16> = mono
+                .iter()
+                .zip(other)
+                .flat_map(|(&s, o)| [s, o, s])
+                .collect();
+            hash_roundtrips(&codec, &aba, 3, &mut hash);
+        }
+        assert_eq!(hash, 0x209C_9BB6_7110_6660, "hash {hash:#018x}");
     }
 
     #[test]

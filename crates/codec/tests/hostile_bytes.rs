@@ -14,7 +14,11 @@
 //! before its entropy layer went table-driven (libm `band_bits` and
 //! `exp2` per band, the two-call Rice read, the scalar kernels), built
 //! from public pieces. The two must agree on every input — the same
-//! samples and work, or the same error.
+//! samples and work, or the same error. The oracle decodes every
+//! channel in full, and some valid packets carry one signal on every
+//! channel, as the producers send, so the decoder's skipping of a
+//! window that repeats the channel before, and its fallback when the
+//! repeats stop mid-packet, meet damaged input too.
 //!
 //! `PROPTEST_CASES=20000 cargo test -p es-codec --test hostile_bytes`
 //! is the deep run; the default 64 cases per property keep it in the
@@ -30,13 +34,30 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// How the channels of a valid packet relate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Twins {
+    /// Each channel its own signal.
+    None,
+    /// One signal on every channel, as the producers send: OVL codes
+    /// every channel after the first as a repeat of the one before.
+    All,
+    /// Every channel the same but for one sample of the last at
+    /// mid-packet: the last channel's windows stop repeating there.
+    AllButOne,
+}
+
 /// The decoders that parse a header of their own, at the channel
-/// counts the system streams.
-const LAYOUTS: [(CodecId, u8); 4] = [
-    (CodecId::Ovl, 1),
-    (CodecId::Ovl, 2),
-    (CodecId::Adpcm, 1),
-    (CodecId::Adpcm, 2),
+/// counts the system streams, and OVL also in three twin layouts,
+/// whose repeated windows its decoder skips.
+const LAYOUTS: [(CodecId, u8, Twins); 7] = [
+    (CodecId::Ovl, 1, Twins::None),
+    (CodecId::Ovl, 2, Twins::None),
+    (CodecId::Ovl, 2, Twins::All),
+    (CodecId::Ovl, 2, Twins::AllButOne),
+    (CodecId::Ovl, 3, Twins::All),
+    (CodecId::Adpcm, 1, Twins::None),
+    (CodecId::Adpcm, 2, Twins::None),
 ];
 
 /// Samples in the valid packet each damaged input starts from.
@@ -174,26 +195,44 @@ fn assert_total(codec: CodecId, channels: u8, bytes: &[u8]) {
     }
 }
 
-/// A valid packet: a tone under noise, so OVL keeps some bands, culls
-/// others and the Rice coder sees both short and long codes.
-fn valid_packet(codec: CodecId, channels: u8) -> Vec<u8> {
+/// The samples of a valid packet: a tone under noise, so OVL keeps
+/// some bands, culls others and the Rice coder sees both short and
+/// long codes; as many whole frames as fit in `VALID_SAMPLES`.
+fn valid_samples(channels: u8, twins: Twins) -> Vec<i16> {
     let mut rng = StdRng::seed_from_u64(0x5EED ^ channels as u64);
-    let samples: Vec<i16> = (0..VALID_SAMPLES)
-        .map(|i| {
-            let tone = (i as f32 * 0.05).sin() * 9_000.0;
-            tone as i16 + (rng.gen::<i16>() >> 6)
-        })
+    let wave = (0..).map(|i| {
+        let tone = (i as f32 * 0.05).sin() * 9_000.0;
+        tone as i16 + (rng.gen::<i16>() >> 6)
+    });
+    if twins == Twins::None {
+        return wave.take(VALID_SAMPLES).collect();
+    }
+    let ch = channels as usize;
+    let frames = VALID_SAMPLES / ch;
+    let mut samples: Vec<i16> = wave
+        .take(frames)
+        .flat_map(|s| std::iter::repeat_n(s, ch))
         .collect();
+    if twins == Twins::AllButOne {
+        let at = frames / 2 * ch + ch - 1;
+        samples[at] = samples[at].wrapping_add(16_000);
+    }
+    samples
+}
+
+fn valid_packet(codec: CodecId, channels: u8, twins: Twins) -> Vec<u8> {
+    let samples = valid_samples(channels, twins);
     CODECS.with(|c| c.encode(codec, &samples, channels, MAX_QUALITY).bytes)
 }
 
 #[test]
 fn every_truncation_of_a_valid_packet_is_rejected_or_bounded() {
-    for (codec, channels) in LAYOUTS {
-        let packet = valid_packet(codec, channels);
+    for (codec, channels, twins) in LAYOUTS {
+        let packet = valid_packet(codec, channels, twins);
         // The untruncated packet is the one input that must decode.
         let whole = CODECS.with(|c| c.decode_wire(codec.to_wire(), &packet, channels));
-        assert_eq!(whole.expect("valid packet decodes").0.len(), VALID_SAMPLES);
+        let len = valid_samples(channels, twins).len();
+        assert_eq!(whole.expect("valid packet decodes").0.len(), len);
         for len in 0..=packet.len() {
             assert_total(codec, channels, &packet[..len]);
         }
@@ -203,15 +242,15 @@ fn every_truncation_of_a_valid_packet_is_rejected_or_bounded() {
 proptest! {
     #[test]
     fn noise_is_rejected_or_bounded(bytes in vec(ANY_U8, 0..65)) {
-        for (codec, channels) in LAYOUTS {
+        for (codec, channels, _) in LAYOUTS {
             assert_total(codec, channels, &bytes);
         }
     }
 
     #[test]
     fn bit_flips_are_rejected_or_bounded(flips in vec((0usize..1 << 16, 0u8..8), 1..9)) {
-        for (codec, channels) in LAYOUTS {
-            let mut packet = valid_packet(codec, channels);
+        for (codec, channels, twins) in LAYOUTS {
+            let mut packet = valid_packet(codec, channels, twins);
             // Damage accumulates: every prefix of the flip list is an input.
             for &(at, bit) in &flips {
                 let at = at % packet.len();
@@ -226,8 +265,8 @@ proptest! {
         header in vec(ANY_U8, 0..13),
         keep in 0usize..1 << 16,
     ) {
-        for (codec, channels) in LAYOUTS {
-            let mut packet = valid_packet(codec, channels);
+        for (codec, channels, twins) in LAYOUTS {
+            let mut packet = valid_packet(codec, channels, twins);
             packet[..header.len()].copy_from_slice(&header);
             packet.truncate(header.len() + keep % (packet.len() - header.len() + 1));
             assert_total(codec, channels, &packet);

@@ -64,6 +64,9 @@ pub struct SpeakerStats {
     pub concealed_packets: u64,
     /// Packets reconstructed from XOR parity (FEC extension).
     pub fec_recovered: u64,
+    /// FEC groups given up on: their parity arrived, but more than one
+    /// of their packets never did, so nothing could be rebuilt.
+    pub fec_unrecoverable: u64,
     /// Data packets suppressed because their sequence number already
     /// played — LAN duplicates, or an FEC copy of a packet that also
     /// arrived on its own.
@@ -128,6 +131,10 @@ impl Telemetry for SpeakerStats {
         // never asks reads exactly like one that cannot.
         if self.nacks_sent > 0 {
             s.counter("nacks_sent", self.nacks_sent);
+        }
+        // Likewise the groups FEC gave up on: a clean run lists none.
+        if self.fec_unrecoverable > 0 {
+            s.counter("fec_unrecoverable", self.fec_unrecoverable);
         }
     }
 }
@@ -536,7 +543,7 @@ impl SpeakerRx {
             Packet::Data(d) => {
                 // Feed the FEC tracker first: a recovered packet from an
                 // earlier group plays like any other.
-                let recovered = self.fec.as_mut().and_then(|f| f.on_data(&d));
+                let recovered = self.fec_step(|f| f.on_data(&d));
                 self.on_data(now, d, false, events);
                 self.on_recovered(now, recovered, events);
             }
@@ -570,9 +577,22 @@ impl SpeakerRx {
             self.fec = None;
             events.push(RxEvent::FecGroupChanged { from, to: p.count });
         }
-        let fec = self.fec.get_or_insert_with(|| FecRecoverer::new(p.count));
-        let recovered = fec.on_parity(&p);
+        self.fec.get_or_insert_with(|| FecRecoverer::new(p.count));
+        let recovered = self.fec_step(|f| f.on_parity(&p));
         self.on_recovered(now, recovered, events);
+    }
+
+    /// Steps the FEC recoverer, if there is one, counting the groups
+    /// it gives up on.
+    fn fec_step(
+        &mut self,
+        step: impl FnOnce(&mut FecRecoverer) -> Option<DataPacket>,
+    ) -> Option<DataPacket> {
+        let fec = self.fec.as_mut()?;
+        let given_up = fec.unrecoverable();
+        let recovered = step(fec);
+        self.stats.fec_unrecoverable += fec.unrecoverable() - given_up;
+        recovered
     }
 
     fn on_recovered(
@@ -963,6 +983,44 @@ mod tests {
             (rx.stats.dropped_duplicate, rx.stats.refills_received),
             (1, 0)
         );
+    }
+
+    #[test]
+    fn a_group_that_lost_two_packets_counts_as_unrecoverable() {
+        use es_proto::{encode_parity, ParityAccumulator};
+        let mut rx = SpeakerRx::new(None);
+        tune(&mut rx, SimTime::ZERO);
+        let packet = |seq: u32| DataPacket {
+            stream_id: 1,
+            seq,
+            play_at_us: 300_000 + u64::from(seq) * 50_000,
+            codec: 0,
+            payload: Bytes::from(vec![seq as u8; 8]),
+        };
+        // Group [0, 4) loses seq 1 and 2, group [4, 8) loses seq 5;
+        // only these two groups' parity arrives, ahead of their data.
+        // The recoverer keeps four groups open, so it gives up on the
+        // first when the sixth, [20, 24), opens.
+        let mut acc = ParityAccumulator::new(4);
+        let parity: Vec<_> = (0..24).filter_map(|seq| acc.absorb(&packet(seq))).collect();
+        for p in &parity[..2] {
+            offer(&mut rx, MS(0), encode_parity(p));
+        }
+        for seq in (0..24).filter(|seq| ![1, 2, 5].contains(seq)) {
+            offer(&mut rx, MS(0), encode_data(&packet(seq)));
+        }
+        let st = rx.stats;
+        assert_eq!((st.fec_recovered, st.fec_unrecoverable), (1, 1), "{st:?}");
+        let mut reg = Registry::new();
+        st.record(&mut reg);
+        assert_eq!(
+            reg.snapshot().counter("speaker/0/fec_unrecoverable"),
+            Some(1)
+        );
+        // A clean stream lists no such key.
+        let mut reg = Registry::new();
+        SpeakerStats::default().record(&mut reg);
+        assert_eq!(reg.snapshot().counter("speaker/0/fec_unrecoverable"), None);
     }
 
     #[test]

@@ -469,8 +469,8 @@ fn design_md_lists_exactly_the_keys_a_speaker_records() {
         .expect("DESIGN.md §6 lists the `speaker/<name>/*` keys")
         .0;
     let documented: BTreeSet<&str> = list.split('`').skip(1).step_by(2).collect();
-    // A speaker that has sent a NACK, so the key listed once non-zero
-    // is there too.
+    // A speaker that has sent a NACK and given up on an FEC group, so
+    // the keys listed once non-zero are there too.
     let mut sim = es_sim::Sim::new(1);
     let lan = es_net::Lan::new(es_net::LanConfig::default());
     let group = es_net::McastGroup(1);
@@ -483,6 +483,7 @@ fn design_md_lists_exactly_the_keys_a_speaker_records() {
     spk.record_telemetry(&mut reg);
     es_speaker::SpeakerStats {
         nacks_sent: 1,
+        fec_unrecoverable: 1,
         ..Default::default()
     }
     .record(&mut reg);

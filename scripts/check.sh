@@ -41,13 +41,15 @@ echo "== workspace tests (every member but the root package)"
 cargo test --workspace --exclude ethernet-speaker -q
 
 # The codec's deep differential run: every hostile OVL input decoded
-# by the table-driven decoder and by the oracle decoder it replaced,
-# every batch kernel against its scalar oracle, and the FFT, MDCT,
-# framed analysis/synthesis and one-pass deinterleave against the
-# multi-pass forms they replaced, bit for bit, at 2000 cases per
-# property instead of 64 (≈ 10 s release).
+# by the table-driven decoder and by the oracle decoder it replaced
+# (twin-channel packets included), the encoder against the oracle
+# that codes every channel on its own, every batch kernel against its
+# scalar oracle, and the FFT, MDCT, framed analysis/synthesis and
+# one-pass deinterleave against the multi-pass forms they replaced,
+# bit for bit, at 2000 cases per property instead of 64 (≈ 25 s
+# release).
 echo "== codec differential oracles (PROPTEST_CASES=2000)"
-PROPTEST_CASES=2000 cargo test -q --release -p es-codec --test hostile_bytes --test dsp_kernels_prop --test fft_mdct_prop
+PROPTEST_CASES=2000 cargo test -q --release -p es-codec --test hostile_bytes --test encode_oracle --test dsp_kernels_prop --test fft_mdct_prop
 
 # The telemetry crate's differential run: the compact journal against
 # the owned-`Event` journal it replaced, and the log registry against

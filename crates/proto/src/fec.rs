@@ -239,9 +239,26 @@ impl FecRecoverer {
         self.recovered
     }
 
-    /// Groups abandoned with more than one loss.
+    /// Groups dropped while missing data they cannot rebuild: two or
+    /// more data packets, or one data packet and its parity.
     pub fn unrecoverable(&self) -> u64 {
         self.unrecoverable
+    }
+
+    /// Drops every open group, counting the unrecoverable ones: the
+    /// caller is done with this recoverer (a retune, a new group size).
+    pub fn give_up(&mut self) {
+        for g in std::mem::take(&mut self.groups) {
+            self.retire(g);
+        }
+    }
+
+    /// Drops `g`, counting it if it is missing data it cannot rebuild.
+    fn retire(&mut self, g: GroupState) {
+        let missing = u32::from(self.group) - g.seen_count();
+        if missing >= 2 || (missing == 1 && g.parity.is_none()) {
+            self.unrecoverable += 1;
+        }
     }
 
     fn group_base(&self, seq: u32) -> u32 {
@@ -255,11 +272,7 @@ impl FecRecoverer {
         // Bound memory: retire the oldest groups.
         while self.groups.len() >= 4 {
             let g = self.groups.remove(0);
-            if let Some(p) = &g.parity {
-                if g.seen_count() < p.count as u32 - 1 {
-                    self.unrecoverable += 1;
-                }
-            }
+            self.retire(g);
         }
         self.groups
             .push(GroupState::new(base, stream_id, self.group));
@@ -302,7 +315,10 @@ impl FecRecoverer {
 }
 
 /// The recoverer [`FecRecoverer`] replaced, kept as its oracle: each
-/// group XORs every arriving member into accumulators of its own.
+/// group XORs every arriving member into accumulators of its own. It
+/// counts a dropped group as unrecoverable from its own tally of what
+/// arrived: XOR parity rebuilds one lost packet of the group's
+/// `group + 1`, so a group that lost two or more did lose data for good.
 #[cfg(test)]
 mod oracle {
     use super::{xor_into, Bytes, DataPacket, ParityPacket};
@@ -398,14 +414,24 @@ mod oracle {
             // Bound memory: retire the oldest groups.
             while self.groups.len() >= 4 {
                 let g = self.groups.remove(0);
-                if let Some(p) = &g.parity {
-                    if g.seen_count() < p.count as u32 - 1 {
-                        self.unrecoverable += 1;
-                    }
-                }
+                self.drop_group(&g);
             }
             self.groups.push(GroupState::new(base, stream_id));
             self.groups.last_mut().expect("just pushed")
+        }
+
+        pub fn give_up(&mut self) {
+            for g in std::mem::take(&mut self.groups) {
+                self.drop_group(&g);
+            }
+        }
+
+        fn drop_group(&mut self, g: &GroupState) {
+            let arrived = g.seen_count() + u32::from(g.parity.is_some());
+            let lost = u32::from(self.group) + 1 - arrived;
+            if lost >= 2 {
+                self.unrecoverable += 1;
+            }
         }
 
         pub fn on_data(&mut self, pkt: &DataPacket) -> Option<DataPacket> {
@@ -585,6 +611,47 @@ mod tests {
         assert!(rec.on_data(&packets[3]).is_none());
         assert!(rec.on_parity(&parity.unwrap()).is_none());
         assert_eq!(rec.recovered(), 0);
+    }
+
+    #[test]
+    fn a_group_that_lost_data_and_its_parity_counts_when_retired() {
+        // [0, 4) loses seq 1 and its parity; no group after it loses a
+        // packet, and none of their parity comes either. The recoverer
+        // keeps four groups open, so it retires [0, 4) when [16, 20)
+        // opens.
+        let mut rec = FecRecoverer::new(4);
+        for seq in (0..16).filter(|&seq| seq != 1) {
+            assert_eq!(rec.on_data(&pkt(seq, b"x")), None);
+        }
+        assert_eq!(rec.unrecoverable(), 0);
+        assert_eq!(rec.on_data(&pkt(16, b"x")), None);
+        assert_eq!(rec.unrecoverable(), 1);
+        // The whole groups it retires later lost only their parity.
+        for seq in 17..40 {
+            assert_eq!(rec.on_data(&pkt(seq, b"x")), None);
+        }
+        assert_eq!(rec.unrecoverable(), 1);
+    }
+
+    #[test]
+    fn giving_up_counts_the_open_groups_that_lost_data_for_good() {
+        let packets: Vec<DataPacket> = (0..16u32).map(|i| pkt(i, b"abc")).collect();
+        let mut acc = ParityAccumulator::new(4);
+        let parity: Vec<ParityPacket> = packets.iter().filter_map(|p| acc.absorb(p)).collect();
+        let mut rec = FecRecoverer::new(4);
+        // [0, 4): its parity, but 0 and 1 lost. [4, 8): 5 and the
+        // parity lost. [8, 12): 9 lost, its parity yet to come.
+        // [12, 16): whole, its parity lost.
+        assert_eq!(rec.on_parity(&parity[0]), None);
+        for p in packets.iter().filter(|p| ![0, 1, 5, 9].contains(&p.seq)) {
+            assert_eq!(rec.on_data(p), None);
+        }
+        assert_eq!(rec.unrecoverable(), 0);
+        rec.give_up();
+        assert_eq!(rec.unrecoverable(), 3);
+        assert!(rec.groups.is_empty());
+        rec.give_up();
+        assert_eq!(rec.unrecoverable(), 3, "nothing is left to give up");
     }
 
     #[test]
@@ -819,6 +886,10 @@ mod tests {
             assert_eq!(rec.recovered(), oracle.recovered(), "seed {seed}");
             assert_eq!(rec.unrecoverable(), oracle.unrecoverable(), "seed {seed}");
         }
+        // The case ends the way a retune ends a stream.
+        rec.give_up();
+        oracle.give_up();
+        assert_eq!(rec.unrecoverable(), oracle.unrecoverable(), "seed {seed}");
         cov.unrecoverable = rec.unrecoverable();
         cov
     }

@@ -479,7 +479,7 @@ impl SpeakerRx {
     pub fn retune(&mut self) {
         self.regate();
         self.configured = false;
-        self.fec = None;
+        self.drop_fec();
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate. The
@@ -574,12 +574,22 @@ impl SpeakerRx {
         // recoverer's partial state is for a dead layout.
         let group = self.fec.as_ref().map(|f| f.group());
         if let Some(from) = group.filter(|&group| group != p.count) {
-            self.fec = None;
+            self.drop_fec();
             events.push(RxEvent::FecGroupChanged { from, to: p.count });
         }
         self.fec.get_or_insert_with(|| FecRecoverer::new(p.count));
         let recovered = self.fec_step(|f| f.on_parity(&p));
         self.on_recovered(now, recovered, events);
+    }
+
+    /// Drops the FEC recoverer, counting the open groups it gives up
+    /// on with it.
+    fn drop_fec(&mut self) {
+        self.fec_step(|f| {
+            f.give_up();
+            None
+        });
+        self.fec = None;
     }
 
     /// Steps the FEC recoverer, if there is one, counting the groups
@@ -1021,6 +1031,77 @@ mod tests {
         let mut reg = Registry::new();
         SpeakerStats::default().record(&mut reg);
         assert_eq!(reg.snapshot().counter("speaker/0/fec_unrecoverable"), None);
+    }
+
+    #[test]
+    fn a_group_that_lost_a_packet_and_its_parity_counts_as_unrecoverable() {
+        use es_proto::{encode_parity, ParityAccumulator};
+        let mut rx = SpeakerRx::new(None);
+        tune(&mut rx, SimTime::ZERO);
+        let packet = |seq: u32| DataPacket {
+            stream_id: 1,
+            seq,
+            play_at_us: 300_000 + u64::from(seq) * 50_000,
+            codec: 0,
+            payload: Bytes::from(vec![seq as u8; 8]),
+        };
+        // Only the first group's parity arrives, ahead of its data: it
+        // starts the recoverer, which rebuilds the group's lost seq 1.
+        // Group [4, 8) loses seq 5, and its parity is lost too. The
+        // recoverer keeps four groups open, so it gives up on [4, 8)
+        // when the sixth, [20, 24), opens.
+        let mut acc = ParityAccumulator::new(4);
+        let parity = (0..4).find_map(|seq| acc.absorb(&packet(seq)));
+        offer(&mut rx, MS(0), encode_parity(&parity.expect("one group")));
+        for seq in (0..20).filter(|&seq| seq != 1 && seq != 5) {
+            offer(&mut rx, MS(0), encode_data(&packet(seq)));
+        }
+        assert_eq!(rx.stats.fec_unrecoverable, 0);
+        offer(&mut rx, MS(0), encode_data(&packet(20)));
+        let st = rx.stats;
+        assert_eq!((st.fec_recovered, st.fec_unrecoverable), (1, 1), "{st:?}");
+    }
+
+    #[test]
+    fn a_retune_or_a_new_group_size_counts_the_groups_dropped_with_the_recoverer() {
+        use es_proto::{encode_parity, ParityAccumulator};
+        let packet = |seq: u32| DataPacket {
+            stream_id: 1,
+            seq,
+            play_at_us: 300_000 + u64::from(seq) * 50_000,
+            codec: 0,
+            payload: Bytes::from(vec![seq as u8; 8]),
+        };
+        // Left open: [0, 4) with its parity but seq 1 and 3 lost, [4, 8)
+        // without seq 5 and its parity, [8, 12) whole, its parity lost.
+        let open = |rx: &mut SpeakerRx| {
+            let mut acc = ParityAccumulator::new(4);
+            let parity = (0..4).find_map(|seq| acc.absorb(&packet(seq)));
+            offer(rx, MS(0), encode_parity(&parity.expect("one group")));
+            for seq in [0, 2, 4, 6, 7, 8, 9, 10, 11] {
+                offer(rx, MS(0), encode_data(&packet(seq)));
+            }
+            assert_eq!(rx.stats.fec_unrecoverable, 0);
+        };
+        let mut rx = SpeakerRx::new(None);
+        tune(&mut rx, SimTime::ZERO);
+        open(&mut rx);
+        rx.retune();
+        assert_eq!(rx.stats.fec_unrecoverable, 2);
+        rx.retune();
+        assert_eq!(rx.stats.fec_unrecoverable, 2, "no recoverer left");
+
+        let mut rx = SpeakerRx::new(None);
+        tune(&mut rx, SimTime::ZERO);
+        open(&mut rx);
+        let mut acc = ParityAccumulator::new(8);
+        let parity = (16..24).find_map(|seq| acc.absorb(&packet(seq)));
+        let events = offer(&mut rx, MS(0), encode_parity(&parity.expect("one group")));
+        assert!(matches!(
+            events[..],
+            [RxEvent::FecGroupChanged { from: 4, to: 8 }]
+        ));
+        assert_eq!(rx.stats.fec_unrecoverable, 2);
     }
 
     #[test]

@@ -133,43 +133,6 @@ impl BitWriter {
         self.bytes.len() * 8 + self.fill as usize
     }
 
-    /// Appends again the bits already written at `start..end`, as if
-    /// they were written anew one by one.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `start <= end <= self.bit_len()`.
-    pub fn repeat(&mut self, start: usize, end: usize) {
-        assert!(
-            start <= end && end <= self.bit_len(),
-            "can only repeat bits already written"
-        );
-        // 56 bits at a time: after at most one spill they always fit.
-        let mut pos = start;
-        while pos < end {
-            let n = (end - pos).min(56) as u32;
-            let bits = self.written_word(pos) >> (64 - n) << (64 - n);
-            if self.fill + n > 64 {
-                self.flush_acc();
-            }
-            self.acc |= bits >> self.fill;
-            self.fill += n;
-            pos += n as usize;
-        }
-    }
-
-    /// The written bits from bit `pos` on, left-aligned: those spilled
-    /// to `bytes`, then the pending ones. The top 57 are exact (zeros
-    /// past the last written bit).
-    fn written_word(&self, pos: usize) -> u64 {
-        let spilled = self.bytes.len() * 8;
-        if pos >= spilled {
-            return self.acc << (pos - spilled);
-        }
-        let from_bytes = load_word(&self.bytes, pos);
-        from_bytes | self.acc.checked_shr((spilled - pos) as u32).unwrap_or(0)
-    }
-
     /// Finishes the stream, padding the final byte with zero bits.
     pub fn into_bytes(mut self) -> Vec<u8> {
         self.flush_acc();
@@ -234,54 +197,6 @@ impl<'a> BitReader<'a> {
     /// Remaining readable bits.
     pub fn remaining(&self) -> usize {
         (self.bytes.len() - self.byte_pos) * 8 + self.fill as usize
-    }
-
-    /// Bits read so far.
-    pub fn position(&self) -> usize {
-        self.byte_pos * 8 - self.fill as usize
-    }
-
-    /// If the bits ahead repeat the ones read at `start..position()`,
-    /// consumes them and returns `true`; otherwise reads nothing and
-    /// returns `false`. A parse of the repeat would read what the parse
-    /// of the original read, and end where this leaves the reader.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start > position()`.
-    pub fn skip_repeat(&mut self, start: usize) -> bool {
-        let pos = self.position();
-        let len = pos - start;
-        if len > self.remaining() {
-            return false;
-        }
-        // 56 bits at a time: a load at any bit offset holds at least 57.
-        let mut done = 0;
-        while done < len {
-            let n = (len - done).min(56) as u32;
-            let was = load_word(self.bytes, start + done) >> (64 - n);
-            let now = load_word(self.bytes, pos + done) >> (64 - n);
-            if was != now {
-                return false;
-            }
-            done += n as usize;
-        }
-        self.seek(pos + len);
-        true
-    }
-
-    /// Moves the reader to bit `pos` of the stream (at most its end).
-    fn seek(&mut self, pos: usize) {
-        self.byte_pos = pos / 8;
-        self.acc = 0;
-        self.fill = 0;
-        let used = (pos % 8) as u32;
-        if used > 0 {
-            // The rest of a partly read byte, left-aligned.
-            self.acc = (self.bytes[self.byte_pos] as u64) << (56 + used);
-            self.fill = 8 - used;
-            self.byte_pos += 1;
-        }
     }
 
     #[inline]
@@ -389,20 +304,6 @@ impl<'a> BitReader<'a> {
     }
 }
 
-/// The bits of `bytes` from bit `pos` on, MSB-first and left-aligned:
-/// at least 57 of them where eight bytes remain, zeros past the end.
-fn load_word(bytes: &[u8], pos: usize) -> u64 {
-    let rest = bytes.get(pos / 8..).unwrap_or(&[]);
-    let word = match rest.first_chunk::<8>() {
-        Some(eight) => u64::from_be_bytes(*eight),
-        None => rest
-            .iter()
-            .rev()
-            .fold(0, |w, &b| (w >> 8) | (b as u64) << 56),
-    };
-    word << (pos % 8)
-}
-
 /// Maps a signed integer to an unsigned one with small magnitudes
 /// staying small: 0, -1, 1, -2, 2 → 0, 1, 2, 3, 4.
 pub fn zigzag(v: i32) -> u32 {
@@ -477,17 +378,6 @@ mod tests {
                 assert_eq!(r.read_rice(k).unwrap(), v, "k={k}");
             }
         }
-    }
-
-    #[test]
-    fn a_repeat_past_the_end_of_the_stream_is_not_skipped() {
-        // Twelve zero bits read, four left: a load past the end reads
-        // zeros, which must not pass for the eight missing bits.
-        let mut r = BitReader::new(&[0, 0]);
-        r.read_bits(12).unwrap();
-        assert!(!r.skip_repeat(0));
-        assert!(r.skip_repeat(8));
-        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -626,87 +516,6 @@ mod tests {
                 prop_assert_eq!(r.remaining(), bytes.len() * 8 - naive.pos);
             }
         }
-        #[test]
-        fn prop_repeat_appends_what_a_bit_by_bit_writer_appends(
-            steps in proptest::collection::vec((0u32..4, 0u32..=u32::MAX, 0u8..16), 0..120),
-            ranges in proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16), 1..5),
-        ) {
-            let mut w = BitWriter::new();
-            let mut naive = BitByBit::default();
-            for &(kind, v, k) in &steps {
-                match writer_step(kind, v, k) {
-                    (0, v, k) => {
-                        w.write_rice(v, k);
-                        naive.rice(v, k);
-                    }
-                    (_, v, n) => {
-                        w.write_bits(v, n);
-                        naive.bits(v, n);
-                    }
-                }
-            }
-            for &(a, b) in &ranges {
-                // Any range of what is written so far, pending bits
-                // included; then a few more bits so the next repeat
-                // starts off a byte boundary.
-                let len = naive.0.len() + 1;
-                let (start, end) = ((a % len).min(b % len), (a % len).max(b % len));
-                w.repeat(start, end);
-                naive.0.extend_from_within(start..end);
-                w.write_bits(b as u32, (a % 11) as u8);
-                naive.bits(b as u32, (a % 11) as u8);
-            }
-            prop_assert_eq!(w.bit_len(), naive.0.len());
-            prop_assert_eq!(w.into_bytes(), naive.bytes());
-        }
-
-        #[test]
-        fn prop_skip_repeat_skips_exactly_a_repeat(
-            head in proptest::collection::vec(proptest::bool::ANY, 0..300),
-            back in 0usize..300,
-            damage in 0usize..600,
-            tail in proptest::collection::vec(proptest::bool::ANY, 0..80),
-        ) {
-            // `head`, then a repeat of its last `back` bits — whole,
-            // with one bit flipped, or cut short — then `tail`.
-            let start = head.len() - back.min(head.len());
-            let mut stream = BitByBit(head.clone());
-            stream.0.extend_from_within(start..);
-            let len = head.len() - start;
-            if len > 0 {
-                let at = head.len() + damage / 3 % len;
-                match damage % 3 {
-                    0 => {}
-                    1 => stream.0[at] ^= true,
-                    _ => stream.0.truncate(at),
-                }
-            }
-            stream.0.extend(&tail);
-            let bytes = stream.bytes();
-            // The reader sees the final byte's zero padding as bits too.
-            stream.0.resize(bytes.len() * 8, false);
-            let bits = &stream.0;
-            let intact =
-                bits.len() >= head.len() + len && bits[start..head.len()] == bits[head.len()..][..len];
-            let mut r = BitReader::new(&bytes);
-            for _ in 0..head.len() {
-                r.read_bit().unwrap();
-            }
-            prop_assert_eq!(r.position(), head.len());
-            prop_assert_eq!(r.skip_repeat(start), intact);
-            let skipped = if intact { len } else { 0 };
-            let mut naive = ReadBitByBit { bytes: &bytes, pos: head.len() + skipped };
-            prop_assert_eq!(r.position(), naive.pos);
-            loop {
-                let (got, want) = (r.read_bits(5), naive.bits(5));
-                prop_assert_eq!(got, want);
-                if got.is_err() {
-                    break;
-                }
-                prop_assert_eq!(r.remaining(), bytes.len() * 8 - naive.pos);
-            }
-        }
-
         #[test]
         fn prop_bits_roundtrip(values in proptest::collection::vec((0u32..=u32::MAX, 1u8..=32), 0..64)) {
             let mut w = BitWriter::new();

@@ -33,8 +33,13 @@ pub const BLOCK: usize = 512;
 /// to its maximum", §2.2).
 pub const MAX_QUALITY: u8 = 10;
 
-/// Most channels a packet may carry.
+/// Most channels a packet may carry: one bit each in the twin mask.
 const MAX_CHANNELS: usize = 8;
+
+/// Payload header: channel count, quality index, per-channel sample
+/// count (`u32` LE), twin mask. Bit `c` of the mask set means channel
+/// `c` carries channel `c - 1`'s samples and codes no window bits.
+const HEADER: usize = 7;
 
 /// Errors from OVL decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,14 +137,12 @@ pub fn band_bits(quality: u8, band: usize) -> Option<u8> {
 /// payload/output buffers (which callers can also recycle via
 /// [`OvlCodec::decode_into`]).
 ///
-/// A channel that carries the same samples as an earlier one (a mono
-/// signal fanned out to every channel, as the producers send) is
-/// analyzed and packed once: its windows repeat the earlier channel's
-/// bits. The decoder skips a window whose bits repeat the previous
-/// channel's window, and copies the previous channel's samples for a
-/// channel that repeated it in every window instead of synthesizing
-/// them. The bytes and samples are the same as coding each channel on
-/// its own, and the work units still bill every channel.
+/// A channel that carries the same samples as the channel before it (a
+/// mono signal fanned out to every channel, as the producers send) is
+/// one bit of the header's twin mask and nothing else: the encoder
+/// neither analyzes nor packs it, and the decoder copies the previous
+/// channel's samples into it. Its samples are what coding it on its own
+/// would give, and the work units still bill every channel.
 pub struct OvlCodec {
     mdct: Mdct,
     widths: Vec<usize>,
@@ -226,10 +229,14 @@ impl OvlCodec {
     ///
     /// # Panics
     ///
-    /// Panics if `channels` is 0 or `samples.len()` is not a multiple
-    /// of `channels`.
+    /// Panics if `channels` is 0 or more than eight, or `samples.len()`
+    /// is not a multiple of `channels`.
     pub fn encode(&self, samples: &[i16], channels: u8, quality: u8) -> OvlEncoded {
         assert!(channels >= 1, "need at least one channel");
+        assert!(
+            channels as usize <= MAX_CHANNELS,
+            "the twin mask has room for {MAX_CHANNELS} channels"
+        );
         assert!(
             samples.len().is_multiple_of(channels as usize),
             "sample count must be a multiple of the channel count"
@@ -241,36 +248,36 @@ impl OvlCodec {
 
         let mut work: u64 = samples.len() as u64 * 4;
 
-        // A channel whose samples equal an earlier channel's (a mono
-        // signal fanned out to every channel) codes to that channel's
-        // bits: `twin[c]` is the first such channel, or `c` itself.
-        let mut twin = [0u8; 256];
-        for c in 0..ch {
-            let same = |e: usize| samples.chunks_exact(ch).all(|f| f[e] == f[c]);
-            twin[c] = (0..c).find(|&e| same(e)).unwrap_or(c) as u8;
-        }
+        // The twin mask: channel `c` repeats channel `c - 1` in every
+        // frame, which covers a mono signal fanned out to every channel.
+        let twin = |c: usize| samples.chunks_exact(ch).all(|f| f[c] == f[c - 1]);
+        let mask = (1..ch).filter(|&c| twin(c)).fold(0u8, |m, c| m | 1 << c);
 
         // Deinterleave every channel into its framed plane in one pass,
-        // analyze plane by plane into one flat coefficient buffer, then
-        // pack windows interleaved by channel so the decoder can stream
-        // in the same order.
+        // analyze each coded channel's plane into one flat coefficient
+        // buffer, then pack windows interleaved by coded channel so the
+        // decoder can stream in the same order.
         let n_windows = self.mdct.analyze_windows(padded_len);
         let wn = n_windows * BLOCK;
         let plane_len = self.mdct.plane_len(padded_len);
         let mut arena = self.arena.borrow_mut();
         let arena = &mut *arena;
-        arena.coeffs.resize(ch * wn, 0.0);
+        let coded = ch - mask.count_ones() as usize;
+        arena.coeffs.resize(coded * wn, 0.0);
         arena.planes.resize(ch * plane_len, 0.0);
         crate::dsp::deinterleave_normalize(samples, ch, &mut arena.planes[BLOCK..], plane_len);
-        let planes = arena.planes.chunks_exact_mut(plane_len);
-        for (c, (plane, coeffs)) in planes.zip(arena.coeffs.chunks_exact_mut(wn)).enumerate() {
-            // Billed for every channel, analyzed once per distinct one.
+        let mut coded_coeffs = arena.coeffs.chunks_exact_mut(wn);
+        for (c, plane) in arena.planes.chunks_exact_mut(plane_len).enumerate() {
+            // Billed for every channel, analyzed once per coded one.
             work += n_windows as u64 * self.mdct.ops_per_transform();
-            if twin[c] as usize != c {
+            if mask & 1 << c != 0 {
                 continue;
             }
             plane[..BLOCK].fill(0.0);
             plane[BLOCK + per_ch..].fill(0.0);
+            let coeffs = coded_coeffs
+                .next()
+                .expect("a coefficient plane per coded channel");
             self.mdct.analyze_plane(plane, coeffs);
         }
 
@@ -278,33 +285,24 @@ impl OvlCodec {
         arena.qbuf.resize(BLOCK, 0);
         arena.peaks.resize(self.widths.len(), 0.0);
         let table = &self.qualities[quality as usize];
-        // Where each channel's bits of the current window begin; its
-        // window ends where the next channel's begins.
-        let mut starts = [0usize; 256];
         for w in 0..n_windows {
-            for c in 0..ch {
-                starts[c] = bw.bit_len();
-                let t = twin[c] as usize;
-                if t != c {
-                    bw.repeat(starts[t], starts[t + 1]);
-                    continue;
-                }
-                let coeffs = &arena.coeffs[c * wn + w * BLOCK..][..BLOCK];
+            for coeffs in arena.coeffs.chunks_exact(wn) {
                 pack_window(
                     &self.widths,
                     table,
                     &mut bw,
-                    coeffs,
+                    &coeffs[w * BLOCK..][..BLOCK],
                     &mut arena.peaks,
                     &mut arena.qbuf,
                 );
             }
         }
 
-        let mut bytes = Vec::with_capacity(6 + bw.bit_len() / 8 + 1);
+        let mut bytes = Vec::with_capacity(HEADER + bw.bit_len() / 8 + 1);
         bytes.push(channels);
         bytes.push(quality);
         bytes.extend_from_slice(&(per_ch as u32).to_le_bytes());
+        bytes.push(mask);
         arena.bits = bw.drain_into(&mut bytes);
         OvlEncoded {
             bytes,
@@ -327,7 +325,7 @@ impl OvlCodec {
     /// resized), returning `(channels, work_units)`. Reusing `out`
     /// across packets makes steady-state decode allocation-free.
     pub fn decode_into(&self, bytes: &[u8], out: &mut Vec<i16>) -> Result<(u8, u64), OvlError> {
-        if bytes.len() < 6 {
+        if bytes.len() < HEADER {
             return Err(OvlError::ShortHeader);
         }
         let channels = bytes[0];
@@ -343,51 +341,33 @@ impl OvlCodec {
             return Err(OvlError::BadHeader("sample count"));
         }
         let ch = channels as usize;
+        let mask = bytes[6];
+        if mask & 1 != 0 || u32::from(mask) >> ch != 0 {
+            return Err(OvlError::BadHeader("twin mask"));
+        }
         let padded_len = per_ch.div_ceil(BLOCK) * BLOCK;
         let n_windows = padded_len / BLOCK + 1;
 
-        // Every window × channel spends at least one keep-flag bit per
-        // band, so the header cannot claim more audio than the payload
-        // has bits for — checked before the arena is sized from it.
-        if n_windows * ch * self.widths.len() > (bytes.len() - 6) * 8 {
+        // Every window × coded channel spends at least one keep-flag
+        // bit per band, so the header cannot claim more audio than the
+        // payload has bits for — checked before the arena is sized
+        // from it.
+        let coded = ch - mask.count_ones() as usize;
+        if n_windows * coded * self.widths.len() > (bytes.len() - HEADER) * 8 {
             return Err(OvlError::BadBitstream);
         }
 
-        let mut br = BitReader::new(&bytes[6..]);
+        let mut br = BitReader::new(&bytes[HEADER..]);
         let mut work: u64 = (per_ch * ch) as u64 * 2;
         let wn = n_windows * BLOCK;
         let mut arena = self.arena.borrow_mut();
         let arena = &mut *arena;
-        arena.coeffs.resize(ch * wn, 0.0);
+        arena.coeffs.resize(coded * wn, 0.0);
         arena.qbuf.resize(BLOCK, 0);
         let table = &self.qualities[quality as usize];
-        // `twin[c]`: every window of channel `c` so far repeated the
-        // bits of channel `c - 1`'s window, so it unpacks to the same
-        // coefficients, which were not stored again. `starts[c]` is
-        // where channel `c`'s bits of the current window begin.
-        let mut twin = [false; MAX_CHANNELS];
-        twin[1..ch].fill(true);
-        let mut starts = [0usize; MAX_CHANNELS];
         for w in 0..n_windows {
-            for c in 0..ch {
-                starts[c] = br.position();
-                if twin[c] {
-                    if br.skip_repeat(starts[c - 1]) {
-                        continue;
-                    }
-                    // Unpack from here on; the windows before this one
-                    // are those of the first channel down the twin
-                    // chain that stored its own.
-                    twin[c] = false;
-                    let from = (0..c)
-                        .rev()
-                        .find(|&s| !twin[s])
-                        .expect("channel 0 is no twin");
-                    arena
-                        .coeffs
-                        .copy_within(from * wn..from * wn + w * BLOCK, c * wn);
-                }
-                let coeffs = &mut arena.coeffs[c * wn + w * BLOCK..][..BLOCK];
+            for coeffs in arena.coeffs.chunks_exact_mut(wn) {
+                let coeffs = &mut coeffs[w * BLOCK..][..BLOCK];
                 unpack_window(&self.widths, table, &mut br, coeffs, &mut arena.qbuf)?;
             }
         }
@@ -395,15 +375,19 @@ impl OvlCodec {
         out.clear();
         out.resize(per_ch * ch, 0);
         arena.planes.resize(self.mdct.plane_len(padded_len), 0.0);
-        for (c, coeffs) in arena.coeffs.chunks_exact(wn).enumerate() {
-            // Billed for every channel, synthesized once per distinct one.
+        let mut coded_coeffs = arena.coeffs.chunks_exact(wn);
+        for c in 0..ch {
+            // Billed for every channel, synthesized once per coded one.
             work += n_windows as u64 * self.mdct.ops_per_transform();
-            if twin[c] {
+            if mask & 1 << c != 0 {
                 for frame in out.chunks_exact_mut(ch) {
                     frame[c] = frame[c - 1];
                 }
                 continue;
             }
+            let coeffs = coded_coeffs
+                .next()
+                .expect("a coefficient plane per coded channel");
             self.mdct.synthesize_plane(coeffs, &mut arena.planes);
             crate::dsp::interleave_denormalize(&arena.planes[BLOCK..][..per_ch], ch, c, out);
         }
@@ -695,20 +679,23 @@ mod tests {
     }
 
     /// Hashes the encode and the decode of `samples` at qualities
-    /// 0/3/7/10 into `hash`.
-    fn hash_roundtrips(codec: &OvlCodec, samples: &[i16], channels: u8, hash: &mut u64) {
+    /// 0/3/7/10: the payloads into `hashes[0]`, the decoded samples
+    /// into `hashes[1]`.
+    fn hash_roundtrips(codec: &OvlCodec, samples: &[i16], channels: u8, hashes: &mut [u64; 2]) {
         let mut out = Vec::new();
         for quality in [0u8, 3, 7, 10] {
             let enc = codec.encode(samples, channels, quality);
-            fnv(hash, &(enc.bytes.len() as u64).to_le_bytes());
-            fnv(hash, &enc.bytes);
+            fnv(&mut hashes[0], &(enc.bytes.len() as u64).to_le_bytes());
+            fnv(&mut hashes[0], &enc.bytes);
             codec.decode_into(&enc.bytes, &mut out).unwrap();
             assert_eq!(out.len(), samples.len());
             for s in &out {
-                fnv(hash, &s.to_le_bytes());
+                fnv(&mut hashes[1], &s.to_le_bytes());
             }
         }
     }
+
+    const FNV_BASIS: [u64; 2] = [0xCBF2_9CE4_8422_2325; 2];
 
     #[test]
     fn bitstream_and_decoded_samples_are_pinned_byte_for_byte() {
@@ -717,12 +704,14 @@ mod tests {
         // encode + decode of four signals × qualities 0/3/7/10 × mono
         // and stereo, at a length that is not a multiple of BLOCK. The
         // signals are rendered sample by sample, so the hash pins the
-        // codec, not the renderer. The value is the one the codec gave
-        // before its entropy layer went table-driven.
+        // codec, not the renderer. The payload hash is the one the
+        // codec gave once its header carried the twin mask; the sample
+        // hash is the one it gave before its entropy layer went
+        // table-driven, and has not moved since.
         use es_audio::gen::f32_to_i16;
         assert_ne!(PIN_FRAMES % BLOCK, 0);
         let codec = OvlCodec::new();
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        let mut hash = FNV_BASIS;
         for kind in 0..4 {
             for channels in [1u8, 2] {
                 let mut src = pin_sources(kind);
@@ -735,21 +724,27 @@ mod tests {
                 hash_roundtrips(&codec, &samples, channels, &mut hash);
             }
         }
-        assert_eq!(hash, 0x773C_E43D_C592_166F, "hash {hash:#018x}");
+        let want = [0xE1AD_BAF0_2DE5_DDB0, 0x5AFF_1F37_FFC2_855E];
+        assert_eq!(
+            hash, want,
+            "payloads {:#018x}, samples {:#018x}",
+            hash[0], hash[1]
+        );
     }
 
     #[test]
     fn twin_channels_are_pinned_byte_for_byte() {
-        // The pin above has distinct channels, so it never codes a
-        // channel as a repeat of another. This one does: each kind's
-        // first source as dual mono, then the same with one sample of
-        // the right channel raised at mid-packet (its windows there
-        // stop repeating the left's), then three channels whose last
-        // repeats the first. The value is the one the codec gave
-        // before it coded each distinct channel once.
+        // The pin above has distinct channels, so it never masks one.
+        // This one does: each kind's first source as dual mono, then
+        // the same with one sample of the right channel raised at
+        // mid-packet (no longer a twin: coded in full), then three
+        // channels whose last repeats the first but not the one before
+        // it (coded in full too). The payload hash is the one the codec
+        // gave once its header carried the twin mask; the sample hash
+        // is the one it gave when it still coded every channel's bits.
         use es_audio::gen::f32_to_i16;
         let codec = OvlCodec::new();
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        let mut hash = FNV_BASIS;
         for kind in 0..4 {
             let [mut a, mut b] = pin_sources(kind);
             let mono: Vec<i16> = (0..PIN_FRAMES)
@@ -768,7 +763,12 @@ mod tests {
                 .collect();
             hash_roundtrips(&codec, &aba, 3, &mut hash);
         }
-        assert_eq!(hash, 0x209C_9BB6_7110_6660, "hash {hash:#018x}");
+        let want = [0x7A2B_68D6_D621_0A13, 0x17EE_B05B_4EBF_04F9];
+        assert_eq!(
+            hash, want,
+            "payloads {:#018x}, samples {:#018x}",
+            hash[0], hash[1]
+        );
     }
 
     #[test]
@@ -874,9 +874,13 @@ mod tests {
         let codec = OvlCodec::new();
         assert!(matches!(codec.decode(&[]), Err(OvlError::ShortHeader)));
         assert!(matches!(codec.decode(&[1, 2]), Err(OvlError::ShortHeader)));
+        assert!(matches!(
+            codec.decode(&[1, 5, 0, 0, 0, 0]),
+            Err(OvlError::ShortHeader)
+        ));
         // Bad channel count.
         assert!(matches!(
-            codec.decode(&[0, 5, 0, 0, 0, 0]),
+            codec.decode(&[0, 5, 0, 0, 0, 0, 0]),
             Err(OvlError::BadHeader(_))
         ));
         // Valid header but truncated bitstream.
@@ -891,17 +895,21 @@ mod tests {
 
     #[test]
     fn forged_sample_count_is_rejected_before_allocating() {
-        // 8 channels × 2^24 samples claimed by a 6-byte payload: this
+        // 8 channels × 2^24 samples claimed by a 7-byte payload: this
         // used to zero 515 MiB of arena before reading the first bit.
+        // Masking all but the first channel leaves one to code, which
+        // the empty body cannot carry either.
         let codec = OvlCodec::new();
         codec
             .decode(&codec.encode(&music_stereo(1_024), 2, 10).bytes)
             .unwrap();
         let before = codec.arena.borrow().coeffs.capacity();
-        assert!(matches!(
-            codec.decode(&[8, 10, 0, 0, 0, 1]),
-            Err(OvlError::BadBitstream)
-        ));
+        for mask in [0, 0xFE] {
+            assert!(matches!(
+                codec.decode(&[8, 10, 0, 0, 0, 1, mask]),
+                Err(OvlError::BadBitstream)
+            ));
+        }
         assert_eq!(codec.arena.borrow().coeffs.capacity(), before);
     }
 
@@ -913,7 +921,7 @@ mod tests {
         let flag_bytes = (2 * band_widths(BLOCK).len()).div_ceil(8);
         let mut bytes = vec![1u8, MAX_QUALITY];
         bytes.extend_from_slice(&(BLOCK as u32).to_le_bytes());
-        bytes.resize(6 + flag_bytes, 0);
+        bytes.resize(HEADER + flag_bytes, 0);
         assert_eq!(codec.encode(&[0i16; BLOCK], 1, MAX_QUALITY).bytes, bytes);
         assert_eq!(codec.decode(&bytes).unwrap().samples, vec![0i16; BLOCK]);
         bytes.pop();
@@ -934,6 +942,7 @@ mod tests {
         bw.write_bits(0x7FFF, 15);
         let mut bytes = vec![1u8, MAX_QUALITY];
         bytes.extend_from_slice(&(BLOCK as u32).to_le_bytes());
+        bytes.push(0);
         bytes.extend_from_slice(&bw.into_bytes());
         assert!(matches!(
             OvlCodec::new().decode(&bytes),
@@ -946,9 +955,40 @@ mod tests {
         let codec = OvlCodec::new();
         let mut bytes = vec![1u8, 5];
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.push(0);
         assert!(matches!(
             codec.decode(&bytes),
             Err(OvlError::BadHeader("sample count"))
         ));
+    }
+
+    #[test]
+    fn a_twin_mask_past_the_channels_or_on_the_first_is_refused() {
+        let codec = OvlCodec::new();
+        let mut dual = codec.encode(&[7i16; 2 * BLOCK], 2, 5).bytes;
+        assert_eq!(dual[6], 0b10, "the right channel is the left's twin");
+        let body = dual.clone();
+        for mask in 0..=u8::MAX {
+            dual[6] = mask;
+            let got = codec.decode(&dual);
+            if mask & 1 != 0 || mask > 0b11 {
+                assert_eq!(
+                    got.err(),
+                    Some(OvlError::BadHeader("twin mask")),
+                    "{mask:#b}"
+                );
+            }
+        }
+        // Without the mask, the body is too short for two channels.
+        dual[6] = 0;
+        assert_eq!(codec.decode(&dual).err(), Some(OvlError::BadBitstream));
+        let samples = codec.decode(&body).unwrap().samples;
+        assert!(samples.chunks_exact(2).all(|f| f[0] == f[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "the twin mask has room for 8 channels")]
+    fn encoding_nine_channels_is_refused() {
+        OvlCodec::new().encode(&[0i16; 9], 9, 5);
     }
 }

@@ -1,16 +1,17 @@
-//! The OVL encoder against the encoder as it was before it coded each
-//! distinct channel once.
+//! The OVL encoder against an oracle built from public pieces.
 //!
-//! `OvlCodec::encode` analyzes and packs a channel whose samples equal
-//! an earlier channel's only once, and repeats that channel's bits for
-//! it. The oracle here encodes every channel on its own, the way the
-//! encoder did before, built from public pieces: the framed MDCT
-//! analysis, libm `band_bits` / masking / `log2` per band, the scalar
-//! quantizer and the two-call Rice write. The bytes and the billed
-//! work must be equal on dual mono, on dual mono with one sample
-//! changed at the first, a middle or the last frame, on three channels
-//! whose last repeats the first, and on mono, at 1–3 000 frames and
-//! every quality.
+//! `OvlCodec::encode` sets a channel's bit in the header's twin mask
+//! when its samples equal the previous channel's, and packs no window
+//! bits for it. The oracle here finds the twins by comparing whole
+//! deinterleaved channels, then encodes every other channel on its own:
+//! the framed MDCT analysis, libm `band_bits` / masking / `log2` per
+//! band, the scalar quantizer and the two-call Rice write. The bytes
+//! and the billed work must be equal on dual mono, on dual mono with
+//! one sample changed at the first, a middle or the last frame, on
+//! three identical channels, on three channels whose last repeats the
+//! first, and on mono, at 1–3 000 frames and every quality. Dual mono
+//! must also code to mono's bits behind its header, and decode to
+//! mono's samples, each twice.
 //!
 //! `PROPTEST_CASES=2000 cargo test --release -p es-codec --test
 //! encode_oracle` is the deep run.
@@ -74,32 +75,41 @@ fn oracle_pack_window(bw: &mut BitWriter, quality: u8, coeffs: &[f32]) {
     }
 }
 
-/// `OvlCodec::encode` as it was: every channel framed, analyzed and
-/// packed on its own, windows interleaved by channel.
+/// `OvlCodec::encode` spelled out: the twin mask from whole channels,
+/// then every other channel framed, analyzed and packed on its own,
+/// windows interleaved by channel. Every channel is billed.
 fn oracle_encode(samples: &[i16], channels: u8, quality: u8) -> (Vec<u8>, u64) {
     let quality = quality.min(MAX_QUALITY);
     let ch = channels as usize;
     let per_ch = samples.len() / ch;
     let padded_len = per_ch.div_ceil(BLOCK) * BLOCK;
+    let channel = |c: usize| -> Vec<i16> { samples.iter().skip(c).step_by(ch).copied().collect() };
+    let mut mask = 0u8;
+    for c in 1..ch {
+        if channel(c) == channel(c - 1) {
+            mask |= 1 << c;
+        }
+    }
+    let coded: Vec<usize> = (0..ch).filter(|c| mask & (1 << c) == 0).collect();
     ORACLE_MDCT.with(|mdct| {
         let n_windows = mdct.analyze_windows(padded_len);
         let wn = n_windows * BLOCK;
-        let mut work = samples.len() as u64 * 4;
-        let mut coeffs = vec![0.0f32; ch * wn];
-        for c in 0..ch {
+        let work = samples.len() as u64 * 4 + (ch * n_windows) as u64 * mdct.ops_per_transform();
+        let mut coeffs = vec![vec![0.0f32; wn]; coded.len()];
+        for (&c, coeffs) in coded.iter().zip(&mut coeffs) {
             let mut plane = vec![0.0f32; mdct.plane_len(padded_len)];
             scalar::deinterleave_normalize(samples, ch, c, &mut plane[BLOCK..][..per_ch]);
-            mdct.analyze_plane(&plane, &mut coeffs[c * wn..][..wn]);
-            work += n_windows as u64 * mdct.ops_per_transform();
+            mdct.analyze_plane(&plane, coeffs);
         }
         let mut bw = BitWriter::new();
         for w in 0..n_windows {
-            for c in 0..ch {
-                oracle_pack_window(&mut bw, quality, &coeffs[c * wn + w * BLOCK..][..BLOCK]);
+            for coeffs in &coeffs {
+                oracle_pack_window(&mut bw, quality, &coeffs[w * BLOCK..][..BLOCK]);
             }
         }
         let mut bytes = vec![channels, quality];
         bytes.extend_from_slice(&(per_ch as u32).to_le_bytes());
+        bytes.push(mask);
         bytes.extend_from_slice(&bw.into_bytes());
         (bytes, work)
     })
@@ -111,6 +121,8 @@ enum Shape {
     DualMono,
     /// Dual mono but for one right-channel sample at this frame.
     DualMonoBut(Frame),
+    /// Three channels, all the same.
+    Triple,
     /// Three channels, the last a repeat of the first.
     Aba,
     Mono,
@@ -123,11 +135,12 @@ enum Frame {
     Last,
 }
 
-const SHAPES: [Shape; 6] = [
+const SHAPES: [Shape; 7] = [
     Shape::DualMono,
     Shape::DualMonoBut(Frame::First),
     Shape::DualMonoBut(Frame::Middle),
     Shape::DualMonoBut(Frame::Last),
+    Shape::Triple,
     Shape::Aba,
     Shape::Mono,
 ];
@@ -146,6 +159,7 @@ fn render(shape: Shape, frames: usize, seed: u64) -> (Vec<i16>, u8) {
     let mono: Vec<i16> = (0..frames).map(|_| wave()).collect();
     match shape {
         Shape::Mono => (mono, 1),
+        Shape::Triple => (mono.iter().flat_map(|&s| [s, s, s]).collect(), 3),
         Shape::Aba => {
             let b: Vec<i16> = (0..frames).map(|_| wave()).collect();
             let frames = mono.iter().zip(&b).flat_map(|(&a, &b)| [a, b, a]);
@@ -180,6 +194,24 @@ fn assert_encodes_like_the_oracle(shape: Shape, frames: usize, quality: u8, seed
     );
 }
 
+/// Dual mono codes to mono's bits behind a header that names two
+/// channels, the second a twin, and decodes to mono's samples twice.
+fn assert_dual_mono_codes_as_mono(frames: usize, quality: u8, seed: u64) {
+    let (mono, _) = render(Shape::Mono, frames, seed);
+    let (dual, _) = render(Shape::DualMono, frames, seed);
+    CODEC.with(|c| {
+        let (m, d) = (c.encode(&mono, 1, quality), c.encode(&dual, 2, quality));
+        let case = format!("{frames} frames, quality {quality}, seed {seed}");
+        assert_eq!([d.bytes[0], d.bytes[6]], [2, 0b10], "{case}");
+        assert_eq!(d.bytes[1..6], m.bytes[1..6], "{case}");
+        assert!(d.bytes[7..] == m.bytes[7..], "{case}: the bodies differ");
+        let m = c.decode(&m.bytes).expect("mono decodes").samples;
+        let d = c.decode(&d.bytes).expect("dual mono decodes").samples;
+        let twice: Vec<i16> = m.iter().flat_map(|&s| [s, s]).collect();
+        assert!(d == twice, "{case}: dual mono decodes unlike mono");
+    });
+}
+
 #[test]
 fn every_shape_at_every_quality_encodes_like_the_oracle() {
     for shape in SHAPES {
@@ -187,6 +219,15 @@ fn every_shape_at_every_quality_encodes_like_the_oracle() {
             for frames in [1, BLOCK + 1, 2_999] {
                 assert_encodes_like_the_oracle(shape, frames, quality, frames as u64);
             }
+        }
+    }
+}
+
+#[test]
+fn dual_mono_at_every_quality_codes_as_mono() {
+    for quality in 0..=MAX_QUALITY {
+        for frames in [1, BLOCK, BLOCK + 1, 3_000] {
+            assert_dual_mono_codes_as_mono(frames, quality, frames as u64);
         }
     }
 }
@@ -200,5 +241,14 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         assert_encodes_like_the_oracle(SHAPES[shape], frames, quality, seed);
+    }
+
+    #[test]
+    fn dual_mono_codes_as_mono_byte_for_byte(
+        frames in 1usize..3_001,
+        quality in 0u8..=MAX_QUALITY,
+        seed in 0u64..u64::MAX,
+    ) {
+        assert_dual_mono_codes_as_mono(frames, quality, seed);
     }
 }

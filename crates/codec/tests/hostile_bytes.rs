@@ -14,11 +14,14 @@
 //! before its entropy layer went table-driven (libm `band_bits` and
 //! `exp2` per band, the two-call Rice read, the scalar kernels), built
 //! from public pieces. The two must agree on every input — the same
-//! samples and work, or the same error. The oracle decodes every
-//! channel in full, and some valid packets carry one signal on every
-//! channel, as the producers send, so the decoder's skipping of a
-//! window that repeats the channel before, and its fallback when the
-//! repeats stop mid-packet, meet damaged input too.
+//! samples and work, or the same error. Some valid packets carry one
+//! signal on every channel, as the producers send, so their header's
+//! twin mask marks channels that code no bits; the oracle decodes every
+//! other channel in full and copies the channel before into a twin.
+//! Every value of the mask byte is tried on every OVL layout: bit 0
+//! set, bits past the channel count and every channel masked are all
+//! refused, and a mask that leaves fewer channels to code cannot make
+//! the decoder hand back more audio than the coded bits bound.
 //!
 //! `PROPTEST_CASES=20000 cargo test -p es-codec --test hostile_bytes`
 //! is the deep run; the default 64 cases per property keep it in the
@@ -39,17 +42,17 @@ use rand::{Rng, SeedableRng};
 enum Twins {
     /// Each channel its own signal.
     None,
-    /// One signal on every channel, as the producers send: OVL codes
-    /// every channel after the first as a repeat of the one before.
+    /// One signal on every channel, as the producers send: OVL masks
+    /// every channel after the first as a twin of the one before.
     All,
     /// Every channel the same but for one sample of the last at
-    /// mid-packet: the last channel's windows stop repeating there.
+    /// mid-packet: the last channel is no twin and is coded in full.
     AllButOne,
 }
 
 /// The decoders that parse a header of their own, at the channel
 /// counts the system streams, and OVL also in three twin layouts,
-/// whose repeated windows its decoder skips.
+/// whose masked channels its decoder copies.
 const LAYOUTS: [(CodecId, u8, Twins); 7] = [
     (CodecId::Ovl, 1, Twins::None),
     (CodecId::Ovl, 2, Twins::None),
@@ -68,15 +71,17 @@ thread_local! {
     static ORACLE_MDCT: Mdct = Mdct::new(BLOCK);
 }
 
-/// The most samples a `len`-byte payload can honestly decode to.
-fn max_samples(codec: CodecId, len: usize) -> usize {
+/// The most samples a `len`-byte payload of `channels` channels can
+/// honestly decode to.
+fn max_samples(codec: CodecId, len: usize, channels: u8) -> usize {
     match codec {
         // One 4-bit code per sample behind the header.
         CodecId::Adpcm => 2 * len,
-        // Every window × channel spends at least one keep-flag bit per
-        // band and yields at most BLOCK samples, so `len` bytes carry
-        // at most `8 · len / bands` of them.
-        CodecId::Ovl => BLOCK * 8 * len / band_widths(BLOCK).len(),
+        // Every window × coded channel spends at least one keep-flag
+        // bit per band and yields at most BLOCK samples, so `len` bytes
+        // carry at most `8 · len / bands` windows of one coded channel;
+        // the twins copy them, at most once per channel.
+        CodecId::Ovl => channels as usize * BLOCK * 8 * len / band_widths(BLOCK).len(),
         CodecId::Pcm | CodecId::ULaw => unreachable!("headerless codecs are not in LAYOUTS"),
     }
 }
@@ -122,10 +127,11 @@ fn oracle_unpack_window(
 }
 
 /// `Codecs::decode_wire` for OVL as it was: header checks, the window
-/// unpack above, synthesis, the scalar interleave and the same work
-/// units.
+/// unpack above for every coded channel, synthesis, the scalar
+/// interleave, a copy of the channel before for every twin and the
+/// same work units.
 fn oracle_ovl_decode(bytes: &[u8], channels: u8) -> Result<(Vec<i16>, u64), CodecError> {
-    if bytes.len() < 6 {
+    if bytes.len() < 7 {
         return Err(OvlError::ShortHeader.into());
     }
     let (ch, quality) = (bytes[0], bytes[1]);
@@ -140,15 +146,20 @@ fn oracle_ovl_decode(bytes: &[u8], channels: u8) -> Result<(Vec<i16>, u64), Code
         return Err(OvlError::BadHeader("sample count").into());
     }
     let chs = ch as usize;
+    let twin: Vec<bool> = (0..8).map(|c| bytes[6] >> c & 1 == 1).collect();
+    if twin[0] || twin[chs..].contains(&true) {
+        return Err(OvlError::BadHeader("twin mask").into());
+    }
+    let coded: Vec<usize> = (0..chs).filter(|&c| !twin[c]).collect();
     let n_windows = per_ch.div_ceil(BLOCK) + 1;
-    if n_windows * chs * band_widths(BLOCK).len() > (bytes.len() - 6) * 8 {
+    if n_windows * coded.len() * band_widths(BLOCK).len() > (bytes.len() - 7) * 8 {
         return Err(OvlError::BadBitstream.into());
     }
-    let mut br = BitReader::new(&bytes[6..]);
+    let mut br = BitReader::new(&bytes[7..]);
     let wn = n_windows * BLOCK;
     let mut coeffs = vec![0.0f32; chs * wn];
     for w in 0..n_windows {
-        for c in 0..chs {
+        for &c in &coded {
             oracle_unpack_window(&mut br, quality, &mut coeffs[c * wn + w * BLOCK..][..BLOCK])?;
         }
     }
@@ -156,10 +167,14 @@ fn oracle_ovl_decode(bytes: &[u8], channels: u8) -> Result<(Vec<i16>, u64), Code
     let mut work = (per_ch * chs) as u64 * 2;
     let mut plane = vec![0.0f32; wn + BLOCK];
     for c in 0..chs {
-        ORACLE_MDCT.with(|m| {
-            m.synthesize_plane(&coeffs[c * wn..(c + 1) * wn], &mut plane);
-            work += n_windows as u64 * m.ops_per_transform();
-        });
+        work += ORACLE_MDCT.with(|m| n_windows as u64 * m.ops_per_transform());
+        if twin[c] {
+            for frame in out.chunks_exact_mut(chs) {
+                frame[c] = frame[c - 1];
+            }
+            continue;
+        }
+        ORACLE_MDCT.with(|m| m.synthesize_plane(&coeffs[c * wn..(c + 1) * wn], &mut plane));
         dsp::scalar::interleave_denormalize(&plane[BLOCK..][..per_ch], chs, c, &mut out);
     }
     if ch != channels {
@@ -186,7 +201,7 @@ fn assert_total(codec: CodecId, channels: u8, bytes: &[u8]) {
     }
     if let Ok((samples, _)) = decoded {
         assert!(
-            samples.len() <= max_samples(codec, bytes.len()),
+            samples.len() <= max_samples(codec, bytes.len(), channels),
             "{codec} x{channels}: {} samples out of {} bytes",
             samples.len(),
             bytes.len()
@@ -223,6 +238,28 @@ fn valid_samples(channels: u8, twins: Twins) -> Vec<i16> {
 fn valid_packet(codec: CodecId, channels: u8, twins: Twins) -> Vec<u8> {
     let samples = valid_samples(channels, twins);
     CODECS.with(|c| c.encode(codec, &samples, channels, MAX_QUALITY).bytes)
+}
+
+#[test]
+fn every_twin_mask_on_a_valid_packet_is_rejected_or_bounded() {
+    for (codec, channels, twins) in LAYOUTS {
+        if codec != CodecId::Ovl {
+            continue;
+        }
+        let mut packet = valid_packet(codec, channels, twins);
+        for mask in 0..=u8::MAX {
+            packet[6] = mask;
+            assert_total(codec, channels, &packet);
+            // Bit 0, a bit past the channel count, or every channel.
+            let bad = mask & 1 == 1 || u32::from(mask) >> channels != 0;
+            let got = CODECS.with(|c| c.decode_wire(codec.to_wire(), &packet, channels));
+            let refused = matches!(got, Err(CodecError::Ovl(OvlError::BadHeader("twin mask"))));
+            assert_eq!(
+                refused, bad,
+                "x{channels} {twins:?}, mask {mask:#b}: {got:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -42,8 +42,10 @@ cargo test --workspace --exclude ethernet-speaker -q
 
 # The codec's deep differential run: every hostile OVL input decoded
 # by the table-driven decoder and by the oracle decoder it replaced
-# (twin-channel packets included), the encoder against the oracle
-# that codes every channel on its own, every batch kernel against its
+# (twin-mask layouts and every mask byte included), the encoder against
+# the oracle that finds twin channels by comparing whole channels and
+# codes every other one on its own, dual mono against mono, every batch
+# kernel against its
 # scalar oracle, and the FFT, MDCT, framed analysis/synthesis and
 # one-pass deinterleave against the multi-pass forms they replaced,
 # bit for bit, at 2000 cases per property instead of 64 (≈ 25 s
@@ -60,8 +62,9 @@ PROPTEST_CASES=2000 cargo test -q --release -p es-telemetry
 
 # The FEC recoverer's differential run: the handle-holding recoverer
 # against the per-group accumulator recoverer it replaced, on random
-# traffic with losses, duplicates, reordering, retired groups and
-# hostile parity, at 2000 cases (≈ 1 s release).
+# traffic with losses, duplicates, reordering, retired groups, hostile
+# parity and the open groups given up at the end, at 2000 cases (≈ 1 s
+# release).
 echo "== FEC recoverer differential oracle (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test -q --release -p es-proto fec::
 

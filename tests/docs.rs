@@ -3,7 +3,8 @@
 //! EXPERIMENTS.md has one and documents every module there, nothing
 //! points at the removed bench harness, the perf baselines the ledger
 //! replaced or the relay re-stamping, FEC ladder, stream monitor,
-//! mixer, AGC and journal sinks that were deleted, nor describes the live speaker as the collector
+//! mixer, AGC, journal sinks and in-band OVL channel repeats that were
+//! deleted, nor describes the live speaker as the collector
 //! it was, DESIGN.md §8 lists exactly the bans `clippy.toml`
 //! and the lints `[workspace.lints]` configure, §10 exactly the counters
 //! the healing plane exports, and §6 exactly the keys a speaker records.
@@ -207,6 +208,17 @@ fn no_doc_describes_the_live_speaker_as_a_collector() {
             concat!("never ", "conceals"),
             concat!("decodes ", "on arrival"),
         ],
+    );
+}
+
+#[test]
+fn no_doc_describes_the_deleted_in_band_ovl_repeats() {
+    // A twin channel is one bit of the OVL header's mask: no window
+    // bits are written again for it, and none are skipped on decode.
+    // Spelled in halves, like the needles above.
+    assert_no_doc_mentions(
+        &DOCS,
+        &[concat!("BitWriter::", "repeat"), concat!("skip_", "repeat")],
     );
 }
 

@@ -3,7 +3,7 @@
 //! The OVL transform codec (this workspace's stand-in for Ogg Vorbis,
 //! see [`crate::ovl`]) packs quantized coefficients with Rice coding;
 //! this module provides the MSB-first bit writer/reader plus the
-//! zig-zag signed mapping both the OVL and ADPCM paths use.
+//! zig-zag signed mapping OVL uses.
 
 /// MSB-first bit writer.
 ///

@@ -8,7 +8,6 @@
 use es_audio::convert::{decode_samples_into, encode_samples};
 use es_audio::Encoding;
 
-use crate::adpcm::{adpcm_decode_into, adpcm_encode, AdpcmError};
 use crate::ovl::{OvlCodec, OvlError, MAX_QUALITY};
 
 /// Wire identifiers for payload codecs.
@@ -21,8 +20,6 @@ pub enum CodecId {
     Pcm = 0,
     /// G.711 µ-law, 2:1 on 16-bit sources, negligible CPU.
     ULaw = 1,
-    /// IMA ADPCM, 4:1, negligible CPU.
-    Adpcm = 2,
     /// The OVL lossy transform codec (the Ogg Vorbis stand-in), best
     /// ratio, highest CPU.
     Ovl = 3,
@@ -30,7 +27,7 @@ pub enum CodecId {
 
 impl CodecId {
     /// All codecs, for exhaustive tests and sweeps.
-    pub const ALL: [CodecId; 4] = [CodecId::Pcm, CodecId::ULaw, CodecId::Adpcm, CodecId::Ovl];
+    pub const ALL: [CodecId; 3] = [CodecId::Pcm, CodecId::ULaw, CodecId::Ovl];
 
     /// Wire discriminant.
     pub const fn to_wire(self) -> u8 {
@@ -42,7 +39,6 @@ impl CodecId {
         Some(match v {
             0 => CodecId::Pcm,
             1 => CodecId::ULaw,
-            2 => CodecId::Adpcm,
             3 => CodecId::Ovl,
             _ => return None,
         })
@@ -54,7 +50,6 @@ impl core::fmt::Display for CodecId {
         f.write_str(match self {
             CodecId::Pcm => "pcm",
             CodecId::ULaw => "ulaw",
-            CodecId::Adpcm => "adpcm",
             CodecId::Ovl => "ovl",
         })
     }
@@ -67,8 +62,6 @@ pub enum CodecError {
     UnknownCodec(u8),
     /// OVL payload problem.
     Ovl(OvlError),
-    /// ADPCM payload problem.
-    Adpcm(AdpcmError),
     /// The payload's channel layout disagrees with the stream config.
     ChannelMismatch {
         /// Channels the stream configuration promises.
@@ -83,7 +76,6 @@ impl core::fmt::Display for CodecError {
         match self {
             CodecError::UnknownCodec(id) => write!(f, "unknown codec id {id}"),
             CodecError::Ovl(e) => write!(f, "ovl: {e}"),
-            CodecError::Adpcm(e) => write!(f, "adpcm: {e}"),
             CodecError::ChannelMismatch { expected, got } => {
                 write!(
                     f,
@@ -99,12 +91,6 @@ impl std::error::Error for CodecError {}
 impl From<OvlError> for CodecError {
     fn from(e: OvlError) -> Self {
         CodecError::Ovl(e)
-    }
-}
-
-impl From<AdpcmError> for CodecError {
-    fn from(e: AdpcmError) -> Self {
-        CodecError::Adpcm(e)
     }
 }
 
@@ -170,11 +156,6 @@ impl Codecs {
                 bytes: encode_samples(samples, Encoding::ULaw),
                 work_units: samples.len() as u64 * 2,
             },
-            CodecId::Adpcm => Encoded {
-                codec,
-                bytes: adpcm_encode(samples, channels),
-                work_units: samples.len() as u64 * 4,
-            },
             CodecId::Ovl => {
                 let out = self.ovl.encode(samples, channels, quality.min(MAX_QUALITY));
                 Encoded {
@@ -187,8 +168,8 @@ impl Codecs {
     }
 
     /// Decodes a payload back to interleaved samples. `channels` is the
-    /// stream configuration's channel count; self-describing payloads
-    /// (OVL, ADPCM) are cross-checked against it.
+    /// stream configuration's channel count; a self-describing payload
+    /// (OVL) is cross-checked against it.
     pub fn decode(
         &self,
         codec: CodecId,
@@ -220,16 +201,6 @@ impl Codecs {
             CodecId::ULaw => {
                 decode_samples_into(bytes, Encoding::ULaw, out);
                 Ok(out.len() as u64 * 2)
-            }
-            CodecId::Adpcm => {
-                let ch = adpcm_decode_into(bytes, out)?;
-                if ch != channels {
-                    return Err(CodecError::ChannelMismatch {
-                        expected: channels,
-                        got: ch,
-                    });
-                }
-                Ok(out.len() as u64 * 4)
             }
             CodecId::Ovl => {
                 let (ch, work) = self.ovl.decode_into(bytes, out)?;
@@ -285,6 +256,8 @@ mod tests {
         for c in CodecId::ALL {
             assert_eq!(CodecId::from_wire(c.to_wire()), Some(c));
         }
+        // Wire id 2 was IMA ADPCM, retired: an unknown id like any other.
+        assert_eq!(CodecId::from_wire(2), None);
         assert_eq!(CodecId::from_wire(99), None);
     }
 
@@ -310,7 +283,6 @@ mod tests {
             let floor = match c {
                 CodecId::Pcm => 100.0,
                 CodecId::ULaw => 25.0,
-                CodecId::Adpcm => 20.0,
                 CodecId::Ovl => 25.0,
             };
             assert!(snr >= floor, "{c}: snr {snr} < {floor}");
@@ -324,28 +296,25 @@ mod tests {
         let size = |c| codecs.encode(c, &s, 2, 10).bytes.len();
         let pcm = size(CodecId::Pcm);
         let ulaw = size(CodecId::ULaw);
-        let adpcm = size(CodecId::Adpcm);
         let ovl = size(CodecId::Ovl);
         assert_eq!(ulaw * 2, pcm);
-        assert!(adpcm < ulaw, "adpcm {adpcm} vs ulaw {ulaw}");
         assert!(ovl < pcm / 2, "ovl {ovl} vs pcm {pcm}");
     }
 
     #[test]
     fn ovl_costs_most_cpu() {
         // Under the default FFT accounting (fold + n/2-point FFT) OVL
-        // is ~6x ADPCM; under the paper-fidelity direct model it stays
-        // >100x.
+        // is ~12x µ-law; under the paper-fidelity direct model it stays
+        // >200x.
         let codecs = Codecs::new();
         let s = stereo(4_096);
         let work = |c| codecs.encode(c, &s, 2, 10).work_units;
-        assert!(work(CodecId::Ovl) > work(CodecId::Adpcm) * 5);
-        assert!(work(CodecId::Adpcm) >= work(CodecId::ULaw));
+        assert!(work(CodecId::Ovl) > work(CodecId::ULaw) * 10);
         assert!(work(CodecId::ULaw) >= work(CodecId::Pcm));
 
         let paper = Codecs::with_cost_model(es_sim::CostModel::Direct);
         let direct_work = paper.encode(CodecId::Ovl, &s, 2, 10).work_units;
-        assert!(direct_work > work(CodecId::Adpcm) * 100);
+        assert!(direct_work > work(CodecId::ULaw) * 200);
         assert!(
             direct_work > work(CodecId::Ovl) * 5,
             "direct billing must dominate"
@@ -356,16 +325,14 @@ mod tests {
     fn channel_mismatch_detected() {
         let codecs = Codecs::new();
         let s = stereo(1_024);
-        for c in [CodecId::Adpcm, CodecId::Ovl] {
-            let enc = codecs.encode(c, &s, 2, 10);
-            assert!(matches!(
-                codecs.decode(c, &enc.bytes, 1),
-                Err(CodecError::ChannelMismatch {
-                    expected: 1,
-                    got: 2
-                })
-            ));
-        }
+        let enc = codecs.encode(CodecId::Ovl, &s, 2, 10);
+        assert!(matches!(
+            codecs.decode(CodecId::Ovl, &enc.bytes, 1),
+            Err(CodecError::ChannelMismatch {
+                expected: 1,
+                got: 2
+            })
+        ));
     }
 
     #[test]

@@ -2,12 +2,15 @@
 //!
 //! The paper compresses CD-quality streams with Ogg Vorbis before
 //! multicasting them (§2.2). This crate provides the codecs the
-//! rebroadcaster's selective-compression policy chooses between:
+//! rebroadcaster's selective-compression policy chooses between, in
+//! the two forms §2.2 names: low-bit-rate channels go uncompressed (or
+//! companded), CD channels through the lossy codec. Wire codec id 2 is
+//! retired (it was IMA ADPCM, which no policy chose) and decodes as an
+//! unknown id.
 //!
 //! - [`codec::CodecId::Pcm`]: raw PCM (what the early system sent at
 //!   ~1.3 Mbps per stream).
 //! - [`codec::CodecId::ULaw`]: G.711 companding, 2:1, free.
-//! - [`codec::CodecId::Adpcm`]: IMA ADPCM, 4:1, near-free.
 //! - [`codec::CodecId::Ovl`]: the from-scratch MDCT transform codec
 //!   standing in for Ogg Vorbis — quality index 0..=10, the best ratio,
 //!   and (by design) the highest CPU cost, which is what Figure 4
@@ -19,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
-pub mod adpcm;
 pub mod bitstream;
 pub mod codec;
 pub mod dsp;

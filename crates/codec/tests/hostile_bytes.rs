@@ -1,4 +1,4 @@
-//! Hostile bytes into the self-describing payload decoders.
+//! Hostile bytes into the self-describing payload decoder, OVL's.
 //!
 //! A speaker decodes whatever arrives on its multicast group (§5.1:
 //! garbage must be cheap to reject), so `Codecs::decode_wire` has to be
@@ -50,17 +50,15 @@ enum Twins {
     AllButOne,
 }
 
-/// The decoders that parse a header of their own, at the channel
-/// counts the system streams, and OVL also in three twin layouts,
-/// whose masked channels its decoder copies.
-const LAYOUTS: [(CodecId, u8, Twins); 7] = [
-    (CodecId::Ovl, 1, Twins::None),
-    (CodecId::Ovl, 2, Twins::None),
-    (CodecId::Ovl, 2, Twins::All),
-    (CodecId::Ovl, 2, Twins::AllButOne),
-    (CodecId::Ovl, 3, Twins::All),
-    (CodecId::Adpcm, 1, Twins::None),
-    (CodecId::Adpcm, 2, Twins::None),
+/// OVL, the one codec that parses a header of its own (PCM and µ-law
+/// decode any bytes), at the channel counts the system streams and in
+/// three twin layouts, whose masked channels its decoder copies.
+const LAYOUTS: [(u8, Twins); 5] = [
+    (1, Twins::None),
+    (2, Twins::None),
+    (2, Twins::All),
+    (2, Twins::AllButOne),
+    (3, Twins::All),
 ];
 
 /// Samples in the valid packet each damaged input starts from.
@@ -71,19 +69,13 @@ thread_local! {
     static ORACLE_MDCT: Mdct = Mdct::new(BLOCK);
 }
 
-/// The most samples a `len`-byte payload of `channels` channels can
-/// honestly decode to.
-fn max_samples(codec: CodecId, len: usize, channels: u8) -> usize {
-    match codec {
-        // One 4-bit code per sample behind the header.
-        CodecId::Adpcm => 2 * len,
-        // Every window × coded channel spends at least one keep-flag
-        // bit per band and yields at most BLOCK samples, so `len` bytes
-        // carry at most `8 · len / bands` windows of one coded channel;
-        // the twins copy them, at most once per channel.
-        CodecId::Ovl => channels as usize * BLOCK * 8 * len / band_widths(BLOCK).len(),
-        CodecId::Pcm | CodecId::ULaw => unreachable!("headerless codecs are not in LAYOUTS"),
-    }
+/// The most samples a `len`-byte OVL payload of `channels` channels
+/// can honestly decode to. Every window × coded channel spends at least
+/// one keep-flag bit per band and yields at most BLOCK samples, so
+/// `len` bytes carry at most `8 · len / bands` windows of one coded
+/// channel; the twins copy them, at most once per channel.
+fn max_samples(len: usize, channels: u8) -> usize {
+    channels as usize * BLOCK * 8 * len / band_widths(BLOCK).len()
 }
 
 /// The oracle's Rice read: the unary quotient, then the remainder.
@@ -186,23 +178,21 @@ fn oracle_ovl_decode(bytes: &[u8], channels: u8) -> Result<(Vec<i16>, u64), Code
     Ok((out, work))
 }
 
-/// Decodes `bytes` and holds an `Ok` to the format's bound, and an OVL
-/// decode to the oracle's.
-fn assert_total(codec: CodecId, channels: u8, bytes: &[u8]) {
-    let decoded = CODECS.with(|c| c.decode_wire(codec.to_wire(), bytes, channels));
-    if codec == CodecId::Ovl {
-        let oracle = oracle_ovl_decode(bytes, channels);
-        assert_eq!(
-            format!("{decoded:?}"),
-            format!("{oracle:?}"),
-            "ovl x{channels}: {} bytes decode unlike the oracle",
-            bytes.len()
-        );
-    }
+/// Decodes `bytes` as OVL, holds the decode to the oracle's and an
+/// `Ok` to the format's bound.
+fn assert_total(channels: u8, bytes: &[u8]) {
+    let decoded = CODECS.with(|c| c.decode_wire(CodecId::Ovl.to_wire(), bytes, channels));
+    let oracle = oracle_ovl_decode(bytes, channels);
+    assert_eq!(
+        format!("{decoded:?}"),
+        format!("{oracle:?}"),
+        "ovl x{channels}: {} bytes decode unlike the oracle",
+        bytes.len()
+    );
     if let Ok((samples, _)) = decoded {
         assert!(
-            samples.len() <= max_samples(codec, bytes.len(), channels),
-            "{codec} x{channels}: {} samples out of {} bytes",
+            samples.len() <= max_samples(bytes.len(), channels),
+            "ovl x{channels}: {} samples out of {} bytes",
             samples.len(),
             bytes.len()
         );
@@ -235,24 +225,24 @@ fn valid_samples(channels: u8, twins: Twins) -> Vec<i16> {
     samples
 }
 
-fn valid_packet(codec: CodecId, channels: u8, twins: Twins) -> Vec<u8> {
+fn valid_packet(channels: u8, twins: Twins) -> Vec<u8> {
     let samples = valid_samples(channels, twins);
-    CODECS.with(|c| c.encode(codec, &samples, channels, MAX_QUALITY).bytes)
+    CODECS.with(|c| {
+        c.encode(CodecId::Ovl, &samples, channels, MAX_QUALITY)
+            .bytes
+    })
 }
 
 #[test]
 fn every_twin_mask_on_a_valid_packet_is_rejected_or_bounded() {
-    for (codec, channels, twins) in LAYOUTS {
-        if codec != CodecId::Ovl {
-            continue;
-        }
-        let mut packet = valid_packet(codec, channels, twins);
+    for (channels, twins) in LAYOUTS {
+        let mut packet = valid_packet(channels, twins);
         for mask in 0..=u8::MAX {
             packet[6] = mask;
-            assert_total(codec, channels, &packet);
+            assert_total(channels, &packet);
             // Bit 0, a bit past the channel count, or every channel.
             let bad = mask & 1 == 1 || u32::from(mask) >> channels != 0;
-            let got = CODECS.with(|c| c.decode_wire(codec.to_wire(), &packet, channels));
+            let got = CODECS.with(|c| c.decode_wire(CodecId::Ovl.to_wire(), &packet, channels));
             let refused = matches!(got, Err(CodecError::Ovl(OvlError::BadHeader("twin mask"))));
             assert_eq!(
                 refused, bad,
@@ -264,14 +254,14 @@ fn every_twin_mask_on_a_valid_packet_is_rejected_or_bounded() {
 
 #[test]
 fn every_truncation_of_a_valid_packet_is_rejected_or_bounded() {
-    for (codec, channels, twins) in LAYOUTS {
-        let packet = valid_packet(codec, channels, twins);
+    for (channels, twins) in LAYOUTS {
+        let packet = valid_packet(channels, twins);
         // The untruncated packet is the one input that must decode.
-        let whole = CODECS.with(|c| c.decode_wire(codec.to_wire(), &packet, channels));
+        let whole = CODECS.with(|c| c.decode_wire(CodecId::Ovl.to_wire(), &packet, channels));
         let len = valid_samples(channels, twins).len();
         assert_eq!(whole.expect("valid packet decodes").0.len(), len);
         for len in 0..=packet.len() {
-            assert_total(codec, channels, &packet[..len]);
+            assert_total(channels, &packet[..len]);
         }
     }
 }
@@ -279,20 +269,20 @@ fn every_truncation_of_a_valid_packet_is_rejected_or_bounded() {
 proptest! {
     #[test]
     fn noise_is_rejected_or_bounded(bytes in vec(ANY_U8, 0..65)) {
-        for (codec, channels, _) in LAYOUTS {
-            assert_total(codec, channels, &bytes);
+        for (channels, _) in LAYOUTS {
+            assert_total(channels, &bytes);
         }
     }
 
     #[test]
     fn bit_flips_are_rejected_or_bounded(flips in vec((0usize..1 << 16, 0u8..8), 1..9)) {
-        for (codec, channels, twins) in LAYOUTS {
-            let mut packet = valid_packet(codec, channels, twins);
+        for (channels, twins) in LAYOUTS {
+            let mut packet = valid_packet(channels, twins);
             // Damage accumulates: every prefix of the flip list is an input.
             for &(at, bit) in &flips {
                 let at = at % packet.len();
                 packet[at] ^= 1 << bit;
-                assert_total(codec, channels, &packet);
+                assert_total(channels, &packet);
             }
         }
     }
@@ -302,11 +292,11 @@ proptest! {
         header in vec(ANY_U8, 0..13),
         keep in 0usize..1 << 16,
     ) {
-        for (codec, channels, twins) in LAYOUTS {
-            let mut packet = valid_packet(codec, channels, twins);
+        for (channels, twins) in LAYOUTS {
+            let mut packet = valid_packet(channels, twins);
             packet[..header.len()].copy_from_slice(&header);
             packet.truncate(header.len() + keep % (packet.len() - header.len() + 1));
-            assert_total(codec, channels, &packet);
+            assert_total(channels, &packet);
         }
     }
 }

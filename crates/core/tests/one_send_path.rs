@@ -32,7 +32,7 @@ fn config() -> LiveProducerConfig {
     let mut cfg = LiveProducerConfig::new(0, 0);
     cfg.tx.fec_group = Some(4);
     cfg.tx.policy = CompressionPolicy::Always {
-        codec: CodecId::Adpcm,
+        codec: CodecId::ULaw,
         quality: 0,
     };
     cfg
@@ -53,9 +53,10 @@ fn stream(cfg: &LiveProducerConfig) -> Vec<(SimTime, Bytes)> {
     let stats = producer.tx().stats;
     assert_eq!(stats.data_packets, CHUNKS);
     assert_eq!(stats.audio_bytes_in, CHUNKS * SAMPLES_PER_CHUNK * 2);
-    assert!(
-        stats.payload_bytes_out * 3 < stats.audio_bytes_in,
-        "ADPCM is 4 bits a sample: {stats:?}"
+    assert_eq!(
+        stats.payload_bytes_out * 2,
+        stats.audio_bytes_in,
+        "µ-law is 8 bits a sample: {stats:?}"
     );
     let played_out = SimTime::ZERO + CHUNK * CHUNKS + cfg.tx.playout_delay;
     assert_eq!(producer.tx().played_out_at(), Some(played_out));

@@ -1150,7 +1150,7 @@ mod tests {
             stream_id: 2,
             codec: 3,
             playout_delay_us: 100_000,
-            caps: caps(&[0, 2, 3]),
+            caps: caps(&[0, 1, 3]),
         });
         for i in 0..bytes.len() {
             let mut m = bytes.to_vec();
@@ -1184,7 +1184,7 @@ mod tests {
         );
         // Codec outside the stream's set.
         assert_eq!(
-            negotiate(&info, &caps(&[2]), 2, 0),
+            negotiate(&info, &caps(&[1]), 1, 0),
             Err(RefuseReason::CodecMismatch)
         );
         // Rate outside the receiver's set.
@@ -1420,7 +1420,7 @@ mod tests {
     #[test]
     fn incompatible_offer_is_ignored() {
         let mut cfg = SessionClientConfig::new("es", "radio");
-        cfg.caps = caps(&[2]); // ADPCM only
+        cfg.caps = caps(&[1]); // µ-law only
         let mut c = SessionClient::new(cfg);
         c.poll(0);
         // Stream offers PCM and OVL only: no overlap, keep discovering.

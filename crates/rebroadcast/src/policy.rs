@@ -117,11 +117,12 @@ mod tests {
             CompressionPolicy::Never.select(&AudioConfig::CD),
             (CodecId::Pcm, 0)
         );
+        // Not what the paper default picks for a phone channel.
         let p = CompressionPolicy::Always {
-            codec: CodecId::Adpcm,
+            codec: CodecId::Ovl,
             quality: 3,
         };
-        assert_eq!(p.select(&AudioConfig::PHONE), (CodecId::Adpcm, 3));
+        assert_eq!(p.select(&AudioConfig::PHONE), (CodecId::Ovl, 3));
     }
 
     #[test]

@@ -219,8 +219,8 @@ fn abuse(rx: &mut SpeakerRx, rng: &mut StdRng, mut wrap: impl FnMut(&mut StdRng,
     assert_eq!(rx.stats.datagrams, 300);
 }
 
-fn control(producer_time_us: u64) -> Bytes {
-    encode_control(&ControlPacket {
+fn control_packet(producer_time_us: u64) -> ControlPacket {
+    ControlPacket {
         stream_id: 1,
         seq: 0,
         producer_time_us,
@@ -229,7 +229,11 @@ fn control(producer_time_us: u64) -> Bytes {
         quality: 0,
         control_interval_ms: 500,
         flags: 0,
-    })
+    }
+}
+
+fn control(producer_time_us: u64) -> Bytes {
+    encode_control(&control_packet(producer_time_us))
 }
 
 fn data(seq: u32, play_at_us: u64) -> Bytes {
@@ -420,9 +424,6 @@ fn gaps_with_far_future_deadlines_are_held_to_the_bound_and_asked_twice() {
         .is_some_and(|at| at > SimTime::from_secs(3_000)));
 }
 
-/// A NACK is the one packet a speaker sends; one that reaches a
-/// speaker — another speaker's on a shared LAN, or a forger's — is
-/// nobody's business there.
 /// Decodes every payload to a 50 ms CD block, and keeps a weak
 /// handle on each: what is still alive, the node holds.
 type Decoded = std::rc::Rc<std::cell::RefCell<Vec<std::rc::Weak<es_speaker::SharedBlock>>>>;
@@ -486,6 +487,87 @@ fn a_flood_of_far_future_blocks_is_held_to_the_bound() {
     assert_eq!(node.rx.stats.data_packets, 64);
 }
 
+/// Wire codec id 2 is retired: no codec owns it, so a control or data
+/// packet stamped with it carries a hostile field like any other. The
+/// production decoder plays each block as `SpeakerRx::codec_for` says
+/// — a data packet's unknown byte defers to the stream's codec, a
+/// stream's unknown byte to PCM — or counts a decode error when the
+/// payload is not that codec's.
+#[test]
+fn a_retired_codec_byte_decodes_as_the_stream_codec_or_counts_an_error() {
+    use es_codec::{CodecId, Codecs, MAX_QUALITY};
+    const RETIRED: u8 = 2;
+    assert_eq!(CodecId::from_wire(RETIRED), None);
+    let codecs = Codecs::new();
+    let block = |k: i32| -> Vec<i16> {
+        (0..4_410)
+            .map(|i| ((i * (k + 3) * 37) % 20_000 - 10_000) as i16)
+            .collect()
+    };
+    let pcm = |k| codecs.encode(CodecId::Pcm, &block(k), 2, 0).bytes;
+    let ovl = |k| codecs.encode(CodecId::Ovl, &block(k), 2, MAX_QUALITY).bytes;
+    let ovl_played = |k| codecs.decode(CodecId::Ovl, &ovl(k), 2).unwrap().0;
+
+    let cfg = es_speaker::SpeakerConfig::new("es", es_net::McastGroup(1));
+    let decoder = es_speaker::MemoDecoder::new(&cfg);
+    let mut node = es_speaker::SpeakerNode::new(cfg, decoder);
+    let stamped = |stream_codec| {
+        encode_control(&ControlPacket {
+            codec: stream_codec,
+            ..control_packet(0)
+        })
+    };
+    let mut seq = 0;
+    let mut send = |node: &mut es_speaker::SpeakerNode<(), es_speaker::MemoDecoder>,
+                    codec: u8,
+                    payload: Vec<u8>| {
+        let packet = DataPacket {
+            stream_id: 1,
+            seq,
+            play_at_us: 200_000 + u64::from(seq) * 50_000,
+            codec,
+            payload: Bytes::from(payload),
+        };
+        node.on_datagram(SimTime::ZERO, (), &encode_data(&packet));
+        seq += 1;
+    };
+    // A stream stamped 2 plays as PCM, and so does its block stamped 2.
+    node.on_datagram(SimTime::ZERO, (), &stamped(RETIRED));
+    assert_eq!(node.rx.codec_for(RETIRED), CodecId::Pcm);
+    send(&mut node, RETIRED, pcm(0));
+    // Under an OVL stream a block stamped 2 decodes as OVL: an OVL
+    // payload plays, a PCM one is a decode error.
+    node.on_datagram(SimTime::ZERO, (), &stamped(CodecId::Ovl.to_wire()));
+    assert_eq!(node.rx.codec_for(RETIRED), CodecId::Ovl);
+    send(&mut node, RETIRED, ovl(1));
+    send(&mut node, RETIRED, pcm(2));
+    send(&mut node, RETIRED, Vec::new());
+    // A known byte still names its own codec.
+    send(&mut node, CodecId::Pcm.to_wire(), pcm(3));
+    send(&mut node, CodecId::Ovl.to_wire(), ovl(4));
+    while let Some(at) = node.next_wake() {
+        node.on_wake(at);
+    }
+
+    let mut played = Vec::new();
+    for action in node.actions.drain(..) {
+        if let es_speaker::Action::Play(play) = action {
+            play.render_into(&mut played);
+        }
+    }
+    let expected = [block(0), ovl_played(1), block(3), ovl_played(4)].concat();
+    assert!(played == expected, "played {} samples", played.len());
+    let stats = node.rx.stats;
+    assert_eq!(
+        (stats.data_packets, stats.decode_errors, stats.bad_packets),
+        (4, 2, 0),
+        "{stats:?}"
+    );
+}
+
+/// A NACK is the one packet a speaker sends; one that reaches a
+/// speaker — another speaker's on a shared LAN, or a forger's — is
+/// nobody's business there.
 #[test]
 fn a_nack_sent_to_a_speaker_is_ignored() {
     let (mut rx, mut events) = baited(10);

@@ -199,21 +199,21 @@ fn reconfigured_stream_is_decoded_under_the_live_channel_count() {
     // waits in the serial speaker's queue while a control packet turns
     // the stream mono: the pipelined speaker already played it as
     // stereo, the serial one must decode it under the live layout —
-    // and fail the ADPCM channel cross-check — not reuse its
+    // and fail the OVL channel cross-check — not reuse its
     // neighbour's stereo decode.
     let mut rig = Rig::new(LanConfig::default());
     let pipelined = rig.speaker(SpeakerConfig::new("pipe", G));
     let mut cfg = SpeakerConfig::new("serial", G);
     cfg.serial_queue_depth = Some(4);
     let serial = rig.speaker(cfg);
-    rig.send(G, control(43, 0, AudioConfig::CD, CodecId::Adpcm));
+    rig.send(G, control(43, 0, AudioConfig::CD, CodecId::Ovl));
     rig.sim.run();
     let codecs = Codecs::new();
     for seq in 0..2u32 {
         let samples = vec![3_000 + seq as i16; 2 * 2_205];
-        let enc = codecs.encode(CodecId::Adpcm, &samples, 2, 0);
+        let enc = codecs.encode(CodecId::Ovl, &samples, 2, 0);
         let at = 300_000 + seq as u64 * 50_000;
-        rig.send(G, data(43, seq, at, CodecId::Adpcm, enc.bytes.into()));
+        rig.send(G, data(43, seq, at, CodecId::Ovl, enc.bytes.into()));
     }
     rig.run_ms(100);
     let mono = AudioConfig {
@@ -221,7 +221,7 @@ fn reconfigured_stream_is_decoded_under_the_live_channel_count() {
         ..AudioConfig::CD
     };
     let now_us = rig.sim.now().as_micros();
-    rig.send(G, control(43, now_us, mono, CodecId::Adpcm));
+    rig.send(G, control(43, now_us, mono, CodecId::Ovl));
     rig.run_ms(1_000);
     assert_eq!(pipelined.stats().decode_errors, 0);
     assert_eq!(pipelined.stats().data_packets, 2);

@@ -223,6 +223,22 @@ fn no_doc_describes_the_deleted_in_band_ovl_repeats() {
 }
 
 #[test]
+fn no_doc_describes_the_deleted_adpcm_codec() {
+    // The codecs are the two forms §2.2 uses: PCM or µ-law uncompressed,
+    // OVL lossy. Wire codec id 2 is unknown. Spelled in halves, like
+    // the needles above.
+    assert_no_doc_mentions(
+        &DOCS,
+        &[
+            concat!("adpcm_", "decode_into"),
+            concat!("adpcm_", "encode"),
+            concat!("CodecId::", "Adpcm"),
+            concat!("IMA ", "ADPCM"),
+        ],
+    );
+}
+
+#[test]
 fn no_doc_describes_the_deleted_fec_ladder() {
     // Parity is a channel's static `fec_group`; nothing moves it, and
     // the PARAM carries no FEC byte. Spelled in halves, like the

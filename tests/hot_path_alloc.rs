@@ -19,7 +19,6 @@ use std::cell::Cell;
 use es_audio::convert::{decode_samples_into, encode_samples_into};
 use es_audio::gen::{render_interleaved, ImpulseTrain, MultiTone, Signal, WhiteNoise};
 use es_audio::Encoding;
-use es_codec::adpcm::{adpcm_decode_into, adpcm_encode};
 use es_codec::{dsp, CodecId, OvlCodec, MAX_QUALITY};
 use es_core::prelude::*;
 
@@ -105,24 +104,6 @@ fn ovl_decode_into_does_not_allocate_once_warm() {
         }
     });
     assert_eq!(n, 0, "OvlCodec::decode_into allocated");
-}
-
-#[test]
-fn adpcm_decode_into_does_not_allocate_once_warm() {
-    let packets: Vec<Vec<u8>> = clips()
-        .iter()
-        .map(|(channels, clip)| adpcm_encode(clip, *channels))
-        .collect();
-    let mut out = Vec::new();
-    for packet in &packets {
-        adpcm_decode_into(packet, &mut out).expect("decodes");
-    }
-    let n = allocations_during(|| {
-        for packet in &packets {
-            adpcm_decode_into(packet, &mut out).expect("decodes");
-        }
-    });
-    assert_eq!(n, 0, "adpcm_decode_into allocated");
 }
 
 #[test]

@@ -225,6 +225,11 @@ impl SeenSeqs {
         }
         self.0[class].replace(seq) != Some(seq)
     }
+
+    /// Whether `seq` is in the window.
+    fn contains(&self, seq: u32) -> bool {
+        self.0.get((seq % DEDUPE_WINDOW) as usize) == Some(&Some(seq))
+    }
 }
 
 /// RFC 3550 §6.4.1 interarrival jitter: `J += (|D| − J) / 16`, with
@@ -542,8 +547,15 @@ impl SpeakerRx {
             Packet::Control(c) => self.on_control(now, c, events),
             Packet::Data(d) => {
                 // Feed the FEC tracker first: a recovered packet from an
-                // earlier group plays like any other.
-                let recovered = self.fec_step(|f| f.on_data(&d));
+                // earlier group plays like any other. Skip a seq that
+                // already went to playback: its group was rebuilt or
+                // completed, and the copy would reopen it, to be
+                // counted unrecoverable when it retires.
+                let recovered = if self.seen_seqs.contains(d.seq) {
+                    None
+                } else {
+                    self.fec_step(|f| f.on_data(&d))
+                };
                 self.on_data(now, d, false, events);
                 self.on_recovered(now, recovered, events);
             }
@@ -1060,6 +1072,70 @@ mod tests {
         offer(&mut rx, MS(0), encode_data(&packet(20)));
         let st = rx.stats;
         assert_eq!((st.fec_recovered, st.fec_unrecoverable), (1, 1), "{st:?}");
+    }
+
+    /// A data packet whose seq already went to playback is no news to
+    /// the recoverer: fed to it, it would open a fresh group for a
+    /// group already rebuilt or completed, which counts as
+    /// unrecoverable once given up.
+    #[test]
+    fn a_seq_already_played_opens_no_group() {
+        use es_proto::{encode_parity, ParityAccumulator};
+        let packet = |seq: u32| DataPacket {
+            stream_id: 1,
+            seq,
+            play_at_us: 300_000 + u64::from(seq) * 50_000,
+            codec: 0,
+            payload: Bytes::from(vec![seq as u8; 8]),
+        };
+        let mut acc = ParityAccumulator::new(4);
+        let parity: Vec<_> = (0..8).filter_map(|seq| acc.absorb(&packet(seq))).collect();
+        // `None` is the next group's parity; the last pair is
+        // fec_recovered and dropped_duplicate. Group [0, 4)'s parity
+        // comes first, so seq 0-2 rebuild seq 3; then the original
+        // seq 3 arrives. Or group [4, 8) arrives whole, its parity
+        // after it, and then a LAN duplicate of seq 6.
+        type Order<'a> = (&'a str, &'a [Option<u32>], (u64, u64));
+        let orders: [Order<'_>; 2] = [
+            (
+                "rebuilt, then the original",
+                &[None, Some(0), Some(1), Some(2), Some(3)],
+                (1, 1),
+            ),
+            (
+                "completed, then a duplicate",
+                &[
+                    None,
+                    Some(0),
+                    Some(1),
+                    Some(2),
+                    Some(4),
+                    Some(5),
+                    Some(6),
+                    Some(7),
+                    None,
+                    Some(6),
+                ],
+                (1, 1),
+            ),
+        ];
+        for (name, order, (recovered, duplicates)) in orders {
+            let mut rx = SpeakerRx::new(None);
+            tune(&mut rx, SimTime::ZERO);
+            let mut parity = parity.iter();
+            for &seq in order {
+                let raw = match seq {
+                    Some(seq) => encode_data(&packet(seq)),
+                    None => encode_parity(parity.next().expect("two groups")),
+                };
+                offer(&mut rx, MS(0), raw);
+            }
+            // The recoverer gives up on whatever it holds open.
+            rx.retune();
+            let st = rx.stats;
+            let got = (st.fec_recovered, st.dropped_duplicate, st.fec_unrecoverable);
+            assert_eq!(got, (recovered, duplicates, 0), "{name}: {st:?}");
+        }
     }
 
     #[test]

@@ -536,7 +536,7 @@ fn a_retired_codec_byte_decodes_as_the_stream_codec_or_counts_an_error() {
     assert_eq!(node.rx.codec_for(RETIRED), CodecId::Pcm);
     send(&mut node, RETIRED, pcm(0));
     // Under an OVL stream a block stamped 2 decodes as OVL: an OVL
-    // payload plays, a PCM one is a decode error.
+    // payload plays, a PCM or an empty one is a decode error.
     node.on_datagram(SimTime::ZERO, (), &stamped(CodecId::Ovl.to_wire()));
     assert_eq!(node.rx.codec_for(RETIRED), CodecId::Ovl);
     send(&mut node, RETIRED, ovl(1));

@@ -119,16 +119,10 @@ impl Default for Codecs {
 }
 
 impl Codecs {
-    /// Creates the engine with the default (fast-path) cost model.
+    /// Creates the engine.
     pub fn new() -> Self {
-        Codecs::with_cost_model(es_sim::CostModel::default())
-    }
-
-    /// Creates the engine billing transform work under `cost_model`
-    /// (see [`es_sim::CostModel`]); execution is identical either way.
-    pub fn with_cost_model(cost_model: es_sim::CostModel) -> Self {
         Codecs {
-            ovl: OvlCodec::with_cost_model(cost_model),
+            ovl: OvlCodec::new(),
         }
     }
 
@@ -303,22 +297,13 @@ mod tests {
 
     #[test]
     fn ovl_costs_most_cpu() {
-        // Under the default FFT accounting (fold + n/2-point FFT) OVL
-        // is ~12x µ-law; under the paper-fidelity direct model it stays
-        // >200x.
+        // OVL's fold + n/2-point FFT per window is ~12x µ-law's
+        // per-sample pass.
         let codecs = Codecs::new();
         let s = stereo(4_096);
         let work = |c| codecs.encode(c, &s, 2, 10).work_units;
         assert!(work(CodecId::Ovl) > work(CodecId::ULaw) * 10);
         assert!(work(CodecId::ULaw) >= work(CodecId::Pcm));
-
-        let paper = Codecs::with_cost_model(es_sim::CostModel::Direct);
-        let direct_work = paper.encode(CodecId::Ovl, &s, 2, 10).work_units;
-        assert!(direct_work > work(CodecId::ULaw) * 200);
-        assert!(
-            direct_work > work(CodecId::Ovl) * 5,
-            "direct billing must dominate"
-        );
     }
 
     #[test]

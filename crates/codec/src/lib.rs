@@ -31,5 +31,4 @@ pub mod ovl;
 pub mod reference;
 
 pub use codec::{CodecError, CodecId, Codecs, Encoded};
-pub use es_sim::CostModel;
 pub use ovl::{OvlCodec, MAX_QUALITY};

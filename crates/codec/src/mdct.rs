@@ -42,11 +42,11 @@
 //! times the `2/n` scale and the window.
 //!
 //! That is O(N log N) against the O(N²) direct evaluation retained in
-//! [`crate::reference`], which doubles as the execution fallback when
-//! `n/2` is not a power of two or is below 4 (`n` = 2 and 4: the
-//! [`Fft`] starts at four points) and as the ground truth for the
-//! property tests. The fast path agrees with it to rounding (≈ 1e-6 of
-//! the coefficient scale), not bit for bit.
+//! [`crate::reference`] as the ground truth for the property tests.
+//! The fast path agrees with it to rounding (≈ 1e-6 of the coefficient
+//! scale), not bit for bit. It is the only engine: the [`Fft`] starts
+//! at four points and halves its length per pass, so [`Mdct::new`]
+//! refuses a half-length `n` that is not a power of two of at least 8.
 //!
 //! # Passes over the data
 //!
@@ -72,19 +72,18 @@
 //! copied the coefficients; that form is kept as the oracle in
 //! `tests/fft_mdct_prop.rs`.
 //!
-//! Work is billed through a [`CostModel`]: the default bills what the
-//! fast path actually performs, while [`CostModel::Direct`] preserves
-//! the paper-fidelity Figure 4 calibration.
+//! Work is billed as the arithmetic this path performs
+//! ([`Mdct::ops_per_transform`]).
 
 use std::cell::RefCell;
 
-use es_sim::CostModel;
-
 use crate::fft::{Complex32, Fft};
-use crate::reference::DirectMdct;
 
-/// The fold → DCT-IV → unfold engine (see the module docs).
-struct FastMdct {
+/// An MDCT/IMDCT engine for a fixed half-length `n` (window length
+/// `2n`, producing `n` coefficients per window): fold → DCT-IV →
+/// unfold (see the module docs).
+pub struct Mdct {
+    n: usize,
     /// `n/2`-point engine.
     fft: Fft,
     window: Vec<f32>,
@@ -94,10 +93,13 @@ struct FastMdct {
     pre: Vec<Complex32>,
     /// `post[k] = e^{-iπ (4k+1) / (4n)}`, length `n/2`.
     post: Vec<Complex32>,
+    /// Per-call workspace. Interior mutability keeps
+    /// `forward`/`inverse` at `&self` (the codec engine is shared
+    /// behind `Rc`) while still being allocation-free per call.
+    work: RefCell<Work>,
 }
 
-/// The fast path's per-call workspace.
-#[derive(Default)]
+/// The per-call workspace.
 struct Work {
     /// The pre-twiddled DCT-IV input, length `n/2`.
     z: Vec<Complex32>,
@@ -107,7 +109,7 @@ struct Work {
     v: Vec<f32>,
 }
 
-impl FastMdct {
+impl Mdct {
     /// `u` folded from one window of `2n` time samples (see the module
     /// docs), into `u`'s `n` slots.
     fn fold(&self, time: &[f32], u: &mut [f32]) {
@@ -186,83 +188,41 @@ fn windowed<'a>(x: &'a [f32], w: &'a [f32]) -> impl DoubleEndedIterator<Item = f
     x.iter().zip(w).map(|(&x, &w)| x * w)
 }
 
-enum Engine {
-    Fft(FastMdct),
-    Direct(DirectMdct),
-}
-
-/// An MDCT/IMDCT engine for a fixed half-length `n` (window length
-/// `2n`, producing `n` coefficients per window).
-pub struct Mdct {
-    n: usize,
-    cost_model: CostModel,
-    engine: Engine,
-    /// Fast-path workspace (empty on the direct engine). Interior
-    /// mutability keeps `forward`/`inverse` at `&self` (the codec
-    /// engine is shared behind `Rc`) while still being allocation-free
-    /// per call.
-    work: RefCell<Work>,
-}
-
 impl Mdct {
-    /// Creates an engine with the default (fast-path) cost model.
-    /// `n` must be a positive even number.
+    /// Creates an engine for half-length `n`.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or odd.
+    /// Panics if `n` is not a power of two of at least 8.
     pub fn new(n: usize) -> Self {
-        Mdct::with_cost_model(n, CostModel::default())
-    }
-
-    /// Creates an engine billing work under `cost_model`. The cost
-    /// model only changes the accounting; execution always takes the
-    /// fastest correct path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or odd.
-    pub fn with_cost_model(n: usize, cost_model: CostModel) -> Self {
         assert!(
-            n > 0 && n.is_multiple_of(2),
-            "MDCT half-length must be positive and even"
+            n >= 8 && n.is_power_of_two(),
+            "MDCT half-length must be a power of two of at least 8"
         );
         let two_n = 2 * n;
         let half = n / 2;
-        let (engine, work) = if half >= 4 && half.is_power_of_two() {
-            let mut window = Vec::with_capacity(two_n);
-            for t in 0..two_n {
-                window.push((core::f32::consts::PI / two_n as f32 * (t as f32 + 0.5)).sin());
-            }
-            let scale = 2.0 / n as f32;
-            let synth_window = window.iter().map(|&w| scale * w).collect();
-            let twiddle = |quarter_steps: usize| {
-                let theta = -core::f64::consts::PI * quarter_steps as f64 / (4 * n) as f64;
-                Complex32::new(theta.cos() as f32, theta.sin() as f32)
-            };
-            let pre: Vec<Complex32> = (0..half).map(|j| twiddle(4 * j)).collect();
-            let post: Vec<Complex32> = (0..half).map(|k| twiddle(4 * k + 1)).collect();
-            let fast = FastMdct {
-                fft: Fft::new(half),
-                window,
-                synth_window,
-                pre,
-                post,
-            };
-            let work = Work {
-                z: vec![Complex32::ZERO; half],
-                spec: vec![Complex32::ZERO; half],
-                v: vec![0.0; n],
-            };
-            (Engine::Fft(fast), work)
-        } else {
-            (Engine::Direct(DirectMdct::new(n)), Work::default())
+        let mut window = Vec::with_capacity(two_n);
+        for t in 0..two_n {
+            window.push((core::f32::consts::PI / two_n as f32 * (t as f32 + 0.5)).sin());
+        }
+        let scale = 2.0 / n as f32;
+        let synth_window = window.iter().map(|&w| scale * w).collect();
+        let twiddle = |quarter_steps: usize| {
+            let theta = -core::f64::consts::PI * quarter_steps as f64 / (4 * n) as f64;
+            Complex32::new(theta.cos() as f32, theta.sin() as f32)
         };
         Mdct {
             n,
-            cost_model,
-            engine,
-            work: RefCell::new(work),
+            fft: Fft::new(half),
+            window,
+            synth_window,
+            pre: (0..half).map(|j| twiddle(4 * j)).collect(),
+            post: (0..half).map(|k| twiddle(4 * k + 1)).collect(),
+            work: RefCell::new(Work {
+                z: vec![Complex32::ZERO; half],
+                spec: vec![Complex32::ZERO; half],
+                v: vec![0.0; n],
+            }),
         }
     }
 
@@ -271,23 +231,9 @@ impl Mdct {
         self.n
     }
 
-    /// The cost model work is billed under.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost_model
-    }
-
     /// The sine analysis/synthesis window, length `2n`.
     pub fn window(&self) -> &[f32] {
-        match &self.engine {
-            Engine::Fft(fast) => &fast.window,
-            Engine::Direct(d) => d.window(),
-        }
-    }
-
-    /// True when the O(N log N) FFT path is active: `n/2` is a power
-    /// of two and at least 4, i.e. `n` is 8, 16, 32, ….
-    pub fn uses_fft(&self) -> bool {
-        matches!(self.engine, Engine::Fft(_))
+        &self.window
     }
 
     /// Forward MDCT of one window of `2n` time samples into `n`
@@ -299,16 +245,11 @@ impl Mdct {
     pub fn forward(&self, time: &[f32], coeffs: &mut [f32]) {
         assert_eq!(time.len(), 2 * self.n, "input must be one full window");
         assert_eq!(coeffs.len(), self.n, "output must hold n coefficients");
-        match &self.engine {
-            Engine::Direct(d) => d.forward(time, coeffs),
-            Engine::Fft(fast) => {
-                let mut work = self.work.borrow_mut();
-                let Work { z, spec, .. } = &mut *work;
-                fast.fold(time, coeffs);
-                fast.spectrum(coeffs, z, spec);
-                fast.post_twiddle(spec, coeffs);
-            }
-        }
+        let mut work = self.work.borrow_mut();
+        let Work { z, spec, .. } = &mut *work;
+        self.fold(time, coeffs);
+        self.spectrum(coeffs, z, spec);
+        self.post_twiddle(spec, coeffs);
     }
 
     /// Inverse MDCT of `n` coefficients into one window of `2n`
@@ -326,38 +267,23 @@ impl Mdct {
     fn inverse_with(&self, coeffs: &[f32], time: &mut [f32], put: impl FnMut(&mut f32, f32)) {
         assert_eq!(coeffs.len(), self.n, "input must hold n coefficients");
         assert_eq!(time.len(), 2 * self.n, "output must be one full window");
-        match &self.engine {
-            Engine::Direct(d) => d.inverse_with(coeffs, time, put),
-            Engine::Fft(fast) => {
-                let mut work = self.work.borrow_mut();
-                let Work { z, spec, v } = &mut *work;
-                fast.spectrum(coeffs, z, spec);
-                fast.post_twiddle(spec, v);
-                fast.unfold(v, time, put);
-            }
-        }
+        let mut work = self.work.borrow_mut();
+        let Work { z, spec, v } = &mut *work;
+        self.spectrum(coeffs, z, spec);
+        self.post_twiddle(spec, v);
+        self.unfold(v, time, put);
     }
 
     /// Multiply-accumulate operations billed per forward (or inverse)
     /// transform — the codec's unit of CPU work for the Figure 4 cost
-    /// model. Under [`CostModel::Direct`] this is the `n·2n` table walk
-    /// of the direct transform regardless of execution path; under
-    /// [`CostModel::Fft`] it is the butterfly-plus-twiddle count of the
-    /// fast path (falling back to the direct figure when the direct
-    /// engine actually runs).
+    /// model: the butterfly-plus-twiddle count of the path that runs.
     pub fn ops_per_transform(&self) -> u64 {
-        let direct = (self.n * 2 * self.n) as u64;
-        match (self.cost_model, &self.engine) {
-            (CostModel::Direct, _) | (CostModel::Fft, Engine::Direct(_)) => direct,
-            (CostModel::Fft, Engine::Fft(_)) => {
-                let n = self.n as u64;
-                let passes = (self.n / 2).trailing_zeros() as u64;
-                // n/4 butterflies per pass × log2(n/2) passes × ~6
-                // MACs, plus the window-and-fold (2n) and the pre and
-                // post twiddles (n/2 complex each at ~4 MACs).
-                6 * (n / 4) * passes + 2 * n + 4 * n
-            }
-        }
+        let n = self.n as u64;
+        let passes = (self.n / 2).trailing_zeros() as u64;
+        // n/4 butterflies per pass × log2(n/2) passes × ~6 MACs, plus
+        // the window-and-fold (2n) and the pre and post twiddles (n/2
+        // complex each at ~4 MACs).
+        6 * (n / 4) * passes + 2 * n + 4 * n
     }
 
     /// Windows produced when analyzing `padded_len` samples
@@ -496,7 +422,6 @@ mod tests {
     fn fft_path_matches_direct_reference() {
         for n in [8usize, 64, 256, 512] {
             let fast = Mdct::new(n);
-            assert!(fast.uses_fft());
             let reference = crate::reference::DirectMdct::new(n);
             let signal = random_signal(2 * n, n as u64);
             let mut got = vec![0.0f32; n];
@@ -554,40 +479,22 @@ mod tests {
     }
 
     #[test]
-    fn sizes_without_a_half_length_fft_fall_back_to_direct() {
-        // n/2 = 15 is not a power of two and n/2 = 1 or 2 is below the
-        // FFT's four points; the engine must still be correct (via the
-        // direct fallback) and bill direct cost.
-        for n in [30usize, 2, 4] {
-            let mdct = Mdct::new(n);
-            assert!(!mdct.uses_fft());
-            assert_eq!(mdct.ops_per_transform(), (n * 2 * n) as u64);
-            let signal = random_signal(10 * n, 3);
-            let rec = synthesize(&mdct, &analyze(&mdct, &signal));
-            for (i, (&a, &b)) in signal.iter().zip(&rec).enumerate() {
-                assert!((a - b).abs() < 1e-4, "n {n} sample {i}: {a} vs {b}");
-            }
+    fn ops_accounting_is_the_fast_path_count() {
+        // 6·(n/4)·log2(n/2) + 2n + 4n.
+        assert_eq!(Mdct::new(512).ops_per_transform(), 6 * 128 * 8 + 6 * 512);
+        assert_eq!(Mdct::new(8).ops_per_transform(), 6 * 2 * 2 + 6 * 8);
+    }
+
+    #[test]
+    fn sizes_without_a_half_length_fft_are_refused() {
+        // n/2 = 15 is not a power of two, n/2 = 1 or 2 is below the
+        // FFT's four points, and an odd n has no half.
+        for n in [0usize, 2, 4, 30, 63] {
+            assert!(
+                std::panic::catch_unwind(|| Mdct::new(n)).is_err(),
+                "n = {n}"
+            );
         }
-    }
-
-    #[test]
-    fn ops_accounting_follows_cost_model() {
-        // Paper-fidelity billing: the full n·2n table walk.
-        let direct = Mdct::with_cost_model(512, CostModel::Direct);
-        assert_eq!(direct.ops_per_transform(), 512 * 1024);
-        // Fast-path billing: 6·(n/4)·log2(n/2) + 2n + 4n.
-        let fft = Mdct::new(512);
-        assert_eq!(fft.cost_model(), CostModel::Fft);
-        assert_eq!(fft.ops_per_transform(), 6 * 128 * 8 + 6 * 512);
-        // The switch is accounting-only: both run the same engine.
-        assert!(direct.uses_fft() && fft.uses_fft());
-        assert!(direct.ops_per_transform() > 5 * fft.ops_per_transform());
-    }
-
-    #[test]
-    #[should_panic(expected = "even")]
-    fn odd_n_panics() {
-        let _ = Mdct::new(63);
     }
 
     #[test]

@@ -21,8 +21,6 @@
 
 use std::cell::RefCell;
 
-use es_sim::CostModel;
-
 use crate::bitstream::{unzigzag, zigzag, BitReader, BitWriter};
 use crate::mdct::Mdct;
 
@@ -204,21 +202,14 @@ impl Default for OvlCodec {
 }
 
 impl OvlCodec {
-    /// Creates an engine with the standard block size and the default
-    /// (fast-path) cost model.
+    /// Creates an engine with the standard block size.
     pub fn new() -> Self {
-        OvlCodec::with_cost_model(CostModel::default())
-    }
-
-    /// Creates an engine billing MDCT work under `cost_model` (see
-    /// [`es_sim::CostModel`]); execution is identical either way.
-    pub fn with_cost_model(cost_model: CostModel) -> Self {
         let widths = band_widths(BLOCK);
         let qualities = (0..=MAX_QUALITY)
             .map(|q| QualityTable::new(q, widths.len()))
             .collect();
         OvlCodec {
-            mdct: Mdct::with_cost_model(BLOCK, cost_model),
+            mdct: Mdct::new(BLOCK),
             widths,
             qualities,
             arena: RefCell::new(DecodeArena::default()),

@@ -6,8 +6,7 @@
 //! the hot path now uses the FFT-based engine instead — but the direct
 //! form is trivially auditable against the textbook formula, which
 //! makes it the ground truth the property tests compare the fast path
-//! to. It also remains the execution fallback for window lengths that
-//! are not powers of two.
+//! to; nothing else runs it.
 
 /// A direct MDCT/IMDCT engine for a fixed half-length `n` (window
 /// length `2n`, producing `n` coefficients per window).
@@ -90,17 +89,6 @@ impl DirectMdct {
     ///
     /// Panics on length mismatches.
     pub fn inverse(&self, coeffs: &[f32], time: &mut [f32]) {
-        self.inverse_with(coeffs, time, |out, x| *out = x);
-    }
-
-    /// [`DirectMdct::inverse`], handing each windowed sample to `put`
-    /// with its destination instead of storing it (overlap-add adds).
-    pub(crate) fn inverse_with(
-        &self,
-        coeffs: &[f32],
-        time: &mut [f32],
-        mut put: impl FnMut(&mut f32, f32),
-    ) {
         assert_eq!(coeffs.len(), self.n, "input must hold n coefficients");
         assert_eq!(time.len(), 2 * self.n, "output must be one full window");
         let two_n = 2 * self.n;
@@ -110,14 +98,8 @@ impl DirectMdct {
             for (k, &c) in coeffs.iter().enumerate() {
                 acc += c * self.cos_table[k * two_n + t];
             }
-            put(out, acc * self.window[t] * scale);
+            *out = acc * self.window[t] * scale;
         }
-    }
-
-    /// Multiply-accumulate operations per forward (or inverse)
-    /// transform: one MAC per cosine-table entry.
-    pub fn ops_per_transform(&self) -> u64 {
-        (self.n * 2 * self.n) as u64
     }
 }
 

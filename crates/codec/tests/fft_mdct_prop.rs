@@ -3,7 +3,7 @@
 //! Two contracts. First, the fast path must be indistinguishable (to a
 //! few ulps of the signal scale: 8e-6 forward, 6e-7 inverse — 4× the
 //! worst error seen) from the retained direct O(N²) reference, from the
-//! smallest size that has a fast path up to the codec's block, and the
+//! smallest size the engine takes up to the codec's block, and the
 //! full OVL encode/decode chain must keep its perfect-reconstruction
 //! property at default settings: the windowed transform itself is
 //! lossless, so a max-quality roundtrip only carries quantization noise.
@@ -14,7 +14,7 @@
 //! into, one deinterleave pass for all channels — without changing a
 //! single floating-point operation. The multi-pass forms are kept in
 //! [`oracle`], in this file only, and the current ones must equal them
-//! *to the bit* (`to_bits`, not closeness) at every fast-path size up
+//! *to the bit* (`to_bits`, not closeness) at every size up
 //! to 1024 and every channel count from 1 to 8, on random data and on
 //! all-zero, mixed ±0, subnormal and ±inf/NaN lanes.
 
@@ -26,12 +26,11 @@ use es_codec::{OvlCodec, MAX_QUALITY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// MDCT half-lengths with a fast path, from the cut-over (`n = 8`, a
-/// four-point FFT) to the codec's block.
+/// MDCT half-lengths from the smallest (`n = 8`, a four-point FFT) to
+/// the codec's block.
 const SIZES: [usize; 7] = [8, 16, 32, 64, 128, 256, 512];
 
-/// Every fast-path MDCT half-length up to 1024; the FFT runs at half
-/// of each.
+/// Every MDCT half-length up to 1024; the FFT runs at half of each.
 const EXACT_SIZES: [usize; 8] = [8, 16, 32, 64, 128, 256, 512, 1024];
 
 /// FFT lengths up to 1024.
@@ -339,16 +338,6 @@ fn complex_parts(v: &[Complex32]) -> Vec<f32> {
 }
 
 #[test]
-fn the_fast_path_starts_at_n_8() {
-    for n in [2usize, 4] {
-        assert!(!Mdct::new(n).uses_fft(), "n = {n}");
-    }
-    for n in EXACT_SIZES {
-        assert!(Mdct::new(n).uses_fft(), "n = {n}");
-    }
-}
-
-#[test]
 fn fft_equals_the_in_place_form_on_every_lane_kind() {
     for len in FFT_SIZES {
         let fast = Fft::new(len);
@@ -394,7 +383,6 @@ proptest::proptest! {
     fn prop_fft_forward_matches_direct_reference(size_idx in 0usize..SIZES.len(), seed in 0u64..u64::MAX / 2) {
         let n = SIZES[size_idx];
         let fast = Mdct::new(n);
-        proptest::prop_assert!(fast.uses_fft());
         let reference = DirectMdct::new(n);
         let signal = random_signal(2 * n, seed);
         let mut got = vec![0.0f32; n];

@@ -10,7 +10,6 @@ use std::rc::Rc;
 
 use es_audio::gen::{ImpulseTrain, MultiTone, Signal, Sine, WhiteNoise};
 use es_audio::AudioConfig;
-use es_codec::CostModel;
 use es_net::{Datagram, Lan, LanConfig, McastGroup};
 use es_proto::auth::StreamSigner;
 use es_proto::{Capabilities, Packet, SessionClientConfig, StreamInfo};
@@ -89,9 +88,6 @@ pub struct ChannelSpec {
     /// One XOR-parity packet per this many data packets (FEC extension
     /// for lossy links).
     pub fec_group: Option<u8>,
-    /// How transform work is billed to the CPU model (paper-fidelity
-    /// direct cost vs. the default FFT fast path).
-    pub cost_model: CostModel,
 }
 
 impl ChannelSpec {
@@ -114,7 +110,6 @@ impl ChannelSpec {
             vad_block_ms: 50,
             playout_delay: SimDuration::from_millis(200),
             fec_group: None,
-            cost_model: CostModel::default(),
         }
     }
 
@@ -193,12 +188,6 @@ impl ChannelSpec {
     /// Emits one XOR-parity packet per `n` data packets.
     pub fn fec_group(mut self, n: u8) -> Self {
         self.fec_group = Some(n);
-        self
-    }
-
-    /// Selects how transform work is billed to the CPU model.
-    pub fn cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
         self
     }
 }
@@ -314,12 +303,6 @@ impl SpeakerSpec {
     /// Enables packet-loss concealment (replay-and-fade).
     pub fn loss_concealment(mut self) -> Self {
         self.config.conceal_loss = true;
-        self
-    }
-
-    /// Selects how transform decode work is billed to the CPU model.
-    pub fn cost_model(mut self, cost_model: CostModel) -> Self {
-        self.config.cost_model = cost_model;
         self
     }
 
@@ -582,7 +565,6 @@ impl SystemBuilder {
             rcfg.tx.signer = ch.signer.clone();
             rcfg.tx.playout_delay = ch.playout_delay;
             rcfg.tx.fec_group = ch.fec_group;
-            rcfg.tx.cost_model = ch.cost_model;
             // A warm standby shares the VAD master: it sees the same
             // stream but neither reads nor sends until promoted.
             let standby_parts = standby_node.map(|node| (node, master.clone(), rcfg.clone()));

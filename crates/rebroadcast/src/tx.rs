@@ -21,7 +21,7 @@ use bytes::{Bytes, BytesMut};
 
 use es_audio::convert::decode_samples_into;
 use es_audio::AudioConfig;
-use es_codec::{CodecId, Codecs, CostModel};
+use es_codec::{CodecId, Codecs};
 use es_proto::auth::StreamSigner;
 use es_proto::{
     encode_control_into, encode_data_into, encode_parity_into, ControlPacket, DataPacket,
@@ -73,10 +73,6 @@ pub struct StreamTxConfig {
     /// Emit one XOR-parity packet per this many data packets (single-
     /// loss FEC, an extension for lossy links). `None` disables FEC.
     pub fec_group: Option<u8>,
-    /// How transform work is counted: the default FFT accounting, or
-    /// [`CostModel::Direct`] to reproduce the paper's O(N²)-codec load
-    /// figures (Figure 4).
-    pub cost_model: CostModel,
 }
 
 impl StreamTxConfig {
@@ -92,7 +88,6 @@ impl StreamTxConfig {
             flags: 0,
             signer: None,
             fec_group: None,
-            cost_model: CostModel::default(),
         }
     }
 }
@@ -227,7 +222,7 @@ impl StreamTx {
     /// A stream with nothing sent yet.
     pub fn new(cfg: StreamTxConfig, standby: bool) -> StreamTx {
         StreamTx {
-            codecs: Codecs::with_cost_model(cfg.cost_model),
+            codecs: Codecs::new(),
             stream: StreamState::default(),
             down: false,
             standby,

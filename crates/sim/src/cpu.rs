@@ -11,38 +11,19 @@
 use crate::series::{BucketAccumulator, TimeSeries};
 use crate::time::{SimDuration, SimTime};
 
-/// How codec transforms are priced when billing work to a [`SimCpu`].
-///
-/// The paper's Figure 4 was measured against a direct O(N²) MDCT-class
-/// codec cost; the workspace's fast path now runs an O(N log N)
-/// FFT-based transform. Experiments that reproduce the paper's CPU
-/// curves select [`CostModel::Direct`] so the billed cycles still match
-/// the 233 MHz Geode calibration, while production-shaped runs keep the
-/// default [`CostModel::Fft`] and bill what the fast path actually
-/// costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// Bill the direct O(N²) transform cost (paper-fidelity mode; the
-    /// Figure 4 calibration in `tests/paper/calib.rs` assumes this).
-    Direct,
-    /// Bill the O(N log N) FFT-based transform cost (the default: what
-    /// the optimized hot path actually performs).
-    #[default]
-    Fft,
-}
-
 /// Converts codec work units, encode or decode, to Geode-class CPU
 /// cycles.
 ///
-/// Calibration: OVL's direct O(N²) MDCT performs ~126 M multiply-
-/// accumulate work units per second of CD stereo (measured by
-/// `es-codec`'s accounting at 50 ms packets), roughly 4.8× the
-/// arithmetic of the FFT-based codec the paper used. Figure 4 implies
-/// one Vorbis CD stream costs ≈ 11% of the 233 MHz Geode
-/// (≈ 26 M cycles/s), so each OVL work unit is billed 26 M / 126 M ≈
-/// 0.21 cycles. `tests/paper/calib.rs` documents the derivation.
+/// One rule prices every unit: the units are what the codec counts
+/// for the arithmetic it actually runs (for OVL, the fold plus
+/// `N/2`-point FFT of each MDCT window and the per-sample passes), and
+/// one second of CD stereo at 50 ms packets, encoded at maximum
+/// quality, counts 2 564 640 of them. Figure 4 implies one Vorbis CD
+/// stream costs ≈ 11% of the 233 MHz Geode (≈ 26.5 M cycles/s), so
+/// each unit is billed 26.5 M / 2.56 M ≈ 10.33 cycles.
+/// `tests/paper/calib.rs` documents the derivation and measures it.
 pub fn work_to_cycles(work_units: u64) -> u64 {
-    work_units * 21 / 100
+    work_units * 1_033 / 100
 }
 
 /// A single-core FIFO CPU with a fixed clock rate and utilization

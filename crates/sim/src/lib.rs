@@ -27,7 +27,7 @@ pub mod sched;
 pub mod series;
 pub mod time;
 
-pub use cpu::{work_to_cycles, CostModel, SimCpu};
+pub use cpu::{work_to_cycles, SimCpu};
 #[doc(hidden)]
 pub use engine::ShardRouter;
 pub use engine::{shared, RepeatingTimer, Shared, Sim};

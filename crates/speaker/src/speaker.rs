@@ -34,9 +34,7 @@ use es_codec::{CodecId, Codecs};
 use es_net::{Dest, Lan, McastGroup, NodeId};
 use es_proto::auth::VerifierStats;
 use es_proto::{ClientPhase, Packet, SessionClient, SessionClientConfig};
-use es_sim::{
-    shared, work_to_cycles, CostModel, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime,
-};
+use es_sim::{shared, work_to_cycles, RepeatingTimer, Shared, Sim, SimCpu, SimDuration, SimTime};
 use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
@@ -85,10 +83,6 @@ pub struct SpeakerConfig {
     /// silence — an extension beyond the paper (its LAN never lost
     /// packets, §2.3); the E-LOSS ablation measures what it buys.
     pub conceal_loss: bool,
-    /// How transform decode work is billed to the CPU model: FFT
-    /// accounting by default, [`es_codec::CostModel::Direct`] for the
-    /// paper's O(N²)-codec load figures.
-    pub cost_model: es_codec::CostModel,
     /// Keep every sample the DAC plays readable from
     /// [`EthernetSpeaker::tap`] (memory then grows with the stream).
     /// Off, the tap keeps counts and block times only — plus the one
@@ -129,7 +123,6 @@ impl SpeakerConfig {
             serial_queue_depth: None,
             asap_playback: false,
             conceal_loss: false,
-            cost_model: es_codec::CostModel::default(),
             capture_output: false,
             session: None,
         }
@@ -237,7 +230,7 @@ impl SharedBlock {
     }
 }
 
-/// What a payload decodes to under one `(cost model, codec, channels)`:
+/// What a payload decodes to under one `(codec, channels)`:
 /// the PCM (kept on failure too, for its allocation) and the work
 /// units to bill, `None` when the payload does not decode.
 type Decoded = (Pcm, Option<u64>);
@@ -248,13 +241,12 @@ thread_local! {
     /// parallel threads.
     static PARSED: std::cell::RefCell<RxMemo<(), Result<Packet, es_proto::WireError>>> =
         const { std::cell::RefCell::new(RxMemo::new()) };
-    static DECODED: std::cell::RefCell<RxMemo<(CostModel, CodecId, u8), Decoded>> =
+    static DECODED: std::cell::RefCell<RxMemo<(CodecId, u8), Decoded>> =
         const { std::cell::RefCell::new(RxMemo::new()) };
-    /// One codec engine per cost model, shared by every speaker on the
-    /// thread (decode is stateless across packets; the engine only
-    /// holds MDCT tables and scratch).
-    static ENGINES: (std::cell::OnceCell<Codecs>, std::cell::OnceCell<Codecs>) =
-        const { (std::cell::OnceCell::new(), std::cell::OnceCell::new()) };
+    /// One codec engine, shared by every speaker on the thread (decode
+    /// is stateless across packets; the engine only holds MDCT tables
+    /// and scratch).
+    static ENGINE: std::cell::OnceCell<Codecs> = const { std::cell::OnceCell::new() };
     /// Unity-gain renderings shared and executed: `(hits, misses)`.
     static RENDERS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
     /// The action buffer every speaker on the thread steps its node
@@ -264,19 +256,14 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Decodes `payload` once per distinct buffer and `(model, codec,
-/// channels)`. Every caller gets a handle to the one shared PCM block
-/// and the work units to bill; `None` if the payload does not decode.
-fn decode_shared(
-    model: CostModel,
-    codec: CodecId,
-    channels: u8,
-    payload: &Bytes,
-) -> Option<(Pcm, u64)> {
+/// Decodes `payload` once per distinct buffer and `(codec, channels)`.
+/// Every caller gets a handle to the one shared PCM block and the work
+/// units to bill; `None` if the payload does not decode.
+fn decode_shared(codec: CodecId, channels: u8, payload: &Bytes) -> Option<(Pcm, u64)> {
     DECODED.with(|m| {
         m.borrow_mut().with(
             payload,
-            (model, codec, channels),
+            (codec, channels),
             |evicted| {
                 // Decode into the evicted block's allocation — unless
                 // a receiver is still holding that block to play it.
@@ -287,13 +274,9 @@ fn decode_shared(
                 let work = Rc::get_mut(&mut pcm).and_then(|block| {
                     // What it rendered to was the evicted PCM.
                     block.rendered.get_mut().0 = None;
-                    ENGINES.with(|(direct, fft)| {
-                        let engine = match model {
-                            CostModel::Direct => direct,
-                            CostModel::Fft => fft,
-                        };
+                    ENGINE.with(|engine| {
                         engine
-                            .get_or_init(|| Codecs::with_cost_model(model))
+                            .get_or_init(Codecs::new)
                             .decode_into(codec, payload, channels, &mut block.samples)
                             .ok()
                     })
@@ -355,15 +338,13 @@ pub fn rx_memo_stats() -> RxMemoStats {
 /// billing its own CPU model, if it has one, for its decode.
 pub struct MemoDecoder {
     cpu: Option<Shared<SimCpu>>,
-    model: CostModel,
 }
 
 impl MemoDecoder {
-    /// The decoder `cfg` asks for: its CPU model and cost accounting.
+    /// The decoder `cfg` asks for: its CPU model.
     pub fn new(cfg: &SpeakerConfig) -> Self {
         MemoDecoder {
             cpu: cfg.cpu.clone(),
-            model: cfg.cost_model,
         }
     }
 }
@@ -383,7 +364,7 @@ impl Decoder for MemoDecoder {
         channels: u8,
         payload: &Bytes,
     ) -> Option<(Pcm, u64, SimTime)> {
-        let (pcm, work) = decode_shared(self.model, codec, channels, payload)?;
+        let (pcm, work) = decode_shared(codec, channels, payload)?;
         let cycles = work_to_cycles(work);
         let ready = self
             .cpu

@@ -3,9 +3,9 @@
 //! EXPERIMENTS.md has one and documents every module there, nothing
 //! points at the removed bench harness, the perf baselines the ledger
 //! replaced or the relay re-stamping, FEC ladder, stream monitor,
-//! mixer, AGC, journal sinks and in-band OVL channel repeats that were
-//! deleted, nor describes the live speaker as the collector
-//! it was, DESIGN.md §8 lists exactly the bans `clippy.toml`
+//! mixer, AGC, journal sinks, in-band OVL channel repeats and transform
+//! cost models that were deleted, nor describes the live speaker as the
+//! collector it was, DESIGN.md §8 lists exactly the bans `clippy.toml`
 //! and the lints `[workspace.lints]` configure, §10 exactly the counters
 //! the healing plane exports, and §6 exactly the keys a speaker records.
 
@@ -234,6 +234,24 @@ fn no_doc_describes_the_deleted_adpcm_codec() {
             concat!("adpcm_", "encode"),
             concat!("CodecId::", "Adpcm"),
             concat!("IMA ", "ADPCM"),
+        ],
+    );
+}
+
+#[test]
+fn no_doc_describes_the_retired_cost_model() {
+    // Codec work is billed one way, as the transform that runs, at one
+    // rate per work unit; the direct-transform billing option and its
+    // comparison test are gone. Spelled in halves, like the needles
+    // above.
+    assert_no_doc_mentions(
+        &DOCS,
+        &[
+            concat!("Cost", "Model"),
+            concat!("with_cost", "_model"),
+            concat!("fft_cost_model_is_far", "_cheaper_than_direct"),
+            concat!("uses", "_fft"),
+            concat!("0.21 ", "cycles"),
         ],
     );
 }

@@ -50,12 +50,9 @@ pub fn run(block_ms: u64, seconds: u64, seed: u64) -> BufRun {
         .speaker(
             // The paper-era ES: plays as soon as decoded, its only
             // buffer the small device ring, decode billed to the Geode.
-            // Decode billed at the paper's direct transform cost; the
-            // calibration constants assume it.
             SpeakerSpec::new("eon4000", group)
                 .device_geometry(SPEAKER_RING, 50)
                 .asap_playback()
-                .cost_model(es_codec::CostModel::Direct)
                 .cpu(cpu.clone()),
         )
         .build();

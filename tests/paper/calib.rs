@@ -8,25 +8,25 @@
 //!
 //! # Figure 4 — CPU cost of compression
 //!
-//! `es-codec` bills OVL encodes in *work units* (multiply-accumulate
-//! count, dominated by the direct O(N²) MDCT: 512×1024 MACs per
-//! window). At 50 ms packets, one second of CD stereo costs ≈ 126 M
-//! work units. The paper's codec (libvorbis, FFT-based) does roughly
-//! 4.8× less arithmetic per window, and Figure 4's slope implies one
-//! CD stream cost ≈ 11% of the 233 MHz Geode (four streams ≈ 45%,
-//! eight approaching saturation) — i.e. ≈ 26 M cycles/s/stream. The
-//! billing rate is therefore 26 M / 126 M ≈ **0.21 cycles per work
-//! unit** (`es_sim::work_to_cycles`, which bills encode and decode
-//! alike).
+//! `es-codec` bills OVL encodes in *work units*: the multiply-
+//! accumulate count of the arithmetic it runs, dominated by the MDCT's
+//! fold and `N/2`-point FFT (9 216 units per window at N = 512) plus
+//! four units a sample. At 50 ms packets, one second of CD stereo at
+//! maximum quality costs 2 564 640 work units. Figure 4's slope implies
+//! one CD stream cost ≈ 11% of the 233 MHz Geode (four streams ≈ 45%,
+//! eight approaching saturation), and the reproduction bills it 26.5 M
+//! cycles/s (11.4%). The billing rate is therefore 26.5 M / 2.56 M ≈
+//! **10.33 cycles per work unit** (`es_sim::work_to_cycles`, which
+//! bills encode and decode alike).
 //!
-//! These constants are calibrated against `es_codec::CostModel::Direct`
-//! accounting (the paper-era O(N²) transform). The codec's execution
-//! path is always the O(N log N) FFT; the Figure 4 and §3.4 experiments
-//! explicitly select `CostModel::Direct` so the billed work stays on
-//! this calibration, while everything else defaults to
-//! `CostModel::Fft`, which bills ≈ 57× less per transform at N = 512
-//! (fold + N/2-point FFT, 9216 work units against 524 288; ≈ 50× less
-//! for a whole OVL packet).
+//! The rule is one price for what runs: the units count the transform
+//! the codec executes, and the rate carries the rest of the Geode's
+//! cost per unit. `figure4_per_stream_cost_is_plausible` encodes that
+//! second of music through the codec and checks the share, so a codec
+//! change that moves its work units fails there instead of silently
+//! moving Figure 4. (Until the direct O(N²) transform was retired as
+//! a billing option, Figure 4 billed 126 181 920 of its units for the
+//! same second, at 0.21 cycles each: the same 26.5 M cycles.)
 //!
 //! # Figure 5 — context-switch rates
 //!
@@ -90,6 +90,9 @@ pub const WARMUP: SimDuration = SimDuration::from_secs(1);
 
 #[cfg(test)]
 mod tests {
+    use es_audio::gen::{render_interleaved, MultiTone};
+    use es_codec::{CodecId, MAX_QUALITY};
+
     use super::*;
 
     #[test]
@@ -107,9 +110,22 @@ mod tests {
 
     #[test]
     fn figure4_per_stream_cost_is_plausible() {
-        // One CD stream ≈ 26 Mcycles/s ≈ 11% of the Geode.
-        let stream_cycles = es_sim::work_to_cycles(126_000_000) as f64;
-        let share = stream_cycles / GEODE_HZ as f64;
+        // One CD stream ≈ 26 Mcycles/s ≈ 11% of the Geode: one second
+        // of the music source, encoded at maximum quality in 50 ms
+        // packets as Figure 4's producers encode it.
+        let cd = es_audio::AudioConfig::CD;
+        let codecs = es_codec::Codecs::new();
+        let mut music = MultiTone::music(cd.sample_rate);
+        let frames = cd.sample_rate as usize / 20;
+        let work: u64 = (0..20)
+            .map(|_| {
+                let pcm = render_interleaved(&mut music, cd.channels, frames);
+                let ovl = codecs.encode(CodecId::Ovl, &pcm, cd.channels, MAX_QUALITY);
+                ovl.work_units
+            })
+            .sum();
+        let share = es_sim::work_to_cycles(work) as f64 / GEODE_HZ as f64;
+        println!("1 s of CD music at 50 ms packets: {work} work units, share {share}");
         assert!((0.09..0.14).contains(&share), "per-stream share {share}");
     }
 }

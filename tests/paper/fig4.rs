@@ -9,7 +9,6 @@
 //! every encode to one shared Geode-class [`SimCpu`], and reports the
 //! per-second utilization series.
 
-use es_codec::CostModel;
 use es_core::{ChannelSpec, SystemBuilder};
 use es_net::McastGroup;
 use es_rebroadcast::CompressionPolicy;
@@ -20,8 +19,6 @@ use crate::calib;
 /// Result of one Figure 4 run.
 #[derive(Debug)]
 pub struct Fig4Run {
-    /// Transform cost accounting the run billed.
-    pub cost_model: CostModel,
     /// Userland CPU % per second.
     pub series: TimeSeries,
     /// Mean over the measurement window.
@@ -29,11 +26,9 @@ pub struct Fig4Run {
 }
 
 /// Runs the Figure 4 workload with `streams` CD channels for
-/// `seconds`. [`CostModel::Direct`] bills the paper's O(N²) transform,
-/// the accounting the `calib` constants are calibrated against, and
-/// reproduces the paper's load figures; [`CostModel::Fft`] shows what
-/// the same workload costs on the O(N log N) fast path.
-pub fn run(streams: usize, seconds: u64, seed: u64, cost_model: CostModel) -> Fig4Run {
+/// `seconds`, billing the work units of the transform the codec runs
+/// at the `calib` rate.
+pub fn run(streams: usize, seconds: u64, seed: u64) -> Fig4Run {
     let cpu = shared(SimCpu::new(calib::GEODE_HZ, SimDuration::from_secs(1)));
     let mut builder = SystemBuilder::new(seed);
     for i in 0..streams {
@@ -48,7 +43,6 @@ pub fn run(streams: usize, seconds: u64, seed: u64, cost_model: CostModel) -> Fi
         })
         .duration(SimDuration::from_secs(seconds + 4))
         .cpu(cpu.clone())
-        .cost_model(cost_model)
         // Offset the streams slightly so their encode bursts interleave
         // the way independent players would.
         .start_at(SimDuration::from_millis(37 * i as u64));
@@ -61,14 +55,10 @@ pub fn run(streams: usize, seconds: u64, seed: u64, cost_model: CostModel) -> Fi
     // the handle alive inside the simulation).
     let cpu = cpu.borrow().clone();
     let series = cpu
-        .utilization_series(format!("{streams} streams ({cost_model:?})"), until)
+        .utilization_series(format!("{streams} streams"), until)
         .window(SimTime::ZERO + calib::WARMUP, until);
     let mean = series.mean().unwrap_or(0.0);
-    Fig4Run {
-        cost_model,
-        series,
-        mean,
-    }
+    Fig4Run { series, mean }
 }
 
 #[cfg(test)]
@@ -77,8 +67,8 @@ mod tests {
 
     #[test]
     fn eight_streams_cost_about_twice_four() {
-        let four = run(4, 10, 1, CostModel::Direct);
-        let eight = run(8, 10, 1, CostModel::Direct);
+        let four = run(4, 10, 1);
+        let eight = run(8, 10, 1);
         println!("seed 1, 10 s: {four:?}\nseed 1, 10 s: {eight:?}");
         assert!(four.mean > 25.0, "4 streams mean {}", four.mean);
         assert!(four.mean < 70.0, "4 streams mean {}", four.mean);
@@ -96,27 +86,12 @@ mod tests {
 
     #[test]
     fn one_stream_is_cheap() {
-        let one = run(1, 6, 2, CostModel::Direct);
+        let one = run(1, 6, 2);
         println!("seed 2, 6 s: {one:?}");
         assert!(
             (5.0..25.0).contains(&one.mean),
             "one stream should sit near 11%: {}",
             one.mean
         );
-    }
-
-    #[test]
-    fn fft_cost_model_is_far_cheaper_than_direct() {
-        let direct = run(4, 6, 3, CostModel::Direct);
-        let fft = run(4, 6, 3, CostModel::Fft);
-        println!("seed 3, 6 s: {direct:?}\nseed 3, 6 s: {fft:?}");
-        assert_eq!(direct.cost_model, CostModel::Direct);
-        assert!(
-            fft.mean < direct.mean / 5.0,
-            "fft billing {} vs direct {}",
-            fft.mean,
-            direct.mean
-        );
-        assert!(fft.mean > 0.0);
     }
 }

@@ -12,7 +12,7 @@ use es_audio::gen::{ImpulseTrain, MultiTone, Signal, Sine, WhiteNoise};
 use es_audio::AudioConfig;
 use es_net::{Datagram, Lan, LanConfig, McastGroup};
 use es_proto::auth::StreamSigner;
-use es_proto::{Capabilities, Packet, SessionClientConfig, StreamInfo};
+use es_proto::{Packet, SessionClientConfig, StreamInfo};
 use es_rebroadcast::{
     AppPacing, AudioApp, CompressionPolicy, RateLimiter, Rebroadcaster, RebroadcasterConfig,
     RelayConfig, SegmentRelay,
@@ -229,15 +229,6 @@ impl SpeakerSpec {
     /// Sets the power-on time.
     pub fn starting_at(mut self, at: SimDuration) -> Self {
         self.start_at = at;
-        self
-    }
-
-    /// Sets the capabilities a negotiated speaker advertises in the
-    /// handshake; a static speaker advertises nothing.
-    pub fn caps(mut self, caps: Capabilities) -> Self {
-        if let Some(session) = &mut self.config.session {
-            session.caps = caps;
-        }
         self
     }
 

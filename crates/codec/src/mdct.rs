@@ -44,8 +44,8 @@
 //! That is O(N log N) against the O(N²) direct evaluation retained in
 //! [`crate::reference`] as the ground truth for the property tests.
 //! The fast path agrees with it to rounding (≈ 1e-6 of the coefficient
-//! scale), not bit for bit. It is the only engine: the [`Fft`] starts
-//! at four points and halves its length per pass, so [`Mdct::new`]
+//! scale), not bit for bit. It is the only engine: the [`Fft`] takes a
+//! power-of-two length of at least four points, so [`Mdct::new`]
 //! refuses a half-length `n` that is not a power of two of at least 8.
 //!
 //! # Passes over the data
@@ -213,11 +213,11 @@ impl Mdct {
         };
         Mdct {
             n,
-            fft: Fft::new(half),
             window,
             synth_window,
             pre: (0..half).map(|j| twiddle(4 * j)).collect(),
             post: (0..half).map(|k| twiddle(4 * k + 1)).collect(),
+            fft: Fft::new(half),
             work: RefCell::new(Work {
                 z: vec![Complex32::ZERO; half],
                 spec: vec![Complex32::ZERO; half],

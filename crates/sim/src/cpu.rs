@@ -19,8 +19,8 @@ use crate::time::{SimDuration, SimTime};
 /// `N/2`-point FFT of each MDCT window and the per-sample passes), and
 /// one second of CD stereo at 50 ms packets, encoded at maximum
 /// quality, counts 2 564 640 of them. Figure 4 implies one Vorbis CD
-/// stream costs ≈ 11% of the 233 MHz Geode (≈ 26.5 M cycles/s), so
-/// each unit is billed 26.5 M / 2.56 M ≈ 10.33 cycles.
+/// stream costs ≈ 11% of the 233 MHz Geode; billing it 26.5 M
+/// cycles/s (11.4%) puts each unit at 26.5 M / 2.56 M ≈ 10.33 cycles.
 /// `tests/paper/calib.rs` documents the derivation and measures it.
 pub fn work_to_cycles(work_units: u64) -> u64 {
     work_units * 1_033 / 100

@@ -24,9 +24,9 @@
 //! cost per unit. `figure4_per_stream_cost_is_plausible` encodes that
 //! second of music through the codec and checks the share, so a codec
 //! change that moves its work units fails there instead of silently
-//! moving Figure 4. (Until the direct O(N²) transform was retired as
-//! a billing option, Figure 4 billed 126 181 920 of its units for the
-//! same second, at 0.21 cycles each: the same 26.5 M cycles.)
+//! moving Figure 4. The 26.5 M is what Figure 4 billed for that second
+//! when it priced a direct O(N²) transform no code path runs, so the
+//! figure keeps its numbers.
 //!
 //! # Figure 5 — context-switch rates
 //!

@@ -276,7 +276,7 @@ impl Mdct {
 
     /// Multiply-accumulate operations billed per forward (or inverse)
     /// transform — the codec's unit of CPU work for the Figure 4 cost
-    /// model: the butterfly-plus-twiddle count of the path that runs.
+    /// model: the butterfly-plus-twiddle count of the fast path.
     pub fn ops_per_transform(&self) -> u64 {
         let n = self.n as u64;
         let passes = (self.n / 2).trailing_zeros() as u64;

@@ -262,7 +262,7 @@ impl LiveSpeaker {
                 let Action::Play(play) = action else { continue };
                 let from = self.samples.len();
                 play.render_into(&mut self.samples);
-                self.node.rx.stats.samples_played += (self.samples.len() - from) as u64;
+                self.node.stats.samples_played += (self.samples.len() - from) as u64;
                 if play.mode == PlayMode::Serial {
                     self.node.serial_done(now);
                 }
@@ -277,11 +277,11 @@ impl LiveSpeaker {
 
     /// Ends the run.
     pub fn finish(self) -> LiveSpeakerReport {
-        let rx = &self.node.rx;
+        let node = &self.node;
         LiveSpeakerReport {
-            config: (rx.stats.control_packets > 0).then(|| rx.stream_config()),
+            config: (node.stats.control_packets > 0).then(|| node.stream_config()),
             samples: self.samples,
-            stats: rx.stats,
+            stats: node.stats,
             deadline_slack_us: self.node.deadline_slack_us,
         }
     }

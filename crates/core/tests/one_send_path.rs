@@ -9,17 +9,19 @@
 //! into the socket-free `LiveSpeaker`. No socket is involved, so this
 //! runs in sandboxes that forbid multicast.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use bytes::Bytes;
 use es_audio::gen::Sine;
 use es_codec::CodecId;
 use es_core::{LiveProducer, LiveProducerConfig, LiveSpeaker};
+use es_net::McastGroup;
 use es_proto::auth::StreamSigner;
-use es_proto::{decode, Packet, TRAILER_LEN};
+use es_proto::{decode, Packet, WireError, TRAILER_LEN};
 use es_rebroadcast::CompressionPolicy;
 use es_sim::{SimDuration, SimTime};
-use es_speaker::SpeakerRx;
+use es_speaker::{Decoder, Pcm, SharedBlock, SpeakerConfig, SpeakerNode};
 
 const CHUNKS: u64 = 24;
 const CHUNK: SimDuration = SimDuration::from_millis(50);
@@ -123,24 +125,50 @@ fn live_producer_signs_what_an_authenticating_speaker_accepts() {
     cfg.tx.signer = Some(signer.clone());
     let trace = stream(&cfg);
 
-    let mut rx = SpeakerRx::new(Some(signer.anchor()));
-    let mut events = Vec::new();
-    let (mut controls, mut blocks) = (0, 0);
+    let mut cfg = SpeakerConfig::new("live", McastGroup(0));
+    cfg.auth_anchor = Some(signer.anchor());
+    let seen = Rc::new(Seen::default());
+    let mut rx = SpeakerNode::new(cfg, Counting(Rc::clone(&seen)));
     for (at, raw) in &trace {
         assert!(decode(&raw[..raw.len() - TRAILER_LEN]).is_ok(), "trailer");
-        for released in rx.admit(raw) {
-            let packet = decode(&released).expect("a verified message parses");
-            controls += u32::from(matches!(packet, Packet::Control(_)));
-            rx.on_packet(*at, packet, &mut events);
-        }
-        blocks += events
-            .drain(..)
-            .filter(|e| matches!(e, es_speaker::RxEvent::Block(_)))
-            .count();
+        rx.on_datagram(*at, (), raw);
     }
     assert_eq!(rx.stats.bad_packets, 0);
     assert_eq!(rx.stats.datagrams as usize, trace.len());
     // Keys are disclosed one 500 ms interval late: what the first
     // half-second carried is out by the end of the 1.1 s trace.
+    let (controls, blocks) = (seen.controls.get(), seen.blocks.get());
     assert!(controls >= 1 && blocks >= 10, "{controls} / {blocks}");
+}
+
+/// The control packets the §5.1 gate released and the blocks the
+/// speaker cleared.
+#[derive(Default)]
+struct Seen {
+    controls: Cell<u32>,
+    blocks: Cell<u32>,
+}
+
+/// A speaker's decoder that counts what it is handed in [`Seen`].
+struct Counting(Rc<Seen>);
+
+impl Decoder for Counting {
+    fn parse(&mut self, raw: &Bytes) -> Result<Packet, WireError> {
+        let packet = decode(raw).expect("a verified message parses");
+        let control = matches!(packet, Packet::Control(_));
+        let seen = &self.0;
+        seen.controls.set(seen.controls.get() + u32::from(control));
+        Ok(packet)
+    }
+
+    fn decode(
+        &mut self,
+        now: SimTime,
+        _: CodecId,
+        _: u8,
+        _: &Bytes,
+    ) -> Option<(Pcm, u64, SimTime)> {
+        self.0.blocks.set(self.0.blocks.get() + 1);
+        Some((SharedBlock::new(Vec::new()), 0, now))
+    }
 }

@@ -497,9 +497,33 @@ fn seal_with(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
-    use es_proto::{decode, Packet};
-    use es_speaker::{RxEvent, SpeakerRx};
+    use es_net::McastGroup;
+    use es_proto::{decode, Packet, WireError};
+    use es_speaker::{Decoder, Pcm, SharedBlock, SpeakerConfig, SpeakerNode};
+
+    /// A speaker's decoder that counts the blocks its node clears.
+    struct Blocks(Rc<Cell<usize>>);
+
+    impl Decoder for Blocks {
+        fn parse(&mut self, raw: &Bytes) -> Result<Packet, WireError> {
+            decode(raw)
+        }
+
+        fn decode(
+            &mut self,
+            now: SimTime,
+            _: CodecId,
+            _: u8,
+            _: &Bytes,
+        ) -> Option<(Pcm, u64, SimTime)> {
+            self.0.set(self.0.get() + 1);
+            Some((SharedBlock::new(Vec::new()), 0, now))
+        }
+    }
 
     /// 50 ms of CD audio.
     const BLOCK: usize = 8_820;
@@ -560,28 +584,26 @@ mod tests {
 
         // Drop the second packet past the wrap; its group (0..=3) is
         // whole otherwise.
-        let mut rx = SpeakerRx::new(None);
+        let blocks = Rc::default();
+        let cfg = SpeakerConfig::new("es", McastGroup(0));
+        let mut rx = SpeakerNode::new(cfg, Blocks(Rc::clone(&blocks)));
         rx.request_repairs();
-        let mut events = Vec::new();
-        let mut blocks = 0;
         for (at, raw) in &trace {
             if matches!(decode(raw), Ok(Packet::Data(d)) if d.seq == 1) {
                 continue;
             }
-            for released in rx.admit(raw) {
-                rx.on_packet(*at, decode(&released).expect("own packet"), &mut events);
-            }
-            blocks += events
-                .drain(..)
-                .filter(|e| matches!(e, RxEvent::Block(_)))
-                .count();
+            rx.on_datagram(*at, (), raw);
         }
-        assert_eq!(blocks, 16);
+        assert_eq!(blocks.get(), 16);
         assert_eq!(rx.stats.fec_recovered, 1);
         assert_eq!(rx.stats.dropped_duplicate, 0);
         assert_eq!(rx.stats.bad_packets, 0);
         assert_eq!(rx.table_sizes()[0], 0, "recovery left a hole");
-        assert_eq!(rx.next_wakeup(), None);
+        // Served at its instants, no wakeup finds a hole to ask for.
+        while let Some(at) = rx.next_wake() {
+            rx.on_wake(at);
+        }
+        assert_eq!(rx.stats.nacks_sent, 0);
     }
 
     #[test]

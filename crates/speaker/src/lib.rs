@@ -4,14 +4,14 @@
 //!
 //! - [`sync`]: producer wall-clock tracking and the sleep/play/discard
 //!   rule with its epsilon leeway.
-//! - [`rx`]: the receive protocol — auth gate, control-packet
+//! - [`node`]: one speaker as a sans-IO core with no clock, socket or
+//!   device — the receive protocol, §3.2's sleep/play/discard rule,
+//!   concealment, the §3.4 single-threaded player, volume, NACK
+//!   addressing and the session client — stepped by an adapter that
+//!   decodes, plays and sends what it decides.
+//! - [`rx`]: the node's receive half — auth gate, control-packet
 //!   gating, dedupe, FEC recovery, the hole table behind NACK and
-//!   concealment — as a state machine with no clock or socket, stepped
-//!   by a driver.
-//! - [`node`]: the playback half as a sans-IO core — §3.2's
-//!   sleep/play/discard rule, concealment, the §3.4 single-threaded
-//!   player, volume, NACK addressing and the session client — stepped
-//!   by an adapter that decodes, plays and sends what it decides.
+//!   concealment — and the speaker's counters.
 //! - [`speaker`]: its simulator adapter, the receive → decode → play
 //!   pipeline on the simulated LAN and audio device, with channel
 //!   tuning, ring-overflow accounting and optional CPU-model billing
@@ -31,7 +31,7 @@ pub mod sync;
 
 pub use autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig};
 pub use node::{Action, Decoder, Note, Pcm, Play, PlayMode, SharedBlock, SpeakerNode};
-pub use rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats, NACK_REASK};
+pub use rx::{SpeakerStats, NACK_REASK};
 pub use speaker::{
     rx_memo_stats, EthernetSpeaker, MemoDecoder, RxMemoStats, SessionStatus, SpeakerConfig,
 };

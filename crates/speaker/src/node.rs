@@ -1,14 +1,15 @@
-//! The speaker's playback half, free of clocks, sockets and devices:
-//! everything an Ethernet Speaker decides once [`SpeakerRx`] has
-//! cleared a block — §3.2's sleep/play/discard rule with its slack and
-//! late accounting, the early speaker's as-soon-as-decoded playback,
-//! concealment, the §3.4 single-threaded player, volume, where a NACK
-//! goes, and a negotiated speaker's session client.
+//! One Ethernet Speaker, free of clocks, sockets and devices: the
+//! receive protocol of [`crate::rx`] and everything the speaker decides
+//! once that protocol has cleared a block — §3.2's sleep/play/discard
+//! rule with its slack and late accounting, the early speaker's
+//! as-soon-as-decoded playback, concealment, the §3.4 single-threaded
+//! player, volume, where a NACK goes, and a negotiated speaker's
+//! session client. Each decision is carried out where it is made.
 //!
 //! An adapter feeds it datagrams ([`SpeakerNode::on_datagram`]) and
 //! the instants it asked to be woken at ([`SpeakerNode::on_wake`]),
 //! lends it a [`Decoder`], carries out the [`Action`]s it queues, in
-//! order, and adds what its device did to the counters. The
+//! order, and adds what its device did to [`SpeakerNode::stats`]. The
 //! simulator's [`crate::EthernetSpeaker`] is one adapter,
 //! `es_core::live`'s `LiveSpeaker` the other: both play the same blocks
 //! at the same instants from the same trace.
@@ -22,12 +23,12 @@ use es_audio::mix::apply_gain;
 use es_audio::{AudioConfig, Encoding};
 use es_codec::CodecId;
 use es_net::McastGroup;
-use es_proto::{encode_nack, encode_session, ClientAction, Packet, SessionClient, WireError};
+use es_proto::{encode_session, ClientAction, Packet, SessionClient, SessionPacket, WireError};
 use es_sim::SimTime;
 use es_telemetry::{Histogram, Severity};
 
 use crate::autovol::AutoVolume;
-use crate::rx::{RxBlock, RxEvent, SpeakerRx, SpeakerStats};
+use crate::rx::{RxBlock, RxState, SpeakerStats};
 use crate::sync::{decide, PlayDecision};
 use crate::SpeakerConfig;
 
@@ -167,13 +168,6 @@ pub enum Action<A> {
 /// deadlines, each a decoded block held until it is due.
 const MAX_WAITING_BLOCKS: usize = 64;
 
-thread_local! {
-    /// What one message or poll made the protocol decide, on its way
-    /// to becoming actions; one buffer for every node on the thread,
-    /// since a node drains it before it returns.
-    static EVENTS: std::cell::RefCell<Vec<RxEvent>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// A decoded block held for the instant its §3.2 outcome is carried
 /// out: its deadline if it sleeps, else the instant its decode
 /// completes.
@@ -201,14 +195,16 @@ struct Session {
     controls_seen: u64,
 }
 
-/// The playback half of one Ethernet Speaker; `A` is the adapter's
-/// address of the node a NACK goes to.
+/// One Ethernet Speaker; `A` is the adapter's address of the node a
+/// NACK goes to.
 pub struct SpeakerNode<A, D> {
     /// How it plays (its `session` taken: the node owns the client).
     pub cfg: SpeakerConfig,
-    /// The receive protocol, whose counters the adapter adds its
-    /// device's to: samples played, ring overflow, grid resyncs.
-    pub rx: SpeakerRx,
+    /// The counters, to which the adapter adds its device's: samples
+    /// played, ring overflow, grid resyncs.
+    pub stats: SpeakerStats,
+    /// What the receive protocol knows of the stream.
+    pub(crate) rx: RxState,
     /// How early blocks reach the §3.2 play decision, in microseconds
     /// (0 = at or past the deadline).
     pub deadline_slack_us: Histogram,
@@ -225,7 +221,7 @@ pub struct SpeakerNode<A, D> {
     wake_at: Option<SimTime>,
     /// The stream id and sender of the last control packet heard: the
     /// producer, its promoted standby, or a relay — where a NACK goes.
-    source: Option<(u16, A)>,
+    pub(crate) source: Option<(u16, A)>,
     session: Option<Box<Session>>,
     /// The block most recently played, kept for concealment.
     last_block: Option<Pcm>,
@@ -236,10 +232,7 @@ pub struct SpeakerNode<A, D> {
 impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// A node playing as `cfg` says.
     pub fn new(mut cfg: SpeakerConfig, decoder: D) -> Self {
-        let mut rx = SpeakerRx::new(cfg.auth_anchor);
-        if cfg.conceal_loss {
-            rx.conceal_losses();
-        }
+        let rx = RxState::new(cfg.auth_anchor, cfg.conceal_loss);
         let session = cfg.session.take().map(|ccfg| {
             let client = SessionClient::new(*ccfg);
             Box::new(Session {
@@ -253,6 +246,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                 .as_ref()
                 .map(|(avc, _)| AutoVolume::new(*avc)),
             cfg,
+            stats: SpeakerStats::default(),
             rx,
             deadline_slack_us: Histogram::default(),
             actions: Vec::new(),
@@ -280,15 +274,18 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// Switches channels: re-gate, and tell the adapter to listen to
     /// `group`.
     pub fn tune(&mut self, group: McastGroup) {
-        self.rx.retune();
+        self.retune();
         self.forget_blocks();
         self.actions.push(Action::Tune(group));
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate on the
-    /// next control packet; see [`SpeakerRx::resync`].
+    /// next control packet, exactly as a fresh tune-in would. The
+    /// producer uses this to resynchronize a fleet after a seek or a
+    /// stream restart.
     pub fn resync(&mut self) {
-        self.rx.resync();
+        self.rx.regate();
+        self.stats.session_resyncs += 1;
         self.forget_blocks();
         self.note(Severity::Info, "speaker", "session flush resync", vec![]);
     }
@@ -309,23 +306,21 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     }
 
     /// A datagram from `from`, received `now`: each message the §5.1
-    /// gate releases is parsed and steps the protocol once, and what it
-    /// decided is carried out before the next is looked at.
+    /// gate releases is parsed and steps the protocol once, carrying
+    /// out what it decides before the next is looked at.
     pub fn on_datagram(&mut self, now: SimTime, from: A, raw: &Bytes) {
-        let mut events = EVENTS.with_borrow_mut(std::mem::take);
-        for raw in self.rx.admit(raw) {
+        for raw in self.admit(raw) {
             match self.decoder.parse(&raw) {
                 Ok(pkt) => {
                     if let Packet::Control(c) = &pkt {
                         self.source = Some((c.stream_id, from));
                     }
-                    self.rx.on_packet(now, pkt, &mut events);
+                    self.on_packet(now, pkt);
                 }
-                Err(_) => self.rx.stats.bad_packets += 1,
+                Err(_) => self.stats.bad_packets += 1,
             }
-            self.carry_out(now, &mut events);
+            self.arm_poll(now);
         }
-        EVENTS.with_borrow_mut(|scratch| *scratch = events);
     }
 
     /// Serves the earliest wakeup due at `now`, if any. An adapter calls
@@ -340,10 +335,8 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             // on and does nothing.
             Due::Poll(at) if self.wake_at == Some(at) => {
                 self.wake_at = None;
-                let mut events = EVENTS.with_borrow_mut(std::mem::take);
-                self.rx.poll(now, &mut events);
-                self.carry_out(now, &mut events);
-                EVENTS.with_borrow_mut(|scratch| *scratch = events);
+                self.poll_holes(now);
+                self.arm_poll(now);
             }
             Due::Poll(_) => {}
             Due::Block(w) => self.settle(now, w),
@@ -372,46 +365,22 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         }
     }
 
-    /// Carries out what a step of the protocol decided, and arms a poll
-    /// at the instant it next asks for if that is sooner than the one
-    /// armed. (Carrying the events out cannot open or close a hole, so
-    /// the instant is known before they are.)
-    fn carry_out(&mut self, now: SimTime, events: &mut Vec<RxEvent>) {
-        let next = self.rx.next_wakeup();
+    /// A control-plane packet: a negotiated speaker's session client
+    /// steps on it.
+    pub(crate) fn on_session(&mut self, now: SimTime, sp: &SessionPacket) {
+        self.step_session(now, |s, _, now_us| s.client.on_packet(now_us, sp));
+    }
+
+    /// Arms a poll of the hole table at the instant it next asks for,
+    /// if that is sooner than the one armed. After every step the armed
+    /// poll is at or before the table's earliest instant: only a data
+    /// packet opens a hole and brings that instant forward, and a
+    /// retune or FLUSH only empties the table.
+    fn arm_poll(&mut self, now: SimTime) {
+        let next = self.rx.next_poll();
         let sooner = next.filter(|&at| self.wake_at.is_none_or(|armed| at < armed));
-        if sooner.is_some() {
-            self.wake_at = sooner;
-        }
-        for event in events.drain(..) {
-            match event {
-                RxEvent::Configure(config) => self.actions.push(Action::Configure(config)),
-                RxEvent::Block(block) => self.on_block(now, block),
-                RxEvent::Session(sp) => {
-                    self.step_session(now, |s, _, now_us| s.client.on_packet(now_us, &sp));
-                }
-                RxEvent::FecGroupChanged { from, to } => {
-                    let fields = vec![("from", from.to_string()), ("to", to.to_string())];
-                    self.note(
-                        Severity::Info,
-                        "speaker",
-                        "fec parity group changed",
-                        fields,
-                    );
-                }
-                RxEvent::Nack(ranges) => {
-                    // Holes open only behind a control packet, so there
-                    // is a source.
-                    if let Some((stream_id, to)) = self.source {
-                        self.rx.stats.nacks_sent += 1;
-                        let nack = encode_nack(stream_id, &ranges);
-                        self.actions.push(Action::Nack(to, nack));
-                    }
-                }
-                RxEvent::Conceal { deadline, nth } => self.conceal(now, deadline, nth),
-                RxEvent::Late { deadline, refill } => self.late(now, deadline, refill),
-            }
-        }
         if let Some(at) = sooner {
+            self.wake_at = Some(at);
             self.arm(at.max(now), Due::Poll(at));
         }
     }
@@ -429,7 +398,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         self.actions.push(Action::Wake(at));
     }
 
-    fn note(
+    pub(crate) fn note(
         &mut self,
         severity: Severity,
         component: &'static str,
@@ -456,7 +425,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         let Some(session) = self.session.as_mut() else {
             return;
         };
-        for action in step(session, &self.rx.stats, now.as_micros()) {
+        for action in step(session, &self.stats, now.as_micros()) {
             match action {
                 ClientAction::Send(pkt) => {
                     self.actions.push(Action::Announce(encode_session(&pkt)));
@@ -503,7 +472,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// A block the protocol cleared: decoded now, or queued behind the
     /// §3.4 player's busy thread.
-    fn on_block(&mut self, now: SimTime, block: RxBlock) {
+    pub(crate) fn on_block(&mut self, now: SimTime, block: RxBlock) {
         let Some(depth) = self.cfg.serial_queue_depth else {
             return self.decode(now, block, false);
         };
@@ -515,7 +484,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         } else {
             // The player thread is wedged and the receive buffer is
             // full: §3.4's lost audio.
-            self.rx.stats.dropped_busy += 1;
+            self.stats.dropped_busy += 1;
         }
     }
 
@@ -526,17 +495,17 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// whatever it decoded at once. The outcome is carried out now if
     /// it is due now, else held for its instant.
     fn decode(&mut self, now: SimTime, block: RxBlock, serial: bool) {
-        let codec = self.rx.codec_for(block.codec_wire);
-        let channels = self.rx.stream_config().channels;
+        let codec = self.codec_for(block.codec_wire);
+        let channels = self.stream_config().channels;
         let Some((pcm, work, ready)) = self.decoder.decode(now, codec, channels, &block.payload)
         else {
-            self.rx.stats.decode_errors += 1;
+            self.stats.decode_errors += 1;
             if serial {
                 self.serial_done(now);
             }
             return;
         };
-        self.rx.stats.decode_work_units += work;
+        self.stats.decode_work_units += work;
         let (deadline, refill) = (block.deadline, block.refill);
         let (at, mode) = if self.cfg.asap_playback && !serial {
             (ready, Some(PlayMode::Now))
@@ -571,7 +540,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         {
             let last = self.timers.iter().rposition(held).expect("over the cap");
             self.timers.remove(last);
-            self.rx.stats.dropped_busy += 1;
+            self.stats.dropped_busy += 1;
         }
     }
 
@@ -591,7 +560,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// further each time. A gap that only showed once the block was
     /// overdue (an outage longer than the playout delay) has been heard
     /// as silence already; there is nothing left to paper over.
-    fn conceal(&mut self, now: SimTime, deadline: SimTime, nth: u32) {
+    pub(crate) fn conceal(&mut self, now: SimTime, deadline: SimTime, nth: u32) {
         let overdue = now.saturating_since(deadline) > self.cfg.epsilon;
         let prev = self.last_block.clone();
         if let Some(prev) = prev.filter(|b| !overdue && !b.samples.is_empty()) {
@@ -602,9 +571,9 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// Counts a block as played and hands it to the adapter at this
     /// speaker's gain.
     fn play(&mut self, pcm: Pcm, fade: f64, mode: PlayMode) {
-        self.rx.stats.data_packets += 1;
+        self.stats.data_packets += 1;
         if fade != 1.0 {
-            self.rx.stats.concealed_packets += 1;
+            self.stats.concealed_packets += 1;
         } else if self.cfg.conceal_loss && mode != PlayMode::Serial {
             // What a replica replays: the last real block played.
             self.last_block = Some(Rc::clone(&pcm));
@@ -624,12 +593,12 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// as lost when detected, and classifying the repair itself as a
     /// miss made every loss burst cost the healing detector a second
     /// sick epoch (the "refill echo").
-    fn late(&mut self, now: SimTime, deadline: SimTime, refill: bool) {
+    pub(crate) fn late(&mut self, now: SimTime, deadline: SimTime, refill: bool) {
         let message = if refill {
-            self.rx.stats.refill_late += 1;
+            self.stats.refill_late += 1;
             "nack refill arrived past deadline"
         } else {
-            self.rx.stats.dropped_late += 1;
+            self.stats.dropped_late += 1;
             "data packet discarded past deadline"
         };
         let late_us = now.saturating_since(deadline).as_micros();

@@ -3,13 +3,13 @@
 //! the §5.1 authentication gate, §2.3's wait-for-control rule, the
 //! §3.2 producer clock, duplicate suppression, FEC recovery, the hole
 //! table that times loss repair by each block's own deadline,
-//! reception quality, the counters. A driver owns sockets, time,
-//! decoding and the audio device, and steps the core one message at a
-//! time: [`SpeakerRx::admit`] a datagram, parse each released message,
-//! [`SpeakerRx::on_packet`] it, act on the [`RxEvent`]s — and, while
-//! [`SpeakerRx::next_wakeup`] names an instant, [`SpeakerRx::poll`] at
-//! it. [`crate::SpeakerNode`] is its one driver, and the simulator's
-//! and the socket's speakers are that node's adapters.
+//! reception quality, the counters. It is the receive half of
+//! [`SpeakerNode`]: [`SpeakerNode::on_datagram`] admits a datagram,
+//! parses each message the gate releases and steps the protocol with
+//! it, and each decision — a block to play, a late copy, a NACK, a
+//! replica — is carried out where the protocol makes it. The hole
+//! table is polled at the instants it asks for, through the node's
+//! wakeups.
 
 use std::collections::VecDeque;
 
@@ -18,18 +18,18 @@ use es_audio::AudioConfig;
 use es_codec::CodecId;
 use es_proto::auth::StreamVerifier;
 use es_proto::{
-    AuthTrailer, ControlPacket, DataPacket, FecRecoverer, Packet, ParityPacket, SessionPacket,
+    encode_nack, AuthTrailer, ControlPacket, DataPacket, FecRecoverer, Packet, ParityPacket,
     MAX_NACK_RANGES, TRAILER_LEN,
 };
 use es_sim::{SimDuration, SimTime};
-use es_telemetry::{Registry, Telemetry};
+use es_telemetry::{Registry, Severity, Telemetry};
 
+use crate::node::{Action, Decoder, SpeakerNode};
 use crate::sync::ClockSync;
 
-/// Observable speaker counters: the protocol's are kept by
-/// [`SpeakerRx`], the playback outcomes by [`crate::SpeakerNode`] and
-/// what the device did (samples played, ring overflow, grid resyncs) by
-/// the node's adapter.
+/// Observable speaker counters: [`SpeakerNode`] keeps the protocol's
+/// and the playback outcomes, its adapter adds what the device did
+/// (samples played, ring overflow, grid resyncs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpeakerStats {
     /// Datagrams received on the tuned group.
@@ -140,64 +140,18 @@ impl Telemetry for SpeakerStats {
 }
 
 /// One data payload cleared for playback.
-pub struct RxBlock {
+pub(crate) struct RxBlock {
     /// The still-encoded audio.
-    pub payload: Bytes,
-    /// The packet's codec byte, for [`SpeakerRx::codec_for`] at decode
-    /// time (the stream may be reconfigured while a block waits).
-    pub codec_wire: u8,
+    pub(crate) payload: Bytes,
+    /// The packet's codec byte, for [`SpeakerNode::codec_for`] at
+    /// decode time (the stream may be reconfigured while a block
+    /// waits).
+    pub(crate) codec_wire: u8,
     /// The play deadline on the driver's clock.
-    pub deadline: SimTime,
+    pub(crate) deadline: SimTime,
     /// This packet is the refill of a hole the speaker asked for; a
     /// late one counts as `refill_late`, not a fresh deadline miss.
-    pub refill: bool,
-}
-
-/// What one message made the speaker decide; the driver acts on these
-/// in order before offering the next message.
-pub enum RxEvent {
-    /// Program the audio device with this stream format (§2.3: the
-    /// configuration block needed to decode the stream): the first
-    /// control packet since tuning, or one that changed the format.
-    Configure(AudioConfig),
-    /// Decode and play this block.
-    Block(RxBlock),
-    /// A control-plane packet for whoever runs the session (boxed:
-    /// rare, and several times the size of everything else here).
-    Session(Box<SessionPacket>),
-    /// Parity arrived for a different group size (the producer was
-    /// reconfigured, or a standby with another group took over); the
-    /// recoverer was rebuilt.
-    FecGroupChanged {
-        /// The old group size.
-        from: u8,
-        /// The new one.
-        to: u8,
-    },
-    /// Ask the producer for these `(first_seq, count)` ranges again:
-    /// holes no reordered packet filled within the hold-off, at most
-    /// [`MAX_NACK_RANGES`] of them (what one NACK packet carries; the
-    /// rest are asked for at the next poll). Boxed to the size of the
-    /// other events: every packet's `Block` is moved as one of these.
-    Nack(Box<[(u32, u16)]>),
-    /// Nothing repaired the block that is due at `deadline`: play a
-    /// replica of the last block instead, faded for the `nth` missing
-    /// block in a row (from 1; a longer run than three goes silent and
-    /// is not reported).
-    Conceal {
-        /// When the missing block was due, on the driver's clock.
-        deadline: SimTime,
-        /// Its position in the run of blocks concealed back to back.
-        nth: u32,
-    },
-    /// A copy of a block arrived after the block was due, and possibly
-    /// concealed: count it, play nothing.
-    Late {
-        /// When the block was due.
-        deadline: SimTime,
-        /// The speaker had asked for it (see [`RxBlock::refill`]).
-        refill: bool,
-    },
+    pub(crate) refill: bool,
 }
 
 /// How many sequence numbers back a duplicate is still recognized. A
@@ -377,12 +331,21 @@ impl HoleTable {
         self.holes.iter().map(next).min()
     }
 
-    /// See [`SpeakerRx::poll`].
-    fn poll(&mut self, now: SimTime, events: &mut Vec<RxEvent>) {
-        // The ranges to ask for; nothing is allocated until there is
-        // one, and then the event owns them.
+    /// Steps the table to `now`: a hole that has outlived the reorder
+    /// hold-off is asked for, once more if the refill does not come
+    /// either and a round trip still fits before the deadline; a hole
+    /// still open when its block is due is settled, and `conceal` is
+    /// called with its deadline and its place in the run of blocks
+    /// missing back to back (from 1; a longer run than
+    /// [`MAX_CONCEALED_RUN`] goes silent) if the speaker conceals.
+    /// Returns the `(first_seq, count)` ranges to ask for, at most
+    /// [`MAX_NACK_RANGES`] of them (what one NACK packet carries; the
+    /// rest are asked for at the next poll). Work is bounded by the
+    /// table.
+    fn poll(&mut self, now: SimTime, mut conceal: impl FnMut(SimTime, u32)) -> Vec<(u32, u16)> {
+        // Nothing is allocated until there is a range to ask for.
         let mut nack = Vec::new();
-        let (conceal, run) = (self.conceal, &mut self.concealed_run);
+        let (concealing, run) = (self.conceal, &mut self.concealed_run);
         let settled = &mut self.settled;
         self.holes.retain_mut(|h| {
             if h.deadline <= now {
@@ -393,9 +356,8 @@ impl HoleTable {
                     1
                 };
                 *run = (h.seq.wrapping_add(1), nth);
-                if conceal && nth <= MAX_CONCEALED_RUN {
-                    let deadline = h.deadline;
-                    events.push(RxEvent::Conceal { deadline, nth });
+                if concealing && nth <= MAX_CONCEALED_RUN {
+                    conceal(h.deadline, nth);
                 }
                 return false;
             }
@@ -411,18 +373,13 @@ impl HoleTable {
         });
         let excess = settled.len().saturating_sub(MAX_HOLES);
         settled.drain(..excess);
-        if !nack.is_empty() {
-            events.push(RxEvent::Nack(nack.into_boxed_slice()));
-        }
+        nack
     }
 }
 
-/// The receive half of an Ethernet Speaker as a state machine: bytes
-/// and the driver's clock in, [`RxEvent`]s out.
+/// What the receive protocol knows of the stream it is tuned to.
 #[derive(Default)]
-pub struct SpeakerRx {
-    /// See [`SpeakerStats`] for who counts what.
-    pub stats: SpeakerStats,
+pub(crate) struct RxState {
     pub(crate) verifier: Option<StreamVerifier>,
     /// §2.3's gate and §3.2's clock in one: unsynchronized means no
     /// control packet has been heard since tuning.
@@ -430,7 +387,7 @@ pub struct SpeakerRx {
     stream_cfg: AudioConfig,
     /// The control packet's codec byte.
     codec_wire: u8,
-    /// A [`RxEvent::Configure`] went out since the last tune.
+    /// An [`Action::Configure`] went out since the last tune.
     configured: bool,
     /// Interarrival jitter of the stream's original packets.
     jitter: Jitter,
@@ -441,35 +398,33 @@ pub struct SpeakerRx {
     /// The newest data packet seen and its play deadline (gap
     /// detection, and one end of a hole's interpolated deadline).
     last: Option<(u32, SimTime)>,
-    /// The hole table, once the driver conceals or can NACK.
+    /// The hole table, once the speaker conceals or can NACK.
     repair: Option<Box<HoleTable>>,
 }
 
-impl SpeakerRx {
+impl RxState {
     /// A speaker that has heard nothing yet; `auth_anchor` is the
-    /// optional §5.1 trust anchor enabling stream authentication.
-    pub fn new(auth_anchor: Option<[u8; 32]>) -> Self {
-        SpeakerRx {
+    /// optional §5.1 trust anchor enabling stream authentication, and
+    /// a speaker that conceals keeps a hole table from the start.
+    pub(crate) fn new(auth_anchor: Option<[u8; 32]>, conceal: bool) -> Self {
+        let repair = conceal.then(|| {
+            Box::new(HoleTable {
+                conceal,
+                ..HoleTable::default()
+            })
+        });
+        RxState {
             verifier: auth_anchor.map(StreamVerifier::new),
+            repair,
             ..Self::default()
         }
     }
 
-    /// The driver conceals: a hole still open when its block is due
-    /// becomes an [`RxEvent::Conceal`].
-    pub fn conceal_losses(&mut self) {
-        self.repair.get_or_insert_default().conceal = true;
-    }
-
-    /// The driver can reach the producer: a hole that outlives the
-    /// reorder hold-off becomes an [`RxEvent::Nack`].
-    pub fn request_repairs(&mut self) {
-        self.repair.get_or_insert_default().nack = true;
-    }
-
     /// Forgets the stream: playback re-gates on the next control
-    /// packet, exactly as a fresh tune-in would.
-    fn regate(&mut self) {
+    /// packet, exactly as a fresh tune-in would. A FLUSH does only
+    /// this; a channel switch also reconfigures the device on that
+    /// packet and starts FEC afresh.
+    pub(crate) fn regate(&mut self) {
         self.clock = ClockSync::new();
         self.last = None;
         self.jitter.last_transit_us = None;
@@ -479,57 +434,67 @@ impl SpeakerRx {
         self.seen_seqs.0.clear();
     }
 
-    /// The driver switched channels: wait for the new stream's control
-    /// packet, reconfigure the device on it, start FEC afresh.
-    pub fn retune(&mut self) {
-        self.regate();
-        self.configured = false;
-        self.drop_fec();
-    }
-
-    /// Control-plane FLUSH: drop playback state and re-gate. The
-    /// producer uses this to resynchronize a fleet after a seek or a
-    /// stream restart.
-    pub fn resync(&mut self) {
-        self.regate();
-        self.stats.session_resyncs += 1;
-    }
-
     /// RFC 3550 §6.4.1 interarrival jitter of the original data
     /// packets, µs — with `quality_*` in [`SpeakerStats`], what a §5.3
     /// management console polls.
-    pub fn jitter_us(&self) -> f64 {
+    pub(crate) fn jitter_us(&self) -> f64 {
         self.jitter.us
+    }
+
+    /// When the hole table next has something to do: the earliest
+    /// instant an open hole is to be asked for or comes due.
+    pub(crate) fn next_poll(&self) -> Option<SimTime> {
+        self.repair.as_ref()?.next_wakeup()
+    }
+}
+
+/// The receive half of the node: what each message and each poll of
+/// the hole table decides, carried out as it is decided.
+impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
+    /// From now on the speaker asks for the blocks it is missing: a
+    /// hole that outlives the reorder hold-off becomes an
+    /// [`Action::Nack`] to the node it last heard a control packet of
+    /// its stream from.
+    pub fn request_repairs(&mut self) {
+        self.rx.repair.get_or_insert_default().nack = true;
     }
 
     /// The stream format the latest control packet described.
     pub fn stream_config(&self) -> AudioConfig {
-        self.stream_cfg
+        self.rx.stream_cfg
     }
 
     /// The codec a data packet's codec byte names — the stream's own
     /// when the byte is not a known codec.
     pub fn codec_for(&self, codec_wire: u8) -> CodecId {
-        let known = CodecId::from_wire(codec_wire).or(CodecId::from_wire(self.codec_wire));
+        let known = CodecId::from_wire(codec_wire).or(CodecId::from_wire(self.rx.codec_wire));
         known.unwrap_or(CodecId::Pcm)
     }
 
     /// Entries held by the bounded tables: open holes, settled holes,
     /// dedupe slots.
     pub fn table_sizes(&self) -> [usize; 3] {
-        let table = self.repair.as_deref();
+        let table = self.rx.repair.as_deref();
         let (holes, settled) = table.map_or((0, 0), |t| (t.holes.len(), t.settled.len()));
-        [holes, settled, self.seen_seqs.0.len()]
+        [holes, settled, self.rx.seen_seqs.0.len()]
+    }
+
+    /// The speaker switched channels: wait for the new stream's
+    /// control packet, reconfigure the device on it, start FEC afresh.
+    pub(crate) fn retune(&mut self) {
+        self.rx.regate();
+        self.rx.configured = false;
+        self.drop_fec();
     }
 
     /// Counts a datagram and passes it through the §5.1 gate; yields
     /// the messages now cleared for parsing: on an open channel the
     /// datagram itself, on an authenticated one whatever its trailer's
     /// key disclosure released — nothing, or a batch of earlier ones.
-    pub fn admit(&mut self, raw: &Bytes) -> impl Iterator<Item = Bytes> {
+    pub(crate) fn admit(&mut self, raw: &Bytes) -> impl Iterator<Item = Bytes> {
         self.stats.datagrams += 1;
-        let open = self.verifier.is_none().then(|| raw.clone());
-        let batch = self.verifier.as_mut().and_then(|verifier| {
+        let open = self.rx.verifier.is_none().then(|| raw.clone());
+        let batch = self.rx.verifier.as_mut().and_then(|verifier| {
             let body = raw.len().checked_sub(TRAILER_LEN).filter(|&n| n > 0)?;
             let (body, trailer) = raw.split_at(body);
             Some(verifier.offer(body, &AuthTrailer::decode(trailer)?).0)
@@ -542,56 +507,68 @@ impl SpeakerRx {
     }
 
     /// Steps the protocol by one parsed message received at `now`.
-    pub fn on_packet(&mut self, now: SimTime, pkt: Packet, events: &mut Vec<RxEvent>) {
+    pub(crate) fn on_packet(&mut self, now: SimTime, pkt: Packet) {
         match pkt {
-            Packet::Control(c) => self.on_control(now, c, events),
+            Packet::Control(c) => self.on_control(now, c),
             Packet::Data(d) => {
                 // Feed the FEC tracker first: a recovered packet from an
                 // earlier group plays like any other. Skip a seq that
                 // already went to playback: its group was rebuilt or
                 // completed, and the copy would reopen it, to be
                 // counted unrecoverable when it retires.
-                let recovered = if self.seen_seqs.contains(d.seq) {
+                let recovered = if self.rx.seen_seqs.contains(d.seq) {
                     None
                 } else {
                     self.fec_step(|f| f.on_data(&d))
                 };
-                self.on_data(now, d, false, events);
-                self.on_recovered(now, recovered, events);
+                self.on_data(now, d, false);
+                self.on_recovered(now, recovered);
             }
-            Packet::Parity(p) => self.on_parity(now, p, events),
-            Packet::Session(sp) => events.push(RxEvent::Session(Box::new(sp))),
+            Packet::Parity(p) => self.on_parity(now, p),
+            Packet::Session(sp) => self.on_session(now, &sp),
             // Another speaker's request, or a forger's: a speaker
             // serves nobody.
             Packet::Nack { .. } => {}
         }
     }
 
-    fn on_control(&mut self, now: SimTime, c: ControlPacket, events: &mut Vec<RxEvent>) {
-        if !self.clock.on_control(now, c.producer_time_us) {
+    fn on_control(&mut self, now: SimTime, c: ControlPacket) {
+        if !self.rx.clock.on_control(now, c.producer_time_us) {
             self.stats.bad_packets += 1;
             return;
         }
         self.stats.control_packets += 1;
-        self.codec_wire = c.codec;
-        if !self.configured || self.stream_cfg != c.config {
-            self.configured = true;
-            events.push(RxEvent::Configure(c.config));
+        self.rx.codec_wire = c.codec;
+        // §2.3: the configuration block needed to decode the stream —
+        // the first control packet since tuning, or one that changed
+        // the format, programs the device.
+        if !self.rx.configured || self.rx.stream_cfg != c.config {
+            self.rx.configured = true;
+            self.actions.push(Action::Configure(c.config));
         }
-        self.stream_cfg = c.config;
+        self.rx.stream_cfg = c.config;
     }
 
-    fn on_parity(&mut self, now: SimTime, p: ParityPacket, events: &mut Vec<RxEvent>) {
+    fn on_parity(&mut self, now: SimTime, p: ParityPacket) {
         // A parity packet with a different group size means the old
-        // recoverer's partial state is for a dead layout.
-        let group = self.fec.as_ref().map(|f| f.group());
+        // recoverer's partial state is for a dead layout: the producer
+        // was reconfigured, or a standby with another group took over.
+        let group = self.rx.fec.as_ref().map(|f| f.group());
         if let Some(from) = group.filter(|&group| group != p.count) {
             self.drop_fec();
-            events.push(RxEvent::FecGroupChanged { from, to: p.count });
+            let fields = vec![("from", from.to_string()), ("to", p.count.to_string())];
+            self.note(
+                Severity::Info,
+                "speaker",
+                "fec parity group changed",
+                fields,
+            );
         }
-        self.fec.get_or_insert_with(|| FecRecoverer::new(p.count));
+        self.rx
+            .fec
+            .get_or_insert_with(|| FecRecoverer::new(p.count));
         let recovered = self.fec_step(|f| f.on_parity(&p));
-        self.on_recovered(now, recovered, events);
+        self.on_recovered(now, recovered);
     }
 
     /// Drops the FEC recoverer, counting the open groups it gives up
@@ -601,7 +578,7 @@ impl SpeakerRx {
             f.give_up();
             None
         });
-        self.fec = None;
+        self.rx.fec = None;
     }
 
     /// Steps the FEC recoverer, if there is one, counting the groups
@@ -610,33 +587,28 @@ impl SpeakerRx {
         &mut self,
         step: impl FnOnce(&mut FecRecoverer) -> Option<DataPacket>,
     ) -> Option<DataPacket> {
-        let fec = self.fec.as_mut()?;
+        let fec = self.rx.fec.as_mut()?;
         let given_up = fec.unrecoverable();
         let recovered = step(fec);
         self.stats.fec_unrecoverable += fec.unrecoverable() - given_up;
         recovered
     }
 
-    fn on_recovered(
-        &mut self,
-        now: SimTime,
-        recovered: Option<DataPacket>,
-        events: &mut Vec<RxEvent>,
-    ) {
+    fn on_recovered(&mut self, now: SimTime, recovered: Option<DataPacket>) {
         if let Some(r) = recovered {
             self.stats.fec_recovered += 1;
-            self.on_data(now, r, true, events);
+            self.on_data(now, r, true);
         }
     }
 
-    fn on_data(&mut self, now: SimTime, d: DataPacket, via_fec: bool, events: &mut Vec<RxEvent>) {
+    fn on_data(&mut self, now: SimTime, d: DataPacket, via_fec: bool) {
         // §2.3: no control packet yet means the stream cannot be
         // decoded — wait, do not guess.
-        if !self.clock.is_synced() {
+        if !self.rx.clock.is_synced() {
             self.stats.dropped_waiting_control += 1;
             return;
         }
-        let Some(deadline) = self.clock.to_local(d.play_at_us) else {
+        let Some(deadline) = self.rx.clock.to_local(d.play_at_us) else {
             self.stats.bad_packets += 1;
             return;
         };
@@ -644,7 +616,7 @@ impl SpeakerRx {
         // playback must never play twice, whether the copy came from
         // the LAN's duplication impairment or from FEC recovering a
         // packet that also arrived on its own.
-        if !self.seen_seqs.insert(d.seq) {
+        if !self.rx.seen_seqs.insert(d.seq) {
             self.stats.dropped_duplicate += 1;
             return;
         }
@@ -656,6 +628,7 @@ impl SpeakerRx {
         // `u32::MAX` nor one forged far-ahead number can pin `last`
         // and turn every real packet after it into a late arrival.
         let ahead = self
+            .rx
             .last
             .map_or(0, |(last, _)| d.seq.wrapping_sub(last) as i32);
         let restart = ahead.unsigned_abs() > MAX_MISSING_RANGE_LEN;
@@ -664,6 +637,7 @@ impl SpeakerRx {
             // A late arrival closes its hole, if the speaker keeps any.
             let asked;
             (asked, late) = self
+                .rx
                 .repair
                 .as_mut()
                 .map_or((false, false), |t| t.close(d.seq));
@@ -683,148 +657,247 @@ impl SpeakerRx {
                 (ahead.max(1) - 1) as u32
             };
             if let (Some((_, before)), Some(table)) =
-                (self.last.filter(|_| gap > 0), &mut self.repair)
+                (self.rx.last.filter(|_| gap > 0), &mut self.rx.repair)
             {
                 table.open(now, d.seq, gap, before, deadline);
             }
-            self.last = Some((d.seq, deadline));
+            self.rx.last = Some((d.seq, deadline));
             self.stats.quality_expected += u64::from(gap) + 1;
             self.stats.quality_lost += u64::from(gap);
         }
         if !via_fec && !refill {
-            self.jitter.on_arrival(now, d.play_at_us);
+            self.rx.jitter.on_arrival(now, d.play_at_us);
         }
+        // A copy of a block that was due already, and possibly
+        // concealed, is counted and plays nothing.
         if late {
-            events.push(RxEvent::Late { deadline, refill });
-            return;
+            return self.late(now, deadline, refill);
         }
-        events.push(RxEvent::Block(RxBlock {
+        let block = RxBlock {
             payload: d.payload,
             codec_wire: d.codec,
             deadline,
             refill,
-        }));
+        };
+        self.on_block(now, block);
     }
 
-    /// When [`SpeakerRx::poll`] next has something to do: the earliest
-    /// instant an open hole is to be asked for or comes due.
-    pub fn next_wakeup(&self) -> Option<SimTime> {
-        self.repair.as_ref()?.next_wakeup()
-    }
-
-    /// Steps the hole table to `now`: a hole that has outlived the
-    /// reorder hold-off is asked for, once more if the refill does not
-    /// come either and a round trip still fits before the deadline; a
-    /// hole still open when its block is due is settled — concealed,
-    /// if the driver conceals. Work is bounded by the table.
-    pub fn poll(&mut self, now: SimTime, events: &mut Vec<RxEvent>) {
-        if let Some(table) = &mut self.repair {
-            table.poll(now, events);
+    /// Polls the hole table at `now` (see `HoleTable::poll`): plays a
+    /// replica for each block that came due unrepaired, then sends
+    /// one NACK for the holes to ask for.
+    pub(crate) fn poll_holes(&mut self, now: SimTime) {
+        let Some(mut table) = self.rx.repair.take() else {
+            return;
+        };
+        let ranges = table.poll(now, |deadline, nth| self.conceal(now, deadline, nth));
+        self.rx.repair = Some(table);
+        // Holes open only behind a control packet, so there is a
+        // source.
+        if let Some((stream_id, to)) = self.source.filter(|_| !ranges.is_empty()) {
+            self.stats.nacks_sent += 1;
+            let nack = encode_nack(stream_id, &ranges);
+            self.actions.push(Action::Nack(to, nack));
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
-    use es_proto::{encode_control, encode_data};
+    use crate::node::{Pcm, SharedBlock};
+    use crate::SpeakerConfig;
+    use es_net::McastGroup;
+    use es_proto::{decode, encode_control, encode_data, WireError};
+
+    /// Decodes every payload to a short block, ready at once, and
+    /// counts the blocks the protocol cleared.
+    struct Blocks(Rc<Cell<usize>>);
+
+    impl Decoder for Blocks {
+        fn parse(&mut self, raw: &Bytes) -> Result<Packet, WireError> {
+            decode(raw)
+        }
+
+        fn decode(
+            &mut self,
+            now: SimTime,
+            _: CodecId,
+            _: u8,
+            _: &Bytes,
+        ) -> Option<(Pcm, u64, SimTime)> {
+            self.0.set(self.0.get() + 1);
+            Some((SharedBlock::new(vec![1; 2]), 0, now))
+        }
+    }
+
+    type Node = SpeakerNode<(), Blocks>;
+
+    /// A node stepped the way an adapter steps it.
+    struct Speaker {
+        node: Node,
+        cleared: Rc<Cell<usize>>,
+    }
+
+    /// What one step made the speaker do, as the protocol decided it;
+    /// wakeups and real blocks played are left out.
+    #[derive(Debug, Default, PartialEq)]
+    struct Did {
+        /// Blocks cleared for playback.
+        blocks: usize,
+        /// The ranges of each NACK sent.
+        nacks: Vec<Vec<(u32, u16)>>,
+        /// Each replica played: when, and its place in the run of
+        /// blocks concealed back to back (read from its fade).
+        replicas: Vec<(SimTime, u32)>,
+        /// Each journal line, its fields after its message.
+        notes: Vec<String>,
+    }
+
+    impl Speaker {
+        /// A speaker that has heard nothing yet.
+        fn new(conceal: bool) -> Self {
+            let mut cfg = SpeakerConfig::new("es", McastGroup(1));
+            cfg.conceal_loss = conceal;
+            let cleared = Rc::default();
+            let node = SpeakerNode::new(cfg, Blocks(Rc::clone(&cleared)));
+            Speaker { node, cleared }
+        }
+
+        /// Drains what the node did, at `now`, into `did`.
+        fn collect(&mut self, now: SimTime, did: &mut Did) {
+            did.blocks += self.cleared.replace(0);
+            for action in self.node.actions.drain(..) {
+                match action {
+                    Action::Nack((), raw) => match decode(&raw) {
+                        Ok(Packet::Nack { ranges, .. }) => did.nacks.push(ranges),
+                        other => panic!("not a NACK: {other:?}"),
+                    },
+                    Action::Play(play) if play.fade < 1.0 => {
+                        let nth = play.fade.ln() / 0.6f64.ln();
+                        did.replicas.push((now, nth.round() as u32));
+                    }
+                    Action::Note(note) => {
+                        let fields = note.fields.iter().map(|(k, v)| format!(" {k}={v}"));
+                        did.notes
+                            .push(fields.fold(note.message.to_string(), |n, f| n + &f));
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        /// One datagram, received `now`.
+        fn offer(&mut self, now: SimTime, raw: Bytes) -> Did {
+            self.node.on_datagram(now, (), &raw);
+            let mut did = Did::default();
+            self.collect(now, &mut did);
+            did
+        }
+
+        /// Data packet `seq`, due at `due_ms`, arriving `now`.
+        fn data(&mut self, now: SimTime, seq: u32, due_ms: u64) -> Did {
+            self.offer(
+                now,
+                encode_data(&DataPacket {
+                    stream_id: 1,
+                    seq,
+                    play_at_us: due_ms * 1_000,
+                    codec: 0,
+                    payload: Bytes::from(vec![0u8; 8]),
+                }),
+            )
+        }
+
+        /// A control packet, producer and local clocks agreeing.
+        fn tune(&mut self, now: SimTime) {
+            let control = encode_control(&ControlPacket {
+                stream_id: 1,
+                seq: 0,
+                producer_time_us: now.as_micros(),
+                config: AudioConfig::CD,
+                codec: 0,
+                quality: 0,
+                control_interval_ms: 500,
+                flags: 0,
+            });
+            self.offer(now, control);
+        }
+
+        /// Serves every wakeup due by `now`, each at its own instant.
+        fn poll(&mut self, now: SimTime) -> Did {
+            let mut did = Did::default();
+            while let Some(at) = self.node.next_wake().filter(|&at| at <= now) {
+                self.node.on_wake(at);
+                self.collect(at, &mut did);
+            }
+            did
+        }
+
+        fn stats(&self) -> SpeakerStats {
+            self.node.stats
+        }
+    }
 
     /// A speaker that conceals and NACKs, synchronized at time zero
     /// (producer and local clocks agree).
-    fn repairing() -> SpeakerRx {
-        let mut rx = SpeakerRx::new(None);
-        rx.conceal_losses();
-        rx.request_repairs();
-        tune(&mut rx, SimTime::ZERO);
-        rx
+    fn repairing() -> Speaker {
+        let mut spk = Speaker::new(true);
+        spk.node.request_repairs();
+        spk.tune(SimTime::ZERO);
+        spk
     }
 
-    fn tune(rx: &mut SpeakerRx, now: SimTime) {
-        let control = encode_control(&ControlPacket {
-            stream_id: 1,
-            seq: 0,
-            producer_time_us: now.as_micros(),
-            config: AudioConfig::CD,
-            codec: 0,
-            quality: 0,
-            control_interval_ms: 500,
-            flags: 0,
-        });
-        offer(rx, now, control);
-    }
-
-    /// Data packet `seq`, due at `due_ms`, arriving `now`; what it made
-    /// the protocol decide.
-    fn data(rx: &mut SpeakerRx, now: SimTime, seq: u32, due_ms: u64) -> Vec<RxEvent> {
-        offer(
-            rx,
-            now,
-            encode_data(&DataPacket {
-                stream_id: 1,
-                seq,
-                play_at_us: due_ms * 1_000,
-                codec: 0,
-                payload: Bytes::from(vec![0u8; 8]),
-            }),
-        )
-    }
-
-    fn offer(rx: &mut SpeakerRx, now: SimTime, raw: Bytes) -> Vec<RxEvent> {
-        let mut events = Vec::new();
-        rx.on_packet(
-            now,
-            es_proto::decode(&raw).expect("own packet"),
-            &mut events,
-        );
-        events
-    }
-
-    fn poll(rx: &mut SpeakerRx, now: SimTime) -> Vec<RxEvent> {
-        let mut events = Vec::new();
-        rx.poll(now, &mut events);
-        events
-    }
-
-    fn nacks(events: &[RxEvent]) -> Vec<Vec<(u32, u16)>> {
-        let ranges = |e: &RxEvent| match e {
-            RxEvent::Nack(ranges) => Some(ranges.to_vec()),
-            _ => None,
-        };
-        events.iter().filter_map(ranges).collect()
+    fn nacks(ranges: &[&[(u32, u16)]]) -> Did {
+        let nacks = ranges.iter().map(|r| r.to_vec()).collect();
+        Did {
+            nacks,
+            ..Did::default()
+        }
     }
 
     const MS: fn(u64) -> SimTime = SimTime::from_millis;
 
     #[test]
     fn resync_and_retune_drop_every_hole_and_pending_nack() {
-        for forget in [SpeakerRx::resync, SpeakerRx::retune] {
-            let mut rx = repairing();
-            data(&mut rx, MS(0), 10, 300);
-            data(&mut rx, MS(0), 12, 400);
-            assert_eq!(nacks(&poll(&mut rx, MS(20))), [vec![(11, 1)]]);
-            assert_eq!(nacks(&poll(&mut rx, MS(60))), [vec![(11, 1)]]);
-            let events = poll(&mut rx, MS(350));
-            assert!(matches!(events[..], [RxEvent::Conceal { nth: 1, .. }]));
-            data(&mut rx, MS(360), 15, 550);
-            assert_eq!(nacks(&poll(&mut rx, MS(380))), [vec![(13, 2)]]);
+        let forgets: [fn(&mut Node); 2] = [Node::resync, |n| n.tune(McastGroup(1))];
+        for forget in forgets {
+            let mut spk = repairing();
+            spk.data(MS(0), 10, 300);
+            spk.data(MS(0), 12, 400);
+            assert_eq!(spk.poll(MS(20)), nacks(&[&[(11, 1)]]));
+            assert_eq!(spk.poll(MS(60)), nacks(&[&[(11, 1)]]));
+            let replica = Did {
+                replicas: vec![(MS(350), 1)],
+                ..Did::default()
+            };
+            assert_eq!(spk.poll(MS(350)), replica);
+            spk.data(MS(360), 15, 550);
+            assert_eq!(spk.poll(MS(380)), nacks(&[&[(13, 2)]]));
             // One hole is settled, two are open with a re-ask pending.
-            assert_eq!(rx.table_sizes()[..2], [2, 1]);
-            assert_eq!(rx.next_wakeup(), Some(MS(420)));
+            assert_eq!(spk.node.table_sizes()[..2], [2, 1]);
+            assert_eq!(spk.node.rx.next_poll(), Some(MS(420)));
 
-            forget(&mut rx);
-            assert_eq!(rx.table_sizes(), [0, 0, 0]);
-            assert_eq!(rx.next_wakeup(), None);
-            assert!(poll(&mut rx, MS(10_000)).is_empty(), "nothing re-asked");
+            forget(&mut spk.node);
+            spk.node.actions.clear();
+            assert_eq!(spk.node.table_sizes(), [0, 0, 0]);
+            assert_eq!(spk.node.rx.next_poll(), None);
+            assert_eq!(spk.poll(MS(10_000)), Did::default(), "nothing re-asked");
             // The old stream's numbers mean nothing to the new one: no
             // hole between 15 and 13, no refill, nothing late.
-            tune(&mut rx, MS(10_000));
-            let events = data(&mut rx, MS(10_000), 13, 10_300);
-            assert!(matches!(
-                events[..],
-                [RxEvent::Block(RxBlock { refill: false, .. })]
-            ));
-            assert_eq!(rx.table_sizes()[..2], [0, 0]);
-            assert_eq!(rx.stats.refills_received, 0);
+            spk.tune(MS(10_000));
+            let did = spk.data(MS(10_000), 13, 10_300);
+            assert_eq!(
+                did,
+                Did {
+                    blocks: 1,
+                    ..Did::default()
+                }
+            );
+            assert_eq!(spk.node.table_sizes()[..2], [0, 0]);
+            assert_eq!(spk.stats().refills_received, 0);
         }
     }
 
@@ -832,29 +905,30 @@ mod tests {
     fn a_channel_switch_is_neither_loss_nor_reordering() {
         // Music at seq 1000, an announcement from seq 0, music again
         // having moved on while the speaker was away.
-        let mut rx = repairing();
+        let mut spk = repairing();
         let mut now = 0;
-        let mut play = |rx: &mut SpeakerRx, seqs: std::ops::Range<u32>| {
-            tune(rx, MS(now));
+        let mut play = |spk: &mut Speaker, seqs: std::ops::Range<u32>| {
+            spk.tune(MS(now));
             for seq in seqs {
                 now += 50;
-                data(rx, MS(now), seq, now + 200);
+                spk.data(MS(now), seq, now + 200);
             }
         };
-        play(&mut rx, 1_000..1_010);
-        rx.retune();
-        play(&mut rx, 0..10);
-        rx.retune();
-        play(&mut rx, 1_030..1_040);
-        let st = rx.stats;
+        play(&mut spk, 1_000..1_010);
+        spk.node.tune(McastGroup(1));
+        play(&mut spk, 0..10);
+        spk.node.tune(McastGroup(1));
+        play(&mut spk, 1_030..1_040);
+        let st = spk.stats();
         let counts = (st.quality_expected, st.quality_lost, st.quality_reordered);
         assert_eq!(counts, (30, 0, 0), "{st:?}");
         // A FLUSH re-gates too: the stream re-anchors on its first
         // packet after the control packet, and what it skipped while
         // gated is not the link's loss.
-        rx.resync();
-        play(&mut rx, 1_041..1_042);
-        assert_eq!((rx.stats.quality_expected, rx.stats.quality_lost), (31, 0));
+        spk.node.resync();
+        play(&mut spk, 1_041..1_042);
+        let st = spk.stats();
+        assert_eq!((st.quality_expected, st.quality_lost), (31, 0));
     }
 
     /// Reception quality is counted where the protocol decides gap,
@@ -890,8 +964,8 @@ mod tests {
             ("jitter", 0, &clean, 8_000, [200, 0, 0, 0], 10_000.0..20_000.0),
         ];
         for (name, base, positions, shake, want, jitter) in rows {
-            let mut rx = SpeakerRx::new(None);
-            tune(&mut rx, SimTime::ZERO);
+            let mut spk = Speaker::new(false);
+            spk.tune(SimTime::ZERO);
             for &k in positions {
                 let at_us = i64::from(k) * 50_000 + [shake, -shake][k as usize % 2];
                 let packet = DataPacket {
@@ -902,9 +976,9 @@ mod tests {
                     payload: Bytes::from(vec![0u8; 8]),
                 };
                 let now = SimTime::from_micros(at_us.max(0) as u64);
-                offer(&mut rx, now, encode_data(&packet));
+                spk.offer(now, encode_data(&packet));
             }
-            let st = rx.stats;
+            let st = spk.stats();
             let got = [
                 st.quality_expected,
                 st.quality_lost,
@@ -912,61 +986,62 @@ mod tests {
                 st.dropped_duplicate,
             ];
             assert_eq!(got, want, "{name}");
-            assert!(
-                jitter.contains(&rx.jitter_us()),
-                "{name}: {}",
-                rx.jitter_us()
-            );
+            let jitter_us = spk.node.rx.jitter_us();
+            assert!(jitter.contains(&jitter_us), "{name}: {jitter_us}");
         }
     }
 
     #[test]
     fn holes_and_nack_ranges_are_right_across_the_sequence_wrap() {
-        let mut rx = repairing();
+        let mut spk = repairing();
         // MAX-2 then 3: MAX-1, MAX, 0, 1, 2 are missing, due at even
         // steps between the two deadlines.
-        data(&mut rx, MS(0), u32::MAX - 2, 300);
-        data(&mut rx, MS(1), 3, 600);
-        assert_eq!(rx.table_sizes()[0], 5);
-        assert_eq!(rx.next_wakeup(), Some(MS(21)));
+        spk.data(MS(0), u32::MAX - 2, 300);
+        spk.data(MS(1), 3, 600);
+        assert_eq!(spk.node.table_sizes()[0], 5);
+        assert_eq!(spk.node.rx.next_poll(), Some(MS(21)));
         // One range, straddling the wrap.
-        assert_eq!(nacks(&poll(&mut rx, MS(21))), [vec![(u32::MAX - 1, 5)]]);
+        assert_eq!(spk.poll(MS(21)), nacks(&[&[(u32::MAX - 1, 5)]]));
         // The refill of 0 closes its hole and splits the range the
         // re-ask names.
-        let events = data(&mut rx, MS(30), 0, 450);
-        assert!(matches!(
-            events[..],
-            [RxEvent::Block(RxBlock { refill: true, .. })]
-        ));
         assert_eq!(
-            nacks(&poll(&mut rx, MS(61))),
-            [vec![(u32::MAX - 1, 2), (1, 2)]]
+            spk.data(MS(30), 0, 450),
+            Did {
+                blocks: 1,
+                ..Did::default()
+            }
         );
+        assert_eq!(spk.stats().refills_received, 1, "a refill");
+        assert_eq!(spk.poll(MS(61)), nacks(&[&[(u32::MAX - 1, 2), (1, 2)]]));
         // Unrepaired, they come due in order, each at its own step,
         // and the run restarts after the block that did arrive.
         let mut due = Vec::new();
         for at in (300..=600).step_by(10) {
-            for event in poll(&mut rx, MS(at)) {
-                match event {
-                    RxEvent::Conceal { deadline, nth } => due.push((at, deadline, nth)),
-                    _ => panic!("asked twice already"),
-                }
-            }
+            let did = spk.poll(MS(at));
+            assert!(
+                did.nacks.is_empty() && did.notes.is_empty(),
+                "asked twice already"
+            );
+            due.extend(did.replicas);
         }
-        let want = [(350, 1), (400, 2), (500, 1), (550, 2)].map(|(ms, nth)| (ms, MS(ms), nth));
+        let want = [(350, 1), (400, 2), (500, 1), (550, 2)].map(|(ms, nth)| (MS(ms), nth));
         assert_eq!(due, want);
-        assert_eq!(rx.table_sizes()[..2], [0, 4]);
+        assert_eq!(spk.node.table_sizes()[..2], [0, 4]);
         // A copy of a settled one is late; it was asked for, so it is
         // a refill that missed.
-        let events = data(&mut rx, MS(610), u32::MAX, 400);
-        assert!(matches!(events[..], [RxEvent::Late { refill: true, .. }]));
-        assert_eq!((rx.stats.refills_received, rx.table_sizes()[1]), (2, 3));
+        let late = Did {
+            notes: vec!["nack refill arrived past deadline late_us=210000".into()],
+            ..Did::default()
+        };
+        assert_eq!(spk.data(MS(610), u32::MAX, 400), late);
+        let settled = spk.node.table_sizes()[1];
+        assert_eq!((spk.stats().refills_received, settled), (2, 3));
     }
 
     #[test]
     fn fec_recovering_an_asked_for_hole_is_not_a_refill() {
         use es_proto::{encode_parity, ParityAccumulator};
-        let mut rx = repairing();
+        let mut spk = repairing();
         let packet = |seq: u32| DataPacket {
             stream_id: 1,
             seq,
@@ -981,37 +1056,36 @@ mod tests {
         for seq in 0..8 {
             parity = acc.absorb(&packet(seq)).or(parity);
             if seq == 3 {
-                offer(
-                    &mut rx,
-                    MS(0),
-                    encode_parity(&parity.take().expect("group done")),
-                );
+                spk.offer(MS(0), encode_parity(&parity.take().expect("group done")));
             }
             if seq != 5 {
-                offer(&mut rx, MS(0), encode_data(&packet(seq)));
+                spk.offer(MS(0), encode_data(&packet(seq)));
             }
         }
-        assert_eq!(nacks(&poll(&mut rx, MS(20))), [vec![(5, 1)]]);
-        let events = offer(&mut rx, MS(25), encode_parity(&parity.expect("group done")));
-        assert!(matches!(
-            events[..],
-            [RxEvent::Block(RxBlock { refill: false, .. })]
-        ));
-        assert_eq!((rx.stats.fec_recovered, rx.stats.refills_received), (1, 0));
-        assert_eq!((rx.table_sizes()[0], rx.next_wakeup()), (0, None));
-        // The refill it asked for is a duplicate now.
-        assert!(offer(&mut rx, MS(26), encode_data(&packet(5))).is_empty());
+        assert_eq!(spk.poll(MS(20)), nacks(&[&[(5, 1)]]));
+        let did = spk.offer(MS(25), encode_parity(&parity.expect("group done")));
         assert_eq!(
-            (rx.stats.dropped_duplicate, rx.stats.refills_received),
-            (1, 0)
+            did,
+            Did {
+                blocks: 1,
+                ..Did::default()
+            }
         );
+        let st = spk.stats();
+        assert_eq!((st.fec_recovered, st.refills_received), (1, 0));
+        let holes = spk.node.table_sizes()[0];
+        assert_eq!((holes, spk.node.rx.next_poll()), (0, None));
+        // The refill it asked for is a duplicate now.
+        assert_eq!(spk.offer(MS(26), encode_data(&packet(5))), Did::default());
+        let st = spk.stats();
+        assert_eq!((st.dropped_duplicate, st.refills_received), (1, 0));
     }
 
     #[test]
     fn a_group_that_lost_two_packets_counts_as_unrecoverable() {
         use es_proto::{encode_parity, ParityAccumulator};
-        let mut rx = SpeakerRx::new(None);
-        tune(&mut rx, SimTime::ZERO);
+        let mut spk = Speaker::new(false);
+        spk.tune(SimTime::ZERO);
         let packet = |seq: u32| DataPacket {
             stream_id: 1,
             seq,
@@ -1026,12 +1100,12 @@ mod tests {
         let mut acc = ParityAccumulator::new(4);
         let parity: Vec<_> = (0..24).filter_map(|seq| acc.absorb(&packet(seq))).collect();
         for p in &parity[..2] {
-            offer(&mut rx, MS(0), encode_parity(p));
+            spk.offer(MS(0), encode_parity(p));
         }
         for seq in (0..24).filter(|seq| ![1, 2, 5].contains(seq)) {
-            offer(&mut rx, MS(0), encode_data(&packet(seq)));
+            spk.offer(MS(0), encode_data(&packet(seq)));
         }
-        let st = rx.stats;
+        let st = spk.stats();
         assert_eq!((st.fec_recovered, st.fec_unrecoverable), (1, 1), "{st:?}");
         let mut reg = Registry::new();
         st.record(&mut reg);
@@ -1048,8 +1122,8 @@ mod tests {
     #[test]
     fn a_group_that_lost_a_packet_and_its_parity_counts_as_unrecoverable() {
         use es_proto::{encode_parity, ParityAccumulator};
-        let mut rx = SpeakerRx::new(None);
-        tune(&mut rx, SimTime::ZERO);
+        let mut spk = Speaker::new(false);
+        spk.tune(SimTime::ZERO);
         let packet = |seq: u32| DataPacket {
             stream_id: 1,
             seq,
@@ -1064,13 +1138,13 @@ mod tests {
         // when the sixth, [20, 24), opens.
         let mut acc = ParityAccumulator::new(4);
         let parity = (0..4).find_map(|seq| acc.absorb(&packet(seq)));
-        offer(&mut rx, MS(0), encode_parity(&parity.expect("one group")));
+        spk.offer(MS(0), encode_parity(&parity.expect("one group")));
         for seq in (0..20).filter(|&seq| seq != 1 && seq != 5) {
-            offer(&mut rx, MS(0), encode_data(&packet(seq)));
+            spk.offer(MS(0), encode_data(&packet(seq)));
         }
-        assert_eq!(rx.stats.fec_unrecoverable, 0);
-        offer(&mut rx, MS(0), encode_data(&packet(20)));
-        let st = rx.stats;
+        assert_eq!(spk.stats().fec_unrecoverable, 0);
+        spk.offer(MS(0), encode_data(&packet(20)));
+        let st = spk.stats();
         assert_eq!((st.fec_recovered, st.fec_unrecoverable), (1, 1), "{st:?}");
     }
 
@@ -1120,19 +1194,19 @@ mod tests {
             ),
         ];
         for (name, order, (recovered, duplicates)) in orders {
-            let mut rx = SpeakerRx::new(None);
-            tune(&mut rx, SimTime::ZERO);
+            let mut spk = Speaker::new(false);
+            spk.tune(SimTime::ZERO);
             let mut parity = parity.iter();
             for &seq in order {
                 let raw = match seq {
                     Some(seq) => encode_data(&packet(seq)),
                     None => encode_parity(parity.next().expect("two groups")),
                 };
-                offer(&mut rx, MS(0), raw);
+                spk.offer(MS(0), raw);
             }
             // The recoverer gives up on whatever it holds open.
-            rx.retune();
-            let st = rx.stats;
+            spk.node.tune(McastGroup(1));
+            let st = spk.stats();
             let got = (st.fec_recovered, st.dropped_duplicate, st.fec_unrecoverable);
             assert_eq!(got, (recovered, duplicates, 0), "{name}: {st:?}");
         }
@@ -1150,51 +1224,58 @@ mod tests {
         };
         // Left open: [0, 4) with its parity but seq 1 and 3 lost, [4, 8)
         // without seq 5 and its parity, [8, 12) whole, its parity lost.
-        let open = |rx: &mut SpeakerRx| {
+        let open = |spk: &mut Speaker| {
             let mut acc = ParityAccumulator::new(4);
             let parity = (0..4).find_map(|seq| acc.absorb(&packet(seq)));
-            offer(rx, MS(0), encode_parity(&parity.expect("one group")));
+            spk.offer(MS(0), encode_parity(&parity.expect("one group")));
             for seq in [0, 2, 4, 6, 7, 8, 9, 10, 11] {
-                offer(rx, MS(0), encode_data(&packet(seq)));
+                spk.offer(MS(0), encode_data(&packet(seq)));
             }
-            assert_eq!(rx.stats.fec_unrecoverable, 0);
+            assert_eq!(spk.stats().fec_unrecoverable, 0);
         };
-        let mut rx = SpeakerRx::new(None);
-        tune(&mut rx, SimTime::ZERO);
-        open(&mut rx);
-        rx.retune();
-        assert_eq!(rx.stats.fec_unrecoverable, 2);
-        rx.retune();
-        assert_eq!(rx.stats.fec_unrecoverable, 2, "no recoverer left");
+        let mut spk = Speaker::new(false);
+        spk.tune(SimTime::ZERO);
+        open(&mut spk);
+        spk.node.tune(McastGroup(1));
+        assert_eq!(spk.stats().fec_unrecoverable, 2);
+        spk.node.tune(McastGroup(1));
+        assert_eq!(spk.stats().fec_unrecoverable, 2, "no recoverer left");
 
-        let mut rx = SpeakerRx::new(None);
-        tune(&mut rx, SimTime::ZERO);
-        open(&mut rx);
+        let mut spk = Speaker::new(false);
+        spk.tune(SimTime::ZERO);
+        open(&mut spk);
         let mut acc = ParityAccumulator::new(8);
         let parity = (16..24).find_map(|seq| acc.absorb(&packet(seq)));
-        let events = offer(&mut rx, MS(0), encode_parity(&parity.expect("one group")));
-        assert!(matches!(
-            events[..],
-            [RxEvent::FecGroupChanged { from: 4, to: 8 }]
-        ));
-        assert_eq!(rx.stats.fec_unrecoverable, 2);
+        let did = spk.offer(MS(0), encode_parity(&parity.expect("one group")));
+        let changed = Did {
+            notes: vec!["fec parity group changed from=4 to=8".into()],
+            ..Did::default()
+        };
+        assert_eq!(did, changed);
+        assert_eq!(spk.stats().fec_unrecoverable, 2);
     }
 
     #[test]
     fn a_hole_too_close_to_its_deadline_is_not_asked_for() {
-        let mut rx = repairing();
-        data(&mut rx, MS(0), 1, 10);
+        let mut spk = repairing();
+        spk.data(MS(0), 1, 10);
         // Seq 2 is due 23 ms after the gap shows: the hold-off leaves
         // 3 ms, less than a round trip.
-        data(&mut rx, MS(0), 3, 36);
-        assert_eq!(rx.next_wakeup(), Some(MS(20)));
-        assert!(poll(&mut rx, MS(20)).is_empty());
-        assert_eq!(rx.next_wakeup(), Some(MS(23)));
-        let events = poll(&mut rx, MS(23));
-        assert!(matches!(events[..], [RxEvent::Conceal { nth: 1, .. }]));
+        spk.data(MS(0), 3, 36);
+        assert_eq!(spk.node.rx.next_poll(), Some(MS(20)));
+        assert_eq!(spk.poll(MS(20)), Did::default());
+        assert_eq!(spk.node.rx.next_poll(), Some(MS(23)));
+        let replica = Did {
+            replicas: vec![(MS(23), 1)],
+            ..Did::default()
+        };
+        assert_eq!(spk.poll(MS(23)), replica);
         // Nobody asked, so a copy now is a plain late packet.
-        let events = data(&mut rx, MS(24), 2, 23);
-        assert!(matches!(events[..], [RxEvent::Late { refill: false, .. }]));
-        assert_eq!(rx.stats.refills_received, 0);
+        let late = Did {
+            notes: vec!["data packet discarded past deadline late_us=1000".into()],
+            ..Did::default()
+        };
+        assert_eq!(spk.data(MS(24), 2, 23), late);
+        assert_eq!(spk.stats().refills_received, 0);
     }
 }

@@ -6,8 +6,8 @@
 //! control packet before it can start playing the audio stream"),
 //! learns the producer wall clock, and then plays each data packet at
 //! its deadline — sleeping, playing, or discarding per §3.2's rule.
-//! What the packets mean is [`SpeakerRx`]'s call and what becomes of
-//! each block [`SpeakerNode`]'s; this is the simulator adapter that
+//! What the packets mean and what becomes of each block is
+//! [`SpeakerNode`]'s call; this is the simulator adapter that
 //! feeds the node from the simulated LAN and the engine's clock, sends
 //! what it asks to send — NACKs to whoever the stream is heard from,
 //! once it [requests repairs](EthernetSpeaker::request_repairs), and a
@@ -40,7 +40,7 @@ use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
 use crate::autovol::{AmbientProfile, AutoVolumeConfig};
 use crate::node::{Action, Decoder, Pcm, Play, PlayMode, SharedBlock, SpeakerNode};
-use crate::rx::{SpeakerRx, SpeakerStats};
+use crate::rx::SpeakerStats;
 
 /// Speaker tuning knobs.
 pub struct SpeakerConfig {
@@ -510,12 +510,13 @@ impl EthernetSpeaker {
 
     /// Counter snapshot.
     pub fn stats(&self) -> SpeakerStats {
-        self.0.state.borrow().node.rx.stats
+        self.0.state.borrow().node.stats
     }
 
     /// Authentication counters, when auth is enabled.
     pub fn auth_stats(&self) -> Option<VerifierStats> {
-        self.rx(|rx| rx.verifier.as_ref().map(|v| v.stats()))
+        let st = self.0.state.borrow();
+        st.node.rx.verifier.as_ref().map(|v| v.stats())
     }
 
     /// The DAC output tap: how much played and when, always; the
@@ -536,7 +537,7 @@ impl EthernetSpeaker {
 
     /// Current clock offset estimate versus the producer.
     pub fn clock_offset_us(&self) -> Option<i64> {
-        self.rx(|rx| rx.clock.offset_us())
+        self.0.state.borrow().node.rx.clock.offset_us()
     }
 
     /// Current auto-volume gain, if enabled.
@@ -566,11 +567,11 @@ impl EthernetSpeaker {
     /// NACK the protocol raises leaves as a datagram unicast to the
     /// node it last heard a control packet of its stream from.
     pub fn request_repairs(&self) {
-        self.0.state.borrow_mut().node.rx.request_repairs();
+        self.0.state.borrow_mut().node.request_repairs();
     }
 
     /// Control-plane FLUSH: drop playback state and re-gate on the
-    /// next control packet; see [`SpeakerRx::resync`].
+    /// next control packet; see [`SpeakerNode::resync`].
     pub fn resync(&self, sim: &mut Sim) {
         self.step(sim, |n, _| n.resync());
     }
@@ -594,7 +595,7 @@ impl EthernetSpeaker {
     pub fn record_telemetry(&self, registry: &mut Registry) {
         let st = self.0.state.borrow();
         let (node, rx) = (&st.node, &st.node.rx);
-        rx.stats.record(registry);
+        node.stats.record(registry);
         let depth = self.0.dev.stats().ring_occupancy;
         let mut s = registry.component("speaker");
         s.histogram("deadline_slack_us", &node.deadline_slack_us)
@@ -610,11 +611,6 @@ impl EthernetSpeaker {
                 .counter("sessions_established", established)
                 .counter("sessions_lost", lost);
         }
-    }
-
-    /// Reads the receive protocol.
-    fn rx<R>(&self, read: impl FnOnce(&SpeakerRx) -> R) -> R {
-        read(&self.0.state.borrow().node.rx)
     }
 
     /// Steps the node at the current instant with `f`, then carries out
@@ -713,7 +709,7 @@ impl EthernetSpeaker {
     fn render(&self, play: &Play) -> (Rc<Vec<u8>>, AudioConfig) {
         let mut st = self.0.state.borrow_mut();
         let st = &mut *st;
-        let cfg = st.node.rx.stream_config();
+        let cfg = st.node.stream_config();
         if play.unity() {
             return (play.pcm.device_bytes(cfg.encoding), cfg);
         }
@@ -738,7 +734,7 @@ impl EthernetSpeaker {
     fn serial_write(&self, sim: &mut Sim, bytes: Rc<Vec<u8>>, offset: usize, cfg: AudioConfig) {
         let n = self.0.dev.write_shared(sim, &bytes, offset).unwrap_or(0);
         let played = (n / cfg.encoding.bytes_per_sample() as usize) as u64;
-        self.0.state.borrow_mut().node.rx.stats.samples_played += played;
+        self.0.state.borrow_mut().node.stats.samples_played += played;
         let next = offset + n;
         if next < bytes.len() {
             let spk = self.clone();
@@ -784,7 +780,7 @@ impl EthernetSpeaker {
         let lateness = boundary_wait + queued;
         if lateness > epsilon {
             self.0.dev.restart_output(sim);
-            self.0.state.borrow_mut().node.rx.stats.playback_resyncs += 1;
+            self.0.state.borrow_mut().node.stats.playback_resyncs += 1;
             self.journal(
                 sim,
                 Severity::Debug,
@@ -803,7 +799,7 @@ impl EthernetSpeaker {
         let written = self.0.dev.write_shared(sim, &bytes, 0).unwrap_or(0);
         let played = (written / cfg.encoding.bytes_per_sample() as usize) as u64;
         let mut st = self.0.state.borrow_mut();
-        let stats = &mut st.node.rx.stats;
+        let stats = &mut st.node.stats;
         stats.samples_played += played;
         stats.dropped_overflow_bytes += (bytes.len() - written) as u64;
     }
@@ -1397,11 +1393,7 @@ mod tests {
         }
         sim.run_for(SimDuration::from_millis(5));
         assert_eq!(spk.stats().fec_recovered, 1);
-        assert_eq!(
-            spk.0.state.borrow().node.rx.table_sizes()[0],
-            0,
-            "hole closed"
-        );
+        assert_eq!(spk.0.state.borrow().node.table_sizes()[0], 0, "hole closed");
         sim.run_for(SimDuration::from_secs(1));
         let st = spk.stats();
         assert_eq!(
@@ -1619,7 +1611,7 @@ mod tests {
             lan.multicast(&mut sim, producer, g, block(seq, 1_000));
         }
         sim.run();
-        assert_eq!(spk.0.state.borrow().node.rx.table_sizes()[..2], [0, 0]);
+        assert_eq!(spk.0.state.borrow().node.table_sizes()[..2], [0, 0]);
         assert_eq!(spk.0.state.borrow().node.next_wake(), None);
         // A copy past its deadline is §3.2's discard, as ever.
         sim.run_until(due(3) + SimDuration::from_millis(30));

@@ -8,25 +8,30 @@
 //! group grid, timestamps at the edges of `u64` and `i64`, parity
 //! counts change mid-stream, `xor_len` overshoots its payload,
 //! payloads are empty; other speakers' NACKs, noise, truncations and
-//! bad auth trailers are mixed in. [`SpeakerRx`] has no clock, socket or simulator, so the
-//! properties are about the protocol alone: no panic (dev profile, so
-//! arithmetic overflow panics too), a bounded number of events per
-//! message and per wakeup, bounded tables however long the abuse
-//! lasts, and — sequence jumps being the cheapest bait there is — a
-//! bounded appetite for retransmissions: a hole is asked for twice at
-//! most, sixteen ranges to a NACK.
+//! bad auth trailers are mixed in. `SpeakerNode` has no clock, socket
+//! or simulator, so the properties are about the speaker alone: no
+//! panic (dev profile, so arithmetic overflow panics too), a bounded
+//! number of outcomes per message and per wakeup, bounded tables
+//! however long the abuse lasts, and — sequence jumps being the
+//! cheapest bait there is — a bounded appetite for retransmissions: a
+//! hole is asked for twice at most, sixteen ranges to a NACK.
 //!
 //! `PROPTEST_CASES=5000 cargo test -p es-speaker --test hostile_rx` is
 //! the deep run; the default 64 cases keep it in the tier-1 budget.
 
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
+
 use bytes::Bytes;
 use es_audio::AudioConfig;
+use es_net::McastGroup;
 use es_proto::{
     decode, encode_control, encode_data, encode_nack, encode_parity, encode_session, ControlPacket,
-    DataPacket, ParityPacket, SessionPacket, StreamSigner, MAX_NACK_RANGES, TRAILER_LEN,
+    DataPacket, Packet, ParityPacket, SessionPacket, StreamSigner, WireError, MAX_NACK_RANGES,
+    TRAILER_LEN,
 };
 use es_sim::{SimDuration, SimTime};
-use es_speaker::{RxEvent, SpeakerRx};
+use es_speaker::{Action, Decoder, Pcm, SharedBlock, SpeakerConfig, SpeakerNode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,68 +134,150 @@ fn message(rng: &mut StdRng) -> Bytes {
     }
 }
 
-/// Steps `rx` the way a driver does and holds every step to the
-/// bounds; returns how many blocks were cleared for playback.
-fn feed(rx: &mut SpeakerRx, now: SimTime, datagram: &Bytes, events: &mut Vec<RxEvent>) -> usize {
-    let mut blocks = 0;
-    for msg in rx.admit(datagram) {
-        match decode(&msg) {
-            Ok(pkt) => rx.on_packet(now, pkt, events),
-            Err(_) => rx.stats.bad_packets += 1,
+/// What the decoder saw: a weak handle on each block it decoded (what
+/// is still alive, the node holds), and how many it had decoded when
+/// each message was parsed.
+#[derive(Default)]
+struct Log {
+    blocks: Vec<Weak<SharedBlock>>,
+    parsed: Vec<usize>,
+}
+
+/// Parses with the wire parser and decodes every payload to a 50 ms
+/// CD block, ready at once.
+struct Blocks(Rc<RefCell<Log>>);
+
+impl Decoder for Blocks {
+    fn parse(&mut self, raw: &Bytes) -> Result<Packet, WireError> {
+        let mut log = self.0.borrow_mut();
+        let decoded = log.blocks.len();
+        log.parsed.push(decoded);
+        decode(raw)
+    }
+
+    fn decode(
+        &mut self,
+        now: SimTime,
+        _: es_codec::CodecId,
+        _: u8,
+        _: &Bytes,
+    ) -> Option<(Pcm, u64, SimTime)> {
+        let pcm = SharedBlock::new(vec![1; 4_410]);
+        self.0.borrow_mut().blocks.push(Rc::downgrade(&pcm));
+        Some((pcm, 0, now))
+    }
+}
+
+type Node = SpeakerNode<(), Blocks>;
+
+/// A speaker node and what its decoder saw.
+struct Speaker {
+    node: Node,
+    log: Rc<RefCell<Log>>,
+}
+
+impl Speaker {
+    /// A speaker that has heard nothing yet, on an authenticated
+    /// channel if `anchor` is set; one that `repairs` conceals and
+    /// NACKs.
+    fn new(anchor: Option<[u8; 32]>, repairs: bool) -> Self {
+        let mut cfg = SpeakerConfig::new("es", McastGroup(1));
+        cfg.auth_anchor = anchor;
+        cfg.conceal_loss = repairs;
+        let log = Rc::default();
+        let mut node = SpeakerNode::new(cfg, Blocks(Rc::clone(&log)));
+        if repairs {
+            node.request_repairs();
         }
+        Speaker { node, log }
+    }
+}
+
+/// Steps `spk` with one datagram and holds the step to the bounds;
+/// returns how many blocks were cleared for playback.
+fn feed(spk: &mut Speaker, now: SimTime, datagram: &Bytes) -> usize {
+    let (decoded, parsed) = {
+        let log = spk.log.borrow();
+        (log.blocks.len(), log.parsed.len())
+    };
+    spk.node.on_datagram(now, (), datagram);
+    let log = spk.log.borrow();
+    let mut marks = log.parsed[parsed..].to_vec();
+    marks.push(log.blocks.len());
+    for pair in marks.windows(2) {
         // A data packet and the one it completes by FEC; a group
         // change and the packet the new parity recovers.
-        assert!(
-            events.len() <= 2,
-            "{} events from one message",
-            events.len()
-        );
-        blocks += events
-            .drain(..)
-            .filter(|e| matches!(e, RxEvent::Block(_)))
-            .count();
-        let [holes, settled, dedupe] = rx.table_sizes();
-        assert!(
-            holes <= MAX_HOLES && settled <= MAX_HOLES,
-            "{holes} open / {settled} settled holes"
-        );
-        assert!(dedupe <= 512, "{dedupe} dedupe slots");
+        let blocks = pair[1] - pair[0];
+        assert!(blocks <= 2, "{blocks} blocks from one message");
     }
-    blocks
+    // Each message decides two outcomes at most — a block played or
+    // held, a late copy, a format, a group change — and arms at most
+    // one poll of the hole table.
+    let (messages, actions) = (marks.len() - 1, spk.node.actions.len());
+    assert!(
+        actions <= 3 * messages,
+        "{actions} actions from {messages} messages"
+    );
+    spk.node.actions.clear();
+    let [holes, settled, dedupe] = spk.node.table_sizes();
+    assert!(
+        holes <= MAX_HOLES && settled <= MAX_HOLES,
+        "{holes} open / {settled} settled holes"
+    );
+    assert!(dedupe <= 512, "{dedupe} dedupe slots");
+    log.blocks.len() - decoded
 }
 
 /// The hole table's bound (`rx::MAX_HOLES`; the producer's retransmit
 /// cache is as long).
 const MAX_HOLES: usize = 64;
 
-/// Polls `rx` the way a driver does when `now` is the instant it
+/// Wakes `spk` the way an adapter does when `now` is the instant it
 /// asked for, again while it asks for `now` again, and holds every
-/// poll to the bounds; returns the NACKs raised.
-fn wake(rx: &mut SpeakerRx, now: SimTime, events: &mut Vec<RxEvent>) -> Vec<Vec<(u32, u16)>> {
+/// wakeup to the bounds; returns the ranges of the NACKs sent.
+fn wake(spk: &mut Speaker, now: SimTime) -> Vec<Vec<(u32, u16)>> {
     let mut nacks = Vec::new();
-    let mut polls = 0;
-    while rx.next_wakeup().is_some_and(|at| at <= now) {
-        polls += 1;
-        // Each poll settles or asks for at least one range-full of
-        // holes, so the table is worked off in a handful.
-        assert!(polls <= 1 + MAX_HOLES / MAX_NACK_RANGES, "poll {polls}");
-        rx.poll(now, events);
-        // A replica per hole at the very most, and one NACK.
-        assert!(events.len() <= MAX_HOLES + 1, "{} events", events.len());
-        for event in events.drain(..) {
-            match event {
-                RxEvent::Nack(ranges) => {
+    let mut repolls = 0;
+    while spk.node.next_wake().is_some_and(|at| at <= now) {
+        spk.node.on_wake(now);
+        let (mut replicas, mut sent) = (0, 0);
+        for action in spk.node.actions.drain(..) {
+            match action {
+                Action::Nack((), raw) => {
+                    let Ok(Packet::Nack { ranges, .. }) = decode(&raw) else {
+                        panic!("a NACK that does not parse");
+                    };
                     assert!((1..=MAX_NACK_RANGES).contains(&ranges.len()));
                     assert!(ranges.iter().all(|&(_, count)| count >= 1));
                     let asked: usize = ranges.iter().map(|&(_, n)| n as usize).sum();
                     assert!(asked <= MAX_HOLES, "asked for {asked}");
-                    nacks.push(ranges.into_vec());
+                    nacks.push(ranges);
+                    sent += 1;
                 }
-                RxEvent::Conceal { nth, .. } => assert!((1..=3).contains(&nth)),
-                _ => panic!("poll emits NACKs and replicas only"),
+                // A replica, faded for the first, second or third
+                // block missing in a row.
+                Action::Play(play) if play.fade < 1.0 => {
+                    let fade = |nth| 0.6f64.powi(nth);
+                    assert!((1..=3).any(|nth| (play.fade - fade(nth)).abs() < 1e-12));
+                    replicas += 1;
+                }
+                // The hole table asks for `now` again: one NACK could
+                // not carry every range due.
+                Action::Wake(at) if at <= now => repolls += 1,
+                Action::Play(_) | Action::Wake(_) | Action::Note(_) => {}
+                _ => panic!("a wakeup plays, asks and journals only"),
             }
         }
-        let [holes, settled, _] = rx.table_sizes();
+        // A replica per hole at the very most, and one NACK.
+        assert!(sent <= 1 && replicas + sent <= MAX_HOLES + 1);
+        // Each poll settles or asks for at least one range-full of
+        // holes, so the table is worked off in a handful.
+        assert!(
+            repolls <= MAX_HOLES / MAX_NACK_RANGES,
+            "poll {}",
+            repolls + 1
+        );
+        let [holes, settled, _] = spk.node.table_sizes();
         assert!(holes <= MAX_HOLES && settled <= MAX_HOLES);
     }
     nacks
@@ -199,24 +286,22 @@ fn wake(rx: &mut SpeakerRx, now: SimTime, events: &mut Vec<RxEvent>) -> Vec<Vec<
 /// A few hundred hostile messages into a speaker that conceals and
 /// NACKs, with the rest of its surface — the wakeups it asks for,
 /// retunes, session flushes — exercised in between.
-fn abuse(rx: &mut SpeakerRx, rng: &mut StdRng, mut wrap: impl FnMut(&mut StdRng, Bytes) -> Bytes) {
-    rx.conceal_losses();
-    rx.request_repairs();
-    let mut events = Vec::new();
+fn abuse(spk: &mut Speaker, rng: &mut StdRng, mut wrap: impl FnMut(&mut StdRng, Bytes) -> Bytes) {
     let mut now = SimTime::ZERO;
     for _ in 0..300 {
         let msg = message(rng);
         let datagram = wrap(rng, msg);
-        feed(rx, now, &datagram, &mut events);
+        feed(spk, now, &datagram);
         now = now.saturating_add(SimDuration::from_micros(rng.gen::<u64>() % 60_000));
         match rng.gen::<u8>() % 32 {
-            0..=7 => drop(wake(rx, now, &mut events)),
-            8 => rx.retune(),
-            9 => rx.resync(),
+            0..=7 => drop(wake(spk, now)),
+            8 => spk.node.tune(McastGroup(1)),
+            9 => spk.node.resync(),
             _ => {}
         }
+        spk.node.actions.clear();
     }
-    assert_eq!(rx.stats.datagrams, 300);
+    assert_eq!(spk.node.stats.datagrams, 300);
 }
 
 fn control_packet(producer_time_us: u64) -> ControlPacket {
@@ -251,14 +336,14 @@ fn data(seq: u32, play_at_us: u64) -> Bytes {
 /// subtract with overflow` in `ClockSync::on_control`.
 #[test]
 fn forged_control_timestamp_is_counted_and_ignored() {
-    let mut rx = SpeakerRx::new(None);
-    let mut events = Vec::new();
+    let mut spk = Speaker::new(None, false);
     let now = SimTime::from_secs(1);
-    feed(&mut rx, now, &control(1 << 63), &mut events);
-    assert_eq!((rx.stats.bad_packets, rx.stats.control_packets), (1, 0));
+    feed(&mut spk, now, &control(1 << 63));
+    let st = spk.node.stats;
+    assert_eq!((st.bad_packets, st.control_packets), (1, 0));
     // Still gated: the forged sample taught the clock nothing.
-    assert_eq!(feed(&mut rx, now, &data(0, 1_000_000), &mut events), 0);
-    assert_eq!(rx.stats.dropped_waiting_control, 1);
+    assert_eq!(feed(&mut spk, now, &data(0, 1_000_000)), 0);
+    assert_eq!(spk.node.stats.dropped_waiting_control, 1);
 }
 
 /// Satellite 1, second half: a synchronized speaker (offset > 0) asked
@@ -266,41 +351,31 @@ fn forged_control_timestamp_is_counted_and_ignored() {
 /// with overflow` in `ClockSync::to_local`.
 #[test]
 fn forged_play_deadline_is_counted_and_ignored() {
-    let mut rx = SpeakerRx::new(None);
-    let mut events = Vec::new();
+    let mut spk = Speaker::new(None, false);
     let now = SimTime::from_secs(10);
-    feed(&mut rx, now, &control(3_000_000), &mut events);
+    feed(&mut spk, now, &control(3_000_000));
     for (seq, forged) in [i64::MAX as u64, 1 << 63, u64::MAX, u64::MAX / 1_000]
         .into_iter()
         .enumerate()
     {
+        assert_eq!(feed(&mut spk, now, &data(seq as u32, forged)), 0);
         assert_eq!(
-            feed(&mut rx, now, &data(seq as u32, forged), &mut events),
-            0
-        );
-        assert_eq!(
-            rx.stats.bad_packets,
+            spk.node.stats.bad_packets,
             seq as u64 + 1,
             "play_at_us = {forged}"
         );
     }
     // The stream itself is unharmed.
-    assert_eq!(feed(&mut rx, now, &data(9, 4_000_000), &mut events), 1);
+    assert_eq!(feed(&mut spk, now, &data(9, 4_000_000)), 1);
 }
 
 /// A synchronized speaker that conceals and NACKs, having played
 /// sequence number `first`.
-fn baited(first: u32) -> (SpeakerRx, Vec<RxEvent>) {
-    let mut rx = SpeakerRx::new(None);
-    rx.conceal_losses();
-    rx.request_repairs();
-    let mut events = Vec::new();
-    feed(&mut rx, SimTime::ZERO, &control(0), &mut events);
-    assert_eq!(
-        feed(&mut rx, SimTime::ZERO, &data(first, 200_000), &mut events),
-        1
-    );
-    (rx, events)
+fn baited(first: u32) -> Speaker {
+    let mut spk = Speaker::new(None, true);
+    feed(&mut spk, SimTime::ZERO, &control(0));
+    assert_eq!(feed(&mut spk, SimTime::ZERO, &data(first, 200_000)), 1);
+    spk
 }
 
 /// NACK-bait, first kind: forged sequence numbers alternating between
@@ -308,25 +383,20 @@ fn baited(first: u32) -> (SpeakerRx, Vec<RxEvent>) {
 /// thousand packets.
 #[test]
 fn alternating_far_apart_seqs_cannot_grow_the_hole_table_or_a_nack() {
-    let (mut rx, mut events) = baited(u32::MAX - 2_000);
+    let mut spk = baited(u32::MAX - 2_000);
     let mut nacks = 0;
     for round in 0..200u32 {
         let now = SimTime::from_millis(round as u64 * 25);
         let near = (u32::MAX - 2_000).wrapping_add(round * 3 + 1);
         let seq = [near.wrapping_add(1_000), near][round as usize % 2];
-        feed(
-            &mut rx,
-            now,
-            &data(seq, 200_000 + now.as_micros()),
-            &mut events,
-        );
-        nacks += wake(&mut rx, now, &mut events).len();
+        feed(&mut spk, now, &data(seq, 200_000 + now.as_micros()));
+        nacks += wake(&mut spk, now).len();
     }
     // Every forward jump opens the newest 64 of its thousand holes,
     // in one range: one NACK and one re-ask per jump, no more.
     assert!(nacks <= 2 * 100, "{nacks} NACKs for 100 forged jumps");
     assert_eq!(
-        rx.table_sizes()[1],
+        spk.node.table_sizes()[1],
         MAX_HOLES,
         "what came due is remembered, to the bound"
     );
@@ -341,10 +411,10 @@ fn alternating_far_apart_seqs_cannot_grow_the_hole_table_or_a_nack() {
 #[test]
 fn a_forged_far_jump_does_not_stop_repair() {
     let repair = |forge: bool| {
-        let (mut rx, mut events) = baited(100);
+        let mut spk = baited(100);
         if forge {
             let forged = data(100 + 0x7fff_0000, 250_000);
-            feed(&mut rx, SimTime::from_millis(10), &forged, &mut events);
+            feed(&mut spk, SimTime::from_millis(10), &forged);
         }
         // Seq 100 + k arrives at k · 50 ms, due 200 ms later; 103 is
         // lost on the wire.
@@ -354,11 +424,11 @@ fn a_forged_far_jump_does_not_stop_repair() {
             let k = ms / 50;
             if ms % 50 == 0 && [1, 2, 4, 5].contains(&k) {
                 let real = data(100 + k as u32, 200_000 + ms * 1_000);
-                assert_eq!(feed(&mut rx, now, &real, &mut events), 1);
+                assert_eq!(feed(&mut spk, now, &real), 1);
             }
-            nacks += wake(&mut rx, now, &mut events).len();
+            nacks += wake(&mut spk, now).len();
         }
-        (nacks, rx.stats.quality_lost)
+        (nacks, spk.node.stats.quality_lost)
     };
     let (clean, lost) = repair(false);
     assert_eq!((clean, lost), (2, 1), "the NACK and its re-ask");
@@ -371,16 +441,16 @@ fn a_forged_far_jump_does_not_stop_repair() {
 /// range and a NACK fills up.
 #[test]
 fn a_flood_of_one_packet_gaps_is_asked_for_sixteen_ranges_at_a_time() {
-    let (mut rx, mut events) = baited(u32::MAX - 100);
+    let mut spk = baited(u32::MAX - 100);
     // 150 gaps inside one hold-off: the table keeps the newest 64.
     for k in 1..=150u32 {
         let seq = (u32::MAX - 100).wrapping_add(2 * k);
         let now = SimTime::from_micros(k as u64 * 10);
-        feed(&mut rx, now, &data(seq, 10_000_000 + k as u64), &mut events);
+        feed(&mut spk, now, &data(seq, 10_000_000 + k as u64));
     }
-    assert_eq!(rx.table_sizes()[0], MAX_HOLES);
-    assert!(wake(&mut rx, SimTime::from_millis(19), &mut events).is_empty());
-    let nacks = wake(&mut rx, SimTime::from_millis(30), &mut events);
+    assert_eq!(spk.node.table_sizes()[0], MAX_HOLES);
+    assert!(wake(&mut spk, SimTime::from_millis(19)).is_empty());
+    let nacks = wake(&mut spk, SimTime::from_millis(30));
     assert_eq!(nacks.len(), MAX_HOLES / MAX_NACK_RANGES);
     // Oldest first, each range one packet, across the sequence wrap.
     let asked: Vec<u32> = nacks.concat().iter().map(|&(first, _)| first).collect();
@@ -388,63 +458,41 @@ fn a_flood_of_one_packet_gaps_is_asked_for_sixteen_ranges_at_a_time() {
     let want: Vec<u32> = (0..64).rev().map(|k| newest.wrapping_sub(2 * k)).collect();
     assert_eq!(asked, want);
     // Once more after the re-ask interval, then never again.
-    assert_eq!(
-        wake(&mut rx, SimTime::from_millis(75), &mut events).len(),
-        4
-    );
-    assert!(wake(&mut rx, SimTime::from_secs(5), &mut events).is_empty());
-    // (The oldest hole left, between the 86th and 87th packets.)
-    assert_eq!(rx.next_wakeup(), Some(SimTime::from_nanos(10_000_086_500)));
+    assert_eq!(wake(&mut spk, SimTime::from_millis(75)).len(), 4);
+    assert!(wake(&mut spk, SimTime::from_secs(5)).is_empty());
+    // Once the blocks it holds have played, the speaker next wakes for
+    // the oldest hole left, between the 86th and 87th packets.
+    let oldest = SimTime::from_nanos(10_000_086_500);
+    assert!(wake(&mut spk, oldest - SimDuration::from_nanos(1)).is_empty());
+    assert_eq!(spk.node.next_wake(), Some(oldest));
 }
 
 /// Third kind: gaps whose deadlines are an hour away never come due,
 /// so nothing ever clears them out — except the bound.
 #[test]
 fn gaps_with_far_future_deadlines_are_held_to_the_bound_and_asked_twice() {
-    let (mut rx, mut events) = baited(7);
+    let mut spk = baited(7);
     let hour = 3_600_000_000u64;
     let mut nacks = 0;
     for k in 1..=500u32 {
         let now = SimTime::from_millis(k as u64 * 50);
-        feed(&mut rx, now, &data(7 + 3 * k, hour + k as u64), &mut events);
-        nacks += wake(&mut rx, now, &mut events).len();
+        feed(&mut spk, now, &data(7 + 3 * k, hour + k as u64));
+        nacks += wake(&mut spk, now).len();
     }
-    assert_eq!(rx.table_sizes()[..2], [MAX_HOLES, 0]);
+    assert_eq!(spk.node.table_sizes()[..2], [MAX_HOLES, 0]);
     // Two holes a packet, one range: asked for at the next packet's
     // wakeup and once more at the one after, where it shares the NACK
     // with its successor's first request.
     assert_eq!(nacks, 499);
     // The last two pairs are asked for (again) …
-    assert_eq!(wake(&mut rx, SimTime::from_secs(26), &mut events).len(), 1);
-    assert_eq!(wake(&mut rx, SimTime::from_secs(27), &mut events).len(), 1);
+    assert_eq!(wake(&mut spk, SimTime::from_secs(26)).len(), 1);
+    assert_eq!(wake(&mut spk, SimTime::from_secs(27)).len(), 1);
     // … and, left alone, the speaker sleeps until the first is due.
-    assert!(wake(&mut rx, SimTime::from_secs(60), &mut events).is_empty());
-    assert!(rx
-        .next_wakeup()
+    assert!(wake(&mut spk, SimTime::from_secs(60)).is_empty());
+    assert!(spk
+        .node
+        .next_wake()
         .is_some_and(|at| at > SimTime::from_secs(3_000)));
-}
-
-/// Decodes every payload to a 50 ms CD block, and keeps a weak
-/// handle on each: what is still alive, the node holds.
-type Decoded = std::rc::Rc<std::cell::RefCell<Vec<std::rc::Weak<es_speaker::SharedBlock>>>>;
-struct Blocks(Decoded);
-
-impl es_speaker::Decoder for Blocks {
-    fn parse(&mut self, raw: &Bytes) -> Result<es_proto::Packet, es_proto::WireError> {
-        decode(raw)
-    }
-
-    fn decode(
-        &mut self,
-        now: SimTime,
-        _: es_codec::CodecId,
-        _: u8,
-        _: &Bytes,
-    ) -> Option<(es_speaker::Pcm, u64, SimTime)> {
-        let pcm = es_speaker::SharedBlock::new(vec![1; 4_410]);
-        self.0.borrow_mut().push(std::rc::Rc::downgrade(&pcm));
-        Some((pcm, 0, now))
-    }
 }
 
 /// An open channel accepts any deadline: two thousand blocks due an
@@ -453,9 +501,7 @@ impl es_speaker::Decoder for Blocks {
 /// buffer drops.
 #[test]
 fn a_flood_of_far_future_blocks_is_held_to_the_bound() {
-    let cfg = es_speaker::SpeakerConfig::new("es", es_net::McastGroup(1));
-    let decoded = Decoded::default();
-    let mut node = es_speaker::SpeakerNode::new(cfg, Blocks(decoded.clone()));
+    let Speaker { mut node, log } = Speaker::new(None, false);
     let hour = 3_600_000_000;
     node.on_datagram(SimTime::ZERO, (), &control(0));
     for seq in 0..2_000u32 {
@@ -466,30 +512,25 @@ fn a_flood_of_far_future_blocks_is_held_to_the_bound() {
         );
         node.on_wake(SimTime::ZERO);
     }
-    let held = decoded
-        .borrow()
-        .iter()
-        .filter(|b| b.strong_count() > 0)
-        .count();
-    assert_eq!((decoded.borrow().len(), held), (2_000, 64));
-    assert_eq!(node.rx.stats.dropped_busy, 2_000 - 64);
-    let played = |node: &mut es_speaker::SpeakerNode<(), Blocks>| {
+    let blocks = &log.borrow().blocks;
+    let held = blocks.iter().filter(|b| b.strong_count() > 0).count();
+    assert_eq!((blocks.len(), held), (2_000, 64));
+    assert_eq!(node.stats.dropped_busy, 2_000 - 64);
+    let played = |node: &mut Node| {
         let plays = node.actions.drain(..);
-        plays
-            .filter(|a| matches!(a, es_speaker::Action::Play(_)))
-            .count()
+        plays.filter(|a| matches!(a, Action::Play(_))).count()
     };
     assert_eq!(played(&mut node), 0, "nothing is due yet");
     while let Some(at) = node.next_wake() {
         node.on_wake(at);
     }
     assert_eq!(played(&mut node), 64);
-    assert_eq!(node.rx.stats.data_packets, 64);
+    assert_eq!(node.stats.data_packets, 64);
 }
 
 /// Wire codec id 2 is retired: no codec owns it, so a control or data
 /// packet stamped with it carries a hostile field like any other. The
-/// production decoder plays each block as `SpeakerRx::codec_for` says
+/// production decoder plays each block as `SpeakerNode::codec_for` says
 /// — a data packet's unknown byte defers to the stream's codec, a
 /// stream's unknown byte to PCM — or counts a decode error when the
 /// payload is not that codec's.
@@ -533,12 +574,12 @@ fn a_retired_codec_byte_decodes_as_the_stream_codec_or_counts_an_error() {
     };
     // A stream stamped 2 plays as PCM, and so does its block stamped 2.
     node.on_datagram(SimTime::ZERO, (), &stamped(RETIRED));
-    assert_eq!(node.rx.codec_for(RETIRED), CodecId::Pcm);
+    assert_eq!(node.codec_for(RETIRED), CodecId::Pcm);
     send(&mut node, RETIRED, pcm(0));
     // Under an OVL stream a block stamped 2 decodes as OVL: an OVL
     // payload plays, a PCM or an empty one is a decode error.
     node.on_datagram(SimTime::ZERO, (), &stamped(CodecId::Ovl.to_wire()));
-    assert_eq!(node.rx.codec_for(RETIRED), CodecId::Ovl);
+    assert_eq!(node.codec_for(RETIRED), CodecId::Ovl);
     send(&mut node, RETIRED, ovl(1));
     send(&mut node, RETIRED, pcm(2));
     send(&mut node, RETIRED, Vec::new());
@@ -557,7 +598,7 @@ fn a_retired_codec_byte_decodes_as_the_stream_codec_or_counts_an_error() {
     }
     let expected = [block(0), ovl_played(1), block(3), ovl_played(4)].concat();
     assert!(played == expected, "played {} samples", played.len());
-    let stats = node.rx.stats;
+    let stats = node.stats;
     assert_eq!(
         (stats.data_packets, stats.decode_errors, stats.bad_packets),
         (4, 2, 0),
@@ -570,16 +611,17 @@ fn a_retired_codec_byte_decodes_as_the_stream_codec_or_counts_an_error() {
 /// nobody's business there.
 #[test]
 fn a_nack_sent_to_a_speaker_is_ignored() {
-    let (mut rx, mut events) = baited(10);
-    let before = format!("{:?}", rx.stats);
+    let mut spk = baited(10);
+    let before = format!("{:?}", spk.node.stats);
     let nack = encode_nack(1, &[(11, 3), (0, u16::MAX)]);
-    for msg in rx.admit(&nack) {
-        rx.on_packet(SimTime::from_millis(1), decode(&msg).unwrap(), &mut events);
-    }
-    assert!(events.is_empty());
-    let after = format!("{:?}", rx.stats);
+    spk.node.on_datagram(SimTime::from_millis(1), (), &nack);
+    assert!(spk.node.actions.is_empty());
+    let after = format!("{:?}", spk.node.stats);
     assert_eq!(after, before.replace("datagrams: 2", "datagrams: 3"));
-    assert_eq!((rx.table_sizes()[0], rx.next_wakeup()), (0, None));
+    // No hole and no poll: the one wakeup is the baited block's.
+    let holes = spk.node.table_sizes()[0];
+    let baited_block = Some(SimTime::from_millis(200));
+    assert_eq!((holes, spk.node.next_wake()), (0, baited_block));
 }
 
 /// Parity counts the recoverer cannot be built for never reach it.
@@ -603,16 +645,16 @@ proptest! {
     #[test]
     fn open_channel_survives_hostile_traffic(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
-        abuse(&mut SpeakerRx::new(None), &mut rng, |_, msg| msg);
+        abuse(&mut Speaker::new(None, true), &mut rng, |_, msg| msg);
     }
 
     #[test]
     fn authenticated_channel_survives_hostile_traffic(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let signer = StreamSigner::new(b"hostile", 40, 2);
-        let mut rx = SpeakerRx::new(Some(signer.anchor()));
+        let mut spk = Speaker::new(Some(signer.anchor()), true);
         let mut sent = 0u32;
-        abuse(&mut rx, &mut rng, |rng, msg| {
+        abuse(&mut spk, &mut rng, |rng, msg| {
             sent += 1;
             let mut datagram = msg.to_vec();
             match rng.gen::<u8>() % 8 {
@@ -628,6 +670,6 @@ proptest! {
             }
             Bytes::from(datagram)
         });
-        prop_assert!(rx.stats.control_packets > 0, "signed traffic was released");
+        prop_assert!(spk.node.stats.control_packets > 0, "signed traffic was released");
     }
 }

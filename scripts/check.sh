@@ -68,6 +68,14 @@ PROPTEST_CASES=2000 cargo test -q --release -p es-telemetry
 echo "== FEC recoverer differential oracle (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test -q --release -p es-proto fec::
 
+# The speaker under hostile traffic: well-formed packets with hostile
+# fields, damage and bad auth trailers into a bare `SpeakerNode`, its
+# outcomes per message and per wakeup, its tables and its NACKs held
+# to their bounds, at 2000 cases per property instead of 64 (≈ 3 s
+# release).
+echo "== hostile receive traffic (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test -q --release -p es-speaker --test hostile_rx
+
 # The one perf step: the ledger (benches/ledger, the BENCHMARK.json
 # harness) is the only wall-clock perf harness. Its own unit tests,
 # then the --quick smoke — five workloads, two runs each, exit non-zero

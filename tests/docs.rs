@@ -296,7 +296,7 @@ fn no_doc_describes_the_deleted_session_fields() {
 
 #[test]
 fn no_doc_describes_the_deleted_stream_monitor() {
-    // Reception quality is counted by `SpeakerRx`; the separate
+    // Reception quality is counted by `SpeakerNode`; the separate
     // monitor, its report type and its two restating keys are gone.
     // Spelled in halves, like the needles above.
     assert_no_doc_mentions(

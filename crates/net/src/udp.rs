@@ -16,7 +16,7 @@ use std::time::Duration;
 
 /// Base multicast address for Ethernet Speaker channels; channel `n`
 /// maps to `239.77.83.n` (administratively scoped range).
-pub const CHANNEL_BASE: [u8; 3] = [239, 77, 83];
+const CHANNEL_BASE: [u8; 3] = [239, 77, 83];
 
 /// Maps a channel number to its multicast group address.
 pub fn channel_addr(channel: u8) -> Ipv4Addr {

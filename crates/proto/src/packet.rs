@@ -33,10 +33,10 @@ use crate::fec::ParityPacket;
 use crate::session::{Capabilities, SessionPacket};
 
 /// Wire magic ("ES").
-pub const MAGIC: u16 = 0xE5AB;
+const MAGIC: u16 = 0xE5AB;
 
 /// Protocol version this implementation speaks.
-pub const VERSION: u8 = 1;
+const VERSION: u8 = 1;
 
 /// Flag: stream is a priority announcement that overrides music
 /// channels (§5.3's crew-announcement use case).

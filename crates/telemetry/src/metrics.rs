@@ -32,7 +32,7 @@ use crate::json::{self, JsonValue};
 /// Number of histogram buckets. Bucket `i > 0` holds values whose
 /// base-2 magnitude is `i` (upper bound `2^i - 1`); bucket 0 holds
 /// exact zeros. 64 buckets cover the full `u64` domain.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+const HISTOGRAM_BUCKETS: usize = 65;
 
 /// A fixed log-scale (power-of-two bucket) histogram of `u64` samples.
 ///

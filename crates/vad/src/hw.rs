@@ -211,7 +211,7 @@ impl OutputTap {
 /// engine until new data arrives (real drivers do the same to avoid
 /// spinning on an empty ring; restart is the modelled
 /// `audio_start_output`).
-pub const IDLE_BLOCKS_BEFORE_PAUSE: u32 = 2;
+const IDLE_BLOCKS_BEFORE_PAUSE: u32 = 2;
 
 struct HwState {
     running: bool,

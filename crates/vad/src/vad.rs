@@ -57,7 +57,7 @@ pub enum MasterItem {
 }
 
 /// A wake hook for scheduler instrumentation.
-pub type WakeHook = Box<dyn FnMut(&mut Sim)>;
+type WakeHook = Box<dyn FnMut(&mut Sim)>;
 
 struct MasterQueue {
     items: VecDeque<MasterItem>,

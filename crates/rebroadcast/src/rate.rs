@@ -108,11 +108,6 @@ impl RateLimiter {
         }
         send_at
     }
-
-    /// Resets the stream clock (e.g. on reconfiguration).
-    pub fn reset(&mut self) {
-        self.next_due = None;
-    }
 }
 
 impl Default for RateLimiter {
@@ -190,19 +185,5 @@ mod tests {
         let _ = rl.pace(SimTime::ZERO, &cfg, 800); // 100 ms of audio.
         let next = rl.pace(SimTime::ZERO, &cfg, 800);
         assert_eq!(next, SimTime::from_millis(100));
-    }
-
-    #[test]
-    fn reset_forgets_stream_clock() {
-        let mut rl = RateLimiter::with_lead(SimDuration::ZERO);
-        let cfg = AudioConfig::CD;
-        for _ in 0..10 {
-            rl.pace(SimTime::ZERO, &cfg, 8_820);
-        }
-        rl.reset();
-        assert_eq!(
-            rl.pace(SimTime::from_millis(3), &cfg, 8_820),
-            SimTime::from_millis(3)
-        );
     }
 }

@@ -64,8 +64,9 @@ pub struct SpeakerStats {
     pub concealed_packets: u64,
     /// Packets reconstructed from XOR parity (FEC extension).
     pub fec_recovered: u64,
-    /// FEC groups given up on: their parity arrived, but more than one
-    /// of their packets never did, so nothing could be rebuilt.
+    /// FEC groups given up on while missing data they cannot rebuild:
+    /// two or more of their data packets, or one data packet and its
+    /// parity.
     pub fec_unrecoverable: u64,
     /// Data packets suppressed because their sequence number already
     /// played — LAN duplicates, or an FEC copy of a packet that also

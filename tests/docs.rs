@@ -312,6 +312,24 @@ fn no_doc_describes_the_deleted_stream_monitor() {
 }
 
 #[test]
+fn no_doc_describes_the_speaker_event_layer() {
+    // The speaker node steps the receive protocol itself and carries
+    // out each decision where it is made; there is no event enum
+    // between the two, and the node owns the counters. Spelled in
+    // halves, like the needles above.
+    assert_no_doc_mentions(
+        &DESIGN_DOCS,
+        &[
+            concat!("Rx", "Event"),
+            concat!("SpeakerRx::", "on_packet"),
+            concat!("SpeakerRx::", "poll"),
+            concat!("SpeakerRx::", "admit"),
+            concat!("node.rx.", "stats"),
+        ],
+    );
+}
+
+#[test]
 fn no_doc_describes_the_deleted_mixer_or_journal_sinks() {
     // es-audio keeps dB gain only; the journal keeps its ring and
     // nothing fans events out; auto-volume has one preset per content

@@ -148,7 +148,7 @@ pub(crate) struct RxBlock {
     /// decode time (the stream may be reconfigured while a block
     /// waits).
     pub(crate) codec_wire: u8,
-    /// The play deadline on the driver's clock.
+    /// The play deadline on the adapter's clock.
     pub(crate) deadline: SimTime,
     /// This packet is the refill of a hole the speaker asked for; a
     /// late one counts as `refill_late`, not a fresh deadline miss.
@@ -235,7 +235,7 @@ const MAX_CONCEALED_RUN: u32 = 3;
 /// One block known to be missing and not yet due.
 struct Hole {
     seq: u32,
-    /// When it is due on the driver's clock, interpolated between the
+    /// When it is due on the adapter's clock, interpolated between the
     /// deadlines of the packets either side of the gap.
     deadline: SimTime,
     /// When to ask for it (again); `None` when it will not be.
@@ -266,9 +266,9 @@ fn add_to_ranges(ranges: &mut Vec<(u32, u16)>, seq: u32) -> bool {
 /// table is boxed off the per-packet state).
 #[derive(Default)]
 struct HoleTable {
-    /// The driver plays a replica for a block still missing when due.
+    /// The speaker plays a replica for a block still missing when due.
     conceal: bool,
-    /// The driver has somewhere to send a NACK.
+    /// The speaker asks for the blocks it misses.
     nack: bool,
     /// Blocks known missing and not yet due, oldest first.
     holes: VecDeque<Hole>,

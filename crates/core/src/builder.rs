@@ -309,7 +309,7 @@ impl SpeakerSpec {
 }
 
 /// One segment relay: subscribes to an upstream group and
-/// re-multicasts every datagram it hears, unchanged and 2 ms later, on
+/// re-multicasts every datagram it hears, unchanged and at once, on
 /// a downstream group (the §4.4 "internet radio" hierarchy node; see
 /// [`es_rebroadcast::SegmentRelay`]). Its fleet is the speakers tuned
 /// to that group, and their §3.2 clock offset absorbs the hop.

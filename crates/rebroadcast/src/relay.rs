@@ -3,14 +3,14 @@
 //! The paper's scaling sketch extends the single-segment Ethernet
 //! speaker into a tree: the producer multicasts once, campus relays
 //! subscribe upstream and re-multicast to their own segment. A
-//! [`SegmentRelay`] is that node for the simulator, a store-and-forward
-//! hop: every datagram it hears upstream goes down, as the same bytes,
-//! 2 ms later.
+//! [`SegmentRelay`] is that node for the simulator: every datagram it
+//! hears upstream goes down at once, as the same bytes, so a hop costs
+//! one more wire transit on the relay's own link.
 //!
 //! It rewrites nothing. A §3.2 speaker maps a deadline onto its clock
 //! as `play_at_us + (arrival of control − producer_time_us)`; the hop
 //! delays control and data alike, so the speaker's clock offset absorbs
-//! the hold. Parity's XOR folds the producer's deadlines, so a block
+//! the transit. Parity's XOR folds the producer's deadlines, so a block
 //! recovered downstream lands on that same timeline.
 //!
 //! A speaker behind the relay hears its stream's control from the
@@ -27,13 +27,8 @@ use std::collections::BTreeMap;
 
 use es_net::{Dest, Lan, McastGroup, NodeId};
 use es_proto::packet::Packet;
-use es_sim::{shared, Shared, Sim, SimDuration};
+use es_sim::{shared, Shared, Sim};
 use es_telemetry::{Registry, Telemetry};
-
-/// How long the relay holds each datagram before forwarding it: the
-/// §4.4 store-and-forward budget. Far inside the paper's 60 ms
-/// cross-speaker bound, so segments stay in audible sync.
-const HOLD: SimDuration = SimDuration::from_millis(2);
 
 /// How many streams' NACK sources the relay remembers. The stream id
 /// is sixteen bits anyone on the upstream group can forge; an upstream
@@ -107,7 +102,7 @@ struct RelayState {
 /// Where the relay sends what it heard.
 #[derive(Debug, PartialEq, Eq)]
 enum Hop {
-    /// Re-multicast it downstream, one [`HOLD`] on.
+    /// Re-multicast it downstream now.
     Down,
     /// A NACK: unicast it, as it came, to this node upstream now.
     Up(NodeId),
@@ -142,12 +137,7 @@ impl SegmentRelay {
         let downstream = cfg.downstream;
         lan.set_handler(node, move |sim, dg| {
             match route(&state, dg.src, &dg.payload) {
-                Hop::Down => {
-                    let fwd_lan = fwd_lan.clone();
-                    sim.schedule_in(HOLD, move |sim| {
-                        fwd_lan.multicast(sim, node, downstream, dg.payload);
-                    });
-                }
+                Hop::Down => fwd_lan.multicast(sim, node, downstream, dg.payload),
                 Hop::Up(to) => fwd_lan.send(sim, node, Dest::Unicast(to), dg.payload),
                 Hop::Drop => {}
             }
@@ -316,9 +306,10 @@ mod tests {
             let (down_at, down) = rig.downstream.borrow().last().cloned().expect("went down");
             // The very buffer the producer sent.
             assert_eq!((down.as_ptr(), down.len()), (raw.as_ptr(), raw.len()));
-            // One hold, plus a second hop of the same wire time.
+            // Forwarded on arrival: the second hop costs one more wire
+            // time and nothing else.
             let wire = up_at.saturating_since(t0);
-            assert_eq!(down_at.saturating_since(up_at), HOLD + wire);
+            assert_eq!(down_at.saturating_since(up_at), wire);
         }
         assert_eq!(rig.downstream.borrow().len(), sent.len());
         let st = rig.relay.stats();
@@ -359,7 +350,7 @@ mod tests {
             played.extend(rebuilt.map(|d| (d.seq, d.play_at_us)));
         }
         // Both on the producer's timeline, so the speaker's clock
-        // offset (which absorbed the hold) places them alike.
+        // offset (which absorbed the hop) places them alike.
         assert_eq!(played, [(0, 40_000), (1, 60_000)]);
         assert_eq!(fec.recovered(), 1);
     }

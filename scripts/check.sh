@@ -89,13 +89,14 @@ cargo run -q --release --offline --manifest-path benches/ledger/Cargo.toml -- --
 # Determinism gates, cross-process: scripts/fingerprints.sh runs the
 # chaos suite (seed 7), the self-healing tier (sick-receiver detection
 # and recovery, NACK refill, producer failover, flap damping; seeds
-# 61-63) and the negotiated-session scenarios (discover → setup →
+# 61-63), the negotiated-session scenarios (discover → setup →
 # stream → flush → teardown, plus the mid-handshake partition; seed
-# 11), each suite in a process of its own, and writes every scenario's
+# 11) and the relayed topologies (one relay, a chain of three; seed
+# 23), each suite in a process of its own, and writes every scenario's
 # telemetry fingerprint. It runs twice and the two must match byte for
 # byte. The first run also archives the healing tier's event journals
 # under results/healing-journal/ (see EXPERIMENTS.md).
-echo "== determinism: chaos, healing and session fingerprints (two runs, cross-process)"
+echo "== determinism: chaos, healing, session and relay fingerprints (two runs, cross-process)"
 rm -rf target/fp-a target/fp-b results/healing-journal
 scripts/fingerprints.sh . target/fp-a results/healing-journal
 scripts/fingerprints.sh . target/fp-b

@@ -6,6 +6,8 @@
 #   heal61/ heal62/ heal63/
 #               the healing tier at seeds 61, 62 and 63
 #   session11/  the negotiated-session scenarios at seed 11
+#   segments23/ the relayed topologies of tests/segments.rs (seed 23):
+#               one relay, and a chain of three
 #
 # With [journal-dir], every healing run also writes each scenario's
 # event journal there, so the last seed's (63) stays.
@@ -29,7 +31,7 @@ out=$(abs "$2")
 journal=${3:+$(abs "$3")}
 cd "$1"
 
-for d in chaos7 heal61 heal62 heal63 session11; do
+for d in chaos7 heal61 heal62 heal63 session11 segments23; do
     rm -rf "${out:?}/$d"
 done
 ES_CHAOS_SEED=7 ES_CHAOS_FP_DIR="$out/chaos7" cargo test -q --offline --test chaos
@@ -39,3 +41,4 @@ for seed in 61 62 63; do
         cargo test -q --offline --test healing
 done
 ES_CHAOS_SEED=11 ES_CHAOS_FP_DIR="$out/session11" cargo test -q --offline --test chaos session_
+ES_CHAOS_FP_DIR="$out/segments23" cargo test -q --offline --test segments

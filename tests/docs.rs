@@ -1,11 +1,12 @@
 //! Docs ⇔ code: every `--test paper <name>` the prose tells a reader
 //! to run names a test in `tests/paper/`, every experiment section of
 //! EXPERIMENTS.md has one and documents every module there, nothing
-//! points at the removed bench harness, the perf baselines the ledger
-//! replaced or the relay re-stamping, FEC ladder, stream monitor,
-//! mixer, AGC, journal sinks, in-band OVL channel repeats and transform
-//! cost models that were deleted, nor describes the live speaker as the
-//! collector it was, DESIGN.md §8 lists exactly the bans `clippy.toml`
+//! points at the removed bench harness, and no row of the
+//! `no_doc_mentions!` table names what was deleted (the perf
+//! baselines, the relay's re-stamping and its hold, the FEC ladder,
+//! the stream monitor, the mixer, the codecs and cost model that went)
+//! or describes the live speaker as the collector it was, DESIGN.md §8
+//! lists exactly the bans `clippy.toml`
 //! and the lints `[workspace.lints]` configure, §10 exactly the counters
 //! the healing plane exports, and §6 exactly the keys a speaker records.
 
@@ -150,138 +151,101 @@ fn every_bench_target_is_documented_in_experiments_md() {
 const DESIGN_DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
 
 /// Fails naming the first of `docs` that still mentions one of
-/// `needles`.
-fn assert_no_doc_mentions(docs: &[&str], needles: &[&str]) {
+/// `needles`, and why none may.
+fn assert_no_doc_mentions(docs: &[&str], needles: &[&str], why: &str) {
     for doc in docs {
         let text = read(doc);
         for needle in needles {
-            assert!(!text.contains(needle), "{doc} still mentions {needle}");
+            assert!(
+                !text.contains(needle),
+                "{doc} still mentions {needle}: {why}"
+            );
         }
     }
 }
 
-#[test]
-fn no_doc_points_at_the_deleted_perf_baselines() {
-    // Spelled in halves, like the needles above.
-    assert_no_doc_mentions(&DOCS, &["BENCH_PR", concat!("ES_", "BENCH_BASELINE")]);
+/// One test per row of `name: docs, [needles], why;`: none of the docs
+/// may mention any of the needles, each a name or phrase of something
+/// deleted. Most needles are spelled in halves, like the ones above,
+/// so a search of the repository for a deleted name does not find
+/// this file.
+macro_rules! no_doc_mentions {
+    ($($name:ident: $docs:expr, [$($needle:expr),+ $(,)?], $why:literal;)+) => {$(
+        #[test]
+        fn $name() {
+            assert_no_doc_mentions(&$docs, &[$($needle),+], $why);
+        }
+    )+};
 }
 
-#[test]
-fn no_doc_describes_the_deleted_relay_restamping() {
-    // A segment relay forwards the datagram it heard; the deadline
-    // ledger, stale-parity count and timeline rewrite are gone.
-    assert_no_doc_mentions(
-        &DOCS,
-        &["DEADLINE_WINDOW", "parity_stale", "re-stamping contract"],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_deleted_segment_labels() {
-    // Events carry no segment label; a relay's fleet is named by its
-    // downstream group alone.
-    assert_no_doc_mentions(
-        &DESIGN_DOCS,
-        &["set_segment", "current_segment", "schedule_at_segment"],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_deleted_session_wrapper() {
-    // There is one speaker type: a negotiated speaker is an
-    // `EthernetSpeaker` whose `SpeakerConfig::session` is set.
-    assert_no_doc_mentions(
-        &DESIGN_DOCS,
-        &["NegotiatedSpeaker", "set_session_handler", "Powered::"],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_live_speaker_as_a_collector() {
-    // The live speaker is an adapter of the one `SpeakerNode`: it
-    // sleeps, plays or discards each block by §3.2 and conceals when
-    // configured to. Spelled in halves, like the needles above.
-    assert_no_doc_mentions(
-        &DOCS,
-        &[
+no_doc_mentions! {
+    no_doc_points_at_the_deleted_perf_baselines: DOCS,
+        ["BENCH_PR", concat!("ES_", "BENCH_BASELINE")],
+        "the perf ledger replaced the per-PR baselines";
+    no_doc_describes_the_deleted_relay_restamping: DOCS,
+        ["DEADLINE_WINDOW", "parity_stale", "re-stamping contract"],
+        "a segment relay forwards the datagram it heard; the deadline \
+         ledger, stale-parity count and timeline rewrite are gone";
+    no_doc_describes_the_relay_hold: DESIGN_DOCS,
+        [
+            concat!("relay_hold_", "preserves_downstream_sync"),
+            concat!("`HOLD` of ", "2 ms"),
+            concat!("one hold ", "behind"),
+        ],
+        "a segment relay forwards in the delivery that heard it, so a \
+         hop costs one wire transit and no hold";
+    no_doc_describes_the_deleted_segment_labels: DESIGN_DOCS,
+        ["set_segment", "current_segment", "schedule_at_segment"],
+        "events carry no segment label; a relay's fleet is named by \
+         its downstream group alone";
+    no_doc_describes_the_deleted_session_wrapper: DESIGN_DOCS,
+        ["NegotiatedSpeaker", "set_session_handler", "Powered::"],
+        "there is one speaker type: a negotiated speaker is an \
+         `EthernetSpeaker` whose `SpeakerConfig::session` is set";
+    no_doc_describes_the_live_speaker_as_a_collector: DOCS,
+        [
             concat!("treats early ", "as on time"),
             concat!("never ", "conceals"),
             concat!("decodes ", "on arrival"),
         ],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_deleted_in_band_ovl_repeats() {
-    // A twin channel is one bit of the OVL header's mask: no window
-    // bits are written again for it, and none are skipped on decode.
-    // Spelled in halves, like the needles above.
-    assert_no_doc_mentions(
-        &DOCS,
-        &[concat!("BitWriter::", "repeat"), concat!("skip_", "repeat")],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_deleted_adpcm_codec() {
-    // The codecs are the two forms §2.2 uses: PCM or µ-law uncompressed,
-    // OVL lossy. Wire codec id 2 is unknown. Spelled in halves, like
-    // the needles above.
-    assert_no_doc_mentions(
-        &DOCS,
-        &[
+        "the live speaker is an adapter of the one `SpeakerNode`: it \
+         sleeps, plays or discards each block by §3.2 and conceals when \
+         configured to";
+    no_doc_describes_the_deleted_in_band_ovl_repeats: DOCS,
+        [concat!("BitWriter::", "repeat"), concat!("skip_", "repeat")],
+        "a twin channel is one bit of the OVL header's mask: no window \
+         bits are written again for it, and none are skipped on decode";
+    no_doc_describes_the_deleted_adpcm_codec: DOCS,
+        [
             concat!("adpcm_", "decode_into"),
             concat!("adpcm_", "encode"),
             concat!("CodecId::", "Adpcm"),
             concat!("IMA ", "ADPCM"),
         ],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_retired_cost_model() {
-    // Codec work is billed one way, as the transform that runs, at one
-    // rate per work unit; the direct-transform billing option and its
-    // comparison test are gone. Spelled in halves, like the needles
-    // above.
-    assert_no_doc_mentions(
-        &DOCS,
-        &[
+        "the codecs are the two forms §2.2 uses: PCM or µ-law \
+         uncompressed, OVL lossy; wire codec id 2 is unknown";
+    no_doc_describes_the_retired_cost_model: DOCS,
+        [
             concat!("Cost", "Model"),
             concat!("with_cost", "_model"),
             concat!("fft_cost_model_is_far", "_cheaper_than_direct"),
             concat!("uses", "_fft"),
             concat!("0.21 ", "cycles"),
         ],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_deleted_fec_ladder() {
-    // Parity is a channel's static `fec_group`; nothing moves it, and
-    // the PARAM carries no FEC byte. Spelled in halves, like the
-    // needles above, so a search of the code for the deleted names
-    // finds only this test's own name.
-    assert_no_doc_mentions(
-        &DOCS,
-        &[
+        "codec work is billed one way, as the transform that runs, at \
+         one rate per work unit";
+    no_doc_describes_the_deleted_fec_ladder: DOCS,
+        [
             concat!("fec_", "ladder"),
             concat!("Raise", "Fec"),
             concat!("param_", "fec"),
             concat!("update_", "fec"),
             "fec level announced",
         ],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_deleted_session_fields() {
-    // The catalog sends OFFERs, a DISCOVER carries a name, caps carry
-    // codecs and rates, a PARAM carries a volume, and a client always
-    // re-discovers. Spelled in halves, like the needles above.
-    assert_no_doc_mentions(
-        &DOCS,
-        &[
+        "parity is a channel's static `fec_group`; nothing moves it, \
+         and the PARAM carries no FEC byte";
+    no_doc_describes_the_deleted_session_fields: DOCS,
+        [
             concat!("Device", "Class"),
             concat!("device ", "class"),
             concat!("Announce", "Packet"),
@@ -291,60 +255,40 @@ fn no_doc_describes_the_deleted_session_fields() {
             concat!("Stream", "Ended"),
             concat!("volume and ", "metadata"),
         ],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_deleted_stream_monitor() {
-    // Reception quality is counted by `SpeakerNode`; the separate
-    // monitor, its report type and its two restating keys are gone.
-    // Spelled in halves, like the needles above.
-    assert_no_doc_mentions(
-        &DOCS,
-        &[
+        "the catalog sends OFFERs, a DISCOVER carries a name, caps \
+         carry codecs and rates, a PARAM carries a volume, and a client \
+         always re-discovers";
+    no_doc_describes_the_deleted_stream_monitor: DOCS,
+        [
             concat!("Stream", "Monitor"),
             concat!("Quality", "Report"),
             concat!("quality_", "duplicates"),
             concat!("quality_", "loss_fraction"),
             concat!("es-proto::", "monitor"),
         ],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_speaker_event_layer() {
-    // The speaker node steps the receive protocol itself and carries
-    // out each decision where it is made; there is no event enum
-    // between the two, and the node owns the counters. Spelled in
-    // halves, like the needles above.
-    assert_no_doc_mentions(
-        &DESIGN_DOCS,
-        &[
+        "reception quality is counted by `SpeakerNode`; the separate \
+         monitor, its report type and its two restating keys are gone";
+    no_doc_describes_the_speaker_event_layer: DESIGN_DOCS,
+        [
             concat!("Rx", "Event"),
             concat!("SpeakerRx::", "on_packet"),
             concat!("SpeakerRx::", "poll"),
             concat!("SpeakerRx::", "admit"),
             concat!("node.rx.", "stats"),
         ],
-    );
-}
-
-#[test]
-fn no_doc_describes_the_deleted_mixer_or_journal_sinks() {
-    // es-audio keeps dB gain only; the journal keeps its ring and
-    // nothing fans events out; auto-volume has one preset per content
-    // kind, with no kind field. Spelled in halves, like the needles
-    // above.
-    assert_no_doc_mentions(
-        &DESIGN_DOCS,
-        &[
+        "the speaker node steps the receive protocol itself; no event \
+         enum sits between the two, and the node owns the counters";
+    no_doc_describes_the_deleted_mixer_or_journal_sinks: DESIGN_DOCS,
+        [
             concat!("Ag", "c"),
             concat!("Journal", "Sink"),
             concat!("add_", "sink"),
             concat!("Content", "Kind"),
             concat!("mixer, ", "AGC"),
         ],
-    );
+        "es-audio keeps dB gain only, the journal keeps its ring and \
+         nothing fans events out, and auto-volume has one preset per \
+         content kind";
 }
 
 /// What a caller of a shim kept only so the frozen `benches/ledger`

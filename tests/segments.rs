@@ -1,9 +1,12 @@
 //! Segment-relay integration tier: the §4.4 hierarchical rebroadcast
 //! topology (producer → segment relay → downstream speakers) built
 //! through [`SystemBuilder`], proven to play, to stay within the
-//! paper's sync bounds, and to be deterministic: relayed topologies
-//! are not in the chaos conformance set, so the same-seed comparison
-//! lives here.
+//! paper's sync bounds, to repair at every depth of a chain, and to be
+//! deterministic: relayed topologies are not in the chaos conformance
+//! set, so the same-seed comparison lives here. With `ES_CHAOS_FP_DIR`
+//! set, the one-hop topology and the three-hop chain write their
+//! telemetry there too, for `scripts/fingerprints.sh`'s cross-process
+//! diff.
 
 use es_core::{ChannelSpec, HealSpec, RelaySpec, SpeakerSpec, SystemBuilder};
 use es_net::McastGroup;
@@ -34,6 +37,19 @@ fn relayed_system() -> es_core::EsSystem {
         .speaker(SpeakerSpec::new("seg1-a", DOWNSTREAM))
         .speaker(SpeakerSpec::new("seg1-b", DOWNSTREAM))
         .build()
+}
+
+/// With `ES_CHAOS_FP_DIR` set, writes a topology's telemetry to
+/// `<dir>/<name>.txt`, as the chaos suite writes its fingerprints, so
+/// `scripts/fingerprints.sh` can diff relayed topologies across
+/// processes.
+fn write_fingerprint(name: &str, lines: &str) {
+    if let Ok(dir) = std::env::var("ES_CHAOS_FP_DIR") {
+        let path = std::path::Path::new(&dir).join(format!("{name}.txt"));
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| std::fs::write(&path, lines))
+            .unwrap_or_else(|e| panic!("cannot write fingerprint {}: {e}", path.display()));
+    }
 }
 
 /// Per-speaker `samples_played`, keyed by instance, plus the full
@@ -82,6 +98,7 @@ fn relayed_topology_is_deterministic() {
     };
     let (played, lines) = run();
     assert_eq!(played.len(), 3, "{played:?}");
+    write_fingerprint("relayed_topology", &lines);
     let (played_again, lines_again) = run();
     assert_eq!(
         played, played_again,
@@ -93,30 +110,37 @@ fn relayed_topology_is_deterministic() {
     );
 }
 
-/// The relay's store-and-forward hold (`es_rebroadcast`'s private
-/// `HOLD`).
-const HOLD: SimDuration = SimDuration::from_millis(2);
-
-#[test]
-fn relay_hold_preserves_downstream_sync() {
-    // A chain of three relays, one speaker at each depth. Each hop
-    // delays control and data alike by one hold plus one wire transit,
-    // so a speaker's §3.2 clock offset absorbs the hops: it plays the
-    // whole stream k holds (and k transits) behind the backbone, inside
-    // the paper's 60 ms bound but not zero. This pins today's skew;
-    // ROADMAP item 9 removes the hold from it and must change this.
+/// A producer, one speaker on the backbone group, and a chain of three
+/// relays with one speaker at each depth: speaker `k` listens `k` hops
+/// down.
+fn relay_chain(
+    seed: u64,
+    secs: u64,
+    speaker: impl Fn(String, McastGroup) -> SpeakerSpec,
+) -> SystemBuilder {
     let hop = |k: u16| McastGroup(100 + k);
-    let mut b = SystemBuilder::new(23)
-        .channel(radio(3))
-        .speaker(SpeakerSpec::new("backbone", UPSTREAM));
+    let mut b = SystemBuilder::new(seed)
+        .channel(radio(secs))
+        .speaker(speaker("backbone".into(), UPSTREAM));
     for k in 1..=3 {
         let upstream = if k == 1 { UPSTREAM } else { hop(k - 1) };
         b = b
             .relay(RelaySpec::new(upstream, hop(k)))
-            .speaker(SpeakerSpec::new(format!("hop{k}"), hop(k)));
+            .speaker(speaker(format!("hop{k}"), hop(k)));
     }
-    let mut sys = b.build();
+    b
+}
+
+#[test]
+fn relayed_speakers_play_in_step_with_the_backbone() {
+    // A relay forwards a datagram in the delivery that heard it, so
+    // each hop delays control and data alike by one wire transit on
+    // the relay's own link, and a speaker's §3.2 clock offset absorbs
+    // it: k hops down plays the whole stream at most k control
+    // transits behind the backbone.
+    let mut sys = relay_chain(23, 3, SpeakerSpec::new).build();
     sys.run_for(SimDuration::from_secs(4));
+    write_fingerprint("relay_chain", &sys.metrics().to_json_lines());
     let played = |i: usize| {
         let tap = sys.speaker(i).expect("powered at build").tap();
         let tap = tap.borrow();
@@ -131,15 +155,46 @@ fn relay_hold_preserves_downstream_sync() {
     let transit = SimDuration::from_micros(transit.try_into().unwrap());
     let backbone = played(0);
     for k in 1..=3u64 {
-        let (least, most) = (HOLD * k, (HOLD + transit) * k);
+        let most = transit * k;
         let ends = played(k as usize).into_iter().zip(backbone);
         for (end, (at, base)) in ["first", "last"].into_iter().zip(ends) {
             let skew = at.saturating_since(base);
             assert!(
-                least <= skew && skew <= most,
+                base <= at && skew <= most,
                 "{k} hops down the {end} block plays {skew} after the backbone's, \
-                 not within {least}..={most}"
+                 not within 0..={most}"
             );
+        }
+    }
+}
+
+#[test]
+fn repair_meets_the_deadline_at_every_depth() {
+    // Every speaker's own link loses 5 %, so at each depth a NACK
+    // climbs to the producer through every relay above it and the
+    // refill comes back down through all of them. Each hop costs one
+    // wire transit each way, so a refill three hops down still lands
+    // before its block is due.
+    for seed in 1..=5 {
+        let spec = |name, group| SpeakerSpec::new(name, group).loss_concealment();
+        let mut sys = relay_chain(seed, 8, spec).healing(HealSpec::new()).build();
+        for i in 0..4 {
+            let node = sys.speaker(i).expect("powered at build").node();
+            sys.lan().clone().degrade(&mut sys.sim, node, 0.05);
+        }
+        sys.run_for(SimDuration::from_secs(9));
+        for depth in 0..4 {
+            let spk = sys.speaker(depth).expect("powered at build");
+            let st = spk.stats();
+            let offset = spk.clock_offset_us().expect("synced");
+            println!(
+                "seed {seed} depth {depth}: sync_offset_us {offset} nacks_sent {} \
+                 refills_received {} concealed_packets {}",
+                st.nacks_sent, st.refills_received, st.concealed_packets
+            );
+            assert!(st.refills_received > 0, "seed {seed} depth {depth}: {st:?}");
+            assert_eq!(st.refill_late, 0, "seed {seed} depth {depth}: {st:?}");
+            assert_eq!(st.dropped_late, 0, "seed {seed} depth {depth}: {st:?}");
         }
     }
 }

@@ -185,7 +185,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// moved. Each of the two had counted a group it heard the parity of
 /// but not the data sent before it listened; the reopened groups had
 /// filled the recoverer's four-group window and retired it, and now it
-/// is still open when the run ends.
+/// is still open when the run ends. It moved an eighth time when a
+/// segment relay stopped holding each datagram 2 ms before forwarding
+/// it: two lines moved, both on `seg1-a`, the one relayed speaker.
+/// `sync_offset_us` fell 2 116 → 116 (one wire transit per hop). The
+/// `deadline_slack_us` sum rose 11 449 906 → 11 459 906: five refills
+/// each reached the §3.2 decision 2 ms earlier, and one block moved
+/// from bucket 17 to 18.
 #[test]
 fn export_is_pinned_byte_for_byte() {
     let mut sys = every_kind_system();
@@ -199,7 +205,7 @@ fn export_is_pinned_byte_for_byte() {
     let text = snap.to_json_lines();
     assert_eq!(
         (snap.len(), fnv1a(text.as_bytes())),
-        (232, 14_964_508_297_969_020_675),
+        (232, 5_840_996_327_959_718_476),
         "the export moved:\n{text}"
     );
 }

@@ -83,11 +83,6 @@ impl Encoding {
         }
     }
 
-    /// Sample precision in bits, as `audio(4)` reports it.
-    pub const fn precision(self) -> u32 {
-        self.bytes_per_sample() * 8
-    }
-
     /// Decodes the wire discriminant, for protocol parsing.
     pub const fn from_wire(v: u8) -> Option<Encoding> {
         Some(match v {
@@ -167,11 +162,6 @@ impl AudioConfig {
         Ok(())
     }
 
-    /// Bits of precision per sample, as `audio(4)` reports.
-    pub const fn precision(&self) -> u32 {
-        self.encoding.precision()
-    }
-
     /// Bytes per frame (one sample for every channel).
     pub const fn bytes_per_frame(&self) -> u32 {
         self.encoding.bytes_per_sample() * self.channels as u32
@@ -243,7 +233,6 @@ mod tests {
     fn frame_arithmetic() {
         let cd = AudioConfig::CD;
         assert_eq!(cd.bytes_per_frame(), 4);
-        assert_eq!(cd.precision(), 16);
         let phone = AudioConfig::PHONE;
         assert_eq!(phone.bytes_per_frame(), 1);
         assert_eq!(phone.bytes_per_second(), 8_000);
@@ -296,8 +285,6 @@ mod tests {
     fn encoding_sizes() {
         assert_eq!(Encoding::ULaw.bytes_per_sample(), 1);
         assert_eq!(Encoding::Slinear16Le.bytes_per_sample(), 2);
-        assert_eq!(Encoding::Slinear16Be.precision(), 16);
-        assert_eq!(Encoding::Slinear8.precision(), 8);
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! §2.4: "Network setup may be done via DHCP, but we also need
 //! additional data such as the multicast addresses used for the audio
 //! channels, channel selection, etc." The server hands out leases keyed
-//! by MAC address with stable (reservation-style) assignment, carrying
-//! the ES-specific options alongside the usual address/boot-server
-//! fields.
+//! by MAC address with stable assignment, carrying the ES-specific
+//! options alongside the usual address/boot-server fields.
 
 use std::collections::BTreeMap;
 
-/// A MAC address (the machine's identity for reservations).
+/// A MAC address (the machine's identity for its lease).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Mac(pub [u8; 6]);
 
@@ -35,7 +34,7 @@ pub struct DhcpConfig {
     pub boot_server: [u8; 4],
     /// Multicast group of the announce catalog, an ES-specific option.
     pub announce_group: u16,
-    /// Default channel for speakers with no reservation.
+    /// Channel every speaker is told to tune at boot.
     pub default_channel: u16,
 }
 
@@ -62,18 +61,12 @@ pub struct Lease {
     pub announce_group: u16,
     /// Channel this speaker should tune at boot.
     pub channel: u16,
-    /// Optional host name from a reservation.
-    pub hostname: Option<String>,
 }
 
-/// A per-MAC reservation: fixed last octet, channel, hostname.
-type Reservation = (Option<u8>, Option<u16>, Option<String>);
-
-/// The DHCP server with per-MAC reservations.
+/// The DHCP server.
 #[derive(Debug)]
 pub struct DhcpServer {
     config: DhcpConfig,
-    reservations: BTreeMap<Mac, Reservation>,
     assigned: BTreeMap<Mac, u8>,
     next_free: u8,
 }
@@ -84,47 +77,25 @@ impl DhcpServer {
         let next_free = config.pool_start;
         DhcpServer {
             config,
-            reservations: BTreeMap::new(),
             assigned: BTreeMap::new(),
             next_free,
         }
     }
 
-    /// Adds a reservation: fixed last octet and/or channel and/or
-    /// hostname for a MAC.
-    pub fn reserve(
-        &mut self,
-        mac: Mac,
-        last_octet: Option<u8>,
-        channel: Option<u16>,
-        hostname: Option<&str>,
-    ) {
-        self.reservations
-            .insert(mac, (last_octet, channel, hostname.map(String::from)));
-    }
-
     /// Handles a DISCOVER/REQUEST: returns a lease, stable per MAC.
     /// `None` when the pool is exhausted.
     pub fn request(&mut self, mac: Mac) -> Option<Lease> {
-        let (res_ip, res_channel, res_host) = self
-            .reservations
-            .get(&mac)
-            .cloned()
-            .unwrap_or((None, None, None));
-        let last = match res_ip {
-            Some(octet) => octet,
-            None => match self.assigned.get(&mac) {
-                Some(&octet) => octet,
-                None => {
-                    let end = self.config.pool_start.saturating_add(self.config.pool_size);
-                    if self.next_free >= end {
-                        return None;
-                    }
-                    let octet = self.next_free;
-                    self.next_free += 1;
-                    octet
+        let last = match self.assigned.get(&mac) {
+            Some(&octet) => octet,
+            None => {
+                let end = self.config.pool_start.saturating_add(self.config.pool_size);
+                if self.next_free >= end {
+                    return None;
                 }
-            },
+                let octet = self.next_free;
+                self.next_free += 1;
+                octet
+            }
         };
         self.assigned.insert(mac, last);
         let mut ip = self.config.boot_server;
@@ -133,8 +104,7 @@ impl DhcpServer {
             ip,
             boot_server: self.config.boot_server,
             announce_group: self.config.announce_group,
-            channel: res_channel.unwrap_or(self.config.default_channel),
-            hostname: res_host,
+            channel: self.config.default_channel,
         })
     }
 }
@@ -156,20 +126,7 @@ mod tests {
         assert_eq!(a1.ip, a2.ip, "same MAC, same address");
         assert_ne!(a1.ip, b.ip);
         assert_eq!(s.assigned.len(), 2);
-    }
-
-    #[test]
-    fn reservations_override_pool_and_channel() {
-        let mut s = DhcpServer::new(DhcpConfig::default());
-        s.reserve(mac(9), Some(250), Some(7), Some("lobby-west"));
-        let l = s.request(mac(9)).unwrap();
-        assert_eq!(l.ip[3], 250);
-        assert_eq!(l.channel, 7);
-        assert_eq!(l.hostname.as_deref(), Some("lobby-west"));
-        // Unreserved machines get the default channel.
-        let l2 = s.request(mac(1)).unwrap();
-        assert_eq!(l2.channel, 1);
-        assert_eq!(l2.hostname, None);
+        assert_eq!(a1.channel, 1, "the default channel");
     }
 
     #[test]

@@ -97,16 +97,6 @@ impl SpeakerMachine {
         }
     }
 
-    /// The machine's MAC.
-    pub fn mac(&self) -> Mac {
-        self.mac
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> BootPhase {
-        self.phase
-    }
-
     /// Runs the whole boot sequence against the given servers. The
     /// `reachable_key` is the host key of whatever machine answers the
     /// config fetch — normally `boot.host_key()`, different under a
@@ -174,7 +164,7 @@ mod tests {
         let key = boot.host_key();
         let mut m = SpeakerMachine::new(mac(1));
         let sys = m.boot(&mut dhcp, &mut boot, key).unwrap();
-        assert_eq!(m.phase(), BootPhase::Running);
+        assert_eq!(m.phase, BootPhase::Running);
         assert_eq!(sys.image_version, 1);
         assert_eq!(sys.configured_channel(), 1);
         assert_eq!(sys.configured_volume(), 1.0);
@@ -225,7 +215,7 @@ mod tests {
         let mut m = SpeakerMachine::new(mac(1));
         let err = m.boot(&mut dhcp, &mut boot, rogue_key).unwrap_err();
         assert_eq!(err, BootError::ConfigFetchRefused);
-        assert_eq!(m.phase(), BootPhase::Failed);
+        assert_eq!(m.phase, BootPhase::Failed);
         assert!(format!("{err}").contains("key mismatch"));
     }
 
@@ -246,7 +236,7 @@ mod tests {
             b.boot(&mut dhcp, &mut boot, key).unwrap_err(),
             BootError::NoLease
         );
-        assert_eq!(b.phase(), BootPhase::Failed);
+        assert_eq!(b.phase, BootPhase::Failed);
         // Power-failure-mid-boot property: a reboots fine, state fresh.
         a.power_off();
         assert!(a.boot(&mut dhcp, &mut boot, key).is_ok());

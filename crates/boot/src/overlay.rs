@@ -50,11 +50,6 @@ impl RamdiskFs {
         self.files.contains_key(&normalize(path))
     }
 
-    /// Number of files.
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
     /// True if empty.
     pub fn is_empty(&self) -> bool {
         self.files.is_empty()
@@ -147,7 +142,7 @@ mod tests {
         let before = fs.clone();
         assert_eq!(fs.overlay(&RamdiskFs::new()), 0);
         assert_eq!(fs, before);
-        assert_eq!(fs.len(), 4);
+        assert_eq!(fs.files.len(), 4);
         assert!(!fs.is_empty());
     }
 }

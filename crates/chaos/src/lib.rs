@@ -173,7 +173,6 @@ pub struct Scenario {
     conceal_loss: bool,
     negotiated: bool,
     clicks: bool,
-    fec_group: Option<u8>,
     playout_delay: Option<SimDuration>,
     healing: Option<HealSpec>,
     stream: SimDuration,
@@ -197,7 +196,6 @@ impl Scenario {
             conceal_loss: false,
             negotiated: false,
             clicks: false,
-            fec_group: None,
             playout_delay: None,
             healing: None,
             stream: SimDuration::from_secs(8),
@@ -242,12 +240,6 @@ impl Scenario {
     /// sharpest signal for the cross-correlation sync probes.
     pub fn clicks(mut self) -> Self {
         self.clicks = true;
-        self
-    }
-
-    /// Emits one XOR-parity packet per `n` data packets (FEC).
-    pub fn fec_group(mut self, n: u8) -> Self {
-        self.fec_group = Some(n);
         self
     }
 
@@ -331,9 +323,6 @@ impl Scenario {
             } else {
                 ch.source(Source::Music)
             };
-            if let Some(n) = self.fec_group {
-                ch = ch.fec_group(n);
-            }
             if let Some(d) = self.playout_delay {
                 ch = ch.playout_delay(d);
             }

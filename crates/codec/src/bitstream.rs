@@ -194,11 +194,6 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// Remaining readable bits.
-    pub fn remaining(&self) -> usize {
-        (self.bytes.len() - self.byte_pos) * 8 + self.fill as usize
-    }
-
     #[inline]
     fn refill(&mut self) {
         if let Some(next) = self.bytes.get(self.byte_pos..self.byte_pos + 8) {
@@ -320,6 +315,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Bits `r` can still read.
+    fn remaining(r: &BitReader<'_>) -> usize {
+        (r.bytes.len() - r.byte_pos) * 8 + r.fill as usize
+    }
+
     #[test]
     fn bits_roundtrip() {
         let mut w = BitWriter::new();
@@ -341,7 +341,7 @@ mod tests {
         let mut r = BitReader::new(&[0xAA]);
         assert_eq!(r.read_bits(8).unwrap(), 0xAA);
         assert_eq!(r.read_bits(1), Err(OutOfBits));
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(remaining(&r), 0);
     }
 
     #[test]
@@ -513,7 +513,7 @@ mod tests {
                 if got.is_err() {
                     break;
                 }
-                prop_assert_eq!(r.remaining(), bytes.len() * 8 - naive.pos);
+                prop_assert_eq!(remaining(&r), bytes.len() * 8 - naive.pos);
             }
         }
         #[test]

@@ -127,16 +127,6 @@ impl Fft {
         }
     }
 
-    /// The transform length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Always false; a valid engine has at least 4 points.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Forward transform `out[k] = Σ_t input[t]·e^{-2πi tk/len}`.
     ///
     /// # Panics

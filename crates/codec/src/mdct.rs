@@ -231,11 +231,6 @@ impl Mdct {
         self.n
     }
 
-    /// The sine analysis/synthesis window, length `2n`.
-    pub fn window(&self) -> &[f32] {
-        &self.window
-    }
-
     /// Forward MDCT of one window of `2n` time samples into `n`
     /// coefficients.
     ///

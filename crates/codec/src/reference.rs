@@ -52,16 +52,6 @@ impl DirectMdct {
         }
     }
 
-    /// The half-length (coefficients per window).
-    pub fn half_len(&self) -> usize {
-        self.n
-    }
-
-    /// The sine analysis/synthesis window, length `2n`.
-    pub fn window(&self) -> &[f32] {
-        &self.window
-    }
-
     /// Forward MDCT of one window of `2n` time samples into `n`
     /// coefficients.
     ///

@@ -830,12 +830,6 @@ impl EsSystem {
         &self.hub.producers.primaries[i]
     }
 
-    /// Channel `i`'s warm-standby rebroadcaster, when
-    /// [`HealSpec::standby`] is on.
-    pub fn standby(&self, i: usize) -> Option<&Rebroadcaster> {
-        self.hub.producers.standbys.get(i)
-    }
-
     /// Segment relay `i`, in declaration order.
     pub fn relay(&self, i: usize) -> Option<&SegmentRelay> {
         self.hub.relays.get(i)
@@ -849,12 +843,6 @@ impl EsSystem {
     /// The healing monitor, if [`SystemBuilder::healing`] was set.
     pub fn heal(&self) -> Option<&HealMonitor> {
         self.hub.heal.as_ref()
-    }
-
-    /// The application driving channel `i` (None before its start
-    /// delay).
-    pub fn app(&self, i: usize) -> Option<AudioApp> {
-        self.hub.apps.get(i)?.borrow().clone()
     }
 
     /// Speaker `i` (None before its power-on time, and for an `i`
@@ -1169,7 +1157,7 @@ mod tests {
         assert!(mon.stats().epochs >= 5, "{:?}", mon.stats());
         assert_eq!(mon.stats().failovers, 0, "healthy producer failed over");
         assert_eq!(mon.health_of("es1"), es_heal::Health::Healthy);
-        let standby = sys.standby(0).expect("standby handle");
+        let standby = sys.hub.producers.standbys.first().expect("standby handle");
         assert!(standby.is_standby(), "unpromoted standby");
         let snap = sys.metrics();
         assert_eq!(snap.counter("heal/heal0/epochs"), Some(mon.stats().epochs));
@@ -1232,7 +1220,7 @@ mod tests {
         assert!(sys.session(0).is_none(), "a static speaker has no session");
         assert!(sys.speaker(sys.speaker_count()).is_none());
         assert!(sys.session(sys.speaker_count()).is_none());
-        assert!(sys.app(1).is_none());
+        assert!(sys.hub.apps.get(1).is_none());
     }
 
     #[test]

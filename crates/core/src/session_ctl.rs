@@ -180,14 +180,6 @@ impl SessionBroker {
         });
     }
 
-    /// Sends an in-session volume update (thousandths; 1000 = unity)
-    /// to `speaker`'s session.
-    pub fn update_params(&self, sim: &mut Sim, speaker: &str, volume_milli: u16) {
-        self.step(sim, None, |server, _, out| {
-            server.update_params(speaker, volume_milli, out)
-        });
-    }
-
     /// Live sessions across every stream.
     pub fn sessions_active(&self) -> usize {
         self.server.borrow().sessions_active()

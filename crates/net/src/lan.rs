@@ -388,11 +388,6 @@ impl Lan {
             .contains(&group)
     }
 
-    /// The LAN's current physical parameters.
-    pub fn config(&self) -> LanConfig {
-        self.inner.borrow().config
-    }
-
     /// Replaces the LAN's physical parameters mid-run — the scheduled
     /// impairment transition a chaos scenario scripts on the sim clock.
     /// Traffic already serialized keeps its old delivery schedule; the
@@ -1301,7 +1296,7 @@ mod tests {
         }
         assert_eq!(log.borrow().len(), n, "clean phase delivers everything");
         lan.set_config(&mut sim, LanConfig::lossy(1.0, SimDuration::ZERO));
-        assert_eq!(lan.config().loss_prob, 1.0);
+        assert_eq!(lan.inner.borrow().config.loss_prob, 1.0);
         for _ in 0..n {
             lan.multicast(&mut sim, a, g, Bytes::from_static(b"p"));
             sim.run();

@@ -168,18 +168,7 @@ pub enum Packet {
     },
 }
 
-impl Packet {
-    /// The packet's stream id (0 for session packets that name none).
-    pub fn stream_id(&self) -> u16 {
-        match self {
-            Packet::Control(c) => c.stream_id,
-            Packet::Data(d) => d.stream_id,
-            Packet::Parity(p) => p.stream_id,
-            Packet::Session(s) => s.stream_id(),
-            Packet::Nack { stream_id, .. } => *stream_id,
-        }
-    }
-}
+impl Packet {}
 
 const TYPE_CONTROL: u8 = 1;
 const TYPE_DATA: u8 = 2;

@@ -248,21 +248,6 @@ impl SessionPacket {
             _ => 0,
         }
     }
-
-    /// A short kind label for journals.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            SessionPacket::Discover { .. } => "discover",
-            SessionPacket::Offer { .. } => "offer",
-            SessionPacket::Setup { .. } => "setup",
-            SessionPacket::SetupAck { .. } => "setup-ack",
-            SessionPacket::Refuse { .. } => "refuse",
-            SessionPacket::Keepalive { .. } => "keepalive",
-            SessionPacket::Flush { .. } => "flush",
-            SessionPacket::Teardown { .. } => "teardown",
-            SessionPacket::Param { .. } => "param",
-        }
-    }
 }
 
 const K_DISCOVER: u8 = 1;
@@ -823,11 +808,6 @@ impl SessionClient {
         }
     }
 
-    /// The configuration this client runs with.
-    pub fn config(&self) -> &SessionClientConfig {
-        &self.cfg
-    }
-
     /// Current lifecycle phase.
     pub fn phase(&self) -> ClientPhase {
         match self.state {
@@ -1315,7 +1295,7 @@ mod tests {
         ));
         assert_eq!(c.session_id(), Some(7));
         // Keepalives flow on schedule.
-        let a = c.poll(30_000 + c.config().keepalive_interval_us);
+        let a = c.poll(30_000 + c.cfg.keepalive_interval_us);
         assert!(matches!(
             a.as_slice(),
             [ClientAction::Send(SessionPacket::Keepalive {
@@ -1356,7 +1336,7 @@ mod tests {
             streams: vec![stream(1, "radio", &[0])],
         };
         c.on_packet(0, &offer); // attempt 1
-        let retry = c.config().setup_retry_us;
+        let retry = c.cfg.setup_retry_us;
         for attempt in 1..MAX_SETUP_ATTEMPTS as u64 {
             let a = c.poll(attempt * retry);
             assert!(
@@ -1404,13 +1384,13 @@ mod tests {
             .iter()
             .all(|a| !matches!(a, ClientAction::Lost { .. })));
         // …but silence past the timeout loses the session.
-        let a = c.poll(2_000_000 + c.config().session_timeout_us + 1);
+        let a = c.poll(2_000_000 + c.cfg.session_timeout_us + 1);
         assert!(matches!(a[0], ClientAction::Lost { session_id: 1 }));
         assert!(matches!(a[1], ClientAction::LeaveData(11)));
         assert_eq!(c.phase(), ClientPhase::Discovering);
         assert_eq!(c.sessions_lost, 1);
         // Re-discovery is immediate.
-        let a = c.poll(2_000_000 + c.config().session_timeout_us + 2);
+        let a = c.poll(2_000_000 + c.cfg.session_timeout_us + 2);
         assert!(matches!(
             a.as_slice(),
             [ClientAction::Send(SessionPacket::Discover { .. })]

@@ -59,7 +59,7 @@ impl Telemetry for AppStats {
 struct AppState {
     /// The open device — held like a process holds its file
     /// descriptor, so the device outlives transient closures.
-    dev: Rc<AudioDevice>,
+    _dev: Rc<AudioDevice>,
     signal: Box<dyn Signal>,
     /// The chunk being rendered, recycled chunk after chunk.
     pcm: Vec<i16>,
@@ -96,7 +96,7 @@ impl AudioApp {
             (duration.as_nanos() as u128 * cfg.sample_rate as u128 / 1_000_000_000) as u64;
         let chunk_frames = (cfg.sample_rate as u64 / 20).max(1);
         let state = shared(AppState {
-            dev: dev.clone(),
+            _dev: dev.clone(),
             signal,
             pcm: Vec::new(),
             cfg,
@@ -120,11 +120,6 @@ impl AudioApp {
     /// True once every frame has been accepted by the device.
     pub fn is_finished(&self) -> bool {
         self.state.borrow().stats.finished_at.is_some()
-    }
-
-    /// The device the application writes to.
-    pub fn device(&self) -> Rc<AudioDevice> {
-        self.state.borrow().dev.clone()
     }
 }
 

@@ -113,7 +113,6 @@ enum Hop {
 /// A running segment relay (cheap cloneable handle).
 #[derive(Clone)]
 pub struct SegmentRelay {
-    node: NodeId,
     state: Shared<RelayState>,
 }
 
@@ -130,7 +129,6 @@ impl SegmentRelay {
         lan.join(node, cfg.upstream);
         let state = shared(RelayState::default());
         let relay = SegmentRelay {
-            node,
             state: state.clone(),
         };
         let fwd_lan = lan.clone();
@@ -143,11 +141,6 @@ impl SegmentRelay {
             }
         });
         relay
-    }
-
-    /// The relay's LAN node.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Forwarding counters so far.
@@ -196,7 +189,7 @@ mod tests {
     };
     use es_proto::{FecRecoverer, ParityAccumulator};
     use es_sim::SimTime;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     fn control(stream_id: u16, producer_time_us: u64) -> Bytes {
@@ -405,16 +398,21 @@ mod tests {
             got
         };
         let (up, beside) = (log(producer), log(neighbour));
+        // The speaker NACKs the node it heard its stream's control from.
+        let control_from = Rc::new(Cell::new(None));
+        let from = control_from.clone();
+        lan.set_handler(speaker, move |_sim, dg: Datagram| from.set(Some(dg.src)));
         for node in [speaker, neighbour] {
             lan.join(node, McastGroup(20));
         }
         lan.multicast(&mut sim, producer, McastGroup(10), control(1, 1_000));
         sim.run();
+        let relay_node = control_from.get().expect("control came down");
         // One NACK for the stream it carries, one for a stream it never
         // heard.
         for stream_id in [1, 2] {
             let nack = encode_nack(stream_id, &[(7, 2)]);
-            lan.send(&mut sim, speaker, Dest::Unicast(relay.node()), nack);
+            lan.send(&mut sim, speaker, Dest::Unicast(relay_node), nack);
         }
         sim.run();
         let asked = Packet::Nack {

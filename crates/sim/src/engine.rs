@@ -363,11 +363,6 @@ impl RepeatingTimer {
     pub fn stop(&self) {
         self.inner.borrow_mut().active = false;
     }
-
-    /// True if the timer is still running.
-    pub fn is_active(&self) -> bool {
-        self.inner.borrow().active
-    }
 }
 
 fn schedule_tick(

@@ -63,31 +63,6 @@ impl TimeSeries {
         Some(self.values().sum::<f64>() / self.samples.len() as f64)
     }
 
-    /// Maximum value; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.values()
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Minimum value; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.values()
-            .fold(None, |acc, v| Some(acc.map_or(v, |m: f64| m.min(v))))
-    }
-
-    /// The `q`-th quantile (0.0..=1.0) by nearest-rank on a sorted copy;
-    /// `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut vs: Vec<f64> = self.values().collect();
-        vs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((vs.len() - 1) as f64 * q).round() as usize;
-        Some(vs[idx])
-    }
-
     /// Restricts to samples with `start <= t < end` (a measurement
     /// window, e.g. "after warm-up").
     pub fn window(&self, start: SimTime, end: SimTime) -> TimeSeries {
@@ -189,19 +164,12 @@ mod tests {
         let s = TimeSeries::new("e");
         assert!(s.is_empty());
         assert_eq!(s.mean(), None);
-        assert_eq!(s.max(), None);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.quantile(0.5), None);
     }
 
     #[test]
     fn basic_stats() {
         let s = ts(&[(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)]);
         assert_eq!(s.mean(), Some(2.5));
-        assert_eq!(s.max(), Some(4.0));
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.quantile(0.0), Some(1.0));
-        assert_eq!(s.quantile(1.0), Some(4.0));
     }
 
     #[test]

@@ -140,16 +140,6 @@ impl SimDuration {
         self.0 == 0
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Multiplies by an integer factor, saturating on overflow.
-    pub fn saturating_mul(self, factor: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(factor))
-    }
-
     /// The duration needed to transfer `bytes` at `bits_per_sec`,
     /// rounded up to the next nanosecond.
     ///

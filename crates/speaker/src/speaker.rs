@@ -570,12 +570,6 @@ impl EthernetSpeaker {
         self.0.state.borrow_mut().node.request_repairs();
     }
 
-    /// Control-plane FLUSH: drop playback state and re-gate on the
-    /// next control packet; see [`SpeakerNode::resync`].
-    pub fn resync(&self, sim: &mut Sim) {
-        self.step(sim, |n, _| n.resync());
-    }
-
     /// Sets the fixed volume gain (the control plane's PARAM update;
     /// auto-volume, when enabled, still multiplies on top).
     pub fn set_volume(&self, volume: f64) {
@@ -1049,7 +1043,7 @@ mod tests {
     fn a_tune_or_flush_drops_every_block_cleared_before_it() {
         type Regate = fn(&EthernetSpeaker, &mut Sim);
         let tune: Regate = |spk, sim| spk.tune(sim, McastGroup(2));
-        let flush: Regate = |spk, sim| spk.resync(sim);
+        let flush: Regate = |spk, sim| spk.step(sim, |n, _| n.resync());
         for (regate, serial) in [
             (tune, None),
             (flush, None),

@@ -19,7 +19,6 @@ pub struct ClockSync {
     /// `local - producer`, in microseconds (signed; the producer's
     /// clock may be "ahead" of a speaker that booted later).
     offset_us: Option<i64>,
-    samples: u64,
 }
 
 impl ClockSync {
@@ -31,11 +30,6 @@ impl ClockSync {
     /// True once at least one control packet has been absorbed.
     pub fn is_synced(&self) -> bool {
         self.offset_us.is_some()
-    }
-
-    /// Number of control packets absorbed.
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 
     /// Absorbs a control packet received at local time `local_now`
@@ -58,7 +52,6 @@ impl ClockSync {
         };
         // Local microseconds stay below 2^54, so this cannot overflow.
         let observed = local_now.as_micros() as i64 - producer;
-        self.samples += 1;
         self.offset_us = Some(match self.offset_us {
             None => observed,
             Some(prev) => prev.min(observed),
@@ -151,7 +144,6 @@ mod tests {
         // offset; the minimum filter ignores it outright.
         cs.on_control(SimTime::from_micros(10_580_000), 3_500_000);
         assert_eq!(cs.offset_us(), Some(7_000_000));
-        assert_eq!(cs.samples(), 2);
     }
 
     #[test]
@@ -183,7 +175,6 @@ mod tests {
         let mut cs = ClockSync::new();
         assert!(!cs.on_control(SimTime::from_secs(1), 1 << 63));
         assert!(!cs.is_synced(), "a refused sample changes nothing");
-        assert_eq!(cs.samples(), 0);
         assert!(cs.on_control(SimTime::from_secs(10), 3_000_000));
         for forged in [i64::MAX as u64, 1 << 63, u64::MAX, u64::MAX / 1_000] {
             assert_eq!(cs.to_local(forged), None, "{forged}");

@@ -428,11 +428,6 @@ impl Journal {
         self.len() == 0
     }
 
-    /// Clears the buffer (sequence numbers keep counting).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap().entries.clear();
-    }
-
     /// Serializes the buffered events as JSON lines.
     pub fn to_json_lines(&self) -> String {
         let inner = self.inner.lock().unwrap();
@@ -657,13 +652,13 @@ mod tests {
 
     proptest::proptest! {
         /// The compact journal reads exactly like the old one:
-        /// `events()` and `to_json_lines()`, under eviction at capacities 1–8 and interleaved `clear()`.
+        /// `events()` and `to_json_lines()`, under eviction at capacities 1–8.
         #[test]
         fn compact_journal_matches_the_oracle(
             capacity in 1usize..9,
             warm in proptest::bool::ANY,
             ops in proptest::collection::vec(
-                (0u8..12, proptest::num::u64::ANY, proptest::num::u64::ANY),
+                (proptest::num::u64::ANY, proptest::num::u64::ANY),
                 0..64,
             ),
         ) {
@@ -681,36 +676,31 @@ mod tests {
                 j.emit(Stamp::virtual_ns(i), Severity::Info, "warm", &message, &[]);
                 oracle.emit(Stamp::virtual_ns(i), Severity::Info, "warm", &message, &[]);
             }
-            for (kind, a, b) in ops {
-                if kind == 0 {
-                    j.clear();
-                    oracle.events.clear();
-                } else {
-                    let stamp = match a & 1 {
-                        0 => Stamp::virtual_ns(b),
-                        _ => Stamp::wall_ns(b),
-                    };
-                    let severity = [Severity::Debug, Severity::Info, Severity::Warn, Severity::Error]
-                        [(a >> 1) as usize % 4];
-                    let component = ["net", "speaker", "heal", ""][(a >> 3) as usize % 4];
-                    let message = format!("m{}", (a >> 5) % 5);
-                    // Keys from a small pool (duplicates are common) and,
-                    // now and then, from 300 names: indices past 127.
-                    let keys: Vec<String> = (0..(a >> 8) % 5)
-                        .map(|i| match (a >> (12 + i * 10)) % 8 {
-                            0 => format!("k{}", (b >> (i * 8)) % 300),
-                            k => ["speaker", "seq", "late_us", "", "é", "a b", "from"][k as usize - 1]
-                                .to_string(),
-                        })
-                        .collect();
-                    let fields: Vec<(&str, String)> = keys
-                        .iter()
-                        .enumerate()
-                        .map(|(i, k)| (k.as_str(), value(b.rotate_left(i as u32 * 13) ^ a)))
-                        .collect();
-                    j.emit(stamp, severity, component, &message, &fields);
-                    oracle.emit(stamp, severity, component, &message, &fields);
-                }
+            for (a, b) in ops {
+                let stamp = match a & 1 {
+                    0 => Stamp::virtual_ns(b),
+                    _ => Stamp::wall_ns(b),
+                };
+                let severity = [Severity::Debug, Severity::Info, Severity::Warn, Severity::Error]
+                    [(a >> 1) as usize % 4];
+                let component = ["net", "speaker", "heal", ""][(a >> 3) as usize % 4];
+                let message = format!("m{}", (a >> 5) % 5);
+                // Keys from a small pool (duplicates are common) and,
+                // now and then, from 300 names: indices past 127.
+                let keys: Vec<String> = (0..(a >> 8) % 5)
+                    .map(|i| match (a >> (12 + i * 10)) % 8 {
+                        0 => format!("k{}", (b >> (i * 8)) % 300),
+                        k => ["speaker", "seq", "late_us", "", "é", "a b", "from"][k as usize - 1]
+                            .to_string(),
+                    })
+                    .collect();
+                let fields: Vec<(&str, String)> = keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, k)| (k.as_str(), value(b.rotate_left(i as u32 * 13) ^ a)))
+                    .collect();
+                j.emit(stamp, severity, component, &message, &fields);
+                oracle.emit(stamp, severity, component, &message, &fields);
                 let events = j.events();
                 proptest::prop_assert_eq!(&events, &Vec::from(oracle.events.clone()));
                 proptest::prop_assert_eq!(j.to_json_lines(), oracle.to_json_lines());

@@ -99,15 +99,6 @@ impl Histogram {
         self.sum
     }
 
-    /// Mean sample, or 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Upper bound of the bucket containing the `q`-quantile
     /// (`q` in `[0, 1]`), or 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
@@ -260,17 +251,6 @@ pub struct MetricKey {
     pub instance: Label,
     /// The quantity itself (`"samples_played"`, …).
     pub name: Label,
-}
-
-impl MetricKey {
-    /// Builds a key from its three parts.
-    pub fn new(component: &str, instance: &str, name: &str) -> Self {
-        MetricKey {
-            component: Label::new(component),
-            instance: Label::new(instance),
-            name: Label::new(name),
-        }
-    }
 }
 
 /// `component/instance/name` in three parts (the name may itself
@@ -516,26 +496,6 @@ impl Scope<'_> {
                 _ => false,
             },
             |order| Op::Gauge { order, value },
-        );
-        self
-    }
-
-    /// Records one sample into a histogram (creating it empty).
-    pub fn observe(&mut self, name: &str, value: u64) -> &mut Self {
-        self.record(
-            name,
-            |op| match op {
-                Op::Histogram { hist, .. } => {
-                    hist.observe(value);
-                    true
-                }
-                _ => false,
-            },
-            |order| {
-                let mut hist = Box::<Histogram>::default();
-                hist.observe(value);
-                Op::Histogram { order, hist }
-            },
         );
         self
     }
@@ -808,6 +768,14 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
+    /// A histogram holding the one sample `value`: what a scope merges
+    /// to record one sample.
+    fn sample(value: u64) -> Histogram {
+        let mut h = Histogram::new();
+        h.observe(value);
+        h
+    }
+
     #[test]
     fn histogram_bucket_boundaries() {
         assert_eq!(Histogram::bucket_index(0), 0);
@@ -836,7 +804,6 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 1107);
-        assert!((h.mean() - 1107.0 / 6.0).abs() < 1e-9);
         assert_eq!(h.quantile(0.0), 0);
         // The third of six samples is a 1 (bucket 1, bound 1).
         assert_eq!(h.quantile(0.5), 1);
@@ -968,7 +935,7 @@ mod tests {
             s.counter("frames_delivered", 123);
             s.gauge("utilization", 0.375);
             for v in [0u64, 9, 17, 300_000] {
-                s.observe("queue_delay_us", v);
+                s.histogram("queue_delay_us", &sample(v));
             }
         }
         let snap = r.snapshot();
@@ -1091,7 +1058,9 @@ mod tests {
         let mut r = Registry::new();
         for instance in ["b", "a", "b"] {
             r.set_instance(instance);
-            r.component("net").counter(sent, 1).observe(delay, 9);
+            r.component("net")
+                .counter(sent, 1)
+                .histogram(delay, &sample(9));
             r.component("speaker").gauge(level, 0.5);
         }
         let log = r.log.as_ptr();
@@ -1116,7 +1085,11 @@ mod tests {
             name: &str,
             init: impl FnOnce() -> MetricValue,
         ) -> &mut MetricValue {
-            let key = MetricKey::new(component, &self.instance, name);
+            let key = MetricKey {
+                component: Label::new(component),
+                instance: Label::new(&self.instance),
+                name: Label::new(name),
+            };
             self.metrics.entry(key).or_insert_with(init)
         }
 
@@ -1204,7 +1177,7 @@ mod tests {
                         }
                         2 => {
                             let value = v >> (v % 64);
-                            scope.observe(name, value);
+                            scope.histogram(name, &sample(value));
                             map.observe(component, name, value);
                         }
                         _ => {

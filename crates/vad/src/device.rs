@@ -149,13 +149,6 @@ impl BlockSource {
         inner.ring.take_block(fill_silence)
     }
 
-    /// True if a full block is buffered.
-    pub fn has_block(&self) -> bool {
-        self.inner
-            .upgrade()
-            .is_some_and(|i| i.borrow().ring.has_block())
-    }
-
     /// Bytes currently buffered (possibly less than a block).
     pub fn buffered_bytes(&self) -> usize {
         self.inner.upgrade().map_or(0, |i| i.borrow().ring.used())
@@ -164,13 +157,6 @@ impl BlockSource {
     /// The stream configuration at this instant.
     pub fn config(&self) -> Option<AudioConfig> {
         self.inner.upgrade().map(|i| i.borrow().config)
-    }
-
-    /// Current block size in bytes.
-    pub fn blocksize(&self) -> usize {
-        self.inner
-            .upgrade()
-            .map_or(0, |i| i.borrow().ring.blocksize())
     }
 
     /// Real-time duration of one block at the current configuration.
@@ -624,12 +610,11 @@ mod tests {
         let (dev, _) = device(false);
         dev.open().unwrap();
         let src = dev.block_source();
-        assert_eq!(src.blocksize(), 8_820);
         assert_eq!(src.block_duration(), SimDuration::from_millis(50));
         assert_eq!(src.config(), Some(AudioConfig::CD));
-        assert!(!src.has_block());
+        assert!(src.take_block(false).is_none(), "nothing written yet");
         dev.write(&mut sim, &vec![0u8; 9_000]).unwrap();
-        assert!(src.has_block());
+        assert_eq!(src.take_block(false).map(|b| b.len()), Some(8_820));
     }
 
     #[test]
@@ -639,7 +624,6 @@ mod tests {
         drop(dev);
         assert!(src.take_block(true).is_none());
         assert_eq!(src.config(), None);
-        assert_eq!(src.blocksize(), 0);
         assert_eq!(src.block_duration(), SimDuration::ZERO);
     }
 }

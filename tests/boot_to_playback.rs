@@ -54,10 +54,7 @@ fn booted_machines_tune_their_configured_channels() {
         .channel(ch1)
         .channel(ch2)
         .speaker({
-            let mut s = SpeakerSpec::new(
-                lobby_sys.lease.hostname.clone().unwrap_or("lobby".into()),
-                McastGroup(lobby_sys.configured_channel()),
-            );
+            let mut s = SpeakerSpec::new("lobby", McastGroup(lobby_sys.configured_channel()));
             s = s.volume(lobby_sys.configured_volume());
             s.capture_output()
         })

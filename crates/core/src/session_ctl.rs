@@ -13,8 +13,6 @@
 //! drives its own [`es_proto::SessionClient`]. Static `McastGroup`
 //! wiring keeps working without either.
 
-use bytes::Bytes;
-
 use es_net::{Dest, Lan, McastGroup, NodeId};
 pub use es_proto::BrokerStats;
 use es_proto::{
@@ -87,8 +85,7 @@ impl SessionBroker {
     }
 
     fn send(&self, sim: &mut Sim, dst: Dest, pkt: &SessionPacket) {
-        let bytes = Bytes::from(encode_session(pkt).to_vec());
-        self.lan.send(sim, self.node, dst, bytes);
+        self.lan.send(sim, self.node, dst, encode_session(pkt));
     }
 
     /// One session packet the host heard from `from`.

@@ -172,9 +172,8 @@ fn relayed_speakers_play_in_step_with_the_backbone() {
 fn repair_meets_the_deadline_at_every_depth() {
     // Every speaker's own link loses 5 %, so at each depth a NACK
     // climbs to the producer through every relay above it and the
-    // refill comes back down through all of them. Each hop costs one
-    // wire transit each way, so a refill three hops down still lands
-    // before its block is due.
+    // refill comes back down through all of them; three hops down it
+    // must still land before its block is due.
     for seed in 1..=5 {
         let spec = |name, group| SpeakerSpec::new(name, group).loss_concealment();
         let mut sys = relay_chain(seed, 8, spec).healing(HealSpec::new()).build();

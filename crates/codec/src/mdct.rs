@@ -289,14 +289,15 @@ impl Mdct {
     }
 
     /// Length of the framed plane around `padded_len` samples: the
-    /// signal with `n` zeros on each side, so that window `w` is the
-    /// contiguous slice `plane[w*n..][..2n]`.
+    /// signal with an `n`-sample frame on each side, so that window `w`
+    /// is the contiguous slice `plane[w*n..][..2n]`.
     pub fn plane_len(&self, padded_len: usize) -> usize {
         padded_len + 2 * self.n
     }
 
     /// Transforms a framed plane ([`Mdct::plane_len`]: a padded signal
-    /// of whole `n`-sample blocks with `n` zeros before and after it)
+    /// of whole `n`-sample blocks with an `n`-sample frame before and
+    /// after it)
     /// into flat MDCT coefficients with 50% overlap: window `w` is
     /// `plane[w*n..][..2n]`, read in place, and lands in
     /// `out[w*n..(w+1)*n]`. `out` must hold exactly
@@ -309,7 +310,7 @@ impl Mdct {
         let n = self.n;
         assert!(
             plane.len().is_multiple_of(n) && plane.len() >= 2 * n,
-            "plane must be whole blocks framed by n zeros each side"
+            "plane must be whole blocks framed by n samples each side"
         );
         let windows = plane.len() / n - 1;
         assert_eq!(out.len(), windows * n, "output must hold windows * n");

@@ -4,8 +4,10 @@
 //! when its samples equal the previous channel's, and packs no window
 //! bits for it. The oracle here finds the twins by comparing whole
 //! deinterleaved channels, then encodes every other channel on its own:
-//! the framed MDCT analysis, libm `band_bits` / masking / `log2` per
-//! band, the scalar quantizer and the two-call Rice write. The bytes
+//! the framed MDCT analysis of a plane whose padding eases the signal
+//! in and out (its faded point reflection, [`EASE`] samples each side,
+//! written out sample by sample), libm `band_bits` / masking / `log2`
+//! per band, the scalar quantizer and the two-call Rice write. The bytes
 //! and the billed work must be equal on dual mono, on dual mono with
 //! one sample changed at the first, a middle or the last frame, on
 //! three identical channels, on three channels whose last repeats the
@@ -19,7 +21,7 @@
 use es_codec::bitstream::{zigzag, BitWriter};
 use es_codec::dsp::scalar;
 use es_codec::mdct::Mdct;
-use es_codec::ovl::{band_bits, band_widths, BLOCK};
+use es_codec::ovl::{band_bits, band_widths, BLOCK, EASE};
 use es_codec::{OvlCodec, MAX_QUALITY};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -38,6 +40,27 @@ fn oracle_rice_param(sum: u32, width: usize) -> u8 {
         return 0;
     }
     (mean.log2().ceil() as i64).clamp(0, 12) as u8
+}
+
+/// The weight of the padding sample `j` steps out from the signal's
+/// end, `j` in `1..=EASE`: a raised cosine from 1 down to 0.
+fn oracle_fade(j: usize) -> f32 {
+    (0.5 + 0.5 * (std::f64::consts::PI * j as f64 / (EASE + 1) as f64).cos()) as f32
+}
+
+/// Writes the padding around the `len` samples at `plane[BLOCK..]`:
+/// sample `j` steps out from an end is `2·x_end − x_mirror`, the sample
+/// `j` steps in, times the fade, for `j` up to `EASE` and to the
+/// signal's reach. The plane's other padding stays zero.
+fn oracle_ease(plane: &mut [f32], len: usize) {
+    if len == 0 {
+        return;
+    }
+    let (first, last) = (BLOCK, BLOCK + len - 1);
+    for j in 1..=EASE.min(len - 1) {
+        plane[first - j] = oracle_fade(j) * (2.0 * plane[first] - plane[first + j]);
+        plane[last + j] = oracle_fade(j) * (2.0 * plane[last] - plane[last - j]);
+    }
 }
 
 /// One window of one channel, packed the way the oracle encoder did.
@@ -76,7 +99,7 @@ fn oracle_pack_window(bw: &mut BitWriter, quality: u8, coeffs: &[f32]) {
 }
 
 /// `OvlCodec::encode` spelled out: the twin mask from whole channels,
-/// then every other channel framed, analyzed and packed on its own,
+/// then every other channel framed, eased, analyzed and packed on its own,
 /// windows interleaved by channel. Every channel is billed.
 fn oracle_encode(samples: &[i16], channels: u8, quality: u8) -> (Vec<u8>, u64) {
     let quality = quality.min(MAX_QUALITY);
@@ -99,6 +122,7 @@ fn oracle_encode(samples: &[i16], channels: u8, quality: u8) -> (Vec<u8>, u64) {
         for (&c, coeffs) in coded.iter().zip(&mut coeffs) {
             let mut plane = vec![0.0f32; mdct.plane_len(padded_len)];
             scalar::deinterleave_normalize(samples, ch, c, &mut plane[BLOCK..][..per_ch]);
+            oracle_ease(&mut plane, per_ch);
             mdct.analyze_plane(&plane, coeffs);
         }
         let mut bw = BitWriter::new();

@@ -21,6 +21,7 @@
 use es_codec::dsp;
 use es_codec::fft::{Complex32, Fft};
 use es_codec::mdct::{analyze, synthesize, Mdct};
+use es_codec::ovl::BLOCK;
 use es_codec::reference::DirectMdct;
 use es_codec::{OvlCodec, MAX_QUALITY};
 use rand::rngs::StdRng;
@@ -428,6 +429,33 @@ proptest::proptest! {
         proptest::prop_assert_eq!(rec.len(), signal.len());
         for (i, (&a, &b)) in signal.iter().zip(&rec).enumerate() {
             proptest::prop_assert!((a - b).abs() < 1e-3, "sample {}: {} vs {}", i, a, b);
+        }
+    }
+
+    /// What lets the OVL encoder fill a packet's padding as it likes:
+    /// each padding half-block aliases only onto itself, so framed
+    /// analysis then synthesis rebuilds the signal part of the plane
+    /// whatever the padding holds (here noise up to three times the
+    /// signal's peak, more than an edge reflection reaches).
+    #[test]
+    fn prop_framed_roundtrip_rebuilds_the_signal_whatever_the_padding(
+        len in 1usize..=3_000,
+        padding_percent in 0u32..=300,
+        seed in 0u64..u64::MAX / 2,
+    ) {
+        let mdct = Mdct::new(BLOCK);
+        let padded_len = len.div_ceil(BLOCK) * BLOCK;
+        let mut plane: Vec<f32> = random_signal(mdct.plane_len(padded_len), seed)
+            .into_iter()
+            .map(|x| x * padding_percent as f32 / 100.0)
+            .collect();
+        let signal = random_signal(len, seed ^ 0x51_6A);
+        plane[BLOCK..][..len].copy_from_slice(&signal);
+        let mut coeffs = vec![0.0f32; mdct.analyze_windows(padded_len) * BLOCK];
+        mdct.analyze_plane(&plane, &mut coeffs);
+        mdct.synthesize_plane(&coeffs, &mut plane);
+        for (i, (&a, &b)) in signal.iter().zip(&plane[BLOCK..]).enumerate() {
+            proptest::prop_assert!((a - b).abs() < 1e-3, "len {} sample {}: {} vs {}", len, i, a, b);
         }
     }
 

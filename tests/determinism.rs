@@ -5,7 +5,16 @@ use es_core::{ChannelSpec, Source, SpeakerSpec, SystemBuilder};
 use es_net::{LanConfig, McastGroup};
 use es_sim::{SimDuration, SimTime};
 
-fn run_fingerprint(seed: u64) -> (u64, u64, u64, u64, Vec<i16>) {
+/// FNV-1a over every played sample.
+fn tap_hash(tap: &[i16]) -> u64 {
+    tap.iter()
+        .flat_map(|s| s.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+fn run_fingerprint(seed: u64) -> (u64, u64, u64, u64, Vec<i16>, u64) {
     let group = McastGroup(1);
     let ch = ChannelSpec::new(1, group, "stream")
         .source(Source::Music)
@@ -21,7 +30,7 @@ fn run_fingerprint(seed: u64) -> (u64, u64, u64, u64, Vec<i16>) {
     let lan = sys.lan().stats();
     let tap = spk.tap().borrow().samples();
     let tap = tap.expect("SpeakerSpec::capture_output()");
-    let head: Vec<i16> = tap.into_iter().take(4_096).collect();
+    let head: Vec<i16> = tap.iter().copied().take(4_096).collect();
     assert_eq!(head.len(), 4_096, "played audio to compare");
     (
         st.datagrams,
@@ -29,6 +38,7 @@ fn run_fingerprint(seed: u64) -> (u64, u64, u64, u64, Vec<i16>) {
         lan.datagrams_lost,
         lan.wire_bytes_sent,
         head,
+        tap_hash(&tap),
     )
 }
 
@@ -41,15 +51,18 @@ fn same_seed_same_everything() {
     assert_eq!(a.2, b.2, "losses");
     assert_eq!(a.3, b.3, "wire bytes");
     assert_eq!(a.4, b.4, "played audio bit-identical");
+    assert_eq!(a.5, b.5, "all played audio bit-identical");
 }
 
 #[test]
 fn different_seed_different_loss_pattern() {
     let a = run_fingerprint(1);
     let b = run_fingerprint(2);
-    // Same workload, different random loss/jitter draws.
+    // Same workload, different random loss/jitter draws. The counts
+    // alone can coincide (each seed losing one datagram and playing as
+    // many samples); which samples went silent is in the played audio.
     assert!(
-        a.2 != b.2 || a.1 != b.1,
+        a.2 != b.2 || a.1 != b.1 || a.5 != b.5,
         "two seeds produced identical stochastic outcomes"
     );
 }

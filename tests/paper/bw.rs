@@ -13,8 +13,18 @@
 //! the share of a legacy 10 Mbps link, and the encode work — the
 //! bandwidth/CPU trade-off in one table. A PCM phone-quality channel
 //! shows why low-rate streams stay uncompressed.
+//!
+//! Below the system, [`code_packets`] codes test signals with OVL the
+//! way the producers packetize them (50 ms packets, each decodable on
+//! its own) and reports what each costs and how close it comes back.
 
+use es_audio::analysis::snr_db;
+use es_audio::gen::{
+    render_interleaved, render_stereo, ImpulseTrain, MultiTone, Signal, Silence, Sine, Sweep,
+    WhiteNoise,
+};
 use es_audio::AudioConfig;
+use es_codec::{OvlCodec, MAX_QUALITY};
 use es_core::{ChannelSpec, Source, SpeakerSpec, SystemBuilder};
 use es_net::{LanConfig, McastGroup};
 use es_rebroadcast::CompressionPolicy;
@@ -66,6 +76,94 @@ pub fn run_policy(
     }
 }
 
+/// Frames per packet: one 50 ms block at 44.1 kHz.
+pub const PACKET_FRAMES: usize = 2_205;
+
+/// One signal coded by OVL at `MAX_QUALITY`, packet by packet.
+#[derive(Debug)]
+pub struct CodecRow {
+    /// What the signal is.
+    pub signal: &'static str,
+    /// Payload kbit/s: the OVL packets' bytes, no packet or frame
+    /// overhead.
+    pub payload_kbps: f64,
+    /// SNR of the decoded samples; `None` for silence.
+    pub snr_db: Option<f64>,
+}
+
+/// Codes 44.1 kHz interleaved `samples` as consecutive
+/// [`PACKET_FRAMES`]-frame packets, decodes each, and measures the
+/// payload rate and the error of the decoded stream.
+pub fn code_packets(signal: &'static str, samples: &[i16], channels: u8) -> CodecRow {
+    let codec = OvlCodec::new();
+    let (mut bytes, mut decoded, mut out) = (0usize, Vec::with_capacity(samples.len()), Vec::new());
+    for packet in samples.chunks(PACKET_FRAMES * channels as usize) {
+        let enc = codec.encode(packet, channels, MAX_QUALITY);
+        bytes += enc.bytes.len();
+        codec
+            .decode_into(&enc.bytes, &mut out)
+            .expect("OVL decodes what it encoded");
+        decoded.extend_from_slice(&out);
+    }
+    let seconds = (samples.len() / channels as usize) as f64 / 44_100.0;
+    CodecRow {
+        signal,
+        payload_kbps: bytes as f64 * 8.0 / seconds / 1_000.0,
+        snr_db: snr_db(samples, &decoded),
+    }
+}
+
+/// A source scaled by a constant gain.
+struct Gain<S>(S, f32);
+
+impl<S: Signal> Signal for Gain<S> {
+    fn next_sample(&mut self) -> f32 {
+        self.0.next_sample() * self.1
+    }
+
+    fn fill(&mut self, out: &mut [f32]) {
+        self.0.fill(out);
+        for v in out {
+            *v *= self.1;
+        }
+    }
+}
+
+/// The codec table: `seconds` of each test signal, dual mono (one
+/// signal on both channels, as the producers send) but for the panned
+/// pair and the independent stereo pair.
+pub fn codec_table(seconds: usize) -> Vec<CodecRow> {
+    let frames = seconds * 44_100;
+    let music = || MultiTone::music(44_100);
+    let dual =
+        |signal, src: &mut dyn Signal| code_packets(signal, &render_interleaved(src, 2, frames), 2);
+    vec![
+        dual("music", &mut music()),
+        dual(
+            "music, -26 dB",
+            &mut Gain(music(), 10f32.powf(-26.0 / 20.0)),
+        ),
+        code_packets(
+            "panned pair, R = 0.8 L",
+            &render_stereo(&mut music(), &mut Gain(music(), 0.8), frames),
+            2,
+        ),
+        code_packets(
+            "independent stereo",
+            &render_stereo(&mut music(), &mut Sine::new(523.25, 44_100, 0.4), frames),
+            2,
+        ),
+        dual("1 kHz tone", &mut Sine::new(1_000.0, 44_100, 0.5)),
+        dual("white noise", &mut WhiteNoise::new(7, 0.5)),
+        dual("441-sample click train", &mut ImpulseTrain::new(441, 0.9)),
+        dual(
+            "sweep, 50 Hz-15 kHz",
+            &mut Sweep::new(50.0, 15_000.0, seconds as f32, 44_100, 0.8),
+        ),
+        dual("silence", &mut Silence),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +197,7 @@ mod tests {
         );
         println!("cd/pcm, seed 2, 5 s: {pcm:?}\ncd/ovl-q10, seed 2, 5 s: {ovl:?}");
         assert!(
-            ovl.wire_bps < pcm.wire_bps / 2.0,
+            ovl.wire_bps < pcm.wire_bps / 8.0,
             "ovl {} vs pcm {}",
             ovl.wire_bps,
             pcm.wire_bps
@@ -124,5 +222,37 @@ mod tests {
             row.payload_bps
         );
         assert!(row.share_of_10mbps < 0.02);
+    }
+
+    #[test]
+    fn ovl_codes_each_signal_within_its_budget() {
+        // Each row's payload ceiling (kbit/s) and SNR floor (dB), a
+        // little outside what the encoder gives. Framed between zeros,
+        // the music cost 261.5 kbit/s: the edge windows' steps, not the
+        // music, took most of the bits.
+        let budgets = [
+            (100.0, Some(50.5)),
+            (100.0, Some(49.0)),
+            (200.0, Some(50.5)),
+            (165.0, Some(49.5)),
+            (72.0, Some(46.5)),
+            (470.0, Some(36.5)),
+            (420.0, Some(38.0)),
+            (200.0, Some(34.0)),
+            (4.0, None),
+        ];
+        let rows = codec_table(30);
+        assert_eq!(rows.len(), budgets.len());
+        for (row, (ceiling, floor)) in rows.iter().zip(budgets) {
+            println!(
+                "ovl-q10, 30 s, {PACKET_FRAMES}-frame packets, {}: {:.1} kbit/s, SNR {:?} dB",
+                row.signal, row.payload_kbps, row.snr_db
+            );
+            assert!(row.payload_kbps < ceiling, "{row:?}");
+            match (row.snr_db, floor) {
+                (Some(snr), Some(floor)) => assert!(snr > floor, "{row:?}"),
+                (snr, floor) => assert!(snr.is_none() && floor.is_none(), "{row:?}"),
+            }
+        }
     }
 }

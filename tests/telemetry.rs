@@ -191,7 +191,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `sync_offset_us` fell 2 116 → 116 (one wire transit per hop). The
 /// `deadline_slack_us` sum rose 11 449 906 → 11 459 906: five refills
 /// each reached the §3.2 decision 2 ms earlier, and one block moved
-/// from bucket 17 to 18.
+/// from bucket 17 to 18. It moved a ninth time, for many lines and
+/// for the same reason as the sixth, when OVL began to ease each
+/// packet's signal into its frame instead of framing it between zeros:
+/// `rebroadcast/ch0/payload_bytes_out` fell 97 072 → 35 557
+/// (`compression_ratio` 0.183 → 0.067), so a data packet crosses the LAN
+/// as one fragment where it took two (`net/lan0/frames_dropped_partial`
+/// 7 → 0). Burst loss steps per fragment, so the bursts fell on other
+/// packets and fewer were lost (`net/lan0/frames_dropped` 43 → 33).
+/// Every other moved line follows from that, and two keys left the
+/// snapshot because their counters fell to zero
+/// (`speaker/es0/fec_unrecoverable`, `speaker/es3/nacks_sent`).
 #[test]
 fn export_is_pinned_byte_for_byte() {
     let mut sys = every_kind_system();
@@ -205,7 +215,7 @@ fn export_is_pinned_byte_for_byte() {
     let text = snap.to_json_lines();
     assert_eq!(
         (snap.len(), fnv1a(text.as_bytes())),
-        (232, 5_840_996_327_959_718_476),
+        (230, 16_790_225_865_921_133_166),
         "the export moved:\n{text}"
     );
 }
@@ -271,9 +281,37 @@ fn key_kinds(snap: &MetricsSnapshot) -> Vec<(String, String, &'static str)> {
         .collect()
 }
 
+/// A speaker whose FEC 4+1 stream loses two members of one group: its
+/// link goes dark for 130 ms, over two consecutive data packets, so
+/// either two of one group's data packets or a data packet and its
+/// parity are gone. The recoverer counts such a group when it drops
+/// it, and keeps it open while later groups complete, so the listener
+/// then switches channels, which drops every open group.
+fn unrecoverable_group_metrics() -> MetricsSnapshot {
+    let group = McastGroup(1);
+    let channel = ChannelSpec::new(1, group, "radio")
+        .duration(SimDuration::from_secs(3))
+        .fec_group(4);
+    let mut sys = SystemBuilder::new(1)
+        .channel(channel)
+        .speaker(SpeakerSpec::new("es", group))
+        .build();
+    sys.run_for(SimDuration::from_secs(1));
+    let node = sys.speaker(0).expect("powered at build").node();
+    let lan = sys.lan().clone();
+    lan.degrade(&mut sys.sim, node, 1.0);
+    sys.run_for(SimDuration::from_millis(130));
+    lan.degrade(&mut sys.sim, node, 0.0);
+    sys.run_for(SimDuration::from_millis(500));
+    let speaker = sys.speaker(0).expect("powered at build");
+    speaker.tune(&mut sys.sim, McastGroup(2));
+    sys.metrics()
+}
+
 /// Every key production code records: what `every_kind_system()` does,
-/// plus the catalog announcer, the override controller and the live
-/// producer's report, which it has none of. Each (component, name)
+/// plus the catalog announcer, the override controller, the live
+/// producer's report and a FEC group lost beyond repair, which it need
+/// not have (its losses fall where they fall). Each (component, name)
 /// keeps one kind across every instance, and the sorted inventory is
 /// the committed `results/telemetry-keys.json`.
 #[test]
@@ -289,6 +327,14 @@ fn recorded_keys_match_the_inventory() {
         .build();
     announced.run_for(SimDuration::from_secs(1));
     keys.extend(key_kinds(&announced.metrics()));
+
+    let lost = unrecoverable_group_metrics();
+    assert!(
+        lost.counter("speaker/es/fec_unrecoverable").unwrap_or(0) > 0,
+        "the dark link cost no whole group:\n{}",
+        lost.to_json_lines()
+    );
+    keys.extend(key_kinds(&lost));
 
     let mut reg = Registry::new();
     reg.set_instance("ctl0");

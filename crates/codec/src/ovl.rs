@@ -44,7 +44,7 @@ const MAX_CHANNELS: usize = 8;
 
 /// Samples of padding on each side of a coded channel's signal that
 /// the encoder fills with the signal's faded point reflection.
-pub const EASE: usize = 64;
+const EASE: usize = 64;
 
 /// Payload header: channel count, quality index, per-channel sample
 /// count (`u32` LE), twin mask. Bit `c` of the mask set means channel
@@ -238,7 +238,7 @@ impl OvlCodec {
     /// Encodes interleaved samples into a self-contained packet.
     ///
     /// Each coded channel is analyzed in a plane framed as the module
-    /// doc describes. The [`EASE`] padding samples on each side of the
+    /// doc describes. The `EASE` padding samples on each side of the
     /// signal hold its point reflection about its end sample,
     /// `2·x_edge − x_mirror` for the sample as far inside, faded to
     /// zero by a raised cosine; the rest of the padding is zero. The
@@ -331,7 +331,7 @@ impl OvlCodec {
 
     /// Fills a framed plane's padding around its `len` signal samples
     /// at `plane[BLOCK..]`: the faded point reflection of the signal
-    /// about each end, up to [`EASE`] samples out and no further than
+    /// about each end, up to `EASE` samples out and no further than
     /// the signal reaches in, and zeros beyond it.
     fn ease_into_frame(&self, plane: &mut [f32], len: usize) {
         let (head, rest) = plane.split_at_mut(BLOCK);

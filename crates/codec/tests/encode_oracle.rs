@@ -5,7 +5,7 @@
 //! bits for it. The oracle here finds the twins by comparing whole
 //! deinterleaved channels, then encodes every other channel on its own:
 //! the framed MDCT analysis of a plane whose padding eases the signal
-//! in and out (its faded point reflection, [`EASE`] samples each side,
+//! in and out (its faded point reflection, 64 samples each side,
 //! written out sample by sample), libm `band_bits` / masking / `log2`
 //! per band, the scalar quantizer and the two-call Rice write. The bytes
 //! and the billed work must be equal on dual mono, on dual mono with
@@ -21,11 +21,14 @@
 use es_codec::bitstream::{zigzag, BitWriter};
 use es_codec::dsp::scalar;
 use es_codec::mdct::Mdct;
-use es_codec::ovl::{band_bits, band_widths, BLOCK, EASE};
+use es_codec::ovl::{band_bits, band_widths, BLOCK};
 use es_codec::{OvlCodec, MAX_QUALITY};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Padding samples the encoder fills on each side of a channel's signal.
+const EASE: usize = 64;
 
 thread_local! {
     static CODEC: OvlCodec = OvlCodec::new();

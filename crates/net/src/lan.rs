@@ -70,34 +70,21 @@ pub enum MediumMode {
     SharedHub,
 }
 
-/// Gilbert–Elliott burst-loss parameters (per receiver, per fragment).
+/// Gilbert–Elliott burst-loss parameters (per receiver, in time).
 ///
 /// When set on a [`LanConfig`] this *replaces* the i.i.d. `loss_prob`
-/// model: each receiver carries its own two-state chain, stepped once
-/// per wire fragment, losing no fragment in the quiet state and every
-/// fragment inside a burst.
+/// model: each receiver carries its own two-state chain running in
+/// virtual time ([`GilbertElliott`]), read at the instant each wire
+/// fragment for that receiver is on the wire, losing no fragment in
+/// the quiet state and every fragment inside a burst. A burst lasts a
+/// time, so it destroys whatever is sent during it, however the bytes
+/// are cut into fragments.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstLossConfig {
-    /// Per-step probability of entering a burst.
-    pub p_good_to_bad: f64,
-    /// Per-step probability of a burst ending (mean burst length is its
-    /// reciprocal, in fragments).
-    pub p_bad_to_good: f64,
-}
-
-impl BurstLossConfig {
-    /// A bursty profile: bursts of mean length `mean_burst` fragments
-    /// arriving so that the long-run fragment loss rate is roughly
-    /// `target_loss`.
-    pub fn bursty(target_loss: f64, mean_burst: f64) -> Self {
-        let p_bad_to_good = 1.0 / mean_burst.max(1.0);
-        // Stationary bad occupancy g/(g+b) == target_loss.
-        let p_good_to_bad = (target_loss * p_bad_to_good / (1.0 - target_loss).max(1e-9)).min(1.0);
-        BurstLossConfig {
-            p_good_to_bad,
-            p_bad_to_good,
-        }
-    }
+    /// Share of time spent in bursts: the long-run fragment loss rate.
+    pub loss: f64,
+    /// Mean burst duration.
+    pub mean_burst: SimDuration,
 }
 
 /// LAN physical parameters.
@@ -169,10 +156,15 @@ impl LanConfig {
         }
     }
 
-    /// Gilbert–Elliott burst loss on an otherwise clean LAN.
-    pub fn bursty(target_loss: f64, mean_burst: f64) -> Self {
+    /// Gilbert–Elliott burst loss on an otherwise clean LAN: bursts of
+    /// mean duration `mean_burst_ms` milliseconds covering a
+    /// `target_loss` share of the time.
+    pub fn bursty(target_loss: f64, mean_burst_ms: f64) -> Self {
         LanConfig {
-            burst: Some(BurstLossConfig::bursty(target_loss, mean_burst)),
+            burst: Some(BurstLossConfig {
+                loss: target_loss.clamp(0.0, 1.0),
+                mean_burst: SimDuration::from_secs_f64(mean_burst_ms.max(0.0) / 1e3),
+            }),
             ..LanConfig::default()
         }
     }
@@ -536,21 +528,20 @@ impl Lan {
             // FIFO serialization: per sender link on a switch, on the
             // whole segment for a shared medium.
             let ser = SimDuration::for_bytes_at_rate(wire_bytes as u64, config.bandwidth_bps);
-            let done = match config.medium {
+            let start = match config.medium {
                 MediumMode::Switched => {
                     let node = &mut inner.nodes[from.0 as usize];
                     let start = sim.now().max(node.link_busy_until);
-                    let done = start + ser;
-                    node.link_busy_until = done;
-                    done
+                    node.link_busy_until = start + ser;
+                    start
                 }
                 MediumMode::SharedHub => {
                     let start = sim.now().max(inner.medium_busy_until);
-                    let done = start + ser;
-                    inner.medium_busy_until = done;
-                    done
+                    inner.medium_busy_until = start + ser;
+                    start
                 }
             };
+            let done = start + ser;
 
             // Receiver set.
             let receivers: Vec<u32> = match dst {
@@ -577,9 +568,10 @@ impl Lan {
             // Per-receiver impairments, each sampled from the
             // *receiver's* private RNG stream so one node's loss and
             // jitter pattern is independent of the rest of the fleet.
-            // Loss is sampled per wire fragment (independently, or
-            // through the receiver's Gilbert–Elliott chain when burst
-            // loss is configured); any lost fragment fails reassembly
+            // Loss is sampled per wire fragment (independently, or by
+            // reading the receiver's Gilbert–Elliott chain at the instant
+            // the fragment starts on the wire when burst loss is
+            // configured); any lost fragment fails reassembly
             // and loses the datagram for that receiver. Surviving
             // deliveries may then be reordered (held back), jittered,
             // or duplicated.
@@ -616,10 +608,11 @@ impl Lan {
                             StdRng::seed_from_u64(node_stream_seed(seed, r))
                         });
                         let mut lost_frags = 0usize;
-                        for _ in 0..frags {
+                        for k in 0..frags as u64 {
                             let frag_lost = match config.burst {
                                 Some(b) => {
-                                    node.burst_chain.step(rng, b.p_good_to_bad, b.p_bad_to_good)
+                                    let at = start + ser * k / frags as u64;
+                                    node.burst_chain.bad_at(rng, at, b.loss, b.mean_burst)
                                 }
                                 None => config.loss_prob > 0.0 && chance(rng, config.loss_prob),
                             };
@@ -769,7 +762,7 @@ impl Lan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     type DeliveryLog = Rc<RefCell<Vec<(SimTime, Vec<u8>)>>>;
@@ -1112,8 +1105,9 @@ mod tests {
     #[test]
     fn burst_loss_clusters_drops() {
         // Same long-run loss rate, but Gilbert–Elliott losses arrive in
-        // runs: the count of loss runs must be far below the count an
-        // i.i.d. model produces at the same rate.
+        // runs: one datagram a millisecond against bursts of mean 12 ms,
+        // the count of loss runs must be far below the count an i.i.d.
+        // model produces at the same rate.
         let run = |config: LanConfig| -> (f64, usize) {
             let mut sim = Sim::new(42);
             let lan = Lan::new(config);
@@ -1125,7 +1119,7 @@ mod tests {
             let n = 10_000u64;
             for i in 0..n {
                 lan.multicast(&mut sim, a, g, Bytes::from(vec![(i % 251) as u8]));
-                sim.run();
+                sim.run_for(SimDuration::from_millis(1));
             }
             // Reconstruct the loss pattern from which payloads arrived.
             let delivered: Vec<u8> = log.borrow().iter().map(|(_, p)| p[0]).collect();
@@ -1152,6 +1146,44 @@ mod tests {
             runs_ge * 3 < runs_iid,
             "bursts not clustered: {runs_ge} runs vs iid {runs_iid}"
         );
+    }
+
+    #[test]
+    fn burst_loss_does_not_depend_on_how_a_stream_is_cut() {
+        // One 2.4 Mbit/s stream, cut into datagrams of 1, 2 or 3 full
+        // fragments sent every 5, 10 or 15 ms, over the workloads'
+        // bursty LAN (5 % of the time in bursts of mean 3 ms). A burst
+        // lasts a time, so each cut loses about the same share of the
+        // bytes: 5.1 / 5.2 / 5.6 %, a little more for the longer
+        // datagrams, which a burst starting under a later fragment also
+        // destroys. A chain stepped once per fragment lost
+        // 4.9 / 6.6 / 8.1 % here, so a smaller datagram read as a
+        // better network.
+        let lost_share = |frags: usize| -> f64 {
+            let mut sim = Sim::new(7);
+            let lan = Lan::new(LanConfig::bursty(0.05, 3.0));
+            let a = lan.attach("a");
+            let b = lan.attach("b");
+            let g = McastGroup(0);
+            lan.join(b, g);
+            let got = Rc::new(Cell::new(0usize));
+            let sink = got.clone();
+            lan.set_handler(b, move |_, dg| sink.set(sink.get() + dg.payload.len()));
+            let (len, every) = (frags * 1_472, SimDuration::from_millis(5 * frags as u64));
+            let n = 200_000 / (5 * frags);
+            for _ in 0..n {
+                lan.multicast(&mut sim, a, g, Bytes::from(vec![0u8; len]));
+                sim.run_for(every);
+            }
+            1.0 - got.get() as f64 / (n * len) as f64
+        };
+        let shares: Vec<f64> = (1..=3).map(lost_share).collect();
+        for (frags, share) in (1..=3).zip(&shares) {
+            assert!(
+                (share - 0.05).abs() < 0.01,
+                "{frags}-fragment datagrams lost {share:.4} of the stream: {shares:?}"
+            );
+        }
     }
 
     #[test]

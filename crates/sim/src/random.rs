@@ -1,12 +1,14 @@
 //! Distribution sampling helpers on top of the seeded engine RNG.
 //!
 //! `rand` 0.8 ships only uniform sampling in-core; the simulator needs
-//! exponential inter-arrival times (Poisson daemon wakeups, packet
-//! loss bursts) and Gaussian jitter (network delay variation). Both are
-//! implemented here from first principles so no extra dependency is
-//! pulled in.
+//! exponential inter-arrival times (Poisson daemon wakeups), Gaussian
+//! jitter (network delay variation) and a burst-loss chain that runs in
+//! time. All three are implemented here from first principles so no
+//! extra dependency is pulled in.
 
 use rand::Rng;
+
+use crate::time::{SimDuration, SimTime};
 
 /// Samples an exponentially distributed value with the given rate
 /// (events per unit). The mean of the distribution is `1 / rate`.
@@ -50,44 +52,60 @@ pub fn chance<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
     }
 }
 
-/// A Gilbert–Elliott two-state loss chain: a loss-free `Good` state and
-/// a `Bad` (burst) state that loses every packet, with per-step
-/// transition probabilities between them. Mean burst length is `1 / p_bad_to_good`
-/// steps; stationary bad-state occupancy is
-/// `p_good_to_bad / (p_good_to_bad + p_bad_to_good)`.
+/// A Gilbert–Elliott two-state loss channel in continuous time: a
+/// loss-free `Good` state and a `Bad` (burst) state that loses whatever
+/// is sent while it lasts. Bursts last `mean_burst` on average
+/// (exponentially distributed), and the chain spends a `loss` share of
+/// all time in them.
 ///
-/// The chain holds only its current state; the caller supplies the
-/// parameters and the RNG on every step so one seeded engine RNG stays
-/// the single source of randomness.
+/// The chain is read only at the instants something is sent. Each read
+/// advances it from the last by the exact transition probability for
+/// the time between: it is bad with probability
+/// `loss + (x − loss)·e^(−Δt / τ)`, where `x` is 1 if it was bad at the
+/// last read and `τ = mean_burst · (1 − loss)` is the chain's
+/// relaxation time. So a burst covers whatever falls inside it, one
+/// fragment or many, and a chain read rarely forgets its state. With a
+/// zero `mean_burst` every read is an independent draw at `loss`.
+///
+/// The chain holds only its state and the instant of its last read; the
+/// caller supplies the parameters and the RNG on every read so one
+/// seeded engine RNG stays the single source of randomness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GilbertElliott {
-    /// Whether the chain currently sits in the bursty `Bad` state.
+    /// Whether the chain sat in the bursty `Bad` state at its last read.
     pub bad: bool,
+    /// The instant of the last read; `None` before the first, which
+    /// draws from the stationary distribution.
+    last: Option<SimTime>,
 }
 
 impl GilbertElliott {
-    /// A chain starting in the `Good` state.
+    /// A chain that has not been read yet.
     pub fn new() -> Self {
-        GilbertElliott { bad: false }
+        GilbertElliott::default()
     }
 
-    /// Advances the chain one step and returns the state it moved to:
-    /// `true` for `Bad`, which is also whether this step's packet is
-    /// lost.
-    pub fn step<R: Rng + ?Sized>(
+    /// Advances the chain to `at` and returns whether it is bad there,
+    /// which is also whether what is sent at `at` is lost. A read
+    /// earlier than the last one is taken as simultaneous with it.
+    pub fn bad_at<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
-        p_good_to_bad: f64,
-        p_bad_to_good: f64,
+        at: SimTime,
+        loss: f64,
+        mean_burst: SimDuration,
     ) -> bool {
-        let flip = if self.bad {
-            chance(rng, p_bad_to_good)
-        } else {
-            chance(rng, p_good_to_bad)
+        let relax = mean_burst.as_secs_f64() * (1.0 - loss);
+        let p_bad = match self.last {
+            Some(last) if relax > 0.0 => {
+                let x = if self.bad { 1.0 } else { 0.0 };
+                let dt = at.saturating_since(last).as_secs_f64();
+                loss + (x - loss) * (-dt / relax).exp()
+            }
+            _ => loss,
         };
-        if flip {
-            self.bad = !self.bad;
-        }
+        self.bad = chance(rng, p_bad);
+        self.last = Some(self.last.map_or(at, |last| last.max(at)));
         self.bad
     }
 }
@@ -158,47 +176,84 @@ mod tests {
         assert!((freq - 0.25).abs() < 0.01, "freq {freq}");
     }
 
-    #[test]
-    fn gilbert_elliott_occupancy_and_bursts() {
+    /// Reads `ge` every `step` for `n` reads; returns the share of reads
+    /// that were bad and the mean length of a run of bad reads.
+    fn read_every(
+        ge: &mut GilbertElliott,
+        step: SimDuration,
+        n: u64,
+        loss: f64,
+        mean_burst: SimDuration,
+    ) -> (f64, f64) {
         let mut r = rng();
-        let mut ge = GilbertElliott::new();
-        // 10% of steps in the bad state on average; bursts of mean
-        // length 10.
-        let (g2b, b2g) = (1.0 / 90.0, 0.1);
-        let n = 200_000;
-        let mut bad_steps = 0u64;
-        let mut run = 0u64;
-        let mut runs = Vec::new();
-        for _ in 0..n {
-            let lost = ge.step(&mut r, g2b, b2g);
+        let (mut bad_reads, mut run, mut runs) = (0u64, 0u64, Vec::new());
+        for i in 0..n {
+            let lost = ge.bad_at(&mut r, SimTime::ZERO + step * i, loss, mean_burst);
             assert_eq!(lost, ge.bad);
             if lost {
-                bad_steps += 1;
+                bad_reads += 1;
                 run += 1;
             } else if run > 0 {
                 runs.push(run);
                 run = 0;
             }
         }
-        let occupancy = bad_steps as f64 / n as f64;
+        let mean_run = runs.iter().sum::<u64>() as f64 / runs.len().max(1) as f64;
+        (bad_reads as f64 / n as f64, mean_run)
+    }
+
+    #[test]
+    fn gilbert_elliott_occupancy_and_bursts() {
+        // 10 % of the time in bursts of mean 10 ms, read every 1 ms: a
+        // burst stays over one read with probability
+        // 1 − 0.9·(1 − e^(−1/9)), so runs of bad reads average ≈ 10.6.
+        let (burst, ms) = (SimDuration::from_millis(10), SimDuration::from_millis(1));
+        let (occupancy, mean_run) = read_every(&mut GilbertElliott::new(), ms, 200_000, 0.1, burst);
         assert!((occupancy - 0.1).abs() < 0.02, "occupancy {occupancy}");
-        let mean_burst = runs.iter().sum::<u64>() as f64 / runs.len() as f64;
-        assert!((mean_burst - 10.0).abs() < 1.5, "mean burst {mean_burst}");
+        let expected = 1.0 / (0.9 * (1.0 - (-1.0f64 / 9.0).exp()));
+        assert!(
+            (mean_run - expected).abs() < 1.5,
+            "mean run {mean_run} vs {expected}"
+        );
+        // Read every second instead, the same bursts cover one read at a
+        // time: the chain forgets its state between reads.
+        let secs = SimDuration::from_secs(1);
+        let (occupancy, mean_run) =
+            read_every(&mut GilbertElliott::new(), secs, 20_000, 0.1, burst);
+        assert!((occupancy - 0.1).abs() < 0.02, "occupancy {occupancy}");
+        assert!((mean_run - 1.0 / 0.9).abs() < 0.1, "mean run {mean_run}");
     }
 
     #[test]
     fn gilbert_elliott_degenerate_rates() {
-        let mut r = rng();
+        let ms = SimDuration::from_millis(1);
+        let burst = SimDuration::from_millis(5);
         // Never enters the bad state: nothing lost.
         let mut ge = GilbertElliott::new();
-        for _ in 0..1_000 {
-            assert!(!ge.step(&mut r, 0.0, 1.0));
-            assert!(!ge.bad);
-        }
-        // Starts bad and never leaves: every packet lost.
-        let mut stuck = GilbertElliott { bad: true };
-        for _ in 0..1_000 {
-            assert!(stuck.step(&mut r, 0.0, 0.0));
-        }
+        assert_eq!(read_every(&mut ge, ms, 1_000, 0.0, burst), (0.0, 0.0));
+        // Always in a burst: every read lost.
+        let (occupancy, _) = read_every(&mut GilbertElliott::new(), ms, 1_000, 1.0, burst);
+        assert_eq!(occupancy, 1.0);
+        // Bursts of no length: independent draws at the loss rate, even
+        // for reads at one instant.
+        let (occupancy, mean_run) = read_every(
+            &mut GilbertElliott::new(),
+            SimDuration::ZERO,
+            20_000,
+            0.2,
+            SimDuration::ZERO,
+        );
+        assert!((occupancy - 0.2).abs() < 0.02, "occupancy {occupancy}");
+        assert!((mean_run - 1.25).abs() < 0.1, "mean run {mean_run}");
+        // Bursts of any length hold their state across reads at one
+        // instant: a chain bad once stays bad.
+        let mut ge = GilbertElliott {
+            bad: true,
+            last: Some(SimTime::ZERO),
+        };
+        assert_eq!(
+            read_every(&mut ge, SimDuration::ZERO, 1_000, 0.2, burst).0,
+            1.0
+        );
     }
 }

@@ -34,9 +34,9 @@ fn offsets_within(probe: &es_chaos::Probe, ms: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Gilbert–Elliott bursts at ~8% long-run fragment loss, mean burst
-/// of 8 fragments. PLC conceals the gaps; playback never stalls and
-/// the speakers stay aligned.
+/// Gilbert–Elliott bursts of mean 8 ms covering ~8 % of the time. PLC
+/// conceals the gaps; playback never stalls and the speakers stay
+/// aligned.
 fn burst_loss_scenario() -> Scenario {
     Scenario::new("burst_loss", 42)
         .lan(LanConfig::bursty(0.08, 8.0))

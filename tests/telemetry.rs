@@ -172,8 +172,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// the stream is dual mono, so each OVL payload halved
 /// (`rebroadcast/ch0/payload_bytes_out` 193 633 → 97 072,
 /// `compression_ratio` 0.366 → 0.183) and a data packet crosses the
-/// LAN as two fragments where it took three. Burst loss steps each
-/// receiver's loss chain once per fragment, so the bursts fell on other
+/// LAN as two fragments where it took three. Burst loss then stepped
+/// each receiver's loss chain once per fragment, so the bursts fell on other
 /// packets, session handshakes among them, and fewer datagrams were
 /// lost (`net/lan0/frames_dropped` 57 → 43). Every other moved line
 /// follows from that, and three keys left the snapshot because their
@@ -197,11 +197,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// `rebroadcast/ch0/payload_bytes_out` fell 97 072 → 35 557
 /// (`compression_ratio` 0.183 → 0.067), so a data packet crosses the LAN
 /// as one fragment where it took two (`net/lan0/frames_dropped_partial`
-/// 7 → 0). Burst loss steps per fragment, so the bursts fell on other
-/// packets and fewer were lost (`net/lan0/frames_dropped` 43 → 33).
-/// Every other moved line follows from that, and two keys left the
-/// snapshot because their counters fell to zero
-/// (`speaker/es0/fec_unrecoverable`, `speaker/es3/nacks_sent`).
+/// 7 → 0). Burst loss still stepped per fragment, so the bursts fell on
+/// other packets and fewer were lost (`net/lan0/frames_dropped`
+/// 43 → 33). Every other moved line follows from that, and two keys
+/// left the snapshot because their counters fell to zero
+/// (`speaker/es0/fec_unrecoverable`, `speaker/es3/nacks_sent`). It
+/// moved a tenth time, for 80 lines, when burst loss began to last a
+/// time instead of a number of fragments: the LAN's 3.0 became bursts
+/// of mean 3 ms, read at each fragment's instant on the wire. The
+/// bursts fell on other packets (`net/lan0/frames_dropped` 33 → 26).
+/// Each negotiated speaker heard one more stream control packet
+/// (`control_packets` 6 → 7) and dropped fewer data packets waiting
+/// for one (`dropped_waiting_control` 12 → 9 or 10), so it played
+/// sooner: es0–es2 played 51 blocks instead of 50 and es3 51 instead
+/// of 46 (`samples_played` 224 910 each). One key joined,
+/// `speaker/es2/nacks_sent` (0 → 1), and `seg1-a` concealed one block
+/// (0 → 1). Every other moved line follows from those.
 #[test]
 fn export_is_pinned_byte_for_byte() {
     let mut sys = every_kind_system();
@@ -215,7 +226,7 @@ fn export_is_pinned_byte_for_byte() {
     let text = snap.to_json_lines();
     assert_eq!(
         (snap.len(), fnv1a(text.as_bytes())),
-        (230, 16_790_225_865_921_133_166),
+        (231, 13_618_711_696_537_295_725),
         "the export moved:\n{text}"
     );
 }

@@ -70,23 +70,6 @@ pub enum MediumMode {
     SharedHub,
 }
 
-/// Gilbert–Elliott burst-loss parameters (per receiver, in time).
-///
-/// When set on a [`LanConfig`] this *replaces* the i.i.d. `loss_prob`
-/// model: each receiver carries its own two-state chain running in
-/// virtual time ([`GilbertElliott`]), read at the instant each wire
-/// fragment for that receiver is on the wire, losing no fragment in
-/// the quiet state and every fragment inside a burst. A burst lasts a
-/// time, so it destroys whatever is sent during it, however the bytes
-/// are cut into fragments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstLossConfig {
-    /// Share of time spent in bursts: the long-run fragment loss rate.
-    pub loss: f64,
-    /// Mean burst duration.
-    pub mean_burst: SimDuration,
-}
-
 /// LAN physical parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct LanConfig {
@@ -97,16 +80,23 @@ pub struct LanConfig {
     pub propagation: SimDuration,
     /// Standard deviation of Gaussian per-receiver delivery jitter.
     pub jitter_std: SimDuration,
-    /// Independent per-receiver, per-fragment drop probability (ignored
-    /// while `burst` is set).
-    pub loss_prob: f64,
+    /// Share of wire fragments each receiver loses. Each receiver
+    /// carries its own two-state Gilbert–Elliott chain running in
+    /// virtual time ([`GilbertElliott`]), read at the instant each
+    /// fragment for it starts on the wire: it loses no fragment in the
+    /// quiet state and every fragment inside a burst, and spends this
+    /// share of the time in bursts.
+    pub loss: f64,
+    /// Mean duration of a loss burst. A burst lasts a time, so it
+    /// destroys whatever is sent during it, however the bytes are cut
+    /// into fragments. Zero makes each fragment's loss an independent
+    /// draw.
+    pub mean_burst: SimDuration,
     /// Maximum UDP payload per wire frame; larger datagrams fragment
     /// and are lost whole if any fragment is lost.
     pub mtu: usize,
     /// Switched or shared medium.
     pub medium: MediumMode,
-    /// Two-state burst loss; `None` keeps the i.i.d. `loss_prob` model.
-    pub burst: Option<BurstLossConfig>,
     /// Probability a delivery is reordered: held back by
     /// `reorder_delay` so later traffic overtakes it.
     pub reorder_prob: f64,
@@ -124,10 +114,10 @@ impl Default for LanConfig {
             bandwidth_bps: 100_000_000,
             propagation: SimDuration::from_micros(50),
             jitter_std: SimDuration::ZERO,
-            loss_prob: 0.0,
+            loss: 0.0,
+            mean_burst: SimDuration::ZERO,
             mtu: 1_472,
             medium: MediumMode::Switched,
-            burst: None,
             reorder_prob: 0.0,
             reorder_delay: SimDuration::ZERO,
             duplicate_prob: 0.0,
@@ -147,10 +137,11 @@ impl LanConfig {
         }
     }
 
-    /// A misbehaving network for fault-injection experiments.
-    pub fn lossy(loss_prob: f64, jitter_std: SimDuration) -> Self {
+    /// A misbehaving network for fault-injection experiments: each
+    /// fragment lost independently with probability `loss`.
+    pub fn lossy(loss: f64, jitter_std: SimDuration) -> Self {
         LanConfig {
-            loss_prob,
+            loss,
             jitter_std,
             ..LanConfig::default()
         }
@@ -161,10 +152,8 @@ impl LanConfig {
     /// `target_loss` share of the time.
     pub fn bursty(target_loss: f64, mean_burst_ms: f64) -> Self {
         LanConfig {
-            burst: Some(BurstLossConfig {
-                loss: target_loss.clamp(0.0, 1.0),
-                mean_burst: SimDuration::from_secs_f64(mean_burst_ms.max(0.0) / 1e3),
-            }),
+            loss: target_loss,
+            mean_burst: SimDuration::from_secs_f64(mean_burst_ms.max(0.0) / 1e3),
             ..LanConfig::default()
         }
     }
@@ -266,8 +255,8 @@ struct Node {
     /// the global stream makes each receiver's loss/jitter pattern
     /// independent of who else is attached and of fan-out order.
     rng: Option<StdRng>,
-    /// Per-receiver Gilbert–Elliott burst-loss chain state.
-    burst_chain: GilbertElliott,
+    /// Per-receiver Gilbert–Elliott loss chain state.
+    loss_chain: GilbertElliott,
     /// While set and in the future, every delivery to this node drops
     /// (its switch port is dark).
     partitioned_until: Option<SimTime>,
@@ -332,7 +321,7 @@ impl Lan {
             groups: Vec::new(),
             link_busy_until: SimTime::ZERO,
             rng: None,
-            burst_chain: GilbertElliott::new(),
+            loss_chain: GilbertElliott::new(),
             partitioned_until: None,
             degrade_loss: 0.0,
         });
@@ -398,8 +387,8 @@ impl Lan {
                 "net",
                 "lan configuration changed",
                 &[
-                    ("loss_prob", format!("{}", config.loss_prob)),
-                    ("burst", config.burst.is_some().to_string()),
+                    ("loss", format!("{}", config.loss)),
+                    ("mean_burst_us", config.mean_burst.as_micros().to_string()),
                     ("jitter_std_us", config.jitter_std.as_micros().to_string()),
                     ("reorder_prob", format!("{}", config.reorder_prob)),
                     ("duplicate_prob", format!("{}", config.duplicate_prob)),
@@ -568,10 +557,9 @@ impl Lan {
             // Per-receiver impairments, each sampled from the
             // *receiver's* private RNG stream so one node's loss and
             // jitter pattern is independent of the rest of the fleet.
-            // Loss is sampled per wire fragment (independently, or by
-            // reading the receiver's Gilbert–Elliott chain at the instant
-            // the fragment starts on the wire when burst loss is
-            // configured); any lost fragment fails reassembly
+            // Loss is sampled per wire fragment, by reading the
+            // receiver's Gilbert–Elliott chain at the instant the
+            // fragment starts on the wire; any lost fragment fails reassembly
             // and loses the datagram for that receiver. Surviving
             // deliveries may then be reordered (held back), jittered,
             // or duplicated.
@@ -609,13 +597,11 @@ impl Lan {
                         });
                         let mut lost_frags = 0usize;
                         for k in 0..frags as u64 {
-                            let frag_lost = match config.burst {
-                                Some(b) => {
-                                    let at = start + ser * k / frags as u64;
-                                    node.burst_chain.bad_at(rng, at, b.loss, b.mean_burst)
-                                }
-                                None => config.loss_prob > 0.0 && chance(rng, config.loss_prob),
-                            };
+                            let at = start + ser * k / frags as u64;
+                            let frag_lost = config.loss > 0.0
+                                && node
+                                    .loss_chain
+                                    .bad_at(rng, at, config.loss, config.mean_burst);
                             lost_frags += frag_lost as usize;
                         }
                         if lost_frags > 0 {
@@ -1328,7 +1314,7 @@ mod tests {
         }
         assert_eq!(log.borrow().len(), n, "clean phase delivers everything");
         lan.set_config(&mut sim, LanConfig::lossy(1.0, SimDuration::ZERO));
-        assert_eq!(lan.inner.borrow().config.loss_prob, 1.0);
+        assert_eq!(lan.inner.borrow().config.loss, 1.0);
         for _ in 0..n {
             lan.multicast(&mut sim, a, g, Bytes::from_static(b"p"));
             sim.run();

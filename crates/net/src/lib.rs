@@ -19,6 +19,5 @@ pub mod lan;
 pub mod udp;
 
 pub use lan::{
-    BurstLossConfig, Datagram, Dest, Lan, LanConfig, LanStats, McastGroup, MediumMode, NodeId,
-    WIRE_OVERHEAD,
+    Datagram, Dest, Lan, LanConfig, LanStats, McastGroup, MediumMode, NodeId, WIRE_OVERHEAD,
 };

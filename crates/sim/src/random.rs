@@ -64,8 +64,8 @@ pub fn chance<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
 /// `loss + (x − loss)·e^(−Δt / τ)`, where `x` is 1 if it was bad at the
 /// last read and `τ = mean_burst · (1 − loss)` is the chain's
 /// relaxation time. So a burst covers whatever falls inside it, one
-/// fragment or many, and a chain read rarely forgets its state. With a
-/// zero `mean_burst` every read is an independent draw at `loss`.
+/// fragment or many, and reads far apart are independent. With a zero
+/// `mean_burst` every read is an independent draw at `loss`.
 ///
 /// The chain holds only its state and the instant of its last read; the
 /// caller supplies the parameters and the RNG on every read so one

@@ -35,25 +35,40 @@ use es_net::{LanConfig, McastGroup};
 use es_sim::{SimDuration, SimTime};
 use es_telemetry::{Event, MetricsSnapshot};
 
+/// Mean burst length of a [`Fault::DegradeSpeaker`] link. The healing
+/// scenarios send CD PCM, six fragments a datagram: read per fragment
+/// with no burst, a 0.35 degrade would lose about 92 % of datagrams. A
+/// 20 ms burst covers a whole datagram, so the datagram loss stays at
+/// the fragment share (over seeds 1–100 of the two healing scenarios
+/// that degrade by a share, 0.344 at 0.35 and 0.503 at 0.5), and the
+/// chain keeps about 2 % of its state from one 50 ms packet to the
+/// next (`e^(−50 / 13)` at 0.35).
+const DEGRADE_BURST: SimDuration = SimDuration::from_millis(20);
+
 /// One scripted impairment, applied at a scheduled virtual time.
 #[derive(Debug, Clone)]
 pub enum Fault {
     /// Swap the LAN's physical parameters ([`es_net::Lan::set_config`]).
     Lan(LanConfig),
-    /// Degrade one speaker's receive path: each datagram bound for it
-    /// is independently dropped with probability `loss` for the
-    /// window, then the path clears. Unlike [`Fault::PartitionSpeaker`]
-    /// the speaker stays reachable — this is the lossy-leaf-link case
-    /// the healing plane's detector and NACK repair exist for.
+    /// Degrade one speaker's link for a window
+    /// ([`es_net::Lan::degrade`]), then heal it: the link loses a
+    /// `loss` share of its wire fragments, in bursts of `DEGRADE_BURST`
+    /// (20 ms) on average, in place of the LAN's default. Unlike
+    /// [`Fault::PartitionSpeaker`] the speaker stays reachable — this
+    /// is the lossy-leaf-link case the healing plane's detector and
+    /// NACK repair exist for.
     DegradeSpeaker {
         /// Speaker index (declaration order).
         speaker: usize,
-        /// Per-datagram loss probability, clamped to `0.0..=1.0`.
+        /// Share of fragments (and of time) the link loses, clamped to
+        /// `0.0..=1.0`.
         loss: f64,
-        /// Window length; reception heals by itself afterwards.
+        /// Window length; the link heals by itself afterwards.
         duration: SimDuration,
     },
-    /// Cut one speaker off the LAN for a window.
+    /// Cut one speaker off the LAN for a window
+    /// ([`es_net::Lan::partition`]): its link loses everything, then
+    /// heals.
     PartitionSpeaker {
         /// Speaker index (declaration order).
         speaker: usize,
@@ -368,34 +383,22 @@ impl Scenario {
                     sys.sim.schedule_in(at, move |sim| lan.set_config(sim, cfg));
                 }
                 Fault::DegradeSpeaker {
-                    speaker,
-                    loss,
-                    duration,
-                } => {
-                    let node = sys
-                        .speaker(*speaker)
-                        .expect("scenario speakers power on at t=0")
-                        .node();
-                    let loss = *loss;
-                    let sick = lan.clone();
-                    sys.sim
-                        .schedule_in(at, move |sim| sick.degrade(sim, node, loss));
-                    let clear = lan.clone();
-                    sys.sim
-                        .schedule_in(at + *duration, move |sim| clear.degrade(sim, node, 0.0));
+                    speaker, duration, ..
                 }
-                Fault::PartitionSpeaker { speaker, duration } => {
+                | Fault::PartitionSpeaker { speaker, duration } => {
                     let node = sys
                         .speaker(*speaker)
                         .expect("scenario speakers power on at t=0")
                         .node();
-                    let until = SimTime::ZERO + at + *duration;
-                    let partition = lan.clone();
-                    sys.sim
-                        .schedule_in(at, move |sim| partition.partition(sim, node, until));
-                    // An explicit heal at window end, so the journal
-                    // records both edges of the outage.
-                    let heal = lan.clone();
+                    let degrade = match fault {
+                        Fault::DegradeSpeaker { loss, .. } => Some(*loss),
+                        _ => None,
+                    };
+                    let (impair, heal) = (lan.clone(), lan.clone());
+                    sys.sim.schedule_in(at, move |sim| match degrade {
+                        Some(loss) => impair.degrade(sim, node, loss, DEGRADE_BURST),
+                        None => impair.partition(sim, node),
+                    });
                     sys.sim
                         .schedule_in(at + *duration, move |sim| heal.heal(sim, node));
                 }

@@ -14,6 +14,12 @@
 //! all members of the destination group ("everybody receives a
 //! multicast packet at the same time" — §3.2's uniformity assumption —
 //! holds exactly when jitter is zero).
+//!
+//! Each receiver's link has one loss rule: its own impairment if one is
+//! set ([`Lan::partition`], [`Lan::degrade`]), else the LAN's default
+//! ([`LanConfig::loss`], [`LanConfig::mean_burst`]). Either is read
+//! through the receiver's one Gilbert–Elliott chain, once per wire
+//! fragment.
 
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -187,18 +193,20 @@ pub struct LanStats {
     pub multicast_sent: u64,
     /// Datagram deliveries (one per receiver; duplicates count again).
     pub datagrams_delivered: u64,
-    /// Deliveries suppressed by the loss model (including partition
-    /// drops).
+    /// Deliveries suppressed by the loss model, whichever impairment
+    /// was in force.
     pub datagrams_lost: u64,
     /// Lost multi-fragment datagrams where only *some* fragments were
     /// dropped — reassembly failures, kept distinct from whole-datagram
     /// loss so burst statistics stay honest.
     pub datagrams_lost_partial: u64,
-    /// Deliveries suppressed because the receiver was partitioned
-    /// (subset of `datagrams_lost`).
+    /// Deliveries lost while the receiver's link was partitioned
+    /// ([`Lan::partition`]): lost by the impairment in force, a subset
+    /// of `datagrams_lost`.
     pub datagrams_partitioned: u64,
-    /// Deliveries suppressed by a per-receiver degrade window
-    /// ([`Lan::degrade`]; subset of `datagrams_lost`).
+    /// Deliveries lost while the receiver's link was degraded
+    /// ([`Lan::degrade`]): lost by the impairment in force, a subset of
+    /// `datagrams_lost`.
     pub datagrams_degraded: u64,
     /// Deliveries held back by the reorder impairment.
     pub datagrams_reordered: u64,
@@ -257,13 +265,26 @@ struct Node {
     rng: Option<StdRng>,
     /// Per-receiver Gilbert–Elliott loss chain state.
     loss_chain: GilbertElliott,
-    /// While set and in the future, every delivery to this node drops
-    /// (its switch port is dark).
-    partitioned_until: Option<SimTime>,
-    /// Extra per-datagram loss probability for this receiver alone (a
-    /// flaky NIC or radio link); 0.0 = healthy. One draw per datagram
-    /// from the node's private stream, on top of the LAN-wide model.
-    degrade_loss: f64,
+    /// This receiver's own link impairment, in place of the LAN's
+    /// default loss; `None` keeps the default.
+    impairment: Option<Impairment>,
+}
+
+/// Why a receiver's link has an impairment of its own, for the drop
+/// counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cause {
+    Partitioned,
+    Degraded,
+}
+
+/// One receiver's link loss, read through its chain like the LAN's
+/// default (`loss`, `mean_burst`).
+#[derive(Debug, Clone, Copy)]
+struct Impairment {
+    cause: Cause,
+    loss: f64,
+    mean_burst: SimDuration,
 }
 
 /// Derives a node's private RNG stream from the sim seed. SplitMix64's
@@ -322,8 +343,7 @@ impl Lan {
             link_busy_until: SimTime::ZERO,
             rng: None,
             loss_chain: GilbertElliott::new(),
-            partitioned_until: None,
-            degrade_loss: 0.0,
+            impairment: None,
         });
         NodeId(inner.nodes.len() as u32 - 1)
     }
@@ -375,102 +395,91 @@ impl Lan {
     /// next [`Lan::send`] sees the new config. Journaled when a journal
     /// is attached.
     pub fn set_config(&self, sim: &mut Sim, config: LanConfig) {
-        let journal = {
-            let mut inner = self.inner.borrow_mut();
-            inner.config = config;
-            inner.journal.clone()
-        };
-        if let Some(j) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Info,
-                "net",
-                "lan configuration changed",
-                &[
-                    ("loss", format!("{}", config.loss)),
-                    ("mean_burst_us", config.mean_burst.as_micros().to_string()),
-                    ("jitter_std_us", config.jitter_std.as_micros().to_string()),
-                    ("reorder_prob", format!("{}", config.reorder_prob)),
-                    ("duplicate_prob", format!("{}", config.duplicate_prob)),
-                ],
-            );
-        }
+        self.inner.borrow_mut().config = config;
+        self.emit(
+            sim,
+            Severity::Info,
+            "lan configuration changed",
+            &[
+                ("loss", format!("{}", config.loss)),
+                ("mean_burst_us", config.mean_burst.as_micros().to_string()),
+                ("jitter_std_us", config.jitter_std.as_micros().to_string()),
+                ("reorder_prob", format!("{}", config.reorder_prob)),
+                ("duplicate_prob", format!("{}", config.duplicate_prob)),
+            ],
+        );
     }
 
-    /// Cuts `node` off from the LAN until `until`: every delivery to it
-    /// in the window is dropped (and counted as partitioned). A second
-    /// call extends or shortens the window; [`Lan::heal`] ends it early.
-    pub fn partition(&self, sim: &mut Sim, node: NodeId, until: SimTime) {
-        let journal = {
-            let mut inner = self.inner.borrow_mut();
-            inner.nodes[node.0 as usize].partitioned_until = Some(until);
-            inner.journal.clone()
+    /// Cuts `node` off from the LAN until [`Lan::heal`]: its link loses
+    /// every fragment (loss 1, which draws no randomness), counted as
+    /// partitioned.
+    pub fn partition(&self, sim: &mut Sim, node: NodeId) {
+        let dark = Impairment {
+            cause: Cause::Partitioned,
+            loss: 1.0,
+            mean_burst: SimDuration::ZERO,
         };
-        if let Some(j) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Warn,
-                "net",
-                "receiver partitioned",
-                &[
-                    ("node", self.node_name(node)),
-                    ("until_us", until.as_micros().to_string()),
-                ],
-            );
-        }
+        self.impair(node, Some(dark));
+        let fields = [("node", self.node_name(node))];
+        self.emit(sim, Severity::Warn, "receiver partitioned", &fields);
     }
 
-    /// Ends `node`'s partition window immediately.
+    /// Gives `node`'s link a loss of its own until [`Lan::heal`] — one
+    /// flaky NIC or radio link, while the rest of the segment keeps the
+    /// LAN's default. `loss` (clamped to `0.0..=1.0`) and `mean_burst`
+    /// mean what [`LanConfig::loss`] and [`LanConfig::mean_burst`] do:
+    /// the share of fragments (and of time) lost, and how long a burst
+    /// lasts. The degrade replaces the LAN's default on this link; it
+    /// does not add to it. Setting or clearing a link's impairment
+    /// restarts its chain, so the first read after it draws from the
+    /// new loss's stationary share. Journaled when a journal is
+    /// attached.
+    pub fn degrade(&self, sim: &mut Sim, node: NodeId, loss: f64, mean_burst: SimDuration) {
+        let loss = loss.clamp(0.0, 1.0);
+        let lossy = Impairment {
+            cause: Cause::Degraded,
+            loss,
+            mean_burst,
+        };
+        self.impair(node, Some(lossy));
+        let fields = [
+            ("node", self.node_name(node)),
+            ("loss_prob", format!("{loss}")),
+        ];
+        self.emit(sim, Severity::Warn, "receiver degraded", &fields);
+    }
+
+    /// Ends `node`'s partition or degrade: its link reads the LAN's
+    /// default again. Journals the edge it clears.
     pub fn heal(&self, sim: &mut Sim, node: NodeId) {
-        let journal = {
-            let mut inner = self.inner.borrow_mut();
-            inner.nodes[node.0 as usize].partitioned_until = None;
-            inner.journal.clone()
+        let message = match self.impair(node, None).map(|i| i.cause) {
+            Some(Cause::Partitioned) => "receiver partition healed",
+            Some(Cause::Degraded) => "receiver degrade cleared",
+            None => return,
         };
-        if let Some(j) = journal {
-            j.emit(
-                Stamp::virtual_ns(sim.now().as_nanos()),
-                Severity::Info,
-                "net",
-                "receiver partition healed",
-                &[("node", self.node_name(node))],
-            );
-        }
+        self.emit(
+            sim,
+            Severity::Info,
+            message,
+            &[("node", self.node_name(node))],
+        );
     }
 
-    /// Sets (or, with `loss_prob == 0.0`, clears) an extra
-    /// per-datagram loss probability on deliveries to `node` — one
-    /// flaky NIC or radio link, while the rest of the segment stays
-    /// clean. The draw comes from the node's private RNG stream, so
-    /// the impairment pattern is independent of fleet size. Journaled
-    /// when a journal is attached.
-    pub fn degrade(&self, sim: &mut Sim, node: NodeId, loss_prob: f64) {
-        let journal = {
-            let mut inner = self.inner.borrow_mut();
-            inner.nodes[node.0 as usize].degrade_loss = loss_prob.clamp(0.0, 1.0);
-            inner.journal.clone()
-        };
+    /// Replaces `node`'s impairment, restarts its chain, and returns
+    /// the impairment it replaced.
+    fn impair(&self, node: NodeId, impairment: Option<Impairment>) -> Option<Impairment> {
+        let node = &mut self.inner.borrow_mut().nodes[node.0 as usize];
+        node.loss_chain = GilbertElliott::new();
+        std::mem::replace(&mut node.impairment, impairment)
+    }
+
+    /// Logs one `net` event at the sim's instant, if a journal is
+    /// attached.
+    fn emit(&self, sim: &Sim, severity: Severity, message: &str, fields: &[(&str, String)]) {
+        let journal = self.inner.borrow().journal.clone();
         if let Some(j) = journal {
-            if loss_prob > 0.0 {
-                j.emit(
-                    Stamp::virtual_ns(sim.now().as_nanos()),
-                    Severity::Warn,
-                    "net",
-                    "receiver degraded",
-                    &[
-                        ("node", self.node_name(node)),
-                        ("loss_prob", format!("{loss_prob}")),
-                    ],
-                );
-            } else {
-                j.emit(
-                    Stamp::virtual_ns(sim.now().as_nanos()),
-                    Severity::Info,
-                    "net",
-                    "receiver degrade cleared",
-                    &[("node", self.node_name(node))],
-                );
-            }
+            let now = Stamp::virtual_ns(sim.now().as_nanos());
+            j.emit(now, severity, "net", message, fields);
         }
     }
 
@@ -559,19 +568,18 @@ impl Lan {
             // jitter pattern is independent of the rest of the fleet.
             // Loss is sampled per wire fragment, by reading the
             // receiver's Gilbert–Elliott chain at the instant the
-            // fragment starts on the wire; any lost fragment fails reassembly
-            // and loses the datagram for that receiver. Surviving
-            // deliveries may then be reordered (held back), jittered,
-            // or duplicated.
-            let now = sim.now();
+            // fragment starts on the wire, with the link's own
+            // impairment if it has one and the LAN's default if not;
+            // any lost fragment fails reassembly and loses the datagram
+            // for that receiver. Surviving deliveries may then be
+            // reordered (held back), jittered, or duplicated.
             let seed = sim.seed();
             let mut kept: Vec<(u32, SimDuration)> = Vec::with_capacity(receivers.len());
             let mut lost = 0u64;
             for r in receivers {
                 enum Outcome {
-                    Partitioned,
-                    Degraded,
                     Lost {
+                        cause: Option<Cause>,
                         partial: bool,
                     },
                     Kept {
@@ -582,74 +590,60 @@ impl Lan {
                 }
                 let outcome = {
                     let node = &mut inner.nodes[r as usize];
-                    if node.partitioned_until.is_some_and(|until| now < until) {
-                        Outcome::Partitioned
-                    } else if node.degrade_loss > 0.0 && {
-                        let rng = node.rng.get_or_insert_with(|| {
-                            StdRng::seed_from_u64(node_stream_seed(seed, r))
-                        });
-                        chance(rng, node.degrade_loss)
-                    } {
-                        Outcome::Degraded
-                    } else {
-                        let rng = node.rng.get_or_insert_with(|| {
-                            StdRng::seed_from_u64(node_stream_seed(seed, r))
-                        });
-                        let mut lost_frags = 0usize;
-                        for k in 0..frags as u64 {
-                            let at = start + ser * k / frags as u64;
-                            let frag_lost = config.loss > 0.0
-                                && node
-                                    .loss_chain
-                                    .bad_at(rng, at, config.loss, config.mean_burst);
-                            lost_frags += frag_lost as usize;
+                    let (cause, loss, mean_burst) = match node.impairment {
+                        Some(i) => (Some(i.cause), i.loss, i.mean_burst),
+                        None => (None, config.loss, config.mean_burst),
+                    };
+                    let rng = node
+                        .rng
+                        .get_or_insert_with(|| StdRng::seed_from_u64(node_stream_seed(seed, r)));
+                    let mut lost_frags = 0usize;
+                    for k in 0..frags as u64 {
+                        let at = start + ser * k / frags as u64;
+                        let frag_lost =
+                            loss > 0.0 && node.loss_chain.bad_at(rng, at, loss, mean_burst);
+                        lost_frags += frag_lost as usize;
+                    }
+                    if lost_frags > 0 {
+                        Outcome::Lost {
+                            cause,
+                            partial: frags > 1 && lost_frags < frags,
                         }
-                        if lost_frags > 0 {
-                            Outcome::Lost {
-                                partial: frags > 1 && lost_frags < frags,
+                    } else {
+                        let mut extra = SimDuration::ZERO;
+                        let mut reordered = false;
+                        if config.reorder_prob > 0.0 && chance(rng, config.reorder_prob) {
+                            extra = config.reorder_delay;
+                            reordered = true;
+                        }
+                        let jitter = |rng: &mut StdRng| {
+                            if config.jitter_std.is_zero() {
+                                SimDuration::ZERO
+                            } else {
+                                let ns = normal(rng, 0.0, config.jitter_std.as_nanos() as f64);
+                                SimDuration::from_nanos(ns.max(0.0) as u64)
                             }
-                        } else {
-                            let mut extra = SimDuration::ZERO;
-                            let mut reordered = false;
-                            if config.reorder_prob > 0.0 && chance(rng, config.reorder_prob) {
-                                extra = config.reorder_delay;
-                                reordered = true;
-                            }
-                            let jitter = |rng: &mut StdRng| {
-                                if config.jitter_std.is_zero() {
-                                    SimDuration::ZERO
-                                } else {
-                                    let ns = normal(rng, 0.0, config.jitter_std.as_nanos() as f64);
-                                    SimDuration::from_nanos(ns.max(0.0) as u64)
-                                }
-                            };
-                            let offset = extra + jitter(rng);
-                            let dup_offset = (config.duplicate_prob > 0.0
-                                && chance(rng, config.duplicate_prob))
-                            .then(|| extra + config.propagation + jitter(rng));
-                            Outcome::Kept {
-                                offset,
-                                dup_offset,
-                                reordered,
-                            }
+                        };
+                        let offset = extra + jitter(rng);
+                        let dup_offset = (config.duplicate_prob > 0.0
+                            && chance(rng, config.duplicate_prob))
+                        .then(|| extra + config.propagation + jitter(rng));
+                        Outcome::Kept {
+                            offset,
+                            dup_offset,
+                            reordered,
                         }
                     }
                 };
                 match outcome {
-                    Outcome::Partitioned => {
-                        inner.stats.datagrams_lost += 1;
-                        inner.stats.datagrams_partitioned += 1;
-                        lost += 1;
-                    }
-                    Outcome::Degraded => {
-                        inner.stats.datagrams_lost += 1;
-                        inner.stats.datagrams_degraded += 1;
-                        lost += 1;
-                    }
-                    Outcome::Lost { partial } => {
-                        inner.stats.datagrams_lost += 1;
-                        if partial {
-                            inner.stats.datagrams_lost_partial += 1;
+                    Outcome::Lost { cause, partial } => {
+                        let stats = &mut inner.stats;
+                        stats.datagrams_lost += 1;
+                        stats.datagrams_lost_partial += partial as u64;
+                        match cause {
+                            Some(Cause::Partitioned) => stats.datagrams_partitioned += 1,
+                            Some(Cause::Degraded) => stats.datagrams_degraded += 1,
+                            None => {}
                         }
                         lost += 1;
                     }
@@ -672,21 +666,12 @@ impl Lan {
             (done + config.propagation, kept, lost)
         };
         if lost_count > 0 {
-            let journal = self.inner.borrow().journal.clone();
-            if let Some(j) = journal {
-                let name = self.node_name(from);
-                j.emit(
-                    Stamp::virtual_ns(sim.now().as_nanos()),
-                    Severity::Warn,
-                    "net",
-                    "datagram lost in transit",
-                    &[
-                        ("from", name),
-                        ("receivers_lost", lost_count.to_string()),
-                        ("bytes", payload.len().to_string()),
-                    ],
-                );
-            }
+            let fields = [
+                ("from", self.node_name(from)),
+                ("receivers_lost", lost_count.to_string()),
+                ("bytes", payload.len().to_string()),
+            ];
+            self.emit(sim, Severity::Warn, "datagram lost in transit", &fields);
         }
 
         // Group deliveries that share an arrival instant into one batch
@@ -845,7 +830,7 @@ mod tests {
         lan.join(healthy, g);
         let lsick = collect_deliveries(&lan, sick);
         let lok = collect_deliveries(&lan, healthy);
-        lan.degrade(&mut sim, sick, 1.0);
+        lan.degrade(&mut sim, sick, 1.0, SimDuration::ZERO);
         for _ in 0..20 {
             lan.multicast(&mut sim, producer, g, Bytes::from_static(b"pkt"));
         }
@@ -856,8 +841,10 @@ mod tests {
         assert_eq!(stats.datagrams_degraded, 20);
         assert_eq!(stats.datagrams_lost, 20);
         // Clearing restores delivery.
-        lan.degrade(&mut sim, sick, 0.0);
-        assert_eq!(lan.inner.borrow().nodes[sick.0 as usize].degrade_loss, 0.0);
+        lan.heal(&mut sim, sick);
+        assert!(lan.inner.borrow().nodes[sick.0 as usize]
+            .impairment
+            .is_none());
         lan.multicast(&mut sim, producer, g, Bytes::from_static(b"pkt"));
         sim.run();
         assert_eq!(lsick.borrow().len(), 1);
@@ -1134,6 +1121,99 @@ mod tests {
         );
     }
 
+    /// Multicasts `n` one-fragment datagrams from `from`, one a
+    /// millisecond, and returns each of `to`'s loss share and count of
+    /// loss runs.
+    fn stream_to(sim: &mut Sim, lan: &Lan, from: NodeId, to: [NodeId; 2]) -> [(f64, usize); 2] {
+        let n = 10_000u16;
+        let g = McastGroup(0);
+        let logs = to.map(|node| {
+            lan.join(node, g);
+            collect_deliveries(lan, node)
+        });
+        for i in 0..n {
+            lan.multicast(sim, from, g, Bytes::copy_from_slice(&i.to_be_bytes()));
+            sim.run_for(SimDuration::from_millis(1));
+        }
+        logs.map(|log| {
+            let got: std::collections::BTreeSet<u16> = log
+                .borrow()
+                .iter()
+                .map(|(_, p)| u16::from_be_bytes([p[0], p[1]]))
+                .collect();
+            let runs = (0..n)
+                .filter(|&i| !got.contains(&i) && (i == 0 || got.contains(&(i - 1))))
+                .count();
+            (1.0 - got.len() as f64 / n as f64, runs)
+        })
+    }
+
+    #[test]
+    fn a_degraded_link_loses_in_bursts_and_alone() {
+        // A producer, a relay whose link is degraded and the relay's
+        // sibling, all on one LAN.
+        let attach = |config: LanConfig| {
+            let lan = Lan::new(config);
+            let nodes = ["producer", "relay", "sibling"].map(|name| lan.attach(name));
+            (lan, nodes)
+        };
+        let degraded = |mean_burst_ms: u64| {
+            let mut sim = Sim::new(42);
+            let (lan, [producer, relay, sibling]) = attach(LanConfig::default());
+            lan.degrade(
+                &mut sim,
+                relay,
+                0.1,
+                SimDuration::from_millis(mean_burst_ms),
+            );
+            stream_to(&mut sim, &lan, producer, [relay, sibling])
+        };
+        let [(rate_ge, runs_ge), sibling] = degraded(12);
+        let [(rate_iid, runs_iid), _] = degraded(0);
+        assert!((rate_iid - 0.1).abs() < 0.02, "iid degrade rate {rate_iid}");
+        assert!((rate_ge - 0.1).abs() < 0.04, "burst degrade rate {rate_ge}");
+        assert!(
+            runs_ge * 3 < runs_iid,
+            "bursts not clustered: {runs_ge} runs vs iid {runs_iid}"
+        );
+        assert_eq!(sibling, (0.0, 0), "the sibling's link is clean");
+
+        // On a lossy LAN the degrade replaces the relay's default loss:
+        // it loses the degrade's share, not the sum, while its sibling
+        // keeps the LAN's. Each drop counts by the impairment in force.
+        let mut sim = Sim::new(43);
+        let (lan, [producer, relay, sibling]) = attach(LanConfig::lossy(0.2, SimDuration::ZERO));
+        lan.degrade(&mut sim, relay, 0.1, SimDuration::ZERO);
+        let [(relay_rate, _), (sibling_rate, _)] =
+            stream_to(&mut sim, &lan, producer, [relay, sibling]);
+        assert!(
+            (relay_rate - 0.1).abs() < 0.02,
+            "degraded relay lost {relay_rate}"
+        );
+        assert!(
+            (sibling_rate - 0.2).abs() < 0.02,
+            "sibling lost {sibling_rate}"
+        );
+        let stats = lan.stats();
+        assert_eq!(
+            stats.datagrams_degraded,
+            (relay_rate * 10_000.0).round() as u64
+        );
+        assert_eq!(
+            stats.datagrams_lost - stats.datagrams_degraded,
+            (sibling_rate * 10_000.0).round() as u64
+        );
+
+        // A heal restores the LAN's default on the relay's link.
+        lan.heal(&mut sim, relay);
+        let [(healed_rate, _), _] = stream_to(&mut sim, &lan, producer, [relay, sibling]);
+        assert!(
+            (healed_rate - 0.2).abs() < 0.02,
+            "healed relay lost {healed_rate}"
+        );
+        assert_eq!(lan.stats().datagrams_degraded, stats.datagrams_degraded);
+    }
+
     #[test]
     fn burst_loss_does_not_depend_on_how_a_stream_is_cut() {
         // One 2.4 Mbit/s stream, cut into datagrams of 1, 2 or 3 full
@@ -1272,11 +1352,11 @@ mod tests {
         let g = McastGroup(0);
         lan.join(b, g);
         let log = collect_deliveries(&lan, b);
-        lan.partition(&mut sim, b, SimTime::from_secs(1));
-        assert_eq!(
-            lan.inner.borrow().nodes[b.0 as usize].partitioned_until,
-            Some(SimTime::from_secs(1))
-        );
+        lan.partition(&mut sim, b);
+        let impairment = lan.inner.borrow().nodes[b.0 as usize].impairment;
+        assert!(impairment.is_some_and(|i| i.cause == Cause::Partitioned && i.loss == 1.0));
+        let lan2 = lan.clone();
+        sim.schedule_at(SimTime::from_secs(1), move |sim| lan2.heal(sim, b));
         for ms in [0u64, 500, 1_500] {
             let lan2 = lan.clone();
             sim.schedule_at(SimTime::from_millis(ms), move |sim| {
@@ -1284,14 +1364,15 @@ mod tests {
             });
         }
         sim.run();
-        // The two sends inside [0, 1 s) drop; the one after arrives.
+        // The two sends inside [0, 1 s) drop; the one after the heal
+        // arrives.
         assert_eq!(log.borrow().len(), 1);
         let stats = lan.stats();
         assert_eq!(stats.datagrams_partitioned, 2);
         assert_eq!(stats.datagrams_lost, 2);
 
-        // An early heal reopens the port immediately.
-        lan.partition(&mut sim, b, SimTime::from_secs(10));
+        // A heal reopens the port immediately.
+        lan.partition(&mut sim, b);
         lan.heal(&mut sim, b);
         lan.multicast(&mut sim, a, g, Bytes::from_static(b"p"));
         sim.run();

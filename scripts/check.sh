@@ -120,11 +120,13 @@ fi
 # Healing seed sweep: the matrix above pins 61-63, and both misses of
 # ROADMAP 5(e) sat at other seeds and were found only by sweeping by
 # hand. The two detector scenarios whose invariants hinge on where a
-# loss burst falls against the epoch grid run once per seed, 1-10.
-echo "== healing seed sweep (detector scenarios, seeds 1-10)"
+# loss burst falls against the epoch grid, and the NACK refill behind
+# a bursty degraded link, run once per seed, 1-10.
+echo "== healing seed sweep (degraded-link scenarios, seeds 1-10)"
 for seed in 1 2 3 4 5 6 7 8 9 10; do
     ES_CHAOS_SEED=$seed cargo test -q --test healing -- \
-        flapping_receiver_damped sick_receiver_detected_and_recovered
+        flapping_receiver_damped sick_receiver_detected_and_recovered \
+        neighbor_retransmit_fills_gap
 done
 
 # The repair fleets hold NACK repair to the deadline under bursty

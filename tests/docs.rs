@@ -4,7 +4,8 @@
 //! points at the removed bench harness, and no row of the
 //! `no_doc_mentions!` table names what was deleted (the perf
 //! baselines, the relay's re-stamping and its hold, the FEC ladder,
-//! the stream monitor, the mixer, the codecs and cost model that went)
+//! the stream monitor, the mixer, the codecs and cost model that went,
+//! a link's second and third loss rules)
 //! or describes the live speaker as the collector it was, DESIGN.md §8
 //! lists exactly the bans `clippy.toml`
 //! and the lints `[workspace.lints]` configure, §10 exactly the counters
@@ -289,6 +290,13 @@ no_doc_mentions! {
         "es-audio keeps dB gain only, the journal keeps its ring and \
          nothing fans events out, and auto-volume has one preset per \
          content kind";
+    no_doc_describes_the_deleted_link_loss_rules: DESIGN_DOCS,
+        [
+            concat!("partitioned_", "until"),
+            concat!("degrade_", "loss"),
+            concat!("per-datagram loss ", "probability"),
+        ],
+        "a link has one impairment, read through the one chain";
 }
 
 /// What a caller of a shim kept only so the frozen `benches/ledger`

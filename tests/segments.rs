@@ -179,7 +179,9 @@ fn repair_meets_the_deadline_at_every_depth() {
         let mut sys = relay_chain(seed, 8, spec).healing(HealSpec::new()).build();
         for i in 0..4 {
             let node = sys.speaker(i).expect("powered at build").node();
-            sys.lan().clone().degrade(&mut sys.sim, node, 0.05);
+            sys.lan()
+                .clone()
+                .degrade(&mut sys.sim, node, 0.05, SimDuration::ZERO);
         }
         sys.run_for(SimDuration::from_secs(9));
         for depth in 0..4 {
@@ -215,7 +217,9 @@ fn relayed_speakers_repair_through_the_relay() {
     // Each relayed speaker's own link loses a tenth of what reaches it.
     for i in 0..4 {
         let node = sys.speaker(i).expect("powered at build").node();
-        sys.lan().clone().degrade(&mut sys.sim, node, 0.1);
+        sys.lan()
+            .clone()
+            .degrade(&mut sys.sim, node, 0.1, SimDuration::ZERO);
     }
     sys.run_for(SimDuration::from_secs(7));
     let m = sys.metrics();

@@ -310,9 +310,9 @@ fn unrecoverable_group_metrics() -> MetricsSnapshot {
     sys.run_for(SimDuration::from_secs(1));
     let node = sys.speaker(0).expect("powered at build").node();
     let lan = sys.lan().clone();
-    lan.degrade(&mut sys.sim, node, 1.0);
+    lan.degrade(&mut sys.sim, node, 1.0, SimDuration::ZERO);
     sys.run_for(SimDuration::from_millis(130));
-    lan.degrade(&mut sys.sim, node, 0.0);
+    lan.heal(&mut sys.sim, node);
     sys.run_for(SimDuration::from_millis(500));
     let speaker = sys.speaker(0).expect("powered at build");
     speaker.tune(&mut sys.sim, McastGroup(2));

@@ -202,8 +202,7 @@ impl SessionServer {
             }
             // Producer-originated kinds echoed back, or a second
             // producer on the segment: not ours to handle.
-            SessionPacket::Param { .. }
-            | SessionPacket::Offer { .. }
+            SessionPacket::Offer { .. }
             | SessionPacket::SetupAck { .. }
             | SessionPacket::Refuse { .. }
             | SessionPacket::Flush { .. } => {}
@@ -253,18 +252,6 @@ impl SessionServer {
             self.stats.teardowns += 1;
             let told = teardown(&e, TeardownReason::Requested);
             out.extend([ServerAction::Closed(e), told]);
-        }
-    }
-
-    /// An in-session volume update (thousandths; 1000 = unity) for
-    /// `speaker`'s session.
-    pub fn update_params(&self, speaker: &str, volume_milli: u16, out: &mut Vec<ServerAction>) {
-        if let Some(e) = self.sessions().find(|e| e.speaker == speaker) {
-            let session_id = e.session_id;
-            out.push(Announce(SessionPacket::Param {
-                session_id,
-                volume_milli,
-            }));
         }
     }
 
@@ -404,11 +391,10 @@ mod tests {
     #[test]
     fn setups_that_cannot_be_granted_are_refused_with_the_reason() {
         let mut s = server();
-        for (pkt, reason) in [
-            (setup("es1", 42, 0), RefuseReason::UnknownStream),
-            (setup("es1", 2, 3), RefuseReason::CodecMismatch),
+        for (stream_id, codec, reason) in [
+            (42, 0, RefuseReason::UnknownStream),
+            (2, 3, RefuseReason::CodecMismatch),
         ] {
-            let stream_id = pkt.stream_id();
             let refused = ServerAction::Refused {
                 speaker: "es1".into(),
                 stream_id,
@@ -419,6 +405,7 @@ mod tests {
                 stream_id,
                 reason,
             };
+            let pkt = setup("es1", stream_id, codec);
             assert_eq!(step(&mut s, 0, &pkt), [refused, Reply(refuse)]);
         }
         assert_eq!((s.stats().refusals, s.stats().acks), (2, 0));
@@ -525,11 +512,8 @@ mod tests {
         // other stream's table has its own room.
         assert_eq!(join(&mut s, 2, "es7", 1), ids[7]);
         join(&mut s, 2, "late", 2);
-        // A receiver PARAM is not ours to act on.
-        let echoed = SessionPacket::Param {
-            session_id: ids[0],
-            volume_milli: 500,
-        };
+        // A FLUSH echoed back is not ours to act on.
+        let echoed = SessionPacket::Flush { session_id: ids[0] };
         assert!(step(&mut s, 3, &echoed).is_empty());
         // The sweep frees the places of the silent.
         let mut out = Vec::new();
@@ -552,15 +536,6 @@ mod tests {
         let flush = |session_id| Announce(SessionPacket::Flush { session_id });
         assert_eq!(out, [flush(b), flush(c), flush(a)]);
         assert_eq!(s.stats().flushes, 3);
-
-        out.clear();
-        s.update_params("c", 500, &mut out);
-        s.update_params("nobody", 500, &mut out);
-        let param = SessionPacket::Param {
-            session_id: c,
-            volume_milli: 500,
-        };
-        assert_eq!(out, [Announce(param)]);
 
         out.clear();
         s.teardown_speaker("a", &mut out);

@@ -9,7 +9,7 @@
 //! transport-agnostic so the same logic drives the simulated LAN
 //! (`es-core`) and real UDP multicast (the loopback smoke test). It
 //! carries what a receive-only radio acts on — one session, FLUSH,
-//! TEARDOWN, keepalive and volume — and nothing else:
+//! TEARDOWN and keepalive — and nothing else:
 //!
 //! - **DISCOVER** — a speaker multicasts its name on the announce
 //!   group.
@@ -17,8 +17,9 @@
 //!   own capability advertisement: the broker's answer to a DISCOVER,
 //!   and the §4.3 catalog's periodic announce.
 //! - **SETUP / SETUP-ACK / REFUSE** — per-receiver handshake: the
-//!   speaker asks for one stream with its [`Capabilities`] (codecs,
-//!   sample rates); the producer grants a session id + group or
+//!   speaker asks for one stream with [`Capabilities::any`] (it plays
+//!   every codec at any rate); the producer validates that block as it
+//!   would any input from the LAN, then grants a session id + group or
 //!   refuses with a reason. SETUP's codec and playout delay and the
 //!   ACK's copies of them stay on the wire, but nothing acts on them:
 //!   a multicast stream has one codec (from its control packets) and
@@ -28,7 +29,6 @@
 //! - **FLUSH** — producer-initiated resync: the speaker re-gates on
 //!   the next control packet (the §3.2 catch-up rule, commanded).
 //! - **TEARDOWN** — either side ends the session, with a reason.
-//! - **PARAM** — an in-session volume update.
 //!
 //! Everything reuses the [`crate::packet`] framing: same magic,
 //! version and CRC-32 trailer, one packet type with a kind byte.
@@ -229,25 +229,6 @@ pub enum SessionPacket {
         /// Why.
         reason: TeardownReason,
     },
-    /// In-session volume update from the producer.
-    Param {
-        /// Session being updated.
-        session_id: u32,
-        /// Volume gain in thousandths (1000 = unity).
-        volume_milli: u16,
-    },
-}
-
-impl SessionPacket {
-    /// The stream this packet concerns, when it names one.
-    pub fn stream_id(&self) -> u16 {
-        match self {
-            SessionPacket::Setup { stream_id, .. }
-            | SessionPacket::SetupAck { stream_id, .. }
-            | SessionPacket::Refuse { stream_id, .. } => *stream_id,
-            _ => 0,
-        }
-    }
 }
 
 const K_DISCOVER: u8 = 1;
@@ -258,7 +239,6 @@ const K_REFUSE: u8 = 5;
 const K_KEEPALIVE: u8 = 6;
 const K_FLUSH: u8 = 7;
 const K_TEARDOWN: u8 = 8;
-const K_PARAM: u8 = 9;
 
 pub(crate) fn put_caps(buf: &mut BytesMut, caps: &Capabilities) {
     buf.put_u8(caps.codecs.len().min(255) as u8);
@@ -337,8 +317,7 @@ pub fn encode_session_into(p: &SessionPacket, buf: &mut BytesMut) {
         } => (*stream_id, *session_id),
         SessionPacket::Keepalive { session_id }
         | SessionPacket::Flush { session_id }
-        | SessionPacket::Teardown { session_id, .. }
-        | SessionPacket::Param { session_id, .. } => (0, *session_id),
+        | SessionPacket::Teardown { session_id, .. } => (0, *session_id),
     };
     crate::packet::put_header(buf, crate::packet::TYPE_SESSION, stream_id, seq);
     match p {
@@ -395,10 +374,6 @@ pub fn encode_session_into(p: &SessionPacket, buf: &mut BytesMut) {
         SessionPacket::Teardown { reason, .. } => {
             buf.put_u8(K_TEARDOWN);
             buf.put_u8(reason.to_wire());
-        }
-        SessionPacket::Param { volume_milli, .. } => {
-            buf.put_u8(K_PARAM);
-            buf.put_u16_le(*volume_milli);
         }
     }
     crate::packet::finish_into(buf, start);
@@ -498,15 +473,6 @@ pub(crate) fn decode_session_body(
             SessionPacket::Teardown {
                 session_id: seq,
                 reason,
-            }
-        }
-        K_PARAM => {
-            if buf.remaining() < 2 {
-                return Err(WireError::TooShort);
-            }
-            SessionPacket::Param {
-                session_id: seq,
-                volume_milli: buf.get_u16_le(),
             }
         }
         _ => return Err(WireError::BadField("session kind")),
@@ -673,8 +639,6 @@ pub struct SessionClientConfig {
     pub speaker: String,
     /// Channel name wanted (matched against [`StreamInfo::name`]).
     pub channel: String,
-    /// What this receiver can play.
-    pub caps: Capabilities,
     /// DISCOVER period while unattached.
     pub discover_interval_us: u64,
     /// SETUP retransmit period.
@@ -693,7 +657,6 @@ impl SessionClientConfig {
         SessionClientConfig {
             speaker: speaker.into(),
             channel: channel.into(),
-            caps: Capabilities::any(),
             discover_interval_us: 300_000,
             setup_retry_us: 400_000,
             keepalive_interval_us: 1_000_000,
@@ -723,11 +686,9 @@ pub enum ClientAction {
     /// Join the granted data group and gate on its control packet.
     JoinData(u16),
     /// Leave the data group (session over or lost).
-    LeaveData(u16),
+    LeaveData,
     /// Flush playback and re-gate on the next control packet.
     Resync,
-    /// Apply a granted volume (thousandths; 1000 = unity).
-    SetVolume(u16),
     /// The handshake completed (journaling hook).
     Established {
         /// Granted session id.
@@ -766,8 +727,6 @@ enum ClientState {
     },
     Established {
         session_id: u32,
-        stream_id: u16,
-        group: u16,
         last_alive_at: u64,
         next_keepalive_at: u64,
     },
@@ -852,7 +811,7 @@ impl SessionClient {
             stream_id,
             codec,
             playout_delay_us: REQUESTED_PLAYOUT_DELAY_US,
-            caps: self.cfg.caps.clone(),
+            caps: Capabilities::any(),
         }
     }
 
@@ -893,15 +852,13 @@ impl SessionClient {
             }
             ClientState::Established {
                 session_id,
-                group,
                 last_alive_at,
                 next_keepalive_at,
-                stream_id,
             } => {
                 if now_us.saturating_sub(last_alive_at) > self.cfg.session_timeout_us {
                     self.sessions_lost += 1;
                     out.push(ClientAction::Lost { session_id });
-                    out.push(ClientAction::LeaveData(group));
+                    out.push(ClientAction::LeaveData);
                     self.state = ClientState::Discovering {
                         next_discover_at: now_us,
                     };
@@ -909,8 +866,6 @@ impl SessionClient {
                     out.push(ClientAction::Send(SessionPacket::Keepalive { session_id }));
                     self.state = ClientState::Established {
                         session_id,
-                        stream_id,
-                        group,
                         last_alive_at,
                         next_keepalive_at: now_us + self.cfg.keepalive_interval_us,
                     };
@@ -925,30 +880,14 @@ impl SessionClient {
         let mut out = Vec::new();
         match (&self.state, pkt) {
             (ClientState::Discovering { .. }, SessionPacket::Offer { streams, .. }) => {
-                // Pick the wanted channel and the first offered codec
-                // this receiver can play (offer order is the
-                // producer's preference order).
+                // Pick the wanted channel and its first offered codec
+                // (offer order is the producer's preference order); a
+                // stream advertising no codec set accepts whatever its
+                // control packets will name, so ask for the primary.
                 let Some(info) = streams.iter().find(|s| s.name == self.cfg.channel) else {
                     return out;
                 };
-                let codec = info
-                    .caps
-                    .codecs
-                    .iter()
-                    .copied()
-                    .find(|c| self.cfg.caps.supports_codec(*c))
-                    .or_else(|| {
-                        // A stream advertising no codec set accepts
-                        // whatever its control packets will name; ask
-                        // for the primary.
-                        info.caps.codecs.is_empty().then_some(info.codec)
-                    });
-                let Some(codec) = codec else {
-                    return out;
-                };
-                if !self.cfg.caps.supports_rate(info.config.sample_rate) {
-                    return out;
-                }
+                let codec = info.caps.codecs.first().copied().unwrap_or(info.codec);
                 self.setups_sent += 1;
                 out.push(ClientAction::Send(self.setup(info.stream_id, codec)));
                 self.state = ClientState::Requesting {
@@ -977,8 +916,6 @@ impl SessionClient {
                 });
                 self.state = ClientState::Established {
                     session_id: *session_id,
-                    stream_id: *ack_stream,
-                    group: *group,
                     last_alive_at: now_us,
                     next_keepalive_at: now_us + self.cfg.keepalive_interval_us,
                 };
@@ -1000,15 +937,13 @@ impl SessionClient {
                 self.note_stream_alive(now_us);
             }
             (
-                ClientState::Established {
-                    session_id, group, ..
-                },
+                ClientState::Established { session_id, .. },
                 SessionPacket::Teardown {
                     session_id: torn,
                     reason,
                 },
             ) if torn == session_id => {
-                out.push(ClientAction::LeaveData(*group));
+                out.push(ClientAction::LeaveData);
                 out.push(ClientAction::Closed {
                     session_id: *session_id,
                     reason: *reason,
@@ -1016,16 +951,6 @@ impl SessionClient {
                 self.state = ClientState::Discovering {
                     next_discover_at: now_us + self.cfg.discover_interval_us,
                 };
-            }
-            (
-                ClientState::Established { session_id, .. },
-                SessionPacket::Param {
-                    session_id: target,
-                    volume_milli,
-                },
-            ) if target == session_id => {
-                out.push(ClientAction::SetVolume(*volume_milli));
-                self.note_stream_alive(now_us);
             }
             _ => {}
         }
@@ -1101,10 +1026,6 @@ mod tests {
         roundtrip(SessionPacket::Teardown {
             session_id: 42,
             reason: TeardownReason::Expired,
-        });
-        roundtrip(SessionPacket::Param {
-            session_id: 42,
-            volume_milli: 750,
         });
     }
 
@@ -1253,8 +1174,8 @@ mod tests {
             a.as_slice(),
             [ClientAction::Send(SessionPacket::Discover { .. })]
         ));
-        // Producer answers with an OFFER; client picks the first codec
-        // it supports and SETUPs.
+        // Producer answers with an OFFER; client picks the first
+        // offered codec and SETUPs.
         let offer = SessionPacket::Offer {
             seq: 0,
             streams: vec![stream(1, "radio", &[3, 0])],
@@ -1302,18 +1223,10 @@ mod tests {
                 session_id: 7
             })]
         ));
-        // Flush resyncs; param sets volume; teardown re-discovers.
+        // Flush resyncs; teardown re-discovers.
         assert_eq!(
             c.on_packet(40_000, &SessionPacket::Flush { session_id: 7 }),
             vec![ClientAction::Resync]
-        );
-        let param = SessionPacket::Param {
-            session_id: 7,
-            volume_milli: 500,
-        };
-        assert_eq!(
-            c.on_packet(41_000, &param),
-            vec![ClientAction::SetVolume(500)]
         );
         let a = c.on_packet(
             50_000,
@@ -1322,7 +1235,7 @@ mod tests {
                 reason: TeardownReason::Requested,
             },
         );
-        assert!(matches!(a[0], ClientAction::LeaveData(11)));
+        assert_eq!(a[0], ClientAction::LeaveData);
         assert!(matches!(a[1], ClientAction::Closed { session_id: 7, .. }));
         assert_eq!(c.phase(), ClientPhase::Discovering);
     }
@@ -1386,7 +1299,7 @@ mod tests {
         // …but silence past the timeout loses the session.
         let a = c.poll(2_000_000 + c.cfg.session_timeout_us + 1);
         assert!(matches!(a[0], ClientAction::Lost { session_id: 1 }));
-        assert!(matches!(a[1], ClientAction::LeaveData(11)));
+        assert_eq!(a[1], ClientAction::LeaveData);
         assert_eq!(c.phase(), ClientPhase::Discovering);
         assert_eq!(c.sessions_lost, 1);
         // Re-discovery is immediate.
@@ -1398,20 +1311,21 @@ mod tests {
     }
 
     #[test]
-    fn incompatible_offer_is_ignored() {
-        let mut cfg = SessionClientConfig::new("es", "radio");
-        cfg.caps = caps(&[1]); // µ-law only
-        let mut c = SessionClient::new(cfg);
+    fn a_stream_without_a_codec_set_is_asked_for_its_primary() {
+        let mut c = SessionClient::new(SessionClientConfig::new("es", "radio"));
         c.poll(0);
-        // Stream offers PCM and OVL only: no overlap, keep discovering.
+        let mut info = stream(1, "radio", &[]);
+        info.codec = 3;
         let a = c.on_packet(
             0,
             &SessionPacket::Offer {
                 seq: 0,
-                streams: vec![stream(1, "radio", &[0, 3])],
+                streams: vec![info],
             },
         );
-        assert!(a.is_empty());
-        assert_eq!(c.phase(), ClientPhase::Discovering);
+        let [ClientAction::Send(SessionPacket::Setup { codec, caps, .. })] = a.as_slice() else {
+            panic!("expected setup, got {a:?}");
+        };
+        assert_eq!((*codec, caps), (3, &Capabilities::any()));
     }
 }

@@ -14,10 +14,11 @@
 //! `a_fresh_name_setup_flood_stops_at_the_cap` holds the table itself
 //! to its per-stream cap, in entries and in time (DESIGN.md §9), and
 //! `retired_wire_fields_are_refused` holds the decoder to the fields
-//! the plane no longer carries.
+//! and the packet kind the plane no longer carries.
 //!
-//! `PROPTEST_CASES=5000 cargo test -p es-proto --test hostile_control`
-//! is the deep run; the default 64 cases keep it in the tier-1 budget.
+//! The default 64 cases keep it in the tier-1 budget; `scripts/check.sh`
+//! runs `PROPTEST_CASES=2000 cargo test --release -p es-proto --test
+//! hostile_control`, and `PROPTEST_CASES=5000` is a deeper run.
 
 use std::collections::BTreeSet;
 
@@ -93,7 +94,7 @@ fn session_id(rng: &mut StdRng, seen: &Seen) -> u32 {
 /// One well-formed packet of any kind, hostile fields included.
 fn packet(rng: &mut StdRng, seen: &Seen) -> SessionPacket {
     let reason = pick(rng, &[TeardownReason::Requested, TeardownReason::Expired]);
-    match rng.gen::<u8>() % 13 {
+    match rng.gen::<u8>() % 11 {
         0 => SessionPacket::Discover {
             seq: rng.gen(),
             speaker: speaker(rng),
@@ -112,16 +113,12 @@ fn packet(rng: &mut StdRng, seen: &Seen) -> SessionPacket {
             session_id: session_id(rng, seen),
             reason,
         },
-        7 | 8 => SessionPacket::Param {
-            session_id: session_id(rng, seen),
-            volume_milli: rng.gen(),
-        },
         // The producer's own kinds, echoed back.
-        9 => SessionPacket::Offer {
+        7 => SessionPacket::Offer {
             seq: rng.gen(),
             streams: lineup(),
         },
-        10 => SessionPacket::SetupAck {
+        8 => SessionPacket::SetupAck {
             session_id: session_id(rng, seen),
             speaker: speaker(rng),
             stream_id: 1,
@@ -129,7 +126,7 @@ fn packet(rng: &mut StdRng, seen: &Seen) -> SessionPacket {
             codec: rng.gen(),
             playout_delay_us: rng.gen(),
         },
-        11 => SessionPacket::Flush {
+        9 => SessionPacket::Flush {
             session_id: session_id(rng, seen),
         },
         _ => SessionPacket::Refuse {
@@ -190,8 +187,7 @@ fn abuse(rng: &mut StdRng) -> BrokerStats {
             }
             5 => {
                 server.teardown_speaker(&speaker(rng), &mut out);
-                server.update_params(&speaker(rng), rng.gen(), &mut out);
-                judge(&out, 2, &mut seen);
+                judge(&out, 1, &mut seen);
             }
             // A packet is answered with one packet at most, however
             // many sessions are live.
@@ -304,8 +300,9 @@ fn a_fresh_name_setup_flood_stops_at_the_cap() {
 
 /// Bytes the decoder once accepted: the catalog's retired packet
 /// (type 3), a caps block still ending in its old device-class byte,
-/// and a PARAM still carrying metadata. Each is sealed with a good CRC,
-/// so the parser sees it, and each is refused with an error.
+/// and the retired PARAM (session kind 9), bare or still carrying
+/// metadata. Each is sealed with a good CRC, so the parser sees it,
+/// and each is refused with an error.
 #[test]
 fn retired_wire_fields_are_refused() {
     let seal = |mut body: Vec<u8>| {
@@ -352,11 +349,14 @@ fn retired_wire_fields_are_refused() {
     };
     assert_eq!(with_tail(&discover, &[0, 0, 1]), trailing);
 
-    // A PARAM with metadata: its length byte and text after the volume.
-    let param = SessionPacket::Param {
-        session_id: 7,
-        volume_milli: 500,
-    };
-    assert_eq!(with_tail(&param, b"\x04news"), trailing);
-    assert_eq!(with_tail(&param, &[0]), trailing);
+    // A PARAM: a FLUSH's header with kind 9 and a `u16` volume, bare
+    // and with the metadata (a length byte and text) it once carried.
+    let flush = encode_session(&SessionPacket::Flush { session_id: 7 });
+    let mut param = flush[..flush.len() - 4].to_vec();
+    let kind = param.len() - 1;
+    param[kind] = 9;
+    param.extend_from_slice(&500u16.to_le_bytes());
+    let retired = Err(WireError::BadField("session kind"));
+    assert_eq!(seal(param.clone()), retired);
+    assert_eq!(seal([&param[..], b"\x04news"].concat()), retired);
 }

@@ -431,9 +431,8 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                     self.actions.push(Action::Announce(encode_session(&pkt)));
                 }
                 ClientAction::JoinData(g) => self.tune(McastGroup(g)),
-                ClientAction::LeaveData(_) => self.tune(self.cfg.group),
+                ClientAction::LeaveData => self.tune(self.cfg.group),
                 ClientAction::Resync => self.resync(),
-                ClientAction::SetVolume(v) => self.cfg.volume = v as f64 / 1_000.0,
                 other => self.journal_session(other),
             }
         }

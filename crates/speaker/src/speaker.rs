@@ -570,12 +570,6 @@ impl EthernetSpeaker {
         self.0.state.borrow_mut().node.request_repairs();
     }
 
-    /// Sets the fixed volume gain (the control plane's PARAM update;
-    /// auto-volume, when enabled, still multiplies on top).
-    pub fn set_volume(&self, volume: f64) {
-        self.0.state.borrow_mut().node.cfg.volume = volume;
-    }
-
     /// Distribution of deadline slack seen by the §3.2 play decision.
     pub fn deadline_slack(&self) -> Histogram {
         self.0.state.borrow().node.deadline_slack_us.clone()

@@ -53,6 +53,13 @@ impl Rig {
         EthernetSpeaker::start(&mut self.sim, &self.lan, cfg)
     }
 
+    /// A speaker on [`G`] at a fixed `volume` gain.
+    fn speaker_at(&mut self, name: &str, volume: f64) -> EthernetSpeaker {
+        let mut cfg = SpeakerConfig::new(name, G);
+        cfg.volume = volume;
+        self.speaker(cfg)
+    }
+
     fn speakers(&mut self, n: usize, group: McastGroup) -> Vec<EthernetSpeaker> {
         (0..n)
             .map(|i| self.speaker(SpeakerConfig::new(format!("es{}-{i}", group.0), group)))
@@ -181,9 +188,10 @@ fn fleet_parses_and_decodes_each_datagram_once_and_no_speaker_can_tell() {
 
 #[test]
 fn shared_pcm_is_never_scaled_by_a_neighbours_volume() {
-    let (mut rig, spk) = Rig::tuned(3, 42);
-    spk[0].set_volume(0.5);
-    spk[1].set_volume(0.25);
+    let mut rig = Rig::new(LanConfig::default());
+    let spk = [0.5, 0.25, 1.0].map(|volume| rig.speaker_at(&format!("es-{volume}"), volume));
+    rig.send(G, control(42, 0, AudioConfig::CD, CodecId::Pcm));
+    rig.sim.run();
     rig.send(G, data(42, 0, 10_000, CodecId::Pcm, pcm(1_000)));
     rig.run_ms(200);
     let peaks: Vec<i16> = spk
@@ -543,8 +551,7 @@ fn gain_and_concealment_fade_stay_private_to_the_speaker_that_applies_them() {
     let mut rig = Rig::new(LanConfig::default());
     // Delivery runs in attach order, so the speakers that scale and
     // fade handle every shared block before the unity speaker does.
-    let half = rig.speaker(SpeakerConfig::new("half", G));
-    half.set_volume(0.5);
+    let half = rig.speaker_at("half", 0.5);
     let mut cfg = SpeakerConfig::new("plc", G);
     cfg.conceal_loss = true;
     let plc = rig.speaker(cfg);
@@ -654,8 +661,7 @@ fn tap_hears_what_the_device_encoding_makes_of_the_block() {
     // rendering or private.
     let mut rig = Rig::new(LanConfig::default());
     let unity = rig.speakers(2, G);
-    let half = rig.speaker(SpeakerConfig::new("half", G));
-    half.set_volume(0.5);
+    let half = rig.speaker_at("half", 0.5);
     let ulaw = AudioConfig {
         encoding: Encoding::ULaw,
         ..AudioConfig::CD

@@ -76,6 +76,13 @@ PROPTEST_CASES=2000 cargo test -q --release -p es-proto fec::
 echo "== hostile receive traffic (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test -q --release -p es-speaker --test hostile_rx
 
+# The broker under hostile control traffic: well-formed session packets
+# with hostile fields and a clock that runs backwards into a bare
+# `SessionServer`, every answer and its table held to their bounds, at
+# 2000 cases instead of 64 (< 1 s release).
+echo "== hostile control traffic (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test -q --release -p es-proto --test hostile_control
+
 # The one perf step: the ledger (benches/ledger, the BENCHMARK.json
 # harness) is the only wall-clock perf harness. Its own unit tests,
 # then the --quick smoke — five workloads, two runs each, exit non-zero

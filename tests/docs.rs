@@ -244,7 +244,7 @@ no_doc_mentions! {
             "fec level announced",
         ],
         "parity is a channel's static `fec_group`; nothing moves it, \
-         and the PARAM carries no FEC byte";
+         and no session packet carries an FEC level";
     no_doc_describes_the_deleted_session_fields: DOCS,
         [
             concat!("Device", "Class"),
@@ -257,8 +257,8 @@ no_doc_mentions! {
             concat!("volume and ", "metadata"),
         ],
         "the catalog sends OFFERs, a DISCOVER carries a name, caps \
-         carry codecs and rates, a PARAM carries a volume, and a client \
-         always re-discovers";
+         carry codecs and rates, no session packet carries metadata, \
+         and a client always re-discovers";
     no_doc_describes_the_deleted_stream_monitor: DOCS,
         [
             concat!("Stream", "Monitor"),
@@ -297,6 +297,14 @@ no_doc_mentions! {
             concat!("per-datagram loss ", "probability"),
         ],
         "a link has one impairment, read through the one chain";
+    no_doc_describes_the_deleted_volume_packet: DESIGN_DOCS,
+        [
+            concat!("update_", "params"),
+            concat!("Set", "Volume"),
+            concat!("`PARAM` applies", " the volume"),
+        ],
+        "the session plane carries no volume; a speaker's gain is its \
+         `SpeakerSpec::volume` and auto-volume";
 }
 
 /// What a caller of a shim kept only so the frozen `benches/ledger`

@@ -287,7 +287,7 @@ proptest! {
     #[test]
     fn session_wire_roundtrips_all_kinds(
         seed in proptest::num::u64::ANY,
-        kind in 0u8..9,
+        kind in 0u8..8,
     ) {
         let mut r = Rng64(seed);
         let pkt = arb_session_packet(&mut r, kind);
@@ -303,7 +303,7 @@ proptest! {
     #[test]
     fn session_wire_truncation_always_rejected(
         seed in proptest::num::u64::ANY,
-        kind in 0u8..9,
+        kind in 0u8..8,
     ) {
         let mut r = Rng64(seed);
         let enc = es_proto::encode_session(&arb_session_packet(&mut r, kind));
@@ -323,7 +323,7 @@ proptest! {
     #[test]
     fn session_wire_bitflip_always_rejected(
         seed in proptest::num::u64::ANY,
-        kind in 0u8..9,
+        kind in 0u8..8,
     ) {
         let mut r = Rng64(seed);
         let enc = es_proto::encode_session(&arb_session_packet(&mut r, kind)).to_vec();
@@ -346,7 +346,7 @@ proptest! {
     #[test]
     fn session_wire_corrupted_body_never_panics(
         seed in proptest::num::u64::ANY,
-        kind in 0u8..9,
+        kind in 0u8..8,
         xor in 1u8..=255,
     ) {
         let mut r = Rng64(seed);
@@ -384,7 +384,7 @@ proptest! {
             now_us += r.below(400_000);
             let mut actions = client.poll(now_us);
             if r.below(2) == 0 {
-                let kind = r.below(9) as u8;
+                let kind = r.below(8) as u8;
                 let mut pkt = arb_session_packet(&mut r, kind);
                 // Half the time, steer the packet at this client so
                 // the interesting transitions actually fire.
@@ -404,7 +404,6 @@ proptest! {
                     SessionPacket::Keepalive { session_id }
                     | SessionPacket::Flush { session_id }
                     | SessionPacket::Teardown { session_id, .. }
-                    | SessionPacket::Param { session_id, .. }
                         if r.below(2) == 0 =>
                     {
                         if let Some(sid) = client.session_id() {
@@ -547,12 +546,12 @@ fn radio_stream_info() -> es_proto::StreamInfo {
     }
 }
 
-/// One random packet of the requested kind (0..9 = the nine wire
+/// One random packet of the requested kind (0..8 = the eight wire
 /// kinds), every field drawn within its wire bounds so the result is
 /// encodable and must round-trip.
 fn arb_session_packet(r: &mut Rng64, kind: u8) -> es_proto::SessionPacket {
     use es_proto::SessionPacket;
-    match kind % 9 {
+    match kind % 8 {
         0 => SessionPacket::Discover {
             seq: r.next() as u32,
             speaker: arb_name(r, 16),
@@ -595,16 +594,12 @@ fn arb_session_packet(r: &mut Rng64, kind: u8) -> es_proto::SessionPacket {
         6 => SessionPacket::Flush {
             session_id: r.next() as u32,
         },
-        7 => SessionPacket::Teardown {
+        _ => SessionPacket::Teardown {
             session_id: r.next() as u32,
             reason: match r.below(2) {
                 0 => es_proto::TeardownReason::Requested,
                 _ => es_proto::TeardownReason::Expired,
             },
-        },
-        _ => SessionPacket::Param {
-            session_id: r.next() as u32,
-            volume_milli: r.next() as u16,
         },
     }
 }

@@ -108,7 +108,7 @@ impl AudioApp {
         let app = AudioApp {
             state: state.clone(),
         };
-        pump(sim, dev, state, Vec::new());
+        pump(sim, dev, state);
         Ok(app)
     }
 
@@ -123,94 +123,49 @@ impl AudioApp {
     }
 }
 
-/// Writes pending bytes, generating the next chunk as needed, and
-/// re-arms itself on back-pressure or pacing sleeps.
-fn pump(sim: &mut Sim, dev: Rc<AudioDevice>, state: Shared<AppState>, mut pending: Vec<u8>) {
-    loop {
-        if pending.is_empty() {
-            let (done, pacing, chunk_dur) = {
-                let mut st = state.borrow_mut();
-                let st = &mut *st;
-                if st.remaining_frames == 0 {
-                    st.stats.finished_at = Some(sim.now());
-                    (true, st.pacing, SimDuration::ZERO)
-                } else {
-                    let frames = st.chunk_frames.min(st.remaining_frames);
-                    st.remaining_frames -= frames;
-                    render_interleaved_into(
-                        &mut *st.signal,
-                        st.cfg.channels,
-                        frames as usize,
-                        &mut st.pcm,
-                    );
-                    encode_samples_into(&st.pcm, st.cfg.encoding, &mut pending);
-                    let chunk_dur =
-                        SimDuration::from_nanos(st.cfg.nanos_for_bytes(pending.len() as u64));
-                    (false, st.pacing, chunk_dur)
-                }
-            };
-            if done {
-                return;
-            }
-            // A real-time source waits out the chunk duration before
-            // producing the next one; the write itself happens now.
-            if pacing == AppPacing::RealTime {
-                let dev2 = dev.clone();
-                let state2 = state.clone();
-                let to_write = std::mem::take(&mut pending);
-                write_all_then(sim, dev2.clone(), state2.clone(), to_write, move |sim| {
-                    sim.schedule_in(chunk_dur, move |sim| {
-                        pump(sim, dev2, state2, Vec::new());
-                    });
-                });
-                return;
-            }
-        }
-        // Wire speed: write with retry-on-block, then loop for more.
-        let n = match dev.write(sim, &pending) {
-            Ok(n) => n,
-            Err(_) => return, // Device closed under us; stop quietly.
-        };
-        state.borrow_mut().stats.bytes_written += n as u64;
-        pending.drain(..n);
-        if !pending.is_empty() {
-            state.borrow_mut().stats.short_writes += 1;
-            let dev2 = dev.clone();
-            let state2 = state.clone();
-            dev.on_writable(move |sim| pump(sim, dev2, state2, pending));
+/// Renders the next chunk and writes all of it, then comes back for
+/// the one after: at once at wire speed, a chunk-duration later in
+/// real time (the write itself happens now).
+fn pump(sim: &mut Sim, dev: Rc<AudioDevice>, state: Shared<AppState>) {
+    let (chunk, pacing, chunk_dur) = {
+        let mut st = state.borrow_mut();
+        let st = &mut *st;
+        if st.remaining_frames == 0 {
+            st.stats.finished_at = Some(sim.now());
             return;
         }
-    }
-}
-
-/// Writes `data` fully (retrying on back-pressure), then calls `then`.
-fn write_all_then(
-    sim: &mut Sim,
-    dev: Rc<AudioDevice>,
-    state: Shared<AppState>,
-    mut data: Vec<u8>,
-    then: impl FnOnce(&mut Sim) + 'static,
-) {
-    let n = match dev.write(sim, &data) {
-        Ok(n) => n,
-        Err(_) => return,
+        let frames = st.chunk_frames.min(st.remaining_frames);
+        st.remaining_frames -= frames;
+        render_interleaved_into(
+            &mut *st.signal,
+            st.cfg.channels,
+            frames as usize,
+            &mut st.pcm,
+        );
+        let mut chunk = Vec::new();
+        encode_samples_into(&st.pcm, st.cfg.encoding, &mut chunk);
+        let chunk_dur = SimDuration::from_nanos(st.cfg.nanos_for_bytes(chunk.len() as u64));
+        (Rc::new(chunk), st.pacing, chunk_dur)
     };
-    state.borrow_mut().stats.bytes_written += n as u64;
-    data.drain(..n);
-    if data.is_empty() {
-        then(sim);
-    } else {
-        state.borrow_mut().stats.short_writes += 1;
-        let dev2 = dev.clone();
-        dev.on_writable(move |sim| write_all_then(sim, dev2, state, data, then));
-    }
+    let counted = Rc::clone(&state);
+    let wrote = move |n: usize, short: bool| {
+        let stats = &mut counted.borrow_mut().stats;
+        stats.bytes_written += n as u64;
+        stats.short_writes += u64::from(short);
+    };
+    Rc::clone(&dev).write_all(sim, chunk, 0, wrote, move |sim| match pacing {
+        AppPacing::WireSpeed => pump(sim, dev, state),
+        AppPacing::RealTime => {
+            sim.schedule_in(chunk_dur, move |sim| pump(sim, dev, state));
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use es_audio::gen::Sine;
-    use es_vad::{vad_pair, VadMaster, VadMode};
+    use es_vad::{vad_pair, vad_pair_with_geometry, VadMaster, VadMode};
 
     fn drain_master(master: &VadMaster, sim: &mut Sim) -> u64 {
         let mut total = 0u64;
@@ -259,6 +214,34 @@ mod tests {
         assert!(stats.short_writes > 0, "back-pressure must have occurred");
         let leftover = master.stats().buffered_audio_bytes as u64;
         assert!(drained + leftover >= 5_292_000 - 8_820 * 2);
+    }
+
+    #[test]
+    fn wire_speed_app_into_a_small_ring_is_pinned() {
+        // Two seconds written into a 16 KiB ring meet back-pressure
+        // on most chunks; how the app writes must move none of these.
+        let mut sim = Sim::new(1);
+        let (slave, _master) = vad_pair_with_geometry(
+            VadMode::KernelThread {
+                poll: SimDuration::from_millis(10),
+            },
+            16_384,
+            50,
+        );
+        let app = AudioApp::start(
+            &mut sim,
+            Rc::new(slave),
+            AudioConfig::CD,
+            Box::new(Sine::new(440.0, 44_100, 0.5)),
+            SimDuration::from_secs(2),
+            AppPacing::WireSpeed,
+        )
+        .unwrap();
+        while !app.is_finished() && sim.step() {}
+        let stats = app.stats();
+        assert_eq!(stats.bytes_written, 352_800);
+        assert_eq!(stats.short_writes, 41);
+        assert_eq!(stats.finished_at, Some(SimTime::from_millis(210)));
     }
 
     #[test]

@@ -639,13 +639,11 @@ mod tests {
         let rb2 = rb.clone();
         sim.schedule_at(SimTime::from_secs(1), move |sim| {
             rb2.crash(sim);
-            assert!(rb2.state.borrow().tx.is_down());
             rb2.crash(sim); // double crash is a no-op
         });
         let rb3 = rb.clone();
         sim.schedule_at(SimTime::from_secs(2), move |sim| {
             rb3.restart(sim);
-            assert!(!rb3.state.borrow().tx.is_down());
         });
         sim.run_until(SimTime::from_secs(5));
 

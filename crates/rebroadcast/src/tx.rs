@@ -49,7 +49,7 @@ const AUTH_INTERVAL: SimDuration = SimDuration::from_millis(500);
 /// by the first. Shorter than a speaker's re-ask interval
 /// (`es_speaker::rx::NACK_REASK`), so a re-ask for a refill that was
 /// itself lost is always served.
-pub const REPAIR_HOLDOFF: SimDuration = SimDuration::from_millis(10);
+const REPAIR_HOLDOFF: SimDuration = SimDuration::from_millis(10);
 
 /// The protocol settings of one stream — what both drivers embed.
 #[derive(Clone)]
@@ -378,7 +378,7 @@ impl StreamTx {
     /// Packets already due at `now` leave the cache first. Ranges are
     /// clamped to the window by serial-number distance from its oldest
     /// packet (so it may straddle the `u32` wrap) and a packet that
-    /// went back out less than [`REPAIR_HOLDOFF`] ago — earlier in
+    /// went back out less than `REPAIR_HOLDOFF` ago — earlier in
     /// this request, or for a neighbour's — is not sent again: a
     /// request costs at most the cache, whatever it asks for. What is
     /// older is silently unfillable — FEC and concealment are the
@@ -444,11 +444,6 @@ impl StreamTx {
         self.stream = primary.stream;
         self.stats.promotions += 1;
         self.stream.data_seq
-    }
-
-    /// True while the process is down.
-    pub fn is_down(&self) -> bool {
-        self.down
     }
 
     /// True while this instance is a warm spare awaiting promotion.

@@ -634,10 +634,7 @@ impl EthernetSpeaker {
             Action::Play(play) => match play.mode {
                 PlayMode::Now => self.write_out(sim, &play),
                 PlayMode::AtDeadline => self.write_out_resync(sim, &play),
-                PlayMode::Serial => {
-                    let (bytes, cfg) = self.render(&play);
-                    self.serial_write(sim, bytes, 0, cfg);
-                }
+                PlayMode::Serial => self.serial_write(sim, &play),
             },
             Action::Nack(to, nack) => self.0.lan.send(sim, self.0.node, Dest::Unicast(to), nack),
             Action::Announce(pkt) => {
@@ -717,21 +714,18 @@ impl EthernetSpeaker {
         (Rc::clone(bytes), cfg)
     }
 
-    /// A blocking `write(2)`: short writes park the player thread on
-    /// the device's writable wakeup; the last one frees the player.
-    fn serial_write(&self, sim: &mut Sim, bytes: Rc<Vec<u8>>, offset: usize, cfg: AudioConfig) {
-        let n = self.0.dev.write_shared(sim, &bytes, offset).unwrap_or(0);
-        let played = (n / cfg.encoding.bytes_per_sample() as usize) as u64;
-        self.0.state.borrow_mut().node.stats.samples_played += played;
-        let next = offset + n;
-        if next < bytes.len() {
-            let spk = self.clone();
-            self.0.dev.on_writable(move |sim| {
-                spk.serial_write(sim, bytes, next, cfg);
-            });
-        } else {
-            self.step(sim, SpeakerNode::serial_done);
-        }
+    /// The §3.4 player's blocking `write(2)`: short writes park it on
+    /// the device's writable wakeup; the last one frees it.
+    fn serial_write(&self, sim: &mut Sim, play: &Play) {
+        let (bytes, cfg) = self.render(play);
+        let bytes_per_sample = cfg.encoding.bytes_per_sample() as usize;
+        let (spk, player) = (self.clone(), self.clone());
+        let played = move |n: usize, _short: bool| {
+            spk.0.state.borrow_mut().node.stats.samples_played += (n / bytes_per_sample) as u64;
+        };
+        self.0.dev.write_all(sim, bytes, 0, played, move |sim| {
+            player.step(sim, SpeakerNode::serial_done);
+        });
     }
 
     /// §3.2's catch-up rule applied to the device timeline: "throwing

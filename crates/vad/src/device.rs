@@ -8,8 +8,8 @@
 //! block*, then expects the hardware interrupt to keep the transfer
 //! going — "the hardware specific driver is essentially out of the
 //! picture". A pseudo-device with no hardware must fake that interrupt,
-//! which is exactly the problem the VAD solves twice (kernel thread vs.
-//! reader-driven).
+//! which the VAD does with a kernel thread that calls the interrupt
+//! routine (§3.3).
 
 use std::rc::{Rc, Weak};
 
@@ -60,8 +60,6 @@ impl From<ConfigError> for DevError {
 pub enum Ioctl {
     /// `AUDIO_SETINFO`: reconfigure the stream.
     SetInfo(AudioConfig),
-    /// `AUDIO_FLUSH`: discard buffered data.
-    Flush,
 }
 
 /// The interrupt routine the high-level driver hands to the low-level
@@ -73,28 +71,17 @@ pub type Waiter = Box<dyn FnOnce(&mut Sim)>;
 
 /// The low-level (`audio(9)`) driver contract.
 pub trait LowLevelDriver {
-    /// Driver name for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Applies new stream parameters.
     fn set_params(&mut self, sim: &mut Sim, cfg: &AudioConfig);
 
     /// Called once when the first block of data is ready. The driver
-    /// must arrange for blocks to keep flowing (DMA loop, kernel
-    /// thread, or reader pulls) and must call `intr` after consuming
-    /// each block.
+    /// must arrange for blocks to keep flowing (a DMA loop, or the
+    /// VAD's kernel thread) and must call `intr` after consuming each
+    /// block.
     fn trigger_output(&mut self, sim: &mut Sim, src: BlockSource, intr: Intr);
 
     /// Stops output (device close).
     fn halt_output(&mut self, sim: &mut Sim);
-
-    /// Whether the high level should call [`LowLevelDriver::block_ready`]
-    /// on every completed block after triggering. Real hardware never
-    /// needs this; the master-driven VAD design is implemented as this
-    /// "modification of the independent audio driver" (§3.3).
-    fn wants_block_ready_calls(&self) -> bool {
-        false
-    }
 
     /// The instant the next DMA block will start playing, if the
     /// engine is running and that instant is after `now`. `None` means
@@ -105,8 +92,10 @@ pub trait LowLevelDriver {
         None
     }
 
-    /// Per-block notification, only delivered when
-    /// [`LowLevelDriver::wants_block_ready_calls`] returns true.
+    /// Called for every block a write completes after the trigger (the
+    /// triggering write itself is not announced). A card that paused
+    /// its DMA engine on an empty ring restarts it here; the default
+    /// ignores it.
     fn block_ready(&mut self, _sim: &mut Sim) {}
 }
 
@@ -203,9 +192,9 @@ impl es_telemetry::Telemetry for DevStats {
 
 /// The high-level audio device — the `/dev/audio` an application opens.
 ///
-/// One instance wraps one low-level driver; constructing one with
-/// [`crate::hw::HwDriver`] models a real sound card, with
-/// [`crate::vad::VadSlaveDriver`] the slave half of the VAD.
+/// One instance wraps one low-level driver: constructed over
+/// [`crate::hw::HwDriver`] it models a real sound card, and
+/// [`crate::vad::vad_pair`] builds the slave half of the VAD as one.
 pub struct AudioDevice {
     inner: Rc<std::cell::RefCell<DevInner>>,
     low: Shared<dyn LowLevelDriver>,
@@ -273,23 +262,16 @@ impl AudioDevice {
         if !self.inner.borrow().open {
             return Err(DevError::NotOpen);
         }
-        match req {
-            Ioctl::SetInfo(cfg) => {
-                cfg.validate()?;
-                // The low level drains pending data first (under the
-                // old block geometry) so the master sees old-format
-                // audio strictly before the new configuration (§2.1.2).
-                self.low.borrow_mut().set_params(sim, &cfg);
-                let mut inner = self.inner.borrow_mut();
-                inner.config = cfg;
-                inner.recompute_blocksize();
-                Ok(())
-            }
-            Ioctl::Flush => {
-                self.inner.borrow_mut().ring.flush();
-                Ok(())
-            }
-        }
+        let Ioctl::SetInfo(cfg) = req;
+        cfg.validate()?;
+        // The low level drains pending data first (under the old block
+        // geometry) so the master sees old-format audio strictly before
+        // the new configuration (§2.1.2).
+        self.low.borrow_mut().set_params(sim, &cfg);
+        let mut inner = self.inner.borrow_mut();
+        inner.config = cfg;
+        inner.recompute_blocksize();
+        Ok(())
     }
 
     /// Writes audio data; returns the number of bytes accepted (short
@@ -312,8 +294,8 @@ impl AudioDevice {
     }
 
     /// Puts data in the ring with `put` and tells the low-level driver
-    /// what that completed: the first block triggers output, later ones
-    /// are announced if the driver asked for that.
+    /// what that completed: the first block triggers output, each later
+    /// one is announced with [`LowLevelDriver::block_ready`].
     fn write_with(
         &self,
         sim: &mut Sim,
@@ -341,13 +323,41 @@ impl AudioDevice {
             let src = self.block_source();
             let intr = self.make_intr();
             self.low.borrow_mut().trigger_output(sim, src, intr);
-        } else if completed_blocks > 0 && self.low.borrow().wants_block_ready_calls() {
+        } else if completed_blocks > 0 {
             let mut low = self.low.borrow_mut();
             for _ in 0..completed_blocks {
                 low.block_ready(sim);
             }
         }
         Ok(accepted)
+    }
+
+    /// A blocking `write(2)` of `buf[from..]`: writes it by handle
+    /// ([`AudioDevice::write_shared`]) and, while the ring is full,
+    /// parks on [`AudioDevice::on_writable`] for the rest. Each write's
+    /// byte count, and whether it fell short, goes to `wrote`; `done`
+    /// runs once every byte is in. A device that refuses a write ends
+    /// it, and `done` never runs.
+    pub fn write_all(
+        self: &Rc<Self>,
+        sim: &mut Sim,
+        buf: Rc<Vec<u8>>,
+        from: usize,
+        mut wrote: impl FnMut(usize, bool) + 'static,
+        done: impl FnOnce(&mut Sim) + 'static,
+    ) {
+        let Ok(n) = self.write_shared(sim, &buf, from) else {
+            return;
+        };
+        let next = from + n;
+        let short = next < buf.len();
+        wrote(n, short);
+        if short {
+            let dev = Rc::clone(self);
+            self.on_writable(move |sim| dev.write_all(sim, buf, next, wrote, done));
+        } else {
+            done(sim);
+        }
     }
 
     /// Registers a one-shot callback fired at the next interrupt (ring
@@ -430,34 +440,17 @@ mod tests {
     use std::cell::RefCell;
 
     /// A scripted low-level driver for exercising the high level.
+    #[derive(Default)]
     struct FakeLow {
         triggered: u32,
         halted: u32,
         params: Vec<AudioConfig>,
         block_ready: u32,
-        wants_ready: bool,
         src: Option<BlockSource>,
         intr: Option<Intr>,
     }
 
-    impl FakeLow {
-        fn new(wants_ready: bool) -> Self {
-            FakeLow {
-                triggered: 0,
-                halted: 0,
-                params: Vec::new(),
-                block_ready: 0,
-                wants_ready,
-                src: None,
-                intr: None,
-            }
-        }
-    }
-
     impl LowLevelDriver for FakeLow {
-        fn name(&self) -> &'static str {
-            "fake"
-        }
         fn set_params(&mut self, _sim: &mut Sim, cfg: &AudioConfig) {
             self.params.push(*cfg);
         }
@@ -469,23 +462,26 @@ mod tests {
         fn halt_output(&mut self, _sim: &mut Sim) {
             self.halted += 1;
         }
-        fn wants_block_ready_calls(&self) -> bool {
-            self.wants_ready
-        }
         fn block_ready(&mut self, _sim: &mut Sim) {
             self.block_ready += 1;
         }
     }
 
-    fn device(wants_ready: bool) -> (AudioDevice, Rc<RefCell<FakeLow>>) {
-        let low = Rc::new(RefCell::new(FakeLow::new(wants_ready)));
+    fn device() -> (AudioDevice, Rc<RefCell<FakeLow>>) {
+        let low = Rc::new(RefCell::new(FakeLow::default()));
         let dev = AudioDevice::with_geometry(low.clone(), 65_536, 50);
         (dev, low)
     }
 
+    /// The ring source and interrupt routine the device triggered with.
+    fn triggered(low: &Rc<RefCell<FakeLow>>) -> (BlockSource, Intr) {
+        let low = low.borrow();
+        (low.src.clone().unwrap(), low.intr.clone().unwrap())
+    }
+
     #[test]
     fn open_is_exclusive() {
-        let (dev, _) = device(false);
+        let (dev, _) = device();
         dev.open().unwrap();
         assert!(matches!(dev.open(), Err(DevError::Busy)));
         assert!(dev.inner.borrow().open);
@@ -494,13 +490,13 @@ mod tests {
     #[test]
     fn write_requires_open() {
         let mut sim = Sim::new(1);
-        let (dev, _) = device(false);
+        let (dev, _) = device();
         assert!(matches!(
             dev.write(&mut sim, &[0; 4]),
             Err(DevError::NotOpen)
         ));
         assert!(matches!(
-            dev.ioctl(&mut sim, Ioctl::Flush),
+            dev.ioctl(&mut sim, Ioctl::SetInfo(AudioConfig::CD)),
             Err(DevError::NotOpen)
         ));
     }
@@ -510,7 +506,7 @@ mod tests {
         // The audio(9) contract the paper describes: "it is only
         // invoked once, when the first block of data is ready".
         let mut sim = Sim::new(1);
-        let (dev, low) = device(false);
+        let (dev, low) = device();
         dev.open().unwrap();
         let blk = dev.blocksize();
         dev.write(&mut sim, &vec![1u8; blk / 2]).unwrap();
@@ -522,24 +518,28 @@ mod tests {
     }
 
     #[test]
-    fn block_ready_calls_only_when_requested() {
+    fn block_ready_follows_every_block_after_the_trigger() {
         let mut sim = Sim::new(1);
-        let (dev, low) = device(true);
+        let (dev, low) = device();
         dev.open().unwrap();
         let blk = dev.blocksize();
-        dev.write(&mut sim, &vec![1u8; blk]).unwrap(); // triggers
+        dev.write(&mut sim, &vec![1u8; blk * 2]).unwrap();
+        assert_eq!(low.borrow().triggered, 1);
+        assert_eq!(
+            low.borrow().block_ready,
+            0,
+            "the trigger is not a block_ready"
+        );
+        dev.write(&mut sim, &vec![1u8; blk / 2]).unwrap();
+        assert_eq!(low.borrow().block_ready, 0, "no block completed");
         dev.write(&mut sim, &vec![1u8; blk * 2]).unwrap();
         assert_eq!(low.borrow().block_ready, 2);
-        let (dev2, low2) = device(false);
-        dev2.open().unwrap();
-        dev2.write(&mut sim, &vec![1u8; blk * 4]).unwrap();
-        assert_eq!(low2.borrow().block_ready, 0);
     }
 
     #[test]
     fn setinfo_updates_blocksize_and_forwards() {
         let mut sim = Sim::new(1);
-        let (dev, low) = device(false);
+        let (dev, low) = device();
         dev.open().unwrap();
         let cd_blk = dev.blocksize();
         // 50 ms of CD audio = 8820 bytes.
@@ -554,7 +554,7 @@ mod tests {
     #[test]
     fn setinfo_rejects_invalid() {
         let mut sim = Sim::new(1);
-        let (dev, _) = device(false);
+        let (dev, _) = device();
         dev.open().unwrap();
         let bad = AudioConfig {
             sample_rate: 1,
@@ -569,7 +569,7 @@ mod tests {
     #[test]
     fn short_write_and_writable_wakeup() {
         let mut sim = Sim::new(1);
-        let (dev, low) = device(false);
+        let (dev, low) = device();
         dev.open().unwrap();
         // Fill the ring completely.
         let cap = dev.inner.borrow().ring.free();
@@ -580,10 +580,7 @@ mod tests {
         let w = woken.clone();
         dev.on_writable(move |_| w.set(true));
         // Low-level consumes one block and fires the interrupt.
-        let (src, intr) = {
-            let low = low.borrow();
-            (low.src.clone().unwrap(), low.intr.clone().unwrap())
-        };
+        let (src, intr) = triggered(&low);
         assert!(src.take_block(false).is_some());
         intr(&mut sim);
         assert!(woken.get());
@@ -592,9 +589,82 @@ mod tests {
     }
 
     #[test]
+    fn write_all_parks_until_every_byte_is_in() {
+        let mut sim = Sim::new(1);
+        let (dev, low) = device();
+        let dev = Rc::new(dev);
+        dev.open().unwrap();
+        let len = 3 * dev.inner.borrow().ring.capacity();
+        let writes = Rc::new(RefCell::new(Vec::new()));
+        let done_after = Rc::new(RefCell::new(Vec::new()));
+        let (w, d, seen) = (writes.clone(), done_after.clone(), writes.clone());
+        dev.write_all(
+            &mut sim,
+            Rc::new(vec![1u8; len]),
+            0,
+            move |n, short| w.borrow_mut().push((n, short)),
+            move |_| d.borrow_mut().push(seen.borrow().len()),
+        );
+        // Play the ring out a block at a time, as a card would, until
+        // the writer is done; each interrupt is one wakeup.
+        let (src, intr) = triggered(&low);
+        let mut wakeups = 0;
+        while done_after.borrow().is_empty() {
+            assert!(src.take_block(false).is_some(), "the writer stalled");
+            intr(&mut sim);
+            wakeups += 1;
+        }
+        while src.take_block(false).is_some() {
+            intr(&mut sim);
+        }
+        let writes = writes.borrow();
+        assert!(wakeups > 2, "{wakeups} wakeups");
+        assert_eq!(writes.iter().map(|&(n, _)| n).sum::<usize>(), len);
+        let (last, rest) = writes.split_last().unwrap();
+        assert!(rest.iter().all(|&(_, short)| short), "{writes:?}");
+        assert!(!last.1, "the last write completes it");
+        assert_eq!(
+            *done_after.borrow(),
+            [writes.len()],
+            "once, after the last write"
+        );
+    }
+
+    #[test]
+    fn write_all_to_a_closed_device_never_finishes() {
+        let mut sim = Sim::new(1);
+        let (dev, low) = device();
+        let dev = Rc::new(dev);
+        dev.open().unwrap();
+        let len = 2 * dev.inner.borrow().ring.capacity();
+        let writes = Rc::new(std::cell::Cell::new(0));
+        let done = Rc::new(std::cell::Cell::new(false));
+        let write_all = |sim: &mut Sim| {
+            let (w, d) = (writes.clone(), done.clone());
+            dev.write_all(
+                sim,
+                Rc::new(vec![1u8; len]),
+                0,
+                move |_, _| w.set(w.get() + 1),
+                move |_| d.set(true),
+            );
+        };
+        write_all(&mut sim);
+        assert_eq!(writes.get(), 1, "parked on a full ring");
+        let (_, intr) = triggered(&low);
+        dev.close(&mut sim);
+        // The parked writer is gone with the close: a later interrupt
+        // wakes nobody, and a write to the closed device is refused.
+        intr(&mut sim);
+        write_all(&mut sim);
+        assert_eq!(writes.get(), 1);
+        assert!(!done.get());
+    }
+
+    #[test]
     fn close_halts_and_flushes() {
         let mut sim = Sim::new(1);
-        let (dev, low) = device(false);
+        let (dev, low) = device();
         dev.open().unwrap();
         dev.write(&mut sim, &vec![1u8; 10_000]).unwrap();
         dev.close(&mut sim);
@@ -607,7 +677,7 @@ mod tests {
     #[test]
     fn block_source_reports_geometry() {
         let mut sim = Sim::new(1);
-        let (dev, _) = device(false);
+        let (dev, _) = device();
         dev.open().unwrap();
         let src = dev.block_source();
         assert_eq!(src.block_duration(), SimDuration::from_millis(50));
@@ -619,7 +689,7 @@ mod tests {
 
     #[test]
     fn block_source_outlives_device_gracefully() {
-        let (dev, _) = device(false);
+        let (dev, _) = device();
         let src = dev.block_source();
         drop(dev);
         assert!(src.take_block(true).is_none());

@@ -309,10 +309,6 @@ impl HwDriver {
 }
 
 impl LowLevelDriver for HwDriver {
-    fn name(&self) -> &'static str {
-        "hw-sim"
-    }
-
     fn set_params(&mut self, _sim: &mut Sim, _cfg: &AudioConfig) {
         // Geometry is read from the BlockSource on each DMA cycle, so
         // nothing to cache here.
@@ -337,10 +333,6 @@ impl LowLevelDriver for HwDriver {
         st.paused = false;
         st.src = None;
         st.intr = None;
-    }
-
-    fn wants_block_ready_calls(&self) -> bool {
-        true
     }
 
     fn next_block_start(&self, now: SimTime) -> Option<SimTime> {

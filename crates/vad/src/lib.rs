@@ -14,8 +14,8 @@
 //!   (§3.3).
 //! - [`hw::HwDriver`]: a simulated sound card (rate-limited DMA loop,
 //!   output tap with playback timestamps).
-//! - [`vad::vad_pair`]: the master/slave VAD in both §3.3 designs
-//!   (kernel thread vs. master-driven).
+//! - [`vad::vad_pair`]: the master/slave VAD, whose kernel thread
+//!   stands in for the interrupt no hardware raises (§3.3).
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

@@ -68,6 +68,13 @@ PROPTEST_CASES=2000 cargo test -q --release -p es-telemetry
 echo "== FEC recoverer differential oracle (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test -q --release -p es-proto fec::
 
+# The audio ring's differential run: the run-queue ring against a
+# byte-at-a-time model ring under random writes, shared writes,
+# takes, flushes and block-size changes, plus the device and VAD
+# unit tests, at 2000 cases instead of 64 (< 1 s release).
+echo "== audio ring differential oracle (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test -q --release -p es-vad
+
 # The speaker under hostile traffic: well-formed packets with hostile
 # fields, damage and bad auth trailers into a bare `SpeakerNode`, its
 # outcomes per message and per wakeup, its tables and its NACKs held

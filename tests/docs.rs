@@ -305,6 +305,16 @@ no_doc_mentions! {
         ],
         "the session plane carries no volume; a speaker's gain is its \
          `SpeakerSpec::volume` and auto-volume";
+    no_doc_describes_the_deleted_interrupt_design: DESIGN_DOCS,
+        [
+            concat!("Master", "Driven"),
+            concat!("master-", "driven"),
+            concat!("reader-", "driven"),
+            concat!("wants_block_", "ready_calls"),
+        ],
+        "the VAD fakes the missing interrupt one way, with its kernel \
+         thread, and the high level announces every block after the \
+         trigger to any low-level driver";
 }
 
 /// What a caller of a shim kept only so the frozen `benches/ledger`

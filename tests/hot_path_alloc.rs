@@ -173,8 +173,8 @@ fn one_speaker_pipelines_allocate_exactly_as_pinned() {
         quality: MAX_QUALITY,
     };
     let pinned = [
-        ("ovl", pipeline_allocations(ovl), 6_055),
-        ("pcm", pipeline_allocations(CompressionPolicy::Never), 6_055),
+        ("ovl", pipeline_allocations(ovl), 5_855),
+        ("pcm", pipeline_allocations(CompressionPolicy::Never), 5_855),
     ];
     for (name, measured, expected) in pinned {
         assert_eq!(

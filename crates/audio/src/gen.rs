@@ -269,6 +269,64 @@ impl Signal for WhiteNoise {
     }
 }
 
+/// A plucked-string melody (Karplus–Strong): a new note every 250 ms,
+/// its pitch drawn by a seeded RNG from an A-minor pentatonic scale
+/// over two octaves up from 220 Hz. A pluck fills a delay line one
+/// period long with noise; every sample then replaces the line's
+/// oldest value by the damped mean of it and the next, so the string
+/// rings at the line's pitch and decays, losing its highs first.
+/// Program material with onsets and decays, where [`MultiTone::music`]
+/// is one steady chord.
+#[derive(Debug, Clone)]
+pub struct Pluck {
+    rng: StdRng,
+    sample_rate: f32,
+    /// Samples left of the note playing.
+    left: u32,
+    line: Vec<f32>,
+    at: usize,
+    amplitude: f32,
+}
+
+impl Pluck {
+    /// Semitones above 220 Hz a note may sit at.
+    const SCALE: [u8; 10] = [0, 3, 5, 7, 10, 12, 15, 17, 19, 22];
+
+    /// A seeded melody with the given peak amplitude.
+    pub fn new(seed: u64, sample_rate: u32, amplitude: f32) -> Self {
+        Pluck {
+            rng: StdRng::seed_from_u64(seed),
+            sample_rate: sample_rate as f32,
+            left: 0,
+            line: Vec::new(),
+            at: 0,
+            amplitude: amplitude.clamp(0.0, 1.0),
+        }
+    }
+}
+
+impl Signal for Pluck {
+    fn next_sample(&mut self) -> f32 {
+        if self.left == 0 {
+            let semitones = Self::SCALE[self.rng.gen::<usize>() % Self::SCALE.len()];
+            let hz = 220.0 * (f32::from(semitones) / 12.0).exp2();
+            let period = (self.sample_rate / hz).round() as usize;
+            let rng = &mut self.rng;
+            self.line.clear();
+            self.line
+                .extend((0..period).map(|_| rng.gen::<f32>() * 2.0 - 1.0));
+            self.at = 0;
+            self.left = (self.sample_rate / 4.0) as u32;
+        }
+        self.left -= 1;
+        let next = (self.at + 1) % self.line.len();
+        let v = self.line[self.at];
+        self.line[self.at] = 0.498 * (v + self.line[next]);
+        self.at = next;
+        v * self.amplitude
+    }
+}
+
 /// A linear frequency sweep (chirp) from `f0` to `f1` over `duration_s`
 /// seconds, then holding `f1`.
 #[derive(Debug, Clone)]
@@ -449,6 +507,24 @@ mod tests {
             .filter(|w| w[0] <= 0.0 && w[1] > 0.0)
             .count();
         assert!((crossings as i64 - 1_000).abs() <= 2, "{crossings}");
+    }
+
+    #[test]
+    fn pluck_is_seeded_bounded_and_struck_every_250_ms() {
+        let render = |seed| {
+            let mut p = Pluck::new(seed, 44_100, 0.8);
+            (0..44_100).map(|_| p.next_sample()).collect::<Vec<f32>>()
+        };
+        let melody = render(5);
+        assert_eq!(melody, render(5));
+        assert_ne!(melody, render(6));
+        assert!(melody.iter().all(|v| v.abs() <= 0.8));
+        // Each note decays until the next pluck restarts the string.
+        let rms = |s: &[f32]| (s.iter().map(|v| v * v).sum::<f32>() / s.len() as f32).sqrt();
+        for onset in (11_025..44_100).step_by(11_025) {
+            let (decayed, struck) = (&melody[onset - 512..onset], &melody[onset..onset + 512]);
+            assert!(rms(struck) > 2.0 * rms(decayed), "note at sample {onset}");
+        }
     }
 
     #[test]

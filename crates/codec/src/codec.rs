@@ -3,12 +3,14 @@
 //! The rebroadcaster picks a codec per stream (§2.2's selective
 //! compression policy); the wire protocol carries the codec id in every
 //! data packet so a speaker can decode any stream it tunes to without
-//! negotiating with the producer (§2.3's stateless design).
+//! negotiating with the producer (§2.3's stateless design). An OVL
+//! packet laps the one before it, so the first a speaker hears plays
+//! with its head faded in.
 
 use es_audio::convert::{decode_samples_into, encode_samples};
 use es_audio::Encoding;
 
-use crate::ovl::{OvlCodec, OvlError, MAX_QUALITY};
+use crate::ovl::{OvlCodec, OvlError, OvlSpan, MAX_QUALITY};
 
 /// Wire identifiers for payload codecs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,7 +109,9 @@ pub struct Encoded {
 }
 
 /// A codec engine holding the expensive precomputed state (MDCT
-/// tables). Reuse one per producer/speaker.
+/// tables). Reuse one per producer/speaker. OVL codes a stream: one
+/// engine's encodes are one stream's consecutive packets, until
+/// [`Codecs::reset`].
 pub struct Codecs {
     ovl: OvlCodec,
 }
@@ -126,8 +130,15 @@ impl Codecs {
         }
     }
 
+    /// Forgets the stream being encoded: the next OVL packet starts a
+    /// fresh lap, complete on its own.
+    pub fn reset(&self) {
+        self.ovl.reset();
+    }
+
     /// Encodes interleaved samples with the chosen codec. `quality`
-    /// only affects [`CodecId::Ovl`].
+    /// only affects [`CodecId::Ovl`], which laps the packet onto the
+    /// one this engine encoded before.
     ///
     /// # Panics
     ///
@@ -163,7 +174,9 @@ impl Codecs {
 
     /// Decodes a payload back to interleaved samples. `channels` is the
     /// stream configuration's channel count; a self-describing payload
-    /// (OVL) is cross-checked against it.
+    /// (OVL) is cross-checked against it. An OVL packet decodes on its
+    /// own: a packet that laps its predecessor plays its head faded
+    /// ([`OvlSpan::complete`] is the way to complete it).
     pub fn decode(
         &self,
         codec: CodecId,
@@ -209,6 +222,25 @@ impl Codecs {
         }
     }
 
+    /// Decodes an OVL payload's windows into `span`, cross-checking its
+    /// channel count against the stream configuration's `channels`;
+    /// returns the work units.
+    pub fn decode_span(
+        &self,
+        bytes: &[u8],
+        channels: u8,
+        span: &mut OvlSpan,
+    ) -> Result<u64, CodecError> {
+        let work = self.ovl.decode_span(bytes, span)?;
+        if span.channels() != channels {
+            return Err(CodecError::ChannelMismatch {
+                expected: channels,
+                got: span.channels(),
+            });
+        }
+        Ok(work)
+    }
+
     /// Decodes by wire id, for protocol paths.
     pub fn decode_wire(
         &self,
@@ -236,6 +268,7 @@ impl Codecs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ovl::DELAY;
     use es_audio::analysis::snr_db;
     use es_audio::gen::{render_stereo, MultiTone, Sine};
 
@@ -270,10 +303,16 @@ mod tests {
         let codecs = Codecs::new();
         let s = stereo(4_096);
         for c in CodecId::ALL {
-            let enc = codecs.encode(c, &s, 2, 10);
+            // OVL plays a stream `DELAY` frames late: follow the clip
+            // with that much silence and skip as much of the output.
+            let delay = if c == CodecId::Ovl { 2 * DELAY } else { 0 };
+            let mut padded = s.clone();
+            padded.resize(s.len() + delay, 0);
+            let enc = codecs.encode(c, &padded, 2, 10);
             let (dec, _) = codecs.decode(c, &enc.bytes, 2).unwrap();
+            let dec = &dec[delay..];
             assert_eq!(dec.len(), s.len(), "{c}");
-            let snr = snr_db(&s, &dec).unwrap();
+            let snr = snr_db(&s, dec).unwrap();
             let floor = match c {
                 CodecId::Pcm => 100.0,
                 CodecId::ULaw => 25.0,

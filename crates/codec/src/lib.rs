@@ -31,4 +31,4 @@ pub mod ovl;
 pub mod reference;
 
 pub use codec::{CodecError, CodecId, Codecs, Encoded};
-pub use ovl::{OvlCodec, MAX_QUALITY};
+pub use ovl::{OvlCodec, OvlSpan, OvlTail, MAX_QUALITY};

@@ -12,17 +12,24 @@
 //!   psycho-acoustic model),
 //! - Rice-coded quantized coefficients.
 //!
-//! Like the paper's streams, every packet is independently decodable:
-//! a lost packet costs only its own samples (§2.3's friendly-LAN
-//! assumption makes heavier resilience unnecessary). So each packet is
-//! framed on its own: a block before the signal and padding after it,
-//! up to whole blocks plus one. The decoder keeps only the signal, and
-//! time-domain alias cancellation rebuilds every signal sample whatever
-//! the padding holds (a padding half-block aliases only onto itself).
-//! The padding is therefore the encoder's to choose, and it eases the
-//! signal in and out (see [`OvlCodec::encode`]) instead of starting and
-//! stopping it with a step that the edge windows would spend most of
-//! the packet's bits on.
+//! Like Vorbis, OVL codes a stream, not packets. One grid of windows,
+//! a [`BLOCK`] apart, runs through the whole stream, and a packet
+//! carries the windows that end inside its frames: 4 or 5 for a
+//! 2 205-frame packet, 4.31 on average, where a packet framed on its
+//! own needs 6. The encoder keeps the frames the next packet's first
+//! windows overlap, at most [`DELAY`] per channel.
+//!
+//! So a packet does not decode to its own frames alone. Decoded on its
+//! own ([`OvlCodec::decode_span`]), it is the overlap-add of its
+//! windows, an [`OvlSpan`]. The frames it plays are that span
+//! completed by the [`OvlTail`] the packet before it left
+//! ([`OvlSpan::complete`]): the two overlap in the packet's first
+//! `DELAY - position % BLOCK` frames, its *head*. Every packet plays as
+//! many frames as it carries, the stream's frames [`DELAY`] earlier.
+//! A packet that starts a fresh lap (its header's lap bit clear: the
+//! stream's first, or the first after [`OvlCodec::reset`]) is complete
+//! on its own. A packet whose predecessor is missing plays its head
+//! faded in from what its own windows hold there.
 //!
 //! The encoder reports *work units* (multiply-accumulate counts), which
 //! the Figure 4 harness converts to Geode-class CPU cycles.
@@ -32,8 +39,14 @@ use std::cell::RefCell;
 use crate::bitstream::{unzigzag, zigzag, BitReader, BitWriter};
 use crate::mdct::Mdct;
 
-/// Half-length of the MDCT (coefficients per window).
+/// Half-length of the MDCT (coefficients per window, and the hop of
+/// the stream's window grid).
 pub const BLOCK: usize = 512;
+
+/// The codec delay in frames: a packet plays the stream's frames this
+/// far behind the ones it carries. Also the longest head a packet's
+/// predecessor completes.
+pub const DELAY: usize = 2 * BLOCK;
 
 /// Maximum quality index ("we simply set the Ogg Vorbis quality index
 /// to its maximum", §2.2).
@@ -42,14 +55,16 @@ pub const MAX_QUALITY: u8 = 10;
 /// Most channels a packet may carry: one bit each in the twin mask.
 const MAX_CHANNELS: usize = 8;
 
-/// Samples of padding on each side of a coded channel's signal that
-/// the encoder fills with the signal's faded point reflection.
-const EASE: usize = 64;
+/// Payload header: channel count, quality index, per-channel frame
+/// count (`u32` LE), the mask byte, and the stream position of the
+/// packet's first frame (`u32` LE, wrapping). Bit `c ≥ 1` of the mask
+/// set means channel `c` carries channel `c - 1`'s samples and codes
+/// no window bits; bit 0 is [`LAPS`].
+const HEADER: usize = 11;
 
-/// Payload header: channel count, quality index, per-channel sample
-/// count (`u32` LE), twin mask. Bit `c` of the mask set means channel
-/// `c` carries channel `c - 1`'s samples and codes no window bits.
-const HEADER: usize = 7;
+/// Mask bit 0: the packet laps the one before it. Clear, it starts a
+/// fresh lap at position 0.
+const LAPS: u8 = 1;
 
 /// Errors from OVL decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +92,7 @@ impl std::error::Error for OvlError {}
 /// Result of an encode: payload plus the CPU cost accounting.
 #[derive(Debug, Clone)]
 pub struct OvlEncoded {
-    /// Self-contained packet payload.
+    /// The packet payload.
     pub bytes: Vec<u8>,
     /// Multiply-accumulate work performed (for the CPU model).
     pub work_units: u64,
@@ -92,6 +107,166 @@ pub struct OvlDecoded {
     pub channels: u8,
     /// Multiply-accumulate work performed (for the CPU model).
     pub work_units: u64,
+}
+
+/// One packet decoded on its own: the overlap-add of its windows, which
+/// cover the packet's frames from its first window on and the next
+/// packet's head. Reuse one across packets: decoding into it keeps its
+/// allocation.
+#[derive(Debug, Clone, Default)]
+pub struct OvlSpan {
+    channels: u8,
+    /// Frames the packet plays.
+    frames: usize,
+    laps: bool,
+    /// Stream position of the packet's first frame.
+    position: u32,
+    /// Bit `c` set: channel `c` repeats channel `c - 1`.
+    twins: u8,
+    /// Frames from the packet's first to its first window's.
+    start: usize,
+    /// Each coded channel's windows, overlap-added, in turn; none when
+    /// the packet carries no window.
+    samples: Vec<f32>,
+}
+
+/// What a packet leaves the next one: its windows' overlap-add over
+/// the next packet's head, the head of its own predecessor added in
+/// where that reaches so far.
+#[derive(Debug, Clone, Default)]
+pub struct OvlTail {
+    /// 0 for no tail.
+    channels: u8,
+    /// Stream position right after the packet that left it.
+    end: u32,
+    /// Bit `c` set: channel `c` repeats channel `c - 1`.
+    twins: u8,
+    /// Each channel's frames in turn, a twin's not stored.
+    samples: Vec<f32>,
+}
+
+impl OvlTail {
+    /// Frames of the next packet it reaches into.
+    pub fn frames(&self) -> usize {
+        let coded = coded(self.channels, self.twins);
+        self.samples.len().checked_div(coded).unwrap_or(0)
+    }
+}
+
+/// Resizes `v` to `len`, first making room for `most` if it has less:
+/// a buffer whose length moves with the grid's phase from packet to
+/// packet grows once, to the most it can need, instead of doubling.
+fn fit<T: Clone>(v: &mut Vec<T>, len: usize, most: usize, value: T) {
+    if v.capacity() < most {
+        v.clear();
+        v.reserve_exact(most);
+    }
+    v.resize(len, value);
+}
+
+/// Most windows a packet of `frames` frames carries, at any phase.
+fn most_windows(frames: usize) -> usize {
+    frames.div_ceil(BLOCK)
+}
+
+/// Channels of `channels` that are no twin.
+fn coded(channels: u8, twins: u8) -> usize {
+    usize::from(channels) - twins.count_ones() as usize
+}
+
+/// Channel `c`'s `len` samples among `planes`, which store each channel
+/// but the `twins` in turn.
+fn plane(planes: &[f32], twins: u8, c: usize, len: usize) -> &[f32] {
+    let mut source = c;
+    while twins & 1 << source != 0 {
+        source -= 1;
+    }
+    let below = twins & ((1u16 << source) - 1) as u8;
+    &planes[(source - below.count_ones() as usize) * len..][..len]
+}
+
+impl OvlSpan {
+    /// Channel count from the payload header.
+    pub fn channels(&self) -> u8 {
+        self.channels
+    }
+
+    /// Frames the packet plays.
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// The packet laps the one before it: without that packet's tail
+    /// its head plays faded.
+    pub fn laps(&self) -> bool {
+        self.laps
+    }
+
+    /// `tail` is the one this packet's head laps: left by its stream's
+    /// packet right before it.
+    pub fn laps_onto(&self, tail: &OvlTail) -> bool {
+        self.laps && tail.channels == self.channels && tail.end == self.position
+    }
+
+    /// The frames the packet plays, into `out` (interleaved, cleared
+    /// first): the span plus `pred`, if that is the tail this packet
+    /// laps onto (a tail it does not is ignored). What it leaves the
+    /// next packet goes into `tail`.
+    pub fn complete(&self, pred: Option<&OvlTail>, out: &mut Vec<i16>, tail: &mut OvlTail) {
+        let ch = usize::from(self.channels);
+        out.clear();
+        tail.samples.clear();
+        tail.channels = self.channels;
+        tail.end = self.position.wrapping_add(self.frames as u32);
+        let pred = pred.filter(|t| self.laps_onto(t));
+        // A channel repeats the one before it if it does in both.
+        tail.twins = self.twins & pred.map_or(u8::MAX, |t| t.twins);
+        if ch == 0 {
+            return;
+        }
+        let frames = self.frames;
+        let rest = DELAY - (self.position as usize % BLOCK + frames) % BLOCK;
+        let covered = self.samples.len() / coded(self.channels, self.twins);
+        let head = pred.map_or(0, OvlTail::frames);
+        out.resize(frames * ch, 0);
+        let kept = coded(self.channels, tail.twins);
+        fit(&mut tail.samples, rest * kept, DELAY * kept, 0.0);
+        let mut kept = tail.samples.chunks_exact_mut(rest);
+        SUM.with_borrow_mut(|sum| {
+            for c in 0..ch {
+                if tail.twins & 1 << c != 0 {
+                    for frame in out.chunks_exact_mut(ch) {
+                        frame[c] = frame[c - 1];
+                    }
+                    continue;
+                }
+                // The windows from `start` on (to the end when there
+                // are any), the predecessor's head added into the
+                // first frames.
+                fit(sum, 0, frames + DELAY, 0.0);
+                if covered > 0 {
+                    sum.resize(self.start, 0.0);
+                    sum.extend_from_slice(plane(&self.samples, self.twins, c, covered));
+                } else {
+                    sum.resize(frames + rest, 0.0);
+                }
+                if let Some(t) = pred {
+                    for (s, &p) in sum.iter_mut().zip(plane(&t.samples, t.twins, c, head)) {
+                        *s += p;
+                    }
+                }
+                crate::dsp::interleave_denormalize(&sum[..frames], ch, c, out);
+                kept.next()
+                    .expect("a tail plane per channel but its twins")
+                    .copy_from_slice(&sum[frames..]);
+            }
+        });
+    }
+}
+
+thread_local! {
+    /// [`OvlSpan::complete`]'s sum of one channel, reused.
+    static SUM: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Returns the coefficient band widths for a half-length of `n`:
@@ -140,10 +315,12 @@ pub fn band_bits(quality: u8, band: usize) -> Option<u8> {
 }
 
 /// The OVL codec engine. Construction precomputes the MDCT tables and
-/// what each quality index decides per band; reuse one instance across
-/// packets — the window pipeline runs out of a flat `DecodeArena`
-/// that grows once and is reused per packet, so steady-state encode
-/// and decode perform no per-packet allocation beyond the returned
+/// what each quality index decides per band. One instance codes one
+/// stream: [`OvlCodec::encode`] laps each packet onto the one it coded
+/// before. Decoding keeps no stream state, so one instance decodes any
+/// packets. The window pipeline runs out of a flat `DecodeArena` that
+/// grows once and is reused per packet, so steady-state encode and
+/// decode perform no per-packet allocation beyond the returned
 /// payload/output buffers (which callers can also recycle via
 /// [`OvlCodec::decode_into`]).
 ///
@@ -158,9 +335,6 @@ pub struct OvlCodec {
     widths: Vec<usize>,
     /// Indexed by quality index, `0..=MAX_QUALITY`.
     qualities: Vec<QualityTable>,
-    /// The raised-cosine fade of the edge reflection: entry `j - 1`
-    /// weighs the padding sample `j` steps out from the signal's end.
-    fade: [f32; EASE],
     arena: RefCell<DecodeArena>,
 }
 
@@ -187,19 +361,29 @@ impl QualityTable {
     }
 }
 
-/// Reusable per-packet workspace (single-threaded; the sim never
-/// re-enters a codec call, and each thread owns its own codec
-/// instance and therefore its own arena).
+/// What the encoder keeps of its stream between packets.
+#[derive(Default)]
+struct Lap {
+    /// Channels of the stream being coded; 0 before its first packet.
+    channels: usize,
+    /// Stream position of the next packet's first frame.
+    position: u32,
+    /// The normalized frames the next packet's first windows overlap,
+    /// the last `BLOCK + position % BLOCK` coded: channel `c`'s at
+    /// `held[c * DELAY..]`.
+    held: Vec<f32>,
+}
+
+/// Reusable per-packet workspace and the encoder's stream state
+/// (single-threaded; the sim never re-enters a codec call, and each
+/// thread owns its own codec instance and therefore its own arena).
 #[derive(Default)]
 struct DecodeArena {
-    /// Framed time-domain planes ([`Mdct::plane_len`]): on encode, one
-    /// per channel, channel `c`'s at `planes[c * plane_len..]`, each a
-    /// block of padding, the channel's samples and the padding up to
-    /// the plane's end; on decode, the first is each channel's
-    /// overlap-add target in turn.
+    /// Encode's time-domain planes, one per channel, each the frames
+    /// held from the packet before and then this packet's.
     planes: Vec<f32>,
-    /// Flat MDCT coefficients for all channels: channel `c`'s windows
-    /// occupy `coeffs[c * windows * BLOCK..][..windows * BLOCK]`.
+    /// Flat MDCT coefficients for all coded channels: the `c`-th coded
+    /// channel's windows occupy `coeffs[c * windows * BLOCK..][..windows * BLOCK]`.
     coeffs: Vec<f32>,
     /// Quantized coefficient staging for one band (encode and decode):
     /// Rice I/O is serial, scaling is a batch kernel over this buffer.
@@ -208,11 +392,62 @@ struct DecodeArena {
     bits: Vec<u8>,
     /// Each band's peak magnitude in the window being packed.
     peaks: Vec<f32>,
+    lap: Lap,
+    /// [`OvlCodec::decode_into`]'s span and the tail it leaves unread.
+    alone: (OvlSpan, OvlTail),
 }
 
 impl Default for OvlCodec {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The header fields a decode needs.
+struct Header {
+    channels: u8,
+    quality: u8,
+    frames: usize,
+    /// The twin mask, [`LAPS`] cleared.
+    twins: u8,
+    laps: bool,
+    position: u32,
+}
+
+impl Header {
+    fn parse(bytes: &[u8]) -> Result<Header, OvlError> {
+        if bytes.len() < HEADER {
+            return Err(OvlError::ShortHeader);
+        }
+        let channels = bytes[0];
+        let quality = bytes[1];
+        if !(1..=MAX_CHANNELS as u8).contains(&channels) {
+            return Err(OvlError::BadHeader("channel count"));
+        }
+        if quality > MAX_QUALITY {
+            return Err(OvlError::BadHeader("quality index"));
+        }
+        let frames = u32::from_le_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]) as usize;
+        if frames > 1 << 24 {
+            return Err(OvlError::BadHeader("sample count"));
+        }
+        let mask = bytes[6];
+        if u32::from(mask) >> channels != 0 {
+            return Err(OvlError::BadHeader("twin mask"));
+        }
+        let position = u32::from_le_bytes([bytes[7], bytes[8], bytes[9], bytes[10]]);
+        let laps = mask & LAPS != 0;
+        if !laps && position != 0 {
+            return Err(OvlError::BadHeader("a fresh lap starts at position 0"));
+        }
+        Ok(Header {
+            channels,
+            quality,
+            frames,
+            twins: mask & !LAPS,
+            laps,
+            position,
+        })
     }
 }
 
@@ -227,25 +462,21 @@ impl OvlCodec {
             mdct: Mdct::new(BLOCK),
             widths,
             qualities,
-            fade: std::array::from_fn(|i| {
-                let phase = core::f64::consts::PI * (i + 1) as f64 / (EASE + 1) as f64;
-                (0.5 + 0.5 * phase.cos()) as f32
-            }),
             arena: RefCell::new(DecodeArena::default()),
         }
     }
 
-    /// Encodes interleaved samples into a self-contained packet.
-    ///
-    /// Each coded channel is analyzed in a plane framed as the module
-    /// doc describes. The `EASE` padding samples on each side of the
-    /// signal hold its point reflection about its end sample,
-    /// `2·x_edge − x_mirror` for the sample as far inside, faded to
-    /// zero by a raised cosine; the rest of the padding is zero. The
-    /// signal so continues smoothly into silence, and the edge windows
-    /// code it as they would mid-stream. The decoder returns only the
-    /// signal's samples, so the wire format and the decoder are the
-    /// ones zero padding had.
+    /// Forgets the stream being coded: the next packet starts a fresh
+    /// lap.
+    pub fn reset(&self) {
+        self.arena.borrow_mut().lap.channels = 0;
+    }
+
+    /// Encodes the stream's next interleaved samples into a packet: the
+    /// windows of the stream's grid that end inside them. The first
+    /// packet, the first after [`OvlCodec::reset`] and the first with
+    /// another channel count start a fresh lap, with silence before
+    /// them.
     ///
     /// # Panics
     ///
@@ -264,41 +495,75 @@ impl OvlCodec {
         let quality = quality.min(MAX_QUALITY);
         let ch = channels as usize;
         let per_ch = samples.len() / ch;
-        let padded_len = per_ch.div_ceil(BLOCK) * BLOCK;
-
-        let mut work: u64 = samples.len() as u64 * 4;
-
-        // The twin mask: channel `c` repeats channel `c - 1` in every
-        // frame, which covers a mono signal fanned out to every channel.
-        let twin = |c: usize| samples.chunks_exact(ch).all(|f| f[c] == f[c - 1]);
-        let mask = (1..ch).filter(|&c| twin(c)).fold(0u8, |m, c| m | 1 << c);
-
-        // Deinterleave every channel into its framed plane in one pass,
-        // analyze each coded channel's plane into one flat coefficient
-        // buffer, then pack windows interleaved by coded channel so the
-        // decoder can stream in the same order.
-        let n_windows = self.mdct.analyze_windows(padded_len);
-        let wn = n_windows * BLOCK;
-        let plane_len = self.mdct.plane_len(padded_len);
         let mut arena = self.arena.borrow_mut();
         let arena = &mut *arena;
-        let coded = ch - mask.count_ones() as usize;
-        arena.coeffs.resize(coded * wn, 0.0);
-        arena.planes.resize(ch * plane_len, 0.0);
-        crate::dsp::deinterleave_normalize(samples, ch, &mut arena.planes[BLOCK..], plane_len);
-        let mut coded_coeffs = arena.coeffs.chunks_exact_mut(wn);
-        for (c, plane) in arena.planes.chunks_exact_mut(plane_len).enumerate() {
-            // Billed for every channel, analyzed once per coded one.
-            work += n_windows as u64 * self.mdct.ops_per_transform();
-            if mask & 1 << c != 0 {
-                continue;
-            }
-            self.ease_into_frame(plane, per_ch);
-            let coeffs = coded_coeffs
-                .next()
-                .expect("a coefficient plane per coded channel");
-            self.mdct.analyze_plane(plane, coeffs);
+        let lap = &mut arena.lap;
+        let laps = lap.channels == ch;
+        if !laps {
+            lap.channels = ch;
+            lap.position = 0;
+            lap.held.clear();
+            lap.held.resize(ch * DELAY, 0.0);
         }
+        let position = lap.position;
+        let phase = position as usize % BLOCK;
+        let held = BLOCK + phase;
+        let n_windows = (phase + per_ch) / BLOCK;
+        let wn = n_windows * BLOCK;
+        let covered = if n_windows == 0 { 0 } else { wn + BLOCK };
+
+        // Each channel's plane: the frames held from the packet before,
+        // then this packet's, deinterleaved in one pass. The windows
+        // cover the first `covered` frames of each.
+        let stride = held + per_ch;
+        let most = ch * (2 * BLOCK - 1 + per_ch);
+        fit(&mut arena.planes, ch * stride, most, 0.0);
+        for (plane, kept) in arena
+            .planes
+            .chunks_exact_mut(stride)
+            .zip(lap.held.chunks_exact(DELAY))
+        {
+            plane[..held].copy_from_slice(&kept[..held]);
+        }
+        crate::dsp::deinterleave_normalize(samples, ch, &mut arena.planes[held..], stride);
+
+        // The twin mask: channel `c` repeats channel `c - 1` over every
+        // frame the windows cover, which covers a mono signal fanned
+        // out to every channel.
+        let plane = |c: usize| &arena.planes[c * stride..][..covered];
+        let mask = (1..ch)
+            .filter(|&c| plane(c) == plane(c - 1))
+            .fold(0u8, |m, c| m | 1 << c);
+
+        // Analyze each coded channel's windows into one flat
+        // coefficient buffer (billed for every channel), then pack
+        // windows interleaved by coded channel so the decoder can
+        // stream in the same order.
+        let work =
+            samples.len() as u64 * 4 + (ch * n_windows) as u64 * self.mdct.ops_per_transform();
+        let coded = ch - mask.count_ones() as usize;
+        let most = coded * most_windows(per_ch) * BLOCK;
+        fit(&mut arena.coeffs, coded * wn, most, 0.0);
+        if n_windows > 0 {
+            let no_twin = |&(c, _): &(usize, &[f32])| mask & 1 << c == 0;
+            let planes = arena
+                .planes
+                .chunks_exact(stride)
+                .enumerate()
+                .filter(no_twin);
+            for ((_, plane), coeffs) in planes.zip(arena.coeffs.chunks_exact_mut(wn)) {
+                self.mdct.analyze_plane(&plane[..covered], coeffs);
+            }
+        }
+        // What the next packet's first windows overlap.
+        for (kept, plane) in lap
+            .held
+            .chunks_exact_mut(DELAY)
+            .zip(arena.planes.chunks_exact(stride))
+        {
+            kept[..stride - wn].copy_from_slice(&plane[wn..]);
+        }
+        lap.position = position.wrapping_add(per_ch as u32);
 
         let mut bw = BitWriter::with_buffer(std::mem::take(&mut arena.bits));
         arena.qbuf.resize(BLOCK, 0);
@@ -321,7 +586,8 @@ impl OvlCodec {
         bytes.push(channels);
         bytes.push(quality);
         bytes.extend_from_slice(&(per_ch as u32).to_le_bytes());
-        bytes.push(mask);
+        bytes.push(if laps { mask | LAPS } else { mask });
+        bytes.extend_from_slice(&position.to_le_bytes());
         arena.bits = bw.drain_into(&mut bytes);
         OvlEncoded {
             bytes,
@@ -329,29 +595,8 @@ impl OvlCodec {
         }
     }
 
-    /// Fills a framed plane's padding around its `len` signal samples
-    /// at `plane[BLOCK..]`: the faded point reflection of the signal
-    /// about each end, up to `EASE` samples out and no further than
-    /// the signal reaches in, and zeros beyond it.
-    fn ease_into_frame(&self, plane: &mut [f32], len: usize) {
-        let (head, rest) = plane.split_at_mut(BLOCK);
-        let (signal, tail) = rest.split_at_mut(len);
-        head.fill(0.0);
-        tail.fill(0.0);
-        let (Some(&first), Some(&last)) = (signal.first(), signal.last()) else {
-            return;
-        };
-        let inward = signal[1..].iter().zip(&self.fade);
-        for (pad, (&x, &fade)) in head.iter_mut().rev().zip(inward) {
-            *pad = fade * (2.0 * first - x);
-        }
-        let inward = signal[..len - 1].iter().rev().zip(&self.fade);
-        for (pad, (&x, &fade)) in tail.iter_mut().zip(inward) {
-            *pad = fade * (2.0 * last - x);
-        }
-    }
-
-    /// Decodes a packet produced by [`OvlCodec::encode`].
+    /// Decodes a packet produced by [`OvlCodec::encode`] on its own:
+    /// [`OvlCodec::decode_into`].
     pub fn decode(&self, bytes: &[u8]) -> Result<OvlDecoded, OvlError> {
         let mut samples = Vec::new();
         let (channels, work_units) = self.decode_into(bytes, &mut samples)?;
@@ -362,50 +607,52 @@ impl OvlCodec {
         })
     }
 
-    /// Decodes a packet into a caller-provided buffer (cleared and
-    /// resized), returning `(channels, work_units)`. Reusing `out`
-    /// across packets makes steady-state decode allocation-free.
+    /// Decodes a packet on its own into a caller-provided buffer
+    /// (cleared and resized): the frames it plays, with no predecessor
+    /// to complete its head. Returns `(channels, work_units)`. Reusing
+    /// `out` across packets makes steady-state decode allocation-free.
     pub fn decode_into(&self, bytes: &[u8], out: &mut Vec<i16>) -> Result<(u8, u64), OvlError> {
-        if bytes.len() < HEADER {
-            return Err(OvlError::ShortHeader);
+        let (mut span, mut tail) = std::mem::take(&mut self.arena.borrow_mut().alone);
+        let decoded = self.decode_span(bytes, &mut span);
+        if decoded.is_ok() {
+            span.complete(None, out, &mut tail);
         }
-        let channels = bytes[0];
-        let quality = bytes[1];
-        if !(1..=MAX_CHANNELS as u8).contains(&channels) {
-            return Err(OvlError::BadHeader("channel count"));
-        }
-        if quality > MAX_QUALITY {
-            return Err(OvlError::BadHeader("quality index"));
-        }
-        let per_ch = u32::from_le_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]) as usize;
-        if per_ch > 1 << 24 {
-            return Err(OvlError::BadHeader("sample count"));
-        }
-        let ch = channels as usize;
-        let mask = bytes[6];
-        if mask & 1 != 0 || u32::from(mask) >> ch != 0 {
-            return Err(OvlError::BadHeader("twin mask"));
-        }
-        let padded_len = per_ch.div_ceil(BLOCK) * BLOCK;
-        let n_windows = padded_len / BLOCK + 1;
+        let channels = span.channels;
+        self.arena.borrow_mut().alone = (span, tail);
+        decoded.map(|work| (channels, work))
+    }
+
+    /// Decodes a packet's windows into `span`, returning the work
+    /// units. On an error `span` holds nothing to play.
+    pub fn decode_span(&self, bytes: &[u8], span: &mut OvlSpan) -> Result<u64, OvlError> {
+        span.channels = 0;
+        span.samples.clear();
+        let h = Header::parse(bytes)?;
+        let ch = h.channels as usize;
+        let phase = h.position as usize % BLOCK;
+        let n_windows = (phase + h.frames) / BLOCK;
 
         // Every window × coded channel spends at least one keep-flag
-        // bit per band, so the header cannot claim more audio than the
-        // payload has bits for — checked before the arena is sized
+        // bit per band, so the header cannot claim more windows than
+        // the payload has bits for — checked before the arena is sized
         // from it.
-        let coded = ch - mask.count_ones() as usize;
+        let coded = ch - h.twins.count_ones() as usize;
         if n_windows * coded * self.widths.len() > (bytes.len() - HEADER) * 8 {
             return Err(OvlError::BadBitstream);
         }
 
         let mut br = BitReader::new(&bytes[HEADER..]);
-        let mut work: u64 = (per_ch * ch) as u64 * 2;
+        let work =
+            (h.frames * ch) as u64 * 2 + (ch * n_windows) as u64 * self.mdct.ops_per_transform();
         let wn = n_windows * BLOCK;
         let mut arena = self.arena.borrow_mut();
         let arena = &mut *arena;
-        arena.coeffs.resize(coded * wn, 0.0);
+        // The most a phase can need is one window more than this one
+        // has, within the bound just checked.
+        let most = most_windows(h.frames);
+        fit(&mut arena.coeffs, coded * wn, coded * most * BLOCK, 0.0);
         arena.qbuf.resize(BLOCK, 0);
-        let table = &self.qualities[quality as usize];
+        let table = &self.qualities[h.quality as usize];
         for w in 0..n_windows {
             for coeffs in arena.coeffs.chunks_exact_mut(wn) {
                 let coeffs = &mut coeffs[w * BLOCK..][..BLOCK];
@@ -413,26 +660,23 @@ impl OvlCodec {
             }
         }
 
-        out.clear();
-        out.resize(per_ch * ch, 0);
-        arena.planes.resize(self.mdct.plane_len(padded_len), 0.0);
-        let mut coded_coeffs = arena.coeffs.chunks_exact(wn);
-        for c in 0..ch {
-            // Billed for every channel, synthesized once per coded one.
-            work += n_windows as u64 * self.mdct.ops_per_transform();
-            if mask & 1 << c != 0 {
-                for frame in out.chunks_exact_mut(ch) {
-                    frame[c] = frame[c - 1];
-                }
-                continue;
+        // Each coded channel's windows, from the first, which starts
+        // `BLOCK - phase` frames into the packet, to the end of the last.
+        if n_windows > 0 {
+            let most = coded * (most + 1) * BLOCK;
+            fit(&mut span.samples, coded * (wn + BLOCK), most, 0.0);
+            let planes = span.samples.chunks_exact_mut(wn + BLOCK);
+            for (coeffs, plane) in arena.coeffs.chunks_exact(wn).zip(planes) {
+                self.mdct.synthesize_plane(coeffs, plane);
             }
-            let coeffs = coded_coeffs
-                .next()
-                .expect("a coefficient plane per coded channel");
-            self.mdct.synthesize_plane(coeffs, &mut arena.planes);
-            crate::dsp::interleave_denormalize(&arena.planes[BLOCK..][..per_ch], ch, c, out);
         }
-        Ok((channels, work))
+        span.start = BLOCK - phase;
+        span.twins = h.twins;
+        span.channels = h.channels;
+        span.frames = h.frames;
+        span.laps = h.laps;
+        span.position = h.position;
+        Ok(work)
     }
 }
 
@@ -658,15 +902,72 @@ mod tests {
         }
     }
 
+    /// `samples` coded as a stream's first packet with `DELAY` frames
+    /// of silence after them, and the decoded frames that play
+    /// `samples`: a packet plays the stream `DELAY` frames late.
+    fn roundtrip(
+        codec: &OvlCodec,
+        samples: &[i16],
+        channels: u8,
+        quality: u8,
+    ) -> (OvlEncoded, Vec<i16>) {
+        codec.reset();
+        let mut padded = samples.to_vec();
+        padded.resize(samples.len() + DELAY * channels as usize, 0);
+        let enc = codec.encode(&padded, channels, quality);
+        let mut dec = codec
+            .decode(&enc.bytes)
+            .expect("own packet decodes")
+            .samples;
+        dec.drain(..DELAY * channels as usize);
+        (enc, dec)
+    }
+
+    /// `samples` coded as one stream in packets of `lengths` frames
+    /// (cycled), each decoded and completed by its predecessor's tail:
+    /// the payloads and the frames played, in order.
+    fn stream(
+        codec: &OvlCodec,
+        samples: &[i16],
+        channels: u8,
+        quality: u8,
+        lengths: &[usize],
+    ) -> (Vec<Vec<u8>>, Vec<i16>) {
+        codec.reset();
+        let ch = channels as usize;
+        let (mut payloads, mut played) = (Vec::new(), Vec::new());
+        let (mut span, mut tail, mut next, mut out) = (
+            OvlSpan::default(),
+            OvlTail::default(),
+            OvlTail::default(),
+            Vec::new(),
+        );
+        let mut at = 0;
+        for &len in lengths.iter().cycle() {
+            if at == samples.len() {
+                break;
+            }
+            let end = (at + len * ch).min(samples.len());
+            let enc = codec.encode(&samples[at..end], channels, quality);
+            at = end;
+            codec
+                .decode_span(&enc.bytes, &mut span)
+                .expect("own packet decodes");
+            span.complete(Some(&tail), &mut out, &mut next);
+            std::mem::swap(&mut tail, &mut next);
+            played.extend_from_slice(&out);
+            payloads.push(enc.bytes);
+        }
+        (payloads, played)
+    }
+
     #[test]
     fn roundtrip_preserves_shape_at_max_quality() {
         let codec = OvlCodec::new();
         let samples = music_stereo(2_048);
-        let enc = codec.encode(&samples, 2, MAX_QUALITY);
-        let dec = codec.decode(&enc.bytes).unwrap();
-        assert_eq!(dec.channels, 2);
-        assert_eq!(dec.samples.len(), samples.len());
-        let snr = snr_db(&samples, &dec.samples).unwrap();
+        let (_, dec) = roundtrip(&codec, &samples, 2, MAX_QUALITY);
+        assert_eq!(dec.len(), samples.len());
+        let snr = snr_db(&samples, &dec).unwrap();
         assert!(snr > 25.0, "max-quality SNR too low: {snr} dB");
     }
 
@@ -678,19 +979,98 @@ mod tests {
         // at the commit that replaced the 2n-point FFT: 12 076 bytes,
         // 49.635370 dB. Easing the signal into its frame instead of
         // framing it between zeros made it 10 068 bytes, 49.642091 dB.
+        // Coded as a stream's first packet, with silence for its last
+        // windows to reach into, it is 12 081 bytes, 49.635436 dB: the
+        // stream starts on a step out of silence, which its first
+        // windows pay for as the packet framed between zeros did.
         // Allowed: 0.01 % and 0.01 dB.
         let codec = OvlCodec::new();
         let samples = music_stereo(44_100);
-        let enc = codec.encode(&samples, 2, MAX_QUALITY);
-        let dec = codec.decode(&enc.bytes).unwrap();
-        let snr = snr_db(&samples, &dec.samples).unwrap();
-        assert!((snr - 49.642_091).abs() < 0.01, "snr {snr} dB");
+        let (enc, dec) = roundtrip(&codec, &samples, 2, MAX_QUALITY);
+        let snr = snr_db(&samples, &dec).unwrap();
         let len = enc.bytes.len() as f64;
-        assert!((len - 10_068.0).abs() <= 10_068.0 * 1e-4, "{len} bytes");
+        assert!((snr - 49.635_436).abs() < 0.01, "snr {snr} dB");
+        assert!((len - 12_081.0).abs() <= 12_081.0 * 1e-4, "{len} bytes");
+    }
+
+    #[test]
+    fn a_stream_plays_a_delay_late_whatever_its_packets() {
+        // The window grid is the stream's, so the packet lengths change
+        // no window: completed packet by packet, the stream plays what
+        // it plays coded as one packet, bit for bit, `DELAY` frames
+        // late.
+        let codec = OvlCodec::new();
+        let samples = music_stereo(20_000);
+        let (_, whole) = stream(&codec, &samples, 2, MAX_QUALITY, &[20_000]);
+        for lengths in [&[2_205][..], &[1, 511, 512, 513, 1_023, 3_000], &[700, 2]] {
+            let (_, played) = stream(&codec, &samples, 2, MAX_QUALITY, lengths);
+            assert!(played == whole, "{lengths:?}");
+        }
+        // Before the stream, no window reaches the first BLOCK frames.
+        assert!(whole[..2 * BLOCK].iter().all(|&s| s == 0));
+        let snr = snr_db(&samples[..samples.len() - 2 * DELAY], &whole[2 * DELAY..]).unwrap();
+        assert!(snr > 45.0, "{snr} dB");
+    }
+
+    #[test]
+    fn a_2205_frame_packet_carries_4_or_5_windows() {
+        // The windows that end inside a packet's frames: (phase + 2 205)
+        // div 512, with the phase advancing 157 frames a packet. Mono
+        // silence spends one keep flag per band per window, so the
+        // payload counts them.
+        let codec = OvlCodec::new();
+        let bands = band_widths(BLOCK).len();
+        let mut windows = 0;
+        for n in 0..512 {
+            let bytes = codec.encode(&[0; 2_205], 1, MAX_QUALITY).bytes;
+            let w = (bytes.len() - HEADER) * 8 / bands;
+            assert!(w == 4 || w == 5, "packet {n}: {w} windows");
+            assert_eq!(bytes[6], if n == 0 { 0 } else { LAPS });
+            windows += w;
+        }
+        // 512 packets, 512 × 2 205 frames: exactly 2 205 windows.
+        assert_eq!(windows, 2_205);
+    }
+
+    #[test]
+    fn a_head_without_its_predecessor_fades_in() {
+        // Packet 1 completed with packet 0's tail plays what the stream
+        // does; without it, its head (the first `DELAY - phase` frames)
+        // holds only its own windows: silence, then the lone half of
+        // its first window rising out of it. Beyond the head, nothing
+        // changes. A tail from another stream position is ignored.
+        let codec = OvlCodec::new();
+        let samples = music_stereo(4_410);
+        let p0 = codec.encode(&samples[..4_410], 2, MAX_QUALITY).bytes;
+        let p1 = codec.encode(&samples[4_410..], 2, MAX_QUALITY).bytes;
+        let (mut span, mut tail, mut scratch) =
+            (OvlSpan::default(), OvlTail::default(), OvlTail::default());
+        let (mut lapped, mut faded) = (Vec::new(), Vec::new());
+        codec.decode_span(&p0, &mut span).unwrap();
+        assert!(!span.laps());
+        span.complete(None, &mut lapped, &mut tail);
+        codec.decode_span(&p1, &mut span).unwrap();
+        assert!(span.laps() && span.laps_onto(&tail));
+        span.complete(Some(&tail), &mut lapped, &mut scratch);
+        span.complete(None, &mut faded, &mut scratch);
+        let head = DELAY - 2_205 % BLOCK;
+        assert!(lapped[2 * head..] == faded[2 * head..]);
+        assert!(faded[..2 * (head - BLOCK)].iter().all(|&s| s == 0));
+        assert!(lapped[..2 * head] != faded[..2 * head]);
+        let mut elsewhere = tail.clone();
+        elsewhere.end = elsewhere.end.wrapping_add(1);
+        assert!(!span.laps_onto(&elsewhere));
+        let mut ignored = Vec::new();
+        span.complete(Some(&elsewhere), &mut ignored, &mut scratch);
+        assert_eq!(ignored, faded);
     }
 
     /// Length of the pinned signals: not a multiple of BLOCK.
     const PIN_FRAMES: usize = 5_000;
+
+    /// Packet lengths the pins code their signals in, cycled: a
+    /// producer's, one frame, and one that is not a multiple of BLOCK.
+    const PIN_PACKETS: [usize; 3] = [2_205, 1, 700];
 
     fn fnv(h: &mut u64, bytes: &[u8]) {
         for &b in bytes {
@@ -721,18 +1101,18 @@ mod tests {
         }
     }
 
-    /// Hashes the encode and the decode of `samples` at qualities
-    /// 0/3/7/10: the payloads into `hashes[0]`, the decoded samples
-    /// into `hashes[1]`.
+    /// Hashes `samples` coded as one stream in [`PIN_PACKETS`] at
+    /// qualities 0/3/7/10 and played back: the payloads into
+    /// `hashes[0]`, the frames played into `hashes[1]`.
     fn hash_roundtrips(codec: &OvlCodec, samples: &[i16], channels: u8, hashes: &mut [u64; 2]) {
-        let mut out = Vec::new();
         for quality in [0u8, 3, 7, 10] {
-            let enc = codec.encode(samples, channels, quality);
-            fnv(&mut hashes[0], &(enc.bytes.len() as u64).to_le_bytes());
-            fnv(&mut hashes[0], &enc.bytes);
-            codec.decode_into(&enc.bytes, &mut out).unwrap();
-            assert_eq!(out.len(), samples.len());
-            for s in &out {
+            let (payloads, played) = stream(codec, samples, channels, quality, &PIN_PACKETS);
+            for bytes in payloads {
+                fnv(&mut hashes[0], &(bytes.len() as u64).to_le_bytes());
+                fnv(&mut hashes[0], &bytes);
+            }
+            assert_eq!(played.len(), samples.len());
+            for s in &played {
                 fnv(&mut hashes[1], &s.to_le_bytes());
             }
         }
@@ -743,17 +1123,15 @@ mod tests {
     #[test]
     fn bitstream_and_decoded_samples_are_pinned_byte_for_byte() {
         // Size and SNR (above) let a changed bitstream pass; this pins
-        // every encoded byte and every decoded sample. FNV-1a over
-        // encode + decode of four signals × qualities 0/3/7/10 × mono
-        // and stereo, at a length that is not a multiple of BLOCK. The
-        // signals are rendered sample by sample, so the hash pins the
-        // codec, not the renderer. Both hashes are the ones the codec
-        // gave once the encoder eased each signal into its frame
-        // (different coefficients, so different bits and different
-        // quantization noise). Before that, the payload hash had last
-        // moved when the header gained the twin mask, and the sample
-        // hash had not moved since before the entropy layer went
-        // table-driven.
+        // every encoded byte and every played sample. FNV-1a over four
+        // signals × qualities 0/3/7/10 × mono and stereo, each coded as
+        // one stream in packets of several lengths and played back with
+        // every head completed, at a length that is not a multiple of
+        // BLOCK. The signals are rendered sample by sample, so the hash
+        // pins the codec, not the renderer. Both hashes are the ones
+        // the codec gave once it lapped each packet onto the one before
+        // (other windows, so other bits and other quantization noise).
+        // Before that, eased packet edges had last moved both.
         use es_audio::gen::f32_to_i16;
         assert_ne!(PIN_FRAMES % BLOCK, 0);
         let codec = OvlCodec::new();
@@ -770,7 +1148,7 @@ mod tests {
                 hash_roundtrips(&codec, &samples, channels, &mut hash);
             }
         }
-        let want = [0x3C2A_513A_05E0_1A81, 0x2192_9D7B_7C20_726E];
+        let want = [0x005D_1509_389C_529C, 0xE0CC_4BE1_3F13_3296];
         assert_eq!(
             hash, want,
             "payloads {:#018x}, samples {:#018x}",
@@ -783,13 +1161,11 @@ mod tests {
         // The pin above has distinct channels, so it never masks one.
         // This one does: each kind's first source as dual mono, then
         // the same with one sample of the right channel raised at
-        // mid-packet (no longer a twin: coded in full), then three
-        // channels whose last repeats the first but not the one before
-        // it (coded in full too). Both hashes are the ones the codec
-        // gave once the encoder eased each signal into its frame. Before
-        // that, the payload hash was the one it gave once its header
-        // carried the twin mask, and the sample hash the one it gave
-        // when it still coded every channel's bits.
+        // mid-stream (no longer a twin in the windows that cover it:
+        // coded in full there), then three channels whose last repeats
+        // the first but not the one before it (coded in full too). Both
+        // hashes are the ones the codec gave once it lapped each packet
+        // onto the one before; eased packet edges had last moved both.
         use es_audio::gen::f32_to_i16;
         let codec = OvlCodec::new();
         let mut hash = FNV_BASIS;
@@ -811,7 +1187,7 @@ mod tests {
                 .collect();
             hash_roundtrips(&codec, &aba, 3, &mut hash);
         }
-        let want = [0x9279_3BE6_5630_09D9, 0x90EF_7934_AC60_670D];
+        let want = [0xA058_416B_C3BE_9E03, 0xF3FC_C2A9_A078_52E9];
         assert_eq!(
             hash, want,
             "payloads {:#018x}, samples {:#018x}",
@@ -824,12 +1200,14 @@ mod tests {
         let codec = OvlCodec::new();
         let samples = music_stereo(4_096);
         let raw_bytes = samples.len() * 2;
+        codec.reset();
         let enc = codec.encode(&samples, 2, MAX_QUALITY);
         assert!(
             enc.bytes.len() * 2 < raw_bytes,
             "max quality must be at least 2:1 on tonal content: {} vs {raw_bytes}",
             enc.bytes.len()
         );
+        codec.reset();
         let enc_low = codec.encode(&samples, 2, 2);
         assert!(
             enc_low.bytes.len() * 6 < raw_bytes,
@@ -846,14 +1224,13 @@ mod tests {
         let mut snr_low = 0.0;
         let mut snr_high = 0.0;
         for q in [0u8, 5, 10] {
-            let enc = codec.encode(&samples, 2, q);
+            let (enc, dec) = roundtrip(&codec, &samples, 2, q);
             assert!(
                 enc.bytes.len() >= last_size,
                 "size must not shrink as quality rises"
             );
             last_size = enc.bytes.len();
-            let dec = codec.decode(&enc.bytes).unwrap();
-            let snr = snr_db(&samples, &dec.samples).unwrap();
+            let snr = snr_db(&samples, &dec).unwrap();
             if q == 0 {
                 snr_low = snr;
             }
@@ -882,10 +1259,9 @@ mod tests {
     fn non_multiple_of_block_roundtrips() {
         let codec = OvlCodec::new();
         let samples = music_stereo(777);
-        let enc = codec.encode(&samples, 2, 8);
-        let dec = codec.decode(&enc.bytes).unwrap();
-        assert_eq!(dec.samples.len(), samples.len());
-        assert!(snr_db(&samples, &dec.samples).unwrap() > 15.0);
+        let (_, dec) = roundtrip(&codec, &samples, 2, 8);
+        assert_eq!(dec.len(), samples.len());
+        assert!(snr_db(&samples, &dec).unwrap() > 15.0);
     }
 
     #[test]
@@ -895,10 +1271,9 @@ mod tests {
         let samples: Vec<i16> = (0..3_000)
             .map(|_| es_audio::gen::f32_to_i16(m.next_sample()))
             .collect();
-        let enc = codec.encode(&samples, 1, 9);
-        let dec = codec.decode(&enc.bytes).unwrap();
-        assert_eq!(dec.channels, 1);
-        assert!(snr_db(&samples, &dec.samples).unwrap() > 20.0);
+        let (enc, dec) = roundtrip(&codec, &samples, 1, 9);
+        assert_eq!(enc.bytes[0], 1);
+        assert!(snr_db(&samples, &dec).unwrap() > 20.0);
     }
 
     #[test]
@@ -917,18 +1292,26 @@ mod tests {
         assert!(large.work_units > small.work_units * 4);
     }
 
+    /// An 11-byte header: `channels`, `quality`, `frames`, `mask`,
+    /// `position`.
+    fn header(channels: u8, quality: u8, frames: u32, mask: u8, position: u32) -> Vec<u8> {
+        let mut bytes = vec![channels, quality];
+        bytes.extend_from_slice(&frames.to_le_bytes());
+        bytes.push(mask);
+        bytes.extend_from_slice(&position.to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn decode_rejects_garbage() {
         let codec = OvlCodec::new();
         assert!(matches!(codec.decode(&[]), Err(OvlError::ShortHeader)));
         assert!(matches!(codec.decode(&[1, 2]), Err(OvlError::ShortHeader)));
-        assert!(matches!(
-            codec.decode(&[1, 5, 0, 0, 0, 0]),
-            Err(OvlError::ShortHeader)
-        ));
+        let short = &header(1, 5, 0, 0, 0)[..HEADER - 1];
+        assert!(matches!(codec.decode(short), Err(OvlError::ShortHeader)));
         // Bad channel count.
         assert!(matches!(
-            codec.decode(&[0, 5, 0, 0, 0, 0, 0]),
+            codec.decode(&header(0, 5, 0, 0, 0)),
             Err(OvlError::BadHeader(_))
         ));
         // Valid header but truncated bitstream.
@@ -943,18 +1326,18 @@ mod tests {
 
     #[test]
     fn forged_sample_count_is_rejected_before_allocating() {
-        // 8 channels × 2^24 samples claimed by a 7-byte payload: this
+        // 8 channels × 2^24 samples claimed by an 11-byte payload: this
         // used to zero 515 MiB of arena before reading the first bit.
         // Masking all but the first channel leaves one to code, which
-        // the empty body cannot carry either.
+        // the empty body cannot carry either, at any grid phase.
         let codec = OvlCodec::new();
         codec
             .decode(&codec.encode(&music_stereo(1_024), 2, 10).bytes)
             .unwrap();
         let before = codec.arena.borrow().coeffs.capacity();
-        for mask in [0, 0xFE] {
+        for (mask, position) in [(0, 0), (0xFE, 0), (0xFF, 511), (0xFF, u32::MAX)] {
             assert!(matches!(
-                codec.decode(&[8, 10, 0, 0, 0, 1, mask]),
+                codec.decode(&header(8, 10, 1 << 24, mask, position)),
                 Err(OvlError::BadBitstream)
             ));
         }
@@ -963,12 +1346,11 @@ mod tests {
 
     #[test]
     fn smallest_legal_packet_still_decodes() {
-        // One block of mono silence: two windows, one cleared keep
-        // flag per band, nothing else.
+        // A stream's first block of mono silence: one window, one
+        // cleared keep flag per band, nothing else.
         let codec = OvlCodec::new();
-        let flag_bytes = (2 * band_widths(BLOCK).len()).div_ceil(8);
-        let mut bytes = vec![1u8, MAX_QUALITY];
-        bytes.extend_from_slice(&(BLOCK as u32).to_le_bytes());
+        let flag_bytes = band_widths(BLOCK).len().div_ceil(8);
+        let mut bytes = header(1, MAX_QUALITY, BLOCK as u32, 0, 0);
         bytes.resize(HEADER + flag_bytes, 0);
         assert_eq!(codec.encode(&[0i16; BLOCK], 1, MAX_QUALITY).bytes, bytes);
         assert_eq!(codec.decode(&bytes).unwrap().samples, vec![0i16; BLOCK]);
@@ -988,9 +1370,7 @@ mod tests {
         bw.write_bits(15, 4);
         bw.write_unary((1 << 17) - 1);
         bw.write_bits(0x7FFF, 15);
-        let mut bytes = vec![1u8, MAX_QUALITY];
-        bytes.extend_from_slice(&(BLOCK as u32).to_le_bytes());
-        bytes.push(0);
+        let mut bytes = header(1, MAX_QUALITY, BLOCK as u32, 0, 0);
         bytes.extend_from_slice(&bw.into_bytes());
         assert!(matches!(
             OvlCodec::new().decode(&bytes),
@@ -1001,25 +1381,41 @@ mod tests {
     #[test]
     fn decode_rejects_absurd_sample_count() {
         let codec = OvlCodec::new();
-        let mut bytes = vec![1u8, 5];
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.push(0);
         assert!(matches!(
-            codec.decode(&bytes),
+            codec.decode(&header(1, 5, u32::MAX, 0, 0)),
             Err(OvlError::BadHeader("sample count"))
         ));
     }
 
     #[test]
-    fn a_twin_mask_past_the_channels_or_on_the_first_is_refused() {
+    fn a_fresh_lap_away_from_position_0_is_refused() {
+        // Clear, the lap bit says the packet starts its stream's grid;
+        // the grid starts at position 0. Set, any position is a lap.
+        let codec = OvlCodec::new();
+        let mut bytes = codec.encode(&[3i16; 700], 1, 5).bytes;
+        for position in [1u32, 511, 512, u32::MAX] {
+            bytes[7..HEADER].copy_from_slice(&position.to_le_bytes());
+            bytes[6] = 0;
+            assert_eq!(
+                codec.decode(&bytes).err(),
+                Some(OvlError::BadHeader("a fresh lap starts at position 0"))
+            );
+        }
+    }
+
+    #[test]
+    fn a_twin_mask_past_the_channels_is_refused() {
         let codec = OvlCodec::new();
         let mut dual = codec.encode(&[7i16; 2 * BLOCK], 2, 5).bytes;
-        assert_eq!(dual[6], 0b10, "the right channel is the left's twin");
+        assert_eq!(
+            dual[6], 0b10,
+            "a fresh lap, the right channel the left's twin"
+        );
         let body = dual.clone();
         for mask in 0..=u8::MAX {
             dual[6] = mask;
             let got = codec.decode(&dual);
-            if mask & 1 != 0 || mask > 0b11 {
+            if mask > 0b11 {
                 assert_eq!(
                     got.err(),
                     Some(OvlError::BadHeader("twin mask")),

@@ -1,19 +1,21 @@
 //! The OVL encoder against an oracle built from public pieces.
 //!
-//! `OvlCodec::encode` sets a channel's bit in the header's twin mask
-//! when its samples equal the previous channel's, and packs no window
-//! bits for it. The oracle here finds the twins by comparing whole
-//! deinterleaved channels, then encodes every other channel on its own:
-//! the framed MDCT analysis of a plane whose padding eases the signal
-//! in and out (its faded point reflection, 64 samples each side,
-//! written out sample by sample), libm `band_bits` / masking / `log2`
-//! per band, the scalar quantizer and the two-call Rice write. The bytes
-//! and the billed work must be equal on dual mono, on dual mono with
-//! one sample changed at the first, a middle or the last frame, on
-//! three identical channels, on three channels whose last repeats the
-//! first, and on mono, at 1–3 000 frames and every quality. Dual mono
-//! must also code to mono's bits behind its header, and decode to
-//! mono's samples, each twice.
+//! `OvlCodec::encode` codes a stream: each packet carries the windows
+//! of the stream's grid that end inside its frames, analyzed from the
+//! frames held from the packet before and its own. It sets a channel's
+//! bit in the header's twin mask when the frames those windows cover
+//! equal the previous channel's, and packs no window bits for it. The
+//! oracle here keeps each channel's held frames in a `Vec` of its own,
+//! finds the twins by comparing whole covered channels, then codes
+//! every other channel on its own: the MDCT analysis of its windows,
+//! libm `band_bits` / masking / `log2` per band, the scalar quantizer
+//! and the two-call Rice write. The bytes and the billed work of every
+//! packet must be equal on dual mono, on dual mono with one sample
+//! changed at the first, a middle or the last frame, on three identical
+//! channels, on three channels whose last repeats the first, and on
+//! mono, in streams of one to three packets of 1–3 000 frames, at every
+//! quality. Dual mono must also code to mono's bits behind its header,
+//! and decode to mono's samples, each twice.
 //!
 //! `PROPTEST_CASES=2000 cargo test --release -p es-codec --test
 //! encode_oracle` is the deep run.
@@ -26,9 +28,6 @@ use es_codec::{OvlCodec, MAX_QUALITY};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Padding samples the encoder fills on each side of a channel's signal.
-const EASE: usize = 64;
 
 thread_local! {
     static CODEC: OvlCodec = OvlCodec::new();
@@ -43,27 +42,6 @@ fn oracle_rice_param(sum: u32, width: usize) -> u8 {
         return 0;
     }
     (mean.log2().ceil() as i64).clamp(0, 12) as u8
-}
-
-/// The weight of the padding sample `j` steps out from the signal's
-/// end, `j` in `1..=EASE`: a raised cosine from 1 down to 0.
-fn oracle_fade(j: usize) -> f32 {
-    (0.5 + 0.5 * (std::f64::consts::PI * j as f64 / (EASE + 1) as f64).cos()) as f32
-}
-
-/// Writes the padding around the `len` samples at `plane[BLOCK..]`:
-/// sample `j` steps out from an end is `2·x_end − x_mirror`, the sample
-/// `j` steps in, times the fade, for `j` up to `EASE` and to the
-/// signal's reach. The plane's other padding stays zero.
-fn oracle_ease(plane: &mut [f32], len: usize) {
-    if len == 0 {
-        return;
-    }
-    let (first, last) = (BLOCK, BLOCK + len - 1);
-    for j in 1..=EASE.min(len - 1) {
-        plane[first - j] = oracle_fade(j) * (2.0 * plane[first] - plane[first + j]);
-        plane[last + j] = oracle_fade(j) * (2.0 * plane[last] - plane[last - j]);
-    }
 }
 
 /// One window of one channel, packed the way the oracle encoder did.
@@ -101,45 +79,82 @@ fn oracle_pack_window(bw: &mut BitWriter, quality: u8, coeffs: &[f32]) {
     }
 }
 
-/// `OvlCodec::encode` spelled out: the twin mask from whole channels,
-/// then every other channel framed, eased, analyzed and packed on its own,
-/// windows interleaved by channel. Every channel is billed.
-fn oracle_encode(samples: &[i16], channels: u8, quality: u8) -> (Vec<u8>, u64) {
-    let quality = quality.min(MAX_QUALITY);
-    let ch = channels as usize;
-    let per_ch = samples.len() / ch;
-    let padded_len = per_ch.div_ceil(BLOCK) * BLOCK;
-    let channel = |c: usize| -> Vec<i16> { samples.iter().skip(c).step_by(ch).copied().collect() };
-    let mut mask = 0u8;
-    for c in 1..ch {
-        if channel(c) == channel(c - 1) {
-            mask |= 1 << c;
+/// `OvlCodec::encode` spelled out, one packet after another of a
+/// stream.
+#[derive(Default)]
+struct OracleStream {
+    /// Each channel's frames the next packet's first windows overlap;
+    /// empty before the stream's first packet.
+    held: Vec<Vec<f32>>,
+    position: usize,
+}
+
+impl OracleStream {
+    /// The next packet: the twin mask from whole covered channels, then
+    /// every other channel's windows analyzed and packed on its own,
+    /// windows interleaved by channel. Every channel is billed.
+    fn encode(&mut self, samples: &[i16], channels: u8, quality: u8) -> (Vec<u8>, u64) {
+        let quality = quality.min(MAX_QUALITY);
+        let ch = channels as usize;
+        let per_ch = samples.len() / ch;
+        let laps = self.held.len() == ch;
+        if !laps {
+            self.held = vec![vec![0.0; BLOCK]; ch];
+            self.position = 0;
         }
-    }
-    let coded: Vec<usize> = (0..ch).filter(|c| mask & (1 << c) == 0).collect();
-    ORACLE_MDCT.with(|mdct| {
-        let n_windows = mdct.analyze_windows(padded_len);
-        let wn = n_windows * BLOCK;
-        let work = samples.len() as u64 * 4 + (ch * n_windows) as u64 * mdct.ops_per_transform();
-        let mut coeffs = vec![vec![0.0f32; wn]; coded.len()];
-        for (&c, coeffs) in coded.iter().zip(&mut coeffs) {
-            let mut plane = vec![0.0f32; mdct.plane_len(padded_len)];
-            scalar::deinterleave_normalize(samples, ch, c, &mut plane[BLOCK..][..per_ch]);
-            oracle_ease(&mut plane, per_ch);
-            mdct.analyze_plane(&plane, coeffs);
-        }
-        let mut bw = BitWriter::new();
-        for w in 0..n_windows {
-            for coeffs in &coeffs {
-                oracle_pack_window(&mut bw, quality, &coeffs[w * BLOCK..][..BLOCK]);
+        let phase = self.position % BLOCK;
+        let n_windows = (phase + per_ch) / BLOCK;
+        let covered = if n_windows == 0 {
+            0
+        } else {
+            (n_windows + 1) * BLOCK
+        };
+        let planes: Vec<Vec<f32>> = (0..ch)
+            .map(|c| {
+                let mut own = vec![0.0f32; per_ch];
+                scalar::deinterleave_normalize(samples, ch, c, &mut own);
+                let mut plane = self.held[c].clone();
+                plane.extend_from_slice(&own);
+                plane
+            })
+            .collect();
+        let mut mask = 0u8;
+        for c in 1..ch {
+            if planes[c][..covered] == planes[c - 1][..covered] {
+                mask |= 1 << c;
             }
         }
-        let mut bytes = vec![channels, quality];
-        bytes.extend_from_slice(&(per_ch as u32).to_le_bytes());
-        bytes.push(mask);
-        bytes.extend_from_slice(&bw.into_bytes());
+        let coded: Vec<usize> = (0..ch).filter(|c| mask & (1 << c) == 0).collect();
+        let (bytes, work) = ORACLE_MDCT.with(|mdct| {
+            let wn = n_windows * BLOCK;
+            let work =
+                samples.len() as u64 * 4 + (ch * n_windows) as u64 * mdct.ops_per_transform();
+            let mut coeffs = vec![vec![0.0f32; wn]; coded.len()];
+            if n_windows > 0 {
+                for (&c, coeffs) in coded.iter().zip(&mut coeffs) {
+                    mdct.analyze_plane(&planes[c][..covered], coeffs);
+                }
+            }
+            let mut bw = BitWriter::new();
+            for w in 0..n_windows {
+                for coeffs in &coeffs {
+                    oracle_pack_window(&mut bw, quality, &coeffs[w * BLOCK..][..BLOCK]);
+                }
+            }
+            let mut bytes = vec![channels, quality];
+            bytes.extend_from_slice(&(per_ch as u32).to_le_bytes());
+            bytes.push(mask | u8::from(laps));
+            bytes.extend_from_slice(&(self.position as u32).to_le_bytes());
+            bytes.extend_from_slice(&bw.into_bytes());
+            (bytes, work)
+        });
+        self.held = planes
+            .into_iter()
+            .map(|p| p[n_windows * BLOCK..].to_vec())
+            .collect();
+        self.position += per_ch;
         (bytes, work)
-    })
+    }
 }
 
 /// The channel layouts the encoder must code like the oracle.
@@ -207,44 +222,80 @@ fn render(shape: Shape, frames: usize, seed: u64) -> (Vec<i16>, u8) {
     }
 }
 
-fn assert_encodes_like_the_oracle(shape: Shape, frames: usize, quality: u8, seed: u64) {
+/// `frames` frames of `shape` coded as one stream in packets of
+/// `lengths` frames (cycled) by a fresh codec and by the oracle.
+fn assert_encodes_like_the_oracle(
+    shape: Shape,
+    frames: usize,
+    lengths: &[usize],
+    quality: u8,
+    seed: u64,
+) {
     let (samples, channels) = render(shape, frames, seed);
-    let enc = CODEC.with(|c| c.encode(&samples, channels, quality));
-    let (bytes, work) = oracle_encode(&samples, channels, quality);
-    assert!(
-        enc.bytes == bytes && enc.work_units == work,
-        "{shape:?}, {frames} frames, quality {quality}, seed {seed}: {} bytes and {} work, \
-         oracle {} and {work}",
-        enc.bytes.len(),
-        enc.work_units,
-        bytes.len()
-    );
+    let ch = channels as usize;
+    let mut oracle = OracleStream::default();
+    CODEC.with(|c| c.reset());
+    let mut at = 0;
+    for (n, &len) in lengths.iter().cycle().enumerate() {
+        let end = (at + len * ch).min(samples.len());
+        let packet = &samples[at..end];
+        at = end;
+        let enc = CODEC.with(|c| c.encode(packet, channels, quality));
+        let (bytes, work) = oracle.encode(packet, channels, quality);
+        assert!(
+            enc.bytes == bytes && enc.work_units == work,
+            "{shape:?}, {frames} frames in {lengths:?}, packet {n}, quality {quality}, seed {seed}: \
+             {} bytes and {} work, oracle {} and {work}",
+            enc.bytes.len(),
+            enc.work_units,
+            bytes.len()
+        );
+        if at == samples.len() {
+            break;
+        }
+    }
 }
 
 /// Dual mono codes to mono's bits behind a header that names two
-/// channels, the second a twin, and decodes to mono's samples twice.
-fn assert_dual_mono_codes_as_mono(frames: usize, quality: u8, seed: u64) {
+/// channels, the second a twin, and decodes to mono's samples twice,
+/// packet after packet of a stream.
+fn assert_dual_mono_codes_as_mono(frames: usize, lengths: &[usize], quality: u8, seed: u64) {
     let (mono, _) = render(Shape::Mono, frames, seed);
     let (dual, _) = render(Shape::DualMono, frames, seed);
-    CODEC.with(|c| {
-        let (m, d) = (c.encode(&mono, 1, quality), c.encode(&dual, 2, quality));
-        let case = format!("{frames} frames, quality {quality}, seed {seed}");
-        assert_eq!([d.bytes[0], d.bytes[6]], [2, 0b10], "{case}");
+    let (m_codec, d_codec) = (OvlCodec::new(), OvlCodec::new());
+    let mut at = 0;
+    for (n, &len) in lengths.iter().cycle().enumerate() {
+        let end = (at + len).min(frames);
+        let case =
+            format!("{frames} frames in {lengths:?}, packet {n}, quality {quality}, seed {seed}");
+        let m = m_codec.encode(&mono[at..end], 1, quality);
+        let d = d_codec.encode(&dual[2 * at..2 * end], 2, quality);
+        at = end;
+        assert_eq!([d.bytes[0], d.bytes[6]], [2, m.bytes[6] | 0b10], "{case}");
         assert_eq!(d.bytes[1..6], m.bytes[1..6], "{case}");
         assert!(d.bytes[7..] == m.bytes[7..], "{case}: the bodies differ");
-        let m = c.decode(&m.bytes).expect("mono decodes").samples;
-        let d = c.decode(&d.bytes).expect("dual mono decodes").samples;
+        let m = m_codec.decode(&m.bytes).expect("mono decodes").samples;
+        let d = d_codec.decode(&d.bytes).expect("dual mono decodes").samples;
         let twice: Vec<i16> = m.iter().flat_map(|&s| [s, s]).collect();
         assert!(d == twice, "{case}: dual mono decodes unlike mono");
-    });
+        if at == frames {
+            break;
+        }
+    }
 }
 
 #[test]
 fn every_shape_at_every_quality_encodes_like_the_oracle() {
     for shape in SHAPES {
         for quality in 0..=MAX_QUALITY {
-            for frames in [1, BLOCK + 1, 2_999] {
-                assert_encodes_like_the_oracle(shape, frames, quality, frames as u64);
+            for (frames, lengths) in [
+                (1, &[1][..]),
+                (BLOCK + 1, &[BLOCK + 1]),
+                (2_999, &[2_999]),
+                (6_615, &[2_205]),
+                (3_000, &[1, 700, 512]),
+            ] {
+                assert_encodes_like_the_oracle(shape, frames, lengths, quality, frames as u64);
             }
         }
     }
@@ -253,8 +304,14 @@ fn every_shape_at_every_quality_encodes_like_the_oracle() {
 #[test]
 fn dual_mono_at_every_quality_codes_as_mono() {
     for quality in 0..=MAX_QUALITY {
-        for frames in [1, BLOCK, BLOCK + 1, 3_000] {
-            assert_dual_mono_codes_as_mono(frames, quality, frames as u64);
+        for (frames, lengths) in [
+            (1, &[1][..]),
+            (BLOCK, &[BLOCK]),
+            (BLOCK + 1, &[BLOCK + 1]),
+            (3_000, &[3_000]),
+            (6_615, &[2_205]),
+        ] {
+            assert_dual_mono_codes_as_mono(frames, lengths, quality, frames as u64);
         }
     }
 }
@@ -263,19 +320,21 @@ proptest! {
     #[test]
     fn encode_matches_the_per_channel_oracle_byte_for_byte(
         shape in 0usize..SHAPES.len(),
-        frames in 1usize..3_001,
+        lengths in proptest::collection::vec(1usize..3_001, 1..4),
         quality in 0u8..=MAX_QUALITY,
         seed in 0u64..u64::MAX,
     ) {
-        assert_encodes_like_the_oracle(SHAPES[shape], frames, quality, seed);
+        let frames = lengths.iter().sum();
+        assert_encodes_like_the_oracle(SHAPES[shape], frames, &lengths, quality, seed);
     }
 
     #[test]
     fn dual_mono_codes_as_mono_byte_for_byte(
-        frames in 1usize..3_001,
+        lengths in proptest::collection::vec(1usize..3_001, 1..4),
         quality in 0u8..=MAX_QUALITY,
         seed in 0u64..u64::MAX,
     ) {
-        assert_dual_mono_codes_as_mono(frames, quality, seed);
+        let frames = lengths.iter().sum();
+        assert_dual_mono_codes_as_mono(frames, &lengths, quality, seed);
     }
 }

@@ -3,10 +3,11 @@
 //! Two contracts. First, the fast path must be indistinguishable (to a
 //! few ulps of the signal scale: 8e-6 forward, 6e-7 inverse — 4× the
 //! worst error seen) from the retained direct O(N²) reference, from the
-//! smallest size the engine takes up to the codec's block, and the
-//! full OVL encode/decode chain must keep its perfect-reconstruction
-//! property at default settings: the windowed transform itself is
-//! lossless, so a max-quality roundtrip only carries quantization noise.
+//! smallest size the engine takes up to the codec's block, and OVL's
+//! framing must keep its perfect-reconstruction property across packet
+//! boundaries: the windowed transform over the stream's window grid is
+//! lossless in any packet lengths, so a max-quality stream only carries
+//! quantization noise.
 //!
 //! Second, the transform runs in fewer passes than it used to — a
 //! gather-fused out-of-place FFT, a DCT-IV that reads the coefficients
@@ -21,9 +22,9 @@
 use es_codec::dsp;
 use es_codec::fft::{Complex32, Fft};
 use es_codec::mdct::{analyze, synthesize, Mdct};
-use es_codec::ovl::BLOCK;
+use es_codec::ovl::{BLOCK, DELAY};
 use es_codec::reference::DirectMdct;
-use es_codec::{OvlCodec, MAX_QUALITY};
+use es_codec::{OvlCodec, OvlSpan, OvlTail, MAX_QUALITY};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -432,46 +433,87 @@ proptest::proptest! {
         }
     }
 
-    /// What lets the OVL encoder fill a packet's padding as it likes:
-    /// each padding half-block aliases only onto itself, so framed
-    /// analysis then synthesis rebuilds the signal part of the plane
-    /// whatever the padding holds (here noise up to three times the
-    /// signal's peak, more than an edge reflection reaches).
+    /// TDAC across packet boundaries. A continuous random signal, cut
+    /// into packets of random lengths and framed the way OVL frames a
+    /// stream, without quantization: each packet analyzes the stream
+    /// grid's windows that end inside it, from the frames held from the
+    /// packet before and its own; synthesizes them into its span; and
+    /// completes the span's head with the tail the packet before left.
+    /// What plays is the stream `DELAY` frames late, silence before it,
+    /// within the overlap-add tolerance at every sample, boundaries
+    /// included.
     #[test]
-    fn prop_framed_roundtrip_rebuilds_the_signal_whatever_the_padding(
-        len in 1usize..=3_000,
-        padding_percent in 0u32..=300,
+    fn prop_lapped_packets_rebuild_the_stream_across_every_boundary(
+        lengths in proptest::collection::vec(1usize..=3_000, 1..8),
         seed in 0u64..u64::MAX / 2,
     ) {
         let mdct = Mdct::new(BLOCK);
-        let padded_len = len.div_ceil(BLOCK) * BLOCK;
-        let mut plane: Vec<f32> = random_signal(mdct.plane_len(padded_len), seed)
-            .into_iter()
-            .map(|x| x * padding_percent as f32 / 100.0)
-            .collect();
-        let signal = random_signal(len, seed ^ 0x51_6A);
-        plane[BLOCK..][..len].copy_from_slice(&signal);
-        let mut coeffs = vec![0.0f32; mdct.analyze_windows(padded_len) * BLOCK];
-        mdct.analyze_plane(&plane, &mut coeffs);
-        mdct.synthesize_plane(&coeffs, &mut plane);
-        for (i, (&a, &b)) in signal.iter().zip(&plane[BLOCK..]).enumerate() {
-            proptest::prop_assert!((a - b).abs() < 1e-3, "len {} sample {}: {} vs {}", len, i, a, b);
+        let signal = random_signal(lengths.iter().sum(), seed);
+        let (mut held, mut tail, mut played) = (vec![0.0f32; BLOCK], Vec::new(), Vec::new());
+        let mut at = 0;
+        for &len in &lengths {
+            let phase = at % BLOCK;
+            let windows = (phase + len) / BLOCK;
+            let mut plane = held;
+            plane.extend_from_slice(&signal[at..at + len]);
+            let mut span = vec![0.0f32; len + DELAY - (phase + len) % BLOCK];
+            if windows > 0 {
+                let covered = (windows + 1) * BLOCK;
+                let mut coeffs = vec![0.0f32; windows * BLOCK];
+                mdct.analyze_plane(&plane[..covered], &mut coeffs);
+                mdct.synthesize_plane(&coeffs, &mut span[BLOCK - phase..][..covered]);
+            }
+            for (s, &t) in span.iter_mut().zip(&tail) {
+                *s += t;
+            }
+            played.extend_from_slice(&span[..len]);
+            tail = span.split_off(len);
+            held = plane.split_off(windows * BLOCK);
+            at += len;
+        }
+        let late = std::iter::repeat_n(0.0, DELAY).chain(signal.iter().copied());
+        for (i, (want, &got)) in late.zip(&played).enumerate() {
+            proptest::prop_assert!((want - got).abs() < 1e-3, "{:?}: sample {}: {} vs {}", lengths, i, want, got);
         }
     }
 
+    /// The codec frames a stream like the transform above, so cutting
+    /// it into packets moves no window: coded in random packet lengths,
+    /// each packet completed by the one before, a tonal signal plays
+    /// bit for bit what it plays coded as one packet, and that is the
+    /// signal `DELAY` frames late with quantization noise only.
     #[test]
-    fn prop_ovl_roundtrip_at_default_settings(frames in 1usize..3_000, channels in 1u8..3, seed in 0u64..u64::MAX / 2) {
-        let codec = OvlCodec::new();
-        let samples = random_tonal(frames * channels as usize, seed);
-        let enc = codec.encode(&samples, channels, MAX_QUALITY);
-        let dec = codec.decode(&enc.bytes).expect("roundtrip must decode");
-        proptest::prop_assert_eq!(dec.channels, channels);
-        proptest::prop_assert_eq!(dec.samples.len(), samples.len());
+    fn prop_ovl_stream_plays_the_same_in_any_packets(
+        lengths in proptest::collection::vec(1usize..=3_000, 1..6),
+        channels in 1u8..3,
+        seed in 0u64..u64::MAX / 2,
+    ) {
+        let ch = channels as usize;
+        let frames: usize = lengths.iter().sum();
+        let samples = random_tonal(frames * ch, seed);
+        let play = |lengths: &[usize]| {
+            let codec = OvlCodec::new();
+            let (mut span, mut tail, mut next) = (OvlSpan::default(), OvlTail::default(), OvlTail::default());
+            let (mut played, mut out, mut at) = (Vec::new(), Vec::new(), 0);
+            for &len in lengths {
+                let enc = codec.encode(&samples[at..at + len * ch], channels, MAX_QUALITY);
+                at += len * ch;
+                codec.decode_span(&enc.bytes, &mut span).expect("own packet decodes");
+                span.complete(Some(&tail), &mut out, &mut next);
+                std::mem::swap(&mut tail, &mut next);
+                played.extend_from_slice(&out);
+            }
+            played
+        };
+        let played = play(&lengths);
+        proptest::prop_assert!(played == play(&[frames]), "{:?}", lengths);
+        proptest::prop_assert_eq!(played.len(), samples.len());
         // Max quality only adds quantization noise; tonal content must
         // come back close to the original.
+        let delay = DELAY * ch;
         let err = samples
             .iter()
-            .zip(&dec.samples)
+            .zip(played.get(delay..).unwrap_or_default())
             .map(|(&a, &b)| (a as i32 - b as i32).abs())
             .max()
             .unwrap_or(0);

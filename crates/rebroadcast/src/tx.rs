@@ -155,7 +155,7 @@ impl Telemetry for ProducerStats {
 
 /// What a stream's packets say about its audio: the source's
 /// configuration and the policy's selection for it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Format {
     config: AudioConfig,
     codec: CodecId,
@@ -198,6 +198,9 @@ struct StreamState {
 pub struct StreamTx {
     cfg: StreamTxConfig,
     codecs: Codecs,
+    /// The format of the stream `codecs` laps packets of, `None` when
+    /// the next packet starts a fresh lap.
+    lapping: Option<Format>,
     stream: StreamState,
     /// While down, audio drains into the void (sequence numbers still
     /// advance, so receivers see wire loss) and control packets stop.
@@ -223,6 +226,7 @@ impl StreamTx {
     pub fn new(cfg: StreamTxConfig, standby: bool) -> StreamTx {
         StreamTx {
             codecs: Codecs::new(),
+            lapping: None,
             stream: StreamState::default(),
             down: false,
             standby,
@@ -279,9 +283,15 @@ impl StreamTx {
     }
 
     /// Encodes a paced block: `raw` bytes in the application's encoding
-    /// in, codec payload and its work-unit count into `block`.
+    /// in, codec payload and its work-unit count into `block`. The
+    /// first block of a format, and the first after a restart, starts a
+    /// fresh OVL lap.
     pub fn encode(&mut self, raw: &[u8], block: &mut Block) {
         let f = block.format;
+        if self.lapping != Some(f) {
+            self.codecs.reset();
+            self.lapping = Some(f);
+        }
         decode_samples_into(raw, f.config.encoding, &mut self.samples);
         let enc = self
             .codecs
@@ -431,9 +441,14 @@ impl StreamTx {
 
     /// The process comes back; the caller announces it with
     /// [`StreamTx::control`]. False unless it was down. Blocks lost
-    /// meanwhile stay lost, like wire loss (§3.2 handles them).
+    /// meanwhile stay lost, like wire loss (§3.2 handles them), and the
+    /// first block after starts a fresh OVL lap.
     pub fn restart(&mut self) -> bool {
-        std::mem::take(&mut self.down)
+        let was_down = std::mem::take(&mut self.down);
+        if was_down {
+            self.lapping = None;
+        }
+        was_down
     }
 
     /// Promotes this standby: adopts `primary`'s stream clock, sequence
@@ -498,7 +513,7 @@ mod tests {
     use super::*;
     use es_net::McastGroup;
     use es_proto::{decode, Packet, WireError};
-    use es_speaker::{Decoder, Pcm, SharedBlock, SpeakerConfig, SpeakerNode};
+    use es_speaker::{Decoded, Decoder, SharedBlock, SpeakerConfig, SpeakerNode};
 
     /// A speaker's decoder that counts the blocks its node clears.
     struct Blocks(Rc<Cell<usize>>);
@@ -514,9 +529,9 @@ mod tests {
             _: CodecId,
             _: u8,
             _: &Bytes,
-        ) -> Option<(Pcm, u64, SimTime)> {
+        ) -> Option<(Decoded, u64, SimTime)> {
             self.0.set(self.0.get() + 1);
-            Some((SharedBlock::new(Vec::new()), 0, now))
+            Some((Decoded::Block(SharedBlock::new(Vec::new())), 0, now))
         }
     }
 

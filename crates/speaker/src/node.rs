@@ -21,7 +21,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use es_audio::mix::apply_gain;
 use es_audio::{AudioConfig, Encoding};
-use es_codec::CodecId;
+use es_codec::{CodecId, OvlSpan, OvlTail};
 use es_net::McastGroup;
 use es_proto::{encode_session, ClientAction, Packet, SessionClient, SessionPacket, WireError};
 use es_sim::SimTime;
@@ -43,6 +43,15 @@ pub struct SharedBlock {
     /// `samples` in the device encoding last asked for (`None` until
     /// somebody asks), in a buffer the device rings hold handles to.
     pub(crate) rendered: RefCell<(Option<Encoding>, Rc<Vec<u8>>)>,
+    /// What the stream's next OVL packet laps onto; empty for a block
+    /// of a codec that does not lap.
+    pub(crate) tail: OvlTail,
+    /// Names what `tail` holds, so a span knows the block it was
+    /// completed from without keeping that block alive: the `id` of the
+    /// span it completed when the tail is that span's alone (whatever
+    /// the block before added into its head), else an id of its own.
+    /// 0 for a block of a codec that does not lap.
+    tail_id: u64,
 }
 
 /// A handle to a decoded block.
@@ -58,21 +67,109 @@ impl SharedBlock {
     }
 }
 
+thread_local! {
+    /// The last id a span or a tail was given on this thread.
+    static LAP_IDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A fresh id for a span or a tail.
+fn lap_id() -> u64 {
+    LAP_IDS.with(|ids| {
+        ids.set(ids.get() + 1);
+        ids.get()
+    })
+}
+
+/// An OVL packet's windows, decoded once for every receiver of its
+/// datagram, and the blocks it was completed to: one per block it
+/// lapped, so receivers that hold the same block before it share the
+/// block it plays.
+#[derive(Default)]
+pub struct SharedSpan {
+    pub(crate) span: OvlSpan,
+    /// Unique on its thread per decode into it.
+    id: u64,
+    /// Each completed block by the `tail_id` of the block it lapped (0:
+    /// none), oldest first; at most [`COMPLETIONS`].
+    completed: RefCell<Vec<(u64, Pcm)>>,
+    /// A block this span was completed to before it was decoded into
+    /// again, which no receiver held any more: its next completion
+    /// reuses its memory.
+    spare: RefCell<Option<Pcm>>,
+}
+
+/// Most completed blocks a span keeps: a clean fleet completes each
+/// packet from one predecessor, receivers that missed it from none.
+const COMPLETIONS: usize = 2;
+
+impl SharedSpan {
+    /// Readies a span no receiver holds to be decoded into again: it
+    /// gets a fresh id, and a block it completed to that no receiver
+    /// holds either is kept for its memory.
+    pub(crate) fn recycle(&mut self) {
+        self.id = lap_id();
+        let spare = self.spare.get_mut();
+        for (_, block) in self.completed.get_mut().drain(..) {
+            if spare.is_none() && Rc::strong_count(&block) == 1 {
+                *spare = Some(block);
+            }
+        }
+    }
+
+    /// The block this packet plays after `pred` (`None`: no block it
+    /// laps is held): completed by the first receiver to ask, shared
+    /// with the rest.
+    fn completed(&self, pred: Option<&Pcm>) -> Pcm {
+        let lapped = pred.map_or(0, |p| p.tail_id);
+        let mut done = self.completed.borrow_mut();
+        let shared = done.iter().find(|&&(id, _)| id == lapped);
+        crate::speaker::count_completion(shared.is_some());
+        if let Some((_, block)) = shared {
+            return Rc::clone(block);
+        }
+        let mut block = self.spare.borrow_mut().take().unwrap_or_default();
+        let b = Rc::get_mut(&mut block).expect("a spare no receiver holds");
+        // What it rendered to was the spare's old samples.
+        b.rendered.get_mut().0 = None;
+        self.span
+            .complete(pred.map(|p| &p.tail), &mut b.samples, &mut b.tail);
+        // Past a packet of at least a head's frames, the block before
+        // it reaches nothing the next packet laps.
+        let alone = pred.is_none_or(|p| p.tail.frames() <= self.span.frames());
+        b.tail_id = if alone { self.id } else { lap_id() };
+        if done.len() == COMPLETIONS {
+            done.remove(0);
+        }
+        done.push((lapped, Rc::clone(&block)));
+        block
+    }
+}
+
+/// A cleared payload, decoded.
+#[derive(Clone)]
+pub enum Decoded {
+    /// A block that plays as it is.
+    Block(Pcm),
+    /// An OVL packet's span, which plays once completed by the block
+    /// before it.
+    Span(Rc<SharedSpan>),
+}
+
 /// The adapter's parser and decoder, as the node calls them.
 pub trait Decoder {
     /// Parses one message the §5.1 gate released.
     fn parse(&mut self, raw: &Bytes) -> Result<Packet, WireError>;
 
-    /// Decodes a cleared block at `now`: its PCM, the work units to
-    /// bill and the instant the PCM is ready; `None` if the payload
-    /// does not decode.
+    /// Decodes a cleared block at `now`: the decoded payload, the work
+    /// units to bill and the instant it is ready; `None` if the
+    /// payload does not decode.
     fn decode(
         &mut self,
         now: SimTime,
         codec: CodecId,
         channels: u8,
         payload: &Bytes,
-    ) -> Option<(Pcm, u64, SimTime)>;
+    ) -> Option<(Decoded, u64, SimTime)>;
 }
 
 /// How a block reaches the device.
@@ -168,11 +265,17 @@ pub enum Action<A> {
 /// deadlines, each a decoded block held until it is due.
 const MAX_WAITING_BLOCKS: usize = 64;
 
+/// Most OVL blocks held for a later packet to lap: the last one
+/// settled, and a late copy of the block before one yet to play (or,
+/// when that one has played, the one it lapped). Fewer held also lets
+/// the receive memo reuse a block's memory sooner.
+const LAP_BLOCKS: usize = 2;
+
 /// A decoded block held for the instant its §3.2 outcome is carried
 /// out: its deadline if it sleeps, else the instant its decode
 /// completes.
 struct Waiting {
-    pcm: Pcm,
+    decoded: Decoded,
     /// How it plays; `None`: it is discarded as late.
     mode: Option<PlayMode>,
     deadline: SimTime,
@@ -225,6 +328,8 @@ pub struct SpeakerNode<A, D> {
     session: Option<Box<Session>>,
     /// The block most recently played, kept for concealment.
     last_block: Option<Pcm>,
+    /// Blocks of the stream a later OVL packet may lap, newest first.
+    pub(crate) laps: [Option<Pcm>; LAP_BLOCKS],
     serial_busy: bool,
     serial_queue: VecDeque<RxBlock>,
 }
@@ -256,6 +361,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             source: None,
             session,
             last_block: None,
+            laps: Default::default(),
             serial_busy: false,
             serial_queue: VecDeque::new(),
         }
@@ -291,10 +397,10 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     }
 
     /// Drops every block cleared before a re-gate — held for its §3.2
-    /// outcome or queued behind the §3.4 player — and the one a replica
-    /// would replay: a page does not play over old music, nor a FLUSH
-    /// pre-seek audio. A blocking write under way finishes; the player
-    /// then finds its queue empty.
+    /// outcome or queued behind the §3.4 player — the one a replica
+    /// would replay and those a packet would lap: a page does not play
+    /// over old music, nor a FLUSH pre-seek audio. A blocking write
+    /// under way finishes; the player then finds its queue empty.
     fn forget_blocks(&mut self) {
         let serial = |due: &Due| matches!(due, Due::Block(w) if w.serial);
         if self.timers.iter().any(|(_, due)| serial(due)) {
@@ -303,6 +409,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         self.timers.retain(|(_, due)| matches!(due, Due::Poll(_)));
         self.serial_queue.clear();
         self.last_block = None;
+        self.laps = Default::default();
     }
 
     /// A datagram from `from`, received `now`: each message the §5.1
@@ -496,7 +603,8 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     fn decode(&mut self, now: SimTime, block: RxBlock, serial: bool) {
         let codec = self.codec_for(block.codec_wire);
         let channels = self.stream_config().channels;
-        let Some((pcm, work, ready)) = self.decoder.decode(now, codec, channels, &block.payload)
+        let Some((decoded, work, ready)) =
+            self.decoder.decode(now, codec, channels, &block.payload)
         else {
             self.stats.decode_errors += 1;
             if serial {
@@ -520,7 +628,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             }
         };
         let waiting = Waiting {
-            pcm,
+            decoded,
             mode,
             deadline,
             refill,
@@ -545,12 +653,55 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// Carries out a block's §3.2 outcome.
     fn settle(&mut self, now: SimTime, w: Waiting) {
+        let (pcm, faded) = self.complete(w.decoded);
         if let Some(mode) = w.mode {
-            return self.play(w.pcm, 1.0, mode);
+            self.stats.faded_heads += u64::from(faded);
+            return self.play(pcm, 1.0, mode);
         }
         self.late(now, w.deadline, w.refill);
         if w.serial {
             self.serial_done(now);
+        }
+    }
+
+    /// The block a decoded payload plays: an OVL span completed by the
+    /// held block it laps, if there is one, and whether its head is
+    /// faded (it laps a block the node does not hold). An OVL block is
+    /// held for the packet after it to lap; one that starts a fresh
+    /// lap lets go of the stream before it.
+    fn complete(&mut self, decoded: Decoded) -> (Pcm, bool) {
+        let span = match decoded {
+            Decoded::Block(pcm) => return (pcm, false),
+            Decoded::Span(span) => span,
+        };
+        let pred = self
+            .laps
+            .iter()
+            .flatten()
+            .find(|b| span.span.laps_onto(&b.tail));
+        let faded = span.span.laps() && pred.is_none();
+        let pcm = span.completed(pred);
+        if !span.span.laps() {
+            self.laps = Default::default();
+        }
+        self.laps.rotate_right(1);
+        self.laps[0] = Some(Rc::clone(&pcm));
+        (pcm, faded)
+    }
+
+    /// A copy of a block that was due already plays nothing, but the
+    /// block after it may still lap it: an OVL payload is decoded and
+    /// held for that.
+    pub(crate) fn hold_for_lap(&mut self, now: SimTime, block: &RxBlock) {
+        let codec = self.codec_for(block.codec_wire);
+        if codec != CodecId::Ovl {
+            return;
+        }
+        let channels = self.stream_config().channels;
+        if let Some((decoded, work, _)) = self.decoder.decode(now, codec, channels, &block.payload)
+        {
+            self.stats.decode_work_units += work;
+            self.complete(decoded);
         }
     }
 

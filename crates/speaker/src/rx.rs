@@ -62,6 +62,11 @@ pub struct SpeakerStats {
     /// Faded replicas written in place of blocks still missing when
     /// they were due (PLC extension).
     pub concealed_packets: u64,
+    /// OVL blocks played with their head faded in: the block before
+    /// them, which their first windows lap, was not held when they
+    /// played (lost, or the first since joining). Not concealment: the
+    /// block itself played.
+    pub faded_heads: u64,
     /// Packets reconstructed from XOR parity (FEC extension).
     pub fec_recovered: u64,
     /// FEC groups given up on while missing data they cannot rebuild:
@@ -136,6 +141,11 @@ impl Telemetry for SpeakerStats {
         // Likewise the groups FEC gave up on: a clean run lists none.
         if self.fec_unrecoverable > 0 {
             s.counter("fec_unrecoverable", self.fec_unrecoverable);
+        }
+        // And faded heads: a stream of a codec that does not lap has
+        // none.
+        if self.faded_heads > 0 {
+            s.counter("faded_heads", self.faded_heads);
         }
     }
 }
@@ -546,6 +556,8 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         if !self.rx.configured || self.rx.stream_cfg != c.config {
             self.rx.configured = true;
             self.actions.push(Action::Configure(c.config));
+            // A new format starts a fresh lap.
+            self.laps = Default::default();
         }
         self.rx.stream_cfg = c.config;
     }
@@ -669,17 +681,19 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         if !via_fec && !refill {
             self.rx.jitter.on_arrival(now, d.play_at_us);
         }
-        // A copy of a block that was due already, and possibly
-        // concealed, is counted and plays nothing.
-        if late {
-            return self.late(now, deadline, refill);
-        }
         let block = RxBlock {
             payload: d.payload,
             codec_wire: d.codec,
             deadline,
             refill,
         };
+        // A copy of a block that was due already, and possibly
+        // concealed, is counted and plays nothing; the block after it
+        // may still lap it.
+        if late {
+            self.hold_for_lap(now, &block);
+            return self.late(now, deadline, refill);
+        }
         self.on_block(now, block);
     }
 
@@ -708,7 +722,7 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
-    use crate::node::{Pcm, SharedBlock};
+    use crate::node::{Decoded, SharedBlock};
     use crate::SpeakerConfig;
     use es_net::McastGroup;
     use es_proto::{decode, encode_control, encode_data, WireError};
@@ -728,9 +742,9 @@ mod tests {
             _: CodecId,
             _: u8,
             _: &Bytes,
-        ) -> Option<(Pcm, u64, SimTime)> {
+        ) -> Option<(Decoded, u64, SimTime)> {
             self.0.set(self.0.get() + 1);
-            Some((SharedBlock::new(vec![1; 2]), 0, now))
+            Some((Decoded::Block(SharedBlock::new(vec![1; 2])), 0, now))
         }
     }
 

@@ -39,7 +39,7 @@ use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
 use crate::autovol::{AmbientProfile, AutoVolumeConfig};
-use crate::node::{Action, Decoder, Pcm, Play, PlayMode, SharedBlock, SpeakerNode};
+use crate::node::{Action, Decoded, Decoder, Play, PlayMode, SharedBlock, SpeakerNode};
 use crate::rx::SpeakerStats;
 
 /// Speaker tuning knobs.
@@ -230,25 +230,27 @@ impl SharedBlock {
     }
 }
 
-/// What a payload decodes to under one `(codec, channels)`:
-/// the PCM (kept on failure too, for its allocation) and the work
-/// units to bill, `None` when the payload does not decode.
-type Decoded = (Pcm, Option<u64>);
+/// What a payload decodes to under one `(codec, channels)`: the
+/// decoded payload (kept on failure too, for its allocation) and the
+/// work units to bill, `None` when the payload does not decode.
+type DecodedPayload = (Decoded, Option<u64>);
 
 thread_local! {
-    /// Wire bytes → parsed packet, and payload bytes → PCM. Per thread,
-    /// because independent simulations (the test suite's) run on
-    /// parallel threads.
+    /// Wire bytes → parsed packet, and payload bytes → PCM or OVL span.
+    /// Per thread, because independent simulations (the test suite's)
+    /// run on parallel threads.
     static PARSED: std::cell::RefCell<RxMemo<(), Result<Packet, es_proto::WireError>>> =
         const { std::cell::RefCell::new(RxMemo::new()) };
-    static DECODED: std::cell::RefCell<RxMemo<(CodecId, u8), Decoded>> =
+    static DECODED: std::cell::RefCell<RxMemo<(CodecId, u8), DecodedPayload>> =
         const { std::cell::RefCell::new(RxMemo::new()) };
-    /// One codec engine, shared by every speaker on the thread (decode
-    /// is stateless across packets; the engine only holds MDCT tables
-    /// and scratch).
+    /// One codec engine, shared by every speaker on the thread (its
+    /// decode keeps nothing between packets: each node laps its own
+    /// blocks; the engine only holds MDCT tables and scratch).
     static ENGINE: std::cell::OnceCell<Codecs> = const { std::cell::OnceCell::new() };
     /// Unity-gain renderings shared and executed: `(hits, misses)`.
     static RENDERS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    /// OVL spans' completions shared and executed: `(hits, misses)`.
+    static COMPLETIONS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
     /// The action buffer every speaker on the thread steps its node
     /// with: each carries out what its step queued before the next
     /// step, so one buffer serves them all.
@@ -257,41 +259,71 @@ thread_local! {
 }
 
 /// Decodes `payload` once per distinct buffer and `(codec, channels)`.
-/// Every caller gets a handle to the one shared PCM block and the work
-/// units to bill; `None` if the payload does not decode.
-fn decode_shared(codec: CodecId, channels: u8, payload: &Bytes) -> Option<(Pcm, u64)> {
+/// Every caller gets a handle to the one shared PCM block, or OVL span,
+/// and the work units to bill; `None` if the payload does not decode.
+fn decode_shared(codec: CodecId, channels: u8, payload: &Bytes) -> Option<(Decoded, u64)> {
     DECODED.with(|m| {
         m.borrow_mut().with(
             payload,
             (codec, channels),
             |evicted| {
-                // Decode into the evicted block's allocation — unless
-                // a receiver is still holding that block to play it.
-                let mut pcm = evicted
-                    .map(|(pcm, _)| pcm)
-                    .filter(|pcm| Rc::strong_count(pcm) == 1)
-                    .unwrap_or_default();
-                let work = Rc::get_mut(&mut pcm).and_then(|block| {
-                    // What it rendered to was the evicted PCM.
-                    block.rendered.get_mut().0 = None;
-                    ENGINE.with(|engine| {
-                        engine
-                            .get_or_init(Codecs::new)
-                            .decode_into(codec, payload, channels, &mut block.samples)
-                            .ok()
-                    })
-                });
-                (pcm, work)
+                // Decode into the evicted payload's allocation — unless
+                // a receiver is still holding it to play.
+                let evicted = evicted.map(|(decoded, _)| decoded);
+                ENGINE.with(|engine| {
+                    let engine = engine.get_or_init(Codecs::new);
+                    if codec == CodecId::Ovl {
+                        let held = evicted.and_then(|d| match d {
+                            Decoded::Span(span) => Some(span),
+                            Decoded::Block(_) => None,
+                        });
+                        let mut span = reuse(held);
+                        let work = Rc::get_mut(&mut span).and_then(|shared| {
+                            shared.recycle();
+                            engine.decode_span(payload, channels, &mut shared.span).ok()
+                        });
+                        (Decoded::Span(span), work)
+                    } else {
+                        let held = evicted.and_then(|d| match d {
+                            Decoded::Block(pcm) => Some(pcm),
+                            Decoded::Span(_) => None,
+                        });
+                        let mut pcm = reuse(held);
+                        let work = Rc::get_mut(&mut pcm).and_then(|block| {
+                            // What it rendered to was the evicted PCM.
+                            block.rendered.get_mut().0 = None;
+                            engine
+                                .decode_into(codec, payload, channels, &mut block.samples)
+                                .ok()
+                        });
+                        (Decoded::Block(pcm), work)
+                    }
+                })
             },
-            |(pcm, work)| work.map(|work| (Rc::clone(pcm), work)),
+            |(decoded, work)| work.map(|work| (decoded.clone(), work)),
         )
     })
 }
 
+/// `held` if no receiver still holds a handle to it, else a new one.
+fn reuse<T: Default>(held: Option<Rc<T>>) -> Rc<T> {
+    held.filter(|r| Rc::strong_count(r) == 1)
+        .unwrap_or_default()
+}
+
+/// Counts one completion of an OVL span: `shared` if another receiver
+/// had completed it from the same block.
+pub(crate) fn count_completion(shared: bool) {
+    COMPLETIONS.with(|c| {
+        let (hits, misses) = c.get();
+        c.set((hits + shared as u64, misses + !shared as u64));
+    });
+}
+
 /// Hit and miss counts of this thread's receive memos: a miss is a
-/// parse, a codec decode or a unity-gain rendering to device bytes
-/// actually executed, a hit one shared from an earlier receiver of the
-/// same bytes.
+/// parse, a codec decode, an OVL span's completion or a unity-gain
+/// rendering to device bytes actually executed, a hit one shared from
+/// an earlier receiver of the same bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RxMemoStats {
     /// Packets whose parse was shared.
@@ -302,6 +334,11 @@ pub struct RxMemoStats {
     pub decode_hits: u64,
     /// Payloads run through a codec for real.
     pub decode_misses: u64,
+    /// OVL blocks shared from an earlier receiver that completed the
+    /// same span from the same block before it.
+    pub completion_hits: u64,
+    /// OVL spans completed for real.
+    pub completion_misses: u64,
     /// Blocks played from device bytes an earlier receiver rendered.
     pub render_hits: u64,
     /// Shared blocks rendered to device bytes for real. A speaker that
@@ -322,11 +359,14 @@ pub fn rx_memo_stats() -> RxMemoStats {
         (m.hits, m.misses)
     });
     let (render_hits, render_misses) = RENDERS.with(std::cell::Cell::get);
+    let (completion_hits, completion_misses) = COMPLETIONS.with(std::cell::Cell::get);
     RxMemoStats {
         parse_hits,
         parse_misses,
         decode_hits,
         decode_misses,
+        completion_hits,
+        completion_misses,
         render_hits,
         render_misses,
     }
@@ -363,14 +403,14 @@ impl Decoder for MemoDecoder {
         codec: CodecId,
         channels: u8,
         payload: &Bytes,
-    ) -> Option<(Pcm, u64, SimTime)> {
-        let (pcm, work) = decode_shared(codec, channels, payload)?;
+    ) -> Option<(Decoded, u64, SimTime)> {
+        let (decoded, work) = decode_shared(codec, channels, payload)?;
         let cycles = work_to_cycles(work);
         let ready = self
             .cpu
             .as_ref()
             .map_or(now, |cpu| cpu.borrow_mut().submit(now, cycles));
-        Some((pcm, work, ready))
+        Some((decoded, work, ready))
     }
 }
 
@@ -1347,6 +1387,201 @@ mod tests {
                 tap.window(idx, 1)?.first().copied()
             })
             .collect()
+    }
+
+    /// `count` 50 ms OVL CD blocks of one stream, a chord, due like
+    /// [`block`]'s; the encoder starts a fresh lap at each of `fresh`
+    /// (the producer restarting) besides the first.
+    fn ovl_blocks(count: u32, fresh: &[u32]) -> Vec<Bytes> {
+        let codecs = Codecs::new();
+        let mut chord = es_audio::gen::MultiTone::music(44_100);
+        (0..count)
+            .map(|seq| {
+                if fresh.contains(&seq) {
+                    codecs.reset();
+                }
+                let samples = es_audio::gen::render_interleaved(&mut chord, 2, 2_205);
+                let enc = codecs.encode(CodecId::Ovl, &samples, 2, es_codec::MAX_QUALITY);
+                encode_data(&DataPacket {
+                    stream_id: 1,
+                    seq,
+                    play_at_us: due(seq).as_micros(),
+                    codec: CodecId::Ovl.to_wire(),
+                    payload: Bytes::from(enc.bytes),
+                })
+            })
+            .collect()
+    }
+
+    /// A step of an OVL run, taken between its blocks.
+    type Step<'a> = &'a dyn Fn(&mut Sim, &Lan, NodeId, &EthernetSpeaker);
+
+    /// What a concealing, repair-asking speaker played of `blocks`, but
+    /// for those `skip` names: its counters and every sample, after
+    /// `between` ran at its instant (offered the sim, the LAN, the
+    /// producer and the speaker).
+    fn ovl_run(
+        blocks: &[Bytes],
+        skip: &[u32],
+        between: Option<(SimTime, Step<'_>)>,
+    ) -> (SpeakerStats, Vec<i16>) {
+        let (mut sim, lan, producer, spk, _) = repairing();
+        for (seq, b) in blocks.iter().enumerate() {
+            if !skip.contains(&(seq as u32)) {
+                lan.multicast(&mut sim, producer, McastGroup(1), b.clone());
+            }
+        }
+        if let Some((at, step)) = between {
+            sim.run_until(at);
+            step(&mut sim, &lan, producer, &spk);
+        }
+        sim.run_for(SimDuration::from_secs(1));
+        let played = spk.tap().borrow().samples().expect("capturing");
+        (spk.stats(), played)
+    }
+
+    /// The block `seq`'s samples among those played, and its head: the
+    /// frames the block before it laps.
+    fn in_block(played: &[i16], seq: u32) -> (&[i16], &[i16]) {
+        let block = &played[seq as usize * 4_410..][..4_410];
+        let phase = seq as usize * 2_205 % es_codec::ovl::BLOCK;
+        block.split_at(2 * (es_codec::ovl::DELAY - phase))
+    }
+
+    #[test]
+    fn a_lost_ovl_block_fades_the_next_ones_head_and_is_concealed_once() {
+        let blocks = ovl_blocks(6, &[]);
+        let (clean, heard) = ovl_run(&blocks, &[], None);
+        assert_eq!(
+            (
+                clean.faded_heads,
+                clean.concealed_packets,
+                clean.data_packets
+            ),
+            (0, 0, 6),
+            "{clean:?}"
+        );
+        let (lossy, lost) = ovl_run(&blocks, &[3], None);
+        assert_eq!(
+            (
+                lossy.faded_heads,
+                lossy.concealed_packets,
+                lossy.data_packets
+            ),
+            (1, 1, 6),
+            "{lossy:?}"
+        );
+        assert_eq!(lost.len(), heard.len());
+        // Block 3 is a replica, block 4's head faded; the rest is the
+        // clean run's.
+        for seq in [0, 1, 2, 5] {
+            assert_eq!(in_block(&lost, seq), in_block(&heard, seq), "block {seq}");
+        }
+        assert_ne!(in_block(&lost, 3), in_block(&heard, 3));
+        let ((faded, body), (head, clean_body)) = (in_block(&lost, 4), in_block(&heard, 4));
+        assert_eq!(body, clean_body);
+        assert_ne!(faded, head);
+    }
+
+    #[test]
+    fn a_block_refilled_before_its_successor_plays_completes_its_head() {
+        // Block 3's copy comes 25 ms after it was due (concealed by
+        // then): it plays nothing, but block 4 laps it as in the clean
+        // run.
+        let blocks = ovl_blocks(6, &[]);
+        let (_, heard) = ovl_run(&blocks, &[], None);
+        let refill = |sim: &mut Sim, lan: &Lan, producer, _: &EthernetSpeaker| {
+            lan.multicast(sim, producer, McastGroup(1), blocks[3].clone());
+        };
+        let at = due(3) + SimDuration::from_millis(25);
+        let (st, played) = ovl_run(&blocks, &[3], Some((at, &refill)));
+        assert_eq!(
+            (st.refill_late, st.concealed_packets, st.faded_heads),
+            (1, 1, 0),
+            "{st:?}"
+        );
+        for seq in [0, 1, 2, 4, 5] {
+            assert_eq!(in_block(&played, seq), in_block(&heard, seq), "block {seq}");
+        }
+    }
+
+    #[test]
+    fn a_refill_after_its_successor_played_rewrites_nothing() {
+        let blocks = ovl_blocks(6, &[]);
+        let (lossy, lost) = ovl_run(&blocks, &[3], None);
+        let refill = |sim: &mut Sim, lan: &Lan, producer, _: &EthernetSpeaker| {
+            lan.multicast(sim, producer, McastGroup(1), blocks[3].clone());
+        };
+        let at = due(4) + SimDuration::from_millis(25);
+        let (st, played) = ovl_run(&blocks, &[3], Some((at, &refill)));
+        assert_eq!((st.refill_late, st.faded_heads), (1, 1), "{st:?}");
+        assert_eq!(
+            (st.concealed_packets, st.data_packets),
+            (lossy.concealed_packets, lossy.data_packets)
+        );
+        assert_eq!(played, lost, "block 5 still laps block 4");
+    }
+
+    #[test]
+    fn flush_retune_and_a_new_format_each_start_a_fresh_lap() {
+        // Between blocks 2 and 3 the speaker lets go of the stream and
+        // hears its control packet again, then blocks 3–5: block 3 laps
+        // a block the speaker no longer holds.
+        let blocks = ovl_blocks(6, &[]);
+        let resume = |sim: &mut Sim, lan: &Lan, producer, control: Bytes| {
+            lan.multicast(sim, producer, McastGroup(1), control);
+            for b in &blocks[3..] {
+                lan.multicast(sim, producer, McastGroup(1), b.clone());
+            }
+        };
+        let flush = |sim: &mut Sim, lan: &Lan, producer, spk: &EthernetSpeaker| {
+            spk.step(sim, |node, _| node.resync());
+            resume(sim, lan, producer, control_packet(1, sim.now().as_micros()));
+        };
+        let retune = |sim: &mut Sim, lan: &Lan, producer, spk: &EthernetSpeaker| {
+            spk.tune(sim, McastGroup(1));
+            resume(sim, lan, producer, control_packet(1, sim.now().as_micros()));
+        };
+        let reformat = |sim: &mut Sim, lan: &Lan, producer, _: &EthernetSpeaker| {
+            let control = ControlPacket {
+                stream_id: 1,
+                seq: 1,
+                producer_time_us: sim.now().as_micros(),
+                config: AudioConfig {
+                    sample_rate: 48_000,
+                    ..AudioConfig::CD
+                },
+                codec: CodecId::Ovl.to_wire(),
+                quality: 10,
+                control_interval_ms: 500,
+                flags: 0,
+            };
+            resume(sim, lan, producer, encode_control(&control));
+        };
+        let at = due(2) + SimDuration::from_millis(10);
+        let between: [Step<'_>; 3] = [&flush, &retune, &reformat];
+        for (what, step) in ["flush", "retune", "new format"].iter().zip(between) {
+            let (st, _) = ovl_run(&blocks, &[3, 4, 5], Some((at, step)));
+            assert_eq!(
+                (st.faded_heads, st.concealed_packets, st.data_packets),
+                (1, 0, 6),
+                "{what}: {st:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_producer_restart_starts_a_fresh_lap_complete_on_its_own() {
+        // The encoder starts over at block 3: it laps nothing, so its
+        // head is what it decodes to alone, and no head is faded.
+        let blocks = ovl_blocks(6, &[3]);
+        let (st, played) = ovl_run(&blocks, &[], None);
+        assert_eq!((st.faded_heads, st.data_packets), (0, 6), "{st:?}");
+        let Ok(Packet::Data(d)) = es_proto::decode(&blocks[3]) else {
+            panic!("block 3 parses");
+        };
+        let (alone, _) = Codecs::new().decode(CodecId::Ovl, &d.payload, 2).unwrap();
+        assert_eq!(&played[3 * 4_410..][..4_410], &alone[..]);
     }
 
     #[test]

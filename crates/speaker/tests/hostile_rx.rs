@@ -31,7 +31,7 @@ use es_proto::{
     TRAILER_LEN,
 };
 use es_sim::{SimDuration, SimTime};
-use es_speaker::{Action, Decoder, Pcm, SharedBlock, SpeakerConfig, SpeakerNode};
+use es_speaker::{Action, Decoded, Decoder, SharedBlock, SpeakerConfig, SpeakerNode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,10 +161,10 @@ impl Decoder for Blocks {
         _: es_codec::CodecId,
         _: u8,
         _: &Bytes,
-    ) -> Option<(Pcm, u64, SimTime)> {
+    ) -> Option<(Decoded, u64, SimTime)> {
         let pcm = SharedBlock::new(vec![1; 4_410]);
         self.0.borrow_mut().blocks.push(Rc::downgrade(&pcm));
-        Some((pcm, 0, now))
+        Some((Decoded::Block(pcm), 0, now))
     }
 }
 
@@ -546,7 +546,12 @@ fn a_retired_codec_byte_decodes_as_the_stream_codec_or_counts_an_error() {
             .collect()
     };
     let pcm = |k| codecs.encode(CodecId::Pcm, &block(k), 2, 0).bytes;
-    let ovl = |k| codecs.encode(CodecId::Ovl, &block(k), 2, MAX_QUALITY).bytes;
+    // Each OVL block the first of its stream, so it plays as it decodes
+    // alone.
+    let ovl = |k| {
+        codecs.reset();
+        codecs.encode(CodecId::Ovl, &block(k), 2, MAX_QUALITY).bytes
+    };
     let ovl_played = |k| codecs.decode(CodecId::Ovl, &ovl(k), 2).unwrap().0;
 
     let cfg = es_speaker::SpeakerConfig::new("es", es_net::McastGroup(1));

@@ -113,6 +113,8 @@ fn delta(after: RxMemoStats, before: RxMemoStats) -> RxMemoStats {
         parse_misses: after.parse_misses - before.parse_misses,
         decode_hits: after.decode_hits - before.decode_hits,
         decode_misses: after.decode_misses - before.decode_misses,
+        completion_hits: after.completion_hits - before.completion_hits,
+        completion_misses: after.completion_misses - before.completion_misses,
         render_hits: after.render_hits - before.render_hits,
         render_misses: after.render_misses - before.render_misses,
     }
@@ -168,10 +170,12 @@ fn fleet_parses_and_decodes_each_datagram_once_and_no_speaker_can_tell() {
             parse_hits: datagrams * (N - 1),
             decode_misses: PACKETS,
             decode_hits: PACKETS * (N - 1),
+            completion_misses: PACKETS,
+            completion_hits: PACKETS * (N - 1),
             render_misses: PACKETS,
             render_hits: PACKETS * (N - 1),
         },
-        "one parse, one decode and one rendering per produced datagram"
+        "one parse, one decode, one completion and one rendering per produced datagram"
     );
 
     let alone = run(1).remove(0);

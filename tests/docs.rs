@@ -315,6 +315,15 @@ no_doc_mentions! {
         "the VAD fakes the missing interrupt one way, with its kernel \
          thread, and the high level announces every block after the \
          trigger to any low-level driver";
+    no_doc_describes_packets_that_decode_alone: DOCS,
+        [
+            concat!("ease_into", "_frame"),
+            concat!("independently ", "decodable"),
+            concat!("decodable on ", "its own"),
+        ],
+        "OVL laps each packet onto the one before it: a packet's head \
+         needs its predecessor's tail, and the padding that framed each \
+         packet alone is gone";
 }
 
 /// What a caller of a shim kept only so the frozen `benches/ledger`
@@ -503,8 +512,8 @@ fn design_md_lists_exactly_the_keys_a_speaker_records() {
         .expect("DESIGN.md §6 lists the `speaker/<name>/*` keys")
         .0;
     let documented: BTreeSet<&str> = list.split('`').skip(1).step_by(2).collect();
-    // A speaker that has sent a NACK and given up on an FEC group, so
-    // the keys listed once non-zero are there too.
+    // A speaker that has sent a NACK, given up on an FEC group and
+    // faded a head, so the keys listed once non-zero are there too.
     let mut sim = es_sim::Sim::new(1);
     let lan = es_net::Lan::new(es_net::LanConfig::default());
     let group = es_net::McastGroup(1);
@@ -518,6 +527,7 @@ fn design_md_lists_exactly_the_keys_a_speaker_records() {
     es_speaker::SpeakerStats {
         nacks_sent: 1,
         fec_unrecoverable: 1,
+        faded_heads: 1,
         ..Default::default()
     }
     .record(&mut reg);

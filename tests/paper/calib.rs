@@ -12,12 +12,15 @@
 //! accumulate count of the arithmetic it runs, dominated by the MDCT's
 //! fold and `N/2`-point FFT (9 216 units per window at N = 512) plus
 //! four units a sample. At 50 ms packets, one second of CD stereo at
-//! maximum quality costs 2 564 640 work units. Figure 4's slope implies
-//! one CD stream cost ≈ 11% of the 233 MHz Geode (four streams ≈ 45%,
-//! eight approaching saturation), and the reproduction bills it 26.5 M
-//! cycles/s (11.4%). The billing rate is therefore 26.5 M / 2.56 M ≈
-//! **10.33 cycles per work unit** (`es_sim::work_to_cycles`, which
-//! bills encode and decode alike).
+//! maximum quality costs 1 937 952 work units: a stream's packets lap,
+//! so each carries the 4.31 windows that end inside its 2 205 frames on
+//! average (it was 2 564 640 when each packet coded 6 windows of its
+//! own). Figure 4's slope implies one CD stream cost ≈ 11% of the
+//! 233 MHz Geode (four streams ≈ 45%, eight approaching saturation),
+//! and the reproduction bills it 26.5 M cycles/s (11.4%). The billing
+//! rate is therefore 26.5 M / 1.94 M ≈ **13.67 cycles per work unit**
+//! (`es_sim::work_to_cycles`, which bills encode and decode alike; it
+//! was 10.33 before the packets lapped).
 //!
 //! The rule is one price for what runs: the units count the transform
 //! the codec executes, and the rate carries the rest of the Geode's

@@ -21,7 +21,7 @@ use es_proto::auth::StreamSigner;
 use es_proto::{decode, Packet, WireError, TRAILER_LEN};
 use es_rebroadcast::CompressionPolicy;
 use es_sim::{SimDuration, SimTime};
-use es_speaker::{Decoded, Decoder, SharedBlock, SpeakerConfig, SpeakerNode};
+use es_speaker::{Decoder, Pcm, SharedBlock, SpeakerConfig, SpeakerNode};
 
 const CHUNKS: u64 = 24;
 const CHUNK: SimDuration = SimDuration::from_millis(50);
@@ -167,8 +167,8 @@ impl Decoder for Counting {
         _: CodecId,
         _: u8,
         _: &Bytes,
-    ) -> Option<(Decoded, u64, SimTime)> {
+    ) -> Option<(Pcm, u64, SimTime)> {
         self.0.blocks.set(self.0.blocks.get() + 1);
-        Some((Decoded::Block(SharedBlock::new(Vec::new())), 0, now))
+        Some((SharedBlock::new(Vec::new()), 0, now))
     }
 }

@@ -513,7 +513,7 @@ mod tests {
     use super::*;
     use es_net::McastGroup;
     use es_proto::{decode, Packet, WireError};
-    use es_speaker::{Decoded, Decoder, SharedBlock, SpeakerConfig, SpeakerNode};
+    use es_speaker::{Decoder, Pcm, SharedBlock, SpeakerConfig, SpeakerNode};
 
     /// A speaker's decoder that counts the blocks its node clears.
     struct Blocks(Rc<Cell<usize>>);
@@ -529,9 +529,9 @@ mod tests {
             _: CodecId,
             _: u8,
             _: &Bytes,
-        ) -> Option<(Decoded, u64, SimTime)> {
+        ) -> Option<(Pcm, u64, SimTime)> {
             self.0.set(self.0.get() + 1);
-            Some((Decoded::Block(SharedBlock::new(Vec::new())), 0, now))
+            Some((SharedBlock::new(Vec::new()), 0, now))
         }
     }
 

@@ -30,9 +30,7 @@ pub mod speaker;
 pub mod sync;
 
 pub use autovol::{AmbientProfile, AutoVolume, AutoVolumeConfig};
-pub use node::{
-    Action, Decoded, Decoder, Note, Pcm, Play, PlayMode, SharedBlock, SharedSpan, SpeakerNode,
-};
+pub use node::{Action, Decoder, Note, Pcm, Play, PlayMode, SharedBlock, SpeakerNode};
 pub use rx::{SpeakerStats, NACK_REASK};
 pub use speaker::{
     rx_memo_stats, EthernetSpeaker, MemoDecoder, RxMemoStats, SessionStatus, SpeakerConfig,

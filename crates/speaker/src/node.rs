@@ -52,6 +52,10 @@ pub struct SharedBlock {
     /// the block before added into its head), else an id of its own.
     /// 0 for a block of a codec that does not lap.
     tail_id: u64,
+    /// An OVL payload decoded but not yet played: its span, which
+    /// plays once completed by the block before it (`samples` is then
+    /// empty). `None` for a block that plays as it is.
+    pub(crate) lapped: Option<Box<SharedSpan>>,
 }
 
 /// A handle to a decoded block.
@@ -85,7 +89,7 @@ fn lap_id() -> u64 {
 /// lapped, so receivers that hold the same block before it share the
 /// block it plays.
 #[derive(Default)]
-pub struct SharedSpan {
+pub(crate) struct SharedSpan {
     pub(crate) span: OvlSpan,
     /// Unique on its thread per decode into it.
     id: u64,
@@ -145,31 +149,21 @@ impl SharedSpan {
     }
 }
 
-/// A cleared payload, decoded.
-#[derive(Clone)]
-pub enum Decoded {
-    /// A block that plays as it is.
-    Block(Pcm),
-    /// An OVL packet's span, which plays once completed by the block
-    /// before it.
-    Span(Rc<SharedSpan>),
-}
-
 /// The adapter's parser and decoder, as the node calls them.
 pub trait Decoder {
     /// Parses one message the §5.1 gate released.
     fn parse(&mut self, raw: &Bytes) -> Result<Packet, WireError>;
 
-    /// Decodes a cleared block at `now`: the decoded payload, the work
-    /// units to bill and the instant it is ready; `None` if the
-    /// payload does not decode.
+    /// Decodes a cleared block at `now`: its PCM (for OVL, its span,
+    /// which the node completes), the work units to bill and the
+    /// instant it is ready; `None` if the payload does not decode.
     fn decode(
         &mut self,
         now: SimTime,
         codec: CodecId,
         channels: u8,
         payload: &Bytes,
-    ) -> Option<(Decoded, u64, SimTime)>;
+    ) -> Option<(Pcm, u64, SimTime)>;
 }
 
 /// How a block reaches the device.
@@ -275,7 +269,7 @@ const LAP_BLOCKS: usize = 2;
 /// out: its deadline if it sleeps, else the instant its decode
 /// completes.
 struct Waiting {
-    decoded: Decoded,
+    pcm: Pcm,
     /// How it plays; `None`: it is discarded as late.
     mode: Option<PlayMode>,
     deadline: SimTime,
@@ -603,8 +597,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     fn decode(&mut self, now: SimTime, block: RxBlock, serial: bool) {
         let codec = self.codec_for(block.codec_wire);
         let channels = self.stream_config().channels;
-        let Some((decoded, work, ready)) =
-            self.decoder.decode(now, codec, channels, &block.payload)
+        let Some((pcm, work, ready)) = self.decoder.decode(now, codec, channels, &block.payload)
         else {
             self.stats.decode_errors += 1;
             if serial {
@@ -628,7 +621,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             }
         };
         let waiting = Waiting {
-            decoded,
+            pcm,
             mode,
             deadline,
             refill,
@@ -653,7 +646,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
 
     /// Carries out a block's §3.2 outcome.
     fn settle(&mut self, now: SimTime, w: Waiting) {
-        let (pcm, faded) = self.complete(w.decoded);
+        let (pcm, faded) = self.complete(w.pcm);
         if let Some(mode) = w.mode {
             self.stats.faded_heads += u64::from(faded);
             return self.play(pcm, 1.0, mode);
@@ -669,10 +662,9 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     /// faded (it laps a block the node does not hold). An OVL block is
     /// held for the packet after it to lap; one that starts a fresh
     /// lap lets go of the stream before it.
-    fn complete(&mut self, decoded: Decoded) -> (Pcm, bool) {
-        let span = match decoded {
-            Decoded::Block(pcm) => return (pcm, false),
-            Decoded::Span(span) => span,
+    fn complete(&mut self, decoded: Pcm) -> (Pcm, bool) {
+        let Some(span) = decoded.lapped.as_deref() else {
+            return (decoded, false);
         };
         let pred = self
             .laps
@@ -698,10 +690,9 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             return;
         }
         let channels = self.stream_config().channels;
-        if let Some((decoded, work, _)) = self.decoder.decode(now, codec, channels, &block.payload)
-        {
+        if let Some((pcm, work, _)) = self.decoder.decode(now, codec, channels, &block.payload) {
             self.stats.decode_work_units += work;
-            self.complete(decoded);
+            self.complete(pcm);
         }
     }
 

@@ -722,7 +722,7 @@ mod tests {
     use std::rc::Rc;
 
     use super::*;
-    use crate::node::{Decoded, SharedBlock};
+    use crate::node::{Pcm, SharedBlock};
     use crate::SpeakerConfig;
     use es_net::McastGroup;
     use es_proto::{decode, encode_control, encode_data, WireError};
@@ -742,9 +742,9 @@ mod tests {
             _: CodecId,
             _: u8,
             _: &Bytes,
-        ) -> Option<(Decoded, u64, SimTime)> {
+        ) -> Option<(Pcm, u64, SimTime)> {
             self.0.set(self.0.get() + 1);
-            Some((Decoded::Block(SharedBlock::new(vec![1; 2])), 0, now))
+            Some((SharedBlock::new(vec![1; 2]), 0, now))
         }
     }
 

@@ -39,7 +39,7 @@ use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
 use crate::autovol::{AmbientProfile, AutoVolumeConfig};
-use crate::node::{Action, Decoded, Decoder, Play, PlayMode, SharedBlock, SpeakerNode};
+use crate::node::{Action, Decoder, Pcm, Play, PlayMode, SharedBlock, SpeakerNode};
 use crate::rx::SpeakerStats;
 
 /// Speaker tuning knobs.
@@ -230,10 +230,10 @@ impl SharedBlock {
     }
 }
 
-/// What a payload decodes to under one `(codec, channels)`: the
-/// decoded payload (kept on failure too, for its allocation) and the
-/// work units to bill, `None` when the payload does not decode.
-type DecodedPayload = (Decoded, Option<u64>);
+/// What a payload decodes to under one `(codec, channels)`:
+/// the PCM, or the OVL span (kept on failure too, for its allocation)
+/// and the work units to bill, `None` when the payload does not decode.
+type Decoded = (Pcm, Option<u64>);
 
 thread_local! {
     /// Wire bytes → parsed packet, and payload bytes → PCM or OVL span.
@@ -241,7 +241,7 @@ thread_local! {
     /// run on parallel threads.
     static PARSED: std::cell::RefCell<RxMemo<(), Result<Packet, es_proto::WireError>>> =
         const { std::cell::RefCell::new(RxMemo::new()) };
-    static DECODED: std::cell::RefCell<RxMemo<(CodecId, u8), DecodedPayload>> =
+    static DECODED: std::cell::RefCell<RxMemo<(CodecId, u8), Decoded>> =
         const { std::cell::RefCell::new(RxMemo::new()) };
     /// One codec engine, shared by every speaker on the thread (its
     /// decode keeps nothing between packets: each node laps its own
@@ -261,54 +261,39 @@ thread_local! {
 /// Decodes `payload` once per distinct buffer and `(codec, channels)`.
 /// Every caller gets a handle to the one shared PCM block, or OVL span,
 /// and the work units to bill; `None` if the payload does not decode.
-fn decode_shared(codec: CodecId, channels: u8, payload: &Bytes) -> Option<(Decoded, u64)> {
+fn decode_shared(codec: CodecId, channels: u8, payload: &Bytes) -> Option<(Pcm, u64)> {
     DECODED.with(|m| {
         m.borrow_mut().with(
             payload,
             (codec, channels),
             |evicted| {
-                // Decode into the evicted payload's allocation — unless
-                // a receiver is still holding it to play.
-                let evicted = evicted.map(|(decoded, _)| decoded);
-                ENGINE.with(|engine| {
-                    let engine = engine.get_or_init(Codecs::new);
-                    if codec == CodecId::Ovl {
-                        let held = evicted.and_then(|d| match d {
-                            Decoded::Span(span) => Some(span),
-                            Decoded::Block(_) => None,
-                        });
-                        let mut span = reuse(held);
-                        let work = Rc::get_mut(&mut span).and_then(|shared| {
-                            shared.recycle();
-                            engine.decode_span(payload, channels, &mut shared.span).ok()
-                        });
-                        (Decoded::Span(span), work)
-                    } else {
-                        let held = evicted.and_then(|d| match d {
-                            Decoded::Block(pcm) => Some(pcm),
-                            Decoded::Span(_) => None,
-                        });
-                        let mut pcm = reuse(held);
-                        let work = Rc::get_mut(&mut pcm).and_then(|block| {
-                            // What it rendered to was the evicted PCM.
-                            block.rendered.get_mut().0 = None;
-                            engine
+                // Decode into the evicted block's allocation — unless
+                // a receiver is still holding that block to play it.
+                let mut pcm = evicted
+                    .map(|(pcm, _)| pcm)
+                    .filter(|pcm| Rc::strong_count(pcm) == 1)
+                    .unwrap_or_default();
+                let work = Rc::get_mut(&mut pcm).and_then(|block| {
+                    // What it rendered to was the evicted PCM.
+                    block.rendered.get_mut().0 = None;
+                    ENGINE.with(|engine| {
+                        let engine = engine.get_or_init(Codecs::new);
+                        if codec != CodecId::Ovl {
+                            block.lapped = None;
+                            return engine
                                 .decode_into(codec, payload, channels, &mut block.samples)
-                                .ok()
-                        });
-                        (Decoded::Block(pcm), work)
-                    }
-                })
+                                .ok();
+                        }
+                        let span = block.lapped.get_or_insert_default();
+                        span.recycle();
+                        engine.decode_span(payload, channels, &mut span.span).ok()
+                    })
+                });
+                (pcm, work)
             },
-            |(decoded, work)| work.map(|work| (decoded.clone(), work)),
+            |(pcm, work)| work.map(|work| (Rc::clone(pcm), work)),
         )
     })
-}
-
-/// `held` if no receiver still holds a handle to it, else a new one.
-fn reuse<T: Default>(held: Option<Rc<T>>) -> Rc<T> {
-    held.filter(|r| Rc::strong_count(r) == 1)
-        .unwrap_or_default()
 }
 
 /// Counts one completion of an OVL span: `shared` if another receiver
@@ -403,14 +388,14 @@ impl Decoder for MemoDecoder {
         codec: CodecId,
         channels: u8,
         payload: &Bytes,
-    ) -> Option<(Decoded, u64, SimTime)> {
-        let (decoded, work) = decode_shared(codec, channels, payload)?;
+    ) -> Option<(Pcm, u64, SimTime)> {
+        let (pcm, work) = decode_shared(codec, channels, payload)?;
         let cycles = work_to_cycles(work);
         let ready = self
             .cpu
             .as_ref()
             .map_or(now, |cpu| cpu.borrow_mut().submit(now, cycles));
-        Some((decoded, work, ready))
+        Some((pcm, work, ready))
     }
 }
 

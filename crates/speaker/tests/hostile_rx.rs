@@ -31,7 +31,7 @@ use es_proto::{
     TRAILER_LEN,
 };
 use es_sim::{SimDuration, SimTime};
-use es_speaker::{Action, Decoded, Decoder, SharedBlock, SpeakerConfig, SpeakerNode};
+use es_speaker::{Action, Decoder, Pcm, SharedBlock, SpeakerConfig, SpeakerNode};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -161,10 +161,10 @@ impl Decoder for Blocks {
         _: es_codec::CodecId,
         _: u8,
         _: &Bytes,
-    ) -> Option<(Decoded, u64, SimTime)> {
+    ) -> Option<(Pcm, u64, SimTime)> {
         let pcm = SharedBlock::new(vec![1; 4_410]);
         self.0.borrow_mut().blocks.push(Rc::downgrade(&pcm));
-        Some((Decoded::Block(pcm), 0, now))
+        Some((pcm, 0, now))
     }
 }
 

@@ -32,7 +32,9 @@ pub trait Signal {
 /// The phasor is re-derived from the exact phase every
 /// `Sine::RESYNC` samples, so rounding drift cannot accumulate over
 /// long streams; output is fully deterministic (pure function of the
-/// constructor arguments and sample index).
+/// constructor arguments and sample index). [`Signal::fill`] renders a
+/// block with the phasor and the resync counter in registers, and
+/// `next_sample` is a one-sample block.
 #[derive(Debug, Clone)]
 pub struct Sine {
     /// Phase step per sample, radians.
@@ -70,29 +72,46 @@ impl Sine {
         }
     }
 
-    #[inline]
-    fn advance(&mut self) {
-        self.since_sync += 1;
-        if self.since_sync == Self::RESYNC {
-            self.sync_base += Self::RESYNC as u64;
-            self.since_sync = 0;
-            let phase = (self.sync_base as f64 * self.step) % core::f64::consts::TAU;
-            self.sin = phase.sin();
-            self.cos = phase.cos();
-        } else {
-            let s = self.sin * self.step_cos + self.cos * self.step_sin;
-            let c = self.cos * self.step_cos - self.sin * self.step_sin;
-            self.sin = s;
-            self.cos = c;
-        }
+    /// Re-derives the phasor from the exact phase of the sample
+    /// `RESYNC` on from the last resync.
+    fn resync(&mut self) {
+        self.sync_base += Self::RESYNC as u64;
+        self.since_sync = 0;
+        let phase = (self.sync_base as f64 * self.step) % core::f64::consts::TAU;
+        self.sin = phase.sin();
+        self.cos = phase.cos();
     }
 }
 
 impl Signal for Sine {
     fn next_sample(&mut self) -> f32 {
-        let v = self.sin as f32 * self.amplitude;
-        self.advance();
+        let mut one = [0.0f32];
+        self.fill(&mut one);
+        let [v] = one;
         v
+    }
+
+    /// Rotates the phasor once per sample up to the next resync, which
+    /// then replaces the last rotation by the exact phase.
+    fn fill(&mut self, mut out: &mut [f32]) {
+        while !out.is_empty() {
+            let room = (Self::RESYNC - self.since_sync) as usize;
+            let (run, rest) = out.split_at_mut(out.len().min(room));
+            out = rest;
+            let (mut sin, mut cos) = (self.sin, self.cos);
+            for slot in run.iter_mut() {
+                *slot = sin as f32 * self.amplitude;
+                (sin, cos) = (
+                    sin * self.step_cos + cos * self.step_sin,
+                    cos * self.step_cos - sin * self.step_sin,
+                );
+            }
+            (self.sin, self.cos) = (sin, cos);
+            self.since_sync += run.len() as u32;
+            if self.since_sync == Self::RESYNC {
+                self.resync();
+            }
+        }
     }
 }
 
@@ -412,27 +431,29 @@ impl Signal for ImpulseTrain {
     }
 }
 
-/// Rounds half away from zero, exactly like `f32::round` followed by a
-/// saturating `as i32`, without the out-of-line libm `roundf` the
-/// baseline x86-64 target emits per call (which also keeps the loop
-/// around it from vectorizing). `f64` holds `|x| + 0.5` exactly for any
-/// `f32` below 2^52 and `x` is already an integer above, so truncation
-/// lands on the same value; NaN maps to 0 and out-of-range values
-/// saturate (to ±`i32::MAX`), as `as` does.
+/// The bias whose addition leaves an `f32` below it rounded to an
+/// integer (ties to even) in the low bits of the sum's mantissa.
+const MAGIC: f32 = 8_388_608.0;
+
+/// Rounds `x` (at most `±32_767`, or NaN) half away from zero, as
+/// `f32::round` does, in operations that vectorize on the baseline
+/// x86-64 target, where `round` is an out-of-line libm `roundf` per
+/// call and a saturating `as` a scalar sequence per lane: `|x| + MAGIC`
+/// holds `|x|` rounded ties to even, and a tie that went down to even
+/// is put back up. NaN maps to 0. Checked against `round` for every
+/// `f32` input of [`f32_to_i16`].
 #[inline]
-fn round_to_i32(x: f32) -> i32 {
-    let y = x as f64;
-    let r = (y.abs() + 0.5) as i32;
-    if y < 0.0 {
-        -r
-    } else {
-        r
-    }
+fn round_to_i16(x: f32) -> i16 {
+    let y = x.abs();
+    let m = y + MAGIC;
+    let k = (m.to_bits() as i32 - MAGIC.to_bits() as i32) + i32::from(y - (m - MAGIC) == 0.5);
+    let k = if x < 0.0 { -k } else { k };
+    (if x.is_nan() { 0 } else { k }) as i16
 }
 
 /// Converts a float sample in `[-1, 1]` to `i16` with clamping.
 pub fn f32_to_i16(v: f32) -> i16 {
-    round_to_i32(v.clamp(-1.0, 1.0) * 32_767.0) as i16
+    round_to_i16(v.clamp(-1.0, 1.0) * 32_767.0)
 }
 
 /// Frames a renderer asks its source for per [`Signal::fill`] call.
@@ -451,6 +472,8 @@ pub fn render_interleaved(sig: &mut dyn Signal, channels: u8, frames: usize) -> 
 
 /// [`render_interleaved`] into a caller-owned buffer (cleared first),
 /// so a source that renders chunk after chunk recycles one allocation.
+/// Each block is converted to `i16` in one loop, then each of its
+/// samples written to its frame's channels in a second.
 pub fn render_interleaved_into(
     sig: &mut dyn Signal,
     channels: u8,
@@ -458,17 +481,33 @@ pub fn render_interleaved_into(
     out: &mut Vec<i16>,
 ) {
     assert!(channels >= 1, "need at least one channel");
+    let ch = usize::from(channels);
     out.clear();
-    out.reserve(frames * channels as usize);
+    out.resize(frames * ch, 0);
     let mut block = [0.0f32; RENDER_BLOCK];
-    let mut left = frames;
-    while left > 0 {
-        let mono = &mut block[..left.min(RENDER_BLOCK)];
+    let mut ints = [0i16; RENDER_BLOCK];
+    for dst in out.chunks_mut(RENDER_BLOCK * ch) {
+        let mono = &mut block[..dst.len() / ch];
         sig.fill(mono);
-        for &v in mono.iter() {
-            out.extend(std::iter::repeat_n(f32_to_i16(v), channels as usize));
+        let ints = &mut ints[..mono.len()];
+        for (i, &v) in ints.iter_mut().zip(mono.iter()) {
+            *i = f32_to_i16(v);
         }
-        left -= mono.len();
+        // Stereo gets a fixed-size store per frame, where a `fill` of
+        // a runtime length is a loop of its own.
+        match ch {
+            1 => dst.copy_from_slice(ints),
+            2 => {
+                for (frame, &s) in dst.chunks_exact_mut(2).zip(ints.iter()) {
+                    frame.copy_from_slice(&[s, s]);
+                }
+            }
+            _ => {
+                for (frame, &s) in dst.chunks_exact_mut(ch).zip(ints.iter()) {
+                    frame.fill(s);
+                }
+            }
+        }
     }
 }
 
@@ -569,7 +608,7 @@ mod tests {
                 for (i, g) in got.iter().enumerate() {
                     let mut want = 0.0f32;
                     for s in &mut sines {
-                        want += s.next_sample();
+                        want += per_sample(s);
                     }
                     want *= norm;
                     assert_eq!(g.to_bits(), want.to_bits(), "sample {}", done + i);
@@ -635,36 +674,24 @@ mod tests {
     #[test]
     fn rounding_matches_libm_round_at_every_boundary() {
         // Every half-integer an i16 conversion can see, one ulp either
-        // side of it, both signs, plus the values `as` special-cases.
-        // Compared inside ±2^24: at saturation the negated i32::MAX is
-        // one above i32::MIN, which every caller's clamp absorbs.
-        let check = |x: f32| {
-            let lim = 1i32 << 24;
-            let want = (x.round() as i32).clamp(-lim, lim);
-            assert_eq!(round_to_i32(x).clamp(-lim, lim), want, "{x:e}");
-        };
-        for k in -32_768i32..32_768 {
+        // side of it, both signs, plus the values `round` special-cases.
+        let check = |x: f32| assert_eq!(round_to_i16(x), x.round() as i16, "{x:e}");
+        for k in -32_767i32..32_767 {
             let half = k as f32 + 0.5;
             for x in [half, half.next_up(), half.next_down()] {
                 check(x);
                 check(-x);
             }
         }
-        for x in [
-            0.0,
-            -0.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            f32::MAX,
-            f32::MIN,
-            f32::MIN_POSITIVE,
-            0.49999997,
-            8_388_607.5,
-            2_147_483_520.0,
-        ] {
+        for x in [0.0, -0.0, f32::NAN, f32::MIN_POSITIVE, 0.49999997, 32_767.0] {
             check(x);
+            check(-x);
         }
+        for x in [f32::INFINITY, f32::MAX, 8_388_607.5] {
+            assert_eq!(f32_to_i16(x), 32_767, "{x:e}");
+            assert_eq!(f32_to_i16(-x), -32_767, "{x:e}");
+        }
+        assert_eq!(f32_to_i16(f32::NAN), 0);
         // And through the public conversion, over the whole unit range.
         for i in -70_000i32..=70_000 {
             let v = i as f32 / 65_536.0;
@@ -683,23 +710,72 @@ mod tests {
         }
     }
 
+    /// The per-sample `Sine` its block `fill` replaced: one rotation
+    /// of the phasor per sample, through memory, and the exact phase
+    /// every `Sine::RESYNC` samples.
+    fn per_sample(s: &mut Sine) -> f32 {
+        let v = s.sin as f32 * s.amplitude;
+        s.since_sync += 1;
+        if s.since_sync == Sine::RESYNC {
+            s.sync_base += Sine::RESYNC as u64;
+            s.since_sync = 0;
+            let phase = (s.sync_base as f64 * s.step) % core::f64::consts::TAU;
+            s.sin = phase.sin();
+            s.cos = phase.cos();
+        } else {
+            let sin = s.sin * s.step_cos + s.cos * s.step_sin;
+            let cos = s.cos * s.step_cos - s.sin * s.step_sin;
+            s.sin = sin;
+            s.cos = cos;
+        }
+        v
+    }
+
+    /// The renderer `render_interleaved_into` replaced: each sample
+    /// converted and repeated into its frame one at a time.
+    fn per_sample_render_into(
+        sig: &mut dyn Signal,
+        channels: u8,
+        frames: usize,
+        out: &mut Vec<i16>,
+    ) {
+        out.clear();
+        let mut block = [0.0f32; RENDER_BLOCK];
+        let mut left = frames;
+        while left > 0 {
+            let mono = &mut block[..left.min(RENDER_BLOCK)];
+            sig.fill(mono);
+            for &v in mono.iter() {
+                out.extend(std::iter::repeat_n(f32_to_i16(v), channels as usize));
+            }
+            left -= mono.len();
+        }
+    }
+
+    /// Every source, in the order `source(kind)` numbers them.
+    const SOURCES: usize = 7;
+
+    fn source(kind: usize) -> Box<dyn Signal> {
+        match kind {
+            0 => Box::new(MultiTone::music(44_100)),
+            1 => Box::new(Sine::new(440.0, 44_100, 0.7)),
+            2 => Box::new(WhiteNoise::new(9, 0.5)),
+            3 => Box::new(Sweep::new(50.0, 9_000.0, 0.5, 44_100, 0.9)),
+            4 => Box::new(ImpulseTrain::new(300, 1.0)),
+            5 => Box::new(Pluck::new(4, 44_100, 0.8)),
+            _ => Box::new(Silence),
+        }
+    }
+
     #[test]
     fn renderers_equal_a_sample_by_sample_render() {
         // The renderers fill a block at a time; what they must equal is
         // one `next_sample` per frame, for every source and across block
-        // boundaries and a MultiTone resync (every 32 768 samples).
-        fn sources() -> Vec<Box<dyn Signal>> {
-            vec![
-                Box::new(MultiTone::music(44_100)),
-                Box::new(Sine::new(440.0, 44_100, 0.7)),
-                Box::new(WhiteNoise::new(9, 0.5)),
-                Box::new(Sweep::new(50.0, 9_000.0, 0.5, 44_100, 0.9)),
-                Box::new(ImpulseTrain::new(300, 1.0)),
-                Box::new(Silence),
-            ]
-        }
-        let frames = 33_000 + RENDER_BLOCK / 2;
-        for (mut a, mut b) in sources().into_iter().zip(sources()) {
+        // boundaries and two resyncs of MultiTone and Sine (every
+        // 32 768 samples).
+        let frames = 2 * 32_768 + RENDER_BLOCK / 2;
+        for kind in 0..SOURCES {
+            let (mut a, mut b) = (source(kind), source(kind));
             let want: Vec<i16> = (0..frames)
                 .flat_map(|_| {
                     let s = f32_to_i16(b.next_sample());
@@ -708,6 +784,13 @@ mod tests {
                 .collect();
             assert_eq!(render_interleaved(a.as_mut(), 3, frames), want);
         }
+        // A `Sine`'s block equals the per-sample phasor it replaced.
+        let mut old = Sine::new(440.0, 44_100, 0.7);
+        let want: Vec<i16> = (0..frames)
+            .map(|_| f32_to_i16(per_sample(&mut old)))
+            .collect();
+        let mut sine = Sine::new(440.0, 44_100, 0.7);
+        assert_eq!(render_interleaved(&mut sine, 1, frames), want);
         let (mut l, mut r) = (MultiTone::music(44_100), WhiteNoise::new(3, 0.4));
         let (mut l2, mut r2) = (l.clone(), r.clone());
         let want: Vec<i16> = (0..frames)
@@ -718,6 +801,32 @@ mod tests {
         let mut out = vec![7i16; 5];
         render_interleaved_into(&mut Silence, 2, 3, &mut out);
         assert_eq!(out, [0; 6]);
+    }
+
+    proptest::proptest! {
+        /// Chunk after chunk into one buffer, as an application renders:
+        /// the block renderer writes what the per-sample renderer does,
+        /// for every source and 1–8 channels, across `RENDER_BLOCK` and,
+        /// from a start just short of one, a `Sine::RESYNC`.
+        #[test]
+        fn prop_render_equals_the_per_sample_renderer(
+            kind in 0usize..SOURCES,
+            channels in 1u8..=8,
+            chunks in proptest::collection::vec(0usize..3_000, 1..8),
+            short_of_resync in 0usize..4_000,
+        ) {
+            let (mut a, mut b) = (source(kind), source(kind));
+            let skip = Sine::RESYNC as usize - short_of_resync;
+            let mut scratch = vec![0.0f32; skip];
+            a.fill(&mut scratch);
+            b.fill(&mut scratch);
+            let (mut got, mut want) = (vec![7i16; 3], Vec::new());
+            for &frames in &chunks {
+                render_interleaved_into(a.as_mut(), channels, frames, &mut got);
+                per_sample_render_into(b.as_mut(), channels, frames, &mut want);
+                proptest::prop_assert_eq!(&got, &want);
+            }
+        }
     }
 
     #[test]

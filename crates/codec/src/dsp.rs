@@ -8,7 +8,9 @@
 //! the autovectorizer can SIMD it, while the *elementwise expression
 //! is kept literally identical* to the scalar original — so output is
 //! bit-identical, not merely close, and the determinism
-//! fingerprints are unaffected by this refactor.
+//! fingerprints are unaffected by this refactor. The one exception is
+//! the conversion back to i16, whose vectorizable form equals the
+//! original's `as` for every input.
 //!
 //! The scalar originals are retained in [`scalar`] as the
 //! property-test oracle (`tests/dsp_kernels_prop.rs` asserts bit
@@ -56,18 +58,43 @@ pub fn deinterleave_normalize(samples: &[i16], ch: usize, planes: &mut [f32], st
 /// Scatters one reconstructed channel back into `ch`-channel
 /// interleaved i16 `out` (channel `c`), denormalizing from ±1.0 with
 /// the codec's saturating clamp. Writes
-/// `min(synth.len(), out.len() / ch)` frames.
+/// `min(synth.len(), out.len() / ch)` frames. The OVL completion
+/// converts its own sums and writes each twin channel in the same pass
+/// (`OvlSpan::complete`), so no decode path calls this any more.
 pub fn interleave_denormalize(synth: &[f32], ch: usize, c: usize, out: &mut [i16]) {
     debug_assert!(c < ch);
     if ch == 1 {
         for (o, &v) in out.iter_mut().zip(synth) {
-            *o = (v * 32_767.0).clamp(-32_768.0, 32_767.0) as i16;
+            *o = denormalize(v);
         }
     } else {
         for (frame, &v) in out.chunks_exact_mut(ch).zip(synth) {
-            frame[c] = (v * 32_767.0).clamp(-32_768.0, 32_767.0) as i16;
+            frame[c] = denormalize(v);
         }
     }
+}
+
+/// One reconstructed sample from ±1.0 to i16, with the codec's
+/// saturating clamp.
+#[inline]
+pub(crate) fn denormalize(v: f32) -> i16 {
+    truncate_to_i16((v * 32_767.0).clamp(-32_768.0, 32_767.0))
+}
+
+/// `x as i16` for `x` in `[-32_768, 32_767]` (or NaN, which maps to 0),
+/// in operations that vectorize on the baseline x86-64 target, where
+/// the saturating `as` is a scalar sequence per lane: `|x| + 2^23`
+/// holds `|x|` rounded to an integer, ties to even, in the low bits of
+/// its mantissa, one too many where that rounded up. Checked against
+/// `as` for every `f32` input of [`denormalize`].
+#[inline]
+fn truncate_to_i16(x: f32) -> i16 {
+    const MAGIC: f32 = 8_388_608.0;
+    let y = x.abs();
+    let m = y + MAGIC;
+    let k = (m.to_bits() as i32 - MAGIC.to_bits() as i32) - i32::from(m - MAGIC > y);
+    let k = if x < 0.0 { -k } else { k };
+    (if x.is_nan() { 0 } else { k }) as i16
 }
 
 /// Quantizes one band of coefficients: `out[i]` is `band[i]` scaled by
@@ -202,6 +229,41 @@ mod tests {
         // Out-of-range inputs saturate, never wrap.
         assert_eq!(fast[1], -32_768);
         assert_eq!(fast[65], 32_767);
+    }
+
+    #[test]
+    fn truncation_matches_as_at_every_boundary() {
+        // Every integer an i16 conversion can see, one ulp either side
+        // of it, both signs, plus NaN and the signed zeros.
+        let check = |x: f32| assert_eq!(truncate_to_i16(x), x as i16, "{x:e}");
+        for k in 0..=32_768i32 {
+            let x = k as f32;
+            for x in [x, x.next_up(), x.next_down(), x + 0.5] {
+                if x <= 32_767.0 {
+                    check(x);
+                }
+                if x <= 32_768.0 {
+                    check(-x);
+                }
+            }
+        }
+        for x in [0.0, -0.0, f32::NAN, f32::MIN_POSITIVE, 0.99999994] {
+            check(x);
+            check(-x);
+        }
+        // And through the conversion the codec uses, past its range.
+        for v in [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1.5,
+            -1.5,
+            1.0,
+            -1.0,
+        ] {
+            let want = (v * 32_767.0).clamp(-32_768.0, 32_767.0) as i16;
+            assert_eq!(denormalize(v), want, "{v:e}");
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@
 //! the Figure 4 harness converts to Geode-class CPU cycles.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
 use crate::bitstream::{unzigzag, zigzag, BitReader, BitWriter};
 use crate::mdct::Mdct;
@@ -123,10 +124,10 @@ pub struct OvlSpan {
     position: u32,
     /// Bit `c` set: channel `c` repeats channel `c - 1`.
     twins: u8,
-    /// Frames from the packet's first to its first window's.
-    start: usize,
-    /// Each coded channel's windows, overlap-added, in turn; none when
-    /// the packet carries no window.
+    /// Each coded channel's frames in turn, from the packet's first to
+    /// the end of the next packet's head: zero up to its first window,
+    /// the overlap-add of its windows from there on (all zero when it
+    /// carries none).
     samples: Vec<f32>,
 }
 
@@ -226,47 +227,72 @@ impl OvlSpan {
         }
         let frames = self.frames;
         let rest = DELAY - (self.position as usize % BLOCK + frames) % BLOCK;
-        let covered = self.samples.len() / coded(self.channels, self.twins);
         let head = pred.map_or(0, OvlTail::frames);
         out.resize(frames * ch, 0);
         let kept = coded(self.channels, tail.twins);
         fit(&mut tail.samples, rest * kept, DELAY * kept, 0.0);
         let mut kept = tail.samples.chunks_exact_mut(rest);
-        SUM.with_borrow_mut(|sum| {
-            for c in 0..ch {
-                if tail.twins & 1 << c != 0 {
-                    for frame in out.chunks_exact_mut(ch) {
-                        frame[c] = frame[c - 1];
-                    }
-                    continue;
-                }
-                // The windows from `start` on (to the end when there
-                // are any), the predecessor's head added into the
-                // first frames.
-                fit(sum, 0, frames + DELAY, 0.0);
-                if covered > 0 {
-                    sum.resize(self.start, 0.0);
-                    sum.extend_from_slice(plane(&self.samples, self.twins, c, covered));
-                } else {
-                    sum.resize(frames + rest, 0.0);
-                }
-                if let Some(t) = pred {
-                    for (s, &p) in sum.iter_mut().zip(plane(&t.samples, t.twins, c, head)) {
-                        *s += p;
-                    }
-                }
-                crate::dsp::interleave_denormalize(&sum[..frames], ch, c, out);
-                kept.next()
-                    .expect("a tail plane per channel but its twins")
-                    .copy_from_slice(&sum[frames..]);
+        let mut c = 0;
+        while c < ch {
+            // Channel `c` and the twins that repeat it, written in one
+            // pass: its frames, the predecessor's head added into the
+            // first of them.
+            let repeats = (u32::from(tail.twins) >> (c + 1)).trailing_ones() as usize;
+            let run = c..ch.min(c + 1 + repeats);
+            let (windows, left) =
+                plane(&self.samples, self.twins, c, frames + rest).split_at(frames);
+            let lapped = pred.map_or(&[][..], |t| plane(&t.samples, t.twins, c, head));
+            let (lapped, lapped_left) = lapped.split_at(head.min(frames));
+            scatter(windows, lapped, ch, run.clone(), out);
+            let next = kept.next().expect("a tail plane per channel but its twins");
+            next.copy_from_slice(left);
+            for (t, &p) in next.iter_mut().zip(lapped_left) {
+                *t += p;
             }
-        });
+            c = run.end;
+        }
     }
 }
 
-thread_local! {
-    /// [`OvlSpan::complete`]'s sum of one channel, reused.
-    static SUM: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+/// Writes channels `run` of the `ch`-channel interleaved frames `out`:
+/// frame `i` is `windows[i]`, plus `lapped[i]` where that reaches,
+/// converted to i16. Each block of frames is converted on the stack in
+/// one loop, then written to its frames' channels in a second.
+fn scatter(windows: &[f32], lapped: &[f32], ch: usize, run: Range<usize>, out: &mut [i16]) {
+    use crate::dsp::denormalize;
+    let mut block = [0i16; BLOCK];
+    let blocks = windows.chunks(BLOCK).zip((0..).step_by(BLOCK));
+    for (dst, (windows, at)) in out.chunks_mut(BLOCK * ch).zip(blocks) {
+        let lapped = lapped.get(at..).unwrap_or_default();
+        let ints = &mut block[..windows.len()];
+        let (sums, alone) = ints.split_at_mut(lapped.len().min(windows.len()));
+        for ((i, &w), &p) in sums.iter_mut().zip(windows).zip(lapped) {
+            *i = denormalize(w + p);
+        }
+        for (i, &w) in alone.iter_mut().zip(&windows[sums.len()..]) {
+            *i = denormalize(w);
+        }
+        // Mono, one channel and dual mono get a fixed-size store, where
+        // a `fill` of a runtime length is a loop of its own.
+        match (ch, run.len()) {
+            (1, _) => dst.copy_from_slice(ints),
+            (_, 1) => {
+                for (frame, &s) in dst.chunks_exact_mut(ch).zip(ints.iter()) {
+                    frame[run.start] = s;
+                }
+            }
+            (2, _) => {
+                for (frame, &s) in dst.chunks_exact_mut(2).zip(ints.iter()) {
+                    frame.copy_from_slice(&[s, s]);
+                }
+            }
+            _ => {
+                for (frame, &s) in dst.chunks_exact_mut(ch).zip(ints.iter()) {
+                    frame[run.clone()].fill(s);
+                }
+            }
+        }
+    }
 }
 
 /// Returns the coefficient band widths for a half-length of `n`:
@@ -660,17 +686,26 @@ impl OvlCodec {
             }
         }
 
-        // Each coded channel's windows, from the first, which starts
-        // `BLOCK - phase` frames into the packet, to the end of the last.
-        if n_windows > 0 {
-            let most = coded * (most + 1) * BLOCK;
-            fit(&mut span.samples, coded * (wn + BLOCK), most, 0.0);
-            let planes = span.samples.chunks_exact_mut(wn + BLOCK);
-            for (coeffs, plane) in arena.coeffs.chunks_exact(wn).zip(planes) {
-                self.mdct.synthesize_plane(coeffs, plane);
+        // Each coded channel's frames to the end of the next packet's
+        // head: zero up to the first window, which starts `BLOCK -
+        // phase` frames into the packet, the windows from there on.
+        let covered = h.frames + DELAY - (phase + h.frames) % BLOCK;
+        fit(
+            &mut span.samples,
+            coded * covered,
+            coded * (most + 2) * BLOCK,
+            0.0,
+        );
+        for (c, plane) in span.samples.chunks_exact_mut(covered).enumerate() {
+            if n_windows == 0 {
+                plane.fill(0.0);
+                continue;
             }
+            let (lead, windows) = plane.split_at_mut(BLOCK - phase);
+            lead.fill(0.0);
+            self.mdct
+                .synthesize_plane(&arena.coeffs[c * wn..][..wn], windows);
         }
-        span.start = BLOCK - phase;
         span.twins = h.twins;
         span.channels = h.channels;
         span.frames = h.frames;
@@ -1434,5 +1469,134 @@ mod tests {
     #[should_panic(expected = "the twin mask has room for 8 channels")]
     fn encoding_nine_channels_is_refused() {
         OvlCodec::new().encode(&[0i16; 9], 9, 5);
+    }
+
+    /// The multi-pass completion the one-pass [`OvlSpan::complete`]
+    /// replaced: each coded channel summed into a buffer of its own,
+    /// then converted by the scalar kernel, then each twin copied from
+    /// the channel before it in a pass over the frames of its own.
+    fn oracle_complete(
+        span: &OvlSpan,
+        pred: Option<&OvlTail>,
+        out: &mut Vec<i16>,
+        tail: &mut OvlTail,
+    ) {
+        let ch = usize::from(span.channels);
+        out.clear();
+        tail.samples.clear();
+        tail.channels = span.channels;
+        tail.end = span.position.wrapping_add(span.frames as u32);
+        let pred = pred.filter(|t| span.laps_onto(t));
+        tail.twins = span.twins & pred.map_or(u8::MAX, |t| t.twins);
+        if ch == 0 {
+            return;
+        }
+        let frames = span.frames;
+        let covered = span.samples.len() / coded(span.channels, span.twins);
+        let head = pred.map_or(0, OvlTail::frames);
+        out.resize(frames * ch, 0);
+        let mut sum = Vec::new();
+        for c in 0..ch {
+            if tail.twins & 1 << c != 0 {
+                for frame in out.chunks_exact_mut(ch) {
+                    frame[c] = frame[c - 1];
+                }
+                continue;
+            }
+            sum.clear();
+            sum.extend_from_slice(plane(&span.samples, span.twins, c, covered));
+            if let Some(t) = pred {
+                for (s, &p) in sum.iter_mut().zip(plane(&t.samples, t.twins, c, head)) {
+                    *s += p;
+                }
+            }
+            crate::dsp::scalar::interleave_denormalize(&sum[..frames], ch, c, out);
+            tail.samples.extend_from_slice(&sum[frames..]);
+        }
+    }
+
+    /// A sample of a span or a tail: mostly in range, some past it (the
+    /// conversion saturates), and now and then a signed zero, an
+    /// infinity or a NaN.
+    fn random_sample(rng: &mut StdRng) -> f32 {
+        const ODD: [f32; 6] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-30];
+        match rng.gen::<u32>() % 64 {
+            0 => ODD[rng.gen::<usize>() % ODD.len()],
+            1..=8 => rng.gen::<f32>() * 8.0 - 4.0,
+            _ => rng.gen::<f32>() * 2.0 - 1.0,
+        }
+    }
+
+    /// A span as `decode_span` lays one out, filled with random
+    /// samples: `channels` of them, bit `c ≥ 1` of `mask` making
+    /// channel `c` a twin.
+    fn random_span(
+        rng: &mut StdRng,
+        channels: u8,
+        mask: u8,
+        frames: usize,
+        position: u32,
+    ) -> OvlSpan {
+        let twins = mask & !LAPS & ((1u16 << channels) - 1) as u8;
+        let phase = position as usize % BLOCK;
+        let covered = frames + DELAY - (phase + frames) % BLOCK;
+        OvlSpan {
+            channels,
+            frames,
+            laps: rng.gen::<u32>() % 8 != 0,
+            position,
+            twins,
+            samples: (0..coded(channels, twins) * covered)
+                .map(|_| random_sample(rng))
+                .collect(),
+        }
+    }
+
+    fn same_tail(a: &OvlTail, b: &OvlTail) -> bool {
+        let bits = |t: &OvlTail| t.samples.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        (a.channels, a.end, a.twins) == (b.channels, b.end, b.twins) && bits(a) == bits(b)
+    }
+
+    proptest::proptest! {
+        /// One stream of packets, each completed by the tail the one
+        /// before it left (or by none, or by a tail it does not lap),
+        /// by the one-pass completion and by the oracle: the same i16
+        /// frames and the same tail, bit for bit. Half the streams
+        /// cross the stream position's wrap.
+        #[test]
+        fn prop_complete_equals_the_multi_pass_completion(
+            channels in 1u8..=8,
+            lengths in proptest::collection::vec(1usize..=3_000, 1..6),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut position = match rng.gen::<bool>() {
+                true => u32::MAX - rng.gen::<u32>() % 6_000,
+                false => rng.gen::<u32>() % (1 << 20),
+            };
+            let (mut tail, mut next, mut out) = (OvlTail::default(), OvlTail::default(), Vec::new());
+            let (mut want_tail, mut want_next, mut want) =
+                (OvlTail::default(), OvlTail::default(), Vec::new());
+            for &frames in &lengths {
+                // Now and then a packet of another channel count, which
+                // laps nothing the stream left.
+                let chs = match rng.gen::<u32>() % 8 {
+                    0 => 1 + rng.gen::<u8>() % 8,
+                    _ => channels,
+                };
+                let mask = rng.gen();
+                let span = random_span(&mut rng, chs, mask, frames, position);
+                let lapped = rng.gen::<u32>() % 4 != 0;
+                span.complete(lapped.then_some(&tail), &mut out, &mut next);
+                oracle_complete(&span, lapped.then_some(&want_tail), &mut want, &mut want_next);
+                proptest::prop_assert_eq!(&out, &want);
+                proptest::prop_assert!(same_tail(&next, &want_next));
+                std::mem::swap(&mut tail, &mut next);
+                std::mem::swap(&mut want_tail, &mut want_next);
+                // Now and then a gap: the next packet laps no tail.
+                let gap = u32::from(rng.gen::<u32>() % 8 == 0);
+                position = position.wrapping_add(frames as u32 + gap);
+            }
+        }
     }
 }

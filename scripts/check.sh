@@ -46,12 +46,22 @@ cargo test --workspace --exclude ethernet-speaker -q
 # the oracle that finds twin channels by comparing whole channels and
 # codes every other one on its own, dual mono against mono, every batch
 # kernel against its
-# scalar oracle, and the FFT, MDCT, framed analysis/synthesis and
+# scalar oracle, the FFT, MDCT, framed analysis/synthesis and
 # one-pass deinterleave against the multi-pass forms they replaced,
-# bit for bit, at 2000 cases per property instead of 64 (≈ 25 s
-# release).
+# and (the library's own tests) the one-pass OVL completion against
+# the sum / convert / twin-copy passes it replaced, 1-8 channels with
+# random twin masks across the stream position's wrap, bit for bit,
+# at 2000 cases per property instead of 64 (≈ 35 s release, the
+# completion's property ≈ 0.5 s of it).
 echo "== codec differential oracles (PROPTEST_CASES=2000)"
-PROPTEST_CASES=2000 cargo test -q --release -p es-codec --test hostile_bytes --test encode_oracle --test dsp_kernels_prop --test fft_mdct_prop
+PROPTEST_CASES=2000 cargo test -q --release -p es-codec --lib --test hostile_bytes --test encode_oracle --test dsp_kernels_prop --test fft_mdct_prop
+
+# The renderer's differential run: the block renderer against the
+# per-sample renderer it replaced, every source, 1-8 channels, chunks
+# that cross a render block and a phasor resync, plus the generators'
+# unit tests, at 2000 cases instead of 64 (≈ 1 s release).
+echo "== renderer differential oracle (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test -q --release -p es-audio
 
 # The telemetry crate's differential run: the compact journal against
 # the owned-`Event` journal it replaced, and the log registry against

@@ -97,8 +97,8 @@ pub(crate) struct SharedSpan {
     /// none), oldest first; at most [`COMPLETIONS`].
     completed: RefCell<Vec<(u64, Pcm)>>,
     /// A block this span was completed to before it was decoded into
-    /// again, which no receiver held any more: its next completion
-    /// reuses its memory.
+    /// again: its next completion reuses its memory if no receiver
+    /// holds it by then.
     spare: RefCell<Option<Pcm>>,
 }
 
@@ -108,13 +108,15 @@ const COMPLETIONS: usize = 2;
 
 impl SharedSpan {
     /// Readies a span no receiver holds to be decoded into again: it
-    /// gets a fresh id, and a block it completed to that no receiver
-    /// holds either is kept for its memory.
+    /// gets a fresh id, and a block it completed to is kept for its
+    /// memory. One a receiver still holds (waiting out a long playout
+    /// delay) has most likely let go by the span's next completion,
+    /// which comes a playout delay later.
     pub(crate) fn recycle(&mut self) {
         self.id = lap_id();
         let spare = self.spare.get_mut();
         for (_, block) in self.completed.get_mut().drain(..) {
-            if spare.is_none() && Rc::strong_count(&block) == 1 {
+            if spare.as_ref().is_none_or(|s| Rc::strong_count(s) > 1) {
                 *spare = Some(block);
             }
         }
@@ -131,7 +133,10 @@ impl SharedSpan {
         if let Some((_, block)) = shared {
             return Rc::clone(block);
         }
-        let mut block = self.spare.borrow_mut().take().unwrap_or_default();
+        let spare = self.spare.borrow_mut().take();
+        let mut block = spare
+            .filter(|b| Rc::strong_count(b) == 1)
+            .unwrap_or_default();
         let b = Rc::get_mut(&mut block).expect("a spare no receiver holds");
         // What it rendered to was the spare's old samples.
         b.rendered.get_mut().0 = None;
@@ -257,7 +262,7 @@ pub enum Action<A> {
 /// producer keeps for repair, its bound on what one playout delay can
 /// hold. Beyond it, blocks are an unauthenticated sender's far-future
 /// deadlines, each a decoded block held until it is due.
-const MAX_WAITING_BLOCKS: usize = 64;
+pub(crate) const MAX_WAITING_BLOCKS: usize = 64;
 
 /// Most OVL blocks held for a later packet to lap: the last one
 /// settled, and a late copy of the block before one yet to play (or,

@@ -39,7 +39,9 @@ use es_telemetry::{Histogram, Journal, Registry, Severity, Stamp, Telemetry};
 use es_vad::{AudioDevice, HwDriver, Ioctl, OutputTap, Retention};
 
 use crate::autovol::{AmbientProfile, AutoVolumeConfig};
-use crate::node::{Action, Decoder, Pcm, Play, PlayMode, SharedBlock, SpeakerNode};
+use crate::node::{
+    Action, Decoder, Pcm, Play, PlayMode, SharedBlock, SpeakerNode, MAX_WAITING_BLOCKS,
+};
 use crate::rx::SpeakerStats;
 
 /// Speaker tuning knobs.
@@ -243,6 +245,11 @@ thread_local! {
         const { std::cell::RefCell::new(RxMemo::new()) };
     static DECODED: std::cell::RefCell<RxMemo<(CodecId, u8), Decoded>> =
         const { std::cell::RefCell::new(RxMemo::new()) };
+    /// Blocks the decode memo let go of while a receiver still held
+    /// them (one waiting out a playout delay longer than the memo's
+    /// slots), oldest first: kept for their memory until the receiver
+    /// drops them; at most as many as one speaker holds waiting.
+    static HELD: std::cell::RefCell<Vec<Pcm>> = const { std::cell::RefCell::new(Vec::new()) };
     /// One codec engine, shared by every speaker on the thread (its
     /// decode keeps nothing between packets: each node laps its own
     /// blocks; the engine only holds MDCT tables and scratch).
@@ -267,12 +274,17 @@ fn decode_shared(codec: CodecId, channels: u8, payload: &Bytes) -> Option<(Pcm, 
             payload,
             (codec, channels),
             |evicted| {
-                // Decode into the evicted block's allocation — unless
-                // a receiver is still holding that block to play it.
-                let mut pcm = evicted
-                    .map(|(pcm, _)| pcm)
-                    .filter(|pcm| Rc::strong_count(pcm) == 1)
-                    .unwrap_or_default();
+                // Decode into the allocation of a block the memo let go
+                // of and no receiver holds any more.
+                let mut pcm = HELD.with_borrow_mut(|held| {
+                    held.extend(evicted.map(|(pcm, _)| pcm));
+                    let free = held.iter().position(|b| Rc::strong_count(b) == 1);
+                    let pcm = free.map(|i| held.remove(i)).unwrap_or_default();
+                    if held.len() > MAX_WAITING_BLOCKS {
+                        held.remove(0);
+                    }
+                    pcm
+                });
                 let work = Rc::get_mut(&mut pcm).and_then(|block| {
                     // What it rendered to was the evicted PCM.
                     block.rendered.get_mut().0 = None;

@@ -184,3 +184,40 @@ fn one_speaker_pipelines_allocate_exactly_as_pinned() {
         );
     }
 }
+
+/// Allocations in 10 s of virtual time of one speaker playing one OVL
+/// channel at a playout delay of `delay_ms`, after 2 s of warm-up.
+fn lapped_pipeline_allocations(delay_ms: u64) -> u64 {
+    let group = McastGroup(1);
+    let ch = ChannelSpec::new(1, group, "stream")
+        .source(Source::Music)
+        .duration(SimDuration::from_secs(13))
+        .playout_delay(SimDuration::from_millis(delay_ms))
+        .policy(CompressionPolicy::Always {
+            codec: CodecId::Ovl,
+            quality: MAX_QUALITY,
+        });
+    let mut sys = SystemBuilder::new(5)
+        .channel(ch)
+        .speaker(SpeakerSpec::new("es0", group))
+        .build();
+    sys.run_for(SimDuration::from_secs(2));
+    let n = allocations_during(|| sys.run_for(SimDuration::from_secs(10)));
+    assert!(sys.speaker(0).expect("built").stats().samples_played > 0);
+    n
+}
+
+#[test]
+fn a_long_playout_delay_allocates_as_pinned() {
+    // At 400 ms a block waits 8 blocks of 50 ms for its deadline, past
+    // the decode memo's 8 slots: the memo lets go of a block the
+    // speaker still holds, and its memory must come back once the
+    // speaker drops it, or each packet allocates its block again.
+    for (delay_ms, expected) in [(200, 5_855), (400, 5_855)] {
+        assert_eq!(
+            lapped_pipeline_allocations(delay_ms),
+            expected,
+            "the OVL pipeline's allocation count at a {delay_ms} ms playout delay moved"
+        );
+    }
+}

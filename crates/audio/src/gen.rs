@@ -431,19 +431,17 @@ impl Signal for ImpulseTrain {
     }
 }
 
-/// The bias whose addition leaves an `f32` below it rounded to an
-/// integer (ties to even) in the low bits of the sum's mantissa.
-const MAGIC: f32 = 8_388_608.0;
-
 /// Rounds `x` (at most `±32_767`, or NaN) half away from zero, as
 /// `f32::round` does, in operations that vectorize on the baseline
 /// x86-64 target, where `round` is an out-of-line libm `roundf` per
-/// call and a saturating `as` a scalar sequence per lane: `|x| + MAGIC`
-/// holds `|x|` rounded ties to even, and a tie that went down to even
-/// is put back up. NaN maps to 0. Checked against `round` for every
-/// `f32` input of [`f32_to_i16`].
+/// call and a saturating `as` a scalar sequence per lane: `|x| + 2^23`
+/// holds `|x|` rounded to an integer, ties to even, in the low bits of
+/// its mantissa, and a tie that went down to even is put back up. NaN
+/// maps to 0. Checked against `round` for every `f32` input of
+/// [`f32_to_i16`].
 #[inline]
 fn round_to_i16(x: f32) -> i16 {
+    const MAGIC: f32 = 8_388_608.0;
     let y = x.abs();
     let m = y + MAGIC;
     let k = (m.to_bits() as i32 - MAGIC.to_bits() as i32) + i32::from(y - (m - MAGIC) == 0.5);

@@ -55,27 +55,10 @@ pub fn deinterleave_normalize(samples: &[i16], ch: usize, planes: &mut [f32], st
     }
 }
 
-/// Scatters one reconstructed channel back into `ch`-channel
-/// interleaved i16 `out` (channel `c`), denormalizing from ±1.0 with
-/// the codec's saturating clamp. Writes
-/// `min(synth.len(), out.len() / ch)` frames. The OVL completion
-/// converts its own sums and writes each twin channel in the same pass
-/// (`OvlSpan::complete`), so no decode path calls this any more.
-pub fn interleave_denormalize(synth: &[f32], ch: usize, c: usize, out: &mut [i16]) {
-    debug_assert!(c < ch);
-    if ch == 1 {
-        for (o, &v) in out.iter_mut().zip(synth) {
-            *o = denormalize(v);
-        }
-    } else {
-        for (frame, &v) in out.chunks_exact_mut(ch).zip(synth) {
-            frame[c] = denormalize(v);
-        }
-    }
-}
-
 /// One reconstructed sample from ±1.0 to i16, with the codec's
-/// saturating clamp.
+/// saturating clamp. The OVL completion (`OvlSpan::complete`) converts
+/// each coded channel with it and writes each twin channel in the same
+/// pass.
 #[inline]
 pub(crate) fn denormalize(v: f32) -> i16 {
     truncate_to_i16((v * 32_767.0).clamp(-32_768.0, 32_767.0))
@@ -170,7 +153,9 @@ pub mod scalar {
         }
     }
 
-    /// Reference for [`super::interleave_denormalize`].
+    /// Scatters one reconstructed channel into `ch`-channel interleaved
+    /// i16 `out` (channel `c`): the per-channel conversion the OVL
+    /// completion replaced, and the reference for its output.
     pub fn interleave_denormalize(synth: &[f32], ch: usize, c: usize, out: &mut [i16]) {
         let frames = synth.len().min(out.len() / ch);
         for (f, &v) in synth.iter().enumerate().take(frames) {
@@ -219,16 +204,16 @@ mod tests {
     }
 
     #[test]
-    fn interleave_clamps_and_matches_scalar() {
+    fn denormalize_clamps_and_matches_scalar() {
         let synth: Vec<f32> = (0..33).map(|i| (i as f32 - 16.0) / 8.0).collect();
-        let mut fast = vec![0i16; 66];
         let mut slow = vec![0i16; 66];
-        interleave_denormalize(&synth, 2, 1, &mut fast);
         scalar::interleave_denormalize(&synth, 2, 1, &mut slow);
-        assert_eq!(fast, slow);
+        let fast: Vec<i16> = synth.iter().map(|&v| denormalize(v)).collect();
+        let want: Vec<i16> = slow.iter().skip(1).step_by(2).copied().collect();
+        assert_eq!(fast, want);
         // Out-of-range inputs saturate, never wrap.
-        assert_eq!(fast[1], -32_768);
-        assert_eq!(fast[65], 32_767);
+        assert_eq!(fast[0], -32_768);
+        assert_eq!(fast[32], 32_767);
     }
 
     #[test]

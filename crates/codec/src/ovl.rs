@@ -99,17 +99,6 @@ pub struct OvlEncoded {
     pub work_units: u64,
 }
 
-/// Result of a decode.
-#[derive(Debug, Clone)]
-pub struct OvlDecoded {
-    /// Interleaved samples.
-    pub samples: Vec<i16>,
-    /// Channel count from the payload header.
-    pub channels: u8,
-    /// Multiply-accumulate work performed (for the CPU model).
-    pub work_units: u64,
-}
-
 /// One packet decoded on its own: the overlap-add of its windows, which
 /// cover the packet's frames from its first window on and the next
 /// packet's head. Reuse one across packets: decoding into it keeps its
@@ -621,18 +610,6 @@ impl OvlCodec {
         }
     }
 
-    /// Decodes a packet produced by [`OvlCodec::encode`] on its own:
-    /// [`OvlCodec::decode_into`].
-    pub fn decode(&self, bytes: &[u8]) -> Result<OvlDecoded, OvlError> {
-        let mut samples = Vec::new();
-        let (channels, work_units) = self.decode_into(bytes, &mut samples)?;
-        Ok(OvlDecoded {
-            samples,
-            channels,
-            work_units,
-        })
-    }
-
     /// Decodes a packet on its own into a caller-provided buffer
     /// (cleared and resized): the frames it plays, with no predecessor
     /// to complete its head. Returns `(channels, work_units)`. Reusing
@@ -937,6 +914,12 @@ mod tests {
         }
     }
 
+    /// One packet decoded on its own into a fresh buffer.
+    fn decode(codec: &OvlCodec, bytes: &[u8]) -> Result<Vec<i16>, OvlError> {
+        let mut out = Vec::new();
+        codec.decode_into(bytes, &mut out).map(|_| out)
+    }
+
     /// `samples` coded as a stream's first packet with `DELAY` frames
     /// of silence after them, and the decoded frames that play
     /// `samples`: a packet plays the stream `DELAY` frames late.
@@ -950,10 +933,7 @@ mod tests {
         let mut padded = samples.to_vec();
         padded.resize(samples.len() + DELAY * channels as usize, 0);
         let enc = codec.encode(&padded, channels, quality);
-        let mut dec = codec
-            .decode(&enc.bytes)
-            .expect("own packet decodes")
-            .samples;
+        let mut dec = decode(codec, &enc.bytes).expect("own packet decodes");
         dec.drain(..DELAY * channels as usize);
         (enc, dec)
     }
@@ -1286,8 +1266,8 @@ mod tests {
         let enc = codec.encode(&silence, 2, MAX_QUALITY);
         // All bands empty: one flag bit per band per window.
         assert!(enc.bytes.len() < 200, "{} bytes", enc.bytes.len());
-        let dec = codec.decode(&enc.bytes).unwrap();
-        assert!(dec.samples.iter().all(|&s| s.abs() < 16));
+        let dec = decode(&codec, &enc.bytes).unwrap();
+        assert!(dec.iter().all(|&s| s.abs() < 16));
     }
 
     #[test]
@@ -1315,8 +1295,8 @@ mod tests {
     fn empty_input_roundtrips() {
         let codec = OvlCodec::new();
         let enc = codec.encode(&[], 2, 5);
-        let dec = codec.decode(&enc.bytes).unwrap();
-        assert!(dec.samples.is_empty());
+        let dec = decode(&codec, &enc.bytes).unwrap();
+        assert!(dec.is_empty());
     }
 
     #[test]
@@ -1340,13 +1320,16 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         let codec = OvlCodec::new();
-        assert!(matches!(codec.decode(&[]), Err(OvlError::ShortHeader)));
-        assert!(matches!(codec.decode(&[1, 2]), Err(OvlError::ShortHeader)));
+        assert!(matches!(decode(&codec, &[]), Err(OvlError::ShortHeader)));
+        assert!(matches!(
+            decode(&codec, &[1, 2]),
+            Err(OvlError::ShortHeader)
+        ));
         let short = &header(1, 5, 0, 0, 0)[..HEADER - 1];
-        assert!(matches!(codec.decode(short), Err(OvlError::ShortHeader)));
+        assert!(matches!(decode(&codec, short), Err(OvlError::ShortHeader)));
         // Bad channel count.
         assert!(matches!(
-            codec.decode(&header(0, 5, 0, 0, 0)),
+            decode(&codec, &header(0, 5, 0, 0, 0)),
             Err(OvlError::BadHeader(_))
         ));
         // Valid header but truncated bitstream.
@@ -1354,7 +1337,7 @@ mod tests {
         let enc = codec.encode(&samples, 2, 10);
         let truncated = &enc.bytes[..enc.bytes.len() / 2];
         assert!(matches!(
-            codec.decode(truncated),
+            decode(&codec, truncated),
             Err(OvlError::BadBitstream)
         ));
     }
@@ -1366,13 +1349,11 @@ mod tests {
         // Masking all but the first channel leaves one to code, which
         // the empty body cannot carry either, at any grid phase.
         let codec = OvlCodec::new();
-        codec
-            .decode(&codec.encode(&music_stereo(1_024), 2, 10).bytes)
-            .unwrap();
+        decode(&codec, &codec.encode(&music_stereo(1_024), 2, 10).bytes).unwrap();
         let before = codec.arena.borrow().coeffs.capacity();
         for (mask, position) in [(0, 0), (0xFE, 0), (0xFF, 511), (0xFF, u32::MAX)] {
             assert!(matches!(
-                codec.decode(&header(8, 10, 1 << 24, mask, position)),
+                decode(&codec, &header(8, 10, 1 << 24, mask, position)),
                 Err(OvlError::BadBitstream)
             ));
         }
@@ -1388,9 +1369,12 @@ mod tests {
         let mut bytes = header(1, MAX_QUALITY, BLOCK as u32, 0, 0);
         bytes.resize(HEADER + flag_bytes, 0);
         assert_eq!(codec.encode(&[0i16; BLOCK], 1, MAX_QUALITY).bytes, bytes);
-        assert_eq!(codec.decode(&bytes).unwrap().samples, vec![0i16; BLOCK]);
+        assert_eq!(decode(&codec, &bytes).unwrap(), vec![0i16; BLOCK]);
         bytes.pop();
-        assert!(matches!(codec.decode(&bytes), Err(OvlError::BadBitstream)));
+        assert!(matches!(
+            decode(&codec, &bytes),
+            Err(OvlError::BadBitstream)
+        ));
     }
 
     #[test]
@@ -1408,7 +1392,7 @@ mod tests {
         let mut bytes = header(1, MAX_QUALITY, BLOCK as u32, 0, 0);
         bytes.extend_from_slice(&bw.into_bytes());
         assert!(matches!(
-            OvlCodec::new().decode(&bytes),
+            decode(&OvlCodec::new(), &bytes),
             Err(OvlError::BadBitstream)
         ));
     }
@@ -1417,7 +1401,7 @@ mod tests {
     fn decode_rejects_absurd_sample_count() {
         let codec = OvlCodec::new();
         assert!(matches!(
-            codec.decode(&header(1, 5, u32::MAX, 0, 0)),
+            decode(&codec, &header(1, 5, u32::MAX, 0, 0)),
             Err(OvlError::BadHeader("sample count"))
         ));
     }
@@ -1432,7 +1416,7 @@ mod tests {
             bytes[7..HEADER].copy_from_slice(&position.to_le_bytes());
             bytes[6] = 0;
             assert_eq!(
-                codec.decode(&bytes).err(),
+                decode(&codec, &bytes).err(),
                 Some(OvlError::BadHeader("a fresh lap starts at position 0"))
             );
         }
@@ -1449,7 +1433,7 @@ mod tests {
         let body = dual.clone();
         for mask in 0..=u8::MAX {
             dual[6] = mask;
-            let got = codec.decode(&dual);
+            let got = decode(&codec, &dual);
             if mask > 0b11 {
                 assert_eq!(
                     got.err(),
@@ -1460,8 +1444,8 @@ mod tests {
         }
         // Without the mask, the body is too short for two channels.
         dual[6] = 0;
-        assert_eq!(codec.decode(&dual).err(), Some(OvlError::BadBitstream));
-        let samples = codec.decode(&body).unwrap().samples;
+        assert_eq!(decode(&codec, &dual).err(), Some(OvlError::BadBitstream));
+        let samples = decode(&codec, &body).unwrap();
         assert!(samples.chunks_exact(2).all(|f| f[0] == f[1]));
     }
 

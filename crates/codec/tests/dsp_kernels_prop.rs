@@ -11,8 +11,8 @@
 //!
 //! The final test closes the loop end-to-end: a full OVL
 //! encode → decode built from the kernels is byte/bit-identical
-//! between independent codec instances and between the allocating and
-//! arena (`decode_into`) decode surfaces.
+//! between independent codec instances, whatever the buffer decoded
+//! into held before.
 
 use es_codec::{dsp, OvlCodec};
 use rand::rngs::StdRng;
@@ -90,22 +90,6 @@ proptest::proptest! {
     }
 
     #[test]
-    fn prop_interleave_matches_scalar(
-        n in 64usize..=512,
-        ch in 1usize..=6,
-        c in 0usize..6,
-        seed in 0u64..u64::MAX / 2,
-    ) {
-        let c = c % ch;
-        let synth = random_f32(n, seed);
-        let mut fast = vec![0i16; n * ch];
-        let mut slow = vec![0i16; n * ch];
-        dsp::interleave_denormalize(&synth, ch, c, &mut fast);
-        dsp::scalar::interleave_denormalize(&synth, ch, c, &mut slow);
-        proptest::prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
     fn prop_quantize_roundtrip_matches_scalar(
         n in 64usize..=512,
         bits_alloc in 2u32..=12,
@@ -161,11 +145,11 @@ proptest::proptest! {
 
     /// The composed contract: OVL decode built from the batch kernels
     /// is deterministic across codec instances (fresh arenas, same
-    /// bits) and identical between the allocating `decode` and the
-    /// arena `decode_into` surfaces — across frame counts that
-    /// exercise partial windows, mono/stereo, and every quality.
+    /// bits) and whatever the output buffer held before — across frame
+    /// counts that exercise partial windows, mono/stereo, and every
+    /// quality.
     #[test]
-    fn prop_ovl_decode_is_instance_and_surface_invariant(
+    fn prop_ovl_decode_is_instance_and_buffer_invariant(
         frames in 64usize..=512,
         stereo in proptest::bool::ANY,
         quality in 0u8..=10,
@@ -178,14 +162,16 @@ proptest::proptest! {
         let ea = a.encode(&samples, ch as u8, quality);
         let eb = b.encode(&samples, ch as u8, quality);
         proptest::prop_assert_eq!(&ea.bytes, &eb.bytes, "encode must not depend on arena history");
-        let da = a.decode(&ea.bytes).expect("decode");
+        let mut da = Vec::new();
+        let (ch_a, _) = a.decode_into(&ea.bytes, &mut da).expect("decode");
         let mut into = vec![1i16; 7]; // dirty, wrong-sized: decode_into must reset it
         let (ch_into, _) = b.decode_into(&ea.bytes, &mut into).expect("decode_into");
-        proptest::prop_assert_eq!(da.channels, ch_into);
-        proptest::prop_assert_eq!(&da.samples, &into);
+        proptest::prop_assert_eq!(ch_a, ch_into);
+        proptest::prop_assert_eq!(&da, &into);
         // Same instance, second decode: the warm arena must not leak
         // state between packets.
-        let again = a.decode(&ea.bytes).expect("redecode");
-        proptest::prop_assert_eq!(&da.samples, &again.samples);
+        let mut again = Vec::new();
+        a.decode_into(&ea.bytes, &mut again).expect("redecode");
+        proptest::prop_assert_eq!(&da, &again);
     }
 }

@@ -619,7 +619,7 @@ proptest::proptest! {
             fast.synthesize_plane(coeffs, &mut plane);
             let diff = first_bit_difference(&plane[n..n + padded_len], &synth);
             proptest::prop_assert!(diff.is_none(), "n {} ch {} kind {}: {:?}", n, ch, kind, diff);
-            dsp::interleave_denormalize(&plane[n..][..frames], ch, c, &mut got);
+            dsp::scalar::interleave_denormalize(&plane[n..][..frames], ch, c, &mut got);
         }
         proptest::prop_assert_eq!(got, want);
     }

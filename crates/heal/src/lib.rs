@@ -24,7 +24,7 @@
 //! parity or a refill repaired it.
 //!
 //! Hysteresis (`sick_after` sick epochs before a receiver is reported
-//! Sick, `recover_after` healthy epochs before it is reported
+//! Sick, four healthy epochs before it is reported
 //! recovered) keeps a *flapping* receiver — one oscillating across the
 //! sick threshold — from being reported at every blip; suppressed
 //! oscillations are counted instead.
@@ -59,37 +59,31 @@ impl core::fmt::Display for Health {
     }
 }
 
-/// Detector thresholds and hysteresis. All tunable; the defaults are
-/// what DESIGN.md §10 documents and `tests/healing.rs` exercises.
+/// Loss fraction at or above which an epoch is Sick.
+const SICK_LOSS: f64 = 0.15;
+/// Loss fraction at or above which an epoch is Degraded.
+const DEGRADED_LOSS: f64 = 0.05;
+/// Per-epoch deadline-miss delta at or above which an epoch is Sick.
+const SICK_DEADLINE_MISSES: u64 = 3;
+/// Clock-offset drift (µs) from the receiver's first synced offset at
+/// or above which an epoch is Sick.
+const SICK_DRIFT_US: i64 = 20_000;
+/// Consecutive Healthy epochs before a reported-Sick receiver is
+/// declared recovered.
+const RECOVER_AFTER: u32 = 4;
+
+/// The detector's one setting, its Sick hysteresis; the thresholds
+/// above and the recovery hysteresis are fixed, as DESIGN.md §10
+/// documents and `tests/healing.rs` exercises.
 #[derive(Debug, Clone)]
 pub struct HealPolicy {
-    /// Loss fraction at or above which an epoch is Sick.
-    pub sick_loss: f64,
-    /// Loss fraction at or above which an epoch is Degraded.
-    pub degraded_loss: f64,
-    /// Per-epoch deadline-miss delta at or above which an epoch is
-    /// Sick.
-    pub sick_deadline_misses: u64,
-    /// Clock-offset drift (µs) from the receiver's first synced
-    /// offset at or above which an epoch is Sick.
-    pub sick_drift_us: i64,
     /// Consecutive Sick epochs before a receiver is reported Sick.
     pub sick_after: u32,
-    /// Consecutive Healthy epochs before a reported-Sick receiver is
-    /// declared recovered.
-    pub recover_after: u32,
 }
 
 impl Default for HealPolicy {
     fn default() -> Self {
-        HealPolicy {
-            sick_loss: 0.15,
-            degraded_loss: 0.05,
-            sick_deadline_misses: 3,
-            sick_drift_us: 20_000,
-            sick_after: 2,
-            recover_after: 4,
-        }
+        HealPolicy { sick_after: 2 }
     }
 }
 
@@ -129,14 +123,14 @@ pub struct ReceiverCounters {
     pub clock_offset_us: Option<i64>,
 }
 
-/// Classifies one epoch sample against `policy` thresholds.
-pub fn classify(policy: &HealPolicy, s: &EpochSample) -> Health {
-    if s.loss_fraction >= policy.sick_loss
-        || s.deadline_miss_delta >= policy.sick_deadline_misses
-        || s.drift_us.abs() >= policy.sick_drift_us
+/// Classifies one epoch sample against the detector's thresholds.
+pub fn classify(s: &EpochSample) -> Health {
+    if s.loss_fraction >= SICK_LOSS
+        || s.deadline_miss_delta >= SICK_DEADLINE_MISSES
+        || s.drift_us.abs() >= SICK_DRIFT_US
     {
         Health::Sick
-    } else if s.loss_fraction >= policy.degraded_loss {
+    } else if s.loss_fraction >= DEGRADED_LOSS {
         Health::Degraded
     } else {
         Health::Healthy
@@ -146,8 +140,8 @@ pub fn classify(policy: &HealPolicy, s: &EpochSample) -> Health {
 /// A repair decision, as [`FleetDetector::end_epoch`] returns them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HealAction {
-    /// A formerly Sick receiver has stayed healthy `recover_after`
-    /// epochs.
+    /// A formerly Sick receiver has stayed healthy `RECOVER_AFTER`
+    /// (4) epochs.
     Recovered {
         /// The recovered receiver.
         target: String,
@@ -297,7 +291,7 @@ impl FleetDetector {
     /// Records one receiver's epoch sample; returns the raw (pre-
     /// hysteresis) classification.
     pub fn observe(&mut self, name: &str, sample: EpochSample) -> Health {
-        let h = classify(&self.policy, &sample);
+        let h = classify(&sample);
         let r = self.receivers.entry(name.to_string()).or_default();
         if h == Health::Sick {
             r.sick_streak += 1;
@@ -328,7 +322,7 @@ impl FleetDetector {
         for (name, r) in self.receivers.iter_mut() {
             if r.sick_streak >= self.policy.sick_after {
                 r.reported = Health::Sick;
-            } else if r.reported == Health::Sick && r.healthy_streak >= self.policy.recover_after {
+            } else if r.reported == Health::Sick && r.healthy_streak >= RECOVER_AFTER {
                 r.reported = Health::Healthy;
                 self.stats.recoveries += 1;
                 actions.push(HealAction::Recovered {
@@ -363,37 +357,27 @@ mod tests {
 
     #[test]
     fn classify_thresholds() {
-        let p = HealPolicy::default();
-        assert_eq!(classify(&p, &healthy()), Health::Healthy);
+        assert_eq!(classify(&healthy()), Health::Healthy);
         assert_eq!(
-            classify(
-                &p,
-                &EpochSample {
-                    loss_fraction: 0.06,
-                    ..Default::default()
-                }
-            ),
+            classify(&EpochSample {
+                loss_fraction: 0.06,
+                ..Default::default()
+            }),
             Health::Degraded
         );
-        assert_eq!(classify(&p, &sick()), Health::Sick);
+        assert_eq!(classify(&sick()), Health::Sick);
         assert_eq!(
-            classify(
-                &p,
-                &EpochSample {
-                    deadline_miss_delta: 3,
-                    ..Default::default()
-                }
-            ),
+            classify(&EpochSample {
+                deadline_miss_delta: 3,
+                ..Default::default()
+            }),
             Health::Sick
         );
         assert_eq!(
-            classify(
-                &p,
-                &EpochSample {
-                    drift_us: -25_000,
-                    ..Default::default()
-                }
-            ),
+            classify(&EpochSample {
+                drift_us: -25_000,
+                ..Default::default()
+            }),
             Health::Sick
         );
     }

@@ -63,6 +63,13 @@ pub struct Datagram {
 /// (20), UDP (8), preamble + inter-frame gap (20).
 pub const WIRE_OVERHEAD: usize = 66;
 
+/// Maximum UDP payload per wire frame; larger datagrams fragment and
+/// are lost whole if any fragment is lost.
+const MTU: usize = 1_472;
+
+/// Fixed propagation + switching delay of every delivery.
+const PROPAGATION: SimDuration = SimDuration::from_micros(50);
+
 /// How the medium is shared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MediumMode {
@@ -82,8 +89,6 @@ pub struct LanConfig {
     /// Line rate per link in bits per second (100 Mbps fast Ethernet by
     /// default; 10 Mbps reproduces the paper's "legacy" case).
     pub bandwidth_bps: u64,
-    /// Fixed propagation + switching delay.
-    pub propagation: SimDuration,
     /// Standard deviation of Gaussian per-receiver delivery jitter.
     pub jitter_std: SimDuration,
     /// Share of wire fragments each receiver loses. Each receiver
@@ -98,9 +103,6 @@ pub struct LanConfig {
     /// into fragments. Zero makes each fragment's loss an independent
     /// draw.
     pub mean_burst: SimDuration,
-    /// Maximum UDP payload per wire frame; larger datagrams fragment
-    /// and are lost whole if any fragment is lost.
-    pub mtu: usize,
     /// Switched or shared medium.
     pub medium: MediumMode,
     /// Probability a delivery is reordered: held back by
@@ -118,11 +120,9 @@ impl Default for LanConfig {
     fn default() -> Self {
         LanConfig {
             bandwidth_bps: 100_000_000,
-            propagation: SimDuration::from_micros(50),
             jitter_std: SimDuration::ZERO,
             loss: 0.0,
             mean_burst: SimDuration::ZERO,
-            mtu: 1_472,
             medium: MediumMode::Switched,
             reorder_prob: 0.0,
             reorder_delay: SimDuration::ZERO,
@@ -512,7 +512,7 @@ impl Lan {
             let config = inner.config;
 
             // Fragment count and wire bytes.
-            let frags = payload.len().div_ceil(config.mtu).max(1);
+            let frags = payload.len().div_ceil(MTU).max(1);
             let wire_bytes = payload.len() + frags * WIRE_OVERHEAD;
             inner.stats.datagrams_sent += 1;
             inner.stats.payload_bytes_sent += payload.len() as u64;
@@ -627,7 +627,7 @@ impl Lan {
                         let offset = extra + jitter(rng);
                         let dup_offset = (config.duplicate_prob > 0.0
                             && chance(rng, config.duplicate_prob))
-                        .then(|| extra + config.propagation + jitter(rng));
+                        .then(|| extra + PROPAGATION + jitter(rng));
                         Outcome::Kept {
                             offset,
                             dup_offset,
@@ -663,7 +663,7 @@ impl Lan {
                     }
                 }
             }
-            (done + config.propagation, kept, lost)
+            (done + PROPAGATION, kept, lost)
         };
         if lost_count > 0 {
             let fields = [

@@ -55,10 +55,6 @@ struct ProducerState {
     tx: StreamTx,
     group: McastGroup,
     cpu: Option<Shared<SimCpu>>,
-    /// A detached (superseded) primary stops reading the VAD and never
-    /// re-arms its readable waiter, leaving queued items for the
-    /// promoted standby.
-    detached: bool,
     journal: Option<Journal>,
 }
 
@@ -110,7 +106,6 @@ impl Rebroadcaster {
             tx: StreamTx::new(cfg.tx, standby),
             group: cfg.group,
             cpu: cfg.cpu,
-            detached: false,
             journal: None,
         });
         let rb = Rebroadcaster {
@@ -128,14 +123,15 @@ impl Rebroadcaster {
         RepeatingTimer::start(sim, control_interval, move |sim| {
             rb2.send_control(sim);
         });
-        if !standby {
-            rb.arm_reader(sim);
-        }
+        rb.arm_reader(sim);
         rb
     }
 
+    /// Reads the VAD from now on, unless standing by: a standby, or a
+    /// primary its standby superseded, neither reads nor re-arms its
+    /// readable waiter, leaving queued items to whoever serves.
     fn arm_reader(&self, sim: &mut Sim) {
-        if self.state.borrow().detached {
+        if self.is_standby() {
             return;
         }
         let rb = self.clone();
@@ -148,11 +144,8 @@ impl Rebroadcaster {
     }
 
     fn drain(&self, sim: &mut Sim) {
-        {
-            let st = self.state.borrow();
-            if st.detached || st.tx.is_standby() {
-                return;
-            }
+        if self.is_standby() {
+            return;
         }
         let items = self.master.read(sim, usize::MAX);
         for item in items {
@@ -207,9 +200,7 @@ impl Rebroadcaster {
     }
 
     fn send_control(&self, sim: &mut Sim) {
-        if !self.state.borrow().detached {
-            self.send(sim, |tx, now, out| tx.control(now, out));
-        }
+        self.send(sim, |tx, now, out| tx.control(now, out));
     }
 
     /// Runs one core step and multicasts what it sealed.
@@ -268,7 +259,8 @@ impl Rebroadcaster {
         }
     }
 
-    /// True while this instance is a warm spare awaiting promotion.
+    /// True while this instance is a warm spare awaiting promotion, or
+    /// a primary its standby superseded.
     pub fn is_standby(&self) -> bool {
         self.state.borrow().tx.is_standby()
     }
@@ -278,9 +270,6 @@ impl Rebroadcaster {
     /// [`StreamTx::retransmit`] for what a request can and cannot
     /// reach).
     pub fn retransmit(&self, sim: &mut Sim, ranges: &[(u32, u16)]) -> u64 {
-        if self.state.borrow().detached {
-            return 0;
-        }
         let n = self.send(sim, |tx, now, out| tx.retransmit(now, ranges, out));
         if n > 0 {
             self.journal_stream(
@@ -296,29 +285,20 @@ impl Rebroadcaster {
         n
     }
 
-    /// Permanently detaches this instance from the VAD: it stops
-    /// reading, never re-arms its readable waiter (queued items stay
-    /// for the successor), and sends nothing further. Called on the
-    /// old primary by [`Rebroadcaster::promote`]; idempotent.
-    pub fn detach(&self, sim: &mut Sim) {
-        if !std::mem::replace(&mut self.state.borrow_mut().detached, true) {
-            self.journal_stream(sim, Severity::Warn, "rebroadcaster detached", &[]);
-        }
-    }
-
-    /// Promotes this standby to primary: detaches `primary`, adopts its
-    /// stream state (so play deadlines survive the failover
-    /// bit-for-bit), then starts reading the shared VAD and announces
-    /// itself with an immediate control packet. No-op unless this
-    /// instance is a standby.
+    /// Promotes this standby to primary: adopts `primary`'s stream
+    /// state (so play deadlines survive the failover bit-for-bit) and
+    /// stands `primary` by in its place — it stops reading the VAD and
+    /// sends no control packet or repair again — then starts reading
+    /// the shared VAD and announces itself with an immediate control
+    /// packet. No-op unless this instance is a standby.
     pub fn promote(&self, sim: &mut Sim, primary: &Rebroadcaster) {
         if !self.is_standby() {
             return;
         }
-        primary.detach(sim);
+        primary.journal_stream(sim, Severity::Warn, "rebroadcaster detached", &[]);
         let at_seq = {
-            let prim = primary.state.borrow();
-            self.state.borrow_mut().tx.promote(&prim.tx)
+            let mut prim = primary.state.borrow_mut();
+            self.state.borrow_mut().tx.promote(&mut prim.tx)
         };
         self.journal_stream(
             sim,

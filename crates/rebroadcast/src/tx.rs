@@ -205,7 +205,8 @@ pub struct StreamTx {
     /// While down, audio drains into the void (sequence numbers still
     /// advance, so receivers see wire loss) and control packets stop.
     down: bool,
-    /// A standby sends nothing until [`StreamTx::promote`].
+    /// A standby sends nothing until [`StreamTx::promote`]; the
+    /// primary a promoted standby replaced stands by for good.
     standby: bool,
     /// What this stream has sent and lost so far.
     pub stats: ProducerStats,
@@ -452,9 +453,11 @@ impl StreamTx {
     }
 
     /// Promotes this standby: adopts `primary`'s stream clock, sequence
-    /// spaces and format, so deadlines survive the failover bit-for-bit.
-    /// Returns the sequence number its first data packet will carry.
-    pub fn promote(&mut self, primary: &StreamTx) -> u32 {
+    /// spaces and format, so deadlines survive the failover bit-for-bit,
+    /// and stands `primary` by in its place. Returns the sequence number
+    /// its first data packet will carry.
+    pub fn promote(&mut self, primary: &mut StreamTx) -> u32 {
+        primary.standby = true;
         self.standby = false;
         self.stream = primary.stream;
         self.stats.promotions += 1;

@@ -14,8 +14,6 @@
 //! known output power — exactly the comparison the paper describes.
 
 use es_audio::mix::db_to_gain;
-#[cfg(test)]
-use es_audio::mix::gain_to_db;
 
 /// Ambient RMS regarded as a "normal" room; the gain is 0 dB at this
 /// level.
@@ -71,32 +69,17 @@ impl AutoVolumeConfig {
 pub struct AutoVolume {
     cfg: AutoVolumeConfig,
     gain_db: f64,
-    last_ambient_estimate: f64,
 }
 
 impl AutoVolume {
     /// Creates a controller at 0 dB.
     pub fn new(cfg: AutoVolumeConfig) -> Self {
-        AutoVolume {
-            gain_db: 0.0,
-            last_ambient_estimate: REFERENCE_AMBIENT,
-            cfg,
-        }
+        AutoVolume { gain_db: 0.0, cfg }
     }
 
     /// The current gain as a linear factor.
     pub fn gain(&self) -> f64 {
         db_to_gain(self.gain_db)
-    }
-
-    /// The current gain in dB.
-    pub fn gain_db(&self) -> f64 {
-        self.gain_db
-    }
-
-    /// The most recent ambient estimate (RMS, full scale).
-    pub fn ambient_estimate(&self) -> f64 {
-        self.last_ambient_estimate
     }
 
     /// Feeds one control period: `mic_rms` is what the microphone
@@ -108,7 +91,6 @@ impl AutoVolume {
         let self_power = (output_rms * SELF_COUPLING).powi(2);
         let ambient_power = (mic_rms * mic_rms - self_power).max(0.0);
         let ambient = ambient_power.sqrt().max(1e-4);
-        self.last_ambient_estimate = ambient;
 
         // A louder room raises the gain under both laws: announcements
         // fight the noise, music follows a quiet room down.
@@ -167,6 +149,7 @@ pub fn microphone_rms(ambient_rms: f64, output_rms: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use es_audio::mix::gain_to_db;
 
     fn settle(av: &mut AutoVolume, ambient: f64, output: f64, rounds: usize) -> f64 {
         let mut g = av.gain();
@@ -214,21 +197,24 @@ mod tests {
     #[test]
     fn self_output_is_subtracted() {
         // A speaker alone in a silent room must not chase its own
-        // output upward.
+        // output upward: it hears the room as silent, and its gain
+        // follows that of a speaker playing nothing there.
         let mut av = AutoVolume::new(AutoVolumeConfig::Announcement);
+        let mut mute = AutoVolume::new(AutoVolumeConfig::Announcement);
         let g0 = av.gain();
         for _ in 0..50 {
             let out = 0.5 * av.gain();
             let mic = microphone_rms(0.0, out);
             av.update(mic, out);
+            mute.update(0.0, 0.0);
+            assert_eq!(av.gain(), mute.gain(), "self-output heard as ambient");
         }
         assert!(
-            av.gain() <= g0,
+            av.gain() < g0,
             "gain crept up on self-noise: {} -> {}",
             g0,
             av.gain()
         );
-        assert!(av.ambient_estimate() < 0.01);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! lists exactly the bans `clippy.toml`
 //! and the lints `[workspace.lints]` configure, §10 exactly the counters
 //! the healing plane exports, and §6 exactly the keys a speaker records.
+//! The counts and scans of the verify notes read each source file up to
+//! its first `#[cfg(test)]`, so no production item may come after one.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -537,5 +539,69 @@ fn design_md_lists_exactly_the_keys_a_speaker_records() {
     assert_eq!(
         documented, recorded,
         "DESIGN.md §6 vs what a speaker records"
+    );
+}
+
+/// The lines of `text` that a scan reading only up to the first
+/// `#[cfg(test)]` would miss although they are not test code: a
+/// top-level item without `#[cfg(test)]` after one with it, or a
+/// `#[cfg(test)]` inside an item.
+fn production_after_cfg_test(text: &str) -> Vec<usize> {
+    let (mut gated_seen, mut gated_next) = (false, false);
+    let mut missed = Vec::new();
+    for (n, line) in text.lines().enumerate() {
+        if line.contains("#[cfg(test)]") {
+            if line.starts_with("#[cfg(test)]") {
+                gated_next = true;
+            } else {
+                missed.push(n + 1);
+            }
+            continue;
+        }
+        let continues = line.is_empty()
+            || line.starts_with(char::is_whitespace)
+            || line.starts_with(['}', ')', ']', '#'])
+            || line.starts_with("//")
+            || line.starts_with("where");
+        if continues {
+            continue;
+        }
+        if gated_next {
+            gated_seen = true;
+        } else if gated_seen {
+            missed.push(n + 1);
+        }
+        gated_next = false;
+    }
+    missed
+}
+
+#[test]
+fn no_production_item_follows_a_cfg_test_item() {
+    // The verify notes' code-line count and dead-item scans read each
+    // `crates/*/src/*.rs` only up to its first `#[cfg(test)]`.
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root().join("crates")).expect("crates/") {
+        let src = krate.expect("readable directory entry").path().join("src");
+        for entry in std::fs::read_dir(&src).unwrap_or_else(|e| panic!("{}: {e}", src.display())) {
+            let path = entry.expect("readable directory entry").path();
+            if path.extension().is_some_and(|x| x == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    assert!(files.len() > 50, "only {} source files found", files.len());
+    let mut missed = Vec::new();
+    for path in &files {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        let rel = path.strip_prefix(root()).unwrap_or(path);
+        for n in production_after_cfg_test(&text) {
+            missed.push(format!("{}:{n}", rel.display()));
+        }
+    }
+    assert!(
+        missed.is_empty(),
+        "production code after a `#[cfg(test)]` item, unseen by the counts:\n{}",
+        missed.join("\n")
     );
 }

@@ -289,10 +289,7 @@ fn producer_failover_preserves_clock() {
 /// bursts) and the detector one hysteresis notch above default — so
 /// it guards damping, not the refill-echo fix.
 fn flapping_receiver_scenario() -> Scenario {
-    let policy = HealPolicy {
-        sick_after: 3,
-        ..HealPolicy::default()
-    };
+    let policy = HealPolicy { sick_after: 3 };
     let mut sc = Scenario::new("flapping_receiver_damped", 64)
         .test_binary("healing")
         .clicks()

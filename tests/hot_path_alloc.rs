@@ -131,16 +131,10 @@ fn dsp_kernels_do_not_allocate() {
     const STRIDE: usize = 5_120;
     let clip = render_interleaved(&mut MultiTone::music(44_100), 2, 5_000);
     let mut planes = vec![0.0f32; 2 * STRIDE];
-    let mut synth = vec![0.0f32; 5_000];
-    let mut out = vec![0i16; clip.len()];
     let mut quantized = vec![0i32; 64];
     let mut band = vec![0.0f32; 64];
     let n = allocations_during(|| {
         dsp::deinterleave_normalize(&clip, 2, &mut planes, STRIDE);
-        synth.copy_from_slice(&planes[..5_000]);
-        for c in 0..2 {
-            dsp::interleave_denormalize(&synth, 2, c, &mut out);
-        }
         let peak = dsp::peak_abs(&planes[..64]);
         dsp::quantize_band(&planes[..64], 127.0 / peak, 127, &mut quantized);
         dsp::dequantize_band(&quantized, peak / 127.0, 127, &mut band);

@@ -55,6 +55,21 @@ pub fn deinterleave_normalize(samples: &[i16], ch: usize, planes: &mut [f32], st
     }
 }
 
+/// [`deinterleave_normalize`] of channel `c` alone into `out`: its
+/// first `out.len()` frames.
+pub(crate) fn deinterleave_channel(samples: &[i16], ch: usize, c: usize, out: &mut [f32]) {
+    if ch == 2 {
+        let (frames, _) = samples.as_chunks::<2>();
+        for (o, frame) in out.iter_mut().zip(frames) {
+            *o = frame[c & 1] as f32 / 32_768.0;
+        }
+    } else {
+        for (o, frame) in out.iter_mut().zip(samples.chunks_exact(ch)) {
+            *o = frame[c] as f32 / 32_768.0;
+        }
+    }
+}
+
 /// One reconstructed sample from ±1.0 to i16, with the codec's
 /// saturating clamp. The OVL completion (`OvlSpan::complete`) converts
 /// each coded channel with it and writes each twin channel in the same
@@ -194,6 +209,22 @@ mod tests {
             scalar::deinterleave_normalize(&samples, 2, c, &mut slow);
             assert_eq!(fast[c * 40..][..32], slow[..]);
             assert!(fast[c * 40 + 32..][..8].iter().all(|&v| v == 9.0));
+        }
+    }
+
+    #[test]
+    fn deinterleave_one_channel_matches_scalar() {
+        let samples: Vec<i16> = (0..96).map(|i| (i * 991 - 16_000) as i16).collect();
+        for ch in 1..=4 {
+            for c in 0..ch {
+                // Ten frames asked for, the rest left untouched.
+                let mut fast = [9.0f32; 12];
+                deinterleave_channel(&samples, ch, c, &mut fast[..10]);
+                let mut slow = vec![0.0f32; 10];
+                scalar::deinterleave_normalize(&samples, ch, c, &mut slow);
+                assert_eq!(fast[..10], slow[..], "channel {c} of {ch}");
+                assert_eq!(fast[10..], [9.0; 2]);
+            }
         }
     }
 

@@ -159,6 +159,40 @@ fn most_windows(frames: usize) -> usize {
     frames.div_ceil(BLOCK)
 }
 
+/// Frames per run of the twin checks: each run is one or of xors with
+/// no exit inside, so it vectorizes, and a channel that differs early
+/// stops after its first run.
+const RUN: usize = 256;
+
+/// Whether channel `c` of the interleaved `samples` repeats channel
+/// `c - 1` in every frame.
+fn repeats(samples: &[i16], ch: usize, c: usize) -> bool {
+    if ch == 2 {
+        let (frames, _) = samples.as_chunks::<2>();
+        frames
+            .chunks(RUN)
+            .all(|run| run.iter().fold(0, |d, &[l, r]| d | (l ^ r)) == 0)
+    } else {
+        samples
+            .chunks(RUN * ch)
+            .all(|run| run.chunks_exact(ch).fold(0, |d, f| d | (f[c] ^ f[c - 1])) == 0)
+    }
+}
+
+/// Whether two channels' held frames are equal. Each frame is an `i16`
+/// over 32 768 or the +0 a fresh lap starts from, never a NaN or a −0,
+/// so equal bits are equal values (`==` on `f32`s would stop at every
+/// element).
+fn same_plane(a: &[f32], b: &[f32]) -> bool {
+    a.chunks(RUN).zip(b.chunks(RUN)).all(|(a, b)| {
+        let diff = a
+            .iter()
+            .zip(b)
+            .fold(0, |d, (x, y)| d | (x.to_bits() ^ y.to_bits()));
+        diff == 0
+    })
+}
+
 /// Channels of `channels` that are no twin.
 fn coded(channels: u8, twins: u8) -> usize {
     usize::from(channels) - twins.count_ones() as usize
@@ -527,9 +561,23 @@ impl OvlCodec {
         let wn = n_windows * BLOCK;
         let covered = if n_windows == 0 { 0 } else { wn + BLOCK };
 
+        // The twin mask: channel `c` repeats channel `c - 1` over every
+        // frame the windows cover, which covers a mono signal fanned
+        // out to every channel. The windows cover the `held` frames
+        // and then `covered - held` of this packet's (none at all
+        // without a window, when every channel is a twin), read here as
+        // the samples they are normalized from: `s / 32 768` is exact,
+        // so equal frames are equal samples.
+        let fresh = &samples[..covered.saturating_sub(held) * ch];
+        let kept = |c: usize| &lap.held[c * DELAY..][..held.min(covered)];
+        let mask = (1..ch)
+            .filter(|&c| same_plane(kept(c), kept(c - 1)) && repeats(fresh, ch, c))
+            .fold(0u8, |m, c| m | 1 << c);
+
         // Each channel's plane: the frames held from the packet before,
-        // then this packet's, deinterleaved in one pass. The windows
-        // cover the first `covered` frames of each.
+        // then this packet's. The windows cover the first `covered`
+        // frames of each, and the next packet keeps the frames from
+        // `wn` on.
         let stride = held + per_ch;
         let most = ch * (2 * BLOCK - 1 + per_ch);
         fit(&mut arena.planes, ch * stride, most, 0.0);
@@ -540,15 +588,23 @@ impl OvlCodec {
         {
             plane[..held].copy_from_slice(&kept[..held]);
         }
-        crate::dsp::deinterleave_normalize(samples, ch, &mut arena.planes[held..], stride);
-
-        // The twin mask: channel `c` repeats channel `c - 1` over every
-        // frame the windows cover, which covers a mono signal fanned
-        // out to every channel.
-        let plane = |c: usize| &arena.planes[c * stride..][..covered];
-        let mask = (1..ch)
-            .filter(|&c| plane(c) == plane(c - 1))
-            .fold(0u8, |m, c| m | 1 << c);
+        // A twin's frames before `wn` feed only its windows, which are
+        // not analyzed, so this packet's first `skip` frames are
+        // deinterleaved for the other channels alone and the rest for
+        // every channel in one pass.
+        let skip = if mask == 0 {
+            0
+        } else {
+            wn.saturating_sub(held)
+        };
+        if skip > 0 {
+            for c in (0..ch).filter(|&c| mask & 1 << c == 0) {
+                let plane = &mut arena.planes[c * stride + held..][..skip];
+                crate::dsp::deinterleave_channel(&samples[..skip * ch], ch, c, plane);
+            }
+        }
+        let rest = &mut arena.planes[held + skip..];
+        crate::dsp::deinterleave_normalize(&samples[skip * ch..], ch, rest, stride);
 
         // Analyze each coded channel's windows into one flat
         // coefficient buffer (billed for every channel), then pack
@@ -1208,6 +1264,58 @@ mod tests {
             "payloads {:#018x}, samples {:#018x}",
             hash[0], hash[1]
         );
+    }
+
+    #[test]
+    fn a_channel_is_a_twin_unless_it_differs_in_a_frame_its_windows_cover() {
+        // Dual mono in packets of 700 frames, with the right channel
+        // changed in one frame: at each edge of each packet's covered
+        // span (the held frames and then this packet's, up to the end
+        // of its last window) and one frame outside it. A packet masks
+        // the right channel exactly when the changed frame is not one
+        // its windows cover, whichever side of the deinterleave (held
+        // or fresh) that frame sits on.
+        const FRAMES: usize = 700;
+        const PACKETS: usize = 5;
+        let covered = |k: usize| {
+            let position = k * FRAMES;
+            let phase = position % BLOCK;
+            let n_windows = (phase + FRAMES) / BLOCK;
+            let start = position as isize - (BLOCK + phase) as isize;
+            let len = if n_windows == 0 {
+                0
+            } else {
+                (n_windows + 1) * BLOCK
+            };
+            start..start + len as isize
+        };
+        let total = (FRAMES * PACKETS) as isize;
+        let mut changed: Vec<isize> = (0..PACKETS)
+            .flat_map(|k| {
+                let span = covered(k);
+                [span.start - 1, span.start, span.end - 1, span.end]
+            })
+            .filter(|g| (0..total).contains(g))
+            .collect();
+        changed.dedup();
+        for g in changed {
+            let mut dual: Vec<i16> = (0..FRAMES * PACKETS)
+                .flat_map(|i| {
+                    let s = (i * 37 % 2_000) as i16 - 1_000;
+                    [s, s]
+                })
+                .collect();
+            dual[2 * g as usize + 1] ^= 1;
+            let codec = OvlCodec::new();
+            for (k, packet) in dual.chunks(2 * FRAMES).enumerate() {
+                let bytes = codec.encode(packet, 2, MAX_QUALITY).bytes;
+                assert_eq!(
+                    bytes[6] & 2 != 0,
+                    !covered(k).contains(&g),
+                    "packet {k}, right channel changed at frame {g}"
+                );
+            }
+        }
     }
 
     #[test]

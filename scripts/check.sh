@@ -1,11 +1,11 @@
 #!/bin/sh
 # The full local gate: formatting, lints (warnings are errors), the
 # tier-1 verify line (see ROADMAP.md), the other workspace members'
-# tests, the codec's and the telemetry crate's deep differential runs,
-# one perf step (the ledger's unit tests and --quick smoke), the
-# cross-process determinism diffs (scripts/fingerprints.sh), the
-# healing journal drift check and a healing seed sweep. Writes nothing
-# tracked outside results/.
+# tests, the codec's, the telemetry crate's and the CRC kernel's deep
+# differential runs, one perf step (the ledger's unit tests and --quick
+# smoke), the cross-process determinism diffs
+# (scripts/fingerprints.sh), the healing journal drift check and a
+# healing seed sweep. Writes nothing tracked outside results/.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -77,6 +77,15 @@ PROPTEST_CASES=2000 cargo test -q --release -p es-telemetry
 # release).
 echo "== FEC recoverer differential oracle (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test -q --release -p es-proto fec::
+
+# The CRC-32 kernel's deep run: the three-lane kernel against the
+# bitwise oracle on random inputs of up to 9 000 bytes split at every
+# point, and the lane join (the shift table) against a lane of zeros,
+# at 2000 cases per property, beside the fixed checks of every length
+# through three rounds, every lane and round boundary and 64 KiB
+# (≈ 17 s release, most of it the every-split property).
+echo "== CRC-32 kernel oracle (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test -q --release -p es-proto crc::
 
 # The audio ring's differential run: the run-queue ring against a
 # byte-at-a-time model ring under random writes, shared writes,

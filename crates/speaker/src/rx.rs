@@ -69,9 +69,9 @@ pub struct SpeakerStats {
     pub faded_heads: u64,
     /// Packets reconstructed from XOR parity (FEC extension).
     pub fec_recovered: u64,
-    /// FEC groups given up on while missing data they cannot rebuild:
-    /// two or more of their data packets, or one data packet and its
-    /// parity.
+    /// FEC groups with a data packet that came due before it arrived,
+    /// was rebuilt or was refilled; one per group, counted by the hole
+    /// table when it settles the packet's hole.
     pub fec_unrecoverable: u64,
     /// Data packets suppressed because their sequence number already
     /// played — LAN duplicates, or an FEC copy of a packet that also
@@ -138,7 +138,8 @@ impl Telemetry for SpeakerStats {
         if self.nacks_sent > 0 {
             s.counter("nacks_sent", self.nacks_sent);
         }
-        // Likewise the groups FEC gave up on: a clean run lists none.
+        // Likewise the FEC groups that lost a block: a clean run lists
+        // none.
         if self.fec_unrecoverable > 0 {
             s.counter("fec_unrecoverable", self.fec_unrecoverable);
         }
@@ -271,9 +272,9 @@ fn add_to_ranges(ranges: &mut Vec<(u32, u16)>, seq: u32) -> bool {
     true
 }
 
-/// What a speaker that repairs its losses knows about them. A speaker
-/// that neither conceals nor NACKs has none (and pays for none: the
-/// table is boxed off the per-packet state).
+/// What a speaker that repairs or counts its losses knows about them.
+/// A speaker that neither conceals, NACKs nor keeps FEC has none (and
+/// pays for none: the table is boxed off the per-packet state).
 #[derive(Default)]
 struct HoleTable {
     /// The speaker plays a replica for a block still missing when due.
@@ -289,6 +290,9 @@ struct HoleTable {
     /// The sequence number that would extend the current run of
     /// concealed blocks, and the run's length.
     concealed_run: (u32, u32),
+    /// The first seq of the FEC group a hole last settled in: holes
+    /// settle in seq order, so a group counts once.
+    lost_group: Option<u32>,
 }
 
 impl HoleTable {
@@ -297,6 +301,7 @@ impl HoleTable {
         self.holes.clear();
         self.settled.clear();
         self.concealed_run = (0, 0);
+        self.lost_group = None;
     }
 
     /// Opens a hole for each of the `gap` sequence numbers before
@@ -351,16 +356,27 @@ impl HoleTable {
     /// [`MAX_CONCEALED_RUN`] goes silent) if the speaker conceals.
     /// Returns the `(first_seq, count)` ranges to ask for, at most
     /// [`MAX_NACK_RANGES`] of them (what one NACK packet carries; the
-    /// rest are asked for at the next poll). Work is bounded by the
+    /// rest are asked for at the next poll), and how many FEC groups of
+    /// `fec_group` packets lost a block for good: a group counts the
+    /// first time one of its holes settles. Work is bounded by the
     /// table.
-    fn poll(&mut self, now: SimTime, mut conceal: impl FnMut(SimTime, u32)) -> Vec<(u32, u16)> {
+    fn poll(
+        &mut self,
+        now: SimTime,
+        fec_group: Option<u8>,
+        mut conceal: impl FnMut(SimTime, u32),
+    ) -> (Vec<(u32, u16)>, u64) {
         // Nothing is allocated until there is a range to ask for.
-        let mut nack = Vec::new();
+        let (mut nack, mut lost) = (Vec::new(), 0);
         let (concealing, run) = (self.conceal, &mut self.concealed_run);
-        let settled = &mut self.settled;
+        let (settled, lost_group) = (&mut self.settled, &mut self.lost_group);
         self.holes.retain_mut(|h| {
             if h.deadline <= now {
                 settled.push_back((h.seq, h.asks > 0));
+                if let Some(g) = fec_group {
+                    let first = h.seq - h.seq % u32::from(g);
+                    lost += u64::from(lost_group.replace(first) != Some(first));
+                }
                 let nth = if run.0 == h.seq {
                     run.1.saturating_add(1)
                 } else {
@@ -384,7 +400,7 @@ impl HoleTable {
         });
         let excess = settled.len().saturating_sub(MAX_HOLES);
         settled.drain(..excess);
-        nack
+        (nack, lost)
     }
 }
 
@@ -409,7 +425,8 @@ pub(crate) struct RxState {
     /// The newest data packet seen and its play deadline (gap
     /// detection, and one end of a hole's interpolated deadline).
     last: Option<(u32, SimTime)>,
-    /// The hole table, once the speaker conceals or can NACK.
+    /// The hole table, once the speaker conceals, can NACK or keeps
+    /// FEC.
     repair: Option<Box<HoleTable>>,
 }
 
@@ -495,7 +512,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     pub(crate) fn retune(&mut self) {
         self.rx.regate();
         self.rx.configured = false;
-        self.drop_fec();
+        self.rx.fec = None;
     }
 
     /// Counts a datagram and passes it through the §5.1 gate; yields
@@ -525,12 +542,11 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                 // Feed the FEC tracker first: a recovered packet from an
                 // earlier group plays like any other. Skip a seq that
                 // already went to playback: its group was rebuilt or
-                // completed, and the copy would reopen it, to be
-                // counted unrecoverable when it retires.
-                let recovered = if self.rx.seen_seqs.contains(d.seq) {
-                    None
-                } else {
-                    self.fec_step(|f| f.on_data(&d))
+                // completed, and the copy would reopen it and take a
+                // slot of the recoverer's window.
+                let recovered = match &mut self.rx.fec {
+                    Some(fec) if !self.rx.seen_seqs.contains(d.seq) => fec.on_data(&d),
+                    _ => None,
                 };
                 self.on_data(now, d, false);
                 self.on_recovered(now, recovered);
@@ -566,9 +582,9 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         // A parity packet with a different group size means the old
         // recoverer's partial state is for a dead layout: the producer
         // was reconfigured, or a standby with another group took over.
-        let group = self.rx.fec.as_ref().map(|f| f.group());
+        let group = self.rx.fec.as_ref().map(FecRecoverer::group);
         if let Some(from) = group.filter(|&group| group != p.count) {
-            self.drop_fec();
+            self.rx.fec = None;
             let fields = vec![("from", from.to_string()), ("to", p.count.to_string())];
             self.note(
                 Severity::Info,
@@ -577,34 +593,14 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
                 fields,
             );
         }
-        self.rx
+        // The hole table settles the blocks FEC did not rebuild.
+        self.rx.repair.get_or_insert_default();
+        let fec = self
+            .rx
             .fec
             .get_or_insert_with(|| FecRecoverer::new(p.count));
-        let recovered = self.fec_step(|f| f.on_parity(&p));
+        let recovered = fec.on_parity(&p);
         self.on_recovered(now, recovered);
-    }
-
-    /// Drops the FEC recoverer, counting the open groups it gives up
-    /// on with it.
-    fn drop_fec(&mut self) {
-        self.fec_step(|f| {
-            f.give_up();
-            None
-        });
-        self.rx.fec = None;
-    }
-
-    /// Steps the FEC recoverer, if there is one, counting the groups
-    /// it gives up on.
-    fn fec_step(
-        &mut self,
-        step: impl FnOnce(&mut FecRecoverer) -> Option<DataPacket>,
-    ) -> Option<DataPacket> {
-        let fec = self.rx.fec.as_mut()?;
-        let given_up = fec.unrecoverable();
-        let recovered = step(fec);
-        self.stats.fec_unrecoverable += fec.unrecoverable() - given_up;
-        recovered
     }
 
     fn on_recovered(&mut self, now: SimTime, recovered: Option<DataPacket>) {
@@ -698,13 +694,17 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
     }
 
     /// Polls the hole table at `now` (see `HoleTable::poll`): plays a
-    /// replica for each block that came due unrepaired, then sends
-    /// one NACK for the holes to ask for.
+    /// replica for each block that came due unrepaired and counts the
+    /// FEC groups they belong to, then sends one NACK for the holes to
+    /// ask for.
     pub(crate) fn poll_holes(&mut self, now: SimTime) {
         let Some(mut table) = self.rx.repair.take() else {
             return;
         };
-        let ranges = table.poll(now, |deadline, nth| self.conceal(now, deadline, nth));
+        let group = self.rx.fec.as_ref().map(FecRecoverer::group);
+        let (ranges, lost) =
+            table.poll(now, group, |deadline, nth| self.conceal(now, deadline, nth));
+        self.stats.fec_unrecoverable += lost;
         self.rx.repair = Some(table);
         // Holes open only behind a control packet, so there is a
         // source.
@@ -849,6 +849,14 @@ mod tests {
                 self.collect(at, &mut did);
             }
             did
+        }
+
+        /// Members `seqs` of an FEC stream (see `member`), in order,
+        /// each received at `now`.
+        fn members(&mut self, now: SimTime, seqs: impl IntoIterator<Item = u32>) {
+            for seq in seqs {
+                self.offer(now, encode_data(&member(seq)));
+            }
         }
 
         fn stats(&self) -> SpeakerStats {
@@ -1053,32 +1061,44 @@ mod tests {
         assert_eq!((spk.stats().refills_received, settled), (2, 3));
     }
 
-    #[test]
-    fn fec_recovering_an_asked_for_hole_is_not_a_refill() {
-        use es_proto::{encode_parity, ParityAccumulator};
-        let mut spk = repairing();
-        let packet = |seq: u32| DataPacket {
+    /// Member `seq` of an FEC stream, due 50 ms after the one before
+    /// it, seq 0 at 300 ms.
+    fn member(seq: u32) -> DataPacket {
+        DataPacket {
             stream_id: 1,
             seq,
             play_at_us: 300_000 + u64::from(seq) * 50_000,
             codec: 0,
             payload: Bytes::from(vec![seq as u8; 8]),
-        };
+        }
+    }
+
+    /// The parity of the `group` members from `first`.
+    fn parity(first: u32, group: u8) -> Bytes {
+        use es_proto::{encode_parity, ParityAccumulator};
+        let mut acc = ParityAccumulator::new(group);
+        let members = first..first + u32::from(group);
+        let parity = members.into_iter().find_map(|seq| acc.absorb(&member(seq)));
+        encode_parity(&parity.expect("one group"))
+    }
+
+    /// A speaker that keeps FEC only, synchronized at time zero.
+    fn fec_only() -> Speaker {
+        let mut spk = Speaker::new(false);
+        spk.tune(SimTime::ZERO);
+        spk
+    }
+
+    #[test]
+    fn fec_recovering_an_asked_for_hole_is_not_a_refill() {
+        let mut spk = repairing();
         // Group [4, 8) loses seq 5; the speaker has asked for it by the
         // time the group's parity rebuilds it.
-        let mut acc = ParityAccumulator::new(4);
-        let mut parity = None;
-        for seq in 0..8 {
-            parity = acc.absorb(&packet(seq)).or(parity);
-            if seq == 3 {
-                spk.offer(MS(0), encode_parity(&parity.take().expect("group done")));
-            }
-            if seq != 5 {
-                spk.offer(MS(0), encode_data(&packet(seq)));
-            }
-        }
+        spk.members(MS(0), 0..4);
+        spk.offer(MS(0), parity(0, 4));
+        spk.members(MS(0), [4, 6, 7]);
         assert_eq!(spk.poll(MS(20)), nacks(&[&[(5, 1)]]));
-        let did = spk.offer(MS(25), encode_parity(&parity.expect("group done")));
+        let did = spk.offer(MS(25), parity(4, 4));
         assert_eq!(
             did,
             Did {
@@ -1091,35 +1111,26 @@ mod tests {
         let holes = spk.node.table_sizes()[0];
         assert_eq!((holes, spk.node.rx.next_poll()), (0, None));
         // The refill it asked for is a duplicate now.
-        assert_eq!(spk.offer(MS(26), encode_data(&packet(5))), Did::default());
+        assert_eq!(spk.offer(MS(26), encode_data(&member(5))), Did::default());
         let st = spk.stats();
         assert_eq!((st.dropped_duplicate, st.refills_received), (1, 0));
     }
 
     #[test]
-    fn a_group_that_lost_two_packets_counts_as_unrecoverable() {
-        use es_proto::{encode_parity, ParityAccumulator};
-        let mut spk = Speaker::new(false);
-        spk.tune(SimTime::ZERO);
-        let packet = |seq: u32| DataPacket {
-            stream_id: 1,
-            seq,
-            play_at_us: 300_000 + u64::from(seq) * 50_000,
-            codec: 0,
-            payload: Bytes::from(vec![seq as u8; 8]),
-        };
+    fn a_group_that_lost_two_packets_counts_once_when_the_first_comes_due() {
         // Group [0, 4) loses seq 1 and 2, group [4, 8) loses seq 5;
-        // only these two groups' parity arrives, ahead of their data.
-        // The recoverer keeps four groups open, so it gives up on the
-        // first when the sixth, [20, 24), opens.
-        let mut acc = ParityAccumulator::new(4);
-        let parity: Vec<_> = (0..24).filter_map(|seq| acc.absorb(&packet(seq))).collect();
-        for p in &parity[..2] {
-            spk.offer(MS(0), encode_parity(p));
-        }
-        for seq in (0..24).filter(|seq| ![1, 2, 5].contains(seq)) {
-            spk.offer(MS(0), encode_data(&packet(seq)));
-        }
+        // only these two groups' parity arrives, ahead of their data,
+        // and rebuilds 5.
+        let mut spk = fec_only();
+        spk.offer(MS(0), parity(0, 4));
+        spk.offer(MS(0), parity(4, 4));
+        spk.members(MS(0), (0..24).filter(|seq| ![1, 2, 5].contains(seq)));
+        // Seq 1 is due at 350 ms, seq 2 at 400 ms.
+        spk.poll(MS(349));
+        assert_eq!(spk.stats().fec_unrecoverable, 0);
+        spk.poll(MS(350));
+        assert_eq!(spk.stats().fec_unrecoverable, 1);
+        spk.poll(MS(2_000));
         let st = spk.stats();
         assert_eq!((st.fec_recovered, st.fec_unrecoverable), (1, 1), "{st:?}");
         let mut reg = Registry::new();
@@ -1136,49 +1147,25 @@ mod tests {
 
     #[test]
     fn a_group_that_lost_a_packet_and_its_parity_counts_as_unrecoverable() {
-        use es_proto::{encode_parity, ParityAccumulator};
-        let mut spk = Speaker::new(false);
-        spk.tune(SimTime::ZERO);
-        let packet = |seq: u32| DataPacket {
-            stream_id: 1,
-            seq,
-            play_at_us: 300_000 + u64::from(seq) * 50_000,
-            codec: 0,
-            payload: Bytes::from(vec![seq as u8; 8]),
-        };
         // Only the first group's parity arrives, ahead of its data: it
         // starts the recoverer, which rebuilds the group's lost seq 1.
-        // Group [4, 8) loses seq 5, and its parity is lost too. The
-        // recoverer keeps four groups open, so it gives up on [4, 8)
-        // when the sixth, [20, 24), opens.
-        let mut acc = ParityAccumulator::new(4);
-        let parity = (0..4).find_map(|seq| acc.absorb(&packet(seq)));
-        spk.offer(MS(0), encode_parity(&parity.expect("one group")));
-        for seq in (0..20).filter(|&seq| seq != 1 && seq != 5) {
-            spk.offer(MS(0), encode_data(&packet(seq)));
-        }
+        // Group [4, 8) loses seq 5, due at 550 ms, and its parity.
+        let mut spk = fec_only();
+        spk.offer(MS(0), parity(0, 4));
+        spk.members(MS(0), (0..20).filter(|&seq| seq != 1 && seq != 5));
+        spk.poll(MS(549));
         assert_eq!(spk.stats().fec_unrecoverable, 0);
-        spk.offer(MS(0), encode_data(&packet(20)));
+        spk.poll(MS(550));
         let st = spk.stats();
         assert_eq!((st.fec_recovered, st.fec_unrecoverable), (1, 1), "{st:?}");
     }
 
     /// A data packet whose seq already went to playback is no news to
     /// the recoverer: fed to it, it would open a fresh group for a
-    /// group already rebuilt or completed, which counts as
-    /// unrecoverable once given up.
+    /// group already rebuilt or completed, and take a slot of the
+    /// recoverer's four-group window.
     #[test]
     fn a_seq_already_played_opens_no_group() {
-        use es_proto::{encode_parity, ParityAccumulator};
-        let packet = |seq: u32| DataPacket {
-            stream_id: 1,
-            seq,
-            play_at_us: 300_000 + u64::from(seq) * 50_000,
-            codec: 0,
-            payload: Bytes::from(vec![seq as u8; 8]),
-        };
-        let mut acc = ParityAccumulator::new(4);
-        let parity: Vec<_> = (0..8).filter_map(|seq| acc.absorb(&packet(seq))).collect();
         // `None` is the next group's parity; the last pair is
         // fec_recovered and dropped_duplicate. Group [0, 4)'s parity
         // comes first, so seq 0-2 rebuild seq 3; then the original
@@ -1209,18 +1196,16 @@ mod tests {
             ),
         ];
         for (name, order, (recovered, duplicates)) in orders {
-            let mut spk = Speaker::new(false);
-            spk.tune(SimTime::ZERO);
-            let mut parity = parity.iter();
+            let mut spk = fec_only();
+            let mut first = (0..).step_by(4);
             for &seq in order {
                 let raw = match seq {
-                    Some(seq) => encode_data(&packet(seq)),
-                    None => encode_parity(parity.next().expect("two groups")),
+                    Some(seq) => encode_data(&member(seq)),
+                    None => parity(first.next().expect("endless"), 4),
                 };
                 spk.offer(MS(0), raw);
             }
-            // The recoverer gives up on whatever it holds open.
-            spk.node.tune(McastGroup(1));
+            spk.poll(MS(2_000));
             let st = spk.stats();
             let got = (st.fec_recovered, st.dropped_duplicate, st.fec_unrecoverable);
             assert_eq!(got, (recovered, duplicates, 0), "{name}: {st:?}");
@@ -1228,46 +1213,119 @@ mod tests {
     }
 
     #[test]
-    fn a_retune_or_a_new_group_size_counts_the_groups_dropped_with_the_recoverer() {
-        use es_proto::{encode_parity, ParityAccumulator};
-        let packet = |seq: u32| DataPacket {
-            stream_id: 1,
-            seq,
-            play_at_us: 300_000 + u64::from(seq) * 50_000,
-            codec: 0,
-            payload: Bytes::from(vec![seq as u8; 8]),
-        };
+    fn a_retune_or_a_new_group_size_before_the_deadline_counts_nothing() {
         // Left open: [0, 4) with its parity but seq 1 and 3 lost, [4, 8)
         // without seq 5 and its parity, [8, 12) whole, its parity lost.
-        let open = |spk: &mut Speaker| {
-            let mut acc = ParityAccumulator::new(4);
-            let parity = (0..4).find_map(|seq| acc.absorb(&packet(seq)));
-            spk.offer(MS(0), encode_parity(&parity.expect("one group")));
-            for seq in [0, 2, 4, 6, 7, 8, 9, 10, 11] {
-                spk.offer(MS(0), encode_data(&packet(seq)));
-            }
-            assert_eq!(spk.stats().fec_unrecoverable, 0);
+        let open = || {
+            let mut spk = fec_only();
+            spk.offer(MS(0), parity(0, 4));
+            spk.members(MS(0), [0, 2, 4, 6, 7, 8, 9, 10, 11]);
+            spk
         };
-        let mut spk = Speaker::new(false);
-        spk.tune(SimTime::ZERO);
-        open(&mut spk);
+        // A retune forgets the holes before seq 1 is due at 350 ms.
+        let mut spk = open();
         spk.node.tune(McastGroup(1));
-        assert_eq!(spk.stats().fec_unrecoverable, 2);
-        spk.node.tune(McastGroup(1));
-        assert_eq!(spk.stats().fec_unrecoverable, 2, "no recoverer left");
+        spk.poll(MS(2_000));
+        assert_eq!(spk.stats().fec_unrecoverable, 0);
 
-        let mut spk = Speaker::new(false);
-        spk.tune(SimTime::ZERO);
-        open(&mut spk);
-        let mut acc = ParityAccumulator::new(8);
-        let parity = (16..24).find_map(|seq| acc.absorb(&packet(seq)));
-        let did = spk.offer(MS(0), encode_parity(&parity.expect("one group")));
+        // A new group size drops the recoverer and counts nothing. The
+        // holes stay, and settle on the new recoverer's grid, where 1,
+        // 3 and 5 are one group of 8.
+        let mut spk = open();
+        let did = spk.offer(MS(0), parity(16, 8));
         let changed = Did {
             notes: vec!["fec parity group changed from=4 to=8".into()],
             ..Did::default()
         };
         assert_eq!(did, changed);
+        spk.poll(MS(349));
+        assert_eq!(spk.stats().fec_unrecoverable, 0);
+        spk.poll(MS(2_000));
+        assert_eq!(spk.stats().fec_unrecoverable, 1);
+    }
+
+    #[test]
+    fn a_speaker_that_joins_mid_group_counts_nothing_sent_before_it_listened() {
+        // It first hears seq 2 and 3 of group [0, 4), then the group's
+        // parity: 0 and 1 were sent before it listened. Two whole
+        // groups follow. A speaker that conceals keeps a hole table
+        // from the start, one that keeps only FEC from the parity on.
+        for conceal in [false, true] {
+            let mut spk = Speaker::new(conceal);
+            spk.tune(SimTime::ZERO);
+            spk.members(MS(0), [2, 3]);
+            spk.offer(MS(0), parity(0, 4));
+            for first in [4, 8] {
+                spk.members(MS(0), first..first + 4);
+                spk.offer(MS(0), parity(first, 4));
+            }
+            spk.poll(MS(2_000));
+            let st = spk.stats();
+            let got = (st.fec_recovered, st.fec_unrecoverable, st.concealed_packets);
+            assert_eq!(got, (0, 0, 0), "conceal {conceal}: {st:?}");
+        }
+    }
+
+    #[test]
+    fn a_group_that_lost_two_packets_counts_on_a_clean_stream() {
+        // Group [4, 8) loses seq 5 and 6, and every group's parity
+        // follows it; the stream then plays cleanly for 1.6 s.
+        let mut spk = fec_only();
+        for first in (0..40).step_by(4) {
+            spk.members(
+                MS(0),
+                (first..first + 4).filter(|seq| ![5, 6].contains(seq)),
+            );
+            spk.offer(MS(0), parity(first, 4));
+        }
+        spk.poll(MS(549));
+        assert_eq!(spk.stats().fec_unrecoverable, 0);
+        spk.poll(MS(550));
+        assert_eq!(spk.stats().fec_unrecoverable, 1);
+        spk.poll(MS(5_000));
+        let st = spk.stats();
+        assert_eq!((st.fec_recovered, st.fec_unrecoverable), (0, 1), "{st:?}");
+    }
+
+    #[test]
+    fn a_stream_that_stops_still_counts_its_open_group() {
+        // [0, 4) arrives whole with its parity, then seq 4 and 6, and
+        // the stream stops: 5, 7 and [4, 8)'s parity are never sent.
+        let mut spk = fec_only();
+        spk.members(MS(0), 0..4);
+        spk.offer(MS(0), parity(0, 4));
+        spk.members(MS(0), [4, 6]);
+        spk.poll(MS(549));
+        assert_eq!(spk.stats().fec_unrecoverable, 0);
+        spk.poll(MS(550));
+        assert_eq!(spk.stats().fec_unrecoverable, 1);
+        assert_eq!(spk.node.table_sizes()[..2], [0, 1], "one hole, settled");
+    }
+
+    #[test]
+    fn a_copy_that_comes_after_its_hole_settled_counts_nothing_more() {
+        // [0, 4) arrives whole with its parity and starts the
+        // recoverer. [4, 8) loses seq 5, due at 550 ms, and its parity
+        // comes after that; [8, 12) loses seq 9, due at 750 ms, and the
+        // original comes after that.
+        let mut spk = fec_only();
+        spk.members(MS(0), 0..4);
+        spk.offer(MS(0), parity(0, 4));
+        spk.members(MS(0), [4, 6, 7, 8, 10, 11]);
+        spk.poll(MS(550));
+        assert_eq!(spk.stats().fec_unrecoverable, 1);
+        spk.offer(MS(560), parity(4, 4));
+        spk.poll(MS(750));
         assert_eq!(spk.stats().fec_unrecoverable, 2);
+        spk.members(MS(760), [9]);
+        spk.poll(MS(2_000));
+        let st = spk.stats();
+        let got = (st.fec_recovered, st.dropped_late, st.fec_unrecoverable);
+        assert_eq!(
+            got,
+            (1, 2, 2),
+            "the rebuild and the original are late: {st:?}"
+        );
     }
 
     #[test]

@@ -72,8 +72,8 @@ PROPTEST_CASES=2000 cargo test -q --release -p es-telemetry
 
 # The FEC recoverer's differential run: the handle-holding recoverer
 # against the per-group accumulator recoverer it replaced, on random
-# traffic with losses, duplicates, reordering, retired groups, hostile
-# parity and the open groups given up at the end, at 2000 cases (≈ 1 s
+# traffic with losses, duplicates, reordering, groups the four-group
+# window evicts while open and hostile parity, at 2000 cases (≈ 1 s
 # release).
 echo "== FEC recoverer differential oracle (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test -q --release -p es-proto fec::

@@ -3,7 +3,8 @@
 //! EXPERIMENTS.md has one and documents every module there, nothing
 //! points at the removed bench harness, and no row of the
 //! `no_doc_mentions!` table names what was deleted (the perf
-//! baselines, the relay's re-stamping and its hold, the FEC ladder,
+//! baselines, the relay's re-stamping and its hold, the FEC ladder
+//! and the recoverer's own loss tally,
 //! the stream monitor, the mixer, the codecs and cost model that went,
 //! a link's second and third loss rules)
 //! or describes the live speaker as the collector it was, DESIGN.md §8
@@ -317,6 +318,15 @@ no_doc_mentions! {
         "the VAD fakes the missing interrupt one way, with its kernel \
          thread, and the high level announces every block after the \
          trigger to any low-level driver";
+    no_doc_describes_fec_giving_up_on_groups: DOCS,
+        [
+            concat!("give", "_up"),
+            concat!("unrecoverable", "()"),
+            concat!("given up ", "on"),
+            concat!("given up ", "at the end"),
+        ],
+        "the recoverer only rebuilds; the hole table counts a group in \
+         `fec_unrecoverable` when one of its blocks comes due missing";
     no_doc_describes_packets_that_decode_alone: DOCS,
         [
             concat!("ease_into", "_frame"),
@@ -514,7 +524,7 @@ fn design_md_lists_exactly_the_keys_a_speaker_records() {
         .expect("DESIGN.md §6 lists the `speaker/<name>/*` keys")
         .0;
     let documented: BTreeSet<&str> = list.split('`').skip(1).step_by(2).collect();
-    // A speaker that has sent a NACK, given up on an FEC group and
+    // A speaker that has sent a NACK, lost a block of an FEC group and
     // faded a head, so the keys listed once non-zero are there too.
     let mut sim = es_sim::Sim::new(1);
     let lan = es_net::Lan::new(es_net::LanConfig::default());

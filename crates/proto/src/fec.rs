@@ -203,9 +203,15 @@ impl GroupState {
     }
 }
 
+/// The first seq of the parity group of `group` packets that `seq`
+/// belongs to: groups tile the sequence space from 0.
+pub fn group_base(seq: u32, group: u8) -> u32 {
+    seq - seq % u32::from(group)
+}
+
 /// Speaker side: tracks recent groups and reconstructs single losses.
 /// It only rebuilds: whether a block was lost for good is the
-/// speaker's hole table's call, made at the block's deadline.
+/// speaker's hole table's call, made once the block can no longer play.
 pub struct FecRecoverer {
     group: u8,
     groups: Vec<GroupState>,
@@ -239,10 +245,6 @@ impl FecRecoverer {
         self.recovered
     }
 
-    fn group_base(&self, seq: u32) -> u32 {
-        seq - seq % self.group as u32
-    }
-
     fn state_for(&mut self, base: u32, stream_id: u16) -> &mut GroupState {
         if let Some(i) = self.groups.iter().position(|g| g.base_seq == base) {
             return &mut self.groups[i];
@@ -259,7 +261,7 @@ impl FecRecoverer {
 
     /// Notes a received data packet; may complete a pending recovery.
     pub fn on_data(&mut self, pkt: &DataPacket) -> Option<DataPacket> {
-        let base = self.group_base(pkt.seq);
+        let base = group_base(pkt.seq, self.group);
         let idx = pkt.seq - base;
         let state = self.state_for(base, pkt.stream_id);
         if state.seen & (1 << idx) != 0 {

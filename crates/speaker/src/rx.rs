@@ -17,6 +17,7 @@ use bytes::Bytes;
 use es_audio::AudioConfig;
 use es_codec::CodecId;
 use es_proto::auth::StreamVerifier;
+use es_proto::fec::group_base;
 use es_proto::{
     encode_nack, AuthTrailer, ControlPacket, DataPacket, FecRecoverer, Packet, ParityPacket,
     MAX_NACK_RANGES, TRAILER_LEN,
@@ -71,7 +72,9 @@ pub struct SpeakerStats {
     pub fec_recovered: u64,
     /// FEC groups with a data packet that came due before it arrived,
     /// was rebuilt or was refilled; one per group, counted by the hole
-    /// table when it settles the packet's hole.
+    /// table when it settles the packet's hole. On a speaker that
+    /// neither conceals nor NACKs, a packet comes due once §3.2's
+    /// epsilon has passed too, as until then a copy still plays.
     pub fec_unrecoverable: u64,
     /// Data packets suppressed because their sequence number already
     /// played — LAN duplicates, or an FEC copy of a packet that also
@@ -247,12 +250,17 @@ const MAX_CONCEALED_RUN: u32 = 3;
 struct Hole {
     seq: u32,
     /// When it is due on the adapter's clock, interpolated between the
-    /// deadlines of the packets either side of the gap.
+    /// deadlines of the packets either side of the gap; past §3.2's
+    /// epsilon as well when the table only counts (see
+    /// `HoleTable::open`).
     deadline: SimTime,
     /// When to ask for it (again); `None` when it will not be.
     ask_at: Option<SimTime>,
     /// Requests sent so far.
     asks: u8,
+    /// The FEC group size it opened under, once the producer has
+    /// changed it: its group is counted on that grid.
+    fec_group: Option<u8>,
 }
 
 /// Adds `seq` to the `(first, count)` ranges of a NACK being built,
@@ -290,12 +298,21 @@ struct HoleTable {
     /// The sequence number that would extend the current run of
     /// concealed blocks, and the run's length.
     concealed_run: (u32, u32),
-    /// The first seq of the FEC group a hole last settled in: holes
-    /// settle in seq order, so a group counts once.
-    lost_group: Option<u32>,
+    /// §3.2's epsilon: how late a block may still arrive and play.
+    /// Set by the FEC recoverer's parity packets, the one user.
+    epsilon: SimDuration,
+    /// The FEC group a hole last settled in, its first seq and size:
+    /// holes settle in seq order, so a group counts once.
+    lost_group: Option<(u32, u8)>,
 }
 
 impl HoleTable {
+    /// Whether the speaker acts on its holes: conceals them or asks
+    /// for them. A table that does neither only counts.
+    fn repairs(&self) -> bool {
+        self.conceal || self.nack
+    }
+
     /// The stream is gone, and every hole in it.
     fn forget(&mut self) {
         self.holes.clear();
@@ -308,17 +325,24 @@ impl HoleTable {
     /// `seq` — the newest [`MAX_HOLES`] of them — due at even steps
     /// between the deadlines `before` and `after` of the packets
     /// either side (a producer that burnt numbers while it was down
-    /// kept its stream clock running, so the steps still fit).
+    /// kept its stream clock running, so the steps still fit). The
+    /// speaker that repairs settles a hole at that deadline: a replica
+    /// plays then, and a copy after it is late by definition. A table
+    /// that only counts leaves a late copy to §3.2's rule, which plays
+    /// it up to epsilon late, so its hole settles just after that.
     fn open(&mut self, now: SimTime, seq: u32, gap: u32, before: SimTime, after: SimTime) {
         let span = u128::from(after.saturating_since(before).as_nanos());
         let ask_at = self.nack.then(|| now.saturating_add(NACK_HOLDOFF));
+        let grace = (!self.repairs()).then(|| self.epsilon + SimDuration::from_nanos(1));
         for k in gap.saturating_sub(MAX_HOLES as u32) + 1..=gap {
             let into = span * u128::from(k) / (u128::from(gap) + 1);
+            let due = before.saturating_add(SimDuration::from_nanos(into as u64));
             self.holes.push_back(Hole {
                 seq: seq.wrapping_sub(gap - k + 1),
-                deadline: before.saturating_add(SimDuration::from_nanos(into as u64)),
+                deadline: due.saturating_add(grace.unwrap_or_default()),
                 ask_at,
                 asks: 0,
+                fec_group: None,
             });
         }
         let excess = self.holes.len().saturating_sub(MAX_HOLES);
@@ -328,8 +352,9 @@ impl HoleTable {
     /// A late arrival — reordered, recovered by FEC or sent again on
     /// request — closes its hole, open or settled; says whether the
     /// speaker had asked for it, and whether it is late: a copy of a
-    /// settled hole is, by definition — the speaker has played (or
-    /// skipped) that block.
+    /// settled hole is, by definition, when the speaker repairs — it
+    /// has played (or skipped) that block. A table that only counts
+    /// leaves the copy to §3.2's rule.
     fn close(&mut self, seq: u32) -> (bool, bool) {
         let open = self.holes.iter().position(|h| h.seq == seq);
         let settled = self.settled.iter().position(|&(s, _)| s == seq);
@@ -338,7 +363,8 @@ impl HoleTable {
             (None, Some(i)) => self.settled.remove(i).is_some_and(|(_, asked)| asked),
             (None, None) => false,
         };
-        (asked, open.is_none() && settled.is_some())
+        let late = self.repairs() && open.is_none() && settled.is_some();
+        (asked, late)
     }
 
     /// The earliest instant a hole is to be asked for or comes due.
@@ -350,16 +376,16 @@ impl HoleTable {
     /// Steps the table to `now`: a hole that has outlived the reorder
     /// hold-off is asked for, once more if the refill does not come
     /// either and a round trip still fits before the deadline; a hole
-    /// still open when its block is due is settled, and `conceal` is
+    /// still open when it comes due is settled, and `conceal` is
     /// called with its deadline and its place in the run of blocks
     /// missing back to back (from 1; a longer run than
     /// [`MAX_CONCEALED_RUN`] goes silent) if the speaker conceals.
     /// Returns the `(first_seq, count)` ranges to ask for, at most
     /// [`MAX_NACK_RANGES`] of them (what one NACK packet carries; the
-    /// rest are asked for at the next poll), and how many FEC groups of
-    /// `fec_group` packets lost a block for good: a group counts the
-    /// first time one of its holes settles. Work is bounded by the
-    /// table.
+    /// rest are asked for at the next poll), and how many FEC groups
+    /// lost a block for good: a group — of the size its hole opened
+    /// under, else of `fec_group` packets — counts the first time one
+    /// of its holes settles. Work is bounded by the table.
     fn poll(
         &mut self,
         now: SimTime,
@@ -373,9 +399,9 @@ impl HoleTable {
         self.holes.retain_mut(|h| {
             if h.deadline <= now {
                 settled.push_back((h.seq, h.asks > 0));
-                if let Some(g) = fec_group {
-                    let first = h.seq - h.seq % u32::from(g);
-                    lost += u64::from(lost_group.replace(first) != Some(first));
+                if let Some(size) = h.fec_group.or(fec_group) {
+                    let group = (group_base(h.seq, size), size);
+                    lost += u64::from(lost_group.replace(group) != Some(group));
                 }
                 let nth = if run.0 == h.seq {
                     run.1.saturating_add(1)
@@ -426,7 +452,8 @@ pub(crate) struct RxState {
     /// detection, and one end of a hole's interpolated deadline).
     last: Option<(u32, SimTime)>,
     /// The hole table, once the speaker conceals, can NACK or keeps
-    /// FEC.
+    /// FEC; one kept only to count FEC's losses goes with the
+    /// recoverer at a retune.
     repair: Option<Box<HoleTable>>,
 }
 
@@ -513,6 +540,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         self.rx.regate();
         self.rx.configured = false;
         self.rx.fec = None;
+        self.rx.repair = self.rx.repair.take().filter(|t| t.repairs());
     }
 
     /// Counts a datagram and passes it through the §5.1 gate; yields
@@ -585,6 +613,10 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
         let group = self.rx.fec.as_ref().map(FecRecoverer::group);
         if let Some(from) = group.filter(|&group| group != p.count) {
             self.rx.fec = None;
+            // The holes already open keep the old grid.
+            for h in self.rx.repair.iter_mut().flat_map(|t| t.holes.iter_mut()) {
+                h.fec_group.get_or_insert(from);
+            }
             let fields = vec![("from", from.to_string()), ("to", p.count.to_string())];
             self.note(
                 Severity::Info,
@@ -594,7 +626,7 @@ impl<A: Copy, D: Decoder> SpeakerNode<A, D> {
             );
         }
         // The hole table settles the blocks FEC did not rebuild.
-        self.rx.repair.get_or_insert_default();
+        self.rx.repair.get_or_insert_default().epsilon = self.cfg.epsilon;
         let fec = self
             .rx
             .fec
@@ -1089,6 +1121,21 @@ mod tests {
         spk
     }
 
+    /// When a speaker that only counts settles the hole of a block due
+    /// at `due_ms`: once §3.2's epsilon has passed as well, the last
+    /// instant a copy could still play.
+    fn settles(due_ms: u64) -> SimTime {
+        MS(due_ms) + crate::sync::DEFAULT_EPSILON + SimDuration::from_nanos(1)
+    }
+
+    /// `fec_unrecoverable` just before `at` and at it.
+    fn counted_around(spk: &mut Speaker, at: SimTime) -> (u64, u64) {
+        spk.poll(at - SimDuration::from_nanos(1));
+        let before = spk.stats().fec_unrecoverable;
+        spk.poll(at);
+        (before, spk.stats().fec_unrecoverable)
+    }
+
     #[test]
     fn fec_recovering_an_asked_for_hole_is_not_a_refill() {
         let mut spk = repairing();
@@ -1120,25 +1167,25 @@ mod tests {
     fn a_group_that_lost_two_packets_counts_once_when_the_first_comes_due() {
         // Group [0, 4) loses seq 1 and 2, group [4, 8) loses seq 5;
         // only these two groups' parity arrives, ahead of their data,
-        // and rebuilds 5.
-        let mut spk = fec_only();
-        spk.offer(MS(0), parity(0, 4));
-        spk.offer(MS(0), parity(4, 4));
-        spk.members(MS(0), (0..24).filter(|seq| ![1, 2, 5].contains(seq)));
-        // Seq 1 is due at 350 ms, seq 2 at 400 ms.
-        spk.poll(MS(349));
-        assert_eq!(spk.stats().fec_unrecoverable, 0);
-        spk.poll(MS(350));
-        assert_eq!(spk.stats().fec_unrecoverable, 1);
-        spk.poll(MS(2_000));
-        let st = spk.stats();
-        assert_eq!((st.fec_recovered, st.fec_unrecoverable), (1, 1), "{st:?}");
-        let mut reg = Registry::new();
-        st.record(&mut reg);
-        assert_eq!(
-            reg.snapshot().counter("speaker/0/fec_unrecoverable"),
-            Some(1)
-        );
+        // and rebuilds 5. Seq 1 is due at 350 ms, seq 2 at 400 ms: a
+        // speaker that conceals settles the hole then, one that only
+        // counts once a copy could no longer play.
+        for (conceal, at) in [(true, MS(350)), (false, settles(350))] {
+            let mut spk = Speaker::new(conceal);
+            spk.tune(SimTime::ZERO);
+            spk.offer(MS(0), parity(0, 4));
+            spk.offer(MS(0), parity(4, 4));
+            spk.members(MS(0), (0..24).filter(|seq| ![1, 2, 5].contains(seq)));
+            assert_eq!(counted_around(&mut spk, at), (0, 1), "conceal {conceal}");
+            spk.poll(MS(2_000));
+            let st = spk.stats();
+            let got = (st.fec_recovered, st.fec_unrecoverable);
+            assert_eq!(got, (1, 1), "conceal {conceal}: {st:?}");
+            let mut reg = Registry::new();
+            st.record(&mut reg);
+            let key = "speaker/0/fec_unrecoverable";
+            assert_eq!(reg.snapshot().counter(key), Some(1));
+        }
         // A clean stream lists no such key.
         let mut reg = Registry::new();
         SpeakerStats::default().record(&mut reg);
@@ -1153,9 +1200,7 @@ mod tests {
         let mut spk = fec_only();
         spk.offer(MS(0), parity(0, 4));
         spk.members(MS(0), (0..20).filter(|&seq| seq != 1 && seq != 5));
-        spk.poll(MS(549));
-        assert_eq!(spk.stats().fec_unrecoverable, 0);
-        spk.poll(MS(550));
+        assert_eq!(counted_around(&mut spk, settles(550)), (0, 1));
         let st = spk.stats();
         assert_eq!((st.fec_recovered, st.fec_unrecoverable), (1, 1), "{st:?}");
     }
@@ -1212,36 +1257,46 @@ mod tests {
         }
     }
 
+    /// Left open: [0, 4) with its parity but seq 1 and 3 lost, [4, 8)
+    /// without seq 5 and its parity, [8, 12) whole, its parity lost.
+    fn three_groups_open() -> Speaker {
+        let mut spk = fec_only();
+        spk.offer(MS(0), parity(0, 4));
+        spk.members(MS(0), [0, 2, 4, 6, 7, 8, 9, 10, 11]);
+        spk
+    }
+
     #[test]
-    fn a_retune_or_a_new_group_size_before_the_deadline_counts_nothing() {
-        // Left open: [0, 4) with its parity but seq 1 and 3 lost, [4, 8)
-        // without seq 5 and its parity, [8, 12) whole, its parity lost.
-        let open = || {
-            let mut spk = fec_only();
-            spk.offer(MS(0), parity(0, 4));
-            spk.members(MS(0), [0, 2, 4, 6, 7, 8, 9, 10, 11]);
-            spk
-        };
-        // A retune forgets the holes before seq 1 is due at 350 ms.
-        let mut spk = open();
+    fn a_retune_before_the_deadline_counts_nothing() {
+        // The holes go before seq 1 is due at 350 ms, and the table
+        // kept only to count goes with the recoverer.
+        let mut spk = three_groups_open();
         spk.node.tune(McastGroup(1));
+        assert!(spk.node.rx.repair.is_none());
         spk.poll(MS(2_000));
         assert_eq!(spk.stats().fec_unrecoverable, 0);
+    }
 
-        // A new group size drops the recoverer and counts nothing. The
-        // holes stay, and settle on the new recoverer's grid, where 1,
-        // 3 and 5 are one group of 8.
-        let mut spk = open();
+    #[test]
+    fn holes_count_on_the_group_size_they_opened_under() {
+        // A new group size drops the recoverer and counts nothing.
+        let mut spk = three_groups_open();
         let did = spk.offer(MS(0), parity(16, 8));
         let changed = Did {
             notes: vec!["fec parity group changed from=4 to=8".into()],
             ..Did::default()
         };
         assert_eq!(did, changed);
-        spk.poll(MS(349));
-        assert_eq!(spk.stats().fec_unrecoverable, 0);
+        // Group [16, 24) of 8 loses seq 17 and 18, due at 1 150 and
+        // 1 200 ms.
+        spk.members(MS(0), (12..24).filter(|seq| ![17, 18].contains(seq)));
+        // 1 and 3 count as [0, 4), 5 as [4, 8), as when they opened.
+        assert_eq!(counted_around(&mut spk, settles(350)), (0, 1));
+        spk.poll(MS(1_000));
+        assert_eq!(spk.stats().fec_unrecoverable, 2);
+        assert_eq!(counted_around(&mut spk, settles(1_150)), (2, 3));
         spk.poll(MS(2_000));
-        assert_eq!(spk.stats().fec_unrecoverable, 1);
+        assert_eq!(spk.stats().fec_unrecoverable, 3);
     }
 
     #[test]
@@ -1278,10 +1333,7 @@ mod tests {
             );
             spk.offer(MS(0), parity(first, 4));
         }
-        spk.poll(MS(549));
-        assert_eq!(spk.stats().fec_unrecoverable, 0);
-        spk.poll(MS(550));
-        assert_eq!(spk.stats().fec_unrecoverable, 1);
+        assert_eq!(counted_around(&mut spk, settles(550)), (0, 1));
         spk.poll(MS(5_000));
         let st = spk.stats();
         assert_eq!((st.fec_recovered, st.fec_unrecoverable), (0, 1), "{st:?}");
@@ -1295,37 +1347,66 @@ mod tests {
         spk.members(MS(0), 0..4);
         spk.offer(MS(0), parity(0, 4));
         spk.members(MS(0), [4, 6]);
-        spk.poll(MS(549));
-        assert_eq!(spk.stats().fec_unrecoverable, 0);
-        spk.poll(MS(550));
-        assert_eq!(spk.stats().fec_unrecoverable, 1);
+        assert_eq!(counted_around(&mut spk, settles(550)), (0, 1));
         assert_eq!(spk.node.table_sizes()[..2], [0, 1], "one hole, settled");
+    }
+
+    /// [0, 4) arrives whole with its parity and starts the recoverer.
+    /// [4, 8) loses seq 5, due at 550 ms, its parity yet to come;
+    /// [8, 12) loses seq 9, due at 750 ms.
+    fn two_holes(conceal: bool) -> Speaker {
+        let mut spk = Speaker::new(conceal);
+        spk.tune(SimTime::ZERO);
+        spk.members(MS(0), 0..4);
+        spk.offer(MS(0), parity(0, 4));
+        spk.members(MS(0), [4, 6, 7, 8, 10, 11]);
+        spk
     }
 
     #[test]
     fn a_copy_that_comes_after_its_hole_settled_counts_nothing_more() {
-        // [0, 4) arrives whole with its parity and starts the
-        // recoverer. [4, 8) loses seq 5, due at 550 ms, and its parity
-        // comes after that; [8, 12) loses seq 9, due at 750 ms, and the
-        // original comes after that.
-        let mut spk = fec_only();
-        spk.members(MS(0), 0..4);
-        spk.offer(MS(0), parity(0, 4));
-        spk.members(MS(0), [4, 6, 7, 8, 10, 11]);
-        spk.poll(MS(550));
-        assert_eq!(spk.stats().fec_unrecoverable, 1);
-        spk.offer(MS(560), parity(4, 4));
-        spk.poll(MS(750));
-        assert_eq!(spk.stats().fec_unrecoverable, 2);
-        spk.members(MS(760), [9]);
+        // The rebuild of 5 and the original 9 each come 50 ms after
+        // their deadline, later than §3.2's epsilon: neither plays, on
+        // a speaker that conceals or one that only counts. The latter
+        // hands each to §3.2's rule, which decodes and discards it, as
+        // a speaker without a hole table does.
+        for conceal in [false, true] {
+            let mut spk = two_holes(conceal);
+            let played = |spk: &Speaker| spk.stats().data_packets;
+            spk.poll(MS(599));
+            let before = (spk.stats().fec_unrecoverable, played(&spk));
+            let did = spk.offer(MS(600), parity(4, 4));
+            assert_eq!((1, played(&spk)), before, "conceal {conceal}");
+            assert_eq!(did.blocks, usize::from(!conceal), "conceal {conceal}");
+            spk.poll(MS(799));
+            let before = (spk.stats().fec_unrecoverable, played(&spk));
+            let did = spk.data(MS(800), 9, 750);
+            assert_eq!((2, played(&spk)), before, "conceal {conceal}");
+            assert_eq!(did.blocks, usize::from(!conceal), "conceal {conceal}");
+            spk.poll(MS(2_000));
+            let st = spk.stats();
+            let got = (st.fec_recovered, st.dropped_late, st.fec_unrecoverable);
+            assert_eq!(got, (1, 2, 2), "conceal {conceal}: {st:?}");
+        }
+    }
+
+    #[test]
+    fn a_speaker_that_only_counts_plays_a_copy_within_epsilon_and_counts_nothing() {
+        // The rebuild of 5 and the original 9 each come 10 ms after
+        // their deadline: §3.2's rule plays both.
+        let mut spk = two_holes(false);
+        assert_eq!(spk.poll(MS(560)), Did::default());
+        let played = Did {
+            blocks: 1,
+            ..Did::default()
+        };
+        assert_eq!(spk.offer(MS(560), parity(4, 4)), played);
+        assert_eq!(spk.poll(MS(760)), Did::default());
+        assert_eq!(spk.data(MS(760), 9, 750), played);
         spk.poll(MS(2_000));
         let st = spk.stats();
         let got = (st.fec_recovered, st.dropped_late, st.fec_unrecoverable);
-        assert_eq!(
-            got,
-            (1, 2, 2),
-            "the rebuild and the original are late: {st:?}"
-        );
+        assert_eq!(got, (1, 0, 0), "{st:?}");
     }
 
     #[test]
